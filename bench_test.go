@@ -173,7 +173,7 @@ func BenchmarkE11AsyncSiteRank(b *testing.B) {
 		name string
 		cfg  DistConfig
 	}{
-		{"sync", DistConfig{DistributedSiteRank: true, Tol: 1e-9}},
+		{"sync", DistConfig{SiteRank: SiteRankSync, Tol: 1e-9}},
 		{"async", DistConfig{SiteRank: SiteRankAsync, Tol: 1e-9}},
 		{"asyncOrdered", DistConfig{SiteRank: SiteRankAsync, AsyncOrdered: true, AsyncSeed: 1, Tol: 1e-9}},
 	}

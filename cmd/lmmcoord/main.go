@@ -1,18 +1,18 @@
 // Command lmmcoord drives a fleet of lmmnode workers through one
 // distributed Layered Method run: it loads a graph file, partitions the
 // sites over the workers, gathers their local DocRanks, computes the
-// SiteRank (centrally or decentralized), and prints the composed top-k.
+// SiteRank (centrally or on the fleet), and prints the composed top-k.
 //
 // Usage:
 //
 //	lmmcoord -graph campus.graph -workers host1:7100,host2:7100
-//	         [-format text|gob] [-top 15] [-distributed-siterank]
-//	         [-siterank auto|central|sync|batched|async]
+//	         [-format text|gob] [-top 15]
+//	         [-siterank central|sync|batched|async] [-batch-rounds 4]
 //	         [-async-ordered] [-async-seed 42]
 //	         [-partition host|balanced|aggregate] [-partition-seed 0]
 //	         [-repartition-threshold 0.1]
 //	         [-tenant-quota 16] [-coalesce-tol 1e-6]
-//	         [-batch-rounds 4] [-max-worker-failures 1] [-max-redials 0]
+//	         [-max-worker-failures 1] [-max-redials 0]
 //	         [-checkpoint siterank.ckpt] [-resume] [-runs 2]
 //	         [-compress] [-timeout 30s]
 //
@@ -35,19 +35,22 @@
 // -max-redials additionally redials lost peers in the background with
 // jittered exponential backoff and re-admits them mid-run, rebalancing
 // their shards back (near-zero bytes when their caches are still warm).
-// -batch-rounds exchanges several SiteRank power rounds per message
-// when -distributed-siterank is on. -siterank selects the SiteRank mode
-// explicitly; "async" is the barrier-free protocol (workers sweep
-// continuously, the coordinator merges in arrival order and confirms
-// with synchronous verification rounds), and -async-ordered with
-// -async-seed makes its schedule deterministic and the SiteRank bitwise
-// reproducible. -checkpoint persists the SiteRank
-// iterate to a file after every round; a coordinator restarted with
-// -resume picks the iteration up from the last checkpointed round
-// instead of round zero (without -resume a stale checkpoint is cleared
-// first). -compress flate-compresses shard payloads on the wire;
-// -timeout bounds each whole run with a context deadline that
-// propagates into every worker exchange.
+// -siterank selects the SiteRank mode (docs/ARCHITECTURE.md has the
+// map): "central" (the default) solves the site layer on the
+// coordinator, "sync" iterates it over the fleet one barrier round at
+// a time, "batched" exchanges -batch-rounds power rounds per message,
+// and "async" is the barrier-free protocol (workers sweep continuously,
+// the coordinator merges in arrival order and confirms with synchronous
+// verification rounds); -async-ordered with -async-seed makes its
+// schedule deterministic and the SiteRank bitwise reproducible. A knob
+// given without the mode that reads it (-batch-rounds, -async-ordered,
+// -checkpoint with "central") is a usage error. -checkpoint persists
+// the fleet-side SiteRank iterate to a file after every round; a
+// coordinator restarted with -resume picks the iteration up from the
+// last checkpointed round instead of round zero (without -resume a
+// stale checkpoint is cleared first). -compress flate-compresses shard
+// payloads on the wire; -timeout bounds each whole run with a context
+// deadline that propagates into every worker exchange.
 package main
 
 import (
@@ -79,14 +82,13 @@ func run() error {
 		workers   = flag.String("workers", "", "comma-separated worker addresses (required)")
 		top       = flag.Int("top", 15, "table length")
 		damping   = flag.Float64("damping", 0.85, "damping factor / gatekeeper α")
-		distSite  = flag.Bool("distributed-siterank", false, "compute SiteRank by distributed power iteration")
-		srMode    = flag.String("siterank", "auto", "SiteRank mode: auto, central, sync, batched or async")
+		srMode    = flag.String("siterank", "central", "SiteRank mode: central, sync, batched or async")
 		asyncOrd  = flag.Bool("async-ordered", false, "with -siterank async: deterministic seeded sequential schedule")
 		asyncSeed = flag.Int64("async-seed", 0, "with -async-ordered: seed of the worker-selection schedule")
-		batch     = flag.Int("batch-rounds", 0, "SiteRank power rounds per exchange (with -distributed-siterank; <=1 = one round per exchange)")
+		batch     = flag.Int("batch-rounds", 0, "with -siterank batched: SiteRank power rounds per exchange (<=1 = one)")
 		failures  = flag.Int("max-worker-failures", 1, "worker losses one run may absorb by reassigning shards (0 = fail on first loss)")
 		redials   = flag.Int("max-redials", 0, "background redial attempts per lost worker (0 = lost workers stay lost)")
-		ckptPath  = flag.String("checkpoint", "", "checkpoint the SiteRank iterate to this file (with -distributed-siterank)")
+		ckptPath  = flag.String("checkpoint", "", "checkpoint the SiteRank iterate to this file (any -siterank mode but central)")
 		resume    = flag.Bool("resume", false, "resume the SiteRank iteration from the checkpoint file")
 		partName  = flag.String("partition", "balanced", "site placement strategy: host, balanced or aggregate")
 		partSeed  = flag.Int64("partition-seed", 0, "seed for the aggregate strategy's label propagation")
@@ -108,8 +110,6 @@ func run() error {
 	}
 	var mode coordinator.SiteRankMode
 	switch *srMode {
-	case "auto":
-		mode = coordinator.SiteRankAuto
 	case "central":
 		mode = coordinator.SiteRankCentral
 	case "sync":
@@ -119,10 +119,16 @@ func run() error {
 	case "async":
 		mode = coordinator.SiteRankAsync
 	default:
-		return fmt.Errorf("unknown -siterank mode %q (want auto, central, sync, batched or async)", *srMode)
+		return fmt.Errorf("unknown -siterank mode %q (want central, sync, batched or async)", *srMode)
 	}
 	if *asyncOrd && mode != coordinator.SiteRankAsync {
 		return fmt.Errorf("-async-ordered needs -siterank async")
+	}
+	if *batch != 0 && mode != coordinator.SiteRankBatched {
+		return fmt.Errorf("-batch-rounds needs -siterank batched")
+	}
+	if *ckptPath != "" && mode == coordinator.SiteRankCentral {
+		return fmt.Errorf("-checkpoint needs -siterank sync, batched or async (the central SiteRank has no fleet iteration to checkpoint)")
 	}
 	var strat partition.Strategy
 	switch *partName {
@@ -134,11 +140,6 @@ func run() error {
 		strat = partition.Aggregate{Seed: *partSeed}
 	default:
 		return fmt.Errorf("unknown -partition strategy %q (want host, balanced or aggregate)", *partName)
-	}
-	distributed := *distSite || mode == coordinator.SiteRankSync ||
-		mode == coordinator.SiteRankBatched || mode == coordinator.SiteRankAsync
-	if *ckptPath != "" && !distributed {
-		return fmt.Errorf("-checkpoint needs a distributed SiteRank mode (the central SiteRank has no distributed iteration to checkpoint)")
 	}
 
 	f, err := os.Open(*graphPath)
@@ -184,7 +185,6 @@ func run() error {
 
 	cfg := coordinator.Config{
 		Damping:              *damping,
-		DistributedSiteRank:  *distSite,
 		SiteRank:             mode,
 		AsyncOrdered:         *asyncOrd,
 		AsyncSeed:            *asyncSeed,

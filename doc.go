@@ -21,7 +21,8 @@
 //   - a distributed runtime: loopback or networked worker fleets driven by
 //     a coordinator over a gob/TCP RPC substrate, with page-count shard
 //     balancing, digest-keyed worker caches, flate shard compression,
-//     selectable SiteRank modes (SiteRankMode: central, synchronous
+//     one SiteRank loop selected by DistConfig.SiteRank alone
+//     (SiteRankMode: central by default, or on the fleet as synchronous
 //     rounds, batched rounds, or the barrier-free asynchronous protocol
 //     with synchronous verification — seeded-deterministic when
 //     ordered), mid-run worker-loss recovery and background redial with
@@ -117,8 +118,9 @@
 // warm digest cache means near-zero bytes re-shipped
 // (DistStats.RejoinShardBytes measures exactly the rejoin traffic), and
 // interim owners drop the moved sites so no chain row is double-counted.
-// Orthogonally, DistConfig.Checkpoint persists the distributed SiteRank
-// iterate so a restarted coordinator resumes instead of recomputing. The
+// Orthogonally, DistConfig.Checkpoint persists the fleet-side SiteRank
+// iterate (every SiteRankMode but SiteRankCentral) so a restarted
+// coordinator resumes instead of recomputing. The
 // Checkpoint contract: Save must durably replace the stored state or
 // fail the run (FileCheckpoint writes a temp file and renames — readers
 // never see a torn state); Load returns (nil, nil) when nothing is

@@ -10,7 +10,7 @@
 // and a worker killed between runs is survived by reassigning its
 // shards to the remaining peers.
 //
-//	go run ./examples/distributed [-workers 4] [-decentral-siterank] [-batch-rounds 4]
+//	go run ./examples/distributed [-workers 4] [-siterank central|sync|batched|async] [-batch-rounds 4]
 package main
 
 import (
@@ -24,10 +24,9 @@ import (
 
 func main() {
 	workers := flag.Int("workers", 4, "number of worker peers")
-	decentral := flag.Bool("decentral-siterank", false,
-		"also compute the SiteRank by distributed power iteration")
-	batch := flag.Int("batch-rounds", 0,
-		"SiteRank power rounds per exchange (with -decentral-siterank)")
+	siteRank := flag.String("siterank", "central",
+		"where the SiteRank is computed: central (on the coordinator), or on the fleet — sync, batched or async")
+	batch := flag.Int("batch-rounds", 4, "power rounds per exchange under -siterank batched")
 	flag.Parse()
 
 	web := lmmrank.GenerateCampusWeb(lmmrank.CampusWebConfig{
@@ -52,10 +51,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := lmmrank.DistConfig{
-		DistributedSiteRank: *decentral,
-		BatchRounds:         *batch,
-		Retry:               lmmrank.DistRetryPolicy{MaxWorkerFailures: 1},
+	cfg := lmmrank.DistConfig{Retry: lmmrank.DistRetryPolicy{MaxWorkerFailures: 1}}
+	switch *siteRank {
+	case "central":
+	case "sync":
+		cfg.SiteRank = lmmrank.SiteRankSync
+	case "batched":
+		cfg.SiteRank, cfg.BatchRounds = lmmrank.SiteRankBatched, *batch
+	case "async":
+		cfg.SiteRank = lmmrank.SiteRankAsync
+	default:
+		log.Fatalf("unknown -siterank mode %q (want central, sync, batched or async)", *siteRank)
 	}
 
 	var res *lmmrank.DistResult
@@ -71,7 +77,7 @@ func main() {
 			res.Stats.CacheHits, res.Stats.CacheMisses, float64(res.Stats.ShardBytesSaved)/1e6)
 		fmt.Printf("  local ranks:  %v (computed on the peers)\n", res.Stats.LocalRankDuration.Round(time.Millisecond))
 		fmt.Printf("  siterank:     %v", res.Stats.SiteRankDuration.Round(time.Millisecond))
-		if *decentral {
+		if cfg.SiteRank != lmmrank.SiteRankCentral {
 			fmt.Printf(" (%d distributed power rounds", res.Stats.SiteRankRounds)
 			if res.Stats.BatchMessagesSaved > 0 {
 				fmt.Printf(", batching saved %d messages", res.Stats.BatchMessagesSaved)

@@ -36,7 +36,7 @@ func TestAsyncSiteRankAgreesWithSync(t *testing.T) {
 		{
 			name:     "concurrent",
 			cfg:      coordinator.Config{SiteRank: coordinator.SiteRankAsync, Tol: 1e-8, MaxIter: 2000},
-			syncCfg:  coordinator.Config{DistributedSiteRank: true, Tol: 1e-8, MaxIter: 2000},
+			syncCfg:  coordinator.Config{SiteRank: coordinator.SiteRankSync, Tol: 1e-8, MaxIter: 2000},
 			agreeTol: 1e-6,
 		},
 		{
@@ -45,7 +45,7 @@ func TestAsyncSiteRankAgreesWithSync(t *testing.T) {
 				SiteRank: coordinator.SiteRankAsync, AsyncOrdered: true, AsyncSeed: 42,
 				Tol: 1e-12, MaxIter: 4000,
 			},
-			syncCfg:  coordinator.Config{DistributedSiteRank: true, Tol: 1e-12, MaxIter: 4000},
+			syncCfg:  coordinator.Config{SiteRank: coordinator.SiteRankSync, Tol: 1e-12, MaxIter: 4000},
 			agreeTol: 1e-9,
 		},
 	}
@@ -166,13 +166,13 @@ func TestChaosStragglerStallsSyncBarrier(t *testing.T) {
 	}{
 		{
 			name:             "sync",
-			cfg:              coordinator.Config{DistributedSiteRank: true, Tol: 1e-6},
+			cfg:              coordinator.Config{SiteRank: coordinator.SiteRankSync, Tol: 1e-6},
 			kind:             wire.KindPowerRound,
 			roundsPerBarrier: 1,
 		},
 		{
 			name:             "batched",
-			cfg:              coordinator.Config{DistributedSiteRank: true, BatchRounds: 4, Tol: 1e-6},
+			cfg:              coordinator.Config{SiteRank: coordinator.SiteRankBatched, BatchRounds: 4, Tol: 1e-6},
 			kind:             wire.KindBatchRounds,
 			roundsPerBarrier: 4,
 		},
@@ -237,7 +237,7 @@ func TestChaosAsyncStragglerBeatsSync(t *testing.T) {
 	}
 	clSync.Proxies[7].SetScript(chaos.DelayKind(wire.KindPowerRound, stragglerDelay))
 	sync, err := clSync.Coord.Rank(web.Graph, coordinator.Config{
-		DistributedSiteRank: true, Tol: 1e-6, MaxIter: 2000,
+		SiteRank: coordinator.SiteRankSync, Tol: 1e-6, MaxIter: 2000,
 	})
 	clSync.Close()
 	if err != nil {

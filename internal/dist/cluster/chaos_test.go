@@ -77,14 +77,14 @@ func TestChaosSoak(t *testing.T) {
 			// that every scripted interrupt lands before convergence and
 			// every redialed worker rejoins mid-run.
 			name:   "unbatchedSiteRank",
-			cfg:    coordinator.Config{DistributedSiteRank: true, Tol: 1e-12, MaxIter: 2000},
+			cfg:    coordinator.Config{SiteRank: coordinator.SiteRankSync, Tol: 1e-12, MaxIter: 2000},
 			kinds:  []wire.Kind{wire.KindLoad, wire.KindRankLocal, wire.KindPowerRound},
 			resume: true,
 		},
 		{
 			name: "batchedSiteRank",
 			cfg: coordinator.Config{
-				DistributedSiteRank: true, BatchRounds: 4, Tol: 1e-12, MaxIter: 2000,
+				SiteRank: coordinator.SiteRankBatched, BatchRounds: 4, Tol: 1e-12, MaxIter: 2000,
 			},
 			kinds:   []wire.Kind{wire.KindLoad, wire.KindRankLocal, wire.KindBatchRounds},
 			bitwise: true,

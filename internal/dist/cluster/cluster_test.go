@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"testing"
+	"time"
 
 	"lmmrank/internal/dist/coordinator"
 	"lmmrank/internal/lmm"
@@ -29,19 +30,15 @@ func TestPartitionTheoremOverTheWire(t *testing.T) {
 		t.Fatalf("reference LayeredDocRank: %v", err)
 	}
 
-	for _, distSite := range []bool{false, true} {
-		name := "centralSiteRank"
-		if distSite {
-			name = "distributedSiteRank"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, mode := range []coordinator.SiteRankMode{coordinator.SiteRankCentral, coordinator.SiteRankSync} {
+		t.Run(mode.String(), func(t *testing.T) {
 			cl, err := StartLocal(3)
 			if err != nil {
 				t.Fatalf("StartLocal: %v", err)
 			}
 			defer cl.Close()
 
-			res, err := cl.Coord.Rank(web.Graph, coordinator.Config{DistributedSiteRank: distSite})
+			res, err := cl.Coord.Rank(web.Graph, coordinator.Config{SiteRank: mode})
 			if err != nil {
 				t.Fatalf("Rank: %v", err)
 			}
@@ -66,17 +63,17 @@ func TestPartitionTheoremOverTheWire(t *testing.T) {
 // regardless of goroutine scheduling and map iteration.
 func TestDeterminism(t *testing.T) {
 	web := testWeb()
-	for _, distSite := range []bool{false, true} {
+	for _, mode := range []coordinator.SiteRankMode{coordinator.SiteRankCentral, coordinator.SiteRankSync} {
 		var prev []float64
 		for run := 0; run < 2; run++ {
 			cl, err := StartLocal(4)
 			if err != nil {
 				t.Fatalf("StartLocal: %v", err)
 			}
-			res, err := cl.Coord.Rank(web.Graph, coordinator.Config{DistributedSiteRank: distSite})
+			res, err := cl.Coord.Rank(web.Graph, coordinator.Config{SiteRank: mode})
 			cl.Close()
 			if err != nil {
-				t.Fatalf("Rank (distSite=%v, run %d): %v", distSite, run, err)
+				t.Fatalf("Rank (mode=%v, run %d): %v", mode, run, err)
 			}
 			if prev == nil {
 				prev = res.DocRank
@@ -84,7 +81,7 @@ func TestDeterminism(t *testing.T) {
 			}
 			for i, x := range res.DocRank {
 				if x != prev[i] {
-					t.Fatalf("distSite=%v: run differs at doc %d: %g vs %g", distSite, i, x, prev[i])
+					t.Fatalf("mode=%v: run differs at doc %d: %g vs %g", mode, i, x, prev[i])
 				}
 			}
 		}
@@ -133,18 +130,27 @@ func TestWorkerSideStats(t *testing.T) {
 		t.Fatalf("StartLocal: %v", err)
 	}
 	defer cl.Close()
-	if _, err := cl.Coord.Rank(web.Graph, coordinator.Config{DistributedSiteRank: true}); err != nil {
+	if _, err := cl.Coord.Rank(web.Graph, coordinator.Config{SiteRank: coordinator.SiteRankSync}); err != nil {
 		t.Fatalf("Rank: %v", err)
 	}
 
-	var wMsgs, wIn, wOut uint64
-	for _, w := range cl.Workers {
-		st := w.Stats()
-		wMsgs += st.Messages
-		wIn += st.BytesReceived
-		wOut += st.BytesSent
-	}
+	// A worker counts a response's bytes after its write returns, which
+	// can be after the coordinator has read them: wait for the fleet's
+	// counters to settle instead of sampling them mid-update.
 	cMsgs, cOut, cIn := cl.Coord.Stats()
+	var wMsgs, wIn, wOut uint64
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		wMsgs, wIn, wOut = 0, 0, 0
+		for _, w := range cl.Workers {
+			st := w.Stats()
+			wMsgs += st.Messages
+			wIn += st.BytesReceived
+			wOut += st.BytesSent
+		}
+		if (wMsgs == cMsgs && wIn == cOut && wOut == cIn) || time.Now().After(deadline) {
+			break
+		}
+	}
 	if wMsgs != cMsgs {
 		t.Errorf("message counts disagree: workers served %d, coordinator sent %d", wMsgs, cMsgs)
 	}
@@ -200,7 +206,7 @@ func TestMoreWorkersThanSites(t *testing.T) {
 		t.Fatalf("StartLocal: %v", err)
 	}
 	defer cl.Close()
-	res, err := cl.Coord.Rank(web.Graph, coordinator.Config{DistributedSiteRank: true})
+	res, err := cl.Coord.Rank(web.Graph, coordinator.Config{SiteRank: coordinator.SiteRankSync})
 	if err != nil {
 		t.Fatalf("Rank: %v", err)
 	}
@@ -228,22 +234,22 @@ func TestRankPrepared(t *testing.T) {
 	}
 	defer cl.Close()
 
-	for _, distSite := range []bool{false, true} {
-		cfg := coordinator.Config{DistributedSiteRank: distSite}
+	for _, mode := range []coordinator.SiteRankMode{coordinator.SiteRankCentral, coordinator.SiteRankSync} {
+		cfg := coordinator.Config{SiteRank: mode}
 		oneShot, err := cl.Coord.Rank(web.Graph, cfg)
 		if err != nil {
-			t.Fatalf("Rank (distSite=%v): %v", distSite, err)
+			t.Fatalf("Rank (mode=%v): %v", mode, err)
 		}
 		for run := 0; run < 2; run++ {
 			res, err := cl.Coord.RankPrepared(rk, cfg)
 			if err != nil {
-				t.Fatalf("RankPrepared (distSite=%v, run %d): %v", distSite, run, err)
+				t.Fatalf("RankPrepared (mode=%v, run %d): %v", mode, run, err)
 			}
 			if d := res.DocRank.L1Diff(oneShot.DocRank); d != 0 {
-				t.Errorf("distSite=%v run %d: DocRank differs from one-shot Rank by %g", distSite, run, d)
+				t.Errorf("mode=%v run %d: DocRank differs from one-shot Rank by %g", mode, run, d)
 			}
 			if d := res.SiteRank.L1Diff(oneShot.SiteRank); d != 0 {
-				t.Errorf("distSite=%v run %d: SiteRank differs by %g", distSite, run, d)
+				t.Errorf("mode=%v run %d: SiteRank differs by %g", mode, run, d)
 			}
 		}
 	}
@@ -261,11 +267,11 @@ func TestBatchedSiteRankMatchesUnbatched(t *testing.T) {
 	}
 	defer cl.Close()
 
-	unbatched, err := cl.Coord.Rank(web.Graph, coordinator.Config{DistributedSiteRank: true})
+	unbatched, err := cl.Coord.Rank(web.Graph, coordinator.Config{SiteRank: coordinator.SiteRankSync})
 	if err != nil {
 		t.Fatalf("unbatched Rank: %v", err)
 	}
-	batched, err := cl.Coord.Rank(web.Graph, coordinator.Config{DistributedSiteRank: true, BatchRounds: 4})
+	batched, err := cl.Coord.Rank(web.Graph, coordinator.Config{SiteRank: coordinator.SiteRankBatched, BatchRounds: 4})
 	if err != nil {
 		t.Fatalf("batched Rank: %v", err)
 	}

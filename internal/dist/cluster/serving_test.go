@@ -48,7 +48,7 @@ func TestDigestMemoization(t *testing.T) {
 	// A different protocol shape (chain rows inside the shards) is a
 	// different payload: the memo must miss and re-hash, not serve the
 	// stale central-mode shards.
-	dist, err := cl.Coord.RankPrepared(rk, coordinator.Config{DistributedSiteRank: true})
+	dist, err := cl.Coord.RankPrepared(rk, coordinator.Config{SiteRank: coordinator.SiteRankSync})
 	if err != nil {
 		t.Fatalf("distributed RankPrepared: %v", err)
 	}
@@ -129,8 +129,8 @@ func TestDistributedSitePersonalization(t *testing.T) {
 		cfg  coordinator.Config
 	}{
 		{"central", coordinator.Config{SitePersonalization: pers}},
-		{"distributed", coordinator.Config{SitePersonalization: pers, DistributedSiteRank: true}},
-		{"batched", coordinator.Config{SitePersonalization: pers, DistributedSiteRank: true, BatchRounds: 4}},
+		{"distributed", coordinator.Config{SitePersonalization: pers, SiteRank: coordinator.SiteRankSync}},
+		{"batched", coordinator.Config{SitePersonalization: pers, SiteRank: coordinator.SiteRankBatched, BatchRounds: 4}},
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
@@ -204,8 +204,8 @@ func TestDistributedThreeLayer(t *testing.T) {
 		}
 	}
 
-	if _, err := cl.Coord.Rank(web.Graph, coordinator.Config{ThreeLayer: true, DistributedSiteRank: true}); !errors.Is(err, pagerank.ErrBadConfig) {
-		t.Errorf("ThreeLayer+DistributedSiteRank: err = %v, want ErrBadConfig", err)
+	if _, err := cl.Coord.Rank(web.Graph, coordinator.Config{ThreeLayer: true, SiteRank: coordinator.SiteRankSync}); !errors.Is(err, pagerank.ErrBadConfig) {
+		t.Errorf("ThreeLayer+SiteRankSync: err = %v, want ErrBadConfig", err)
 	}
 	pers := make(matrix.Vector, web.Graph.NumSites())
 	for i := range pers {

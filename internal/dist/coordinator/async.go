@@ -1,11 +1,10 @@
 package coordinator
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"lmmrank/internal/dist/wire"
 	"lmmrank/internal/matrix"
@@ -64,49 +63,29 @@ type asyncUpdate struct {
 	err     error
 }
 
-// asyncShared is the snapshot drivers sweep against. The supervisor
-// publishes a freshly allocated iterate after every merge and never
-// mutates a published slice, so drivers hand the pointer straight to
-// the gob encoder without copying.
-type asyncShared struct {
-	mu      sync.Mutex
-	x       []float64
-	version uint64
-	epoch   uint64
-}
-
-func (s *asyncShared) snapshot() ([]float64, uint64, uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.x, s.version, s.epoch
-}
-
-func (s *asyncShared) publish(x []float64, version, epoch uint64) {
-	s.mu.Lock()
-	s.x = x
-	s.version = version
-	s.epoch = epoch
-	s.mu.Unlock()
+// asyncSnapshot is what drivers sweep against. The supervisor
+// publishes a freshly allocated one after every merge and never mutates
+// a published iterate, so drivers hand x straight to the gob encoder
+// without copying.
+type asyncSnapshot struct {
+	x              []float64
+	version, epoch uint64
 }
 
 // asyncAccum is the per-epoch versioned accumulator: the last sweep of
 // every worker in the current generation, the merged iterate, and the
 // decaying residual estimate. Owned exclusively by the supervisor.
 type asyncAccum struct {
-	r       *run
-	f       float64
-	uniform float64
+	r *run
+	f float64
 	// x is the merged iterate, next the merge scratch (swapped).
 	x    matrix.Vector
 	next matrix.Vector
 	// version counts merges across the whole phase (staleness is
-	// measured in versions); has/partials/dangling/masses hold each
-	// worker's latest contribution in the current epoch.
-	version  uint64
-	has      []bool
-	partials [][]float64
-	dangling []float64
-	masses   []float64
+	// measured in versions); last holds each worker's latest sweep of
+	// the current epoch (nil = none yet).
+	version uint64
+	last    []*asyncUpdate
 	// lastRes is each worker's most recent merge residual this epoch. A
 	// slow worker's sweeps arrive stale and jolt the iterate; requiring
 	// every worker's latest jolt under Tol keeps the candidate honest —
@@ -118,17 +97,13 @@ type asyncAccum struct {
 func newAsyncAccum(r *run, x matrix.Vector) *asyncAccum {
 	n := len(r.c.workers)
 	return &asyncAccum{
-		r:        r,
-		f:        r.cfg.damping(),
-		uniform:  1.0 / float64(r.ns),
-		x:        x,
-		next:     matrix.NewVector(r.ns),
-		has:      make([]bool, n),
-		partials: make([][]float64, n),
-		dangling: make([]float64, n),
-		masses:   make([]float64, n),
-		lastRes:  make([]float64, n),
-		resEst:   math.Inf(1),
+		r:       r,
+		f:       r.cfg.damping(),
+		x:       x,
+		next:    matrix.NewVector(r.ns),
+		last:    make([]*asyncUpdate, n),
+		lastRes: make([]float64, n),
+		resEst:  math.Inf(1),
 	}
 }
 
@@ -141,33 +116,19 @@ func newAsyncAccum(r *run, x matrix.Vector) *asyncAccum {
 // exactly the synchronous update — the owned sites partition the site
 // space, so the per-worker masses partition Σx — and with mixed
 // snapshots it is a chaotic relaxation whose answer the verification
-// rounds confirm. Returns the L1 residual of this merge.
-func (a *asyncAccum) merge(u *asyncUpdate) float64 {
-	a.partials[u.idx] = u.partial
-	a.dangling[u.idx] = u.dangling
-	a.masses[u.idx] = u.mass
-	a.has[u.idx] = true
-
+// rounds confirm.
+func (a *asyncAccum) merge(u *asyncUpdate) {
+	a.last[u.idx] = u
 	y := a.next
 	y.Fill(0)
 	var coeff float64
-	for idx := range a.partials {
-		if !a.has[idx] {
-			continue
-		}
-		y.AddScaled(1, a.partials[idx])
-		coeff += a.f*a.dangling[idx] + (1-a.f)*a.masses[idx]
-	}
-	if a.r.tele == nil {
-		for t := range y {
-			y[t] = a.f*y[t] + coeff*a.uniform
-		}
-	} else {
-		for t := range y {
-			y[t] = a.f*y[t] + coeff*a.r.tele[t]
+	for _, w := range a.last {
+		if w != nil {
+			y.AddScaled(1, w.partial)
+			coeff += a.f*w.dangling + (1-a.f)*w.mass
 		}
 	}
-	y.Normalize()
+	a.r.applyTeleport(y, coeff)
 	residual := y.L1Diff(a.x)
 	a.x, a.next = y, a.x
 	a.version++
@@ -179,7 +140,6 @@ func (a *asyncAccum) merge(u *asyncUpdate) float64 {
 	} else {
 		a.resEst = math.Max(residual, a.resEst*asyncResDecay)
 	}
-	return residual
 }
 
 // candidate reports whether the accumulator looks converged: every
@@ -196,7 +156,7 @@ func (a *asyncAccum) candidate(tol float64) bool {
 		if !alive {
 			continue
 		}
-		if !a.has[idx] || a.lastRes[idx] > tol {
+		if a.last[idx] == nil || a.lastRes[idx] > tol {
 			return false
 		}
 	}
@@ -208,11 +168,8 @@ func (a *asyncAccum) candidate(tol float64) bool {
 // iterate survives (it is still a valid starting point); the estimate
 // restarts pessimistic.
 func (a *asyncAccum) reset() {
-	for i := range a.has {
-		a.has[i] = false
-		a.partials[i] = nil
-		a.lastRes[i] = 0
-	}
+	clear(a.last)
+	clear(a.lastRes)
 	a.resEst = math.Inf(1)
 }
 
@@ -221,285 +178,191 @@ func (a *asyncAccum) reset() {
 func (r *run) recordMerge(idx int, staleness uint64) {
 	r.stats.AsyncUpdatesMerged++
 	r.stats.AsyncWorkerSweeps[idx]++
-	bucket := int(staleness)
-	if bucket >= asyncStaleBuckets {
-		bucket = asyncStaleBuckets - 1
-	}
-	r.stats.AsyncStalenessHist[bucket]++
+	r.stats.AsyncStalenessHist[min(staleness, asyncStaleBuckets-1)]++
 }
 
-// asyncSiteRank runs the barrier-free SiteRank: the concurrent
-// per-worker driver protocol by default, or the seeded sequential
-// schedule under Config.AsyncOrdered. The returned round count is the
-// merges executed by this run plus the verification rounds.
-func (r *run) asyncSiteRank() (matrix.Vector, int, error) {
-	r.stats.AsyncWorkerSweeps = make([]int, len(r.c.workers))
+// asyncPhase is the barrier-free schedule over the row-sharded chain:
+// one merged sweep per step, received from the concurrent per-worker
+// drivers by default, or drawn from a seeded sequence under
+// Config.AsyncOrdered (every merge then lands at staleness zero, and
+// with a fixed seed and fleet the SiteRank is bitwise reproducible —
+// the sequential randomized update the literature analyzes). Worker
+// losses reassign rows mid-phase and open a new epoch.
+type asyncPhase struct {
+	r     *run
+	acc   *asyncAccum
+	epoch uint64
+	// rejoined is Stats.WorkersRejoined as of the current epoch.
+	rejoined int
+	// next yields the next sweep to merge: where the two schedules
+	// differ. publish (a new iterate or epoch is out), ack (worker idx's
+	// delivered sweep was consumed) and stop are the concurrent fleet's
+	// hooks, no-ops under the ordered schedule, which sweeps the
+	// accumulator directly. All are set once, by startAsync.
+	next          func() (*asyncUpdate, error)
+	publish, stop func()
+	ack           func(idx int)
+}
+
+// asyncFleet is the concurrent schedule's machinery: the snapshot the
+// drivers sweep against, the channel they deliver on, and the per-driver
+// acks they park on.
+type asyncFleet struct {
+	r       *run
+	shared  atomic.Pointer[asyncSnapshot]
+	updates chan *asyncUpdate
+	acks    []chan struct{}
+	stopCh  chan struct{}
+	stop1   sync.Once
+	wg      sync.WaitGroup
+}
+
+// startAsync opens the asynchronous phase from iterate x and, for the
+// concurrent schedule, launches one driver per live worker.
+func (r *run) startAsync(x matrix.Vector) *asyncPhase {
+	nw := len(r.c.workers)
+	r.stats.AsyncWorkerSweeps = make([]int, nw)
 	r.stats.AsyncStalenessHist = make([]int, asyncStaleBuckets)
+	a := &asyncPhase{r: r, acc: newAsyncAccum(r, x), epoch: 1, rejoined: r.stats.WorkersRejoined}
 	if r.cfg.AsyncOrdered {
-		return r.asyncOrdered()
+		rng := rand.New(rand.NewSource(r.cfg.AsyncSeed))
+		a.next = func() (*asyncUpdate, error) {
+			idxs := r.aliveIdxs()
+			return r.sweep(idxs[rng.Intn(len(idxs))], a.acc.x, a.acc.version, a.epoch), nil
+		}
+		a.publish, a.stop, a.ack = func() {}, func() {}, func(int) {}
+		return a
 	}
-	return r.asyncConcurrent()
+	// Each driver has at most one undelivered update, so a channel
+	// buffered to the fleet size never blocks a send.
+	f := &asyncFleet{
+		r:       r,
+		updates: make(chan *asyncUpdate, nw),
+		acks:    make([]chan struct{}, nw),
+		stopCh:  make(chan struct{}),
+	}
+	a.next, a.stop, a.ack = f.next, f.stop, f.ack
+	a.publish = func() {
+		f.shared.Store(&asyncSnapshot{x: append([]float64(nil), a.acc.x...), version: a.acc.version, epoch: a.epoch})
+	}
+	a.publish()
+	for _, idx := range r.aliveIdxs() {
+		f.acks[idx] = make(chan struct{}, 1)
+		f.wg.Add(1)
+		go f.drive(idx)
+	}
+	return a
 }
 
-// asyncDriver keeps one KindAsyncUpdate in flight against one worker:
-// snapshot, sweep, deliver, wait for the merge ack, repeat. It exits on
-// stop, on any call failure (delivering the error as its final update)
-// or on a malformed response. The updates channel is buffered to the
-// fleet size and each driver has at most one undelivered update, so
-// sends never block.
-func (r *run) asyncDriver(idx int, sh *asyncShared, updates chan<- *asyncUpdate, ack <-chan struct{}, stop <-chan struct{}) {
-	w := r.c.workers[idx]
+// schedule is the phase as the driver loop sees it; start is the merge
+// count a resumed checkpoint already covers.
+func (a *asyncPhase) schedule(start int) siteSchedule {
+	return siteSchedule{what: "async siterank", unit: "merges",
+		saveEvery: a.r.cfg.checkpointEvery() * len(a.r.c.workers), saveFrom: start,
+		inFlight: !a.r.cfg.AsyncOrdered, step: a.step}
+}
+
+// sweep performs one KindAsyncUpdate against worker idx from the given
+// snapshot; a call failure or a malformed response travels in the
+// update's err.
+func (r *run) sweep(idx int, x []float64, version, epoch uint64) *asyncUpdate {
+	u := &asyncUpdate{idx: idx, baseVer: version, epoch: epoch}
+	resp, err := r.call(idx, &wire.Request{Kind: wire.KindAsyncUpdate, NumSites: r.ns, X: x, Epoch: epoch})
+	if err == nil {
+		err = r.checkSiteVector(idx, resp.Partial, resp.DanglingMass, resp.Mass)
+	}
+	if u.err = err; err == nil {
+		u.partial, u.dangling, u.mass = resp.Partial, resp.DanglingMass, resp.Mass
+	}
+	return u
+}
+
+// drive keeps one sweep in flight against one worker: snapshot, sweep,
+// deliver, wait for the merge ack, repeat. It exits on stop, or after
+// delivering a failed sweep as its final update.
+func (f *asyncFleet) drive(idx int) {
+	defer f.wg.Done()
 	for {
 		select {
-		case <-stop:
+		case <-f.stopCh:
 			return
 		default:
 		}
-		x, ver, epoch := sh.snapshot()
-		u := &asyncUpdate{idx: idx, baseVer: ver, epoch: epoch}
-		resp, err := w.call(r.ctx, &wire.Request{
-			Kind:     wire.KindAsyncUpdate,
-			NumSites: r.ns,
-			X:        x,
-			Epoch:    epoch,
-		}, &r.c.counters, r.c.callTimeout())
-		if err != nil {
-			u.err = err
-			updates <- u
-			return
-		}
-		if len(resp.Partial) != r.ns {
-			u.err = fmt.Errorf("coordinator: %s returned partial of length %d, want %d",
-				w.addr, len(resp.Partial), r.ns)
-			updates <- u
-			return
-		}
-		u.partial, u.dangling, u.mass = resp.Partial, resp.DanglingMass, resp.Mass
-		updates <- u
-		select {
-		case <-ack:
-		case <-stop:
-			return
-		}
-	}
-}
-
-// asyncConcurrent is the default asynchronous protocol: one driver per
-// live worker, merges applied in arrival order by this (supervisor)
-// goroutine. Worker losses reassign rows mid-phase and open a new
-// epoch; rejoined workers wait for the verification barrier.
-func (r *run) asyncConcurrent() (matrix.Vector, int, error) {
-	tol := r.cfg.tol()
-	nw := len(r.c.workers)
-	budget := r.cfg.maxIter() * nw
-
-	x, startMerges, ckpt, ckptDigest, err := r.resumeSiteRank(budget)
-	if err != nil {
-		return nil, 0, err
-	}
-	acc := newAsyncAccum(r, x)
-
-	epoch := uint64(1)
-	sh := &asyncShared{x: append([]float64(nil), x...), epoch: epoch}
-	updates := make(chan *asyncUpdate, nw)
-	acks := make([]chan struct{}, nw)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for _, idx := range r.aliveIdxs() {
-		acks[idx] = make(chan struct{}, 1)
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			r.asyncDriver(idx, sh, updates, acks[idx], stop)
-		}(idx)
-	}
-	// stopAll drains the fleet: closing stop releases parked drivers,
-	// in-flight sweeps complete and are discarded. Deferred so every
-	// error return leaves no driver behind; idempotent because error
-	// paths and the candidate path both reach it.
-	stopped := false
-	stopAll := func() {
-		if stopped {
-			return
-		}
-		stopped = true
-		close(stop)
-		wg.Wait()
-		for {
-			select {
-			case <-updates:
-			default:
-				return
-			}
-		}
-	}
-	defer stopAll()
-
-	merges := startMerges
-	ckptEvery := r.cfg.checkpointEvery() * nw
-	for {
-		var u *asyncUpdate
-		select {
-		case <-r.ctx.Done():
-			return nil, merges - startMerges, r.ctx.Err()
-		case u = <-updates:
-		}
+		sn := f.shared.Load()
+		u := f.r.sweep(idx, sn.x, sn.version, sn.epoch)
+		f.updates <- u
 		if u.err != nil {
-			if !errors.Is(u.err, errLost) {
-				return nil, merges - startMerges, u.err
-			}
-			moved, lerr := r.lose(u.idx, u.err, true)
-			if lerr != nil {
-				return nil, merges - startMerges, lerr
-			}
-			if len(moved) > 0 {
-				if serr := r.ship(moved); serr != nil {
-					return nil, merges - startMerges, serr
-				}
-			}
-			r.stats.Retries++
-			// Ownership moved: contributions keyed to the old partition
-			// must not mix with sweeps of the new one.
-			epoch++
-			acc.reset()
-			sh.publish(append([]float64(nil), acc.x...), acc.version, epoch)
-			continue
+			return
 		}
-		if u.epoch != epoch {
-			// Dispatched before a membership change; the driver
-			// re-snapshots under the new epoch.
-			acks[u.idx] <- struct{}{}
-			continue
-		}
-		acc.merge(u)
-		merges++
-		r.recordMerge(u.idx, acc.version-1-u.baseVer)
-		sh.publish(append([]float64(nil), acc.x...), acc.version, epoch)
-		acks[u.idx] <- struct{}{}
-		if acc.candidate(tol) {
-			break
-		}
-		if merges >= budget {
-			return acc.x, merges - startMerges, fmt.Errorf("coordinator: async siterank: %w after %d merges",
-				matrix.ErrNotConverged, merges)
-		}
-		if ckpt != nil && (merges-startMerges)%ckptEvery == 0 {
-			if err := ckpt.Save(&CheckpointState{Digest: ckptDigest, Round: merges, X: acc.x}); err != nil {
-				return nil, merges - startMerges, err
-			}
+		select {
+		case <-f.acks[idx]:
+		case <-f.stopCh:
+			return
 		}
 	}
-	stopAll()
-	return r.asyncFinish(acc, epoch, merges-startMerges, ckpt)
 }
 
-// asyncOrdered is the deterministic asynchronous schedule: a seeded
-// rand draws one live worker at a time, and its sweep is merged before
-// the next draw (every merge at staleness zero). With a fixed seed and
-// fleet the SiteRank is bitwise reproducible across runs — the
-// property the randomized-update literature analyzes, and the one the
-// reproducibility test pins.
-func (r *run) asyncOrdered() (matrix.Vector, int, error) {
-	tol := r.cfg.tol()
-	nw := len(r.c.workers)
-	budget := r.cfg.maxIter() * nw
-
-	x, startMerges, ckpt, ckptDigest, err := r.resumeSiteRank(budget)
-	if err != nil {
-		return nil, 0, err
+// next receives the next delivered sweep, or the run's cancellation.
+func (f *asyncFleet) next() (*asyncUpdate, error) {
+	select {
+	case <-f.r.ctx.Done():
+		return nil, f.r.ctx.Err()
+	case u := <-f.updates:
+		return u, nil
 	}
-	acc := newAsyncAccum(r, x)
-	rng := rand.New(rand.NewSource(r.cfg.AsyncSeed))
-
-	epoch := uint64(1)
-	merges := startMerges
-	ckptEvery := r.cfg.checkpointEvery() * nw
-	for {
-		if err := r.ctx.Err(); err != nil {
-			return nil, merges - startMerges, err
-		}
-		rejoined := r.stats.WorkersRejoined
-		if err := r.maybeReadmit(); err != nil {
-			return nil, merges - startMerges, err
-		}
-		if r.stats.WorkersRejoined != rejoined {
-			// Re-admission moved rows back: new epoch, like any other
-			// membership change.
-			epoch++
-			acc.reset()
-		}
-		idxs := r.aliveIdxs()
-		idx := idxs[rng.Intn(len(idxs))]
-		resp, err := r.c.workers[idx].call(r.ctx, &wire.Request{
-			Kind:     wire.KindAsyncUpdate,
-			NumSites: r.ns,
-			X:        acc.x,
-			Epoch:    epoch,
-		}, &r.c.counters, r.c.callTimeout())
-		if err != nil {
-			if !errors.Is(err, errLost) {
-				return nil, merges - startMerges, err
-			}
-			moved, lerr := r.lose(idx, err, true)
-			if lerr != nil {
-				return nil, merges - startMerges, lerr
-			}
-			if len(moved) > 0 {
-				if serr := r.ship(moved); serr != nil {
-					return nil, merges - startMerges, serr
-				}
-			}
-			r.stats.Retries++
-			epoch++
-			acc.reset()
-			continue
-		}
-		if len(resp.Partial) != r.ns {
-			return nil, merges - startMerges, fmt.Errorf("coordinator: %s returned partial of length %d, want %d",
-				r.c.workers[idx].addr, len(resp.Partial), r.ns)
-		}
-		acc.merge(&asyncUpdate{
-			idx: idx, partial: resp.Partial, dangling: resp.DanglingMass, mass: resp.Mass,
-		})
-		merges++
-		r.recordMerge(idx, 0)
-		if acc.candidate(tol) {
-			break
-		}
-		if merges >= budget {
-			return acc.x, merges - startMerges, fmt.Errorf("coordinator: async siterank: %w after %d merges",
-				matrix.ErrNotConverged, merges)
-		}
-		if ckpt != nil && (merges-startMerges)%ckptEvery == 0 {
-			if err := ckpt.Save(&CheckpointState{Digest: ckptDigest, Round: merges, X: acc.x}); err != nil {
-				return nil, merges - startMerges, err
-			}
-		}
-	}
-	return r.asyncFinish(acc, epoch, merges-startMerges, ckpt)
 }
 
-// asyncFinish is the shared tail of both schedules: acknowledge the
-// final epoch across the drained fleet, then confirm the candidate with
-// synchronous verification rounds. The verification loop is what makes
-// the asynchronous result exact: it iterates the true synchronous
-// operator until the residual crosses Tol, so an optimistic estimate
-// costs extra rounds, never a wrong answer.
-func (r *run) asyncFinish(acc *asyncAccum, epoch uint64, asyncRounds int, ckpt Checkpoint) (matrix.Vector, int, error) {
-	if err := r.asyncDrain(epoch); err != nil {
-		return nil, asyncRounds, err
+// ack releases worker idx's parked driver into its next sweep.
+func (f *asyncFleet) ack(idx int) { f.acks[idx] <- struct{}{} }
+
+// stop drains the fleet: closing stopCh releases parked drivers,
+// in-flight sweeps complete and are discarded. Idempotent, so it can be
+// both deferred (no error return leaves a driver behind) and called
+// ahead of the verification phase.
+func (f *asyncFleet) stop() {
+	f.stop1.Do(func() { close(f.stopCh) })
+	f.wg.Wait()
+}
+
+// newEpoch follows a membership change: ownership moved, so
+// contributions keyed to the old partition must not mix with sweeps of
+// the new one.
+func (a *asyncPhase) newEpoch() {
+	a.epoch++
+	a.acc.reset()
+	a.publish()
+}
+
+// step merges one sweep into the accumulator, which owns the iterate.
+func (a *asyncPhase) step() (matrix.Vector, int, bool, error) {
+	r := a.r
+	if r.stats.WorkersRejoined != a.rejoined {
+		// Re-admission moved rows back (safe-point schedules only).
+		a.rejoined = r.stats.WorkersRejoined
+		a.newEpoch()
 	}
-	x, vrounds, err := r.verifySyncRounds(acc.x, r.cfg.maxIter())
-	r.stats.AsyncVerifyRounds = vrounds
+	u, err := a.next()
 	if err != nil {
-		return nil, asyncRounds + vrounds, err
+		return nil, 0, false, err
 	}
-	if ckpt != nil {
-		if cerr := ckpt.Clear(); cerr != nil {
-			return nil, asyncRounds + vrounds, cerr
+	switch {
+	case u.err != nil:
+		if err := r.recoverLost(u.err, true, u.idx); err != nil {
+			return nil, 0, false, err
 		}
+		a.newEpoch()
+		return a.acc.x, 0, false, nil
+	case u.epoch != a.epoch:
+		// Dispatched before a membership change; the driver
+		// re-snapshots under the new epoch.
+		a.ack(u.idx)
+		return a.acc.x, 0, false, nil
 	}
-	return x, asyncRounds + vrounds, nil
+	a.acc.merge(u)
+	r.recordMerge(u.idx, a.acc.version-1-u.baseVer)
+	a.publish()
+	a.ack(u.idx)
+	return a.acc.x, 1, a.acc.candidate(r.cfg.tol()), nil
 }
 
 // asyncDrain retires the asynchronous epoch on every live worker
@@ -508,124 +371,11 @@ func (r *run) asyncFinish(acc *asyncAccum, epoch uint64, asyncRounds int, ckpt C
 // rounds cover the chain.
 func (r *run) asyncDrain(epoch uint64) error {
 	for _, idx := range r.aliveIdxs() {
-		_, err := r.c.workers[idx].call(r.ctx, &wire.Request{
-			Kind:  wire.KindAsyncAck,
-			Epoch: epoch,
-		}, &r.c.counters, r.c.callTimeout())
-		if err == nil {
-			continue
-		}
-		if !errors.Is(err, errLost) {
-			return err
-		}
-		moved, lerr := r.lose(idx, err, true)
-		if lerr != nil {
-			return lerr
-		}
-		if len(moved) > 0 {
-			if serr := r.ship(moved); serr != nil {
-				return serr
+		if _, err := r.call(idx, &wire.Request{Kind: wire.KindAsyncAck, Epoch: epoch}); err != nil {
+			if err := r.recoverLost(err, true, idx); err != nil {
+				return err
 			}
 		}
-		r.stats.Retries++
 	}
 	return nil
-}
-
-// verifySyncRounds runs barrier-synchronous power rounds from x until
-// the residual crosses Tol — the exact arithmetic and reduce order of
-// distributedSiteRank, including loss recovery and re-admission at the
-// round barrier (the safe point asynchronous phases cannot offer).
-func (r *run) verifySyncRounds(x matrix.Vector, maxRounds int) (matrix.Vector, int, error) {
-	f := r.cfg.damping()
-	tol := r.cfg.tol()
-	uniform := 1.0 / float64(r.ns)
-	next := matrix.NewVector(r.ns)
-	partials := make([][]float64, len(r.c.workers))
-	dangling := make([]float64, len(r.c.workers))
-
-	for round := 1; round <= maxRounds; round++ {
-		var idxs []int
-		for {
-			if err := r.ctx.Err(); err != nil {
-				return nil, round - 1, err
-			}
-			if err := r.maybeReadmit(); err != nil {
-				return nil, round - 1, err
-			}
-			idxs = r.aliveIdxs()
-			resps := make([]*wire.Response, len(idxs))
-			errs := make([]error, len(idxs))
-			var wg sync.WaitGroup
-			for i, idx := range idxs {
-				wg.Add(1)
-				go func(i, idx int) {
-					defer wg.Done()
-					resps[i], errs[i] = r.c.workers[idx].call(r.ctx, &wire.Request{
-						Kind:     wire.KindPowerRound,
-						NumSites: r.ns,
-						X:        x,
-					}, &r.c.counters, r.c.callTimeout())
-				}(i, idx)
-			}
-			wg.Wait()
-			var lostIdxs []int
-			var lostErr error
-			for i, idx := range idxs {
-				if err := errs[i]; err != nil {
-					if errors.Is(err, errLost) {
-						lostIdxs = append(lostIdxs, idx)
-						lostErr = err
-						continue
-					}
-					return nil, round - 1, err
-				}
-				if len(resps[i].Partial) != r.ns {
-					return nil, round - 1, fmt.Errorf("coordinator: %s returned partial of length %d, want %d",
-						r.c.workers[idx].addr, len(resps[i].Partial), r.ns)
-				}
-				partials[idx] = resps[i].Partial
-				dangling[idx] = resps[i].DanglingMass
-			}
-			if len(lostIdxs) == 0 {
-				break
-			}
-			for _, idx := range lostIdxs {
-				moved, lerr := r.lose(idx, lostErr, true)
-				if lerr != nil {
-					return nil, round - 1, lerr
-				}
-				if len(moved) > 0 {
-					if err := r.ship(moved); err != nil {
-						return nil, round - 1, err
-					}
-				}
-			}
-			r.stats.Retries++
-		}
-		next.Fill(0)
-		var dangMass float64
-		for _, idx := range idxs {
-			next.AddScaled(1, partials[idx])
-			dangMass += dangling[idx]
-		}
-		coeff := f*dangMass + (1-f)*x.Sum()
-		if r.tele == nil {
-			for t := range next {
-				next[t] = f*next[t] + coeff*uniform
-			}
-		} else {
-			for t := range next {
-				next[t] = f*next[t] + coeff*r.tele[t]
-			}
-		}
-		next.Normalize()
-		residual := next.L1Diff(x)
-		x, next = next, x
-		if residual <= tol {
-			return x, round, nil
-		}
-	}
-	return x, maxRounds, fmt.Errorf("coordinator: async siterank verification: %w after %d rounds",
-		matrix.ErrNotConverged, maxRounds)
 }

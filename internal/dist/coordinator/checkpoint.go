@@ -183,7 +183,7 @@ func (r *run) checkpointDigest() wire.Digest {
 		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 		h.Write(buf[:])
 	}
-	mode := r.cfg.mode()
+	mode := r.cfg.SiteRank
 	switch mode {
 	case SiteRankBatched:
 		writeInt(1)

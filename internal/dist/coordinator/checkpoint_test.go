@@ -79,10 +79,10 @@ func TestMemCheckpointIsolatesState(t *testing.T) {
 }
 
 // cancelAfter interrupts a run from inside its own checkpoint: after the
-// n-th successful Save it cancels the run's context. The cancellation
-// lands in the sequential gap between power rounds — no wire call is in
-// flight, so every connection stays usable and the same coordinator can
-// immediately run the resume leg.
+// n-th successful Save it cancels the run's context. Under a barrier
+// schedule the cancellation lands in the sequential gap between power
+// rounds with no wire call in flight; the concurrent asynchronous
+// schedule has sweeps on the wire, whose connections the cancel poisons.
 type cancelAfter struct {
 	Checkpoint
 	n      int
@@ -101,11 +101,147 @@ func (c *cancelAfter) Save(st *CheckpointState) error {
 	return nil
 }
 
-// resumeFixture runs the reference (uninterrupted) ranking, then the
-// interrupt-at-round-n + resume pair on one coordinator, and returns
-// (reference result, resumed result). cfg must not carry a Checkpoint.
-func resumeFixture(t *testing.T, cfg Config, n int) (*Result, *Result) {
-	t.Helper()
+// TestResumeSiteRank interrupts the site-layer iteration of every fleet
+// mode after n checkpoint saves and resumes it from the file — on the
+// coordinator that was cancelled, which must stay usable, except where
+// the row says redial.
+//
+// The barrier schedules are deterministic: the resumed iterate
+// continues the exact float sequence (gob round-trips float64
+// losslessly and worker order is unchanged; batched checkpoints land on
+// exchange boundaries, so the K-round cadence regroups nowhere) and the
+// final ranks are bitwise identical to the uninterrupted run — L1
+// distance exactly 0. The asynchronous schedules restart their merge
+// order on resume, so they are held to the fixed point instead: within
+// agree of the synchronous answer at the same Tol.
+func TestResumeSiteRank(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+		n    int
+		// agree is 0 for the bitwise rows.
+		agree float64
+		// redial resumes on a fresh coordinator. Only the concurrent
+		// schedule needs it — its cancel lands on sweeps in flight, which
+		// costs those connections; every other row is interrupted in the
+		// gap between exchanges and must resume on the coordinator it was
+		// cancelled on.
+		redial bool
+	}{
+		{"sync", Config{SiteRank: SiteRankSync}, 5, 0, false},
+		{"batched", Config{SiteRank: SiteRankBatched, BatchRounds: 4}, 3, 0, false},
+		{"async", Config{SiteRank: SiteRankAsync}, 5, 1e-6, true},
+		{"async-ordered", Config{SiteRank: SiteRankAsync, AsyncOrdered: true, AsyncSeed: 9}, 5, 1e-9, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Tol, cfg.MaxIter = 1e-12, 2000
+			web := rankableWeb()
+			_, a1 := startWorker(t)
+			_, a2 := startWorker(t)
+			dial := func() *Coordinator {
+				c, err := Dial([]string{a1, a2})
+				if err != nil {
+					t.Fatalf("Dial: %v", err)
+				}
+				t.Cleanup(func() { c.Close() })
+				return c
+			}
+			c := dial()
+
+			// The uninterrupted answer: this mode's own run for the
+			// bitwise rows, the synchronous one otherwise.
+			refCfg := cfg
+			if tc.agree > 0 {
+				refCfg.SiteRank = SiteRankSync
+			}
+			ref, err := c.Rank(web, refCfg)
+			if err != nil {
+				t.Fatalf("reference Rank: %v", err)
+			}
+			if ref.Stats.SiteRankRounds <= tc.n+1 {
+				t.Fatalf("reference converged in %d rounds — too few to interrupt at round %d",
+					ref.Stats.SiteRankRounds, tc.n)
+			}
+
+			store := NewFileCheckpoint(filepath.Join(t.TempDir(), "siterank.ckpt"))
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cfg.Checkpoint = &cancelAfter{Checkpoint: store, n: tc.n, cancel: cancel}
+			if _, err := c.RankCtx(ctx, web, cfg); !errors.Is(err, context.Canceled) {
+				t.Fatalf("interrupted Rank: err = %v, want context.Canceled", err)
+			}
+			st, err := store.Load()
+			if err != nil || st == nil {
+				t.Fatalf("checkpoint after the interrupt: %v, %v, want saved state", st, err)
+			}
+
+			cfg.Checkpoint = store
+			if tc.redial {
+				c = dial()
+			}
+			res, err := c.Rank(web, cfg)
+			if err != nil {
+				t.Fatalf("resumed Rank: %v", err)
+			}
+			if res.Stats.ResumedFromRound != st.Round || st.Round <= 0 {
+				t.Errorf("ResumedFromRound = %d, want %d (the checkpointed round, > 0)",
+					res.Stats.ResumedFromRound, st.Round)
+			}
+			// Success must consume the checkpoint: a later unrelated run
+			// on this store starts fresh.
+			if st, err := store.Load(); err != nil || st != nil {
+				t.Errorf("checkpoint survived a converged run: %v, %v", st, err)
+			}
+
+			if tc.agree > 0 {
+				if d := res.DocRank.L1Diff(ref.DocRank); d >= tc.agree {
+					t.Errorf("‖resumed − sync‖₁ = %g, want < %g", d, tc.agree)
+				}
+				if d := res.SiteRank.L1Diff(ref.SiteRank); d >= tc.agree {
+					t.Errorf("‖resumed − sync‖₁ on SiteRank = %g, want < %g", d, tc.agree)
+				}
+				if res.Stats.AsyncVerifyRounds < 1 {
+					t.Errorf("AsyncVerifyRounds = %d, want >= 1", res.Stats.AsyncVerifyRounds)
+				}
+				return
+			}
+			if got, want := res.Stats.ResumedFromRound+res.Stats.SiteRankRounds, ref.Stats.SiteRankRounds; got != want {
+				t.Errorf("resumed %d + executed %d = %d rounds, want the uninterrupted total %d",
+					res.Stats.ResumedFromRound, res.Stats.SiteRankRounds, got, want)
+			}
+			if d := res.DocRank.L1Diff(ref.DocRank); d != 0 {
+				t.Errorf("‖resumed − uninterrupted‖₁ = %g, want exactly 0", d)
+			}
+			if d := res.SiteRank.L1Diff(ref.SiteRank); d != 0 {
+				t.Errorf("‖resumed − uninterrupted‖₁ on SiteRank = %g, want exactly 0", d)
+			}
+			if k := cfg.BatchRounds; k > 1 && res.Stats.ResumedFromRound%k != 0 {
+				t.Errorf("batched checkpoint at round %d, want an exchange boundary (multiple of %d)",
+					res.Stats.ResumedFromRound, k)
+			}
+		})
+	}
+}
+
+// recordSaves notes the round of every Save.
+type recordSaves struct {
+	Checkpoint
+	rounds []int
+}
+
+func (c *recordSaves) Save(st *CheckpointState) error {
+	c.rounds = append(c.rounds, st.Round)
+	return c.Checkpoint.Save(st)
+}
+
+// TestSyncCheckpointCadenceIsAbsolute pins the synchronous save
+// schedule: a snapshot lands on every round that is a multiple of
+// CheckpointEvery, wherever the run resumed from. The cadence is not
+// part of the digest, so a run interrupted at round 6 under a cadence of
+// 3 resumes under a cadence of 4 and must save at 8, 12, … — not at 10.
+func TestSyncCheckpointCadenceIsAbsolute(t *testing.T) {
 	web := rankableWeb()
 	_, a1 := startWorker(t)
 	_, a2 := startWorker(t)
@@ -113,85 +249,36 @@ func resumeFixture(t *testing.T, cfg Config, n int) (*Result, *Result) {
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	t.Cleanup(func() { c.Close() })
+	defer c.Close()
 
-	ref, err := c.Rank(web, cfg)
-	if err != nil {
-		t.Fatalf("reference Rank: %v", err)
-	}
-	if ref.Stats.SiteRankRounds <= n+1 {
-		t.Fatalf("reference converged in %d rounds — too few to interrupt at round %d",
-			ref.Stats.SiteRankRounds, n)
-	}
-
-	store := NewFileCheckpoint(filepath.Join(t.TempDir(), "siterank.ckpt"))
+	store := NewMemCheckpoint()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg.Checkpoint = &cancelAfter{Checkpoint: store, n: n, cancel: cancel}
+	cfg := Config{SiteRank: SiteRankSync, Tol: 1e-12, MaxIter: 2000, CheckpointEvery: 3}
+	cfg.Checkpoint = &cancelAfter{Checkpoint: store, n: 2, cancel: cancel}
 	if _, err := c.RankCtx(ctx, web, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted Rank: err = %v, want context.Canceled", err)
 	}
-	st, err := store.Load()
-	if err != nil || st == nil {
-		t.Fatalf("checkpoint after the interrupt: %v, %v, want saved state", st, err)
+	if st, err := store.Load(); err != nil || st == nil || st.Round != 6 {
+		t.Fatalf("checkpoint after two saves every 3 rounds: %+v, %v, want round 6", st, err)
 	}
 
-	cfg.Checkpoint = store
+	rec := &recordSaves{Checkpoint: store}
+	cfg.Checkpoint, cfg.CheckpointEvery = rec, 4
 	res, err := c.Rank(web, cfg)
 	if err != nil {
 		t.Fatalf("resumed Rank: %v", err)
 	}
-	if res.Stats.ResumedFromRound != st.Round {
-		t.Errorf("ResumedFromRound = %d, want %d (the checkpointed round)",
-			res.Stats.ResumedFromRound, st.Round)
+	if res.Stats.ResumedFromRound != 6 {
+		t.Fatalf("ResumedFromRound = %d, want 6", res.Stats.ResumedFromRound)
 	}
-	if got, want := res.Stats.ResumedFromRound+res.Stats.SiteRankRounds, ref.Stats.SiteRankRounds; got != want {
-		t.Errorf("resumed %d + executed %d = %d rounds, want the uninterrupted total %d",
-			res.Stats.ResumedFromRound, res.Stats.SiteRankRounds, got, want)
+	if len(rec.rounds) == 0 {
+		t.Fatal("the resumed run never saved — converged too early to pin the cadence")
 	}
-	// Success must consume the checkpoint: a later unrelated run on this
-	// store starts fresh.
-	if st, err := store.Load(); err != nil || st != nil {
-		t.Errorf("checkpoint survived a converged run: %v, %v", st, err)
-	}
-	return ref, res
-}
-
-// TestResumeMidSiteRank interrupts an unbatched distributed SiteRank
-// after 5 checkpointed rounds and resumes it on a fresh run. The resumed
-// iterate continues the exact float sequence (gob round-trips float64
-// losslessly and worker order is unchanged), so the final ranks are
-// bitwise identical to the uninterrupted run — L1 distance exactly 0.
-func TestResumeMidSiteRank(t *testing.T) {
-	ref, res := resumeFixture(t, Config{
-		DistributedSiteRank: true,
-		Tol:                 1e-12,
-		MaxIter:             2000,
-	}, 5)
-	if d := res.DocRank.L1Diff(ref.DocRank); d != 0 {
-		t.Errorf("‖resumed − uninterrupted‖₁ = %g, want exactly 0", d)
-	}
-	if d := res.SiteRank.L1Diff(ref.SiteRank); d != 0 {
-		t.Errorf("‖resumed − uninterrupted‖₁ on SiteRank = %g, want exactly 0", d)
-	}
-}
-
-// TestResumeBatchedSiteRank is the batched twin: checkpoints land on
-// exchange boundaries, so the resumed run re-enters the same K-round
-// cadence and the arithmetic regroups nowhere — bitwise equal again.
-func TestResumeBatchedSiteRank(t *testing.T) {
-	ref, res := resumeFixture(t, Config{
-		DistributedSiteRank: true,
-		BatchRounds:         4,
-		Tol:                 1e-12,
-		MaxIter:             2000,
-	}, 3)
-	if d := res.DocRank.L1Diff(ref.DocRank); d != 0 {
-		t.Errorf("‖resumed − uninterrupted‖₁ = %g, want exactly 0", d)
-	}
-	if res.Stats.ResumedFromRound%4 != 0 {
-		t.Errorf("batched checkpoint at round %d, want an exchange boundary (multiple of 4)",
-			res.Stats.ResumedFromRound)
+	for i, round := range rec.rounds {
+		if want := 8 + 4*i; round != want {
+			t.Fatalf("saves at rounds %v, want 8, 12, 16, … (absolute multiples of 4)", rec.rounds)
+		}
 	}
 }
 
@@ -215,7 +302,7 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	res, err := c.Rank(web, Config{DistributedSiteRank: true, Checkpoint: store})
+	res, err := c.Rank(web, Config{SiteRank: SiteRankSync, Checkpoint: store})
 	if err != nil {
 		t.Fatalf("Rank: %v", err)
 	}

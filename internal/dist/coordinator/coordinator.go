@@ -118,13 +118,9 @@ func backoffDelay(base, max time.Duration, attempt int) time.Duration {
 type SiteRankMode int
 
 const (
-	// SiteRankAuto derives the mode from the legacy knobs: central
-	// unless DistributedSiteRank is set, then synchronous power rounds,
-	// or batched rounds when BatchRounds > 1.
-	SiteRankAuto SiteRankMode = iota
-	// SiteRankCentral solves the site layer in-process on the
-	// coordinator (the fleet still computes the local DocRanks).
-	SiteRankCentral
+	// SiteRankCentral (the zero value) solves the site layer in-process
+	// on the coordinator; the fleet still computes the local DocRanks.
+	SiteRankCentral SiteRankMode = iota
 	// SiteRankSync is the barrier-synchronous distributed power
 	// iteration: every round reduces one partial from every live worker.
 	SiteRankSync
@@ -143,8 +139,6 @@ const (
 // String names the mode for logs and flag round-trips.
 func (m SiteRankMode) String() string {
 	switch m {
-	case SiteRankAuto:
-		return "auto"
 	case SiteRankCentral:
 		return "central"
 	case SiteRankSync:
@@ -171,11 +165,6 @@ type Config struct {
 	MaxIter int
 	// SiteGraph controls SiteLink aggregation (§3.1).
 	SiteGraph graph.SiteGraphOptions
-	// DistributedSiteRank selects the fully decentralized variant:
-	// instead of a central PageRank over M(G_S), the coordinator drives
-	// power rounds in which each worker multiplies the iterate by the
-	// rows of the site chain it owns.
-	DistributedSiteRank bool
 	// SitePersonalization optionally biases the site layer: the teleport
 	// distribution v of Mˆ(G_S) (length NumSites; nil = uniform) — the
 	// paper's "personalization at the higher layer" served from the
@@ -189,7 +178,8 @@ type Config struct {
 	// while the coordinator composes them under per-site weights
 	// DomainRank·SiteEntry computed centrally from the Ranker's
 	// SiteGraph (the upper layers are small — the paper's point).
-	// Incompatible with DistributedSiteRank and SitePersonalization.
+	// Incompatible with SitePersonalization and with every SiteRank mode
+	// but SiteRankCentral.
 	ThreeLayer bool
 	// DomainOf groups sites into domains for ThreeLayer (nil =
 	// lmm.DefaultDomainOf).
@@ -200,23 +190,19 @@ type Config struct {
 	// CPU that is negligible next to the ranking itself; warm runs ship
 	// no shards either way. Stats records raw vs compressed bytes.
 	Compress bool
-	// BatchRounds asks the distributed SiteRank to run up to this many
-	// power rounds per wire exchange (values <= 1 select the classic
-	// one-round-per-exchange protocol; ignored without
-	// DistributedSiteRank). Batching replicates the full normalized
-	// site chain onto every worker at load time — cheap, because the
-	// site layer is small (the paper's point) and the chain is digest-
-	// cached like any shard — and then each exchange covers K rounds on
-	// one worker, cutting SiteRank messages by ~K·NumWorkers while
-	// agreeing with the unbatched path to < 1e-9 (summation-order
-	// rounding only). A worker lost mid-batch fails over to the next
-	// live worker without any reassignment, since every peer holds the
-	// chain.
+	// BatchRounds asks SiteRankBatched to run up to this many power
+	// rounds per wire exchange (values <= 1 mean one; other modes ignore
+	// it). Batching replicates the full normalized site chain onto every
+	// worker at load time — cheap, because the site layer is small (the
+	// paper's point) and the chain is digest-cached like any shard — and
+	// then each exchange covers K rounds on one worker, cutting SiteRank
+	// messages by ~K·NumWorkers while agreeing with the unbatched path
+	// to < 1e-9 (summation-order rounding only). A worker lost mid-batch
+	// fails over to the next live worker without any reassignment, since
+	// every peer holds the chain.
 	BatchRounds int
-	// SiteRank selects the site-layer algorithm explicitly. The zero
-	// value (SiteRankAuto) derives it from DistributedSiteRank and
-	// BatchRounds, preserving the legacy knobs; SiteRankAsync — the
-	// barrier-free mode — is reachable only through this field.
+	// SiteRank selects the site-layer algorithm — the one spelling of
+	// the mode. The zero value is SiteRankCentral.
 	SiteRank SiteRankMode
 	// AsyncOrdered makes the asynchronous mode deterministic: instead of
 	// one concurrent sweep driver per worker, the coordinator draws one
@@ -238,9 +224,9 @@ type Config struct {
 	// coordinator killed mid-iteration resumes from the last saved
 	// round instead of recomputing: at run start a snapshot whose
 	// digest matches this computation seeds the iterate and round
-	// counter. On success the checkpoint is cleared. Ignored without
-	// DistributedSiteRank (the central solver is a single in-process
-	// call with nothing durable to resume).
+	// counter. On success the checkpoint is cleared. Ignored by
+	// SiteRankCentral (the central solver is a single in-process call
+	// with nothing durable to resume).
 	Checkpoint Checkpoint
 	// CheckpointEvery is the save cadence in rounds (0 = every round).
 	CheckpointEvery int
@@ -322,25 +308,11 @@ func (c Config) checkpointEvery() int {
 	return c.CheckpointEvery
 }
 
-// mode resolves the effective SiteRankMode: the explicit field when
-// set, else the legacy DistributedSiteRank/BatchRounds derivation.
-func (c Config) mode() SiteRankMode {
-	if c.SiteRank != SiteRankAuto {
-		return c.SiteRank
-	}
-	if !c.DistributedSiteRank {
-		return SiteRankCentral
-	}
-	if c.batchRounds() > 1 {
-		return SiteRankBatched
-	}
-	return SiteRankSync
-}
-
-// distributed reports whether the mode runs the site layer on the
-// fleet — the modes checkpointing and the site-chain payloads apply to.
-func (m SiteRankMode) distributed() bool {
-	return m == SiteRankSync || m == SiteRankBatched || m == SiteRankAsync
+// rowSharded reports whether the mode consumes site-chain rows riding
+// inside the site shards (round batching ships the whole chain
+// separately instead; central mode ships no site-layer data at all).
+func (m SiteRankMode) rowSharded() bool {
+	return m == SiteRankSync || m == SiteRankAsync
 }
 
 // Stats breaks down the cost of a distributed run.
@@ -352,7 +324,7 @@ type Stats struct {
 	// SiteRankDuration covers the site-layer computation.
 	SiteRankDuration time.Duration
 	// SiteRankRounds counts power iterations of the site layer
-	// (distributed rounds when DistributedSiteRank, else central ones).
+	// (the central solver's, or the fleet's rounds in the other modes).
 	SiteRankRounds int
 	// Messages counts request/response exchanges; BytesSent and
 	// BytesReceived count raw bytes across the coordinator's sockets,
@@ -663,6 +635,16 @@ type preparedShards struct {
 	chainRef wire.Digest
 }
 
+func newPreparedShards(rk *lmm.Ranker, wantRows, withChain bool, ns int) *preparedShards {
+	return &preparedShards{
+		rk: rk, wantRows: wantRows, withChain: withChain,
+		shards: make([]wire.SiteShard, ns),
+		refs:   make([]wire.ShardRef, ns),
+		sizes:  make([]int, ns),
+		built:  make([]bool, ns),
+	}
+}
+
 // complete reports whether every site payload (and the chain, when the
 // shape ships one) is valid.
 func (p *preparedShards) complete() bool {
@@ -691,12 +673,9 @@ func (c *Coordinator) lookupPrep(rk *lmm.Ranker, wantRows, withChain bool) *prep
 // evicting the least recently used entry past prepMemoCap. Caller holds
 // runMu.
 func (c *Coordinator) storePrep(p *preparedShards) {
-	for i, q := range c.prepMemo {
-		if q.rk == p.rk && q.wantRows == p.wantRows && q.withChain == p.withChain {
-			copy(c.prepMemo[1:i+1], c.prepMemo[:i])
-			c.prepMemo[0] = p
-			return
-		}
+	if c.lookupPrep(p.rk, p.wantRows, p.withChain) != nil {
+		c.prepMemo[0] = p
+		return
 	}
 	c.prepMemo = append(c.prepMemo, nil)
 	copy(c.prepMemo[1:], c.prepMemo)
@@ -740,15 +719,9 @@ func (c *Coordinator) RefreshPrepared(prev, next *lmm.Ranker, changed []graph.Si
 		if p.wantRows {
 			continue // shard contents depend on the (changed) site graph
 		}
-		m := &preparedShards{
-			rk: next, wantRows: p.wantRows, withChain: p.withChain,
-			shards: make([]wire.SiteShard, ns),
-			refs:   make([]wire.ShardRef, ns),
-			sizes:  make([]int, ns),
-			built:  make([]bool, ns),
-			// chain stays nil: the site graph may have changed, and it
-			// is small — the next run rebuilds and re-hashes it.
-		}
+		// The chain stays nil: the site graph may have changed, and it
+		// is small — the next run rebuilds and re-hashes it.
+		m := newPreparedShards(next, p.wantRows, p.withChain, ns)
 		for s := 0; s < ns && s < len(p.shards); s++ {
 			if changedSet[s] || !p.built[s] {
 				continue
@@ -841,16 +814,19 @@ func (c *Coordinator) NumWorkers() int { return len(c.workers) }
 func (c *Coordinator) Ping() error {
 	c.runMu.Lock()
 	defer c.runMu.Unlock()
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
+	if c.isClosed() {
 		return errors.New("coordinator: closed")
 	}
 	return c.broadcastErr(func(_ int, r *remote) error {
 		_, err := r.call(context.Background(), &wire.Request{Kind: wire.KindPing}, &c.counters, c.callTimeout())
 		return err
 	})
+}
+
+func (c *Coordinator) isClosed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.closed
 }
 
 // Close hangs up every worker connection (the workers keep serving —

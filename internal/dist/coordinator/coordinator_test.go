@@ -212,10 +212,10 @@ func TestRankRejectsBadDamping(t *testing.T) {
 	}
 	defer c.Close()
 	dg := rankableWeb()
-	for _, distSite := range []bool{false, true} {
+	for _, mode := range []SiteRankMode{SiteRankCentral, SiteRankSync} {
 		for _, f := range []float64{-0.5, 1.5} {
-			if _, err := c.Rank(dg, Config{Damping: f, DistributedSiteRank: distSite}); err == nil {
-				t.Errorf("Rank with damping %g (distSite=%v) succeeded", f, distSite)
+			if _, err := c.Rank(dg, Config{Damping: f, SiteRank: mode}); err == nil {
+				t.Errorf("Rank with damping %g (mode=%v) succeeded", f, mode)
 			}
 		}
 	}

@@ -47,10 +47,10 @@ func TestRejoinMidRunWarmReshipsNothing(t *testing.T) {
 	// A tight tolerance keeps the power iteration running long enough
 	// (hundreds of rounds) that the ~1 ms redial always lands mid-run.
 	res, err := c.Rank(web, Config{
-		DistributedSiteRank: true,
-		Tol:                 1e-13,
-		MaxIter:             5000,
-		Retry:               fastRedial(1),
+		SiteRank: SiteRankSync,
+		Tol:      1e-13,
+		MaxIter:  5000,
+		Retry:    fastRedial(1),
 	})
 	if err != nil {
 		t.Fatalf("Rank with a kill-then-rejoin worker: %v", err)
@@ -98,8 +98,8 @@ func TestRejoinFromPreviousRun(t *testing.T) {
 	defer c.Close()
 
 	cfg := Config{
-		DistributedSiteRank: true,
-		Retry:               RetryPolicy{MaxWorkerFailures: 1},
+		SiteRank: SiteRankSync,
+		Retry:    RetryPolicy{MaxWorkerFailures: 1},
 	}
 	if _, err := c.Rank(web, cfg); err != nil {
 		t.Fatalf("run 1 (loss, no redial): %v", err)
@@ -145,10 +145,10 @@ func TestNoRedialWithoutPolicy(t *testing.T) {
 	}
 	defer c.Close()
 	res, err := c.Rank(web, Config{
-		DistributedSiteRank: true,
-		Tol:                 1e-13,
-		MaxIter:             5000,
-		Retry:               RetryPolicy{MaxWorkerFailures: 1},
+		SiteRank: SiteRankSync,
+		Tol:      1e-13,
+		MaxIter:  5000,
+		Retry:    RetryPolicy{MaxWorkerFailures: 1},
 	})
 	if err != nil {
 		t.Fatalf("Rank: %v", err)

@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
+	"maps"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -81,13 +82,30 @@ type rejoin struct {
 	conn net.Conn
 }
 
+// call performs one exchange with worker idx under the run's context
+// and the coordinator's per-call timeout.
+func (r *run) call(idx int, req *wire.Request) (*wire.Response, error) {
+	return r.c.workers[idx].call(r.ctx, req, &r.c.counters, r.c.callTimeout())
+}
+
+// fanOut runs fn(i, idxs[i]) for every listed worker concurrently and
+// waits for all of them — one parallel wave of a phase.
+func fanOut(idxs []int, fn func(i, idx int)) {
+	var wg sync.WaitGroup
+	for i, idx := range idxs {
+		wg.Add(1)
+		go func(i, idx int) {
+			defer wg.Done()
+			fn(i, idx)
+		}(i, idx)
+	}
+	wg.Wait()
+}
+
 // rankPrepared runs one ranking; the caller holds runMu. memoize marks
 // runs whose Ranker the caller retains (see run.memoize).
 func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Config, memoize bool) (*Result, error) {
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
+	if c.isClosed() {
 		return nil, errors.New("coordinator: closed")
 	}
 	if err := ctx.Err(); err != nil {
@@ -105,12 +123,11 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 	if f := cfg.damping(); f <= 0 || f >= 1 {
 		return nil, fmt.Errorf("coordinator: %w: damping %g outside (0,1)", pagerank.ErrBadConfig, f)
 	}
-	if cfg.SiteRank < SiteRankAuto || cfg.SiteRank > SiteRankAsync {
+	if cfg.SiteRank < SiteRankCentral || cfg.SiteRank > SiteRankAsync {
 		return nil, fmt.Errorf("coordinator: %w: unknown SiteRank mode %d", pagerank.ErrBadConfig, int(cfg.SiteRank))
 	}
-	mode := cfg.mode()
 	if cfg.ThreeLayer {
-		if mode.distributed() {
+		if cfg.SiteRank != SiteRankCentral {
 			return nil, fmt.Errorf("coordinator: %w: ThreeLayer computes its site weights centrally and cannot combine with a distributed SiteRank mode", pagerank.ErrBadConfig)
 		}
 		if cfg.SitePersonalization != nil {
@@ -187,8 +204,7 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 	res.Stats.LocalRankDuration = time.Since(localStart)
 
 	// Step 4: the upper layer(s) — three-layer weights, central SiteRank,
-	// decentralized one-round-at-a-time, or decentralized with round
-	// batching.
+	// or the SiteRank driver over the fleet.
 	siteStart := time.Now()
 	var siteRank matrix.Vector
 	switch {
@@ -208,7 +224,7 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 		res.DomainRank = tl.DomainRank
 		res.DomainOfSite = tl.DomainOfSite
 		res.SiteEntry = tl.SiteEntry
-	case mode == SiteRankCentral:
+	case cfg.SiteRank == SiteRankCentral:
 		scores, rounds, err := rk.RankSites(lmm.WebConfig{
 			Damping:             cfg.Damping,
 			Tol:                 cfg.Tol,
@@ -223,27 +239,11 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 		// this run, so copy the small site vector out.
 		siteRank = scores.Clone()
 		res.Stats.SiteRankRounds = rounds
-	case mode == SiteRankBatched:
-		var rounds int
-		siteRank, rounds, err = r.batchedSiteRank()
-		if err != nil {
-			return nil, err
-		}
-		res.Stats.SiteRankRounds = rounds
-	case mode == SiteRankAsync:
-		var rounds int
-		siteRank, rounds, err = r.asyncSiteRank()
-		if err != nil {
-			return nil, err
-		}
-		res.Stats.SiteRankRounds = rounds
 	default:
-		var rounds int
-		siteRank, rounds, err = r.distributedSiteRank()
+		siteRank, res.Stats.SiteRankRounds, err = r.fleetSiteRank()
 		if err != nil {
 			return nil, err
 		}
-		res.Stats.SiteRankRounds = rounds
 	}
 	res.Stats.SiteRankDuration = time.Since(siteStart)
 
@@ -278,9 +278,8 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 // slots (and the small site chain) are rebuilt and re-hashed here, so
 // churn costs digest work proportional to what changed.
 func (r *run) buildShards() {
-	mode := r.cfg.mode()
-	wantRows := mode == SiteRankSync || mode == SiteRankAsync
-	withChain := mode == SiteRankBatched
+	wantRows := r.cfg.SiteRank.rowSharded()
+	withChain := r.cfg.SiteRank == SiteRankBatched
 	p := r.c.lookupPrep(r.rk, wantRows, withChain)
 	if p != nil && p.complete() {
 		r.shards, r.refs, r.sizes = p.shards, p.refs, p.sizes
@@ -288,13 +287,7 @@ func (r *run) buildShards() {
 		return
 	}
 	if p == nil {
-		p = &preparedShards{
-			rk: r.rk, wantRows: wantRows, withChain: withChain,
-			shards: make([]wire.SiteShard, r.ns),
-			refs:   make([]wire.ShardRef, r.ns),
-			sizes:  make([]int, r.ns),
-			built:  make([]bool, r.ns),
-		}
+		p = newPreparedShards(r.rk, wantRows, withChain, r.ns)
 	}
 
 	sg := r.rk.SiteGraph()
@@ -308,12 +301,7 @@ func (r *run) buildShards() {
 			shard.Edges = append(shard.Edges, wire.Edge{From: from, To: e.To, Weight: e.Weight})
 		})
 		if wantRows {
-			if total := sg.G.OutWeight(s); total > 0 {
-				sg.G.EachEdge(s, func(e graph.Edge) {
-					shard.RowCols = append(shard.RowCols, e.To)
-					shard.RowVals = append(shard.RowVals, e.Weight/total)
-				})
-			}
+			shard.RowCols, shard.RowVals = siteChainRow(sg.G, s)
 		}
 		p.shards[s] = shard
 		p.refs[s] = wire.ShardRef{Site: s, Digest: shard.ContentDigest()}
@@ -324,12 +312,9 @@ func (r *run) buildShards() {
 	if withChain && p.chain == nil {
 		chain := &wire.SiteChain{NumSites: r.ns, RowPtr: make([]int, r.ns+1)}
 		for s := 0; s < r.ns; s++ {
-			if total := sg.G.OutWeight(s); total > 0 {
-				sg.G.EachEdge(s, func(e graph.Edge) {
-					chain.Cols = append(chain.Cols, e.To)
-					chain.Vals = append(chain.Vals, e.Weight/total)
-				})
-			}
+			cols, vals := siteChainRow(sg.G, s)
+			chain.Cols = append(chain.Cols, cols...)
+			chain.Vals = append(chain.Vals, vals...)
 			chain.RowPtr[s+1] = len(chain.Cols)
 		}
 		p.chain = chain
@@ -341,6 +326,18 @@ func (r *run) buildShards() {
 	if r.memoize {
 		r.c.storePrep(p)
 	}
+}
+
+// siteChainRow returns row s of the normalized site chain M(G_S) in
+// sparse form (nil, nil for a dangling site).
+func siteChainRow(g *graph.Digraph, s int) (cols []int, vals []float64) {
+	if total := g.OutWeight(s); total > 0 {
+		g.EachEdge(s, func(e graph.Edge) {
+			cols = append(cols, e.To)
+			vals = append(vals, e.Weight/total)
+		})
+	}
+	return cols, vals
 }
 
 // aliveIdxs returns the live fleet indices in ascending order — the
@@ -487,10 +484,7 @@ func (r *run) stopRedialers() {
 	for {
 		select {
 		case rj := <-r.rejoinCh:
-			r.c.mu.Lock()
-			closed := r.c.closed
-			r.c.mu.Unlock()
-			if closed {
+			if r.c.isClosed() {
 				rj.conn.Close()
 			} else {
 				r.c.workers[rj.idx].reconnect(rj.conn, &r.c.counters)
@@ -531,11 +525,10 @@ func (r *run) maybeReadmit() error {
 // never reduces a chain row twice.
 func (r *run) readmit(rj rejoin) error {
 	idx := rj.idx
-	w := r.c.workers[idx]
-	w.reconnect(rj.conn, &r.c.counters)
+	r.c.workers[idx].reconnect(rj.conn, &r.c.counters)
 	// Probe before committing: a connection that dies immediately costs
 	// a respawned redialer, not a loss-budget charge.
-	if _, err := w.call(r.ctx, &wire.Request{Kind: wire.KindPing}, &r.c.counters, r.c.callTimeout()); err != nil {
+	if _, err := r.call(idx, &wire.Request{Kind: wire.KindPing}); err != nil {
 		if errors.Is(err, errLost) {
 			r.redialing[idx] = false
 			r.spawnRedialer(idx)
@@ -596,12 +589,7 @@ func (r *run) readmit(rj rejoin) error {
 // re-checked against the current assignment and never unloaded from
 // the worker that owns it now.
 func (r *run) unloadFrom(prevOwner map[int][]int) error {
-	idxs := make([]int, 0, len(prevOwner))
-	for idx := range prevOwner {
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
-	for _, idx := range idxs {
+	for _, idx := range slices.Sorted(maps.Keys(prevOwner)) {
 		if !r.alive[idx] {
 			continue // a dead session is never polled; nothing to unload
 		}
@@ -615,23 +603,11 @@ func (r *run) unloadFrom(prevOwner map[int][]int) error {
 			continue
 		}
 		sort.Ints(sites)
-		_, err := r.c.workers[idx].call(r.ctx, &wire.Request{Kind: wire.KindUnload, Sites: sites}, &r.c.counters, r.c.callTimeout())
-		if err == nil {
-			continue
-		}
-		if !errors.Is(err, errLost) {
-			return err
-		}
-		moved, lerr := r.lose(idx, err, true)
-		if lerr != nil {
-			return lerr
-		}
-		if len(moved) > 0 {
-			if serr := r.ship(moved); serr != nil {
-				return serr
+		if _, err := r.call(idx, &wire.Request{Kind: wire.KindUnload, Sites: sites}); err != nil {
+			if err := r.recoverLost(err, true, idx); err != nil {
+				return err
 			}
 		}
-		r.stats.Retries++
 	}
 	return nil
 }
@@ -660,23 +636,12 @@ func (r *run) ship(need map[int]struct{}) error {
 		if len(pending) == 0 {
 			return nil
 		}
-		idxs := make([]int, 0, len(pending))
-		for idx := range pending {
-			idxs = append(idxs, idx)
-		}
-		sort.Ints(idxs)
+		idxs := slices.Sorted(maps.Keys(pending))
 		errs := make([]error, len(idxs))
-		var wg sync.WaitGroup
-		for i, idx := range idxs {
-			sites := pending[idx]
-			sort.Ints(sites)
-			wg.Add(1)
-			go func(i, idx int, sites []int) {
-				defer wg.Done()
-				errs[i] = r.shipTo(idx, sites)
-			}(i, idx, sites)
-		}
-		wg.Wait()
+		fanOut(idxs, func(i, idx int) {
+			sort.Ints(pending[idx])
+			errs[i] = r.shipTo(idx, pending[idx])
+		})
 		for i, idx := range idxs {
 			err := errs[i]
 			if err == nil {
@@ -711,9 +676,8 @@ func (r *run) ship(need map[int]struct{}) error {
 // re-shipped in full immediately.
 func (r *run) shipTo(idx int, sites []int) error {
 	w := r.c.workers[idx]
-	timeout := r.c.callTimeout()
 	if !r.initialized[idx] {
-		if _, err := w.call(r.ctx, &wire.Request{Kind: wire.KindReset}, &r.c.counters, timeout); err != nil {
+		if _, err := r.call(idx, &wire.Request{Kind: wire.KindReset}); err != nil {
 			return err
 		}
 	}
@@ -730,7 +694,7 @@ func (r *run) shipTo(idx int, sites []int) error {
 			req.HasChain = true
 			req.ChainDigest = r.chainRef
 		}
-		resp, err := w.call(r.ctx, req, &r.c.counters, timeout)
+		resp, err := r.call(idx, req)
 		if err != nil {
 			return err
 		}
@@ -767,7 +731,7 @@ func (r *run) shipTo(idx int, sites []int) error {
 			req.Chain = r.chain
 		}
 	}
-	resp, err := w.call(r.ctx, req, &r.c.counters, timeout)
+	resp, err := r.call(idx, req)
 	if err != nil {
 		return err
 	}
@@ -831,7 +795,7 @@ func (r *run) shipTo(idx int, sites []int) error {
 			req2.ChainDigest = r.chainRef
 			req2.Chain = r.chain
 		}
-		resp2, err := w.call(r.ctx, req2, &r.c.counters, timeout)
+		resp2, err := r.call(idx, req2)
 		if err != nil {
 			return err
 		}
@@ -891,33 +855,23 @@ func (r *run) localPhase(dg *graph.DocGraph) ([]matrix.Vector, []int, error) {
 		if len(targets) == 0 {
 			break
 		}
-		idxs := make([]int, 0, len(targets))
-		for idx := range targets {
-			idxs = append(idxs, idx)
-		}
-		sort.Ints(idxs)
+		idxs := slices.Sorted(maps.Keys(targets))
 		resps := make([]*wire.Response, len(idxs))
 		errs := make([]error, len(idxs))
-		var wg sync.WaitGroup
-		for i, idx := range idxs {
-			wg.Add(1)
-			go func(i, idx int) {
-				defer wg.Done()
-				resps[i], errs[i] = r.c.workers[idx].call(r.ctx, &wire.Request{
-					Kind:    wire.KindRankLocal,
-					Damping: r.cfg.Damping,
-					Tol:     r.cfg.Tol,
-					MaxIter: r.cfg.MaxIter,
-					Sites:   targets[idx],
-				}, &r.c.counters, r.c.callTimeout())
-			}(i, idx)
-		}
-		wg.Wait()
-		var lostIdxs []int
+		fanOut(idxs, func(i, idx int) {
+			resps[i], errs[i] = r.call(idx, &wire.Request{
+				Kind:    wire.KindRankLocal,
+				Damping: r.cfg.Damping,
+				Tol:     r.cfg.Tol,
+				MaxIter: r.cfg.MaxIter,
+				Sites:   targets[idx],
+			})
+		})
+		var lost []int // positions in idxs
 		for i, idx := range idxs {
 			if err := errs[i]; err != nil {
 				if errors.Is(err, errLost) {
-					lostIdxs = append(lostIdxs, idx)
+					lost = append(lost, i)
 					continue
 				}
 				return nil, nil, err
@@ -951,10 +905,9 @@ func (r *run) localPhase(dg *graph.DocGraph) ([]matrix.Vector, []int, error) {
 		// every moved site, since the power sweeps will need its row. In
 		// central and batched modes a completed site's shard is dead
 		// weight and stays unshipped.
-		mode := r.cfg.mode()
-		needRows := mode == SiteRankSync || mode == SiteRankAsync
-		for _, idx := range lostIdxs {
-			moved, lerr := r.lose(idx, errs[indexOf(idxs, idx)], true)
+		needRows := r.cfg.SiteRank.rowSharded()
+		for _, i := range lost {
+			moved, lerr := r.lose(idxs[i], errs[i], true)
 			if lerr != nil {
 				return nil, nil, lerr
 			}
@@ -982,271 +935,4 @@ func (r *run) localPhase(dg *graph.DocGraph) ([]matrix.Vector, []int, error) {
 		}
 	}
 	return localRanks, localIters, nil
-}
-
-func indexOf(xs []int, x int) int {
-	for i, v := range xs {
-		if v == x {
-			return i
-		}
-	}
-	return -1
-}
-
-// distributedSiteRank runs the damped power method x' ← x'Mˆ(G_S)
-// without ever holding M(G_S) product-side: each round, every worker
-// returns the partial product over the rows it owns plus its dangling
-// mass; the coordinator sums partials in fixed worker order (float
-// determinism), applies the teleport correction exactly as the central
-// pagerank.Operator does, and normalizes. The per-round exchange is a
-// vector of N_S floats each way — the paper's small site-layer cost. A
-// worker dying mid-round gets its rows reassigned (they ride inside the
-// shards) and the round is redone against the surviving fleet.
-func (r *run) distributedSiteRank() (matrix.Vector, int, error) {
-	f := r.cfg.damping()
-	tol := r.cfg.tol()
-	maxIter := r.cfg.maxIter()
-	uniform := 1.0 / float64(r.ns)
-
-	x, startRound, ckpt, ckptDigest, err := r.resumeSiteRank(maxIter)
-	if err != nil {
-		return nil, 0, err
-	}
-	next := matrix.NewVector(r.ns)
-	partials := make([][]float64, len(r.c.workers))
-	dangling := make([]float64, len(r.c.workers))
-
-	for round := startRound + 1; round <= maxIter; round++ {
-		var idxs []int
-		for {
-			if err := r.ctx.Err(); err != nil {
-				return nil, round - startRound, err
-			}
-			if err := r.maybeReadmit(); err != nil {
-				return nil, round - startRound, err
-			}
-			idxs = r.aliveIdxs()
-			resps := make([]*wire.Response, len(idxs))
-			errs := make([]error, len(idxs))
-			var wg sync.WaitGroup
-			for i, idx := range idxs {
-				wg.Add(1)
-				go func(i, idx int) {
-					defer wg.Done()
-					resps[i], errs[i] = r.c.workers[idx].call(r.ctx, &wire.Request{
-						Kind:     wire.KindPowerRound,
-						NumSites: r.ns,
-						X:        x,
-					}, &r.c.counters, r.c.callTimeout())
-				}(i, idx)
-			}
-			wg.Wait()
-			var lostIdxs []int
-			var lostErr error
-			for i, idx := range idxs {
-				if err := errs[i]; err != nil {
-					if errors.Is(err, errLost) {
-						lostIdxs = append(lostIdxs, idx)
-						lostErr = err
-						continue
-					}
-					return nil, round, err
-				}
-				if len(resps[i].Partial) != r.ns {
-					return nil, round, fmt.Errorf("coordinator: %s returned partial of length %d, want %d",
-						r.c.workers[idx].addr, len(resps[i].Partial), r.ns)
-				}
-				partials[idx] = resps[i].Partial
-				dangling[idx] = resps[i].DanglingMass
-			}
-			if len(lostIdxs) == 0 {
-				break
-			}
-			// Reassign the dead workers' rows and redo this round: the
-			// surviving partials are from the same iterate, but the
-			// reduce must cover every row exactly once.
-			for _, idx := range lostIdxs {
-				moved, lerr := r.lose(idx, lostErr, true)
-				if lerr != nil {
-					return nil, round, lerr
-				}
-				if len(moved) > 0 {
-					if err := r.ship(moved); err != nil {
-						return nil, round, err
-					}
-				}
-			}
-			r.stats.Retries++
-		}
-
-		// Reduce in worker order, then apply Mˆ's rank-one terms:
-		// y = f·(x'M) + (f·danglingMass + (1−f)·Σx)·v, with v the
-		// (possibly personalized) teleport distribution.
-		next.Fill(0)
-		var dangMass float64
-		for _, idx := range idxs {
-			next.AddScaled(1, partials[idx])
-			dangMass += dangling[idx]
-		}
-		coeff := f*dangMass + (1-f)*x.Sum()
-		if r.tele == nil {
-			for t := range next {
-				next[t] = f*next[t] + coeff*uniform
-			}
-		} else {
-			for t := range next {
-				next[t] = f*next[t] + coeff*r.tele[t]
-			}
-		}
-		next.Normalize()
-		residual := next.L1Diff(x)
-		x, next = next, x
-		if residual <= tol {
-			if ckpt != nil {
-				if err := ckpt.Clear(); err != nil {
-					return nil, round - startRound, err
-				}
-			}
-			return x, round - startRound, nil
-		}
-		if ckpt != nil && round%r.cfg.checkpointEvery() == 0 {
-			if err := ckpt.Save(&CheckpointState{Digest: ckptDigest, Round: round, X: x}); err != nil {
-				return nil, round - startRound, err
-			}
-		}
-	}
-	return x, maxIter - startRound, fmt.Errorf("coordinator: distributed siterank: %w after %d rounds",
-		matrix.ErrNotConverged, maxIter)
-}
-
-// resumeSiteRank seeds the site-layer power iteration: from a
-// checkpointed snapshot when one exists and its digest matches this
-// computation — the resumed run then continues the exact float sequence
-// the interrupted run was producing — or from the uniform vector. A
-// snapshot from a different graph, mode or parameterization (digest
-// mismatch), a malformed one, or one at or past the round budget is
-// ignored rather than trusted.
-func (r *run) resumeSiteRank(maxIter int) (x matrix.Vector, startRound int, ckpt Checkpoint, digest wire.Digest, err error) {
-	x = matrix.Uniform(r.ns)
-	if r.cfg.Checkpoint == nil {
-		return x, 0, nil, digest, nil
-	}
-	ckpt = r.cfg.Checkpoint
-	digest = r.checkpointDigest()
-	st, err := ckpt.Load()
-	if err != nil {
-		return nil, 0, nil, digest, err
-	}
-	if st != nil && st.Digest == digest && st.valid() && len(st.X) == r.ns && st.Round < maxIter {
-		x = append(matrix.Vector(nil), st.X...)
-		startRound = st.Round
-		r.stats.ResumedFromRound = st.Round
-	}
-	return x, startRound, ckpt, digest, nil
-}
-
-// batchedSiteRank drives the round-batched SiteRank: each exchange asks
-// one live worker (rotating for load spread) to run up to BatchRounds
-// damped power rounds against its replicated chain. K rounds cost one
-// message instead of K×NumWorkers; a worker dying mid-batch is simply
-// skipped — every peer holds the chain, so failover needs no
-// reassignment and the batch restarts from the last confirmed iterate.
-func (r *run) batchedSiteRank() (matrix.Vector, int, error) {
-	maxIter := r.cfg.maxIter()
-	batch := r.cfg.batchRounds()
-
-	x, startRound, ckpt, ckptDigest, err := r.resumeSiteRank(maxIter)
-	if err != nil {
-		return nil, 0, err
-	}
-	rounds := startRound
-	exchanges := 0
-	cursor := 0
-	for rounds < maxIter {
-		if err := r.ctx.Err(); err != nil {
-			return nil, rounds - startRound, err
-		}
-		if err := r.maybeReadmit(); err != nil {
-			return nil, rounds - startRound, err
-		}
-		k := batch
-		if rounds+k > maxIter {
-			k = maxIter - rounds
-		}
-		idx := r.nextAlive(&cursor)
-		resp, err := r.c.workers[idx].call(r.ctx, &wire.Request{
-			Kind:     wire.KindBatchRounds,
-			NumSites: r.ns,
-			X:        x,
-			V:        r.tele,
-			Rounds:   k,
-			Damping:  r.cfg.Damping,
-			Tol:      r.cfg.Tol,
-		}, &r.c.counters, r.c.callTimeout())
-		if err != nil {
-			if errors.Is(err, errLost) {
-				// The chain is replicated: fail over to the next live
-				// worker, no shard movement needed. The in-flight batch
-				// is re-run from the last confirmed iterate.
-				if _, lerr := r.lose(idx, err, false); lerr != nil {
-					return nil, rounds, lerr
-				}
-				r.stats.Retries++
-				continue
-			}
-			return nil, rounds, err
-		}
-		exchanges++
-		if len(resp.X) != r.ns {
-			return nil, rounds, fmt.Errorf("coordinator: %s returned iterate of length %d, want %d",
-				r.c.workers[idx].addr, len(resp.X), r.ns)
-		}
-		if resp.Rounds < 1 || resp.Rounds > k || (resp.Rounds < k && !resp.Converged) {
-			return nil, rounds, fmt.Errorf("coordinator: %s ran %d of %d batched rounds without converging",
-				r.c.workers[idx].addr, resp.Rounds, k)
-		}
-		for _, v := range resp.X {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, rounds, fmt.Errorf("coordinator: %s returned a non-finite iterate", r.c.workers[idx].addr)
-			}
-		}
-		x = resp.X
-		rounds += resp.Rounds
-		if resp.Converged {
-			if ckpt != nil {
-				if err := ckpt.Clear(); err != nil {
-					return nil, rounds - startRound, err
-				}
-			}
-			r.stats.BatchMessagesSaved = (rounds-startRound)*r.nAlive - exchanges
-			return x, rounds - startRound, nil
-		}
-		// One exchange is the batched save cadence: it already covers up
-		// to BatchRounds rounds, so CheckpointEvery's round granularity
-		// is subsumed by the exchange grain.
-		if ckpt != nil {
-			if err := ckpt.Save(&CheckpointState{Digest: ckptDigest, Round: rounds, X: x}); err != nil {
-				return nil, rounds - startRound, err
-			}
-		}
-		cursor++
-	}
-	r.stats.BatchMessagesSaved = (rounds-startRound)*r.nAlive - exchanges
-	return x, maxIter - startRound, fmt.Errorf("coordinator: distributed siterank: %w after %d rounds",
-		matrix.ErrNotConverged, maxIter)
-}
-
-// nextAlive returns the next live worker at or after *cursor (mod the
-// fleet), advancing the rotation. At least one worker is always alive —
-// lose() errors out before the fleet can empty.
-func (r *run) nextAlive(cursor *int) int {
-	n := len(r.c.workers)
-	for i := 0; i < n; i++ {
-		idx := (*cursor + i) % n
-		if r.alive[idx] {
-			*cursor = idx
-			return idx
-		}
-	}
-	return -1
 }

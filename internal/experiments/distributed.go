@@ -30,9 +30,8 @@ type DistributedResult struct {
 	// Reference is the single-process wall time for the same web.
 	Reference time.Duration
 	Points    []DistributedPoint
-	// DistributedSiteRank reports whether the decentralized SiteRank
-	// variant was used.
-	DistributedSiteRank bool
+	// SiteRank is the site-layer mode the runs used.
+	SiteRank coordinator.SiteRankMode
 }
 
 // DistributedOptions parameterizes E7.
@@ -41,8 +40,8 @@ type DistributedOptions struct {
 	Web webgen.Config
 	// WorkerCounts to sweep (nil = 1,2,4,8).
 	WorkerCounts []int
-	// DistributedSiteRank selects the fully decentralized variant.
-	DistributedSiteRank bool
+	// SiteRank selects the site-layer mode (zero = central).
+	SiteRank coordinator.SiteRankMode
 	// Tol for all power runs (0 = 1e-9).
 	Tol float64
 }
@@ -68,10 +67,10 @@ func RunDistributed(opts DistributedOptions) (*DistributedResult, error) {
 		return nil, fmt.Errorf("experiments: distributed reference: %w", err)
 	}
 	out := &DistributedResult{
-		Docs:                web.Graph.NumDocs(),
-		Sites:               web.Graph.NumSites(),
-		Reference:           time.Since(start),
-		DistributedSiteRank: opts.DistributedSiteRank,
+		Docs:      web.Graph.NumDocs(),
+		Sites:     web.Graph.NumSites(),
+		Reference: time.Since(start),
+		SiteRank:  opts.SiteRank,
 	}
 
 	for _, n := range opts.WorkerCounts {
@@ -81,8 +80,8 @@ func RunDistributed(opts DistributedOptions) (*DistributedResult, error) {
 		}
 		t := time.Now()
 		res, err := local.Coord.Rank(web.Graph, coordinator.Config{
-			Tol:                 opts.Tol,
-			DistributedSiteRank: opts.DistributedSiteRank,
+			Tol:      opts.Tol,
+			SiteRank: opts.SiteRank,
 		})
 		total := time.Since(t)
 		closeErr := local.Close()
@@ -113,8 +112,8 @@ func (r *DistributedResult) Format() string {
 	b.WriteString("E7 — distributed Layered Method over loopback TCP\n")
 	fmt.Fprintf(&b, "web: %d sites, %d documents; single-process reference: %v\n",
 		r.Sites, r.Docs, r.Reference.Round(time.Millisecond))
-	if r.DistributedSiteRank {
-		b.WriteString("variant: fully decentralized SiteRank (power steps over worker-held Y rows)\n")
+	if r.SiteRank != coordinator.SiteRankCentral {
+		fmt.Fprintf(&b, "variant: SiteRank on the fleet (%s mode)\n", r.SiteRank)
 	}
 	b.WriteString("\nworkers  total      load       localrank  siterank   msgs    MB out   MB in    L1 vs ref\n")
 	for _, p := range r.Points {

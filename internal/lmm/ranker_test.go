@@ -232,23 +232,6 @@ func TestParallelPipelinesOnUndedupedGraphRaceFree(t *testing.T) {
 	if _, err := LayeredDocRank3(dg3, nil, WebConfig{Parallelism: 4}); err != nil {
 		t.Fatal(err)
 	}
-
-	// RankSubgraphs with an aliased, undeduped subgraph: the serial
-	// prep must dedupe and build the shared transition matrix before
-	// the fan-out.
-	sub := graph.NewDigraph(20)
-	for e := 0; e < 80; e++ {
-		sub.AddLink(rng.Intn(20), rng.Intn(20))
-	}
-	ranks, _, err := RankSubgraphs([]*graph.Digraph{sub, sub, sub, sub}, WebConfig{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(ranks); i++ {
-		if ranks[i].L1Diff(ranks[0]) != 0 {
-			t.Errorf("aliased subgraph rank %d differs", i)
-		}
-	}
 }
 
 // Pin the WebConfig damping sentinel: zero selects 0.85 exactly, tiny

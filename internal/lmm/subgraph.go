@@ -20,8 +20,8 @@ import (
 // concurrent use.
 type SubgraphSolver struct {
 	// fixed is the constant local rank of 0/1-document subgraphs, which
-	// need no power method at all (the same special case LocalDocRank
-	// and Ranker apply).
+	// need no power method at all (the same special case Ranker
+	// applies).
 	fixed  matrix.Vector
 	solver *pagerank.Solver
 }
@@ -38,8 +38,8 @@ func NewSubgraphSolver(sub *graph.Digraph) *SubgraphSolver {
 	return &SubgraphSolver{solver: pagerank.NewSolver(sub.TransitionMatrix())}
 }
 
-// Rank computes the subgraph's local DocRank, matching LocalDocRank
-// bit-for-bit while reusing all internal buffers. The result aliases
+// Rank computes the subgraph's local DocRank, reusing all internal
+// buffers. The result aliases
 // solver scratch — see the type comment.
 func (s *SubgraphSolver) Rank(cfg WebConfig) (matrix.Vector, int, error) {
 	if s.fixed != nil {

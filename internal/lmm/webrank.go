@@ -2,7 +2,6 @@ package lmm
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -119,26 +118,6 @@ func composeDocRankInto(out matrix.Vector, dg *graph.DocGraph, siteWeights matri
 	}
 }
 
-// localDocRanks computes πD(s) for every site concurrently.
-func localDocRanks(dg *graph.DocGraph, cfg WebConfig) ([]matrix.Vector, []int, error) {
-	ns := dg.NumSites()
-	local := make([]matrix.Vector, ns)
-	iters := make([]int, ns)
-	errs := make([]error, ns)
-
-	ForEachParallel(ns, cfg.Parallelism, func(s int) {
-		local[s], iters[s], errs[s] = localDocRank(dg, graph.SiteID(s), cfg)
-	})
-
-	for s, err := range errs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("lmm: local docrank of site %d (%s): %w",
-				s, dg.Sites[s].Name, err)
-		}
-	}
-	return local, iters, nil
-}
-
 // ForEachParallel runs fn(i) for every i in [0,n) across a capped
 // goroutine pool (workers <= 0 selects GOMAXPROCS). A single worker
 // runs inline: no goroutines, no channel, no allocations — the shape
@@ -174,56 +153,6 @@ func ForEachParallel(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// RankSubgraphs computes the local DocRank of each standalone site
-// subgraph in parallel — the batch a distributed worker runs for the
-// sites it hosts. It shares LocalDocRank and the dispatch pool with the
-// in-process pipeline. Failures are reported as a *SubgraphRankError so
-// callers can attribute the batch index to their own naming (site IDs,
-// hostnames).
-func RankSubgraphs(subs []*graph.Digraph, cfg WebConfig) ([]matrix.Vector, []int, error) {
-	// Dedupe and transition-matrix construction mutate the graph, so a
-	// subgraph repeated across entries must be prepared serially before
-	// the fan-out. Distinct graphs — the only shape real callers pass —
-	// keep their construction inside the parallel phase.
-	seen := make(map[*graph.Digraph]int, len(subs))
-	for _, sub := range subs {
-		seen[sub]++
-	}
-	for sub, n := range seen {
-		if n > 1 {
-			sub.Dedupe()
-			if sub.NumNodes() > 0 {
-				sub.TransitionMatrix()
-			}
-		}
-	}
-	ranks := make([]matrix.Vector, len(subs))
-	iters := make([]int, len(subs))
-	errs := make([]error, len(subs))
-	ForEachParallel(len(subs), cfg.Parallelism, func(i int) {
-		ranks[i], iters[i], errs[i] = LocalDocRank(subs[i], cfg)
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, nil, &SubgraphRankError{Index: i, Err: err}
-		}
-	}
-	return ranks, iters, nil
-}
-
-// SubgraphRankError reports which batch index of RankSubgraphs failed.
-type SubgraphRankError struct {
-	Index int
-	Err   error
-}
-
-func (e *SubgraphRankError) Error() string {
-	return fmt.Sprintf("lmm: local docrank of subgraph %d: %v", e.Index, e.Err)
-}
-
-// Unwrap exposes the underlying ranking failure for errors.Is/As.
-func (e *SubgraphRankError) Unwrap() error { return e.Err }
-
 // localDocRank computes one site's local DocRank (step 3 for one site).
 // Exported-shape logic shared by the in-process pipeline and the
 // distributed worker, which runs exactly this on its own peers.
@@ -252,27 +181,6 @@ func localDocRank(dg *graph.DocGraph, s graph.SiteID, cfg WebConfig) (matrix.Vec
 		MaxIter:         cfg.MaxIter,
 		Start:           start,
 		Ctx:             cfg.Ctx,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Scores, res.Iterations, nil
-}
-
-// LocalDocRank computes the local DocRank of a single standalone site
-// subgraph, as a distributed worker does for the sites it hosts.
-func LocalDocRank(sub *graph.Digraph, cfg WebConfig) (matrix.Vector, int, error) {
-	switch sub.NumNodes() {
-	case 0:
-		return matrix.Vector{}, 0, nil
-	case 1:
-		return matrix.Vector{1}, 0, nil
-	}
-	res, err := pagerank.Graph(sub, pagerank.Config{
-		Damping: cfg.Damping,
-		Tol:     cfg.Tol,
-		MaxIter: cfg.MaxIter,
-		Ctx:     cfg.Ctx,
 	})
 	if err != nil {
 		return nil, 0, err

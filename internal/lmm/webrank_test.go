@@ -173,23 +173,23 @@ func TestGlobalPageRankBaseline(t *testing.T) {
 	}
 }
 
-func TestLocalDocRankStandalone(t *testing.T) {
+func TestSubgraphSolverStandalone(t *testing.T) {
 	g := graph.NewDigraph(3)
 	g.AddLink(0, 1)
 	g.AddLink(1, 2)
 	g.AddLink(2, 0)
-	pi, iters, err := LocalDocRank(g, WebConfig{})
+	pi, iters, err := NewSubgraphSolver(g).Rank(WebConfig{})
 	if err != nil {
-		t.Fatalf("LocalDocRank: %v", err)
+		t.Fatalf("SubgraphSolver.Rank: %v", err)
 	}
 	if !pi.IsDistribution(1e-9) || iters == 0 {
 		t.Errorf("pi = %v, iters = %d", pi, iters)
 	}
-	one, _, err := LocalDocRank(graph.NewDigraph(1), WebConfig{})
+	one, _, err := NewSubgraphSolver(graph.NewDigraph(1)).Rank(WebConfig{})
 	if err != nil || len(one) != 1 || one[0] != 1 {
 		t.Errorf("singleton site: %v, %v", one, err)
 	}
-	empty, _, err := LocalDocRank(graph.NewDigraph(0), WebConfig{})
+	empty, _, err := NewSubgraphSolver(graph.NewDigraph(0)).Rank(WebConfig{})
 	if err != nil || len(empty) != 0 {
 		t.Errorf("empty site: %v, %v", empty, err)
 	}

@@ -112,9 +112,6 @@ type (
 
 // SiteRank modes for DistConfig.SiteRank.
 const (
-	// SiteRankAuto derives the mode from the legacy boolean/batching
-	// fields — the zero-value default.
-	SiteRankAuto = coordinator.SiteRankAuto
 	// SiteRankCentral solves the site chain on the coordinator.
 	SiteRankCentral = coordinator.SiteRankCentral
 	// SiteRankSync runs barrier-synchronous distributed power rounds.
