@@ -143,12 +143,14 @@ bench-smoke:
 
 # Bounded fuzz smoke over every fuzz target, one `go test -fuzz` run
 # per target (the flag takes a single target per package). Keeps the
-# corpus-driven guards — COW clone isolation and coalescing-fingerprint
-# safety — from rotting between dedicated fuzz sessions.
+# corpus-driven guards — COW clone isolation, coalescing-fingerprint
+# safety and the wire decoder's never-panic/bounded-allocation contract
+# — from rotting between dedicated fuzz sessions.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCloneCOW$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryFingerprint$$' -fuzztime $(FUZZTIME) -timeout 10m .
+	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/dist/wire
 
 # The benchmark regression gate: re-run the pinned serving-path
 # benchmarks and fail on a >30% ns/op or allocs/op regression against

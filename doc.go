@@ -19,7 +19,7 @@
 //   - synthetic campus webs with ground-truth spam labels (the evaluation
 //     substrate standing in for the paper's EPFL crawl);
 //   - a distributed runtime: loopback or networked worker fleets driven by
-//     a coordinator over a gob/TCP RPC substrate, with page-count shard
+//     a coordinator over a framed binary TCP protocol, with page-count shard
 //     balancing, digest-keyed worker caches, flate shard compression,
 //     one SiteRank loop selected by DistConfig.SiteRank alone
 //     (SiteRankMode: central by default, or on the fleet as synchronous
@@ -128,7 +128,8 @@
 // configuration (mode, sizes, damping, tolerance, iteration cap,
 // teleport vector, shard digests) is ignored and the iteration starts
 // fresh; a converged run Clears its checkpoint. Resuming continues the
-// exact float sequence — gob round-trips float64 losslessly — so an
+// exact float sequence — the checkpoint file's gob and the wire's raw
+// float bytes both round-trip float64 losslessly — so an
 // interrupted-and-resumed run reproduces the uninterrupted ranks
 // bitwise, in fewer remaining rounds (DistStats.ResumedFromRound +
 // SiteRankRounds equals the uninterrupted total).

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -515,5 +516,52 @@ func TestDistEngineFailedApplyNoReship(t *testing.T) {
 	}
 	if d := warm.DocRank.L1Diff(cold.DocRank); d >= 1e-9 {
 		t.Errorf("‖post-failed-update − cold‖₁ = %g, want < 1e-9 (the failed edit leaked)", d)
+	}
+}
+
+// TestCoalescedLeaderHandsOffItsResult pins the cost of a coalescible
+// query nobody joined: the leader returns the result it computed, not a
+// copy of it, so an index-served Rank allocates one DocRank (8 bytes a
+// document) and small change — it was two DocRanks while the leader
+// always cloned.
+func TestCoalescedLeaderHandsOffItsResult(t *testing.T) {
+	web := GenerateCampusWeb(CampusWebConfig{Seed: 7, Sites: 40, MeanSitePages: 1200,
+		DynamicClusterPages: 50, DocClusterPages: 50})
+	eng, err := NewLocalEngine(web.Graph, EngineOptions{Coalesce: true, CoalesceTol: 1e-6, TopKIndex: true})
+	if err != nil {
+		t.Fatalf("NewLocalEngine: %v", err)
+	}
+	ctx := context.Background()
+	q := Query{TopK: 10}
+	rank := func() *Result {
+		res, err := eng.Rank(ctx, q)
+		if err != nil {
+			t.Fatalf("Rank: %v", err)
+		}
+		return res
+	}
+	first := rank()
+	const runs = 20
+	served := eng.ServingStats().TopKIndexServes
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		rank()
+	}
+	runtime.ReadMemStats(&after)
+	if got := eng.ServingStats().TopKIndexServes - served; got != runs {
+		t.Fatalf("%d of %d queries were index-served", got, runs)
+	}
+	perRank := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	docRank := float64(8 * web.Graph.NumDocs())
+	t.Logf("%.0f bytes per Rank, %.3f x one DocRank", perRank, perRank/docRank)
+	if perRank >= 1.1*docRank {
+		t.Errorf("an index-served coalescible Rank allocates %.0f bytes, want < 1.1 x the %.0f of one DocRank", perRank, docRank)
+	}
+	// Handing off must not turn into sharing: successive answers are
+	// equal and do not alias.
+	second := rank()
+	if !reflect.DeepEqual(first.DocRank, second.DocRank) || &first.DocRank[0] == &second.DocRank[0] {
+		t.Error("successive answers differ or alias one vector")
 	}
 }

@@ -2,7 +2,7 @@
 // runtime: a protocol-aware TCP proxy that sits between a coordinator
 // and one worker, decodes every wire.Request crossing it, and consults
 // a scriptable policy to pass, drop, delay, duplicate or black-hole the
-// exchange. Because the proxy speaks the real gob protocol over real
+// exchange. Because the proxy speaks the real wire protocol over real
 // sockets, the failures it injects are indistinguishable from genuine
 // ones — a Drop is a worker death (the coordinator's stream
 // desynchronizes and errLost fires), a Blackhole is a network
@@ -16,8 +16,8 @@
 package chaos
 
 import (
-	"encoding/gob"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -59,7 +59,8 @@ type Decision struct {
 // 1-based request index on this proxied connection (a redialed
 // coordinator starts a fresh connection, so the counter restarts — a
 // script keyed on absolute progress should keep its own atomic state,
-// as KillAtKind does). A nil Script passes everything.
+// as KillAtKind does). req is the proxy's decode scratch, valid only
+// until the script returns. A nil Script passes everything.
 type Script func(exchange int, req *wire.Request) Decision
 
 // Proxy is one scriptable fault-injection point in front of one worker
@@ -161,10 +162,10 @@ func (p *Proxy) currentScript() Script {
 	return p.script
 }
 
-// serve relays one coordinator connection: decode each request off the
-// client stream, apply the script, re-encode toward the worker, relay
-// the response back. Decode-reencode (rather than byte splicing) is
-// what lets scripts see typed wire.Requests and act per message kind.
+// serve relays one coordinator connection: decode each request frame
+// off the client stream so the script sees a typed wire.Request and can
+// act per message kind, then forward the frame's own bytes to the
+// worker and relay the response frame back unread.
 func (p *Proxy) serve(client net.Conn) {
 	defer p.wg.Done()
 	defer p.forget(client)
@@ -183,18 +184,26 @@ func (p *Proxy) serve(client net.Conn) {
 	p.mu.Unlock()
 	defer p.forget(upstream)
 
-	cliDec := gob.NewDecoder(client)
-	cliEnc := gob.NewEncoder(client)
-	upDec := gob.NewDecoder(upstream)
-	upEnc := gob.NewEncoder(upstream)
+	var counters wire.Counters
+	cli, up := wire.NewConn(client, &counters), wire.NewConn(upstream, &counters)
+	var scratch wire.Request
 	for n := 1; ; n++ {
-		var req wire.Request
-		if err := cliDec.Decode(&req); err != nil {
+		f, err := cli.Dec.ReadFrame()
+		if err != nil {
+			return
+		}
+		// Decoded for the Script only. A shipment gets a value of its
+		// own, so the proxy pins round-sized scratch, not a shard set.
+		req := &scratch
+		if f.Kind() == wire.KindLoad {
+			req = new(wire.Request)
+		}
+		if err := f.Decode(req); err != nil {
 			return
 		}
 		var d Decision
 		if s := p.currentScript(); s != nil {
-			d = s(n, &req)
+			d = s(n, req)
 		}
 		switch d.Action {
 		case Drop:
@@ -206,22 +215,17 @@ func (p *Proxy) serve(client net.Conn) {
 		case Duplicate:
 			// Deliver once and discard the response; the pass path below
 			// delivers the retransmission and forwards its response.
-			if err := upEnc.Encode(&req); err != nil {
+			if _, err := up.Enc.Write(f); err != nil {
 				return
 			}
-			var dup wire.Response
-			if err := upDec.Decode(&dup); err != nil {
+			if err := up.Dec.RelayTo(io.Discard); err != nil {
 				return
 			}
 		}
-		if err := upEnc.Encode(&req); err != nil {
+		if _, err := up.Enc.Write(f); err != nil {
 			return
 		}
-		var resp wire.Response
-		if err := upDec.Decode(&resp); err != nil {
-			return
-		}
-		if err := cliEnc.Encode(&resp); err != nil {
+		if err := up.Dec.RelayTo(&cli.Enc); err != nil {
 			return
 		}
 	}

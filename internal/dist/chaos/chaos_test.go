@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"encoding/gob"
 	"net"
 	"testing"
 	"time"
@@ -11,8 +10,8 @@ import (
 )
 
 // fixture starts a real worker behind a proxy running script and
-// returns a raw gob connection to the proxy.
-func fixture(t *testing.T, script Script) (*Proxy, *gob.Encoder, *gob.Decoder, net.Conn) {
+// returns a raw protocol connection to the proxy.
+func fixture(t *testing.T, script Script) (*Proxy, *wire.Encoder, *wire.Decoder, net.Conn) {
 	t.Helper()
 	w := worker.New()
 	addr, err := w.Start("127.0.0.1:0")
@@ -29,17 +28,18 @@ func fixture(t *testing.T, script Script) (*Proxy, *gob.Encoder, *gob.Decoder, n
 	return p, enc, dec, conn
 }
 
-func dialProxy(t *testing.T, p *Proxy) (*gob.Encoder, *gob.Decoder, net.Conn) {
+func dialProxy(t *testing.T, p *Proxy) (*wire.Encoder, *wire.Decoder, net.Conn) {
 	t.Helper()
 	conn, err := net.Dial("tcp", p.Addr())
 	if err != nil {
 		t.Fatalf("dial proxy: %v", err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	return gob.NewEncoder(conn), gob.NewDecoder(conn), conn
+	wc := wire.NewConn(conn, new(wire.Counters))
+	return &wc.Enc, &wc.Dec, conn
 }
 
-func ping(t *testing.T, enc *gob.Encoder, dec *gob.Decoder) {
+func ping(t *testing.T, enc *wire.Encoder, dec *wire.Decoder) {
 	t.Helper()
 	if err := enc.Encode(&wire.Request{Kind: wire.KindPing}); err != nil {
 		t.Fatalf("encode ping: %v", err)
@@ -97,7 +97,7 @@ func TestDelayKindHoldsRequests(t *testing.T) {
 }
 
 // TestDuplicateKindKeepsStreamInSync: delivering a request twice and
-// forwarding the retransmission's response must leave the gob stream
+// forwarding the retransmission's response must leave the frame stream
 // aligned — the next exchange still pairs correctly.
 func TestDuplicateKindKeepsStreamInSync(t *testing.T) {
 	_, enc, dec, _ := fixture(t, DuplicateKind(wire.KindPing))

@@ -285,3 +285,35 @@ func TestChaosAsyncStragglerBeatsSync(t *testing.T) {
 		stragglerDelay, syncDur, sync.Stats.SiteRankRounds,
 		asyncDur, async.Stats.AsyncUpdatesMerged, async.Stats.AsyncVerifyRounds)
 }
+
+// TestAsyncBudgetCountsFleetPasses pins what MaxIter bounds in the
+// asynchronous mode: fleet passes — stretches in which every live
+// worker's sweep was merged — not merges. Under a straggler the fast
+// workers merge hundreds of sweeps per straggler sweep, as many as the
+// wire lets them; a budget counted in merges would make convergence
+// depend on how cheap the exchange is. MaxIter here is about twice the
+// passes the run needs and far below merges/fleet.
+func TestAsyncBudgetCountsFleetPasses(t *testing.T) {
+	const fleet, maxIter = 8, 100
+	web := testWeb()
+	cl, err := StartChaosLocal(fleet)
+	if err != nil {
+		t.Fatalf("StartChaosLocal: %v", err)
+	}
+	defer cl.Close()
+
+	cl.Proxies[7].SetScript(chaos.DelayKind(wire.KindAsyncUpdate, stragglerDelay))
+	res, err := cl.Coord.Rank(web.Graph, coordinator.Config{SiteRank: coordinator.SiteRankAsync, Tol: 1e-6, MaxIter: maxIter})
+	if err != nil {
+		t.Fatalf("async Rank under a straggler with MaxIter %d: %v", maxIter, err)
+	}
+	st := res.Stats
+	if st.AsyncUpdatesMerged <= maxIter*fleet {
+		t.Errorf("AsyncUpdatesMerged = %d, want > MaxIter x fleet = %d — the straggler did not bite, so the run pins nothing",
+			st.AsyncUpdatesMerged, maxIter*fleet)
+	}
+	if got := st.AsyncWorkerSweeps[7]; got > maxIter {
+		t.Errorf("the straggler had %d sweeps merged, want <= MaxIter = %d: a fleet pass needs one", got, maxIter)
+	}
+	t.Logf("%d merges, %d of them the straggler's, under MaxIter %d", st.AsyncUpdatesMerged, st.AsyncWorkerSweeps[7], maxIter)
+}

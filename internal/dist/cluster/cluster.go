@@ -1,7 +1,7 @@
 // Package cluster wires a complete in-process distributed fleet on
 // loopback TCP: n workers plus a connected coordinator. It exists so
 // examples, tests and experiments can exercise the real networked
-// runtime — actual sockets, actual gob framing, actual byte counts —
+// runtime — actual sockets, actual wire frames, actual byte counts —
 // without provisioning machines.
 package cluster
 

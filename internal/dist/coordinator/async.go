@@ -65,7 +65,7 @@ type asyncUpdate struct {
 
 // asyncSnapshot is what drivers sweep against. The supervisor
 // publishes a freshly allocated one after every merge and never mutates
-// a published iterate, so drivers hand x straight to the gob encoder
+// a published iterate, so drivers hand x straight to the encoder
 // without copying.
 type asyncSnapshot struct {
 	x              []float64
@@ -86,6 +86,11 @@ type asyncAccum struct {
 	// the current epoch (nil = none yet).
 	version uint64
 	last    []*asyncUpdate
+	// partials backs last[i].partial: a delivered sweep's partial aliases
+	// its worker's retained Response, which that worker's next sweep
+	// overwrites, so merge keeps a copy here (one array per worker,
+	// reused).
+	partials [][]float64
 	// lastRes is each worker's most recent merge residual this epoch. A
 	// slow worker's sweeps arrive stale and jolt the iterate; requiring
 	// every worker's latest jolt under Tol keeps the candidate honest —
@@ -97,13 +102,14 @@ type asyncAccum struct {
 func newAsyncAccum(r *run, x matrix.Vector) *asyncAccum {
 	n := len(r.c.workers)
 	return &asyncAccum{
-		r:       r,
-		f:       r.cfg.damping(),
-		x:       x,
-		next:    matrix.NewVector(r.ns),
-		last:    make([]*asyncUpdate, n),
-		lastRes: make([]float64, n),
-		resEst:  math.Inf(1),
+		r:        r,
+		f:        r.cfg.damping(),
+		x:        x,
+		next:     matrix.NewVector(r.ns),
+		last:     make([]*asyncUpdate, n),
+		partials: make([][]float64, n),
+		lastRes:  make([]float64, n),
+		resEst:   math.Inf(1),
 	}
 }
 
@@ -118,6 +124,8 @@ func newAsyncAccum(r *run, x matrix.Vector) *asyncAccum {
 // snapshots it is a chaotic relaxation whose answer the verification
 // rounds confirm.
 func (a *asyncAccum) merge(u *asyncUpdate) {
+	a.partials[u.idx] = append(a.partials[u.idx][:0], u.partial...)
+	u.partial = a.partials[u.idx]
 	a.last[u.idx] = u
 	y := a.next
 	y.Fill(0)
@@ -194,6 +202,8 @@ type asyncPhase struct {
 	epoch uint64
 	// rejoined is Stats.WorkersRejoined as of the current epoch.
 	rejoined int
+	// swept marks the workers merged since the last fleet pass completed.
+	swept []bool
 	// next yields the next sweep to merge: where the two schedules
 	// differ. publish (a new iterate or epoch is out), ack (worker idx's
 	// delivered sweep was consumed) and stop are the concurrent fleet's
@@ -223,7 +233,7 @@ func (r *run) startAsync(x matrix.Vector) *asyncPhase {
 	nw := len(r.c.workers)
 	r.stats.AsyncWorkerSweeps = make([]int, nw)
 	r.stats.AsyncStalenessHist = make([]int, asyncStaleBuckets)
-	a := &asyncPhase{r: r, acc: newAsyncAccum(r, x), epoch: 1, rejoined: r.stats.WorkersRejoined}
+	a := &asyncPhase{r: r, acc: newAsyncAccum(r, x), epoch: 1, rejoined: r.stats.WorkersRejoined, swept: make([]bool, nw)}
 	if r.cfg.AsyncOrdered {
 		rng := rand.New(rand.NewSource(r.cfg.AsyncSeed))
 		a.next = func() (*asyncUpdate, error) {
@@ -254,12 +264,31 @@ func (r *run) startAsync(x matrix.Vector) *asyncPhase {
 	return a
 }
 
-// schedule is the phase as the driver loop sees it; start is the merge
-// count a resumed checkpoint already covers.
-func (a *asyncPhase) schedule(start int) siteSchedule {
-	return siteSchedule{what: "async siterank", unit: "merges",
-		saveEvery: a.r.cfg.checkpointEvery() * len(a.r.c.workers), saveFrom: start,
-		inFlight: !a.r.cfg.AsyncOrdered, step: a.step}
+// schedule is the phase as the driver loop sees it. Its unit is the
+// fleet pass — a stretch of merges in which every live worker's sweep
+// landed at least once, the asynchronous counterpart of one synchronous
+// round (chaotic relaxation converges at the rate of its slowest-updated
+// block). Budgeting passes rather than merges makes MaxIter bound the
+// straggler's refreshes, however many sweeps the fast workers fit in
+// between: whether a run converges must not depend on how cheap the
+// wire is.
+func (a *asyncPhase) schedule() siteSchedule {
+	return siteSchedule{what: "async siterank", unit: "fleet passes",
+		saveEvery: a.r.cfg.checkpointEvery(), inFlight: !a.r.cfg.AsyncOrdered, step: a.step}
+}
+
+// passed records worker idx's merge and reports whether it completed a
+// fleet pass. A lost worker stops being waited for; a re-admitted one is
+// waited for again.
+func (a *asyncPhase) passed(idx int) bool {
+	a.swept[idx] = true
+	for w, alive := range a.r.alive {
+		if alive && !a.swept[w] {
+			return false
+		}
+	}
+	clear(a.swept)
+	return true
 }
 
 // sweep performs one KindAsyncUpdate against worker idx from the given
@@ -267,7 +296,7 @@ func (a *asyncPhase) schedule(start int) siteSchedule {
 // update's err.
 func (r *run) sweep(idx int, x []float64, version, epoch uint64) *asyncUpdate {
 	u := &asyncUpdate{idx: idx, baseVer: version, epoch: epoch}
-	resp, err := r.call(idx, &wire.Request{Kind: wire.KindAsyncUpdate, NumSites: r.ns, X: x, Epoch: epoch})
+	resp, err := r.exchange(idx, &wire.Request{Kind: wire.KindAsyncUpdate, NumSites: r.ns, X: x, Epoch: epoch})
 	if err == nil {
 		err = r.checkSiteVector(idx, resp.Partial, resp.DanglingMass, resp.Mass)
 	}
@@ -362,7 +391,11 @@ func (a *asyncPhase) step() (matrix.Vector, int, bool, error) {
 	r.recordMerge(u.idx, a.acc.version-1-u.baseVer)
 	a.publish()
 	a.ack(u.idx)
-	return a.acc.x, 1, a.acc.candidate(r.cfg.tol()), nil
+	n := 0
+	if a.passed(u.idx) {
+		n = 1
+	}
+	return a.acc.x, n, a.acc.candidate(r.cfg.tol()), nil
 }
 
 // asyncDrain retires the asynchronous epoch on every live worker
@@ -371,7 +404,7 @@ func (a *asyncPhase) step() (matrix.Vector, int, bool, error) {
 // rounds cover the chain.
 func (r *run) asyncDrain(epoch uint64) error {
 	for _, idx := range r.aliveIdxs() {
-		if _, err := r.call(idx, &wire.Request{Kind: wire.KindAsyncAck, Epoch: epoch}); err != nil {
+		if _, err := r.exchange(idx, &wire.Request{Kind: wire.KindAsyncAck, Epoch: epoch}); err != nil {
 			if err := r.recoverLost(err, true, idx); err != nil {
 				return err
 			}

@@ -24,11 +24,13 @@ import (
 type CheckpointState struct {
 	// Digest identifies the computation; see run.checkpointDigest.
 	Digest wire.Digest
-	// Round is how many power rounds the iterate has absorbed.
+	// Round is how many power rounds — fleet passes, in the asynchronous
+	// mode — the iterate has absorbed.
 	Round int
-	// X is the iterate itself, exact to the bit (gob round-trips float64
-	// losslessly), so a resumed run continues the very same float
-	// sequence an uninterrupted run would have produced.
+	// X is the iterate itself, exact to the bit (gob, which the file
+	// checkpoint uses, round-trips float64 losslessly), so a resumed run
+	// continues the very same float sequence an uninterrupted run would
+	// have produced.
 	X []float64
 }
 
@@ -192,12 +194,13 @@ func (r *run) checkpointDigest() wire.Digest {
 		// pre-async snapshots stay resumable by the modes that wrote
 		// them. The ordered schedule gets its own value plus the seed: a
 		// resumed ordered run restarts the schedule, and seeds must not
-		// cross-pollinate through a shared snapshot.
+		// cross-pollinate through a shared snapshot. (2 and 3 marked
+		// async snapshots whose Round counted merges, not fleet passes.)
 		if r.cfg.AsyncOrdered {
-			writeInt(3)
+			writeInt(5)
 			writeInt(int(r.cfg.AsyncSeed))
 		} else {
-			writeInt(2)
+			writeInt(4)
 		}
 	default:
 		writeInt(0)

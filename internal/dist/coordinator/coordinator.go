@@ -1,9 +1,9 @@
 // Package coordinator implements the central side of the distributed
 // Layered Method (§3.2 run across a fleet): it partitions a DocGraph by
-// site over gob/TCP workers, dispatches the per-site local DocRanks to
-// the peers, computes the SiteRank either centrally or by distributed
-// power iteration, and composes the global DocRank by the Partition
-// Theorem.
+// site over TCP workers speaking wire's frames, dispatches the per-site
+// local DocRanks to the peers, computes the SiteRank either centrally or
+// by distributed power iteration, and composes the global DocRank by the
+// Partition Theorem.
 //
 // The runtime is production-shaped along three axes. Fault tolerance:
 // with a RetryPolicy budget, a peer dying mid-run is detected at the
@@ -160,7 +160,10 @@ type Config struct {
 	// values are honored as given.
 	Damping float64
 	// Tol and MaxIter bound every power run, local and site-level
-	// (0 = package matrix defaults).
+	// (0 = package matrix defaults). SiteRankAsync spends MaxIter on
+	// fleet passes — stretches of merges in which every live worker's
+	// sweep landed — so the bound follows the slowest worker, as a
+	// synchronous round does, not the rate the others exchange at.
 	Tol     float64
 	MaxIter int
 	// SiteGraph controls SiteLink aggregation (§3.1).
@@ -341,8 +344,8 @@ type Stats struct {
 	Retries       int
 	// WorkersRejoined counts peers re-admitted mid-run by the redial
 	// loop (RetryPolicy.MaxRedials); RedialAttempts counts every dial
-	// the loop made, successful or not; RejoinShardBytes estimates the
-	// shard payload bytes shipped in full while rebalancing sites back
+	// the loop made, successful or not; RejoinShardBytes is the encoded
+	// size of the shards shipped in full while rebalancing sites back
 	// to rejoiners — ~0 when a rejoiner's digest cache is warm, which
 	// is the whole point of re-admission over replacement.
 	WorkersRejoined  int
@@ -355,8 +358,8 @@ type Stats struct {
 	ResumedFromRound int
 	// CacheHits counts shards (and site chains) the workers already
 	// held by digest and did not need shipped; CacheMisses counts the
-	// ones shipped in full. ShardBytesSaved estimates the payload bytes
-	// the hits avoided (estimated from shard shape, not measured).
+	// ones shipped in full. ShardBytesSaved is the payload bytes the hits
+	// avoided: the exact encoded size of what stayed home.
 	CacheHits       int
 	CacheMisses     int
 	ShardBytesSaved uint64
@@ -376,7 +379,7 @@ type Stats struct {
 	// zero bytes.
 	DigestBytesHashed uint64
 	// ShardBytesRaw and ShardBytesCompressed record the shard payloads
-	// shipped with Config.Compress on: the gob size before compression
+	// shipped with Config.Compress on: the encoded size before compression
 	// and the flate size that actually crossed the wire. Both stay zero
 	// when compression is off or nothing shipped in full.
 	ShardBytesRaw        uint64
@@ -412,7 +415,7 @@ type Stats struct {
 	CutFraction float64
 	// CrossShardBytes estimates the per-sweep payload a document-level
 	// edge exchange would ship across shard boundaries under this
-	// placement (CutEdges × the gob cost of one wire edge). The LMM
+	// placement (CutEdges × the coarse cost of one wire edge). The LMM
 	// protocol never ships document edges — that is the paper's point —
 	// so this is the counterfactual volume the partition avoids, not a
 	// measured transfer.
@@ -453,17 +456,23 @@ type Result struct {
 // is alive and refusing, which means a bug, not a death.
 var errLost = errors.New("worker lost")
 
-// remote is one connected worker. Its gob stream is strictly
+// remote is one connected worker. Its frame stream is strictly
 // request/response, so a mutex serializes users of the connection.
 type remote struct {
 	mu     sync.Mutex
 	conn   *wire.Conn
 	addr   string
 	broken bool
+	// round is the Response the per-round SiteRank exchanges decode into
+	// (run.exchange), so a round allocates nothing; its contents last
+	// until this worker's next exchange.
+	round wire.Response
 }
 
-// call performs one exchange on the remote's connection, bounded by the
-// earlier of ctx's deadline and timeout (<= 0 means no per-call bound).
+// call performs one exchange on the remote's connection, decoding the
+// answer into resp (whose slices it reuses — see wire.Frame.Decode for
+// who may then retain what), bounded by the earlier of ctx's deadline
+// and timeout (<= 0 means no per-call bound).
 // A context cancelled mid-exchange interrupts the blocked socket I/O
 // immediately (the connection deadline is yanked to the past) and the
 // context's error is returned. Any transport failure — a timeout, a
@@ -473,16 +482,16 @@ type remote struct {
 // fast rather than silently consuming stale payloads. Transport failures
 // other than cancellation wrap errLost; cancellation returns ctx.Err()
 // so callers never mistake the caller's own abort for a worker death.
-func (r *remote) call(ctx context.Context, req *wire.Request, counters *wire.Counters, timeout time.Duration) (*wire.Response, error) {
+func (r *remote) call(ctx context.Context, req *wire.Request, resp *wire.Response, counters *wire.Counters, timeout time.Duration) error {
 	if err := ctx.Err(); err != nil {
 		// Cancelled before any bytes moved: the stream is still in sync
 		// and the connection stays usable.
-		return nil, err
+		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.broken {
-		return nil, fmt.Errorf("coordinator: %s: connection broken by an earlier failure: %w", r.addr, errLost)
+		return fmt.Errorf("coordinator: %s: connection broken by an earlier failure: %w", r.addr, errLost)
 	}
 	var deadline time.Time
 	ctxBound := false
@@ -539,19 +548,18 @@ func (r *remote) call(ctx context.Context, req *wire.Request, counters *wire.Cou
 		return fmt.Errorf("coordinator: %s %s: %w: %w", op, r.addr, err, errLost)
 	}
 	if err := r.conn.Enc.Encode(req); err != nil {
-		return nil, fail("send to", err)
+		return fail("send to", err)
 	}
-	var resp wire.Response
-	if err := r.conn.Dec.Decode(&resp); err != nil {
-		return nil, fail("receive from", err)
+	if err := r.conn.Dec.Decode(resp); err != nil {
+		return fail("receive from", err)
 	}
 	counters.AddMessage()
 	if resp.Err != "" {
 		// Worker-side errors arrive in a well-formed response, so the
 		// stream stays in sync and the connection remains usable.
-		return nil, fmt.Errorf("coordinator: %s: %s", r.addr, resp.Err)
+		return fmt.Errorf("coordinator: %s: %s", r.addr, resp.Err)
 	}
-	return &resp, nil
+	return nil
 }
 
 // markBroken poisons the remote; the caller holds r.mu.
@@ -569,7 +577,7 @@ func (r *remote) isBroken() bool {
 
 // reconnect replaces a broken remote's connection with a freshly dialed
 // one and clears the poison mark; the old socket (if any) is closed.
-// The new gob streams start in sync — the peer sees a brand-new session.
+// The new frame stream starts in sync — the peer sees a brand-new session.
 func (r *remote) reconnect(nc net.Conn, counters *wire.Counters) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -627,21 +635,23 @@ type preparedShards struct {
 	wantRows  bool
 	withChain bool
 
-	shards   []wire.SiteShard
-	refs     []wire.ShardRef
-	sizes    []int
-	built    []bool
-	chain    *wire.SiteChain
-	chainRef wire.Digest
+	shards []wire.SiteShard
+	refs   []wire.ShardRef
+	// wireSizes memoizes each shard's WireSize — a walk of its edge
+	// list — so a warm run's bytes-saved accounting costs O(sites).
+	wireSizes []uint64
+	built     []bool
+	chain     *wire.SiteChain
+	chainRef  wire.Digest
 }
 
 func newPreparedShards(rk *lmm.Ranker, wantRows, withChain bool, ns int) *preparedShards {
 	return &preparedShards{
 		rk: rk, wantRows: wantRows, withChain: withChain,
-		shards: make([]wire.SiteShard, ns),
-		refs:   make([]wire.ShardRef, ns),
-		sizes:  make([]int, ns),
-		built:  make([]bool, ns),
+		shards:    make([]wire.SiteShard, ns),
+		refs:      make([]wire.ShardRef, ns),
+		wireSizes: make([]uint64, ns),
+		built:     make([]bool, ns),
 	}
 }
 
@@ -728,7 +738,7 @@ func (c *Coordinator) RefreshPrepared(prev, next *lmm.Ranker, changed []graph.Si
 			}
 			m.shards[s] = p.shards[s]
 			m.refs[s] = p.refs[s]
-			m.sizes[s] = p.sizes[s]
+			m.wireSizes[s] = p.wireSizes[s]
 			m.built[s] = true
 		}
 		migrated = append(migrated, m)
@@ -818,8 +828,7 @@ func (c *Coordinator) Ping() error {
 		return errors.New("coordinator: closed")
 	}
 	return c.broadcastErr(func(_ int, r *remote) error {
-		_, err := r.call(context.Background(), &wire.Request{Kind: wire.KindPing}, &c.counters, c.callTimeout())
-		return err
+		return r.call(context.Background(), &wire.Request{Kind: wire.KindPing}, new(wire.Response), &c.counters, c.callTimeout())
 	})
 }
 

@@ -3,11 +3,13 @@ package coordinator
 import (
 	"errors"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
 	"lmmrank/internal/dist/worker"
 	"lmmrank/internal/graph"
+	"lmmrank/internal/matrix"
 	"lmmrank/internal/webgen"
 )
 
@@ -238,5 +240,50 @@ func TestNumWorkersAndPing(t *testing.T) {
 	msgs, sent, recv := c.Stats()
 	if msgs != 2 || sent == 0 || recv == 0 {
 		t.Errorf("after Ping of 2 workers: messages=%d sent=%d recv=%d", msgs, sent, recv)
+	}
+}
+
+// TestResultSurvivesLaterRuns guards the reuse rule on the coordinator:
+// the per-round exchanges decode into each remote's retained Response,
+// so whatever a Result keeps must have been copied out of it. A second
+// run, personalized so every site-layer vector differs, must leave the
+// first run's Result as it was — in every fleet mode.
+func TestResultSurvivesLaterRuns(t *testing.T) {
+	dg := rankableWeb()
+	tele := matrix.NewVector(dg.NumSites())
+	for s := range tele {
+		tele[s] = float64(s + 1)
+	}
+	tele.Normalize()
+	for _, cfg := range []Config{
+		{SiteRank: SiteRankSync},
+		{SiteRank: SiteRankBatched, BatchRounds: 4},
+		{SiteRank: SiteRankAsync},
+		{SiteRank: SiteRankAsync, AsyncOrdered: true, AsyncSeed: 3},
+	} {
+		_, a1 := startWorker(t)
+		_, a2 := startWorker(t)
+		c, err := Dial([]string{a1, a2})
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		first, err := c.Rank(dg, cfg)
+		if err != nil {
+			t.Fatalf("%v: first Rank: %v", cfg.SiteRank, err)
+		}
+		siteRank, docRank := first.SiteRank.Clone(), first.DocRank.Clone()
+		locals := make([]matrix.Vector, len(first.LocalRanks))
+		for i, v := range first.LocalRanks {
+			locals[i] = v.Clone()
+		}
+		cfg.SitePersonalization = tele
+		if _, err := c.Rank(dg, cfg); err != nil {
+			t.Fatalf("%v: second Rank: %v", cfg.SiteRank, err)
+		}
+		if !reflect.DeepEqual(first.SiteRank, siteRank) || !reflect.DeepEqual(first.DocRank, docRank) ||
+			!reflect.DeepEqual(first.LocalRanks, locals) {
+			t.Errorf("%v: a later run rewrote an earlier Result", cfg.SiteRank)
+		}
+		c.Close()
 	}
 }

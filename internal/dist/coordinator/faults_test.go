@@ -1,7 +1,6 @@
 package coordinator
 
 import (
-	"encoding/gob"
 	"errors"
 	"math"
 	"net"
@@ -296,16 +295,16 @@ func lyingPeer(t *testing.T, corrupt func(wire.Kind, *wire.Response)) string {
 					return
 				}
 				defer up.Close()
-				cliDec, cliEnc := gob.NewDecoder(client), gob.NewEncoder(client)
-				upDec, upEnc := gob.NewDecoder(up), gob.NewEncoder(up)
+				var counters wire.Counters
+				cli, upc := wire.NewConn(client, &counters), wire.NewConn(up, &counters)
 				for {
 					var req wire.Request
 					var resp wire.Response
-					if cliDec.Decode(&req) != nil || upEnc.Encode(&req) != nil || upDec.Decode(&resp) != nil {
+					if cli.Dec.Decode(&req) != nil || upc.Enc.Encode(&req) != nil || upc.Dec.Decode(&resp) != nil {
 						return
 					}
 					corrupt(req.Kind, &resp)
-					if cliEnc.Encode(&resp) != nil {
+					if cli.Enc.Encode(&resp) != nil {
 						return
 					}
 				}

@@ -39,9 +39,9 @@ type run struct {
 	tele matrix.Vector
 
 	// Per-site payloads, built once from the Ranker's precomputation.
-	shards []wire.SiteShard
-	refs   []wire.ShardRef
-	sizes  []int
+	shards    []wire.SiteShard
+	refs      []wire.ShardRef
+	wireSizes []uint64
 	// chain is the replicated site chain (round batching only).
 	chain    *wire.SiteChain
 	chainRef wire.Digest
@@ -83,9 +83,26 @@ type rejoin struct {
 }
 
 // call performs one exchange with worker idx under the run's context
-// and the coordinator's per-call timeout.
+// and the coordinator's per-call timeout. The response is fresh: the
+// caller may keep any part of it (the local phase keeps the scores).
 func (r *run) call(idx int, req *wire.Request) (*wire.Response, error) {
-	return r.c.workers[idx].call(r.ctx, req, &r.c.counters, r.c.callTimeout())
+	resp := new(wire.Response)
+	if err := r.c.workers[idx].call(r.ctx, req, resp, &r.c.counters, r.c.callTimeout()); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// exchange is call for the per-round SiteRank kinds: the answer lands in
+// the worker's retained Response, so a round allocates nothing — and the
+// caller must be done with it (or have copied out of it) before its next
+// exchange with the same worker.
+func (r *run) exchange(idx int, req *wire.Request) (*wire.Response, error) {
+	w := r.c.workers[idx]
+	if err := w.call(r.ctx, req, &w.round, &r.c.counters, r.c.callTimeout()); err != nil {
+		return nil, err
+	}
+	return &w.round, nil
 }
 
 // fanOut runs fn(i, idxs[i]) for every listed worker concurrently and
@@ -282,7 +299,7 @@ func (r *run) buildShards() {
 	withChain := r.cfg.SiteRank == SiteRankBatched
 	p := r.c.lookupPrep(r.rk, wantRows, withChain)
 	if p != nil && p.complete() {
-		r.shards, r.refs, r.sizes = p.shards, p.refs, p.sizes
+		r.shards, r.refs, r.wireSizes = p.shards, p.refs, p.wireSizes
 		r.chain, r.chainRef = p.chain, p.chainRef
 		return
 	}
@@ -305,7 +322,7 @@ func (r *run) buildShards() {
 		}
 		p.shards[s] = shard
 		p.refs[s] = wire.ShardRef{Site: s, Digest: shard.ContentDigest()}
-		p.sizes[s] = shard.NumDocs
+		p.wireSizes[s] = shard.WireSize()
 		p.built[s] = true
 		r.stats.DigestBytesHashed += shard.DigestInputBytes()
 	}
@@ -321,7 +338,7 @@ func (r *run) buildShards() {
 		p.chainRef = chain.ContentDigest()
 		r.stats.DigestBytesHashed += chain.DigestInputBytes()
 	}
-	r.shards, r.refs, r.sizes = p.shards, p.refs, p.sizes
+	r.shards, r.refs, r.wireSizes = p.shards, p.refs, p.wireSizes
 	r.chain, r.chainRef = p.chain, p.chainRef
 	if r.memoize {
 		r.c.storePrep(p)
@@ -403,7 +420,7 @@ func (r *run) lose(idx int, cause error, reassign bool) (map[int]struct{}, error
 		}
 		nw := r.lightestAlive()
 		r.owner[s] = nw
-		r.load[nw] += r.sizes[s]
+		r.load[nw] += r.shards[s].NumDocs
 		moved[s] = struct{}{}
 		r.stats.Reassignments++
 	}
@@ -559,9 +576,9 @@ func (r *run) readmit(rj rejoin) error {
 		}
 		prev := r.owner[s]
 		prevOwner[prev] = append(prevOwner[prev], s)
-		r.load[prev] -= r.sizes[s]
+		r.load[prev] -= r.shards[s].NumDocs
 		r.owner[s] = idx
-		r.load[idx] += r.sizes[s]
+		r.load[idx] += r.shards[s].NumDocs
 		moved[s] = struct{}{}
 	}
 	r.mu.Lock()
@@ -756,10 +773,10 @@ func (r *run) shipTo(idx int, sites []int) error {
 		// Shard payloads this re-admission had to move in full — ~0 for
 		// a warm rejoiner, whose shards all hit its digest cache.
 		for i := range full {
-			r.stats.RejoinShardBytes += full[i].EstWireSize()
+			r.stats.RejoinShardBytes += r.wireSizes[full[i].Site]
 		}
 		for _, s := range resp.Missing {
-			r.stats.RejoinShardBytes += r.shards[s].EstWireSize()
+			r.stats.RejoinShardBytes += r.wireSizes[s]
 		}
 	}
 	missing := make(map[int]bool, len(resp.Missing))
@@ -768,13 +785,13 @@ func (r *run) shipTo(idx int, sites []int) error {
 	}
 	for _, ref := range cached {
 		if !missing[ref.Site] {
-			r.stats.ShardBytesSaved += r.shards[ref.Site].EstWireSize()
+			r.stats.ShardBytesSaved += r.wireSizes[ref.Site]
 		}
 	}
 	if needChain {
 		if chainHit && !resp.MissingChain {
 			r.stats.CacheHits++
-			r.stats.ShardBytesSaved += r.chain.EstWireSize()
+			r.stats.ShardBytesSaved += r.chain.WireSize()
 		} else {
 			r.stats.CacheMisses++
 		}

@@ -23,17 +23,16 @@ type siteSchedule struct {
 	// what and unit word the not-converged error.
 	what, unit string
 	// saveEvery is the checkpoint cadence in the step's units — power
-	// rounds, or merged sweeps (0 = never save) — counted from saveFrom:
-	// absolute rounds under a barrier, merges since the resume point in
-	// the barrier-free phase.
-	saveEvery, saveFrom int
+	// rounds, or fleet passes of merged sweeps (0 = never save).
+	saveEvery int
 	// inFlight marks a schedule whose sweeps stay on the wire between
 	// steps. Its step head is no safe point: rejoined workers wait for
 	// the next barrier phase.
 	inFlight bool
 	// step advances the schedule's iterate and returns it, with the
 	// units consumed — 0 when the step was spent on loss recovery and
-	// must be redone — and whether the iteration converged.
+	// must be redone, or merged a sweep that completed no fleet pass —
+	// and whether the iteration converged.
 	step func() (x matrix.Vector, n int, converged bool, err error)
 }
 
@@ -42,11 +41,7 @@ type siteSchedule struct {
 // rounds) this run executed.
 func (r *run) fleetSiteRank() (matrix.Vector, int, error) {
 	mode := r.cfg.SiteRank
-	maxIter := r.cfg.maxIter()
-	budget := maxIter
-	if mode == SiteRankAsync {
-		budget *= len(r.c.workers)
-	}
+	budget := r.cfg.maxIter()
 	x, start, digest, err := r.resumeSiteRank(budget)
 	if err != nil {
 		return nil, 0, err
@@ -60,7 +55,7 @@ func (r *run) fleetSiteRank() (matrix.Vector, int, error) {
 	case SiteRankAsync:
 		async = r.startAsync(x)
 		defer async.stop()
-		s = async.schedule(start)
+		s = async.schedule()
 	default:
 		s = r.barrierSchedule("distributed siterank", x, r.cfg.checkpointEvery())
 	}
@@ -79,10 +74,10 @@ func (r *run) fleetSiteRank() (matrix.Vector, int, error) {
 			return nil, 0, err
 		}
 		verify := r.barrierSchedule("async siterank verification", x, 0)
-		if x, r.stats.AsyncVerifyRounds, err = r.iterate(verify, 0, maxIter, digest); err != nil {
+		if x, r.stats.AsyncVerifyRounds, err = r.iterate(verify, 0, budget, digest); err != nil {
 			return nil, 0, err
 		}
-		rounds += r.stats.AsyncVerifyRounds
+		rounds = r.stats.AsyncUpdatesMerged + r.stats.AsyncVerifyRounds
 	}
 	if ckpt := r.cfg.Checkpoint; ckpt != nil {
 		if err := ckpt.Clear(); err != nil {
@@ -116,7 +111,7 @@ func (r *run) iterate(s siteSchedule, start, budget int, digest wire.Digest) (ma
 		if converged {
 			return x, done - start, nil
 		}
-		if ckpt := r.cfg.Checkpoint; ckpt != nil && n > 0 && s.saveEvery > 0 && (done-s.saveFrom)%s.saveEvery == 0 {
+		if ckpt := r.cfg.Checkpoint; ckpt != nil && n > 0 && s.saveEvery > 0 && done%s.saveEvery == 0 {
 			if err := ckpt.Save(&CheckpointState{Digest: digest, Round: done, X: x}); err != nil {
 				return nil, 0, err
 			}
@@ -231,8 +226,9 @@ func (r *run) barrierRound(x, y matrix.Vector) (bool, error) {
 	idxs := r.aliveIdxs()
 	resps := make([]*wire.Response, len(idxs))
 	errs := make([]error, len(idxs))
+	req := &wire.Request{Kind: wire.KindPowerRound, NumSites: r.ns, X: x}
 	fanOut(idxs, func(i, idx int) {
-		resps[i], errs[i] = r.call(idx, &wire.Request{Kind: wire.KindPowerRound, NumSites: r.ns, X: x})
+		resps[i], errs[i] = r.exchange(idx, req)
 	})
 	var lost []int
 	var lostErr error
@@ -301,7 +297,7 @@ func (r *run) batchedSchedule(x matrix.Vector, left int) siteSchedule {
 				cursor++
 			}
 			idx := cursor % nw
-			resp, err := r.call(idx, &wire.Request{
+			resp, err := r.exchange(idx, &wire.Request{
 				Kind:     wire.KindBatchRounds,
 				NumSites: r.ns,
 				X:        x,
@@ -328,7 +324,13 @@ func (r *run) batchedSchedule(x matrix.Vector, left int) siteSchedule {
 			// what this one did; the converging exchange writes the
 			// final figure.
 			r.stats.BatchMessagesSaved = ran*r.nAlive - exchanges
+			// x now aliases the worker's retained Response: sound as the
+			// next request's iterate (sent before any answer is decoded),
+			// copied out once it is the run's answer.
 			x = resp.X
+			if resp.Converged {
+				x = x.Clone()
+			}
 			return x, resp.Rounds, resp.Converged, nil
 		}}
 }

@@ -1,15 +1,16 @@
-// Package wire defines the gob-over-TCP protocol spoken between the
-// distributed-ranking coordinator and its workers, plus the counting
-// connection wrapper that makes transport statistics (messages, bytes)
-// real on both ends of every socket.
+// Package wire defines the framed binary protocol spoken over TCP
+// between the distributed-ranking coordinator and its workers, plus the
+// counting connection wrapper that makes transport statistics
+// (messages, bytes) real on both ends of every socket.
 //
 // The protocol is a strict request/response alternation per connection:
 // the coordinator encodes one Request, the worker decodes it, performs
-// the operation and encodes one Response. A single long-lived gob stream
-// per direction amortizes type descriptors across the session, so the
-// steady-state cost of a SiteRank power round is close to the raw float
-// payload (a vector of N_S values each way — the paper's claim that the
-// site-layer exchange is small).
+// the operation and encodes one Response. Each message is one stateless
+// length-prefixed frame (codec.go has the layout) whose float vectors
+// are raw little-endian blocks, so a SiteRank power round costs the raw
+// float payload plus a few dozen bytes (a vector of N_S values each way
+// — the paper's claim that the site-layer exchange is small), and
+// decoding into a reused destination allocates nothing.
 package wire
 
 import (
@@ -17,12 +18,12 @@ import (
 	"compress/flate"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash"
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -146,8 +147,8 @@ type SiteChain struct {
 }
 
 // Request is the coordinator → worker envelope. Only the fields of the
-// active Kind are populated; gob omits zero-valued fields, so inactive
-// payloads cost nothing on the wire.
+// active Kind are populated; an inactive slice costs one byte on the
+// wire.
 type Request struct {
 	Kind Kind
 	// Shards carries KindLoad payload: shards shipped in full.
@@ -273,19 +274,22 @@ func (c *Counters) BytesReceived() uint64 { return c.bytesIn.Load() }
 func (c *Counters) BytesSent() uint64 { return c.bytesOut.Load() }
 
 // Conn wraps a net.Conn so every byte crossing it is attributed to a
-// Counters, and pairs the connection with its long-lived gob codecs.
+// Counters, and pairs the connection with its frame codecs. Each
+// direction owns one scratch buffer of at most retainBytes: the
+// per-round SiteRank kinds cross it whole and allocate nothing; a larger
+// frame is written through it in pieces and read into a one-shot
+// buffer.
 type Conn struct {
 	conn net.Conn
 	c    *Counters
-	Enc  *gob.Encoder
-	Dec  *gob.Decoder
+	Enc  Encoder
+	Dec  Decoder
 }
 
 // NewConn wraps conn, attributing its traffic to counters.
 func NewConn(conn net.Conn, counters *Counters) *Conn {
 	w := &Conn{conn: conn, c: counters}
-	w.Enc = gob.NewEncoder(countWriter{w})
-	w.Dec = gob.NewDecoder(countReader{w})
+	w.Enc.c, w.Dec.c = w, w
 	return w
 }
 
@@ -299,20 +303,146 @@ func (w *Conn) SetDeadline(t time.Time) error { return w.conn.SetDeadline(t) }
 // RemoteAddr exposes the peer address for error messages.
 func (w *Conn) RemoteAddr() net.Addr { return w.conn.RemoteAddr() }
 
-type countReader struct{ w *Conn }
+func (w *Conn) readFull(p []byte) error {
+	n, err := io.ReadFull(w.conn, p)
+	w.c.bytesIn.Add(uint64(n))
+	return err
+}
 
-func (r countReader) Read(p []byte) (int, error) {
-	n, err := r.w.conn.Read(p)
-	r.w.c.bytesIn.Add(uint64(n))
+// Encoder writes frames to a Conn. Not safe for concurrent use.
+type Encoder struct {
+	c   *Conn
+	buf []byte
+}
+
+// Encode writes v, a *Request or *Response, as one frame: in one Write
+// when it fits the retained scratch, in scratch-sized pieces otherwise.
+func (e *Encoder) Encode(v any) error {
+	kind, n, err := frameSize(v)
+	if err != nil {
+		return err
+	}
+	if want := min(headerLen+n, retainBytes); cap(e.buf) < want {
+		e.buf = make([]byte, 0, scratchCap(want))
+	}
+	return writeFrame(e, e.buf, kind, n, v)
+}
+
+// Write sends p to the peer as it is — how a proxy forwards the bytes of
+// a frame it already holds.
+func (e *Encoder) Write(p []byte) (int, error) {
+	n, err := e.c.conn.Write(p)
+	e.c.c.bytesOut.Add(uint64(n))
 	return n, err
 }
 
-type countWriter struct{ w *Conn }
+// Decoder reads frames off a Conn. Not safe for concurrent use.
+type Decoder struct {
+	c   *Conn
+	buf []byte
+}
 
-func (w countWriter) Write(p []byte) (int, error) {
-	n, err := w.w.conn.Write(p)
-	w.w.c.bytesOut.Add(uint64(n))
+// readHeader reads and validates the next frame's header into the head
+// of the scratch and returns the payload length. A stream that ends
+// between frames is io.EOF; a header that is not this protocol's is an
+// error naming the mismatch.
+func (d *Decoder) readHeader() (int, error) {
+	if d.buf == nil {
+		d.buf = make([]byte, minScratch)
+	}
+	if err := d.c.readFull(d.buf[:headerLen]); err != nil {
+		return 0, err
+	}
+	_, n, err := parseHeader(d.buf[:headerLen])
 	return n, err
+}
+
+// grow makes the scratch at least n bytes, n at most retainBytes,
+// keeping the header at its head.
+func (d *Decoder) grow(n int) {
+	if n > cap(d.buf) {
+		d.buf = append(make([]byte, 0, scratchCap(n)), d.buf[:headerLen]...)
+	}
+}
+
+// ReadFrame reads the next frame whole. The bytes are the connection's
+// scratch: valid until the next read. A stream that ends inside a frame
+// is io.ErrUnexpectedEOF. Memory is claimed as payload bytes arrive,
+// never on the say-so of a length prefix: a frame within retainBytes
+// lands in the kept scratch, a larger one in a buffer of its own that
+// grows at most readChunk ahead of what has been received.
+func (d *Decoder) ReadFrame() (Frame, error) {
+	n, err := d.readHeader()
+	if err != nil {
+		return nil, err
+	}
+	total := headerLen + n
+	if total > retainBytes {
+		return d.readOneShot(total)
+	}
+	d.grow(total)
+	f := d.buf[:total]
+	if err := d.c.readFull(f[headerLen:]); err != nil {
+		return nil, unexpectedEOF(err)
+	}
+	return f, nil
+}
+
+// RelayTo copies the next frame to w through the scratch — in one Write
+// when it fits, a scratchful at a time when it does not — how a proxy
+// forwards an answer it has no reason to hold, let alone decode.
+func (d *Decoder) RelayTo(w io.Writer) error {
+	n, err := d.readHeader()
+	if err != nil {
+		return err
+	}
+	d.grow(min(headerLen+n, retainBytes))
+	buf := d.buf[:cap(d.buf)]
+	for have := headerLen; ; have = 0 {
+		k := min(n, len(buf)-have)
+		if err := d.c.readFull(buf[have : have+k]); err != nil {
+			return unexpectedEOF(err)
+		}
+		if _, err := w.Write(buf[:have+k]); err != nil {
+			return err
+		}
+		if n -= k; n == 0 {
+			return nil
+		}
+	}
+}
+
+// readOneShot reads a frame too large for the scratch into a buffer of
+// its own, claimed a readChunk at a time as the payload arrives.
+func (d *Decoder) readOneShot(total int) (Frame, error) {
+	f := append(make([]byte, 0, min(total, headerLen+readChunk)), d.buf[:headerLen]...)
+	for len(f) < total {
+		have, m := len(f), min(total-len(f), readChunk)
+		f = slices.Grow(f, m)[:have+m]
+		if err := d.c.readFull(f[have:]); err != nil {
+			return nil, unexpectedEOF(err)
+		}
+	}
+	return f, nil
+}
+
+// unexpectedEOF maps the clean EOF of a read that began inside a frame
+// to what it is there: a truncated frame.
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// Decode reads the next frame and parses it into v; see Frame.Decode
+// for the reuse and ownership rule.
+func (d *Decoder) Decode(v any) error {
+	f, err := d.ReadFrame()
+	if err != nil {
+		return err
+	}
+	return f.Decode(v)
 }
 
 // digestWriter streams canonical integers and floats into a hash.
@@ -359,14 +489,6 @@ func (s *SiteShard) ContentDigest() Digest {
 	return d.sum()
 }
 
-// EstWireSize coarsely estimates the gob payload cost of shipping the
-// shard in full — the basis of the coordinator's bytes-saved-by-cache
-// accounting. It is an estimate (gob varint-packs integers), not a
-// measured byte count.
-func (s *SiteShard) EstWireSize() uint64 {
-	return 16 + 20*uint64(len(s.Edges)) + 12*uint64(len(s.RowCols))
-}
-
 // ContentDigest returns the chain's content address, the analogue of
 // SiteShard.ContentDigest for the replicated site chain.
 func (c *SiteChain) ContentDigest() Digest {
@@ -382,12 +504,6 @@ func (c *SiteChain) ContentDigest() Digest {
 		d.writeFloat(v)
 	}
 	return d.sum()
-}
-
-// EstWireSize coarsely estimates the gob payload cost of shipping the
-// chain in full; see SiteShard.EstWireSize.
-func (c *SiteChain) EstWireSize() uint64 {
-	return 16 + 8*uint64(len(c.RowPtr)) + 12*uint64(len(c.Cols))
 }
 
 // DigestInputBytes returns how many bytes ContentDigest feeds through
@@ -411,43 +527,51 @@ func (c *SiteChain) DigestInputBytes() uint64 {
 // stance of the other payload bounds.
 const maxDecompressedBytes = 1 << 30
 
-// CompressShards gob-encodes the shard batch and flate-compresses the
-// result, returning the compressed stream and the raw (uncompressed)
-// gob size — the pair the coordinator's compression accounting records.
-// Edge lists are integer-heavy and highly repetitive, so flate typically
-// shrinks them severalfold at BestSpeed.
+// CompressShards encodes the shard batch exactly as a KindLoad frame
+// would carry it and flate-compresses the result, returning the
+// compressed stream and the raw (uncompressed) size — the pair the
+// coordinator's compression accounting records. Edge lists are
+// integer-heavy and highly repetitive, so flate typically shrinks them
+// severalfold at BestSpeed.
 func CompressShards(shards []SiteShard) (z []byte, rawLen int, err error) {
-	var raw bytes.Buffer
-	if err := gob.NewEncoder(&raw).Encode(shards); err != nil {
-		return nil, 0, fmt.Errorf("wire: encode shards: %w", err)
-	}
+	var size codec
+	size.shards(&shards)
 	var zb bytes.Buffer
 	fw, err := flate.NewWriter(&zb, flate.BestSpeed)
 	if err != nil {
 		return nil, 0, fmt.Errorf("wire: flate: %w", err)
 	}
-	if _, err := fw.Write(raw.Bytes()); err != nil {
-		return nil, 0, fmt.Errorf("wire: compress shards: %w", err)
+	w := codec{mode: writing, b: make([]byte, 0, minScratch), out: fw}
+	w.shards(&shards)
+	w.flush()
+	if w.err != nil {
+		return nil, 0, fmt.Errorf("wire: compress shards: %w", w.err)
 	}
 	if err := fw.Close(); err != nil {
 		return nil, 0, fmt.Errorf("wire: compress shards: %w", err)
 	}
-	return zb.Bytes(), raw.Len(), nil
+	return zb.Bytes(), size.n, nil
 }
 
 // DecompressShards reverses CompressShards, bounding the decompressed
 // size by maxDecompressedBytes so a hostile stream cannot expand without
-// limit.
+// limit; the shards are then decoded under the same length checks as a
+// frame's.
 func DecompressShards(z []byte) ([]SiteShard, error) {
 	fr := flate.NewReader(bytes.NewReader(z))
 	defer fr.Close()
-	lr := &io.LimitedReader{R: fr, N: maxDecompressedBytes + 1}
+	raw, err := io.ReadAll(io.LimitReader(fr, maxDecompressedBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("wire: decompress shards: %w", err)
+	}
+	if len(raw) > maxDecompressedBytes {
+		return nil, fmt.Errorf("wire: compressed shard payload expands past %d bytes", int64(maxDecompressedBytes))
+	}
+	r := codec{mode: reading, b: raw}
 	var shards []SiteShard
-	if err := gob.NewDecoder(lr).Decode(&shards); err != nil {
-		if lr.N <= 0 {
-			return nil, fmt.Errorf("wire: compressed shard payload expands past %d bytes", int64(maxDecompressedBytes))
-		}
-		return nil, fmt.Errorf("wire: decode compressed shards: %w", err)
+	r.shards(&shards)
+	if err := r.finish("compressed shards"); err != nil {
+		return nil, err
 	}
 	return shards, nil
 }

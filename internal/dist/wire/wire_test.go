@@ -122,7 +122,7 @@ func TestChainDigestAndSize(t *testing.T) {
 	if c1.ContentDigest() == c2.ContentDigest() {
 		t.Error("value change did not change the chain digest")
 	}
-	if c1.EstWireSize() == 0 || (&SiteShard{}).EstWireSize() == 0 {
+	if c1.WireSize() == 0 || (&SiteShard{}).WireSize() == 0 {
 		t.Error("wire-size estimates must be positive (headers are not free)")
 	}
 }

@@ -1,9 +1,9 @@
 // Package worker implements the peer side of the distributed Layered
-// Method: a gob-over-TCP server that hosts site shards, computes their
-// local DocRanks with the same kernels as the in-process pipeline, and
-// answers SiteRank power rounds — one row-partition step at a time, or
-// whole batches of rounds against a replicated site chain — the paper's
-// Web server participating in decentralized ranking.
+// Method: a TCP server speaking wire's frames that hosts site shards,
+// computes their local DocRanks with the same kernels as the in-process
+// pipeline, and answers SiteRank power rounds — one row-partition step
+// at a time, or whole batches of rounds against a replicated site chain
+// — the paper's Web server participating in decentralized ranking.
 //
 // Shards are held in a worker-global, digest-keyed cache that survives
 // session resets and coordinator reconnects: a coordinator re-ranking an
@@ -75,13 +75,38 @@ type session struct {
 	// of the session, since each run numbers its epochs from one.
 	asyncEpoch  uint64
 	asyncSweeps int
+
+	// req and resp are the exchange scratch of the per-round kinds: the
+	// serve loop decodes every request whose payload nothing retains
+	// into req, and the SiteRank handlers answer from resp, whose
+	// vectors are partial, next and tele below — all reused from one
+	// round to the next, so a steady-state round allocates nothing. Each
+	// is dead once the response is on the wire.
+	req                 wire.Request
+	resp                wire.Response
+	partial, next, tele matrix.Vector
+}
+
+// reply returns the session's response scratch holding r.
+func (s *session) reply(r wire.Response) *wire.Response {
+	s.resp = r
+	return &s.resp
+}
+
+// zeroed returns *v resized to n zeros, reusing its array.
+func zeroed(v *matrix.Vector, n int) matrix.Vector {
+	if cap(*v) < n {
+		*v = matrix.NewVector(n)
+	}
+	*v = (*v)[:n]
+	clear(*v)
+	return *v
 }
 
 // sortedShards returns the loaded shards in ascending site order, the
 // fixed iteration order both compute handlers rely on (map order would
 // vary float summation and result ordering across runs). The slice is
-// cached until the next Load/Reset so power rounds skip the re-sort
-// (each round still allocates its partial vector).
+// cached until the next Load/Reset so power rounds skip the re-sort.
 func (s *session) sortedShards() []*shard {
 	if s.sorted != nil {
 		return s.sorted
@@ -292,16 +317,26 @@ func (w *Worker) serveConn(conn net.Conn) {
 	sess := &session{}
 	sess.clear()
 	for {
-		var req wire.Request
-		if err := wc.Dec.Decode(&req); err != nil {
-			// EOF and closed-connection errors are the coordinator
-			// hanging up; anything else is equally terminal for a
-			// strict request/response stream.
-			_ = err
+		// EOF and closed-connection errors are the coordinator hanging
+		// up; a malformed frame is equally terminal for a strict
+		// request/response stream.
+		f, err := wc.Dec.ReadFrame()
+		if err != nil {
+			return
+		}
+		// A load's chain rows and site chain outlive the exchange (the
+		// digest cache aliases them) and an offer's refs are sized by the
+		// shipment, not the round: those requests own their memory, every
+		// other kind reuses the session's.
+		req := &sess.req
+		if k := f.Kind(); k == wire.KindLoad || k == wire.KindOffer {
+			req = new(wire.Request)
+		}
+		if err := f.Decode(req); err != nil {
 			return
 		}
 		w.counters.AddMessage()
-		resp := w.safeHandle(sess, &req)
+		resp := w.safeHandle(sess, req)
 		if err := wc.Enc.Encode(resp); err != nil {
 			return
 		}
@@ -655,7 +690,7 @@ func handlePowerRound(sess *session, req *wire.Request) *wire.Response {
 	if len(req.X) != req.NumSites {
 		return &wire.Response{Err: fmt.Sprintf("worker: iterate length %d vs %d sites", len(req.X), req.NumSites)}
 	}
-	partial := make([]float64, req.NumSites)
+	partial := zeroed(&sess.partial, req.NumSites)
 	var dangling float64
 	for _, sh := range shards {
 		xs := req.X[sh.site]
@@ -669,7 +704,7 @@ func handlePowerRound(sess *session, req *wire.Request) *wire.Response {
 			partial[col] += xs * sh.entry.rowVals[k]
 		}
 	}
-	return &wire.Response{Partial: partial, DanglingMass: dangling}
+	return sess.reply(wire.Response{Partial: partial, DanglingMass: dangling})
 }
 
 // handleAsyncUpdate serves one barrier-free SiteRank sweep: the exact
@@ -701,7 +736,7 @@ func handleAsyncUpdate(sess *session, req *wire.Request) *wire.Response {
 		sess.asyncEpoch = req.Epoch
 		sess.asyncSweeps = 0
 	}
-	partial := make([]float64, req.NumSites)
+	partial := zeroed(&sess.partial, req.NumSites)
 	var dangling, mass float64
 	for _, sh := range sess.sortedShards() {
 		xs := req.X[sh.site]
@@ -715,7 +750,7 @@ func handleAsyncUpdate(sess *session, req *wire.Request) *wire.Response {
 		}
 	}
 	sess.asyncSweeps++
-	return &wire.Response{Partial: partial, DanglingMass: dangling, Mass: mass, Epoch: req.Epoch}
+	return sess.reply(wire.Response{Partial: partial, DanglingMass: dangling, Mass: mass, Epoch: req.Epoch})
 }
 
 // handleAsyncAck drains one asynchronous epoch: it reports the sweeps
@@ -724,7 +759,7 @@ func handleAsyncUpdate(sess *session, req *wire.Request) *wire.Response {
 // refused rather than double-counted. Acks for already-retired epochs
 // are idempotent no-ops — a duplicated ack must not poison the session.
 func handleAsyncAck(sess *session, req *wire.Request) *wire.Response {
-	resp := &wire.Response{Epoch: req.Epoch}
+	resp := sess.reply(wire.Response{Epoch: req.Epoch})
 	if req.Epoch == sess.asyncEpoch {
 		resp.Rounds = sess.asyncSweeps
 	}
@@ -791,7 +826,7 @@ func handleBatchRounds(sess *session, req *wire.Request) *wire.Response {
 		if !(sum > 0) || math.IsInf(sum, 0) {
 			return &wire.Response{Err: fmt.Sprintf("worker: teleport sums to %g", sum)}
 		}
-		tele = make(matrix.Vector, ns)
+		tele = zeroed(&sess.tele, ns)
 		for i, v := range req.V {
 			tele[i] = v / sum
 		}
@@ -799,7 +834,7 @@ func handleBatchRounds(sess *session, req *wire.Request) *wire.Response {
 	chain := sess.chain
 	uniform := 1.0 / float64(ns)
 	x := matrix.Vector(req.X)
-	next := matrix.NewVector(ns)
+	next := zeroed(&sess.next, ns)
 	var (
 		rounds    int
 		residual  float64
@@ -838,7 +873,7 @@ func handleBatchRounds(sess *session, req *wire.Request) *wire.Response {
 			break
 		}
 	}
-	return &wire.Response{X: x, Rounds: rounds, Residual: residual, Converged: converged}
+	return sess.reply(wire.Response{X: x, Rounds: rounds, Residual: residual, Converged: converged})
 }
 
 var _ io.Closer = (*Worker)(nil)

@@ -1,9 +1,9 @@
 package worker
 
 import (
-	"encoding/gob"
 	"math"
 	"net"
+	"reflect"
 	"testing"
 
 	"lmmrank/internal/dist/wire"
@@ -11,17 +11,18 @@ import (
 
 // dial opens a raw protocol connection to the worker for direct
 // request-level testing.
-func dial(t *testing.T, addr string) (*gob.Encoder, *gob.Decoder, net.Conn) {
+func dial(t *testing.T, addr string) (*wire.Encoder, *wire.Decoder, net.Conn) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("dial %s: %v", addr, err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	return gob.NewEncoder(conn), gob.NewDecoder(conn), conn
+	wc := wire.NewConn(conn, new(wire.Counters))
+	return &wc.Enc, &wc.Dec, conn
 }
 
-func roundTrip(t *testing.T, enc *gob.Encoder, dec *gob.Decoder, req *wire.Request) *wire.Response {
+func roundTrip(t *testing.T, enc *wire.Encoder, dec *wire.Decoder, req *wire.Request) *wire.Response {
 	t.Helper()
 	if err := enc.Encode(req); err != nil {
 		t.Fatalf("encode: %v", err)
@@ -265,5 +266,133 @@ func TestRankLocalSingleAndEmptySites(t *testing.T) {
 	}
 	if got := bySite[2]; len(got) != 2 {
 		t.Errorf("two-doc site rank = %v, want 2 scores", got)
+	}
+}
+
+// fourSiteLoad is a KindLoad over four sites — rows, local edges, a
+// dangling site and the replicated chain — for the tests below.
+func fourSiteLoad() *wire.Request {
+	ring := func(n int) []wire.Edge {
+		edges := make([]wire.Edge, n)
+		for i := range edges {
+			edges[i] = wire.Edge{From: i, To: (i + 1) % n, Weight: float64(i + 1)}
+		}
+		return edges
+	}
+	return &wire.Request{Kind: wire.KindLoad, NumSites: 4,
+		Shards: []wire.SiteShard{
+			{Site: 0, NumDocs: 3, Edges: ring(3), RowCols: []int{1, 2}, RowVals: []float64{0.5, 0.5}},
+			{Site: 1, NumDocs: 4, Edges: ring(4), RowCols: []int{0}, RowVals: []float64{1}},
+			{Site: 2, NumDocs: 5, Edges: ring(5), RowCols: []int{0, 3}, RowVals: []float64{0.75, 0.25}},
+			{Site: 3, NumDocs: 2, Edges: ring(2)},
+		},
+		Chain: &wire.SiteChain{NumSites: 4, RowPtr: []int{0, 2, 3, 5, 5},
+			Cols: []int{1, 2, 0, 0, 3}, Vals: []float64{0.5, 0.5, 1, 0.75, 0.25}},
+	}
+}
+
+// TestLoadedShardsSurviveLaterRequests guards the one place decoded
+// request memory is retained: the digest cache aliases a loaded shard's
+// chain row and the session its chain, while every later request on the
+// session is decoded into one reused Request. After 100 of them — every
+// kind, payloads of every size — the installed shards must rank,
+// power-round and batch bit-identically.
+func TestLoadedShardsSurviveLaterRequests(t *testing.T) {
+	w := New()
+	addr, err := w.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer w.Close()
+	enc, dec, _ := dial(t, addr)
+	if resp := roundTrip(t, enc, dec, fourSiteLoad()); resp.Err != "" {
+		t.Fatalf("load: %s", resp.Err)
+	}
+	x := []float64{0.1, 0.2, 0.3, 0.4}
+	probe := func() [3]*wire.Response {
+		return [3]*wire.Response{
+			roundTrip(t, enc, dec, &wire.Request{Kind: wire.KindRankLocal}),
+			roundTrip(t, enc, dec, &wire.Request{Kind: wire.KindPowerRound, NumSites: 4, X: x}),
+			roundTrip(t, enc, dec, &wire.Request{Kind: wire.KindBatchRounds, NumSites: 4, X: x, Rounds: 3}),
+		}
+	}
+	before := probe()
+	for _, r := range before {
+		if r.Err != "" {
+			t.Fatalf("probe: %s", r.Err)
+		}
+	}
+
+	junk := func(n int, v float64) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = v
+		}
+		return out
+	}
+	for i := 0; i < 100; i++ {
+		var req *wire.Request
+		switch i % 8 {
+		case 7: // refused (rows do not sum to 1), but decoded: same shapes, other values
+			req = fourSiteLoad()
+			for j := range req.Shards {
+				for k := range req.Shards[j].RowVals {
+					req.Shards[j].RowCols[k], req.Shards[j].RowVals[k] = 3, 0.9
+				}
+			}
+		case 0:
+			req = &wire.Request{Kind: wire.KindPowerRound, NumSites: 4, X: junk(4, float64(i))}
+		case 1: // refused (wrong dimension), but decoded: a long iterate
+			req = &wire.Request{Kind: wire.KindPowerRound, NumSites: 900, X: junk(900, -1)}
+		case 2:
+			req = &wire.Request{Kind: wire.KindAsyncUpdate, NumSites: 4, X: junk(4, 0.25), Epoch: uint64(i)}
+		case 3:
+			req = &wire.Request{Kind: wire.KindBatchRounds, NumSites: 4, X: junk(4, 0.25), V: junk(4, 7), Rounds: 2}
+		case 4:
+			req = &wire.Request{Kind: wire.KindRankLocal, Sites: []int{2, 0}}
+		case 5:
+			req = &wire.Request{Kind: wire.KindOffer, Refs: make([]wire.ShardRef, 50), HasChain: true}
+		case 6:
+			req = &wire.Request{Kind: wire.KindUnload, Sites: []int{77, 78, 79}}
+		}
+		roundTrip(t, enc, dec, req)
+	}
+
+	after := probe()
+	for i := range before {
+		if !reflect.DeepEqual(before[i], after[i]) {
+			t.Errorf("probe %d changed after 100 requests on the session:\nbefore %+v\nafter  %+v", i, before[i], after[i])
+		}
+	}
+}
+
+// TestRoundHandlersAllocateNothing pins the worker's half of the
+// zero-allocation exchange: once the session scratch has seen one
+// round, the per-round handlers answer without allocating.
+func TestRoundHandlersAllocateNothing(t *testing.T) {
+	w := New()
+	sess := &session{}
+	sess.clear()
+	if resp := w.handle(sess, fourSiteLoad()); resp.Err != "" {
+		t.Fatalf("load: %s", resp.Err)
+	}
+	x := []float64{0.1, 0.2, 0.3, 0.4}
+	for _, req := range []*wire.Request{
+		{Kind: wire.KindPowerRound, NumSites: 4, X: x},
+		{Kind: wire.KindAsyncUpdate, NumSites: 4, X: x, Epoch: 1},
+		{Kind: wire.KindBatchRounds, NumSites: 4, X: x, V: []float64{1, 1, 1, 1}, Rounds: 4},
+		{Kind: wire.KindAsyncAck, Epoch: 1},
+	} {
+		var resp *wire.Response
+		allocs := testing.AllocsPerRun(50, func() {
+			x[0], x[1], x[2], x[3] = 0.1, 0.2, 0.3, 0.4 // batch rounds iterate in place
+			resp = w.safeHandle(sess, req)
+		})
+		if resp.Err != "" {
+			t.Fatalf("kind %d: %s", req.Kind, resp.Err)
+		}
+		if allocs != 0 {
+			t.Errorf("kind %d handler allocates %v times per request, want 0", req.Kind, allocs)
+		}
 	}
 }

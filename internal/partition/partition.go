@@ -79,9 +79,8 @@ type Strategy interface {
 	Rebalance(dg *graph.DocGraph, changed []graph.SiteID, prev Assignment) Assignment
 }
 
-// EstCutEdgeBytes is the coarse gob wire cost of one document edge
-// (two varint-heavy ints and a float64, matching wire.SiteShard's
-// per-edge estimate) — the byte price a document-level exchange would
+// EstCutEdgeBytes is the coarse wire cost of one document edge (two
+// ints and a float64, fixed-width) — the byte price a document-level exchange would
 // pay per cut edge per sweep, which is the volume Aggregate minimizes.
 const EstCutEdgeBytes = 24
 

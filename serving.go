@@ -259,7 +259,8 @@ func (c *servingCounters) snapshot() ServingStats {
 // flight is one in-progress computation other callers may wait on.
 // res/err are written exactly once, before done closes; waiters read
 // them only after <-done. waiters counts the callers coalesced onto
-// this flight so far.
+// this flight so far; it only moves under flightGroup.mu (atomic so
+// tests may poll it), which is what lets the leader trust a zero.
 type flight struct {
 	done    chan struct{}
 	waiters atomic.Int32
@@ -270,11 +271,12 @@ type flight struct {
 // flightGroup coalesces concurrent similar queries: the first caller
 // for a fingerprint becomes the leader and computes; callers arriving
 // while the flight is open wait on it and receive their own deep copy
-// of the leader's result (the leader gets a copy too — the stored
-// result stays private, so no two callers ever alias memory). Each
-// serving snapshot owns one group, so queries only ever coalesce onto
-// work running against their own snapshot. shared, when non-nil, counts
-// the waiters served from someone else's computation.
+// of the leader's result. The leader hands its result off uncopied when
+// nobody joined — the common case pays for one answer, not two — and
+// takes a copy too when somebody did, so no two callers ever alias
+// memory. Each serving snapshot owns one group, so queries only ever
+// coalesce onto work running against their own snapshot. shared, when
+// non-nil, counts the waiters served from someone else's computation.
 type flightGroup struct {
 	mu     sync.Mutex
 	m      map[string]*flight
@@ -295,8 +297,8 @@ func (fg *flightGroup) do(ctx context.Context, key string, fn func() (*Result, e
 	for {
 		fg.mu.Lock()
 		if f, ok := fg.m[key]; ok {
-			fg.mu.Unlock()
 			f.waiters.Add(1)
+			fg.mu.Unlock()
 			select {
 			case <-f.done:
 			case <-ctx.Done():
@@ -320,12 +322,19 @@ func (fg *flightGroup) do(ctx context.Context, key string, fn func() (*Result, e
 		fg.m[key] = f
 		fg.mu.Unlock()
 		f.res, f.err = fn()
+		// Closing the flight and counting who joined it are one critical
+		// section: a caller either joined before (and is counted) or finds
+		// no flight and leads its own.
 		fg.mu.Lock()
 		delete(fg.m, key)
+		alone := f.waiters.Load() == 0
 		fg.mu.Unlock()
 		close(f.done)
 		if f.err != nil {
 			return nil, f.err
+		}
+		if alone {
+			return f.res, nil
 		}
 		return cloneResult(f.res), nil
 	}
