@@ -217,7 +217,7 @@ func run() error {
 		if *timeout > 0 {
 			ctx, cancel = context.WithTimeout(ctx, *timeout)
 		}
-		res, err = coord.RankPreparedCtx(ctx, rk, cfg)
+		res, err = coord.RankPreparedCtx(ctx, rk, cfg, coordinator.Warm{})
 		cancel()
 		if err != nil {
 			return err

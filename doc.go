@@ -42,9 +42,13 @@
 //
 // Public results are caller-owned. Everything an Engine returns — and
 // everything the one-shot wrappers (LayeredDocRank, LayeredDocRank3,
-// PageRank, PageRankGraph) and the distributed runtime return — is
-// freshly allocated: retain it, mutate it, share it across goroutines;
-// no later query will observe or disturb it. Scratch aliasing is an
+// PageRank, PageRankGraph) and the distributed runtime return — is the
+// caller's alone: retain it, mutate it, share it across goroutines; no
+// later query will observe or disturb it. What an engine keeps between
+// queries stays inside it — a DistEngine snapshot retains the fleet's
+// local DocRanks and the last πS and answers Query.WantLocalRanks with
+// copies; only a coordinator run handed vectors to reuse
+// (coordinator.Warm) returns those same vectors. Scratch aliasing is an
 // internal/ concern only, surfacing in exactly one deprecated-in-spirit
 // expert path: Ranker (below).
 //
@@ -103,9 +107,11 @@
 //     those sites' structure is rebuilt — locally their subgraphs,
 //     matrices and solvers (clean sites' chains are shared by pointer,
 //     and queries warm-start from the previous solution);
-//     distributedly their shards (clean shards stay in the worker
-//     caches and are never re-shipped — Result.Dist.ShardsReused /
-//     ShardsReshipped account for it).
+//     distributedly their shards and local DocRanks (clean shards stay
+//     in the worker caches and are never re-shipped, clean sites' local
+//     DocRanks carry into the next snapshot and are never re-solved —
+//     Result.Dist.ShardsReused / ShardsReshipped / LocalRanksReused
+//     account for it).
 //   - After an out-of-band mutation (or a failed nil-Apply Update),
 //     queries keep failing with ErrGraphMutated until a successful
 //     Update or a fresh engine — recovery is always explicit.

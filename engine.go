@@ -206,8 +206,7 @@ type EngineOptions struct {
 	// full re-rank of all documents. Served rankings are the snapshot's
 	// warm solution: within solver tolerance of an exact solve, and the
 	// Top table is bit-identical to fully sorting that same solution.
-	// LocalEngine only; DistEngine ignores it (its snapshots hold no
-	// warm local solutions to index — the fleet owns them).
+	// LocalEngine only: DistConfig has no such knob.
 	TopKIndex bool
 }
 
@@ -691,12 +690,34 @@ func normalizeCtxErr(ctx context.Context, err error) error {
 // drift baseline: Update compares the carried assignment's cut against
 // it to decide whether churn has degraded the placement enough to
 // repartition online.
+//
+// warm is the one part that is learned rather than built: what the
+// snapshot knows of its own default-parameter answer. Each distWarm is
+// immutable; a Rank that learned more than the state it started from
+// publishes a successor by compare-and-swap and a loser of that race
+// drops what it learned, so every stage is recorded once and, from then
+// on, default-parameter answers on this snapshot are bit-identical.
 type distSnapshot struct {
 	dg      *DocGraph
 	rk      *lmm.Ranker
 	flights *flightGroup
 	asg     partition.Assignment
 	baseCut float64
+	warm    atomic.Pointer[distWarm]
+}
+
+// distWarm is the document layer the Layered Method says stays put, and
+// the last site layer — what engineSnapshot's seedLocals/seedSite are to
+// LocalEngine — in the form the coordinator takes them. A new engine's
+// is empty. Update builds a snapshot's first one from its predecessor's:
+// clean sites' Locals by pointer, changed sites' nil, the old πS as
+// SiteStart. The first Rank fills Locals in (full); the first uniform
+// two-layer Rank also replaces SiteStart with the πS it converged to on
+// this graph (solved).
+type distWarm struct {
+	coordinator.Warm
+	full   bool
+	solved bool
 }
 
 // DistEngine serves the same queries from a distributed fleet: local
@@ -714,6 +735,14 @@ type distSnapshot struct {
 // pointer store, never waiting on queries; a Rank that started before
 // the swap completes against its old Ranker (whose graph never
 // mutated). The wire itself still serializes at the coordinator.
+//
+// The document layer is query-independent, so a snapshot keeps it: the
+// first query at the default Damping/Tol/MaxIter records every site's
+// local DocRank and (if uniform and two-layer) the converged πS, and
+// later such queries ask the fleet for no local ranks and start the
+// site layer from that πS — re-solving and re-hauling only the
+// N_S-sized layer the query can change. Update carries clean sites'
+// vectors into the next snapshot verbatim and the old πS as a seed.
 type DistEngine struct {
 	coord        *coordinator.Coordinator
 	cfg          coordinator.Config
@@ -730,8 +759,9 @@ var _ Engine = (*DistEngine)(nil)
 
 // NewDistEngine builds a distributed serving engine over a running
 // cluster: a Ranker is precomputed for the graph (structure only — the
-// fleet does the local solving) and every Rank reuses it, so repeated
-// queries ship near-zero shard bytes and hash zero digest bytes. cfg
+// fleet does the local solving, on the first query) and every Rank
+// reuses it, so repeated queries ship near-zero shard bytes and hash
+// zero digest bytes. cfg
 // supplies the transport knobs (SiteGraph aggregation, distributed or
 // batched SiteRank, retry policy, compression) and the serving knobs
 // (MaxInFlight, TenantQuota, RejectOverload, Coalesce, CoalesceTol);
@@ -754,6 +784,7 @@ func NewDistEngine(cl *Cluster, dg *DocGraph, cfg DistConfig) (*DistEngine, erro
 	}
 	snap := &distSnapshot{dg: dg, rk: rk, flights: newFlightGroup()}
 	snap.flights.shared = &e.stats.coalesced
+	snap.warm.Store(&distWarm{})
 	// With a partition strategy configured the engine pins the
 	// assignment per snapshot: every query serves under the same
 	// placement (stable digest caches) and Update measures cut-edge
@@ -771,9 +802,10 @@ func NewDistEngine(cl *Cluster, dg *DocGraph, cfg DistConfig) (*DistEngine, erro
 // is rebuilt incrementally (clean sites keep their precomputed
 // structure), and the coordinator's digest memo is migrated so the next
 // Rank re-hashes only the changed shards — which, through the workers'
-// digest caches, then re-ships only the changed shards: a 1-site edit
-// on an N-site web moves ~1/N of a cold load's bytes
-// (Result.Dist.ShardsReused / ShardsReshipped account for it per run).
+// digest caches, then re-ships only the changed shards, and asks the
+// fleet for only the changed sites' local DocRanks: a 1-site edit on an
+// N-site web moves ~1/N of a cold load's bytes (Result.Dist.ShardsReused
+// / ShardsReshipped / LocalRanksReused account for it per run).
 //
 // Failure semantics match LocalEngine.Update: an Apply-path error is a
 // no-op (the clone is discarded, nothing re-ships, nothing is marked
@@ -811,6 +843,18 @@ func (e *DistEngine) rebuildAndPublish(cur *distSnapshot, dg *DocGraph, changed 
 	e.coord.RefreshPrepared(cur.rk, next, changed)
 	snap := &distSnapshot{dg: dg, rk: next, flights: newFlightGroup()}
 	snap.flights.shared = &e.stats.coalesced
+	// A local DocRank depends on its own site's subgraph only, so a clean
+	// site's carries verbatim and the next Rank asks the fleet for exactly
+	// the changed ones (and any site appended since).
+	prev := cur.warm.Load()
+	locals := make([]Vector, dg.NumSites())
+	copy(locals, prev.Locals)
+	for _, s := range changed {
+		if int(s) < len(locals) {
+			locals[s] = nil
+		}
+	}
+	snap.warm.Store(&distWarm{Warm: coordinator.Warm{SiteStart: prev.SiteStart, Locals: locals}})
 	if len(cur.asg.Owner) > 0 {
 		snap.asg, snap.baseCut = e.carryAssignment(cur, dg, next, changed)
 	}
@@ -904,14 +948,27 @@ func (e *DistEngine) rankSnap(ctx context.Context, snap *distSnapshot, q Query) 
 		// strategy inside the coordinator if the live fleet shrank).
 		cfg.Assignment = snap.asg.Owner
 	}
-	dres, err := e.coord.RankPreparedCtx(ctx, snap.rk, cfg)
+	// The snapshot's warm state was solved at the default parameters; a
+	// query with its own neither reads nor writes it (as indexEligible).
+	// The site seed is a two-layer πS: the coordinator keeps it out of a
+	// three-layer run, which still reuses the locals — the document layer
+	// is the same in both models.
+	defaults := q.Damping == 0 && q.Tol == 0 && q.MaxIter == 0
+	warm := &distWarm{}
+	if defaults {
+		warm = snap.warm.Load()
+	}
+	dres, err := e.coord.RankPreparedCtx(ctx, snap.rk, cfg, warm.Warm)
 	if err != nil {
 		return nil, err
 	}
+	if defaults {
+		snap.learn(warm, dres, !q.ThreeLayer && q.SitePersonalization == nil)
+	}
 	stats := dres.Stats
 	res := &Result{
-		// Coordinator results are freshly allocated per run — already
-		// caller-owned, no cloning needed.
+		// DocRank, SiteRank and the domain layers are freshly allocated
+		// per run — already caller-owned. LocalRanks are the snapshot's.
 		DocRank:         dres.DocRank,
 		SiteRank:        dres.SiteRank,
 		Domains:         dres.Domains,
@@ -923,12 +980,29 @@ func (e *DistEngine) rankSnap(ctx context.Context, snap *distSnapshot, q Query) 
 		Dist:            &stats,
 	}
 	if q.WantLocalRanks {
-		res.LocalRanks = dres.LocalRanks
+		res.LocalRanks = cloneVectors(dres.LocalRanks)
 	}
 	if q.TopK > 0 {
 		res.Top = TopDocs(snap.dg, res.DocRank, q.TopK)
 	}
 	return res, nil
+}
+
+// learn records what a default-parameter run found out beyond from, the
+// warm state it started on: every site's local DocRank, and — for a
+// uniform two-layer query — the πS it converged to on this graph.
+func (snap *distSnapshot) learn(from *distWarm, dres *coordinator.Result, uniform bool) {
+	learnSite := uniform && !from.solved
+	if from.full && !learnSite {
+		return
+	}
+	next := *from
+	next.Locals, next.full = dres.LocalRanks, true
+	if learnSite {
+		// The caller owns dres.SiteRank; the snapshot keeps its own copy.
+		next.SiteStart, next.solved = dres.SiteRank.Clone(), true
+	}
+	snap.warm.CompareAndSwap(from, &next)
 }
 
 // DocGraph returns the graph this engine currently serves; as on

@@ -2,13 +2,14 @@
 // runtime: a protocol-aware TCP proxy that sits between a coordinator
 // and one worker, decodes every wire.Request crossing it, and consults
 // a scriptable policy to pass, drop, delay, duplicate or black-hole the
-// exchange. Because the proxy speaks the real wire protocol over real
-// sockets, the failures it injects are indistinguishable from genuine
-// ones — a Drop is a worker death (the coordinator's stream
-// desynchronizes and errLost fires), a Blackhole is a network
-// partition (the call times out), a Duplicate probes idempotency — and
-// the worker process behind the proxy survives with its digest cache
-// warm, which is exactly the peer a redialing coordinator re-admits.
+// exchange, or to rewrite the worker's answer. Because the proxy speaks
+// the real wire protocol over real sockets, the failures it injects are
+// indistinguishable from genuine ones — a Drop is a worker death (the
+// coordinator's stream desynchronizes and errLost fires), a Blackhole is
+// a network partition (the call times out), a Duplicate probes
+// idempotency — and the worker process behind the proxy survives with
+// its digest cache warm, which is exactly the peer a redialing
+// coordinator re-admits.
 //
 // Scripts run on the proxy's per-connection serving goroutines and must
 // be safe for concurrent use; the stateful helpers in this package
@@ -19,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,6 +55,10 @@ type Decision struct {
 	Action Action
 	// Delay is the sleep for Action Delay.
 	Delay time.Duration
+	// Rewrite, when non-nil, edits the worker's answer to a delivered
+	// request before the coordinator sees it: a live peer answering
+	// wrongly, the one fault a transport failure cannot stand in for.
+	Rewrite func(resp *wire.Response)
 }
 
 // Script decides the fate of each intercepted request. exchange is the
@@ -225,7 +231,16 @@ func (p *Proxy) serve(client net.Conn) {
 		if _, err := up.Enc.Write(f); err != nil {
 			return
 		}
-		if err := up.Dec.RelayTo(&cli.Enc); err != nil {
+		if d.Rewrite == nil {
+			err = up.Dec.RelayTo(&cli.Enc)
+		} else {
+			var resp wire.Response
+			if err = up.Dec.Decode(&resp); err == nil {
+				d.Rewrite(&resp)
+				err = cli.Enc.Encode(&resp)
+			}
+		}
+		if err != nil {
 			return
 		}
 	}
@@ -295,4 +310,31 @@ func BlackholeAtKind(k wire.Kind) Script {
 		}
 		return Decision{Action: Pass}
 	}
+}
+
+// RecordSites returns a script that passes everything and records the
+// Sites of every request of the given kind, and a function that hands
+// back, in ascending order, what was recorded since it was last called.
+// One script may serve every proxy of a fleet: which sites was the fleet
+// asked about?
+func RecordSites(k wire.Kind) (Script, func() []int) {
+	var mu sync.Mutex
+	var sites []int
+	script := func(_ int, req *wire.Request) Decision {
+		if req.Kind == k {
+			mu.Lock()
+			sites = append(sites, req.Sites...)
+			mu.Unlock()
+		}
+		return Decision{Action: Pass}
+	}
+	drain := func() []int {
+		mu.Lock()
+		defer mu.Unlock()
+		out := sites
+		sites = nil
+		sort.Ints(out)
+		return out
+	}
+	return script, drain
 }

@@ -105,6 +105,31 @@ func TestDuplicateKindKeepsStreamInSync(t *testing.T) {
 	ping(t, enc, dec) // stream still request/response aligned
 }
 
+// TestRewriteEditsTheAnswer: a Rewrite decision hands the coordinator
+// the worker's answer as the script left it, and the stream stays
+// aligned for the exchange after.
+func TestRewriteEditsTheAnswer(t *testing.T) {
+	rewritten := false
+	_, enc, dec, _ := fixture(t, func(_ int, req *wire.Request) Decision {
+		if rewritten {
+			return Decision{}
+		}
+		rewritten = true
+		return Decision{Rewrite: func(resp *wire.Response) { resp.Err = "rewritten" }}
+	})
+	if err := enc.Encode(&wire.Request{Kind: wire.KindPing}); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	var resp wire.Response
+	if err := dec.Decode(&resp); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if resp.Err != "rewritten" {
+		t.Errorf("answer arrived with Err %q, want the rewritten one", resp.Err)
+	}
+	ping(t, enc, dec)
+}
+
 // TestBlackholeSwallowsOneCall: the blackholed request is never
 // answered (the caller's read times out), yet the proxied connection
 // itself stays up and later exchanges pass.

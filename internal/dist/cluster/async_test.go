@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -211,21 +212,42 @@ func TestChaosStragglerStallsSyncBarrier(t *testing.T) {
 	}
 }
 
+// straggle returns a script that holds every SiteRank exchange — power
+// rounds and asynchronous sweeps alike — for stragglerDelay, and the
+// counter of the power rounds it held: each is one barrier at which the
+// whole fleet waited out this worker's delay.
+func straggle() (chaos.Script, *atomic.Int64) {
+	waits := new(atomic.Int64)
+	return func(_ int, req *wire.Request) chaos.Decision {
+		switch req.Kind {
+		case wire.KindPowerRound:
+			waits.Add(1)
+		case wire.KindAsyncUpdate:
+		default:
+			return chaos.Decision{Action: chaos.Pass}
+		}
+		return chaos.Decision{Action: chaos.Delay, Delay: stragglerDelay}
+	}, waits
+}
+
 // TestChaosAsyncStragglerBeatsSync is the straggler half of the
-// barrier-free claim: with the same worker delayed by well over 10x the
-// natural exchange time (~0.3ms on loopback), the asynchronous mode
-// must finish its SiteRank phase measurably under the synchronous
-// mode's, and still agree with the synchronous answer.
+// barrier-free claim, in counts that repeat rather than wall-clock: with
+// the same worker delayed by well over 10x the natural exchange time
+// (~0.3ms on loopback), the synchronous mode waits out the delay at a
+// barrier once per round, and the asynchronous mode at none until its
+// verification — while the straggler sleeps the other workers keep
+// merging sweeps — and the two still agree.
 //
-// The margin is deliberately modest. Chaotic relaxation does not escape
-// the information bottleneck — convergence still needs on the order of
-// as many straggler refreshes as the synchronous run needs rounds (the
-// asynchronous rate is set by the slowest-updated block, Chazan &
-// Miranker) — so the asynchronous win is every cost the barrier adds on
-// top of the delay: the reduce, the per-round fan-out, and all fast-
-// worker compute, which async overlaps entirely with the straggler's
-// sleep. The fleet is 8 wide so the straggler owns little of the chain;
-// the gap closes as its share grows.
+// What barrier freedom buys in time is deliberately modest. Chaotic
+// relaxation does not escape the information bottleneck — convergence
+// still needs on the order of as many straggler refreshes as the
+// synchronous run needs rounds (the asynchronous rate is set by the
+// slowest-updated block, Chazan & Miranker) — so the asynchronous win is
+// every cost the barrier adds on top of the delay: the reduce, the
+// per-round fan-out, and all fast-worker compute, which async overlaps
+// entirely with the straggler's sleep (typically 0.76–0.83 of the
+// synchronous wall-clock, too close to 1 to assert on a shared host).
+// The fleet is 8 wide so the straggler owns little of the chain.
 func TestChaosAsyncStragglerBeatsSync(t *testing.T) {
 	const fleet = 8
 	web := testWeb()
@@ -235,7 +257,8 @@ func TestChaosAsyncStragglerBeatsSync(t *testing.T) {
 	if err != nil {
 		t.Fatalf("StartChaosLocal: %v", err)
 	}
-	clSync.Proxies[7].SetScript(chaos.DelayKind(wire.KindPowerRound, stragglerDelay))
+	script, syncWaits := straggle()
+	clSync.Proxies[7].SetScript(script)
 	sync, err := clSync.Coord.Rank(web.Graph, coordinator.Config{
 		SiteRank: coordinator.SiteRankSync, Tol: 1e-6, MaxIter: 2000,
 	})
@@ -243,10 +266,8 @@ func TestChaosAsyncStragglerBeatsSync(t *testing.T) {
 	if err != nil {
 		t.Fatalf("synchronous Rank: %v", err)
 	}
-	syncDur := sync.Stats.SiteRankDuration
-	if min := time.Duration(sync.Stats.SiteRankRounds) * stragglerDelay / 2; syncDur < min {
-		t.Fatalf("synchronous leg took %v over %d rounds, want >= %v — straggler injection did not bite",
-			syncDur, sync.Stats.SiteRankRounds, min)
+	if got, rounds := int(syncWaits.Load()), sync.Stats.SiteRankRounds; got != rounds || rounds == 0 {
+		t.Fatalf("synchronous leg waited on the straggler at %d barriers over %d rounds, want one per round", got, rounds)
 	}
 
 	// Asynchronous leg: the same worker is delayed on every SiteRank
@@ -257,33 +278,34 @@ func TestChaosAsyncStragglerBeatsSync(t *testing.T) {
 		t.Fatalf("StartChaosLocal: %v", err)
 	}
 	defer clAsync.Close()
-	clAsync.Proxies[7].SetScript(func(_ int, req *wire.Request) chaos.Decision {
-		if req.Kind == wire.KindAsyncUpdate || req.Kind == wire.KindPowerRound {
-			return chaos.Decision{Action: chaos.Delay, Delay: stragglerDelay}
-		}
-		return chaos.Decision{Action: chaos.Pass}
-	})
+	script, asyncWaits := straggle()
+	clAsync.Proxies[7].SetScript(script)
 	async, err := clAsync.Coord.Rank(web.Graph, coordinator.Config{
 		SiteRank: coordinator.SiteRankAsync, Tol: 1e-6, MaxIter: 2000,
 	})
 	if err != nil {
 		t.Fatalf("async Rank: %v", err)
 	}
-	asyncDur := async.Stats.SiteRankDuration
+	st := async.Stats
 
 	if d := async.SiteRank.L1Diff(sync.SiteRank); d >= 1e-4 {
 		t.Errorf("‖async − sync‖₁ on SiteRank = %g under straggler, want < 1e-4", d)
 	}
-	if asyncDur*10 >= syncDur*9 {
-		t.Errorf("async SiteRank took %v vs synchronous %v — barrier freedom should finish under 90%% of the synchronous wall-clock",
-			asyncDur, syncDur)
+	if got := int(asyncWaits.Load()) - st.AsyncVerifyRounds; got != 0 {
+		t.Errorf("the sweep phase waited on the straggler at %d barriers, want 0", got)
 	}
-	if sumInts(async.Stats.AsyncWorkerSweeps) == 0 {
-		t.Error("async leg recorded no merged sweeps")
+	if st.AsyncVerifyRounds >= sync.Stats.SiteRankRounds {
+		t.Errorf("async verification took %d barrier rounds vs %d synchronous rounds — the candidate was no closer than a cold start",
+			st.AsyncVerifyRounds, sync.Stats.SiteRankRounds)
 	}
-	t.Logf("straggler %v: sync %v (%d rounds) vs async %v (%d merges + %d verification rounds)",
-		stragglerDelay, syncDur, sync.Stats.SiteRankRounds,
-		asyncDur, async.Stats.AsyncUpdatesMerged, async.Stats.AsyncVerifyRounds)
+	slow := st.AsyncWorkerSweeps[7]
+	if slow == 0 || sumInts(st.AsyncWorkerSweeps)-slow <= (fleet-1)*slow {
+		t.Errorf("sweeps merged per worker %v: the fast workers should out-sweep the straggler (index 7), not wait for it",
+			st.AsyncWorkerSweeps)
+	}
+	t.Logf("straggler %v: sync %v (%d barrier waits) vs async %v (%d merges, %d of them the straggler's, + %d verification rounds)",
+		stragglerDelay, sync.Stats.SiteRankDuration, syncWaits.Load(),
+		st.SiteRankDuration, st.AsyncUpdatesMerged, slow, st.AsyncVerifyRounds)
 }
 
 // TestAsyncBudgetCountsFleetPasses pins what MaxIter bounds in the

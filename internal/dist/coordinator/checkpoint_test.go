@@ -130,7 +130,11 @@ func TestResumeSiteRank(t *testing.T) {
 	}{
 		{"sync", Config{SiteRank: SiteRankSync}, 5, 0, false},
 		{"batched", Config{SiteRank: SiteRankBatched, BatchRounds: 4}, 3, 0, false},
-		{"async", Config{SiteRank: SiteRankAsync}, 5, 1e-6, true},
+		// Interrupted at its first save: on a loaded host one sweep driver
+		// can be starved through hundreds of merges, and the phase then
+		// ends — an early candidate, settled by verification rounds —
+		// after one or two fleet passes, each of which saved.
+		{"async", Config{SiteRank: SiteRankAsync}, 1, 1e-6, true},
 		{"async-ordered", Config{SiteRank: SiteRankAsync, AsyncOrdered: true, AsyncSeed: 9}, 5, 1e-9, false},
 	}
 	for _, tc := range cases {

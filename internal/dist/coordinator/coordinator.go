@@ -322,7 +322,8 @@ func (m SiteRankMode) rowSharded() bool {
 type Stats struct {
 	// LoadDuration covers partitioning and shipping the site shards.
 	LoadDuration time.Duration
-	// LocalRankDuration covers the fleet-wide local DocRank phase.
+	// LocalRankDuration covers the fleet-wide local DocRank phase; it is
+	// 0 when Warm.Locals answered every site and the fleet was not asked.
 	LocalRankDuration time.Duration
 	// SiteRankDuration covers the site-layer computation.
 	SiteRankDuration time.Duration
@@ -373,6 +374,10 @@ type Stats struct {
 	// ShardsReshipped == 1, ShardsReused == N-1.
 	ShardsReused    int
 	ShardsReshipped int
+	// LocalRanksReused counts the sites whose local DocRank came from
+	// Warm.Locals instead of a worker: NumSites on a fully warm run, and
+	// NumSites-1 on the first run after a 1-site edit.
+	LocalRanksReused int
 	// DigestBytesHashed counts the bytes this run fed through SHA-256
 	// computing shard and chain content digests. The coordinator
 	// memoizes digests per Ranker, so a warm RankPrepared run hashes
@@ -422,8 +427,28 @@ type Stats struct {
 	CrossShardBytes uint64
 }
 
+// Warm is what the caller already knows about a run's answer, handed in
+// so the run does not recompute it. The zero value is a cold run — the
+// same path with nothing known. Both fields are read-only to the run,
+// and sound only for a run at the Damping/Tol/MaxIter the vectors were
+// solved under; the caller decides that, as it decides when a graph
+// edit invalidates an entry.
+type Warm struct {
+	// SiteStart seeds the two-layer SiteRank iteration in every mode in
+	// place of the uniform vector — a hint: ignored unless it has one
+	// entry per site, overridden by a matching checkpoint, and never read
+	// by a ThreeLayer run (whose upper layers rank domains, not sites).
+	SiteStart matrix.Vector
+	// Locals[s], when it has one entry per document of site s, is that
+	// site's local DocRank (nil = not known): the fleet is asked only for
+	// the other sites, and not at all when there are none.
+	Locals []matrix.Vector
+}
+
 // Result is the outcome of a distributed ranking run. Every vector is
-// freshly allocated — callers own the result outright.
+// freshly allocated and the caller's own — except the entries of
+// LocalRanks that Warm.Locals supplied, which are those vectors
+// themselves.
 type Result struct {
 	// DocRank is the composed global ranking per DocID.
 	DocRank matrix.Vector
@@ -439,11 +464,11 @@ type Result struct {
 	SiteEntry    matrix.Vector
 	// LocalRanks holds each site's local DocRank in local-index order,
 	// exactly as the workers returned them (WebResult.LocalRanks'
-	// distributed twin).
+	// distributed twin) or as Warm.Locals supplied them.
 	LocalRanks []matrix.Vector
 	// LocalIterations records each site's local power-method work as
 	// reported by its worker, matching WebResult.LocalIterations for
-	// the complexity experiments (E6).
+	// the complexity experiments (E6); 0 for a site Warm.Locals answered.
 	LocalIterations []int
 	// Stats holds timing and transport cost of this run.
 	Stats Stats
@@ -916,7 +941,7 @@ func (c *Coordinator) RankCtx(ctx context.Context, dg *graph.DocGraph, cfg Confi
 	if err != nil {
 		return nil, fmt.Errorf("coordinator: %w", err)
 	}
-	res, err := c.rankPrepared(ctx, rk, cfg, false)
+	res, err := c.rankPrepared(ctx, rk, cfg, Warm{}, false)
 	return res, normalizeCtxErr(ctx, err)
 }
 
@@ -930,15 +955,16 @@ func (c *Coordinator) RankCtx(ctx context.Context, dg *graph.DocGraph, cfg Confi
 // built. The Ranker must not be used concurrently by another goroutine
 // while a run is in flight.
 func (c *Coordinator) RankPrepared(rk *lmm.Ranker, cfg Config) (*Result, error) {
-	return c.RankPreparedCtx(context.Background(), rk, cfg)
+	return c.RankPreparedCtx(context.Background(), rk, cfg, Warm{})
 }
 
-// RankPreparedCtx is RankPrepared under a context; see RankCtx for the
-// cancellation semantics.
-func (c *Coordinator) RankPreparedCtx(ctx context.Context, rk *lmm.Ranker, cfg Config) (*Result, error) {
+// RankPreparedCtx is RankPrepared under a context (see RankCtx for the
+// cancellation semantics), starting from what the caller already knows
+// of the answer — Warm{} when that is nothing.
+func (c *Coordinator) RankPreparedCtx(ctx context.Context, rk *lmm.Ranker, cfg Config, warm Warm) (*Result, error) {
 	c.runMu.Lock()
 	defer c.runMu.Unlock()
-	res, err := c.rankPrepared(ctx, rk, cfg, true)
+	res, err := c.rankPrepared(ctx, rk, cfg, warm, true)
 	return res, normalizeCtxErr(ctx, err)
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"net"
 	"slices"
 	"sort"
@@ -25,6 +26,7 @@ type run struct {
 	c     *Coordinator
 	ctx   context.Context
 	cfg   Config
+	warm  Warm
 	rk    *lmm.Ranker
 	ns    int
 	stats *Stats
@@ -121,7 +123,7 @@ func fanOut(idxs []int, fn func(i, idx int)) {
 
 // rankPrepared runs one ranking; the caller holds runMu. memoize marks
 // runs whose Ranker the caller retains (see run.memoize).
-func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Config, memoize bool) (*Result, error) {
+func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Config, warm Warm, memoize bool) (*Result, error) {
 	if c.isClosed() {
 		return nil, errors.New("coordinator: closed")
 	}
@@ -160,6 +162,7 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 		c:           c,
 		ctx:         ctx,
 		cfg:         cfg,
+		warm:        warm,
 		rk:          rk,
 		ns:          dg.NumSites(),
 		stats:       &res.Stats,
@@ -212,13 +215,15 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 	}
 	res.Stats.LoadDuration = time.Since(loadStart)
 
-	// Step 3 on the fleet: local DocRanks.
+	// Step 3 on the fleet: the local DocRanks the caller does not hold.
 	localStart := time.Now()
 	localRanks, localIters, err := r.localPhase(dg)
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.LocalRankDuration = time.Since(localStart)
+	if res.Stats.LocalRanksReused < r.ns {
+		res.Stats.LocalRankDuration = time.Since(localStart)
+	}
 
 	// Step 4: the upper layer(s) — three-layer weights, central SiteRank,
 	// or the SiteRank driver over the fleet.
@@ -247,6 +252,7 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 			Tol:                 cfg.Tol,
 			MaxIter:             cfg.MaxIter,
 			SitePersonalization: r.tele,
+			SiteStart:           warm.SiteStart,
 			Ctx:                 ctx,
 		})
 		if err != nil {
@@ -850,12 +856,20 @@ func (r *run) packShards(req *wire.Request, full []wire.SiteShard) error {
 	return nil
 }
 
-// localPhase gathers every site's local DocRank from its owner,
-// re-ranking only reassigned sites when a worker dies mid-phase.
+// localPhase gathers the local DocRank of every site Warm.Locals does
+// not already answer from that site's owner — a fully warm run sends no
+// KindRankLocal at all — re-ranking only reassigned sites when a worker
+// dies mid-phase.
 func (r *run) localPhase(dg *graph.DocGraph) ([]matrix.Vector, []int, error) {
 	localRanks := make([]matrix.Vector, r.ns)
 	localIters := make([]int, r.ns)
 	done := make([]bool, r.ns)
+	for s := 0; s < min(r.ns, len(r.warm.Locals)); s++ {
+		if known := r.warm.Locals[s]; len(known) == dg.SiteSize(graph.SiteID(s)) {
+			localRanks[s], done[s] = known, true
+			r.stats.LocalRanksReused++
+		}
+	}
 	for {
 		if err := r.ctx.Err(); err != nil {
 			return nil, nil, err
@@ -906,6 +920,9 @@ func (r *run) localPhase(dg *graph.DocGraph) ([]matrix.Vector, []int, error) {
 				if done[lr.Site] {
 					continue
 				}
+				if err := r.checkLocalRank(idx, lr, dg.SiteSize(graph.SiteID(lr.Site))); err != nil {
+					return nil, nil, err
+				}
 				localRanks[lr.Site] = lr.Scores
 				localIters[lr.Site] = lr.Iterations
 				done[lr.Site] = true
@@ -941,15 +958,29 @@ func (r *run) localPhase(dg *graph.DocGraph) ([]matrix.Vector, []int, error) {
 			r.stats.Retries++
 		}
 	}
-	for s := 0; s < r.ns; s++ {
-		want := dg.SiteSize(graph.SiteID(s))
-		if localRanks[s] == nil && want > 0 {
-			return nil, nil, fmt.Errorf("coordinator: no local rank received for site %d", s)
-		}
-		if len(localRanks[s]) != want {
-			return nil, nil, fmt.Errorf("coordinator: site %d local rank has %d entries, want %d",
-				s, len(localRanks[s]), want)
-		}
-	}
 	return localRanks, localIters, nil
+}
+
+// checkLocalRank is checkSiteVector's twin for the document layer: a
+// site's local DocRank must be a probability distribution over exactly
+// its documents. The caller may retain the vector and compose every
+// later answer from it, so one malformed response would outlive its run;
+// it is an error naming the worker instead, and — like any answer from a
+// live peer — never retried.
+func (r *run) checkLocalRank(idx int, lr wire.LocalRank, size int) error {
+	addr := r.c.workers[idx].addr
+	if len(lr.Scores) != size {
+		return fmt.Errorf("coordinator: %s returned %d local ranks for site %d, want %d", addr, len(lr.Scores), lr.Site, size)
+	}
+	var sum float64
+	for d, x := range lr.Scores {
+		if !(x >= 0) || math.IsInf(x, 1) {
+			return fmt.Errorf("coordinator: %s returned local rank %g for document %d of site %d", addr, x, d, lr.Site)
+		}
+		sum += x
+	}
+	if size > 0 && math.Abs(sum-1) > 1e-6 {
+		return fmt.Errorf("coordinator: %s returned local ranks summing to %g for site %d", addr, sum, lr.Site)
+	}
+	return nil
 }

@@ -123,11 +123,17 @@ func (r *run) iterate(s siteSchedule, start, budget int, digest wire.Digest) (ma
 // resumeSiteRank seeds the iteration: from a checkpointed snapshot when
 // one exists and its digest matches this computation — the resumed run
 // then continues the exact float sequence the interrupted run was
-// producing — or from the uniform vector. A snapshot from a different
-// graph, mode or parameterization (digest mismatch), a malformed one,
-// or one at or past the budget is ignored rather than trusted.
+// producing — else from Warm.SiteStart when it fits the site space, else
+// from the uniform vector. A snapshot from a different graph, mode or
+// parameterization (digest mismatch), a malformed one, or one at or past
+// the budget is ignored rather than trusted.
 func (r *run) resumeSiteRank(budget int) (x matrix.Vector, start int, digest wire.Digest, err error) {
-	x = matrix.Uniform(r.ns)
+	if len(r.warm.SiteStart) == r.ns {
+		// The schedules iterate in place; the caller's vector is read-only.
+		x = r.warm.SiteStart.Clone()
+	} else {
+		x = matrix.Uniform(r.ns)
+	}
 	if r.cfg.Checkpoint == nil {
 		return x, 0, digest, nil
 	}
