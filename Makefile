@@ -54,22 +54,28 @@ test:
 	$(GO) test ./...
 
 # The distributed runtime is concurrency-heavy, internal/lmm holds the
-# parallel-pipeline regression tests (undeduped shared graphs), and the
-# root package hosts the concurrent Engine serving tests; keep all three
-# race-clean. The explicit timeout keeps a wedged networked test from
-# stalling CI for the runner's full budget.
+# parallel-pipeline regression tests (undeduped shared graphs) and the
+# Once-guarded per-site chains built from transient subgraphs, the root
+# package hosts the concurrent Engine serving tests, and internal/matrix
+# and internal/graph hold the state those share across goroutines (a
+# CSR's lazily derived row view, copy-on-write adjacency and SiteGraph
+# rows); keep all of them race-clean. The explicit timeout keeps a wedged
+# networked test from stalling CI for the runner's full budget.
 race:
-	$(GO) test -race -timeout 10m . ./internal/dist/... ./internal/lmm/...
+	$(GO) test -race -timeout 10m . ./internal/dist/... ./internal/lmm/... ./internal/matrix ./internal/graph
 
 # The multicore race leg: the serving pool, keyed admission and
 # coalescing paths schedule very differently on one core than on four,
 # and a race that needs real parallelism to interleave never fires at
 # GOMAXPROCS=1. The distributed runtime rides along so its bitwise pins
 # (ordered-async reproducibility, checkpoint resume, worker-order
-# reduce) hold with real parallelism too. -count=1 defeats the test
-# cache — a cached verdict from a different GOMAXPROCS proves nothing.
+# reduce) hold with real parallelism too, and so do the lazy builds
+# below the engines: concurrent first use of a CSR's row view
+# (internal/matrix), of a site's chain (internal/lmm) and COW rows
+# (internal/graph). -count=1 defeats the test cache — a cached verdict
+# from a different GOMAXPROCS proves nothing.
 race-multi:
-	GOMAXPROCS=4 $(GO) test -race -timeout 10m -count=1 . ./internal/dist/...
+	GOMAXPROCS=4 $(GO) test -race -timeout 10m -count=1 . ./internal/dist/... ./internal/lmm/... ./internal/matrix ./internal/graph
 
 # The fault-injection sweep: the seeded kill/rejoin/resume soak over the
 # chaos-proxied fleet, race-checked. The seed is fixed in the test, so a
@@ -137,12 +143,14 @@ bench-smoke:
 
 # Bounded fuzz smoke over every fuzz target, one `go test -fuzz` run
 # per target (the flag takes a single target per package). Keeps the
-# corpus-driven guards — COW clone isolation, coalescing-fingerprint
-# safety and the wire decoder's never-panic/bounded-allocation contract
-# — from rotting between dedicated fuzz sessions.
+# corpus-driven guards — COW clone isolation, the graph and wire
+# decoders' never-panic/bounded-allocation contracts and
+# coalescing-fingerprint safety — from rotting between dedicated fuzz
+# sessions.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCloneCOW$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeGob$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryFingerprint$$' -fuzztime $(FUZZTIME) -timeout 10m .
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/dist/wire
 

@@ -104,7 +104,7 @@
 //     rebuilds them too.
 //   - ChangedSites is the caller's contract: it must list every site
 //     whose pages or links changed (appended sites are implicit). Only
-//     those sites' structure is rebuilt — locally their subgraphs,
+//     those sites' structure is rebuilt — locally their SiteGraph rows,
 //     matrices and solvers (clean sites' chains are shared by pointer,
 //     and queries warm-start from the previous solution);
 //     distributedly their shards and local DocRanks (clean shards stay

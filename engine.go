@@ -107,8 +107,9 @@ type Result struct {
 // including links *from* its documents to other sites' documents; sites
 // appended beyond the previous roster are implicitly changed. The
 // layered decomposition makes this list the whole cost model: only the
-// listed sites' subgraphs, transition matrices and solvers are rebuilt
-// (and, distributedly, re-shipped), everything else is reused.
+// listed sites' SiteGraph rows, transition matrices and solvers are
+// rebuilt (and, distributedly, re-shipped), everything else is reused —
+// so a site left off the list keeps serving its old links.
 //
 // Apply, when non-nil, receives a copy-on-write working clone of the
 // served graph — not the serving snapshot itself. The engine applies
@@ -299,7 +300,7 @@ func newEngineSnapshot(dg *DocGraph, rk *lmm.Ranker, seedSite Vector, seedLocals
 }
 
 // LocalEngine serves queries from one process: an lmm.Ranker core
-// (SiteGraph, subgraphs, CSR matrices, dangling lists) precomputed once
+// (SiteGraph, per-site CSR matrices, dangling lists) precomputed once
 // at construction, fronted by a sync.Pool of scratch-private Rankers.
 // Concurrent goroutines serve in parallel — each Rank loads the current
 // snapshot, borrows a pooled Ranker, runs the query phase against the
@@ -347,9 +348,10 @@ func newRankerPool(base *lmm.Ranker) *sync.Pool {
 }
 
 // NewLocalEngine validates dg and precomputes the serving structure:
-// the SiteGraph and every local subgraph with their transition matrices
-// and PageRank chains, built eagerly (in parallel) so that queries only
-// ever read shared state. The graph is captured by reference; mutate it
+// the SiteGraph and every site's transition matrix and PageRank chain,
+// built eagerly (in parallel) so that queries only ever read shared
+// state. Beside the graph a snapshot keeps each intra-site link once, in
+// the pull form the kernels read; no subgraph copy is retained. The graph is captured by reference; mutate it
 // only through Update (or build a new engine) — a mutation outside
 // Update turns every later query into ErrGraphMutated. After an
 // Apply-path Update the engine serves an evolved copy of the graph;
@@ -404,8 +406,8 @@ func unionSites(dirty map[SiteID]bool, changed []SiteID) []SiteID {
 
 // Update applies one batch of graph churn and publishes a warm serving
 // snapshot: delta.Apply (if any) runs against a copy-on-write clone of
-// the served graph, only the changed sites' subgraphs/matrices/solvers
-// are rebuilt, and a refresh solve — itself warm-started from the
+// the served graph, only the changed sites' SiteGraph rows, matrices and
+// solvers are rebuilt, and a refresh solve — itself warm-started from the
 // previous update's solution — becomes the seed every subsequent
 // query's power iterations start from. Rankings served after Update
 // agree with a cold rebuild to solver tolerance (pinned < 1e-9 in the

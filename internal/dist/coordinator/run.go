@@ -313,10 +313,14 @@ func (r *run) buildShards() {
 		p = newPreparedShards(r.rk, wantRows, withChain, r.ns)
 	}
 
+	// The Ranker retains no subgraphs, so each missing shard extracts its
+	// own; extraction, flattening and hashing of one site touch nothing
+	// another site's do, and fan out across sites.
 	sg := r.rk.SiteGraph()
-	for s := 0; s < r.ns; s++ {
+	hashed := make([]uint64, r.ns)
+	lmm.ForEachParallel(r.ns, 0, func(s int) {
 		if p.built[s] {
-			continue
+			return
 		}
 		sub, _ := r.rk.LocalSubgraph(graph.SiteID(s))
 		shard := wire.SiteShard{Site: s, NumDocs: sub.NumNodes()}
@@ -330,7 +334,10 @@ func (r *run) buildShards() {
 		p.refs[s] = wire.ShardRef{Site: s, Digest: shard.ContentDigest()}
 		p.wireSizes[s] = shard.WireSize()
 		p.built[s] = true
-		r.stats.DigestBytesHashed += shard.DigestInputBytes()
+		hashed[s] = shard.DigestInputBytes()
+	})
+	for _, n := range hashed {
+		r.stats.DigestBytesHashed += n
 	}
 	if withChain && p.chain == nil {
 		chain := &wire.SiteChain{NumSites: r.ns, RowPtr: make([]int, r.ns+1)}

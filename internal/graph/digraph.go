@@ -90,12 +90,13 @@ func (g *Digraph) EnsureNodes(n int) {
 
 // AddEdge appends a directed edge with the given weight. Self-loops are
 // allowed (a page may link to itself). It panics on out-of-range nodes or
-// non-positive weight.
+// a weight that is not positive (NaN included: every stored weight is
+// > 0, which the SiteLink and transition-matrix builders rely on).
 func (g *Digraph) AddEdge(from, to int, weight float64) {
 	if from < 0 || from >= len(g.out) || to < 0 || to >= len(g.out) {
 		panic(fmt.Sprintf("graph: edge (%d→%d) out of range %d", from, to, len(g.out)))
 	}
-	if weight <= 0 {
+	if !(weight > 0) {
 		panic(fmt.Sprintf("graph: non-positive edge weight %g", weight))
 	}
 	g.detachRow(from)
@@ -262,35 +263,43 @@ func (g *Digraph) Dangling() []int {
 // downstream irreducibility adjustments (package markov, pagerank) decide
 // how to treat them, as in the paper's Mˆ(G).
 //
-// Because Dedupe leaves every adjacency list sorted and merged, the CSR is
-// assembled directly from the lists — no triple round-trip, no re-sort.
-// The matrix is cached until the next mutation; callers share the returned
-// value and must treat it as read-only.
+// The matrix is assembled directly in the pull form matrix.CSR retains:
+// count in-degrees, then scatter the rows in ascending source order.
+// Because Dedupe leaves every adjacency list sorted and merged, each
+// column receives every source at most once and in ascending order — the
+// order a row-major build followed by a transpose would give, so the
+// multiply sums the same terms in the same order. No row arrays, no
+// triple round-trip, no re-sort. The matrix is cached until the next
+// mutation; callers share the returned value and must treat it as
+// read-only.
 func (g *Digraph) TransitionMatrix() *matrix.CSR {
 	if g.trans != nil {
 		return g.trans
 	}
 	g.Dedupe()
 	n := len(g.out)
-	rowPtr := make([]int, n+1)
-	colIdx := make([]int, g.NumEdges())
-	val := make([]float64, len(colIdx))
-	p := 0
-	for i, es := range g.out {
-		var total float64
+	colPtr := make([]int, n+1)
+	for _, es := range g.out {
 		for _, e := range es {
-			total += e.Weight
+			colPtr[e.To+1]++
 		}
-		if total > 0 {
-			for _, e := range es {
-				colIdx[p] = e.To
-				val[p] = e.Weight / total
-				p++
-			}
-		}
-		rowPtr[i+1] = p
 	}
-	g.trans = matrix.NewCSRFromSorted(n, rowPtr, colIdx[:p], val[:p])
+	for j := 0; j < n; j++ {
+		colPtr[j+1] += colPtr[j]
+	}
+	rowIdx := make([]uint32, colPtr[n])
+	val := make([]float64, colPtr[n])
+	next := append([]int(nil), colPtr[:n]...)
+	for i, es := range g.out {
+		total := g.OutWeight(i) // every stored weight is > 0
+		for _, e := range es {
+			p := next[e.To]
+			rowIdx[p] = uint32(i)
+			val[p] = e.Weight / total
+			next[e.To]++
+		}
+	}
+	g.trans = matrix.NewCSRFromColumns(n, colPtr, rowIdx, val)
 	return g.trans
 }
 

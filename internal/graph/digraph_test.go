@@ -31,6 +31,7 @@ func TestAddEdgePanics(t *testing.T) {
 		func() { g.AddLink(0, 2) },
 		func() { g.AddLink(-1, 0) },
 		func() { g.AddEdge(0, 1, 0) },
+		func() { g.AddEdge(0, 1, math.NaN()) },
 	} {
 		func() {
 			defer func() {

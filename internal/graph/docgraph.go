@@ -118,27 +118,15 @@ func (dg *DocGraph) CloneCOW() *DocGraph {
 func (dg *DocGraph) LocalSubgraph(s SiteID) (*Digraph, *LocalIndex) {
 	dg.G.Dedupe()
 	docs := dg.Sites[s].Docs
-	idx := &LocalIndex{ToGlobal: append([]DocID(nil), docs...)}
-	ascending := true
-	for i := 1; i < len(docs); i++ {
-		if docs[i-1] >= docs[i] {
-			ascending = false
-			break
-		}
-	}
-	// Dense table: required for non-ascending rosters (binary search
-	// does not apply) and worthwhile when the site covers a sizeable
-	// share of the graph; small sites use binary search instead of
-	// zeroing an O(graph) slice.
-	var table []int32
-	if !ascending || len(docs) >= len(dg.Docs)/8 {
-		table = make([]int32, len(dg.Docs))
-		for i, d := range docs {
-			table[d] = int32(i)
-		}
-	}
-	if !ascending {
-		idx.table = table
+	idx := dg.LocalIndex(s)
+	ascending := idx.table == nil
+	// Beyond the index's own table (non-ascending rosters), a dense table
+	// is worthwhile for the extraction alone when the site covers a
+	// sizeable share of the graph; small sites use binary search instead
+	// of zeroing an O(graph) slice.
+	table := idx.table
+	if table == nil && len(docs) >= len(dg.Docs)/8 {
+		table = dg.localTable(docs)
 	}
 	localOf := func(d int) int {
 		if table != nil {
@@ -192,6 +180,31 @@ func (dg *DocGraph) LocalSubgraph(s SiteID) (*Digraph, *LocalIndex) {
 	sub.deduped = ascending && dg.G.deduped
 	sub.Dedupe()
 	return sub, idx
+}
+
+// LocalIndex returns the index of site s without extracting its
+// subgraph: a private copy of the roster, plus the dense table when the
+// roster is not ascending (binary search does not apply).
+func (dg *DocGraph) LocalIndex(s SiteID) *LocalIndex {
+	docs := dg.Sites[s].Docs
+	idx := &LocalIndex{ToGlobal: append([]DocID(nil), docs...)}
+	for i := 1; i < len(docs); i++ {
+		if docs[i-1] >= docs[i] {
+			idx.table = dg.localTable(docs)
+			break
+		}
+	}
+	return idx
+}
+
+// localTable maps every global document of the roster to its local index
+// (documents outside it read 0; callers test membership first).
+func (dg *DocGraph) localTable(docs []DocID) []int32 {
+	table := make([]int32, len(dg.Docs))
+	for i, d := range docs {
+		table[d] = int32(i)
+	}
+	return table
 }
 
 // LocalIndex maps between global document IDs and the local node indices

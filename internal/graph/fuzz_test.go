@@ -43,9 +43,14 @@ func FuzzReadText(f *testing.F) {
 	})
 }
 
-// FuzzDecodeGob hardens the binary decoder against corrupt payloads.
+// FuzzDecodeGob hardens the binary decoder against corrupt payloads:
+// whatever the bytes, it never panics, anything it accepts passes
+// Validate, and what it hands back is bounded by the input — every row
+// and roster is allocated at the size the (already validated) payload
+// states, so a short payload cannot make a large graph.
 func FuzzDecodeGob(f *testing.F) {
-	// Seed with a valid encoding and some mutations of it.
+	// Seed with a valid encoding, some mutations of it, and the payloads
+	// the decoder must refuse.
 	b := NewBuilder()
 	b.AddLink("http://a.example/", "http://b.example/")
 	dg := b.Build()
@@ -63,6 +68,9 @@ func FuzzDecodeGob(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x01, 0x02})
+	for _, data := range hostileGobs(f) {
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dg, err := DecodeGob(bytes.NewReader(data))
@@ -72,7 +80,28 @@ func FuzzDecodeGob(f *testing.F) {
 		if verr := dg.Validate(); verr != nil {
 			t.Fatalf("accepted gob fails Validate: %v", verr)
 		}
+		// One byte of payload buys at most one document (a 24-byte Doc, a
+		// 24-byte row header, an 8-byte roster entry), a third of an edge
+		// (16 bytes) or one site (40 bytes).
+		if got := docGraphFootprint(dg); got > 64*len(data) {
+			t.Fatalf("a %d-byte payload decoded into %d bytes of graph", len(data), got)
+		}
 	})
+}
+
+// docGraphFootprint sums the bytes of every array reachable from dg.
+func docGraphFootprint(dg *DocGraph) int {
+	n := cap(dg.Docs)*24 + cap(dg.Sites)*40 + cap(dg.G.out)*24
+	for _, doc := range dg.Docs {
+		n += len(doc.URL)
+	}
+	for _, site := range dg.Sites {
+		n += len(site.Name) + cap(site.Docs)*8
+	}
+	for _, row := range dg.G.out {
+		n += cap(row) * 16
+	}
+	return n
 }
 
 // FuzzCloneCOW hardens the copy-on-write contract behind snapshot

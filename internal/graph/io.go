@@ -154,39 +154,59 @@ func EncodeGob(w io.Writer, dg *DocGraph) error {
 	return nil
 }
 
-// DecodeGob reads a DocGraph written by EncodeGob.
+// DecodeGob reads a DocGraph written by EncodeGob. Everything is checked
+// before the graph is assembled, then each site roster and the whole
+// adjacency are allocated once at their exact size: every node's row is a
+// capacity-clipped window of one slab (as in LocalSubgraph), so a later
+// AddEdge reallocates that row instead of writing into its neighbour's.
 func DecodeGob(r io.Reader) (*DocGraph, error) {
 	var gg gobGraph
 	if err := gob.NewDecoder(r).Decode(&gg); err != nil {
 		return nil, fmt.Errorf("graph: gob decode: %w", err)
 	}
-	dg := &DocGraph{
-		G:     NewDigraph(len(gg.Docs)),
-		Docs:  gg.Docs,
-		Sites: make([]Site, len(gg.SiteNames)),
-	}
-	for s, name := range gg.SiteNames {
-		dg.Sites[s].Name = name
-	}
-	for d, doc := range dg.Docs {
-		if int(doc.Site) < 0 || int(doc.Site) >= len(dg.Sites) {
+	nd := len(gg.Docs)
+	siteSize := make([]int, len(gg.SiteNames))
+	for d, doc := range gg.Docs {
+		if int(doc.Site) < 0 || int(doc.Site) >= len(siteSize) {
 			return nil, fmt.Errorf("graph: gob doc %d has invalid site %d", d, doc.Site)
 		}
-		dg.Sites[doc.Site].Docs = append(dg.Sites[doc.Site].Docs, DocID(d))
+		siteSize[doc.Site]++
 	}
 	if len(gg.From) != len(gg.To) || len(gg.From) != len(gg.Weight) {
 		return nil, fmt.Errorf("graph: gob edge slices disagree: %d/%d/%d",
 			len(gg.From), len(gg.To), len(gg.Weight))
 	}
+	deg := make([]int, nd)
 	for k := range gg.From {
 		from, to := int(gg.From[k]), int(gg.To[k])
-		if from < 0 || from >= len(dg.Docs) || to < 0 || to >= len(dg.Docs) {
+		if from < 0 || from >= nd || to < 0 || to >= nd {
 			return nil, fmt.Errorf("graph: gob edge %d (%d→%d) out of range", k, from, to)
 		}
 		if w := gg.Weight[k]; !(w > 0) || math.IsInf(w, 0) {
 			return nil, fmt.Errorf("graph: gob edge %d has invalid weight %g", k, gg.Weight[k])
 		}
-		dg.G.AddEdge(from, to, gg.Weight[k])
+		deg[from]++
+	}
+
+	dg := &DocGraph{
+		G:     NewDigraph(nd),
+		Docs:  gg.Docs,
+		Sites: make([]Site, len(gg.SiteNames)),
+	}
+	for s, name := range gg.SiteNames {
+		dg.Sites[s] = Site{Name: name, Docs: make([]DocID, 0, siteSize[s])}
+	}
+	for d, doc := range dg.Docs {
+		dg.Sites[doc.Site].Docs = append(dg.Sites[doc.Site].Docs, DocID(d))
+	}
+	slab := make([]Edge, len(gg.From))
+	p := 0
+	for d, n := range deg {
+		dg.G.out[d] = slab[p : p : p+n]
+		p += n
+	}
+	for k, from := range gg.From {
+		dg.G.out[from] = append(dg.G.out[from], Edge{To: int(gg.To[k]), Weight: gg.Weight[k]})
 	}
 	dg.G.Dedupe()
 	if err := dg.Validate(); err != nil {

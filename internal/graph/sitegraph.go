@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // SiteGraphOptions controls SiteGraph derivation.
 type SiteGraphOptions struct {
@@ -31,23 +34,97 @@ func (sg *SiteGraph) NumSites() int { return len(sg.Names) }
 // DeriveSiteGraph aggregates a DocGraph at the Web-site level (§3.2 step
 // 2): for each document edge d→d' it adds one unit of weight (times the
 // edge multiplicity) to the site edge site(d)→site(d').
+//
+// Sites are walked by roster and each row is accumulated densely, then
+// emitted at its exact length: no per-link append, no sort over document
+// links, and no spare capacity for a snapshot to keep alive. A SiteLink
+// weight is a sum of link multiplicities — integers, exact in float64 —
+// so it does not depend on the order the documents are visited in.
 func DeriveSiteGraph(dg *DocGraph, opts SiteGraphOptions) *SiteGraph {
 	ns := dg.NumSites()
-	g := NewDigraph(ns)
-	dg.G.EachEdgeAll(func(from int, e Edge) {
-		sFrom := dg.Docs[from].Site
-		sTo := dg.Docs[e.To].Site
-		if opts.DropSelfLoops && sFrom == sTo {
-			return
-		}
-		g.AddEdge(int(sFrom), int(sTo), e.Weight)
-	})
-	g.Dedupe()
-	names := make([]string, ns)
+	sg := &SiteGraph{G: NewDigraph(ns), Names: make([]string, ns)}
+	acc := &siteRowAccumulator{weight: make([]float64, ns)}
 	for s, site := range dg.Sites {
-		names[s] = site.Name
+		sg.G.out[s] = acc.row(dg, SiteID(s), opts)
+		sg.Names[s] = site.Name
 	}
-	return &SiteGraph{G: g, Names: names}
+	sg.G.deduped = true
+	return sg
+}
+
+// Rederive returns the SiteGraph of dg given sg, the SiteGraph of an
+// earlier version of the same web derived with the same options: only the
+// rows of the changed sites and of sites appended past sg are derived
+// afresh, every other row is shared with sg (marked copy-on-write on both
+// sides, as Digraph.CloneCOW does). Row s aggregates the out-links of
+// site s's documents and nothing else, so this is exactly DeriveSiteGraph
+// whenever changed lists every site whose documents or out-links differ —
+// the GraphDelta.ChangedSites contract.
+//
+// The old SiteGraph is only marked (its shared flags), never read beyond
+// its rows: a straggler query may be building that graph's transition
+// matrix at this very moment, which is why this is not Digraph.CloneCOW.
+func (sg *SiteGraph) Rederive(dg *DocGraph, opts SiteGraphOptions, changed []SiteID) *SiteGraph {
+	ns := dg.NumSites()
+	old := sg.G
+	for len(old.shared) < len(old.out) {
+		old.shared = append(old.shared, false)
+	}
+	dirty := make([]bool, ns)
+	for _, s := range changed {
+		dirty[s] = true
+	}
+	next := &SiteGraph{
+		G:     &Digraph{out: make([][]Edge, ns), deduped: true, shared: make([]bool, ns)},
+		Names: make([]string, ns),
+	}
+	acc := &siteRowAccumulator{weight: make([]float64, ns)}
+	for s, site := range dg.Sites {
+		next.Names[s] = site.Name
+		if s < len(old.out) && !dirty[s] {
+			next.G.out[s] = old.out[s]
+			old.shared[s], next.G.shared[s] = true, true
+			continue
+		}
+		next.G.out[s] = acc.row(dg, SiteID(s), opts)
+	}
+	return next
+}
+
+// siteRowAccumulator sums one site's SiteLink weights into a dense row,
+// remembering which entries it touched so emitting and clearing the row
+// cost O(distinct targets), not O(sites).
+type siteRowAccumulator struct {
+	weight  []float64
+	touched []int
+}
+
+// row derives SiteGraph row s of dg: sorted by target, merged, and exactly
+// as long as its content.
+func (a *siteRowAccumulator) row(dg *DocGraph, s SiteID, opts SiteGraphOptions) []Edge {
+	for _, d := range dg.Sites[s].Docs {
+		for _, e := range dg.G.out[d] {
+			to := dg.Docs[e.To].Site
+			if opts.DropSelfLoops && to == s {
+				continue
+			}
+			if a.weight[to] == 0 {
+				a.touched = append(a.touched, int(to))
+			}
+			a.weight[to] += e.Weight
+		}
+	}
+	if len(a.touched) == 0 {
+		return nil
+	}
+	sort.Ints(a.touched)
+	row := make([]Edge, len(a.touched))
+	for k, to := range a.touched {
+		row[k] = Edge{To: to, Weight: a.weight[to]}
+		a.weight[to] = 0
+	}
+	a.touched = a.touched[:0]
+	return row
 }
 
 // SiteLinkCount returns the aggregated SiteLink weight from site a to site

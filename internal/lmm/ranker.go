@@ -27,16 +27,17 @@ type RankerOptions struct {
 	SiteGraph graph.SiteGraphOptions
 }
 
-// rankerSite is the precomputed structure of one site: its local
-// subgraph, index, and the shareable PageRank chain over it. The chain
-// (and the CSR transition matrix inside it) is built lazily under a
-// sync.Once on the first query that needs it — consumers of the
-// structure alone, like the distributed coordinator shipping edge lists
-// to workers, never pay for it, while concurrent Share()d rankers racing
-// on a cold site build it exactly once. fixed is the constant local rank
-// of 0/1-doc sites, which need no chain at all.
+// rankerSite is what a Ranker retains of one site: the roster index and
+// the shareable PageRank chain — whose pull-form CSR is the one copy of
+// the site's links a snapshot holds beside the DocGraph.
+// The subgraph itself is not kept. The chain is built lazily under a
+// sync.Once on the first query that needs it, from a subgraph extracted
+// for the occasion and dropped — consumers of the structure alone, like
+// the distributed coordinator shipping edge lists to workers, never pay
+// for it, while concurrent Share()d rankers racing on a cold site build
+// it exactly once. fixed is the constant local rank of 0/1-doc sites,
+// which need no chain at all.
 type rankerSite struct {
-	sub   *graph.Digraph
 	idx   *graph.LocalIndex
 	fixed matrix.Vector
 
@@ -45,10 +46,15 @@ type rankerSite struct {
 }
 
 // getChain returns the site's shareable PageRank chain, building it on
-// first use (TransitionMatrix mutates the subgraph's cache, so the build
-// runs under the Once).
-func (st *rankerSite) getChain() *pagerank.Chain {
-	st.once.Do(func() { st.chain = pagerank.NewChain(st.sub.TransitionMatrix()) })
+// first use from dg, the graph of whichever core asks first. A
+// rankerSite is shared by every core in which the site is clean, and a
+// clean site's rows are identical in all of their graphs, so which one
+// triggers the Once cannot matter.
+func (st *rankerSite) getChain(dg *graph.DocGraph, s graph.SiteID) *pagerank.Chain {
+	st.once.Do(func() {
+		sub, _ := dg.LocalSubgraph(s)
+		st.chain = pagerank.NewChain(sub.TransitionMatrix())
+	})
 	return st.chain
 }
 
@@ -57,8 +63,8 @@ func (st *rankerSite) getChain() *pagerank.Chain {
 // sync.Once builds) the core is immutable, which is what lets any number
 // of Share()d rankers serve queries over it concurrently. Sites are held
 // by pointer so an incremental Rebuild can share unchanged sites'
-// structure (subgraph, index, lazily built chain) between the old and
-// the new core.
+// structure (index, lazily built chain) between the old and the new
+// core.
 type rankerCore struct {
 	dg    *graph.DocGraph
 	opts  RankerOptions
@@ -118,12 +124,12 @@ type Ranker struct {
 	errs       []error
 }
 
-// NewRanker validates and precomputes the layered ranking structure of
-// dg: the SiteGraph, its transition matrix and solver, and all local
-// subgraphs (their CSR matrices and solvers follow on the first Rank,
-// so structure-only consumers like the distributed coordinator skip
-// that cost). The DocGraph's digraph is deduplicated up front, so the
-// per-query phase never mutates shared graph state.
+// NewRanker validates dg and precomputes the graph-only part of the
+// layered ranking structure: the SiteGraph and every site's roster index
+// (the site chain and the per-site CSR chains follow on the first Rank or
+// on Prepare, so structure-only consumers like the distributed
+// coordinator skip that cost). The DocGraph's digraph is deduplicated up
+// front, so the per-query phase never mutates shared graph state.
 func NewRanker(dg *graph.DocGraph, opts RankerOptions) (*Ranker, error) {
 	if err := dg.Validate(); err != nil {
 		return nil, fmt.Errorf("lmm: ranker: %w", err)
@@ -140,22 +146,19 @@ func NewRanker(dg *graph.DocGraph, opts RankerOptions) (*Ranker, error) {
 		sites:   make([]*rankerSite, dg.NumSites()),
 		version: dg.G.Version(),
 	}
-	// Extraction fans out across sites: the graph was deduplicated
-	// above, so every LocalSubgraph call reads shared state and writes
-	// only its own core.sites slot.
-	ForEachParallel(len(core.sites), 0, func(s int) {
-		core.sites[s] = extractSite(dg, graph.SiteID(s))
-	})
+	for s := range core.sites {
+		core.sites[s] = newRankerSite(dg, graph.SiteID(s))
+	}
 	return &Ranker{core: core}, nil
 }
 
-// extractSite builds one site's precomputed structure from the (already
-// deduplicated) graph — the per-site body of NewRanker, shared with the
-// incremental Rebuild.
-func extractSite(dg *graph.DocGraph, s graph.SiteID) *rankerSite {
-	sub, idx := dg.LocalSubgraph(s)
-	st := &rankerSite{sub: sub, idx: idx}
-	switch sub.NumNodes() {
+// newRankerSite records what is retained of site s before any query: a
+// private copy of its roster (dg's own may be appended to in place
+// later) — the per-site body of NewRanker, shared with the incremental
+// Rebuild.
+func newRankerSite(dg *graph.DocGraph, s graph.SiteID) *rankerSite {
+	st := &rankerSite{idx: dg.LocalIndex(s)}
+	switch st.idx.Len() {
 	case 0:
 		st.fixed = matrix.Vector{}
 	case 1:
@@ -167,7 +170,7 @@ func extractSite(dg *graph.DocGraph, s graph.SiteID) *rankerSite {
 
 // Share returns a new Ranker serving the same precomputed structure with
 // fully private query scratch. Share is how concurrent serving works:
-// the shared core (subgraphs, CSR matrices, dangling lists) is read-only
+// the shared core (SiteGraph, CSR chains, dangling lists) is read-only
 // at query time, while solvers, iteration buffers and result vectors
 // belong to each shared Ranker alone — so goroutines holding distinct
 // Share()d rankers may Rank concurrently without any locking.
@@ -186,9 +189,8 @@ func (r *Ranker) Prepare() {
 	c := r.core
 	c.getSiteChain()
 	ForEachParallel(len(c.sites), 0, func(s int) {
-		st := c.sites[s]
-		if st.fixed == nil {
-			st.getChain()
+		if st := c.sites[s]; st.fixed == nil {
+			st.getChain(c.dg, graph.SiteID(s))
 		}
 	})
 }
@@ -209,10 +211,13 @@ func (r *Ranker) SiteGraph() *graph.SiteGraph { return r.core.sg }
 // NumSites returns the number of sites.
 func (r *Ranker) NumSites() int { return len(r.core.sites) }
 
-// LocalSubgraph returns site s's precomputed subgraph and index. Callers
-// must treat both as read-only.
+// LocalSubgraph extracts site s's subgraph from the Ranker's graph — on
+// demand, at O(site) cost per call: no subgraph is retained (its links
+// live on in the site's chain, in the form the kernels read). The index
+// is the retained one; callers must treat it as read-only.
 func (r *Ranker) LocalSubgraph(s graph.SiteID) (*graph.Digraph, *graph.LocalIndex) {
-	return r.core.sites[s].sub, r.core.sites[s].idx
+	sub, _ := r.core.dg.LocalSubgraph(s)
+	return sub, r.core.sites[s].idx
 }
 
 // RankSites computes only the site layer πS = PageRank(Mˆ(G_S)) — the
@@ -333,14 +338,14 @@ func (r *Ranker) rankLocal(s int, cfg *WebConfig) {
 		// shared chain; each site is owned by exactly one goroutine of
 		// the fan-out, and the barrier at its end publishes the solver
 		// for later queries.
-		r.solvers[s] = st.getChain().NewSolver()
+		r.solvers[s] = st.getChain(r.core.dg, graph.SiteID(s)).NewSolver()
 	}
 	var pers matrix.Vector
 	if cfg.DocPersonalization != nil {
 		pers = cfg.DocPersonalization[graph.SiteID(s)]
 	}
 	var start matrix.Vector
-	if s < len(cfg.LocalStarts) && len(cfg.LocalStarts[s]) == st.sub.NumNodes() {
+	if s < len(cfg.LocalStarts) && len(cfg.LocalStarts[s]) == st.idx.Len() {
 		start = cfg.LocalStarts[s]
 	}
 	res, err := r.solvers[s].Solve(pagerank.Config{
@@ -391,7 +396,7 @@ func (r *Ranker) RankRefresh(changed []graph.SiteID, cfg WebConfig) (*WebResult,
 			r.localIters[s] = 0
 			continue
 		}
-		if !changedSet[s] && s < len(cfg.LocalStarts) && len(cfg.LocalStarts[s]) == st.sub.NumNodes() {
+		if !changedSet[s] && s < len(cfg.LocalStarts) && len(cfg.LocalStarts[s]) == st.idx.Len() {
 			r.localRanks[s] = cfg.LocalStarts[s]
 			r.localIters[s] = 0
 			continue

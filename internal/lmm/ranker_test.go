@@ -3,6 +3,7 @@ package lmm
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"lmmrank/internal/graph"
@@ -260,4 +261,72 @@ func TestWebConfigDampingZeroSentinel(t *testing.T) {
 	if _, err := LayeredDocRank(dg, WebConfig{Damping: 1.5}); err == nil {
 		t.Error("damping 1.5 accepted")
 	}
+}
+
+// TestRankerLocalSubgraphExtractsOnDemand: a Ranker retains no subgraph,
+// so LocalSubgraph extracts from the graph each time — and must hand
+// back what dg.LocalSubgraph does, with the retained index resolving
+// like a fresh one. The hand-built web has a non-ascending roster (the
+// index's dense-table path) and the answer on it still matches the
+// reference pipeline, including from Share()d rankers whose first Rank
+// races to build the cold chains.
+func TestRankerLocalSubgraphExtractsOnDemand(t *testing.T) {
+	dg := randomWeb(rand.New(rand.NewSource(62)), 5, 60)
+	// Swapping two roster entries of a multi-page site keeps the graph
+	// valid while making that roster non-ascending.
+	swapped := -1
+	for s, site := range dg.Sites {
+		if len(site.Docs) >= 3 {
+			site.Docs[0], site.Docs[2] = site.Docs[2], site.Docs[0]
+			swapped = s
+			break
+		}
+	}
+	if swapped < 0 {
+		t.Fatal("no site with three pages to reorder")
+	}
+	rk, err := NewRanker(dg, RankerOptions{})
+	if err != nil {
+		t.Fatalf("NewRanker: %v", err)
+	}
+	for s := 0; s < dg.NumSites(); s++ {
+		gotSub, gotIdx := rk.LocalSubgraph(graph.SiteID(s))
+		wantSub, wantIdx := dg.LocalSubgraph(graph.SiteID(s))
+		var got, want []string
+		gotSub.EachEdgeAll(func(from int, e graph.Edge) { got = append(got, fmt.Sprint(from, e)) })
+		wantSub.EachEdgeAll(func(from int, e graph.Edge) { want = append(want, fmt.Sprint(from, e)) })
+		if gotSub.NumNodes() != wantSub.NumNodes() || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("site %d: subgraph %v, want %v", s, got, want)
+		}
+		if again, _ := rk.LocalSubgraph(graph.SiteID(s)); again == gotSub && gotSub.NumNodes() > 0 {
+			t.Fatalf("site %d: LocalSubgraph handed out a retained subgraph", s)
+		}
+		for d := -1; d <= dg.NumDocs(); d++ {
+			gi, gok := gotIdx.ToLocal(graph.DocID(d))
+			wi, wok := wantIdx.ToLocal(graph.DocID(d))
+			if gi != wi || gok != wok {
+				t.Fatalf("site %d: ToLocal(%d) = %d,%v, want %d,%v", s, d, gi, gok, wi, wok)
+			}
+		}
+	}
+	want, err := referenceLayeredDocRank(dg, WebConfig{})
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(r *Ranker) {
+			defer wg.Done()
+			got, err := r.Rank(WebConfig{})
+			if err != nil {
+				t.Errorf("Rank: %v", err)
+				return
+			}
+			if d := got.DocRank.L1Diff(want.DocRank); d != 0 {
+				t.Errorf("DocRank differs from the reference by %g", d)
+			}
+		}(rk.Share())
+	}
+	wg.Wait()
 }

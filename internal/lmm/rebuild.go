@@ -9,20 +9,21 @@ import (
 // Rebuild returns a new Ranker over this Ranker's (since mutated)
 // DocGraph, rebuilding only the listed sites' precomputed structure.
 // This is the structural half of the churn path: because the layered
-// decomposition keeps every site's subgraph independent, a mutation
-// confined to a few sites leaves every other site's extracted subgraph,
-// local index and lazily built PageRank chain exactly valid — Rebuild
-// shares those by pointer with the old core and re-extracts (in
-// parallel) only the dirty ones. The small site layer is always
-// re-derived: any link change can shift the SiteLink aggregation.
+// decomposition keeps every site's links independent, a mutation
+// confined to a few sites leaves every other site's roster index,
+// lazily built PageRank chain and SiteGraph row exactly valid — Rebuild
+// shares those by pointer with the old core and starts over only for
+// the dirty ones (index and SiteGraph row now, chain on the next
+// Prepare or Rank).
 //
 // changed must list every site whose pages or links changed (including
 // links *from* its documents to other sites); sites appended beyond the
 // old roster are implicitly changed. A site not listed must have kept
 // its exact document roster — otherwise ErrStaleResult — but Rebuild
 // cannot verify edge sets cheaply, so an unlisted edge change silently
-// yields a Ranker with a stale subgraph for that site: the caller owns
-// the changed list, exactly as with UpdateLayeredDocRank.
+// yields a Ranker with a stale chain and SiteGraph row for that site:
+// the caller owns the changed list, exactly as with
+// UpdateLayeredDocRank.
 //
 // The old Ranker keeps working over the shared structure for the graph
 // content it was built against, but its graph has mutated, so its
@@ -37,13 +38,22 @@ func (r *Ranker) Rebuild(changed []graph.SiteID) (*Ranker, error) {
 // snapshot-serving form: dg is typically a DocGraph.CloneCOW() of this
 // Ranker's graph with a delta applied, so the old Ranker's graph never
 // mutates and it keeps serving straggler queries (no ErrGraphMutated)
-// while the new Ranker is built off to the side. Clean sites share their
-// precomputed structure by pointer exactly as in Rebuild — a rankerSite
-// holds no reference back to the graph it was extracted from, which is
-// what makes the sharing sound across graph copies. The changed-list
+// while the new Ranker is built off to the side.
+//
+// What is shared with the old core, by pointer: each clean site's
+// rankerSite (roster index + Once-guarded chain) and its SiteGraph row.
+// What is derived afresh: the changed and appended sites' indexes and
+// SiteGraph rows, and the site-layer chain over the new SiteGraph. A
+// rankerSite holds no reference to the graph it came from; a clean
+// site's chain not yet built is built from whichever core's graph asks
+// first, and the site's rows are the same in both. The changed-list
 // contract is Rebuild's: every site whose pages or links differ between
 // the old core's build and dg must be listed (appended sites are
 // implicit), and an unlisted roster change fails with ErrStaleResult.
+// Like CloneCOW on the graph, sharing marks the old SiteGraph's rows
+// copy-on-write, so rebuilds from one core must not run concurrently
+// with each other (Engine.Update serializes them); readers are never
+// disturbed.
 func (r *Ranker) RebuildOn(dg *graph.DocGraph, changed []graph.SiteID) (*Ranker, error) {
 	old := r.core
 	if err := dg.Validate(); err != nil {
@@ -70,7 +80,7 @@ func (r *Ranker) RebuildOn(dg *graph.DocGraph, changed []graph.SiteID) (*Ranker,
 		changedSet[graph.SiteID(s)] = true
 	}
 	// Unchanged sites must have kept their exact rosters, or their shared
-	// subgraphs would index the wrong documents.
+	// chains would rank the wrong documents.
 	for s := 0; s < len(old.sites); s++ {
 		if changedSet[graph.SiteID(s)] {
 			continue
@@ -84,19 +94,19 @@ func (r *Ranker) RebuildOn(dg *graph.DocGraph, changed []graph.SiteID) (*Ranker,
 	core := &rankerCore{
 		dg:      dg,
 		opts:    old.opts,
-		sg:      graph.DeriveSiteGraph(dg, old.opts.SiteGraph),
+		sg:      old.sg.Rederive(dg, old.opts.SiteGraph, changed),
 		sites:   make([]*rankerSite, ns),
 		version: dg.G.Version(),
 	}
-	// Re-extract only the dirty sites; clean ones share the old pointers
-	// (immutable after construction, so sharing across cores is safe).
-	ForEachParallel(ns, 0, func(s int) {
+	// Clean sites share the old pointers (index and Once-guarded chain,
+	// neither of which refers to a graph); dirty ones start over.
+	for s := range core.sites {
 		if s < len(old.sites) && !changedSet[graph.SiteID(s)] {
 			core.sites[s] = old.sites[s]
-			return
+		} else {
+			core.sites[s] = newRankerSite(dg, graph.SiteID(s))
 		}
-		core.sites[s] = extractSite(dg, graph.SiteID(s))
-	})
+	}
 	return &Ranker{core: core}, nil
 }
 

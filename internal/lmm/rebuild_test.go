@@ -94,8 +94,10 @@ func TestRebuildMatchesColdRanker(t *testing.T) {
 }
 
 // TestRebuildReusesCleanSiteStructure asserts the reuse that makes
-// Rebuild cheap: unchanged sites share their extracted subgraph (by
-// pointer) with the old core; the dirty site gets a fresh one.
+// Rebuild cheap: unchanged sites share what a Ranker retains of a site —
+// the roster index and the built chain — by pointer with the old core;
+// the dirty site starts over with a fresh index and no chain yet. (No
+// subgraph is retained, so there is none to share.)
 func TestRebuildReusesCleanSiteStructure(t *testing.T) {
 	dg := randomWeb(rand.New(rand.NewSource(93)), 8, 80)
 	rk, err := NewRanker(dg, RankerOptions{})
@@ -109,16 +111,20 @@ func TestRebuildReusesCleanSiteStructure(t *testing.T) {
 		t.Fatalf("Rebuild: %v", err)
 	}
 	for s := 0; s < rk.NumSites(); s++ {
-		oldSub, _ := rk.LocalSubgraph(graph.SiteID(s))
-		newSub, _ := warm.LocalSubgraph(graph.SiteID(s))
+		old, now := rk.core.sites[s], warm.core.sites[s]
+		if old.fixed == nil && old.chain == nil {
+			t.Fatalf("site %d: Prepare left no chain to share", s)
+		}
+		_, oldIdx := rk.LocalSubgraph(graph.SiteID(s))
+		_, newIdx := warm.LocalSubgraph(graph.SiteID(s))
 		if s == 2 {
-			if oldSub == newSub {
-				t.Errorf("changed site %d shares its old subgraph", s)
+			if old == now || oldIdx == newIdx || now.chain != nil {
+				t.Errorf("changed site %d shares structure with the old core", s)
 			}
 			continue
 		}
-		if oldSub != newSub {
-			t.Errorf("clean site %d was re-extracted", s)
+		if old != now || oldIdx != newIdx || old.chain != now.chain {
+			t.Errorf("clean site %d was rebuilt", s)
 		}
 	}
 	if warm.Stale() {
@@ -175,7 +181,9 @@ func TestRebuildHandlesNewSite(t *testing.T) {
 	}
 	joined := rebuildWithNewSite(dg)
 	*dg = *joined
-	warm, err := rk.Rebuild(nil)
+	// The join gives site 0's first page a link to the newcomer — a
+	// changed out-link, so site 0 is listed; the new site is not.
+	warm, err := rk.Rebuild([]graph.SiteID{0})
 	if err != nil {
 		t.Fatalf("Rebuild after join: %v", err)
 	}

@@ -124,6 +124,18 @@ func TestUpdateHandlesNewSite(t *testing.T) {
 	}
 }
 
+// copyLinks replays every link of dg into b with its multiplicity, so a
+// rebuilt web differs from dg only where the caller then edits it (a
+// flattened duplicate link would change the out-links of sites no test
+// lists as changed).
+func copyLinks(b *graph.Builder, dg *graph.DocGraph) {
+	dg.G.EachEdgeAll(func(from int, e graph.Edge) {
+		for k := 0; k < int(e.Weight); k++ {
+			b.LinkIDs(graph.DocID(from), graph.DocID(e.To))
+		}
+	})
+}
+
 // rebuildWithNewSite reconstructs dg with one extra site appended. The
 // builder assigns new DocIDs after the existing ones, so earlier sites'
 // rosters keep their shape.
@@ -132,9 +144,7 @@ func rebuildWithNewSite(dg *graph.DocGraph) *graph.DocGraph {
 	for _, doc := range dg.Docs {
 		b.AddDocInSite(doc.URL, dg.Sites[doc.Site].Name)
 	}
-	dg.G.EachEdgeAll(func(from int, e graph.Edge) {
-		b.LinkIDs(graph.DocID(from), graph.DocID(e.To))
-	})
+	copyLinks(b, dg)
 	n1 := b.AddDocInSite("http://newpeer.example/", "newpeer.example")
 	n2 := b.AddDocInSite("http://newpeer.example/about", "newpeer.example")
 	b.LinkIDs(n1, n2)
@@ -177,9 +187,7 @@ func rebuildWithExtraDoc(dg *graph.DocGraph, s graph.SiteID) *graph.DocGraph {
 	for _, doc := range dg.Docs {
 		b.AddDocInSite(doc.URL, dg.Sites[doc.Site].Name)
 	}
-	dg.G.EachEdgeAll(func(from int, e graph.Edge) {
-		b.LinkIDs(graph.DocID(from), graph.DocID(e.To))
-	})
+	copyLinks(b, dg)
 	extra := b.AddDocInSite(
 		fmt.Sprintf("http://%s/extra-page", dg.Sites[s].Name), dg.Sites[s].Name)
 	home := dg.Sites[s].Docs[0]

@@ -27,6 +27,7 @@ func (m *Dense) EachNonZero(i int, fn func(col int)) {
 
 // EachNonZero implements Sparsity for CSR: stored positive entries.
 func (m *CSR) EachNonZero(i int, fn func(col int)) {
+	m.forward()
 	for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
 		if m.val[k] > 0 {
 			fn(m.colIdx[k])

@@ -14,28 +14,40 @@ type Triple struct {
 	Val      float64
 }
 
-// CSR is a square sparse matrix in compressed-sparse-row form. It is the
-// workhorse representation for web-scale transition matrices, where each
-// row holds the out-link probabilities of one document.
+// CSR is a square sparse matrix, the workhorse representation for
+// web-scale transition matrices, where each row holds the out-link
+// probabilities of one document.
 //
-// Construction also builds the transpose (CSC) view once, so repeated
-// left-multiplications run pull-based: every destination entry dst[j] is
-// owned by exactly one loop iteration, which removes all write contention
-// and lets MulVecLeft shard the destination range across GOMAXPROCS.
-// Within each column the source rows are stored in ascending order, so
-// the pull accumulation visits contributions in the same order as the
-// classical push-based sweep and reproduces its floating-point results.
+// What a CSR retains is the pull (compressed-sparse-column) view, because
+// that is the only form a left-multiplication reads: every destination
+// entry dst[j] is owned by exactly one loop iteration, which removes all
+// write contention and lets MulVecLeft shard the destination range across
+// GOMAXPROCS. Within each column the source rows are stored in ascending
+// order, so the pull accumulation visits contributions in the same order
+// as the classical push-based sweep and reproduces its floating-point
+// results. Source indices are 32-bit: a stored entry costs 12 bytes.
+//
+// The row view (Row, At, RowNNZ, RowSums, NormalizeRows, IsRowStochastic,
+// Dense, EachNonZero) is derived from the pull view under a sync.Once on
+// first use — tests, package markov and the examples get it, a serving
+// chain that only multiplies never builds it. NewCSR and NewCSRFromSorted
+// are handed rows and keep them, so their row view is there from the
+// start. A CSR must not be copied by value.
 type CSR struct {
-	n      int
-	rowPtr []int
-	colIdx []int
-	val    []float64
+	n int
 
-	// Transpose view: column j's incoming entries are
+	// Pull view: column j's incoming entries are
 	// rowIdx[colPtr[j]:colPtr[j+1]] / cval[...], rows ascending.
 	colPtr []int
-	rowIdx []int
+	rowIdx []uint32
 	cval   []float64
+
+	// Row view: row i's entries are colIdx[rowPtr[i]:rowPtr[i+1]] /
+	// val[...], columns ascending. Read only after forward().
+	rowOnce sync.Once
+	rowPtr  []int
+	colIdx  []int
+	val     []float64
 }
 
 var _ LeftMultiplier = (*CSR)(nil)
@@ -53,9 +65,7 @@ const (
 // entries are summed. Triples need not be sorted. It panics on
 // out-of-range indices or non-positive n.
 func NewCSR(n int, triples []Triple) *CSR {
-	if n <= 0 {
-		panic(fmt.Sprintf("matrix: NewCSR with non-positive order %d", n))
-	}
+	checkOrder("NewCSR", n)
 	for _, t := range triples {
 		if t.Row < 0 || t.Row >= n || t.Col < 0 || t.Col >= n {
 			panic(fmt.Sprintf("matrix: NewCSR triple (%d,%d) out of order %d", t.Row, t.Col, n))
@@ -85,6 +95,7 @@ func NewCSR(n int, triples []Triple) *CSR {
 
 	m := &CSR{n: n, rowPtr: counts, colIdx: colIdx, val: val}
 	m.sortAndDedupeRows()
+	m.rowOnce.Do(func() {}) // the row view is the input; nothing to derive
 	m.buildTranspose()
 	return m
 }
@@ -95,9 +106,7 @@ func NewCSR(n int, triples []Triple) *CSR {
 // after graph.Digraph.Dedupe — so the triple round-trip, per-row sort and
 // dedupe of NewCSR are all skipped. It panics on malformed input.
 func NewCSRFromSorted(n int, rowPtr, colIdx []int, val []float64) *CSR {
-	if n <= 0 {
-		panic(fmt.Sprintf("matrix: NewCSRFromSorted with non-positive order %d", n))
-	}
+	checkOrder("NewCSRFromSorted", n)
 	if len(rowPtr) != n+1 || rowPtr[0] != 0 || rowPtr[n] != len(colIdx) || len(colIdx) != len(val) {
 		panic(fmt.Sprintf("matrix: NewCSRFromSorted inconsistent shape (n=%d, ptrs=%d, cols=%d, vals=%d)",
 			n, len(rowPtr), len(colIdx), len(val)))
@@ -117,8 +126,49 @@ func NewCSRFromSorted(n int, rowPtr, colIdx []int, val []float64) *CSR {
 		}
 	}
 	m := &CSR{n: n, rowPtr: rowPtr, colIdx: colIdx, val: val}
+	m.rowOnce.Do(func() {}) // the row view is the input; nothing to derive
 	m.buildTranspose()
 	return m
+}
+
+// NewCSRFromColumns builds a CSR matrix directly in the form it retains:
+// column j's entries are rowIdx[colPtr[j]:colPtr[j+1]] / val[...], taking
+// ownership of the slices. Columns must hold strictly increasing,
+// in-range rows — what scattering sorted adjacency lists in ascending
+// source order produces (graph.Digraph.TransitionMatrix) — so nothing is
+// sorted, merged or transposed, and no row arrays exist until the row
+// view is first asked for. It panics on malformed input.
+func NewCSRFromColumns(n int, colPtr []int, rowIdx []uint32, val []float64) *CSR {
+	checkOrder("NewCSRFromColumns", n)
+	if len(colPtr) != n+1 || colPtr[0] != 0 || colPtr[n] != len(rowIdx) || len(rowIdx) != len(val) {
+		panic(fmt.Sprintf("matrix: NewCSRFromColumns inconsistent shape (n=%d, ptrs=%d, rows=%d, vals=%d)",
+			n, len(colPtr), len(rowIdx), len(val)))
+	}
+	for j := 0; j < n; j++ {
+		lo, hi := colPtr[j], colPtr[j+1]
+		if lo > hi {
+			panic(fmt.Sprintf("matrix: NewCSRFromColumns column %d has negative extent", j))
+		}
+		for k := lo; k < hi; k++ {
+			if int(rowIdx[k]) >= n {
+				panic(fmt.Sprintf("matrix: NewCSRFromColumns row %d out of order %d", rowIdx[k], n))
+			}
+			if k > lo && rowIdx[k] <= rowIdx[k-1] {
+				panic(fmt.Sprintf("matrix: NewCSRFromColumns column %d not strictly sorted at entry %d", j, k))
+			}
+		}
+	}
+	return &CSR{n: n, colPtr: colPtr, rowIdx: rowIdx, cval: val}
+}
+
+// checkOrder panics unless 0 < n and every index fits the 32-bit rowIdx.
+func checkOrder(ctor string, n int) {
+	if n <= 0 {
+		panic(fmt.Sprintf("matrix: %s with non-positive order %d", ctor, n))
+	}
+	if uint64(n) > 1<<32 {
+		panic(fmt.Sprintf("matrix: %s order %d exceeds 32-bit indices", ctor, n))
+	}
 }
 
 // sortAndDedupeRows sorts every row by column and merges duplicates by
@@ -207,7 +257,7 @@ func sortPairs(cols []int, vals []float64) {
 	}
 }
 
-// buildTranspose derives the CSC view from the finalized rows. Scanning
+// buildTranspose derives the pull view from the finalized rows. Scanning
 // rows in ascending order keeps each column's source rows ascending.
 func (m *CSR) buildTranspose() {
 	m.colPtr = make([]int, m.n+1)
@@ -217,7 +267,7 @@ func (m *CSR) buildTranspose() {
 	for j := 0; j < m.n; j++ {
 		m.colPtr[j+1] += m.colPtr[j]
 	}
-	m.rowIdx = make([]int, len(m.colIdx))
+	m.rowIdx = make([]uint32, len(m.colIdx))
 	m.cval = make([]float64, len(m.val))
 	next := make([]int, m.n)
 	copy(next, m.colPtr[:m.n])
@@ -225,26 +275,57 @@ func (m *CSR) buildTranspose() {
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
 			j := m.colIdx[k]
 			p := next[j]
-			m.rowIdx[p] = i
+			m.rowIdx[p] = uint32(i)
 			m.cval[p] = m.val[k]
 			next[j]++
 		}
 	}
 }
 
+// forward derives the row view from the pull view, once: the mirror
+// image of buildTranspose — scanning columns in ascending order leaves
+// each row's columns ascending. Every method that reads rowPtr, colIdx
+// or val calls it first; concurrent first callers build it exactly once.
+func (m *CSR) forward() {
+	m.rowOnce.Do(func() {
+		rowPtr := make([]int, m.n+1)
+		for _, i := range m.rowIdx {
+			rowPtr[i+1]++
+		}
+		for i := 0; i < m.n; i++ {
+			rowPtr[i+1] += rowPtr[i]
+		}
+		colIdx := make([]int, len(m.rowIdx))
+		val := make([]float64, len(m.cval))
+		next := make([]int, m.n)
+		copy(next, rowPtr[:m.n])
+		for j := 0; j < m.n; j++ {
+			for k := m.colPtr[j]; k < m.colPtr[j+1]; k++ {
+				p := next[m.rowIdx[k]]
+				colIdx[p] = j
+				val[p] = m.cval[k]
+				next[m.rowIdx[k]]++
+			}
+		}
+		m.rowPtr, m.colIdx, m.val = rowPtr, colIdx, val
+	})
+}
+
 // Order returns the dimension n.
 func (m *CSR) Order() int { return m.n }
 
 // NNZ returns the number of stored entries.
-func (m *CSR) NNZ() int { return len(m.val) }
+func (m *CSR) NNZ() int { return len(m.cval) }
 
 // RowNNZ returns the number of stored entries in row i.
 func (m *CSR) RowNNZ(i int) int {
+	m.forward()
 	return m.rowPtr[i+1] - m.rowPtr[i]
 }
 
 // Row calls fn(col, val) for each stored entry of row i in column order.
 func (m *CSR) Row(i int, fn func(col int, val float64)) {
+	m.forward()
 	for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
 		fn(m.colIdx[k], m.val[k])
 	}
@@ -255,6 +336,7 @@ func (m *CSR) At(i, j int) float64 {
 	if i < 0 || i >= m.n || j < 0 || j >= m.n {
 		panic(fmt.Sprintf("matrix: CSR index (%d,%d) out of %d", i, j, m.n))
 	}
+	m.forward()
 	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
 	k := lo + sort.SearchInts(m.colIdx[lo:hi], j)
 	if k < hi && m.colIdx[k] == j {
@@ -397,6 +479,7 @@ func (m *CSR) pullRange(dst, x Vector, lo, hi int, scale, coeff float64, v Vecto
 
 // RowSums returns the vector of row sums.
 func (m *CSR) RowSums() Vector {
+	m.forward()
 	sums := NewVector(m.n)
 	for i := 0; i < m.n; i++ {
 		var s float64
@@ -411,6 +494,7 @@ func (m *CSR) RowSums() Vector {
 // NormalizeRows rescales each row to sum to 1 in place and returns m.
 // Zero rows (dangling states) are left untouched.
 func (m *CSR) NormalizeRows() *CSR {
+	m.forward()
 	for i := 0; i < m.n; i++ {
 		var s float64
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
@@ -424,21 +508,24 @@ func (m *CSR) NormalizeRows() *CSR {
 			m.val[k] *= inv
 		}
 	}
-	// The transpose view shares the same values in a different layout;
-	// rebuild it so the pull kernels see the rescaled entries.
+	// The pull view holds the same values in a different layout; rebuild
+	// it so the kernels see the rescaled entries.
 	m.buildTranspose()
 	return m
 }
 
 // DanglingRows returns the indices of rows with zero sum (no out-links),
-// in ascending order.
+// in ascending order. It reads the pull view — every PageRank chain asks,
+// and none of them should pay for the row view: walking the columns in
+// order adds each row's entries in ascending column order, the order a
+// row scan would.
 func (m *CSR) DanglingRows() []int {
+	sums := make([]float64, m.n)
+	for k, i := range m.rowIdx {
+		sums[i] += m.cval[k]
+	}
 	var out []int
-	for i := 0; i < m.n; i++ {
-		var s float64
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.val[k]
-		}
+	for i, s := range sums {
 		if s == 0 {
 			out = append(out, i)
 		}
@@ -449,6 +536,7 @@ func (m *CSR) DanglingRows() []int {
 // IsRowStochastic reports whether every row is nonnegative and sums to 1
 // within tol.
 func (m *CSR) IsRowStochastic(tol float64) bool {
+	m.forward()
 	for i := 0; i < m.n; i++ {
 		var s float64
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
@@ -467,6 +555,7 @@ func (m *CSR) IsRowStochastic(tol float64) bool {
 
 // Dense converts m to a dense matrix (for tests and small examples).
 func (m *CSR) Dense() *Dense {
+	m.forward()
 	out := NewDense(m.n, m.n)
 	for i := 0; i < m.n; i++ {
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {

@@ -3,6 +3,8 @@ package matrix
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -230,5 +232,166 @@ func TestMulVecLeftSerialZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("serial MulVecLeft allocates %.1f per run, want 0", allocs)
+	}
+}
+
+// pullOnly rebuilds m from copies of its pull arrays alone, the way
+// graph.Digraph.TransitionMatrix builds a matrix: no row view until
+// someone asks.
+func pullOnly(m *CSR) *CSR {
+	return NewCSRFromColumns(m.n,
+		append([]int(nil), m.colPtr...),
+		append([]uint32(nil), m.rowIdx...),
+		append([]float64(nil), m.cval...))
+}
+
+// TestRowViewDerivedFromPullRoundTrips: the row view derived on first
+// use from the pull view is the row view the pull view was built from —
+// same pointers, columns and values — through every row-reading method,
+// and the derivation leaves the multiply untouched.
+func TestRowViewDerivedFromPullRoundTrips(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 30; trial++ {
+		n := rng.Intn(50) + 1
+		ref := randomSparse(rng, n, rng.Intn(5*n+1))
+		m := pullOnly(ref)
+		if m.rowPtr != nil || m.colIdx != nil || m.val != nil {
+			t.Fatal("a pull-built matrix was born with a row view")
+		}
+		if m.NNZ() != ref.NNZ() {
+			t.Fatalf("NNZ %d vs %d", m.NNZ(), ref.NNZ())
+		}
+		x := randomX(rng, n)
+		before, after, want := NewVector(n), NewVector(n), NewVector(n)
+		m.MulVecLeft(before, x)
+		if m.rowPtr != nil {
+			t.Fatal("a multiply derived the row view")
+		}
+		if got, want := m.DanglingRows(), ref.DanglingRows(); len(got) != len(want) {
+			t.Fatalf("dangling rows %v vs %v", got, want)
+		}
+		if m.rowPtr != nil {
+			t.Fatal("DanglingRows derived the row view")
+		}
+		for i := 0; i < n; i++ {
+			if m.RowNNZ(i) != ref.RowNNZ(i) {
+				t.Fatalf("RowNNZ(%d) = %d, want %d", i, m.RowNNZ(i), ref.RowNNZ(i))
+			}
+			for j := 0; j < n; j++ {
+				if m.At(i, j) != ref.At(i, j) {
+					t.Fatalf("At(%d,%d) = %g, want %g", i, j, m.At(i, j), ref.At(i, j))
+				}
+			}
+		}
+		for k := range ref.colIdx {
+			if m.colIdx[k] != ref.colIdx[k] || m.val[k] != ref.val[k] {
+				t.Fatalf("derived entry %d = (%d, %g), want (%d, %g)", k, m.colIdx[k], m.val[k], ref.colIdx[k], ref.val[k])
+			}
+		}
+		if !m.Dense().Equal(ref.Dense(), 0) || m.RowSums().L1Diff(ref.RowSums()) != 0 {
+			t.Fatal("Dense/RowSums differ through the derived row view")
+		}
+		m.MulVecLeft(after, x)
+		pushMulVecLeft(m, want, x)
+		for j := range after {
+			if after[j] != before[j] || after[j] != want[j] {
+				t.Fatalf("dst[%d]: %g before, %g after the row view, push %g", j, before[j], after[j], want[j])
+			}
+		}
+		// NormalizeRows works through the derived rows and refreshes the
+		// pull view from them.
+		a, b := NewVector(n), NewVector(n)
+		m.NormalizeRows().MulVecLeft(a, x)
+		ref.NormalizeRows().MulVecLeft(b, x)
+		for j := range a {
+			if a[j] != b[j] {
+				t.Fatalf("normalized dst[%d] = %g, want %g", j, a[j], b[j])
+			}
+		}
+	}
+}
+
+// TestRowViewConcurrentFirstUse: readers of the row view and multipliers
+// racing on a matrix whose row view does not exist yet all see the full
+// answer — the Once builds it exactly once. Run under -race; GOMAXPROCS
+// is raised so the goroutines really overlap on a multi-core host.
+func TestRowViewConcurrentFirstUse(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	rng := rand.New(rand.NewSource(14))
+	const n = 200
+	ref := randomSparse(rng, n, 3000)
+	x := randomX(rng, n)
+	want := NewVector(n)
+	ref.MulVecLeft(want, x)
+	for trial := 0; trial < 20; trial++ {
+		m := pullOnly(ref)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				switch g % 3 {
+				case 0:
+					dst := NewVector(n)
+					m.MulVecLeft(dst, x)
+					for j := range dst {
+						if dst[j] != want[j] {
+							t.Errorf("concurrent multiply: dst[%d] = %g, want %g", j, dst[j], want[j])
+							return
+						}
+					}
+				case 1:
+					for i := 0; i < n; i++ {
+						k := 0
+						m.Row(i, func(c int, v float64) {
+							if ref.colIdx[ref.rowPtr[i]+k] != c || ref.val[ref.rowPtr[i]+k] != v {
+								t.Errorf("concurrent Row(%d) entry %d = (%d, %g)", i, k, c, v)
+							}
+							k++
+						})
+						if k != ref.RowNNZ(i) {
+							t.Errorf("concurrent Row(%d) saw %d entries, want %d", i, k, ref.RowNNZ(i))
+							return
+						}
+					}
+				case 2:
+					for i := 0; i < n; i++ {
+						if got := m.At(i, (i*7)%n); got != ref.At(i, (i*7)%n) {
+							t.Errorf("concurrent At(%d,%d) = %g", i, (i*7)%n, got)
+							return
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+}
+
+func TestNewCSRFromColumnsRejectsMalformed(t *testing.T) {
+	cases := []struct {
+		name   string
+		n      int
+		colPtr []int
+		rows   []uint32
+		vals   []float64
+	}{
+		{"zero order", 0, []int{0}, nil, nil},
+		{"unsorted column", 2, []int{0, 2, 2}, []uint32{1, 0}, []float64{1, 1}},
+		{"duplicate row", 2, []int{0, 2, 2}, []uint32{1, 1}, []float64{1, 1}},
+		{"row out of range", 2, []int{0, 1, 1}, []uint32{2}, []float64{1}},
+		{"bad ptr tail", 2, []int{0, 1, 3}, []uint32{0, 1}, []float64{1, 1}},
+		{"negative extent", 2, []int{0, 2, 1}, []uint32{0, 1}, []float64{1, 1}},
+		{"short values", 2, []int{0, 1, 2}, []uint32{0, 1}, []float64{1}},
+	}
+	for _, c := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", c.name)
+				}
+			}()
+			NewCSRFromColumns(c.n, c.colPtr, c.rows, c.vals)
+		}()
 	}
 }

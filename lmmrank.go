@@ -246,7 +246,8 @@ type Ranker = lmm.Ranker
 type RankerOptions = lmm.RankerOptions
 
 // NewRanker precomputes the layered ranking structure of a DocGraph:
-// the SiteGraph, all local subgraphs and their transition matrices.
+// the SiteGraph and each site's roster index now, the per-site
+// transition matrices on Prepare or the first Rank.
 func NewRanker(dg *DocGraph, opts RankerOptions) (*Ranker, error) {
 	return lmm.NewRanker(dg, opts)
 }
