@@ -7,15 +7,16 @@ SHELL := /bin/bash
 
 GO ?= go
 
-.PHONY: ci check fmt vet lint build test race race-multi chaos cover fuzz-smoke bench bench-smoke docs loc
+.PHONY: ci check fmt vet lint build test race race-multi alloc-pins chaos cover fuzz-smoke bench bench-smoke docs loc
 
 # The umbrella target CI calls: the fast gate, the race detector over
-# the concurrency-heavy packages (single- and multi-core), the
-# deterministic-seed fault sweep, the coverage floors, a bounded fuzz
-# smoke, and a 1x smoke pass over every benchmark (so the E-series cannot
-# rot between bench sessions). Performance is not gated here: a speed
-# claim is made with cmd/lmmload's interleaved parent/head runs.
-ci: check race race-multi chaos cover fuzz-smoke bench-smoke
+# the concurrency-heavy packages (single- and multi-core), the allocation
+# pins at 1, 2 and 4 procs, the deterministic-seed fault sweep, the
+# coverage floors, a bounded fuzz smoke, and a 1x smoke pass over every
+# benchmark (so the E-series cannot rot between bench sessions).
+# Performance is not gated here: a speed claim is made with cmd/lmmload's
+# interleaved parent/head runs.
+ci: check race race-multi alloc-pins chaos cover fuzz-smoke bench-smoke
 
 check: fmt vet lint build test docs
 
@@ -76,6 +77,17 @@ race:
 # from a different GOMAXPROCS proves nothing.
 race-multi:
 	GOMAXPROCS=4 $(GO) test -race -timeout 10m -count=1 . ./internal/dist/... ./internal/lmm/... ./internal/matrix ./internal/graph
+
+# The allocation pins (every test with Alloc in its name: kernels, solver,
+# Ranker, wire codec, worker, warm DistEngine) at 1, 2 and 4 procs — a
+# zero-allocation path must not start allocating because procs appeared.
+# testing.AllocsPerRun itself measures at GOMAXPROCS(1) whatever is set
+# here; the pins that must hold on several procs at once count mallocs
+# themselves (TestPowerLeftScratchZeroAllocsMultiCore).
+alloc-pins:
+	for p in 1 2 4; do \
+		GOMAXPROCS=$$p $(GO) test -count=1 -run 'Alloc' ./internal/matrix ./internal/pagerank ./internal/lmm ./internal/dist/wire ./internal/dist/worker . ; \
+	done
 
 # The fault-injection sweep: the seeded kill/rejoin/resume soak over the
 # chaos-proxied fleet, race-checked. The seed is fixed in the test, so a

@@ -140,31 +140,19 @@
 // bitwise, in fewer remaining rounds (DistStats.ResumedFromRound +
 // SiteRankRounds equals the uninterrupted total).
 //
-// Serving admission is keyed by tenant: EngineOptions.MaxInFlight caps
-// concurrent queries engine-wide and TenantQuota caps each
-// Query.Tenant's share inside that cap (the tenant slot is taken
-// first, so one flooding tenant exhausts its own quota, never the
-// engine). Over-cap queries queue under ctx, or fail fast with
-// ErrOverloaded when RejectOverload is set — errors.As to
-// *OverloadError for the tenant and which gate refused. The empty
-// Tenant is the shared anonymous tenant; tenancy is an admission
-// identity only and never changes a query's answer (it is excluded
-// from the coalescing fingerprint). Coalesce folds concurrent
-// identical queries into one computation, each caller receiving its
-// own copy, and CoalesceTol widens the match to similar queries:
-// personalization vectors within CoalesceTol of each other in
-// normalized L1 may share one flight (scalar fields still match
-// bitwise; 0 keeps exact matching). EngineOptions.TopKIndex
-// (LocalEngine only) maintains per-site posting lists across Updates
-// so default-config top-k queries — uniform or site-personalized —
-// are answered from the index bit-identically to a full re-rank,
-// re-solving only the small site layer. ServingStats() on either
-// engine reports admissions, overloads per tenant, coalesced shares
-// and index serves. DistConfig carries the admission and coalescing
-// knobs for DistEngine.
+// Serving: both engines answer through one serving front — validate,
+// admit (Query.Tenant's quota, then the engine-wide cap; *OverloadError
+// names the gate that refused), coalesce (identical queries, or similar
+// ones within CoalesceTol), solve, hand off — and differ only in who
+// solves the local DocRanks. docs/ARCHITECTURE.md, "The Engine layer",
+// describes it once, step by step; the knobs are documented on
+// EngineOptions (DistConfig carries the same ones for DistEngine, all
+// but the LocalEngine-only TopKIndex) and ServingStats() on either
+// engine reports admissions, overloads per tenant, coalesced shares and
+// index serves. Tenancy is an admission identity only and never changes
+// a query's answer.
 //
 // The expert-path equivalents are lmm-level: Ranker.Rebuild(changed) /
 // Ranker.RebuildOn(clone, changed) for the structural half and
-// WebConfig.SiteStart/LocalStarts for the warm seeds;
-// UpdateLayeredDocRank remains the one-shot functional refresh.
+// WebConfig.SiteStart/LocalStarts for the warm seeds.
 package lmmrank

@@ -235,9 +235,11 @@ func (q Query) validate() error {
 }
 
 // teleportable reports whether v can serve as a teleport bias: every
-// entry finite and nonnegative, with positive total mass. Exact
-// normalization is not demanded — the solvers normalize — but an
-// all-zero vector has no distribution to normalize to.
+// entry finite and nonnegative, and the whole a probability distribution
+// to within 1e-6 — the solvers do not normalize (pagerank refuses what
+// fails IsDistribution(1e-6)), and a vector refused only there would
+// already have been admitted and, at CoalesceTol > 0, could lead a
+// flight of well-formed proportional queries and fail them all.
 func teleportable(v Vector) error {
 	var mass float64
 	for i, x := range v {
@@ -249,8 +251,8 @@ func teleportable(v Vector) error {
 		}
 		mass += x
 	}
-	if mass == 0 {
-		return errors.New("has no mass to normalize")
+	if math.Abs(mass-1) > 1e-6 {
+		return fmt.Errorf("sums to %g, not 1", mass)
 	}
 	return nil
 }
@@ -268,35 +270,18 @@ func (q Query) webConfig(ctx context.Context, parallelism int) lmm.WebConfig {
 	}
 }
 
-// engineSnapshot is one immutable serving state of a LocalEngine: a
-// graph, the Ranker built for exactly that graph, the pooled
-// scratch-private clones, the warm-start seeds solved on that graph,
-// and the in-flight table coalescing identical queries against it.
-// Everything a query touches lives here, so a query that loaded a
-// snapshot is completely insulated from any later Update.
-type engineSnapshot struct {
-	dg         *DocGraph
+// localState is what a LocalEngine snapshot holds beside the graph: the
+// Ranker built for exactly that graph, the pooled scratch-private clones,
+// the warm-start seeds solved on that graph and — with
+// EngineOptions.TopKIndex — the maintained top-k index over seedLocals,
+// immutable like everything else here and sharing clean sites' posting
+// lists with the previous snapshot.
+type localState struct {
 	base       *lmm.Ranker
 	pool       *sync.Pool
 	seedSite   Vector
 	seedLocals []Vector
-	flights    *flightGroup
-	// topk is the maintained top-k index over seedLocals (nil unless
-	// EngineOptions.TopKIndex): immutable like everything else here, and
-	// sharing clean sites' posting lists with the previous snapshot.
-	topk *topkIndex
-}
-
-func newEngineSnapshot(dg *DocGraph, rk *lmm.Ranker, seedSite Vector, seedLocals []Vector, topk *topkIndex) *engineSnapshot {
-	return &engineSnapshot{
-		dg:         dg,
-		base:       rk,
-		pool:       newRankerPool(rk),
-		seedSite:   seedSite,
-		seedLocals: seedLocals,
-		flights:    newFlightGroup(),
-		topk:       topk,
-	}
+	topk       *topkIndex
 }
 
 // LocalEngine serves queries from one process: an lmm.Ranker core
@@ -316,36 +301,21 @@ func newEngineSnapshot(dg *DocGraph, rk *lmm.Ranker, seedSite Vector, seedLocals
 // to an uncontended run. MaxInFlight/RejectOverload add an admission
 // cap in front and Coalesce folds concurrent identical queries into one
 // computation (see EngineOptions).
+//
+// Update publishes a warm snapshot: only the changed sites' SiteGraph
+// rows, matrices and solvers are rebuilt, and a refresh solve — itself
+// warm-started from the previous update's solution — becomes the seed
+// every subsequent query's power iterations start from. Rankings served
+// after Update agree with a cold rebuild to solver tolerance (pinned
+// < 1e-9 in the tests) while doing measurably less iteration and
+// allocation work.
 type LocalEngine struct {
+	server[*localState]
 	parallelism int
-	admit       *admitGate
-	coalesce    bool
-	coalesceTol float64
 	topkIndex   bool
-	stats       servingCounters
-
-	// snap is the serving state; Rank loads it once and never looks
-	// back. Only Update stores it.
-	snap atomic.Pointer[engineSnapshot]
-
-	// updateMu serializes Updates against each other (queries don't
-	// take it). dirty accumulates changed sites across failed Updates:
-	// on the nil-Apply path the graph mutates before the rebuild can
-	// fail, so the sites stay recorded and the next successful Update
-	// rebuilds them too — otherwise a later Update listing only its own
-	// sites would bless the earlier edit's stale subgraphs.
-	updateMu sync.Mutex
-	dirty    map[SiteID]bool
 }
 
 var _ Engine = (*LocalEngine)(nil)
-
-// newRankerPool wraps a prepared Ranker in a pool of scratch-private
-// Share() clones — the pool lives inside one snapshot, so stale scratch
-// can never serve a rebuilt core.
-func newRankerPool(base *lmm.Ranker) *sync.Pool {
-	return &sync.Pool{New: func() any { return base.Share() }}
-}
 
 // NewLocalEngine validates dg and precomputes the serving structure:
 // the SiteGraph and every site's transition matrix and PageRank chain,
@@ -362,138 +332,77 @@ func NewLocalEngine(dg *DocGraph, opts EngineOptions) (*LocalEngine, error) {
 		return nil, err
 	}
 	rk.Prepare()
-	e := &LocalEngine{
-		parallelism: opts.Parallelism,
-		admit:       newAdmitGate(opts.MaxInFlight, opts.TenantQuota, opts.RejectOverload),
-		coalesce:    opts.Coalesce,
-		coalesceTol: opts.CoalesceTol,
-		topkIndex:   opts.TopKIndex,
-		dirty:       make(map[SiteID]bool),
-	}
-	snap := newEngineSnapshot(dg, rk, nil, nil, nil)
+	e := &LocalEngine{parallelism: opts.Parallelism, topkIndex: opts.TopKIndex}
+	state := &localState{base: rk, pool: newRankerPool(rk)}
 	if opts.TopKIndex {
 		// The maintained index needs a warm solution to index, so a
 		// TopKIndex engine front-loads the first solve to construction
 		// time (a plain engine defers it to the first query/Update).
-		wr, err := rk.Share().RankRefresh(nil, lmm.WebConfig{Parallelism: opts.Parallelism})
-		if err != nil {
+		if state, err = e.refresh(context.TODO(), rk, dg, state, nil); err != nil {
 			return nil, err
 		}
-		seedLocals := cloneVectors(wr.LocalRanks)
-		snap = newEngineSnapshot(dg, rk, wr.SiteRank.Clone(), seedLocals, newTopkIndex(dg, seedLocals))
 	}
-	snap.flights.shared = &e.stats.coalesced
-	e.snap.Store(snap)
+	e.serve(e, newAdmitGate(opts.MaxInFlight, opts.TenantQuota, opts.RejectOverload), opts.Coalesce, opts.CoalesceTol, dg, state)
 	return e, nil
 }
 
-// unionSites returns dirty ∪ changed as a slice without mutating dirty —
-// the changed list a rebuild must honor so sites from earlier failed
-// Updates are not forgotten, computed non-destructively so a rebuild
-// that then fails leaves the pending set exactly as it was.
-func unionSites(dirty map[SiteID]bool, changed []SiteID) []SiteID {
-	out := make([]SiteID, 0, len(dirty)+len(changed))
-	for s := range dirty {
-		out = append(out, s)
-	}
-	for _, s := range changed {
-		if !dirty[s] {
-			out = append(out, s)
-		}
-	}
-	return out
+// newRankerPool wraps a prepared Ranker in a pool of scratch-private
+// Share() clones — the pool lives inside one snapshot, so stale scratch
+// can never serve a rebuilt core.
+func newRankerPool(base *lmm.Ranker) *sync.Pool {
+	return &sync.Pool{New: func() any { return base.Share() }}
 }
 
-// Update applies one batch of graph churn and publishes a warm serving
-// snapshot: delta.Apply (if any) runs against a copy-on-write clone of
-// the served graph, only the changed sites' SiteGraph rows, matrices and
-// solvers are rebuilt, and a refresh solve — itself warm-started from the
-// previous update's solution — becomes the seed every subsequent
-// query's power iterations start from. Rankings served after Update
-// agree with a cold rebuild to solver tolerance (pinned < 1e-9 in the
-// tests) while doing measurably less iteration and allocation work.
-// In-flight queries are never drained: they complete on the snapshot
-// they started on while the rebuild proceeds beside them.
-//
-// On the Apply path an error leaves the engine exactly as before — the
-// clone is discarded, nothing was mutated, a failed Update is a no-op.
-// On the nil-Apply path the caller mutated the serving graph before
-// calling, so a failure leaves queries failing with ErrGraphMutated
-// until a successful Update; the delta's sites stay recorded either
-// way on that path, so a later Update rebuilds them too.
-func (e *LocalEngine) Update(ctx context.Context, delta GraphDelta) error {
-	e.updateMu.Lock()
-	defer e.updateMu.Unlock()
-	cur := e.snap.Load()
-	if delta.Apply == nil {
-		// The serving graph is already mutated: record the sites before
-		// anything fallible (even the ctx check) can return.
-		for _, s := range delta.ChangedSites {
-			e.dirty[s] = true
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return e.rebuildAndPublish(ctx, cur, cur.dg, unionSites(e.dirty, nil))
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	work := cur.dg.CloneCOW()
-	if err := delta.Apply(work); err != nil {
-		// The clone dies here; the serving graph never changed and the
-		// delta's sites are not recorded — nothing needs rebuilding.
-		return fmt.Errorf("lmmrank: update apply: %w", err)
-	}
-	return e.rebuildAndPublish(ctx, cur, work, unionSites(e.dirty, delta.ChangedSites))
-}
-
-// rebuildAndPublish builds the next snapshot over dg (the old graph on
-// the nil-Apply path, a mutated COW clone otherwise) and publishes it.
-// The pending-dirty set clears only on success.
-func (e *LocalEngine) rebuildAndPublish(ctx context.Context, cur *engineSnapshot, dg *DocGraph, changed []SiteID) error {
-	next, err := cur.base.RebuildOn(dg, changed)
+// rebuild is the local backend's half of Update: the changed sites'
+// structure, then the refresh solve.
+func (e *LocalEngine) rebuild(ctx context.Context, cur *snapshot[*localState], dg *DocGraph, changed []SiteID) (*localState, error) {
+	next, err := cur.state.base.RebuildOn(dg, changed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	next.Prepare()
-	// The refresh solve: default query parameters, warm-started from the
-	// previous seeds where the shapes survived (changed sites whose
-	// roster grew start cold automatically — seeds are shape-checked
-	// hints). Its solution is cloned into the new snapshot's seeds. A
-	// TopKIndex engine refreshes instead of re-solving: clean sites keep
-	// their previous local solutions bit-for-bit (a warm re-polish would
-	// drift them by an ulp), which is exactly what makes patching only
-	// the changed sites' posting lists sound.
+	return e.refresh(ctx, next, dg, cur.state, changed)
+}
+
+// refresh solves rk at the default query parameters, warm-started from
+// prev's seeds where the shapes survived (changed sites whose roster grew
+// start cold automatically — seeds are shape-checked hints), and returns
+// the state to publish: the solution cloned into the next seeds. A
+// TopKIndex engine refreshes instead of re-solving: clean sites keep
+// their previous local solutions bit-for-bit (a warm re-polish would
+// drift them by an ulp), which is exactly what makes patching only the
+// changed sites' posting lists sound.
+func (e *LocalEngine) refresh(ctx context.Context, rk *lmm.Ranker, dg *DocGraph, prev *localState, changed []SiteID) (*localState, error) {
 	cfg := lmm.WebConfig{
 		Parallelism: e.parallelism,
-		SiteStart:   cur.seedSite,
-		LocalStarts: cur.seedLocals,
+		SiteStart:   prev.seedSite,
+		LocalStarts: prev.seedLocals,
 		Ctx:         ctx,
 	}
 	var wr *lmm.WebResult
+	var err error
 	if e.topkIndex {
-		wr, err = next.Share().RankRefresh(changed, cfg)
+		wr, err = rk.Share().RankRefresh(changed, cfg)
 	} else {
-		wr, err = next.Share().Rank(cfg)
+		wr, err = rk.Share().Rank(cfg)
 	}
 	if err != nil {
-		return normalizeCtxErr(ctx, err)
+		return nil, normalizeCtxErr(ctx, err)
 	}
-	seedLocals := cloneVectors(wr.LocalRanks)
-	var topk *topkIndex
+	state := &localState{
+		base:       rk,
+		pool:       newRankerPool(rk),
+		seedSite:   wr.SiteRank.Clone(),
+		seedLocals: cloneVectors(wr.LocalRanks),
+	}
 	if e.topkIndex {
 		changedSet := make(map[SiteID]bool, len(changed))
 		for _, s := range changed {
 			changedSet[s] = true
 		}
-		topk = cur.topk.patch(dg, seedLocals, changedSet)
+		state.topk = prev.topk.patch(dg, state.seedLocals, changedSet)
 	}
-	snap := newEngineSnapshot(dg, next, wr.SiteRank.Clone(), seedLocals, topk)
-	snap.flights.shared = &e.stats.coalesced
-	e.snap.Store(snap)
-	clear(e.dirty)
-	return nil
+	return state, nil
 }
 
 // Rank answers one query. Safe for concurrent use; the result is
@@ -502,32 +411,7 @@ func (e *LocalEngine) rebuildAndPublish(ctx context.Context, cur *engineSnapshot
 // or failing with ErrOverloaded per RejectOverload); with Coalesce set
 // it may share one computation with concurrent identical queries.
 func (e *LocalEngine) Rank(ctx context.Context, q Query) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := q.validate(); err != nil {
-		return nil, err
-	}
-	if err := e.admit.acquire(ctx, q.Tenant); err != nil {
-		if errors.Is(err, ErrOverloaded) {
-			e.stats.overload(q.Tenant)
-		}
-		return nil, err
-	}
-	defer e.admit.release(q.Tenant)
-	e.stats.ranks.Add(1)
-	// One load pins the whole serving state: graph, core, pool, seeds.
-	// An Update publishing mid-query swaps the pointer for *later*
-	// queries; this one finishes on the snapshot it started on.
-	snap := e.snap.Load()
-	if e.coalesce {
-		if key, ok := q.fingerprint(e.coalesceTol); ok {
-			return snap.flights.do(ctx, key, func() (*Result, error) {
-				return e.rankSnap(ctx, snap, q)
-			})
-		}
-	}
-	return e.rankSnap(ctx, snap, q)
+	return e.rank(ctx, q)
 }
 
 // indexEligible reports whether q can serve from the snapshot's
@@ -539,8 +423,8 @@ func (e *LocalEngine) Rank(ctx context.Context, q Query) (*Result, error) {
 // Theorem composes DocRank as siteWeight·localRank, so the posting
 // lists are valid under any site weighting and only the small site
 // layer needs solving.
-func (snap *engineSnapshot) indexEligible(q Query) bool {
-	return snap.topk != nil && q.TopK > 0 && !q.ThreeLayer &&
+func (st *localState) indexEligible(q Query) bool {
+	return st.topk != nil && q.TopK > 0 && !q.ThreeLayer &&
 		q.DocPersonalization == nil && !q.WantLocalRanks &&
 		q.Damping == 0 && q.Tol == 0 && q.MaxIter == 0
 }
@@ -549,25 +433,22 @@ func (snap *engineSnapshot) indexEligible(q Query) bool {
 // index: the served DocRank is the warm solution composed under the
 // query's site weights, and the Top table is a threshold merge over the
 // per-site posting lists — bit-identical to fully sorting that DocRank,
-// without touching the other N−k documents. ok=false means the query
-// was not eligible and must take the full solve path.
-func (e *LocalEngine) rankFromIndex(ctx context.Context, snap *engineSnapshot, q Query) (res *Result, ok bool, err error) {
-	if !snap.indexEligible(q) {
-		return nil, false, nil
-	}
-	weights := snap.seedSite
+// without touching the other N−k documents.
+func (e *LocalEngine) rankFromIndex(ctx context.Context, snap *snapshot[*localState], q Query) (*Result, error) {
+	st := snap.state
+	weights := st.seedSite
 	siteIters := 0
 	if q.SitePersonalization != nil {
 		// Only the site layer depends on the personalization; re-solve
 		// it (warm-started from the snapshot's πS) and keep the warm
 		// document layers.
-		rk := snap.pool.Get().(*lmm.Ranker)
-		defer snap.pool.Put(rk)
+		rk := st.pool.Get().(*lmm.Ranker)
+		defer st.pool.Put(rk)
 		cfg := q.webConfig(ctx, e.parallelism)
-		cfg.SiteStart = snap.seedSite
-		sr, iters, serr := rk.RankSites(cfg)
-		if serr != nil {
-			return nil, true, normalizeCtxErr(ctx, serr)
+		cfg.SiteStart = st.seedSite
+		sr, iters, err := rk.RankSites(cfg)
+		if err != nil {
+			return nil, normalizeCtxErr(ctx, err)
 		}
 		// sr aliases the pooled Ranker's scratch; privatize before the
 		// deferred Put can hand that scratch to another query.
@@ -576,21 +457,23 @@ func (e *LocalEngine) rankFromIndex(ctx context.Context, snap *engineSnapshot, q
 	}
 	e.stats.topkIndex.Add(1)
 	return &Result{
-		DocRank:         lmm.ComposeDocRank(snap.dg, weights, snap.seedLocals),
+		DocRank:         lmm.ComposeDocRank(snap.dg, weights, st.seedLocals),
 		SiteRank:        weights.Clone(),
 		SiteIterations:  siteIters,
 		LocalIterations: make([]int, len(snap.dg.Sites)),
-		Top:             snap.topk.top(snap.dg, weights, q.TopK),
-	}, true, nil
+		Top:             st.topk.top(snap.dg, weights, q.TopK),
+	}, nil
 }
 
-// rankSnap runs one query against a pinned snapshot.
-func (e *LocalEngine) rankSnap(ctx context.Context, snap *engineSnapshot, q Query) (*Result, error) {
-	if res, ok, err := e.rankFromIndex(ctx, snap, q); ok {
-		return res, err
+// solve is the local backend's half of Rank: from the index when the
+// query is eligible, a pooled Ranker's query phase otherwise.
+func (e *LocalEngine) solve(ctx context.Context, snap *snapshot[*localState], q Query) (*Result, error) {
+	st := snap.state
+	if st.indexEligible(q) {
+		return e.rankFromIndex(ctx, snap, q)
 	}
-	rk := snap.pool.Get().(*lmm.Ranker)
-	defer snap.pool.Put(rk)
+	rk := st.pool.Get().(*lmm.Ranker)
+	defer st.pool.Put(rk)
 	cfg := q.webConfig(ctx, e.parallelism)
 	// Post-churn queries start their power iterations from the last
 	// update's solution instead of uniform (nil seeds before the first
@@ -600,9 +483,9 @@ func (e *LocalEngine) rankSnap(ctx context.Context, snap *engineSnapshot, q Quer
 	// wrong-distribution seed, not a warm start. The local seeds apply
 	// to both models — the document layer is identical in both.
 	if !q.ThreeLayer {
-		cfg.SiteStart = snap.seedSite
+		cfg.SiteStart = st.seedSite
 	}
-	cfg.LocalStarts = snap.seedLocals
+	cfg.LocalStarts = st.seedLocals
 
 	var res *Result
 	if q.ThreeLayer {
@@ -639,22 +522,8 @@ func (e *LocalEngine) rankSnap(ctx context.Context, snap *engineSnapshot, q Quer
 			res.LocalRanks = cloneVectors(wr.LocalRanks)
 		}
 	}
-	if q.TopK > 0 {
-		res.Top = TopDocs(snap.dg, res.DocRank, q.TopK)
-	}
 	return res, nil
 }
-
-// DocGraph returns the graph this engine currently serves. Apply-path
-// Updates evolve the graph through copy-on-write clones, so the
-// returned pointer changes across Updates — re-fetch after updating
-// rather than caching the construction-time pointer.
-func (e *LocalEngine) DocGraph() *DocGraph { return e.snap.Load().dg }
-
-// ServingStats returns a point-in-time copy of the engine's cumulative
-// serving counters: admitted queries, admission rejections (total and
-// per tenant), coalesced shares and top-k index serves.
-func (e *LocalEngine) ServingStats() ServingStats { return e.stats.snapshot() }
 
 // cloneVectors deep-copies a slice of score vectors.
 func cloneVectors(vs []Vector) []Vector {
@@ -683,15 +552,13 @@ func normalizeCtxErr(ctx context.Context, err error) error {
 	return err
 }
 
-// distSnapshot is one immutable serving state of a DistEngine: the
-// graph, the structural Ranker built for exactly that graph, the
-// in-flight table coalescing identical queries against it, and — when a
-// partition strategy is configured — the pinned site→shard assignment
-// every query under this snapshot serves with, plus the cut fraction
-// measured when that assignment was last (re)computed. baseCut is the
-// drift baseline: Update compares the carried assignment's cut against
-// it to decide whether churn has degraded the placement enough to
-// repartition online.
+// distState is what a DistEngine snapshot holds beside the graph: the
+// structural Ranker built for exactly that graph and — when a partition
+// strategy is configured — the pinned site→shard assignment every query
+// under this snapshot serves with, plus the cut fraction measured when
+// that assignment was last (re)computed. baseCut is the drift baseline:
+// Update compares the carried assignment's cut against it to decide
+// whether churn has degraded the placement enough to repartition online.
 //
 // warm is the one part that is learned rather than built: what the
 // snapshot knows of its own default-parameter answer. Each distWarm is
@@ -699,17 +566,15 @@ func normalizeCtxErr(ctx context.Context, err error) error {
 // publishes a successor by compare-and-swap and a loser of that race
 // drops what it learned, so every stage is recorded once and, from then
 // on, default-parameter answers on this snapshot are bit-identical.
-type distSnapshot struct {
-	dg      *DocGraph
+type distState struct {
 	rk      *lmm.Ranker
-	flights *flightGroup
 	asg     partition.Assignment
 	baseCut float64
 	warm    atomic.Pointer[distWarm]
 }
 
 // distWarm is the document layer the Layered Method says stays put, and
-// the last site layer — what engineSnapshot's seedLocals/seedSite are to
+// the last site layer — what localState's seedLocals/seedSite are to
 // LocalEngine — in the form the coordinator takes them. A new engine's
 // is empty. Update builds a snapshot's first one from its predecessor's:
 // clean sites' Locals by pointer, changed sites' nil, the old πS as
@@ -745,15 +610,20 @@ type distWarm struct {
 // site layer from that πS — re-solving and re-hauling only the
 // N_S-sized layer the query can change. Update carries clean sites'
 // vectors into the next snapshot verbatim and the old πS as a seed.
+//
+// Update rebuilds the Ranker incrementally (clean sites keep their
+// precomputed structure) and migrates the coordinator's digest memo, so
+// the next Rank re-hashes only the changed shards — which, through the
+// workers' digest caches, then re-ships only the changed shards, and
+// asks the fleet for only the changed sites' local DocRanks: a 1-site
+// edit on an N-site web moves ~1/N of a cold load's bytes
+// (Result.Dist.ShardsReused / ShardsReshipped / LocalRanksReused account
+// for it per run). A failed Apply re-ships nothing; the wire never
+// carries stale shards.
 type DistEngine struct {
+	server[*distState]
 	coord        *coordinator.Coordinator
 	cfg          coordinator.Config
-	admit        *admitGate
-	coalesce     bool
-	stats        servingCounters
-	snap         atomic.Pointer[distSnapshot]
-	updateMu     sync.Mutex
-	dirty        map[SiteID]bool
 	repartitions atomic.Int64
 }
 
@@ -777,78 +647,35 @@ func NewDistEngine(cl *Cluster, dg *DocGraph, cfg DistConfig) (*DistEngine, erro
 	if err != nil {
 		return nil, err
 	}
-	e := &DistEngine{
-		coord:    cl.Coord,
-		cfg:      cfg,
-		admit:    newAdmitGate(cfg.MaxInFlight, cfg.TenantQuota, cfg.RejectOverload),
-		coalesce: cfg.Coalesce,
-		dirty:    make(map[SiteID]bool),
-	}
-	snap := &distSnapshot{dg: dg, rk: rk, flights: newFlightGroup()}
-	snap.flights.shared = &e.stats.coalesced
-	snap.warm.Store(&distWarm{})
+	e := &DistEngine{coord: cl.Coord, cfg: cfg}
+	state := &distState{rk: rk}
+	state.warm.Store(&distWarm{})
 	// With a partition strategy configured the engine pins the
 	// assignment per snapshot: every query serves under the same
 	// placement (stable digest caches) and Update measures cut-edge
 	// drift against the baseline recorded here.
 	if cfg.Partition != nil {
-		snap.asg = cfg.Partition.Partition(dg, cl.Coord.NumWorkers())
-		snap.baseCut = partition.CutFraction(rk.SiteGraph(), snap.asg.Owner)
+		state.asg = cfg.Partition.Partition(dg, cl.Coord.NumWorkers())
+		state.baseCut = partition.CutFraction(rk.SiteGraph(), state.asg.Owner)
 	}
-	e.snap.Store(snap)
+	e.serve(e, newAdmitGate(cfg.MaxInFlight, cfg.TenantQuota, cfg.RejectOverload), cfg.Coalesce, cfg.CoalesceTol, dg, state)
 	return e, nil
 }
 
-// Update applies one batch of graph churn to the distributed engine:
-// delta.Apply (if any) runs against a copy-on-write clone, the Ranker
-// is rebuilt incrementally (clean sites keep their precomputed
-// structure), and the coordinator's digest memo is migrated so the next
-// Rank re-hashes only the changed shards — which, through the workers'
-// digest caches, then re-ships only the changed shards, and asks the
-// fleet for only the changed sites' local DocRanks: a 1-site edit on an
-// N-site web moves ~1/N of a cold load's bytes (Result.Dist.ShardsReused
-// / ShardsReshipped / LocalRanksReused account for it per run).
-//
-// Failure semantics match LocalEngine.Update: an Apply-path error is a
-// no-op (the clone is discarded, nothing re-ships, nothing is marked
-// dirty); a nil-Apply failure records the sites and queries fail with
-// ErrGraphMutated until a successful Update — the wire never carries
-// stale shards.
-func (e *DistEngine) Update(ctx context.Context, delta GraphDelta) error {
-	e.updateMu.Lock()
-	defer e.updateMu.Unlock()
-	cur := e.snap.Load()
-	if delta.Apply == nil {
-		for _, s := range delta.ChangedSites {
-			e.dirty[s] = true
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return e.rebuildAndPublish(cur, cur.dg, unionSites(e.dirty, nil))
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	work := cur.dg.CloneCOW()
-	if err := delta.Apply(work); err != nil {
-		return fmt.Errorf("lmmrank: update apply: %w", err)
-	}
-	return e.rebuildAndPublish(cur, work, unionSites(e.dirty, delta.ChangedSites))
-}
-
-func (e *DistEngine) rebuildAndPublish(cur *distSnapshot, dg *DocGraph, changed []SiteID) error {
-	next, err := cur.rk.RebuildOn(dg, changed)
+// rebuild is the distributed backend's half of Update: the changed
+// sites' structure, the coordinator's digest memo re-keyed to it, and
+// the warm state and placement carried across.
+func (e *DistEngine) rebuild(_ context.Context, cur *snapshot[*distState], dg *DocGraph, changed []SiteID) (*distState, error) {
+	next, err := cur.state.rk.RebuildOn(dg, changed)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	e.coord.RefreshPrepared(cur.rk, next, changed)
-	snap := &distSnapshot{dg: dg, rk: next, flights: newFlightGroup()}
-	snap.flights.shared = &e.stats.coalesced
+	e.coord.RefreshPrepared(cur.state.rk, next, changed)
+	state := &distState{rk: next}
 	// A local DocRank depends on its own site's subgraph only, so a clean
 	// site's carries verbatim and the next Rank asks the fleet for exactly
 	// the changed ones (and any site appended since).
-	prev := cur.warm.Load()
+	prev := cur.state.warm.Load()
 	locals := make([]Vector, dg.NumSites())
 	copy(locals, prev.Locals)
 	for _, s := range changed {
@@ -856,13 +683,11 @@ func (e *DistEngine) rebuildAndPublish(cur *distSnapshot, dg *DocGraph, changed 
 			locals[s] = nil
 		}
 	}
-	snap.warm.Store(&distWarm{Warm: coordinator.Warm{SiteStart: prev.SiteStart, Locals: locals}})
-	if len(cur.asg.Owner) > 0 {
-		snap.asg, snap.baseCut = e.carryAssignment(cur, dg, next, changed)
+	state.warm.Store(&distWarm{Warm: coordinator.Warm{SiteStart: prev.SiteStart, Locals: locals}})
+	if len(cur.state.asg.Owner) > 0 {
+		state.asg, state.baseCut = e.carryAssignment(cur.state, dg, next, changed)
 	}
-	e.snap.Store(snap)
-	clear(e.dirty)
-	return nil
+	return state, nil
 }
 
 // carryAssignment decides the next snapshot's placement after churn.
@@ -875,7 +700,7 @@ func (e *DistEngine) rebuildAndPublish(cur *distSnapshot, dg *DocGraph, changed 
 // memo, so the next Rank's KindOffer negotiation re-ships only shards
 // whose new owner has never cached their content — a clean shard moving
 // to a warm worker costs one digest exchange, not a payload.
-func (e *DistEngine) carryAssignment(cur *distSnapshot, dg *DocGraph, rk *lmm.Ranker, changed []SiteID) (partition.Assignment, float64) {
+func (e *DistEngine) carryAssignment(cur *distState, dg *DocGraph, rk *lmm.Ranker, changed []SiteID) (partition.Assignment, float64) {
 	ext := partition.Extend(dg, cur.asg)
 	frac := partition.CutFraction(rk.SiteGraph(), ext.Owner)
 	thr := e.cfg.RepartitionThreshold
@@ -896,11 +721,11 @@ func (e *DistEngine) Repartitions() int { return int(e.repartitions.Load()) }
 // current snapshot serves under, or nil when no Partition strategy was
 // configured (the coordinator then places per run with its default).
 func (e *DistEngine) PartitionOwners() []int {
-	snap := e.snap.Load()
-	if len(snap.asg.Owner) == 0 {
+	asg := e.snap.Load().state.asg
+	if len(asg.Owner) == 0 {
 		return nil
 	}
-	return append([]int(nil), snap.asg.Owner...)
+	return append([]int(nil), asg.Owner...)
 }
 
 // Rank answers one query against the fleet. The context's deadline
@@ -908,36 +733,16 @@ func (e *DistEngine) PartitionOwners() []int {
 // in-flight round, returning ctx.Err(). Admission and coalescing
 // follow the cfg knobs (see NewDistEngine).
 func (e *DistEngine) Rank(ctx context.Context, q Query) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := q.validate(); err != nil {
-		return nil, err
-	}
 	if q.DocPersonalization != nil {
 		return nil, fmt.Errorf("%w: document-layer personalization is not part of the distributed wire protocol; use LocalEngine", ErrUnsupportedQuery)
 	}
-	if err := e.admit.acquire(ctx, q.Tenant); err != nil {
-		if errors.Is(err, ErrOverloaded) {
-			e.stats.overload(q.Tenant)
-		}
-		return nil, err
-	}
-	defer e.admit.release(q.Tenant)
-	e.stats.ranks.Add(1)
-	snap := e.snap.Load()
-	if e.coalesce {
-		if key, ok := q.fingerprint(e.cfg.CoalesceTol); ok {
-			return snap.flights.do(ctx, key, func() (*Result, error) {
-				return e.rankSnap(ctx, snap, q)
-			})
-		}
-	}
-	return e.rankSnap(ctx, snap, q)
+	return e.rank(ctx, q)
 }
 
-// rankSnap runs one distributed query against a pinned snapshot.
-func (e *DistEngine) rankSnap(ctx context.Context, snap *distSnapshot, q Query) (*Result, error) {
+// solve is the distributed backend's half of Rank: one coordinator run
+// against the pinned snapshot.
+func (e *DistEngine) solve(ctx context.Context, snap *snapshot[*distState], q Query) (*Result, error) {
+	st := snap.state
 	cfg := e.cfg
 	cfg.Damping = q.Damping
 	cfg.Tol = q.Tol
@@ -945,10 +750,10 @@ func (e *DistEngine) rankSnap(ctx context.Context, snap *distSnapshot, q Query) 
 	cfg.SitePersonalization = q.SitePersonalization
 	cfg.ThreeLayer = q.ThreeLayer
 	cfg.DomainOf = q.DomainOf
-	if len(snap.asg.Owner) > 0 {
+	if len(st.asg.Owner) > 0 {
 		// Serve under the snapshot's pinned placement (falls back to the
 		// strategy inside the coordinator if the live fleet shrank).
-		cfg.Assignment = snap.asg.Owner
+		cfg.Assignment = st.asg.Owner
 	}
 	// The snapshot's warm state was solved at the default parameters; a
 	// query with its own neither reads nor writes it (as indexEligible).
@@ -958,14 +763,14 @@ func (e *DistEngine) rankSnap(ctx context.Context, snap *distSnapshot, q Query) 
 	defaults := q.Damping == 0 && q.Tol == 0 && q.MaxIter == 0
 	warm := &distWarm{}
 	if defaults {
-		warm = snap.warm.Load()
+		warm = st.warm.Load()
 	}
-	dres, err := e.coord.RankPreparedCtx(ctx, snap.rk, cfg, warm.Warm)
+	dres, err := e.coord.RankPreparedCtx(ctx, st.rk, cfg, warm.Warm)
 	if err != nil {
 		return nil, err
 	}
 	if defaults {
-		snap.learn(warm, dres, !q.ThreeLayer && q.SitePersonalization == nil)
+		st.learn(warm, dres, !q.ThreeLayer && q.SitePersonalization == nil)
 	}
 	stats := dres.Stats
 	res := &Result{
@@ -984,16 +789,13 @@ func (e *DistEngine) rankSnap(ctx context.Context, snap *distSnapshot, q Query) 
 	if q.WantLocalRanks {
 		res.LocalRanks = cloneVectors(dres.LocalRanks)
 	}
-	if q.TopK > 0 {
-		res.Top = TopDocs(snap.dg, res.DocRank, q.TopK)
-	}
 	return res, nil
 }
 
 // learn records what a default-parameter run found out beyond from, the
 // warm state it started on: every site's local DocRank, and — for a
 // uniform two-layer query — the πS it converged to on this graph.
-func (snap *distSnapshot) learn(from *distWarm, dres *coordinator.Result, uniform bool) {
+func (st *distState) learn(from *distWarm, dres *coordinator.Result, uniform bool) {
 	learnSite := uniform && !from.solved
 	if from.full && !learnSite {
 		return
@@ -1004,14 +806,5 @@ func (snap *distSnapshot) learn(from *distWarm, dres *coordinator.Result, unifor
 		// The caller owns dres.SiteRank; the snapshot keeps its own copy.
 		next.SiteStart, next.solved = dres.SiteRank.Clone(), true
 	}
-	snap.warm.CompareAndSwap(from, &next)
+	st.warm.CompareAndSwap(from, &next)
 }
-
-// DocGraph returns the graph this engine currently serves; as on
-// LocalEngine, the pointer changes across Apply-path Updates.
-func (e *DistEngine) DocGraph() *DocGraph { return e.snap.Load().dg }
-
-// ServingStats returns a point-in-time copy of the engine's cumulative
-// serving counters (TopKIndexServes stays 0 — the maintained index is a
-// LocalEngine feature).
-func (e *DistEngine) ServingStats() ServingStats { return e.stats.snapshot() }

@@ -2,14 +2,17 @@ package lmmrank
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 )
 
 // TestFingerprintQuantization is the unit pin of similarity keys:
 // at tol > 0, vectors within the grid share a key, far vectors do not,
-// proportional vectors always do (the solvers normalize), and Tenant
+// proportional vectors always do (the key normalizes), and Tenant
 // never enters the key; at tol = 0 only bit-identical vectors collide —
 // today's behavior, unchanged.
 func TestFingerprintQuantization(t *testing.T) {
@@ -211,5 +214,95 @@ func TestCoalesceTolZeroIsExact(t *testing.T) {
 	}
 	if !res.DocRank.IsDistribution(1e-8) {
 		t.Error("uncoalesced result is not a distribution")
+	}
+}
+
+// TestCoalesceTolUnnormalizedLeader: at CoalesceTol > 0 the fingerprint
+// L1-normalizes, so v and 2·v share a key — and the solvers refuse 2·v.
+// It has to be refused before it can lead a flight, or its failure is
+// shared with every well-formed query coalesced behind it. The snapshot's
+// Ranker pool is swapped for one that parks each solve until released, so
+// whichever query leads the flight is held in it while the other arrives.
+func TestCoalesceTolUnnormalizedLeader(t *testing.T) {
+	web := churnTestWeb()
+	ctx := context.Background()
+	const tol = 1e-3
+	v := make(Vector, web.Graph.NumSites())
+	for i := range v {
+		v[i] = 1 + float64(i%3)
+	}
+	normalize(v)
+	double := v.Clone()
+	for i := range double {
+		double[i] *= 2
+	}
+	valid, malformed := Query{SitePersonalization: v}, Query{SitePersonalization: double}
+	key, _ := valid.fingerprint(tol)
+	if k, _ := malformed.fingerprint(tol); k != key {
+		t.Fatal("v and 2·v do not share a fingerprint; the test pins nothing")
+	}
+
+	eng, err := NewLocalEngine(web.Graph, EngineOptions{Coalesce: true, CoalesceTol: tol})
+	if err != nil {
+		t.Fatalf("NewLocalEngine: %v", err)
+	}
+	snap := eng.snap.Load()
+	parked := make(chan struct{}, 2)
+	release := make(chan struct{})
+	base := snap.state.base
+	snap.state.pool = &sync.Pool{New: func() any {
+		parked <- struct{}{}
+		<-release
+		return base.Share()
+	}}
+
+	leaderGot := make(chan error, 1)
+	go func() {
+		_, err := eng.Rank(ctx, malformed)
+		leaderGot <- err
+	}()
+	select {
+	case err := <-leaderGot:
+		if !errors.Is(err, ErrUnsupportedQuery) {
+			t.Errorf("Rank(2·v) err = %v, want ErrUnsupportedQuery", err)
+		}
+	case <-parked:
+		// Admitted, and leading the flight the valid query is about to join.
+	}
+
+	type answer struct {
+		res *Result
+		err error
+	}
+	followerGot := make(chan answer, 1)
+	go func() {
+		res, err := eng.Rank(ctx, valid)
+		followerGot <- answer{res, err}
+	}()
+	// The valid query is in place once it has joined 2·v's flight or is
+	// parked leading its own.
+	deadline := time.Now().Add(5 * time.Second)
+	for inPlace := false; !inPlace; {
+		select {
+		case <-parked:
+			inPlace = true
+		default:
+			snap.flights.mu.Lock()
+			f := snap.flights.m[key]
+			snap.flights.mu.Unlock()
+			inPlace = f != nil && f.waiters.Load() > 0
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the valid query neither joined a flight nor reached its own solve")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(release)
+	got := <-followerGot
+	if got.err != nil {
+		t.Fatalf("valid query coalesced behind 2·v: %v", got.err)
+	}
+	if !got.res.DocRank.IsDistribution(1e-8) {
+		t.Error("the valid query's answer is not a distribution")
 	}
 }

@@ -144,7 +144,7 @@ func TestDistEngineUpdateAsksOnlyChangedSite(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cold Rank: %v", err)
 	}
-	before := eng.snap.Load().warm.Load()
+	before := eng.snap.Load().state.warm.Load()
 	if !before.full || !before.solved {
 		t.Fatalf("the first Rank recorded %+v, want a full, solved warm state", before)
 	}
@@ -157,7 +157,7 @@ func TestDistEngineUpdateAsksOnlyChangedSite(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Update: %v", err)
 	}
-	carried := eng.snap.Load().warm.Load()
+	carried := eng.snap.Load().state.warm.Load()
 	for s, v := range carried.Locals {
 		switch {
 		case SiteID(s) == site && v != nil:
@@ -260,13 +260,13 @@ func TestDistEngineNonDefaultTolBypassesWarm(t *testing.T) {
 	if _, err := eng.Rank(ctx, loose); err != nil {
 		t.Fatalf("loose Rank: %v", err)
 	}
-	if w := eng.snap.Load().warm.Load(); w.full || w.solved {
+	if w := eng.snap.Load().state.warm.Load(); w.full || w.solved {
 		t.Fatalf("a Tol=1e-4 query recorded warm state %+v", w)
 	}
 	if _, err := eng.Rank(ctx, Query{}); err != nil {
 		t.Fatalf("default Rank: %v", err)
 	}
-	recorded := eng.snap.Load().warm.Load()
+	recorded := eng.snap.Load().state.warm.Load()
 	if !recorded.full || !recorded.solved {
 		t.Fatalf("a default query recorded %+v, want a full, solved warm state", recorded)
 	}
@@ -277,7 +277,7 @@ func TestDistEngineNonDefaultTolBypassesWarm(t *testing.T) {
 	if res.Dist.LocalRanksReused != 0 {
 		t.Errorf("a Tol=1e-4 query reused %d default-tolerance local ranks, want 0", res.Dist.LocalRanksReused)
 	}
-	if eng.snap.Load().warm.Load() != recorded {
+	if eng.snap.Load().state.warm.Load() != recorded {
 		t.Error("a Tol=1e-4 query replaced the snapshot's warm state")
 	}
 }
@@ -314,7 +314,7 @@ func TestDistEnginePinnedRankKeepsOldWarmState(t *testing.T) {
 	if sameBits(after.DocRank, before.DocRank) {
 		t.Fatal("the edit did not change the ranking; the test pins nothing")
 	}
-	late, err := eng.rankSnap(ctx, pinned, Query{})
+	late, err := eng.solve(ctx, pinned, Query{})
 	if err != nil {
 		t.Fatalf("Rank pinned to the old snapshot: %v", err)
 	}

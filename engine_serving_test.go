@@ -462,11 +462,11 @@ func TestThreeLayerWarmMatchesCold(t *testing.T) {
 	}
 }
 
-// TestDistEngineFailedApplyNoReship is the distributed regression pin
-// for the dirty-before-Apply bug: an Update whose Apply mutates the
-// working clone and then fails must not poison the engine — a follow-up
-// no-op Update and query re-ship nothing and serve the original
-// ranking.
+// TestDistEngineFailedApplyNoReship: what is distributed about a failed
+// Apply being a no-op — nothing of the half-applied edit reaches the
+// wire. A follow-up empty Update rebuilds nothing and the next query
+// reuses every shard. (That the ranking is unmoved is
+// TestEngineUpdateApplyError, on both engines.)
 func TestDistEngineFailedApplyNoReship(t *testing.T) {
 	web := churnTestWeb()
 	dg := web.Graph
@@ -482,8 +482,7 @@ func TestDistEngineFailedApplyNoReship(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewDistEngine: %v", err)
 	}
-	cold, err := eng.Rank(ctx, Query{})
-	if err != nil {
+	if _, err := eng.Rank(ctx, Query{}); err != nil {
 		t.Fatalf("cold Rank: %v", err)
 	}
 
@@ -499,10 +498,9 @@ func TestDistEngineFailedApplyNoReship(t *testing.T) {
 		t.Fatalf("failing Update: err = %v, want boom", err)
 	}
 
-	// A clean empty Update now rebuilds nothing; the next query reuses
-	// every shard. Under the old merge-before-Apply engine, site 2 was
-	// already marked dirty (and the serving graph mutated), so this
-	// shipped the half-applied edit.
+	// Under the old merge-before-Apply engine, site 2 was already marked
+	// dirty (and the serving graph mutated), so this shipped the
+	// half-applied edit.
 	if err := eng.Update(ctx, GraphDelta{}); err != nil {
 		t.Fatalf("empty Update: %v", err)
 	}
@@ -513,9 +511,6 @@ func TestDistEngineFailedApplyNoReship(t *testing.T) {
 	if warm.Dist.ShardsReshipped != 0 || warm.Dist.ShardsReused != ns {
 		t.Errorf("reshipped %d / reused %d shards, want 0 / %d",
 			warm.Dist.ShardsReshipped, warm.Dist.ShardsReused, ns)
-	}
-	if d := warm.DocRank.L1Diff(cold.DocRank); d >= 1e-9 {
-		t.Errorf("‖post-failed-update − cold‖₁ = %g, want < 1e-9 (the failed edit leaked)", d)
 	}
 }
 

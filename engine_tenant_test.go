@@ -175,9 +175,10 @@ func TestTenantQuotaQueues(t *testing.T) {
 	}
 }
 
-// TestDistEngineTenantQuota wires the same keyed admission through
-// DistConfig: an over-quota call bounces at the tenant gate before ever
-// reaching the wire, and serving resumes once the quota frees.
+// TestDistEngineTenantQuota: what is distributed about keyed admission —
+// an over-quota call bounces at the tenant gate before ever reaching the
+// wire. (Which gate the error names is TestOverloadErrorGates, on both
+// engines.)
 func TestDistEngineTenantQuota(t *testing.T) {
 	web := churnTestWeb()
 	ctx := context.Background()
@@ -204,88 +205,68 @@ func TestDistEngineTenantQuota(t *testing.T) {
 	}()
 	<-started
 
-	_, err = eng.Rank(ctx, Query{Tenant: "t"})
-	var oe *OverloadError
-	if !errors.As(err, &oe) || !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("over-quota dist Rank err = %v, want an *OverloadError matching ErrOverloaded", err)
+	// The holder is parked inside its run, so the wire is silent but for
+	// what the rejected call would send.
+	before, _, _ := cl.Coord.Stats()
+	if _, err = eng.Rank(ctx, Query{Tenant: "t"}); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("over-quota dist Rank err = %v, want ErrOverloaded", err)
 	}
-	if oe.Tenant != "t" || !oe.PerTenant {
-		t.Errorf("OverloadError = %+v, want Tenant=t PerTenant=true", oe)
-	}
-	if got := eng.ServingStats().TenantOverloads["t"]; got != 1 {
-		t.Errorf("TenantOverloads[t] = %d, want 1", got)
+	if after, _, _ := cl.Coord.Stats(); after != before {
+		t.Errorf("the rejected call put %d messages on the wire", after-before)
 	}
 
 	close(release)
 	if err := <-holderGot; err != nil {
 		t.Fatalf("holder Rank: %v", err)
 	}
-	if _, err := eng.Rank(ctx, Query{Tenant: "t"}); err != nil {
-		t.Errorf("Rank after the quota freed: %v", err)
-	}
 }
 
-// TestOverloadErrorGates pins which gate an OverloadError names: the
-// engine-wide cap rejects with PerTenant=false, the tenant quota with
-// PerTenant=true, and both match ErrOverloaded under errors.Is.
+// TestOverloadErrorGates pins which gate an OverloadError names, on both
+// engines: the engine-wide cap rejects with PerTenant=false, the tenant
+// quota with PerTenant=true, both match ErrOverloaded under errors.Is and
+// are counted against the rejected tenant; serving resumes once the
+// holder's slot frees.
 func TestOverloadErrorGates(t *testing.T) {
-	web := churnTestWeb()
 	ctx := context.Background()
-
-	t.Run("engineWide", func(t *testing.T) {
-		eng, err := NewLocalEngine(web.Graph, EngineOptions{MaxInFlight: 1, RejectOverload: true})
-		if err != nil {
-			t.Fatalf("NewLocalEngine: %v", err)
-		}
-		started := make(chan struct{})
-		release := make(chan struct{})
-		holderGot := make(chan error, 1)
-		go func() {
-			_, err := eng.Rank(ctx, Query{Tenant: "a", ThreeLayer: true, DomainOf: blockingDomainOf(started, release)})
-			holderGot <- err
-		}()
-		<-started
-		_, err = eng.Rank(ctx, Query{Tenant: "b"})
-		var oe *OverloadError
-		if !errors.As(err, &oe) || !errors.Is(err, ErrOverloaded) {
-			t.Fatalf("over-cap err = %v, want an *OverloadError matching ErrOverloaded", err)
-		}
-		if oe.Tenant != "b" || oe.PerTenant {
-			t.Errorf("OverloadError = %+v, want Tenant=b PerTenant=false", oe)
-		}
-		if got := eng.ServingStats().TenantOverloads["b"]; got != 1 {
-			t.Errorf("TenantOverloads[b] = %d, want 1", got)
-		}
-		close(release)
-		if err := <-holderGot; err != nil {
-			t.Fatalf("holder: %v", err)
-		}
-	})
-
-	t.Run("tenantQuota", func(t *testing.T) {
-		eng, err := NewLocalEngine(web.Graph, EngineOptions{TenantQuota: 1, RejectOverload: true})
-		if err != nil {
-			t.Fatalf("NewLocalEngine: %v", err)
-		}
-		started := make(chan struct{})
-		release := make(chan struct{})
-		holderGot := make(chan error, 1)
-		go func() {
-			_, err := eng.Rank(ctx, Query{Tenant: "a", ThreeLayer: true, DomainOf: blockingDomainOf(started, release)})
-			holderGot <- err
-		}()
-		<-started
-		_, err = eng.Rank(ctx, Query{Tenant: "a"})
-		var oe *OverloadError
-		if !errors.As(err, &oe) {
-			t.Fatalf("over-quota err = %v, want *OverloadError", err)
-		}
-		if oe.Tenant != "a" || !oe.PerTenant {
-			t.Errorf("OverloadError = %+v, want Tenant=a PerTenant=true", oe)
-		}
-		close(release)
-		if err := <-holderGot; err != nil {
-			t.Fatalf("holder: %v", err)
-		}
-	})
+	gates := []struct {
+		name      string
+		opts      EngineOptions
+		rejected  string // the tenant calling while "a" holds the only slot
+		perTenant bool
+	}{
+		{"engineWide", EngineOptions{MaxInFlight: 1, RejectOverload: true}, "b", false},
+		{"tenantQuota", EngineOptions{TenantQuota: 1, RejectOverload: true}, "a", true},
+	}
+	for _, gate := range gates {
+		t.Run(gate.name, func(t *testing.T) {
+			bothEngines(t, gate.opts, func(t *testing.T, eng servedEngine) {
+				started := make(chan struct{})
+				release := make(chan struct{})
+				holderGot := make(chan error, 1)
+				go func() {
+					_, err := eng.Rank(ctx, Query{Tenant: "a", ThreeLayer: true, DomainOf: blockingDomainOf(started, release)})
+					holderGot <- err
+				}()
+				<-started
+				_, err := eng.Rank(ctx, Query{Tenant: gate.rejected})
+				var oe *OverloadError
+				if !errors.As(err, &oe) || !errors.Is(err, ErrOverloaded) {
+					t.Fatalf("rejected err = %v, want an *OverloadError matching ErrOverloaded", err)
+				}
+				if oe.Tenant != gate.rejected || oe.PerTenant != gate.perTenant {
+					t.Errorf("OverloadError = %+v, want Tenant=%s PerTenant=%v", oe, gate.rejected, gate.perTenant)
+				}
+				if got := eng.ServingStats().TenantOverloads[gate.rejected]; got != 1 {
+					t.Errorf("TenantOverloads[%s] = %d, want 1", gate.rejected, got)
+				}
+				close(release)
+				if err := <-holderGot; err != nil {
+					t.Fatalf("holder: %v", err)
+				}
+				if _, err := eng.Rank(ctx, Query{Tenant: gate.rejected}); err != nil {
+					t.Errorf("Rank after the slot freed: %v", err)
+				}
+			})
+		})
+	}
 }

@@ -374,7 +374,7 @@ func TestDistEngine(t *testing.T) {
 // both engines with one table: the ThreeLayer + SitePersonalization
 // combination, document-layer personalization on the distributed
 // backend, and malformed personalization vectors (non-finite entries,
-// negative weights, zero mass), which must be rejected at the Query
+// negative weights, mass other than 1), which must be rejected at the Query
 // boundary instead of surfacing as solver failures mid-run. Control
 // rows pin that well-formed queries still pass.
 func TestQueryValidation(t *testing.T) {
@@ -451,12 +451,18 @@ func TestQueryValidation(t *testing.T) {
 			q:        Query{SitePersonalization: make(Vector, web.Graph.NumSites())},
 			rejected: true,
 		},
+		{name: "siteUnnormalized", q: Query{SitePersonalization: goodSite.Clone().Scale(2)}, rejected: true},
 		{name: "docNaN", q: Query{DocPersonalization: poisonDoc(math.NaN())}, rejected: true},
 		{name: "docInf", q: Query{DocPersonalization: poisonDoc(math.Inf(-1))}, rejected: true},
 		{name: "docNegative", q: Query{DocPersonalization: poisonDoc(-0.5)}, rejected: true},
 		{
 			name:     "docZeroMass",
 			q:        Query{DocPersonalization: map[SiteID]Vector{docSite: make(Vector, len(goodDoc))}},
+			rejected: true,
+		},
+		{
+			name:     "docUnnormalized",
+			q:        Query{DocPersonalization: map[SiteID]Vector{docSite: goodDoc.Clone().Scale(2)}},
 			rejected: true,
 		},
 	}

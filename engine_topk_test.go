@@ -101,7 +101,7 @@ func TestTopKIndexPatchShares(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewLocalEngine: %v", err)
 	}
-	old := eng.snap.Load().topk
+	old := eng.snap.Load().state.topk
 	const changed = SiteID(5)
 	err = eng.Update(ctx, GraphDelta{
 		ChangedSites: []SiteID{changed},
@@ -113,7 +113,7 @@ func TestTopKIndexPatchShares(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Update: %v", err)
 	}
-	next := eng.snap.Load().topk
+	next := eng.snap.Load().state.topk
 	for s := range next.sites {
 		shared := next.sites[s] == old.sites[s]
 		if SiteID(s) == changed && shared {

@@ -32,6 +32,60 @@ func editSite(t *testing.T, dg *DocGraph, s SiteID) {
 	dg.G.AddLink(int(docs[2]), int(docs[1]))
 }
 
+// servedEngine is what the serving front gives both engines beyond the
+// Engine interface.
+type servedEngine interface {
+	Engine
+	DocGraph() *DocGraph
+	ServingStats() ServingStats
+}
+
+// bothEngines runs test against each constructor — a LocalEngine, and a
+// DistEngine on a 2-worker cluster — over a fresh churnTestWeb, with the
+// serving knobs of opts (the ones EngineOptions and DistConfig both
+// spell). What is tested this way is the front, which the engines share.
+func bothEngines(t *testing.T, opts EngineOptions, test func(t *testing.T, eng servedEngine)) {
+	t.Helper()
+	t.Run("local", func(t *testing.T) {
+		eng, err := NewLocalEngine(churnTestWeb().Graph, opts)
+		if err != nil {
+			t.Fatalf("NewLocalEngine: %v", err)
+		}
+		test(t, eng)
+	})
+	t.Run("dist", func(t *testing.T) {
+		cl, err := StartCluster(2)
+		if err != nil {
+			t.Fatalf("StartCluster: %v", err)
+		}
+		defer cl.Close()
+		eng, err := NewDistEngine(cl, churnTestWeb().Graph, DistConfig{
+			MaxInFlight:    opts.MaxInFlight,
+			TenantQuota:    opts.TenantQuota,
+			RejectOverload: opts.RejectOverload,
+		})
+		if err != nil {
+			t.Fatalf("NewDistEngine: %v", err)
+		}
+		test(t, eng)
+	})
+}
+
+// coldRank is the reference a served answer is compared with: a cold
+// LocalEngine over the graph eng serves now.
+func coldRank(t *testing.T, eng servedEngine, q Query) *Result {
+	t.Helper()
+	cold, err := NewLocalEngine(eng.DocGraph(), EngineOptions{})
+	if err != nil {
+		t.Fatalf("cold NewLocalEngine: %v", err)
+	}
+	res, err := cold.Rank(context.Background(), q)
+	if err != nil {
+		t.Fatalf("cold Rank: %v", err)
+	}
+	return res
+}
+
 // TestEngineUpdateWarmMatchesColdRebuild is the acceptance pin of the
 // churn path: rankings served after Engine.Update agree with a cold
 // NewLocalEngine over the mutated graph to < 1e-9, while the warm query
@@ -113,52 +167,83 @@ func TestEngineUpdateWarmMatchesColdRebuild(t *testing.T) {
 // TestEngineMutationWithoutUpdateFails pins the footgun fix: a graph
 // mutation not delivered through Update turns queries into a documented
 // ErrGraphMutated (instead of silently stale rankings), and a follow-up
-// Update listing the changed site restores service.
+// Update listing the changed site restores service — on either engine.
 func TestEngineMutationWithoutUpdateFails(t *testing.T) {
-	web := churnTestWeb()
-	dg := web.Graph
 	ctx := context.Background()
-	eng, err := NewLocalEngine(dg, EngineOptions{})
-	if err != nil {
-		t.Fatalf("NewLocalEngine: %v", err)
-	}
-	if _, err := eng.Rank(ctx, Query{}); err != nil {
-		t.Fatalf("pre-churn Rank: %v", err)
-	}
+	bothEngines(t, EngineOptions{}, func(t *testing.T, eng servedEngine) {
+		if _, err := eng.Rank(ctx, Query{}); err != nil {
+			t.Fatalf("pre-churn Rank: %v", err)
+		}
 
-	const site = SiteID(2)
-	editSite(t, dg, site) // behind the engine's back
+		const site = SiteID(2)
+		editSite(t, eng.DocGraph(), site) // behind the engine's back
 
-	if _, err := eng.Rank(ctx, Query{}); !errors.Is(err, ErrGraphMutated) {
-		t.Fatalf("Rank after external mutation: err = %v, want ErrGraphMutated", err)
-	}
-	// Update with the mutation already applied (nil Apply) recovers.
-	if err := eng.Update(ctx, GraphDelta{ChangedSites: []SiteID{site}}); err != nil {
-		t.Fatalf("recovery Update: %v", err)
-	}
-	if _, err := eng.Rank(ctx, Query{}); err != nil {
-		t.Errorf("Rank after recovery Update: %v", err)
-	}
+		if _, err := eng.Rank(ctx, Query{}); !errors.Is(err, ErrGraphMutated) {
+			t.Fatalf("Rank after external mutation: err = %v, want ErrGraphMutated", err)
+		}
+		// Update with the mutation already applied (nil Apply) recovers.
+		if err := eng.Update(ctx, GraphDelta{ChangedSites: []SiteID{site}}); err != nil {
+			t.Fatalf("recovery Update: %v", err)
+		}
+		got, err := eng.Rank(ctx, Query{Tol: 1e-11})
+		if err != nil {
+			t.Fatalf("Rank after recovery Update: %v", err)
+		}
+		if d := got.DocRank.L1Diff(coldRank(t, eng, Query{Tol: 1e-11}).DocRank); d >= 1e-9 {
+			t.Errorf("‖recovered − cold‖₁ = %g, want < 1e-9", d)
+		}
+	})
 }
 
-// TestEngineUpdateApplyError: a failing Apply leaves the engine on its
-// previous core and the error surfaces wrapped.
+// TestEngineUpdateApplyError: an Apply that mutates the working clone and
+// then fails is a no-op on either engine — the error surfaces wrapped,
+// the serving graph and the ranking are what they were, nothing is left
+// marked dirty, and the same delta reissued with a working Apply lands.
 func TestEngineUpdateApplyError(t *testing.T) {
-	web := churnTestWeb()
 	ctx := context.Background()
-	eng, err := NewLocalEngine(web.Graph, EngineOptions{})
-	if err != nil {
-		t.Fatalf("NewLocalEngine: %v", err)
-	}
-	boom := errors.New("boom")
-	err = eng.Update(ctx, GraphDelta{Apply: func(*DocGraph) error { return boom }})
-	if !errors.Is(err, boom) {
-		t.Fatalf("Update with failing Apply: err = %v, want boom", err)
-	}
-	// Nothing mutated, so the engine keeps serving.
-	if _, err := eng.Rank(ctx, Query{}); err != nil {
-		t.Errorf("Rank after failed Apply: %v", err)
-	}
+	bothEngines(t, EngineOptions{}, func(t *testing.T, eng servedEngine) {
+		dg := eng.DocGraph()
+		pre, err := eng.Rank(ctx, Query{Tol: 1e-11})
+		if err != nil {
+			t.Fatalf("pre-churn Rank: %v", err)
+		}
+		boom := errors.New("boom")
+		delta := GraphDelta{
+			ChangedSites: []SiteID{3},
+			Apply: func(dg *DocGraph) error {
+				editSite(t, dg, 3)
+				return boom
+			},
+		}
+		if err := eng.Update(ctx, delta); !errors.Is(err, boom) {
+			t.Fatalf("Update with failing Apply: err = %v, want boom", err)
+		}
+		if eng.DocGraph() != dg {
+			t.Fatal("failed Update swapped the serving graph")
+		}
+		post, err := eng.Rank(ctx, Query{Tol: 1e-11})
+		if err != nil {
+			t.Fatalf("Rank after failed Apply: %v", err)
+		}
+		if d := post.DocRank.L1Diff(pre.DocRank); d >= 1e-9 {
+			t.Errorf("failed Update moved the ranking by %g (the failed edit leaked)", d)
+		}
+
+		delta.Apply = func(dg *DocGraph) error {
+			editSite(t, dg, 3)
+			return nil
+		}
+		if err := eng.Update(ctx, delta); err != nil {
+			t.Fatalf("reissued Update: %v", err)
+		}
+		got, err := eng.Rank(ctx, Query{Tol: 1e-11})
+		if err != nil {
+			t.Fatalf("Rank after reissued Update: %v", err)
+		}
+		if d := got.DocRank.L1Diff(coldRank(t, eng, Query{Tol: 1e-11}).DocRank); d >= 1e-9 {
+			t.Errorf("‖reissued − cold‖₁ = %g, want < 1e-9", d)
+		}
+	})
 }
 
 // TestEngineFailedApplyUpdateIsNoOp pins the new transactional Apply
@@ -220,15 +305,7 @@ func TestEngineFailedApplyUpdateIsNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Rank after reissued Update: %v", err)
 	}
-	coldEng, err := NewLocalEngine(eng.DocGraph(), EngineOptions{})
-	if err != nil {
-		t.Fatalf("cold NewLocalEngine: %v", err)
-	}
-	want, err := coldEng.Rank(ctx, Query{Tol: 1e-11})
-	if err != nil {
-		t.Fatalf("cold Rank: %v", err)
-	}
-	if d := got.DocRank.L1Diff(want.DocRank); d >= 1e-9 {
+	if d := got.DocRank.L1Diff(coldRank(t, eng, Query{Tol: 1e-11}).DocRank); d >= 1e-9 {
 		t.Errorf("‖reissued − cold‖₁ = %g, want < 1e-9", d)
 	}
 }
@@ -239,59 +316,47 @@ func TestEngineFailedApplyUpdateIsNoOp(t *testing.T) {
 // the delta's sites recorded, and the next successful Update — listing
 // only its *own* changed sites — must rebuild the earlier ones too.
 // Forgetting them would bless the pre-edit subgraphs into the new core
-// and serve silently stale rankings.
+// and serve silently stale rankings (distributedly: ship the stale shard).
 func TestEngineFailedNilApplyUpdateKeepsSitesDirty(t *testing.T) {
-	web := churnTestWeb()
-	dg := web.Graph
 	ctx := context.Background()
-	eng, err := NewLocalEngine(dg, EngineOptions{})
-	if err != nil {
-		t.Fatalf("NewLocalEngine: %v", err)
-	}
-	if _, err := eng.Rank(ctx, Query{}); err != nil {
-		t.Fatalf("pre-churn Rank: %v", err)
-	}
+	bothEngines(t, EngineOptions{}, func(t *testing.T, eng servedEngine) {
+		if _, err := eng.Rank(ctx, Query{}); err != nil {
+			t.Fatalf("pre-churn Rank: %v", err)
+		}
 
-	// The caller mutates the serving graph directly, then its recovery
-	// Update fails (already-cancelled context): site 3 must stay
-	// recorded as dirty.
-	editSite(t, dg, 3)
-	cctx, cancel := context.WithCancel(ctx)
-	cancel()
-	err = eng.Update(cctx, GraphDelta{ChangedSites: []SiteID{3}})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled Update: err = %v, want context.Canceled", err)
-	}
-	if _, err := eng.Rank(ctx, Query{}); !errors.Is(err, ErrGraphMutated) {
-		t.Fatalf("Rank after failed Update: err = %v, want ErrGraphMutated", err)
-	}
+		// The caller mutates the serving graph directly, then its recovery
+		// Update fails (already-cancelled context): site 3 must stay
+		// recorded as dirty.
+		editSite(t, eng.DocGraph(), 3)
+		cctx, cancel := context.WithCancel(ctx)
+		cancel()
+		err := eng.Update(cctx, GraphDelta{ChangedSites: []SiteID{3}})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled Update: err = %v, want context.Canceled", err)
+		}
+		if _, err := eng.Rank(ctx, Query{}); !errors.Is(err, ErrGraphMutated) {
+			t.Fatalf("Rank after failed Update: err = %v, want ErrGraphMutated", err)
+		}
 
-	// Update #2 lists only its own site; site 3 must be rebuilt anyway.
-	err = eng.Update(ctx, GraphDelta{
-		ChangedSites: []SiteID{5},
-		Apply: func(dg *DocGraph) error {
-			editSite(t, dg, 5)
-			return nil
-		},
+		// Update #2 lists only its own site; site 3 must be rebuilt anyway.
+		err = eng.Update(ctx, GraphDelta{
+			ChangedSites: []SiteID{5},
+			Apply: func(dg *DocGraph) error {
+				editSite(t, dg, 5)
+				return nil
+			},
+		})
+		if err != nil {
+			t.Fatalf("recovery Update: %v", err)
+		}
+		got, err := eng.Rank(ctx, Query{Tol: 1e-11})
+		if err != nil {
+			t.Fatalf("Rank after recovery: %v", err)
+		}
+		if d := got.DocRank.L1Diff(coldRank(t, eng, Query{Tol: 1e-11}).DocRank); d >= 1e-9 {
+			t.Errorf("‖recovered − cold‖₁ = %g, want < 1e-9 (site 3's edit was dropped?)", d)
+		}
 	})
-	if err != nil {
-		t.Fatalf("recovery Update: %v", err)
-	}
-	got, err := eng.Rank(ctx, Query{Tol: 1e-11})
-	if err != nil {
-		t.Fatalf("Rank after recovery: %v", err)
-	}
-	coldEng, err := NewLocalEngine(eng.DocGraph(), EngineOptions{})
-	if err != nil {
-		t.Fatalf("cold NewLocalEngine: %v", err)
-	}
-	want, err := coldEng.Rank(ctx, Query{Tol: 1e-11})
-	if err != nil {
-		t.Fatalf("cold Rank: %v", err)
-	}
-	if d := got.DocRank.L1Diff(want.DocRank); d >= 1e-9 {
-		t.Errorf("‖recovered − cold‖₁ = %g, want < 1e-9 (site 3's edit was dropped?)", d)
-	}
 }
 
 // TestEngineUpdateConcurrentWithRank hammers Update against concurrent

@@ -1,10 +1,9 @@
 // Command crawlandrank reproduces the paper's full data pipeline (§3.3): crawl a
 // campus web from its university home page — including the dynamic pages
 // other studies excluded — then rank the captured snapshot. It also shows
-// the churn path twice over: a site changes after the crawl and the
-// served ranking is refreshed through Engine.Update (only the changed
-// site's structure rebuilds, queries warm-start from the previous
-// solution), with the functional UpdateLayeredDocRank shown alongside.
+// the churn path: a site changes after the crawl and the served ranking
+// is refreshed through Engine.Update (only the changed site's structure
+// rebuilds, queries warm-start from the previous solution).
 //
 //	go run ./examples/crawlandrank
 package main
@@ -49,7 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ranking, err := eng.Rank(ctx, lmmrank.Query{TopK: 10, WantLocalRanks: true})
+	ranking, err := eng.Rank(ctx, lmmrank.Query{TopK: 10})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,20 +89,4 @@ func main() {
 		snapshot.Sites[site].Name, warmIters)
 	fmt.Printf("‖updated − previous‖₁ = %.2e (local perturbation, local effect)\n",
 		refreshed.DocRank.L1Diff(ranking.DocRank))
-
-	// The functional path gives the same answer without holding an
-	// engine: recompute only the changed site, reuse the rest.
-	prev := &lmmrank.WebResult{
-		DocRank: ranking.DocRank, SiteRank: ranking.SiteRank,
-		LocalRanks: ranking.LocalRanks, SiteIterations: ranking.SiteIterations,
-	}
-	// eng.DocGraph() is the graph the engine serves now — the Apply-path
-	// Update evolved it past the original crawl snapshot.
-	updated, err := lmmrank.UpdateLayeredDocRank(eng.DocGraph(), prev, []lmmrank.SiteID{site}, lmmrank.WebConfig{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("UpdateLayeredDocRank agrees with the served refresh to %.2e (%d of %d local ranks reused verbatim)\n",
-		updated.DocRank.L1Diff(refreshed.DocRank),
-		snapshot.NumSites()-1, snapshot.NumSites())
 }

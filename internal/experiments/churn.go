@@ -13,11 +13,11 @@ import (
 )
 
 // ChurnResult measures the P2P churn path: a sequence of site-local link
-// changes handled by incremental re-ranking (UpdateLayeredDocRank) and
-// by the serving-path Engine.Update (warm structure rebuild + seeded
-// power iterations) versus full recomputation. The layered structure is
-// what makes the incremental paths possible at all — flat PageRank has
-// no analogue of "only this site changed".
+// changes handled by incremental re-ranking (Ranker.Rebuild + RankRefresh:
+// clean sites' local ranks carried verbatim) and by the plain serving-path
+// Engine.Update (the same rebuild + a query seeded everywhere) versus full
+// recomputation. The layered structure is what makes the incremental paths
+// possible at all — flat PageRank has no analogue of "only this site changed".
 type ChurnResult struct {
 	// Events is the number of site-mutation events simulated.
 	Events int
@@ -90,13 +90,24 @@ func RunChurn(seed int64, events int) (*ChurnResult, error) {
 			}
 		}
 
+		// A Ranker per event: the scratch prev aliases is never rewritten.
 		start := time.Now()
-		inc, err := lmm.UpdateLayeredDocRank(dg, prev, []graph.SiteID{site}, webCfg)
+		incRk, err := rk.Rebuild([]graph.SiteID{site})
+		if err != nil {
+			return nil, fmt.Errorf("experiments: churn event %d incremental rebuild: %w", e, err)
+		}
+		refresh := webCfg
+		refresh.SiteStart, refresh.LocalStarts = prev.SiteRank, prev.LocalRanks
+		inc, err := incRk.RankRefresh([]graph.SiteID{site}, refresh)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: churn event %d incremental: %w", e, err)
 		}
 		out.IncrementalTotal += time.Since(start)
-		out.LocalSolvesIncremental++ // exactly one site recomputed
+		for _, iters := range inc.LocalIterations {
+			if iters > 0 {
+				out.LocalSolvesIncremental++
+			}
+		}
 
 		// Serving path: incremental structure rebuild plus one
 		// warm-seeded query — what Engine.Update does per churn batch.
@@ -106,8 +117,7 @@ func RunChurn(seed int64, events int) (*ChurnResult, error) {
 			return nil, fmt.Errorf("experiments: churn event %d rebuild: %w", e, err)
 		}
 		seeded := webCfg
-		seeded.SiteStart = seedSite
-		seeded.LocalStarts = seedLocals
+		seeded.SiteStart, seeded.LocalStarts = seedSite, seedLocals
 		served, err := rk2.Rank(seeded)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: churn event %d serve: %w", e, err)

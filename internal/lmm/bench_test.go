@@ -32,36 +32,6 @@ func BenchmarkGlobalPageRank(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalUpdate compares churn handling: one site changes,
-// incremental update vs full recomputation.
-func BenchmarkIncrementalUpdate(b *testing.B) {
-	dg := benchChurnWeb(b)
-	cfg := WebConfig{Tol: 1e-9}
-	prev, err := LayeredDocRank(dg, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	docs := dg.Sites[3].Docs
-	dg.G.AddLink(int(docs[0]), int(docs[len(docs)-1]))
-
-	b.Run("incremental", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := UpdateLayeredDocRank(dg, prev, []graph.SiteID{3}, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("full", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := LayeredDocRank(dg, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 func BenchmarkGlobalMatrixAssembly(b *testing.B) {
 	m := PaperExample()
 	local, err := LocalRanks(m, Config{})

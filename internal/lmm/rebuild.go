@@ -1,10 +1,17 @@
 package lmm
 
 import (
+	"errors"
 	"fmt"
 
 	"lmmrank/internal/graph"
 )
+
+// ErrStaleResult is returned (wrapped) when an incremental rebuild cannot
+// reuse the previous structure (sites removed, or the roster of a site
+// not listed as changed differs); the caller lists the site or falls
+// back to a cold NewRanker.
+var ErrStaleResult = errors.New("lmm: previous result is stale")
 
 // Rebuild returns a new Ranker over this Ranker's (since mutated)
 // DocGraph, rebuilding only the listed sites' precomputed structure.
@@ -22,8 +29,7 @@ import (
 // its exact document roster — otherwise ErrStaleResult — but Rebuild
 // cannot verify edge sets cheaply, so an unlisted edge change silently
 // yields a Ranker with a stale chain and SiteGraph row for that site:
-// the caller owns the changed list, exactly as with
-// UpdateLayeredDocRank.
+// the caller owns the changed list.
 //
 // The old Ranker keeps working over the shared structure for the graph
 // content it was built against, but its graph has mutated, so its

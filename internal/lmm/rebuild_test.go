@@ -2,6 +2,7 @@ package lmm
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -332,5 +333,224 @@ func TestWarmStartSeedsCutIterations(t *testing.T) {
 	}
 	if d := bres.DocRank.L1Diff(cres.DocRank); d >= 1e-9 {
 		t.Errorf("bad-shape seeds shifted the ranking by %g", d)
+	}
+}
+
+// churnWeb builds a deterministic 8-site web for the refresh tests.
+func churnWeb(t *testing.T) *graph.DocGraph {
+	t.Helper()
+	return randomWeb(rand.New(rand.NewSource(77)), 8, 80)
+}
+
+// copyLinks replays every link of dg into b with its multiplicity, so a
+// rebuilt web differs from dg only where the caller then edits it (a
+// flattened duplicate link would change the out-links of sites no test
+// lists as changed).
+func copyLinks(b *graph.Builder, dg *graph.DocGraph) {
+	dg.G.EachEdgeAll(func(from int, e graph.Edge) {
+		for k := 0; k < int(e.Weight); k++ {
+			b.LinkIDs(graph.DocID(from), graph.DocID(e.To))
+		}
+	})
+}
+
+// rebuildWithNewSite reconstructs dg with one extra site appended. The
+// builder assigns new DocIDs after the existing ones, so earlier sites'
+// rosters keep their shape.
+func rebuildWithNewSite(dg *graph.DocGraph) *graph.DocGraph {
+	b := graph.NewBuilder()
+	for _, doc := range dg.Docs {
+		b.AddDocInSite(doc.URL, dg.Sites[doc.Site].Name)
+	}
+	copyLinks(b, dg)
+	n1 := b.AddDocInSite("http://newpeer.example/", "newpeer.example")
+	n2 := b.AddDocInSite("http://newpeer.example/about", "newpeer.example")
+	b.LinkIDs(n1, n2)
+	b.LinkIDs(n2, n1)
+	first := dg.Sites[0].Docs[0]
+	b.LinkIDs(n1, first)
+	b.LinkIDs(first, n1)
+	return b.Build()
+}
+
+// rebuildWithExtraDoc reconstructs dg with one extra document in site s.
+func rebuildWithExtraDoc(dg *graph.DocGraph, s graph.SiteID) *graph.DocGraph {
+	b := graph.NewBuilder()
+	for _, doc := range dg.Docs {
+		b.AddDocInSite(doc.URL, dg.Sites[doc.Site].Name)
+	}
+	copyLinks(b, dg)
+	extra := b.AddDocInSite(
+		fmt.Sprintf("http://%s/extra-page", dg.Sites[s].Name), dg.Sites[s].Name)
+	home := dg.Sites[s].Docs[0]
+	b.LinkIDs(extra, home)
+	b.LinkIDs(home, extra)
+	return b.Build()
+}
+
+// solved builds a Ranker over dg and its first solution — the state a
+// refresh starts from. The solution aliases that Ranker's scratch, which
+// nothing below writes again: every refresh runs on the rebuilt Ranker.
+func solved(t *testing.T, dg *graph.DocGraph, cfg WebConfig) (*Ranker, *WebResult) {
+	t.Helper()
+	rk, err := NewRanker(dg, RankerOptions{})
+	if err != nil {
+		t.Fatalf("NewRanker: %v", err)
+	}
+	prev, err := rk.Rank(cfg)
+	if err != nil {
+		t.Fatalf("initial Rank: %v", err)
+	}
+	return rk, prev
+}
+
+// refreshOn is the incremental path Engine.Update runs: rebuild the
+// changed sites' structure on dg, then RankRefresh seeded with prev.
+func refreshOn(rk *Ranker, dg *graph.DocGraph, prev *WebResult, changed []graph.SiteID, cfg WebConfig) (*WebResult, error) {
+	next, err := rk.RebuildOn(dg, changed)
+	if err != nil {
+		return nil, err
+	}
+	cfg.SiteStart, cfg.LocalStarts = prev.SiteRank, prev.LocalRanks
+	return next.RankRefresh(changed, cfg)
+}
+
+// fullRecompute is the reference every refresh is compared with.
+func fullRecompute(t *testing.T, dg *graph.DocGraph, cfg WebConfig) *WebResult {
+	t.Helper()
+	full, err := LayeredDocRank(dg, cfg)
+	if err != nil {
+		t.Fatalf("full: %v", err)
+	}
+	return full
+}
+
+func TestUpdateMatchesFullRecomputeAfterEdgeChange(t *testing.T) {
+	dg := churnWeb(t)
+	cfg := WebConfig{Tol: 1e-11}
+	rk, prev := solved(t, dg, cfg)
+	mutateSite(t, dg, 2)
+
+	inc, err := refreshOn(rk, dg, prev, []graph.SiteID{2}, cfg)
+	if err != nil {
+		t.Fatalf("refresh: %v", err)
+	}
+	full := fullRecompute(t, dg, cfg)
+	if d := inc.DocRank.L1Diff(full.DocRank); d >= 1e-9 {
+		t.Errorf("refresh vs full: L1 = %g", d)
+	}
+	if d := inc.SiteRank.L1Diff(full.SiteRank); d >= 1e-9 {
+		t.Errorf("refresh vs full SiteRank: L1 = %g", d)
+	}
+}
+
+func TestUpdateReusesUnchangedLocalRanks(t *testing.T) {
+	dg := churnWeb(t)
+	cfg := WebConfig{Tol: 1e-11}
+	rk, prev := solved(t, dg, cfg)
+	mutateSite(t, dg, 2)
+
+	inc, err := refreshOn(rk, dg, prev, []graph.SiteID{2}, cfg)
+	if err != nil {
+		t.Fatalf("refresh: %v", err)
+	}
+	for s := range inc.LocalRanks {
+		if s == 2 {
+			continue
+		}
+		// Carried slices, not merely equal values.
+		if &inc.LocalRanks[s][0] != &prev.LocalRanks[s][0] {
+			t.Errorf("site %d local rank was recomputed", s)
+		}
+		if inc.LocalIterations[s] != 0 {
+			t.Errorf("site %d recorded %d iterations for a carried rank", s, inc.LocalIterations[s])
+		}
+	}
+	if inc.LocalIterations[2] == 0 {
+		t.Error("changed site recorded no iterations")
+	}
+}
+
+func TestUpdateWarmStartConverges(t *testing.T) {
+	dg := churnWeb(t)
+	cfg := WebConfig{Tol: 1e-11}
+	rk, prev := solved(t, dg, cfg)
+	// No change at all: the warm-started SiteRank converges in far fewer
+	// iterations than the cold run.
+	inc, err := refreshOn(rk, dg, prev, nil, cfg)
+	if err != nil {
+		t.Fatalf("refresh: %v", err)
+	}
+	if inc.SiteIterations >= prev.SiteIterations {
+		t.Errorf("warm SiteRank took %d iterations, cold %d", inc.SiteIterations, prev.SiteIterations)
+	}
+	if d := inc.DocRank.L1Diff(prev.DocRank); d >= 1e-9 {
+		t.Errorf("no-op refresh changed the ranking: %g", d)
+	}
+}
+
+func TestUpdateHandlesNewSite(t *testing.T) {
+	dg := churnWeb(t)
+	cfg := WebConfig{Tol: 1e-11}
+	rk, prev := solved(t, dg, cfg)
+
+	// A new site joins (P2P churn) and trades links with site 0's first
+	// page: site 0's out-links changed, the newcomer is implicit — and has
+	// no seed, since prev is one site short.
+	joined := rebuildWithNewSite(dg)
+	inc, err := refreshOn(rk, joined, prev, []graph.SiteID{0}, cfg)
+	if err != nil {
+		t.Fatalf("refresh: %v", err)
+	}
+	if newcomer := joined.NumSites() - 1; inc.LocalIterations[newcomer] == 0 {
+		t.Error("the appended site was not solved")
+	}
+	full := fullRecompute(t, joined, cfg)
+	if d := inc.DocRank.L1Diff(full.DocRank); d >= 1e-9 {
+		t.Errorf("refresh vs full after join: L1 = %g", d)
+	}
+}
+
+func TestUpdateStaleDetection(t *testing.T) {
+	dg := churnWeb(t)
+	cfg := WebConfig{Tol: 1e-11}
+	rk, prev := solved(t, dg, cfg)
+	// Grow site 1's roster but do not list it as changed.
+	grown := rebuildWithExtraDoc(dg, 1)
+	if _, err := refreshOn(rk, grown, prev, nil, cfg); !errors.Is(err, ErrStaleResult) {
+		t.Fatalf("err = %v, want ErrStaleResult", err)
+	}
+	// Listing it succeeds — its seed no longer fits and is ignored — and
+	// matches a full recompute.
+	inc, err := refreshOn(rk, grown, prev, []graph.SiteID{1}, cfg)
+	if err != nil {
+		t.Fatalf("refresh: %v", err)
+	}
+	full := fullRecompute(t, grown, cfg)
+	if d := inc.DocRank.L1Diff(full.DocRank); d >= 1e-9 {
+		t.Errorf("refresh vs full: %g", d)
+	}
+}
+
+func TestUpdateValidation(t *testing.T) {
+	dg := churnWeb(t)
+	cfg := WebConfig{Tol: 1e-11}
+	rk, prev := solved(t, dg, cfg)
+	if _, err := refreshOn(rk, dg, prev, []graph.SiteID{99}, cfg); err == nil {
+		t.Error("out-of-range changed site accepted")
+	}
+	// A graph that lost sites cannot reuse anything.
+	smaller := randomWeb(rand.New(rand.NewSource(77)), 7, 70)
+	if _, err := refreshOn(rk, smaller, prev, nil, cfg); !errors.Is(err, ErrStaleResult) {
+		t.Errorf("graph with fewer sites: err = %v, want ErrStaleResult", err)
+	}
+	// No previous solution is not an error: every site solves cold, as in
+	// Rank.
+	cold, err := refreshOn(rk, dg, &WebResult{}, nil, cfg)
+	if err != nil {
+		t.Fatalf("refresh without seeds: %v", err)
+	}
+	if d := cold.DocRank.L1Diff(prev.DocRank); d != 0 {
+		t.Errorf("unseeded refresh differs from Rank by %g", d)
 	}
 }

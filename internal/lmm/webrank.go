@@ -153,41 +153,6 @@ func ForEachParallel(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// localDocRank computes one site's local DocRank (step 3 for one site).
-// Exported-shape logic shared by the in-process pipeline and the
-// distributed worker, which runs exactly this on its own peers.
-func localDocRank(dg *graph.DocGraph, s graph.SiteID, cfg WebConfig) (matrix.Vector, int, error) {
-	n := dg.SiteSize(s)
-	switch n {
-	case 0:
-		return matrix.Vector{}, 0, nil
-	case 1:
-		// A single-document site trivially holds all local mass.
-		return matrix.Vector{1}, 0, nil
-	}
-	sub, _ := dg.LocalSubgraph(s)
-	var pers matrix.Vector
-	if cfg.DocPersonalization != nil {
-		pers = cfg.DocPersonalization[s]
-	}
-	var start matrix.Vector
-	if int(s) < len(cfg.LocalStarts) && len(cfg.LocalStarts[s]) == n {
-		start = cfg.LocalStarts[s]
-	}
-	res, err := pagerank.Graph(sub, pagerank.Config{
-		Damping:         cfg.Damping,
-		Personalization: pers,
-		Tol:             cfg.Tol,
-		MaxIter:         cfg.MaxIter,
-		Start:           start,
-		Ctx:             cfg.Ctx,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Scores, res.Iterations, nil
-}
-
 // GlobalPageRank is the flat baseline of Figure 3: classical PageRank over
 // the whole DocGraph, ignoring site structure.
 func GlobalPageRank(dg *graph.DocGraph, cfg WebConfig) (pagerank.Result, error) {

@@ -3,7 +3,6 @@ package matrix
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 )
@@ -20,12 +19,13 @@ type Triple struct {
 //
 // What a CSR retains is the pull (compressed-sparse-column) view, because
 // that is the only form a left-multiplication reads: every destination
-// entry dst[j] is owned by exactly one loop iteration, which removes all
-// write contention and lets MulVecLeft shard the destination range across
-// GOMAXPROCS. Within each column the source rows are stored in ascending
-// order, so the pull accumulation visits contributions in the same order
-// as the classical push-based sweep and reproduces its floating-point
-// results. Source indices are 32-bit: a stored entry costs 12 bytes.
+// entry dst[j] is written once, by the loop iteration that owns it, in
+// one serial sweep — the parallelism the Layered Method gives for free is
+// across sites and across queries, not inside a multiply. Within each
+// column the source rows are stored in ascending order, so the pull
+// accumulation visits contributions in the same order as the classical
+// push-based sweep and reproduces its floating-point results. Source
+// indices are 32-bit: a stored entry costs 12 bytes.
 //
 // The row view (Row, At, RowNNZ, RowSums, NormalizeRows, IsRowStochastic,
 // Dense, EachNonZero) is derived from the pull view under a sync.Once on
@@ -52,14 +52,6 @@ type CSR struct {
 
 var _ LeftMultiplier = (*CSR)(nil)
 var _ FusedLeftMultiplier = (*CSR)(nil)
-
-// Parallel-dispatch thresholds: below minParallelNNZ stored entries a
-// multiply is cheaper than the goroutine handoff; maxShards bounds the
-// fan-out of one multiply regardless of GOMAXPROCS.
-const (
-	minParallelNNZ = 1 << 14
-	maxShards      = 64
-)
 
 // NewCSR builds an n×n CSR matrix from triples. Duplicate (row, col)
 // entries are summed. Triples need not be sorted. It panics on
@@ -383,79 +375,16 @@ func (m *CSR) checkMulShape(dst, x Vector) {
 	}
 }
 
-// pullApply runs the pull-based sweep, sharding the destination range
-// across GOMAXPROCS when the matrix is large enough to pay for the
-// goroutine handoff.
-func (m *CSR) pullApply(dst, x Vector, scale, coeff float64, v Vector) float64 {
-	return m.pullApplyShards(dst, x, scale, coeff, v, m.shards())
-}
-
-// shards picks the fan-out of one multiply: 1 (serial, allocation-free)
-// unless multiple procs are available and the work amortizes the handoff.
-func (m *CSR) shards() int {
-	p := runtime.GOMAXPROCS(0)
-	if p <= 1 || len(m.cval) < minParallelNNZ {
-		return 1
-	}
-	if p > maxShards {
-		p = maxShards
-	}
-	if p > m.n {
-		p = m.n
-	}
-	return p
-}
-
-// pullApplyShards is pullApply with an explicit shard count (tests force
-// shards > 1 regardless of GOMAXPROCS). Shard s owns the destination
-// columns [shardBound(s), shardBound(s+1)), disjoint by construction, so
-// the workers share no written state; per-shard partial sums are reduced
-// in shard order afterwards.
-func (m *CSR) pullApplyShards(dst, x Vector, scale, coeff float64, v Vector, shards int) float64 {
-	if shards <= 1 {
-		return m.pullRange(dst, x, 0, m.n, scale, coeff, v)
-	}
-	sums := make([]float64, shards)
-	var wg sync.WaitGroup
-	wg.Add(shards)
-	for s := 0; s < shards; s++ {
-		go func(s int) {
-			defer wg.Done()
-			sums[s] = m.pullRange(dst, x, m.shardBound(shards, s), m.shardBound(shards, s+1), scale, coeff, v)
-		}(s)
-	}
-	wg.Wait()
-	var sum float64
-	for _, s := range sums {
-		sum += s
-	}
-	return sum
-}
-
-// shardBound returns the first destination column of shard s, splitting
-// columns so every shard covers roughly equal stored-entry counts rather
-// than equal column counts (web graphs have highly skewed in-degrees).
-func (m *CSR) shardBound(shards, s int) int {
-	if s <= 0 {
-		return 0
-	}
-	if s >= shards {
-		return m.n
-	}
-	target := len(m.cval) * s / shards
-	return sort.SearchInts(m.colPtr, target)
-}
-
-// pullRange computes dst[j] for destinations j in [lo, hi):
+// pullApply runs the pull-based sweep over every destination j:
 //
 //	dst[j] = (x'M)[j]                     when v is nil
 //	dst[j] = scale·(x'M)[j] + coeff·v[j]  otherwise
 //
-// and returns the partial sum of the written entries.
-func (m *CSR) pullRange(dst, x Vector, lo, hi int, scale, coeff float64, v Vector) float64 {
+// and returns the sum of dst, accumulated in index order.
+func (m *CSR) pullApply(dst, x Vector, scale, coeff float64, v Vector) float64 {
 	var sum float64
 	if v == nil {
-		for j := lo; j < hi; j++ {
+		for j := 0; j < m.n; j++ {
 			var acc float64
 			for k := m.colPtr[j]; k < m.colPtr[j+1]; k++ {
 				acc += x[m.rowIdx[k]] * m.cval[k]
@@ -465,7 +394,7 @@ func (m *CSR) pullRange(dst, x Vector, lo, hi int, scale, coeff float64, v Vecto
 		}
 		return sum
 	}
-	for j := lo; j < hi; j++ {
+	for j := 0; j < m.n; j++ {
 		var acc float64
 		for k := m.colPtr[j]; k < m.colPtr[j+1]; k++ {
 			acc += x[m.rowIdx[k]] * m.cval[k]

@@ -1,7 +1,6 @@
 package matrix
 
 import (
-	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -58,44 +57,6 @@ func TestPullMatchesPushBitwise(t *testing.T) {
 				t.Fatalf("trial %d: pull dst[%d] = %g, push = %g (diff %g)",
 					trial, j, got[j], want[j], got[j]-want[j])
 			}
-		}
-	}
-}
-
-func TestPullParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	m := randomSparse(rng, 500, 6000)
-	x := randomX(rng, 500)
-	serial, parallel := NewVector(500), NewVector(500)
-	wantSum := m.pullApplyShards(serial, x, 1, 0, nil, 1)
-	for _, shards := range []int{2, 3, 8, 64} {
-		gotSum := m.pullApplyShards(parallel, x, 1, 0, nil, shards)
-		for j := range parallel {
-			// Disjoint destination ranges: every element is computed by
-			// exactly one shard with the serial loop body, so values are
-			// bitwise identical; only the reduced total sum may differ
-			// in the last bits.
-			if parallel[j] != serial[j] {
-				t.Fatalf("shards=%d: dst[%d] = %g, serial = %g", shards, j, parallel[j], serial[j])
-			}
-		}
-		if math.Abs(gotSum-wantSum) > 1e-12*math.Abs(wantSum) {
-			t.Fatalf("shards=%d: sum = %g, serial = %g", shards, gotSum, wantSum)
-		}
-	}
-}
-
-func TestPullParallelDampedMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	m := randomSparse(rng, 300, 3000)
-	x := randomX(rng, 300)
-	v := Uniform(300)
-	serial, parallel := NewVector(300), NewVector(300)
-	m.pullApplyShards(serial, x, 0.85, 0.07, v, 1)
-	m.pullApplyShards(parallel, x, 0.85, 0.07, v, 5)
-	for j := range parallel {
-		if parallel[j] != serial[j] {
-			t.Fatalf("damped dst[%d] = %g, serial = %g", j, parallel[j], serial[j])
 		}
 	}
 }
@@ -228,10 +189,10 @@ func TestMulVecLeftSerialZeroAllocs(t *testing.T) {
 	x := randomX(rng, 256)
 	dst := NewVector(256)
 	allocs := testing.AllocsPerRun(50, func() {
-		m.pullApplyShards(dst, x, 1, 0, nil, 1)
+		m.MulVecLeft(dst, x)
 	})
 	if allocs != 0 {
-		t.Errorf("serial MulVecLeft allocates %.1f per run, want 0", allocs)
+		t.Errorf("MulVecLeft allocates %.1f per run, want 0", allocs)
 	}
 }
 

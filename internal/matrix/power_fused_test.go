@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -146,5 +147,33 @@ func TestPowerLeftScratchZeroAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("PowerLeft with scratch allocates %.1f per solve, want 0", allocs)
+	}
+}
+
+// The same budget on several procs and a matrix large enough that a
+// multiply once fanned out goroutines there. testing.AllocsPerRun cannot
+// see that: it measures at GOMAXPROCS(1) whatever the test set, so this
+// pin counts mallocs itself.
+func TestPowerLeftScratchZeroAllocsMultiCore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	m := randomStochasticCSR(rand.New(rand.NewSource(25)), 8192)
+	if m.NNZ() < 1<<14 {
+		t.Fatalf("%d stored entries, want ≥ %d", m.NNZ(), 1<<14)
+	}
+	opts := PowerOptions{Scratch: &PowerScratch{}}
+	if _, err := PowerLeft(m, opts); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := PowerLeft(m, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if allocs := (after.Mallocs - before.Mallocs) / runs; allocs != 0 {
+		t.Errorf("PowerLeft with scratch allocates %d per solve at GOMAXPROCS=4, want 0", allocs)
 	}
 }

@@ -383,13 +383,6 @@ func SyntheticCorpus(web *CampusWeb, seed int64) *SearchIndex {
 	return retrieval.SyntheticCorpus(web, seed)
 }
 
-// UpdateLayeredDocRank refreshes a previous layered ranking after the
-// listed sites changed — the P2P churn path: only changed sites' local
-// DocRanks are recomputed and the SiteRank is warm-started.
-func UpdateLayeredDocRank(dg *DocGraph, prev *WebResult, changed []SiteID, cfg WebConfig) (*WebResult, error) {
-	return lmm.UpdateLayeredDocRank(dg, prev, changed, cfg)
-}
-
 // ErrStaleResult marks incremental updates that need a full recompute.
 var ErrStaleResult = lmm.ErrStaleResult
 

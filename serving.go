@@ -256,6 +256,180 @@ func (c *servingCounters) snapshot() ServingStats {
 	return s
 }
 
+// snapshot is one immutable serving state: a graph, the in-flight table
+// coalescing queries against it, and what the backend built (or learned)
+// for exactly that graph. Everything a query touches lives here, so a
+// query that loaded a snapshot is insulated from any later Update.
+type snapshot[S any] struct {
+	dg      *DocGraph
+	flights *flightGroup
+	state   S
+}
+
+// backend is the one thing the Partition Theorem lets two engines differ
+// in — who solves the local DocRanks — as the two calls the front makes.
+type backend[S any] interface {
+	// solve answers a validated, admitted query against a pinned
+	// snapshot. The Result is caller-owned. A backend that already holds
+	// the TopK table fills Top; the front ranks DocRank otherwise.
+	solve(ctx context.Context, snap *snapshot[S], q Query) (*Result, error)
+	// rebuild returns the state to publish beside dg, which differs from
+	// cur.dg in (at most) the changed sites. It must leave cur serving:
+	// on an error nothing is published.
+	rebuild(ctx context.Context, cur *snapshot[S], dg *DocGraph, changed []SiteID) (S, error)
+}
+
+// server is the serving front both engines embed: everything between the
+// caller and the solve. Rank is validate → admit → pin the snapshot →
+// coalesce → backend.solve → Top → hand-off; Update is COW apply →
+// backend.rebuild → publish. It knows nothing of what a state S holds.
+type server[S any] struct {
+	be          backend[S]
+	admit       *admitGate
+	coalesce    bool
+	coalesceTol float64
+	stats       servingCounters
+
+	// snap is the serving state; rank loads it once and never looks back.
+	// Only publish stores it.
+	snap atomic.Pointer[snapshot[S]]
+
+	// updateMu serializes Updates against each other (queries don't take
+	// it). dirty accumulates changed sites across failed Updates: on the
+	// nil-Apply path the graph mutates before the rebuild can fail, so the
+	// sites stay recorded and the next successful Update rebuilds them too
+	// — otherwise a later Update listing only its own sites would bless
+	// the earlier edit's stale structure.
+	updateMu sync.Mutex
+	dirty    map[SiteID]bool
+}
+
+// serve wires the front to its backend and publishes the first snapshot.
+func (e *server[S]) serve(be backend[S], admit *admitGate, coalesce bool, coalesceTol float64, dg *DocGraph, state S) {
+	e.be, e.admit, e.coalesce, e.coalesceTol = be, admit, coalesce, coalesceTol
+	e.dirty = make(map[SiteID]bool)
+	e.publish(dg, state)
+}
+
+// publish makes (dg, state) the serving snapshot with one pointer store.
+// Each snapshot gets its own flight group, so queries only ever coalesce
+// onto work running against their own snapshot.
+func (e *server[S]) publish(dg *DocGraph, state S) {
+	snap := &snapshot[S]{dg: dg, flights: newFlightGroup(), state: state}
+	snap.flights.shared = &e.stats.coalesced
+	e.snap.Store(snap)
+}
+
+// rank is the whole path of one query in front of the solve.
+func (e *server[S]) rank(ctx context.Context, q Query) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := q.validate(); err != nil {
+		return nil, err
+	}
+	if err := e.admit.acquire(ctx, q.Tenant); err != nil {
+		if errors.Is(err, ErrOverloaded) {
+			e.stats.overload(q.Tenant)
+		}
+		return nil, err
+	}
+	defer e.admit.release(q.Tenant)
+	e.stats.ranks.Add(1)
+	// One load pins the whole serving state. An Update publishing
+	// mid-query swaps the pointer for *later* queries; this one finishes
+	// on the snapshot it started on.
+	snap := e.snap.Load()
+	solve := func() (*Result, error) {
+		res, err := e.be.solve(ctx, snap, q)
+		if err == nil && q.TopK > 0 && res.Top == nil {
+			res.Top = TopDocs(snap.dg, res.DocRank, q.TopK)
+		}
+		return res, err
+	}
+	if e.coalesce {
+		if key, ok := q.fingerprint(e.coalesceTol); ok {
+			return snap.flights.do(ctx, key, solve)
+		}
+	}
+	return solve()
+}
+
+// Update applies one batch of graph churn and publishes the result as a
+// new snapshot: delta.Apply (if any) runs against a copy-on-write clone
+// of the served graph, the backend rebuilds only the changed sites'
+// structure beside the serving one, and one pointer store swaps it in.
+// In-flight queries are never drained: they complete on the snapshot they
+// started on. What each engine carries warm across the swap is described
+// on LocalEngine and DistEngine.
+//
+// On the Apply path an error leaves the engine exactly as before — the
+// clone is discarded, nothing was mutated, nothing is marked dirty: a
+// failed Update is a no-op. On the nil-Apply path the caller mutated the
+// serving graph before calling, so a failure leaves queries failing with
+// ErrGraphMutated until a successful Update; the delta's sites stay
+// recorded either way on that path, so a later Update rebuilds them too.
+func (e *server[S]) Update(ctx context.Context, delta GraphDelta) error {
+	e.updateMu.Lock()
+	defer e.updateMu.Unlock()
+	cur := e.snap.Load()
+	if delta.Apply == nil {
+		// The serving graph is already mutated: record the sites before
+		// anything fallible (even the ctx check) can return.
+		for _, s := range delta.ChangedSites {
+			e.dirty[s] = true
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	dg := cur.dg
+	if delta.Apply != nil {
+		dg = cur.dg.CloneCOW()
+		if err := delta.Apply(dg); err != nil {
+			// The clone dies here; the serving graph never changed and the
+			// delta's sites are not recorded — nothing needs rebuilding.
+			return fmt.Errorf("lmmrank: update apply: %w", err)
+		}
+	}
+	state, err := e.be.rebuild(ctx, cur, dg, unionSites(e.dirty, delta.ChangedSites))
+	if err != nil {
+		return err
+	}
+	e.publish(dg, state)
+	clear(e.dirty)
+	return nil
+}
+
+// unionSites returns dirty ∪ changed as a slice without mutating dirty —
+// the changed list a rebuild must honor so sites from earlier failed
+// Updates are not forgotten, computed non-destructively so a rebuild
+// that then fails leaves the pending set exactly as it was.
+func unionSites(dirty map[SiteID]bool, changed []SiteID) []SiteID {
+	out := make([]SiteID, 0, len(dirty)+len(changed))
+	for s := range dirty {
+		out = append(out, s)
+	}
+	for _, s := range changed {
+		if !dirty[s] {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// DocGraph returns the graph the engine currently serves. Apply-path
+// Updates evolve the graph through copy-on-write clones, so the returned
+// pointer changes across Updates — re-fetch after updating rather than
+// caching the construction-time pointer.
+func (e *server[S]) DocGraph() *DocGraph { return e.snap.Load().dg }
+
+// ServingStats returns a point-in-time copy of the engine's cumulative
+// serving counters: admitted queries, admission rejections (total and
+// per tenant), coalesced shares and top-k index serves (always 0 on a
+// DistEngine — the maintained index is a LocalEngine feature).
+func (e *server[S]) ServingStats() ServingStats { return e.stats.snapshot() }
+
 // flight is one in-progress computation other callers may wait on.
 // res/err are written exactly once, before done closes; waiters read
 // them only after <-done. waiters counts the callers coalesced onto
@@ -353,8 +527,9 @@ func (fg *flightGroup) do(ctx context.Context, key string, fn func() (*Result, e
 // tol is the similarity-coalescing tolerance (EngineOptions.CoalesceTol).
 // At tol = 0 personalization vectors hash by exact float bits — only
 // bit-identical queries share a key. At tol > 0 each vector is first
-// L1-normalized (the solvers normalize too, so proportional vectors are
-// the same query) and then bucketed to a grid of step tol/len(v): two
+// L1-normalized (a no-op to 1e-6 for what Query.validate lets through,
+// which is what keeps proportional vectors one query) and then bucketed
+// to a grid of step tol/len(v): two
 // vectors landing in the same buckets differ by less than tol in L1
 // after normalization, and personalized PageRank is 1-Lipschitz in the
 // L1 norm of its teleport vector, so the coalesced answer is within tol
@@ -384,11 +559,11 @@ func (q Query) fingerprint(tol float64) (string, bool) {
 			mass += x
 		}
 		if math.IsNaN(mass) || math.IsInf(mass, 0) || mass <= 0 {
-			// Not a cleanly normalizable vector (validate rejects most of
-			// these before admission; an infinite mass slips through) —
-			// fall back to exact bits rather than divide by a degenerate
-			// mass. The branch tag keeps a raw encoding from ever
-			// colliding with a bucketed one.
+			// Not a cleanly normalizable vector (validate rejects these
+			// before admission; the fuzzer does not go through it) — fall
+			// back to exact bits rather than divide by a degenerate mass.
+			// The branch tag keeps a raw encoding from ever colliding with
+			// a bucketed one.
 			putU(0)
 			for _, x := range v {
 				putF(x)
