@@ -155,14 +155,15 @@ bench-smoke:
 
 # Bounded fuzz smoke over every fuzz target, one `go test -fuzz` run
 # per target (the flag takes a single target per package). Keeps the
-# corpus-driven guards — COW clone isolation, the graph and wire
-# decoders' never-panic/bounded-allocation contracts and
+# corpus-driven guards — COW clone isolation, the graph (text and gob)
+# and wire decoders' never-panic/bounded-allocation contracts and
 # coalescing-fingerprint safety — from rotting between dedicated fuzz
 # sessions.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCloneCOW$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeGob$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzReadText$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryFingerprint$$' -fuzztime $(FUZZTIME) -timeout 10m .
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/dist/wire
 

@@ -21,7 +21,7 @@
 // "host" is hostname-order round-robin, and "aggregate" co-locates
 // strongly linked sites to minimize cut edges (seeded by
 // -partition-seed); each run prints its cut-edge quality — and
-// negotiated against the workers' digest caches, so with -runs > 1
+// declared to the workers by content digest, so with -runs > 1
 // every run after the first ships near-zero shard bytes.
 // -repartition-threshold records the cut-drift trigger in the run
 // config; it takes effect when the same config serves an updating

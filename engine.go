@@ -697,9 +697,9 @@ func (e *DistEngine) rebuild(_ context.Context, cur *snapshot[*distState], dg *D
 // exceeds cfg.RepartitionThreshold the strategy's Rebalance
 // re-optimizes online. A moved shard then migrates through the normal
 // serving path: RefreshPrepared (above) has already re-keyed the digest
-// memo, so the next Rank's KindOffer negotiation re-ships only shards
-// whose new owner has never cached their content — a clean shard moving
-// to a warm worker costs one digest exchange, not a payload.
+// memo, so the next Rank, declaring every shard by digest, re-ships only
+// those whose new owner has never cached their content — a clean shard
+// moving to a warm worker costs one ref, not a payload.
 func (e *DistEngine) carryAssignment(cur *distState, dg *DocGraph, rk *lmm.Ranker, changed []SiteID) (partition.Assignment, float64) {
 	ext := partition.Extend(dg, cur.asg)
 	frac := partition.CutFraction(rk.SiteGraph(), ext.Owner)

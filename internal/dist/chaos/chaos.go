@@ -20,7 +20,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -337,4 +340,24 @@ func RecordSites(k wire.Kind) (Script, func() []int) {
 		return out
 	}
 	return script, drain
+}
+
+// LeakedGoroutines reports what of the distributed runtime is still
+// running: it polls for up to wait until no goroutine but the caller's
+// has a frame under lmmrank/internal/dist — redialers, async drivers,
+// proxy and worker serve loops all wind down asynchronously after a
+// Close or a cancelled run — and returns the stacks of those left, ""
+// when there are none. A package's TestMain calls it after its tests.
+func LeakedGoroutines(wait time.Duration) string {
+	for deadline := time.Now().Add(wait); ; time.Sleep(10 * time.Millisecond) {
+		buf := make([]byte, 1<<20)
+		// The first stack is the caller's own.
+		stacks := strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n")[1:]
+		stacks = slices.DeleteFunc(stacks, func(s string) bool {
+			return !strings.Contains(s, "lmmrank/internal/dist")
+		})
+		if len(stacks) == 0 || time.Now().After(deadline) {
+			return strings.Join(stacks, "\n\n")
+		}
+	}
 }

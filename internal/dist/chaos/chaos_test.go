@@ -65,9 +65,9 @@ func TestProxyPassesCleanly(t *testing.T) {
 // exactly once; a redial through the same proxy works again — the
 // coordinator-side signature of a recoverable worker death.
 func TestKillAtKindSeversOnce(t *testing.T) {
-	p, enc, dec, conn := fixture(t, KillAtKind(wire.KindReset))
+	p, enc, dec, conn := fixture(t, KillAtKind(wire.KindRankLocal))
 	ping(t, enc, dec) // other kinds pass
-	if err := enc.Encode(&wire.Request{Kind: wire.KindReset}); err == nil {
+	if err := enc.Encode(&wire.Request{Kind: wire.KindRankLocal}); err == nil {
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 		var resp wire.Response
 		if err := dec.Decode(&resp); err == nil {
@@ -76,8 +76,8 @@ func TestKillAtKindSeversOnce(t *testing.T) {
 	}
 	enc2, dec2, _ := dialProxy(t, p)
 	ping(t, enc2, dec2)
-	if err := enc2.Encode(&wire.Request{Kind: wire.KindReset}); err != nil {
-		t.Fatalf("encode reset after rejoin: %v", err)
+	if err := enc2.Encode(&wire.Request{Kind: wire.KindRankLocal}); err != nil {
+		t.Fatalf("encode after rejoin: %v", err)
 	}
 	var resp wire.Response
 	if err := dec2.Decode(&resp); err != nil {

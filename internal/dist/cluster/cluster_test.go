@@ -295,8 +295,8 @@ func TestBatchedSiteRankMatchesUnbatched(t *testing.T) {
 }
 
 // TestShardCacheSkipsReshipping is the streaming-load claim: a repeated
-// RankPrepared against warm workers negotiates every shard as a digest
-// hit and ships (nearly) no shard bytes, visible both in the cache
+// RankPrepared against warm workers declares every shard by digest, is
+// told none is missing and ships (nearly) no shard bytes, visible both in the cache
 // counters and the measured wire traffic.
 func TestShardCacheSkipsReshipping(t *testing.T) {
 	web := testWeb()
@@ -331,7 +331,7 @@ func TestShardCacheSkipsReshipping(t *testing.T) {
 	if warm.Stats.ShardBytesSaved == 0 {
 		t.Error("warm run reports no shard bytes saved")
 	}
-	// The warm run still pays for offers, rank-locals and the SiteRank,
+	// The warm run still pays for declarations, rank-locals and the SiteRank,
 	// but the shard payload — the dominant load cost — is gone.
 	if warm.Stats.BytesSent*3 >= cold.Stats.BytesSent {
 		t.Errorf("warm run sent %d bytes vs cold %d — cache hits should shrink traffic by > 3x",

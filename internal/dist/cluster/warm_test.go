@@ -123,6 +123,59 @@ func TestWarmRunAsksOnlyForMissingLocals(t *testing.T) {
 	}
 }
 
+// TestMessagesPerRun counts a run's exchanges exactly. A worker's
+// session is declared, not negotiated: one KindLoad by digest when the
+// worker holds everything, a second carrying what it reported missing
+// when it does not — so a warm synchronous run is one Load and one power
+// round per worker (it was Reset, Offer, Load and the round), and a cold
+// run pays each worker two Loads, one KindRankLocal and the rounds.
+func TestMessagesPerRun(t *testing.T) {
+	web := testWeb()
+	const nw = 3
+	for _, cfg := range []coordinator.Config{{}, {SiteRank: coordinator.SiteRankSync}} {
+		t.Run(cfg.SiteRank.String(), func(t *testing.T) {
+			cl, err := StartLocal(nw)
+			if err != nil {
+				t.Fatalf("StartLocal: %v", err)
+			}
+			defer cl.Close()
+			rk, err := lmm.NewRanker(web.Graph, lmm.RankerOptions{})
+			if err != nil {
+				t.Fatalf("NewRanker: %v", err)
+			}
+			// Every round of the synchronous mode is one exchange per
+			// worker; the central solve is none.
+			rounds := func(res *coordinator.Result) uint64 {
+				if cfg.SiteRank == coordinator.SiteRankSync {
+					return uint64(nw * res.Stats.SiteRankRounds)
+				}
+				return 0
+			}
+			cold, err := cl.Coord.RankPrepared(rk, cfg)
+			if err != nil {
+				t.Fatalf("cold run: %v", err)
+			}
+			if got, want := cold.Stats.Messages, 2*nw+nw+rounds(cold); got != want {
+				t.Errorf("cold run: %d messages, want %d (two Loads and a KindRankLocal per worker, %d for the rounds)", got, want, rounds(cold))
+			}
+			known := coordinator.Warm{SiteStart: cold.SiteRank, Locals: cold.LocalRanks}
+			warm, err := cl.Coord.RankPreparedCtx(context.Background(), rk, cfg, known)
+			if err != nil {
+				t.Fatalf("warm run: %v", err)
+			}
+			if got, want := warm.Stats.Messages, nw+rounds(warm); got != want {
+				t.Errorf("warm run: %d messages, want %d (one Load per worker, %d for the rounds)", got, want, rounds(warm))
+			}
+			if cfg.SiteRank == coordinator.SiteRankSync && (warm.Stats.SiteRankRounds != 1 || warm.Stats.Messages != 2*nw) {
+				t.Errorf("warm synchronous run: %d rounds, %d messages, want 1 and %d", warm.Stats.SiteRankRounds, warm.Stats.Messages, 2*nw)
+			}
+			if warm.Stats.CacheHits != web.Graph.NumSites() || warm.Stats.CacheMisses != 0 {
+				t.Errorf("warm run: %d hits / %d misses, want %d / 0", warm.Stats.CacheHits, warm.Stats.CacheMisses, web.Graph.NumSites())
+			}
+		})
+	}
+}
+
 // TestCheckpointResumeBeatsSiteStart: a matching checkpoint continues
 // the interrupted float sequence whatever seed the caller offers.
 func TestCheckpointResumeBeatsSiteStart(t *testing.T) {

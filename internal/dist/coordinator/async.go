@@ -197,9 +197,8 @@ func (r *run) recordMerge(idx int, staleness uint64) {
 // the sequential randomized update the literature analyzes). Worker
 // losses reassign rows mid-phase and open a new epoch.
 type asyncPhase struct {
-	r     *run
-	acc   *asyncAccum
-	epoch uint64
+	r   *run
+	acc *asyncAccum
 	// rejoined is Stats.WorkersRejoined as of the current epoch.
 	rejoined int
 	// swept marks the workers merged since the last fleet pass completed.
@@ -233,12 +232,13 @@ func (r *run) startAsync(x matrix.Vector) *asyncPhase {
 	nw := len(r.c.workers)
 	r.stats.AsyncWorkerSweeps = make([]int, nw)
 	r.stats.AsyncStalenessHist = make([]int, asyncStaleBuckets)
-	a := &asyncPhase{r: r, acc: newAsyncAccum(r, x), epoch: 1, rejoined: r.stats.WorkersRejoined, swept: make([]bool, nw)}
+	r.c.asyncEpoch++
+	a := &asyncPhase{r: r, acc: newAsyncAccum(r, x), rejoined: r.stats.WorkersRejoined, swept: make([]bool, nw)}
 	if r.cfg.AsyncOrdered {
 		rng := rand.New(rand.NewSource(r.cfg.AsyncSeed))
 		a.next = func() (*asyncUpdate, error) {
 			idxs := r.aliveIdxs()
-			return r.sweep(idxs[rng.Intn(len(idxs))], a.acc.x, a.acc.version, a.epoch), nil
+			return r.sweep(idxs[rng.Intn(len(idxs))], a.acc.x, a.acc.version, r.c.asyncEpoch), nil
 		}
 		a.publish, a.stop, a.ack = func() {}, func() {}, func(int) {}
 		return a
@@ -253,7 +253,7 @@ func (r *run) startAsync(x matrix.Vector) *asyncPhase {
 	}
 	a.next, a.stop, a.ack = f.next, f.stop, f.ack
 	a.publish = func() {
-		f.shared.Store(&asyncSnapshot{x: append([]float64(nil), a.acc.x...), version: a.acc.version, epoch: a.epoch})
+		f.shared.Store(&asyncSnapshot{x: append([]float64(nil), a.acc.x...), version: a.acc.version, epoch: r.c.asyncEpoch})
 	}
 	a.publish()
 	for _, idx := range r.aliveIdxs() {
@@ -357,7 +357,7 @@ func (f *asyncFleet) stop() {
 // contributions keyed to the old partition must not mix with sweeps of
 // the new one.
 func (a *asyncPhase) newEpoch() {
-	a.epoch++
+	a.r.c.asyncEpoch++
 	a.acc.reset()
 	a.publish()
 }
@@ -381,7 +381,7 @@ func (a *asyncPhase) step() (matrix.Vector, int, bool, error) {
 		}
 		a.newEpoch()
 		return a.acc.x, 0, false, nil
-	case u.epoch != a.epoch:
+	case u.epoch != r.c.asyncEpoch:
 		// Dispatched before a membership change; the driver
 		// re-snapshots under the new epoch.
 		a.ack(u.idx)
@@ -402,9 +402,9 @@ func (a *asyncPhase) step() (matrix.Vector, int, bool, error) {
 // (KindAsyncAck). A worker lost at the ack goes through the normal
 // loss path — its rows must reach a survivor before the verification
 // rounds cover the chain.
-func (r *run) asyncDrain(epoch uint64) error {
+func (r *run) asyncDrain() error {
 	for _, idx := range r.aliveIdxs() {
-		if _, err := r.exchange(idx, &wire.Request{Kind: wire.KindAsyncAck, Epoch: epoch}); err != nil {
+		if _, err := r.exchange(idx, &wire.Request{Kind: wire.KindAsyncAck, Epoch: r.c.asyncEpoch}); err != nil {
 			if err := r.recoverLost(err, true, idx); err != nil {
 				return err
 			}

@@ -13,9 +13,10 @@
 // weighted LPT by default so one giant site cannot serialize the fleet,
 // or coupling-aware aggregation that co-locates strongly linked sites —
 // and every run reports its cut-edge quality in Stats. Wire cost:
-// shards are content-addressed and negotiated against worker-side
-// digest caches before shipping (repeated runs over an unchanged graph
-// ship near-zero shard bytes), and Config.BatchRounds trades one
+// shards are content-addressed and a worker's session is declared by
+// digest — one KindLoad names what it must hold, and only what the
+// worker reports missing is shipped (repeated runs over an unchanged
+// graph ship near-zero shard bytes) — and Config.BatchRounds trades one
 // replicated site-chain shipment for K× fewer SiteRank exchanges. All
 // of it is accounted in per-run Stats.
 package coordinator
@@ -64,8 +65,8 @@ type RetryPolicy struct {
 	// already broken when the run starts) is redialed in the background
 	// up to this many times with jittered exponential backoff, and on
 	// success is re-admitted into the run at the next safe point — its
-	// original sites rebalance back to it through the digest-cache
-	// negotiation (a warm rejoiner re-ships ~0 shard bytes). 0 keeps
+	// original sites rebalance back to it, declared by digest against its
+	// surviving cache (a warm rejoiner re-ships ~0 shard bytes). 0 keeps
 	// the pre-redial behavior: a lost worker stays lost for the run.
 	MaxRedials int
 	// RedialBase and RedialMax shape the backoff between redial
@@ -271,7 +272,7 @@ type Config struct {
 	// path, not the coordinator: when an applied delta drifts the
 	// cut-edge fraction more than this above the last repartition's
 	// baseline, the engine re-runs the strategy and migrates shards
-	// through the digest-cache negotiation. Zero or negative disables
+	// through the workers' digest caches. Zero or negative disables
 	// online repartitioning.
 	RepartitionThreshold float64
 }
@@ -623,9 +624,18 @@ type Coordinator struct {
 	// issuing calls; huge shard batches on slow links may need more.
 	CallTimeout time.Duration
 
-	// runMu serializes whole Rank runs: the protocol phases (reset,
-	// load, rank, power rounds) of two runs must not interleave.
+	// runMu serializes whole Rank runs: the protocol phases (load, rank,
+	// power rounds) of two runs must not interleave.
 	runMu sync.Mutex
+
+	// asyncEpoch is the asynchronous accumulator generation an async
+	// phase is in (it bumps at phase start and on every membership
+	// change). Generations are numbered per Coordinator, not per run: a
+	// worker refuses sweeps for an epoch older than the one its
+	// connection has reached, and nothing rewinds a connection, so a run
+	// must start above where the last one on it stopped. Guarded by
+	// runMu.
+	asyncEpoch uint64
 
 	// prepMemo memoizes the wire payloads (shards, digests, sizes,
 	// chain) of recently prepared Rankers, so repeated RankPrepared runs
@@ -726,7 +736,7 @@ func (c *Coordinator) storePrep(p *preparedShards) {
 // unchanged sites' payloads and digests carried over, so the next
 // RankPrepared run re-hashes only the changed shards — the
 // coordinator-side half of delta shipping (the worker-side half is the
-// digest cache, which turns every unchanged shard into an Offer hit).
+// digest cache, which holds every unchanged shard a Load names).
 // Entries for prev in the rows-in-shards shape (unbatched distributed
 // SiteRank) are dropped instead: their shard contents embed site-graph
 // rows, which a mutation elsewhere can change. changed lists the same

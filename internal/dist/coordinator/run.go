@@ -48,16 +48,17 @@ type run struct {
 	chain    *wire.SiteChain
 	chainRef wire.Digest
 
-	// Fleet view. alive/owner/load change on loss; initialized and
-	// hasChain record which peers completed their first Load (and hold
-	// the chain), so recovery shipments skip the Reset and the chain.
-	alive       []bool
-	nAlive      int
-	owner       []int
-	load        []int
-	initialized []bool
-	hasChain    []bool
-	budget      int
+	// Fleet view. alive/owner/load change on loss. sessions[idx] is the
+	// ascending site set worker idx's session holds — what this run's
+	// last KindLoad to it declared; nil until the run has declared one
+	// (whatever an earlier run left there is replaced by the first) and
+	// again once the worker is lost.
+	alive    []bool
+	nAlive   int
+	owner    []int
+	load     []int
+	sessions [][]int
+	budget   int
 
 	// Re-admission (RetryPolicy.MaxRedials > 0). A redialer goroutine
 	// per lost worker delivers fresh connections on rejoinCh; the
@@ -159,19 +160,18 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 	dg := rk.DocGraph()
 
 	r := &run{
-		c:           c,
-		ctx:         ctx,
-		cfg:         cfg,
-		warm:        warm,
-		rk:          rk,
-		ns:          dg.NumSites(),
-		stats:       &res.Stats,
-		memoize:     memoize,
-		alive:       make([]bool, len(c.workers)),
-		load:        make([]int, len(c.workers)),
-		initialized: make([]bool, len(c.workers)),
-		hasChain:    make([]bool, len(c.workers)),
-		budget:      cfg.Retry.MaxWorkerFailures,
+		c:        c,
+		ctx:      ctx,
+		cfg:      cfg,
+		warm:     warm,
+		rk:       rk,
+		ns:       dg.NumSites(),
+		stats:    &res.Stats,
+		memoize:  memoize,
+		alive:    make([]bool, len(c.workers)),
+		load:     make([]int, len(c.workers)),
+		sessions: make([][]int, len(c.workers)),
+		budget:   cfg.Retry.MaxWorkerFailures,
 	}
 	if cfg.SitePersonalization != nil {
 		if len(cfg.SitePersonalization) != r.ns {
@@ -200,8 +200,8 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 	defer r.stopRedialers()
 
 	// Partition and ship: the configured strategy (or pinned
-	// assignment) places sites over the live fleet, delivered through
-	// the workers' digest caches.
+	// assignment) places sites over the live fleet, and each live worker
+	// is told what its session holds.
 	loadStart := time.Now()
 	r.buildShards()
 	r.owner = r.assignOwners()
@@ -284,10 +284,10 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 }
 
 // buildShards materializes every site's wire payload from the Ranker's
-// precomputed subgraphs, plus each shard's content digest for the cache
-// negotiation. Site-chain rows ride inside the shards only when a
-// row-partitioned SiteRank (synchronous one-round-at-a-time or
-// asynchronous sweeps) will consume them; round batching ships the
+// precomputed subgraphs, plus each shard's content digest — the name a
+// KindLoad declares it under. Site-chain rows ride inside the shards
+// only when a row-partitioned SiteRank (synchronous one-round-at-a-time
+// or asynchronous sweeps) will consume them; round batching ships the
 // whole chain separately instead, and central mode ships no site-layer
 // data at all.
 //
@@ -412,6 +412,7 @@ func (r *run) lose(idx int, cause error, reassign bool) (map[int]struct{}, error
 	}
 	r.alive[idx] = false
 	r.nAlive--
+	r.sessions[idx] = nil
 	r.stats.WorkersLost++
 	addr := r.c.workers[idx].addr
 	if r.budget <= 0 {
@@ -548,11 +549,11 @@ func (r *run) maybeReadmit() error {
 }
 
 // readmit re-admits one redialed worker mid-run: probe the fresh
-// connection, restore the worker to the fleet view, rebalance its
-// ideal share of sites back to it (delivered through the digest-cache
-// negotiation — a warm rejoiner re-ships ~0 bytes), and unload the
-// moved sites from their interim owners so the unbatched power round
-// never reduces a chain row twice.
+// connection, restore the worker to the fleet view, and rebalance its
+// ideal share of sites back to it. One ship does the rest: the rejoiner
+// is declared its share (by digest — a warm rejoiner re-ships ~0 bytes)
+// and the interim owners are declared what they are left with, so the
+// unbatched power round never reduces a chain row twice.
 func (r *run) readmit(rj rejoin) error {
 	idx := rj.idx
 	r.c.workers[idx].reconnect(rj.conn, &r.c.counters)
@@ -569,8 +570,6 @@ func (r *run) readmit(rj rejoin) error {
 	r.redialing[idx] = false
 	r.alive[idx] = true
 	r.nAlive++
-	r.initialized[idx] = false
-	r.hasChain[idx] = false
 	r.load[idx] = 0
 	r.stats.WorkersRejoined++
 
@@ -582,14 +581,11 @@ func (r *run) readmit(rj rejoin) error {
 	// held before it died — warm in its digest cache.
 	ideal := r.idealOwners()
 	moved := make(map[int]struct{})
-	prevOwner := make(map[int][]int)
 	for s := 0; s < r.ns; s++ {
 		if ideal[s] != idx || r.owner[s] == idx {
 			continue
 		}
-		prev := r.owner[s]
-		prevOwner[prev] = append(prevOwner[prev], s)
-		r.load[prev] -= r.shards[s].NumDocs
+		r.load[r.owner[s]] -= r.shards[s].NumDocs
 		r.owner[s] = idx
 		r.load[idx] += r.shards[s].NumDocs
 		moved[s] = struct{}{}
@@ -597,86 +593,61 @@ func (r *run) readmit(rj rejoin) error {
 	r.mu.Lock()
 	r.rejoining[idx] = true
 	r.mu.Unlock()
-	// ship also initializes a shardless rejoiner (Reset + Load carrying
-	// the dimension, and the chain when batching), so it can serve
-	// power rounds even when the ideal assignment hands it nothing.
+	// The rejoiner's session is undeclared, so ship reaches it even when
+	// the ideal assignment hands it nothing: it learns the dimension (and
+	// the chain, when batching) and can serve power rounds.
 	err := r.ship(moved)
 	r.mu.Lock()
 	delete(r.rejoining, idx)
 	r.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return r.unloadFrom(prevOwner)
-}
-
-// unloadFrom drops the rebalanced-back sites from their interim
-// owners' sessions (the digest caches keep the shards). A worker lost
-// during its unload goes through the normal loss path — its remaining
-// sites reassign and re-ship. The prevOwner map was captured before
-// the rejoin ship, and that ship can itself lose the rejoiner and hand
-// a moved site straight back to its interim owner — so each site is
-// re-checked against the current assignment and never unloaded from
-// the worker that owns it now.
-func (r *run) unloadFrom(prevOwner map[int][]int) error {
-	for _, idx := range slices.Sorted(maps.Keys(prevOwner)) {
-		if !r.alive[idx] {
-			continue // a dead session is never polled; nothing to unload
-		}
-		sites := make([]int, 0, len(prevOwner[idx]))
-		for _, s := range prevOwner[idx] {
-			if r.owner[s] != idx {
-				sites = append(sites, s)
-			}
-		}
-		if len(sites) == 0 {
-			continue
-		}
-		sort.Ints(sites)
-		if _, err := r.call(idx, &wire.Request{Kind: wire.KindUnload, Sites: sites}); err != nil {
-			if err := r.recoverLost(err, true, idx); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return err
 }
 
 // ship delivers the needed sites to their current owners and leaves
-// every live worker initialized (a shardless worker still receives a
-// Load so it learns the site-space dimension — and the chain, when
-// batching). Worker losses during shipping reassign and loop until
+// every live worker's session declared as exactly the sites it owns among
+// those it held or now needs: a worker the run has not declared yet gets
+// a Load even when shardless (it learns the site-space dimension — and
+// the chain, when batching), and one whose sites moved away gets the
+// smaller set. Worker losses during shipping reassign and loop until
 // every needed shard has landed.
 func (r *run) ship(need map[int]struct{}) error {
 	for {
 		if err := r.ctx.Err(); err != nil {
 			return err
 		}
-		pending := make(map[int][]int)
-		for s := range need {
-			pending[r.owner[s]] = append(pending[r.owner[s]], s)
-		}
-		for idx := range r.c.workers {
-			if r.alive[idx] && !r.initialized[idx] {
-				if _, ok := pending[idx]; !ok {
-					pending[idx] = nil
+		want := make([][]int, len(r.c.workers))
+		fresh := make([][]int, len(r.c.workers))
+		for idx, held := range r.sessions {
+			want[idx] = []int{}
+			for _, s := range held {
+				if _, again := need[s]; r.owner[s] == idx && !again {
+					want[idx] = append(want[idx], s)
 				}
 			}
 		}
-		if len(pending) == 0 {
+		for s := range need {
+			want[r.owner[s]] = append(want[r.owner[s]], s)
+			fresh[r.owner[s]] = append(fresh[r.owner[s]], s)
+		}
+		var idxs []int
+		for idx := range want {
+			sort.Ints(want[idx])
+			if r.alive[idx] && (r.sessions[idx] == nil || !slices.Equal(want[idx], r.sessions[idx])) {
+				idxs = append(idxs, idx)
+			}
+		}
+		if len(idxs) == 0 {
 			return nil
 		}
-		idxs := slices.Sorted(maps.Keys(pending))
 		errs := make([]error, len(idxs))
 		fanOut(idxs, func(i, idx int) {
-			sort.Ints(pending[idx])
-			errs[i] = r.shipTo(idx, pending[idx])
+			errs[i] = r.shipTo(idx, want[idx], fresh[idx])
 		})
 		for i, idx := range idxs {
 			err := errs[i]
 			if err == nil {
-				r.initialized[idx] = true
-				for _, s := range pending[idx] {
+				r.sessions[idx] = want[idx]
+				for _, s := range fresh[idx] {
 					delete(need, s)
 				}
 				continue
@@ -699,142 +670,91 @@ func (r *run) ship(need map[int]struct{}) error {
 	}
 }
 
-// shipTo delivers one worker's shard batch through the cache protocol:
-// Reset on first contact, then Offer (which shards do you already
-// hold?), then Load carrying only the misses in full. Entries evicted
-// between the offer and the load come back in Response.Missing and are
-// re-shipped in full immediately.
-func (r *run) shipTo(idx int, sites []int) error {
+// shipTo declares worker idx's session: exactly the sites in want, of
+// which fresh are the ones this shipment delivers (the rest the session
+// holds already). The first Load is optimistic — every site by digest —
+// and the worker answers the ones it holds nowhere; each further Load is
+// the same declaration with the latest misses in full, until none is
+// left. Missing is a set of declared refs: a site the worker repeats,
+// was never told about, or was already sent in full is a peer
+// answering wrongly, an error and never retried.
+func (r *run) shipTo(idx int, want, fresh []int) error {
 	w := r.c.workers[idx]
-	if !r.initialized[idx] {
-		if _, err := r.call(idx, &wire.Request{Kind: wire.KindReset}); err != nil {
-			return err
+	first := r.sessions[idx] == nil
+	// fullAt[s] is the request (counted from 1) that carries declared
+	// site s in full, 0 while it has only gone by digest; chainAt is the
+	// same for the chain.
+	fullAt := make(map[int]int, len(want))
+	for _, s := range want {
+		fullAt[s] = 0
+	}
+	chainAt := 0
+	for n := 1; ; n++ {
+		req := &wire.Request{Kind: wire.KindLoad, NumSites: r.ns, HasChain: r.chain != nil, ChainDigest: r.chainRef}
+		if chainAt == n {
+			req.Chain = r.chain
 		}
-	}
-	needChain := r.chain != nil && !r.hasChain[idx]
-	refs := make([]wire.ShardRef, len(sites))
-	for i, s := range sites {
-		refs[i] = r.refs[s]
-	}
-	have := make(map[int]bool)
-	chainHit := false
-	if len(refs) > 0 || needChain {
-		req := &wire.Request{Kind: wire.KindOffer, Refs: refs}
-		if needChain {
-			req.HasChain = true
-			req.ChainDigest = r.chainRef
+		var full []wire.SiteShard
+		for _, s := range want {
+			if fullAt[s] == n {
+				full = append(full, r.shards[s])
+			} else {
+				req.Cached = append(req.Cached, r.refs[s])
+			}
+		}
+		if err := r.packShards(req, full); err != nil {
+			return err
 		}
 		resp, err := r.call(idx, req)
 		if err != nil {
 			return err
 		}
-		offered := make(map[int]bool, len(sites))
-		for _, s := range sites {
-			offered[s] = true
-		}
-		for _, s := range resp.HaveSites {
-			if !offered[s] {
-				return fmt.Errorf("coordinator: %s claims unoffered site %d in cache", w.addr, s)
-			}
-			have[s] = true
-		}
-		chainHit = needChain && resp.HaveChain
-	}
-
-	var full []wire.SiteShard
-	var cached []wire.ShardRef
-	for _, s := range sites {
-		if have[s] {
-			cached = append(cached, r.refs[s])
-		} else {
-			full = append(full, r.shards[s])
-		}
-	}
-	req := &wire.Request{Kind: wire.KindLoad, NumSites: r.ns, Cached: cached}
-	if err := r.packShards(req, full); err != nil {
-		return err
-	}
-	if needChain {
-		req.HasChain = true
-		req.ChainDigest = r.chainRef
-		if !chainHit {
-			req.Chain = r.chain
-		}
-	}
-	resp, err := r.call(idx, req)
-	if err != nil {
-		return err
-	}
-	wasCached := make(map[int]bool, len(cached))
-	for _, ref := range cached {
-		wasCached[ref.Site] = true
-	}
-	for _, s := range resp.Missing {
-		if !wasCached[s] {
-			return fmt.Errorf("coordinator: %s reports un-requested site %d missing", w.addr, s)
-		}
-	}
-
-	// Cache accounting: hits are the refs the worker honored, misses
-	// everything shipped in full (now or in the eviction follow-up).
-	r.mu.Lock()
-	r.stats.CacheMisses += len(full) + len(resp.Missing)
-	r.stats.CacheHits += len(cached) - len(resp.Missing)
-	r.stats.ShardsReshipped += len(full) + len(resp.Missing)
-	r.stats.ShardsReused += len(cached) - len(resp.Missing)
-	if r.rejoining[idx] {
-		// Shard payloads this re-admission had to move in full — ~0 for
-		// a warm rejoiner, whose shards all hit its digest cache.
-		for i := range full {
-			r.stats.RejoinShardBytes += r.wireSizes[full[i].Site]
-		}
 		for _, s := range resp.Missing {
+			if at, declared := fullAt[s]; !declared {
+				return fmt.Errorf("coordinator: %s reports un-declared site %d missing", w.addr, s)
+			} else if at != 0 {
+				return fmt.Errorf("coordinator: %s reports site %d missing twice, or after it was shipped in full", w.addr, s)
+			}
+			fullAt[s] = n + 1
+		}
+		if resp.MissingChain {
+			if r.chain == nil || chainAt != 0 {
+				return fmt.Errorf("coordinator: %s reports a site chain missing that was not declared, or was shipped in full", w.addr)
+			}
+			chainAt = n + 1
+		}
+		if len(resp.Missing) == 0 && !resp.MissingChain {
+			break
+		}
+	}
+
+	// Cache accounting, over what this shipment delivered: hits are the
+	// refs the worker honored, misses the shards that went in full. The
+	// chain counts once per worker, with its first declaration.
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, s := range fresh {
+		if fullAt[s] == 0 {
+			r.stats.CacheHits++
+			r.stats.ShardsReused++
+			r.stats.ShardBytesSaved += r.wireSizes[s]
+			continue
+		}
+		r.stats.CacheMisses++
+		r.stats.ShardsReshipped++
+		if r.rejoining[idx] {
+			// Shard payloads this re-admission had to move in full — ~0 for
+			// a warm rejoiner, whose shards all hit its digest cache.
 			r.stats.RejoinShardBytes += r.wireSizes[s]
 		}
 	}
-	missing := make(map[int]bool, len(resp.Missing))
-	for _, s := range resp.Missing {
-		missing[s] = true
-	}
-	for _, ref := range cached {
-		if !missing[ref.Site] {
-			r.stats.ShardBytesSaved += r.wireSizes[ref.Site]
-		}
-	}
-	if needChain {
-		if chainHit && !resp.MissingChain {
+	if r.chain != nil && first {
+		if chainAt != 0 {
+			r.stats.CacheMisses++
+		} else {
 			r.stats.CacheHits++
 			r.stats.ShardBytesSaved += r.chain.WireSize()
-		} else {
-			r.stats.CacheMisses++
 		}
-	}
-	r.mu.Unlock()
-
-	if len(resp.Missing) > 0 || (needChain && resp.MissingChain) {
-		req2 := &wire.Request{Kind: wire.KindLoad, NumSites: r.ns}
-		var evicted []wire.SiteShard
-		for _, s := range resp.Missing {
-			evicted = append(evicted, r.shards[s])
-		}
-		if err := r.packShards(req2, evicted); err != nil {
-			return err
-		}
-		if needChain && resp.MissingChain {
-			req2.HasChain = true
-			req2.ChainDigest = r.chainRef
-			req2.Chain = r.chain
-		}
-		resp2, err := r.call(idx, req2)
-		if err != nil {
-			return err
-		}
-		if len(resp2.Missing) > 0 || resp2.MissingChain {
-			return fmt.Errorf("coordinator: %s rejected fully shipped shards as missing", w.addr)
-		}
-	}
-	if r.chain != nil {
-		r.hasChain[idx] = true
 	}
 	return nil
 }

@@ -70,7 +70,7 @@ func (r *run) fleetSiteRank() (matrix.Vector, int, error) {
 		// rounds, never a wrong result — and the barrier is where
 		// rejoined workers are re-admitted.
 		async.stop()
-		if err := r.asyncDrain(async.epoch); err != nil {
+		if err := r.asyncDrain(); err != nil {
 			return nil, 0, err
 		}
 		verify := r.barrierSchedule("async siterank verification", x, 0)

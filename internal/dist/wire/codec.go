@@ -23,7 +23,7 @@ import (
 // a proxy may relay one without understanding it.
 const (
 	frameMagic   = 0xB0 // high nibble of byte 0
-	frameVersion = 0x01 // low nibble of byte 0
+	frameVersion = 0x02 // low nibble of byte 0
 	headerLen    = 6
 
 	// kindResponse is the header kind of a Response frame; no Request
@@ -352,8 +352,8 @@ func (c *codec) shards(p *[]SiteShard) {
 	}
 }
 
-func (c *codec) refs(p *[]ShardRef, what string) {
-	v := sized(c, p, what, MaxSites, minRefBytes)
+func (c *codec) refs(p *[]ShardRef) {
+	v := sized(c, p, "cached ref", MaxSites, minRefBytes)
 	for i := range v {
 		c.int(&v[i].Site)
 		c.digest(&v[i].Digest)
@@ -372,8 +372,7 @@ func (c *codec) request(r *Request) {
 	c.flags(&r.HasChain, &hasChain, &hasDigest)
 	c.shards(&r.Shards)
 	c.bytes(&r.ShardsZ, "compressed shard byte")
-	c.refs(&r.Cached, "cached ref")
-	c.refs(&r.Refs, "offered ref")
+	c.refs(&r.Cached)
 	if c.mode == reading {
 		if !hasChain {
 			r.Chain = nil
@@ -400,7 +399,7 @@ func (c *codec) request(r *Request) {
 }
 
 func (c *codec) response(r *Response) {
-	c.flags(&r.HaveChain, &r.MissingChain, &r.Converged)
+	c.flags(&r.MissingChain, &r.Converged)
 	c.str(&r.Err)
 	local := sized(c, &r.Local, "local rank", MaxSites, minLocalBytes)
 	for i := range local {
@@ -410,7 +409,6 @@ func (c *codec) response(r *Response) {
 	}
 	c.floats(&r.Partial, "partial", MaxSites)
 	c.float(&r.DanglingMass)
-	c.ints(&r.HaveSites, "cached site", MaxSites)
 	c.ints(&r.Missing, "missing site", MaxSites)
 	c.floats(&r.X, "iterate", MaxSites)
 	c.int(&r.Rounds)

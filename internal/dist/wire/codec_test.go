@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -148,7 +149,7 @@ func (g gen) shard() SiteShard {
 
 func (g gen) request(k Kind) *Request {
 	r := &Request{
-		Kind: k, Cached: g.refs(6), Refs: g.refs(6),
+		Kind: k, Cached: g.refs(6),
 		HasChain: g.Intn(2) == 0, NumSites: g.int(),
 		Damping: g.float(), Tol: g.float(), MaxIter: g.int(),
 		X: g.floats(300), V: g.floats(300), Sites: g.ints(20),
@@ -172,7 +173,6 @@ func (g gen) request(k Kind) *Request {
 func (g gen) response() *Response {
 	r := &Response{
 		Partial: g.floats(300), DanglingMass: g.float(),
-		HaveSites: g.ints(20), HaveChain: g.Intn(2) == 0,
 		Missing: g.ints(20), MissingChain: g.Intn(2) == 0,
 		X: g.floats(300), Rounds: g.int(), Residual: g.float(),
 		Converged: g.Intn(2) == 0, Mass: g.float(), Epoch: g.Uint64() >> g.Intn(64),
@@ -363,7 +363,9 @@ func TestHostileFrames(t *testing.T) {
 		mention string // substring of the message otherwise
 	}{
 		{"gob peer", append([]byte{0x4a, 0xff, 0x81, 0x03, 0x01, 0x01}, valid[headerLen:]...), &Request{}, nil, "magic"},
-		{"future version", append([]byte{frameMagic | 2}, valid[1:]...), &Request{}, nil, "version 2"},
+		{"future version", append([]byte{frameMagic | (frameVersion + 1)}, valid[1:]...), &Request{}, nil, fmt.Sprintf("version %d, this build speaks %d", frameVersion+1, frameVersion)},
+		// A mixed-build fleet: the peer from before the kinds were renumbered.
+		{"previous version", append([]byte{frameMagic | (frameVersion - 1)}, valid[1:]...), &Request{}, nil, fmt.Sprintf("version %d, this build speaks %d", frameVersion-1, frameVersion)},
 		{"short header", valid[:4], &Request{}, io.ErrUnexpectedEOF, ""},
 		{"truncated payload", valid[:len(valid)-5], &Request{}, io.ErrUnexpectedEOF, ""},
 		{"bytes after frame", append(append([]byte{}, valid...), 0), &Request{}, nil, "after the frame"},
@@ -583,6 +585,14 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add(header(KindLoad, 3))
+	// A frame from a build before the kinds were renumbered, and the two
+	// messages the declared-session contract refuses one level above the
+	// decoder: a Load naming a site twice, a Missing that is not a set.
+	old := marshal(f, &Request{Kind: KindLoad, NumSites: 3})
+	old[0] = frameMagic | (frameVersion - 1)
+	f.Add([]byte(old))
+	f.Add([]byte(marshal(f, &Request{Kind: KindLoad, NumSites: 3, Cached: []ShardRef{{Site: 1}, {Site: 1}}})))
+	f.Add([]byte(marshal(f, &Response{Missing: []int{3, 3}})))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(frame Frame, dst any) {
 			if err := frame.Decode(dst); err != nil {

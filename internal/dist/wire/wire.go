@@ -35,38 +35,31 @@ type Kind uint8
 const (
 	// KindPing checks liveness; the response carries no payload.
 	KindPing Kind = iota + 1
-	// KindLoad installs a batch of site shards, replacing any sites the
-	// worker held from a previous run with the same IDs.
+	// KindLoad declares the session: after it the worker's session holds
+	// exactly the shards the request names over NumSites — Cached by
+	// (site, digest), Shards/ShardsZ in full — plus the site chain under
+	// ChainDigest when HasChain, and nothing else. The worker resolves
+	// each Cached ref against the session it already has (same site,
+	// same digest: kept, warm solver and all), then its digest-keyed
+	// cache, and answers the ones it holds nowhere in Response.Missing;
+	// the coordinator declares again with those in full. Nothing but a
+	// Load adds to or removes from a session, so a run's first Load is
+	// its reset, a rebalance is a smaller declaration, a retransmitted
+	// Load changes nothing — and delta shipping after graph churn needs
+	// no message of its own: a mutation confined to one site changes
+	// one shard digest, so N refs come back with one Missing.
 	KindLoad
-	// KindReset drops all loaded shards, so a new Rank starts clean.
-	KindReset
 	// KindRankLocal computes the local DocRank of loaded sites (all of
 	// them, or the subset listed in Request.Sites).
 	KindRankLocal
 	// KindPowerRound performs one distributed SiteRank power step over
 	// the worker's owned rows of the site transition chain.
 	KindPowerRound
-	// KindOffer negotiates the worker's digest-keyed shard cache: the
-	// coordinator lists the shards (and optionally the site chain) it is
-	// about to assign, and the worker answers which of them it already
-	// holds, so the following KindLoad ships only the misses. The same
-	// negotiation is the wire half of delta shipping after graph churn:
-	// a mutation confined to one site changes exactly one shard digest,
-	// so a re-prepared run offers N refs, hits N−1, and re-ships one
-	// shard — no dedicated delta message kind is needed.
-	KindOffer
 	// KindBatchRounds runs up to Request.Rounds damped SiteRank power
 	// rounds locally on the worker against its replicated site chain and
 	// returns the resulting iterate — round batching, trading one larger
 	// chain shipment at load time for K× fewer SiteRank exchanges.
 	KindBatchRounds
-	// KindUnload removes the sites listed in Request.Sites from the
-	// worker's session (the digest cache keeps their shards — a later
-	// Offer still hits). The coordinator issues it when re-admitting a
-	// rejoined worker: sites rebalanced back to the rejoiner must leave
-	// their interim owner's session, or KindPowerRound — which covers
-	// every loaded shard — would count those chain rows twice.
-	KindUnload
 	// KindAsyncUpdate performs one barrier-free SiteRank sweep: the same
 	// row-partition arithmetic as KindPowerRound (partial product over
 	// owned rows plus dangling mass), but additionally reporting the
@@ -128,8 +121,8 @@ type SiteShard struct {
 // poisoning across coordinators sharing a worker).
 type Digest [sha256.Size]byte
 
-// ShardRef names a shard by site and content digest, the currency of
-// the KindOffer/KindLoad cache negotiation.
+// ShardRef names a shard by site and content digest: how a KindLoad
+// declares a shard without shipping it.
 type ShardRef struct {
 	Site   int
 	Digest Digest
@@ -158,18 +151,16 @@ type Request struct {
 	// Config.Compress is on. A request may carry both Shards and
 	// ShardsZ; the worker concatenates them.
 	ShardsZ []byte
-	// Cached lists shards KindLoad activates from the worker's digest
-	// cache instead of shipping (negotiated by a preceding KindOffer).
+	// Cached lists the shards KindLoad declares by reference: the worker
+	// keeps or activates each from its session or digest cache, or
+	// reports its site in Response.Missing.
 	Cached []ShardRef
-	// Refs carries KindOffer payload: the shards the coordinator intends
-	// to assign to this worker.
-	Refs []ShardRef
 	// Chain optionally ships the full site chain at KindLoad (round
 	// batching replicates it on every worker).
 	Chain *SiteChain
-	// HasChain marks that the run involves a site chain: at KindOffer it
-	// asks whether ChainDigest is cached; at KindLoad with a nil Chain it
-	// activates the cached chain under ChainDigest.
+	// HasChain declares that the session holds the site chain under
+	// ChainDigest: with a nil Chain the worker keeps or activates its
+	// copy, or answers Response.MissingChain.
 	HasChain    bool
 	ChainDigest Digest
 	// NumSites is the site-space dimension, needed by KindPowerRound and
@@ -190,14 +181,13 @@ type Request struct {
 	V []float64
 	// Sites restricts KindRankLocal to the listed sites (empty = every
 	// loaded site) — the coordinator re-ranks only reassigned sites after
-	// a worker loss — and names the sites KindUnload drops from the
-	// session when shards rebalance back to a rejoined worker.
+	// a worker loss.
 	Sites []int
 	// Rounds asks KindBatchRounds for up to this many power rounds.
 	Rounds int
 	// Epoch versions the asynchronous accumulator generation for
 	// KindAsyncUpdate and KindAsyncAck. Epochs only move forward on a
-	// session: a sweep for an epoch older than the session's current one
+	// connection: a sweep for an epoch older than the session's current one
 	// is refused (it would feed a drained accumulator), a newer one
 	// adopts the new epoch and restarts the sweep count.
 	Epoch uint64
@@ -223,13 +213,10 @@ type Response struct {
 	// DanglingMass is the iterate mass sitting on owned dangling rows,
 	// needed centrally for the teleport coefficient.
 	DanglingMass float64
-	// HaveSites answers KindOffer: the offered sites whose digests hit
-	// the worker's cache. HaveChain answers the chain question.
-	HaveSites []int
-	HaveChain bool
-	// Missing answers KindLoad: Cached sites whose entries were evicted
-	// between the offer and the load; the coordinator re-ships them in
-	// full. MissingChain is the same signal for the site chain.
+	// Missing answers KindLoad: the Cached sites, each at most once,
+	// whose digest neither the session nor the cache holds; the
+	// coordinator declares again with them in full. MissingChain is the
+	// same signal for the site chain.
 	Missing      []int
 	MissingChain bool
 	// X is the iterate after KindBatchRounds ran Rounds power rounds;

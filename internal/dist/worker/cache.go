@@ -27,6 +27,20 @@ type cacheEntry struct {
 	solver *lmm.SubgraphSolver
 }
 
+// rowWithin reports whether the entry's chain row fits a site space of
+// numSites. An entry was validated against the site space it was first
+// loaded into, so every later activation re-checks: a shard cached under
+// a larger graph must not smuggle out-of-range columns past the power
+// round's branch-free loop.
+func (e *cacheEntry) rowWithin(numSites int) bool {
+	for _, col := range e.rowCols {
+		if col < 0 || col >= numSites {
+			return false
+		}
+	}
+	return true
+}
+
 // rank computes the entry's local DocRank, building the solver on first
 // use and cloning the result out of the solver's scratch (the clone is
 // what crosses sessions and the wire; the scratch stays entry-private).
@@ -45,13 +59,14 @@ func (e *cacheEntry) rank(cfg lmm.WebConfig) (matrix.Vector, int, error) {
 
 // shardCache is the worker-global digest-keyed store that makes
 // repeated coordinator runs cheap: shards (and site chains) survive
-// KindReset and even coordinator reconnects, so an unchanged graph is
+// their sessions and coordinator reconnects, so an unchanged graph is
 // never re-shipped and its solvers keep their warm scratch.
 //
 // Shard retention is bounded by aggregate document count (maxDocs) with
 // least-recently-used eviction; chains by entry count. Evicting an
 // entry does not invalidate sessions already holding it — they keep
-// their pointer — it only stops future Offer hits.
+// their pointer, and a Load that names them again keeps them — it only
+// stops other sessions' refs from hitting.
 type shardCache struct {
 	mu        sync.Mutex
 	shards    map[wire.Digest]*list.Element // values: *cacheEntry

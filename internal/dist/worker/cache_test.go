@@ -57,10 +57,10 @@ func TestShardCacheDedupes(t *testing.T) {
 	}
 }
 
-// TestOfferAndCachedLoad drives the cache protocol over a real socket:
-// a shard shipped by one session is offered and activated by digest
-// from a second session without re-shipping its content.
-func TestOfferAndCachedLoad(t *testing.T) {
+// TestCachedLoadAcrossSessions drives the cache protocol over a real
+// socket: a shard shipped by one session is declared by digest from a
+// second session and activated without re-shipping its content.
+func TestCachedLoadAcrossSessions(t *testing.T) {
 	w := New()
 	addr, err := w.Start("127.0.0.1:0")
 	if err != nil {
@@ -82,16 +82,6 @@ func TestOfferAndCachedLoad(t *testing.T) {
 
 	// A brand-new session sees the hit: the cache is worker-global.
 	enc2, dec2, _ := dial(t, addr)
-	offer := roundTrip(t, enc2, dec2, &wire.Request{
-		Kind: wire.KindOffer,
-		Refs: []wire.ShardRef{{Site: 0, Digest: digest}},
-	})
-	if offer.Err != "" {
-		t.Fatalf("offer: %s", offer.Err)
-	}
-	if len(offer.HaveSites) != 1 || offer.HaveSites[0] != 0 {
-		t.Fatalf("offer answered %v, want cache hit for site 0", offer.HaveSites)
-	}
 	load := roundTrip(t, enc2, dec2, &wire.Request{
 		Kind: wire.KindLoad, NumSites: 1,
 		Cached: []wire.ShardRef{{Site: 0, Digest: digest}},
@@ -105,9 +95,10 @@ func TestOfferAndCachedLoad(t *testing.T) {
 	}
 }
 
-// TestCachedLoadReportsEvicted covers the offer/load race: a ref whose
-// entry is gone comes back in Missing instead of failing the load, and
-// the un-activated site is not silently rankable.
+// TestCachedLoadReportsEvicted: a ref the worker holds nowhere comes
+// back in Missing instead of failing the load, the un-activated site is
+// not silently rankable, and the same declaration with the shard in full
+// completes the session — the two exchanges of a cold shipment.
 func TestCachedLoadReportsEvicted(t *testing.T) {
 	w := New()
 	addr, err := w.Start("127.0.0.1:0")
@@ -117,27 +108,30 @@ func TestCachedLoadReportsEvicted(t *testing.T) {
 	defer w.Close()
 	enc, dec, _ := dial(t, addr)
 
-	var unknown wire.Digest
-	unknown[0] = 0xEE
-	offer := roundTrip(t, enc, dec, &wire.Request{
-		Kind: wire.KindOffer,
-		Refs: []wire.ShardRef{{Site: 0, Digest: unknown}},
-	})
-	if len(offer.HaveSites) != 0 {
-		t.Fatalf("offer of unknown digest claimed hits: %v", offer.HaveSites)
+	held := wire.SiteShard{Site: 1, NumDocs: 1}
+	if resp := roundTrip(t, enc, dec, &wire.Request{Kind: wire.KindLoad, NumSites: 2, Shards: []wire.SiteShard{held}}); resp.Err != "" {
+		t.Fatalf("load: %s", resp.Err)
 	}
-	load := roundTrip(t, enc, dec, &wire.Request{
-		Kind: wire.KindLoad, NumSites: 1,
-		Cached: []wire.ShardRef{{Site: 0, Digest: unknown}},
-	})
+	unknown := wire.SiteShard{Site: 0, NumDocs: 3}
+	refs := []wire.ShardRef{{Site: 0, Digest: unknown.ContentDigest()}, {Site: 1, Digest: held.ContentDigest()}}
+	load := roundTrip(t, enc, dec, &wire.Request{Kind: wire.KindLoad, NumSites: 2, Cached: refs})
 	if load.Err != "" {
-		t.Fatalf("load with evicted ref must not fail hard: %s", load.Err)
+		t.Fatalf("load with an unknown ref must not fail hard: %s", load.Err)
 	}
 	if len(load.Missing) != 1 || load.Missing[0] != 0 {
 		t.Fatalf("Missing = %v, want [0]", load.Missing)
 	}
 	if rank := roundTrip(t, enc, dec, &wire.Request{Kind: wire.KindRankLocal, Sites: []int{0}}); rank.Err == "" {
 		t.Error("ranking a never-activated site succeeded")
+	}
+	load = roundTrip(t, enc, dec, &wire.Request{Kind: wire.KindLoad, NumSites: 2,
+		Cached: refs[1:], Shards: []wire.SiteShard{unknown}})
+	if load.Err != "" || len(load.Missing) != 0 {
+		t.Fatalf("declaration with the miss in full: err=%q missing=%v", load.Err, load.Missing)
+	}
+	rank := roundTrip(t, enc, dec, &wire.Request{Kind: wire.KindRankLocal})
+	if rank.Err != "" || len(rank.Local) != 2 || len(rank.Local[0].Scores) != 3 {
+		t.Fatalf("rank after completing the session: err=%q local=%v", rank.Err, rank.Local)
 	}
 }
 

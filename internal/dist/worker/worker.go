@@ -5,12 +5,13 @@
 // at a time, or whole batches of rounds against a replicated site chain
 // — the paper's Web server participating in decentralized ranking.
 //
-// Shards are held in a worker-global, digest-keyed cache that survives
-// session resets and coordinator reconnects: a coordinator re-ranking an
-// unchanged graph negotiates cache hits (KindOffer) instead of
-// re-shipping subgraphs, and each cached shard keeps a warm
-// lmm.SubgraphSolver so repeated runs also skip rebuilding transition
-// matrices and solver scratch.
+// A session is what its connection's last KindLoad declared; nothing
+// else adds to or removes from it. Behind the sessions sits a
+// worker-global, digest-keyed shard cache that survives coordinator
+// reconnects: a coordinator re-ranking an unchanged graph declares its
+// shards by digest instead of re-shipping subgraphs, and each cached
+// shard keeps a warm lmm.SubgraphSolver so repeated runs also skip
+// rebuilding transition matrices and solver scratch.
 package worker
 
 import (
@@ -50,29 +51,29 @@ type shard struct {
 	entry *cacheEntry
 }
 
-// session is the per-connection state of one coordinator: the shards it
-// activated and the site chain it shipped. Scoping state to the
+// session is the per-connection state of one coordinator: the shards
+// and site chain its last KindLoad declared. Scoping state to the
 // connection isolates concurrent coordinators from each other — two
 // fleets' runs over the same worker cannot clobber one another's shards
 // (they can, by design, share cache entries).
 type session struct {
 	shards   map[int]*shard
 	numSites int
-	// chain is the replicated site chain for KindBatchRounds, nil until
-	// a Load ships or activates one.
-	chain *wire.SiteChain
-	// totalDocs tracks the aggregate hosted document count, bounded by
-	// wire.MaxShardDocs across the whole session — per-request bounds
-	// alone would let a looping client accumulate unbounded memory.
+	// chain is the replicated site chain for KindBatchRounds under its
+	// content digest, nil unless the last Load declared one.
+	chain       *wire.SiteChain
+	chainDigest wire.Digest
+	// totalDocs is the aggregate hosted document count, which every Load
+	// bounds by wire.MaxShardDocs; since a Load replaces the session, the
+	// bound on one declaration is the bound on the session.
 	totalDocs int
-	// sorted caches sortedShards; nil after any shard mutation.
+	// sorted caches sortedShards; nil after a Load.
 	sorted []*shard
 	// asyncEpoch is the current asynchronous accumulator generation and
 	// asyncSweeps the KindAsyncUpdate sweeps served in it; KindAsyncAck
-	// reports the count and retires the epoch. Within a run epochs only
-	// move forward, so a sweep duplicated past a drain cannot feed a
-	// retired accumulator; KindReset rewinds them to zero with the rest
-	// of the session, since each run numbers its epochs from one.
+	// reports the count and retires the epoch. Epochs only move forward
+	// for the life of the connection — no request rewinds them — so a
+	// sweep duplicated past a drain cannot feed a retired accumulator.
 	asyncEpoch  uint64
 	asyncSweeps int
 
@@ -106,7 +107,7 @@ func zeroed(v *matrix.Vector, n int) matrix.Vector {
 // sortedShards returns the loaded shards in ascending site order, the
 // fixed iteration order both compute handlers rely on (map order would
 // vary float summation and result ordering across runs). The slice is
-// cached until the next Load/Reset so power rounds skip the re-sort.
+// cached until the next Load so power rounds skip the re-sort.
 func (s *session) sortedShards() []*shard {
 	if s.sorted != nil {
 		return s.sorted
@@ -118,21 +119,6 @@ func (s *session) sortedShards() []*shard {
 	sort.Slice(out, func(a, b int) bool { return out[a].site < out[b].site })
 	s.sorted = out
 	return out
-}
-
-// clear drops all session state (the global cache is untouched — that
-// is the point of KindReset: a new run starts clean but stays warm).
-// The async epoch rewinds too: the coordinator numbers accumulator
-// generations from one within each run, and requests are serialized
-// per connection, so nothing from the drained run can still arrive.
-func (s *session) clear() {
-	s.shards = make(map[int]*shard)
-	s.numSites = 0
-	s.totalDocs = 0
-	s.chain = nil
-	s.sorted = nil
-	s.asyncEpoch = 0
-	s.asyncSweeps = 0
 }
 
 // Worker is a distributed-ranking peer. Zero workers are not useful:
@@ -315,7 +301,6 @@ func (w *Worker) serveConn(conn net.Conn) {
 
 	wc := wire.NewConn(conn, &w.counters)
 	sess := &session{}
-	sess.clear()
 	for {
 		// EOF and closed-connection errors are the coordinator hanging
 		// up; a malformed frame is equally terminal for a strict
@@ -325,11 +310,10 @@ func (w *Worker) serveConn(conn net.Conn) {
 			return
 		}
 		// A load's chain rows and site chain outlive the exchange (the
-		// digest cache aliases them) and an offer's refs are sized by the
-		// shipment, not the round: those requests own their memory, every
+		// digest cache aliases them): that request owns its memory, every
 		// other kind reuses the session's.
 		req := &sess.req
-		if k := f.Kind(); k == wire.KindLoad || k == wire.KindOffer {
+		if f.Kind() == wire.KindLoad {
 			req = new(wire.Request)
 		}
 		if err := f.Decode(req); err != nil {
@@ -371,11 +355,6 @@ func (w *Worker) handle(sess *session, req *wire.Request) *wire.Response {
 	switch req.Kind {
 	case wire.KindPing:
 		return &wire.Response{}
-	case wire.KindReset:
-		sess.clear()
-		return &wire.Response{}
-	case wire.KindOffer:
-		return w.handleOffer(req)
 	case wire.KindLoad:
 		return w.handleLoad(sess, req)
 	case wire.KindRankLocal:
@@ -388,28 +367,9 @@ func (w *Worker) handle(sess *session, req *wire.Request) *wire.Response {
 		return handleAsyncUpdate(sess, req)
 	case wire.KindAsyncAck:
 		return handleAsyncAck(sess, req)
-	case wire.KindUnload:
-		return handleUnload(sess, req)
 	default:
 		return &wire.Response{Err: fmt.Sprintf("worker: unknown request kind %d", req.Kind)}
 	}
-}
-
-// handleOffer answers the cache negotiation: which of the offered
-// digests this worker already holds. It only reads the global cache —
-// activation into the session happens at the following KindLoad, which
-// re-checks (an entry can be evicted between the two).
-func (w *Worker) handleOffer(req *wire.Request) *wire.Response {
-	resp := &wire.Response{}
-	for _, ref := range req.Refs {
-		if w.cache.lookupShard(ref.Digest) != nil {
-			resp.HaveSites = append(resp.HaveSites, ref.Site)
-		}
-	}
-	if req.HasChain && w.cache.lookupChain(req.ChainDigest) != nil {
-		resp.HaveChain = true
-	}
-	return resp
 }
 
 // buildEntry validates one fully shipped shard and turns it into a
@@ -422,14 +382,8 @@ func (w *Worker) buildEntry(s *wire.SiteShard, numSites int) (*cacheEntry, error
 	}
 	digest := s.ContentDigest()
 	if e := w.cache.lookupShard(digest); e != nil {
-		// The hit's content was validated when first cached — but against
-		// that load's site space. Re-check its row columns against this
-		// one, or a shard cached under a larger graph could smuggle
-		// out-of-range columns past the power-round's branch-free loop.
-		for _, col := range e.rowCols {
-			if col < 0 || col >= numSites {
-				return nil, fmt.Errorf("site %d row column %d out of range", s.Site, col)
-			}
+		if !e.rowWithin(numSites) {
+			return nil, fmt.Errorf("site %d row column out of range", s.Site)
 		}
 		return e, nil
 	}
@@ -505,6 +459,13 @@ func validateChain(c *wire.SiteChain, numSites int) error {
 	return nil
 }
 
+// handleLoad replaces the session with exactly what the request
+// declares. Each Cached ref resolves against the session being replaced
+// (same site, same digest: the shard stays, whatever the cache has
+// evicted since), then against the digest cache; what neither holds is
+// answered in Missing and left out. A request that is refused — a bad
+// shard or chain, a site named twice, more than wire.MaxShardDocs
+// documents in all — leaves the previous session serving.
 func (w *Worker) handleLoad(sess *session, req *wire.Request) *wire.Response {
 	if req.NumSites < 0 || req.NumSites > wire.MaxSites {
 		return &wire.Response{Err: fmt.Sprintf("worker: site space %d outside [0, %d]", req.NumSites, wire.MaxSites)}
@@ -519,120 +480,83 @@ func (w *Worker) handleLoad(sess *session, req *wire.Request) *wire.Response {
 		}
 		fullShards = append(fullShards[:len(fullShards):len(fullShards)], unpacked...)
 	}
-	type placed struct {
-		site  int
-		entry *cacheEntry
-	}
-	loaded := make([]placed, 0, len(fullShards)+len(req.Cached))
-	resp := &wire.Response{}
-	// Loads into an unchanged site space accumulate onto the session's
-	// existing shards, so the memory bound must count those too. (A
-	// conservative count: shards replaced by this request are counted
-	// twice; Reset between runs keeps the bound exact in practice.)
-	totalDocs := sess.totalDocs
-	if req.NumSites != sess.numSites {
-		totalDocs = 0
-	}
-	admit := func(site int, e *cacheEntry) *wire.Response {
-		// Bound the aggregate before accepting, capping how much memory
-		// a small request can claim (see wire.MaxShardDocs).
-		totalDocs += e.numDocs
-		if totalDocs > wire.MaxShardDocs {
-			return &wire.Response{Err: fmt.Sprintf("worker: load exceeds %d aggregate docs", wire.MaxShardDocs)}
+	// next maps every declared site to its shard, nil for a missing one,
+	// so a site named twice is caught however its two mentions resolve.
+	next := make(map[int]*shard, len(fullShards)+len(req.Cached))
+	totalDocs := 0
+	place := func(site int, sh *shard) error {
+		if _, dup := next[site]; dup {
+			return fmt.Errorf("site %d declared twice", site)
 		}
-		loaded = append(loaded, placed{site: site, entry: e})
+		next[site] = sh
+		if sh != nil {
+			// Bound the aggregate before accepting, capping how much memory
+			// a small request can claim (see wire.MaxShardDocs).
+			if totalDocs += sh.entry.numDocs; totalDocs > wire.MaxShardDocs {
+				return fmt.Errorf("load exceeds %d aggregate docs", wire.MaxShardDocs)
+			}
+		}
 		return nil
 	}
 	for i := range fullShards {
 		e, err := w.buildEntry(&fullShards[i], req.NumSites)
+		if err == nil {
+			err = place(fullShards[i].Site, &shard{site: fullShards[i].Site, entry: e})
+		}
 		if err != nil {
 			return &wire.Response{Err: "worker: " + err.Error()}
 		}
-		if errResp := admit(fullShards[i].Site, e); errResp != nil {
-			return errResp
-		}
 	}
-	// Cached refs activate global-cache entries into this session. An
-	// entry evicted since the offer is reported back in Missing rather
-	// than failing the load — the coordinator re-ships those in full.
+	resp := &wire.Response{}
 	for _, ref := range req.Cached {
 		if ref.Site < 0 || ref.Site >= req.NumSites {
 			return &wire.Response{Err: fmt.Sprintf("worker: cached site %d of %d out of range", ref.Site, req.NumSites)}
 		}
-		e := w.cache.lookupShard(ref.Digest)
-		if e == nil {
-			resp.Missing = append(resp.Missing, ref.Site)
-			continue
-		}
-		// The entry's row columns were validated against the site space
-		// it was first loaded into; re-check against this one (a cache
-		// hit from a larger graph must not index past this iterate).
-		ok := true
-		for _, col := range e.rowCols {
-			if col >= req.NumSites {
-				ok = false
-				break
+		sh := sess.shards[ref.Site]
+		if sh == nil || sh.entry.digest != ref.Digest {
+			sh = nil
+			if e := w.cache.lookupShard(ref.Digest); e != nil {
+				sh = &shard{site: ref.Site, entry: e}
 			}
 		}
-		if !ok {
-			resp.Missing = append(resp.Missing, ref.Site)
-			continue
+		// An entry's row columns were validated against the site space it
+		// was first loaded into; re-check against this one (a hit from a
+		// larger graph must not index past this iterate). One that does
+		// not fit is as good as absent: shipped in full, it is refused.
+		if sh != nil && !sh.entry.rowWithin(req.NumSites) {
+			sh = nil
 		}
-		if errResp := admit(ref.Site, e); errResp != nil {
-			return errResp
+		if sh == nil {
+			resp.Missing = append(resp.Missing, ref.Site)
+		}
+		if err := place(ref.Site, sh); err != nil {
+			return &wire.Response{Err: "worker: " + err.Error()}
 		}
 	}
 	var chain *wire.SiteChain
+	chainDigest := req.ChainDigest
 	if req.Chain != nil {
 		if err := validateChain(req.Chain, req.NumSites); err != nil {
 			return &wire.Response{Err: "worker: " + err.Error()}
 		}
-		chain = req.Chain
-		w.cache.addChain(chain.ContentDigest(), chain)
+		chain, chainDigest = req.Chain, req.Chain.ContentDigest()
+		w.cache.addChain(chainDigest, chain)
 	} else if req.HasChain {
-		chain = w.cache.lookupChain(req.ChainDigest)
+		if chain = sess.chain; chain == nil || sess.chainDigest != chainDigest {
+			chain = w.cache.lookupChain(chainDigest)
+		}
 		if chain == nil || chain.NumSites != req.NumSites {
 			chain = nil
 			resp.MissingChain = true
 		}
 	}
-	if req.NumSites != sess.numSites {
-		// A new site-space dimension means a new graph: stale shards
-		// from the previous one must not survive (their site IDs could
-		// index past the new dimension).
-		sess.clear()
-		sess.numSites = req.NumSites
+	for _, site := range resp.Missing {
+		delete(next, site)
 	}
-	for _, p := range loaded {
-		if old, ok := sess.shards[p.site]; ok {
-			sess.totalDocs -= old.entry.numDocs
-		}
-		sess.shards[p.site] = &shard{site: p.site, entry: p.entry}
-		sess.totalDocs += p.entry.numDocs
-	}
-	if chain != nil {
-		sess.chain = chain
-	}
+	sess.shards, sess.numSites, sess.totalDocs = next, req.NumSites, totalDocs
+	sess.chain, sess.chainDigest = chain, chainDigest
 	sess.sorted = nil
 	return resp
-}
-
-// handleUnload drops the listed sites from this session; the digest
-// cache keeps their shards, so a later Offer for the same content still
-// hits. The coordinator unloads sites it rebalances back to a rejoined
-// worker — KindPowerRound covers every loaded shard, so a site left in
-// two sessions would have its chain row reduced twice. Sites not loaded
-// are ignored (a loss during readmission can legitimately retry an
-// unload that partially applied).
-func handleUnload(sess *session, req *wire.Request) *wire.Response {
-	for _, s := range req.Sites {
-		if sh, ok := sess.shards[s]; ok {
-			sess.totalDocs -= sh.entry.numDocs
-			delete(sess.shards, s)
-			sess.sorted = nil
-		}
-	}
-	return &wire.Response{}
 }
 
 // handleRankLocal runs step 3 of §3.2 for the requested sites (all

@@ -4,6 +4,7 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"slices"
 	"testing"
 
 	"lmmrank/internal/dist/wire"
@@ -115,11 +116,24 @@ func TestMalformedRequests(t *testing.T) {
 		{"power round before load", wire.Request{Kind: wire.KindPowerRound, NumSites: 3, X: []float64{1, 0, 0}}},
 		{"absurd doc count", wire.Request{Kind: wire.KindLoad, NumSites: 1,
 			Shards: []wire.SiteShard{{Site: 0, NumDocs: 1 << 62}}}},
+		// "Exactly this set" has no reading for a site named twice,
+		// wherever the two mentions sit and whether or not they resolve.
+		{"site twice in Shards", wire.Request{Kind: wire.KindLoad, NumSites: 2,
+			Shards: []wire.SiteShard{{Site: 1, NumDocs: 1}, {Site: 1, NumDocs: 2}}}},
+		{"site twice in Cached", wire.Request{Kind: wire.KindLoad, NumSites: 2,
+			Cached: []wire.ShardRef{{Site: 1, Digest: wire.Digest{1}}, {Site: 1, Digest: wire.Digest{2}}}}},
+		{"site in Shards and in Cached", wire.Request{Kind: wire.KindLoad, NumSites: 2,
+			Shards: []wire.SiteShard{{Site: 1, NumDocs: 1}},
+			Cached: []wire.ShardRef{{Site: 1, Digest: (&wire.SiteShard{NumDocs: 1}).ContentDigest()}}}},
 	}
 	for _, tc := range cases {
 		if resp := roundTrip(t, enc, dec, &tc.req); resp.Err == "" {
 			t.Errorf("%s: worker accepted it", tc.name)
 		}
+	}
+	// None of the refused loads installed anything.
+	if resp := roundTrip(t, enc, dec, &wire.Request{Kind: wire.KindRankLocal}); resp.Err != "" || len(resp.Local) != 0 {
+		t.Errorf("after refused loads the session ranks %d sites (err %q), want none", len(resp.Local), resp.Err)
 	}
 
 	// The connection must survive all of the above.
@@ -128,10 +142,14 @@ func TestMalformedRequests(t *testing.T) {
 	}
 }
 
-// TestSessionDocCapAccumulates asserts the MaxShardDocs memory bound
-// holds across a session's successive Load requests, not just within
-// one, and that Reset reclaims the budget.
-func TestSessionDocCapAccumulates(t *testing.T) {
+// TestDeclarationDocCap asserts the MaxShardDocs memory bound is on the
+// aggregate of one declaration — shipped and referenced shards together
+// — and, since a declaration is the whole session, on the session: a
+// looping client cannot accumulate past it, and what a smaller
+// declaration drops is reclaimed. (It replaces TestSessionDocCapAccumulates:
+// loads no longer add up, so there is no running total for Reset to
+// reclaim.)
+func TestDeclarationDocCap(t *testing.T) {
 	w := New()
 	addr, err := w.Start("127.0.0.1:0")
 	if err != nil {
@@ -140,29 +158,39 @@ func TestSessionDocCapAccumulates(t *testing.T) {
 	defer w.Close()
 	enc, dec, _ := dial(t, addr)
 
-	first := &wire.Request{Kind: wire.KindLoad, NumSites: 3, Shards: []wire.SiteShard{
-		{Site: 0, NumDocs: wire.MaxShardDocs},
-	}}
-	if resp := roundTrip(t, enc, dec, first); resp.Err != "" {
+	big := wire.SiteShard{Site: 0, NumDocs: wire.MaxShardDocs}
+	atCap := &wire.Request{Kind: wire.KindLoad, NumSites: 3, Shards: []wire.SiteShard{big}}
+	if resp := roundTrip(t, enc, dec, atCap); resp.Err != "" {
 		t.Fatalf("load at the cap: %s", resp.Err)
 	}
-	over := &wire.Request{Kind: wire.KindLoad, NumSites: 3, Shards: []wire.SiteShard{
-		{Site: 1, NumDocs: 1},
-	}}
+	// The held shard by reference plus one more document, shipped: over.
+	over := &wire.Request{Kind: wire.KindLoad, NumSites: 3,
+		Cached: []wire.ShardRef{{Site: 0, Digest: big.ContentDigest()}},
+		Shards: []wire.SiteShard{{Site: 1, NumDocs: 1}}}
 	if resp := roundTrip(t, enc, dec, over); resp.Err == "" {
-		t.Error("second load pushed the session past MaxShardDocs and was accepted")
+		t.Error("a declaration past MaxShardDocs in aggregate was accepted")
 	}
-	if resp := roundTrip(t, enc, dec, &wire.Request{Kind: wire.KindReset}); resp.Err != "" {
-		t.Fatalf("reset: %s", resp.Err)
+	// The refused declaration left the session at the cap and serving.
+	if resp := roundTrip(t, enc, dec, &wire.Request{Kind: wire.KindRankLocal, Sites: []int{1}}); resp.Err == "" {
+		t.Error("the refused declaration installed its shard")
 	}
-	if resp := roundTrip(t, enc, dec, over); resp.Err != "" {
-		t.Errorf("load after reset: %s", resp.Err)
+	// Declaring only the small shard drops the big one: its budget is back.
+	small := &wire.Request{Kind: wire.KindLoad, NumSites: 3, Shards: []wire.SiteShard{{Site: 1, NumDocs: 1}}}
+	if resp := roundTrip(t, enc, dec, small); resp.Err != "" {
+		t.Errorf("smaller declaration: %s", resp.Err)
+	}
+	two := &wire.Request{Kind: wire.KindLoad, NumSites: 3, Shards: []wire.SiteShard{
+		{Site: 1, NumDocs: 1}, {Site: 2, NumDocs: wire.MaxShardDocs - 1}}}
+	if resp := roundTrip(t, enc, dec, two); resp.Err != "" {
+		t.Errorf("declaration of exactly MaxShardDocs in two shards: %s", resp.Err)
 	}
 }
 
-// TestReloadShrinksSiteSpace re-loads a smaller graph without a Reset:
-// stale shards from the larger site space must be dropped, not left to
-// index past the new iterate (which would crash the process).
+// TestReloadShrinksSiteSpace declares a smaller graph after
+// a larger one: nothing of the larger site space may survive to index
+// past the new iterate (which would crash the process) — not a site the
+// new declaration does not name, and not a held shard named again whose
+// row points past the new dimension.
 func TestReloadShrinksSiteSpace(t *testing.T) {
 	w := New()
 	addr, err := w.Start("127.0.0.1:0")
@@ -172,26 +200,90 @@ func TestReloadShrinksSiteSpace(t *testing.T) {
 	defer w.Close()
 	enc, dec, _ := dial(t, addr)
 
+	wide := wire.SiteShard{Site: 1, NumDocs: 1, RowCols: []int{8}, RowVals: []float64{1}}
 	big := &wire.Request{Kind: wire.KindLoad, NumSites: 10, Shards: []wire.SiteShard{
-		{Site: 9, NumDocs: 1, RowCols: []int{0}, RowVals: []float64{1}},
+		{Site: 9, NumDocs: 1, RowCols: []int{0}, RowVals: []float64{1}}, wide,
 	}}
 	if resp := roundTrip(t, enc, dec, big); resp.Err != "" {
 		t.Fatalf("load big: %s", resp.Err)
 	}
-	small := &wire.Request{Kind: wire.KindLoad, NumSites: 5, Shards: []wire.SiteShard{
-		{Site: 0, NumDocs: 1, RowCols: []int{1}, RowVals: []float64{1}},
-	}}
-	if resp := roundTrip(t, enc, dec, small); resp.Err != "" {
+	small := &wire.Request{Kind: wire.KindLoad, NumSites: 5,
+		Shards: []wire.SiteShard{{Site: 0, NumDocs: 1, RowCols: []int{1}, RowVals: []float64{1}}},
+		Cached: []wire.ShardRef{{Site: 1, Digest: wide.ContentDigest()}},
+	}
+	resp := roundTrip(t, enc, dec, small)
+	if resp.Err != "" {
 		t.Fatalf("load small: %s", resp.Err)
 	}
-	resp := roundTrip(t, enc, dec, &wire.Request{
+	if !reflect.DeepEqual(resp.Missing, []int{1}) {
+		t.Errorf("Missing = %v, want [1]: the held shard's row points past the new site space", resp.Missing)
+	}
+	resp = roundTrip(t, enc, dec, &wire.Request{
 		Kind: wire.KindPowerRound, NumSites: 5, X: []float64{0.2, 0.2, 0.2, 0.2, 0.2},
 	})
 	if resp.Err != "" {
 		t.Fatalf("power round after shrink: %s", resp.Err)
 	}
-	if len(resp.Partial) != 5 || resp.Partial[1] != 0.2 {
-		t.Errorf("partial = %v, want stale site 9 gone and site 0 row applied", resp.Partial)
+	if want := []float64{0, 0.2, 0, 0, 0}; !reflect.DeepEqual(resp.Partial, want) {
+		t.Errorf("partial = %v, want %v: stale sites 9 and 1 gone, site 0's row applied", resp.Partial, want)
+	}
+}
+
+// TestLoadDeclaresExactlyTheSession is the contract of KindLoad: after
+// {0,1,2} then {1,3} the session is exactly {1,3}, its document count
+// exact; a site named again under the same digest keeps its cache entry
+// — and the warm solver on it — even after the digest cache evicted it;
+// and the same declaration delivered again changes nothing.
+func TestLoadDeclaresExactlyTheSession(t *testing.T) {
+	w := New()
+	sess := &session{}
+	load := fourSiteLoad()
+	three := &wire.Request{Kind: wire.KindLoad, NumSites: 4, Shards: load.Shards[:3]}
+	if resp := w.handle(sess, three); resp.Err != "" {
+		t.Fatalf("declare {0,1,2}: %s", resp.Err)
+	}
+	if resp := w.handle(sess, &wire.Request{Kind: wire.KindRankLocal}); resp.Err != "" {
+		t.Fatalf("rank: %s", resp.Err)
+	}
+	kept := sess.shards[1].entry
+	if kept.solver == nil {
+		t.Fatal("ranking built no solver on site 1's entry")
+	}
+	solver := kept.solver
+
+	// Evict everything: what a session holds does not depend on the cache.
+	w.cache.maxDocs = 0
+	w.cache.addShard(entryOfDocs(0xEE, 1))
+	if w.cache.lookupShard(kept.digest) != nil {
+		t.Fatal("test setup: site 1's entry is still cached")
+	}
+
+	ref1 := wire.ShardRef{Site: 1, Digest: load.Shards[1].ContentDigest()}
+	next := &wire.Request{Kind: wire.KindLoad, NumSites: 4, Cached: []wire.ShardRef{ref1}, Shards: load.Shards[3:]}
+	for attempt := 1; attempt <= 2; attempt++ { // the second is a retransmission
+		resp := w.handle(sess, next)
+		if resp.Err != "" || len(resp.Missing) != 0 {
+			t.Fatalf("declare {1,3} (delivery %d): err=%q missing=%v, want the held ref kept", attempt, resp.Err, resp.Missing)
+		}
+		if len(sess.shards) != 2 || sess.shards[1] == nil || sess.shards[3] == nil {
+			t.Fatalf("delivery %d: session holds %d sites, want exactly {1,3}", attempt, len(sess.shards))
+		}
+		if want := load.Shards[1].NumDocs + load.Shards[3].NumDocs; sess.totalDocs != want {
+			t.Errorf("delivery %d: totalDocs = %d, want %d", attempt, sess.totalDocs, want)
+		}
+		if sess.shards[1].entry != kept || kept.solver != solver {
+			t.Errorf("delivery %d: site 1's entry or warm solver was replaced", attempt)
+		}
+	}
+	// A ref neither the session nor the cache holds is Missing, not kept
+	// under another site's entry.
+	gone := wire.ShardRef{Site: 0, Digest: load.Shards[0].ContentDigest()}
+	resp := w.handle(sess, &wire.Request{Kind: wire.KindLoad, NumSites: 4, Cached: []wire.ShardRef{ref1, gone}})
+	if resp.Err != "" || !reflect.DeepEqual(resp.Missing, []int{0}) {
+		t.Fatalf("declare {1, dropped 0}: err=%q missing=%v, want [0]", resp.Err, resp.Missing)
+	}
+	if len(sess.shards) != 1 || sess.shards[1] == nil {
+		t.Errorf("session holds %d sites, want exactly {1}", len(sess.shards))
 	}
 }
 
@@ -295,7 +387,8 @@ func fourSiteLoad() *wire.Request {
 // request memory is retained: the digest cache aliases a loaded shard's
 // chain row and the session its chain, while every later request on the
 // session is decoded into one reused Request. After 100 of them — every
-// kind, payloads of every size — the installed shards must rank,
+// kind, payloads of every size, refused loads of every sort and
+// re-declarations of what is held — the installed shards must rank,
 // power-round and batch bit-identically.
 func TestLoadedShardsSurviveLaterRequests(t *testing.T) {
 	w := New()
@@ -321,6 +414,15 @@ func TestLoadedShardsSurviveLaterRequests(t *testing.T) {
 		if r.Err != "" {
 			t.Fatalf("probe: %s", r.Err)
 		}
+	}
+	held := fourSiteLoad()
+	refs := make([]wire.ShardRef, len(held.Shards))
+	for i := range held.Shards {
+		refs[i] = wire.ShardRef{Site: held.Shards[i].Site, Digest: held.Shards[i].ContentDigest()}
+	}
+	redeclare := func() *wire.Request {
+		return &wire.Request{Kind: wire.KindLoad, NumSites: 4, Cached: slices.Clone(refs),
+			HasChain: true, ChainDigest: held.Chain.ContentDigest()}
 	}
 
 	junk := func(n int, v float64) []float64 {
@@ -350,12 +452,26 @@ func TestLoadedShardsSurviveLaterRequests(t *testing.T) {
 			req = &wire.Request{Kind: wire.KindBatchRounds, NumSites: 4, X: junk(4, 0.25), V: junk(4, 7), Rounds: 2}
 		case 4:
 			req = &wire.Request{Kind: wire.KindRankLocal, Sites: []int{2, 0}}
-		case 5:
-			req = &wire.Request{Kind: wire.KindOffer, Refs: make([]wire.ShardRef, 50), HasChain: true}
-		case 6:
-			req = &wire.Request{Kind: wire.KindUnload, Sites: []int{77, 78, 79}}
+		case 5: // the same session, declared again by reference
+			req = redeclare()
+		case 6: // refused, each a different way; the session must stay as it is
+			req = redeclare()
+			switch i % 3 {
+			case 0: // a site named twice
+				req.Cached = append(req.Cached, refs[2])
+			case 1: // a ref outside the site space
+				req.Cached[0].Site = 77
+			case 2: // a malformed chain beside valid refs
+				req.Chain = &wire.SiteChain{NumSites: 4, RowPtr: []int{0}}
+			}
 		}
-		roundTrip(t, enc, dec, req)
+		resp := roundTrip(t, enc, dec, req)
+		if refused := i%8 == 7 || i%8 == 6 || i%8 == 1; refused != (resp.Err != "") {
+			t.Fatalf("request %d (kind %d): err = %q, refused should be %v", i, req.Kind, resp.Err, refused)
+		}
+		if len(resp.Missing) != 0 || resp.MissingChain {
+			t.Fatalf("request %d: re-declaring what the session holds reported missing %v (chain %v)", i, resp.Missing, resp.MissingChain)
+		}
 	}
 
 	after := probe()
@@ -372,7 +488,6 @@ func TestLoadedShardsSurviveLaterRequests(t *testing.T) {
 func TestRoundHandlersAllocateNothing(t *testing.T) {
 	w := New()
 	sess := &session{}
-	sess.clear()
 	if resp := w.handle(sess, fourSiteLoad()); resp.Err != "" {
 		t.Fatalf("load: %s", resp.Err)
 	}
