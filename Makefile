@@ -79,14 +79,15 @@ race-multi:
 	GOMAXPROCS=4 $(GO) test -race -timeout 10m -count=1 . ./internal/dist/... ./internal/lmm/... ./internal/matrix ./internal/graph
 
 # The allocation pins (every test with Alloc in its name: kernels, solver,
-# Ranker, wire codec, worker, warm DistEngine) at 1, 2 and 4 procs — a
-# zero-allocation path must not start allocating because procs appeared.
+# Ranker, graph file decoder, wire codec, worker, warm DistEngine) at 1, 2
+# and 4 procs — a zero-allocation path must not start allocating because
+# procs appeared.
 # testing.AllocsPerRun itself measures at GOMAXPROCS(1) whatever is set
 # here; the pins that must hold on several procs at once count mallocs
 # themselves (TestPowerLeftScratchZeroAllocsMultiCore).
 alloc-pins:
 	for p in 1 2 4; do \
-		GOMAXPROCS=$$p $(GO) test -count=1 -run 'Alloc' ./internal/matrix ./internal/pagerank ./internal/lmm ./internal/dist/wire ./internal/dist/worker . ; \
+		GOMAXPROCS=$$p $(GO) test -count=1 -run 'Alloc' ./internal/matrix ./internal/graph ./internal/pagerank ./internal/lmm ./internal/dist/wire ./internal/dist/worker . ; \
 	done
 
 # The fault-injection sweep: the seeded kill/rejoin/resume soak over the
@@ -155,14 +156,14 @@ bench-smoke:
 
 # Bounded fuzz smoke over every fuzz target, one `go test -fuzz` run
 # per target (the flag takes a single target per package). Keeps the
-# corpus-driven guards — COW clone isolation, the graph (text and gob)
+# corpus-driven guards — COW clone isolation, the graph (text and binary)
 # and wire decoders' never-panic/bounded-allocation contracts and
 # coalescing-fingerprint safety — from rotting between dedicated fuzz
 # sessions.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCloneCOW$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/graph
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeGob$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzReadText$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryFingerprint$$' -fuzztime $(FUZZTIME) -timeout 10m .
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/dist/wire

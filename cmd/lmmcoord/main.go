@@ -5,8 +5,7 @@
 //
 // Usage:
 //
-//	lmmcoord -graph campus.graph -workers host1:7100,host2:7100
-//	         [-format text|gob] [-top 15]
+//	lmmcoord -graph campus.graph -workers host1:7100,host2:7100 [-top 15]
 //	         [-siterank central|sync|batched|async] [-batch-rounds 4]
 //	         [-async-ordered] [-async-seed 42]
 //	         [-partition host|balanced|aggregate] [-partition-seed 0]
@@ -54,7 +53,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -77,8 +75,7 @@ func main() {
 
 func run() error {
 	var (
-		graphPath = flag.String("graph", "", "input graph file (required)")
-		format    = flag.String("format", "text", "input format: text or gob")
+		graphPath = flag.String("graph", "", "input graph file, text or binary (required)")
 		workers   = flag.String("workers", "", "comma-separated worker addresses (required)")
 		top       = flag.Int("top", 15, "table length")
 		damping   = flag.Float64("damping", 0.85, "damping factor / gatekeeper α")
@@ -147,15 +144,7 @@ func run() error {
 		return err
 	}
 	defer f.Close()
-	var dg *lmmrank.DocGraph
-	switch *format {
-	case "text":
-		dg, err = graph.ReadText(bufio.NewReader(f))
-	case "gob":
-		dg, err = graph.DecodeGob(bufio.NewReader(f))
-	default:
-		return fmt.Errorf("unknown format %q", *format)
-	}
+	dg, err := graph.Read(f)
 	if err != nil {
 		return err
 	}

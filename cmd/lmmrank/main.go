@@ -4,8 +4,11 @@
 //
 // Usage:
 //
-//	lmmrank -graph campus.graph [-format text|gob] [-method layered]
-//	        [-top 15] [-damping 0.85] [-drop-self-loops] [-compare]
+//	lmmrank -graph campus.graph [-method layered] [-top 15]
+//	        [-damping 0.85] [-drop-self-loops] [-compare]
+//
+// The graph file may be in either format webgen writes; its first byte
+// says which.
 //
 // Methods: layered (the paper's default, served through the Engine
 // API), layered3 (three-layer domain→site→page), pagerank, blockrank,
@@ -13,7 +16,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -35,8 +37,7 @@ func main() {
 
 func run() error {
 	var (
-		graphPath = flag.String("graph", "", "input graph file (required)")
-		format    = flag.String("format", "text", "input format: text or gob")
+		graphPath = flag.String("graph", "", "input graph file, text or binary (required)")
 		method    = flag.String("method", "layered", "ranking method: layered, layered3, pagerank, blockrank, hits")
 		top       = flag.Int("top", 15, "table length (the paper prints 15)")
 		damping   = flag.Float64("damping", 0.85, "damping factor / gatekeeper α")
@@ -49,7 +50,7 @@ func run() error {
 		return fmt.Errorf("-graph is required")
 	}
 
-	dg, err := loadGraph(*graphPath, *format)
+	dg, err := loadGraph(*graphPath)
 	if err != nil {
 		return err
 	}
@@ -117,21 +118,13 @@ func run() error {
 	return nil
 }
 
-func loadGraph(path, format string) (*lmmrank.DocGraph, error) {
+func loadGraph(path string) (*lmmrank.DocGraph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	r := bufio.NewReader(f)
-	switch format {
-	case "text":
-		return graph.ReadText(r)
-	case "gob":
-		return graph.DecodeGob(r)
-	default:
-		return nil, fmt.Errorf("unknown format %q", format)
-	}
+	return graph.Read(f)
 }
 
 func printTop(dg *lmmrank.DocGraph, scores lmmrank.Vector, k int) {

@@ -1,6 +1,6 @@
 // Command webgen generates a synthetic campus web — the evaluation
 // substrate standing in for the paper's EPFL crawl — and writes it as a
-// text or gob graph file, with ground-truth page classes in a sidecar
+// text or binary graph file, with ground-truth page classes in a sidecar
 // file when requested. With -blocky it instead generates a
 // planted-block web (cross-site links stay inside coupling blocks
 // except for a tunable escape fraction, and hostnames carry no block
@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	webgen -out campus.graph [-format text|gob] [-seed N] [-sites 218]
+//	webgen -out campus.graph [-format text|bin] [-seed N] [-sites 218]
 //	       [-mean-pages 60] [-dynamic 2500] [-docs 2500] [-labels labels.txt]
 //	       [-blocky] [-blocks 8] [-inter-block 0.05]
 package main
@@ -32,7 +32,7 @@ func main() {
 func run() error {
 	var (
 		out       = flag.String("out", "", "output graph file (required)")
-		format    = flag.String("format", "text", "output format: text or gob")
+		format    = flag.String("format", "text", "output format: text or bin")
 		labels    = flag.String("labels", "", "optional file receiving per-doc ground-truth classes")
 		seed      = flag.Int64("seed", 2005, "generator seed")
 		sites     = flag.Int("sites", 218, "number of ordinary sites (the paper's count)")
@@ -69,10 +69,10 @@ func run() error {
 	switch *format {
 	case "text":
 		err = lmmrank.WriteGraph(w, web.Graph)
-	case "gob":
+	case "bin":
 		err = lmmrank.WriteGraphBinary(w, web.Graph)
 	default:
-		return fmt.Errorf("unknown format %q", *format)
+		return fmt.Errorf("unknown -format %q (want text or bin)", *format)
 	}
 	if err != nil {
 		return err

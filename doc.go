@@ -128,17 +128,18 @@
 // iterate (every SiteRankMode but SiteRankCentral) so a restarted
 // coordinator resumes instead of recomputing. The
 // Checkpoint contract: Save must durably replace the stored state or
-// fail the run (FileCheckpoint writes a temp file and renames — readers
-// never see a torn state); Load returns (nil, nil) when nothing is
-// stored; a state whose digest does not match the current graph +
-// configuration (mode, sizes, damping, tolerance, iteration cap,
-// teleport vector, shard digests) is ignored and the iteration starts
-// fresh; a converged run Clears its checkpoint. Resuming continues the
-// exact float sequence — the checkpoint file's gob and the wire's raw
-// float bytes both round-trip float64 losslessly — so an
-// interrupted-and-resumed run reproduces the uninterrupted ranks
-// bitwise, in fewer remaining rounds (DistStats.ResumedFromRound +
-// SiteRankRounds equals the uninterrupted total).
+// fail the run (FileCheckpoint writes a temp file, syncs it and renames
+// — readers never see a torn state); Load returns (nil, nil) when
+// nothing is stored and an error for a file that fails its checksum; a
+// state whose digest does not match the current graph + configuration
+// (mode, sizes, damping, tolerance, iteration cap, teleport vector,
+// shard digests) is ignored and the iteration starts fresh; a converged
+// run Clears its checkpoint. Resuming continues the exact float
+// sequence — the checkpoint file and the wire both carry float64 bits
+// verbatim — so an interrupted-and-resumed run reproduces the
+// uninterrupted ranks bitwise, in fewer remaining rounds
+// (DistStats.ResumedFromRound + SiteRankRounds equals the uninterrupted
+// total).
 //
 // Serving: both engines answer through one serving front — validate,
 // admit (Query.Tenant's quota, then the engine-wide cap; *OverloadError

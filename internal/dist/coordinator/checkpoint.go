@@ -1,12 +1,12 @@
 package coordinator
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"sync"
@@ -27,10 +27,10 @@ type CheckpointState struct {
 	// Round is how many power rounds — fleet passes, in the asynchronous
 	// mode — the iterate has absorbed.
 	Round int
-	// X is the iterate itself, exact to the bit (gob, which the file
-	// checkpoint uses, round-trips float64 losslessly), so a resumed run
-	// continues the very same float sequence an uninterrupted run would
-	// have produced.
+	// X is the iterate itself, exact to the bit (the file checkpoint
+	// stores each float64's bits verbatim, under a checksum), so a resumed
+	// run continues the very same float sequence an uninterrupted run
+	// would have produced.
 	X []float64
 }
 
@@ -110,13 +110,35 @@ func (m *MemCheckpoint) Clear() error {
 }
 
 // FileCheckpoint persists snapshots to one file, surviving coordinator
-// process restarts (the lmmcoord -checkpoint/-resume path). Save gob-
-// encodes to a sibling temporary file and renames it over the target,
-// so a crash mid-save leaves the previous snapshot intact — the rename
-// is the commit point.
+// process restarts (the lmmcoord -checkpoint/-resume path). Save writes
+// a sibling temporary file, syncs it and renames it over the target, so
+// a crash mid-save leaves the previous snapshot intact — the rename is
+// the commit point, and what it commits is already on disk.
+//
+// The file is fixed-width little-endian, float bits verbatim:
+//
+//	byte 0      checkpointMagic | checkpointVersion
+//	32 bytes    Digest
+//	uint64      Round
+//	uint64      len(X)
+//	len(X) × 8  X
+//	uint32      CRC-32C of every byte before it
+//
+// The digest vouches for the computation, the checksum for the iterate:
+// a snapshot with one flipped bit is an error from Load, not a run
+// resumed from a different vector. It detects corruption; it does not
+// authenticate the file.
 type FileCheckpoint struct {
 	path string
 }
+
+const (
+	checkpointMagic     = 0xC0 // high nibble of byte 0
+	checkpointVersion   = 0x01 // low nibble of byte 0
+	checkpointHeaderLen = 1 + len(wire.Digest{}) + 8 + 8
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // NewFileCheckpoint returns a checkpoint backed by the given file path
 // (which need not exist yet; its directory must).
@@ -124,14 +146,22 @@ func NewFileCheckpoint(path string) *FileCheckpoint {
 	return &FileCheckpoint{path: path}
 }
 
-// Save atomically replaces the snapshot file.
+// Save atomically and durably replaces the snapshot file.
 func (f *FileCheckpoint) Save(s *CheckpointState) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		return fmt.Errorf("coordinator: encode checkpoint: %w", err)
+	le := binary.LittleEndian
+	data := make([]byte, 0, checkpointHeaderLen+8*len(s.X)+4)
+	data = append(data, checkpointMagic|checkpointVersion)
+	data = append(data, s.Digest[:]...)
+	data = le.AppendUint64(data, uint64(s.Round))
+	data = le.AppendUint64(data, uint64(len(s.X)))
+	for _, v := range s.X {
+		data = le.AppendUint64(data, math.Float64bits(v))
 	}
+	data = le.AppendUint32(data, crc32.Checksum(data, castagnoli))
+
 	tmp := f.path + ".tmp"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
+	if err := writeSynced(tmp, data); err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("coordinator: write checkpoint: %w", err)
 	}
 	if err := os.Rename(tmp, f.path); err != nil {
@@ -141,8 +171,25 @@ func (f *FileCheckpoint) Save(s *CheckpointState) error {
 	return nil
 }
 
+// writeSynced creates path holding data and returns once it is on disk.
+func writeSynced(path string, data []byte) error {
+	file, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = file.Write(data)
+	if err == nil {
+		err = file.Sync()
+	}
+	if cerr := file.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // Load reads the snapshot file; a missing file is (nil, nil), a
-// corrupt one an error.
+// corrupt one — wrong magic or version, a length that disagrees with
+// the stated count, a checksum mismatch — an error.
 func (f *FileCheckpoint) Load() (*CheckpointState, error) {
 	data, err := os.ReadFile(f.path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -151,9 +198,46 @@ func (f *FileCheckpoint) Load() (*CheckpointState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("coordinator: read checkpoint: %w", err)
 	}
+	s, err := decodeCheckpoint(data)
+	if err != nil {
+		return nil, fmt.Errorf("coordinator: decode checkpoint %s: %w", f.path, err)
+	}
+	return s, nil
+}
+
+// decodeCheckpoint parses a snapshot file. The count is held against
+// the bytes present before anything is sized by it.
+func decodeCheckpoint(data []byte) (*CheckpointState, error) {
+	le := binary.LittleEndian
+	if len(data) == 0 {
+		return nil, io.ErrUnexpectedEOF
+	}
+	if m := data[0] & 0xF0; m != checkpointMagic {
+		return nil, fmt.Errorf("bad magic 0x%02x (want 0x%02x): not a checkpoint file", m, checkpointMagic)
+	}
+	if v := data[0] & 0x0F; v != checkpointVersion {
+		return nil, fmt.Errorf("checkpoint file version %d, this build reads %d", v, checkpointVersion)
+	}
+	if len(data) < checkpointHeaderLen+4 {
+		return nil, io.ErrUnexpectedEOF
+	}
 	s := &CheckpointState{}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(s); err != nil {
-		return nil, fmt.Errorf("coordinator: decode checkpoint: %w", err)
+	p := 1 + copy(s.Digest[:], data[1:])
+	round, count := le.Uint64(data[p:]), le.Uint64(data[p+8:])
+	body := data[checkpointHeaderLen : len(data)-4]
+	if count != uint64(len(body))/8 || len(body)%8 != 0 {
+		return nil, fmt.Errorf("the header counts %d floats, %d bytes follow it", count, len(body))
+	}
+	if round > math.MaxInt {
+		return nil, fmt.Errorf("round %d out of range", round)
+	}
+	if got, want := le.Uint32(data[len(data)-4:]), crc32.Checksum(data[:len(data)-4], castagnoli); got != want {
+		return nil, fmt.Errorf("checksum mismatch: the file says %08x, its bytes hash to %08x", got, want)
+	}
+	s.Round = int(round)
+	s.X = make([]float64, count)
+	for i := range s.X {
+		s.X[i] = math.Float64frombits(le.Uint64(body[8*i:]))
 	}
 	return s, nil
 }

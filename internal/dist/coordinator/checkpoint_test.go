@@ -57,6 +57,57 @@ func TestFileCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFileCheckpointRefusesCorruptFiles: whatever has happened to the
+// file, Load says so — it never hands back a state to resume from. The
+// digest cannot do this: it covers the computation, not the iterate.
+func TestFileCheckpointRefusesCorruptFiles(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "siterank.ckpt")
+	ck := NewFileCheckpoint(path)
+	if err := ck.Save(&CheckpointState{Digest: wire.Digest{1, 2, 3}, Round: 42, X: []float64{0.25, 0.75}}); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		roundAt = 1 + len(wire.Digest{})
+		countAt = roundAt + 8
+		xAt     = countAt + 8
+	)
+	edit := func(at int, b ...byte) []byte {
+		data := append([]byte(nil), good...)
+		copy(data[at:], b)
+		return data
+	}
+	cases := map[string][]byte{
+		"one flipped mantissa bit in X":       edit(xAt, good[xAt]^0x01),
+		"one flipped bit in Round":            edit(roundAt, good[roundAt]^0x01),
+		"wrong magic":                         edit(0, 0xB0|good[0]&0x0F),
+		"unknown version":                     edit(0, good[0]&0xF0|0x0F),
+		"empty":                               {},
+		"cut after the magic":                 good[:1],
+		"cut inside the digest":               good[:roundAt-1],
+		"cut after the digest":                good[:roundAt],
+		"cut after the round":                 good[:countAt],
+		"cut after the count":                 good[:xAt],
+		"cut inside X":                        good[:xAt+8],
+		"cut before the checksum":             good[:len(good)-4],
+		"cut inside the checksum":             good[:len(good)-1],
+		"a byte past the checksum":            append(append([]byte(nil), good...), 0),
+		"a count of 2^32 over 16 bytes of X":  edit(countAt, 0, 0, 0, 0, 1, 0, 0, 0),
+		"a count of 2^61 (8*count overflows)": edit(countAt, 0, 0, 0, 0, 0, 0, 0, 0x20),
+	}
+	for name, data := range cases {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := ck.Load(); err == nil {
+			t.Errorf("%s: Load = %+v, want an error", name, st)
+		}
+	}
+}
+
 func TestMemCheckpointIsolatesState(t *testing.T) {
 	ck := NewMemCheckpoint()
 	in := &CheckpointState{Digest: wire.Digest{9}, Round: 7, X: []float64{0.5, 0.5}}
@@ -107,8 +158,8 @@ func (c *cancelAfter) Save(st *CheckpointState) error {
 // the row says redial.
 //
 // The barrier schedules are deterministic: the resumed iterate
-// continues the exact float sequence (gob round-trips float64
-// losslessly and worker order is unchanged; batched checkpoints land on
+// continues the exact float sequence (the file keeps each float64's
+// bits and worker order is unchanged; batched checkpoints land on
 // exchange boundaries, so the K-round cadence regroups nowhere) and the
 // final ranks are bitwise identical to the uninterrupted run — L1
 // distance exactly 0. The asynchronous schedules restart their merge

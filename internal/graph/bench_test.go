@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 )
@@ -64,16 +65,30 @@ func BenchmarkTextRoundTrip(b *testing.B) {
 	}
 }
 
-func BenchmarkGobRoundTrip(b *testing.B) {
+// BenchmarkBinaryRoundTrip times the two halves of the graph file apart,
+// per byte of file.
+func BenchmarkBinaryRoundTrip(b *testing.B) {
 	dg := benchDocGraph(50, 100, 4)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := EncodeGob(&buf, dg); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := DecodeGob(&buf); err != nil {
-			b.Fatal(err)
-		}
+	var file bytes.Buffer
+	if err := EncodeBinary(&file, dg); err != nil {
+		b.Fatal(err)
 	}
+	b.Run("encode", func(b *testing.B) {
+		b.SetBytes(int64(file.Len()))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := EncodeBinary(io.Discard, dg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(file.Len()))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodeBinary(bytes.NewReader(file.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

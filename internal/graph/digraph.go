@@ -1,7 +1,7 @@
 // Package graph provides the Web-graph substrate of the paper's §3.1: the
 // document-level DocGraph, the site-level SiteGraph derived from it by
 // SiteLink counting, per-site local subgraphs G^s_d, transition-matrix
-// extraction M(G), and text/gob serialization.
+// extraction M(G), and the text and binary graph file formats.
 package graph
 
 import (

@@ -28,7 +28,7 @@ type Site struct {
 
 // DocGraph is the paper's G_D(V_D, E_D): a directed graph of Web documents
 // together with the site(d) mapping that induces the SiteGraph. Build one
-// incrementally with a Builder or load one with ReadText/DecodeGob.
+// incrementally with a Builder or load one with Read, ReadText or DecodeBinary.
 type DocGraph struct {
 	// G holds the document-level link structure; node i corresponds to
 	// Docs[i].

@@ -2,10 +2,13 @@ package graph
 
 import (
 	"bytes"
-	"encoding/gob"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -245,64 +248,176 @@ func TestRederiveMatchesFullDerive(t *testing.T) {
 	}
 }
 
-// encodeRaw gob-encodes a hand-built wire form, for payloads EncodeGob
-// would never produce.
-func encodeRaw(t testing.TB, gg gobGraph) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&gg); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+// rawFile is a graph file spelled out section by section, for files
+// EncodeBinary would never write. The header's five counts are what the
+// sections hold unless claim rewrites them, and the checksum is always
+// that of the bytes written: what a row breaks is the one thing it names.
+type rawFile struct {
+	first   byte // byte 0; zero means binaryMagic | binaryVersion
+	names   []string
+	sites   []uint32
+	urls    []string
+	degrees []uint32
+	targets []uint32
+	weights []float64
+	claim   func(numSites, numDocs, numEdges, nameBytes, urlBytes *uint64)
 }
 
-// hostileGobs are the payloads DecodeGob must refuse, with the error
-// each must name; they are also FuzzDecodeGob's seeds.
-func hostileGobs(t testing.TB) map[string][]byte {
-	docs := []Doc{{URL: "a/0", Site: 0}, {URL: "a/1", Site: 0}}
-	names := []string{"a"}
-	valid := encodeRaw(t, gobGraph{Docs: docs, SiteNames: names,
-		From: []int32{0, 1}, To: []int32{1, 0}, Weight: []float64{1, 2}})
+func (f rawFile) bytes() []byte {
+	first := f.first
+	if first == 0 {
+		first = binaryMagic | binaryVersion
+	}
+	var nameBytes, urlBytes uint64
+	for _, s := range f.names {
+		nameBytes += uint64(len(s))
+	}
+	for _, s := range f.urls {
+		urlBytes += uint64(len(s))
+	}
+	ns, nd, ne := uint64(len(f.names)), uint64(len(f.sites)), uint64(len(f.targets))
+	if f.claim != nil {
+		f.claim(&ns, &nd, &ne, &nameBytes, &urlBytes)
+	}
+	b := []byte{first}
+	for _, v := range []uint64{ns, nd, ne, nameBytes, urlBytes} {
+		b = le.AppendUint64(b, v)
+	}
+	text := func(ss []string) {
+		for _, s := range ss {
+			b = le.AppendUint32(b, uint32(len(s)))
+		}
+		b = append(b, strings.Join(ss, "")...)
+	}
+	column := func(vs []uint32) {
+		for _, v := range vs {
+			b = le.AppendUint32(b, v)
+		}
+	}
+	text(f.names)
+	column(f.sites)
+	text(f.urls)
+	column(f.degrees)
+	column(f.targets)
+	for _, w := range f.weights {
+		b = le.AppendUint64(b, math.Float64bits(w))
+	}
+	return le.AppendUint32(b, crc32.Checksum(b, castagnoli))
+}
+
+// twoDocFile is a valid file of one site, two documents and the links
+// 0→1 and 1→0; edit alters a copy of it.
+func twoDocFile(edit func(*rawFile)) []byte {
+	f := rawFile{
+		names: []string{"a"}, sites: []uint32{0, 0}, urls: []string{"a/0", "a/1"},
+		degrees: []uint32{1, 1}, targets: []uint32{1, 0}, weights: []float64{1, 2},
+	}
+	if edit != nil {
+		edit(&f)
+	}
+	return f.bytes()
+}
+
+// hostileFiles are the files DecodeBinary must refuse, with the error
+// each must name; they are also FuzzDecodeBinary's seeds.
+func hostileFiles() map[string][]byte {
+	weight := func(w float64) []byte {
+		return twoDocFile(func(f *rawFile) { f.weights[0] = w })
+	}
+	valid := twoDocFile(nil)
+	flipped := bytes.Clone(valid)
+	flipped[len(flipped)-5] ^= 0x01 // the last weight's top byte: 2 becomes another finite positive
 	return map[string][]byte{
-		"gob decode":           valid[:len(valid)/2],
-		"invalid site":         encodeRaw(t, gobGraph{Docs: []Doc{{URL: "a/0", Site: 3}}, SiteNames: names}),
-		"edge slices disagree": encodeRaw(t, gobGraph{Docs: docs, SiteNames: names, From: []int32{0, 1}, To: []int32{1}, Weight: []float64{1, 1}}),
-		"(0→2) out of range":   encodeRaw(t, gobGraph{Docs: docs, SiteNames: names, From: []int32{0}, To: []int32{2}, Weight: []float64{1}}),
-		"(-1→0) out of range":  encodeRaw(t, gobGraph{Docs: docs, SiteNames: names, From: []int32{-1}, To: []int32{0}, Weight: []float64{1}}),
-		"invalid weight NaN":   encodeRaw(t, gobGraph{Docs: docs, SiteNames: names, From: []int32{0}, To: []int32{1}, Weight: []float64{math.NaN()}}),
-		"invalid weight 0":     encodeRaw(t, gobGraph{Docs: docs, SiteNames: names, From: []int32{0}, To: []int32{1}, Weight: []float64{0}}),
-		"invalid weight +Inf":  encodeRaw(t, gobGraph{Docs: docs, SiteNames: names, From: []int32{0}, To: []int32{1}, Weight: []float64{math.Inf(1)}}),
-		"edge 1 (1→9)":         encodeRaw(t, gobGraph{Docs: docs, SiteNames: names, From: []int32{0, 1}, To: []int32{1, 9}, Weight: []float64{1, 1}}),
+		// The checks the gob decoder made, as this format can spell them.
+		"edge weights: unexpected EOF": valid[:len(valid)-9],
+		"invalid site 3":               twoDocFile(func(f *rawFile) { f.sites[1] = 3 }),
+		"out-degrees disagree":         twoDocFile(func(f *rawFile) { f.degrees[1] = 2 }),
+		"(0→2) out of range":           twoDocFile(func(f *rawFile) { f.targets[0] = 2 }),
+		"(0→4294967295) out of range":  twoDocFile(func(f *rawFile) { f.targets[0] = math.MaxUint32 }),
+		"invalid weight NaN":           weight(math.NaN()),
+		"invalid weight 0":             weight(0),
+		"invalid weight -1":            weight(-1),
+		"invalid weight +Inf":          weight(math.Inf(1)),
+		"edge 1 (1→9)":                 twoDocFile(func(f *rawFile) { f.targets[1] = 9 }),
+		// What a file can get wrong that a gob message could not.
+		"bad magic 0xb0":        twoDocFile(func(f *rawFile) { f.first = 0xB0 | binaryVersion }),
+		"bad magic 0x70":        twoDocFile(func(f *rawFile) { f.first = 's' }),
+		"version 2, this build": twoDocFile(func(f *rawFile) { f.first = binaryMagic | 2 }),
+		"checksum mismatch":     flipped,
+		"site name lengths disagree": twoDocFile(func(f *rawFile) {
+			f.claim = func(_, _, _, nameBytes, _ *uint64) { *nameBytes = 5 }
+		}),
+		"URL lengths disagree": twoDocFile(func(f *rawFile) {
+			f.claim = func(_, _, _, _, urlBytes *uint64) { *urlBytes = 4 }
+		}),
+		"numDocs = 4294967296, more than": rawFile{claim: func(_, nd, _, _, _ *uint64) { *nd = 1 << 32 }}.bytes()[:binaryHeaderLen],
+		"document sites: unexpected EOF":  rawFile{claim: func(_, nd, _, _, _ *uint64) { *nd = 1<<32 - 1 }}.bytes()[:binaryHeaderLen],
+		"numEdges is 1099511627776":       rawFile{claim: func(_, _, ne, _, _ *uint64) { *ne = 1 << 40 }}.bytes()[:binaryHeaderLen],
+		"edge targets: unexpected EOF": twoDocFile(func(f *rawFile) {
+			f.degrees[0], f.degrees[1] = math.MaxUint32, math.MaxUint32
+			f.claim = func(_, _, ne, _, _ *uint64) { *ne = 2 * math.MaxUint32 }
+		}),
+		"numSites = 18446744073709551615, more than": rawFile{claim: func(ns, _, _, _, _ *uint64) { *ns = math.MaxUint64 }}.bytes()[:binaryHeaderLen],
 	}
 }
 
-func TestDecodeGobRefusesHostilePayloads(t *testing.T) {
-	for want, data := range hostileGobs(t) {
-		_, err := DecodeGob(bytes.NewReader(data))
+func TestDecodeBinaryRefusesHostileFiles(t *testing.T) {
+	for want, data := range hostileFiles() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeBinary(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("error %v, want one naming %q", err, want)
+		}
+		// A count is believed only as far as its bytes have arrived.
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("%q: refusing a %d-byte file allocated %d bytes", want, len(data), got)
 		}
 	}
 }
 
-// TestDecodeGobRowsAreIsolated: the decoded rows are windows of one
+// TestDecodeBinaryRefusesEveryTruncation: a file cut anywhere — inside
+// any section, on any boundary — is an unexpected EOF, and the whole
+// file is read to its last byte and not one past it.
+func TestDecodeBinaryRefusesEveryTruncation(t *testing.T) {
+	var buf bytes.Buffer
+	if err := EncodeBinary(&buf, buildTinyWeb(t)); err != nil {
+		t.Fatal(err)
+	}
+	file := buf.Bytes()
+	for n := 0; n < len(file); n++ {
+		if _, err := DecodeBinary(bytes.NewReader(file[:n])); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("a file cut to %d of %d bytes: err = %v, want io.ErrUnexpectedEOF", n, len(file), err)
+		}
+	}
+	r := bytes.NewReader(append(append([]byte(nil), file...), "what follows"...))
+	if _, err := DecodeBinary(r); err != nil {
+		t.Fatal(err)
+	}
+	if rest, _ := io.ReadAll(r); string(rest) != "what follows" {
+		t.Errorf("the reader is left at %q, want it just past the trailer", rest)
+	}
+}
+
+// TestDecodeBinaryRowsAreIsolated: the decoded rows are windows of one
 // slab, so an append must reallocate its row rather than run into the
 // neighbour's — directly after decoding, and on either side of a
 // CloneCOW.
-func TestDecodeGobRowsAreIsolated(t *testing.T) {
+func TestDecodeBinaryRowsAreIsolated(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	for trial := 0; trial < 10; trial++ {
 		src := benchDocGraph(rng.Intn(4)+1, rng.Intn(6)+2, rng.Int63())
-		// Unmerged duplicates (EncodeGob writes rows as they are) leave
+		// Unmerged duplicates (EncodeBinary writes rows as they are) leave
 		// the decoded, merged rows shorter than their slab windows.
 		for e := src.NumDocs(); e > 0; e-- {
 			src.G.AddLink(rng.Intn(src.NumDocs()), rng.Intn(src.NumDocs()))
 		}
 		var buf bytes.Buffer
-		if err := EncodeGob(&buf, src); err != nil {
+		if err := EncodeBinary(&buf, src); err != nil {
 			t.Fatal(err)
 		}
-		dg, err := DecodeGob(&buf)
+		dg, err := DecodeBinary(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}

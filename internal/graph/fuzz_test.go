@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -43,19 +44,21 @@ func FuzzReadText(f *testing.F) {
 	})
 }
 
-// FuzzDecodeGob hardens the binary decoder against corrupt payloads:
-// whatever the bytes, it never panics, anything it accepts passes
-// Validate, and what it hands back is bounded by the input — every row
-// and roster is allocated at the size the (already validated) payload
-// states, so a short payload cannot make a large graph.
-func FuzzDecodeGob(f *testing.F) {
-	// Seed with a valid encoding, some mutations of it, and the payloads
+// FuzzDecodeBinary hardens the graph file decoder against corrupt
+// files: whatever the bytes, it never panics, anything it accepts passes
+// Validate, what it hands back is bounded by the input — every row and
+// roster is allocated at the size the (already validated) file states,
+// so a short file cannot make a large graph — and so is what it
+// allocates on the way, accepted or not: a count is believed only as
+// far as its bytes have arrived.
+func FuzzDecodeBinary(f *testing.F) {
+	// Seed with a valid encoding, some mutations of it, and the files
 	// the decoder must refuse.
 	b := NewBuilder()
 	b.AddLink("http://a.example/", "http://b.example/")
 	dg := b.Build()
 	var buf bytes.Buffer
-	if err := EncodeGob(&buf, dg); err != nil {
+	if err := EncodeBinary(&buf, dg); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -68,23 +71,31 @@ func FuzzDecodeGob(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x01, 0x02})
-	for _, data := range hostileGobs(f) {
+	for _, data := range hostileFiles() {
 		f.Add(data)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dg, err := DecodeGob(bytes.NewReader(data))
+		in := bytes.NewReader(data)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		dg, err := DecodeBinary(in)
+		runtime.ReadMemStats(&after)
+		read := len(data) - in.Len()
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20+64*uint64(read) {
+			t.Fatalf("decoding allocated %d bytes after reading %d", got, read)
+		}
 		if err != nil {
 			return
 		}
 		if verr := dg.Validate(); verr != nil {
-			t.Fatalf("accepted gob fails Validate: %v", verr)
+			t.Fatalf("accepted file fails Validate: %v", verr)
 		}
-		// One byte of payload buys at most one document (a 24-byte Doc, a
-		// 24-byte row header, an 8-byte roster entry), a third of an edge
-		// (16 bytes) or one site (40 bytes).
+		// A document takes 12 bytes of file and 56 of graph (a 24-byte
+		// Doc, a 24-byte row header, an 8-byte roster entry), an edge 12
+		// and 16, a site 4 and 40.
 		if got := docGraphFootprint(dg); got > 64*len(data) {
-			t.Fatalf("a %d-byte payload decoded into %d bytes of graph", len(data), got)
+			t.Fatalf("a %d-byte file decoded into %d bytes of graph", len(data), got)
 		}
 	})
 }

@@ -2,8 +2,9 @@ package graph
 
 import (
 	"bufio"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"strconv"
@@ -124,93 +125,360 @@ func ReadText(r io.Reader) (*DocGraph, error) {
 	return dg, nil
 }
 
-// gobGraph is the wire form of a DocGraph: adjacency flattened into
-// parallel slices so the gob payload stays compact.
-type gobGraph struct {
-	Docs      []Doc
-	SiteNames []string
-	From, To  []int32
-	Weight    []float64
-}
+// The graph file — what EncodeBinary writes and DecodeBinary reads — is
+// columnar, fixed-width and little-endian, so reading it is a few large
+// reads rather than one decode step per number:
+//
+//	byte 0              binaryMagic | binaryVersion
+//	5 × uint64          numSites, numDocs, numEdges, nameBytes, urlBytes
+//	numSites × uint32   length of each site name
+//	nameBytes           the site names back to back
+//	numDocs × uint32    site of each document
+//	numDocs × uint32    length of each URL
+//	urlBytes            the URLs back to back
+//	numDocs × uint32    out-degree of each document
+//	numEdges × uint32   edge targets, row after row
+//	numEdges × float64  edge weights in the same order, IEEE-754 bits verbatim
+//	uint32              CRC-32C of every byte before it
+//
+// The magic's high bit keeps the file apart from a text graph (whose
+// records all start in ASCII), its nibble from a wire frame. Rows are
+// written as stored: unmerged duplicate links are separate entries.
+// The checksum detects corruption; it does not authenticate the file.
+const (
+	binaryMagic     = 0xD0 // high nibble of byte 0
+	binaryVersion   = 0x01 // low nibble of byte 0
+	binaryHeaderLen = 1 + 5*8
 
-// EncodeGob writes dg in a compact binary form.
-func EncodeGob(w io.Writer, dg *DocGraph) error {
-	gg := gobGraph{Docs: dg.Docs, SiteNames: make([]string, len(dg.Sites))}
-	for s, site := range dg.Sites {
-		gg.SiteNames[s] = site.Name
+	// readAhead is how far past the bytes actually received a section's
+	// buffer may start out; from there it grows to at most eight times
+	// what has arrived. A header's counts alone never size an allocation.
+	readAhead = 128 << 10
+	// pieceBytes sizes the scratch the URL block and the weights stream
+	// through, and so the arena chunk a run of URLs shares: keeping one
+	// Doc.URL alive pins at most this much (or that one URL, if longer).
+	pieceBytes = 64 << 10
+)
+
+var (
+	le         = binary.LittleEndian
+	castagnoli = crc32.MakeTable(crc32.Castagnoli)
+)
+
+// EncodeBinary writes dg as a graph file.
+func EncodeBinary(w io.Writer, dg *DocGraph) error {
+	if err := dg.Validate(); err != nil {
+		return err
 	}
-	n := dg.G.NumEdges()
-	gg.From = make([]int32, 0, n)
-	gg.To = make([]int32, 0, n)
-	gg.Weight = make([]float64, 0, n)
-	dg.G.EachEdgeAll(func(from int, e Edge) {
-		gg.From = append(gg.From, int32(from))
-		gg.To = append(gg.To, int32(e.To))
-		gg.Weight = append(gg.Weight, e.Weight)
-	})
-	if err := gob.NewEncoder(w).Encode(&gg); err != nil {
-		return fmt.Errorf("graph: gob encode: %w", err)
+	// Every count and length but the header's totals is a uint32 in the file.
+	var nameBytes, urlBytes uint64
+	widest := max(len(dg.Sites), len(dg.Docs))
+	for _, site := range dg.Sites {
+		nameBytes += uint64(len(site.Name))
+		widest = max(widest, len(site.Name))
+	}
+	for _, doc := range dg.Docs {
+		urlBytes += uint64(len(doc.URL))
+		widest = max(widest, len(doc.URL))
+	}
+	for _, row := range dg.G.out {
+		widest = max(widest, len(row))
+	}
+	if uint64(widest) > math.MaxUint32 {
+		return fmt.Errorf("graph: a count or length of %d does not fit the binary format", widest)
+	}
+
+	sum := crc32.New(castagnoli)
+	bw := bufio.NewWriterSize(io.MultiWriter(w, sum), pieceBytes)
+	// A bufio.Writer's first error sticks and Flush reports it.
+	var field [8]byte
+	u32 := func(v uint32) { bw.Write(le.AppendUint32(field[:0], v)) }
+	u64 := func(v uint64) { bw.Write(le.AppendUint64(field[:0], v)) }
+	bw.WriteByte(binaryMagic | binaryVersion)
+	u64(uint64(len(dg.Sites)))
+	u64(uint64(len(dg.Docs)))
+	u64(uint64(dg.G.NumEdges()))
+	u64(nameBytes)
+	u64(urlBytes)
+	for _, site := range dg.Sites {
+		u32(uint32(len(site.Name)))
+	}
+	for _, site := range dg.Sites {
+		bw.WriteString(site.Name)
+	}
+	for _, doc := range dg.Docs {
+		u32(uint32(doc.Site))
+	}
+	for _, doc := range dg.Docs {
+		u32(uint32(len(doc.URL)))
+	}
+	for _, doc := range dg.Docs {
+		bw.WriteString(doc.URL)
+	}
+	for _, row := range dg.G.out {
+		u32(uint32(len(row)))
+	}
+	dg.G.EachEdgeAll(func(_ int, e Edge) { u32(uint32(e.To)) })
+	dg.G.EachEdgeAll(func(_ int, e Edge) { u64(math.Float64bits(e.Weight)) })
+	err := bw.Flush()
+	if err == nil {
+		_, err = w.Write(le.AppendUint32(field[:0], sum.Sum32()))
+	}
+	if err != nil {
+		return fmt.Errorf("graph: writing binary graph: %w", err)
 	}
 	return nil
 }
 
-// DecodeGob reads a DocGraph written by EncodeGob. Everything is checked
-// before the graph is assembled, then each site roster and the whole
-// adjacency are allocated once at their exact size: every node's row is a
-// capacity-clipped window of one slab (as in LocalSubgraph), so a later
-// AddEdge reallocates that row instead of writing into its neighbour's.
-func DecodeGob(r io.Reader) (*DocGraph, error) {
-	var gg gobGraph
-	if err := gob.NewDecoder(r).Decode(&gg); err != nil {
-		return nil, fmt.Errorf("graph: gob decode: %w", err)
-	}
-	nd := len(gg.Docs)
-	siteSize := make([]int, len(gg.SiteNames))
-	for d, doc := range gg.Docs {
-		if int(doc.Site) < 0 || int(doc.Site) >= len(siteSize) {
-			return nil, fmt.Errorf("graph: gob doc %d has invalid site %d", d, doc.Site)
-		}
-		siteSize[doc.Site]++
-	}
-	if len(gg.From) != len(gg.To) || len(gg.From) != len(gg.Weight) {
-		return nil, fmt.Errorf("graph: gob edge slices disagree: %d/%d/%d",
-			len(gg.From), len(gg.To), len(gg.Weight))
-	}
-	deg := make([]int, nd)
-	for k := range gg.From {
-		from, to := int(gg.From[k]), int(gg.To[k])
-		if from < 0 || from >= nd || to < 0 || to >= nd {
-			return nil, fmt.Errorf("graph: gob edge %d (%d→%d) out of range", k, from, to)
-		}
-		if w := gg.Weight[k]; !(w > 0) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("graph: gob edge %d has invalid weight %g", k, gg.Weight[k])
-		}
-		deg[from]++
-	}
+// binaryReader reads a graph file's sections off r, checksumming them.
+type binaryReader struct {
+	r     io.Reader
+	crc   uint32
+	piece []byte
+}
 
-	dg := &DocGraph{
-		G:     NewDigraph(nd),
-		Docs:  gg.Docs,
-		Sites: make([]Site, len(gg.SiteNames)),
+// fill reads exactly len(p) bytes of the section called what.
+func (br *binaryReader) fill(p []byte, what string) error {
+	if _, err := io.ReadFull(br.r, p); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return fmt.Errorf("graph: binary %s: %w", what, err)
 	}
-	for s, name := range gg.SiteNames {
-		dg.Sites[s] = Site{Name: name, Docs: make([]DocID, 0, siteSize[s])}
+	br.crc = crc32.Update(br.crc, castagnoli, p)
+	return nil
+}
+
+// section reads the next n bytes into a buffer of their own, claimed as
+// they arrive: readAhead to begin with, then up to eight times what has
+// been received, so a section that is all there costs a few reads and a
+// truncated one never more memory than a small multiple of its bytes.
+func (br *binaryReader) section(n int, what string) ([]byte, error) {
+	b := make([]byte, 0, min(n, readAhead))
+	for len(b) < n {
+		have := len(b)
+		m := min(n-have, max(readAhead, 7*have))
+		if have+m > cap(b) {
+			b = append(make([]byte, 0, have+m), b...)
+		}
+		b = b[:have+m]
+		if err := br.fill(b[have:], what); err != nil {
+			return nil, err
+		}
 	}
-	for d, doc := range dg.Docs {
-		dg.Sites[doc.Site].Docs = append(dg.Sites[doc.Site].Docs, DocID(d))
+	return b, nil
+}
+
+// text reads the next n bytes as one string.
+func (br *binaryReader) text(n int, what string) (string, error) {
+	b := br.piece
+	if n > len(b) {
+		var err error
+		if b, err = br.section(n, what); err != nil {
+			return "", err
+		}
+	} else if err := br.fill(b[:n], what); err != nil {
+		return "", err
 	}
-	slab := make([]Edge, len(gg.From))
-	p := 0
-	for d, n := range deg {
-		dg.G.out[d] = slab[p : p : p+n]
+	return string(b[:n]), nil
+}
+
+// sumUint32 adds up a column; at most 2³² entries below 2³² cannot wrap.
+func sumUint32(col []byte) uint64 {
+	var sum uint64
+	for i := 0; i+4 <= len(col); i += 4 {
+		sum += uint64(le.Uint32(col[i:]))
+	}
+	return sum
+}
+
+// DecodeBinary reads a graph file, consuming exactly its bytes. Each
+// section is checked as it is read, in file order — counts the format
+// can index, lengths that agree with the header, site and endpoint
+// ranges, weights positive and finite — then the checksum, then
+// Validate; nothing is allocated on the say-so of a count whose bytes
+// have not arrived. Docs, each site roster and the adjacency are built
+// once at their exact size: every node's row is a capacity-clipped
+// window of one slab (as in LocalSubgraph), so a later AddEdge
+// reallocates that row instead of writing into its neighbour's, and
+// URLs are substrings of arena chunks of about pieceBytes. A file whose
+// rows are all strictly ascending — any that EncodeBinary wrote from a
+// deduplicated graph — yields a graph already marked deduplicated; any
+// other is sorted and merged by Dedupe here.
+func DecodeBinary(r io.Reader) (*DocGraph, error) {
+	br := &binaryReader{r: r, piece: make([]byte, pieceBytes)}
+	var hdr [binaryHeaderLen]byte
+	if err := br.fill(hdr[:1], "header"); err != nil {
+		return nil, err
+	}
+	if m := hdr[0] & 0xF0; m != binaryMagic {
+		return nil, fmt.Errorf("graph: bad magic 0x%02x (want 0x%02x): not a binary graph file", m, binaryMagic)
+	}
+	if v := hdr[0] & 0x0F; v != binaryVersion {
+		return nil, fmt.Errorf("graph: binary graph file version %d, this build reads %d", v, binaryVersion)
+	}
+	if err := br.fill(hdr[1:], "header"); err != nil {
+		return nil, err
+	}
+	var counts [5]int
+	for i, what := range [...]string{"numSites", "numDocs", "numEdges", "nameBytes", "urlBytes"} {
+		v := le.Uint64(hdr[1+8*i:])
+		// Sixty-four bytes per counted thing must fit an int; sites and
+		// documents are uint32 in the file besides.
+		limit := uint64(math.MaxInt / 64)
+		if i < 2 {
+			limit = min(limit, math.MaxUint32)
+		}
+		if v > limit {
+			return nil, fmt.Errorf("graph: binary header claims %s = %d, more than this build can index", what, v)
+		}
+		counts[i] = int(v)
+	}
+	ns, nd, ne, nameBytes, urlBytes := counts[0], counts[1], counts[2], counts[3], counts[4]
+
+	lens, err := br.section(4*ns, "site name lengths")
+	if err != nil {
+		return nil, err
+	}
+	if sum := sumUint32(lens); sum != uint64(nameBytes) {
+		return nil, fmt.Errorf("graph: binary site name lengths disagree with the header: they sum to %d, nameBytes is %d", sum, nameBytes)
+	}
+	names, err := br.text(nameBytes, "site names")
+	if err != nil {
+		return nil, err
+	}
+	sites := make([]Site, ns)
+	for s, p := 0, 0; s < ns; s++ {
+		n := int(le.Uint32(lens[4*s:]))
+		sites[s].Name = names[p : p+n]
 		p += n
 	}
-	for k, from := range gg.From {
-		dg.G.out[from] = append(dg.G.out[from], Edge{To: int(gg.To[k]), Weight: gg.Weight[k]})
+
+	col, err := br.section(4*nd, "document sites")
+	if err != nil {
+		return nil, err
 	}
-	dg.G.Dedupe()
+	siteSize := make([]int, ns)
+	for d := 0; d < nd; d++ {
+		s := le.Uint32(col[4*d:])
+		if uint64(s) >= uint64(ns) {
+			return nil, fmt.Errorf("graph: binary doc %d has invalid site %d", d, s)
+		}
+		siteSize[s]++
+	}
+	docs := make([]Doc, nd)
+	for s, n := range siteSize {
+		sites[s].Docs = make([]DocID, 0, n)
+	}
+	for d := range docs {
+		s := SiteID(le.Uint32(col[4*d:]))
+		docs[d].Site = s
+		sites[s].Docs = append(sites[s].Docs, DocID(d))
+	}
+
+	if lens, err = br.section(4*nd, "URL lengths"); err != nil {
+		return nil, err
+	}
+	if sum := sumUint32(lens); sum != uint64(urlBytes) {
+		return nil, fmt.Errorf("graph: binary URL lengths disagree with the header: they sum to %d, urlBytes is %d", sum, urlBytes)
+	}
+	for d := 0; d < nd; {
+		// One arena chunk: the run of URLs from d that fits a piece (at
+		// least one, so a longer URL gets a chunk to itself).
+		end, n := d, 0
+		for end < nd && (end == d || n+int(le.Uint32(lens[4*end:])) <= pieceBytes) {
+			n += int(le.Uint32(lens[4*end:]))
+			end++
+		}
+		chunk, err := br.text(n, "URLs")
+		if err != nil {
+			return nil, err
+		}
+		for p := 0; d < end; d++ {
+			l := int(le.Uint32(lens[4*d:]))
+			docs[d].URL = chunk[p : p+l]
+			p += l
+		}
+	}
+
+	deg, err := br.section(4*nd, "out-degrees")
+	if err != nil {
+		return nil, err
+	}
+	if sum := sumUint32(deg); sum != uint64(ne) {
+		return nil, fmt.Errorf("graph: binary out-degrees disagree with the header: they sum to %d, numEdges is %d", sum, ne)
+	}
+	tgt, err := br.section(4*ne, "edge targets")
+	if err != nil {
+		return nil, err
+	}
+	g := NewDigraph(nd)
+	slab := make([]Edge, ne)
+	ascending := true
+	for d, p := 0, 0; d < nd; d++ {
+		n := int(le.Uint32(deg[4*d:]))
+		row := slab[p : p+n : p+n]
+		prev := -1
+		for k := range row {
+			to := int(le.Uint32(tgt[4*(p+k):]))
+			if to >= nd {
+				return nil, fmt.Errorf("graph: binary edge %d (%d→%d) out of range", p+k, d, to)
+			}
+			if to <= prev {
+				ascending = false
+			}
+			prev = to
+			row[k].To = to
+		}
+		g.out[d] = row
+		p += n
+	}
+	for k := 0; k < ne; {
+		b := br.piece[:8*min(ne-k, pieceBytes/8)]
+		if err := br.fill(b, "edge weights"); err != nil {
+			return nil, err
+		}
+		for ; len(b) > 0; b, k = b[8:], k+1 {
+			w := math.Float64frombits(le.Uint64(b))
+			if !(w > 0) || math.IsInf(w, 0) {
+				return nil, fmt.Errorf("graph: binary edge %d has invalid weight %g", k, w)
+			}
+			slab[k].Weight = w
+		}
+	}
+
+	sum := br.crc
+	var trailer [4]byte
+	if err := br.fill(trailer[:], "checksum"); err != nil {
+		return nil, err
+	}
+	if got := le.Uint32(trailer[:]); got != sum {
+		return nil, fmt.Errorf("graph: binary checksum mismatch: the file says %08x, its bytes hash to %08x", got, sum)
+	}
+
+	// Strictly ascending rows are sorted and merged as they stand.
+	g.deduped = ascending
+	g.Dedupe()
+	dg := &DocGraph{G: g, Docs: docs, Sites: sites}
 	if err := dg.Validate(); err != nil {
 		return nil, err
 	}
 	return dg, nil
+}
+
+// Read parses a graph in either format, told apart by its first byte: a
+// graph file opens with binaryMagic, a text record with an ASCII byte.
+func Read(r io.Reader) (*DocGraph, error) {
+	br := bufio.NewReader(r)
+	first, err := br.Peek(1)
+	if err == io.EOF {
+		return nil, fmt.Errorf("graph: empty input")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("graph: reading: %w", err)
+	}
+	if first[0]&0xF0 == binaryMagic {
+		return DecodeBinary(br)
+	}
+	return ReadText(br)
 }

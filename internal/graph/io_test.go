@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -21,17 +22,96 @@ func TestTextRoundTrip(t *testing.T) {
 	assertSameDocGraph(t, dg, back)
 }
 
-func TestGobRoundTrip(t *testing.T) {
+func TestBinaryRoundTrip(t *testing.T) {
 	dg := buildTinyWeb(t)
 	var buf bytes.Buffer
-	if err := EncodeGob(&buf, dg); err != nil {
-		t.Fatalf("EncodeGob: %v", err)
+	if err := EncodeBinary(&buf, dg); err != nil {
+		t.Fatalf("EncodeBinary: %v", err)
 	}
-	back, err := DecodeGob(&buf)
+	back, err := DecodeBinary(&buf)
 	if err != nil {
-		t.Fatalf("DecodeGob: %v", err)
+		t.Fatalf("DecodeBinary: %v", err)
 	}
 	assertSameDocGraph(t, dg, back)
+}
+
+// TestReadTellsTheFormatsApart: Read takes either format of one web by
+// its first byte; an input with no first byte, or with nothing after
+// the magic, is an error rather than an empty graph.
+func TestReadTellsTheFormatsApart(t *testing.T) {
+	dg := buildTinyWeb(t)
+	var text, bin bytes.Buffer
+	if err := WriteText(&text, dg); err != nil {
+		t.Fatalf("WriteText: %v", err)
+	}
+	if err := EncodeBinary(&bin, dg); err != nil {
+		t.Fatalf("EncodeBinary: %v", err)
+	}
+	magic := []byte{bin.Bytes()[0]}
+	for name, in := range map[string]*bytes.Buffer{"text": &text, "binary": &bin} {
+		back, err := Read(in)
+		if err != nil {
+			t.Fatalf("Read(%s): %v", name, err)
+		}
+		assertSameDocGraph(t, dg, back)
+	}
+	for name, in := range map[string][]byte{"empty": nil, "lone magic byte": magic} {
+		if dg, err := Read(bytes.NewReader(in)); err == nil {
+			t.Errorf("Read(%s) = a graph of %d docs, want an error", name, dg.NumDocs())
+		}
+	}
+}
+
+// TestDecodeBinaryMergesUnsortedRows: the decoder takes a file's rows as
+// sorted and merged only when it saw every one strictly ascending. One
+// row out of order, or naming a target twice, and it sorts and merges
+// them all — the graph that comes back is the same either way.
+func TestDecodeBinaryMergesUnsortedRows(t *testing.T) {
+	want := benchDocGraph(3, 6, 56)
+	var clean bytes.Buffer
+	if err := EncodeBinary(&clean, want); err != nil {
+		t.Fatal(err)
+	}
+	long := 0
+	for i, row := range want.G.out {
+		if len(row) > len(want.G.out[long]) {
+			long = i
+		}
+	}
+	for name, disorder := range map[string]func(row []Edge) []Edge{
+		"one row reversed": func(row []Edge) []Edge {
+			for i, j := 0, len(row)-1; i < j; i, j = i+1, j-1 {
+				row[i], row[j] = row[j], row[i]
+			}
+			return row
+		},
+		"one link in two halves": func(row []Edge) []Edge {
+			row[1].Weight /= 2
+			return append(row[:2], row[1:]...)
+		},
+	} {
+		src := &DocGraph{G: want.G.Clone(), Docs: want.Docs, Sites: want.Sites}
+		src.G.out[long] = disorder(src.G.out[long])
+		var file bytes.Buffer
+		if err := EncodeBinary(&file, src); err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(file.Bytes(), clean.Bytes()) {
+			t.Fatalf("%s: the file is the clean one; nothing is exercised", name)
+		}
+		got, err := DecodeBinary(&file)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sameDigraph(t, got.G, want.G)
+		var again bytes.Buffer
+		if err := EncodeBinary(&again, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), clean.Bytes()) {
+			t.Errorf("%s: the merged graph does not encode to the clean file", name)
+		}
+	}
 }
 
 func assertSameDocGraph(t *testing.T, a, b *DocGraph) {
@@ -48,6 +128,9 @@ func assertSameDocGraph(t *testing.T, a, b *DocGraph) {
 	for s := range a.Sites {
 		if a.Sites[s].Name != b.Sites[s].Name {
 			t.Fatalf("site %d name: %q vs %q", s, a.Sites[s].Name, b.Sites[s].Name)
+		}
+		if !slices.Equal(a.Sites[s].Docs, b.Sites[s].Docs) {
+			t.Fatalf("site %d roster: %v vs %v", s, a.Sites[s].Docs, b.Sites[s].Docs)
 		}
 	}
 	a.G.Dedupe()
@@ -158,10 +241,10 @@ func TestRoundTripQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := EncodeGob(&gb, dg); err != nil {
+		if err := EncodeBinary(&gb, dg); err != nil {
 			return false
 		}
-		fromGob, err := DecodeGob(&gb)
+		fromGob, err := DecodeBinary(&gb)
 		if err != nil {
 			return false
 		}

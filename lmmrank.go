@@ -324,11 +324,14 @@ func ReadGraph(r io.Reader) (*DocGraph, error) { return graph.ReadText(r) }
 // WriteGraph serializes a DocGraph in the text format.
 func WriteGraph(w io.Writer, dg *DocGraph) error { return graph.WriteText(w, dg) }
 
-// ReadGraphBinary and WriteGraphBinary use the compact gob encoding.
-func ReadGraphBinary(r io.Reader) (*DocGraph, error) { return graph.DecodeGob(r) }
+// ReadGraphBinary reads a graph file — the checked, fixed-width
+// little-endian format of docs/ARCHITECTURE.md, "The graph file" —
+// consuming exactly the file's bytes from r. The URLs of the result are
+// substrings of shared 64 KiB chunks: keeping one alive keeps its chunk.
+func ReadGraphBinary(r io.Reader) (*DocGraph, error) { return graph.DecodeBinary(r) }
 
-// WriteGraphBinary serializes a DocGraph in the gob encoding.
-func WriteGraphBinary(w io.Writer, dg *DocGraph) error { return graph.EncodeGob(w, dg) }
+// WriteGraphBinary serializes a DocGraph as a graph file.
+func WriteGraphBinary(w io.Writer, dg *DocGraph) error { return graph.EncodeBinary(w, dg) }
 
 // StartCluster launches an in-process distributed fleet of n workers on
 // loopback TCP with a connected coordinator.
