@@ -72,22 +72,25 @@ race:
 # (ordered-async reproducibility, checkpoint resume, worker-order
 # reduce) hold with real parallelism too, and so do the lazy builds
 # below the engines: concurrent first use of a CSR's row view
-# (internal/matrix), of a site's chain (internal/lmm) and COW rows
-# (internal/graph). -count=1 defeats the test cache — a cached verdict
+# (internal/matrix), of a site's chain (internal/lmm), and readers of a
+# graph while its COW clones are taken and edited (internal/graph,
+# TestCloneCOWDoesNotWriteParent). -count=1 defeats the test cache — a cached verdict
 # from a different GOMAXPROCS proves nothing.
 race-multi:
 	GOMAXPROCS=4 $(GO) test -race -timeout 10m -count=1 . ./internal/dist/... ./internal/lmm/... ./internal/matrix ./internal/graph
 
 # The allocation pins (every test with Alloc in its name: kernels, solver,
-# Ranker, graph file decoder, wire codec, worker, warm DistEngine) at 1, 2
-# and 4 procs — a zero-allocation path must not start allocating because
-# procs appeared.
+# Ranker, graph file decoder, wire codec, worker, warm DistEngine) and the
+# retention pins (Retention: what a decoded web, a COW clone and a
+# prepared engine keep alive) at 1, 2 and 4 procs — a zero-allocation path
+# must not start allocating, nor a snapshot retaining, because procs
+# appeared.
 # testing.AllocsPerRun itself measures at GOMAXPROCS(1) whatever is set
 # here; the pins that must hold on several procs at once count mallocs
 # themselves (TestPowerLeftScratchZeroAllocsMultiCore).
 alloc-pins:
 	for p in 1 2 4; do \
-		GOMAXPROCS=$$p $(GO) test -count=1 -run 'Alloc' ./internal/matrix ./internal/graph ./internal/pagerank ./internal/lmm ./internal/dist/wire ./internal/dist/worker . ; \
+		GOMAXPROCS=$$p $(GO) test -count=1 -run 'Alloc|Retention' ./internal/matrix ./internal/graph ./internal/pagerank ./internal/lmm ./internal/dist/wire ./internal/dist/worker . ; \
 	done
 
 # The fault-injection sweep: the seeded kill/rejoin/resume soak over the

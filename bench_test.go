@@ -414,6 +414,36 @@ func BenchmarkE9ChurnUpdate(b *testing.B) {
 	})
 }
 
+// BenchmarkUpdateOneSite is one Apply-path Update of one site on an idle
+// engine, nothing else: copy-on-write clone, two links, the dirty site's
+// rebuild and the warm refresh. B/op is what a snapshot costs beside the
+// one it replaces — the clone's share of it is BenchmarkCloneCOW's in
+// internal/graph.
+func BenchmarkUpdateOneSite(b *testing.B) {
+	ctx := context.Background()
+	eng, err := NewLocalEngine(webgen.Generate(webgen.Default()).Graph, EngineOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := eng.Rank(ctx, Query{TopK: 10}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		err := eng.Update(ctx, GraphDelta{
+			ChangedSites: []SiteID{SiteID(i % 80)},
+			Apply: func(dg *DocGraph) error {
+				churnEdit(dg, i)
+				return nil
+			},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // / BenchmarkE10UpdateUnderLoad measures what snapshot serving buys: the
 // per-query cost of Rank while a background churner runs Apply-path
 // Updates back to back. Under the old drain-and-swap engine every

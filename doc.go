@@ -88,8 +88,11 @@
 //   - Snapshot semantics: an engine's whole serving state — graph,
 //     precomputed cores, warm seeds — lives behind one atomic pointer
 //     to an immutable snapshot. Update applies GraphDelta.Apply to a
-//     copy-on-write clone of the graph (clean sites share their
-//     adjacency with the old graph by pointer), rebuilds off to the
+//     copy-on-write clone of the graph (the clone shares the packed
+//     adjacency, the document records and the site rosters with the old
+//     graph by pointer and holds only the rows it rewrites — so Apply
+//     may add links, documents and sites, but must not overwrite or
+//     reorder Docs or a Site.Docs roster in place), rebuilds off to the
 //     side and publishes with a single store. Queries never wait for an
 //     Update and an Update never waits for queries: a Rank in flight
 //     across the swap completes on the snapshot it started on,

@@ -118,8 +118,12 @@ type Result struct {
 // untouched graph; if Apply (or the rebuild) fails, the clone is
 // discarded and the engine is exactly as before — a failed Update is a
 // no-op. Mutate only the *dg passed in; a captured outer pointer still
-// names the old serving graph. After a successful Apply-path Update,
-// re-fetch the serving graph with DocGraph().
+// names the old serving graph. The clone shares its document records and
+// site rosters with the serving graph under an append-only contract: add
+// links, append to Docs, to Sites and to a Site.Docs roster, but do not
+// overwrite, reorder or truncate what is already there. After a
+// successful Apply-path Update, re-fetch the serving graph with
+// DocGraph().
 //
 // With a nil Apply the caller has already mutated the serving graph in
 // place; that is only safe when no query was in flight during the

@@ -51,6 +51,21 @@ func BenchmarkTransitionMatrix(b *testing.B) {
 	}
 }
 
+// BenchmarkCloneCOW is the clone an Update starts from, of a web a few
+// updates old: B/op is the overlay, not the web.
+func BenchmarkCloneCOW(b *testing.B) {
+	dg := benchDocGraph(200, 100, 5)
+	for i := 0; i < 20; i++ {
+		dg.G.AddLink(i*997%dg.NumDocs(), i)
+	}
+	dg.G.Dedupe()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dg.CloneCOW()
+	}
+}
+
 func BenchmarkTextRoundTrip(b *testing.B) {
 	dg := benchDocGraph(50, 100, 4)
 	b.ReportAllocs()

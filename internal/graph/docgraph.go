@@ -84,20 +84,22 @@ func (dg *DocGraph) Validate() error {
 	return nil
 }
 
-// CloneCOW returns a copy-on-write clone of the whole document graph:
-// the digraph shares clean adjacency rows with dg by pointer (see
-// Digraph.CloneCOW), and the Docs and Sites rosters are fresh slices
-// whose elements are copied — appending documents or sites to the clone
-// never disturbs dg. The one aliasing left is each Site.Docs slice,
-// which the clone shares until it appends to it; appends only ever write
-// indices at or past every aliasing holder's length, so readers of the
-// original (who read strictly below their own length) are safe — the
-// append-only contract the serving snapshots rely on. Mutating a shared
-// roster in place (reordering, truncating) is not supported.
+// CloneCOW returns a copy-on-write clone of the whole document graph.
+// The digraph shares its packed base with dg by pointer (see
+// Digraph.CloneCOW); Sites is a fresh slice of copied elements; Docs and
+// every Site.Docs roster alias dg's arrays, Docs clipped to its length.
+// What makes the aliasing safe is that these slices are append-only: an
+// append to the clone's Docs copies the array out first (it is clipped),
+// and an append to a roster only ever writes at or past every aliasing
+// holder's length, where readers of the original (who read strictly below
+// their own length) never look — the contract the serving snapshots rely
+// on. Overwriting, reordering or truncating a shared Docs or roster in
+// place is not supported. Nothing of dg is written.
 func (dg *DocGraph) CloneCOW() *DocGraph {
+	n := len(dg.Docs)
 	return &DocGraph{
 		G:     dg.G.CloneCOW(),
-		Docs:  append([]Doc(nil), dg.Docs...),
+		Docs:  dg.Docs[:n:n],
 		Sites: append([]Site(nil), dg.Sites...),
 	}
 }
@@ -113,8 +115,8 @@ func (dg *DocGraph) CloneCOW() *DocGraph {
 // over the ascending roster otherwise, so extraction never does
 // O(graph) work for a small site. The parent graph is deduplicated
 // first (a mutation — dedupe before fanning LocalSubgraph calls across
-// goroutines); the extracted subgraph inherits the sorted, merged rows
-// and skips its own dedupe pass.
+// goroutines); the subgraph is written straight into packed columns,
+// inherits the sorted, merged rows and skips its own dedupe pass.
 func (dg *DocGraph) LocalSubgraph(s SiteID) (*Digraph, *LocalIndex) {
 	dg.G.Dedupe()
 	docs := dg.Sites[s].Docs
@@ -128,9 +130,9 @@ func (dg *DocGraph) LocalSubgraph(s SiteID) (*Digraph, *LocalIndex) {
 	if table == nil && len(docs) >= len(dg.Docs)/8 {
 		table = dg.localTable(docs)
 	}
-	localOf := func(d int) int {
+	localOf := func(d uint32) uint32 {
 		if table != nil {
-			return int(table[d])
+			return uint32(table[d])
 		}
 		g := idx.ToGlobal
 		lo, hi := 0, len(g)
@@ -142,52 +144,51 @@ func (dg *DocGraph) LocalSubgraph(s SiteID) (*Digraph, *LocalIndex) {
 				hi = mid
 			}
 		}
-		return lo
+		return uint32(lo)
 	}
 
-	// Pass 1: count each local node's surviving out-edges.
-	n := len(docs)
-	counts := make([]int, n)
-	total := 0
+	// Pass 1: each local node's surviving out-edges give the offsets.
+	p := &packed{off: make([]int, len(docs)+1)}
 	for i, d := range docs {
 		c := 0
-		dg.G.EachEdge(int(d), func(e Edge) {
-			if dg.Docs[e.To].Site == s {
+		tos, _ := dg.G.row(int(d))
+		for _, to := range tos {
+			if dg.Docs[to].Site == s {
 				c++
 			}
-		})
-		counts[i] = c
-		total += c
+		}
+		p.off[i+1] = p.off[i] + c
 	}
 
-	// Pass 2: fill one shared backing slice, one slot per local node.
-	sub := NewDigraph(n)
-	backing := make([]Edge, total)
-	p := 0
-	for i, d := range docs {
-		row := backing[p : p : p+counts[i]]
-		dg.G.EachEdge(int(d), func(e Edge) {
-			if dg.Docs[e.To].Site == s {
-				row = append(row, Edge{To: localOf(e.To), Weight: e.Weight})
+	// Pass 2: fill the two columns.
+	p.to = make([]uint32, p.off[len(docs)])
+	p.w = make([]float64, p.off[len(docs)])
+	n := 0
+	for _, d := range docs {
+		tos, ws := dg.G.row(int(d))
+		for k, to := range tos {
+			if dg.Docs[to].Site == s {
+				p.to[n], p.w[n] = localOf(to), ws[k]
+				n++
 			}
-		})
-		sub.out[i] = row
-		p += counts[i]
+		}
 	}
 	// Parent rows are sorted by ascending global target; when the site
 	// roster is ascending too (the builder invariant) the local rows stay
 	// sorted and merged, so the subgraph is born deduplicated.
-	sub.deduped = ascending && dg.G.deduped
-	sub.Dedupe()
-	return sub, idx
+	if !ascending {
+		p.mergeRows()
+	}
+	return &Digraph{base: p, deduped: true}, idx
 }
 
 // LocalIndex returns the index of site s without extracting its
-// subgraph: a private copy of the roster, plus the dense table when the
-// roster is not ascending (binary search does not apply).
+// subgraph: the roster itself, aliased and clipped to its length (see
+// LocalIndex.ToGlobal), plus the dense table when the roster is not
+// ascending (binary search does not apply).
 func (dg *DocGraph) LocalIndex(s SiteID) *LocalIndex {
 	docs := dg.Sites[s].Docs
-	idx := &LocalIndex{ToGlobal: append([]DocID(nil), docs...)}
+	idx := &LocalIndex{ToGlobal: docs[:len(docs):len(docs)]}
 	for i := 1; i < len(docs); i++ {
 		if docs[i-1] >= docs[i] {
 			idx.table = dg.localTable(docs)
@@ -208,14 +209,18 @@ func (dg *DocGraph) localTable(docs []DocID) []int32 {
 }
 
 // LocalIndex maps between global document IDs and the local node indices
-// of one site's subgraph. It holds no reference to the DocGraph, so a
-// retained index costs O(site) memory — except for the rare
-// non-ascending hand-built roster, which keeps the O(graph) table.
+// of one site's subgraph. It holds no reference to the DocGraph and no
+// array of its own beyond the rare table: ToGlobal is the site's roster,
+// which every COW relative of the graph shares, so an index retained
+// across Updates costs a slice header.
 type LocalIndex struct {
-	// ToGlobal[i] is the DocID of local node i.
+	// ToGlobal[i] is the DocID of local node i. It aliases Site.Docs as
+	// it stood when the index was taken and is read-only; the roster is
+	// append-only (DocGraph.CloneCOW), so later documents of the site land
+	// past its length and never change what it reads.
 	ToGlobal []DocID
 	// table is non-nil only for non-ascending rosters, where the binary
-	// search over ToGlobal does not apply.
+	// search over ToGlobal does not apply; it is O(graph).
 	table []int32
 }
 

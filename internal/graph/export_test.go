@@ -1,8 +1,10 @@
 package graph
 
-// The seeded test web and the round-trip comparison, lent to the
-// external tests, which may import the packages built on this one.
+// The seeded test web, the round-trip comparison and the live-heap
+// reading, lent to the external tests, which may import the packages
+// built on this one.
 var (
 	BenchDocGraph      = benchDocGraph
 	AssertSameDocGraph = assertSameDocGraph
+	LiveHeap           = liveHeap
 )

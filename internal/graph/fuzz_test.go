@@ -91,9 +91,9 @@ func FuzzDecodeBinary(f *testing.F) {
 		if verr := dg.Validate(); verr != nil {
 			t.Fatalf("accepted file fails Validate: %v", verr)
 		}
-		// A document takes 12 bytes of file and 56 of graph (a 24-byte
-		// Doc, a 24-byte row header, an 8-byte roster entry), an edge 12
-		// and 16, a site 4 and 40.
+		// A document takes 12 bytes of file and 40 of graph (a 24-byte
+		// Doc, an 8-byte row offset, an 8-byte roster entry), an edge 12
+		// and 12, a site 4 and 40.
 		if got := docGraphFootprint(dg); got > 64*len(data) {
 			t.Fatalf("a %d-byte file decoded into %d bytes of graph", len(data), got)
 		}
@@ -102,50 +102,46 @@ func FuzzDecodeBinary(f *testing.F) {
 
 // docGraphFootprint sums the bytes of every array reachable from dg.
 func docGraphFootprint(dg *DocGraph) int {
-	n := cap(dg.Docs)*24 + cap(dg.Sites)*40 + cap(dg.G.out)*24
+	n := cap(dg.Docs)*24 + cap(dg.Sites)*40
 	for _, doc := range dg.Docs {
 		n += len(doc.URL)
 	}
 	for _, site := range dg.Sites {
 		n += len(site.Name) + cap(site.Docs)*8
 	}
-	for _, row := range dg.G.out {
-		n += cap(row) * 16
+	return n + digraphFootprint(dg.G)
+}
+
+// digraphFootprint sums the bytes of every array reachable from g.
+func digraphFootprint(g *Digraph) int {
+	n := cap(g.tail) * 48
+	if p := g.base; p != nil {
+		n += cap(p.off)*8 + cap(p.to)*4 + cap(p.w)*8
 	}
-	return n
+	g.eachOverlay(func(r row) row {
+		n += cap(r.to)*4 + cap(r.w)*8
+		return r
+	})
+	return n + len(g.patch)*(8+48)
 }
 
 // FuzzCloneCOW hardens the copy-on-write contract behind snapshot
-// serving: a parent and its CloneCOW clone share adjacency rows by
-// pointer, and a random interleaving of AddEdge/Dedupe on either side
-// must never write memory the other can read. The check is
-// differential — each side is mirrored onto an independent deep copy
-// receiving the same operation sequence, and any divergence (the clone
-// drifting from its reference, or a clone mutation leaking into the
-// parent) fails.
+// serving: a parent and its CloneCOW clone share the packed base and the
+// sealed overlay rows by pointer, and a random interleaving of
+// AddEdge/Dedupe on either side must never write memory the other can
+// read. The check is differential — each side is mirrored onto an
+// independent deep copy receiving the same operation sequence, and any
+// divergence (the clone drifting from its reference, or a clone mutation
+// leaking into the parent) fails.
 func FuzzCloneCOW(f *testing.F) {
 	f.Add([]byte{4, 2, 0, 1, 1, 2, 0, 0, 1, 1, 1, 0})
 	f.Add([]byte{8, 3, 0, 1, 1, 2, 2, 3, 2, 0, 5, 3, 1, 6, 3, 0, 0})
 	f.Add([]byte{2, 1, 0, 1, 0, 0, 1, 1, 1, 0, 2, 0, 0, 3, 1, 1})
 	f.Add([]byte{16, 0, 0, 1, 1, 0, 2, 1, 1})
 	f.Add([]byte{})
+	f.Add([]byte{8, 0x83, 0, 1, 1, 2, 2, 3, 0, 1, 4, 1, 1, 5, 2, 2, 2, 0, 3, 1, 0, 1, 6})
 
-	sameEdges := func(a, b *Digraph) bool {
-		if len(a.out) != len(b.out) {
-			return false
-		}
-		for i := range a.out {
-			if len(a.out[i]) != len(b.out[i]) {
-				return false
-			}
-			for k := range a.out[i] {
-				if a.out[i][k] != b.out[i][k] {
-					return false
-				}
-			}
-		}
-		return true
-	}
+	sameEdges := func(a, b *Digraph) bool { return reflect.DeepEqual(rowsOf(a), rowsOf(b)) }
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
@@ -153,17 +149,34 @@ func FuzzCloneCOW(f *testing.F) {
 		}
 		n := 2 + int(data[0])%14
 		k := int(data[1]) % 16
+		sealed := data[1]&0x80 != 0
 		data = data[2:]
-		parent := NewDigraph(n)
+		// Nodes the operations never address weigh the base down, so that
+		// a few rewritten rows stay in the overlay across a Dedupe. On the
+		// bare n-node graph every Dedupe would repack and no overlay row
+		// would ever be shared.
+		const ballast = 48
+		parent := NewDigraph(n + ballast)
+		for i := 0; i < ballast; i++ {
+			for j := 0; j < 16; j++ {
+				parent.AddEdge(n+i, n+(i+j)%ballast, 1)
+			}
+		}
+		parent.Dedupe()
 		for i := 0; i < k && len(data) >= 2; i++ {
 			parent.AddEdge(int(data[0])%n, int(data[1])%n, float64(1+data[1]%5))
 			data = data[2:]
 		}
+		// A sealed parent shares its overlay rows with the clone; one with
+		// rows still open to appends hands the clone copies of them.
+		if sealed {
+			parent.Dedupe()
+		}
 
-		// CloneCOW dedupes the parent first, so deep copies taken after it
-		// start bitwise equal to both sides of the COW pair.
+		// The clone is deduplicated, the parent left as it was.
 		cow := parent.CloneCOW()
 		refCow := parent.Clone()
+		refCow.Dedupe()
 		refParent := parent.Clone()
 
 		for len(data) >= 3 {

@@ -154,9 +154,9 @@ const (
 	// buffer may start out; from there it grows to at most eight times
 	// what has arrived. A header's counts alone never size an allocation.
 	readAhead = 128 << 10
-	// pieceBytes sizes the scratch the URL block and the weights stream
-	// through, and so the arena chunk a run of URLs shares: keeping one
-	// Doc.URL alive pins at most this much (or that one URL, if longer).
+	// pieceBytes sizes the scratch the URL block and the edge columns
+	// stream through, and so the arena chunk a run of URLs shares: keeping
+	// one Doc.URL alive pins at most this much (or that one URL, if longer).
 	pieceBytes = 64 << 10
 )
 
@@ -181,8 +181,9 @@ func EncodeBinary(w io.Writer, dg *DocGraph) error {
 		urlBytes += uint64(len(doc.URL))
 		widest = max(widest, len(doc.URL))
 	}
-	for _, row := range dg.G.out {
-		widest = max(widest, len(row))
+	nd := dg.G.NumNodes()
+	for d := 0; d < nd; d++ {
+		widest = max(widest, dg.G.degree(d))
 	}
 	if uint64(widest) > math.MaxUint32 {
 		return fmt.Errorf("graph: a count or length of %d does not fit the binary format", widest)
@@ -215,11 +216,21 @@ func EncodeBinary(w io.Writer, dg *DocGraph) error {
 	for _, doc := range dg.Docs {
 		bw.WriteString(doc.URL)
 	}
-	for _, row := range dg.G.out {
-		u32(uint32(len(row)))
+	for d := 0; d < nd; d++ {
+		u32(uint32(dg.G.degree(d)))
 	}
-	dg.G.EachEdgeAll(func(_ int, e Edge) { u32(uint32(e.To)) })
-	dg.G.EachEdgeAll(func(_ int, e Edge) { u64(math.Float64bits(e.Weight)) })
+	for d := 0; d < nd; d++ {
+		tos, _ := dg.G.row(d)
+		for _, to := range tos {
+			u32(to)
+		}
+	}
+	for d := 0; d < nd; d++ {
+		_, ws := dg.G.row(d)
+		for _, w := range ws {
+			u64(math.Float64bits(w))
+		}
+	}
 	err := bw.Flush()
 	if err == nil {
 		_, err = w.Write(le.AppendUint32(field[:0], sum.Sum32()))
@@ -269,6 +280,25 @@ func (br *binaryReader) section(n int, what string) ([]byte, error) {
 	return b, nil
 }
 
+// column reads the next n uint32s through the scratch piece into a
+// column of exactly n, claimed the way section claims its buffer.
+func (br *binaryReader) column(n int, what string) ([]uint32, error) {
+	col := make([]uint32, 0, min(n, readAhead/4))
+	for len(col) < n {
+		if len(col) == cap(col) {
+			col = append(make([]uint32, 0, min(n, 8*len(col))), col...)
+		}
+		b := br.piece[:4*min(cap(col)-len(col), pieceBytes/4)]
+		if err := br.fill(b, what); err != nil {
+			return nil, err
+		}
+		for ; len(b) > 0; b = b[4:] {
+			col = append(col, le.Uint32(b))
+		}
+	}
+	return col, nil
+}
+
 // text reads the next n bytes as one string.
 func (br *binaryReader) text(n int, what string) (string, error) {
 	b := br.piece
@@ -298,13 +328,16 @@ func sumUint32(col []byte) uint64 {
 // ranges, weights positive and finite — then the checksum, then
 // Validate; nothing is allocated on the say-so of a count whose bytes
 // have not arrived. Docs, each site roster and the adjacency are built
-// once at their exact size: every node's row is a capacity-clipped
-// window of one slab (as in LocalSubgraph), so a later AddEdge
-// reallocates that row instead of writing into its neighbour's, and
-// URLs are substrings of arena chunks of about pieceBytes. A file whose
-// rows are all strictly ascending — any that EncodeBinary wrote from a
-// deduplicated graph — yields a graph already marked deduplicated; any
-// other is sorted and merged by Dedupe here.
+// once at their exact size, and URLs are substrings of arena chunks of
+// about pieceBytes. The adjacency is the file's own three columns — the
+// out-degrees summed into row offsets, the targets filled as their
+// section arrives, the weights (allocated once the targets are in: twice
+// their bytes) through the scratch piece — handed to the graph as its
+// packed base: no Edge, no per-row header, and a later AddEdge copies the
+// row it appends to (see Digraph). A file whose rows are all strictly
+// ascending — any that EncodeBinary wrote from a deduplicated graph — is
+// packed as it stands; any other has its rows sorted and merged here,
+// before the graph sees them.
 func DecodeBinary(r io.Reader) (*DocGraph, error) {
 	br := &binaryReader{r: r, piece: make([]byte, pieceBytes)}
 	var hdr [binaryHeaderLen]byte
@@ -408,31 +441,29 @@ func DecodeBinary(r io.Reader) (*DocGraph, error) {
 	if sum := sumUint32(deg); sum != uint64(ne) {
 		return nil, fmt.Errorf("graph: binary out-degrees disagree with the header: they sum to %d, numEdges is %d", sum, ne)
 	}
-	tgt, err := br.section(4*ne, "edge targets")
-	if err != nil {
+	p := &packed{off: make([]int, nd+1)}
+	for d := 0; d < nd; d++ {
+		p.off[d+1] = p.off[d] + int(le.Uint32(deg[4*d:]))
+	}
+	if p.to, err = br.column(ne, "edge targets"); err != nil {
 		return nil, err
 	}
-	g := NewDigraph(nd)
-	slab := make([]Edge, ne)
 	ascending := true
-	for d, p := 0, 0; d < nd; d++ {
-		n := int(le.Uint32(deg[4*d:]))
-		row := slab[p : p+n : p+n]
+	for d := 0; d < nd; d++ {
 		prev := -1
-		for k := range row {
-			to := int(le.Uint32(tgt[4*(p+k):]))
+		for k := p.off[d]; k < p.off[d+1]; k++ {
+			to := int(p.to[k])
 			if to >= nd {
-				return nil, fmt.Errorf("graph: binary edge %d (%d→%d) out of range", p+k, d, to)
+				return nil, fmt.Errorf("graph: binary edge %d (%d→%d) out of range", k, d, to)
 			}
 			if to <= prev {
 				ascending = false
 			}
 			prev = to
-			row[k].To = to
 		}
-		g.out[d] = row
-		p += n
 	}
+	// The targets have arrived: the weights are at most twice their bytes.
+	p.w = make([]float64, ne)
 	for k := 0; k < ne; {
 		b := br.piece[:8*min(ne-k, pieceBytes/8)]
 		if err := br.fill(b, "edge weights"); err != nil {
@@ -443,7 +474,7 @@ func DecodeBinary(r io.Reader) (*DocGraph, error) {
 			if !(w > 0) || math.IsInf(w, 0) {
 				return nil, fmt.Errorf("graph: binary edge %d has invalid weight %g", k, w)
 			}
-			slab[k].Weight = w
+			p.w[k] = w
 		}
 	}
 
@@ -457,9 +488,10 @@ func DecodeBinary(r io.Reader) (*DocGraph, error) {
 	}
 
 	// Strictly ascending rows are sorted and merged as they stand.
-	g.deduped = ascending
-	g.Dedupe()
-	dg := &DocGraph{G: g, Docs: docs, Sites: sites}
+	if !ascending {
+		p.mergeRows()
+	}
+	dg := &DocGraph{G: &Digraph{base: p, deduped: true}, Docs: docs, Sites: sites}
 	if err := dg.Validate(); err != nil {
 		return nil, err
 	}

@@ -73,25 +73,25 @@ func TestDecodeBinaryMergesUnsortedRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	long := 0
-	for i, row := range want.G.out {
-		if len(row) > len(want.G.out[long]) {
+	for i := 0; i < want.G.NumNodes(); i++ {
+		if want.G.degree(i) > want.G.degree(long) {
 			long = i
 		}
 	}
-	for name, disorder := range map[string]func(row []Edge) []Edge{
-		"one row reversed": func(row []Edge) []Edge {
-			for i, j := 0, len(row)-1; i < j; i, j = i+1, j-1 {
-				row[i], row[j] = row[j], row[i]
-			}
-			return row
+	for name, disorder := range map[string]func(r row) row{
+		"one row reversed": func(r row) row {
+			slices.Reverse(r.to)
+			slices.Reverse(r.w)
+			return r
 		},
-		"one link in two halves": func(row []Edge) []Edge {
-			row[1].Weight /= 2
-			return append(row[:2], row[1:]...)
+		"one link in two halves": func(r row) row {
+			r.w[1] /= 2
+			return row{slices.Insert(r.to, 1, r.to[1]), slices.Insert(r.w, 1, r.w[1])}
 		},
 	} {
 		src := &DocGraph{G: want.G.Clone(), Docs: want.Docs, Sites: want.Sites}
-		src.G.out[long] = disorder(src.G.out[long])
+		to, w := src.G.row(long)
+		src.G.setRow(long, disorder(row{to, w}.clone()))
 		var file bytes.Buffer
 		if err := EncodeBinary(&file, src); err != nil {
 			t.Fatal(err)

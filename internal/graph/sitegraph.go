@@ -39,55 +39,44 @@ func (sg *SiteGraph) NumSites() int { return len(sg.Names) }
 // emitted at its exact length: no per-link append, no sort over document
 // links, and no spare capacity for a snapshot to keep alive. A SiteLink
 // weight is a sum of link multiplicities — integers, exact in float64 —
-// so it does not depend on the order the documents are visited in.
+// so it does not depend on the order the documents are visited in. It is
+// Rederive from the SiteGraph of the empty web, to which every site is
+// new.
 func DeriveSiteGraph(dg *DocGraph, opts SiteGraphOptions) *SiteGraph {
-	ns := dg.NumSites()
-	sg := &SiteGraph{G: NewDigraph(ns), Names: make([]string, ns)}
-	acc := &siteRowAccumulator{weight: make([]float64, ns)}
-	for s, site := range dg.Sites {
-		sg.G.out[s] = acc.row(dg, SiteID(s), opts)
-		sg.Names[s] = site.Name
-	}
-	sg.G.deduped = true
-	return sg
+	return (&SiteGraph{G: new(Digraph)}).Rederive(dg, opts, nil)
 }
 
 // Rederive returns the SiteGraph of dg given sg, the SiteGraph of an
 // earlier version of the same web derived with the same options: only the
 // rows of the changed sites and of sites appended past sg are derived
-// afresh, every other row is shared with sg (marked copy-on-write on both
-// sides, as Digraph.CloneCOW does). Row s aggregates the out-links of
-// site s's documents and nothing else, so this is exactly DeriveSiteGraph
-// whenever changed lists every site whose documents or out-links differ —
-// the GraphDelta.ChangedSites contract.
+// afresh, every other row is shared with sg — the packed base by pointer,
+// clean overlay rows too, as Digraph.CloneCOW does. Row s aggregates the
+// out-links of site s's documents and nothing else, so this is exactly
+// DeriveSiteGraph whenever changed lists every site whose documents or
+// out-links differ — the GraphDelta.ChangedSites contract.
 //
-// The old SiteGraph is only marked (its shared flags), never read beyond
-// its rows: a straggler query may be building that graph's transition
-// matrix at this very moment, which is why this is not Digraph.CloneCOW.
+// sg is only read, and its cached transition matrix not even that: a
+// straggler query may be building it at this very moment, which is why
+// this is not Digraph.CloneCOW.
 func (sg *SiteGraph) Rederive(dg *DocGraph, opts SiteGraphOptions, changed []SiteID) *SiteGraph {
 	ns := dg.NumSites()
-	old := sg.G
-	for len(old.shared) < len(old.out) {
-		old.shared = append(old.shared, false)
-	}
+	before := sg.G.NumNodes()
 	dirty := make([]bool, ns)
 	for _, s := range changed {
 		dirty[s] = true
 	}
-	next := &SiteGraph{
-		G:     &Digraph{out: make([][]Edge, ns), deduped: true, shared: make([]bool, ns)},
-		Names: make([]string, ns),
-	}
+	g := sg.G.cloneOverlay(!sg.G.deduped)
+	g.Dedupe()
+	g.EnsureNodes(ns)
+	next := &SiteGraph{G: g, Names: make([]string, ns)}
 	acc := &siteRowAccumulator{weight: make([]float64, ns)}
 	for s, site := range dg.Sites {
 		next.Names[s] = site.Name
-		if s < len(old.out) && !dirty[s] {
-			next.G.out[s] = old.out[s]
-			old.shared[s], next.G.shared[s] = true, true
-			continue
+		if s >= before || dirty[s] {
+			g.setRow(s, acc.row(dg, SiteID(s), opts))
 		}
-		next.G.out[s] = acc.row(dg, SiteID(s), opts)
 	}
+	g.repack()
 	return next
 }
 
@@ -101,30 +90,28 @@ type siteRowAccumulator struct {
 
 // row derives SiteGraph row s of dg: sorted by target, merged, and exactly
 // as long as its content.
-func (a *siteRowAccumulator) row(dg *DocGraph, s SiteID, opts SiteGraphOptions) []Edge {
+func (a *siteRowAccumulator) row(dg *DocGraph, s SiteID, opts SiteGraphOptions) row {
 	for _, d := range dg.Sites[s].Docs {
-		for _, e := range dg.G.out[d] {
-			to := dg.Docs[e.To].Site
+		tos, ws := dg.G.row(int(d))
+		for k, e := range tos {
+			to := dg.Docs[e].Site
 			if opts.DropSelfLoops && to == s {
 				continue
 			}
 			if a.weight[to] == 0 {
 				a.touched = append(a.touched, int(to))
 			}
-			a.weight[to] += e.Weight
+			a.weight[to] += ws[k]
 		}
 	}
-	if len(a.touched) == 0 {
-		return nil
-	}
 	sort.Ints(a.touched)
-	row := make([]Edge, len(a.touched))
+	out := row{make([]uint32, len(a.touched)), make([]float64, len(a.touched))}
 	for k, to := range a.touched {
-		row[k] = Edge{To: to, Weight: a.weight[to]}
+		out.to[k], out.w[k] = uint32(to), a.weight[to]
 		a.weight[to] = 0
 	}
 	a.touched = a.touched[:0]
-	return row
+	return out
 }
 
 // SiteLinkCount returns the aggregated SiteLink weight from site a to site

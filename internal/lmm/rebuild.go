@@ -56,10 +56,9 @@ func (r *Ranker) Rebuild(changed []graph.SiteID) (*Ranker, error) {
 // contract is Rebuild's: every site whose pages or links differ between
 // the old core's build and dg must be listed (appended sites are
 // implicit), and an unlisted roster change fails with ErrStaleResult.
-// Like CloneCOW on the graph, sharing marks the old SiteGraph's rows
-// copy-on-write, so rebuilds from one core must not run concurrently
-// with each other (Engine.Update serializes them); readers are never
-// disturbed.
+// Like CloneCOW on the graph, the sharing writes nothing of the old core
+// or its SiteGraph: readers are never disturbed, and rebuilds from one
+// core do not disturb each other.
 func (r *Ranker) RebuildOn(dg *graph.DocGraph, changed []graph.SiteID) (*Ranker, error) {
 	old := r.core
 	if err := dg.Validate(); err != nil {
