@@ -7,7 +7,7 @@ SHELL := /bin/bash
 
 GO ?= go
 
-.PHONY: ci check fmt vet lint build test race race-multi alloc-pins chaos cover fuzz-smoke bench bench-smoke docs loc
+.PHONY: ci check fmt vet lint build test race race-multi alloc-pins chaos cover fuzz-smoke bench bench-smoke docs loc pairs
 
 # The umbrella target CI calls: the fast gate, the race detector over
 # the concurrency-heavy packages (single- and multi-core), the allocation
@@ -178,3 +178,52 @@ BENCH       ?= ^BenchmarkE
 BENCH_COUNT ?= 5
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -count=$(BENCH_COUNT) .
+
+# The measurement a speed claim rests on, from one command: N interleaved
+# parent/head pairs of one cmd/lmmload workload, seeds 101…100+N, the
+# side that runs first alternating. PARENT is extracted with `git archive`
+# into a throwaway directory (nothing is left in .git, and nothing needs
+# the network) and built there; the head is the working tree. Prints every
+# run, then each side's median and quartiles and the pairs the head won
+# (ties count for neither) for the three gated metrics, lower being
+# better for all of them.
+PARENT   ?= HEAD~1
+WORKLOAD ?= solve-paper
+N        ?= 10
+define PAIRS_SUMMARY
+function quantile(v, n, p,    h, lo) { h = (n - 1) * p + 1; lo = int(h); return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo]) }
+function summary(side, m,    n, i, j, t, v) {
+	n = 0
+	for (i = 1; i <= pairs; i++) v[++n] = val[side, m, i]
+	for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+	return sprintf("%.4g [%.4g, %.4g]", quantile(v, n, 0.5), quantile(v, n, 0.25), quantile(v, n, 0.75))
+}
+$$3 == "ops_failed" { failed[$$1] += $$4; next }
+{ val[$$1, $$3, ++count[$$1, $$3]] = $$4; pairs = count[$$1, $$3] }
+END {
+	split("setup_s heap_live_mb rank_alloc_kb", metrics)
+	for (k = 1; k <= 3; k++) {
+		m = metrics[k]; wins = 0
+		for (i = 1; i <= pairs; i++) if (val["head", m, i] < val["parent", m, i]) wins++
+		printf "%-14s parent %s -> head %s, head lower in %d of %d\n", m, summary("parent", m), summary("head", m), wins, pairs
+	}
+	printf "failed operations: parent %d, head %d\n", failed["parent"], failed["head"]
+}
+endef
+export PAIRS_SUMMARY
+pairs:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/parent-src"; \
+	git archive $(PARENT) | tar -x -C "$$tmp/parent-src"; \
+	(cd "$$tmp/parent-src" && $(GO) build -o "$$tmp/parent" ./cmd/lmmload); \
+	$(GO) build -o "$$tmp/head" ./cmd/lmmload; \
+	for i in $$(seq 1 $(N)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="parent head"; else order="head parent"; fi; \
+		for side in $$order; do \
+			"$$tmp/$$side" -workload $(WORKLOAD) -seed $$((100 + i)) -out "$$tmp/out" > "$$tmp/run.txt"; \
+			awk -v side=$$side -v seed=$$((100 + i)) \
+			    '$$1 ~ /^(setup_s|heap_live_mb|rank_alloc_kb|ops_failed)$$/ { print side, seed, $$1, $$2 }' \
+			    "$$tmp/run.txt" | tee -a "$$tmp/all.txt"; \
+		done; \
+	done; \
+	awk "$$PAIRS_SUMMARY" "$$tmp/all.txt"

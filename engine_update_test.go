@@ -7,6 +7,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"lmmrank/internal/graph"
 )
 
 // churnTestWeb is a small campus web for update tests.
@@ -500,4 +502,94 @@ func TestDistEngineUpdate(t *testing.T) {
 	if _, err := eng.Rank(ctx, Query{}); err != nil {
 		t.Errorf("Rank after recovery Update: %v", err)
 	}
+}
+
+// growSite appends n documents to site s of dg — a new site when s is one
+// past the last — the append-only way GraphDelta.Apply allows: each new
+// page links to the site's first page and back.
+func growSite(dg *DocGraph, s SiteID, n int) {
+	if int(s) == len(dg.Sites) {
+		dg.Sites = append(dg.Sites, graph.Site{Name: fmt.Sprintf("grown%d.example", s)})
+	}
+	for ; n > 0; n-- {
+		d := DocID(len(dg.Docs))
+		dg.Docs = append(dg.Docs, graph.Doc{URL: fmt.Sprintf("http://%s/grown%d", dg.Sites[s].Name, d), Site: s})
+		dg.Sites[s].Docs = append(dg.Sites[s].Docs, d)
+		dg.G.EnsureNodes(len(dg.Docs))
+		dg.G.AddLink(int(d), int(dg.Sites[s].Docs[0]))
+		dg.G.AddLink(int(dg.Sites[s].Docs[0]), int(d))
+	}
+}
+
+// TestEngineUpdateAppendsDocuments: an edit history that appends
+// documents — to an old site, as a new site, both at once, and once more
+// in place on the nil-Apply path — is served like a cold engine over the
+// same graph on either engine: each site's chain is extracted through the
+// local column the clone extended over the new documents. The graphs of
+// the snapshots left behind keep their size and their column.
+func TestEngineUpdateAppendsDocuments(t *testing.T) {
+	bothEngines(t, EngineOptions{}, func(t *testing.T, eng servedEngine) {
+		ctx := context.Background()
+		q := Query{Tol: 1e-11}
+		checkColumn := func(what string, dg *DocGraph, docs int) {
+			t.Helper()
+			if dg.NumDocs() != docs {
+				t.Fatalf("%s: %d documents, want %d", what, dg.NumDocs(), docs)
+			}
+			for s, site := range dg.Sites {
+				for i, d := range site.Docs {
+					if got := dg.LocalOf(d); got != i {
+						t.Fatalf("%s: LocalOf(%d) = %d, want %d (site %d)", what, d, got, i, s)
+					}
+				}
+			}
+		}
+		type generation struct {
+			dg   *DocGraph
+			docs int
+		}
+		var left []generation
+		steps := []struct {
+			name  string
+			sites func(dg *DocGraph) []SiteID
+			apply bool
+		}{
+			{"old site", func(dg *DocGraph) []SiteID { return []SiteID{4} }, true},
+			{"new site", func(dg *DocGraph) []SiteID { return []SiteID{SiteID(len(dg.Sites))} }, true},
+			{"both", func(dg *DocGraph) []SiteID { return []SiteID{2, SiteID(len(dg.Sites)), 4} }, true},
+			{"in place", func(dg *DocGraph) []SiteID { return []SiteID{3} }, false},
+		}
+		for _, step := range steps {
+			served := eng.DocGraph()
+			sites := step.sites(served)
+			grow := func(dg *DocGraph) error {
+				for i, s := range sites {
+					growSite(dg, s, 2+i)
+				}
+				return nil
+			}
+			delta := GraphDelta{ChangedSites: sites, Apply: grow}
+			if step.apply {
+				left = append(left, generation{served, served.NumDocs()})
+			} else {
+				_ = grow(served) // never fails
+				delta.Apply = nil
+			}
+			if err := eng.Update(ctx, delta); err != nil {
+				t.Fatalf("%s: Update: %v", step.name, err)
+			}
+			got, err := eng.Rank(ctx, q)
+			if err != nil {
+				t.Fatalf("%s: Rank: %v", step.name, err)
+			}
+			want := coldRank(t, eng, q)
+			if d := got.DocRank.L1Diff(want.DocRank); len(got.DocRank) != eng.DocGraph().NumDocs() || d >= 1e-9 {
+				t.Fatalf("%s: %d scores, ‖served − cold‖₁ = %g", step.name, len(got.DocRank), d)
+			}
+			checkColumn(step.name, eng.DocGraph(), eng.DocGraph().NumDocs())
+			for i, g := range left {
+				checkColumn(fmt.Sprintf("%s: generation %d", step.name, i), g.dg, g.docs)
+			}
+		}
+	})
 }

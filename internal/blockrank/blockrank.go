@@ -87,21 +87,13 @@ func Compute(dg *graph.DocGraph, cfg Config) (*Result, error) {
 		}
 	}
 
-	// Precompute each document's local index within its block.
-	localIdx := make([]int, dg.NumDocs())
-	for s := 0; s < ns; s++ {
-		for i, d := range dg.Sites[s].Docs {
-			localIdx[d] = i
-		}
-	}
-
 	// Step 2: block graph weighted by source local PageRank. This is the
 	// serialization point: the weights consume step 1's output.
 	bg := graph.NewDigraph(ns)
 	dg.G.EachEdgeAll(func(from int, e graph.Edge) {
 		sFrom := int(dg.Docs[from].Site)
 		sTo := int(dg.Docs[e.To].Site)
-		w := local[sFrom][localIdx[from]] * e.Weight
+		w := local[sFrom][dg.LocalOf(graph.DocID(from))] * e.Weight
 		if w > 0 {
 			bg.AddEdge(sFrom, sTo, w)
 		}

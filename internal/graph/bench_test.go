@@ -33,15 +33,6 @@ func BenchmarkDeriveSiteGraph(b *testing.B) {
 	}
 }
 
-func BenchmarkLocalSubgraph(b *testing.B) {
-	dg := benchDocGraph(50, 400, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dg.LocalSubgraph(SiteID(i % dg.NumSites()))
-	}
-}
-
 func BenchmarkTransitionMatrix(b *testing.B) {
 	dg := benchDocGraph(100, 200, 3)
 	b.ReportAllocs()

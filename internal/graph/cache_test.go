@@ -105,7 +105,7 @@ func TestCloneDoesNotShareTransitionCache(t *testing.T) {
 }
 
 // mapLocalSubgraph is the pre-optimization extraction (per-site map,
-// AddEdge + Dedupe), kept as the reference the dense-table fast path
+// AddEdge + Dedupe), kept as the reference the local-column extraction
 // must reproduce exactly.
 func mapLocalSubgraph(dg *DocGraph, s SiteID) *Digraph {
 	docs := dg.Sites[s].Docs
@@ -158,19 +158,9 @@ func TestLocalSubgraphMatchesMapReference(t *testing.T) {
 			got, idx := dg.LocalSubgraph(SiteID(s))
 			want := mapLocalSubgraph(dg, SiteID(s))
 			sameDigraph(t, got, want)
-			for i, d := range dg.Sites[s].Docs {
-				j, ok := idx.ToLocal(d)
-				if !ok || j != i {
-					t.Fatalf("ToLocal(%d) = %d,%v, want %d,true", d, j, ok, i)
-				}
-			}
-			// A document of another site must not resolve.
-			for d := 0; d < nd; d++ {
-				if dg.Docs[d].Site != SiteID(s) {
-					if _, ok := idx.ToLocal(DocID(d)); ok {
-						t.Fatalf("ToLocal resolved foreign doc %d", d)
-					}
-					break
+			for i, d := range idx.ToGlobal {
+				if j := dg.LocalOf(d); j != i || d != dg.Sites[s].Docs[i] {
+					t.Fatalf("LocalOf(%d) = %d, want %d", d, j, i)
 				}
 			}
 		}
@@ -202,8 +192,8 @@ func TestLocalSubgraphNonAscendingRoster(t *testing.T) {
 	}
 	sub, idx := dg.LocalSubgraph(0)
 	// Local node 0 is DocID 1, local node 1 is DocID 0.
-	if j, ok := idx.ToLocal(1); !ok || j != 0 {
-		t.Fatalf("ToLocal(1) = %d,%v", j, ok)
+	if j := dg.LocalOf(1); j != 0 || idx.ToGlobal[0] != 1 {
+		t.Fatalf("LocalOf(1) = %d, ToGlobal[0] = %d", j, idx.ToGlobal[0])
 	}
 	var edges []Edge
 	sub.EachEdge(0, func(e Edge) { edges = append(edges, e) })

@@ -3,7 +3,7 @@ package graph
 import (
 	"fmt"
 	"net/url"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -37,6 +37,12 @@ type DocGraph struct {
 	Docs []Doc
 	// Sites holds per-site metadata indexed by SiteID.
 	Sites []Site
+	// local is derived: local[d] is d's position in Sites[Docs[d].Site].Docs.
+	// It is append-only exactly as Docs and the rosters are, shared with
+	// CloneCOW relatives clipped to its length, and never rebuilt: shorter
+	// than Docs is the only way it is stale, and localColumn then extends it
+	// over the documents appended since.
+	local []uint32
 }
 
 // NumDocs returns N_D, the total number of documents.
@@ -87,7 +93,8 @@ func (dg *DocGraph) Validate() error {
 // CloneCOW returns a copy-on-write clone of the whole document graph.
 // The digraph shares its packed base with dg by pointer (see
 // Digraph.CloneCOW); Sites is a fresh slice of copied elements; Docs and
-// every Site.Docs roster alias dg's arrays, Docs clipped to its length.
+// every Site.Docs roster alias dg's arrays, Docs and the local column
+// clipped to their lengths.
 // What makes the aliasing safe is that these slices are append-only: an
 // append to the clone's Docs copies the array out first (it is clipped),
 // and an append to a roster only ever writes at or past every aliasing
@@ -101,51 +108,56 @@ func (dg *DocGraph) CloneCOW() *DocGraph {
 		G:     dg.G.CloneCOW(),
 		Docs:  dg.Docs[:n:n],
 		Sites: append([]Site(nil), dg.Sites...),
+		local: slices.Clip(dg.local),
 	}
 }
 
-// LocalSubgraph extracts G^s_d = (V_d(s), E_d(s)): the subgraph of site s
-// restricted to edges whose both endpoints are local documents of s (§3.1).
-// The returned LocalIndex maps between global DocIDs and the compact local
-// node indices of the subgraph.
-//
-// The site membership test is the O(1) Docs[d].Site field — no
-// hashing. Local indices come from a dense table when the site is a
-// large fraction of the graph (the table amortizes), or binary search
-// over the ascending roster otherwise, so extraction never does
-// O(graph) work for a small site. The parent graph is deduplicated
-// first (a mutation — dedupe before fanning LocalSubgraph calls across
-// goroutines); the subgraph is written straight into packed columns,
-// inherits the sorted, merged rows and skips its own dedupe pass.
-func (dg *DocGraph) LocalSubgraph(s SiteID) (*Digraph, *LocalIndex) {
+// Dedupe readies dg for shared reading: it deduplicates the digraph and
+// brings the local column up to date, the two lazily derived pieces
+// LocalSubgraph reads. Both are no-ops (not writes) when current, so call
+// it once before fanning LocalSubgraph across goroutines.
+func (dg *DocGraph) Dedupe() {
 	dg.G.Dedupe()
-	docs := dg.Sites[s].Docs
-	idx := dg.LocalIndex(s)
-	ascending := idx.table == nil
-	// Beyond the index's own table (non-ascending rosters), a dense table
-	// is worthwhile for the extraction alone when the site covers a
-	// sizeable share of the graph; small sites use binary search instead
-	// of zeroing an O(graph) slice.
-	table := idx.table
-	if table == nil && len(docs) >= len(dg.Docs)/8 {
-		table = dg.localTable(docs)
-	}
-	localOf := func(d uint32) uint32 {
-		if table != nil {
-			return uint32(table[d])
-		}
-		g := idx.ToGlobal
-		lo, hi := 0, len(g)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if g[mid] < DocID(d) {
-				lo = mid + 1
-			} else {
-				hi = mid
+	dg.localColumn()
+}
+
+// localColumn returns the local column, first extending it over the
+// documents appended since it was last derived: those are the ones at or
+// past its length, and — rosters being append-only — they sit at the
+// tails of their rosters.
+func (dg *DocGraph) localColumn() []uint32 {
+	if have := len(dg.local); have < len(dg.Docs) {
+		// dg.local is clipped where a COW relative shares it, so this
+		// append copies it out first, as an append to Docs does.
+		dg.local = append(dg.local, make([]uint32, len(dg.Docs)-have)...)
+		for _, site := range dg.Sites {
+			for i := len(site.Docs) - 1; i >= 0 && int(site.Docs[i]) >= have; i-- {
+				dg.local[site.Docs[i]] = uint32(i)
 			}
 		}
-		return uint32(lo)
 	}
+	return dg.local
+}
+
+// LocalOf returns the local index of document d in its own site: its
+// position in Sites[SiteOf(d)].Docs. Like Dedupe it derives the local
+// column on first use.
+func (dg *DocGraph) LocalOf(d DocID) int { return int(dg.localColumn()[d]) }
+
+// LocalSubgraph extracts G^s_d = (V_d(s), E_d(s)): the subgraph of site s
+// restricted to edges whose both endpoints are local documents of s (§3.1).
+// The returned LocalIndex lists the global DocID of every local node.
+//
+// Each link costs O(1): the membership test is the Docs[d].Site field and
+// the local index of its target one read of the local column, whatever the
+// order of the roster, so extraction is O(site) and a pass over all sites
+// linear in the web. The graph is readied first (Dedupe: a mutation, so
+// call it before fanning LocalSubgraph calls across goroutines); the
+// subgraph is written straight into packed columns, inherits the sorted,
+// merged rows and skips its own dedupe pass.
+func (dg *DocGraph) LocalSubgraph(s SiteID) (*Digraph, *LocalIndex) {
+	dg.Dedupe()
+	docs, local := dg.Sites[s].Docs, dg.local
 
 	// Pass 1: each local node's surviving out-edges give the offsets.
 	p := &packed{off: make([]int, len(docs)+1)}
@@ -168,7 +180,7 @@ func (dg *DocGraph) LocalSubgraph(s SiteID) (*Digraph, *LocalIndex) {
 		tos, ws := dg.G.row(int(d))
 		for k, to := range tos {
 			if dg.Docs[to].Site == s {
-				p.to[n], p.w[n] = localOf(to), ws[k]
+				p.to[n], p.w[n] = local[to], ws[k]
 				n++
 			}
 		}
@@ -176,74 +188,30 @@ func (dg *DocGraph) LocalSubgraph(s SiteID) (*Digraph, *LocalIndex) {
 	// Parent rows are sorted by ascending global target; when the site
 	// roster is ascending too (the builder invariant) the local rows stay
 	// sorted and merged, so the subgraph is born deduplicated.
-	if !ascending {
+	if !slices.IsSorted(docs) {
 		p.mergeRows()
 	}
-	return &Digraph{base: p, deduped: true}, idx
+	return &Digraph{base: p, deduped: true}, dg.LocalIndex(s)
 }
 
 // LocalIndex returns the index of site s without extracting its
-// subgraph: the roster itself, aliased and clipped to its length (see
-// LocalIndex.ToGlobal), plus the dense table when the roster is not
-// ascending (binary search does not apply).
+// subgraph: the roster itself, aliased and clipped to its length.
 func (dg *DocGraph) LocalIndex(s SiteID) *LocalIndex {
 	docs := dg.Sites[s].Docs
-	idx := &LocalIndex{ToGlobal: docs[:len(docs):len(docs)]}
-	for i := 1; i < len(docs); i++ {
-		if docs[i-1] >= docs[i] {
-			idx.table = dg.localTable(docs)
-			break
-		}
-	}
-	return idx
+	return &LocalIndex{ToGlobal: docs[:len(docs):len(docs)]}
 }
 
-// localTable maps every global document of the roster to its local index
-// (documents outside it read 0; callers test membership first).
-func (dg *DocGraph) localTable(docs []DocID) []int32 {
-	table := make([]int32, len(dg.Docs))
-	for i, d := range docs {
-		table[d] = int32(i)
-	}
-	return table
-}
-
-// LocalIndex maps between global document IDs and the local node indices
-// of one site's subgraph. It holds no reference to the DocGraph and no
-// array of its own beyond the rare table: ToGlobal is the site's roster,
-// which every COW relative of the graph shares, so an index retained
-// across Updates costs a slice header.
+// LocalIndex names the documents of one site's subgraph. It holds no
+// reference to the DocGraph and no array of its own: ToGlobal is the
+// site's roster, which every COW relative of the graph shares, so an
+// index retained across Updates costs a slice header. The other direction
+// is DocGraph.LocalOf.
 type LocalIndex struct {
 	// ToGlobal[i] is the DocID of local node i. It aliases Site.Docs as
 	// it stood when the index was taken and is read-only; the roster is
 	// append-only (DocGraph.CloneCOW), so later documents of the site land
 	// past its length and never change what it reads.
 	ToGlobal []DocID
-	// table is non-nil only for non-ascending rosters, where the binary
-	// search over ToGlobal does not apply; it is O(graph).
-	table []int32
-}
-
-// ToLocal returns the local index of global document d and whether d
-// belongs to this site.
-func (ix *LocalIndex) ToLocal(d DocID) (int, bool) {
-	if int(d) < 0 {
-		return 0, false
-	}
-	if ix.table != nil {
-		if int(d) >= len(ix.table) {
-			return 0, false
-		}
-		if i := int(ix.table[d]); i < len(ix.ToGlobal) && ix.ToGlobal[i] == d {
-			return i, true
-		}
-		return 0, false
-	}
-	i := sort.Search(len(ix.ToGlobal), func(k int) bool { return ix.ToGlobal[k] >= d })
-	if i < len(ix.ToGlobal) && ix.ToGlobal[i] == d {
-		return i, true
-	}
-	return 0, false
 }
 
 // Len returns the number of local documents.

@@ -91,13 +91,9 @@ func TestLocalSubgraph(t *testing.T) {
 	}
 	// Round-trip local↔global mapping.
 	for local, global := range idx.ToGlobal {
-		back, ok := idx.ToLocal(global)
-		if !ok || back != local {
+		if dg.SiteOf(global) != 1 || dg.LocalOf(global) != local {
 			t.Errorf("mapping round-trip failed at local %d", local)
 		}
-	}
-	if _, ok := idx.ToLocal(DocID(0)); ok {
-		t.Error("doc of site a should not map into site b's index")
 	}
 }
 

@@ -471,21 +471,17 @@ func TestDecodeBinaryRowsAreIsolated(t *testing.T) {
 }
 
 // TestLocalIndexMatchesLocalSubgraph: the index alone is the index
-// LocalSubgraph returns, table and all for a non-ascending roster.
+// LocalSubgraph returns — the roster, aliased and clipped — for an
+// ascending and a non-ascending roster alike.
 func TestLocalIndexMatchesLocalSubgraph(t *testing.T) {
 	dg := benchDocGraph(3, 5, 55)
 	dg.Sites[1].Docs[0], dg.Sites[1].Docs[3] = dg.Sites[1].Docs[3], dg.Sites[1].Docs[0]
-	for s := range dg.Sites {
+	for s, site := range dg.Sites {
 		_, want := dg.LocalSubgraph(SiteID(s))
 		got := dg.LocalIndex(SiteID(s))
-		if (got.table == nil) != (want.table == nil) || (s == 1) != (got.table != nil) {
-			t.Fatalf("site %d: table presence differs", s)
-		}
-		for d := -1; d <= dg.NumDocs(); d++ {
-			gi, gok := got.ToLocal(DocID(d))
-			wi, wok := want.ToLocal(DocID(d))
-			if gi != wi || gok != wok {
-				t.Fatalf("site %d: ToLocal(%d) = %d,%v, want %d,%v", s, d, gi, gok, wi, wok)
+		for _, idx := range []*LocalIndex{got, want} {
+			if idx.Len() != len(site.Docs) || cap(idx.ToGlobal) != len(site.Docs) || &idx.ToGlobal[0] != &site.Docs[0] {
+				t.Fatalf("site %d: index is not the roster, aliased and clipped", s)
 			}
 		}
 	}

@@ -132,7 +132,11 @@ func digraphFootprint(g *Digraph) int {
 // read. The check is differential — each side is mirrored onto an
 // independent deep copy receiving the same operation sequence, and any
 // divergence (the clone drifting from its reference, or a clone mutation
-// leaking into the parent) fails.
+// leaking into the parent) fails. The digraphs sit under document graphs
+// that grow by appended documents and sites, and after every step
+// LocalOf must name every document's place in its roster on both sides:
+// the local column is shared and extended the way Docs and the rosters
+// are.
 func FuzzCloneCOW(f *testing.F) {
 	f.Add([]byte{4, 2, 0, 1, 1, 2, 0, 0, 1, 1, 1, 0})
 	f.Add([]byte{8, 3, 0, 1, 1, 2, 2, 3, 2, 0, 5, 3, 1, 6, 3, 0, 0})
@@ -140,6 +144,8 @@ func FuzzCloneCOW(f *testing.F) {
 	f.Add([]byte{16, 0, 0, 1, 1, 0, 2, 1, 1})
 	f.Add([]byte{})
 	f.Add([]byte{8, 0x83, 0, 1, 1, 2, 2, 3, 0, 1, 4, 1, 1, 5, 2, 2, 2, 0, 3, 1, 0, 1, 6})
+	f.Add([]byte{6, 0xC2, 0, 1, 1, 2, 0x40, 1, 0, 0x41, 3, 0, 0, 1, 2, 0x40, 3, 0, 0x41, 1, 0, 2, 0, 0, 0x40, 0, 0})
+	f.Add([]byte{5, 0x01, 2, 3, 0x41, 0, 0, 0x40, 3, 0, 0x40, 3, 0, 1, 4, 4, 3, 0, 0})
 
 	sameEdges := func(a, b *Digraph) bool { return reflect.DeepEqual(rowsOf(a), rowsOf(b)) }
 
@@ -149,14 +155,15 @@ func FuzzCloneCOW(f *testing.F) {
 		}
 		n := 2 + int(data[0])%14
 		k := int(data[1]) % 16
-		sealed := data[1]&0x80 != 0
+		sealed, derived := data[1]&0x80 != 0, data[1]&0x40 != 0
 		data = data[2:]
 		// Nodes the operations never address weigh the base down, so that
 		// a few rewritten rows stay in the overlay across a Dedupe. On the
 		// bare n-node graph every Dedupe would repack and no overlay row
 		// would ever be shared.
 		const ballast = 48
-		parent := NewDigraph(n + ballast)
+		nodes := n + ballast
+		parent := NewDigraph(nodes)
 		for i := 0; i < ballast; i++ {
 			for j := 0; j < 16; j++ {
 				parent.AddEdge(n+i, n+(i+j)%ballast, 1)
@@ -173,16 +180,51 @@ func FuzzCloneCOW(f *testing.F) {
 			parent.Dedupe()
 		}
 
+		// Three sites over the nodes, one roster not ascending; a parent
+		// whose column is derived shares it with the clone, one without
+		// leaves each side to derive its own.
+		parentDocs := &DocGraph{G: parent, Docs: make([]Doc, nodes), Sites: make([]Site, 3)}
+		for d := range parentDocs.Docs {
+			parentDocs.Docs[d].Site = SiteID(d % 3)
+			parentDocs.Sites[d%3].Docs = append(parentDocs.Sites[d%3].Docs, DocID(d))
+		}
+		r := parentDocs.Sites[1].Docs
+		r[0], r[len(r)-1] = r[len(r)-1], r[0]
+		if derived {
+			checkLocalColumn(t, "parent, before the clone", parentDocs)
+		}
+
 		// The clone is deduplicated, the parent left as it was.
-		cow := parent.CloneCOW()
+		cowDocs := parentDocs.CloneCOW()
+		cow := cowDocs.G
 		refCow := parent.Clone()
 		refCow.Dedupe()
 		refParent := parent.Clone()
+		// grow appends a document to site s, a new one if one past the
+		// last, and mirrors its node and link onto the reference.
+		grow := func(dg *DocGraph, ref *Digraph, s int) {
+			d := appendDoc(dg, SiteID(s))
+			ref.EnsureNodes(len(dg.Docs))
+			ref.AddLink(int(d), int(dg.Sites[s].Docs[0]))
+		}
 
 		for len(data) >= 3 {
 			sel, from, to := data[0], int(data[1])%n, int(data[2])%n
 			data = data[3:]
 			w := float64(1 + sel%5)
+			switch {
+			case sel&0x40 != 0 && sel&1 == 0:
+				grow(cowDocs, refCow, from%(len(cowDocs.Sites)+1))
+			case sel&0x40 != 0:
+				// The rosters the clone took are its to append to (they
+				// are shared unclipped: one writer); the parent grows by
+				// sites of its own.
+				s := len(parentDocs.Sites)
+				if s > 3 && from%2 == 0 {
+					s--
+				}
+				grow(parentDocs, refParent, s)
+			}
 			switch sel % 4 {
 			case 0:
 				cow.AddEdge(from, to, w)
@@ -196,6 +238,13 @@ func FuzzCloneCOW(f *testing.F) {
 			case 3:
 				parent.Dedupe()
 				refParent.Dedupe()
+			}
+			checkLocalColumn(t, "clone", cowDocs)
+			checkLocalColumn(t, "parent", parentDocs)
+		}
+		for what, dg := range map[string]*DocGraph{"clone": cowDocs, "parent": parentDocs} {
+			if err := dg.Validate(); err != nil {
+				t.Fatalf("%s: %v", what, err)
 			}
 		}
 

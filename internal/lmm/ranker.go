@@ -128,8 +128,9 @@ type Ranker struct {
 // layered ranking structure: the SiteGraph and every site's roster index
 // (the site chain and the per-site CSR chains follow on the first Rank or
 // on Prepare, so structure-only consumers like the distributed
-// coordinator skip that cost). The DocGraph's digraph is deduplicated up
-// front, so the per-query phase never mutates shared graph state.
+// coordinator skip that cost). The DocGraph is readied up front (its
+// digraph deduplicated, its local column derived), so neither Prepare's
+// fan-out nor the per-query phase ever mutates shared graph state.
 func NewRanker(dg *graph.DocGraph, opts RankerOptions) (*Ranker, error) {
 	if err := dg.Validate(); err != nil {
 		return nil, fmt.Errorf("lmm: ranker: %w", err)
@@ -137,7 +138,7 @@ func NewRanker(dg *graph.DocGraph, opts RankerOptions) (*Ranker, error) {
 	if dg.NumDocs() == 0 {
 		return nil, fmt.Errorf("lmm: ranker: empty graph")
 	}
-	dg.G.Dedupe()
+	dg.Dedupe()
 
 	core := &rankerCore{
 		dg:      dg,
@@ -152,10 +153,10 @@ func NewRanker(dg *graph.DocGraph, opts RankerOptions) (*Ranker, error) {
 	return &Ranker{core: core}, nil
 }
 
-// newRankerSite records what is retained of site s before any query: a
-// private copy of its roster (dg's own may be appended to in place
-// later) — the per-site body of NewRanker, shared with the incremental
-// Rebuild.
+// newRankerSite records what is retained of site s before any query: its
+// roster as it stands, aliased (dg's own is append-only, so later
+// documents land past this one's length) — the per-site body of
+// NewRanker, shared with the incremental Rebuild.
 func newRankerSite(dg *graph.DocGraph, s graph.SiteID) *rankerSite {
 	st := &rankerSite{idx: dg.LocalIndex(s)}
 	switch st.idx.Len() {

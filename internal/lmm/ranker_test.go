@@ -1,8 +1,10 @@
 package lmm
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -263,11 +265,56 @@ func TestWebConfigDampingZeroSentinel(t *testing.T) {
 	}
 }
 
+// TestLocalSubgraphFanOutWritesNothing: once a graph is readied — by
+// NewRanker, or on a bare decoded graph by one serial LocalSubgraph —
+// extracting every site at once, four goroutines wide, reads the shared
+// local column and writes nothing (any write is a failure under -race),
+// and each subgraph is the one a serial pass extracts.
+func TestLocalSubgraphFanOutWritesNothing(t *testing.T) {
+	built := randomWeb(rand.New(rand.NewSource(64)), 24, 600)
+	var file bytes.Buffer
+	if err := graph.EncodeBinary(&file, built); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := graph.DecodeBinary(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewRanker(built, RankerOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	decoded.LocalSubgraph(0)
+
+	for what, dg := range map[string]*graph.DocGraph{"after NewRanker": built, "decoded, after one serial call": decoded} {
+		got := make([]string, dg.NumSites())
+		for round := 0; round < 4; round++ {
+			ForEachParallel(len(got), 4, func(s int) {
+				sub, _ := dg.LocalSubgraph(graph.SiteID(s))
+				got[s] = subgraphString(sub)
+			})
+		}
+		for s := range got {
+			// The built graph's serial extraction is the reference for both.
+			sub, _ := built.LocalSubgraph(graph.SiteID(s))
+			if want := subgraphString(sub); got[s] != want {
+				t.Fatalf("%s: site %d extracted %s in the fan-out, %s serially", what, s, got[s], want)
+			}
+		}
+	}
+}
+
+// subgraphString spells out a subgraph, node count and every link.
+func subgraphString(sub *graph.Digraph) string {
+	var out []string
+	sub.EachEdgeAll(func(from int, e graph.Edge) { out = append(out, fmt.Sprint(from, e)) })
+	return fmt.Sprint(sub.NumNodes(), out)
+}
+
 // TestRankerLocalSubgraphExtractsOnDemand: a Ranker retains no subgraph,
 // so LocalSubgraph extracts from the graph each time — and must hand
 // back what dg.LocalSubgraph does, with the retained index resolving
 // like a fresh one. The hand-built web has a non-ascending roster (the
-// index's dense-table path) and the answer on it still matches the
+// extraction must re-sort its rows) and the answer on it still matches the
 // reference pipeline, including from Share()d rankers whose first Rank
 // races to build the cold chains.
 func TestRankerLocalSubgraphExtractsOnDemand(t *testing.T) {
@@ -292,20 +339,18 @@ func TestRankerLocalSubgraphExtractsOnDemand(t *testing.T) {
 	for s := 0; s < dg.NumSites(); s++ {
 		gotSub, gotIdx := rk.LocalSubgraph(graph.SiteID(s))
 		wantSub, wantIdx := dg.LocalSubgraph(graph.SiteID(s))
-		var got, want []string
-		gotSub.EachEdgeAll(func(from int, e graph.Edge) { got = append(got, fmt.Sprint(from, e)) })
-		wantSub.EachEdgeAll(func(from int, e graph.Edge) { want = append(want, fmt.Sprint(from, e)) })
-		if gotSub.NumNodes() != wantSub.NumNodes() || fmt.Sprint(got) != fmt.Sprint(want) {
+		if got, want := subgraphString(gotSub), subgraphString(wantSub); got != want {
 			t.Fatalf("site %d: subgraph %v, want %v", s, got, want)
 		}
 		if again, _ := rk.LocalSubgraph(graph.SiteID(s)); again == gotSub && gotSub.NumNodes() > 0 {
 			t.Fatalf("site %d: LocalSubgraph handed out a retained subgraph", s)
 		}
-		for d := -1; d <= dg.NumDocs(); d++ {
-			gi, gok := gotIdx.ToLocal(graph.DocID(d))
-			wi, wok := wantIdx.ToLocal(graph.DocID(d))
-			if gi != wi || gok != wok {
-				t.Fatalf("site %d: ToLocal(%d) = %d,%v, want %d,%v", s, d, gi, gok, wi, wok)
+		if !slices.Equal(gotIdx.ToGlobal, wantIdx.ToGlobal) {
+			t.Fatalf("site %d: index %v, want %v", s, gotIdx.ToGlobal, wantIdx.ToGlobal)
+		}
+		for i, d := range gotIdx.ToGlobal {
+			if j := dg.LocalOf(d); j != i {
+				t.Fatalf("site %d: LocalOf(%d) = %d, want %d", s, d, j, i)
 			}
 		}
 	}

@@ -67,7 +67,7 @@ func (r *Ranker) RebuildOn(dg *graph.DocGraph, changed []graph.SiteID) (*Ranker,
 	if dg.NumDocs() == 0 {
 		return nil, fmt.Errorf("lmm: rebuild: empty graph")
 	}
-	dg.G.Dedupe()
+	dg.Dedupe()
 	ns := dg.NumSites()
 	if ns < len(old.sites) {
 		return nil, fmt.Errorf("%w: graph has %d sites, ranker %d (sites removed?)",

@@ -217,21 +217,20 @@ func Sparse(m *matrix.CSR, cfg Config) (Result, error) {
 }
 
 // Chain is the immutable, shareable half of a Solver: the row-normalized
-// transition matrix, its dangling-row list and the uniform teleport
-// vector. One Chain can back any number of Solvers concurrently — it is
-// read-only after construction — so a serving engine precomputes one
-// Chain per graph and hands each goroutine its own cheap Solver over it.
+// transition matrix and its dangling-row list. One Chain can back any
+// number of Solvers concurrently — it is read-only after construction —
+// so a serving engine precomputes one Chain per graph and hands each
+// goroutine its own cheap Solver over it.
 type Chain struct {
 	m        *matrix.CSR
 	dangling []int
-	uniform  matrix.Vector
 }
 
 // NewChain precomputes the shareable PageRank state of the
 // row-normalized chain m. The matrix is captured by reference and must
 // not change while the chain is in use.
 func NewChain(m *matrix.CSR) *Chain {
-	return &Chain{m: m, dangling: m.DanglingRows(), uniform: matrix.Uniform(m.Order())}
+	return &Chain{m: m, dangling: m.DanglingRows()}
 }
 
 // Order returns the chain dimension.
@@ -240,28 +239,23 @@ func (c *Chain) Order() int { return c.m.Order() }
 // NewSolver returns a fresh Solver over this chain: private teleport
 // buffer and power scratch, shared read-only matrix and dangling list.
 func (c *Chain) NewSolver() *Solver {
-	return &Solver{
-		chain:    c,
-		op:       Operator{m: c.m, dangling: c.dangling},
-		teleport: matrix.NewVector(c.m.Order()),
-	}
+	return &Solver{op: Operator{m: c.m, dangling: c.dangling, v: matrix.NewVector(c.m.Order())}}
 }
 
 // Solver runs repeated PageRank computations over one fixed chain with
-// zero steady-state allocations: the dangling-row list, the uniform
-// teleport, the personalization buffer and the power-method scratch are
-// all built once at construction and reused by every Solve. It is the
-// per-site building block of lmm.Ranker.
+// zero steady-state allocations: the dangling-row list, the teleport
+// buffer and the power-method scratch are all built once at construction
+// and reused by every Solve. It is the per-site building block of
+// lmm.Ranker.
 //
 // A Solver is not safe for concurrent use, and the Scores of a returned
 // Result alias its scratch: they are valid only until the next Solve.
 // Clone them to retain a result across calls. Solvers sharing one Chain
 // may run concurrently — only the Chain is shared, never the scratch.
 type Solver struct {
-	chain    *Chain
-	op       Operator
-	teleport matrix.Vector
-	scratch  matrix.PowerScratch
+	// op.v is the private teleport buffer every Solve rewrites.
+	op      Operator
+	scratch matrix.PowerScratch
 }
 
 // NewSolver precomputes the reusable state for PageRank runs over the
@@ -285,11 +279,10 @@ func (s *Solver) Solve(cfg Config) (Result, error) {
 	}
 	s.op.f = cfg.damping()
 	if cfg.Personalization == nil {
-		s.op.v = s.chain.uniform
+		s.op.v.Fill(1 / float64(n))
 	} else {
-		copy(s.teleport, cfg.Personalization)
-		s.teleport.Normalize()
-		s.op.v = s.teleport
+		copy(s.op.v, cfg.Personalization)
+		s.op.v.Normalize()
 	}
 	res, err := matrix.PowerLeft(&s.op, matrix.PowerOptions{
 		Tol:     cfg.Tol,
