@@ -66,8 +66,8 @@
 // Engine's pool of scratch-private Rankers over one shared core is the
 // concurrent path.
 //
-// Cancellation: Engine.Rank honors its context everywhere — each power
-// iteration checks ctx between multiplies, and distributed runs
+// Cancellation: Engine.Rank honors its context everywhere — each solve
+// checks ctx between sweeps, and distributed runs
 // propagate the deadline into every wire exchange — returning ctx.Err()
 // on cancellation. A nil WebConfig.Ctx (the internal hook the Engine
 // fills) never cancels.

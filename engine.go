@@ -33,8 +33,8 @@ type Query struct {
 	// sentinel selecting the default 0.85 — an explicit damping of
 	// exactly 0 cannot be requested, tiny positive values are honored.
 	Damping float64
-	// Tol and MaxIter bound every power-method run (0 = package
-	// defaults).
+	// Tol and MaxIter bound every solve's L1 change and its sweeps (or
+	// fleet rounds); 0 = package defaults.
 	Tol     float64
 	MaxIter int
 	// SitePersonalization biases the site layer: the teleport
@@ -90,9 +90,9 @@ type Result struct {
 	LocalRanks []Vector
 	// Top is the TopK table (nil when Query.TopK <= 0).
 	Top []DocScore
-	// SiteIterations and LocalIterations record power-method work:
-	// site-layer iterations (or distributed rounds) and per-site local
-	// iterations.
+	// SiteIterations and LocalIterations record solver work: the site
+	// layer's in-place sweeps (or distributed power rounds) and each
+	// site's local sweeps.
 	SiteIterations  int
 	LocalIterations []int
 	// Dist carries the transport/cache statistics of a distributed
@@ -138,14 +138,14 @@ type GraphDelta struct {
 // interface over the in-process and distributed backends. Rank answers
 // one Query; implementations are safe for concurrent use, results are
 // caller-owned, and a cancelled or expired context aborts the query
-// mid-computation — between power iterations locally, between wire
+// mid-computation — between solver sweeps locally, between wire
 // exchanges (or by interrupting a blocked one) distributedly —
 // returning ctx.Err().
 //
 // Update makes graph churn a first-class serving operation: it applies
 // a GraphDelta to a copy-on-write clone of the graph, rebuilds only the
 // changed sites' precomputed structure, warm-starts whatever the
-// backend can (local power iterations seed from the previous solution;
+// backend can (local solves seed from the previous solution;
 // distributed runs re-ship only the changed shards), and publishes the
 // result as a new immutable snapshot with one atomic pointer store.
 // Rank never waits for Update and Update never waits for Rank:
@@ -309,7 +309,7 @@ type localState struct {
 // Update publishes a warm snapshot: only the changed sites' SiteGraph
 // rows, matrices and solvers are rebuilt, and a refresh solve — itself
 // warm-started from the previous update's solution — becomes the seed
-// every subsequent query's power iterations start from. Rankings served
+// every subsequent query's solves start from. Rankings served
 // after Update agree with a cold rebuild to solver tolerance (pinned
 // < 1e-9 in the tests) while doing measurably less iteration and
 // allocation work.
@@ -479,7 +479,7 @@ func (e *LocalEngine) solve(ctx context.Context, snap *snapshot[*localState], q 
 	rk := st.pool.Get().(*lmm.Ranker)
 	defer st.pool.Put(rk)
 	cfg := q.webConfig(ctx, e.parallelism)
-	// Post-churn queries start their power iterations from the last
+	// Post-churn queries start their solves from the last
 	// update's solution instead of uniform (nil seeds before the first
 	// Update mean a cold start). The site seed is a two-layer πS and
 	// stays out of three-layer queries: their upper stack ranks domains

@@ -2,6 +2,8 @@ package lmmrank
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -116,6 +118,94 @@ func TestDistEngineWarmMatchesCold(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// selfLoopHeavyWeb generates a web whose SiteGraph is the shape the
+// central in-place solve gains most on and a fleet's power rounds least:
+// every site keeps at least 0.95 of its links inside itself, so every
+// SiteGraph row has that much of its mass on the diagonal.
+func selfLoopHeavyWeb(t *testing.T) *DocGraph {
+	t.Helper()
+	const sites, pages = 12, 8
+	rng := rand.New(rand.NewSource(24))
+	url := func(s, p int) string { return fmt.Sprintf("http://s%d.example/p%d", s, p) }
+	b := NewGraphBuilder()
+	for s := 0; s < sites; s++ {
+		for p := 0; p < pages; p++ {
+			b.AddDocInSite(url(s, p), fmt.Sprintf("s%d.example", s))
+		}
+	}
+	for s := 0; s < sites; s++ {
+		for p := 0; p < pages; p++ {
+			for k := 1; k <= 5; k++ {
+				b.AddLink(url(s, p), url(s, (p+k)%pages))
+			}
+		}
+		// Two ways out of 42 links: a ring keeps the SiteGraph
+		// irreducible, one random link keeps it from being only a ring.
+		b.AddLink(url(s, 0), url((s+1)%sites, 0))
+		b.AddLink(url(s, 1), url((s+1+rng.Intn(sites-1))%sites, rng.Intn(pages)))
+	}
+	dg := b.Build()
+	m := DeriveSiteGraph(dg, SiteGraphOptions{}).G.TransitionMatrix()
+	for s := 0; s < m.Order(); s++ {
+		if d := m.At(s, s); d < 0.95 {
+			t.Fatalf("site %d keeps %g of its row on the diagonal, want >= 0.95", s, d)
+		}
+	}
+	return dg
+}
+
+// TestSiteRankModesMatchCentralOnSelfLoopHeavySites pins every SiteRank
+// schedule — power rounds on the fleet — against the central solve, which
+// sweeps in place and solves each self-loop exactly, where the two
+// iterations differ most: a SiteGraph with >= 0.95 of every row on the
+// diagonal. The pins are the standing ones, 1e-9 and 1e-6 for the
+// scheduler-ordered async merge.
+func TestSiteRankModesMatchCentralOnSelfLoopHeavySites(t *testing.T) {
+	dg := selfLoopHeavyWeb(t)
+	local, err := NewLocalEngine(dg, EngineOptions{})
+	if err != nil {
+		t.Fatalf("NewLocalEngine: %v", err)
+	}
+	ref, err := local.Rank(context.Background(), Query{})
+	if err != nil {
+		t.Fatalf("local Rank: %v", err)
+	}
+	for _, m := range []struct {
+		name string
+		cfg  DistConfig
+		tol  float64
+	}{
+		{"central", DistConfig{}, 1e-9},
+		{"sync", DistConfig{SiteRank: SiteRankSync}, 1e-9},
+		{"batched", DistConfig{SiteRank: SiteRankBatched, BatchRounds: 4}, 1e-9},
+		{"asyncOrdered", DistConfig{SiteRank: SiteRankAsync, AsyncOrdered: true, AsyncSeed: 3}, 1e-9},
+		{"async", DistConfig{SiteRank: SiteRankAsync}, 1e-6},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			cl, err := StartCluster(3)
+			if err != nil {
+				t.Fatalf("StartCluster: %v", err)
+			}
+			defer cl.Close()
+			eng, err := NewDistEngine(cl, dg, m.cfg)
+			if err != nil {
+				t.Fatalf("NewDistEngine: %v", err)
+			}
+			res, err := eng.Rank(context.Background(), Query{})
+			if err != nil {
+				t.Fatalf("Rank: %v", err)
+			}
+			if d := res.SiteRank.L1Diff(ref.SiteRank); d >= m.tol {
+				t.Errorf("‖fleet πS − central πS‖₁ = %g, want < %g (%d rounds vs %d sweeps)",
+					d, m.tol, res.SiteIterations, ref.SiteIterations)
+			}
+			if d := res.DocRank.L1Diff(ref.DocRank); d >= m.tol {
+				t.Errorf("‖dist − local‖₁ = %g, want < %g", d, m.tol)
+			}
+		})
 	}
 }
 

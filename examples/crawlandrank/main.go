@@ -85,7 +85,7 @@ func main() {
 	for _, it := range refreshed.LocalIterations {
 		warmIters += it
 	}
-	fmt.Printf("\nEngine.Update after site %q changed: warm query converged in %d power iterations total\n",
+	fmt.Printf("\nEngine.Update after site %q changed: warm query converged in %d sweeps total\n",
 		snapshot.Sites[site].Name, warmIters)
 	fmt.Printf("‖updated − previous‖₁ = %.2e (local perturbation, local effect)\n",
 		refreshed.DocRank.L1Diff(ranking.DocRank))

@@ -65,7 +65,7 @@ func main() {
 	fmt.Printf("\nthree-layer: %d domains, top hit %s\n", len(res3.Domains), res3.Top[0].URL)
 
 	// A deadline bounds a query end to end; an absurdly tight one shows
-	// the cooperative abort mid-power-iteration.
+	// the cooperative abort mid-solve.
 	tight, cancel := context.WithTimeout(ctx, time.Nanosecond)
 	defer cancel()
 	if _, err := eng.Rank(tight, lmmrank.Query{}); err != nil {

@@ -93,7 +93,7 @@ func (c *rankerCore) getSiteChain() *pagerank.Chain {
 //
 // That asymmetry is the point of the Layered Method: the expensive
 // structure (CSR matrices, dangling lists, scratch vectors) depends only
-// on the graph, while a query merely reruns small power iterations over
+// on the graph, while a query merely reruns small in-place solves over
 // it. Personalized rankings (§3.2's two-layer personalization) therefore
 // cost the same as uniform ones.
 //
@@ -224,7 +224,7 @@ func (r *Ranker) LocalSubgraph(s graph.SiteID) (*graph.Digraph, *graph.LocalInde
 // RankSites computes only the site layer πS = PageRank(Mˆ(G_S)) — the
 // piece a distributed coordinator runs centrally while the fleet ranks
 // documents. The returned vector aliases solver scratch (valid until the
-// next RankSites/Rank call); the int is the power-iteration count.
+// next RankSites/Rank call); the int is the number of sweeps it took.
 func (r *Ranker) RankSites(cfg WebConfig) (matrix.Vector, int, error) {
 	if r.Stale() {
 		return nil, 0, ErrGraphMutated

@@ -11,6 +11,7 @@ import (
 	"lmmrank/internal/graph"
 	"lmmrank/internal/matrix"
 	"lmmrank/internal/pagerank"
+	"lmmrank/internal/webgen"
 )
 
 // referenceLayeredDocRank recomputes the §3.2 pipeline from its building
@@ -374,4 +375,95 @@ func TestRankerLocalSubgraphExtractsOnDemand(t *testing.T) {
 		}(rk.Share())
 	}
 	wg.Wait()
+}
+
+// powerSweeps counts the steps matrix.PowerLeft needs on the damped chain
+// of g at the default damping, tolerance and uniform teleport — what a
+// solve cost while Solver stepped the power method.
+func powerSweeps(t *testing.T, g *graph.Digraph) int {
+	t.Helper()
+	op, err := pagerank.NewOperator(g.TransitionMatrix(), pagerank.DefaultDamping, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := matrix.PowerLeft(op, matrix.PowerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Iterations
+}
+
+// TestRankSweepsBeatPowerSteps pins the two properties the in-place solve's
+// speed rests on, on a webgen web: the site chain, which keeps its mass on
+// self-loops, converges in at most a third of the power method's steps,
+// and the document chains together in at most two thirds.
+func TestRankSweepsBeatPowerSteps(t *testing.T) {
+	cfg := webgen.Small()
+	cfg.Seed = 24
+	dg := webgen.Generate(cfg).Graph
+	rk, err := NewRanker(dg, RankerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rk.Rank(WebConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sitePower := powerSweeps(t, rk.SiteGraph().G)
+	if 3*res.SiteIterations > sitePower {
+		t.Errorf("site solve took %d sweeps, power method %d: want at most a third", res.SiteIterations, sitePower)
+	}
+	var local, localPower int
+	for s, it := range res.LocalIterations {
+		local += it
+		if it > 0 {
+			sub, _ := dg.LocalSubgraph(graph.SiteID(s))
+			localPower += powerSweeps(t, sub)
+		}
+	}
+	if 3*local > 2*localPower {
+		t.Errorf("local solves took %d sweeps, power method %d: want at most two thirds", local, localPower)
+	}
+	t.Logf("site %d vs %d, locals %d vs %d", res.SiteIterations, sitePower, local, localPower)
+}
+
+// TestConvergedSeedCostsOneSweep: Rank and RankRefresh seeded with their
+// own previous SiteRank and LocalRanks confirm every layer in one sweep —
+// what keeps an Update's re-polish of the clean sites cheap.
+func TestConvergedSeedCostsOneSweep(t *testing.T) {
+	cfg := webgen.Small()
+	cfg.Seed = 24
+	rk, err := NewRanker(webgen.Generate(cfg).Graph, RankerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := rk.Rank(WebConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeded := WebConfig{SiteStart: prev.SiteRank.Clone(), LocalStarts: make([]matrix.Vector, len(prev.LocalRanks))}
+	all := make([]graph.SiteID, len(prev.LocalRanks))
+	for s, lr := range prev.LocalRanks {
+		seeded.LocalStarts[s] = lr.Clone()
+		all[s] = graph.SiteID(s)
+	}
+	check := func(name string, res *WebResult, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.SiteIterations > 1 {
+			t.Errorf("%s: seeded site solve took %d sweeps, want 1", name, res.SiteIterations)
+		}
+		for s, it := range res.LocalIterations {
+			if it > 1 {
+				t.Errorf("%s: seeded local solve of site %d took %d sweeps, want 1", name, s, it)
+			}
+		}
+	}
+	res, err := rk.Rank(seeded)
+	check("Rank", res, err)
+	// Every site listed as changed, so RankRefresh re-solves them all.
+	res, err = rk.RankRefresh(all, seeded)
+	check("RankRefresh", res, err)
 }

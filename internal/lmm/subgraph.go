@@ -20,7 +20,7 @@ import (
 // concurrent use.
 type SubgraphSolver struct {
 	// fixed is the constant local rank of 0/1-document subgraphs, which
-	// need no power method at all (the same special case Ranker
+	// need no iteration at all (the same special case Ranker
 	// applies).
 	fixed  matrix.Vector
 	solver *pagerank.Solver

@@ -18,7 +18,7 @@ type WebConfig struct {
 	// damping of exactly 0 cannot be requested (it would make the chain
 	// pure teleport anyway); tiny positive values are honored as given.
 	Damping float64
-	// Tol and MaxIter bound each power-method run (0 = package defaults).
+	// Tol and MaxIter bound each solve's sweeps (0 = package defaults).
 	Tol     float64
 	MaxIter int
 	// SiteGraph controls SiteLink aggregation (§3.1).
@@ -35,7 +35,7 @@ type WebConfig struct {
 	// computations (0 = GOMAXPROCS). Step 3 of §3.2 "can be completely
 	// decentralized"; within one process that means data-parallel.
 	Parallelism int
-	// SiteStart and LocalStarts optionally seed the power iterations with
+	// SiteStart and LocalStarts optionally seed the solves with
 	// a previous solution — the warm-start half of the churn path: after
 	// a small graph change, the old SiteRank and the unchanged sites'
 	// local DocRanks are excellent initial iterates, cutting iterations
@@ -70,8 +70,8 @@ type WebResult struct {
 	// LocalRanks holds each site's local DocRank in local-index order
 	// (aligned with graph.DocGraph.Sites[s].Docs).
 	LocalRanks []matrix.Vector
-	// SiteIterations and LocalIterations record power-method work, used
-	// by the complexity experiments (E6).
+	// SiteIterations and LocalIterations count pagerank.Solver's sweeps,
+	// used by the complexity experiments (E6).
 	SiteIterations  int
 	LocalIterations []int
 }

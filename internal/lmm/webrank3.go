@@ -53,8 +53,7 @@ type Web3Result struct {
 	SiteWeights matrix.Vector
 	// LocalRanks holds each site's local DocRank, as in WebResult.
 	LocalRanks []matrix.Vector
-	// LocalIterations records each site's local power-method work, as
-	// in WebResult.
+	// LocalIterations counts each site's local sweeps, as in WebResult.
 	LocalIterations []int
 }
 

@@ -371,7 +371,7 @@ func (m *CSR) MulVecLeftDamped(dst, x Vector, f, coeff float64, v Vector) float6
 
 func (m *CSR) checkMulShape(dst, x Vector) {
 	if len(x) != m.n || len(dst) != m.n {
-		panic(fmt.Sprintf("matrix: CSR MulVecLeft lengths %d,%d vs order %d", len(x), len(dst), m.n))
+		panic(fmt.Sprintf("matrix: CSR multiply lengths %d,%d vs order %d", len(x), len(dst), m.n))
 	}
 }
 
@@ -404,6 +404,55 @@ func (m *CSR) pullApply(dst, x Vector, scale, coeff float64, v Vector) float64 {
 		sum += acc
 	}
 	return sum
+}
+
+// SweepLeftDamped runs one in-place (Gauss–Seidel) sweep of the damped
+// chain over the single iterate x: for every j in ascending order
+//
+//	x[j] ← (f·Σ_{i≠j} x[i]·M[i,j] + coeff·v[j]) / (1 − f·M[j,j])
+//
+// reading this sweep's x[i] for i < j and the previous one's for i > j;
+// diag[j] = M[j,j], nil when no state has a self-loop. It returns, summed
+// in index order, Σ|Δx[j]|, Σx[j] and Σx[j] over the ascending dangling.
+func (m *CSR) SweepLeftDamped(x Vector, f, coeff float64, v, diag Vector, dangling []int) (change, mass, dangMass float64) {
+	m.checkMulShape(x, v)
+	for j := 0; j < m.n; j++ {
+		old, inv := x[j], 1.0
+		if diag != nil {
+			// Zeroed, the self-loop adds an exact 0 to the gather below.
+			x[j], inv = 0, 1/(1-f*diag[j])
+		}
+		var acc float64
+		for k := m.colPtr[j]; k < m.colPtr[j+1]; k++ {
+			acc += x[m.rowIdx[k]] * m.cval[k]
+		}
+		acc = (f*acc + coeff*v[j]) * inv
+		x[j] = acc
+		change += math.Abs(acc - old)
+		mass += acc
+		if len(dangling) > 0 && dangling[0] == j {
+			dangMass += acc
+			dangling = dangling[1:]
+		}
+	}
+	return change, mass, dangMass
+}
+
+// Diagonal returns the self-loop weights M[j,j], or nil when none is stored.
+func (m *CSR) Diagonal() Vector {
+	var diag Vector
+	for j := 0; j < m.n; j++ {
+		lo := m.colPtr[j]
+		col := m.rowIdx[lo:m.colPtr[j+1]]
+		k := sort.Search(len(col), func(k int) bool { return int(col[k]) >= j })
+		if k < len(col) && int(col[k]) == j {
+			if diag == nil {
+				diag = NewVector(m.n)
+			}
+			diag[j] = m.cval[lo+k]
+		}
+	}
+	return diag
 }
 
 // RowSums returns the vector of row sums.

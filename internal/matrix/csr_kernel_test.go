@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -89,6 +90,65 @@ func TestMulVecLeftDamped(t *testing.T) {
 	for j := range got {
 		if got[j] != want[j] {
 			t.Fatalf("damped dst[%d] = %g, want %g", j, got[j], want[j])
+		}
+	}
+}
+
+// TestSweepLeftDamped checks the in-place sweep against its definition,
+// read off At one column at a time: fresh entries below j, stale ones
+// above, the self-loop solved for — with and without stored self-loops —
+// and the three sums it reports against plain passes over the result.
+func TestSweepLeftDamped(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20; trial++ {
+		n := rng.Intn(30) + 1
+		var triples []Triple
+		for k := rng.Intn(4*n + 1); k > 0; k-- {
+			i, j := rng.Intn(n), rng.Intn(n)
+			if trial%2 == 0 && i == j {
+				continue // even trials have no self-loop: the nil-diag path
+			}
+			triples = append(triples, Triple{Row: i, Col: j, Val: rng.Float64() / 4})
+		}
+		m := NewCSR(n, triples)
+		diag := m.Diagonal()
+		if trial%2 == 0 && diag != nil {
+			t.Fatalf("trial %d: Diagonal() = %v for a chain without self-loops", trial, diag)
+		}
+		x, v := randomX(rng, n), randomX(rng, n)
+		dangling := m.DanglingRows()
+		f, coeff := 0.85, 0.21
+
+		want := x.Clone()
+		var change, mass, dang float64
+		for j := 0; j < n; j++ {
+			var acc float64
+			for i := 0; i < n; i++ {
+				if i != j && m.At(i, j) != 0 {
+					acc += want[i] * m.At(i, j)
+				}
+			}
+			nv := f*acc + coeff*v[j]
+			if diag != nil {
+				if diag[j] != m.At(j, j) {
+					t.Fatalf("trial %d: diag[%d] = %g, M[j,j] = %g", trial, j, diag[j], m.At(j, j))
+				}
+				nv /= 1 - f*diag[j]
+			}
+			change += math.Abs(nv - want[j])
+			want[j] = nv
+			mass += nv
+		}
+		for _, d := range dangling {
+			dang += want[d]
+		}
+		gotChange, gotMass, gotDang := m.SweepLeftDamped(x, f, coeff, v, diag, dangling)
+		if d := x.MaxAbsDiff(want); d > 1e-15 {
+			t.Errorf("trial %d: sweep differs from its definition by %g", trial, d)
+		}
+		if math.Abs(gotChange-change) > 1e-13 || math.Abs(gotMass-mass) > 1e-13 || math.Abs(gotDang-dang) > 1e-13 {
+			t.Errorf("trial %d: change, mass, dangling = %g, %g, %g, want %g, %g, %g",
+				trial, gotChange, gotMass, gotDang, change, mass, dang)
 		}
 	}
 }

@@ -7,13 +7,13 @@ import (
 	"math"
 )
 
-// ErrNotConverged is returned (wrapped) when the power method exhausts its
-// iteration budget before reaching the requested tolerance.
-var ErrNotConverged = errors.New("matrix: power method did not converge")
+// ErrNotConverged is returned (wrapped) when PowerLeft, or the sweeps of a
+// pagerank.Solver, exhaust the budget before reaching the tolerance.
+var ErrNotConverged = errors.New("matrix: iteration did not converge")
 
-// Default iteration parameters. A damped web chain with f = 0.85 contracts
-// by f per step, so 1e-10 tolerance needs ~140 iterations; 1000 leaves a
-// wide margin for the undamped chains used by the Layered Method.
+// Default iteration parameters. A power step on a damped web chain contracts
+// by f = 0.85, so 1e-10 needs ~140 (a pagerank.Solver sweep: half that, a
+// tenth on a SiteGraph); 1000 leaves a wide margin for the undamped chains.
 const (
 	DefaultTol     = 1e-10
 	DefaultMaxIter = 1000

@@ -7,6 +7,7 @@ import (
 
 	"lmmrank/internal/graph"
 	"lmmrank/internal/matrix"
+	"lmmrank/internal/webgen"
 )
 
 func benchGraph(n, degree int, seed int64) *graph.Digraph {
@@ -36,6 +37,49 @@ func BenchmarkSparsePageRank(b *testing.B) {
 			}
 		})
 	}
+}
+
+// benchSolver times cold default-parameter solves on one reused Solver
+// and reports how many sweeps a solve took, so a change to the sweep
+// shows its count and not only its time.
+func benchSolver(b *testing.B, m *matrix.CSR) {
+	s := NewSolver(m)
+	var sweeps int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := s.Solve(Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sweeps = res.Iterations
+	}
+	b.ReportMetric(float64(sweeps), "sweeps/op")
+}
+
+// BenchmarkSolverSiteChain is the site layer's shape: 220 states that
+// each keep ≈ 0.95 of their row on a self-loop (the intra-site links a
+// SiteGraph aggregates), the rest on a handful of other sites.
+func BenchmarkSolverSiteChain(b *testing.B) {
+	const n = 220
+	rng := rand.New(rand.NewSource(4))
+	g := graph.NewDigraph(n)
+	for i := 0; i < n; i++ {
+		g.AddEdge(i, i, 95)
+		for k := 0; k < 5; k++ {
+			g.AddEdge(i, rng.Intn(n), 1)
+		}
+	}
+	benchSolver(b, g.TransitionMatrix())
+}
+
+// BenchmarkSolverLocalSite is the document layer's shape: the 38k-page
+// main site of a webgen web, no self-loops, navigation backbone plus
+// random intra-site links.
+func BenchmarkSolverLocalSite(b *testing.B) {
+	dg := webgen.Generate(webgen.Config{Seed: 5, Sites: 2, MeanSitePages: 4750}).Graph
+	sub, _ := dg.LocalSubgraph(0)
+	benchSolver(b, sub.TransitionMatrix())
 }
 
 func BenchmarkDensePageRank(b *testing.B) {

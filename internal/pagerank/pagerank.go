@@ -38,14 +38,14 @@ type Config struct {
 	// rankings can be obtained by replacing e' with a personalized
 	// distribution vector").
 	Personalization matrix.Vector
-	// Tol is the L1 convergence threshold (0 = matrix.DefaultTol).
+	// Tol is the threshold on Result.Residual (0 = matrix.DefaultTol).
 	Tol float64
-	// MaxIter bounds power iterations (0 = matrix.DefaultMaxIter).
+	// MaxIter bounds sweeps, or power steps (0 = matrix.DefaultMaxIter).
 	MaxIter int
 	// Start optionally seeds the iteration, e.g. with a previous ranking
 	// for incremental recomputation.
 	Start matrix.Vector
-	// Ctx, when non-nil, cancels the power iteration cooperatively: a
+	// Ctx, when non-nil, cancels the iteration cooperatively: a
 	// cancelled or expired context aborts mid-run and the context's error
 	// is returned (wrapped). A nil Ctx never cancels.
 	Ctx context.Context
@@ -76,10 +76,7 @@ func (c Config) validate(n int) error {
 }
 
 func (c Config) teleport(n int) matrix.Vector {
-	if c.Personalization == nil {
-		return matrix.Uniform(n)
-	}
-	return c.Personalization.Clone().Normalize()
+	return seed(matrix.NewVector(n), c.Personalization)
 }
 
 func (c Config) powerOptions() matrix.PowerOptions {
@@ -94,11 +91,17 @@ type Result struct {
 	// clone to retain. One-shot entry points (Dense, Sparse, Graph)
 	// return freshly allocated vectors.
 	Scores matrix.Vector
-	// Iterations is the number of power steps performed.
+	// Iterations counts the in-place sweeps (for Dense: power steps).
 	Iterations int
 	// Converged reports whether the tolerance was met within the budget.
 	Converged bool
-	// Residual is the final L1 change between iterates.
+	// Residual is the L1 change the last sweep made to the iterate, over
+	// its mass (for Dense: between the last two power iterates). One more
+	// power step would move the iterate by no more, and Mˆ contracts
+	// zero-sum vectors by f, so a converged result has ‖Scores − x*‖₁ ≤
+	// Residual/(1−f) ≤ Tol/(1−f). The power step's bound was f·Tol/(1−f),
+	// at most 1/f tighter; its measured error at a stop is the larger on
+	// every chain tried (docs/ARCHITECTURE.md, "The solve: in-place sweeps").
 	Residual float64
 }
 
@@ -124,7 +127,8 @@ func Dense(m *matrix.Dense, cfg Config) (Result, error) {
 	}, nil
 }
 
-// Operator is the matrix-free damped chain used by Sparse: it applies
+// Operator is the damped chain as a matrix-free power step, the reference
+// Solver's sweeps are measured against; no solve here runs it. It applies
 //
 //	y' = f·x'M + (f·Σ_{i dangling} x_i + (1−f))·v'
 //
@@ -144,7 +148,6 @@ type Operator struct {
 	dangling []int
 }
 
-var _ matrix.LeftMultiplier = (*Operator)(nil)
 var _ matrix.FusedLeftMultiplier = (*Operator)(nil)
 
 // NewOperator builds the damped operator for a row-normalized sparse
@@ -193,69 +196,56 @@ func (o *Operator) MulVecLeftFused(dst, x matrix.Vector) float64 {
 	return o.m.MulVecLeftDamped(dst, x, o.f, coeff, o.v)
 }
 
-// Sparse computes PageRank of a sparse row-normalized transition matrix
-// using the matrix-free operator.
+// Sparse computes PageRank of a sparse row-normalized transition matrix:
+// one Solve on a throwaway Solver, so the Scores are the caller's alone.
 func Sparse(m *matrix.CSR, cfg Config) (Result, error) {
-	n := m.Order()
-	if err := cfg.validate(n); err != nil {
-		return Result{}, err
-	}
-	op, err := NewOperator(m, cfg.damping(), cfg.teleport(n))
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := matrix.PowerLeft(op, cfg.powerOptions())
-	if err != nil {
-		return Result{}, fmt.Errorf("pagerank: %w", err)
-	}
-	return Result{
-		Scores:     res.Vector,
-		Iterations: res.Iterations,
-		Converged:  res.Converged,
-		Residual:   res.Residual,
-	}, nil
+	return NewSolver(m).Solve(cfg)
 }
 
 // Chain is the immutable, shareable half of a Solver: the row-normalized
-// transition matrix and its dangling-row list. One Chain can back any
-// number of Solvers concurrently — it is read-only after construction —
-// so a serving engine precomputes one Chain per graph and hands each
-// goroutine its own cheap Solver over it.
+// transition matrix, its dangling-row list and its self-loop weights. One
+// Chain can back any number of Solvers concurrently — it is read-only
+// after construction — so a serving engine precomputes one Chain per
+// graph and hands each goroutine its own cheap Solver over it.
 type Chain struct {
 	m        *matrix.CSR
 	dangling []int
+	// diag[j] = M[j,j]; nil when no state links to itself (document chains).
+	diag matrix.Vector
 }
 
 // NewChain precomputes the shareable PageRank state of the
 // row-normalized chain m. The matrix is captured by reference and must
 // not change while the chain is in use.
 func NewChain(m *matrix.CSR) *Chain {
-	return &Chain{m: m, dangling: m.DanglingRows()}
+	return &Chain{m: m, dangling: m.DanglingRows(), diag: m.Diagonal()}
 }
 
-// Order returns the chain dimension.
-func (c *Chain) Order() int { return c.m.Order() }
-
 // NewSolver returns a fresh Solver over this chain: private teleport
-// buffer and power scratch, shared read-only matrix and dangling list.
+// buffer and iterate, shared read-only matrix, dangling list and diagonal.
 func (c *Chain) NewSolver() *Solver {
-	return &Solver{op: Operator{m: c.m, dangling: c.dangling, v: matrix.NewVector(c.m.Order())}}
+	return &Solver{chain: c, v: matrix.NewVector(c.m.Order()), x: matrix.NewVector(c.m.Order())}
 }
 
 // Solver runs repeated PageRank computations over one fixed chain with
-// zero steady-state allocations: the dangling-row list, the teleport
-// buffer and the power-method scratch are all built once at construction
-// and reused by every Solve. It is the per-site building block of
-// lmm.Ranker.
+// zero steady-state allocations: the chain, the teleport buffer and the
+// one iterate are all built once at construction and reused by every
+// Solve. It is the per-site building block of lmm.Ranker.
+//
+// Solve reads PageRank as the linear system x = f·M'x + c·v, c the
+// teleport mass of the previous sweep's x, and sweeps it in place
+// (Gauss–Seidel, matrix.CSR.SweepLeftDamped): at worst a sweep contracts
+// the error by f like a power step, far faster where mass sits on
+// self-loops. Sweeps are serial: answers do not depend on GOMAXPROCS.
 //
 // A Solver is not safe for concurrent use, and the Scores of a returned
-// Result alias its scratch: they are valid only until the next Solve.
+// Result alias its iterate: they are valid only until the next Solve.
 // Clone them to retain a result across calls. Solvers sharing one Chain
 // may run concurrently — only the Chain is shared, never the scratch.
 type Solver struct {
-	// op.v is the private teleport buffer every Solve rewrites.
-	op      Operator
-	scratch matrix.PowerScratch
+	chain *Chain
+	v     matrix.Vector // teleport buffer, rewritten by every Solve
+	x     matrix.Vector // the iterate
 }
 
 // NewSolver precomputes the reusable state for PageRank runs over the
@@ -266,40 +256,62 @@ func NewSolver(m *matrix.CSR) *Solver {
 	return NewChain(m).NewSolver()
 }
 
-// Order returns the chain dimension.
-func (s *Solver) Order() int { return s.op.m.Order() }
-
 // Solve computes PageRank with the given configuration, reusing all
 // internal buffers. Result.Scores aliases solver scratch — see the type
-// comment.
+// comment. It stops after the first sweep whose Result.Residual is at
+// most cfg.Tol, so a converged seed costs exactly one sweep.
 func (s *Solver) Solve(cfg Config) (Result, error) {
-	n := s.op.m.Order()
+	c := s.chain
+	n := c.m.Order()
 	if err := cfg.validate(n); err != nil {
 		return Result{}, err
 	}
-	s.op.f = cfg.damping()
-	if cfg.Personalization == nil {
-		s.op.v.Fill(1 / float64(n))
-	} else {
-		copy(s.op.v, cfg.Personalization)
-		s.op.v.Normalize()
+	if cfg.Start != nil && len(cfg.Start) != n {
+		return Result{}, fmt.Errorf("pagerank: start vector length %d vs chain order %d", len(cfg.Start), n)
 	}
-	res, err := matrix.PowerLeft(&s.op, matrix.PowerOptions{
-		Tol:     cfg.Tol,
-		MaxIter: cfg.MaxIter,
-		Start:   cfg.Start,
-		Scratch: &s.scratch,
-		Ctx:     cfg.Ctx,
-	})
-	if err != nil {
-		return Result{}, fmt.Errorf("pagerank: %w", err)
+	f := cfg.damping()
+	tol, maxIter := cfg.Tol, cfg.MaxIter
+	if tol == 0 {
+		tol = matrix.DefaultTol
 	}
-	return Result{
-		Scores:     res.Vector,
-		Iterations: res.Iterations,
-		Converged:  res.Converged,
-		Residual:   res.Residual,
-	}, nil
+	if maxIter == 0 {
+		maxIter = matrix.DefaultMaxIter
+	}
+	seed(s.v, cfg.Personalization)
+	x := seed(s.x, cfg.Start)
+	// x stays unnormalized until the end: each sweep scales the teleport
+	// term by the mass and dangling mass the previous one reported.
+	mass, dang := 1.0, 0.0
+	for _, d := range c.dangling {
+		dang += x[d]
+	}
+	res := Result{Scores: x}
+	for res.Iterations < maxIter && !res.Converged {
+		if cfg.Ctx != nil {
+			// One atomic load on the stdlib contexts: cheap every sweep.
+			if err := cfg.Ctx.Err(); err != nil {
+				return Result{}, fmt.Errorf("pagerank: %w", err)
+			}
+		}
+		res.Residual, mass, dang = c.m.SweepLeftDamped(x, f, f*dang+(1-f)*mass, s.v, c.diag, c.dangling)
+		res.Residual /= mass
+		res.Iterations++
+		res.Converged = res.Residual <= tol
+	}
+	if !res.Converged {
+		return Result{}, fmt.Errorf("pagerank: %w after %d sweeps (residual %.3e, tol %.3e)", matrix.ErrNotConverged, res.Iterations, res.Residual, tol)
+	}
+	x.Normalize()
+	return res, nil
+}
+
+// seed sets dst to src rescaled to sum to 1, to uniform when src is nil.
+func seed(dst, src matrix.Vector) matrix.Vector {
+	if src == nil {
+		return dst.Fill(1 / float64(len(dst)))
+	}
+	copy(dst, src)
+	return dst.Normalize()
 }
 
 // Graph computes PageRank of a directed graph: the random-surfer transition
