@@ -89,15 +89,15 @@
 //     precomputed cores, warm seeds — lives behind one atomic pointer
 //     to an immutable snapshot. Update applies GraphDelta.Apply to a
 //     copy-on-write clone of the graph (the clone shares the packed
-//     adjacency, the document records and the site rosters with the old
-//     graph by pointer and holds only the rows it rewrites — so Apply
-//     may add links, documents and sites, but must not overwrite or
-//     reorder Docs or a Site.Docs roster in place), rebuilds off to the
-//     side and publishes with a single store. Queries never wait for an
-//     Update and an Update never waits for queries: a Rank in flight
-//     across the swap completes on the snapshot it started on,
-//     bit-identical to an uncontended run, and the next Rank sees the
-//     new graph. A failed Apply-path Update discards the clone — a
+//     adjacency, the per-document columns and the site rosters with the
+//     old graph by pointer and holds only the rows it rewrites — so Apply
+//     may add links, sites and documents (add documents with AddDoc),
+//     but must not overwrite or reorder a Site.Docs roster in place),
+//     rebuilds off to the side and publishes with a single store.
+//     Queries never wait for an Update and an Update never waits for
+//     queries: a Rank in flight across the swap completes on the
+//     snapshot it started on, bit-identical to an uncontended run, and
+//     the next Rank sees the new graph. A failed Apply-path Update discards the clone — a
 //     no-op, the engine is exactly as before. Because the served graph
 //     evolves through clones, re-fetch it with DocGraph() after
 //     updating rather than caching the construction-time pointer.

@@ -118,9 +118,9 @@ type Result struct {
 // untouched graph; if Apply (or the rebuild) fails, the clone is
 // discarded and the engine is exactly as before — a failed Update is a
 // no-op. Mutate only the *dg passed in; a captured outer pointer still
-// names the old serving graph. The clone shares its document records and
-// site rosters with the serving graph under an append-only contract: add
-// links, append to Docs, to Sites and to a Site.Docs roster, but do not
+// names the old serving graph. The clone shares its per-document columns
+// and site rosters with the serving graph under an append-only contract:
+// add links, append to Sites, and add documents with AddDoc, but do not
 // overwrite, reorder or truncate what is already there. After a
 // successful Apply-path Update, re-fetch the serving graph with
 // DocGraph().

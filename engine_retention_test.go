@@ -1,9 +1,12 @@
 package lmmrank
 
 import (
+	"bytes"
 	"context"
+	"math"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"lmmrank/internal/graph"
 	"lmmrank/internal/webgen"
@@ -55,4 +58,59 @@ func TestPreparedEngineRetention(t *testing.T) {
 	}
 	runtime.KeepAlive(eng)
 	runtime.KeepAlive(dg)
+}
+
+// TestTopKAnswerRetention: the Top table of an answer is all a caller who
+// keeps it keeps — its URLs are strings of their own, not windows into the
+// graph's URL storage. (While a decoded graph's URLs were substrings of
+// 64 KiB chunks, one table of k URLs could keep k chunks alive after the
+// engine and the graph were gone.) Beside the table, under 4 KiB stays;
+// the least of three tries is taken, so that what an earlier test's fleet
+// still frees or allocates while it winds down is not counted.
+func TestTopKAnswerRetention(t *testing.T) {
+	var file bytes.Buffer
+	if err := WriteGraphBinary(&file, webgen.Generate(webgen.Default()).Graph); err != nil {
+		t.Fatal(err)
+	}
+	decodedTopK(t, file.Bytes(), 10) // first use sets up what every engine shares
+	beside := int64(math.MaxInt64)
+	for try := 0; try < 3; try++ {
+		before := liveHeap()
+		top := decodedTopK(t, file.Bytes(), 10)
+		retained := int64(liveHeap()) - int64(before)
+		if len(top) != 10 {
+			t.Fatalf("Top has %d entries, want 10", len(top))
+		}
+		table := int64(cap(top)) * int64(unsafe.Sizeof(DocScore{}))
+		for _, e := range top {
+			table += int64(len(e.URL))
+		}
+		t.Logf("a %d-entry Top table of %d bytes keeps %d bytes beside it", len(top), table, retained-table)
+		beside = min(beside, retained-table)
+		runtime.KeepAlive(top)
+	}
+	if beside >= 4<<10 {
+		t.Errorf("a kept Top table keeps %d bytes beside itself, want under %d", beside, 4<<10)
+	}
+	runtime.KeepAlive(&file)
+}
+
+// decodedTopK decodes a graph file, serves one Query{TopK: k} from a fresh
+// engine over it and returns only the answer's Top: the graph, the engine
+// and the rest of the answer are unreachable once it returns.
+func decodedTopK(t *testing.T, file []byte, k int) []DocScore {
+	t.Helper()
+	dg, err := ReadGraphBinary(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewLocalEngine(dg, EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Rank(context.Background(), Query{TopK: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Top
 }

@@ -512,10 +512,7 @@ func growSite(dg *DocGraph, s SiteID, n int) {
 		dg.Sites = append(dg.Sites, graph.Site{Name: fmt.Sprintf("grown%d.example", s)})
 	}
 	for ; n > 0; n-- {
-		d := DocID(len(dg.Docs))
-		dg.Docs = append(dg.Docs, graph.Doc{URL: fmt.Sprintf("http://%s/grown%d", dg.Sites[s].Name, d), Site: s})
-		dg.Sites[s].Docs = append(dg.Sites[s].Docs, d)
-		dg.G.EnsureNodes(len(dg.Docs))
+		d := dg.AddDoc(fmt.Sprintf("http://%s/grown%d", dg.Sites[s].Name, dg.NumDocs()), s)
 		dg.G.AddLink(int(d), int(dg.Sites[s].Docs[0]))
 		dg.G.AddLink(int(dg.Sites[s].Docs[0]), int(d))
 	}

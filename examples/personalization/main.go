@@ -26,7 +26,7 @@ func main() {
 	// Focus: an ordinary page on an ordinary departmental site.
 	focusSite := lmmrank.SiteID(12)
 	focusDoc := dg.Sites[focusSite].Docs[1]
-	fmt.Printf("focus page: %s\n\n", dg.Docs[focusDoc].URL)
+	fmt.Printf("focus page: %s\n\n", dg.URL(focusDoc))
 
 	base, err := lmmrank.LayeredDocRank(dg, lmmrank.WebConfig{})
 	if err != nil {

@@ -57,7 +57,7 @@ func printResults(web *lmmrank.CampusWeb, res []lmmrank.SearchResult) {
 	fmt.Printf("%-4s %-9s %-9s %-9s %s\n", "#", "combined", "text", "link", "URL")
 	for i, r := range res {
 		fmt.Printf("%-4d %-9.4f %-9.4f %-9.4f %s\n",
-			i+1, r.Combined, r.Query, r.Link, web.Graph.Docs[r.Doc].URL)
+			i+1, r.Combined, r.Query, r.Link, web.Graph.URL(r.Doc))
 	}
 }
 

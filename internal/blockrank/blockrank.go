@@ -91,8 +91,8 @@ func Compute(dg *graph.DocGraph, cfg Config) (*Result, error) {
 	// serialization point: the weights consume step 1's output.
 	bg := graph.NewDigraph(ns)
 	dg.G.EachEdgeAll(func(from int, e graph.Edge) {
-		sFrom := int(dg.Docs[from].Site)
-		sTo := int(dg.Docs[e.To].Site)
+		sFrom := int(dg.SiteOf(graph.DocID(from)))
+		sTo := int(dg.SiteOf(graph.DocID(e.To)))
 		w := local[sFrom][dg.LocalOf(graph.DocID(from))] * e.Weight
 		if w > 0 {
 			bg.AddEdge(sFrom, sTo, w)

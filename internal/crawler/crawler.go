@@ -157,8 +157,8 @@ func NewSnapshotFetcher(dg *graph.DocGraph) *SnapshotFetcher {
 		dg:    dg,
 		byURL: make(map[string]graph.DocID, dg.NumDocs()),
 	}
-	for d, doc := range dg.Docs {
-		f.byURL[doc.URL] = graph.DocID(d)
+	for d := range graph.DocID(dg.NumDocs()) {
+		f.byURL[dg.URL(d)] = d
 	}
 	return f
 }
@@ -175,7 +175,7 @@ func (f *SnapshotFetcher) Fetch(url string) ([]string, error) {
 	}
 	var links []string
 	f.dg.G.EachEdge(int(d), func(e graph.Edge) {
-		target := f.dg.Docs[e.To].URL
+		target := f.dg.URL(graph.DocID(e.To))
 		// Preserve link multiplicity so SiteLink counts survive the
 		// crawl round-trip.
 		for k := 0; k < int(e.Weight); k++ {
@@ -186,4 +186,4 @@ func (f *SnapshotFetcher) Fetch(url string) ([]string, error) {
 }
 
 // URL returns the snapshot URL of a document (test helper).
-func (f *SnapshotFetcher) URL(d graph.DocID) string { return f.dg.Docs[d].URL }
+func (f *SnapshotFetcher) URL(d graph.DocID) string { return f.dg.URL(d) }

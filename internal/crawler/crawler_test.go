@@ -71,7 +71,7 @@ func topURL(dg *graph.DocGraph, scores []float64) string {
 			best = i
 		}
 	}
-	return dg.Docs[best].URL
+	return dg.URL(graph.DocID(best))
 }
 
 func TestMaxPagesTruncates(t *testing.T) {
@@ -134,9 +134,9 @@ func TestExcludeQueriesDropsDynamicPages(t *testing.T) {
 	if stats.SkippedQueries == 0 {
 		t.Error("no query URLs skipped")
 	}
-	for _, doc := range got.Docs {
-		if strings.Contains(doc.URL, "?") {
-			t.Fatalf("query URL captured: %s", doc.URL)
+	for d := range got.NumDocs() {
+		if url := got.URL(graph.DocID(d)); strings.Contains(url, "?") {
+			t.Fatalf("query URL captured: %s", url)
 		}
 	}
 }
@@ -155,8 +155,8 @@ func TestFailureInjection(t *testing.T) {
 	if stats.Failed != 1 {
 		t.Errorf("Failed = %d, want 1", stats.Failed)
 	}
-	for d, doc := range got.Docs {
-		if doc.URL == broken {
+	for d := range got.NumDocs() {
+		if got.URL(graph.DocID(d)) == broken {
 			if got.G.OutDegree(d) != 0 {
 				t.Errorf("broken page has %d out-links", got.G.OutDegree(d))
 			}
@@ -178,8 +178,8 @@ func TestCrawlDeterministic(t *testing.T) {
 	if a.NumDocs() != b.NumDocs() || a.G.NumEdges() != b.G.NumEdges() {
 		t.Fatal("crawl not deterministic")
 	}
-	for d := range a.Docs {
-		if a.Docs[d] != b.Docs[d] {
+	for d := range graph.DocID(a.NumDocs()) {
+		if a.URL(d) != b.URL(d) || a.SiteOf(d) != b.SiteOf(d) {
 			t.Fatalf("doc %d differs between runs", d)
 		}
 	}

@@ -84,7 +84,8 @@ type Proxy struct {
 	conns  map[net.Conn]struct{}
 	closed bool
 
-	wg sync.WaitGroup
+	accepted atomic.Int64
+	wg       sync.WaitGroup
 }
 
 // NewProxy listens on a fresh loopback port and relays every accepted
@@ -107,6 +108,10 @@ func NewProxy(target string, script Script) (*Proxy, error) {
 
 // Addr is the address coordinators should dial instead of the worker.
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
+
+// Accepted reports how many coordinator connections the proxy has
+// accepted so far: a redial shows as the count going up.
+func (p *Proxy) Accepted() int { return int(p.accepted.Load()) }
 
 // SetScript swaps the fault script; in-flight exchanges finish under
 // the old one, the next intercepted request sees the new one. A nil
@@ -146,6 +151,7 @@ func (p *Proxy) acceptLoop() {
 		if err != nil {
 			return
 		}
+		p.accepted.Add(1)
 		p.mu.Lock()
 		if p.closed {
 			p.mu.Unlock()

@@ -1,9 +1,11 @@
 package coordinator
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"lmmrank/internal/dist/chaos"
 	"lmmrank/internal/dist/wire"
 	"lmmrank/internal/lmm"
 )
@@ -20,6 +22,55 @@ func fastRedial(failures int) RetryPolicy {
 	}
 }
 
+// rejoinFleet is the fleet of the rejoin tests, every worker behind a
+// chaos proxy: the victim dies at its first power round, and once armed()
+// the two survivors hold each power round after the first until the
+// victim's redialed connection is re-admitted — which the victim's proxy
+// sees as the first request on a later connection, the readmission probe —
+// for at most 2 s. A run therefore cannot end before its rejoin however few
+// rounds it needs: "mid-run" no longer depends on the run outlasting a
+// 1–5 ms redial. Re-admission happens at a loop head, between rounds, so a
+// round that is held while the redial has not landed yet is released the
+// moment the victim's proxy accepts it: the next loop head re-admits. (The
+// first armed round passes because it may be the one the victim dies in,
+// whose loss — and the redialer — the coordinator handles only once the
+// round returns.)
+func rejoinFleet(t *testing.T, armed func() bool) (*Coordinator, *killer) {
+	t.Helper()
+	kt := killAt(wire.KindPowerRound)
+	var readmitted atomic.Bool
+	victim, a3 := proxiedWorker(t, func(n int, req *wire.Request) chaos.Decision {
+		if n == 1 && kt.died() {
+			readmitted.Store(true)
+		}
+		return kt.script(n, req)
+	})
+	hold := func() chaos.Script {
+		var rounds atomic.Int64
+		return func(_ int, req *wire.Request) chaos.Decision {
+			if req.Kind != wire.KindPowerRound || !armed() || rounds.Add(1) == 1 {
+				return chaos.Decision{Action: chaos.Pass}
+			}
+			landed := victim.Accepted() > 1
+			for deadline := time.Now().Add(2 * time.Second); !readmitted.Load() && time.Now().Before(deadline); {
+				if !landed && victim.Accepted() > 1 {
+					break
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			return chaos.Decision{Action: chaos.Pass}
+		}
+	}
+	_, a1 := proxiedWorker(t, hold())
+	_, a2 := proxiedWorker(t, hold())
+	c, err := Dial([]string{a1, a2, a3})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c, kt
+}
+
 // TestRejoinMidRunWarmReshipsNothing kills one worker's connection at
 // its first SiteRank power round and lets the redial loop re-admit it
 // mid-iteration. The worker process survives with its digest cache
@@ -27,25 +78,15 @@ func fastRedial(failures int) RetryPolicy {
 // must negotiate every shard as a cache hit: RejoinShardBytes == 0.
 // The final ranks must still match the single-node reference — a
 // double-counted chain row (a site left in the interim owner's session)
-// would blow the tolerance by orders of magnitude.
+// would blow the tolerance by orders of magnitude. The survivors hold
+// their rounds after the death until it is re-admitted (rejoinFleet).
 func TestRejoinMidRunWarmReshipsNothing(t *testing.T) {
 	web := rankableWeb()
 	ref, err := lmm.LayeredDocRank(web, lmm.WebConfig{})
 	if err != nil {
 		t.Fatalf("reference LayeredDocRank: %v", err)
 	}
-	_, a1 := startWorker(t)
-	_, a2 := startWorker(t)
-	kt := killAt(wire.KindPowerRound)
-	_, a3 := proxiedWorker(t, kt.script)
-	c, err := Dial([]string{a1, a2, a3})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer c.Close()
-
-	// A tight tolerance keeps the power iteration running long enough
-	// (hundreds of rounds) that the ~1 ms redial always lands mid-run.
+	c, kt := rejoinFleet(t, func() bool { return true })
 	res, err := c.Rank(web, Config{
 		SiteRank: SiteRankSync,
 		Tol:      1e-13,
@@ -80,22 +121,16 @@ func TestRejoinMidRunWarmReshipsNothing(t *testing.T) {
 // TestRejoinFromPreviousRun kills a worker in run 1 (no redial — it
 // stays lost) and gives run 2 a redial budget: a peer already broken
 // when a run starts must get its redialer too, rejoin mid-run, and
-// re-ship nothing (its cache is warm from run 1's load phase).
+// re-ship nothing (its cache is warm from run 1's load phase). In run 2
+// the survivors hold their rounds until it is re-admitted.
 func TestRejoinFromPreviousRun(t *testing.T) {
 	web := rankableWeb()
 	ref, err := lmm.LayeredDocRank(web, lmm.WebConfig{})
 	if err != nil {
 		t.Fatalf("reference LayeredDocRank: %v", err)
 	}
-	_, a1 := startWorker(t)
-	_, a2 := startWorker(t)
-	kt := killAt(wire.KindPowerRound)
-	_, a3 := proxiedWorker(t, kt.script)
-	c, err := Dial([]string{a1, a2, a3})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer c.Close()
+	var run2 atomic.Bool
+	c, kt := rejoinFleet(t, run2.Load)
 
 	cfg := Config{
 		SiteRank: SiteRankSync,
@@ -111,6 +146,7 @@ func TestRejoinFromPreviousRun(t *testing.T) {
 	cfg.Tol = 1e-13
 	cfg.MaxIter = 5000
 	cfg.Retry = fastRedial(1)
+	run2.Store(true)
 	res, err := c.Rank(web, cfg)
 	if err != nil {
 		t.Fatalf("run 2 (rejoin): %v", err)

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"lmmrank/internal/dist/wire"
 )
@@ -52,7 +53,12 @@ func TestStartCloseLifecycle(t *testing.T) {
 	if resp := roundTrip(t, enc, dec, &wire.Request{Kind: wire.KindPing}); resp.Err != "" {
 		t.Errorf("ping: %s", resp.Err)
 	}
+	// The worker counts a response's bytes once its write returns, which
+	// may be after the response has reached us.
 	st := w.Stats()
+	for deadline := time.Now().Add(time.Second); st.BytesSent == 0 && time.Now().Before(deadline); st = w.Stats() {
+		time.Sleep(time.Millisecond)
+	}
 	if st.Messages != 1 || st.BytesReceived == 0 || st.BytesSent == 0 {
 		t.Errorf("after one ping: %+v", st)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"lmmrank/internal/graph"
 	"lmmrank/internal/lmm"
 	"lmmrank/internal/matrix"
 	"lmmrank/internal/rankutil"
@@ -112,7 +113,7 @@ func (r *CampusResult) formatTable(title string, top []rankutil.Entry) string {
 	fmt.Fprintf(&b, "%-4s %-10s %-22s %s\n", "#", "score", "class", "URL")
 	for i, e := range top {
 		fmt.Fprintf(&b, "%-4d %-10.6f %-22s %s\n",
-			i+1, e.Score, r.Web.Class[e.Index], r.Web.Graph.Docs[e.Index].URL)
+			i+1, e.Score, r.Web.Class[e.Index], r.Web.Graph.URL(graph.DocID(e.Index)))
 	}
 	return b.String()
 }

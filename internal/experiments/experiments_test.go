@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"lmmrank/internal/graph"
 	"lmmrank/internal/webgen"
 )
 
@@ -66,11 +67,11 @@ func TestRunCampusReproducesFigure3And4Shape(t *testing.T) {
 	// Both top the main home page, as in both figures.
 	if res.TopPageRank[0].Index != int(res.Web.MainHome) {
 		t.Errorf("PageRank top-1 = %s, want main home",
-			res.Web.Graph.Docs[res.TopPageRank[0].Index].URL)
+			res.Web.Graph.URL(graph.DocID(res.TopPageRank[0].Index)))
 	}
 	if res.TopLayered[0].Index != int(res.Web.MainHome) {
 		t.Errorf("LMM top-1 = %s, want main home",
-			res.Web.Graph.Docs[res.TopLayered[0].Index].URL)
+			res.Web.Graph.URL(graph.DocID(res.TopLayered[0].Index)))
 	}
 	// "Qualitatively comparable": the two rankings correlate positively
 	// overall even though their top lists differ.

@@ -126,7 +126,7 @@ func (r *PersonalizationResult) Format() string {
 	var b strings.Builder
 	b.WriteString("E8 — two-layer personalization (§3.2)\n\n")
 	fmt.Fprintf(&b, "focus page: %s (site %q)\n\n",
-		r.Web.Graph.Docs[r.FocusDoc].URL, r.Web.Graph.Sites[r.FocusSite].Name)
+		r.Web.Graph.URL(r.FocusDoc), r.Web.Graph.Sites[r.FocusSite].Name)
 	fmt.Fprintf(&b, "%-28s %-12s %s\n", "variant", "global rank", "score")
 	rows := []struct {
 		name string

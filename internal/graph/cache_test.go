@@ -175,18 +175,12 @@ func TestLocalSubgraphNonAscendingRoster(t *testing.T) {
 	g.AddLink(1, 0)
 	g.AddLink(1, 2)
 	g.AddLink(2, 2)
-	dg := &DocGraph{
-		G: g,
-		Docs: []Doc{
-			{URL: "a/0", Site: 0},
-			{URL: "a/1", Site: 0},
-			{URL: "b/0", Site: 1},
-		},
-		Sites: []Site{
-			{Name: "a", Docs: []DocID{1, 0}}, // deliberately descending
-			{Name: "b", Docs: []DocID{2}},
-		},
-	}
+	dg := &DocGraph{G: g, Sites: []Site{{Name: "a"}, {Name: "b"}}}
+	dg.AddDoc("a/0", 0)
+	dg.AddDoc("a/1", 0)
+	dg.AddDoc("b/0", 1)
+	r := dg.Sites[0].Docs
+	r[0], r[1] = r[1], r[0] // deliberately descending
 	if err := dg.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -176,9 +176,9 @@ func TestCloneCOWChained(t *testing.T) {
 	}
 }
 
-// TestDocGraphCloneCOW covers the roster half: fresh Docs/Sites slices,
-// appends to the clone never disturb the parent, and the digraph is
-// COW-shared.
+// TestDocGraphCloneCOW covers the document half: a fresh Sites slice,
+// documents added to the clone never disturb the parent's columns or
+// rosters, and the digraph is COW-shared.
 func TestDocGraphCloneCOW(t *testing.T) {
 	b := NewBuilder()
 	b.AddLink("http://a.example/1", "http://a.example/2")
@@ -193,11 +193,9 @@ func TestDocGraphCloneCOW(t *testing.T) {
 	nd, ns := dg.NumDocs(), dg.NumSites()
 
 	// Grow the clone: a new document on site 0 plus a brand-new site.
-	c.Docs = append(c.Docs, Doc{URL: "http://a.example/3", Site: 0})
-	c.Sites[0].Docs = append(c.Sites[0].Docs, DocID(nd))
-	c.Docs = append(c.Docs, Doc{URL: "http://c.example/1", Site: SiteID(ns)})
-	c.Sites = append(c.Sites, Site{Name: "c.example", Docs: []DocID{DocID(nd + 1)}})
-	c.G.EnsureNodes(len(c.Docs))
+	c.AddDoc("http://a.example/3", 0)
+	c.Sites = append(c.Sites, Site{Name: "c.example"})
+	c.AddDoc("http://c.example/1", SiteID(ns))
 	c.G.AddLink(nd, 0)
 
 	if err := c.Validate(); err != nil {
@@ -211,6 +209,14 @@ func TestDocGraphCloneCOW(t *testing.T) {
 	}
 	if got := len(dg.Sites[0].Docs); got != 2 {
 		t.Errorf("parent site 0 roster length %d, want 2", got)
+	}
+	for d, want := range []string{"http://a.example/1", "http://a.example/2", "http://b.example/1"} {
+		if got := dg.URL(DocID(d)); got != want {
+			t.Errorf("parent URL(%d) = %q, want %q", d, got, want)
+		}
+	}
+	if got := c.URL(DocID(nd)); got != "http://a.example/3" || c.SiteOf(DocID(nd+1)) != SiteID(ns) {
+		t.Errorf("clone URL(%d) = %q, SiteOf(%d) = %d", nd, got, nd+1, c.SiteOf(DocID(nd+1)))
 	}
 }
 
@@ -226,9 +232,7 @@ func TestCloneCOWDoesNotWriteParent(t *testing.T) {
 	dg := benchDocGraph(12, 40, 62)
 	n := dg.NumDocs()
 	dg.G.AddLink(3, 5)
-	dg.G.EnsureNodes(n + 1)
-	dg.Docs = append(dg.Docs, Doc{URL: "http://s0.example/late", Site: 0})
-	dg.Sites[0].Docs = append(dg.Sites[0].Docs, DocID(n))
+	dg.AddDoc("http://s0.example/late", 0)
 	dg.G.AddLink(n, 0)
 	dg.G.Dedupe()
 	parent := dg.G

@@ -99,7 +99,7 @@ func TestLocalSubgraph(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	dg := buildTinyWeb(t)
-	dg.Docs[0].Site = 1 // now site rosters disagree
+	dg.site[0] = 1 // now site rosters disagree
 	if err := dg.Validate(); err == nil {
 		t.Error("Validate accepted corrupted site mapping")
 	}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -124,7 +125,7 @@ func TestTransitionMatrixPullBuiltMatchesRowBuilt(t *testing.T) {
 func appendDeriveSiteGraph(dg *DocGraph, opts SiteGraphOptions) *Digraph {
 	g := NewDigraph(dg.NumSites())
 	dg.G.EachEdgeAll(func(from int, e Edge) {
-		sFrom, sTo := dg.Docs[from].Site, dg.Docs[e.To].Site
+		sFrom, sTo := dg.SiteOf(DocID(from)), dg.SiteOf(DocID(e.To))
 		if opts.DropSelfLoops && sFrom == sTo {
 			return
 		}
@@ -167,20 +168,15 @@ func churn(rng *rand.Rand, dg *DocGraph) []SiteID {
 			dg.G.AddLink(int(docs[rng.Intn(len(docs))]), rng.Intn(dg.NumDocs()))
 		}
 		if rng.Intn(2) == 0 {
-			d := DocID(dg.NumDocs())
-			dg.Docs = append(dg.Docs, Doc{URL: fmt.Sprintf("%s/new%d", dg.Sites[s].Name, d), Site: s})
-			dg.Sites[s].Docs = append(dg.Sites[s].Docs, d)
-			dg.G.EnsureNodes(dg.NumDocs())
+			d := dg.AddDoc(fmt.Sprintf("%s/new%d", dg.Sites[s].Name, dg.NumDocs()), s)
 			dg.G.AddLink(int(d), int(docs[0]))
 			dg.G.AddLink(int(docs[0]), int(d))
 		}
 	}
 	if rng.Intn(3) == 0 {
 		s := SiteID(dg.NumSites())
-		d := DocID(dg.NumDocs())
-		dg.Sites = append(dg.Sites, Site{Name: fmt.Sprintf("joined%d.example", s), Docs: []DocID{d}})
-		dg.Docs = append(dg.Docs, Doc{URL: fmt.Sprintf("joined%d.example/", s), Site: s})
-		dg.G.EnsureNodes(dg.NumDocs())
+		dg.Sites = append(dg.Sites, Site{Name: fmt.Sprintf("joined%d.example", s)})
+		d := dg.AddDoc(fmt.Sprintf("joined%d.example/", s), s)
 		// The newcomer links out; nobody links to it yet, so no old
 		// site's row changes on its account.
 		dg.G.AddLink(int(d), rng.Intn(int(d)))
@@ -271,14 +267,17 @@ func TestRederiveMatchesFullDerive(t *testing.T) {
 // sections hold unless claim rewrites them, and the checksum is always
 // that of the bytes written: what a row breaks is the one thing it names.
 type rawFile struct {
-	first   byte // byte 0; zero means binaryMagic | binaryVersion
-	names   []string
-	sites   []uint32
-	urls    []string
-	degrees []uint32
-	targets []uint32
-	weights []float64
-	claim   func(numSites, numDocs, numEdges, nameBytes, urlBytes *uint64)
+	first byte // byte 0; zero means binaryMagic | binaryVersion
+	names []string
+	sites []uint32
+	urls  []string
+	// urlSection, when non-nil, is the URL section verbatim instead of
+	// urls front-coded.
+	urlSection []byte
+	degrees    []uint32
+	targets    []uint32
+	weights    []float64
+	claim      func(numSites, numDocs, numEdges, nameBytes, urlBytes *uint64)
 }
 
 func (f rawFile) bytes() []byte {
@@ -286,13 +285,15 @@ func (f rawFile) bytes() []byte {
 	if first == 0 {
 		first = binaryMagic | binaryVersion
 	}
-	var nameBytes, urlBytes uint64
+	var nameBytes uint64
 	for _, s := range f.names {
 		nameBytes += uint64(len(s))
 	}
-	for _, s := range f.urls {
-		urlBytes += uint64(len(s))
+	urls := f.urlSection
+	if urls == nil {
+		urls = frontCode(f.urls)
 	}
+	urlBytes := uint64(len(urls))
 	ns, nd, ne := uint64(len(f.names)), uint64(len(f.sites)), uint64(len(f.targets))
 	if f.claim != nil {
 		f.claim(&ns, &nd, &ne, &nameBytes, &urlBytes)
@@ -301,26 +302,43 @@ func (f rawFile) bytes() []byte {
 	for _, v := range []uint64{ns, nd, ne, nameBytes, urlBytes} {
 		b = le.AppendUint64(b, v)
 	}
-	text := func(ss []string) {
-		for _, s := range ss {
-			b = le.AppendUint32(b, uint32(len(s)))
-		}
-		b = append(b, strings.Join(ss, "")...)
-	}
 	column := func(vs []uint32) {
 		for _, v := range vs {
 			b = le.AppendUint32(b, v)
 		}
 	}
-	text(f.names)
+	for _, s := range f.names {
+		b = le.AppendUint32(b, uint32(len(s)))
+	}
+	b = append(b, strings.Join(f.names, "")...)
 	column(f.sites)
-	text(f.urls)
+	b = append(b, urls...)
 	column(f.degrees)
 	column(f.targets)
 	for _, w := range f.weights {
 		b = le.AppendUint64(b, math.Float64bits(w))
 	}
 	return le.AppendUint32(b, crc32.Checksum(b, castagnoli))
+}
+
+// frontCode spells urls out as the URL section stores them, independently
+// of AddDoc: each URL as the length of the prefix it shares with the one
+// before (none at a restart), the length of the rest, and the rest.
+func frontCode(urls []string) []byte {
+	var b []byte
+	for d, u := range urls {
+		shared := 0
+		if d%restartEvery != 0 {
+			prev := urls[d-1]
+			for shared < len(prev) && shared < len(u) && prev[shared] == u[shared] {
+				shared++
+			}
+		}
+		b = binary.AppendUvarint(b, uint64(shared))
+		b = binary.AppendUvarint(b, uint64(len(u)-shared))
+		b = append(b, u[shared:]...)
+	}
+	return b
 }
 
 // twoDocFile is a valid file of one site, two documents and the links
@@ -342,6 +360,20 @@ func hostileFiles() map[string][]byte {
 	weight := func(w float64) []byte {
 		return twoDocFile(func(f *rawFile) { f.weights[0] = w })
 	}
+	// The two URLs "a/0" and "a/1" front-code as 0 3 "a/0" 2 1 "1".
+	urlSection := func(section ...byte) []byte {
+		return twoDocFile(func(f *rawFile) { f.urlSection = section })
+	}
+	// Seventeen documents put the second restart at document 16.
+	restarted := twoDocFile(func(f *rawFile) {
+		f.urls = nil
+		for d := 0; d < 17; d++ {
+			f.urls = append(f.urls, fmt.Sprintf("a/%d", d))
+		}
+		f.sites = make([]uint32, 17)
+		f.degrees = append(f.degrees, make([]uint32, 15)...)
+		f.urlSection = append(frontCode(f.urls[:16]), 2, 2, '1', '6') // "a/16" sharing "a/" with "a/15"
+	})
 	valid := twoDocFile(nil)
 	flipped := bytes.Clone(valid)
 	flipped[len(flipped)-5] ^= 0x01 // the last weight's top byte: 2 becomes another finite positive
@@ -358,19 +390,28 @@ func hostileFiles() map[string][]byte {
 		"invalid weight +Inf":          weight(math.Inf(1)),
 		"edge 1 (1→9)":                 twoDocFile(func(f *rawFile) { f.targets[1] = 9 }),
 		// What a file can get wrong that a gob message could not.
-		"bad magic 0xb0":        twoDocFile(func(f *rawFile) { f.first = 0xB0 | binaryVersion }),
-		"bad magic 0x70":        twoDocFile(func(f *rawFile) { f.first = 's' }),
-		"version 2, this build": twoDocFile(func(f *rawFile) { f.first = binaryMagic | 2 }),
-		"checksum mismatch":     flipped,
+		"bad magic 0xb0":                twoDocFile(func(f *rawFile) { f.first = 0xB0 | binaryVersion }),
+		"bad magic 0x70":                twoDocFile(func(f *rawFile) { f.first = 's' }),
+		"version 1, this build reads 2": twoDocFile(func(f *rawFile) { f.first = binaryMagic | 1 }),
+		"checksum mismatch":             flipped,
 		"site name lengths disagree": twoDocFile(func(f *rawFile) {
 			f.claim = func(_, _, _, nameBytes, _ *uint64) { *nameBytes = 5 }
 		}),
-		"URL lengths disagree": twoDocFile(func(f *rawFile) {
-			f.claim = func(_, _, _, _, urlBytes *uint64) { *urlBytes = 4 }
+		"URLs: unexpected EOF": twoDocFile(func(f *rawFile) {
+			f.claim = func(_, _, _, _, urlBytes *uint64) { *urlBytes = 1000 }
 		}),
-		"numDocs = 4294967296, more than": rawFile{claim: func(_, nd, _, _, _ *uint64) { *nd = 1 << 32 }}.bytes()[:binaryHeaderLen],
-		"document sites: unexpected EOF":  rawFile{claim: func(_, nd, _, _, _ *uint64) { *nd = 1<<32 - 1 }}.bytes()[:binaryHeaderLen],
-		"numEdges is 1099511627776":       rawFile{claim: func(_, _, ne, _, _ *uint64) { *ne = 1 << 40 }}.bytes()[:binaryHeaderLen],
+		// The URL section's own checks, one row each.
+		"URL 1: truncated varint":                        urlSection(0, 3, 'a', '/', '0', 0x82),
+		"URL 1: overlong varint":                         urlSection(0, 3, 'a', '/', '0', 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01),
+		"URL 1 shares 4 bytes of a 3-byte predecessor":   urlSection(0, 3, 'a', '/', '0', 4, 0),
+		"URL 16 shares 2 bytes at a restart":             restarted,
+		"URL 1: its 9-byte suffix runs past the section": urlSection(0, 3, 'a', '/', '0', 2, 9, '1'),
+		"holds 1 URLs, numDocs is 2":                     urlSection(0, 3, 'a', '/', '0'),
+		"holds 3 URLs, numDocs is 2":                     urlSection(0, 3, 'a', '/', '0', 2, 1, '1', 2, 1, '2'),
+		"2 bytes left over after its 2 URLs":             urlSection(0, 3, 'a', '/', '0', 2, 1, '1', 0, 5),
+		"numDocs = 4294967296, more than":                rawFile{claim: func(_, nd, _, _, _ *uint64) { *nd = 1 << 32 }}.bytes()[:binaryHeaderLen],
+		"document sites: unexpected EOF":                 rawFile{claim: func(_, nd, _, _, _ *uint64) { *nd = 1<<32 - 1 }}.bytes()[:binaryHeaderLen],
+		"numEdges is 1099511627776":                      rawFile{claim: func(_, _, ne, _, _ *uint64) { *ne = 1 << 40 }}.bytes()[:binaryHeaderLen],
 		"edge targets: unexpected EOF": twoDocFile(func(f *rawFile) {
 			f.degrees[0], f.degrees[1] = math.MaxUint32, math.MaxUint32
 			f.claim = func(_, _, ne, _, _ *uint64) { *ne = 2 * math.MaxUint32 }

@@ -2,15 +2,18 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // FuzzReadText hardens the text graph parser: arbitrary input must never
 // panic, and any input it accepts must produce a valid DocGraph that
-// round-trips through WriteText.
+// round-trips through WriteText to the same graph, every URL and site name
+// included.
 func FuzzReadText(f *testing.F) {
 	f.Add("# empty\n")
 	f.Add("site 0 a.example\ndoc 0 0 http://a.example/\n")
@@ -37,10 +40,7 @@ func FuzzReadText(f *testing.F) {
 		if rerr != nil {
 			t.Fatalf("round-trip re-read failed: %v\nserialized: %q", rerr, buf.String())
 		}
-		if back.NumDocs() != dg.NumDocs() || back.NumSites() != dg.NumSites() {
-			t.Fatalf("round-trip changed shape: %d/%d docs, %d/%d sites",
-				dg.NumDocs(), back.NumDocs(), dg.NumSites(), back.NumSites())
-		}
+		assertSameDocGraph(t, dg, back)
 	})
 }
 
@@ -69,6 +69,21 @@ func FuzzDecodeBinary(f *testing.F) {
 		f.Add(mutated)
 		f.Add(valid[:len(valid)/2])
 	}
+	// A URL section with three restarts, an empty URL, and a URL shorter
+	// than the prefix its predecessor shares with the one before.
+	fronted := &DocGraph{G: NewDigraph(0), Sites: []Site{{Name: "a.example"}}}
+	for _, url := range []string{"http://a.example/x/y/z", "http://a.example/x/y/w", "http://a", ""} {
+		fronted.AddDoc(url, 0)
+	}
+	for d := 0; d < 36; d++ {
+		fronted.AddDoc(fmt.Sprintf("http://a.example/p%d", d%7), 0)
+	}
+	fronted.G.AddLink(1, 2)
+	var frontedFile bytes.Buffer
+	if err := EncodeBinary(&frontedFile, fronted); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(frontedFile.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x01, 0x02})
 	for _, data := range hostileFiles() {
@@ -91,9 +106,10 @@ func FuzzDecodeBinary(f *testing.F) {
 		if verr := dg.Validate(); verr != nil {
 			t.Fatalf("accepted file fails Validate: %v", verr)
 		}
-		// A document takes 12 bytes of file and 40 of graph (a 24-byte
-		// Doc, an 8-byte row offset, an 8-byte roster entry), an edge 12
-		// and 12, a site 4 and 40.
+		// A document takes at least 10 bytes of file and about 21 of
+		// graph (its site, a row offset, a roster entry, a share of the
+		// restart index) beside URL bytes that are the same in both, an
+		// edge 12 and 12, a site 4 and 40.
 		if got := docGraphFootprint(dg); got > 64*len(data) {
 			t.Fatalf("a %d-byte file decoded into %d bytes of graph", len(data), got)
 		}
@@ -102,10 +118,7 @@ func FuzzDecodeBinary(f *testing.F) {
 
 // docGraphFootprint sums the bytes of every array reachable from dg.
 func docGraphFootprint(dg *DocGraph) int {
-	n := cap(dg.Docs)*24 + cap(dg.Sites)*40
-	for _, doc := range dg.Docs {
-		n += len(doc.URL)
-	}
+	n := cap(dg.site)*4 + cap(dg.urls) + cap(dg.restarts)*8 + cap(dg.local)*4 + cap(dg.Sites)*40
 	for _, site := range dg.Sites {
 		n += len(site.Name) + cap(site.Docs)*8
 	}
@@ -133,10 +146,11 @@ func digraphFootprint(g *Digraph) int {
 // independent deep copy receiving the same operation sequence, and any
 // divergence (the clone drifting from its reference, or a clone mutation
 // leaking into the parent) fails. The digraphs sit under document graphs
-// that grow by appended documents and sites, and after every step
-// LocalOf must name every document's place in its roster on both sides:
-// the local column is shared and extended the way Docs and the rosters
-// are.
+// that grow by AddDoc, in old sites and new ones, and after every step
+// each side's URL and SiteOf must give back every document it added and
+// no other — AddDoc on one side never shows on the other — and LocalOf
+// must name every document's place in its roster: the columns, the URL
+// arena and the rosters are shared clipped and extended on both sides.
 func FuzzCloneCOW(f *testing.F) {
 	f.Add([]byte{4, 2, 0, 1, 1, 2, 0, 0, 1, 1, 1, 0})
 	f.Add([]byte{8, 3, 0, 1, 1, 2, 2, 3, 2, 0, 5, 3, 1, 6, 3, 0, 0})
@@ -183,10 +197,16 @@ func FuzzCloneCOW(f *testing.F) {
 		// Three sites over the nodes, one roster not ascending; a parent
 		// whose column is derived shares it with the clone, one without
 		// leaves each side to derive its own.
-		parentDocs := &DocGraph{G: parent, Docs: make([]Doc, nodes), Sites: make([]Site, 3)}
-		for d := range parentDocs.Docs {
-			parentDocs.Docs[d].Site = SiteID(d % 3)
-			parentDocs.Sites[d%3].Docs = append(parentDocs.Sites[d%3].Docs, DocID(d))
+		type added struct {
+			url  string
+			site SiteID
+		}
+		var parentAdded []added
+		parentDocs := &DocGraph{G: parent, Sites: make([]Site, 3)}
+		for d := range nodes {
+			a := added{fmt.Sprintf("http://s%d.example/%d", d%3, d), SiteID(d % 3)}
+			parentDocs.AddDoc(a.url, a.site)
+			parentAdded = append(parentAdded, a)
 		}
 		r := parentDocs.Sites[1].Docs
 		r[0], r[len(r)-1] = r[len(r)-1], r[0]
@@ -200,12 +220,32 @@ func FuzzCloneCOW(f *testing.F) {
 		refCow := parent.Clone()
 		refCow.Dedupe()
 		refParent := parent.Clone()
-		// grow appends a document to site s, a new one if one past the
-		// last, and mirrors its node and link onto the reference.
-		grow := func(dg *DocGraph, ref *Digraph, s int) {
-			d := appendDoc(dg, SiteID(s))
-			ref.EnsureNodes(len(dg.Docs))
+		cowAdded := slices.Clip(parentAdded)
+		// grow adds a document to site s, a new one if one past the last,
+		// under a URL of depth path segments — so that one URL may be a
+		// prefix of the one before it, or longer, or share nothing — and
+		// mirrors its node and link onto the reference and the model.
+		grow := func(dg *DocGraph, ref *Digraph, model *[]added, s, depth int) {
+			if s == len(dg.Sites) {
+				dg.Sites = append(dg.Sites, Site{Name: fmt.Sprintf("new%d.example", s)})
+			}
+			a := added{"http://" + dg.Sites[s].Name + "/" + strings.Repeat("p/", depth), SiteID(s)}
+			d := dg.AddDoc(a.url, a.site)
+			dg.G.AddLink(int(d), int(dg.Sites[s].Docs[0]))
+			ref.EnsureNodes(dg.NumDocs())
 			ref.AddLink(int(d), int(dg.Sites[s].Docs[0]))
+			*model = append(*model, a)
+		}
+		checkAdded := func(what string, dg *DocGraph, model []added) {
+			t.Helper()
+			if dg.NumDocs() != len(model) {
+				t.Fatalf("%s: %d documents, added %d", what, dg.NumDocs(), len(model))
+			}
+			for d, a := range model {
+				if got, s := dg.URL(DocID(d)), dg.SiteOf(DocID(d)); got != a.url || s != a.site {
+					t.Fatalf("%s: doc %d is %q in site %d, added %q in site %d", what, d, got, s, a.url, a.site)
+				}
+			}
 		}
 
 		for len(data) >= 3 {
@@ -214,7 +254,7 @@ func FuzzCloneCOW(f *testing.F) {
 			w := float64(1 + sel%5)
 			switch {
 			case sel&0x40 != 0 && sel&1 == 0:
-				grow(cowDocs, refCow, from%(len(cowDocs.Sites)+1))
+				grow(cowDocs, refCow, &cowAdded, from%(len(cowDocs.Sites)+1), to)
 			case sel&0x40 != 0:
 				// The rosters the clone took are its to append to (they
 				// are shared unclipped: one writer); the parent grows by
@@ -223,7 +263,7 @@ func FuzzCloneCOW(f *testing.F) {
 				if s > 3 && from%2 == 0 {
 					s--
 				}
-				grow(parentDocs, refParent, s)
+				grow(parentDocs, refParent, &parentAdded, s, to)
 			}
 			switch sel % 4 {
 			case 0:
@@ -241,6 +281,8 @@ func FuzzCloneCOW(f *testing.F) {
 			}
 			checkLocalColumn(t, "clone", cowDocs)
 			checkLocalColumn(t, "parent", parentDocs)
+			checkAdded("clone", cowDocs, cowAdded)
+			checkAdded("parent", parentDocs, parentAdded)
 		}
 		for what, dg := range map[string]*DocGraph{"clone": cowDocs, "parent": parentDocs} {
 			if err := dg.Validate(); err != nil {

@@ -9,6 +9,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // Text format, one record per line:
@@ -19,18 +20,30 @@ import (
 //	edge <fromDoc> <toDoc> [weight]
 //
 // IDs must be dense and ascending within their record type, which keeps the
-// format trivially streamable and diff-friendly.
+// format trivially streamable and diff-friendly. A record is split into
+// fields at whitespace, so a name or URL is its remaining fields joined by
+// single spaces.
 
-// WriteText serializes dg in the text format.
+// WriteText serializes dg in the text format. It refuses a site name or
+// URL that ReadText would not give back unchanged — an empty one, or one
+// with whitespace other than single spaces between words — naming the
+// site or document.
 func WriteText(w io.Writer, dg *DocGraph) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# lmmrank docgraph: %d sites, %d docs, %d edges\n",
 		dg.NumSites(), dg.NumDocs(), dg.G.NumEdges())
 	for s, site := range dg.Sites {
+		if !survivesText(site.Name) {
+			return fmt.Errorf("graph: site %d: name %q would not read back from the text format", s, site.Name)
+		}
 		fmt.Fprintf(bw, "site %d %s\n", s, site.Name)
 	}
-	for d, doc := range dg.Docs {
-		fmt.Fprintf(bw, "doc %d %d %s\n", d, doc.Site, doc.URL)
+	for d, s := range dg.site {
+		url := dg.URL(DocID(d))
+		if !survivesText(url) {
+			return fmt.Errorf("graph: doc %d: URL %q would not read back from the text format", d, url)
+		}
+		fmt.Fprintf(bw, "doc %d %d %s\n", d, s, url)
 	}
 	var werr error
 	dg.G.EachEdgeAll(func(from int, e Edge) {
@@ -47,6 +60,16 @@ func WriteText(w io.Writer, dg *DocGraph) error {
 		return fmt.Errorf("graph: writing edges: %w", werr)
 	}
 	return bw.Flush()
+}
+
+// survivesText reports whether ReadText gives s back as WriteText writes
+// it: non-empty, and equal to its whitespace-separated fields joined by
+// single spaces.
+func survivesText(s string) bool {
+	if !strings.ContainsFunc(s, unicode.IsSpace) {
+		return s != ""
+	}
+	return strings.Join(strings.Fields(s), " ") == s
 }
 
 // ReadText parses the text format back into a DocGraph.
@@ -78,18 +101,14 @@ func ReadText(r io.Reader) (*DocGraph, error) {
 				return nil, fmt.Errorf("graph: line %d: doc needs id, site and url", lineNo)
 			}
 			id, err := strconv.Atoi(fields[1])
-			if err != nil || id != len(dg.Docs) {
+			if err != nil || id != dg.NumDocs() {
 				return nil, fmt.Errorf("graph: line %d: doc id %q not dense-ascending", lineNo, fields[1])
 			}
 			siteID, err := strconv.Atoi(fields[2])
 			if err != nil || siteID < 0 || siteID >= len(dg.Sites) {
 				return nil, fmt.Errorf("graph: line %d: invalid site id %q", lineNo, fields[2])
 			}
-			url := strings.Join(fields[3:], " ")
-			d := DocID(len(dg.Docs))
-			dg.Docs = append(dg.Docs, Doc{URL: url, Site: SiteID(siteID)})
-			dg.Sites[siteID].Docs = append(dg.Sites[siteID].Docs, d)
-			dg.G.EnsureNodes(len(dg.Docs))
+			dg.AddDoc(strings.Join(fields[3:], " "), SiteID(siteID))
 		case "edge":
 			if len(fields) < 3 {
 				return nil, fmt.Errorf("graph: line %d: edge needs from and to", lineNo)
@@ -107,7 +126,7 @@ func ReadText(r io.Reader) (*DocGraph, error) {
 					return nil, fmt.Errorf("graph: line %d: bad edge weight %q", lineNo, fields[3])
 				}
 			}
-			if from < 0 || from >= len(dg.Docs) || to < 0 || to >= len(dg.Docs) {
+			if nd := dg.NumDocs(); from < 0 || from >= nd || to < 0 || to >= nd {
 				return nil, fmt.Errorf("graph: line %d: edge (%d→%d) references unknown doc", lineNo, from, to)
 			}
 			dg.G.AddEdge(from, to, w)
@@ -134,8 +153,11 @@ func ReadText(r io.Reader) (*DocGraph, error) {
 //	numSites × uint32   length of each site name
 //	nameBytes           the site names back to back
 //	numDocs × uint32    site of each document
-//	numDocs × uint32    length of each URL
-//	urlBytes            the URLs back to back
+//	urlBytes            the URLs, front-coded in document order (the
+//	                    DocGraph's own arena, see AddDoc): per URL
+//	                    uvarint(prefix shared with the previous URL),
+//	                    uvarint(length of the rest), then the rest;
+//	                    nothing shared at every restartEvery-th URL
 //	numDocs × uint32    out-degree of each document
 //	numEdges × uint32   edge targets, row after row
 //	numEdges × float64  edge weights in the same order, IEEE-754 bits verbatim
@@ -147,16 +169,14 @@ func ReadText(r io.Reader) (*DocGraph, error) {
 // The checksum detects corruption; it does not authenticate the file.
 const (
 	binaryMagic     = 0xD0 // high nibble of byte 0
-	binaryVersion   = 0x01 // low nibble of byte 0
+	binaryVersion   = 0x02 // low nibble of byte 0
 	binaryHeaderLen = 1 + 5*8
 
 	// readAhead is how far past the bytes actually received a section's
 	// buffer may start out; from there it grows to at most eight times
 	// what has arrived. A header's counts alone never size an allocation.
 	readAhead = 128 << 10
-	// pieceBytes sizes the scratch the URL block and the edge columns
-	// stream through, and so the arena chunk a run of URLs shares: keeping
-	// one Doc.URL alive pins at most this much (or that one URL, if longer).
+	// pieceBytes sizes the scratch the fixed-width columns stream through.
 	pieceBytes = 64 << 10
 )
 
@@ -171,15 +191,11 @@ func EncodeBinary(w io.Writer, dg *DocGraph) error {
 		return err
 	}
 	// Every count and length but the header's totals is a uint32 in the file.
-	var nameBytes, urlBytes uint64
-	widest := max(len(dg.Sites), len(dg.Docs))
+	var nameBytes uint64
+	widest := max(len(dg.Sites), dg.NumDocs())
 	for _, site := range dg.Sites {
 		nameBytes += uint64(len(site.Name))
 		widest = max(widest, len(site.Name))
-	}
-	for _, doc := range dg.Docs {
-		urlBytes += uint64(len(doc.URL))
-		widest = max(widest, len(doc.URL))
 	}
 	nd := dg.G.NumNodes()
 	for d := 0; d < nd; d++ {
@@ -197,25 +213,20 @@ func EncodeBinary(w io.Writer, dg *DocGraph) error {
 	u64 := func(v uint64) { bw.Write(le.AppendUint64(field[:0], v)) }
 	bw.WriteByte(binaryMagic | binaryVersion)
 	u64(uint64(len(dg.Sites)))
-	u64(uint64(len(dg.Docs)))
+	u64(uint64(dg.NumDocs()))
 	u64(uint64(dg.G.NumEdges()))
 	u64(nameBytes)
-	u64(urlBytes)
+	u64(uint64(len(dg.urls)))
 	for _, site := range dg.Sites {
 		u32(uint32(len(site.Name)))
 	}
 	for _, site := range dg.Sites {
 		bw.WriteString(site.Name)
 	}
-	for _, doc := range dg.Docs {
-		u32(uint32(doc.Site))
+	for _, s := range dg.site {
+		u32(s)
 	}
-	for _, doc := range dg.Docs {
-		u32(uint32(len(doc.URL)))
-	}
-	for _, doc := range dg.Docs {
-		bw.WriteString(doc.URL)
-	}
+	bw.Write(dg.urls)
 	for d := 0; d < nd; d++ {
 		u32(uint32(dg.G.degree(d)))
 	}
@@ -313,6 +324,46 @@ func (br *binaryReader) text(n int, what string) (string, error) {
 	return string(b[:n]), nil
 }
 
+// urlRestarts checks that urls is exactly nd entries, each one whole,
+// sharing no more than its predecessor's length and nothing at a restart,
+// and returns their restart index.
+func urlRestarts(urls []byte, nd int) ([]int, error) {
+	restarts := make([]int, 0, (nd+restartEvery-1)/restartEvery)
+	p, prev := 0, uint64(0)
+	for d := 0; d < nd; d++ {
+		if p == len(urls) {
+			return nil, fmt.Errorf("graph: binary URL section holds %d URLs, numDocs is %d", d, nd)
+		}
+		if d%restartEvery == 0 {
+			restarts = append(restarts, p)
+		}
+		shared, suffix, next, err := urlEntry(urls, p)
+		switch {
+		case err != nil:
+			return nil, fmt.Errorf("graph: binary URL %d: %w", d, err)
+		case shared != 0 && d%restartEvery == 0:
+			return nil, fmt.Errorf("graph: binary URL %d shares %d bytes at a restart", d, shared)
+		case shared > prev:
+			return nil, fmt.Errorf("graph: binary URL %d shares %d bytes of a %d-byte predecessor", d, shared, prev)
+		}
+		p, prev = next, shared+uint64(len(suffix))
+	}
+	// Whole entries past the last are URLs the header does not count;
+	// anything else is stray bytes.
+	extra := 0
+	for q := p; q < len(urls); extra++ {
+		_, _, next, err := urlEntry(urls, q)
+		if err != nil {
+			return nil, fmt.Errorf("graph: binary URL section has %d bytes left over after its %d URLs", len(urls)-p, nd)
+		}
+		q = next
+	}
+	if extra > 0 {
+		return nil, fmt.Errorf("graph: binary URL section holds %d URLs, numDocs is %d", nd+extra, nd)
+	}
+	return restarts, nil
+}
+
 // sumUint32 adds up a column; at most 2³² entries below 2³² cannot wrap.
 func sumUint32(col []byte) uint64 {
 	var sum uint64
@@ -327,14 +378,15 @@ func sumUint32(col []byte) uint64 {
 // can index, lengths that agree with the header, site and endpoint
 // ranges, weights positive and finite — then the checksum, then
 // Validate; nothing is allocated on the say-so of a count whose bytes
-// have not arrived. Docs, each site roster and the adjacency are built
-// once at their exact size, and URLs are substrings of arena chunks of
-// about pieceBytes. The adjacency is the file's own three columns — the
-// out-degrees summed into row offsets, the targets filled as their
-// section arrives, the weights (allocated once the targets are in: twice
-// their bytes) through the scratch piece — handed to the graph as its
-// packed base: no Edge, no per-row header, and a later AddEdge copies the
-// row it appends to (see Digraph). A file whose rows are all strictly
+// have not arrived. The site column, each site roster and the adjacency
+// are built once at their exact size; the URL section, every entry
+// checked (urlRestarts), is the graph's URL arena as it stands. The
+// adjacency is the file's own three columns — the out-degrees summed into
+// row offsets, the targets filled as their section arrives, the weights
+// (allocated once the targets are in: twice their bytes) through the
+// scratch piece — handed to the graph as its packed base: no Edge, no
+// per-row header, and a later AddEdge copies the row it appends to (see
+// Digraph). A file whose rows are all strictly
 // ascending — any that EncodeBinary wrote from a deduplicated graph — is
 // packed as it stands; any other has its rows sorted and merged here,
 // before the graph sees them.
@@ -387,51 +439,31 @@ func DecodeBinary(r io.Reader) (*DocGraph, error) {
 		p += n
 	}
 
-	col, err := br.section(4*nd, "document sites")
+	site, err := br.column(nd, "document sites")
 	if err != nil {
 		return nil, err
 	}
 	siteSize := make([]int, ns)
-	for d := 0; d < nd; d++ {
-		s := le.Uint32(col[4*d:])
+	for d, s := range site {
 		if uint64(s) >= uint64(ns) {
 			return nil, fmt.Errorf("graph: binary doc %d has invalid site %d", d, s)
 		}
 		siteSize[s]++
 	}
-	docs := make([]Doc, nd)
 	for s, n := range siteSize {
 		sites[s].Docs = make([]DocID, 0, n)
 	}
-	for d := range docs {
-		s := SiteID(le.Uint32(col[4*d:]))
-		docs[d].Site = s
+	for d, s := range site {
 		sites[s].Docs = append(sites[s].Docs, DocID(d))
 	}
 
-	if lens, err = br.section(4*nd, "URL lengths"); err != nil {
+	urls, err := br.section(urlBytes, "URLs")
+	if err != nil {
 		return nil, err
 	}
-	if sum := sumUint32(lens); sum != uint64(urlBytes) {
-		return nil, fmt.Errorf("graph: binary URL lengths disagree with the header: they sum to %d, urlBytes is %d", sum, urlBytes)
-	}
-	for d := 0; d < nd; {
-		// One arena chunk: the run of URLs from d that fits a piece (at
-		// least one, so a longer URL gets a chunk to itself).
-		end, n := d, 0
-		for end < nd && (end == d || n+int(le.Uint32(lens[4*end:])) <= pieceBytes) {
-			n += int(le.Uint32(lens[4*end:]))
-			end++
-		}
-		chunk, err := br.text(n, "URLs")
-		if err != nil {
-			return nil, err
-		}
-		for p := 0; d < end; d++ {
-			l := int(le.Uint32(lens[4*d:]))
-			docs[d].URL = chunk[p : p+l]
-			p += l
-		}
+	restarts, err := urlRestarts(urls, nd)
+	if err != nil {
+		return nil, err
 	}
 
 	deg, err := br.section(4*nd, "out-degrees")
@@ -491,7 +523,7 @@ func DecodeBinary(r io.Reader) (*DocGraph, error) {
 	if !ascending {
 		p.mergeRows()
 	}
-	dg := &DocGraph{G: &Digraph{base: p, deduped: true}, Docs: docs, Sites: sites}
+	dg := &DocGraph{G: &Digraph{base: p, deduped: true}, Sites: sites, site: site, urls: urls, restarts: restarts}
 	if err := dg.Validate(); err != nil {
 		return nil, err
 	}

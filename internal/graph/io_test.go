@@ -89,7 +89,7 @@ func TestDecodeBinaryMergesUnsortedRows(t *testing.T) {
 			return row{slices.Insert(r.to, 1, r.to[1]), slices.Insert(r.w, 1, r.w[1])}
 		},
 	} {
-		src := &DocGraph{G: want.G.Clone(), Docs: want.Docs, Sites: want.Sites}
+		src := &DocGraph{G: want.G.Clone(), Sites: want.Sites, site: want.site, urls: want.urls, restarts: want.restarts}
 		to, w := src.G.row(long)
 		src.G.setRow(long, disorder(row{to, w}.clone()))
 		var file bytes.Buffer
@@ -120,9 +120,9 @@ func assertSameDocGraph(t *testing.T, a, b *DocGraph) {
 		t.Fatalf("shape: %d/%d docs, %d/%d sites",
 			a.NumDocs(), b.NumDocs(), a.NumSites(), b.NumSites())
 	}
-	for d := range a.Docs {
-		if a.Docs[d] != b.Docs[d] {
-			t.Fatalf("doc %d: %+v vs %+v", d, a.Docs[d], b.Docs[d])
+	for d := range a.NumDocs() {
+		if ua, ub := a.URL(DocID(d)), b.URL(DocID(d)); ua != ub || a.site[d] != b.site[d] {
+			t.Fatalf("doc %d: %q in site %d vs %q in site %d", d, ua, a.site[d], ub, b.site[d])
 		}
 	}
 	for s := range a.Sites {
@@ -150,6 +150,53 @@ func assertSameDocGraph(t *testing.T, a, b *DocGraph) {
 				t.Fatalf("node %d edge %d: %+v vs %+v", i, k, ea[k], eb[k])
 			}
 		}
+	}
+}
+
+// TestWriteTextRefusesWhatDoesNotReadBack: ReadText splits a record at
+// whitespace and joins a name or URL back with single spaces, so WriteText
+// refuses — naming the site or document — every string that would come
+// back changed or make the file unreadable, and writes the rest verbatim.
+func TestWriteTextRefusesWhatDoesNotReadBack(t *testing.T) {
+	tests := []struct {
+		name, site, url string
+		want            string // the error names it; "" means the graph reads back
+	}{
+		{"a single inner space", "a b", "http://a/x y", ""},
+		{"a tab in a URL", "a", "http://a/x\ty", "doc 0"},
+		{"a run of spaces in a URL", "a", "http://a/x  y", "doc 0"},
+		{"a leading space in a URL", "a", " http://a/", "doc 0"},
+		{"a trailing space in a URL", "a", "http://a/ ", "doc 0"},
+		{"a newline in a URL", "a", "http://a/\nsite 1 b", "doc 0"},
+		{"a carriage return in a URL", "a", "http://a/\r", "doc 0"},
+		{"a no-break space in a URL", "a", "http://a/x\u00a0y", "doc 0"},
+		{"an empty URL", "a", "", "doc 0"},
+		{"a tab in a site name", "a\tb", "http://a/", "site 0"},
+		{"a trailing space in a site name", "a ", "http://a/", "site 0"},
+		{"a newline in a site name", "a\nb", "http://a/", "site 0"},
+		{"an empty site name", "", "http://a/", "site 0"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			dg := &DocGraph{G: NewDigraph(0), Sites: []Site{{Name: tt.site}}}
+			dg.AddDoc(tt.url, 0)
+			var buf bytes.Buffer
+			err := WriteText(&buf, dg)
+			if tt.want != "" {
+				if err == nil || !strings.Contains(err.Error(), tt.want) {
+					t.Fatalf("WriteText: err = %v, want one naming %q", err, tt.want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("WriteText: %v", err)
+			}
+			back, err := ReadText(&buf)
+			if err != nil {
+				t.Fatalf("ReadText: %v", err)
+			}
+			assertSameDocGraph(t, dg, back)
+		})
 	}
 }
 
@@ -278,7 +325,7 @@ func TestSiteGraphAggregationQuick(t *testing.T) {
 		sb := SiteID(rng.Intn(dg.NumSites()))
 		var brute float64
 		dg.G.EachEdgeAll(func(from int, e Edge) {
-			if dg.Docs[from].Site == sa && dg.Docs[e.To].Site == sb {
+			if dg.SiteOf(DocID(from)) == sa && dg.SiteOf(DocID(e.To)) == sb {
 				brute += e.Weight
 			}
 		})

@@ -17,22 +17,19 @@ func checkLocalColumn(t *testing.T, what string, dg *DocGraph) {
 			}
 		}
 	}
-	if len(dg.local) != len(dg.Docs) {
-		t.Fatalf("%s: column covers %d of %d documents", what, len(dg.local), len(dg.Docs))
+	if len(dg.local) != dg.NumDocs() {
+		t.Fatalf("%s: column covers %d of %d documents", what, len(dg.local), dg.NumDocs())
 	}
 }
 
 // appendDoc appends one document to site s of dg (a new site when s is
-// one past the last), the way a GraphDelta.Apply does: by appending to
-// Docs, to the roster and to the digraph, and overwriting nothing.
+// one past the last), the way a GraphDelta.Apply does: by AddDoc, and
+// overwriting nothing.
 func appendDoc(dg *DocGraph, s SiteID) DocID {
-	d := DocID(len(dg.Docs))
 	if int(s) == len(dg.Sites) {
 		dg.Sites = append(dg.Sites, Site{Name: fmt.Sprintf("new%d.example", s)})
 	}
-	dg.Docs = append(dg.Docs, Doc{URL: fmt.Sprintf("http://%s/late%d", dg.Sites[s].Name, d), Site: s})
-	dg.Sites[s].Docs = append(dg.Sites[s].Docs, d)
-	dg.G.EnsureNodes(len(dg.Docs))
+	d := dg.AddDoc(fmt.Sprintf("http://%s/late%d", dg.Sites[s].Name, dg.NumDocs()), s)
 	dg.G.AddLink(int(d), int(dg.Sites[s].Docs[0]))
 	return d
 }
@@ -85,8 +82,8 @@ func TestLocalColumnFollowsCloneHistory(t *testing.T) {
 			sub, _ := clone.LocalSubgraph(SiteID(s))
 			sameDigraph(t, sub, mapLocalSubgraph(clone, SiteID(s)))
 		}
-		if len(parent.local) != len(before) || len(parent.Docs) != len(before) {
-			t.Fatalf("%s: the parent's column grew to %d (docs %d), was %d", e.name, len(parent.local), len(parent.Docs), len(before))
+		if len(parent.local) != len(before) || parent.NumDocs() != len(before) {
+			t.Fatalf("%s: the parent's column grew to %d (docs %d), was %d", e.name, len(parent.local), parent.NumDocs(), len(before))
 		}
 		for d, want := range before {
 			if parent.local[d] != want {
@@ -107,14 +104,13 @@ func TestLocalColumnFollowsCloneHistory(t *testing.T) {
 func TestLocalSubgraphAllocsIndependentOfWeb(t *testing.T) {
 	const web, small = 120_000, 10
 	for _, ascending := range []bool{true, false} {
-		dg := &DocGraph{G: NewDigraph(web), Docs: make([]Doc, web), Sites: []Site{{Name: "small"}, {Name: "rest"}}}
-		for d := range dg.Docs {
+		dg := &DocGraph{G: NewDigraph(web), Sites: []Site{{Name: "small"}, {Name: "rest"}}}
+		for d := range web {
 			s := SiteID(1)
 			if d%(web/small) == 7 {
 				s = 0
 			}
-			dg.Docs[d].Site = s
-			dg.Sites[s].Docs = append(dg.Sites[s].Docs, DocID(d))
+			dg.AddDoc("", s)
 		}
 		roster := dg.Sites[0].Docs
 		if len(roster) != small {

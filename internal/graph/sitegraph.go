@@ -94,7 +94,7 @@ func (a *siteRowAccumulator) row(dg *DocGraph, s SiteID, opts SiteGraphOptions) 
 	for _, d := range dg.Sites[s].Docs {
 		tos, ws := dg.G.row(int(d))
 		for k, e := range tos {
-			to := dg.Docs[e].Site
+			to := SiteID(dg.site[e])
 			if opts.DropSelfLoops && to == s {
 				continue
 			}

@@ -199,17 +199,15 @@ func undedupedWeb(rng *rand.Rand, nSites, nDocs int) *graph.DocGraph {
 		g.AddLink(from, rng.Intn(nDocs))
 		g.AddLink(from, rng.Intn(nDocs)) // extra parallel edges
 	}
-	docs := make([]graph.Doc, nDocs)
-	sites := make([]graph.Site, nSites)
-	for s := range sites {
-		sites[s].Name = fmt.Sprintf("s%d.example", s)
+	dg := &graph.DocGraph{G: g, Sites: make([]graph.Site, nSites)}
+	for s := range dg.Sites {
+		dg.Sites[s].Name = fmt.Sprintf("s%d.example", s)
 	}
-	for d := range docs {
+	for d := range nDocs {
 		s := d % nSites
-		docs[d] = graph.Doc{URL: fmt.Sprintf("http://s%d.example/p%d", s, d), Site: graph.SiteID(s)}
-		sites[s].Docs = append(sites[s].Docs, graph.DocID(d))
+		dg.AddDoc(fmt.Sprintf("http://s%d.example/p%d", s, d), graph.SiteID(s))
 	}
-	return &graph.DocGraph{G: g, Docs: docs, Sites: sites}
+	return dg
 }
 
 // Regression for the latent data race: the parallel pipelines used to

@@ -354,14 +354,20 @@ func copyLinks(b *graph.Builder, dg *graph.DocGraph) {
 	})
 }
 
+// copyDocs returns a builder holding dg's documents under their DocIDs.
+func copyDocs(dg *graph.DocGraph) *graph.Builder {
+	b := graph.NewBuilder()
+	for d := range graph.DocID(dg.NumDocs()) {
+		b.AddDocInSite(dg.URL(d), dg.Sites[dg.SiteOf(d)].Name)
+	}
+	return b
+}
+
 // rebuildWithNewSite reconstructs dg with one extra site appended. The
 // builder assigns new DocIDs after the existing ones, so earlier sites'
 // rosters keep their shape.
 func rebuildWithNewSite(dg *graph.DocGraph) *graph.DocGraph {
-	b := graph.NewBuilder()
-	for _, doc := range dg.Docs {
-		b.AddDocInSite(doc.URL, dg.Sites[doc.Site].Name)
-	}
+	b := copyDocs(dg)
 	copyLinks(b, dg)
 	n1 := b.AddDocInSite("http://newpeer.example/", "newpeer.example")
 	n2 := b.AddDocInSite("http://newpeer.example/about", "newpeer.example")
@@ -375,10 +381,7 @@ func rebuildWithNewSite(dg *graph.DocGraph) *graph.DocGraph {
 
 // rebuildWithExtraDoc reconstructs dg with one extra document in site s.
 func rebuildWithExtraDoc(dg *graph.DocGraph, s graph.SiteID) *graph.DocGraph {
-	b := graph.NewBuilder()
-	for _, doc := range dg.Docs {
-		b.AddDocInSite(doc.URL, dg.Sites[doc.Site].Name)
-	}
+	b := copyDocs(dg)
 	copyLinks(b, dg)
 	extra := b.AddDocInSite(
 		fmt.Sprintf("http://%s/extra-page", dg.Sites[s].Name), dg.Sites[s].Name)

@@ -212,9 +212,9 @@ func randomWeb(rng *rand.Rand, nSites, nDocs int) *graph.DocGraph {
 }
 
 func docIDByURL(dg *graph.DocGraph, url string) (graph.DocID, bool) {
-	for d, doc := range dg.Docs {
-		if doc.URL == url {
-			return graph.DocID(d), true
+	for d := range graph.DocID(dg.NumDocs()) {
+		if dg.URL(d) == url {
+			return d, true
 		}
 	}
 	return 0, false

@@ -27,7 +27,7 @@ func SyntheticCorpus(web *webgen.Web, seed int64) *Index {
 		topicOf[graph.SiteID(s)] = fmt.Sprintf("topic%03d", s)
 	}
 
-	for d := range web.Graph.Docs {
+	for d := range web.Graph.NumDocs() {
 		doc := graph.DocID(d)
 		site := web.Graph.SiteOf(doc)
 		topic := topicOf[site]

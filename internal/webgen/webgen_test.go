@@ -50,8 +50,11 @@ func TestGenerateDeterministic(t *testing.T) {
 	if a.Graph.G.NumEdges() != b.Graph.G.NumEdges() {
 		t.Fatalf("edge counts differ: %d vs %d", a.Graph.G.NumEdges(), b.Graph.G.NumEdges())
 	}
-	for d := range a.Graph.Docs {
-		if a.Graph.Docs[d] != b.Graph.Docs[d] {
+	sameDoc := func(x, y *graph.DocGraph, d graph.DocID) bool {
+		return x.URL(d) == y.URL(d) && x.SiteOf(d) == y.SiteOf(d)
+	}
+	for d := range a.Graph.NumDocs() {
+		if !sameDoc(a.Graph, b.Graph, graph.DocID(d)) {
 			t.Fatalf("doc %d differs", d)
 		}
 		if a.Class[d] != b.Class[d] {
@@ -65,8 +68,8 @@ func TestGenerateDeterministic(t *testing.T) {
 		other.Graph.NumDocs() == a.Graph.NumDocs() {
 		// Sizes may coincide; require at least some doc difference.
 		same := true
-		for d := range a.Graph.Docs {
-			if a.Graph.Docs[d] != other.Graph.Docs[d] {
+		for d := range a.Graph.NumDocs() {
+			if !sameDoc(a.Graph, other.Graph, graph.DocID(d)) {
 				same = false
 				break
 			}
@@ -129,11 +132,12 @@ func TestURLNamingMatchesPaperPatterns(t *testing.T) {
 	cfg.Seed = 9
 	w := Generate(cfg)
 	var sawWebdriver, sawJavadoc bool
-	for _, doc := range w.Graph.Docs {
-		if strings.Contains(doc.URL, "/research/Webdriver?") {
+	for d := range w.Graph.NumDocs() {
+		url := w.Graph.URL(graph.DocID(d))
+		if strings.Contains(url, "/research/Webdriver?") {
 			sawWebdriver = true
 		}
-		if strings.Contains(doc.URL, "jdk1.4/docs/api/") {
+		if strings.Contains(url, "jdk1.4/docs/api/") {
 			sawJavadoc = true
 		}
 	}

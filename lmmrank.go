@@ -326,8 +326,9 @@ func WriteGraph(w io.Writer, dg *DocGraph) error { return graph.WriteText(w, dg)
 
 // ReadGraphBinary reads a graph file — the checked, fixed-width
 // little-endian format of docs/ARCHITECTURE.md, "The graph file" —
-// consuming exactly the file's bytes from r. The URLs of the result are
-// substrings of shared 64 KiB chunks: keeping one alive keeps its chunk.
+// consuming exactly the file's bytes from r. The result keeps the file's
+// front-coded URL section as its URL arena; DocGraph.URL decodes a fresh
+// string, so keeping a URL keeps nothing of the graph.
 func ReadGraphBinary(r io.Reader) (*DocGraph, error) { return graph.DecodeBinary(r) }
 
 // WriteGraphBinary serializes a DocGraph as a graph file.
@@ -409,7 +410,7 @@ func TopDocs(dg *DocGraph, scores Vector, k int) []DocScore {
 	top := rankutil.TopK(scores, k)
 	out := make([]DocScore, len(top))
 	for i, e := range top {
-		out[i] = DocScore{Doc: DocID(e.Index), URL: dg.Docs[e.Index].URL, Score: e.Score}
+		out[i] = DocScore{Doc: DocID(e.Index), URL: dg.URL(DocID(e.Index)), Score: e.Score}
 	}
 	return out
 }

@@ -157,7 +157,7 @@ func (ix *topkIndex) top(dg *DocGraph, weights Vector, k int) []DocScore {
 	out := make([]DocScore, 0, k)
 	for len(out) < k && h.Len() > 0 {
 		c := heap.Pop(&h).(topkCand)
-		out = append(out, DocScore{Doc: c.doc, URL: dg.Docs[c.doc].URL, Score: c.score})
+		out = append(out, DocScore{Doc: c.doc, URL: dg.URL(c.doc), Score: c.score})
 		if c.cont {
 			h.pushRun(ix.sites[c.site], c.site, c.next, weights[c.site])
 		}
