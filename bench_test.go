@@ -164,9 +164,11 @@ func BenchmarkE7Distributed(b *testing.B) {
 
 // BenchmarkE11AsyncSiteRank compares the barrier-free asynchronous
 // SiteRank protocol (concurrent and seeded-ordered schedules) against
-// the synchronous barrier rounds on the same loopback fleet. Loopback
-// has no straggler, so this measures the protocols' overhead floor;
-// the chaos straggler tests pin the win when a worker is slow.
+// the synchronous barrier rounds, one per exchange or four, on the same
+// loopback fleet. Loopback has no straggler, so this measures the
+// protocols' overhead floor; the chaos straggler tests pin the win when a
+// worker is slow. rounds/op (SiteRankRounds: merges plus barrier rounds
+// in async) and msgs/op are the counts a cold Rank pays.
 func BenchmarkE11AsyncSiteRank(b *testing.B) {
 	web := benchWeb()
 	cfgs := []struct {
@@ -174,6 +176,7 @@ func BenchmarkE11AsyncSiteRank(b *testing.B) {
 		cfg  DistConfig
 	}{
 		{"sync", DistConfig{SiteRank: SiteRankSync, Tol: 1e-9}},
+		{"batched", DistConfig{SiteRank: SiteRankBatched, BatchRounds: 4, Tol: 1e-9}},
 		{"async", DistConfig{SiteRank: SiteRankAsync, Tol: 1e-9}},
 		{"asyncOrdered", DistConfig{SiteRank: SiteRankAsync, AsyncOrdered: true, AsyncSeed: 1, Tol: 1e-9}},
 	}
@@ -184,13 +187,19 @@ func BenchmarkE11AsyncSiteRank(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer cl.Close()
+			var rounds, msgs int
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cl.Coord.Rank(web.Graph, tc.cfg); err != nil {
+				res, err := cl.Coord.Rank(web.Graph, tc.cfg)
+				if err != nil {
 					b.Fatal(err)
 				}
+				rounds += res.Stats.SiteRankRounds
+				msgs += int(res.Stats.Messages)
 			}
+			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+			b.ReportMetric(float64(msgs)/float64(b.N), "msgs/op")
 		})
 	}
 }

@@ -37,7 +37,7 @@
 // -siterank selects the SiteRank mode (docs/ARCHITECTURE.md has the
 // map): "central" (the default) solves the site layer on the
 // coordinator, "sync" iterates it over the fleet one barrier round at
-// a time, "batched" exchanges -batch-rounds power rounds per message,
+// a time, "batched" exchanges -batch-rounds rounds per message,
 // and "async" is the barrier-free protocol (workers sweep continuously,
 // the coordinator merges in arrival order and confirms with synchronous
 // verification rounds); -async-ordered with -async-seed makes its
@@ -82,7 +82,7 @@ func run() error {
 		srMode    = flag.String("siterank", "central", "SiteRank mode: central, sync, batched or async")
 		asyncOrd  = flag.Bool("async-ordered", false, "with -siterank async: deterministic seeded sequential schedule")
 		asyncSeed = flag.Int64("async-seed", 0, "with -async-ordered: seed of the worker-selection schedule")
-		batch     = flag.Int("batch-rounds", 0, "with -siterank batched: SiteRank power rounds per exchange (<=1 = one)")
+		batch     = flag.Int("batch-rounds", 0, "with -siterank batched: SiteRank rounds per exchange (<=1 = one)")
 		failures  = flag.Int("max-worker-failures", 1, "worker losses one run may absorb by reassigning shards (0 = fail on first loss)")
 		redials   = flag.Int("max-redials", 0, "background redial attempts per lost worker (0 = lost workers stay lost)")
 		ckptPath  = flag.String("checkpoint", "", "checkpoint the SiteRank iterate to this file (any -siterank mode but central)")

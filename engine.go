@@ -91,7 +91,7 @@ type Result struct {
 	// Top is the TopK table (nil when Query.TopK <= 0).
 	Top []DocScore
 	// SiteIterations and LocalIterations record solver work: the site
-	// layer's in-place sweeps (or distributed power rounds) and each
+	// layer's in-place sweeps (or distributed point-Jacobi rounds) and each
 	// site's local sweeps.
 	SiteIterations  int
 	LocalIterations []int
@@ -594,7 +594,7 @@ type distWarm struct {
 // DistEngine serves the same queries from a distributed fleet: local
 // DocRanks run on the workers (through the coordinator's shard caches,
 // loss recovery and optional compression), the small site layer runs
-// centrally or as distributed power rounds, and the composed result
+// centrally or as distributed point-Jacobi rounds, and the composed result
 // comes back caller-owned with transport statistics attached. Rank
 // calls are safe for concurrent use — the coordinator serializes runs —
 // but do not overlap on the wire; for query-level concurrency put a

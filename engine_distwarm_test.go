@@ -11,6 +11,9 @@ import (
 	"lmmrank/internal/dist/chaos"
 	"lmmrank/internal/dist/cluster"
 	"lmmrank/internal/dist/wire"
+	"lmmrank/internal/matrix"
+	"lmmrank/internal/pagerank"
+	"lmmrank/internal/webgen"
 )
 
 // sameBits reports whether two vectors are bit-for-bit the same answer.
@@ -112,9 +115,15 @@ func TestDistEngineWarmMatchesCold(t *testing.T) {
 					t.Error("the third answer differs from the second: the warm state was not recorded once")
 				}
 				// Only a uniform two-layer answer is a seed for the next
-				// site solve, and the barrier modes converge from it at once.
-				if sh.name == "uniform" && m.cfg.SiteRank != SiteRankAsync && got[1].SiteIterations > 3 {
+				// site solve, and every mode converges from it at once —
+				// async in the one barrier round it runs before building an
+				// accumulator, which would throw the seed away.
+				if sh.name == "uniform" && got[1].SiteIterations > 3 {
 					t.Errorf("warm site layer took %d iterations (cold %d), want <= 3", got[1].SiteIterations, got[0].SiteIterations)
+				}
+				if st := got[1].Dist; sh.name == "uniform" && m.cfg.SiteRank == SiteRankAsync && (got[1].SiteIterations != 1 || st.AsyncUpdatesMerged != 0) {
+					t.Errorf("warm async site layer took %d rounds and %d merges (cold %d), want one barrier round and none",
+						got[1].SiteIterations, st.AsyncUpdatesMerged, got[0].SiteIterations)
 				}
 			})
 		}
@@ -205,6 +214,84 @@ func TestSiteRankModesMatchCentralOnSelfLoopHeavySites(t *testing.T) {
 			if d := res.DocRank.L1Diff(ref.DocRank); d >= m.tol {
 				t.Errorf("‖dist − local‖₁ = %g, want < %g", d, m.tol)
 			}
+			t.Logf("‖fleet πS − central πS‖₁ = %.2g after %d rounds (central: %d sweeps)",
+				res.SiteRank.L1Diff(ref.SiteRank), res.SiteIterations, ref.SiteIterations)
+		})
+	}
+}
+
+// powerSteps counts the damped power steps matrix.PowerLeft needs on dg's
+// site chain at the default damping and tolerance, from start (nil =
+// uniform) — what a fleet round cost while rounds were power steps.
+func powerSteps(t *testing.T, dg *DocGraph, start Vector) int {
+	t.Helper()
+	op, err := pagerank.NewOperator(DeriveSiteGraph(dg, SiteGraphOptions{}).G.TransitionMatrix(), pagerank.DefaultDamping, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := matrix.PowerLeft(op, matrix.PowerOptions{Start: start})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Iterations
+}
+
+// TestFleetRoundsBeatPowerSteps is TestRankSweepsBeatPowerSteps' fleet
+// twin, on the same webgen web: the fleet's point-Jacobi rounds take at
+// most a third of the power steps the same stop needs — cold, and on the
+// first Rank after a 1-site Update, which starts both from the previous
+// snapshot's πS.
+func TestFleetRoundsBeatPowerSteps(t *testing.T) {
+	gen := webgen.Small()
+	gen.Seed = 24
+	ctx := context.Background()
+	for _, m := range []struct {
+		name string
+		cfg  DistConfig
+	}{
+		{"sync", DistConfig{SiteRank: SiteRankSync}},
+		{"batched", DistConfig{SiteRank: SiteRankBatched, BatchRounds: 4}},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			dg := webgen.Generate(gen).Graph
+			cl, err := StartCluster(3)
+			if err != nil {
+				t.Fatalf("StartCluster: %v", err)
+			}
+			defer cl.Close()
+			eng, err := NewDistEngine(cl, dg, m.cfg)
+			if err != nil {
+				t.Fatalf("NewDistEngine: %v", err)
+			}
+			cold, err := eng.Rank(ctx, Query{})
+			if err != nil {
+				t.Fatalf("cold Rank: %v", err)
+			}
+			coldPower := powerSteps(t, eng.DocGraph(), nil)
+			if 3*cold.SiteIterations > coldPower {
+				t.Errorf("cold: %d rounds, power method %d: want at most a third", cold.SiteIterations, coldPower)
+			}
+
+			site := SiteID(0)
+			for len(dg.Sites[site].Docs) < 3 {
+				site++
+			}
+			err = eng.Update(ctx, GraphDelta{
+				ChangedSites: []SiteID{site},
+				Apply:        func(dg *DocGraph) error { editSite(t, dg, site); return nil },
+			})
+			if err != nil {
+				t.Fatalf("Update: %v", err)
+			}
+			edited, err := eng.Rank(ctx, Query{})
+			if err != nil {
+				t.Fatalf("post-update Rank: %v", err)
+			}
+			editPower := powerSteps(t, eng.DocGraph(), cold.SiteRank)
+			if 3*edited.SiteIterations > editPower {
+				t.Errorf("after a 1-site edit: %d rounds, power method %d: want at most a third", edited.SiteIterations, editPower)
+			}
+			t.Logf("cold %d rounds vs %d power steps, after the edit %d vs %d", cold.SiteIterations, coldPower, edited.SiteIterations, editPower)
 		})
 	}
 }

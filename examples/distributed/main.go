@@ -26,7 +26,7 @@ func main() {
 	workers := flag.Int("workers", 4, "number of worker peers")
 	siteRank := flag.String("siterank", "central",
 		"where the SiteRank is computed: central (on the coordinator), or on the fleet — sync, batched or async")
-	batch := flag.Int("batch-rounds", 4, "power rounds per exchange under -siterank batched")
+	batch := flag.Int("batch-rounds", 4, "SiteRank rounds per exchange under -siterank batched")
 	flag.Parse()
 
 	web := lmmrank.GenerateCampusWeb(lmmrank.CampusWebConfig{
@@ -78,7 +78,7 @@ func main() {
 		fmt.Printf("  local ranks:  %v (computed on the peers)\n", res.Stats.LocalRankDuration.Round(time.Millisecond))
 		fmt.Printf("  siterank:     %v", res.Stats.SiteRankDuration.Round(time.Millisecond))
 		if cfg.SiteRank != lmmrank.SiteRankCentral {
-			fmt.Printf(" (%d distributed power rounds", res.Stats.SiteRankRounds)
+			fmt.Printf(" (%d distributed SiteRank rounds", res.Stats.SiteRankRounds)
 			if res.Stats.BatchMessagesSaved > 0 {
 				fmt.Printf(", batching saved %d messages", res.Stats.BatchMessagesSaved)
 			}

@@ -13,13 +13,16 @@ import (
 )
 
 // soakRedial is the aggressive redial policy the soak runs under: a
-// killed worker is usually back within a few power rounds.
+// killed worker is usually back within a few rounds. A batched SiteRank
+// on the soak web is five exchanges of about 0.1 ms, so a redial that
+// waits a millisecond lands after the run has finished; a tolerance at
+// the float floor (1e-15) adds only five rounds.
 func soakRedial() coordinator.RetryPolicy {
 	return coordinator.RetryPolicy{
 		MaxWorkerFailures: 1,
 		MaxRedials:        500,
-		RedialBase:        time.Millisecond,
-		RedialMax:         5 * time.Millisecond,
+		RedialBase:        100 * time.Microsecond,
+		RedialMax:         time.Millisecond,
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"lmmrank/internal/dist/wire"
 	"lmmrank/internal/matrix"
+	"lmmrank/internal/pagerank"
 )
 
 // This file implements SiteRankAsync, the barrier-free SiteRank mode.
@@ -56,17 +57,20 @@ type asyncUpdate struct {
 	partial  []float64
 	dangling float64
 	mass     float64
+	// x is the snapshot the sweep was taken from — a published iterate,
+	// never written again, so a stored contribution keeps it by reference.
 	// epoch and baseVer identify the accumulator generation and merge
-	// version the sweep's snapshot was taken from.
+	// version it belongs to.
+	x       []float64
 	epoch   uint64
 	baseVer uint64
 	err     error
 }
 
-// asyncSnapshot is what drivers sweep against. The supervisor
-// publishes a freshly allocated one after every merge and never mutates
-// a published iterate, so drivers hand x straight to the encoder
-// without copying.
+// asyncSnapshot is what drivers sweep against. Every merge allocates a
+// fresh iterate and nothing writes one after its merge, so the
+// supervisor publishes the accumulator's own and drivers hand x straight
+// to the encoder without copying.
 type asyncSnapshot struct {
 	x              []float64
 	version, epoch uint64
@@ -78,9 +82,10 @@ type asyncSnapshot struct {
 type asyncAccum struct {
 	r *run
 	f float64
-	// x is the merged iterate, next the merge scratch (swapped).
-	x    matrix.Vector
-	next matrix.Vector
+	// x is the merged iterate: a fresh vector every merge, immutable once
+	// merged. own is the merge's scratch for the self-loop terms.
+	x   matrix.Vector
+	own matrix.Vector
 	// version counts merges across the whole phase (staleness is
 	// measured in versions); last holds each worker's latest sweep of
 	// the current epoch (nil = none yet).
@@ -105,7 +110,7 @@ func newAsyncAccum(r *run, x matrix.Vector) *asyncAccum {
 		r:        r,
 		f:        r.cfg.damping(),
 		x:        x,
-		next:     matrix.NewVector(r.ns),
+		own:      matrix.NewVector(r.ns),
 		last:     make([]*asyncUpdate, n),
 		partials: make([][]float64, n),
 		lastRes:  make([]float64, n),
@@ -114,21 +119,20 @@ func newAsyncAccum(r *run, x matrix.Vector) *asyncAccum {
 }
 
 // merge folds one sweep in and recomputes the iterate over the stored
-// contributions, in fixed worker order:
-//
-//	y = f·Σ_w partial_w + (Σ_w f·dangling_w + (1−f)·mass_w)·v
-//
-// normalized. When every contribution swept the same iterate this is
-// exactly the synchronous update — the owned sites partition the site
-// space, so the per-worker masses partition Σx — and with mixed
-// snapshots it is a chaotic relaxation whose answer the verification
-// rounds confirm.
+// contributions, in fixed worker order: y = Σ_w partial_w, the teleport
+// coefficient Σ_w f·dangling_w + (1−f)·mass_w, and the synchronous
+// round's own pagerank.JacobiStep, each site's self-loop term taken out
+// at the value its owner swept — from that contribution's snapshot. When
+// every contribution swept the same iterate the step reads exactly the
+// synchronous one's — the owned sites partition the site space, so the
+// per-worker masses partition Σx — and with mixed snapshots it is a
+// chaotic relaxation of the same regular splitting, whose answer the
+// verification rounds confirm.
 func (a *asyncAccum) merge(u *asyncUpdate) {
 	a.partials[u.idx] = append(a.partials[u.idx][:0], u.partial...)
 	u.partial = a.partials[u.idx]
 	a.last[u.idx] = u
-	y := a.next
-	y.Fill(0)
+	y := matrix.NewVector(a.r.ns)
 	var coeff float64
 	for _, w := range a.last {
 		if w != nil {
@@ -136,9 +140,17 @@ func (a *asyncAccum) merge(u *asyncUpdate) {
 			coeff += a.f*w.dangling + (1-a.f)*w.mass
 		}
 	}
-	a.r.applyTeleport(y, coeff)
+	// Ownership is fixed within an epoch: site s's row went into y, if at
+	// all, with its owner's last sweep.
+	for s, w := range a.r.owner {
+		a.own[s] = 0
+		if c := a.last[w]; c != nil {
+			a.own[s] = c.x[s]
+		}
+	}
+	pagerank.JacobiStep(y, a.own, a.r.diag, a.f, coeff, a.r.tele)
 	residual := y.L1Diff(a.x)
-	a.x, a.next = y, a.x
+	a.x = y
 	a.version++
 	a.lastRes[u.idx] = residual
 	if math.IsInf(a.resEst, 1) {
@@ -253,7 +265,7 @@ func (r *run) startAsync(x matrix.Vector) *asyncPhase {
 	}
 	a.next, a.stop, a.ack = f.next, f.stop, f.ack
 	a.publish = func() {
-		f.shared.Store(&asyncSnapshot{x: append([]float64(nil), a.acc.x...), version: a.acc.version, epoch: r.c.asyncEpoch})
+		f.shared.Store(&asyncSnapshot{x: a.acc.x, version: a.acc.version, epoch: r.c.asyncEpoch})
 	}
 	a.publish()
 	for _, idx := range r.aliveIdxs() {
@@ -295,7 +307,7 @@ func (a *asyncPhase) passed(idx int) bool {
 // snapshot; a call failure or a malformed response travels in the
 // update's err.
 func (r *run) sweep(idx int, x []float64, version, epoch uint64) *asyncUpdate {
-	u := &asyncUpdate{idx: idx, baseVer: version, epoch: epoch}
+	u := &asyncUpdate{idx: idx, x: x, baseVer: version, epoch: epoch}
 	resp, err := r.exchange(idx, &wire.Request{Kind: wire.KindAsyncUpdate, NumSites: r.ns, X: x, Epoch: epoch})
 	if err == nil {
 		err = r.checkSiteVector(idx, resp.Partial, resp.DanglingMass, resp.Mass)

@@ -15,17 +15,18 @@ import (
 )
 
 // CheckpointState is one saved snapshot of an in-flight distributed
-// SiteRank power iteration: the iterate after Round completed rounds,
-// bound to a digest of the computation that produced it. The digest
-// covers the SiteRank mode, the graph content (every shard digest and
-// the chain), and the numeric parameters, so a resume against a
-// different graph or configuration is detected and refused rather than
-// silently continued into a wrong fixed point.
+// SiteRank iteration: the iterate after Round completed rounds, bound to
+// a digest of the computation that produced it. The digest covers the
+// SiteRank mode and the iteration it runs, the graph content (every
+// shard digest and the chain), and the numeric parameters, so a resume
+// against a different graph, configuration or build arithmetic is
+// detected and refused rather than silently continued into a wrong
+// fixed point.
 type CheckpointState struct {
 	// Digest identifies the computation; see run.checkpointDigest.
 	Digest wire.Digest
-	// Round is how many power rounds — fleet passes, in the asynchronous
-	// mode — the iterate has absorbed.
+	// Round is how many rounds — fleet passes, in the asynchronous mode —
+	// the iterate has absorbed.
 	Round int
 	// X is the iterate itself, exact to the bit (the file checkpoint
 	// stores each float64's bits verbatim, under a checksum), so a resumed
@@ -54,7 +55,7 @@ func (s *CheckpointState) valid() bool {
 	return true
 }
 
-// Checkpoint persists SiteRank power-iteration state so a coordinator
+// Checkpoint persists SiteRank iteration state so a coordinator
 // restart resumes from the last saved round instead of recomputing.
 //
 // Contract: Save replaces the previous snapshot atomically — a reader
@@ -269,25 +270,25 @@ func (r *run) checkpointDigest() wire.Digest {
 		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 		h.Write(buf[:])
 	}
+	// The discriminator names the mode and the iteration it runs. The
+	// ordered schedule gets its own value plus the seed: a resumed ordered
+	// run restarts the schedule, and seeds must not cross-pollinate
+	// through a shared snapshot. Retired values, so that those snapshots
+	// read as foreign: 0, 1, 4, 5 for the power-step rounds, 2 and 3 for
+	// async snapshots whose Round counted merges, not fleet passes.
 	mode := r.cfg.SiteRank
 	switch mode {
 	case SiteRankBatched:
-		writeInt(1)
+		writeInt(7)
 	case SiteRankAsync:
-		// The async discriminators extend the historical 0/1 values, so
-		// pre-async snapshots stay resumable by the modes that wrote
-		// them. The ordered schedule gets its own value plus the seed: a
-		// resumed ordered run restarts the schedule, and seeds must not
-		// cross-pollinate through a shared snapshot. (2 and 3 marked
-		// async snapshots whose Round counted merges, not fleet passes.)
 		if r.cfg.AsyncOrdered {
-			writeInt(5)
+			writeInt(9)
 			writeInt(int(r.cfg.AsyncSeed))
 		} else {
-			writeInt(4)
+			writeInt(8)
 		}
 	default:
-		writeInt(0)
+		writeInt(6)
 	}
 	writeInt(r.ns)
 	writeFloat(r.cfg.damping())

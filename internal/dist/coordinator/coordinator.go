@@ -2,8 +2,8 @@
 // Layered Method (§3.2 run across a fleet): it partitions a DocGraph by
 // site over TCP workers speaking wire's frames, dispatches the per-site
 // local DocRanks to the peers, computes the SiteRank either centrally or
-// by distributed power iteration, and composes the global DocRank by the
-// Partition Theorem.
+// by distributed point-Jacobi rounds, and composes the global DocRank by
+// the Partition Theorem.
 //
 // The runtime is production-shaped along three axes. Fault tolerance:
 // with a RetryPolicy budget, a peer dying mid-run is detected at the
@@ -122,11 +122,11 @@ const (
 	// SiteRankCentral (the zero value) solves the site layer in-process
 	// on the coordinator; the fleet still computes the local DocRanks.
 	SiteRankCentral SiteRankMode = iota
-	// SiteRankSync is the barrier-synchronous distributed power
-	// iteration: every round reduces one partial from every live worker.
+	// SiteRankSync is the barrier-synchronous distributed iteration:
+	// every round reduces one partial from every live worker.
 	SiteRankSync
-	// SiteRankBatched exchanges up to BatchRounds power rounds per
-	// message against a chain replicated on every worker.
+	// SiteRankBatched exchanges up to BatchRounds rounds per message
+	// against a chain replicated on every worker.
 	SiteRankBatched
 	// SiteRankAsync is the barrier-free randomized mode: per-worker
 	// sweeps merge into a versioned accumulator as they arrive, so a
@@ -160,8 +160,11 @@ type Config struct {
 	// damping of exactly 0 cannot be requested, while tiny positive
 	// values are honored as given.
 	Damping float64
-	// Tol and MaxIter bound every power run, local and site-level
-	// (0 = package matrix defaults). SiteRankAsync spends MaxIter on
+	// Tol and MaxIter bound every solve, local and site-level (0 =
+	// package matrix defaults). A solve stops at the first sweep or round
+	// that moves the normalized iterate by at most Tol in L1, which leaves
+	// it within Tol/(1 − f) of the exact answer (Stats.SiteRankRounds
+	// says why). SiteRankAsync spends MaxIter on
 	// fleet passes — stretches of merges in which every live worker's
 	// sweep landed — so the bound follows the slowest worker, as a
 	// synchronous round does, not the rate the others exchange at.
@@ -194,8 +197,8 @@ type Config struct {
 	// CPU that is negligible next to the ranking itself; warm runs ship
 	// no shards either way. Stats records raw vs compressed bytes.
 	Compress bool
-	// BatchRounds asks SiteRankBatched to run up to this many power
-	// rounds per wire exchange (values <= 1 mean one; other modes ignore
+	// BatchRounds asks SiteRankBatched to run up to this many rounds
+	// per wire exchange (values <= 1 mean one; other modes ignore
 	// it). Batching replicates the full normalized site chain onto every
 	// worker at load time — cheap, because the site layer is small (the
 	// paper's point) and the chain is digest-cached like any shard — and
@@ -222,7 +225,7 @@ type Config struct {
 	// Retry controls mid-run fault tolerance; the zero value disables
 	// recovery.
 	Retry RetryPolicy
-	// Checkpoint, when non-nil, persists the distributed SiteRank power
+	// Checkpoint, when non-nil, persists the distributed SiteRank
 	// iteration through the Checkpoint interface every CheckpointEvery
 	// rounds (plus once at convergence-independent points), so a
 	// coordinator killed mid-iteration resumes from the last saved
@@ -328,8 +331,15 @@ type Stats struct {
 	LocalRankDuration time.Duration
 	// SiteRankDuration covers the site-layer computation.
 	SiteRankDuration time.Duration
-	// SiteRankRounds counts power iterations of the site layer
-	// (the central solver's, or the fleet's rounds in the other modes).
+	// SiteRankRounds counts the site layer's iterations: the central
+	// solver's in-place sweeps, or the fleet's point-Jacobi rounds
+	// (SiteRankAsync: merged sweeps plus barrier rounds). The last one
+	// moved the normalized πS by at most Tol in L1, which bounds
+	// ‖πS − π*‖₁ ≤ Tol/(1 − f) against the exact stationary vector. A
+	// round splits the system into P = I − f·D (D the chain's diagonal)
+	// and a nonnegative remainder; both have the column sums
+	// 1 − f·M[s,s] ≥ 1 − f, which is all the argument docs/ARCHITECTURE.md
+	// ("The solve") makes for the in-place sweep needs.
 	SiteRankRounds int
 	// Messages counts request/response exchanges; BytesSent and
 	// BytesReceived count raw bytes across the coordinator's sockets,
@@ -678,6 +688,10 @@ type preparedShards struct {
 	built     []bool
 	chain     *wire.SiteChain
 	chainRef  wire.Digest
+	// diag holds each site's self-loop weight M[s,s] taken from its shard
+	// row (the rows-in-shards shape only): what the coordinator divides
+	// out of every SiteRank round, memoized so a warm run allocates none.
+	diag matrix.Vector
 }
 
 func newPreparedShards(rk *lmm.Ranker, wantRows, withChain bool, ns int) *preparedShards {
@@ -698,7 +712,7 @@ func (p *preparedShards) complete() bool {
 			return false
 		}
 	}
-	return !p.withChain || p.chain != nil
+	return (!p.withChain || p.chain != nil) && (!p.wantRows || p.diag != nil)
 }
 
 // lookupPrep returns the memo entry for the key, moving it to the LRU

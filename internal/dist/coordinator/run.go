@@ -47,6 +47,9 @@ type run struct {
 	// chain is the replicated site chain (round batching only).
 	chain    *wire.SiteChain
 	chainRef wire.Digest
+	// diag is the site chain's diagonal, read from the shard rows (the
+	// row-sharded modes only): the self-loops every round divides out.
+	diag matrix.Vector
 
 	// Fleet view. alive/owner/load change on loss. sessions[idx] is the
 	// ascending site set worker idx's session holds — what this run's
@@ -306,7 +309,7 @@ func (r *run) buildShards() {
 	p := r.c.lookupPrep(r.rk, wantRows, withChain)
 	if p != nil && p.complete() {
 		r.shards, r.refs, r.wireSizes = p.shards, p.refs, p.wireSizes
-		r.chain, r.chainRef = p.chain, p.chainRef
+		r.chain, r.chainRef, r.diag = p.chain, p.chainRef, p.diag
 		return
 	}
 	if p == nil {
@@ -351,8 +354,14 @@ func (r *run) buildShards() {
 		p.chainRef = chain.ContentDigest()
 		r.stats.DigestBytesHashed += chain.DigestInputBytes()
 	}
+	if wantRows {
+		p.diag = matrix.NewVector(r.ns)
+		for s := range p.diag {
+			p.diag[s] = p.shards[s].SelfLoop()
+		}
+	}
 	r.shards, r.refs, r.wireSizes = p.shards, p.refs, p.wireSizes
-	r.chain, r.chainRef = p.chain, p.chainRef
+	r.chain, r.chainRef, r.diag = p.chain, p.chainRef, p.diag
 	if r.memoize {
 		r.c.storePrep(p)
 	}
@@ -863,7 +872,7 @@ func (r *run) localPhase(dg *graph.DocGraph) ([]matrix.Vector, []int, error) {
 		// Re-ship only what the survivors will actually use: sites whose
 		// local ranks are still pending, plus — in the modes where chain
 		// rows ride inside the shards (synchronous unbatched and async) —
-		// every moved site, since the power sweeps will need its row. In
+		// every moved site, since the SiteRank rounds will need its row. In
 		// central and batched modes a completed site's shard is dead
 		// weight and stays unshipped.
 		needRows := r.cfg.SiteRank.rowSharded()

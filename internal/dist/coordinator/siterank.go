@@ -7,23 +7,28 @@ import (
 
 	"lmmrank/internal/dist/wire"
 	"lmmrank/internal/matrix"
+	"lmmrank/internal/pagerank"
 )
 
 // This file is the one SiteRank driver. Every fleet-side mode is the
-// same damped power iteration x' ← x'Mˆ(G_S); the modes differ only in
-// where the site chain lives (row-sharded inside the site shards, or
-// replicated whole on every worker) and in the schedule that advances
-// the iterate (a barrier every round, a barrier every K rounds, or no
-// barrier at all — sweeps merged as they arrive or as a seeded schedule
-// draws them). run.iterate owns what the schedules share; a
-// siteSchedule carries what they do not.
+// same point-Jacobi iteration on (I − f·M′)x = c·v: a round reduces the
+// product x'M(G_S) and pagerank.JacobiStep finishes it, dividing each
+// site's self-loop out. The modes differ only in where the site chain
+// lives (row-sharded inside the site shards, or replicated whole on
+// every worker) and in the schedule that advances the iterate (a barrier
+// every round, a barrier every K rounds, or no barrier at all — sweeps
+// merged as they arrive or as a seeded schedule draws them).
+// run.iterate owns what the schedules share; a siteSchedule carries what
+// they do not. Every schedule answers with a barrier round that moved
+// the iterate by at most Tol, hence within Tol/(1 − f) of the exact
+// πS (Stats.SiteRankRounds).
 
 // siteSchedule is one schedule's contribution to the driver loop.
 type siteSchedule struct {
 	// what and unit word the not-converged error.
 	what, unit string
-	// saveEvery is the checkpoint cadence in the step's units — power
-	// rounds, or fleet passes of merged sweeps (0 = never save).
+	// saveEvery is the checkpoint cadence in the step's units — rounds,
+	// or fleet passes of merged sweeps (0 = never save).
 	saveEvery int
 	// inFlight marks a schedule whose sweeps stay on the wire between
 	// steps. Its step head is no safe point: rejoined workers wait for
@@ -47,37 +52,17 @@ func (r *run) fleetSiteRank() (matrix.Vector, int, error) {
 		return nil, 0, err
 	}
 
-	var s siteSchedule
-	var async *asyncPhase
+	var rounds int
 	switch mode {
 	case SiteRankBatched:
-		s = r.batchedSchedule(x, budget-start)
+		x, rounds, err = r.iterate(r.batchedSchedule(x, budget-start), start, budget, digest)
 	case SiteRankAsync:
-		async = r.startAsync(x)
-		defer async.stop()
-		s = async.schedule()
+		x, rounds, err = r.asyncSiteRank(x, start, budget, digest)
 	default:
-		s = r.barrierSchedule("distributed siterank", x, r.cfg.checkpointEvery())
+		x, rounds, err = r.iterate(r.barrierSchedule("distributed siterank", x, r.cfg.checkpointEvery()), start, budget, digest)
 	}
-	x, rounds, err := r.iterate(s, start, budget, digest)
 	if err != nil {
 		return nil, 0, err
-	}
-	if mode == SiteRankAsync {
-		// A candidate is not an answer. Drain the drivers, retire the
-		// epoch, and iterate the true synchronous operator until the
-		// residual crosses Tol: an optimistic estimate costs extra
-		// rounds, never a wrong result — and the barrier is where
-		// rejoined workers are re-admitted.
-		async.stop()
-		if err := r.asyncDrain(); err != nil {
-			return nil, 0, err
-		}
-		verify := r.barrierSchedule("async siterank verification", x, 0)
-		if x, r.stats.AsyncVerifyRounds, err = r.iterate(verify, 0, budget, digest); err != nil {
-			return nil, 0, err
-		}
-		rounds = r.stats.AsyncUpdatesMerged + r.stats.AsyncVerifyRounds
 	}
 	if ckpt := r.cfg.Checkpoint; ckpt != nil {
 		if err := ckpt.Clear(); err != nil {
@@ -91,9 +76,11 @@ func (r *run) fleetSiteRank() (matrix.Vector, int, error) {
 // cancellation check, re-admission at safe points, the budget (in the
 // step's units, of which a resumed checkpoint already covers start),
 // the checkpoint cadence and the not-converged error. It returns the
-// converged iterate and the units this run executed.
+// converged iterate and the units this run executed — with the
+// not-converged error, the last iterate and the whole budget.
 func (r *run) iterate(s siteSchedule, start, budget int, digest wire.Digest) (matrix.Vector, int, error) {
 	done := start
+	var x matrix.Vector
 	for done < budget {
 		if err := r.ctx.Err(); err != nil {
 			return nil, 0, err
@@ -103,7 +90,10 @@ func (r *run) iterate(s siteSchedule, start, budget int, digest wire.Digest) (ma
 				return nil, 0, err
 			}
 		}
-		x, n, converged, err := s.step()
+		var n int
+		var converged bool
+		var err error
+		x, n, converged, err = s.step()
 		if err != nil {
 			return nil, 0, err
 		}
@@ -117,7 +107,49 @@ func (r *run) iterate(s siteSchedule, start, budget int, digest wire.Digest) (ma
 			}
 		}
 	}
-	return nil, 0, fmt.Errorf("coordinator: %s: %w after %d %s", s.what, matrix.ErrNotConverged, done, s.unit)
+	return x, done - start, fmt.Errorf("coordinator: %s: %w after %d %s", s.what, matrix.ErrNotConverged, done, s.unit)
+}
+
+// asyncSiteRank runs the barrier-free schedule from x and confirms its
+// candidate with barrier rounds; it returns the answer and the merges
+// plus barrier rounds it took.
+func (r *run) asyncSiteRank(x matrix.Vector, start, budget int, digest wire.Digest) (matrix.Vector, int, error) {
+	if start == 0 && len(r.warm.SiteStart) == r.ns {
+		// The accumulator rebuilds its iterate from the workers heard so
+		// far, which throws a seed away. One barrier round first answers
+		// outright when the seed has converged, as in the barrier modes;
+		// a seed that has not is still where the accumulator starts.
+		seeded, n, err := r.iterate(r.barrierSchedule("async siterank seed round", x, 0), 0, 1, digest)
+		r.stats.AsyncVerifyRounds = n
+		if err == nil {
+			return seeded, n, nil
+		}
+		if !errors.Is(err, matrix.ErrNotConverged) {
+			return nil, 0, err
+		}
+		x = seeded
+	}
+	async := r.startAsync(x)
+	defer async.stop()
+	x, _, err := r.iterate(async.schedule(), start, budget, digest)
+	if err != nil {
+		return nil, 0, err
+	}
+	// A candidate is not an answer. Drain the drivers, retire the epoch,
+	// and iterate the true synchronous operator until the residual
+	// crosses Tol: an optimistic estimate costs extra rounds, never a
+	// wrong result — and the barrier is where rejoined workers are
+	// re-admitted.
+	async.stop()
+	if err := r.asyncDrain(); err != nil {
+		return nil, 0, err
+	}
+	x, n, err := r.iterate(r.barrierSchedule("async siterank verification", x, 0), 0, budget, digest)
+	if err != nil {
+		return nil, 0, err
+	}
+	r.stats.AsyncVerifyRounds += n
+	return x, r.stats.AsyncUpdatesMerged + r.stats.AsyncVerifyRounds, nil
 }
 
 // resumeSiteRank seeds the iteration: from a checkpointed snapshot when
@@ -199,32 +231,13 @@ func (r *run) checkSiteVector(idx int, v []float64, scalars ...float64) error {
 	return nil
 }
 
-// applyTeleport finishes one damped update in place, exactly as the
-// central pagerank.Operator does: y holds the summed partial products
-// x'M and coeff the rank-one mass f·dangling + (1−f)·Σx, so
-// y ← f·y + coeff·v with v the (possibly personalized) teleport
-// distribution, normalized.
-func (r *run) applyTeleport(y matrix.Vector, coeff float64) {
-	f := r.cfg.damping()
-	if r.tele == nil {
-		uniform := 1.0 / float64(r.ns)
-		for t := range y {
-			y[t] = f*y[t] + coeff*uniform
-		}
-	} else {
-		for t := range y {
-			y[t] = f*y[t] + coeff*r.tele[t]
-		}
-	}
-	y.Normalize()
-}
-
-// barrierRound computes one synchronous power round over the row
-// shards into y without ever holding M(G_S) product-side: every live
-// worker returns the partial product over the rows it owns plus its
-// dangling mass — N_S floats each way, the paper's small site-layer
-// cost — and the partials reduce in ascending worker order (float
-// determinism). It reports false, with y undefined, when a worker died
+// barrierRound computes one synchronous round over the row shards into
+// y without ever holding M(G_S) product-side: every live worker returns
+// the partial product over the rows it owns plus its dangling mass —
+// N_S floats each way, the paper's small site-layer cost — the partials
+// reduce in ascending worker order (float determinism), and
+// pagerank.JacobiStep finishes the round with the self-loops read from
+// the shard rows. It reports false, with y undefined, when a worker died
 // mid-round: its rows were reassigned, and the round must be redone
 // against the surviving fleet so the reduce covers every row exactly
 // once.
@@ -260,7 +273,7 @@ func (r *run) barrierRound(x, y matrix.Vector) (bool, error) {
 		dangling += resp.DanglingMass
 	}
 	f := r.cfg.damping()
-	r.applyTeleport(y, f*dangling+(1-f)*x.Sum())
+	pagerank.JacobiStep(y, x, r.diag, f, f*dangling+(1-f)*x.Sum(), r.tele)
 	return true, nil
 }
 
@@ -284,9 +297,9 @@ func (r *run) barrierSchedule(what string, x matrix.Vector, saveEvery int) siteS
 
 // batchedSchedule is the replicated chain under a barrier every
 // BatchRounds rounds: each exchange asks one live worker (rotating for
-// load spread) to run up to K damped power rounds against its copy of
-// the chain, so K rounds cost one message instead of K×NumWorkers. A
-// worker dying mid-batch is simply skipped — every peer holds the
+// load spread) to run up to K rounds against its copy of the chain, so
+// K rounds cost one message instead of K×NumWorkers. A worker dying
+// mid-batch is simply skipped — every peer holds the
 // chain, so failover needs no reassignment and the batch restarts from
 // the last confirmed iterate. left is the round budget remaining. One
 // exchange is the save cadence: it already covers up to K rounds, so

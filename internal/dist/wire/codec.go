@@ -21,9 +21,14 @@ import (
 // a []float64 a count followed by one raw block of such floats — float
 // bits cross verbatim. A frame carries no state from earlier frames, so
 // a proxy may relay one without understanding it.
+//
+// The version names the protocol's meaning as well as its layout: 2
+// renumbered the kinds, 3 made KindBatchRounds point-Jacobi rounds, so a
+// mixed-build fleet refuses at the first frame instead of computing two
+// float sequences under one checkpoint digest.
 const (
 	frameMagic   = 0xB0 // high nibble of byte 0
-	frameVersion = 0x02 // low nibble of byte 0
+	frameVersion = 0x03 // low nibble of byte 0
 	headerLen    = 6
 
 	// kindResponse is the header kind of a Response frame; no Request

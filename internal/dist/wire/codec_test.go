@@ -364,7 +364,8 @@ func TestHostileFrames(t *testing.T) {
 	}{
 		{"gob peer", append([]byte{0x4a, 0xff, 0x81, 0x03, 0x01, 0x01}, valid[headerLen:]...), &Request{}, nil, "magic"},
 		{"future version", append([]byte{frameMagic | (frameVersion + 1)}, valid[1:]...), &Request{}, nil, fmt.Sprintf("version %d, this build speaks %d", frameVersion+1, frameVersion)},
-		// A mixed-build fleet: the peer from before the kinds were renumbered.
+		// A mixed-build fleet: the peer from before batched rounds divided
+		// out the self-loop.
 		{"previous version", append([]byte{frameMagic | (frameVersion - 1)}, valid[1:]...), &Request{}, nil, fmt.Sprintf("version %d, this build speaks %d", frameVersion-1, frameVersion)},
 		{"short header", valid[:4], &Request{}, io.ErrUnexpectedEOF, ""},
 		{"truncated payload", valid[:len(valid)-5], &Request{}, io.ErrUnexpectedEOF, ""},
@@ -585,7 +586,7 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add(header(KindLoad, 3))
-	// A frame from a build before the kinds were renumbered, and the two
+	// A frame from the previous protocol version, and the two
 	// messages the declared-session contract refuses one level above the
 	// decoder: a Load naming a site twice, a Missing that is not a set.
 	old := marshal(f, &Request{Kind: KindLoad, NumSites: 3})

@@ -7,7 +7,7 @@
 // the coordinator encodes one Request, the worker decodes it, performs
 // the operation and encodes one Response. Each message is one stateless
 // length-prefixed frame (codec.go has the layout) whose float vectors
-// are raw little-endian blocks, so a SiteRank power round costs the raw
+// are raw little-endian blocks, so a SiteRank round costs the raw
 // float payload plus a few dozen bytes (a vector of N_S values each way
 // — the paper's claim that the site-layer exchange is small), and
 // decoding into a reused destination allocates nothing.
@@ -52,10 +52,11 @@ const (
 	// KindRankLocal computes the local DocRank of loaded sites (all of
 	// them, or the subset listed in Request.Sites).
 	KindRankLocal
-	// KindPowerRound performs one distributed SiteRank power step over
-	// the worker's owned rows of the site transition chain.
+	// KindPowerRound computes the worker's share of one distributed
+	// SiteRank round: the partial product of the iterate with the
+	// worker's owned rows of the site transition chain.
 	KindPowerRound
-	// KindBatchRounds runs up to Request.Rounds damped SiteRank power
+	// KindBatchRounds runs up to Request.Rounds SiteRank point-Jacobi
 	// rounds locally on the worker against its replicated site chain and
 	// returns the resulting iterate — round batching, trading one larger
 	// chain shipment at load time for K× fewer SiteRank exchanges.
@@ -100,7 +101,7 @@ type Edge struct {
 // SiteShard is one site's slice of the distributed computation: its
 // local document subgraph G^s_d (the input of the worker-side DocRank)
 // and its row of the site-level transition chain M(G_S) (the input of
-// the distributed SiteRank power iteration).
+// the distributed SiteRank rounds).
 type SiteShard struct {
 	// Site is the SiteID in the coordinator's DocGraph.
 	Site int
@@ -131,7 +132,7 @@ type ShardRef struct {
 // SiteChain is the full row-normalized site transition matrix M(G_S) in
 // CSR form: row s spans Cols/Vals[RowPtr[s]:RowPtr[s+1]], an empty span
 // marking a dangling site. It is shipped to workers when round batching
-// is on, so a worker can run whole damped power rounds locally.
+// is on, so a worker can run whole SiteRank rounds locally.
 type SiteChain struct {
 	NumSites int
 	RowPtr   []int
@@ -183,7 +184,7 @@ type Request struct {
 	// loaded site) — the coordinator re-ranks only reassigned sites after
 	// a worker loss.
 	Sites []int
-	// Rounds asks KindBatchRounds for up to this many power rounds.
+	// Rounds asks KindBatchRounds for up to this many rounds.
 	Rounds int
 	// Epoch versions the asynchronous accumulator generation for
 	// KindAsyncUpdate and KindAsyncAck. Epochs only move forward on a
@@ -219,7 +220,7 @@ type Response struct {
 	// same signal for the site chain.
 	Missing      []int
 	MissingChain bool
-	// X is the iterate after KindBatchRounds ran Rounds power rounds;
+	// X is the iterate after KindBatchRounds ran Rounds rounds;
 	// Residual is the last L1 step size and Converged whether it crossed
 	// the tolerance (in which case Rounds may be fewer than asked).
 	// Rounds doubles as KindAsyncAck's drained sweep count.
@@ -491,6 +492,34 @@ func (c *SiteChain) ContentDigest() Digest {
 		d.writeFloat(v)
 	}
 	return d.sum()
+}
+
+// SelfLoop returns M[Site, Site], the weight the shard's chain row keeps on
+// its own site — bit for bit the value a worker multiplies, and what a
+// SiteRank round divides out (pagerank.JacobiStep).
+func (s *SiteShard) SelfLoop() float64 {
+	return selfLoop(s.Site, s.RowCols, s.RowVals)
+}
+
+// Diagonal returns the chain's self-loop weights M[s,s], one per site.
+func (c *SiteChain) Diagonal() []float64 {
+	diag := make([]float64, c.NumSites)
+	for s := range diag {
+		lo, hi := c.RowPtr[s], c.RowPtr[s+1]
+		diag[s] = selfLoop(s, c.Cols[lo:hi], c.Vals[lo:hi])
+	}
+	return diag
+}
+
+// selfLoop sums the entries of one chain row that point back at site s.
+func selfLoop(s int, cols []int, vals []float64) float64 {
+	var w float64
+	for k, col := range cols {
+		if col == s {
+			w += vals[k]
+		}
+	}
+	return w
 }
 
 // DigestInputBytes returns how many bytes ContentDigest feeds through

@@ -79,10 +79,12 @@ type shardCache struct {
 	maxChains int
 }
 
-// chainEntry pairs a validated site chain with its digest.
+// chainEntry is a validated site chain under its digest, with the
+// self-loop weights every batched round divides out, taken once.
 type chainEntry struct {
 	digest wire.Digest
 	chain  *wire.SiteChain
+	diag   matrix.Vector
 }
 
 func newShardCache() *shardCache {
@@ -134,7 +136,7 @@ func (c *shardCache) addShard(e *cacheEntry) *cacheEntry {
 }
 
 // lookupChain returns the cached chain for digest (touching LRU) or nil.
-func (c *shardCache) lookupChain(d wire.Digest) *wire.SiteChain {
+func (c *shardCache) lookupChain(d wire.Digest) *chainEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.chains[d]
@@ -142,23 +144,26 @@ func (c *shardCache) lookupChain(d wire.Digest) *wire.SiteChain {
 		return nil
 	}
 	c.chainLRU.MoveToFront(el)
-	return el.Value.(*chainEntry).chain
+	return el.Value.(*chainEntry)
 }
 
-// addChain caches a validated chain, keeping at most maxChains.
-func (c *shardCache) addChain(d wire.Digest, chain *wire.SiteChain) {
+// addChain caches a chain entry, keeping at most maxChains. An entry
+// already cached under the same digest is returned instead, as addShard
+// does.
+func (c *shardCache) addChain(e *chainEntry) *chainEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.chains[d]; ok {
+	if el, ok := c.chains[e.digest]; ok {
 		c.chainLRU.MoveToFront(el)
-		return
+		return el.Value.(*chainEntry)
 	}
-	c.chains[d] = c.chainLRU.PushFront(&chainEntry{digest: d, chain: chain})
+	c.chains[e.digest] = c.chainLRU.PushFront(e)
 	for c.chainLRU.Len() > c.maxChains {
 		oldest := c.chainLRU.Back()
 		c.chainLRU.Remove(oldest)
 		delete(c.chains, oldest.Value.(*chainEntry).digest)
 	}
+	return e
 }
 
 // gauges reports the cache's current occupancy for Stats.

@@ -1,8 +1,8 @@
 // Package worker implements the peer side of the distributed Layered
 // Method: a TCP server speaking wire's frames that hosts site shards,
 // computes their local DocRanks with the same kernels as the in-process
-// pipeline, and answers SiteRank power rounds — one row-partition step
-// at a time, or whole batches of rounds against a replicated site chain
+// pipeline, and answers SiteRank rounds — one row-partition product at
+// a time, or whole batches of rounds against a replicated site chain
 // — the paper's Web server participating in decentralized ranking.
 //
 // A session is what its connection's last KindLoad declared; nothing
@@ -59,10 +59,9 @@ type shard struct {
 type session struct {
 	shards   map[int]*shard
 	numSites int
-	// chain is the replicated site chain for KindBatchRounds under its
-	// content digest, nil unless the last Load declared one.
-	chain       *wire.SiteChain
-	chainDigest wire.Digest
+	// chain is the replicated site chain for KindBatchRounds, with its
+	// digest and diagonal; nil unless the last Load declared one.
+	chain *chainEntry
 	// totalDocs is the aggregate hosted document count, which every Load
 	// bounds by wire.MaxShardDocs; since a Load replaces the session, the
 	// bound on one declaration is the bound on the session.
@@ -533,19 +532,17 @@ func (w *Worker) handleLoad(sess *session, req *wire.Request) *wire.Response {
 			return &wire.Response{Err: "worker: " + err.Error()}
 		}
 	}
-	var chain *wire.SiteChain
-	chainDigest := req.ChainDigest
+	var chain *chainEntry
 	if req.Chain != nil {
 		if err := validateChain(req.Chain, req.NumSites); err != nil {
 			return &wire.Response{Err: "worker: " + err.Error()}
 		}
-		chain, chainDigest = req.Chain, req.Chain.ContentDigest()
-		w.cache.addChain(chainDigest, chain)
+		chain = w.cache.addChain(&chainEntry{digest: req.Chain.ContentDigest(), chain: req.Chain, diag: req.Chain.Diagonal()})
 	} else if req.HasChain {
-		if chain = sess.chain; chain == nil || sess.chainDigest != chainDigest {
-			chain = w.cache.lookupChain(chainDigest)
+		if chain = sess.chain; chain == nil || chain.digest != req.ChainDigest {
+			chain = w.cache.lookupChain(req.ChainDigest)
 		}
-		if chain == nil || chain.NumSites != req.NumSites {
+		if chain == nil || chain.chain.NumSites != req.NumSites {
 			chain = nil
 			resp.MissingChain = true
 		}
@@ -554,7 +551,7 @@ func (w *Worker) handleLoad(sess *session, req *wire.Request) *wire.Response {
 		delete(next, site)
 	}
 	sess.shards, sess.numSites, sess.totalDocs = next, req.NumSites, totalDocs
-	sess.chain, sess.chainDigest = chain, chainDigest
+	sess.chain = chain
 	sess.sorted = nil
 	return resp
 }
@@ -599,24 +596,39 @@ func handleRankLocal(sess *session, req *wire.Request) *wire.Response {
 	return &wire.Response{Local: out}
 }
 
-// handlePowerRound computes this worker's contribution to one SiteRank
-// power step: partial[t] = Σ_{s owned} x[s]·M(G_S)[s,t], plus the
-// iterate mass on owned dangling rows. The coordinator sums partials
-// across the fleet and applies the damping/teleport correction, so the
-// distributed iteration reproduces the central Mˆ power method.
-func handlePowerRound(sess *session, req *wire.Request) *wire.Response {
+// checkIterate is the one request validator of the SiteRank handlers: the
+// iterate must span the session's site space and be finite. A NaN or an
+// infinity never meets a stop test — a batch would burn its whole round
+// budget on one before answering — so it is refused up front, alike in
+// every handler.
+func checkIterate(sess *session, req *wire.Request, what string) error {
 	if req.NumSites != sess.numSites {
-		return &wire.Response{Err: fmt.Sprintf("worker: power round over %d sites but %d loaded",
-			req.NumSites, sess.numSites)}
+		return fmt.Errorf("worker: %s over %d sites but %d loaded", what, req.NumSites, sess.numSites)
 	}
-	shards := sess.sortedShards()
-
 	if len(req.X) != req.NumSites {
-		return &wire.Response{Err: fmt.Sprintf("worker: iterate length %d vs %d sites", len(req.X), req.NumSites)}
+		return fmt.Errorf("worker: iterate length %d vs %d sites", len(req.X), req.NumSites)
+	}
+	for s, v := range req.X {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("worker: %s iterate is not finite (%g at site %d)", what, v, s)
+		}
+	}
+	return nil
+}
+
+// handlePowerRound computes this worker's share of one SiteRank round:
+// partial[t] = Σ_{s owned} x[s]·M(G_S)[s,t], self-loops included, plus
+// the iterate mass on owned dangling rows. The coordinator sums partials
+// across the fleet and finishes the round (pagerank.JacobiStep, which
+// divides each site's self-loop out), so the distributed iteration needs
+// nothing from a worker but its rows.
+func handlePowerRound(sess *session, req *wire.Request) *wire.Response {
+	if err := checkIterate(sess, req, "power round"); err != nil {
+		return &wire.Response{Err: err.Error()}
 	}
 	partial := zeroed(&sess.partial, req.NumSites)
 	var dangling float64
-	for _, sh := range shards {
+	for _, sh := range sess.sortedShards() {
 		xs := req.X[sh.site]
 		if len(sh.entry.rowCols) == 0 {
 			dangling += xs
@@ -635,26 +647,14 @@ func handlePowerRound(sess *session, req *wire.Request) *wire.Response {
 // row-partition arithmetic of handlePowerRound plus the iterate mass on
 // the owned sites — the asynchronous merge combines partials taken from
 // different snapshots, so each contribution must carry its own mass for
-// the teleport coefficient instead of relying on a shared Σx. The
-// iterate is additionally checked finite: asynchronous iterates are
-// merged under accumulator state the coordinator keeps across sweeps,
-// where a NaN would propagate silently instead of failing a reduce.
+// the teleport coefficient instead of relying on a shared Σx.
 func handleAsyncUpdate(sess *session, req *wire.Request) *wire.Response {
 	if req.Epoch < sess.asyncEpoch {
 		return &wire.Response{Err: fmt.Sprintf("worker: async sweep for drained epoch %d (current %d)",
 			req.Epoch, sess.asyncEpoch)}
 	}
-	if req.NumSites != sess.numSites {
-		return &wire.Response{Err: fmt.Sprintf("worker: async sweep over %d sites but %d loaded",
-			req.NumSites, sess.numSites)}
-	}
-	if len(req.X) != req.NumSites {
-		return &wire.Response{Err: fmt.Sprintf("worker: iterate length %d vs %d sites", len(req.X), req.NumSites)}
-	}
-	for _, v := range req.X {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return &wire.Response{Err: "worker: async sweep iterate is not finite"}
-		}
+	if err := checkIterate(sess, req, "async sweep"); err != nil {
+		return &wire.Response{Err: err.Error()}
 	}
 	if req.Epoch > sess.asyncEpoch {
 		sess.asyncEpoch = req.Epoch
@@ -698,25 +698,21 @@ func handleAsyncAck(sess *session, req *wire.Request) *wire.Response {
 // generous next to matrix.DefaultMaxIter but finite for hostile peers.
 const maxBatchRounds = 1 << 20
 
-// handleBatchRounds runs up to req.Rounds damped SiteRank power rounds
-// against the session's replicated chain, stopping early on
-// convergence. Each round applies exactly the arithmetic of the
-// coordinator's unbatched reduce — y = f·(x'M) + (f·danglingMass +
-// (1−f)·Σx)·v with v uniform, then L1 normalization — so batched and
-// unbatched runs agree to summation-order rounding (<1e-9), while K
-// rounds cost one exchange instead of K.
+// handleBatchRounds runs up to req.Rounds SiteRank rounds against the
+// session's replicated chain, stopping early on convergence. A round is
+// the coordinator's unbatched one on the whole chain — the product x'M,
+// then pagerank.JacobiStep with the chain's diagonal (taken once, at
+// load) and the teleport coefficient f·danglingMass + (1−f)·Σx — so
+// batched and unbatched runs agree to summation-order rounding (<1e-9),
+// while K rounds cost one exchange instead of K.
 func handleBatchRounds(sess *session, req *wire.Request) *wire.Response {
 	if sess.chain == nil {
 		return &wire.Response{Err: "worker: batch rounds without a loaded site chain"}
 	}
-	if req.NumSites != sess.numSites {
-		return &wire.Response{Err: fmt.Sprintf("worker: batch rounds over %d sites but %d loaded",
-			req.NumSites, sess.numSites)}
+	if err := checkIterate(sess, req, "batch rounds"); err != nil {
+		return &wire.Response{Err: err.Error()}
 	}
 	ns := req.NumSites
-	if len(req.X) != ns {
-		return &wire.Response{Err: fmt.Sprintf("worker: iterate length %d vs %d sites", len(req.X), ns)}
-	}
 	if req.Rounds < 1 || req.Rounds > maxBatchRounds {
 		return &wire.Response{Err: fmt.Sprintf("worker: round budget %d outside [1, %d]", req.Rounds, maxBatchRounds)}
 	}
@@ -726,6 +722,9 @@ func handleBatchRounds(sess *session, req *wire.Request) *wire.Response {
 	}
 	if !(f > 0 && f < 1) {
 		return &wire.Response{Err: fmt.Sprintf("worker: damping %g outside (0,1)", f)}
+	}
+	if !(req.Tol >= 0) {
+		return &wire.Response{Err: fmt.Sprintf("worker: tolerance %g is not a non-negative number", req.Tol)}
 	}
 	tol := req.Tol
 	if tol == 0 {
@@ -755,8 +754,7 @@ func handleBatchRounds(sess *session, req *wire.Request) *wire.Response {
 			tele[i] = v / sum
 		}
 	}
-	chain := sess.chain
-	uniform := 1.0 / float64(ns)
+	chain, diag := sess.chain.chain, sess.chain.diag
 	x := matrix.Vector(req.X)
 	next := zeroed(&sess.next, ns)
 	var (
@@ -778,17 +776,7 @@ func handleBatchRounds(sess *session, req *wire.Request) *wire.Response {
 				next[chain.Cols[k]] += xs * chain.Vals[k]
 			}
 		}
-		coeff := f*dangMass + (1-f)*x.Sum()
-		if tele == nil {
-			for t := range next {
-				next[t] = f*next[t] + coeff*uniform
-			}
-		} else {
-			for t := range next {
-				next[t] = f*next[t] + coeff*tele[t]
-			}
-		}
-		next.Normalize()
+		pagerank.JacobiStep(next, x, diag, f, f*dangMass+(1-f)*x.Sum(), tele)
 		residual = next.L1Diff(x)
 		x, next = next, x
 		rounds = r

@@ -142,6 +142,33 @@ func TestMalformedRequests(t *testing.T) {
 		t.Errorf("after refused loads the session ranks %d sites (err %q), want none", len(resp.Local), resp.Err)
 	}
 
+	// On a loaded session, the SiteRank handlers refuse a malformed
+	// iterate alike. A non-finite one never meets a stop test, nor does a
+	// NaN or negative Tol: a batch would burn its whole round budget on
+	// either before answering.
+	if resp := roundTrip(t, enc, dec, fourSiteLoad()); resp.Err != "" {
+		t.Fatalf("load: %s", resp.Err)
+	}
+	x := []float64{0.25, 0.25, 0.25, 0.25}
+	nan := []float64{0.25, math.NaN(), 0.25, 0.25}
+	inf := []float64{0.25, 0.25, math.Inf(1), 0.25}
+	for _, tc := range []struct {
+		name string
+		req  wire.Request
+	}{
+		{"power round over a NaN", wire.Request{Kind: wire.KindPowerRound, NumSites: 4, X: nan}},
+		{"power round over an infinity", wire.Request{Kind: wire.KindPowerRound, NumSites: 4, X: inf}},
+		{"batch rounds over a NaN", wire.Request{Kind: wire.KindBatchRounds, NumSites: 4, X: nan, Rounds: maxBatchRounds}},
+		{"batch rounds over an infinity", wire.Request{Kind: wire.KindBatchRounds, NumSites: 4, X: inf, Rounds: maxBatchRounds}},
+		{"batch rounds to a negative Tol", wire.Request{Kind: wire.KindBatchRounds, NumSites: 4, X: x, Rounds: maxBatchRounds, Tol: -1e-9}},
+		{"batch rounds to a NaN Tol", wire.Request{Kind: wire.KindBatchRounds, NumSites: 4, X: x, Rounds: maxBatchRounds, Tol: math.NaN()}},
+		{"async sweep over a NaN", wire.Request{Kind: wire.KindAsyncUpdate, NumSites: 4, X: nan, Epoch: 1}},
+	} {
+		if resp := roundTrip(t, enc, dec, &tc.req); resp.Err == "" {
+			t.Errorf("%s: worker accepted it after %d rounds", tc.name, resp.Rounds)
+		}
+	}
+
 	// The connection must survive all of the above.
 	if resp := roundTrip(t, enc, dec, &wire.Request{Kind: wire.KindPing}); resp.Err != "" {
 		t.Errorf("ping after malformed requests: %s", resp.Err)

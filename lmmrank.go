@@ -114,7 +114,7 @@ type (
 const (
 	// SiteRankCentral solves the site chain on the coordinator.
 	SiteRankCentral = coordinator.SiteRankCentral
-	// SiteRankSync runs barrier-synchronous distributed power rounds.
+	// SiteRankSync runs barrier-synchronous distributed SiteRank rounds.
 	SiteRankSync = coordinator.SiteRankSync
 	// SiteRankBatched runs multiple distributed rounds per barrier.
 	SiteRankBatched = coordinator.SiteRankBatched
