@@ -9,8 +9,6 @@
 //	         [-siterank central|sync|batched|async] [-batch-rounds 4]
 //	         [-async-ordered] [-async-seed 42]
 //	         [-partition host|balanced|aggregate] [-partition-seed 0]
-//	         [-repartition-threshold 0.1]
-//	         [-tenant-quota 16] [-coalesce-tol 1e-6]
 //	         [-max-worker-failures 1] [-max-redials 0]
 //	         [-checkpoint siterank.ckpt] [-resume] [-runs 2]
 //	         [-compress] [-timeout 30s]
@@ -21,15 +19,8 @@
 // strongly linked sites to minimize cut edges (seeded by
 // -partition-seed); each run prints its cut-edge quality — and
 // declared to the workers by content digest, so with -runs > 1
-// every run after the first ships near-zero shard bytes.
-// -repartition-threshold records the cut-drift trigger in the run
-// config; it takes effect when the same config serves an updating
-// DistEngine (one-shot lmmcoord runs have no churn to react to).
-// -tenant-quota and -coalesce-tol are serving knobs of the same kind:
-// they record the per-tenant admission cap and the similarity tolerance
-// for query coalescing, consumed when the config serves a DistEngine
-// (a one-shot run admits exactly one query).
-// -max-worker-failures lets a
+// every run after the first ships near-zero shard bytes and, handed the
+// previous run's digests, hashes none. -max-worker-failures lets a
 // run survive peers dying mid-flight (their shards are reassigned);
 // -max-redials additionally redials lost peers in the background with
 // jittered exponential backoff and re-admits them mid-run, rebalancing
@@ -89,10 +80,7 @@ func run() error {
 		resume    = flag.Bool("resume", false, "resume the SiteRank iteration from the checkpoint file")
 		partName  = flag.String("partition", "balanced", "site placement strategy: host, balanced or aggregate")
 		partSeed  = flag.Int64("partition-seed", 0, "seed for the aggregate strategy's label propagation")
-		repartThr = flag.Float64("repartition-threshold", 0, "cut-fraction drift that triggers an online repartition when this config serves an updating engine (0 = disabled)")
-		tenantQ   = flag.Int("tenant-quota", 0, "per-tenant concurrent-query cap when this config serves a DistEngine (0 = no per-tenant cap)")
-		coalTol   = flag.Float64("coalesce-tol", 0, "similarity tolerance for query coalescing when this config serves a DistEngine (0 = exact-match only)")
-		runs      = flag.Int("runs", 1, "repeat the ranking; runs after the first hit the workers' shard caches")
+		runs      = flag.Int("runs", 1, "repeat the ranking; runs after the first hit the workers' shard caches and hash no shard")
 		compress  = flag.Bool("compress", false, "flate-compress shard payloads on the wire")
 		timeout   = flag.Duration("timeout", 0, "deadline per ranking run (0 = none); propagates into every worker exchange")
 	)
@@ -173,16 +161,13 @@ func run() error {
 	fmt.Printf("precomputed ranking structure in %v\n", time.Since(prepStart).Round(time.Millisecond))
 
 	cfg := coordinator.Config{
-		Damping:              *damping,
-		SiteRank:             mode,
-		AsyncOrdered:         *asyncOrd,
-		AsyncSeed:            *asyncSeed,
-		BatchRounds:          *batch,
-		Compress:             *compress,
-		Partition:            strat,
-		RepartitionThreshold: *repartThr,
-		TenantQuota:          *tenantQ,
-		CoalesceTol:          *coalTol,
+		Damping:      *damping,
+		SiteRank:     mode,
+		AsyncOrdered: *asyncOrd,
+		AsyncSeed:    *asyncSeed,
+		BatchRounds:  *batch,
+		Compress:     *compress,
+		Partition:    strat,
 		Retry: coordinator.RetryPolicy{
 			MaxWorkerFailures: *failures,
 			MaxRedials:        *redials,
@@ -199,6 +184,7 @@ func run() error {
 		cfg.Checkpoint = ckpt
 	}
 	var res *coordinator.Result
+	var known coordinator.Warm
 	for run := 1; run <= *runs; run++ {
 		start := time.Now()
 		ctx := context.Background()
@@ -206,11 +192,12 @@ func run() error {
 		if *timeout > 0 {
 			ctx, cancel = context.WithTimeout(ctx, *timeout)
 		}
-		res, err = coord.RankPreparedCtx(ctx, rk, cfg, coordinator.Warm{})
+		res, err = coord.RankPreparedCtx(ctx, rk, cfg, known)
 		cancel()
 		if err != nil {
 			return err
 		}
+		known.Digests = res.Digests
 		fmt.Printf("run %d: ranked in %v (load %v, local %v, siterank %v; %d messages, %.2f MB out, %.2f MB in)\n",
 			run,
 			time.Since(start).Round(time.Millisecond),

@@ -564,17 +564,21 @@ func normalizeCtxErr(ctx context.Context, err error) error {
 // Update compares the carried assignment's cut against it to decide
 // whether churn has degraded the placement enough to repartition online.
 //
-// warm is the one part that is learned rather than built: what the
+// warm and digests are learned rather than built. warm is what the
 // snapshot knows of its own default-parameter answer. Each distWarm is
 // immutable; a Rank that learned more than the state it started from
 // publishes a successor by compare-and-swap and a loser of that race
 // drops what it learned, so every stage is recorded once and, from then
 // on, default-parameter answers on this snapshot are bit-identical.
+// digests is the graph's wire form as the coordinator names it — shard
+// digests and sizes, no payloads — which no query parameter changes, so
+// every Rank reads it and the first one records it the same way.
 type distState struct {
 	rk      *lmm.Ranker
 	asg     partition.Assignment
 	baseCut float64
 	warm    atomic.Pointer[distWarm]
+	digests atomic.Pointer[coordinator.Digests]
 }
 
 // distWarm is the document layer the Layered Method says stays put, and
@@ -584,7 +588,8 @@ type distState struct {
 // clean sites' Locals by pointer, changed sites' nil, the old πS as
 // SiteStart. The first Rank fills Locals in (full); the first uniform
 // two-layer Rank also replaces SiteStart with the πS it converged to on
-// this graph (solved).
+// this graph (solved). Its Digests stay nil: distState.digests holds
+// those, for queries of any parameters.
 type distWarm struct {
 	coordinator.Warm
 	full   bool
@@ -615,15 +620,19 @@ type distWarm struct {
 // N_S-sized layer the query can change. Update carries clean sites'
 // vectors into the next snapshot verbatim and the old πS as a seed.
 //
-// Update rebuilds the Ranker incrementally (clean sites keep their
-// precomputed structure) and migrates the coordinator's digest memo, so
-// the next Rank re-hashes only the changed shards — which, through the
-// workers' digest caches, then re-ships only the changed shards, and
-// asks the fleet for only the changed sites' local DocRanks: a 1-site
-// edit on an N-site web moves ~1/N of a cold load's bytes
-// (Result.Dist.ShardsReused / ShardsReshipped / LocalRanksReused account
-// for it per run). A failed Apply re-ships nothing; the wire never
-// carries stale shards.
+// The wire form is query-independent too: the snapshot keeps each
+// site's shard digest and size (coordinator.Digests; the payloads live
+// only inside the run that ships them), and every query, whatever its
+// parameters, declares shards by those digests without hashing. Update
+// rebuilds the Ranker incrementally (clean sites keep their precomputed
+// structure) and carries the clean sites' digests, so the next Rank
+// re-hashes only the changed shards — which, through the workers' digest
+// caches, then re-ships only the changed shards, and asks the fleet for
+// only the changed sites' local DocRanks: a 1-site edit on an N-site web
+// moves ~1/N of a cold load's bytes (Result.Dist.ShardsReused /
+// ShardsReshipped / LocalRanksReused / DigestBytesHashed account for it
+// per run). A failed Apply re-ships nothing; the wire never carries stale
+// shards.
 type DistEngine struct {
 	server[*distState]
 	coord        *coordinator.Coordinator
@@ -667,15 +676,15 @@ func NewDistEngine(cl *Cluster, dg *DocGraph, cfg DistConfig) (*DistEngine, erro
 }
 
 // rebuild is the distributed backend's half of Update: the changed
-// sites' structure, the coordinator's digest memo re-keyed to it, and
-// the warm state and placement carried across.
+// sites' structure, and the warm state, shard digests and placement
+// carried across.
 func (e *DistEngine) rebuild(_ context.Context, cur *snapshot[*distState], dg *DocGraph, changed []SiteID) (*distState, error) {
 	next, err := cur.state.rk.RebuildOn(dg, changed)
 	if err != nil {
 		return nil, err
 	}
-	e.coord.RefreshPrepared(cur.state.rk, next, changed)
 	state := &distState{rk: next}
+	state.digests.Store(cur.state.digests.Load().Drop(changed))
 	// A local DocRank depends on its own site's subgraph only, so a clean
 	// site's carries verbatim and the next Rank asks the fleet for exactly
 	// the changed ones (and any site appended since).
@@ -700,10 +709,10 @@ func (e *DistEngine) rebuild(_ context.Context, cur *snapshot[*distState], dg *D
 // baseline recorded at the last (re)partition, and when the drift
 // exceeds cfg.RepartitionThreshold the strategy's Rebalance
 // re-optimizes online. A moved shard then migrates through the normal
-// serving path: RefreshPrepared (above) has already re-keyed the digest
-// memo, so the next Rank, declaring every shard by digest, re-ships only
-// those whose new owner has never cached their content — a clean shard
-// moving to a warm worker costs one ref, not a payload.
+// serving path: rebuild (above) has already carried the clean digests,
+// so the next Rank, declaring every shard by digest, re-ships only those
+// whose new owner has never cached their content — a clean shard moving
+// to a warm worker costs one ref, not a payload.
 func (e *DistEngine) carryAssignment(cur *distState, dg *DocGraph, rk *lmm.Ranker, changed []SiteID) (partition.Assignment, float64) {
 	ext := partition.Extend(dg, cur.asg)
 	frac := partition.CutFraction(rk.SiteGraph(), ext.Owner)
@@ -763,15 +772,20 @@ func (e *DistEngine) solve(ctx context.Context, snap *snapshot[*distState], q Qu
 	// query with its own neither reads nor writes it (as indexEligible).
 	// The site seed is a two-layer πS: the coordinator keeps it out of a
 	// three-layer run, which still reuses the locals — the document layer
-	// is the same in both models.
+	// is the same in both models. The digests hold for any parameters.
 	defaults := q.Damping == 0 && q.Tol == 0 && q.MaxIter == 0
 	warm := &distWarm{}
 	if defaults {
 		warm = st.warm.Load()
 	}
-	dres, err := e.coord.RankPreparedCtx(ctx, st.rk, cfg, warm.Warm)
+	known := warm.Warm
+	known.Digests = st.digests.Load()
+	dres, err := e.coord.RankPreparedCtx(ctx, st.rk, cfg, known)
 	if err != nil {
 		return nil, err
+	}
+	if dres.Digests != known.Digests {
+		st.digests.CompareAndSwap(known.Digests, dres.Digests)
 	}
 	if defaults {
 		st.learn(warm, dres, !q.ThreeLayer && q.SitePersonalization == nil)

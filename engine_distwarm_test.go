@@ -11,6 +11,7 @@ import (
 	"lmmrank/internal/dist/chaos"
 	"lmmrank/internal/dist/cluster"
 	"lmmrank/internal/dist/wire"
+	"lmmrank/internal/graph"
 	"lmmrank/internal/matrix"
 	"lmmrank/internal/pagerank"
 	"lmmrank/internal/webgen"
@@ -374,6 +375,90 @@ func TestDistEngineUpdateAsksOnlyChangedSite(t *testing.T) {
 	}
 	if got := asked(); len(got) != 0 {
 		t.Errorf("the fleet was asked again for sites %v, want nothing after the changed site was learned", got)
+	}
+}
+
+// TestUpdateHashesOnlyChangedShards: the snapshot keeps every shard's
+// digest and Update carries the clean sites' across in every mode, so
+// the first Rank after a 1-site edit hashes that site's shard (and, when
+// batching, the replicated chain, which holds every row) and nothing
+// else. The digests hold for any query parameters: a Tol=1e-4 query on a
+// warm snapshot hashes nothing at all.
+func TestUpdateHashesOnlyChangedShards(t *testing.T) {
+	ctx := context.Background()
+	loose := Query{Tol: 1e-4}
+	for _, m := range []struct {
+		name string
+		cfg  DistConfig
+	}{
+		{"central", DistConfig{}},
+		{"sync", DistConfig{SiteRank: SiteRankSync}},
+		{"batched", DistConfig{SiteRank: SiteRankBatched, BatchRounds: 4}},
+		{"async", DistConfig{SiteRank: SiteRankAsync}},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			dg := webgen.Generate(webgen.Small()).Graph
+			cl, err := StartCluster(4)
+			if err != nil {
+				t.Fatalf("StartCluster: %v", err)
+			}
+			defer cl.Close()
+			eng, err := NewDistEngine(cl, dg, m.cfg)
+			if err != nil {
+				t.Fatalf("NewDistEngine: %v", err)
+			}
+			rank := func(what string, q Query) *DistStats {
+				t.Helper()
+				res, err := eng.Rank(ctx, q)
+				if err != nil {
+					t.Fatalf("%s Rank: %v", what, err)
+				}
+				return res.Dist
+			}
+			if cold := rank("cold", Query{}); cold.DigestBytesHashed == 0 {
+				t.Fatal("the cold Rank hashed nothing")
+			}
+			if st := rank("loose", loose); st.DigestBytesHashed != 0 {
+				t.Errorf("a Tol=1e-4 query on a warm snapshot hashed %d digest bytes, want 0", st.DigestBytesHashed)
+			}
+
+			site := SiteID(0)
+			for len(dg.Sites[site].Docs) < 3 {
+				site++
+			}
+			err = eng.Update(ctx, GraphDelta{
+				ChangedSites: []SiteID{site},
+				Apply:        func(dg *DocGraph) error { editSite(t, dg, site); return nil },
+			})
+			if err != nil {
+				t.Fatalf("Update: %v", err)
+			}
+			// What the edited site costs to hash: its subgraph's links, plus
+			// its site-chain row when the shards carry rows, plus the whole
+			// chain when it is replicated.
+			rk := eng.snap.Load().state.rk
+			sub, _ := rk.LocalSubgraph(site)
+			sg := rk.SiteGraph().G
+			shard := wire.SiteShard{Edges: make([]wire.Edge, sub.NumEdges())}
+			if m.cfg.SiteRank == SiteRankSync || m.cfg.SiteRank == SiteRankAsync {
+				sg.EachEdge(int(site), func(graph.Edge) { shard.RowCols = append(shard.RowCols, 0) })
+			}
+			budget := shard.DigestInputBytes()
+			if m.cfg.SiteRank == SiteRankBatched {
+				chain := wire.SiteChain{RowPtr: make([]int, sg.NumNodes()+1), Cols: make([]int, sg.NumEdges())}
+				budget += chain.DigestInputBytes()
+			}
+			edited := rank("post-edit", Query{})
+			if edited.ShardsReshipped != 1 {
+				t.Errorf("the first Rank after a 1-site Update reshipped %d shards, want 1", edited.ShardsReshipped)
+			}
+			if edited.DigestBytesHashed == 0 || edited.DigestBytesHashed > budget {
+				t.Errorf("the first Rank after a 1-site Update hashed %d digest bytes, want 1 to %d: the edited shard only", edited.DigestBytesHashed, budget)
+			}
+			if st := rank("post-edit loose", loose); st.DigestBytesHashed != 0 {
+				t.Errorf("a Tol=1e-4 query after the edit hashed %d digest bytes, want 0", st.DigestBytesHashed)
+			}
+		})
 	}
 }
 

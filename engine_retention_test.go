@@ -60,6 +60,41 @@ func TestPreparedEngineRetention(t *testing.T) {
 	runtime.KeepAlive(dg)
 }
 
+// TestDistEngineRetention pins what a warm DistEngine and the in-process
+// fleet serving it keep beside their graph, per intra-site link: the
+// engine's pull chains, each worker's cache entry and the per-document
+// vectors of both sides — 42 bytes measured on this web at GOMAXPROCS 1,
+// 2 and 4. The coordinator keeps shard digests and sizes, not payloads;
+// while it kept every shard's edge list (24 bytes a link) beside its
+// rows, it was 74. The budget is the measured value plus 15 %.
+func TestDistEngineRetention(t *testing.T) {
+	dg := webgen.Generate(webgen.Default()).Graph
+	intra := 0
+	dg.G.EachEdgeAll(func(from int, e graph.Edge) {
+		if dg.SiteOf(DocID(from)) == dg.SiteOf(DocID(e.To)) {
+			intra++
+		}
+	})
+	before := liveHeap()
+	cl, err := StartCluster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	eng, err := NewDistEngine(cl, dg, DistConfig{SiteRank: SiteRankSync})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmRanks(t, eng, Query{})
+	perLink := float64(int64(liveHeap())-int64(before)) / float64(intra)
+	t.Logf("%d docs, %d intra-site links: engine and fleet retain %.1f bytes per intra-site link", dg.NumDocs(), intra, perLink)
+	if budget := 42 * 1.15; perLink > budget {
+		t.Errorf("a warm DistEngine and its fleet retain %.1f bytes per intra-site link, budget %.1f", perLink, budget)
+	}
+	runtime.KeepAlive(eng)
+	runtime.KeepAlive(dg)
+}
+
 // TestTopKAnswerRetention: the Top table of an answer is all a caller who
 // keeps it keeps — its URLs are strings of their own, not windows into the
 // graph's URL storage. (While a decoded graph's URLs were substrings of

@@ -94,8 +94,8 @@ func main() {
 		float64(dres.Dist.ShardBytesCompressed)/1e3,
 		float64(dres.Dist.ShardBytesRaw)/1e3)
 
-	// Warm runs reuse the workers' caches and the coordinator's digest
-	// memo: near-zero shard bytes, zero digest hashing.
+	// Warm runs reuse the workers' caches and the shard digests the
+	// snapshot keeps: near-zero shard bytes, zero digest hashing.
 	warm, err := dist.Rank(ctx, lmmrank.Query{})
 	if err != nil {
 		log.Fatal(err)

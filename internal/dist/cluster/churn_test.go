@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -23,8 +24,8 @@ func testWeb2() *webgen.Web {
 }
 
 // TestDeltaShippingAfterRebuild is the distributed churn contract: after
-// a 1-site edit delivered through the delta path (Ranker.Rebuild +
-// Coordinator.RefreshPrepared), the next run re-ships only the mutated
+// a 1-site edit delivered through the delta path (Ranker.Rebuild, with
+// the cold run's Digests less the edited site), the next run re-ships only the mutated
 // shard — every other shard is an Offer hit against the worker caches —
 // hashes digest bytes only for the dirty shard, and still agrees with
 // the single-process pipeline to < 1e-9.
@@ -42,9 +43,10 @@ func TestDeltaShippingAfterRebuild(t *testing.T) {
 	}
 	defer cl.Close()
 
-	cold, err := cl.Coord.RankPrepared(rk, coordinator.Config{})
+	ctx := context.Background()
+	cold, err := cl.Coord.RankPreparedCtx(ctx, rk, coordinator.Config{}, coordinator.Warm{})
 	if err != nil {
-		t.Fatalf("cold RankPrepared: %v", err)
+		t.Fatalf("cold RankPreparedCtx: %v", err)
 	}
 	if cold.Stats.ShardsReshipped != ns || cold.Stats.ShardsReused != 0 {
 		t.Fatalf("cold run reshipped %d / reused %d, want %d / 0",
@@ -61,19 +63,19 @@ func TestDeltaShippingAfterRebuild(t *testing.T) {
 	dg.G.AddLink(int(docs[2]), int(docs[0]))
 
 	// The stale Ranker is refused, not silently served.
-	if _, err := cl.Coord.RankPrepared(rk, coordinator.Config{}); !errors.Is(err, lmm.ErrGraphMutated) {
-		t.Fatalf("stale RankPrepared: err = %v, want ErrGraphMutated", err)
+	if _, err := cl.Coord.RankPreparedCtx(ctx, rk, coordinator.Config{}, coordinator.Warm{Digests: cold.Digests}); !errors.Is(err, lmm.ErrGraphMutated) {
+		t.Fatalf("stale RankPreparedCtx: err = %v, want ErrGraphMutated", err)
 	}
 
 	next, err := rk.Rebuild([]graph.SiteID{site})
 	if err != nil {
 		t.Fatalf("Rebuild: %v", err)
 	}
-	cl.Coord.RefreshPrepared(rk, next, []graph.SiteID{site})
+	carried := cold.Digests.Drop([]graph.SiteID{site})
 
-	warm, err := cl.Coord.RankPrepared(next, coordinator.Config{})
+	warm, err := cl.Coord.RankPreparedCtx(ctx, next, coordinator.Config{}, coordinator.Warm{Digests: carried})
 	if err != nil {
-		t.Fatalf("warm RankPrepared: %v", err)
+		t.Fatalf("warm RankPreparedCtx: %v", err)
 	}
 	if warm.Stats.ShardsReshipped != 1 || warm.Stats.ShardsReused != ns-1 {
 		t.Errorf("delta run reshipped %d / reused %d, want 1 / %d",
@@ -82,8 +84,8 @@ func TestDeltaShippingAfterRebuild(t *testing.T) {
 	if warm.Stats.ShardsReused == 0 {
 		t.Error("delta run reused no shards")
 	}
-	// Only the dirty shard's content is re-hashed (the migrated memo
-	// carries every clean digest), so the digest work is a small fraction
+	// Only the dirty shard's content is re-hashed (the carried digests
+	// name every clean shard), so the digest work is a small fraction
 	// of the cold sweep.
 	if warm.Stats.DigestBytesHashed == 0 {
 		t.Error("delta run hashed nothing — the dirty shard's digest must be recomputed")
@@ -109,11 +111,12 @@ func TestDeltaShippingAfterRebuild(t *testing.T) {
 		t.Errorf("‖delta-shipped − local‖₁ = %g, want < 1e-9", d)
 	}
 
-	// A further warm run over the unchanged next Ranker is fully memoized
-	// and fully cached: zero digest bytes, zero reshipped shards.
-	again, err := cl.Coord.RankPrepared(next, coordinator.Config{})
+	// A further warm run over the unchanged next Ranker, handed the delta
+	// run's digests, is fully covered and fully cached: zero digest bytes,
+	// zero reshipped shards.
+	again, err := cl.Coord.RankPreparedCtx(ctx, next, coordinator.Config{}, coordinator.Warm{Digests: warm.Digests})
 	if err != nil {
-		t.Fatalf("second warm RankPrepared: %v", err)
+		t.Fatalf("second warm RankPreparedCtx: %v", err)
 	}
 	if again.Stats.DigestBytesHashed != 0 {
 		t.Errorf("second warm run hashed %d digest bytes, want 0", again.Stats.DigestBytesHashed)
@@ -124,10 +127,10 @@ func TestDeltaShippingAfterRebuild(t *testing.T) {
 	}
 }
 
-// TestDigestMemoAlternatingGraphs pins the keyed LRU replacing the old
-// single-entry memo: a coordinator alternating two prepared graphs must
-// hash digest bytes only on each graph's first run — every later switch
-// is a memo hit (the single-entry memo re-hashed on every switch).
+// TestDigestMemoAlternatingGraphs: a coordinator alternating two
+// prepared graphs, each run handed its own graph's digests, hashes digest
+// bytes only on each graph's first run — the coordinator keeps nothing
+// per graph, so nothing one graph's run does evicts the other's.
 func TestDigestMemoAlternatingGraphs(t *testing.T) {
 	webA := testWeb()
 	webB := testWeb2()
@@ -145,23 +148,26 @@ func TestDigestMemoAlternatingGraphs(t *testing.T) {
 	}
 	defer cl.Close()
 
+	ctx := context.Background()
+	digests := map[*lmm.Ranker]*coordinator.Digests{}
 	for i, rk := range []*lmm.Ranker{rkA, rkB} {
-		res, err := cl.Coord.RankPrepared(rk, coordinator.Config{})
+		res, err := cl.Coord.RankPreparedCtx(ctx, rk, coordinator.Config{}, coordinator.Warm{})
 		if err != nil {
 			t.Fatalf("cold run %d: %v", i, err)
 		}
 		if res.Stats.DigestBytesHashed == 0 {
 			t.Fatalf("cold run %d hashed no digest bytes", i)
 		}
+		digests[rk] = res.Digests
 	}
-	// Alternate warm: every run must be a memo hit.
+	// Alternate warm: every run must be covered by its graph's digests.
 	for i, rk := range []*lmm.Ranker{rkA, rkB, rkA, rkB} {
-		res, err := cl.Coord.RankPrepared(rk, coordinator.Config{})
+		res, err := cl.Coord.RankPreparedCtx(ctx, rk, coordinator.Config{}, coordinator.Warm{Digests: digests[rk]})
 		if err != nil {
 			t.Fatalf("warm run %d: %v", i, err)
 		}
 		if res.Stats.DigestBytesHashed != 0 {
-			t.Errorf("alternating warm run %d hashed %d digest bytes, want 0 (keyed memo)",
+			t.Errorf("alternating warm run %d hashed %d digest bytes, want 0 (carried digests)",
 				i, res.Stats.DigestBytesHashed)
 		}
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -220,8 +221,9 @@ func TestMoreWorkersThanSites(t *testing.T) {
 }
 
 // TestRankPrepared reuses one precomputed lmm.Ranker across several
-// distributed runs (the serving path): every run must reproduce the
-// one-shot Rank bitwise, in both SiteRank modes.
+// distributed runs (the serving path), each handed the previous run's
+// digests: every run must reproduce the one-shot Rank bitwise, in both
+// SiteRank modes.
 func TestRankPrepared(t *testing.T) {
 	web := testWeb()
 	rk, err := lmm.NewRanker(web.Graph, lmm.RankerOptions{})
@@ -240,11 +242,13 @@ func TestRankPrepared(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Rank (mode=%v): %v", mode, err)
 		}
+		var known coordinator.Warm
 		for run := 0; run < 2; run++ {
-			res, err := cl.Coord.RankPrepared(rk, cfg)
+			res, err := cl.Coord.RankPreparedCtx(context.Background(), rk, cfg, known)
 			if err != nil {
-				t.Fatalf("RankPrepared (mode=%v, run %d): %v", mode, run, err)
+				t.Fatalf("RankPreparedCtx (mode=%v, run %d): %v", mode, run, err)
 			}
+			known.Digests = res.Digests
 			if d := res.DocRank.L1Diff(oneShot.DocRank); d != 0 {
 				t.Errorf("mode=%v run %d: DocRank differs from one-shot Rank by %g", mode, run, d)
 			}
@@ -295,7 +299,7 @@ func TestBatchedSiteRankMatchesUnbatched(t *testing.T) {
 }
 
 // TestShardCacheSkipsReshipping is the streaming-load claim: a repeated
-// RankPrepared against warm workers declares every shard by digest, is
+// RankPreparedCtx against warm workers declares every shard by digest, is
 // told none is missing and ships (nearly) no shard bytes, visible both in the cache
 // counters and the measured wire traffic.
 func TestShardCacheSkipsReshipping(t *testing.T) {
@@ -310,13 +314,14 @@ func TestShardCacheSkipsReshipping(t *testing.T) {
 	}
 	defer cl.Close()
 
-	cold, err := cl.Coord.RankPrepared(rk, coordinator.Config{})
+	ctx := context.Background()
+	cold, err := cl.Coord.RankPreparedCtx(ctx, rk, coordinator.Config{}, coordinator.Warm{})
 	if err != nil {
-		t.Fatalf("cold RankPrepared: %v", err)
+		t.Fatalf("cold RankPreparedCtx: %v", err)
 	}
-	warm, err := cl.Coord.RankPrepared(rk, coordinator.Config{})
+	warm, err := cl.Coord.RankPreparedCtx(ctx, rk, coordinator.Config{}, coordinator.Warm{Digests: cold.Digests})
 	if err != nil {
-		t.Fatalf("warm RankPrepared: %v", err)
+		t.Fatalf("warm RankPreparedCtx: %v", err)
 	}
 
 	ns := web.Graph.NumSites()

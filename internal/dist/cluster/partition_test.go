@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -42,9 +43,9 @@ func TestPartitionStrategiesAgreeOverTheWire(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewRanker: %v", err)
 			}
-			res, err := cl.Coord.RankPrepared(rk, coordinator.Config{Partition: st})
+			res, err := cl.Coord.RankPreparedCtx(context.Background(), rk, coordinator.Config{Partition: st}, coordinator.Warm{})
 			if err != nil {
-				t.Fatalf("RankPrepared: %v", err)
+				t.Fatalf("RankPreparedCtx: %v", err)
 			}
 			if d := res.DocRank.L1Diff(ref.DocRank); d >= 1e-9 {
 				t.Errorf("‖%s − LayeredDocRank‖₁ = %g, want < 1e-9", st.Name(), d)
@@ -89,9 +90,9 @@ func TestRandomPartitionsArePurePerformanceKnob(t *testing.T) {
 				if err != nil {
 					t.Fatalf("NewRanker: %v", err)
 				}
-				res, err := cl.Coord.RankPrepared(rk, coordinator.Config{Assignment: owners})
+				res, err := cl.Coord.RankPreparedCtx(context.Background(), rk, coordinator.Config{Assignment: owners}, coordinator.Warm{})
 				if err != nil {
-					t.Fatalf("RankPrepared: %v", err)
+					t.Fatalf("RankPreparedCtx: %v", err)
 				}
 				if d := res.DocRank.L1Diff(ref.DocRank); d >= 1e-9 {
 					t.Errorf("‖random-assignment − LayeredDocRank‖₁ = %g, want < 1e-9", d)

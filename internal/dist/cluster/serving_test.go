@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -10,10 +11,11 @@ import (
 	"lmmrank/internal/pagerank"
 )
 
-// TestDigestMemoization pins the coordinator-side digest memo: the cold
-// RankPrepared run hashes every shard's content, the warm run over the
-// same Ranker hashes zero bytes — the memo, not the SHA-256 sweep,
-// answers the cache negotiation — and the results stay bitwise equal.
+// TestDigestMemoization pins the carried digests: the cold run hashes
+// every shard's content, the warm run over the same Ranker handed the
+// cold run's Result.Digests hashes zero bytes — the carried digests, not
+// the SHA-256 sweep, answer the cache negotiation — and the results stay
+// bitwise equal.
 func TestDigestMemoization(t *testing.T) {
 	web := testWeb()
 	rk, err := lmm.NewRanker(web.Graph, lmm.RankerOptions{})
@@ -26,34 +28,35 @@ func TestDigestMemoization(t *testing.T) {
 	}
 	defer cl.Close()
 
-	cold, err := cl.Coord.RankPrepared(rk, coordinator.Config{})
+	ctx := context.Background()
+	cold, err := cl.Coord.RankPreparedCtx(ctx, rk, coordinator.Config{}, coordinator.Warm{})
 	if err != nil {
-		t.Fatalf("cold RankPrepared: %v", err)
+		t.Fatalf("cold RankPreparedCtx: %v", err)
 	}
-	warm, err := cl.Coord.RankPrepared(rk, coordinator.Config{})
+	warm, err := cl.Coord.RankPreparedCtx(ctx, rk, coordinator.Config{}, coordinator.Warm{Digests: cold.Digests})
 	if err != nil {
-		t.Fatalf("warm RankPrepared: %v", err)
+		t.Fatalf("warm RankPreparedCtx: %v", err)
 	}
 	if cold.Stats.DigestBytesHashed == 0 {
 		t.Error("cold run hashed no digest bytes — the accounting is decorative")
 	}
 	if warm.Stats.DigestBytesHashed != 0 {
-		t.Errorf("warm run hashed %d digest bytes, want 0 (memoized per Ranker)",
+		t.Errorf("warm run hashed %d digest bytes, want 0 (carried digests)",
 			warm.Stats.DigestBytesHashed)
 	}
 	if d := warm.DocRank.L1Diff(cold.DocRank); d != 0 {
-		t.Errorf("memoized run's DocRank differs by %g, want bitwise equality", d)
+		t.Errorf("the warm run's DocRank differs by %g, want bitwise equality", d)
 	}
 
 	// A different protocol shape (chain rows inside the shards) is a
-	// different payload: the memo must miss and re-hash, not serve the
-	// stale central-mode shards.
-	dist, err := cl.Coord.RankPrepared(rk, coordinator.Config{SiteRank: coordinator.SiteRankSync})
+	// different payload: the central-mode digests must not be reused —
+	// the run re-hashes rather than declare shards lacking their rows.
+	dist, err := cl.Coord.RankPreparedCtx(ctx, rk, coordinator.Config{SiteRank: coordinator.SiteRankSync}, coordinator.Warm{Digests: warm.Digests})
 	if err != nil {
-		t.Fatalf("distributed RankPrepared: %v", err)
+		t.Fatalf("distributed RankPreparedCtx: %v", err)
 	}
 	if dist.Stats.DigestBytesHashed == 0 {
-		t.Error("protocol-shape change reused the memo — shards would lack their chain rows")
+		t.Error("protocol-shape change reused the digests — shards would lack their chain rows")
 	}
 	if d := dist.DocRank.L1Diff(cold.DocRank); d >= 1e-9 {
 		t.Errorf("distributed-mode run deviates by %g, want < 1e-9", d)

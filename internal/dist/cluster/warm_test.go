@@ -63,7 +63,7 @@ func TestWarmRunAsksOnlyForMissingLocals(t *testing.T) {
 				t.Fatalf("NewRanker: %v", err)
 			}
 
-			cold, err := cl.Coord.RankPrepared(rk, cfg)
+			cold, err := cl.Coord.RankPreparedCtx(context.Background(), rk, cfg, coordinator.Warm{})
 			if err != nil {
 				t.Fatalf("cold run: %v", err)
 			}
@@ -71,7 +71,7 @@ func TestWarmRunAsksOnlyForMissingLocals(t *testing.T) {
 				t.Fatalf("cold run asked for %d sites and reused %d, want %d and 0", len(got), cold.Stats.LocalRanksReused, ns)
 			}
 
-			known := coordinator.Warm{SiteStart: cold.SiteRank, Locals: cold.LocalRanks}
+			known := coordinator.Warm{SiteStart: cold.SiteRank, Locals: cold.LocalRanks, Digests: cold.Digests}
 			warm, err := cl.Coord.RankPreparedCtx(ctx, rk, cfg, known)
 			if err != nil {
 				t.Fatalf("warm run: %v", err)
@@ -151,14 +151,14 @@ func TestMessagesPerRun(t *testing.T) {
 				}
 				return 0
 			}
-			cold, err := cl.Coord.RankPrepared(rk, cfg)
+			cold, err := cl.Coord.RankPreparedCtx(context.Background(), rk, cfg, coordinator.Warm{})
 			if err != nil {
 				t.Fatalf("cold run: %v", err)
 			}
 			if got, want := cold.Stats.Messages, 2*nw+nw+rounds(cold); got != want {
 				t.Errorf("cold run: %d messages, want %d (two Loads and a KindRankLocal per worker, %d for the rounds)", got, want, rounds(cold))
 			}
-			known := coordinator.Warm{SiteStart: cold.SiteRank, Locals: cold.LocalRanks}
+			known := coordinator.Warm{SiteStart: cold.SiteRank, Locals: cold.LocalRanks, Digests: cold.Digests}
 			warm, err := cl.Coord.RankPreparedCtx(context.Background(), rk, cfg, known)
 			if err != nil {
 				t.Fatalf("warm run: %v", err)
@@ -190,7 +190,7 @@ func TestCheckpointResumeBeatsSiteStart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRanker: %v", err)
 	}
-	ref, err := cl.Coord.RankPrepared(rk, cfg)
+	ref, err := cl.Coord.RankPreparedCtx(context.Background(), rk, cfg, coordinator.Warm{})
 	if err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
 	}

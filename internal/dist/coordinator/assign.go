@@ -53,7 +53,7 @@ func (r *run) idealOwners() []int {
 func (r *run) assignOwners() []int {
 	owner := r.idealOwners()
 	for s, w := range owner {
-		r.load[w] += r.shards[s].NumDocs
+		r.load[w] += r.siteDocs(s)
 	}
 	return owner
 }

@@ -148,7 +148,7 @@ func (a *asyncAccum) merge(u *asyncUpdate) {
 			a.own[s] = c.x[s]
 		}
 	}
-	pagerank.JacobiStep(y, a.own, a.r.diag, a.f, coeff, a.r.tele)
+	pagerank.JacobiStep(y, a.own, a.r.digests.diag, a.f, coeff, a.r.tele)
 	residual := y.L1Diff(a.x)
 	a.x = y
 	a.version++

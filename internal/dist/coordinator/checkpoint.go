@@ -299,10 +299,10 @@ func (r *run) checkpointDigest() wire.Digest {
 		writeFloat(v)
 	}
 	if mode == SiteRankBatched {
-		h.Write(r.chainRef[:])
+		h.Write(r.digests.chainDigest[:])
 	} else {
-		for _, ref := range r.refs {
-			h.Write(ref.Digest[:])
+		for _, sd := range r.digests.shards {
+			h.Write(sd.digest[:])
 		}
 	}
 	var out wire.Digest

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -380,9 +381,9 @@ type Stats struct {
 	// ones that crossed the wire in full. Unlike CacheHits/CacheMisses
 	// they exclude the site chain, so a churn run over an N-site web
 	// shows exactly which fraction of the shard payload moved: after a
-	// 1-site edit delivered through the delta path (Rebuild +
-	// RefreshPrepared, or Engine.Update) a warm run reads
-	// ShardsReshipped == 1, ShardsReused == N-1.
+	// 1-site edit delivered through the delta path (Ranker.Rebuild, or
+	// Engine.Update) a warm run reads ShardsReshipped == 1,
+	// ShardsReused == N-1.
 	ShardsReused    int
 	ShardsReshipped int
 	// LocalRanksReused counts the sites whose local DocRank came from
@@ -390,9 +391,11 @@ type Stats struct {
 	// NumSites-1 on the first run after a 1-site edit.
 	LocalRanksReused int
 	// DigestBytesHashed counts the bytes this run fed through SHA-256
-	// computing shard and chain content digests. The coordinator
-	// memoizes digests per Ranker, so a warm RankPrepared run hashes
-	// zero bytes.
+	// computing shard and chain content digests: only for what
+	// Warm.Digests did not cover, so a run handed the previous run's
+	// Result.Digests over the same graph hashes zero bytes, and one handed
+	// them with an edited site dropped hashes that site's shard (and, when
+	// batching, the chain).
 	DigestBytesHashed uint64
 	// ShardBytesRaw and ShardBytesCompressed record the shard payloads
 	// shipped with Config.Compress on: the encoded size before compression
@@ -438,22 +441,69 @@ type Stats struct {
 	CrossShardBytes uint64
 }
 
-// Warm is what the caller already knows about a run's answer, handed in
-// so the run does not recompute it. The zero value is a cold run — the
-// same path with nothing known. Both fields are read-only to the run,
-// and sound only for a run at the Damping/Tol/MaxIter the vectors were
-// solved under; the caller decides that, as it decides when a graph
-// edit invalidates an entry.
+// Warm is what the caller already knows about a run, handed in so the
+// run does not recompute it. The zero value is a cold run — the same
+// path with nothing known. Every field is read-only to the run and
+// sound only for the graph it was learned on; the caller decides when a
+// graph edit invalidates an entry.
 type Warm struct {
 	// SiteStart seeds the two-layer SiteRank iteration in every mode in
 	// place of the uniform vector — a hint: ignored unless it has one
 	// entry per site, overridden by a matching checkpoint, and never read
 	// by a ThreeLayer run (whose upper layers rank domains, not sites).
+	// Like Locals it is sound only at the Damping/Tol/MaxIter it was
+	// solved under.
 	SiteStart matrix.Vector
 	// Locals[s], when it has one entry per document of site s, is that
 	// site's local DocRank (nil = not known): the fleet is asked only for
 	// the other sites, and not at all when there are none.
 	Locals []matrix.Vector
+	// Digests is the graph's wire form as an earlier run returned it on
+	// Result.Digests (nil = not known): the run hashes only the shards it
+	// does not cover. It does not depend on the query's parameters.
+	Digests *Digests
+}
+
+// Digests is what a run learns about a graph's wire form: each site's
+// shard digest and wire size, the site chain's diagonal when the shards
+// carry its rows (SiteRankSync, SiteRankAsync), and the chain with its
+// digest when it is replicated (SiteRankBatched). The shard payloads are
+// not kept — a worker reporting a shard missing gets it re-extracted.
+// A Digests is immutable.
+type Digests struct {
+	// The shape: the shards carry their site-chain rows; the chain is
+	// replicated.
+	rows, batched bool
+	shards        []shardDigest // per site; size 0 = not known
+	diag          matrix.Vector // rows only: M[s,s], valid where shards[s] is
+	chain         *wire.SiteChain
+	chainDigest   wire.Digest
+}
+
+// shardDigest names one site's shard: its content digest and its exact
+// encoded size.
+type shardDigest struct {
+	digest wire.Digest
+	size   uint64
+}
+
+// Drop returns what d still holds after an edit that changed the
+// documents or out-links of the listed sites only: their shards are
+// forgotten, and so is the chain, which holds every row. Everything else
+// carries, because a shard is its site's subgraph plus row s of the site
+// chain, and row s aggregates site s's out-links and nothing else
+// (graph.SiteGraph.Rederive). Sites appended since are not covered.
+func (d *Digests) Drop(changed []graph.SiteID) *Digests {
+	if d == nil {
+		return nil
+	}
+	next := &Digests{rows: d.rows, batched: d.batched, shards: slices.Clone(d.shards), diag: d.diag}
+	for _, s := range changed {
+		if int(s) < len(next.shards) {
+			next.shards[s] = shardDigest{}
+		}
+	}
+	return next
 }
 
 // Result is the outcome of a distributed ranking run. Every vector is
@@ -481,6 +531,10 @@ type Result struct {
 	// reported by its worker, matching WebResult.LocalIterations for
 	// the complexity experiments (E6); 0 for a site Warm.Locals answered.
 	LocalIterations []int
+	// Digests is the graph's wire form for the next run's Warm.Digests:
+	// Warm.Digests itself when it covered this run, else a completed
+	// copy.
+	Digests *Digests
 	// Stats holds timing and transport cost of this run.
 	Stats Stats
 }
@@ -647,155 +701,8 @@ type Coordinator struct {
 	// runMu.
 	asyncEpoch uint64
 
-	// prepMemo memoizes the wire payloads (shards, digests, sizes,
-	// chain) of recently prepared Rankers, so repeated RankPrepared runs
-	// skip rebuilding edge lists and re-hashing SHA-256 digests
-	// entirely — including a coordinator alternating between several
-	// prepared graphs (one entry per (Ranker, protocol shape), LRU at
-	// the front, bounded by prepMemoCap). Guarded by runMu. A Ranker
-	// captures its graph by reference and a mutated graph requires a new
-	// (or Rebuild-ed) Ranker, so identity of the Ranker pointer — plus
-	// the protocol shape, which decides whether chain rows ride in the
-	// shards — is a sound memo key; RefreshPrepared migrates entries
-	// across a Rebuild so only dirty shards re-hash.
-	prepMemo []*preparedShards
-
 	mu     sync.Mutex
 	closed bool
-}
-
-// prepMemoCap bounds the digest memo: enough for a coordinator
-// alternating a handful of prepared graphs (each in at most one protocol
-// shape at a time in practice), small enough that pinned payloads stay
-// negligible next to the worker-side caches.
-const prepMemoCap = 4
-
-// preparedShards is one (Ranker, protocol shape) entry of the memo.
-// After RefreshPrepared migrates an entry across an incremental Rebuild,
-// built marks which sites' payloads are valid: unchanged sites carry
-// over, dirty slots are rebuilt (and re-hashed) by the next run's
-// buildShards.
-type preparedShards struct {
-	rk        *lmm.Ranker
-	wantRows  bool
-	withChain bool
-
-	shards []wire.SiteShard
-	refs   []wire.ShardRef
-	// wireSizes memoizes each shard's WireSize — a walk of its edge
-	// list — so a warm run's bytes-saved accounting costs O(sites).
-	wireSizes []uint64
-	built     []bool
-	chain     *wire.SiteChain
-	chainRef  wire.Digest
-	// diag holds each site's self-loop weight M[s,s] taken from its shard
-	// row (the rows-in-shards shape only): what the coordinator divides
-	// out of every SiteRank round, memoized so a warm run allocates none.
-	diag matrix.Vector
-}
-
-func newPreparedShards(rk *lmm.Ranker, wantRows, withChain bool, ns int) *preparedShards {
-	return &preparedShards{
-		rk: rk, wantRows: wantRows, withChain: withChain,
-		shards:    make([]wire.SiteShard, ns),
-		refs:      make([]wire.ShardRef, ns),
-		wireSizes: make([]uint64, ns),
-		built:     make([]bool, ns),
-	}
-}
-
-// complete reports whether every site payload (and the chain, when the
-// shape ships one) is valid.
-func (p *preparedShards) complete() bool {
-	for _, b := range p.built {
-		if !b {
-			return false
-		}
-	}
-	return (!p.withChain || p.chain != nil) && (!p.wantRows || p.diag != nil)
-}
-
-// lookupPrep returns the memo entry for the key, moving it to the LRU
-// front. Caller holds runMu.
-func (c *Coordinator) lookupPrep(rk *lmm.Ranker, wantRows, withChain bool) *preparedShards {
-	for i, p := range c.prepMemo {
-		if p.rk == rk && p.wantRows == wantRows && p.withChain == withChain {
-			copy(c.prepMemo[1:i+1], c.prepMemo[:i])
-			c.prepMemo[0] = p
-			return p
-		}
-	}
-	return nil
-}
-
-// storePrep inserts (or refreshes) a memo entry at the LRU front,
-// evicting the least recently used entry past prepMemoCap. Caller holds
-// runMu.
-func (c *Coordinator) storePrep(p *preparedShards) {
-	if c.lookupPrep(p.rk, p.wantRows, p.withChain) != nil {
-		c.prepMemo[0] = p
-		return
-	}
-	c.prepMemo = append(c.prepMemo, nil)
-	copy(c.prepMemo[1:], c.prepMemo)
-	c.prepMemo[0] = p
-	if len(c.prepMemo) > prepMemoCap {
-		c.prepMemo = c.prepMemo[:prepMemoCap]
-	}
-}
-
-// RefreshPrepared migrates the digest memo across an incremental Ranker
-// rebuild (lmm.Ranker.Rebuild): every memo entry held for prev whose
-// shards do not embed site-chain rows is re-keyed to next with the
-// unchanged sites' payloads and digests carried over, so the next
-// RankPrepared run re-hashes only the changed shards — the
-// coordinator-side half of delta shipping (the worker-side half is the
-// digest cache, which holds every unchanged shard a Load names).
-// Entries for prev in the rows-in-shards shape (unbatched distributed
-// SiteRank) are dropped instead: their shard contents embed site-graph
-// rows, which a mutation elsewhere can change. changed lists the same
-// sites passed to Rebuild; sites appended beyond prev's roster are
-// implicitly changed. Entries for prev are removed either way — the old
-// Ranker is stale by contract.
-func (c *Coordinator) RefreshPrepared(prev, next *lmm.Ranker, changed []graph.SiteID) {
-	c.runMu.Lock()
-	defer c.runMu.Unlock()
-	ns := next.NumSites()
-	changedSet := make(map[int]bool, len(changed))
-	for _, s := range changed {
-		changedSet[int(s)] = true
-	}
-	for s := prev.NumSites(); s < ns; s++ {
-		changedSet[s] = true
-	}
-	kept := c.prepMemo[:0]
-	var migrated []*preparedShards
-	for _, p := range c.prepMemo {
-		if p.rk != prev {
-			kept = append(kept, p)
-			continue
-		}
-		if p.wantRows {
-			continue // shard contents depend on the (changed) site graph
-		}
-		// The chain stays nil: the site graph may have changed, and it
-		// is small — the next run rebuilds and re-hashes it.
-		m := newPreparedShards(next, p.wantRows, p.withChain, ns)
-		for s := 0; s < ns && s < len(p.shards); s++ {
-			if changedSet[s] || !p.built[s] {
-				continue
-			}
-			m.shards[s] = p.shards[s]
-			m.refs[s] = p.refs[s]
-			m.wireSizes[s] = p.wireSizes[s]
-			m.built[s] = true
-		}
-		migrated = append(migrated, m)
-	}
-	c.prepMemo = kept
-	for _, m := range migrated {
-		c.storePrep(m)
-	}
 }
 
 // dialAttempts is how many tries the initial bring-up dial gives each
@@ -941,10 +848,9 @@ func (c *Coordinator) broadcastErr(fn func(idx int, r *remote) error) error {
 // It is RankCtx with a background context.
 //
 // It builds a throwaway lmm.Ranker for the run; callers ranking the same
-// graph repeatedly should precompute one and call RankPrepared, which
-// skips the SiteGraph derivation and subgraph extraction entirely (and,
-// paired with the workers' digest caches and the coordinator's digest
-// memo, skips re-shipping and re-hashing shards too).
+// graph repeatedly should precompute one and call RankPreparedCtx, which
+// skips the SiteGraph derivation entirely (and, handed the previous
+// run's Result.Digests, re-hashes no shard either).
 func (c *Coordinator) Rank(dg *graph.DocGraph, cfg Config) (*Result, error) {
 	return c.RankCtx(context.Background(), dg, cfg)
 }
@@ -965,30 +871,23 @@ func (c *Coordinator) RankCtx(ctx context.Context, dg *graph.DocGraph, cfg Confi
 	if err != nil {
 		return nil, fmt.Errorf("coordinator: %w", err)
 	}
-	res, err := c.rankPrepared(ctx, rk, cfg, Warm{}, false)
+	res, err := c.rankPrepared(ctx, rk, cfg, Warm{})
 	return res, normalizeCtxErr(ctx, err)
 }
 
-// RankPrepared is Rank over a precomputed lmm.Ranker: the SiteGraph and
-// all local subgraphs come from the Ranker's one-time precomputation, so
-// repeated runs over the same graph only pay for shipping and ranking —
-// and since workers cache shards by content digest (and the coordinator
-// memoizes the digests per Ranker), a repeated run over an unchanged
-// graph ships (almost) no shard bytes and hashes none at all.
-// cfg.SiteGraph is ignored — that choice was fixed when the Ranker was
-// built. The Ranker must not be used concurrently by another goroutine
-// while a run is in flight.
-func (c *Coordinator) RankPrepared(rk *lmm.Ranker, cfg Config) (*Result, error) {
-	return c.RankPreparedCtx(context.Background(), rk, cfg, Warm{})
-}
-
-// RankPreparedCtx is RankPrepared under a context (see RankCtx for the
-// cancellation semantics), starting from what the caller already knows
-// of the answer — Warm{} when that is nothing.
+// RankPreparedCtx is RankCtx over a precomputed lmm.Ranker, starting
+// from what the caller already knows — Warm{} when that is nothing. The
+// SiteGraph comes from the Ranker's one-time precomputation, so repeated
+// runs over the same graph only pay for shipping and ranking; since
+// workers cache shards by content digest, a repeated run ships (almost)
+// no shard bytes, and one handed the previous run's Result.Digests
+// hashes none either. cfg.SiteGraph is ignored — that choice was fixed
+// when the Ranker was built. The Ranker must not be used concurrently by
+// another goroutine while a run is in flight.
 func (c *Coordinator) RankPreparedCtx(ctx context.Context, rk *lmm.Ranker, cfg Config, warm Warm) (*Result, error) {
 	c.runMu.Lock()
 	defer c.runMu.Unlock()
-	res, err := c.rankPrepared(ctx, rk, cfg, warm, true)
+	res, err := c.rankPrepared(ctx, rk, cfg, warm)
 	return res, normalizeCtxErr(ctx, err)
 }
 

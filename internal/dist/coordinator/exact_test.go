@@ -183,7 +183,7 @@ func TestCheckpointDigestNamesTheIteration(t *testing.T) {
 			"1457c92c887d818d43704ddadb29f65eee771ef0affbb10e29bd8bc075181350"},
 	} {
 		r := &run{c: &Coordinator{}, cfg: tc.cfg, rk: rk, ns: rk.NumSites(), stats: &Stats{}}
-		r.buildShards()
+		r.hashShards()
 		digest := r.checkpointDigest()
 		if got := hex.EncodeToString(digest[:]); got != tc.want {
 			t.Errorf("%s: checkpoint digest %s, want %s", tc.name, got, tc.want)

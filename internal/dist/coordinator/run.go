@@ -19,9 +19,9 @@ import (
 	"lmmrank/internal/pagerank"
 )
 
-// run is the state of one distributed ranking: the immutable per-site
-// shard payloads, and the mutable fleet view (who is alive, who owns
-// which site) that loss recovery rewrites mid-flight.
+// run is the state of one distributed ranking: the graph's wire form,
+// and the mutable fleet view (who is alive, who owns which site) that
+// loss recovery rewrites mid-flight.
 type run struct {
 	c     *Coordinator
 	ctx   context.Context
@@ -30,26 +30,16 @@ type run struct {
 	rk    *lmm.Ranker
 	ns    int
 	stats *Stats
-	// memoize marks runs over a caller-held Ranker (RankPrepared):
-	// only those may usefully populate the coordinator's shard memo —
-	// a one-shot Rank's throwaway Ranker can never hit again, and
-	// storing it would both pin the payloads and evict a warm memo.
-	memoize bool
 	// tele is the normalized site-layer teleport (nil = uniform), shared
 	// by every SiteRank mode so central, unbatched and batched runs
 	// apply the same personalization vector.
 	tele matrix.Vector
 
-	// Per-site payloads, built once from the Ranker's precomputation.
-	shards    []wire.SiteShard
-	refs      []wire.ShardRef
-	wireSizes []uint64
-	// chain is the replicated site chain (round batching only).
-	chain    *wire.SiteChain
-	chainRef wire.Digest
-	// diag is the site chain's diagonal, read from the shard rows (the
-	// row-sharded modes only): the self-loops every round divides out.
-	diag matrix.Vector
+	// digests names every site's shard (and holds the diagonal or chain
+	// the mode reads); shards[s] is site s's payload when this run
+	// extracted it to hash it, nil otherwise.
+	digests *Digests
+	shards  []*wire.SiteShard
 
 	// Fleet view. alive/owner/load change on loss. sessions[idx] is the
 	// ascending site set worker idx's session holds — what this run's
@@ -125,9 +115,8 @@ func fanOut(idxs []int, fn func(i, idx int)) {
 	wg.Wait()
 }
 
-// rankPrepared runs one ranking; the caller holds runMu. memoize marks
-// runs whose Ranker the caller retains (see run.memoize).
-func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Config, warm Warm, memoize bool) (*Result, error) {
+// rankPrepared runs one ranking; the caller holds runMu.
+func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Config, warm Warm) (*Result, error) {
 	if c.isClosed() {
 		return nil, errors.New("coordinator: closed")
 	}
@@ -135,9 +124,9 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 		return nil, err
 	}
 	// A Ranker whose graph mutated after precomputation would ship stale
-	// shards (and, via the digest memo, stale digests); refuse exactly
-	// like the in-process query paths do. Recover with lmm.Ranker.Rebuild
-	// + RefreshPrepared, or DistEngine.Update, which does both.
+	// shards; refuse exactly like the in-process query paths do. Recover
+	// with lmm.Ranker.Rebuild (handing in Digests.Drop of the edited
+	// sites), or DistEngine.Update, which does both.
 	if rk.Stale() {
 		return nil, fmt.Errorf("coordinator: %w", lmm.ErrGraphMutated)
 	}
@@ -170,7 +159,6 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 		rk:       rk,
 		ns:       dg.NumSites(),
 		stats:    &res.Stats,
-		memoize:  memoize,
 		alive:    make([]bool, len(c.workers)),
 		load:     make([]int, len(c.workers)),
 		sessions: make([][]int, len(c.workers)),
@@ -206,7 +194,7 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 	// assignment) places sites over the live fleet, and each live worker
 	// is told what its session holds.
 	loadStart := time.Now()
-	r.buildShards()
+	r.hashShards()
 	r.owner = r.assignOwners()
 	r.computeCutStats()
 	need := make(map[int]struct{}, r.ns)
@@ -279,6 +267,7 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 	res.DocRank = lmm.ComposeDocRank(dg, siteRank, localRanks)
 	res.LocalRanks = localRanks
 	res.LocalIterations = localIters
+	res.Digests = r.digests
 
 	res.Stats.Messages = c.counters.Messages() - startMsgs
 	res.Stats.BytesSent = c.counters.BytesSent() - startOut
@@ -286,85 +275,96 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 	return res, nil
 }
 
-// buildShards materializes every site's wire payload from the Ranker's
-// precomputed subgraphs, plus each shard's content digest — the name a
-// KindLoad declares it under. Site-chain rows ride inside the shards
-// only when a row-partitioned SiteRank (synchronous one-round-at-a-time
-// or asynchronous sweeps) will consume them; round batching ships the
-// whole chain separately instead, and central mode ships no site-layer
-// data at all.
-//
-// The payloads are memoized on the Coordinator per (Ranker, protocol
-// shape), LRU-bounded across several prepared graphs: a warm
-// RankPrepared run reuses every edge list and SHA-256 digest instead of
-// recomputing them — Stats.DigestBytesHashed stays at zero — which is
-// sound because a Ranker's graph is immutable by contract (mutation is
-// detected and refused upstream). An entry migrated across an
-// incremental Rebuild by RefreshPrepared is partial: only its dirty
-// slots (and the small site chain) are rebuilt and re-hashed here, so
-// churn costs digest work proportional to what changed.
-func (r *run) buildShards() {
-	wantRows := r.cfg.SiteRank.rowSharded()
-	withChain := r.cfg.SiteRank == SiteRankBatched
-	p := r.c.lookupPrep(r.rk, wantRows, withChain)
-	if p != nil && p.complete() {
-		r.shards, r.refs, r.wireSizes = p.shards, p.refs, p.wireSizes
-		r.chain, r.chainRef, r.diag = p.chain, p.chainRef, p.diag
+// hashShards names every site's shard for the KindLoads: by the digest
+// and wire size Warm.Digests carries for it, or by extracting the shard
+// from the Ranker's graph and hashing it — the name a KindLoad declares
+// it under. Site-chain rows ride inside the shards only when a
+// row-partitioned SiteRank (synchronous rounds or asynchronous sweeps)
+// will consume them; round batching ships the whole chain separately
+// instead, and central mode ships no site-layer data at all. Digests of
+// another mode's shape are not reused. What it extracted the run keeps
+// for its shipments; Stats.DigestBytesHashed counts what it hashed.
+func (r *run) hashShards() {
+	rows, batched := r.cfg.SiteRank.rowSharded(), r.cfg.SiteRank == SiteRankBatched
+	known := r.warm.Digests
+	if known == nil || known.rows != rows || known.batched != batched || len(known.shards) > r.ns {
+		known = &Digests{rows: rows, batched: batched}
+	}
+	var todo []int
+	for s := 0; s < r.ns; s++ {
+		if s >= len(known.shards) || known.shards[s].size == 0 {
+			todo = append(todo, s)
+		}
+	}
+	r.digests = known
+	if len(todo) == 0 && (!batched || known.chain != nil) {
 		return
 	}
-	if p == nil {
-		p = newPreparedShards(r.rk, wantRows, withChain, r.ns)
+	d := &Digests{rows: rows, batched: batched, shards: make([]shardDigest, r.ns), chain: known.chain, chainDigest: known.chainDigest}
+	copy(d.shards, known.shards)
+	if rows {
+		d.diag = matrix.NewVector(r.ns)
+		copy(d.diag, known.diag)
 	}
-
-	// The Ranker retains no subgraphs, so each missing shard extracts its
-	// own; extraction, flattening and hashing of one site touch nothing
-	// another site's do, and fan out across sites.
-	sg := r.rk.SiteGraph()
-	hashed := make([]uint64, r.ns)
-	lmm.ForEachParallel(r.ns, 0, func(s int) {
-		if p.built[s] {
-			return
+	// Extraction, flattening and hashing of one site touch nothing another
+	// site's do, and fan out across sites.
+	r.shards = make([]*wire.SiteShard, r.ns)
+	hashed := make([]uint64, len(todo))
+	lmm.ForEachParallel(len(todo), 0, func(i int) {
+		s := todo[i]
+		shard := r.extract(s)
+		d.shards[s] = shardDigest{digest: shard.ContentDigest(), size: shard.WireSize()}
+		if rows {
+			d.diag[s] = shard.SelfLoop()
 		}
-		sub, _ := r.rk.LocalSubgraph(graph.SiteID(s))
-		shard := wire.SiteShard{Site: s, NumDocs: sub.NumNodes()}
-		sub.EachEdgeAll(func(from int, e graph.Edge) {
-			shard.Edges = append(shard.Edges, wire.Edge{From: from, To: e.To, Weight: e.Weight})
-		})
-		if wantRows {
-			shard.RowCols, shard.RowVals = siteChainRow(sg.G, s)
-		}
-		p.shards[s] = shard
-		p.refs[s] = wire.ShardRef{Site: s, Digest: shard.ContentDigest()}
-		p.wireSizes[s] = shard.WireSize()
-		p.built[s] = true
-		hashed[s] = shard.DigestInputBytes()
+		r.shards[s] = &shard
+		hashed[i] = shard.DigestInputBytes()
 	})
 	for _, n := range hashed {
 		r.stats.DigestBytesHashed += n
 	}
-	if withChain && p.chain == nil {
+	if batched && d.chain == nil {
+		g := r.rk.SiteGraph().G
 		chain := &wire.SiteChain{NumSites: r.ns, RowPtr: make([]int, r.ns+1)}
 		for s := 0; s < r.ns; s++ {
-			cols, vals := siteChainRow(sg.G, s)
+			cols, vals := siteChainRow(g, s)
 			chain.Cols = append(chain.Cols, cols...)
 			chain.Vals = append(chain.Vals, vals...)
 			chain.RowPtr[s+1] = len(chain.Cols)
 		}
-		p.chain = chain
-		p.chainRef = chain.ContentDigest()
+		d.chain, d.chainDigest = chain, chain.ContentDigest()
 		r.stats.DigestBytesHashed += chain.DigestInputBytes()
 	}
-	if wantRows {
-		p.diag = matrix.NewVector(r.ns)
-		for s := range p.diag {
-			p.diag[s] = p.shards[s].SelfLoop()
-		}
+	r.digests = d
+}
+
+// extract builds site s's shard from the Ranker's graph: its subgraph,
+// plus row s of the site chain when the shards carry rows.
+func (r *run) extract(s int) wire.SiteShard {
+	sub, _ := r.rk.LocalSubgraph(graph.SiteID(s))
+	shard := wire.SiteShard{Site: s, NumDocs: sub.NumNodes()}
+	sub.EachEdgeAll(func(from int, e graph.Edge) {
+		shard.Edges = append(shard.Edges, wire.Edge{From: from, To: e.To, Weight: e.Weight})
+	})
+	if r.cfg.SiteRank.rowSharded() {
+		shard.RowCols, shard.RowVals = siteChainRow(r.rk.SiteGraph().G, s)
 	}
-	r.shards, r.refs, r.wireSizes = p.shards, p.refs, p.wireSizes
-	r.chain, r.chainRef, r.diag = p.chain, p.chainRef, p.diag
-	if r.memoize {
-		r.c.storePrep(p)
+	return shard
+}
+
+// shard returns site s's payload for a shipment in full: the one this
+// run extracted to hash it, or else a fresh extraction — a site the
+// digests covered goes in full only when a worker reports it missing.
+func (r *run) shard(s int) wire.SiteShard {
+	if r.shards != nil && r.shards[s] != nil {
+		return *r.shards[s]
 	}
+	return r.extract(s)
+}
+
+// siteDocs is site s's document count — the load a placement balances.
+func (r *run) siteDocs(s int) int {
+	return r.rk.DocGraph().SiteSize(graph.SiteID(s))
 }
 
 // siteChainRow returns row s of the normalized site chain M(G_S) in
@@ -443,7 +443,7 @@ func (r *run) lose(idx int, cause error, reassign bool) (map[int]struct{}, error
 		}
 		nw := r.lightestAlive()
 		r.owner[s] = nw
-		r.load[nw] += r.shards[s].NumDocs
+		r.load[nw] += r.siteDocs(s)
 		moved[s] = struct{}{}
 		r.stats.Reassignments++
 	}
@@ -594,9 +594,9 @@ func (r *run) readmit(rj rejoin) error {
 		if ideal[s] != idx || r.owner[s] == idx {
 			continue
 		}
-		r.load[r.owner[s]] -= r.shards[s].NumDocs
+		r.load[r.owner[s]] -= r.siteDocs(s)
 		r.owner[s] = idx
-		r.load[idx] += r.shards[s].NumDocs
+		r.load[idx] += r.siteDocs(s)
 		moved[s] = struct{}{}
 	}
 	r.mu.Lock()
@@ -697,18 +697,18 @@ func (r *run) shipTo(idx int, want, fresh []int) error {
 	for _, s := range want {
 		fullAt[s] = 0
 	}
-	chainAt := 0
+	chainAt, chain := 0, r.digests.chain
 	for n := 1; ; n++ {
-		req := &wire.Request{Kind: wire.KindLoad, NumSites: r.ns, HasChain: r.chain != nil, ChainDigest: r.chainRef}
+		req := &wire.Request{Kind: wire.KindLoad, NumSites: r.ns, HasChain: chain != nil, ChainDigest: r.digests.chainDigest}
 		if chainAt == n {
-			req.Chain = r.chain
+			req.Chain = chain
 		}
 		var full []wire.SiteShard
 		for _, s := range want {
 			if fullAt[s] == n {
-				full = append(full, r.shards[s])
+				full = append(full, r.shard(s))
 			} else {
-				req.Cached = append(req.Cached, r.refs[s])
+				req.Cached = append(req.Cached, wire.ShardRef{Site: s, Digest: r.digests.shards[s].digest})
 			}
 		}
 		if err := r.packShards(req, full); err != nil {
@@ -727,7 +727,7 @@ func (r *run) shipTo(idx int, want, fresh []int) error {
 			fullAt[s] = n + 1
 		}
 		if resp.MissingChain {
-			if r.chain == nil || chainAt != 0 {
+			if chain == nil || chainAt != 0 {
 				return fmt.Errorf("coordinator: %s reports a site chain missing that was not declared, or was shipped in full", w.addr)
 			}
 			chainAt = n + 1
@@ -746,7 +746,7 @@ func (r *run) shipTo(idx int, want, fresh []int) error {
 		if fullAt[s] == 0 {
 			r.stats.CacheHits++
 			r.stats.ShardsReused++
-			r.stats.ShardBytesSaved += r.wireSizes[s]
+			r.stats.ShardBytesSaved += r.digests.shards[s].size
 			continue
 		}
 		r.stats.CacheMisses++
@@ -754,15 +754,15 @@ func (r *run) shipTo(idx int, want, fresh []int) error {
 		if r.rejoining[idx] {
 			// Shard payloads this re-admission had to move in full — ~0 for
 			// a warm rejoiner, whose shards all hit its digest cache.
-			r.stats.RejoinShardBytes += r.wireSizes[s]
+			r.stats.RejoinShardBytes += r.digests.shards[s].size
 		}
 	}
-	if r.chain != nil && first {
+	if chain != nil && first {
 		if chainAt != 0 {
 			r.stats.CacheMisses++
 		} else {
 			r.stats.CacheHits++
-			r.stats.ShardBytesSaved += r.chain.WireSize()
+			r.stats.ShardBytesSaved += chain.WireSize()
 		}
 	}
 	return nil

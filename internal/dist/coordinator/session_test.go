@@ -54,12 +54,12 @@ func TestRejectsLyingMissing(t *testing.T) {
 				t.Fatalf("NewRanker: %v", err)
 			}
 			cfg := Config{Retry: RetryPolicy{MaxWorkerFailures: 2}}
-			if _, err := c.RankPrepared(rk, cfg); err != nil {
+			if _, err := c.RankPreparedCtx(context.Background(), rk, cfg, Warm{}); err != nil {
 				t.Fatalf("honest cold run: %v", err)
 			}
 			// Warm, so every site goes by ref and site 3 is a declared one.
 			armed.Store(true)
-			res, err := c.RankPrepared(rk, cfg)
+			res, err := c.RankPreparedCtx(context.Background(), rk, cfg, Warm{})
 			if err == nil {
 				t.Fatalf("run accepted Missing %v: CacheHits %d, CacheMisses %d, ShardsReshipped %d",
 					tc.missing, res.Stats.CacheHits, res.Stats.CacheMisses, res.Stats.ShardsReshipped)

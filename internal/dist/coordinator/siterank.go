@@ -273,7 +273,7 @@ func (r *run) barrierRound(x, y matrix.Vector) (bool, error) {
 		dangling += resp.DanglingMass
 	}
 	f := r.cfg.damping()
-	pagerank.JacobiStep(y, x, r.diag, f, f*dangling+(1-f)*x.Sum(), r.tele)
+	pagerank.JacobiStep(y, x, r.digests.diag, f, f*dangling+(1-f)*x.Sum(), r.tele)
 	return true, nil
 }
 

@@ -524,8 +524,8 @@ func selfLoop(s int, cols []int, vals []float64) float64 {
 
 // DigestInputBytes returns how many bytes ContentDigest feeds through
 // SHA-256 for this shard — the basis of the coordinator's digest-work
-// accounting (Stats.DigestBytesHashed), which its per-Ranker memo drives
-// to zero on warm runs.
+// accounting (Stats.DigestBytesHashed), which carried digests drive to
+// zero on warm runs.
 func (s *SiteShard) DigestInputBytes() uint64 {
 	return 8 * uint64(3+3*len(s.Edges)+2*len(s.RowCols))
 }

@@ -73,6 +73,10 @@ type (
 	DistConfig = coordinator.Config
 	// DistResult is the outcome of a distributed run with cost stats.
 	DistResult = coordinator.Result
+	// DistWarm is what a distributed run starts from knowing (DistWarm{}
+	// = nothing): local DocRanks, a SiteRank seed, and the shard digests
+	// of the previous run's DistResult.Digests.
+	DistWarm = coordinator.Warm
 	// DistRetryPolicy bounds how many worker losses one distributed run
 	// absorbs by reassigning shards to survivors.
 	DistRetryPolicy = coordinator.RetryPolicy
