@@ -22,15 +22,16 @@ func liveHeap() uint64 {
 }
 
 // TestPreparedEngineRetention pins what a serving snapshot keeps beside
-// the DocGraph it was built on: each intra-site link once, in the pull
-// form the kernels read (12 bytes), plus per-document pointers and
-// vectors (≈ 23 bytes measured, the graph's 4-byte local column among
-// them and 28 while every chain kept a uniform vector; a site's index
-// aliases its roster, it does not copy it). Retained subgraph copies,
+// the DocGraph it was built on: each intra-site link once, as its 4-byte
+// source in the pull form the kernels read, plus per-document pointers,
+// factors and vectors (≈ 31 bytes measured, the chain's out-weight and
+// column offset, the listed links of weight other than 1 and the graph's
+// 4-byte local column among them). While every link also kept a float64
+// value it was 12 bytes a link and 16 budgeted; retained subgraph copies,
 // the row half of the per-site matrices and append slack in the SiteGraph
-// used to make it 80 bytes per link on this web; the budget is set so
-// that any one more copy of the links — 12 bytes each, in pull form or as
-// adjacency — breaks it.
+// used to make it 80 bytes per link on this web. The budget is the
+// measured value plus 14 %, so that any one more copy of the links —
+// 4 bytes each, in pull form or in any other — breaks it.
 func TestPreparedEngineRetention(t *testing.T) {
 	dg := webgen.Generate(webgen.Default()).Graph
 	links, docs := dg.G.NumEdges(), dg.NumDocs()
@@ -43,7 +44,7 @@ func TestPreparedEngineRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	retained := int64(liveHeap()) - int64(before)
-	budget := int64(16*links + 72*docs)
+	budget := int64(4*links + 38*docs)
 	t.Logf("%d docs, %d links: engine retains %d bytes (%.1f per link all told), budget %d",
 		docs, links, retained, float64(retained)/float64(links), budget)
 	intra := 0
@@ -52,9 +53,9 @@ func TestPreparedEngineRetention(t *testing.T) {
 			intra++
 		}
 	})
-	t.Logf("%d intra-site links at 12 bytes leave %.1f bytes per document", intra, float64(retained-12*int64(intra))/float64(docs))
+	t.Logf("%d intra-site links at 4 bytes leave %.1f bytes per document", intra, float64(retained-4*int64(intra))/float64(docs))
 	if retained > budget {
-		t.Errorf("a prepared engine retains %d bytes beside its graph, budget %d (16 B/link + 72 B/doc)", retained, budget)
+		t.Errorf("a prepared engine retains %d bytes beside its graph, budget %d (4 B/link + 38 B/doc)", retained, budget)
 	}
 	runtime.KeepAlive(eng)
 	runtime.KeepAlive(dg)
@@ -62,11 +63,13 @@ func TestPreparedEngineRetention(t *testing.T) {
 
 // TestDistEngineRetention pins what a warm DistEngine and the in-process
 // fleet serving it keep beside their graph, per intra-site link: the
-// engine's pull chains, each worker's cache entry and the per-document
-// vectors of both sides — 42 bytes measured on this web at GOMAXPROCS 1,
-// 2 and 4. The coordinator keeps shard digests and sizes, not payloads;
-// while it kept every shard's edge list (24 bytes a link) beside its
-// rows, it was 74. The budget is the measured value plus 15 %.
+// engine's pull chains, each worker's cache entry (its chain, not the
+// subgraph it was built from) and the per-document vectors of both
+// sides — 21.2 bytes measured on this web at GOMAXPROCS 1, 2 and 4. While
+// every chain link kept a float64 value and each worker entry its
+// subgraph beside its chain, it was 42; while the coordinator kept every
+// shard's edge list (24 bytes a link) as well, 74. The budget is the
+// measured value plus 15 %.
 func TestDistEngineRetention(t *testing.T) {
 	dg := webgen.Generate(webgen.Default()).Graph
 	intra := 0
@@ -88,7 +91,7 @@ func TestDistEngineRetention(t *testing.T) {
 	warmRanks(t, eng, Query{})
 	perLink := float64(int64(liveHeap())-int64(before)) / float64(intra)
 	t.Logf("%d docs, %d intra-site links: engine and fleet retain %.1f bytes per intra-site link", dg.NumDocs(), intra, perLink)
-	if budget := 42 * 1.15; perLink > budget {
+	if budget := 21.2 * 1.15; perLink > budget {
 		t.Errorf("a warm DistEngine and its fleet retain %.1f bytes per intra-site link, budget %.1f", perLink, budget)
 	}
 	runtime.KeepAlive(eng)

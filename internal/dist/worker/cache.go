@@ -5,21 +5,21 @@ import (
 	"sync"
 
 	"lmmrank/internal/dist/wire"
-	"lmmrank/internal/graph"
 	"lmmrank/internal/lmm"
 	"lmmrank/internal/matrix"
 )
 
-// cacheEntry is one cached shard: the rebuilt local subgraph, its row of
-// the site chain, and a lazily built solver whose scratch is reused by
-// every RankLocal that hits this entry. Entries are immutable after
-// construction except for the solver, which mu guards — two sessions
-// (two coordinators sharing the worker) may rank the same entry
-// concurrently, and the solver is not goroutine-safe.
+// cacheEntry is one cached shard: its row of the site chain and the
+// solver over its local chain, whose scratch is reused by every RankLocal
+// that hits this entry. The solver is built when the shard is loaded and
+// the subgraph it was built from is dropped, so an entry holds each of
+// the shard's links once, as the chain's 4-byte source. Entries are
+// immutable after construction except for the solver's scratch, which mu
+// guards — two sessions (two coordinators sharing the worker) may rank
+// the same entry concurrently, and the solver is not goroutine-safe.
 type cacheEntry struct {
 	digest  wire.Digest
 	numDocs int
-	sub     *graph.Digraph
 	rowCols []int
 	rowVals []float64
 
@@ -41,15 +41,12 @@ func (e *cacheEntry) rowWithin(numSites int) bool {
 	return true
 }
 
-// rank computes the entry's local DocRank, building the solver on first
-// use and cloning the result out of the solver's scratch (the clone is
-// what crosses sessions and the wire; the scratch stays entry-private).
+// rank computes the entry's local DocRank, cloning the result out of the
+// solver's scratch (the clone is what crosses sessions and the wire; the
+// scratch stays entry-private).
 func (e *cacheEntry) rank(cfg lmm.WebConfig) (matrix.Vector, int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.solver == nil {
-		e.solver = lmm.NewSubgraphSolver(e.sub)
-	}
 	scores, iters, err := e.solver.Rank(cfg)
 	if err != nil {
 		return nil, 0, err
@@ -115,7 +112,7 @@ func (c *shardCache) lookupShard(d wire.Digest) *cacheEntry {
 // used entries until the document budget holds. An entry already cached
 // under the same digest is returned instead (the caller's duplicate is
 // dropped), so identical shards across sites and sessions share one
-// subgraph and one warm solver.
+// warm solver.
 func (c *shardCache) addShard(e *cacheEntry) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()

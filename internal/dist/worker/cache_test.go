@@ -4,13 +4,12 @@ import (
 	"testing"
 
 	"lmmrank/internal/dist/wire"
-	"lmmrank/internal/graph"
 )
 
 func entryOfDocs(digestByte byte, docs int) *cacheEntry {
 	var d wire.Digest
 	d[0] = digestByte
-	return &cacheEntry{digest: d, numDocs: docs, sub: graph.NewDigraph(docs)}
+	return &cacheEntry{digest: d, numDocs: docs}
 }
 
 // TestShardCacheLRUEviction pins the retention policy: the document
@@ -41,7 +40,7 @@ func TestShardCacheLRUEviction(t *testing.T) {
 }
 
 // TestShardCacheDedupes asserts that inserting the same digest twice
-// keeps one entry — identical shards share a subgraph and a solver.
+// keeps one entry — identical shards share a solver.
 func TestShardCacheDedupes(t *testing.T) {
 	c := newShardCache()
 	e1 := entryOfDocs(7, 3)

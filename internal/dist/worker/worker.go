@@ -374,7 +374,7 @@ func (w *Worker) handle(sess *session, req *wire.Request) *wire.Response {
 // buildEntry validates one fully shipped shard and turns it into a
 // cache entry (deduplicating against the global cache by digest, so an
 // identical shard shipped twice — or hosted under two site IDs — shares
-// one subgraph and one warm solver).
+// one warm solver).
 func (w *Worker) buildEntry(s *wire.SiteShard, numSites int) (*cacheEntry, error) {
 	if s.NumDocs < 0 || s.Site < 0 || s.Site >= numSites {
 		return nil, fmt.Errorf("invalid shard (site %d of %d, %d docs)", s.Site, numSites, s.NumDocs)
@@ -415,9 +415,9 @@ func (w *Worker) buildEntry(s *wire.SiteShard, numSites int) (*cacheEntry, error
 	return w.cache.addShard(&cacheEntry{
 		digest:  digest,
 		numDocs: s.NumDocs,
-		sub:     sub,
 		rowCols: s.RowCols,
 		rowVals: s.RowVals,
+		solver:  lmm.NewSubgraphSolver(sub),
 	}), nil
 }
 

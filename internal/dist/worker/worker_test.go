@@ -280,7 +280,7 @@ func TestLoadDeclaresExactlyTheSession(t *testing.T) {
 	}
 	kept := sess.shards[1].entry
 	if kept.solver == nil {
-		t.Fatal("ranking built no solver on site 1's entry")
+		t.Fatal("site 1's entry holds no solver")
 	}
 	solver := kept.solver
 

@@ -142,6 +142,34 @@ func TestDecodeBinaryRetention(t *testing.T) {
 	runtime.KeepAlive(file)
 }
 
+// TestTransitionMatrixRetention pins what a web's transition matrix keeps
+// beside the web: each link as its 4-byte source, per document a column
+// offset and its out-weight (12 bytes), and 12 bytes (position and
+// weight) for each link of weight other than 1 — the links a crawl
+// repeats. The budget is 4 B/link + 16 B/doc beside those; one float64
+// more per link breaks it.
+func TestTransitionMatrixRetention(t *testing.T) {
+	g := webgen.Generate(webgen.Default()).Graph.G
+	g.Dedupe()
+	links, docs, nonUnit := g.NumEdges(), g.NumNodes(), 0
+	g.EachEdgeAll(func(_ int, e graph.Edge) {
+		if e.Weight != 1 {
+			nonUnit++
+		}
+	})
+	before := graph.LiveHeap()
+	m := g.TransitionMatrix()
+	retained := int64(graph.LiveHeap()) - int64(before)
+	budget := int64(4*links + 16*docs + 12*nonUnit)
+	t.Logf("%d docs, %d links (%d of weight other than 1): the chain retains %d bytes (%.1f per link all told), budget %d",
+		docs, links, nonUnit, retained, float64(retained)/float64(links), budget)
+	if retained > budget {
+		t.Errorf("a transition matrix retains %d bytes, budget %d (4 B/link + 16 B/doc + 12 B per non-unit link)", retained, budget)
+	}
+	runtime.KeepAlive(m)
+	runtime.KeepAlive(g)
+}
+
 // TestCloneCOWRetention: a copy-on-write clone of a web and a one-row
 // edit of it cost what was touched — the clone's Sites, one row — not a
 // share of the web: under 64 KiB beside a parent of megabytes.

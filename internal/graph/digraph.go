@@ -430,48 +430,65 @@ func (g *Digraph) Dangling() []int {
 // downstream irreducibility adjustments (package markov, pagerank) decide
 // how to treat them, as in the paper's Mˆ(G).
 //
-// The matrix is assembled directly in the pull form matrix.CSR retains:
-// count in-degrees, then scatter the rows in ascending source order.
-// Because Dedupe leaves every adjacency list sorted and merged, each
-// column receives every source at most once and in ascending order — the
-// order a row-major build followed by a transpose would give, so the
-// multiply sums the same terms in the same order. No row arrays, no
-// triple round-trip, no re-sort. The matrix is cached until the next
-// mutation; callers share the returned value and must treat it as
-// read-only.
+// The matrix is assembled directly in the form matrix.CSR retains: a
+// link is its 4-byte source, node i's divisor is its out-weight (1 when
+// dangling), and the few links of weight other than 1 are listed with
+// their weights, so an entry reads back as w/out-weight and nothing is
+// divided here. Count in-degrees and listed links per column, then
+// scatter the rows in ascending source order. Because Dedupe leaves every
+// adjacency list sorted and merged, each column receives every source at
+// most once and in ascending order — the order a row-major build followed
+// by a transpose would give, so the multiply sums the same terms in the
+// same order. No row arrays, no triple round-trip, no re-sort. The matrix
+// is cached until the next mutation; callers share the returned value and
+// must treat it as read-only.
 func (g *Digraph) TransitionMatrix() *matrix.CSR {
 	if g.trans != nil {
 		return g.trans
 	}
 	g.Dedupe()
 	n := g.NumNodes()
-	colPtr := make([]int, n+1)
+	colPtr := make([]uint32, n+1)
+	excs := make([]uint32, n+1) // per column, then each column's next listed link
 	for i := 0; i < n; i++ {
-		tos, _ := g.row(i)
-		for _, to := range tos {
+		tos, ws := g.row(i)
+		for k, to := range tos {
 			colPtr[to+1]++
+			if ws[k] != 1 {
+				excs[to+1]++
+			}
 		}
 	}
 	for j := 0; j < n; j++ {
 		colPtr[j+1] += colPtr[j]
+		excs[j+1] += excs[j]
 	}
 	rowIdx := make([]uint32, colPtr[n])
-	val := make([]float64, colPtr[n])
-	next := append([]int(nil), colPtr[:n]...)
+	outW := make([]float64, n)
+	excPos := make([]uint32, excs[n])
+	excMul := make([]float64, excs[n])
+	next := append([]uint32(nil), colPtr[:n]...)
 	for i := 0; i < n; i++ {
 		tos, ws := g.row(i)
 		var total float64 // every stored weight is > 0
-		for _, w := range ws {
-			total += w
-		}
 		for k, to := range tos {
+			w := ws[k]
+			total += w
 			p := next[to]
 			rowIdx[p] = uint32(i)
-			val[p] = ws[k] / total
 			next[to]++
+			if w != 1 {
+				excPos[excs[to]] = p
+				excMul[excs[to]] = w
+				excs[to]++
+			}
 		}
+		if total == 0 {
+			total = 1 // a dangling row's divisor divides nothing
+		}
+		outW[i] = total
 	}
-	g.trans = matrix.NewCSRFromColumns(n, colPtr, rowIdx, val)
+	g.trans = matrix.NewCSRFromColumns(n, colPtr, rowIdx, outW, excPos, excMul)
 	return g.trans
 }
 

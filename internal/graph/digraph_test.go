@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -209,5 +210,136 @@ func TestTransitionMatrixStochasticQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// weightedEdge is one AddEdge call of a reference-checked graph.
+type weightedEdge struct {
+	from, to int
+	w        float64
+}
+
+// transitionReference builds the graph of edges and the dense matrix its
+// transition matrix should be: every (from, to) weight summed, over its
+// source's out-weight. The weights of the callers are small multiples of
+// 1/4, so every sum is exact in any order and w/out-weight is one
+// correctly rounded quotient.
+func transitionReference(n int, edges []weightedEdge) (*Digraph, [][]float64) {
+	g := NewDigraph(n)
+	w := make([][]float64, n)
+	total := make([]float64, n)
+	for i := range w {
+		w[i] = make([]float64, n)
+	}
+	for _, e := range edges {
+		g.AddEdge(e.from, e.to, e.w)
+		w[e.from][e.to] += e.w
+		total[e.from] += e.w
+	}
+	for i := range w {
+		for j := range w[i] {
+			if w[i][j] != 0 {
+				w[i][j] /= total[i]
+			}
+		}
+	}
+	return g, w
+}
+
+// withinULP reports whether got is want or its floating-point neighbour.
+func withinULP(got, want float64) bool {
+	return got == want || math.Nextafter(want, got) == got
+}
+
+// checkTransition compares a transition matrix with its dense reference
+// through every reader of the retained form and of the row view derived
+// from it: At, Dense, RowSums, Diagonal and DanglingRows, each within
+// one ulp of w/out-weight.
+func checkTransition(m *matrix.CSR, want [][]float64) error {
+	n := len(want)
+	dense, sums := m.Dense(), m.RowSums()
+	diag, dangling := m.Diagonal(), m.DanglingRows()
+	var wantDangling []int
+	selfLoops := false
+	for i := 0; i < n; i++ {
+		var sum float64
+		for j := 0; j < n; j++ {
+			if got := m.At(i, j); !withinULP(got, want[i][j]) {
+				return fmt.Errorf("At(%d,%d) = %v, want %v", i, j, got, want[i][j])
+			}
+			if got := dense.At(i, j); !withinULP(got, want[i][j]) {
+				return fmt.Errorf("Dense[%d][%d] = %v, want %v", i, j, got, want[i][j])
+			}
+			sum += want[i][j]
+		}
+		if !withinULP(sums[i], sum) {
+			return fmt.Errorf("RowSums[%d] = %v, want %v", i, sums[i], sum)
+		}
+		if sum == 0 {
+			wantDangling = append(wantDangling, i)
+		} else if math.Abs(sums[i]-1) > 1e-12 {
+			return fmt.Errorf("row %d sums to %v", i, sums[i])
+		}
+		selfLoops = selfLoops || want[i][i] != 0
+	}
+	if fmt.Sprint(dangling) != fmt.Sprint(wantDangling) {
+		return fmt.Errorf("DanglingRows = %v, want %v", dangling, wantDangling)
+	}
+	if (diag != nil) != selfLoops {
+		return fmt.Errorf("Diagonal = %v with self-loops %v", diag, selfLoops)
+	}
+	for j := range diag {
+		if !withinULP(diag[j], want[j][j]) {
+			return fmt.Errorf("Diagonal[%d] = %v, want %v", j, diag[j], want[j][j])
+		}
+	}
+	return nil
+}
+
+// TestTransitionMatrixMatchesWeights: a transition matrix stores a link
+// as its source alone and lists the links of weight other than 1; read
+// back, every entry is w/out-weight — on multiplicities 1–7 (repeated
+// links and heavy AddEdge calls), weights 2.5 and 0.5, self-loops,
+// dangling rows and one-row sites with and without a self-loop.
+func TestTransitionMatrixMatchesWeights(t *testing.T) {
+	shapes := map[string]struct {
+		n     int
+		edges []weightedEdge
+	}{
+		"one row":             {1, nil},
+		"one row, self-loop":  {1, []weightedEdge{{0, 0, 1}}},
+		"one row, heavy loop": {1, []weightedEdge{{0, 0, 2.5}}},
+		"fractions": {3, []weightedEdge{
+			{0, 1, 2.5}, {0, 2, 0.5}, {1, 1, 0.5}, {1, 0, 1}, {1, 0, 1}}},
+	}
+	rng := rand.New(rand.NewSource(28))
+	weights := []float64{1, 1, 1, 1, 1, 2, 3, 4, 5, 6, 7, 2.5, 0.5}
+	for trial := 0; trial < 40; trial++ {
+		n := rng.Intn(12) + 1
+		var edges []weightedEdge
+		for e := rng.Intn(5 * n); e > 0; e-- {
+			from := rng.Intn(n)
+			if from%4 == 3 {
+				continue // leave some rows dangling
+			}
+			to := rng.Intn(n)
+			if e%6 == 0 {
+				to = from
+			}
+			edges = append(edges, weightedEdge{from, to, weights[rng.Intn(len(weights))]})
+			if e%3 == 0 {
+				edges = append(edges, weightedEdge{from, to, 1}) // a repeated link
+			}
+		}
+		shapes[fmt.Sprintf("random %d", trial)] = struct {
+			n     int
+			edges []weightedEdge
+		}{n, edges}
+	}
+	for name, c := range shapes {
+		g, want := transitionReference(c.n, c.edges)
+		if err := checkTransition(g.TransitionMatrix(), want); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }

@@ -308,3 +308,38 @@ func FuzzCloneCOW(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTransitionMatrix: whatever the links — repeated, self-looping,
+// integer or fractional weights, rows left dangling — the transition
+// matrix built in its retained form (sources only, the links of weight
+// other than 1 listed) is row-stochastic on every non-dangling row and
+// agrees entry by entry with the dense reference w/out-weight. The first
+// byte sizes the graph; every three after it are one AddEdge: source,
+// target, and a weight byte whose top bit makes it a fraction (k/4)
+// rather than an integer (k).
+func FuzzTransitionMatrix(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{0, 0, 0, 1})
+	f.Add([]byte{2, 0, 1, 1, 0, 2, 1, 0, 1, 1, 1, 0, 3})
+	f.Add([]byte{5, 0, 1, 0x89, 0, 2, 0x81, 1, 1, 1, 2, 3, 7, 2, 3, 1, 4, 0, 1})
+	f.Add([]byte{15, 3, 4, 1, 3, 4, 1, 3, 5, 2, 9, 9, 0x80, 9, 1, 0xFF, 14, 0, 255})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 1 + int(data[0])%16
+		var edges []weightedEdge
+		for data = data[1:]; len(data) >= 3; data = data[3:] {
+			w := float64(data[2]&0x7F + 1)
+			if data[2]&0x80 != 0 {
+				w /= 4
+			}
+			edges = append(edges, weightedEdge{int(data[0]) % n, int(data[1]) % n, w})
+		}
+		g, want := transitionReference(n, edges)
+		if err := checkTransition(g.TransitionMatrix(), want); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -24,8 +24,20 @@ type Triple struct {
 // across sites and across queries, not inside a multiply. Within each
 // column the source rows are stored in ascending order, so the pull
 // accumulation visits contributions in the same order as the classical
-// push-based sweep and reproduces its floating-point results. Source
-// indices are 32-bit: a stored entry costs 12 bytes.
+// push-based sweep and reproduces its floating-point results.
+//
+// A stored entry costs its 4-byte source index and nothing else. Entry
+// (i, j) is mult/rowDiv[i]: a link's multiplicity over its source's
+// out-weight in a transition matrix, where mult is 1 for all but the few
+// links listed, in pull order, with their own (a link repeated twice, a
+// weight of 2.5; 12 bytes each). NewCSR and NewCSRFromSorted, handed
+// values, set every divisor to 1 and list every value other than 1;
+// graph.Digraph's TransitionMatrix sets the divisors to the out-weights
+// through NewCSRFromColumns. There is no other form.
+//
+// The in-place sweep (SweepLeftDamped) reads its iterate divided by the
+// same divisors (ScaleIterate, UnscaleIterate), so a link costs it one
+// gathered load, y[i], and a listed link one product, y[i]·mult.
 //
 // The row view (Row, At, RowNNZ, RowSums, NormalizeRows, IsRowStochastic,
 // Dense, EachNonZero) is derived from the pull view under a sync.Once on
@@ -36,11 +48,16 @@ type Triple struct {
 type CSR struct {
 	n int
 
-	// Pull view: column j's incoming entries are
-	// rowIdx[colPtr[j]:colPtr[j+1]] / cval[...], rows ascending.
-	colPtr []int
+	// Pull view: column j's sources are rowIdx[colPtr[j]:colPtr[j+1]],
+	// ascending. Entry k's value is excMul[e]/rowDiv[rowIdx[k]] where
+	// excPos[e] == k, and 1/rowDiv[rowIdx[k]] where k is not in the
+	// ascending excPos. Every divisor is positive: a row with no entries
+	// has divisor 1.
+	colPtr []uint32
 	rowIdx []uint32
-	cval   []float64
+	rowDiv []float64
+	excPos []uint32
+	excMul []float64
 
 	// Row view: row i's entries are colIdx[rowPtr[i]:rowPtr[i+1]] /
 	// val[...], columns ascending. Read only after forward().
@@ -57,7 +74,7 @@ var _ FusedLeftMultiplier = (*CSR)(nil)
 // entries are summed. Triples need not be sorted. It panics on
 // out-of-range indices or non-positive n.
 func NewCSR(n int, triples []Triple) *CSR {
-	checkOrder("NewCSR", n)
+	checkOrder("NewCSR", n, len(triples))
 	for _, t := range triples {
 		if t.Row < 0 || t.Row >= n || t.Col < 0 || t.Col >= n {
 			panic(fmt.Sprintf("matrix: NewCSR triple (%d,%d) out of order %d", t.Row, t.Col, n))
@@ -98,7 +115,7 @@ func NewCSR(n int, triples []Triple) *CSR {
 // after graph.Digraph.Dedupe — so the triple round-trip, per-row sort and
 // dedupe of NewCSR are all skipped. It panics on malformed input.
 func NewCSRFromSorted(n int, rowPtr, colIdx []int, val []float64) *CSR {
-	checkOrder("NewCSRFromSorted", n)
+	checkOrder("NewCSRFromSorted", n, len(colIdx))
 	if len(rowPtr) != n+1 || rowPtr[0] != 0 || rowPtr[n] != len(colIdx) || len(colIdx) != len(val) {
 		panic(fmt.Sprintf("matrix: NewCSRFromSorted inconsistent shape (n=%d, ptrs=%d, cols=%d, vals=%d)",
 			n, len(rowPtr), len(colIdx), len(val)))
@@ -123,18 +140,22 @@ func NewCSRFromSorted(n int, rowPtr, colIdx []int, val []float64) *CSR {
 	return m
 }
 
-// NewCSRFromColumns builds a CSR matrix directly in the form it retains:
-// column j's entries are rowIdx[colPtr[j]:colPtr[j+1]] / val[...], taking
-// ownership of the slices. Columns must hold strictly increasing,
-// in-range rows — what scattering sorted adjacency lists in ascending
-// source order produces (graph.Digraph.TransitionMatrix) — so nothing is
-// sorted, merged or transposed, and no row arrays exist until the row
-// view is first asked for. It panics on malformed input.
-func NewCSRFromColumns(n int, colPtr []int, rowIdx []uint32, val []float64) *CSR {
-	checkOrder("NewCSRFromColumns", n)
-	if len(colPtr) != n+1 || colPtr[0] != 0 || colPtr[n] != len(rowIdx) || len(rowIdx) != len(val) {
-		panic(fmt.Sprintf("matrix: NewCSRFromColumns inconsistent shape (n=%d, ptrs=%d, rows=%d, vals=%d)",
-			n, len(colPtr), len(rowIdx), len(val)))
+// NewCSRFromColumns builds a CSR matrix in the form it retains, taking
+// ownership of every slice: column j's sources are
+// rowIdx[colPtr[j]:colPtr[j+1]], strictly increasing and in range; entry
+// k is excMul[e]/rowDiv[i] where excPos[e] == k (excPos strictly
+// increasing) and 1/rowDiv[i] otherwise, i = rowIdx[k], every divisor
+// positive and finite. A transition matrix is rowDiv[i] = out-weight(i)
+// (1 for a dangling row) with the links of weight other than 1 listed
+// with their weights — what graph.Digraph.TransitionMatrix emits — so
+// nothing is divided, sorted, merged or transposed, and no row arrays
+// exist until the row view is first asked for. It panics on malformed
+// input.
+func NewCSRFromColumns(n int, colPtr, rowIdx []uint32, rowDiv []float64, excPos []uint32, excMul []float64) *CSR {
+	checkOrder("NewCSRFromColumns", n, len(rowIdx))
+	if len(colPtr) != n+1 || colPtr[0] != 0 || int(colPtr[n]) != len(rowIdx) || len(rowDiv) != n || len(excPos) != len(excMul) {
+		panic(fmt.Sprintf("matrix: NewCSRFromColumns inconsistent shape (n=%d, ptrs=%d, rows=%d, divisors=%d, exceptions=%d/%d)",
+			n, len(colPtr), len(rowIdx), len(rowDiv), len(excPos), len(excMul)))
 	}
 	for j := 0; j < n; j++ {
 		lo, hi := colPtr[j], colPtr[j+1]
@@ -150,16 +171,27 @@ func NewCSRFromColumns(n int, colPtr []int, rowIdx []uint32, val []float64) *CSR
 			}
 		}
 	}
-	return &CSR{n: n, colPtr: colPtr, rowIdx: rowIdx, cval: val}
+	for i, d := range rowDiv {
+		if !(d > 0) || math.IsInf(d, 0) {
+			panic(fmt.Sprintf("matrix: NewCSRFromColumns row %d divisor %g", i, d))
+		}
+	}
+	for e, k := range excPos {
+		if int(k) >= len(rowIdx) || (e > 0 && k <= excPos[e-1]) {
+			panic(fmt.Sprintf("matrix: NewCSRFromColumns exception %d at entry %d out of order", e, k))
+		}
+	}
+	return &CSR{n: n, colPtr: colPtr, rowIdx: rowIdx, rowDiv: rowDiv, excPos: excPos, excMul: excMul}
 }
 
-// checkOrder panics unless 0 < n and every index fits the 32-bit rowIdx.
-func checkOrder(ctor string, n int) {
+// checkOrder panics unless 0 < n, every row index fits 32 bits and every
+// entry position fits them below noException.
+func checkOrder(ctor string, n, nnz int) {
 	if n <= 0 {
 		panic(fmt.Sprintf("matrix: %s with non-positive order %d", ctor, n))
 	}
-	if uint64(n) > 1<<32 {
-		panic(fmt.Sprintf("matrix: %s order %d exceeds 32-bit indices", ctor, n))
+	if uint64(n) > 1<<32 || uint64(nnz) > noException {
+		panic(fmt.Sprintf("matrix: %s order %d with %d entries exceeds 32-bit indices", ctor, n, nnz))
 	}
 }
 
@@ -249,27 +281,38 @@ func sortPairs(cols []int, vals []float64) {
 	}
 }
 
-// buildTranspose derives the pull view from the finalized rows. Scanning
-// rows in ascending order keeps each column's source rows ascending.
+// buildTranspose derives the pull view from the finalized rows, with
+// every divisor 1 and every value other than 1 listed. Scanning rows in
+// ascending order keeps each column's source rows ascending.
 func (m *CSR) buildTranspose() {
-	m.colPtr = make([]int, m.n+1)
-	for _, j := range m.colIdx {
+	m.colPtr = make([]uint32, m.n+1)
+	excs := make([]uint32, m.n+1) // per column, then each column's next exception
+	for k, j := range m.colIdx {
 		m.colPtr[j+1]++
+		if m.val[k] != 1 {
+			excs[j+1]++
+		}
 	}
 	for j := 0; j < m.n; j++ {
 		m.colPtr[j+1] += m.colPtr[j]
+		excs[j+1] += excs[j]
 	}
 	m.rowIdx = make([]uint32, len(m.colIdx))
-	m.cval = make([]float64, len(m.val))
-	next := make([]int, m.n)
-	copy(next, m.colPtr[:m.n])
+	m.rowDiv = NewVector(m.n).Fill(1)
+	m.excPos = make([]uint32, excs[m.n])
+	m.excMul = make([]float64, excs[m.n])
+	next := append([]uint32(nil), m.colPtr[:m.n]...)
 	for i := 0; i < m.n; i++ {
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
 			j := m.colIdx[k]
 			p := next[j]
 			m.rowIdx[p] = uint32(i)
-			m.cval[p] = m.val[k]
 			next[j]++
+			if v := m.val[k]; v != 1 {
+				m.excPos[excs[j]] = p
+				m.excMul[excs[j]] = v
+				excs[j]++
+			}
 		}
 	}
 }
@@ -288,15 +331,20 @@ func (m *CSR) forward() {
 			rowPtr[i+1] += rowPtr[i]
 		}
 		colIdx := make([]int, len(m.rowIdx))
-		val := make([]float64, len(m.cval))
-		next := make([]int, m.n)
-		copy(next, rowPtr[:m.n])
+		val := make([]float64, len(m.rowIdx))
+		next := append([]int(nil), rowPtr[:m.n]...)
+		e := 0
 		for j := 0; j < m.n; j++ {
 			for k := m.colPtr[j]; k < m.colPtr[j+1]; k++ {
-				p := next[m.rowIdx[k]]
-				colIdx[p] = j
-				val[p] = m.cval[k]
-				next[m.rowIdx[k]]++
+				i := m.rowIdx[k]
+				mult := 1.0
+				if e < len(m.excPos) && m.excPos[e] == k {
+					mult = m.excMul[e]
+					e++
+				}
+				p := next[i]
+				colIdx[p], val[p] = j, mult/m.rowDiv[i]
+				next[i]++
 			}
 		}
 		m.rowPtr, m.colIdx, m.val = rowPtr, colIdx, val
@@ -307,7 +355,7 @@ func (m *CSR) forward() {
 func (m *CSR) Order() int { return m.n }
 
 // NNZ returns the number of stored entries.
-func (m *CSR) NNZ() int { return len(m.cval) }
+func (m *CSR) NNZ() int { return len(m.rowIdx) }
 
 // RowNNZ returns the number of stored entries in row i.
 func (m *CSR) RowNNZ(i int) int {
@@ -375,35 +423,73 @@ func (m *CSR) checkMulShape(dst, x Vector) {
 	}
 }
 
+// noException is the exception cursor's position past the last listed
+// entry: no entry sits there, since checkOrder keeps nnz at or below it.
+const noException = math.MaxUint32
+
+// nextException returns the position of the e-th listed entry, or
+// noException past the last.
+func (m *CSR) nextException(e int) uint32 {
+	if e < len(m.excPos) {
+		return m.excPos[e]
+	}
+	return noException
+}
+
 // pullApply runs the pull-based sweep over every destination j:
 //
 //	dst[j] = (x'M)[j]                     when v is nil
 //	dst[j] = scale·(x'M)[j] + coeff·v[j]  otherwise
 //
-// and returns the sum of dst, accumulated in index order.
+// and returns the sum of dst, accumulated in index order. It sums
+// x[i]·M[i,j] in ascending i with M[i,j] = mult/rowDiv[i] — the products
+// a push over the row view forms — so it pays a division per entry; the
+// PageRank solves run SweepLeftDamped, which does not.
 func (m *CSR) pullApply(dst, x Vector, scale, coeff float64, v Vector) float64 {
+	colPtr, rowIdx, rowDiv, excMul := m.colPtr, m.rowIdx, m.rowDiv, m.excMul
 	var sum float64
-	if v == nil {
-		for j := 0; j < m.n; j++ {
-			var acc float64
-			for k := m.colPtr[j]; k < m.colPtr[j+1]; k++ {
-				acc += x[m.rowIdx[k]] * m.cval[k]
-			}
-			dst[j] = acc
-			sum += acc
-		}
-		return sum
-	}
+	e, next := 0, m.nextException(0)
 	for j := 0; j < m.n; j++ {
 		var acc float64
-		for k := m.colPtr[j]; k < m.colPtr[j+1]; k++ {
-			acc += x[m.rowIdx[k]] * m.cval[k]
+		k, hi := colPtr[j], colPtr[j+1]
+		for {
+			for stop := min(next, hi); k < stop; k++ {
+				i := rowIdx[k]
+				acc += x[i] * (1 / rowDiv[i])
+			}
+			if k == hi {
+				break
+			}
+			i := rowIdx[k]
+			acc += x[i] * (excMul[e] / rowDiv[i])
+			k++
+			e++
+			next = m.nextException(e)
 		}
-		acc = scale*acc + coeff*v[j]
+		if v != nil {
+			acc = scale*acc + coeff*v[j]
+		}
 		dst[j] = acc
 		sum += acc
 	}
 	return sum
+}
+
+// ScaleIterate divides x[i] by row i's divisor (its out-weight in a
+// transition matrix), turning an iterate into the form SweepLeftDamped
+// sweeps.
+func (m *CSR) ScaleIterate(x Vector) {
+	for i, d := range m.rowDiv[:len(x)] {
+		x[i] /= d
+	}
+}
+
+// UnscaleIterate undoes ScaleIterate: x[i] ← x[i]·rowDiv[i]. A dangling
+// row's entry, divided by 1, comes back exactly; any other within an ulp.
+func (m *CSR) UnscaleIterate(x Vector) {
+	for i, d := range m.rowDiv[:len(x)] {
+		x[i] *= d
+	}
 }
 
 // SweepLeftDamped runs one in-place (Gauss–Seidel) sweep of the damped
@@ -414,24 +500,37 @@ func (m *CSR) pullApply(dst, x Vector, scale, coeff float64, v Vector) float64 {
 // reading this sweep's x[i] for i < j and the previous one's for i > j;
 // diag[j] = M[j,j], nil when no state has a self-loop. It returns, summed
 // in index order, Σ|Δx[j]|, Σx[j] and Σx[j] over the ascending dangling.
-func (m *CSR) SweepLeftDamped(x Vector, f, coeff float64, v, diag Vector, dangling []int) (change, mass, dangMass float64) {
-	m.checkMulShape(x, v)
+//
+// The iterate is held scaled, y[i] = x[i]/rowDiv[i] (ScaleIterate), so
+// x[i]·M[i,j] is y[i]·mult: each x[j] is divided once, when it is written,
+// not once per link. A column is gathered as if every mult were 1 — one
+// tight loop of loads, whose only unpredictable branch is its end — and
+// its listed entries then add y[i]·(mult − 1). Δx[j] is taken against the
+// previous y[j]·rowDiv[j].
+func (m *CSR) SweepLeftDamped(y Vector, f, coeff float64, v, diag Vector, dangling []int) (change, mass, dangMass float64) {
+	m.checkMulShape(y, v)
+	colPtr, rowIdx, rowDiv, excPos, excMul := m.colPtr, m.rowIdx, m.rowDiv, m.excPos, m.excMul
+	e := 0
 	for j := 0; j < m.n; j++ {
-		old, inv := x[j], 1.0
+		old, inv := y[j]*rowDiv[j], 1.0
 		if diag != nil {
 			// Zeroed, the self-loop adds an exact 0 to the gather below.
-			x[j], inv = 0, 1/(1-f*diag[j])
+			y[j], inv = 0, 1/(1-f*diag[j])
 		}
 		var acc float64
-		for k := m.colPtr[j]; k < m.colPtr[j+1]; k++ {
-			acc += x[m.rowIdx[k]] * m.cval[k]
+		hi := colPtr[j+1]
+		for _, i := range rowIdx[colPtr[j]:hi] {
+			acc += y[i]
 		}
-		acc = (f*acc + coeff*v[j]) * inv
-		x[j] = acc
-		change += math.Abs(acc - old)
-		mass += acc
+		for ; e < len(excPos) && excPos[e] < hi; e++ {
+			acc += y[rowIdx[excPos[e]]] * (excMul[e] - 1)
+		}
+		xj := (f*acc + coeff*v[j]) * inv
+		y[j] = xj / rowDiv[j]
+		change += math.Abs(xj - old)
+		mass += xj
 		if len(dangling) > 0 && dangling[0] == j {
-			dangMass += acc
+			dangMass += xj
 			dangling = dangling[1:]
 		}
 	}
@@ -449,10 +548,19 @@ func (m *CSR) Diagonal() Vector {
 			if diag == nil {
 				diag = NewVector(m.n)
 			}
-			diag[j] = m.cval[lo+k]
+			diag[j] = m.mult(lo+uint32(k)) / m.rowDiv[j]
 		}
 	}
 	return diag
+}
+
+// mult returns the multiplicity of stored entry k: 1 unless it is listed.
+func (m *CSR) mult(k uint32) float64 {
+	e := sort.Search(len(m.excPos), func(e int) bool { return m.excPos[e] >= k })
+	if e < len(m.excPos) && m.excPos[e] == k {
+		return m.excMul[e]
+	}
+	return 1
 }
 
 // RowSums returns the vector of row sums.
@@ -494,13 +602,21 @@ func (m *CSR) NormalizeRows() *CSR {
 
 // DanglingRows returns the indices of rows with zero sum (no out-links),
 // in ascending order. It reads the pull view — every PageRank chain asks,
-// and none of them should pay for the row view: walking the columns in
-// order adds each row's entries in ascending column order, the order a
-// row scan would.
+// and none of them should pay for the row view: a row's sum is zero when
+// its multiplicities, added in ascending column order as a row scan
+// would, sum to zero, its divisor being positive.
 func (m *CSR) DanglingRows() []int {
 	sums := make([]float64, m.n)
-	for k, i := range m.rowIdx {
-		sums[i] += m.cval[k]
+	k := uint32(0)
+	for e, p := range m.excPos {
+		for ; k < p; k++ {
+			sums[m.rowIdx[k]]++
+		}
+		sums[m.rowIdx[p]] += m.excMul[e]
+		k++
+	}
+	for ; int(k) < len(m.rowIdx); k++ {
+		sums[m.rowIdx[k]]++
 	}
 	var out []int
 	for i, s := range sums {

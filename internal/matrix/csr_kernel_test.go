@@ -10,10 +10,14 @@ import (
 
 // pushMulVecLeft is the pre-optimization push-based kernel, kept as the
 // reference the pull-based sweep must reproduce: scatter dst[col] +=
-// x[row]·val in row order. Because the transpose view stores each
-// column's sources ascending, the pull accumulation visits the same
-// contributions in the same order and the results must match bitwise.
+// x[row]·val in row order, over the row view — derived from the pull
+// view on first use when the matrix was built in pull form. Because the
+// pull view stores each column's sources ascending and the row view holds
+// each entry's value as the product's second factor (mult/rowDiv[i], the
+// quotient the pull multiply forms), the pull accumulation visits the
+// same products in the same order and the results must match bitwise.
 func pushMulVecLeft(m *CSR, dst, x Vector) {
+	m.forward()
 	for j := range dst {
 		dst[j] = 0
 	}
@@ -36,6 +40,27 @@ func randomSparse(rng *rand.Rand, n, nnz int) *CSR {
 	return NewCSR(n, triples)
 }
 
+// randomTransition is a random transition matrix in the form
+// graph.Digraph.TransitionMatrix emits: link weights are multiplicities
+// (mostly 1, up to 7) or fractions (2.5, 0.5), rows may be dangling or
+// hold self-loops, each row's divisor is its out-weight (1 when dangling)
+// and every link of weight other than 1 is listed with its weight.
+func randomTransition(rng *rand.Rand, n, links int) *CSR {
+	weights := []float64{1, 1, 1, 1, 1, 1, 2, 3, 7, 2.5, 0.5}
+	triples := make([]Triple, links)
+	for k := range triples {
+		triples[k] = Triple{Row: rng.Intn(n), Col: rng.Intn(n), Val: weights[rng.Intn(len(weights))]}
+	}
+	w := NewCSR(n, triples) // merged weights: the adjacency after Dedupe
+	outW := w.RowSums()
+	for i, s := range outW {
+		if s == 0 {
+			outW[i] = 1
+		}
+	}
+	return NewCSRFromColumns(n, w.colPtr, w.rowIdx, outW, w.excPos, w.excMul)
+}
+
 func randomX(rng *rand.Rand, n int) Vector {
 	x := NewVector(n)
 	for i := range x {
@@ -44,11 +69,19 @@ func randomX(rng *rand.Rand, n int) Vector {
 	return x
 }
 
+// TestPullMatchesPushBitwise: the pull sweep over the retained form
+// reproduces the push sweep over the row view bit for bit — on generic
+// matrices (divisors 1, every value other than 1 listed) and on
+// transition matrices (divisors the out-weights, the links of weight
+// other than 1 listed).
 func TestPullMatchesPushBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 100; trial++ {
 		n := rng.Intn(60) + 1
 		m := randomSparse(rng, n, rng.Intn(4*n+1))
+		if trial%2 == 1 {
+			m = randomTransition(rng, n, rng.Intn(4*n+1))
+		}
 		x := randomX(rng, n)
 		got, want := NewVector(n), NewVector(n)
 		m.MulVecLeft(got, x)
@@ -96,8 +129,10 @@ func TestMulVecLeftDamped(t *testing.T) {
 
 // TestSweepLeftDamped checks the in-place sweep against its definition,
 // read off At one column at a time: fresh entries below j, stale ones
-// above, the self-loop solved for — with and without stored self-loops —
-// and the three sums it reports against plain passes over the result.
+// above, the self-loop solved for — with and without stored self-loops,
+// with divisors 1 and with out-weights, the iterate scaled around the
+// sweep — and the three sums it reports against plain passes over the
+// result.
 func TestSweepLeftDamped(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
@@ -111,6 +146,9 @@ func TestSweepLeftDamped(t *testing.T) {
 			triples = append(triples, Triple{Row: i, Col: j, Val: rng.Float64() / 4})
 		}
 		m := NewCSR(n, triples)
+		if trial%4 == 3 {
+			m = randomTransition(rng, n, rng.Intn(4*n+1))
+		}
 		diag := m.Diagonal()
 		if trial%2 == 0 && diag != nil {
 			t.Fatalf("trial %d: Diagonal() = %v for a chain without self-loops", trial, diag)
@@ -142,7 +180,9 @@ func TestSweepLeftDamped(t *testing.T) {
 		for _, d := range dangling {
 			dang += want[d]
 		}
+		m.ScaleIterate(x)
 		gotChange, gotMass, gotDang := m.SweepLeftDamped(x, f, coeff, v, diag, dangling)
+		m.UnscaleIterate(x)
 		if d := x.MaxAbsDiff(want); d > 1e-15 {
 			t.Errorf("trial %d: sweep differs from its definition by %g", trial, d)
 		}
@@ -261,9 +301,11 @@ func TestMulVecLeftSerialZeroAllocs(t *testing.T) {
 // someone asks.
 func pullOnly(m *CSR) *CSR {
 	return NewCSRFromColumns(m.n,
-		append([]int(nil), m.colPtr...),
+		append([]uint32(nil), m.colPtr...),
 		append([]uint32(nil), m.rowIdx...),
-		append([]float64(nil), m.cval...))
+		append([]float64(nil), m.rowDiv...),
+		append([]uint32(nil), m.excPos...),
+		append([]float64(nil), m.excMul...))
 }
 
 // TestRowViewDerivedFromPullRoundTrips: the row view derived on first
@@ -275,6 +317,9 @@ func TestRowViewDerivedFromPullRoundTrips(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := rng.Intn(50) + 1
 		ref := randomSparse(rng, n, rng.Intn(5*n+1))
+		if trial%2 == 1 {
+			ref = randomTransition(rng, n, rng.Intn(5*n+1))
+		}
 		m := pullOnly(ref)
 		if m.rowPtr != nil || m.colIdx != nil || m.val != nil {
 			t.Fatal("a pull-built matrix was born with a row view")
@@ -390,20 +435,28 @@ func TestRowViewConcurrentFirstUse(t *testing.T) {
 }
 
 func TestNewCSRFromColumnsRejectsMalformed(t *testing.T) {
+	one := []float64{1, 1}
 	cases := []struct {
-		name   string
-		n      int
-		colPtr []int
-		rows   []uint32
-		vals   []float64
+		name     string
+		n        int
+		colPtr   []uint32
+		rows     []uint32
+		divisors []float64
+		excPos   []uint32
+		excMuls  []float64
 	}{
-		{"zero order", 0, []int{0}, nil, nil},
-		{"unsorted column", 2, []int{0, 2, 2}, []uint32{1, 0}, []float64{1, 1}},
-		{"duplicate row", 2, []int{0, 2, 2}, []uint32{1, 1}, []float64{1, 1}},
-		{"row out of range", 2, []int{0, 1, 1}, []uint32{2}, []float64{1}},
-		{"bad ptr tail", 2, []int{0, 1, 3}, []uint32{0, 1}, []float64{1, 1}},
-		{"negative extent", 2, []int{0, 2, 1}, []uint32{0, 1}, []float64{1, 1}},
-		{"short values", 2, []int{0, 1, 2}, []uint32{0, 1}, []float64{1}},
+		{"zero order", 0, []uint32{0}, nil, nil, nil, nil},
+		{"unsorted column", 2, []uint32{0, 2, 2}, []uint32{1, 0}, one, nil, nil},
+		{"duplicate row", 2, []uint32{0, 2, 2}, []uint32{1, 1}, one, nil, nil},
+		{"row out of range", 2, []uint32{0, 1, 1}, []uint32{2}, one, nil, nil},
+		{"bad ptr tail", 2, []uint32{0, 1, 3}, []uint32{0, 1}, one, nil, nil},
+		{"negative extent", 2, []uint32{0, 2, 1}, []uint32{0, 1}, one, nil, nil},
+		{"zero divisor", 2, []uint32{0, 1, 2}, []uint32{0, 1}, []float64{1, 0}, nil, nil},
+		{"short divisors", 2, []uint32{0, 1, 2}, []uint32{0, 1}, []float64{1}, nil, nil},
+		{"short exception values", 2, []uint32{0, 1, 2}, []uint32{0, 1}, one, []uint32{0}, nil},
+		{"exception past the entries", 2, []uint32{0, 1, 2}, []uint32{0, 1}, one, []uint32{2}, []float64{3}},
+		{"exceptions out of order", 2, []uint32{0, 1, 2}, []uint32{0, 1}, one, []uint32{1, 0}, []float64{3, 3}},
+		{"exception listed twice", 2, []uint32{0, 1, 2}, []uint32{0, 1}, one, []uint32{1, 1}, []float64{3, 3}},
 	}
 	for _, c := range cases {
 		func() {
@@ -412,7 +465,7 @@ func TestNewCSRFromColumnsRejectsMalformed(t *testing.T) {
 					t.Errorf("%s: no panic", c.name)
 				}
 			}()
-			NewCSRFromColumns(c.n, c.colPtr, c.rows, c.vals)
+			NewCSRFromColumns(c.n, c.colPtr, c.rows, c.divisors, c.excPos, c.excMuls)
 		}()
 	}
 }

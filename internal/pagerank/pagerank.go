@@ -256,7 +256,9 @@ func (c *Chain) NewSolver() *Solver {
 // Solver runs repeated PageRank computations over one fixed chain with
 // zero steady-state allocations: the chain, the teleport buffer and the
 // one iterate are all built once at construction and reused by every
-// Solve. It is the per-site building block of lmm.Ranker.
+// Solve. It is the per-site building block of lmm.Ranker. The iterate is
+// swept divided by the out-weights and multiplied back once at the end,
+// so a Solver holds no vector beside it.
 //
 // Solve reads PageRank as the linear system x = f·M'x + c·v, c the
 // teleport mass of the previous sweep's x, and sweeps it in place
@@ -311,6 +313,10 @@ func (s *Solver) Solve(cfg Config) (Result, error) {
 	for _, d := range c.dangling {
 		dang += x[d]
 	}
+	// The sweeps read the iterate divided by the out-weights (matrix.CSR
+	// ScaleIterate): one load a link, and a division per state, not per
+	// link. The dangling entries, divided by 1, stay as they are.
+	c.m.ScaleIterate(x)
 	res := Result{Scores: x}
 	for res.Iterations < maxIter && !res.Converged {
 		if cfg.Ctx != nil {
@@ -327,6 +333,7 @@ func (s *Solver) Solve(cfg Config) (Result, error) {
 	if !res.Converged {
 		return Result{}, fmt.Errorf("pagerank: %w after %d sweeps (residual %.3e, tol %.3e)", matrix.ErrNotConverged, res.Iterations, res.Residual, tol)
 	}
+	c.m.UnscaleIterate(x)
 	x.Normalize()
 	return res, nil
 }

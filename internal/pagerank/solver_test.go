@@ -189,7 +189,35 @@ func exactChains(rng *rand.Rand) []namedChain {
 	}
 	chains = append(chains, namedChain{"duplicate rows", g},
 		namedChain{"random", randomChainGraph(rng, rng.Intn(40)+2)})
-	return chains
+
+	// Links of weight other than 1 — the entries a transition matrix
+	// lists beside its per-row out-weights: multiplicities 1–7, as
+	// repeated links and as heavy ones, weights 2.5 and 0.5, self-loops
+	// among them and dangling rows.
+	n = rng.Intn(30) + 2
+	g = graph.NewDigraph(n)
+	weights := []float64{1, 1, 1, 2, 3, 7, 2.5, 0.5}
+	for i := 0; i < n; i++ {
+		if i%6 == 5 {
+			continue
+		}
+		for k := rng.Intn(5) + 1; k > 0; k-- {
+			to := rng.Intn(n)
+			if k == 1 && i%3 == 0 {
+				to = i
+			}
+			g.AddEdge(i, to, weights[rng.Intn(len(weights))])
+			if k%2 == 0 {
+				g.AddLink(i, to)
+			}
+		}
+	}
+	chains = append(chains, namedChain{"multiplicities and fractions", g})
+
+	// A site of one page, with and without a (heavy) link to itself.
+	looped := graph.NewDigraph(1)
+	looped.AddEdge(0, 0, 2.5)
+	return append(chains, namedChain{"one row", graph.NewDigraph(1)}, namedChain{"one row, self-loop", looped})
 }
 
 // TestSolverMatchesExactStationary is the oracle the Solver-vs-Sparse pins
