@@ -7,7 +7,7 @@ SHELL := /bin/bash
 
 GO ?= go
 
-.PHONY: ci check fmt vet lint build test race race-multi alloc-pins chaos cover fuzz-smoke bench bench-smoke docs loc pairs
+.PHONY: ci check fmt vet lint build test race race-multi alloc-pins chaos cover fuzz-smoke bench bench-smoke docs loc api pairs
 
 # The umbrella target CI calls: the fast gate, the race detector over
 # the concurrency-heavy packages (single- and multi-core), the allocation
@@ -124,6 +124,22 @@ loc:
 	        [ -z "$$files" ] || printf '%7d %s\n' "$$(cat $$files | wc -l)" "$$pkg"; \
 	    done \
 	    | awk '{ print; total += $$1 } END { printf "%7d total\n", total }'
+
+# The exported surface a change moves, from one command: the `go doc -all`
+# of the root package and of the distributed packages cmd/lmmcoord and
+# cmd/lmmload compile against, at PARENT (extracted with `git archive`, as
+# `pairs` does) diffed against the working tree. A difference is the
+# report, not a failure.
+API_PKGS := . ./internal/dist/coordinator ./internal/dist/wire ./internal/dist/cluster ./internal/dist/chaos
+api:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/parent-src"; \
+	git archive $(PARENT) | tar -x -C "$$tmp/parent-src"; \
+	for p in $(API_PKGS); do \
+		(cd "$$tmp/parent-src" && $(GO) doc -all $$p) > "$$tmp/parent.txt"; \
+		$(GO) doc -all $$p > "$$tmp/head.txt"; \
+		diff -u --label "$(PARENT) $$p" --label "working tree $$p" "$$tmp/parent.txt" "$$tmp/head.txt" || true; \
+	done
 
 # Coverage floors. internal/dist+partition: the merged statement
 # coverage of the distributed runtime's tests must not fall below

@@ -164,19 +164,21 @@ func BenchmarkE7Distributed(b *testing.B) {
 
 // BenchmarkE11AsyncSiteRank compares the barrier-free asynchronous
 // SiteRank protocol (concurrent and seeded-ordered schedules) against
-// the synchronous barrier rounds, one per exchange or four, on the same
-// loopback fleet. Loopback has no straggler, so this measures the
-// protocols' overhead floor; the chaos straggler tests pin the win when a
-// worker is slow. rounds/op (SiteRankRounds: merges plus barrier rounds
-// in async) and msgs/op are the counts a cold Rank pays.
+// the synchronous barrier rounds on the same loopback fleet, and both
+// against the central solve: its msgs/op is the load and local phase
+// alone, the baseline every fleet mode's site-layer messages add to.
+// Loopback has no straggler, so this measures the protocols' overhead
+// floor; the chaos straggler tests pin the win when a worker is slow.
+// rounds/op (SiteRankRounds: merges plus barrier rounds in async, sweeps
+// in central) and msgs/op are the counts a cold Rank pays.
 func BenchmarkE11AsyncSiteRank(b *testing.B) {
 	web := benchWeb()
 	cfgs := []struct {
 		name string
 		cfg  DistConfig
 	}{
+		{"central", DistConfig{Tol: 1e-9}},
 		{"sync", DistConfig{SiteRank: SiteRankSync, Tol: 1e-9}},
-		{"batched", DistConfig{SiteRank: SiteRankBatched, BatchRounds: 4, Tol: 1e-9}},
 		{"async", DistConfig{SiteRank: SiteRankAsync, Tol: 1e-9}},
 		{"asyncOrdered", DistConfig{SiteRank: SiteRankAsync, AsyncOrdered: true, AsyncSeed: 1, Tol: 1e-9}},
 	}

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	lmmcoord -graph campus.graph -workers host1:7100,host2:7100 [-top 15]
-//	         [-siterank central|sync|batched|async] [-batch-rounds 4]
+//	         [-siterank central|sync|async]
 //	         [-async-ordered] [-async-seed 42]
 //	         [-partition host|balanced|aggregate] [-partition-seed 0]
 //	         [-max-worker-failures 1] [-max-redials 0]
@@ -28,13 +28,13 @@
 // -siterank selects the SiteRank mode (docs/ARCHITECTURE.md has the
 // map): "central" (the default) solves the site layer on the
 // coordinator, "sync" iterates it over the fleet one barrier round at
-// a time, "batched" exchanges -batch-rounds rounds per message,
-// and "async" is the barrier-free protocol (workers sweep continuously,
-// the coordinator merges in arrival order and confirms with synchronous
-// verification rounds); -async-ordered with -async-seed makes its
-// schedule deterministic and the SiteRank bitwise reproducible. A knob
-// given without the mode that reads it (-batch-rounds, -async-ordered,
-// -checkpoint with "central") is a usage error. -checkpoint persists
+// a time, and "async" is the barrier-free protocol (workers sweep
+// continuously, the coordinator merges in arrival order and confirms
+// with synchronous verification rounds); -async-ordered with -async-seed
+// makes its schedule deterministic and the SiteRank bitwise
+// reproducible. A knob given without the mode that reads it
+// (-async-ordered, -checkpoint with "central") is a usage error.
+// -checkpoint persists
 // the fleet-side SiteRank iterate to a file after every round; a
 // coordinator restarted with -resume picks the iteration up from the
 // last checkpointed round instead of round zero (without -resume a
@@ -70,10 +70,9 @@ func run() error {
 		workers   = flag.String("workers", "", "comma-separated worker addresses (required)")
 		top       = flag.Int("top", 15, "table length")
 		damping   = flag.Float64("damping", 0.85, "damping factor / gatekeeper α")
-		srMode    = flag.String("siterank", "central", "SiteRank mode: central, sync, batched or async")
+		srMode    = flag.String("siterank", "central", "SiteRank mode: central, sync or async")
 		asyncOrd  = flag.Bool("async-ordered", false, "with -siterank async: deterministic seeded sequential schedule")
 		asyncSeed = flag.Int64("async-seed", 0, "with -async-ordered: seed of the worker-selection schedule")
-		batch     = flag.Int("batch-rounds", 0, "with -siterank batched: SiteRank rounds per exchange (<=1 = one)")
 		failures  = flag.Int("max-worker-failures", 1, "worker losses one run may absorb by reassigning shards (0 = fail on first loss)")
 		redials   = flag.Int("max-redials", 0, "background redial attempts per lost worker (0 = lost workers stay lost)")
 		ckptPath  = flag.String("checkpoint", "", "checkpoint the SiteRank iterate to this file (any -siterank mode but central)")
@@ -99,21 +98,16 @@ func run() error {
 		mode = coordinator.SiteRankCentral
 	case "sync":
 		mode = coordinator.SiteRankSync
-	case "batched":
-		mode = coordinator.SiteRankBatched
 	case "async":
 		mode = coordinator.SiteRankAsync
 	default:
-		return fmt.Errorf("unknown -siterank mode %q (want central, sync, batched or async)", *srMode)
+		return fmt.Errorf("unknown -siterank mode %q (want central, sync or async)", *srMode)
 	}
 	if *asyncOrd && mode != coordinator.SiteRankAsync {
 		return fmt.Errorf("-async-ordered needs -siterank async")
 	}
-	if *batch != 0 && mode != coordinator.SiteRankBatched {
-		return fmt.Errorf("-batch-rounds needs -siterank batched")
-	}
 	if *ckptPath != "" && mode == coordinator.SiteRankCentral {
-		return fmt.Errorf("-checkpoint needs -siterank sync, batched or async (the central SiteRank has no fleet iteration to checkpoint)")
+		return fmt.Errorf("-checkpoint needs -siterank sync or async (the central SiteRank has no fleet iteration to checkpoint)")
 	}
 	var strat partition.Strategy
 	switch *partName {
@@ -165,7 +159,6 @@ func run() error {
 		SiteRank:     mode,
 		AsyncOrdered: *asyncOrd,
 		AsyncSeed:    *asyncSeed,
-		BatchRounds:  *batch,
 		Compress:     *compress,
 		Partition:    strat,
 		Retry: coordinator.RetryPolicy{
@@ -207,8 +200,8 @@ func run() error {
 			res.Stats.Messages,
 			float64(res.Stats.BytesSent)/1e6,
 			float64(res.Stats.BytesReceived)/1e6)
-		fmt.Printf("run %d: cache %d hits / %d misses (%.2f MB of shards not re-shipped; %.2f MB hashed for digests)",
-			run, res.Stats.CacheHits, res.Stats.CacheMisses,
+		fmt.Printf("run %d: cache %d hits / %d shards re-shipped (%.2f MB of shards not re-shipped; %.2f MB hashed for digests)",
+			run, res.Stats.CacheHits, res.Stats.ShardsReshipped,
 			float64(res.Stats.ShardBytesSaved)/1e6,
 			float64(res.Stats.DigestBytesHashed)/1e6)
 		if res.Stats.ShardBytesRaw > 0 {
@@ -227,9 +220,6 @@ func run() error {
 		}
 		if res.Stats.ResumedFromRound > 0 {
 			fmt.Printf("; resumed SiteRank from checkpointed round %d", res.Stats.ResumedFromRound)
-		}
-		if res.Stats.BatchMessagesSaved > 0 {
-			fmt.Printf("; batching saved %d SiteRank messages", res.Stats.BatchMessagesSaved)
 		}
 		if res.Stats.AsyncUpdatesMerged > 0 {
 			fmt.Printf("; async merged %d sweeps (%d verification rounds)",

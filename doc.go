@@ -23,9 +23,9 @@
 //     balancing, digest-keyed worker caches, flate shard compression,
 //     one SiteRank loop selected by DistConfig.SiteRank alone
 //     (SiteRankMode: central by default, or on the fleet as synchronous
-//     rounds, batched rounds, or the barrier-free asynchronous protocol
-//     with synchronous verification — seeded-deterministic when
-//     ordered), mid-run worker-loss recovery and background redial with
+//     rounds or the barrier-free asynchronous protocol with synchronous
+//     verification — seeded-deterministic when ordered), mid-run
+//     worker-loss recovery and background redial with
 //     mid-run re-admission (DistRetryPolicy), and checkpointed SiteRank
 //     iteration (DistCheckpoint).
 //
@@ -113,7 +113,7 @@
 //     distributedly their shards and local DocRanks (clean shards stay
 //     in the worker caches and are never re-shipped, clean sites' local
 //     DocRanks carry into the next snapshot and are never re-solved —
-//     Result.Dist.ShardsReused / ShardsReshipped / LocalRanksReused
+//     Result.Dist.CacheHits / ShardsReshipped / LocalRanksReused
 //     account for it).
 //   - After an out-of-band mutation (or a failed nil-Apply Update),
 //     queries keep failing with ErrGraphMutated until a successful

@@ -629,7 +629,7 @@ type distWarm struct {
 // re-hashes only the changed shards — which, through the workers' digest
 // caches, then re-ships only the changed shards, and asks the fleet for
 // only the changed sites' local DocRanks: a 1-site edit on an N-site web
-// moves ~1/N of a cold load's bytes (Result.Dist.ShardsReused /
+// moves ~1/N of a cold load's bytes (Result.Dist.CacheHits /
 // ShardsReshipped / LocalRanksReused / DigestBytesHashed account for it
 // per run). A failed Apply re-ships nothing; the wire never carries stale
 // shards.
@@ -647,8 +647,8 @@ var _ Engine = (*DistEngine)(nil)
 // fleet does the local solving, on the first query) and every Rank
 // reuses it, so repeated queries ship near-zero shard bytes and hash
 // zero digest bytes. cfg
-// supplies the transport knobs (SiteGraph aggregation, distributed or
-// batched SiteRank, retry policy, compression) and the serving knobs
+// supplies the transport knobs (SiteGraph aggregation, SiteRank mode,
+// retry policy, compression) and the serving knobs
 // (MaxInFlight, TenantQuota, RejectOverload, Coalesce, CoalesceTol);
 // its per-query fields —
 // Damping, Tol, MaxIter, SitePersonalization, ThreeLayer, DomainOf —

@@ -68,7 +68,6 @@ func TestDistEngineWarmMatchesCold(t *testing.T) {
 	}{
 		{"central", DistConfig{}, false},
 		{"sync", DistConfig{SiteRank: SiteRankSync}, false},
-		{"batched", DistConfig{SiteRank: SiteRankBatched, BatchRounds: 4}, false},
 		{"asyncOrdered", DistConfig{SiteRank: SiteRankAsync, AsyncOrdered: true, AsyncSeed: 3}, false},
 		{"async", DistConfig{SiteRank: SiteRankAsync}, true},
 	}
@@ -190,7 +189,6 @@ func TestSiteRankModesMatchCentralOnSelfLoopHeavySites(t *testing.T) {
 	}{
 		{"central", DistConfig{}, 1e-9},
 		{"sync", DistConfig{SiteRank: SiteRankSync}, 1e-9},
-		{"batched", DistConfig{SiteRank: SiteRankBatched, BatchRounds: 4}, 1e-9},
 		{"asyncOrdered", DistConfig{SiteRank: SiteRankAsync, AsyncOrdered: true, AsyncSeed: 3}, 1e-9},
 		{"async", DistConfig{SiteRank: SiteRankAsync}, 1e-6},
 	} {
@@ -251,7 +249,6 @@ func TestFleetRoundsBeatPowerSteps(t *testing.T) {
 		cfg  DistConfig
 	}{
 		{"sync", DistConfig{SiteRank: SiteRankSync}},
-		{"batched", DistConfig{SiteRank: SiteRankBatched, BatchRounds: 4}},
 	} {
 		t.Run(m.name, func(t *testing.T) {
 			dg := webgen.Generate(gen).Graph
@@ -380,10 +377,9 @@ func TestDistEngineUpdateAsksOnlyChangedSite(t *testing.T) {
 
 // TestUpdateHashesOnlyChangedShards: the snapshot keeps every shard's
 // digest and Update carries the clean sites' across in every mode, so
-// the first Rank after a 1-site edit hashes that site's shard (and, when
-// batching, the replicated chain, which holds every row) and nothing
-// else. The digests hold for any query parameters: a Tol=1e-4 query on a
-// warm snapshot hashes nothing at all.
+// the first Rank after a 1-site edit hashes that site's shard and
+// nothing else. The digests hold for any query parameters: a Tol=1e-4
+// query on a warm snapshot hashes nothing at all.
 func TestUpdateHashesOnlyChangedShards(t *testing.T) {
 	ctx := context.Background()
 	loose := Query{Tol: 1e-4}
@@ -393,7 +389,6 @@ func TestUpdateHashesOnlyChangedShards(t *testing.T) {
 	}{
 		{"central", DistConfig{}},
 		{"sync", DistConfig{SiteRank: SiteRankSync}},
-		{"batched", DistConfig{SiteRank: SiteRankBatched, BatchRounds: 4}},
 		{"async", DistConfig{SiteRank: SiteRankAsync}},
 	} {
 		t.Run(m.name, func(t *testing.T) {
@@ -434,20 +429,14 @@ func TestUpdateHashesOnlyChangedShards(t *testing.T) {
 				t.Fatalf("Update: %v", err)
 			}
 			// What the edited site costs to hash: its subgraph's links, plus
-			// its site-chain row when the shards carry rows, plus the whole
-			// chain when it is replicated.
+			// its site-chain row when the shards carry rows.
 			rk := eng.snap.Load().state.rk
 			sub, _ := rk.LocalSubgraph(site)
-			sg := rk.SiteGraph().G
 			shard := wire.SiteShard{Edges: make([]wire.Edge, sub.NumEdges())}
 			if m.cfg.SiteRank == SiteRankSync || m.cfg.SiteRank == SiteRankAsync {
-				sg.EachEdge(int(site), func(graph.Edge) { shard.RowCols = append(shard.RowCols, 0) })
+				rk.SiteGraph().G.EachEdge(int(site), func(graph.Edge) { shard.RowCols = append(shard.RowCols, 0) })
 			}
 			budget := shard.DigestInputBytes()
-			if m.cfg.SiteRank == SiteRankBatched {
-				chain := wire.SiteChain{RowPtr: make([]int, sg.NumNodes()+1), Cols: make([]int, sg.NumEdges())}
-				budget += chain.DigestInputBytes()
-			}
 			edited := rank("post-edit", Query{})
 			if edited.ShardsReshipped != 1 {
 				t.Errorf("the first Rank after a 1-site Update reshipped %d shards, want 1", edited.ShardsReshipped)

@@ -113,7 +113,7 @@ func repartitionFixture(t *testing.T) *DocGraph {
 // engine reruns the strategy, which moves exactly the one clean site
 // the capacity allows (site 4 — site 2 cannot fit on B's shard); and
 // the migration travels through the digest negotiation, so
-// ShardsReused stays at least the number of clean shards moved.
+// CacheHits stays at least the number of clean shards moved.
 func TestDistEngineOnlineRepartitionMigratesShards(t *testing.T) {
 	ctx := context.Background()
 	for _, threshold := range []float64{0.1, 0} {
@@ -198,12 +198,12 @@ func TestDistEngineOnlineRepartitionMigratesShards(t *testing.T) {
 			// digest negotiation, so the run reuses at least as many
 			// shards as it moved clean — the cache is exploited, not
 			// bypassed.
-			if res.Dist.ShardsReused < cleanMoved {
-				t.Errorf("ShardsReused = %d < moved clean shards %d", res.Dist.ShardsReused, cleanMoved)
+			if res.Dist.CacheHits < cleanMoved {
+				t.Errorf("CacheHits = %d < moved clean shards %d", res.Dist.CacheHits, cleanMoved)
 			}
-			if res.Dist.ShardsReused+res.Dist.ShardsReshipped != ns {
-				t.Errorf("ShardsReused %d + ShardsReshipped %d ≠ %d sites",
-					res.Dist.ShardsReused, res.Dist.ShardsReshipped, ns)
+			if res.Dist.CacheHits+res.Dist.ShardsReshipped != ns {
+				t.Errorf("CacheHits %d + ShardsReshipped %d ≠ %d sites",
+					res.Dist.CacheHits, res.Dist.ShardsReshipped, ns)
 			}
 			// Only the dirty site and the migrated-to-cold-cache shards
 			// may re-ship.

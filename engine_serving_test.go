@@ -508,9 +508,9 @@ func TestDistEngineFailedApplyNoReship(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-update Rank: %v", err)
 	}
-	if warm.Dist.ShardsReshipped != 0 || warm.Dist.ShardsReused != ns {
+	if warm.Dist.ShardsReshipped != 0 || warm.Dist.CacheHits != ns {
 		t.Errorf("reshipped %d / reused %d shards, want 0 / %d",
-			warm.Dist.ShardsReshipped, warm.Dist.ShardsReused, ns)
+			warm.Dist.ShardsReshipped, warm.Dist.CacheHits, ns)
 	}
 }
 

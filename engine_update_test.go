@@ -426,7 +426,7 @@ func TestEngineUpdateConcurrentWithRank(t *testing.T) {
 
 // TestDistEngineUpdate drives the distributed churn path end to end
 // through the Engine API: after Update, the next query re-ships only
-// the changed shard (ShardsReused > 0, ShardsReshipped small) and the
+// the changed shard (CacheHits > 0, ShardsReshipped small) and the
 // ranking matches a LocalEngine over the same mutated graph to < 1e-9.
 func TestDistEngineUpdate(t *testing.T) {
 	web := churnTestWeb()
@@ -467,9 +467,9 @@ func TestDistEngineUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-update Rank: %v", err)
 	}
-	if warm.Dist.ShardsReused != ns-1 || warm.Dist.ShardsReshipped != 1 {
+	if warm.Dist.CacheHits != ns-1 || warm.Dist.ShardsReshipped != 1 {
 		t.Errorf("delta query reused %d / reshipped %d shards, want %d / 1",
-			warm.Dist.ShardsReused, warm.Dist.ShardsReshipped, ns-1)
+			warm.Dist.CacheHits, warm.Dist.ShardsReshipped, ns-1)
 	}
 	if warm.Dist.BytesSent*4 > cold.Dist.BytesSent {
 		t.Errorf("delta query sent %d bytes vs %d cold — not delta-shaped",

@@ -10,7 +10,7 @@
 // and a worker killed between runs is survived by reassigning its
 // shards to the remaining peers.
 //
-//	go run ./examples/distributed [-workers 4] [-siterank central|sync|batched|async] [-batch-rounds 4]
+//	go run ./examples/distributed [-workers 4] [-siterank central|sync|async]
 package main
 
 import (
@@ -26,8 +26,7 @@ import (
 func main() {
 	workers := flag.Int("workers", 4, "number of worker peers")
 	siteRank := flag.String("siterank", "central",
-		"where the SiteRank is computed: central (on the coordinator), or on the fleet — sync, batched or async")
-	batch := flag.Int("batch-rounds", 4, "SiteRank rounds per exchange under -siterank batched")
+		"where the SiteRank is computed: central (on the coordinator), or on the fleet — sync or async")
 	flag.Parse()
 
 	web := lmmrank.GenerateCampusWeb(lmmrank.CampusWebConfig{
@@ -57,12 +56,10 @@ func main() {
 	case "central":
 	case "sync":
 		cfg.SiteRank = lmmrank.SiteRankSync
-	case "batched":
-		cfg.SiteRank, cfg.BatchRounds = lmmrank.SiteRankBatched, *batch
 	case "async":
 		cfg.SiteRank = lmmrank.SiteRankAsync
 	default:
-		log.Fatalf("unknown -siterank mode %q (want central, sync, batched or async)", *siteRank)
+		log.Fatalf("unknown -siterank mode %q (want central, sync or async)", *siteRank)
 	}
 
 	// Each run hands the next the shard digests it computed, so only the
@@ -78,18 +75,14 @@ func main() {
 		}
 		known.Digests = res.Digests
 		fmt.Printf("run %d: distributed ranking in %v\n", run, time.Since(start).Round(time.Millisecond))
-		fmt.Printf("  load sites:   %v (%d cache hits, %d misses, %.2f MB not re-shipped, %.2f MB hashed)\n",
+		fmt.Printf("  load sites:   %v (%d cache hits, %d re-shipped, %.2f MB not re-shipped, %.2f MB hashed)\n",
 			res.Stats.LoadDuration.Round(time.Millisecond),
-			res.Stats.CacheHits, res.Stats.CacheMisses, float64(res.Stats.ShardBytesSaved)/1e6,
+			res.Stats.CacheHits, res.Stats.ShardsReshipped, float64(res.Stats.ShardBytesSaved)/1e6,
 			float64(res.Stats.DigestBytesHashed)/1e6)
 		fmt.Printf("  local ranks:  %v (computed on the peers)\n", res.Stats.LocalRankDuration.Round(time.Millisecond))
 		fmt.Printf("  siterank:     %v", res.Stats.SiteRankDuration.Round(time.Millisecond))
 		if cfg.SiteRank != lmmrank.SiteRankCentral {
-			fmt.Printf(" (%d distributed SiteRank rounds", res.Stats.SiteRankRounds)
-			if res.Stats.BatchMessagesSaved > 0 {
-				fmt.Printf(", batching saved %d messages", res.Stats.BatchMessagesSaved)
-			}
-			fmt.Printf(")")
+			fmt.Printf(" (%d distributed SiteRank rounds)", res.Stats.SiteRankRounds)
 		}
 		fmt.Printf("\n  transport:    %d messages, %.2f MB out, %.2f MB in\n\n",
 			res.Stats.Messages, float64(res.Stats.BytesSent)/1e6, float64(res.Stats.BytesReceived)/1e6)

@@ -13,10 +13,7 @@ import (
 )
 
 // soakRedial is the aggressive redial policy the soak runs under: a
-// killed worker is usually back within a few rounds. A batched SiteRank
-// on the soak web is five exchanges of about 0.1 ms, so a redial that
-// waits a millisecond lands after the run has finished; a tolerance at
-// the float floor (1e-15) adds only five rounds.
+// killed worker is usually back within a few rounds.
 func soakRedial() coordinator.RetryPolicy {
 	return coordinator.RetryPolicy{
 		MaxWorkerFailures: 1,
@@ -50,9 +47,9 @@ func (c *interruptAfter) Save(st *coordinator.CheckpointState) error {
 
 // TestChaosSoak drives seeded-random kill/rejoin/resume cycles against
 // every serving mode and demands the undisturbed answer every time:
-// bitwise for central and batched SiteRank (reassignment and failover
-// never regroup their arithmetic), < 1e-9 for unbatched (ownership
-// changes reorder the partial-sum reduce). Workers die mid-protocol at
+// bitwise for central SiteRank (reassignment never regroups its
+// arithmetic), < 1e-9 for the fleet modes (ownership changes reorder the
+// partial-sum reduce). Workers die mid-protocol at
 // a random message kind each cycle, rejoin through the redial loop with
 // warm caches, and distributed runs are additionally interrupted at a
 // checkpoint and resumed. The workers not being killed have every
@@ -85,15 +82,6 @@ func TestChaosSoak(t *testing.T) {
 			cfg:    coordinator.Config{SiteRank: coordinator.SiteRankSync, Tol: 1e-12, MaxIter: 2000},
 			kinds:  []wire.Kind{wire.KindLoad, wire.KindRankLocal, wire.KindPowerRound},
 			resume: true,
-		},
-		{
-			name: "batchedSiteRank",
-			cfg: coordinator.Config{
-				SiteRank: coordinator.SiteRankBatched, BatchRounds: 4, Tol: 1e-12, MaxIter: 2000,
-			},
-			kinds:   []wire.Kind{wire.KindLoad, wire.KindRankLocal, wire.KindBatchRounds},
-			bitwise: true,
-			resume:  true,
 		},
 		{
 			// No resume leg: a cancel lands inside concurrent driver

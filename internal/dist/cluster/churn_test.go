@@ -48,9 +48,9 @@ func TestDeltaShippingAfterRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cold RankPreparedCtx: %v", err)
 	}
-	if cold.Stats.ShardsReshipped != ns || cold.Stats.ShardsReused != 0 {
+	if cold.Stats.ShardsReshipped != ns || cold.Stats.CacheHits != 0 {
 		t.Fatalf("cold run reshipped %d / reused %d, want %d / 0",
-			cold.Stats.ShardsReshipped, cold.Stats.ShardsReused, ns)
+			cold.Stats.ShardsReshipped, cold.Stats.CacheHits, ns)
 	}
 
 	// One site's links change.
@@ -77,11 +77,11 @@ func TestDeltaShippingAfterRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatalf("warm RankPreparedCtx: %v", err)
 	}
-	if warm.Stats.ShardsReshipped != 1 || warm.Stats.ShardsReused != ns-1 {
+	if warm.Stats.ShardsReshipped != 1 || warm.Stats.CacheHits != ns-1 {
 		t.Errorf("delta run reshipped %d / reused %d, want 1 / %d",
-			warm.Stats.ShardsReshipped, warm.Stats.ShardsReused, ns-1)
+			warm.Stats.ShardsReshipped, warm.Stats.CacheHits, ns-1)
 	}
-	if warm.Stats.ShardsReused == 0 {
+	if warm.Stats.CacheHits == 0 {
 		t.Error("delta run reused no shards")
 	}
 	// Only the dirty shard's content is re-hashed (the carried digests
@@ -121,9 +121,9 @@ func TestDeltaShippingAfterRebuild(t *testing.T) {
 	if again.Stats.DigestBytesHashed != 0 {
 		t.Errorf("second warm run hashed %d digest bytes, want 0", again.Stats.DigestBytesHashed)
 	}
-	if again.Stats.ShardsReshipped != 0 || again.Stats.ShardsReused != ns {
+	if again.Stats.ShardsReshipped != 0 || again.Stats.CacheHits != ns {
 		t.Errorf("second warm run reshipped %d / reused %d, want 0 / %d",
-			again.Stats.ShardsReshipped, again.Stats.ShardsReused, ns)
+			again.Stats.ShardsReshipped, again.Stats.CacheHits, ns)
 	}
 }
 

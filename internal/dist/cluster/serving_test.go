@@ -109,9 +109,8 @@ func TestCompressedShardEquivalence(t *testing.T) {
 }
 
 // TestDistributedSitePersonalization drives the site-layer teleport
-// through every SiteRank mode — central, one-round-per-exchange
-// distributed, and round-batched — and checks each against the
-// single-process personalized pipeline.
+// through the central and the synchronous distributed SiteRank and
+// checks each against the single-process personalized pipeline.
 func TestDistributedSitePersonalization(t *testing.T) {
 	web := testWeb()
 	ns := web.Graph.NumSites()
@@ -133,7 +132,6 @@ func TestDistributedSitePersonalization(t *testing.T) {
 	}{
 		{"central", coordinator.Config{SitePersonalization: pers}},
 		{"distributed", coordinator.Config{SitePersonalization: pers, SiteRank: coordinator.SiteRankSync}},
-		{"batched", coordinator.Config{SitePersonalization: pers, SiteRank: coordinator.SiteRankBatched, BatchRounds: 4}},
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {

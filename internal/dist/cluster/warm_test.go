@@ -31,7 +31,6 @@ func TestWarmRunAsksOnlyForMissingLocals(t *testing.T) {
 	modes := []coordinator.Config{
 		{},
 		{SiteRank: coordinator.SiteRankSync},
-		{SiteRank: coordinator.SiteRankBatched, BatchRounds: 4},
 		{SiteRank: coordinator.SiteRankAsync, AsyncOrdered: true, AsyncSeed: 5},
 		{SiteRank: coordinator.SiteRankAsync},
 	}
@@ -169,8 +168,8 @@ func TestMessagesPerRun(t *testing.T) {
 			if cfg.SiteRank == coordinator.SiteRankSync && (warm.Stats.SiteRankRounds != 1 || warm.Stats.Messages != 2*nw) {
 				t.Errorf("warm synchronous run: %d rounds, %d messages, want 1 and %d", warm.Stats.SiteRankRounds, warm.Stats.Messages, 2*nw)
 			}
-			if warm.Stats.CacheHits != web.Graph.NumSites() || warm.Stats.CacheMisses != 0 {
-				t.Errorf("warm run: %d hits / %d misses, want %d / 0", warm.Stats.CacheHits, warm.Stats.CacheMisses, web.Graph.NumSites())
+			if warm.Stats.CacheHits != web.Graph.NumSites() || warm.Stats.ShardsReshipped != 0 {
+				t.Errorf("warm run: %d hits / %d re-shipped, want %d / 0", warm.Stats.CacheHits, warm.Stats.ShardsReshipped, web.Graph.NumSites())
 			}
 		})
 	}

@@ -388,7 +388,7 @@ func (a *asyncPhase) step() (matrix.Vector, int, bool, error) {
 	}
 	switch {
 	case u.err != nil:
-		if err := r.recoverLost(u.err, true, u.idx); err != nil {
+		if err := r.recoverLost(u.err, u.idx); err != nil {
 			return nil, 0, false, err
 		}
 		a.newEpoch()
@@ -417,7 +417,7 @@ func (a *asyncPhase) step() (matrix.Vector, int, bool, error) {
 func (r *run) asyncDrain() error {
 	for _, idx := range r.aliveIdxs() {
 		if _, err := r.exchange(idx, &wire.Request{Kind: wire.KindAsyncAck, Epoch: r.c.asyncEpoch}); err != nil {
-			if err := r.recoverLost(err, true, idx); err != nil {
+			if err := r.recoverLost(err, idx); err != nil {
 				return err
 			}
 		}

@@ -18,7 +18,7 @@ import (
 // SiteRank iteration: the iterate after Round completed rounds, bound to
 // a digest of the computation that produced it. The digest covers the
 // SiteRank mode and the iteration it runs, the graph content (every
-// shard digest and the chain), and the numeric parameters, so a resume
+// shard digest), and the numeric parameters, so a resume
 // against a different graph, configuration or build arithmetic is
 // detected and refused rather than silently continued into a wrong
 // fixed point.
@@ -252,13 +252,12 @@ func (f *FileCheckpoint) Clear() error {
 }
 
 // checkpointDigest fingerprints the computation a snapshot belongs to:
-// the SiteRank mode (batched rounds regroup float summation, so their
-// iterates are not interchangeable with unbatched ones mid-run), the
-// site-space dimension, the numeric parameters, the teleport vector,
-// and the content digests of every shard (unbatched mode: chain rows
-// ride in the shards) or of the replicated chain (batched mode). Two
-// runs with equal digests compute the identical float sequence, which
-// is what makes resuming from a foreign process's snapshot sound.
+// the SiteRank mode (the schedules regroup float summation, so their
+// iterates are not interchangeable mid-run), the site-space dimension,
+// the numeric parameters, the teleport vector, and the content digests
+// of every shard, whose chain rows are the site chain. Two runs with
+// equal digests compute the identical float sequence, which is what
+// makes resuming from a foreign process's snapshot sound.
 func (r *run) checkpointDigest() wire.Digest {
 	h := sha256.New()
 	var buf [8]byte
@@ -275,18 +274,14 @@ func (r *run) checkpointDigest() wire.Digest {
 	// run restarts the schedule, and seeds must not cross-pollinate
 	// through a shared snapshot. Retired values, so that those snapshots
 	// read as foreign: 0, 1, 4, 5 for the power-step rounds, 2 and 3 for
-	// async snapshots whose Round counted merges, not fleet passes.
-	mode := r.cfg.SiteRank
-	switch mode {
-	case SiteRankBatched:
-		writeInt(7)
-	case SiteRankAsync:
-		if r.cfg.AsyncOrdered {
-			writeInt(9)
-			writeInt(int(r.cfg.AsyncSeed))
-		} else {
-			writeInt(8)
-		}
+	// async snapshots whose Round counted merges, not fleet passes, 7 for
+	// rounds batched against a replicated chain.
+	switch {
+	case r.cfg.SiteRank == SiteRankAsync && r.cfg.AsyncOrdered:
+		writeInt(9)
+		writeInt(int(r.cfg.AsyncSeed))
+	case r.cfg.SiteRank == SiteRankAsync:
+		writeInt(8)
 	default:
 		writeInt(6)
 	}
@@ -298,12 +293,8 @@ func (r *run) checkpointDigest() wire.Digest {
 	for _, v := range r.tele {
 		writeFloat(v)
 	}
-	if mode == SiteRankBatched {
-		h.Write(r.digests.chainDigest[:])
-	} else {
-		for _, sd := range r.digests.shards {
-			h.Write(sd.digest[:])
-		}
+	for _, sd := range r.digests.shards {
+		h.Write(sd.digest[:])
 	}
 	var out wire.Digest
 	h.Sum(out[:0])

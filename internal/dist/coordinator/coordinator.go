@@ -16,9 +16,8 @@
 // shards are content-addressed and a worker's session is declared by
 // digest — one KindLoad names what it must hold, and only what the
 // worker reports missing is shipped (repeated runs over an unchanged
-// graph ship near-zero shard bytes) — and Config.BatchRounds trades one
-// replicated site-chain shipment for K× fewer SiteRank exchanges. All
-// of it is accounted in per-run Stats.
+// graph ship near-zero shard bytes). All of it is accounted in per-run
+// Stats.
 package coordinator
 
 import (
@@ -126,15 +125,12 @@ const (
 	// SiteRankSync is the barrier-synchronous distributed iteration:
 	// every round reduces one partial from every live worker.
 	SiteRankSync
-	// SiteRankBatched exchanges up to BatchRounds rounds per message
-	// against a chain replicated on every worker.
-	SiteRankBatched
 	// SiteRankAsync is the barrier-free randomized mode: per-worker
 	// sweeps merge into a versioned accumulator as they arrive, so a
 	// straggler degrades convergence instead of stalling the fleet. A
 	// candidate convergence detected from a decaying residual estimate
 	// is always confirmed by synchronous verification rounds, so the
-	// result meets Tol exactly like the synchronous modes.
+	// result meets Tol exactly like the synchronous mode.
 	SiteRankAsync
 )
 
@@ -145,8 +141,6 @@ func (m SiteRankMode) String() string {
 		return "central"
 	case SiteRankSync:
 		return "sync"
-	case SiteRankBatched:
-		return "batched"
 	case SiteRankAsync:
 		return "async"
 	default:
@@ -177,9 +171,8 @@ type Config struct {
 	// distribution v of Mˆ(G_S) (length NumSites; nil = uniform) — the
 	// paper's "personalization at the higher layer" served from the
 	// fleet. It applies in every SiteRank mode: the central solver takes
-	// it directly, the unbatched distributed reduce applies it in the
-	// coordinator's rank-one correction, and round batching ships it to
-	// the workers alongside the iterate.
+	// it directly, and the fleet modes apply it in the coordinator's
+	// rank-one correction.
 	SitePersonalization matrix.Vector
 	// ThreeLayer selects the three-layer (domain → site → page) model:
 	// the fleet computes local DocRanks exactly as in the two-layer run,
@@ -198,17 +191,6 @@ type Config struct {
 	// CPU that is negligible next to the ranking itself; warm runs ship
 	// no shards either way. Stats records raw vs compressed bytes.
 	Compress bool
-	// BatchRounds asks SiteRankBatched to run up to this many rounds
-	// per wire exchange (values <= 1 mean one; other modes ignore
-	// it). Batching replicates the full normalized site chain onto every
-	// worker at load time — cheap, because the site layer is small (the
-	// paper's point) and the chain is digest-cached like any shard — and
-	// then each exchange covers K rounds on one worker, cutting SiteRank
-	// messages by ~K·NumWorkers while agreeing with the unbatched path
-	// to < 1e-9 (summation-order rounding only). A worker lost mid-batch
-	// fails over to the next live worker without any reassignment, since
-	// every peer holds the chain.
-	BatchRounds int
 	// SiteRank selects the site-layer algorithm — the one spelling of
 	// the mode. The zero value is SiteRankCentral.
 	SiteRank SiteRankMode
@@ -302,13 +284,6 @@ func (c Config) maxIter() int {
 	return c.MaxIter
 }
 
-func (c Config) batchRounds() int {
-	if c.BatchRounds < 1 {
-		return 1
-	}
-	return c.BatchRounds
-}
-
 func (c Config) checkpointEvery() int {
 	if c.CheckpointEvery < 1 {
 		return 1
@@ -317,10 +292,10 @@ func (c Config) checkpointEvery() int {
 }
 
 // rowSharded reports whether the mode consumes site-chain rows riding
-// inside the site shards (round batching ships the whole chain
-// separately instead; central mode ships no site-layer data at all).
+// inside the site shards: every fleet mode does, central mode ships no
+// site-layer data at all.
 func (m SiteRankMode) rowSharded() bool {
-	return m == SiteRankSync || m == SiteRankAsync
+	return m != SiteRankCentral
 }
 
 // Stats breaks down the cost of a distributed run.
@@ -351,7 +326,7 @@ type Stats struct {
 	// WorkersLost counts peers that died mid-run; Reassignments counts
 	// site shards moved to a surviving worker because of those losses;
 	// Retries counts recovery re-executions (a re-ranked shard batch, a
-	// redone power round, a failed-over batch exchange).
+	// redone power round, a re-shipped wave).
 	WorkersLost   int
 	Reassignments int
 	Retries       int
@@ -369,33 +344,27 @@ type Stats struct {
 	// only the rounds this run executed, so resumed + executed equals
 	// the uninterrupted total.
 	ResumedFromRound int
-	// CacheHits counts shards (and site chains) the workers already
-	// held by digest and did not need shipped; CacheMisses counts the
-	// ones shipped in full. ShardBytesSaved is the payload bytes the hits
-	// avoided: the exact encoded size of what stayed home.
+	// CacheHits counts the site shards the run activated from worker
+	// sessions and caches by digest instead of shipping; ShardsReshipped
+	// counts the ones that crossed the wire in full. A churn run over an
+	// N-site web thus shows exactly which fraction of the shard payload
+	// moved: after a 1-site edit delivered through the delta path
+	// (Ranker.Rebuild, or Engine.Update) a warm run reads
+	// ShardsReshipped == 1, CacheHits == N-1. ShardBytesSaved is the
+	// payload bytes the hits avoided: the exact encoded size of what
+	// stayed home.
 	CacheHits       int
-	CacheMisses     int
-	ShardBytesSaved uint64
-	// ShardsReused counts site shards the run activated from worker
-	// caches by digest instead of shipping; ShardsReshipped counts the
-	// ones that crossed the wire in full. Unlike CacheHits/CacheMisses
-	// they exclude the site chain, so a churn run over an N-site web
-	// shows exactly which fraction of the shard payload moved: after a
-	// 1-site edit delivered through the delta path (Ranker.Rebuild, or
-	// Engine.Update) a warm run reads ShardsReshipped == 1,
-	// ShardsReused == N-1.
-	ShardsReused    int
 	ShardsReshipped int
+	ShardBytesSaved uint64
 	// LocalRanksReused counts the sites whose local DocRank came from
 	// Warm.Locals instead of a worker: NumSites on a fully warm run, and
 	// NumSites-1 on the first run after a 1-site edit.
 	LocalRanksReused int
 	// DigestBytesHashed counts the bytes this run fed through SHA-256
-	// computing shard and chain content digests: only for what
-	// Warm.Digests did not cover, so a run handed the previous run's
-	// Result.Digests over the same graph hashes zero bytes, and one handed
-	// them with an edited site dropped hashes that site's shard (and, when
-	// batching, the chain).
+	// computing shard content digests: only for what Warm.Digests did not
+	// cover, so a run handed the previous run's Result.Digests over the
+	// same graph hashes zero bytes, and one handed them with an edited
+	// site dropped hashes that site's shard.
 	DigestBytesHashed uint64
 	// ShardBytesRaw and ShardBytesCompressed record the shard payloads
 	// shipped with Config.Compress on: the encoded size before compression
@@ -403,10 +372,6 @@ type Stats struct {
 	// when compression is off or nothing shipped in full.
 	ShardBytesRaw        uint64
 	ShardBytesCompressed uint64
-	// BatchMessagesSaved estimates the SiteRank exchanges avoided by
-	// round batching: rounds × live workers (the unbatched protocol's
-	// cost) minus the batch exchanges actually made.
-	BatchMessagesSaved int
 	// AsyncUpdatesMerged counts the barrier-free sweeps SiteRankAsync
 	// folded into its accumulator (SiteRankRounds counts the same thing
 	// for the async mode, plus the verification rounds).
@@ -465,19 +430,15 @@ type Warm struct {
 }
 
 // Digests is what a run learns about a graph's wire form: each site's
-// shard digest and wire size, the site chain's diagonal when the shards
-// carry its rows (SiteRankSync, SiteRankAsync), and the chain with its
-// digest when it is replicated (SiteRankBatched). The shard payloads are
-// not kept — a worker reporting a shard missing gets it re-extracted.
-// A Digests is immutable.
+// shard digest and wire size, and the site chain's diagonal when the
+// shards carry its rows (SiteRankSync, SiteRankAsync). The shard
+// payloads are not kept — a worker reporting a shard missing gets it
+// re-extracted. A Digests is immutable.
 type Digests struct {
-	// The shape: the shards carry their site-chain rows; the chain is
-	// replicated.
-	rows, batched bool
-	shards        []shardDigest // per site; size 0 = not known
-	diag          matrix.Vector // rows only: M[s,s], valid where shards[s] is
-	chain         *wire.SiteChain
-	chainDigest   wire.Digest
+	// rows is the shape: the shards carry their site-chain rows.
+	rows   bool
+	shards []shardDigest // per site; size 0 = not known
+	diag   matrix.Vector // rows only: M[s,s], valid where shards[s] is
 }
 
 // shardDigest names one site's shard: its content digest and its exact
@@ -489,15 +450,15 @@ type shardDigest struct {
 
 // Drop returns what d still holds after an edit that changed the
 // documents or out-links of the listed sites only: their shards are
-// forgotten, and so is the chain, which holds every row. Everything else
-// carries, because a shard is its site's subgraph plus row s of the site
-// chain, and row s aggregates site s's out-links and nothing else
-// (graph.SiteGraph.Rederive). Sites appended since are not covered.
+// forgotten. Everything else carries, because a shard is its site's
+// subgraph plus row s of the site chain, and row s aggregates site s's
+// out-links and nothing else (graph.SiteGraph.Rederive). Sites appended
+// since are not covered.
 func (d *Digests) Drop(changed []graph.SiteID) *Digests {
 	if d == nil {
 		return nil
 	}
-	next := &Digests{rows: d.rows, batched: d.batched, shards: slices.Clone(d.shards), diag: d.diag}
+	next := &Digests{rows: d.rows, shards: slices.Clone(d.shards), diag: d.diag}
 	for _, s := range changed {
 		if int(s) < len(next.shards) {
 			next.shards[s] = shardDigest{}

@@ -257,7 +257,6 @@ func TestResultSurvivesLaterRuns(t *testing.T) {
 	tele.Normalize()
 	for _, cfg := range []Config{
 		{SiteRank: SiteRankSync},
-		{SiteRank: SiteRankBatched, BatchRounds: 4},
 		{SiteRank: SiteRankAsync},
 		{SiteRank: SiteRankAsync, AsyncOrdered: true, AsyncSeed: 3},
 	} {

@@ -65,8 +65,6 @@ func TestFleetSiteRankMatchesExactStationary(t *testing.T) {
 		cfg  Config
 	}{
 		{"sync", Config{SiteRank: SiteRankSync}},
-		{"batched1", Config{SiteRank: SiteRankBatched, BatchRounds: 1}},
-		{"batched4", Config{SiteRank: SiteRankBatched, BatchRounds: 4}},
 		{"asyncOrdered", Config{SiteRank: SiteRankAsync, AsyncOrdered: true, AsyncSeed: 11}},
 		{"async", Config{SiteRank: SiteRankAsync}},
 	}
@@ -175,8 +173,6 @@ func TestCheckpointDigestNamesTheIteration(t *testing.T) {
 	}{
 		{"sync", Config{SiteRank: SiteRankSync},
 			"ed190f3d5b871228fad6f2da4415335eb39d02996ca6a1315c014aaaff9c5b70"},
-		{"batched", Config{SiteRank: SiteRankBatched, BatchRounds: 4},
-			"7cd146db1c101b76dd7cce8578e3a2575d6e9502ca0e84b1c22807d20cfaffb8"},
 		{"async", Config{SiteRank: SiteRankAsync},
 			"8ac82d64bf5756a22db61092e6c3648c2aff025ab8903cde795773388cce36ae"},
 		{"asyncOrdered", Config{SiteRank: SiteRankAsync, AsyncOrdered: true, AsyncSeed: 9},

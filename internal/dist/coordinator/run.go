@@ -31,13 +31,13 @@ type run struct {
 	ns    int
 	stats *Stats
 	// tele is the normalized site-layer teleport (nil = uniform), shared
-	// by every SiteRank mode so central, unbatched and batched runs
-	// apply the same personalization vector.
+	// by every SiteRank mode so central and fleet runs apply the same
+	// personalization vector.
 	tele matrix.Vector
 
-	// digests names every site's shard (and holds the diagonal or chain
-	// the mode reads); shards[s] is site s's payload when this run
-	// extracted it to hash it, nil otherwise.
+	// digests names every site's shard (and holds the diagonal the fleet
+	// modes read); shards[s] is site s's payload when this run extracted
+	// it to hash it, nil otherwise.
 	digests *Digests
 	shards  []*wire.SiteShard
 
@@ -278,17 +278,16 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 // hashShards names every site's shard for the KindLoads: by the digest
 // and wire size Warm.Digests carries for it, or by extracting the shard
 // from the Ranker's graph and hashing it — the name a KindLoad declares
-// it under. Site-chain rows ride inside the shards only when a
-// row-partitioned SiteRank (synchronous rounds or asynchronous sweeps)
-// will consume them; round batching ships the whole chain separately
-// instead, and central mode ships no site-layer data at all. Digests of
-// another mode's shape are not reused. What it extracted the run keeps
-// for its shipments; Stats.DigestBytesHashed counts what it hashed.
+// it under. Site-chain rows ride inside the shards only when a fleet
+// SiteRank (synchronous rounds or asynchronous sweeps) will consume
+// them; central mode ships no site-layer data at all. Digests of the
+// other shape are not reused. What it extracted the run keeps for its
+// shipments; Stats.DigestBytesHashed counts what it hashed.
 func (r *run) hashShards() {
-	rows, batched := r.cfg.SiteRank.rowSharded(), r.cfg.SiteRank == SiteRankBatched
+	rows := r.cfg.SiteRank.rowSharded()
 	known := r.warm.Digests
-	if known == nil || known.rows != rows || known.batched != batched || len(known.shards) > r.ns {
-		known = &Digests{rows: rows, batched: batched}
+	if known == nil || known.rows != rows || len(known.shards) > r.ns {
+		known = &Digests{rows: rows}
 	}
 	var todo []int
 	for s := 0; s < r.ns; s++ {
@@ -297,10 +296,10 @@ func (r *run) hashShards() {
 		}
 	}
 	r.digests = known
-	if len(todo) == 0 && (!batched || known.chain != nil) {
+	if len(todo) == 0 {
 		return
 	}
-	d := &Digests{rows: rows, batched: batched, shards: make([]shardDigest, r.ns), chain: known.chain, chainDigest: known.chainDigest}
+	d := &Digests{rows: rows, shards: make([]shardDigest, r.ns)}
 	copy(d.shards, known.shards)
 	if rows {
 		d.diag = matrix.NewVector(r.ns)
@@ -322,18 +321,6 @@ func (r *run) hashShards() {
 	})
 	for _, n := range hashed {
 		r.stats.DigestBytesHashed += n
-	}
-	if batched && d.chain == nil {
-		g := r.rk.SiteGraph().G
-		chain := &wire.SiteChain{NumSites: r.ns, RowPtr: make([]int, r.ns+1)}
-		for s := 0; s < r.ns; s++ {
-			cols, vals := siteChainRow(g, s)
-			chain.Cols = append(chain.Cols, cols...)
-			chain.Vals = append(chain.Vals, vals...)
-			chain.RowPtr[s+1] = len(chain.Cols)
-		}
-		d.chain, d.chainDigest = chain, chain.ContentDigest()
-		r.stats.DigestBytesHashed += chain.DigestInputBytes()
 	}
 	r.digests = d
 }
@@ -407,13 +394,11 @@ func (r *run) lightestAlive() int {
 }
 
 // lose marks worker idx dead for the rest of the run, charges the retry
-// budget, and (when reassign is set) moves every site it owned to the
-// lightest surviving workers. It returns the moved sites — the caller
-// re-ships and re-runs exactly those. Batched SiteRank failover passes
-// reassign=false: the chain is replicated, so nothing needs to move.
-// Callers must invoke lose sequentially (after joining a parallel
-// wave), never from inside one.
-func (r *run) lose(idx int, cause error, reassign bool) (map[int]struct{}, error) {
+// budget, and moves every site it owned to the lightest surviving
+// workers. It returns the moved sites — the caller re-ships and re-runs
+// exactly those. Callers must invoke lose sequentially (after joining a
+// parallel wave), never from inside one.
+func (r *run) lose(idx int, cause error) (map[int]struct{}, error) {
 	if !r.alive[idx] {
 		// A second failure report for the same wave (e.g. two phases
 		// racing is impossible, but two calls in one wave are not).
@@ -433,9 +418,6 @@ func (r *run) lose(idx int, cause error, reassign bool) (map[int]struct{}, error
 		return nil, fmt.Errorf("coordinator: all workers lost: %w", cause)
 	}
 	r.spawnRedialer(idx)
-	if !reassign {
-		return nil, nil
-	}
 	moved := make(map[int]struct{})
 	for s, w := range r.owner {
 		if w != idx {
@@ -562,7 +544,7 @@ func (r *run) maybeReadmit() error {
 // ideal share of sites back to it. One ship does the rest: the rejoiner
 // is declared its share (by digest — a warm rejoiner re-ships ~0 bytes)
 // and the interim owners are declared what they are left with, so the
-// unbatched power round never reduces a chain row twice.
+// power round never reduces a chain row twice.
 func (r *run) readmit(rj rejoin) error {
 	idx := rj.idx
 	r.c.workers[idx].reconnect(rj.conn, &r.c.counters)
@@ -603,8 +585,8 @@ func (r *run) readmit(rj rejoin) error {
 	r.rejoining[idx] = true
 	r.mu.Unlock()
 	// The rejoiner's session is undeclared, so ship reaches it even when
-	// the ideal assignment hands it nothing: it learns the dimension (and
-	// the chain, when batching) and can serve power rounds.
+	// the ideal assignment hands it nothing: it learns the dimension and
+	// can serve power rounds.
 	err := r.ship(moved)
 	r.mu.Lock()
 	delete(r.rejoining, idx)
@@ -615,10 +597,9 @@ func (r *run) readmit(rj rejoin) error {
 // ship delivers the needed sites to their current owners and leaves
 // every live worker's session declared as exactly the sites it owns among
 // those it held or now needs: a worker the run has not declared yet gets
-// a Load even when shardless (it learns the site-space dimension — and
-// the chain, when batching), and one whose sites moved away gets the
-// smaller set. Worker losses during shipping reassign and loop until
-// every needed shard has landed.
+// a Load even when shardless (it learns the site-space dimension), and
+// one whose sites moved away gets the smaller set. Worker losses during
+// shipping reassign and loop until every needed shard has landed.
 func (r *run) ship(need map[int]struct{}) error {
 	for {
 		if err := r.ctx.Err(); err != nil {
@@ -667,7 +648,7 @@ func (r *run) ship(need map[int]struct{}) error {
 			// Every site the dead worker owned — already delivered in an
 			// earlier wave or still pending — moves to a survivor and
 			// must ship (again) to its new owner on the next pass.
-			moved, lerr := r.lose(idx, err, true)
+			moved, lerr := r.lose(idx, err)
 			if lerr != nil {
 				return lerr
 			}
@@ -689,20 +670,14 @@ func (r *run) ship(need map[int]struct{}) error {
 // answering wrongly, an error and never retried.
 func (r *run) shipTo(idx int, want, fresh []int) error {
 	w := r.c.workers[idx]
-	first := r.sessions[idx] == nil
 	// fullAt[s] is the request (counted from 1) that carries declared
-	// site s in full, 0 while it has only gone by digest; chainAt is the
-	// same for the chain.
+	// site s in full, 0 while it has only gone by digest.
 	fullAt := make(map[int]int, len(want))
 	for _, s := range want {
 		fullAt[s] = 0
 	}
-	chainAt, chain := 0, r.digests.chain
 	for n := 1; ; n++ {
-		req := &wire.Request{Kind: wire.KindLoad, NumSites: r.ns, HasChain: chain != nil, ChainDigest: r.digests.chainDigest}
-		if chainAt == n {
-			req.Chain = chain
-		}
+		req := &wire.Request{Kind: wire.KindLoad, NumSites: r.ns}
 		var full []wire.SiteShard
 		for _, s := range want {
 			if fullAt[s] == n {
@@ -726,43 +701,26 @@ func (r *run) shipTo(idx int, want, fresh []int) error {
 			}
 			fullAt[s] = n + 1
 		}
-		if resp.MissingChain {
-			if chain == nil || chainAt != 0 {
-				return fmt.Errorf("coordinator: %s reports a site chain missing that was not declared, or was shipped in full", w.addr)
-			}
-			chainAt = n + 1
-		}
-		if len(resp.Missing) == 0 && !resp.MissingChain {
+		if len(resp.Missing) == 0 {
 			break
 		}
 	}
 
 	// Cache accounting, over what this shipment delivered: hits are the
-	// refs the worker honored, misses the shards that went in full. The
-	// chain counts once per worker, with its first declaration.
+	// refs the worker honored, reshipments the shards that went in full.
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, s := range fresh {
 		if fullAt[s] == 0 {
 			r.stats.CacheHits++
-			r.stats.ShardsReused++
 			r.stats.ShardBytesSaved += r.digests.shards[s].size
 			continue
 		}
-		r.stats.CacheMisses++
 		r.stats.ShardsReshipped++
 		if r.rejoining[idx] {
 			// Shard payloads this re-admission had to move in full — ~0 for
 			// a warm rejoiner, whose shards all hit its digest cache.
 			r.stats.RejoinShardBytes += r.digests.shards[s].size
-		}
-	}
-	if chain != nil && first {
-		if chainAt != 0 {
-			r.stats.CacheMisses++
-		} else {
-			r.stats.CacheHits++
-			r.stats.ShardBytesSaved += chain.WireSize()
 		}
 	}
 	return nil
@@ -870,14 +828,13 @@ func (r *run) localPhase(dg *graph.DocGraph) ([]matrix.Vector, []int, error) {
 			}
 		}
 		// Re-ship only what the survivors will actually use: sites whose
-		// local ranks are still pending, plus — in the modes where chain
-		// rows ride inside the shards (synchronous unbatched and async) —
-		// every moved site, since the SiteRank rounds will need its row. In
-		// central and batched modes a completed site's shard is dead
-		// weight and stays unshipped.
+		// local ranks are still pending, plus — in the fleet modes, whose
+		// chain rows ride inside the shards — every moved site, since the
+		// SiteRank rounds will need its row. In central mode a completed
+		// site's shard is dead weight and stays unshipped.
 		needRows := r.cfg.SiteRank.rowSharded()
 		for _, i := range lost {
-			moved, lerr := r.lose(idxs[i], errs[i], true)
+			moved, lerr := r.lose(idxs[i], errs[i])
 			if lerr != nil {
 				return nil, nil, lerr
 			}

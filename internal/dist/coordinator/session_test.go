@@ -61,8 +61,8 @@ func TestRejectsLyingMissing(t *testing.T) {
 			armed.Store(true)
 			res, err := c.RankPreparedCtx(context.Background(), rk, cfg, Warm{})
 			if err == nil {
-				t.Fatalf("run accepted Missing %v: CacheHits %d, CacheMisses %d, ShardsReshipped %d",
-					tc.missing, res.Stats.CacheHits, res.Stats.CacheMisses, res.Stats.ShardsReshipped)
+				t.Fatalf("run accepted Missing %v: CacheHits %d, ShardsReshipped %d",
+					tc.missing, res.Stats.CacheHits, res.Stats.ShardsReshipped)
 			}
 			if !strings.Contains(err.Error(), liar) {
 				t.Errorf("err = %v, want it to name the worker %s", err, liar)
@@ -77,9 +77,9 @@ func TestRejectsLyingMissing(t *testing.T) {
 // TestDoneSiteMovedIsNotReshipped pins what a loss in the local phase
 // re-declares. The run is handed every local DocRank but one, owned by
 // the victim, which dies when asked for it: all of the victim's sites
-// move, but in the central and batched modes only the one still to be
-// ranked is declared to its new owner — a finished site's shard is dead
-// weight there — while the row-sharded mode needs every moved row.
+// move, but in the central mode only the one still to be ranked is
+// declared to its new owner — a finished site's shard is dead weight
+// there — while the row-sharded mode needs every moved row.
 func TestDoneSiteMovedIsNotReshipped(t *testing.T) {
 	web := rankableWeb()
 	ns := web.NumSites()
@@ -89,7 +89,6 @@ func TestDoneSiteMovedIsNotReshipped(t *testing.T) {
 	}
 	for _, cfg := range []Config{
 		{},
-		{SiteRank: SiteRankBatched, BatchRounds: 4},
 		{SiteRank: SiteRankSync},
 	} {
 		t.Run(cfg.SiteRank.String(), func(t *testing.T) {
@@ -113,7 +112,7 @@ func TestDoneSiteMovedIsNotReshipped(t *testing.T) {
 			if !kt.died() {
 				t.Fatal("scripted worker never reached its death trigger")
 			}
-			checkRecovery(t, res, ref, true)
+			checkRecovery(t, res, ref)
 			moved := res.Stats.Reassignments
 			if moved < 2 {
 				t.Fatalf("Reassignments = %d, want the victim's %d sites", moved, ns/3)
@@ -122,9 +121,9 @@ func TestDoneSiteMovedIsNotReshipped(t *testing.T) {
 			if cfg.SiteRank.rowSharded() {
 				want = ns + moved
 			}
-			if got := res.Stats.ShardsReused + res.Stats.ShardsReshipped; got != want {
+			if got := res.Stats.CacheHits + res.Stats.ShardsReshipped; got != want {
 				t.Errorf("%d shards delivered (%d reused + %d in full), want %d: the %d first placed plus, of the %d moved, the ones still needed",
-					got, res.Stats.ShardsReused, res.Stats.ShardsReshipped, want, ns, moved)
+					got, res.Stats.CacheHits, res.Stats.ShardsReshipped, want, ns, moved)
 			}
 		})
 	}

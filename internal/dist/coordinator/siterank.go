@@ -11,17 +11,16 @@ import (
 )
 
 // This file is the one SiteRank driver. Every fleet-side mode is the
-// same point-Jacobi iteration on (I − f·M′)x = c·v: a round reduces the
-// product x'M(G_S) and pagerank.JacobiStep finishes it, dividing each
-// site's self-loop out. The modes differ only in where the site chain
-// lives (row-sharded inside the site shards, or replicated whole on
-// every worker) and in the schedule that advances the iterate (a barrier
-// every round, a barrier every K rounds, or no barrier at all — sweeps
-// merged as they arrive or as a seeded schedule draws them).
-// run.iterate owns what the schedules share; a siteSchedule carries what
-// they do not. Every schedule answers with a barrier round that moved
-// the iterate by at most Tol, hence within Tol/(1 − f) of the exact
-// πS (Stats.SiteRankRounds).
+// same point-Jacobi iteration on (I − f·M′)x = c·v over the site chain
+// row-sharded inside the site shards: a round reduces the product
+// x'M(G_S) and pagerank.JacobiStep finishes it, dividing each site's
+// self-loop out. The modes differ only in the schedule that advances the
+// iterate (a barrier every round, or no barrier at all — sweeps merged
+// as they arrive or as a seeded schedule draws them). run.iterate owns
+// what the schedules share; a siteSchedule carries what they do not.
+// Every schedule answers with a barrier round that moved the iterate by
+// at most Tol, hence within Tol/(1 − f) of the exact πS
+// (Stats.SiteRankRounds).
 
 // siteSchedule is one schedule's contribution to the driver loop.
 type siteSchedule struct {
@@ -45,7 +44,6 @@ type siteSchedule struct {
 // mode and returns it with the rounds (or merges plus verification
 // rounds) this run executed.
 func (r *run) fleetSiteRank() (matrix.Vector, int, error) {
-	mode := r.cfg.SiteRank
 	budget := r.cfg.maxIter()
 	x, start, digest, err := r.resumeSiteRank(budget)
 	if err != nil {
@@ -53,12 +51,9 @@ func (r *run) fleetSiteRank() (matrix.Vector, int, error) {
 	}
 
 	var rounds int
-	switch mode {
-	case SiteRankBatched:
-		x, rounds, err = r.iterate(r.batchedSchedule(x, budget-start), start, budget, digest)
-	case SiteRankAsync:
+	if r.cfg.SiteRank == SiteRankAsync {
 		x, rounds, err = r.asyncSiteRank(x, start, budget, digest)
-	default:
+	} else {
 		x, rounds, err = r.iterate(r.barrierSchedule("distributed siterank", x, r.cfg.checkpointEvery()), start, budget, digest)
 	}
 	if err != nil {
@@ -185,16 +180,16 @@ func (r *run) resumeSiteRank(budget int) (x matrix.Vector, start int, digest wir
 // recoverLost is the one loss path of the site layer. A transport
 // failure (errLost) marks the listed workers dead and charges the retry
 // budget once — one interrupted exchange, however many peers it took
-// down; with reassign their sites — chain rows ride inside the shards —
-// move to the lightest survivors and re-ship, so the caller only has to
-// redo the exchange. Any other error (a live peer refusing, a malformed
-// response) is returned unchanged: it is never retried.
-func (r *run) recoverLost(cause error, reassign bool, idxs ...int) error {
+// down; their sites — chain rows ride inside the shards — move to the
+// lightest survivors and re-ship, so the caller only has to redo the
+// exchange. Any other error (a live peer refusing, a malformed response)
+// is returned unchanged: it is never retried.
+func (r *run) recoverLost(cause error, idxs ...int) error {
 	if !errors.Is(cause, errLost) {
 		return cause
 	}
 	for _, idx := range idxs {
-		moved, err := r.lose(idx, cause, reassign)
+		moved, err := r.lose(idx, cause)
 		if err != nil {
 			return err
 		}
@@ -264,7 +259,7 @@ func (r *run) barrierRound(x, y matrix.Vector) (bool, error) {
 		}
 	}
 	if len(lost) > 0 {
-		return false, r.recoverLost(lostErr, true, lost...)
+		return false, r.recoverLost(lostErr, lost...)
 	}
 	y.Fill(0)
 	var dangling float64
@@ -292,64 +287,5 @@ func (r *run) barrierSchedule(what string, x matrix.Vector, saveEvery int) siteS
 			residual := next.L1Diff(x)
 			x, next = next, x
 			return x, 1, residual <= tol, nil
-		}}
-}
-
-// batchedSchedule is the replicated chain under a barrier every
-// BatchRounds rounds: each exchange asks one live worker (rotating for
-// load spread) to run up to K rounds against its copy of the chain, so
-// K rounds cost one message instead of K×NumWorkers. A worker dying
-// mid-batch is simply skipped — every peer holds the
-// chain, so failover needs no reassignment and the batch restarts from
-// the last confirmed iterate. left is the round budget remaining. One
-// exchange is the save cadence: it already covers up to K rounds, so
-// CheckpointEvery's round granularity is subsumed by the exchange grain.
-func (r *run) batchedSchedule(x matrix.Vector, left int) siteSchedule {
-	batch, nw := r.cfg.batchRounds(), len(r.c.workers)
-	cursor, ran, exchanges := 0, 0, 0
-	return siteSchedule{what: "distributed siterank", unit: "rounds", saveEvery: 1,
-		step: func() (matrix.Vector, int, bool, error) {
-			k := min(batch, left)
-			// The rotation skips dead workers; one is always alive —
-			// lose() errors out before the fleet can empty.
-			for !r.alive[cursor%nw] {
-				cursor++
-			}
-			idx := cursor % nw
-			resp, err := r.exchange(idx, &wire.Request{
-				Kind:     wire.KindBatchRounds,
-				NumSites: r.ns,
-				X:        x,
-				V:        r.tele,
-				Rounds:   k,
-				Damping:  r.cfg.Damping,
-				Tol:      r.cfg.Tol,
-			})
-			if err != nil {
-				return x, 0, false, r.recoverLost(err, false, idx)
-			}
-			if err := r.checkSiteVector(idx, resp.X); err != nil {
-				return nil, 0, false, err
-			}
-			if resp.Rounds < 1 || resp.Rounds > k || (resp.Rounds < k && !resp.Converged) {
-				return nil, 0, false, fmt.Errorf("coordinator: %s ran %d of %d batched rounds without converging",
-					r.c.workers[idx].addr, resp.Rounds, k)
-			}
-			exchanges++
-			ran += resp.Rounds
-			left -= resp.Rounds
-			cursor++
-			// What the unbatched protocol would have cost so far, minus
-			// what this one did; the converging exchange writes the
-			// final figure.
-			r.stats.BatchMessagesSaved = ran*r.nAlive - exchanges
-			// x now aliases the worker's retained Response: sound as the
-			// next request's iterate (sent before any answer is decoded),
-			// copied out once it is the run's answer.
-			x = resp.X
-			if resp.Converged {
-				x = x.Clone()
-			}
-			return x, resp.Rounds, resp.Converged, nil
 		}}
 }

@@ -23,12 +23,13 @@ import (
 // a proxy may relay one without understanding it.
 //
 // The version names the protocol's meaning as well as its layout: 2
-// renumbered the kinds, 3 made KindBatchRounds point-Jacobi rounds, so a
-// mixed-build fleet refuses at the first frame instead of computing two
-// float sequences under one checkpoint digest.
+// renumbered the kinds, 3 made the replicated-chain round batches
+// point-Jacobi rounds, 4 retired them with their fields, so a mixed-build
+// fleet refuses at the first frame instead of computing two float
+// sequences under one checkpoint digest.
 const (
 	frameMagic   = 0xB0 // high nibble of byte 0
-	frameVersion = 0x03 // low nibble of byte 0
+	frameVersion = 0x04 // low nibble of byte 0
 	headerLen    = 6
 
 	// kindResponse is the header kind of a Response frame; no Request
@@ -121,21 +122,6 @@ func (c *codec) take(k int) []byte {
 	return p
 }
 
-func (c *codec) byte(p *byte) {
-	switch c.mode {
-	case measuring:
-		c.n++
-	case writing:
-		c.room(1)
-		c.b = append(c.b, *p)
-	case reading:
-		*p = 0
-		if b := c.take(1); b != nil {
-			*p = b[0]
-		}
-	}
-}
-
 func (c *codec) uvarint(p *uint64) {
 	switch c.mode {
 	case measuring:
@@ -185,27 +171,6 @@ func (c *codec) float(p *float64) {
 		if b := c.take(8); b != nil {
 			*p = math.Float64frombits(binary.LittleEndian.Uint64(b))
 		}
-	}
-}
-
-// flags carries up to eight booleans in one byte; reading refuses bits
-// beyond them.
-func (c *codec) flags(bools ...*bool) {
-	var f byte
-	for i, b := range bools {
-		if *b {
-			f |= 1 << i
-		}
-	}
-	c.byte(&f)
-	if c.mode != reading {
-		return
-	}
-	if f>>len(bools) != 0 {
-		c.fail(fmt.Errorf("unknown flag bits 0x%02x", f>>len(bools)<<len(bools)))
-	}
-	for i, b := range bools {
-		*b = f&(1<<i) != 0
 	}
 }
 
@@ -365,46 +330,20 @@ func (c *codec) refs(p *[]ShardRef) {
 	}
 }
 
-func (c *codec) chain(sc *SiteChain) {
-	c.int(&sc.NumSites)
-	c.ints(&sc.RowPtr, "chain row pointer", MaxSites+1)
-	c.ints(&sc.Cols, "chain column", noLimit)
-	c.floats(&sc.Vals, "chain value", noLimit)
-}
-
 func (c *codec) request(r *Request) {
-	hasChain, hasDigest := r.Chain != nil, r.ChainDigest != Digest{}
-	c.flags(&r.HasChain, &hasChain, &hasDigest)
 	c.shards(&r.Shards)
 	c.bytes(&r.ShardsZ, "compressed shard byte")
 	c.refs(&r.Cached)
-	if c.mode == reading {
-		if !hasChain {
-			r.Chain = nil
-		} else if r.Chain == nil {
-			r.Chain = new(SiteChain)
-		}
-		r.ChainDigest = Digest{}
-	}
-	if hasChain {
-		c.chain(r.Chain)
-	}
-	if hasDigest {
-		c.digest(&r.ChainDigest)
-	}
 	c.int(&r.NumSites)
 	c.float(&r.Damping)
 	c.float(&r.Tol)
 	c.int(&r.MaxIter)
 	c.floats(&r.X, "iterate", MaxSites)
-	c.floats(&r.V, "teleport", MaxSites)
 	c.ints(&r.Sites, "site", MaxSites)
-	c.int(&r.Rounds)
 	c.uvarint(&r.Epoch)
 }
 
 func (c *codec) response(r *Response) {
-	c.flags(&r.MissingChain, &r.Converged)
 	c.str(&r.Err)
 	local := sized(c, &r.Local, "local rank", MaxSites, minLocalBytes)
 	for i := range local {
@@ -415,11 +354,7 @@ func (c *codec) response(r *Response) {
 	c.floats(&r.Partial, "partial", MaxSites)
 	c.float(&r.DanglingMass)
 	c.ints(&r.Missing, "missing site", MaxSites)
-	c.floats(&r.X, "iterate", MaxSites)
-	c.int(&r.Rounds)
-	c.float(&r.Residual)
 	c.float(&r.Mass)
-	c.uvarint(&r.Epoch)
 }
 
 // message walks v, a *Request or *Response, checking it against the
@@ -475,13 +410,6 @@ func writeFrame(out io.Writer, scratch []byte, kind Kind, n int, v any) error {
 func (s *SiteShard) WireSize() uint64 {
 	var size codec
 	size.shard(s)
-	return uint64(size.n)
-}
-
-// WireSize is the SiteChain analogue of SiteShard.WireSize.
-func (sc *SiteChain) WireSize() uint64 {
-	var size codec
-	size.chain(sc)
 	return uint64(size.n)
 }
 

@@ -149,11 +149,9 @@ func (g gen) shard() SiteShard {
 
 func (g gen) request(k Kind) *Request {
 	r := &Request{
-		Kind: k, Cached: g.refs(6),
-		HasChain: g.Intn(2) == 0, NumSites: g.int(),
+		Kind: k, Cached: g.refs(6), NumSites: g.int(),
 		Damping: g.float(), Tol: g.float(), MaxIter: g.int(),
-		X: g.floats(300), V: g.floats(300), Sites: g.ints(20),
-		Rounds: g.int(), Epoch: g.Uint64() >> g.Intn(64),
+		X: g.floats(300), Sites: g.ints(20), Epoch: g.Uint64() >> g.Intn(64),
 	}
 	r.Shards = make([]SiteShard, g.count(5))
 	for i := range r.Shards {
@@ -161,21 +159,13 @@ func (g gen) request(k Kind) *Request {
 	}
 	r.ShardsZ = make([]byte, g.count(2000))
 	g.Read(r.ShardsZ)
-	if g.Intn(2) == 0 {
-		r.Chain = &SiteChain{NumSites: g.int(), RowPtr: g.ints(30), Cols: g.ints(90), Vals: g.floats(90)}
-	}
-	if g.Intn(2) == 0 {
-		r.ChainDigest = g.digest()
-	}
 	return r
 }
 
 func (g gen) response() *Response {
 	r := &Response{
 		Partial: g.floats(300), DanglingMass: g.float(),
-		Missing: g.ints(20), MissingChain: g.Intn(2) == 0,
-		X: g.floats(300), Rounds: g.int(), Residual: g.float(),
-		Converged: g.Intn(2) == 0, Mass: g.float(), Epoch: g.Uint64() >> g.Intn(64),
+		Missing: g.ints(20), Mass: g.float(),
 	}
 	if g.Intn(3) == 0 {
 		r.Err = strings.Repeat("worker: boom ", g.Intn(80))
@@ -228,7 +218,7 @@ func TestEmptySlicesDecodeNil(t *testing.T) {
 	if err := marshal(t, &Request{Kind: KindRankLocal, Sites: []int{}, X: []float64{}}).Decode(&req); err != nil {
 		t.Fatal(err)
 	}
-	if req.Sites != nil || req.X != nil || req.V != nil || req.Shards != nil || req.Chain != nil {
+	if req.Sites != nil || req.X != nil || req.Shards != nil || req.Cached != nil {
 		t.Errorf("empty fields decoded non-nil: %+v", req)
 	}
 	var resp Response
@@ -300,14 +290,6 @@ func TestWireSizeIsExact(t *testing.T) {
 		if got := sh.WireSize(); got != uint64(buf.Len()) {
 			t.Fatalf("shard %d: WireSize %d, encoded %d bytes", i, got, buf.Len())
 		}
-		c := SiteChain{NumSites: g.int(), RowPtr: g.ints(30), Cols: g.ints(90), Vals: g.floats(90)}
-		buf.Reset()
-		w = codec{mode: writing, b: make([]byte, 0, minScratch), out: &buf}
-		w.chain(&c)
-		w.flush()
-		if got := c.WireSize(); got != uint64(buf.Len()) {
-			t.Fatalf("chain %d: WireSize %d, encoded %d bytes", i, got, buf.Len())
-		}
 	}
 }
 
@@ -364,9 +346,9 @@ func TestHostileFrames(t *testing.T) {
 	}{
 		{"gob peer", append([]byte{0x4a, 0xff, 0x81, 0x03, 0x01, 0x01}, valid[headerLen:]...), &Request{}, nil, "magic"},
 		{"future version", append([]byte{frameMagic | (frameVersion + 1)}, valid[1:]...), &Request{}, nil, fmt.Sprintf("version %d, this build speaks %d", frameVersion+1, frameVersion)},
-		// A mixed-build fleet: the peer from before batched rounds divided
-		// out the self-loop.
-		{"previous version", append([]byte{frameMagic | (frameVersion - 1)}, valid[1:]...), &Request{}, nil, fmt.Sprintf("version %d, this build speaks %d", frameVersion-1, frameVersion)},
+		// A mixed-build fleet: the peer from before the replicated-chain
+		// round batches were retired.
+		{"version 3", append([]byte{frameMagic | 3}, valid[1:]...), &Request{}, nil, fmt.Sprintf("version 3, this build speaks %d", frameVersion)},
 		{"short header", valid[:4], &Request{}, io.ErrUnexpectedEOF, ""},
 		{"truncated payload", valid[:len(valid)-5], &Request{}, io.ErrUnexpectedEOF, ""},
 		{"bytes after frame", append(append([]byte{}, valid...), 0), &Request{}, nil, "after the frame"},
@@ -374,12 +356,11 @@ func TestHostileFrames(t *testing.T) {
 		{"request into response", valid, &Response{}, nil, "response was expected"},
 		{"response into request", marshal(t, &Response{}), &Request{}, nil, "not a request"},
 		{"wrong destination", valid, &SiteShard{}, nil, "cannot encode or decode"},
-		{"unknown flags", frameOf(KindPing, []byte{0x80}), &Request{}, nil, "flag"},
-		// Flags, then a shard count no site space admits.
-		{"count past MaxSites", frameOf(KindLoad, []byte{0}, uv(MaxSites+1)), &Request{}, nil, "exceeds"},
-		// Flags, then 1000 shards in a 3-byte payload.
-		{"count past the frame", frameOf(KindLoad, []byte{0}, uv(1000)), &Request{}, io.ErrUnexpectedEOF, ""},
-		{"varint overflow", frameOf(KindLoad, []byte{0}, bytes.Repeat([]byte{0xff}, 11)), &Request{}, nil, "overflows"},
+		// A shard count no site space admits.
+		{"count past MaxSites", frameOf(KindLoad, uv(MaxSites+1)), &Request{}, nil, "exceeds"},
+		// 1000 shards in a 2-byte payload.
+		{"count past the frame", frameOf(KindLoad, uv(1000)), &Request{}, io.ErrUnexpectedEOF, ""},
+		{"varint overflow", frameOf(KindLoad, bytes.Repeat([]byte{0xff}, 11)), &Request{}, nil, "overflows"},
 	}
 	for _, tc := range cases {
 		err := Frame(tc.frame).Decode(tc.into)
@@ -416,9 +397,9 @@ func TestHostileFrames(t *testing.T) {
 // for: a frame of a few bytes claiming millions of elements is refused
 // before any of them is allocated.
 func TestHostileCountsAllocateNothing(t *testing.T) {
-	req := frameOf(KindLoad, []byte{0}, uv(MaxSites))
-	// flags, empty Err, no local ranks, then a 4M-float partial.
-	resp := frameOf(kindResponse, []byte{0, 0, 0}, uv(MaxSites))
+	req := frameOf(KindLoad, uv(MaxSites))
+	// Empty Err, no local ranks, then a 4M-float partial.
+	resp := frameOf(kindResponse, []byte{0, 0}, uv(MaxSites))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < 10; i++ {
@@ -586,11 +567,12 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add(header(KindLoad, 3))
-	// A frame from the previous protocol version, and the two
-	// messages the declared-session contract refuses one level above the
-	// decoder: a Load naming a site twice, a Missing that is not a set.
+	// A version-3 frame (the protocol before the replicated-chain round
+	// batches were retired), and the two messages the declared-session
+	// contract refuses one level above the decoder: a Load naming a site
+	// twice, a Missing that is not a set.
 	old := marshal(f, &Request{Kind: KindLoad, NumSites: 3})
-	old[0] = frameMagic | (frameVersion - 1)
+	old[0] = frameMagic | 3
 	f.Add([]byte(old))
 	f.Add([]byte(marshal(f, &Request{Kind: KindLoad, NumSites: 3, Cached: []ShardRef{{Site: 1}, {Site: 1}}})))
 	f.Add([]byte(marshal(f, &Response{Missing: []int{3, 3}})))

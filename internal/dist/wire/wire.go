@@ -31,23 +31,26 @@ import (
 // Kind discriminates request types.
 type Kind uint8
 
-// Protocol operations, coordinator → worker.
+// Protocol operations, coordinator → worker. Kind 5 is retired: frame
+// versions 2 and 3 used it for SiteRank rounds run against a site chain
+// replicated on the worker, and a request carrying it is answered
+// "unknown request kind".
 const (
 	// KindPing checks liveness; the response carries no payload.
 	KindPing Kind = iota + 1
 	// KindLoad declares the session: after it the worker's session holds
 	// exactly the shards the request names over NumSites — Cached by
-	// (site, digest), Shards/ShardsZ in full — plus the site chain under
-	// ChainDigest when HasChain, and nothing else. The worker resolves
-	// each Cached ref against the session it already has (same site,
-	// same digest: kept, warm solver and all), then its digest-keyed
-	// cache, and answers the ones it holds nowhere in Response.Missing;
-	// the coordinator declares again with those in full. Nothing but a
-	// Load adds to or removes from a session, so a run's first Load is
-	// its reset, a rebalance is a smaller declaration, a retransmitted
-	// Load changes nothing — and delta shipping after graph churn needs
-	// no message of its own: a mutation confined to one site changes
-	// one shard digest, so N refs come back with one Missing.
+	// (site, digest), Shards/ShardsZ in full — and nothing else. The
+	// worker resolves each Cached ref against the session it already has
+	// (same site, same digest: kept, warm solver and all), then its
+	// digest-keyed cache, and answers the ones it holds nowhere in
+	// Response.Missing; the coordinator declares again with those in
+	// full. Nothing but a Load adds to or removes from a session, so a
+	// run's first Load is its reset, a rebalance is a smaller
+	// declaration, a retransmitted Load changes nothing — and delta
+	// shipping after graph churn needs no message of its own: a mutation
+	// confined to one site changes one shard digest, so N refs come back
+	// with one Missing.
 	KindLoad
 	// KindRankLocal computes the local DocRank of loaded sites (all of
 	// them, or the subset listed in Request.Sites).
@@ -56,11 +59,7 @@ const (
 	// SiteRank round: the partial product of the iterate with the
 	// worker's owned rows of the site transition chain.
 	KindPowerRound
-	// KindBatchRounds runs up to Request.Rounds SiteRank point-Jacobi
-	// rounds locally on the worker against its replicated site chain and
-	// returns the resulting iterate — round batching, trading one larger
-	// chain shipment at load time for K× fewer SiteRank exchanges.
-	KindBatchRounds
+	_ // 5, retired
 	// KindAsyncUpdate performs one barrier-free SiteRank sweep: the same
 	// row-partition arithmetic as KindPowerRound (partial product over
 	// owned rows plus dangling mass), but additionally reporting the
@@ -68,13 +67,12 @@ const (
 	// coordinator can merge contributions taken from *different* iterate
 	// snapshots — the asynchronous mode's per-worker sweeps never share a
 	// round barrier. Request.Epoch versions the accumulator generation the
-	// sweep feeds; the worker counts sweeps per epoch.
+	// sweep feeds.
 	KindAsyncUpdate
-	// KindAsyncAck drains one asynchronous epoch: the worker reports how
-	// many KindAsyncUpdate sweeps it served in Request.Epoch
-	// (Response.Rounds), then retires that epoch — a late or duplicated
-	// update for a drained epoch is refused instead of silently feeding a
-	// stale accumulator.
+	// KindAsyncAck drains one asynchronous epoch: the worker retires every
+	// epoch up to Request.Epoch, so a late or duplicated update for a
+	// drained epoch is refused instead of silently feeding a stale
+	// accumulator.
 	KindAsyncAck
 )
 
@@ -115,8 +113,8 @@ type SiteShard struct {
 	RowVals []float64
 }
 
-// Digest is the content address of a shard or site chain: SHA-256 over
-// a canonical serialization. Workers recompute digests from the bytes
+// Digest is the content address of a shard: SHA-256 over a canonical
+// serialization. Workers recompute digests from the bytes
 // they actually received and key their caches by that value, so a
 // coordinator cannot bind a digest to foreign content (no cache
 // poisoning across coordinators sharing a worker).
@@ -127,17 +125,6 @@ type Digest [sha256.Size]byte
 type ShardRef struct {
 	Site   int
 	Digest Digest
-}
-
-// SiteChain is the full row-normalized site transition matrix M(G_S) in
-// CSR form: row s spans Cols/Vals[RowPtr[s]:RowPtr[s+1]], an empty span
-// marking a dangling site. It is shipped to workers when round batching
-// is on, so a worker can run whole SiteRank rounds locally.
-type SiteChain struct {
-	NumSites int
-	RowPtr   []int
-	Cols     []int
-	Vals     []float64
 }
 
 // Request is the coordinator → worker envelope. Only the fields of the
@@ -156,41 +143,26 @@ type Request struct {
 	// keeps or activates each from its session or digest cache, or
 	// reports its site in Response.Missing.
 	Cached []ShardRef
-	// Chain optionally ships the full site chain at KindLoad (round
-	// batching replicates it on every worker).
-	Chain *SiteChain
-	// HasChain declares that the session holds the site chain under
-	// ChainDigest: with a nil Chain the worker keeps or activates its
-	// copy, or answers Response.MissingChain.
-	HasChain    bool
-	ChainDigest Digest
-	// NumSites is the site-space dimension, needed by KindPowerRound and
-	// KindBatchRounds iterates and validated at KindLoad.
+	// NumSites is the site-space dimension, needed by the SiteRank
+	// iterates and validated at KindLoad.
 	NumSites int
-	// Damping/Tol/MaxIter parameterize KindRankLocal; KindBatchRounds
-	// reads Damping and Tol but takes its round budget from Rounds, not
-	// MaxIter. Zero values select the package defaults.
+	// Damping/Tol/MaxIter parameterize KindRankLocal. Zero values select
+	// the package defaults.
 	Damping float64
 	Tol     float64
 	MaxIter int
 	// X is the current SiteRank iterate for KindPowerRound and
-	// KindBatchRounds.
+	// KindAsyncUpdate.
 	X []float64
-	// V is the site-layer teleport (personalization) distribution for
-	// KindBatchRounds; empty selects uniform. It must have NumSites
-	// non-negative entries with positive sum; the worker renormalizes.
-	V []float64
 	// Sites restricts KindRankLocal to the listed sites (empty = every
 	// loaded site) — the coordinator re-ranks only reassigned sites after
 	// a worker loss.
 	Sites []int
-	// Rounds asks KindBatchRounds for up to this many rounds.
-	Rounds int
 	// Epoch versions the asynchronous accumulator generation for
 	// KindAsyncUpdate and KindAsyncAck. Epochs only move forward on a
 	// connection: a sweep for an epoch older than the session's current one
 	// is refused (it would feed a drained accumulator), a newer one
-	// adopts the new epoch and restarts the sweep count.
+	// adopts the new epoch.
 	Epoch uint64
 }
 
@@ -216,28 +188,14 @@ type Response struct {
 	DanglingMass float64
 	// Missing answers KindLoad: the Cached sites, each at most once,
 	// whose digest neither the session nor the cache holds; the
-	// coordinator declares again with them in full. MissingChain is the
-	// same signal for the site chain.
-	Missing      []int
-	MissingChain bool
-	// X is the iterate after KindBatchRounds ran Rounds rounds;
-	// Residual is the last L1 step size and Converged whether it crossed
-	// the tolerance (in which case Rounds may be fewer than asked).
-	// Rounds doubles as KindAsyncAck's drained sweep count.
-	X         []float64
-	Rounds    int
-	Residual  float64
-	Converged bool
+	// coordinator declares again with them in full.
+	Missing []int
 	// Mass is the iterate mass on the worker's owned sites (Σ X[s] over
 	// loaded shards), reported by KindAsyncUpdate: asynchronous merges
 	// combine partials from different snapshots, so the teleport
 	// coefficient needs each contribution's own mass rather than one
 	// shared Σx.
 	Mass float64
-	// Epoch echoes the request's accumulator epoch on KindAsyncUpdate
-	// and KindAsyncAck, letting the coordinator discard responses that
-	// raced a membership change.
-	Epoch uint64
 }
 
 // Counters accumulates transport statistics for one endpoint. All
@@ -477,46 +435,14 @@ func (s *SiteShard) ContentDigest() Digest {
 	return d.sum()
 }
 
-// ContentDigest returns the chain's content address, the analogue of
-// SiteShard.ContentDigest for the replicated site chain.
-func (c *SiteChain) ContentDigest() Digest {
-	d := digestWriter{h: sha256.New()}
-	d.writeInt(c.NumSites)
-	for _, p := range c.RowPtr {
-		d.writeInt(p)
-	}
-	for _, col := range c.Cols {
-		d.writeInt(col)
-	}
-	for _, v := range c.Vals {
-		d.writeFloat(v)
-	}
-	return d.sum()
-}
-
 // SelfLoop returns M[Site, Site], the weight the shard's chain row keeps on
 // its own site — bit for bit the value a worker multiplies, and what a
 // SiteRank round divides out (pagerank.JacobiStep).
 func (s *SiteShard) SelfLoop() float64 {
-	return selfLoop(s.Site, s.RowCols, s.RowVals)
-}
-
-// Diagonal returns the chain's self-loop weights M[s,s], one per site.
-func (c *SiteChain) Diagonal() []float64 {
-	diag := make([]float64, c.NumSites)
-	for s := range diag {
-		lo, hi := c.RowPtr[s], c.RowPtr[s+1]
-		diag[s] = selfLoop(s, c.Cols[lo:hi], c.Vals[lo:hi])
-	}
-	return diag
-}
-
-// selfLoop sums the entries of one chain row that point back at site s.
-func selfLoop(s int, cols []int, vals []float64) float64 {
 	var w float64
-	for k, col := range cols {
-		if col == s {
-			w += vals[k]
+	for k, col := range s.RowCols {
+		if col == s.Site {
+			w += s.RowVals[k]
 		}
 	}
 	return w
@@ -528,11 +454,6 @@ func selfLoop(s int, cols []int, vals []float64) float64 {
 // zero on warm runs.
 func (s *SiteShard) DigestInputBytes() uint64 {
 	return 8 * uint64(3+3*len(s.Edges)+2*len(s.RowCols))
-}
-
-// DigestInputBytes is the SiteChain analogue of SiteShard.DigestInputBytes.
-func (c *SiteChain) DigestInputBytes() uint64 {
-	return 8 * uint64(1+len(c.RowPtr)+2*len(c.Cols))
 }
 
 // maxDecompressedBytes bounds how far a compressed shard payload may

@@ -111,18 +111,3 @@ func TestContentDigestStability(t *testing.T) {
 		}
 	}
 }
-
-func TestChainDigestAndSize(t *testing.T) {
-	c1 := SiteChain{NumSites: 2, RowPtr: []int{0, 1, 1}, Cols: []int{1}, Vals: []float64{1}}
-	c2 := SiteChain{NumSites: 2, RowPtr: []int{0, 1, 1}, Cols: []int{1}, Vals: []float64{1}}
-	if c1.ContentDigest() != c2.ContentDigest() {
-		t.Error("identical chains produced different digests")
-	}
-	c2.Vals[0] = 0.5
-	if c1.ContentDigest() == c2.ContentDigest() {
-		t.Error("value change did not change the chain digest")
-	}
-	if c1.WireSize() == 0 || (&SiteShard{}).WireSize() == 0 {
-		t.Error("wire-size estimates must be positive (headers are not free)")
-	}
-}

@@ -55,43 +55,28 @@ func (e *cacheEntry) rank(cfg lmm.WebConfig) (matrix.Vector, int, error) {
 }
 
 // shardCache is the worker-global digest-keyed store that makes
-// repeated coordinator runs cheap: shards (and site chains) survive
-// their sessions and coordinator reconnects, so an unchanged graph is
-// never re-shipped and its solvers keep their warm scratch.
+// repeated coordinator runs cheap: shards survive their sessions and
+// coordinator reconnects, so an unchanged graph is never re-shipped and
+// its solvers keep their warm scratch.
 //
-// Shard retention is bounded by aggregate document count (maxDocs) with
-// least-recently-used eviction; chains by entry count. Evicting an
-// entry does not invalidate sessions already holding it — they keep
-// their pointer, and a Load that names them again keeps them — it only
-// stops other sessions' refs from hitting.
+// Retention is bounded by aggregate document count (maxDocs) with
+// least-recently-used eviction. Evicting an entry does not invalidate
+// sessions already holding it — they keep their pointer, and a Load
+// that names them again keeps them — it only stops other sessions' refs
+// from hitting.
 type shardCache struct {
 	mu        sync.Mutex
 	shards    map[wire.Digest]*list.Element // values: *cacheEntry
 	shardLRU  *list.List                    // front = most recently used
 	totalDocs int
 	maxDocs   int
-
-	chains    map[wire.Digest]*list.Element // values: *chainEntry
-	chainLRU  *list.List
-	maxChains int
-}
-
-// chainEntry is a validated site chain under its digest, with the
-// self-loop weights every batched round divides out, taken once.
-type chainEntry struct {
-	digest wire.Digest
-	chain  *wire.SiteChain
-	diag   matrix.Vector
 }
 
 func newShardCache() *shardCache {
 	return &shardCache{
-		shards:    make(map[wire.Digest]*list.Element),
-		shardLRU:  list.New(),
-		maxDocs:   wire.MaxShardDocs,
-		chains:    make(map[wire.Digest]*list.Element),
-		chainLRU:  list.New(),
-		maxChains: 4,
+		shards:   make(map[wire.Digest]*list.Element),
+		shardLRU: list.New(),
+		maxDocs:  wire.MaxShardDocs,
 	}
 }
 
@@ -128,37 +113,6 @@ func (c *shardCache) addShard(e *cacheEntry) *cacheEntry {
 		c.shardLRU.Remove(oldest)
 		delete(c.shards, old.digest)
 		c.totalDocs -= old.numDocs
-	}
-	return e
-}
-
-// lookupChain returns the cached chain for digest (touching LRU) or nil.
-func (c *shardCache) lookupChain(d wire.Digest) *chainEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.chains[d]
-	if !ok {
-		return nil
-	}
-	c.chainLRU.MoveToFront(el)
-	return el.Value.(*chainEntry)
-}
-
-// addChain caches a chain entry, keeping at most maxChains. An entry
-// already cached under the same digest is returned instead, as addShard
-// does.
-func (c *shardCache) addChain(e *chainEntry) *chainEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.chains[e.digest]; ok {
-		c.chainLRU.MoveToFront(el)
-		return el.Value.(*chainEntry)
-	}
-	c.chains[e.digest] = c.chainLRU.PushFront(e)
-	for c.chainLRU.Len() > c.maxChains {
-		oldest := c.chainLRU.Back()
-		c.chainLRU.Remove(oldest)
-		delete(c.chains, oldest.Value.(*chainEntry).digest)
 	}
 	return e
 }

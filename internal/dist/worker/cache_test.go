@@ -166,64 +166,6 @@ func TestRankLocalSubset(t *testing.T) {
 	}
 }
 
-// TestBatchRoundsValidation covers the failure modes of the batched
-// SiteRank handler: no chain loaded, malformed chains, bad budgets.
-func TestBatchRoundsValidation(t *testing.T) {
-	w := New()
-	addr, err := w.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	defer w.Close()
-	enc, dec, _ := dial(t, addr)
-
-	if resp := roundTrip(t, enc, dec, &wire.Request{
-		Kind: wire.KindBatchRounds, NumSites: 0, Rounds: 1,
-	}); resp.Err == "" {
-		t.Error("batch rounds without a chain succeeded")
-	}
-
-	badChains := []*wire.SiteChain{
-		{NumSites: 1, RowPtr: []int{0}},                                              // short rowptr
-		{NumSites: 2, RowPtr: []int{0, 1, 1}, Cols: []int{5}, Vals: []float64{1}},    // col out of range
-		{NumSites: 2, RowPtr: []int{0, 1, 1}, Cols: []int{0}, Vals: []float64{0.4}},  // row not stochastic
-		{NumSites: 2, RowPtr: []int{0, 2, 1}, Cols: []int{0, 1}, Vals: []float64{1}}, // arity + order broken
-	}
-	for i, chain := range badChains {
-		resp := roundTrip(t, enc, dec, &wire.Request{
-			Kind: wire.KindLoad, NumSites: chain.NumSites, Chain: chain,
-		})
-		if resp.Err == "" {
-			t.Errorf("bad chain %d was accepted", i)
-		}
-	}
-
-	good := &wire.SiteChain{NumSites: 2, RowPtr: []int{0, 1, 1}, Cols: []int{1}, Vals: []float64{1}}
-	if resp := roundTrip(t, enc, dec, &wire.Request{
-		Kind: wire.KindLoad, NumSites: 2, Chain: good,
-	}); resp.Err != "" {
-		t.Fatalf("good chain rejected: %s", resp.Err)
-	}
-	if resp := roundTrip(t, enc, dec, &wire.Request{
-		Kind: wire.KindBatchRounds, NumSites: 2, X: []float64{0.5, 0.5}, Rounds: 0,
-	}); resp.Err == "" {
-		t.Error("zero-round batch succeeded")
-	}
-	resp := roundTrip(t, enc, dec, &wire.Request{
-		Kind: wire.KindBatchRounds, NumSites: 2, X: []float64{0.5, 0.5}, Rounds: 3,
-	})
-	if resp.Err != "" {
-		t.Fatalf("batch rounds: %s", resp.Err)
-	}
-	if resp.Rounds < 1 || len(resp.X) != 2 {
-		t.Errorf("batch answered %d rounds, iterate %v", resp.Rounds, resp.X)
-	}
-	sum := resp.X[0] + resp.X[1]
-	if sum < 0.999999 || sum > 1.000001 {
-		t.Errorf("batched iterate sums to %g, want 1", sum)
-	}
-}
-
 // TestCacheHitRevalidatesSiteSpace is the cross-site-space regression:
 // a shard cached under a large graph whose row targets high site IDs
 // must be rejected — not silently reused — when the identical bytes are

@@ -1,9 +1,9 @@
 // Package worker implements the peer side of the distributed Layered
 // Method: a TCP server speaking wire's frames that hosts site shards,
 // computes their local DocRanks with the same kernels as the in-process
-// pipeline, and answers SiteRank rounds — one row-partition product at
-// a time, or whole batches of rounds against a replicated site chain
-// — the paper's Web server participating in decentralized ranking.
+// pipeline, and answers SiteRank rounds and sweeps with the product of
+// the iterate and the site-chain rows it owns — the paper's Web server
+// participating in decentralized ranking.
 //
 // A session is what its connection's last KindLoad declared; nothing
 // else adds to or removes from it. Behind the sessions sits a
@@ -28,7 +28,6 @@ import (
 	"lmmrank/internal/graph"
 	"lmmrank/internal/lmm"
 	"lmmrank/internal/matrix"
-	"lmmrank/internal/pagerank"
 )
 
 // Stats summarizes a worker's transport and cache state since New.
@@ -52,39 +51,34 @@ type shard struct {
 }
 
 // session is the per-connection state of one coordinator: the shards
-// and site chain its last KindLoad declared. Scoping state to the
-// connection isolates concurrent coordinators from each other — two
-// fleets' runs over the same worker cannot clobber one another's shards
-// (they can, by design, share cache entries).
+// its last KindLoad declared. Scoping state to the connection isolates
+// concurrent coordinators from each other — two fleets' runs over the
+// same worker cannot clobber one another's shards (they can, by design,
+// share cache entries).
 type session struct {
 	shards   map[int]*shard
 	numSites int
-	// chain is the replicated site chain for KindBatchRounds, with its
-	// digest and diagonal; nil unless the last Load declared one.
-	chain *chainEntry
 	// totalDocs is the aggregate hosted document count, which every Load
 	// bounds by wire.MaxShardDocs; since a Load replaces the session, the
 	// bound on one declaration is the bound on the session.
 	totalDocs int
 	// sorted caches sortedShards; nil after a Load.
 	sorted []*shard
-	// asyncEpoch is the current asynchronous accumulator generation and
-	// asyncSweeps the KindAsyncUpdate sweeps served in it; KindAsyncAck
-	// reports the count and retires the epoch. Epochs only move forward
-	// for the life of the connection — no request rewinds them — so a
-	// sweep duplicated past a drain cannot feed a retired accumulator.
-	asyncEpoch  uint64
-	asyncSweeps int
+	// asyncEpoch is the current asynchronous accumulator generation;
+	// KindAsyncAck retires it. Epochs only move forward for the life of
+	// the connection — no request rewinds them — so a sweep duplicated
+	// past a drain cannot feed a retired accumulator.
+	asyncEpoch uint64
 
 	// req and resp are the exchange scratch of the per-round kinds: the
 	// serve loop decodes every request whose payload nothing retains
-	// into req, and the SiteRank handlers answer from resp, whose
-	// vectors are partial, next and tele below — all reused from one
-	// round to the next, so a steady-state round allocates nothing. Each
-	// is dead once the response is on the wire.
-	req                 wire.Request
-	resp                wire.Response
-	partial, next, tele matrix.Vector
+	// into req, and the SiteRank handlers answer from resp, whose vector
+	// is partial below — reused from one round to the next, so a
+	// steady-state round allocates nothing. Each is dead once the
+	// response is on the wire.
+	req     wire.Request
+	resp    wire.Response
+	partial matrix.Vector
 }
 
 // reply returns the session's response scratch holding r.
@@ -308,9 +302,9 @@ func (w *Worker) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		// A load's chain rows and site chain outlive the exchange (the
-		// digest cache aliases them): that request owns its memory, every
-		// other kind reuses the session's.
+		// A load's chain rows outlive the exchange (the digest cache
+		// aliases them): that request owns its memory, every other kind
+		// reuses the session's.
 		req := &sess.req
 		if f.Kind() == wire.KindLoad {
 			req = new(wire.Request)
@@ -360,8 +354,6 @@ func (w *Worker) handle(sess *session, req *wire.Request) *wire.Response {
 		return handleRankLocal(sess, req)
 	case wire.KindPowerRound:
 		return handlePowerRound(sess, req)
-	case wire.KindBatchRounds:
-		return handleBatchRounds(sess, req)
 	case wire.KindAsyncUpdate:
 		return handleAsyncUpdate(sess, req)
 	case wire.KindAsyncAck:
@@ -421,50 +413,13 @@ func (w *Worker) buildEntry(s *wire.SiteShard, numSites int) (*cacheEntry, error
 	}), nil
 }
 
-// validateChain checks a fully shipped site chain before it may enter
-// the cache: a well-formed CSR whose non-empty rows are probability
-// distributions over the site space.
-func validateChain(c *wire.SiteChain, numSites int) error {
-	if c.NumSites != numSites {
-		return fmt.Errorf("chain over %d sites, want %d", c.NumSites, numSites)
-	}
-	if len(c.RowPtr) != numSites+1 || len(c.Cols) != len(c.Vals) {
-		return fmt.Errorf("chain shape invalid (%d rowptr, %d cols, %d vals)",
-			len(c.RowPtr), len(c.Cols), len(c.Vals))
-	}
-	if numSites > 0 && (c.RowPtr[0] != 0 || c.RowPtr[numSites] != len(c.Cols)) {
-		return fmt.Errorf("chain rowptr does not span the value arrays")
-	}
-	for s := 0; s < numSites; s++ {
-		lo, hi := c.RowPtr[s], c.RowPtr[s+1]
-		if lo > hi || lo < 0 || hi > len(c.Cols) {
-			return fmt.Errorf("chain row %d spans [%d,%d)", s, lo, hi)
-		}
-		rowSum := 0.0
-		for k := lo; k < hi; k++ {
-			if col := c.Cols[k]; col < 0 || col >= numSites {
-				return fmt.Errorf("chain row %d column %d out of range", s, col)
-			}
-			v := c.Vals[k]
-			if !(v > 0) || math.IsInf(v, 0) {
-				return fmt.Errorf("chain row %d value %g not a probability", s, v)
-			}
-			rowSum += v
-		}
-		if hi > lo && math.Abs(rowSum-1) > 1e-6 {
-			return fmt.Errorf("chain row %d sums to %g, want 1", s, rowSum)
-		}
-	}
-	return nil
-}
-
 // handleLoad replaces the session with exactly what the request
 // declares. Each Cached ref resolves against the session being replaced
 // (same site, same digest: the shard stays, whatever the cache has
 // evicted since), then against the digest cache; what neither holds is
 // answered in Missing and left out. A request that is refused — a bad
-// shard or chain, a site named twice, more than wire.MaxShardDocs
-// documents in all — leaves the previous session serving.
+// shard, a site named twice, more than wire.MaxShardDocs documents in
+// all — leaves the previous session serving.
 func (w *Worker) handleLoad(sess *session, req *wire.Request) *wire.Response {
 	if req.NumSites < 0 || req.NumSites > wire.MaxSites {
 		return &wire.Response{Err: fmt.Sprintf("worker: site space %d outside [0, %d]", req.NumSites, wire.MaxSites)}
@@ -532,26 +487,10 @@ func (w *Worker) handleLoad(sess *session, req *wire.Request) *wire.Response {
 			return &wire.Response{Err: "worker: " + err.Error()}
 		}
 	}
-	var chain *chainEntry
-	if req.Chain != nil {
-		if err := validateChain(req.Chain, req.NumSites); err != nil {
-			return &wire.Response{Err: "worker: " + err.Error()}
-		}
-		chain = w.cache.addChain(&chainEntry{digest: req.Chain.ContentDigest(), chain: req.Chain, diag: req.Chain.Diagonal()})
-	} else if req.HasChain {
-		if chain = sess.chain; chain == nil || chain.digest != req.ChainDigest {
-			chain = w.cache.lookupChain(req.ChainDigest)
-		}
-		if chain == nil || chain.chain.NumSites != req.NumSites {
-			chain = nil
-			resp.MissingChain = true
-		}
-	}
 	for _, site := range resp.Missing {
 		delete(next, site)
 	}
 	sess.shards, sess.numSites, sess.totalDocs = next, req.NumSites, totalDocs
-	sess.chain = chain
 	sess.sorted = nil
 	return resp
 }
@@ -598,9 +537,8 @@ func handleRankLocal(sess *session, req *wire.Request) *wire.Response {
 
 // checkIterate is the one request validator of the SiteRank handlers: the
 // iterate must span the session's site space and be finite. A NaN or an
-// infinity never meets a stop test — a batch would burn its whole round
-// budget on one before answering — so it is refused up front, alike in
-// every handler.
+// infinity would poison every partial built from it, so it is refused up
+// front, alike in every handler.
 func checkIterate(sess *session, req *wire.Request, what string) error {
 	if req.NumSites != sess.numSites {
 		return fmt.Errorf("worker: %s over %d sites but %d loaded", what, req.NumSites, sess.numSites)
@@ -656,10 +594,7 @@ func handleAsyncUpdate(sess *session, req *wire.Request) *wire.Response {
 	if err := checkIterate(sess, req, "async sweep"); err != nil {
 		return &wire.Response{Err: err.Error()}
 	}
-	if req.Epoch > sess.asyncEpoch {
-		sess.asyncEpoch = req.Epoch
-		sess.asyncSweeps = 0
-	}
+	sess.asyncEpoch = req.Epoch
 	partial := zeroed(&sess.partial, req.NumSites)
 	var dangling, mass float64
 	for _, sh := range sess.sortedShards() {
@@ -673,119 +608,17 @@ func handleAsyncUpdate(sess *session, req *wire.Request) *wire.Response {
 			partial[col] += xs * sh.entry.rowVals[k]
 		}
 	}
-	sess.asyncSweeps++
-	return sess.reply(wire.Response{Partial: partial, DanglingMass: dangling, Mass: mass, Epoch: req.Epoch})
+	return sess.reply(wire.Response{Partial: partial, DanglingMass: dangling, Mass: mass})
 }
 
-// handleAsyncAck drains one asynchronous epoch: it reports the sweeps
-// served under it (Response.Rounds) and retires every epoch up to and
-// including the acknowledged one, so a sweep delayed past the drain is
-// refused rather than double-counted. Acks for already-retired epochs
-// are idempotent no-ops — a duplicated ack must not poison the session.
+// handleAsyncAck drains one asynchronous epoch: it retires every epoch
+// up to and including the acknowledged one, so a sweep delayed past the
+// drain is refused rather than double-counted. Acks for already-retired
+// epochs are idempotent no-ops — a duplicated ack must not poison the
+// session.
 func handleAsyncAck(sess *session, req *wire.Request) *wire.Response {
-	resp := sess.reply(wire.Response{Epoch: req.Epoch})
-	if req.Epoch == sess.asyncEpoch {
-		resp.Rounds = sess.asyncSweeps
-	}
-	if req.Epoch >= sess.asyncEpoch {
-		sess.asyncEpoch = req.Epoch + 1
-		sess.asyncSweeps = 0
-	}
-	return resp
-}
-
-// maxBatchRounds bounds the CPU one KindBatchRounds request can claim;
-// generous next to matrix.DefaultMaxIter but finite for hostile peers.
-const maxBatchRounds = 1 << 20
-
-// handleBatchRounds runs up to req.Rounds SiteRank rounds against the
-// session's replicated chain, stopping early on convergence. A round is
-// the coordinator's unbatched one on the whole chain — the product x'M,
-// then pagerank.JacobiStep with the chain's diagonal (taken once, at
-// load) and the teleport coefficient f·danglingMass + (1−f)·Σx — so
-// batched and unbatched runs agree to summation-order rounding (<1e-9),
-// while K rounds cost one exchange instead of K.
-func handleBatchRounds(sess *session, req *wire.Request) *wire.Response {
-	if sess.chain == nil {
-		return &wire.Response{Err: "worker: batch rounds without a loaded site chain"}
-	}
-	if err := checkIterate(sess, req, "batch rounds"); err != nil {
-		return &wire.Response{Err: err.Error()}
-	}
-	ns := req.NumSites
-	if req.Rounds < 1 || req.Rounds > maxBatchRounds {
-		return &wire.Response{Err: fmt.Sprintf("worker: round budget %d outside [1, %d]", req.Rounds, maxBatchRounds)}
-	}
-	f := req.Damping
-	if f == 0 {
-		f = pagerank.DefaultDamping
-	}
-	if !(f > 0 && f < 1) {
-		return &wire.Response{Err: fmt.Sprintf("worker: damping %g outside (0,1)", f)}
-	}
-	if !(req.Tol >= 0) {
-		return &wire.Response{Err: fmt.Sprintf("worker: tolerance %g is not a non-negative number", req.Tol)}
-	}
-	tol := req.Tol
-	if tol == 0 {
-		tol = matrix.DefaultTol
-	}
-	// An explicit teleport distribution (site-layer personalization)
-	// replaces the uniform vector in the rank-one correction. It is
-	// renormalized into a private copy so the arithmetic matches the
-	// coordinator's central path regardless of client rounding.
-	var tele matrix.Vector
-	if len(req.V) > 0 {
-		if len(req.V) != ns {
-			return &wire.Response{Err: fmt.Sprintf("worker: teleport length %d vs %d sites", len(req.V), ns)}
-		}
-		sum := 0.0
-		for _, v := range req.V {
-			if !(v >= 0) || math.IsInf(v, 0) {
-				return &wire.Response{Err: fmt.Sprintf("worker: teleport value %g not a probability", v)}
-			}
-			sum += v
-		}
-		if !(sum > 0) || math.IsInf(sum, 0) {
-			return &wire.Response{Err: fmt.Sprintf("worker: teleport sums to %g", sum)}
-		}
-		tele = zeroed(&sess.tele, ns)
-		for i, v := range req.V {
-			tele[i] = v / sum
-		}
-	}
-	chain, diag := sess.chain.chain, sess.chain.diag
-	x := matrix.Vector(req.X)
-	next := zeroed(&sess.next, ns)
-	var (
-		rounds    int
-		residual  float64
-		converged bool
-	)
-	for r := 1; r <= req.Rounds; r++ {
-		next.Fill(0)
-		var dangMass float64
-		for s := 0; s < ns; s++ {
-			xs := x[s]
-			lo, hi := chain.RowPtr[s], chain.RowPtr[s+1]
-			if lo == hi {
-				dangMass += xs
-				continue
-			}
-			for k := lo; k < hi; k++ {
-				next[chain.Cols[k]] += xs * chain.Vals[k]
-			}
-		}
-		pagerank.JacobiStep(next, x, diag, f, f*dangMass+(1-f)*x.Sum(), tele)
-		residual = next.L1Diff(x)
-		x, next = next, x
-		rounds = r
-		if residual <= tol {
-			converged = true
-			break
-		}
-	}
-	return sess.reply(wire.Response{X: x, Rounds: rounds, Residual: residual, Converged: converged})
+	sess.asyncEpoch = max(sess.asyncEpoch, req.Epoch+1)
+	return sess.reply(wire.Response{})
 }
 
 var _ io.Closer = (*Worker)(nil)

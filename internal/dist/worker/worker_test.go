@@ -5,6 +5,7 @@ import (
 	"net"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -143,9 +144,8 @@ func TestMalformedRequests(t *testing.T) {
 	}
 
 	// On a loaded session, the SiteRank handlers refuse a malformed
-	// iterate alike. A non-finite one never meets a stop test, nor does a
-	// NaN or negative Tol: a batch would burn its whole round budget on
-	// either before answering.
+	// iterate alike, and the kind frame version 3 spent on round batches
+	// against a replicated chain is no kind at all.
 	if resp := roundTrip(t, enc, dec, fourSiteLoad()); resp.Err != "" {
 		t.Fatalf("load: %s", resp.Err)
 	}
@@ -153,20 +153,22 @@ func TestMalformedRequests(t *testing.T) {
 	nan := []float64{0.25, math.NaN(), 0.25, 0.25}
 	inf := []float64{0.25, 0.25, math.Inf(1), 0.25}
 	for _, tc := range []struct {
-		name string
-		req  wire.Request
+		name    string
+		req     wire.Request
+		mention string
 	}{
-		{"power round over a NaN", wire.Request{Kind: wire.KindPowerRound, NumSites: 4, X: nan}},
-		{"power round over an infinity", wire.Request{Kind: wire.KindPowerRound, NumSites: 4, X: inf}},
-		{"batch rounds over a NaN", wire.Request{Kind: wire.KindBatchRounds, NumSites: 4, X: nan, Rounds: maxBatchRounds}},
-		{"batch rounds over an infinity", wire.Request{Kind: wire.KindBatchRounds, NumSites: 4, X: inf, Rounds: maxBatchRounds}},
-		{"batch rounds to a negative Tol", wire.Request{Kind: wire.KindBatchRounds, NumSites: 4, X: x, Rounds: maxBatchRounds, Tol: -1e-9}},
-		{"batch rounds to a NaN Tol", wire.Request{Kind: wire.KindBatchRounds, NumSites: 4, X: x, Rounds: maxBatchRounds, Tol: math.NaN()}},
-		{"async sweep over a NaN", wire.Request{Kind: wire.KindAsyncUpdate, NumSites: 4, X: nan, Epoch: 1}},
+		{"power round over a NaN", wire.Request{Kind: wire.KindPowerRound, NumSites: 4, X: nan}, ""},
+		{"power round over an infinity", wire.Request{Kind: wire.KindPowerRound, NumSites: 4, X: inf}, ""},
+		{"async sweep over a NaN", wire.Request{Kind: wire.KindAsyncUpdate, NumSites: 4, X: nan, Epoch: 1}, ""},
+		{"retired batch kind", wire.Request{Kind: wire.KindPowerRound + 1, NumSites: 4, X: x}, "unknown request kind 5"},
 	} {
-		if resp := roundTrip(t, enc, dec, &tc.req); resp.Err == "" {
-			t.Errorf("%s: worker accepted it after %d rounds", tc.name, resp.Rounds)
+		if resp := roundTrip(t, enc, dec, &tc.req); resp.Err == "" || !strings.Contains(resp.Err, tc.mention) {
+			t.Errorf("%s: err = %q, want a refusal mentioning %q", tc.name, resp.Err, tc.mention)
 		}
+	}
+	// The loaded session keeps serving after them.
+	if resp := roundTrip(t, enc, dec, &wire.Request{Kind: wire.KindPowerRound, NumSites: 4, X: x}); resp.Err != "" || len(resp.Partial) != 4 {
+		t.Errorf("power round after the refusals: err = %q, partial %v", resp.Err, resp.Partial)
 	}
 
 	// The connection must survive all of the above.
@@ -394,8 +396,8 @@ func TestRankLocalSingleAndEmptySites(t *testing.T) {
 	}
 }
 
-// fourSiteLoad is a KindLoad over four sites — rows, local edges, a
-// dangling site and the replicated chain — for the tests below.
+// fourSiteLoad is a KindLoad over four sites — rows, local edges and a
+// dangling site — for the tests below.
 func fourSiteLoad() *wire.Request {
 	ring := func(n int) []wire.Edge {
 		edges := make([]wire.Edge, n)
@@ -411,18 +413,15 @@ func fourSiteLoad() *wire.Request {
 			{Site: 2, NumDocs: 5, Edges: ring(5), RowCols: []int{0, 3}, RowVals: []float64{0.75, 0.25}},
 			{Site: 3, NumDocs: 2, Edges: ring(2)},
 		},
-		Chain: &wire.SiteChain{NumSites: 4, RowPtr: []int{0, 2, 3, 5, 5},
-			Cols: []int{1, 2, 0, 0, 3}, Vals: []float64{0.5, 0.5, 1, 0.75, 0.25}},
 	}
 }
 
 // TestLoadedShardsSurviveLaterRequests guards the one place decoded
 // request memory is retained: the digest cache aliases a loaded shard's
-// chain row and the session its chain, while every later request on the
-// session is decoded into one reused Request. After 100 of them — every
-// kind, payloads of every size, refused loads of every sort and
-// re-declarations of what is held — the installed shards must rank,
-// power-round and batch bit-identically.
+// chain row, while every later request on the session is decoded into
+// one reused Request. After 100 of them — every kind, payloads of every
+// size, refused loads of every sort and re-declarations of what is held
+// — the installed shards must rank and power-round bit-identically.
 func TestLoadedShardsSurviveLaterRequests(t *testing.T) {
 	w := New()
 	addr, err := w.Start("127.0.0.1:0")
@@ -435,11 +434,10 @@ func TestLoadedShardsSurviveLaterRequests(t *testing.T) {
 		t.Fatalf("load: %s", resp.Err)
 	}
 	x := []float64{0.1, 0.2, 0.3, 0.4}
-	probe := func() [3]*wire.Response {
-		return [3]*wire.Response{
+	probe := func() [2]*wire.Response {
+		return [2]*wire.Response{
 			roundTrip(t, enc, dec, &wire.Request{Kind: wire.KindRankLocal}),
 			roundTrip(t, enc, dec, &wire.Request{Kind: wire.KindPowerRound, NumSites: 4, X: x}),
-			roundTrip(t, enc, dec, &wire.Request{Kind: wire.KindBatchRounds, NumSites: 4, X: x, Rounds: 3}),
 		}
 	}
 	before := probe()
@@ -454,8 +452,7 @@ func TestLoadedShardsSurviveLaterRequests(t *testing.T) {
 		refs[i] = wire.ShardRef{Site: held.Shards[i].Site, Digest: held.Shards[i].ContentDigest()}
 	}
 	redeclare := func() *wire.Request {
-		return &wire.Request{Kind: wire.KindLoad, NumSites: 4, Cached: slices.Clone(refs),
-			HasChain: true, ChainDigest: held.Chain.ContentDigest()}
+		return &wire.Request{Kind: wire.KindLoad, NumSites: 4, Cached: slices.Clone(refs)}
 	}
 
 	junk := func(n int, v float64) []float64 {
@@ -467,8 +464,8 @@ func TestLoadedShardsSurviveLaterRequests(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		var req *wire.Request
-		switch i % 8 {
-		case 7: // refused (rows do not sum to 1), but decoded: same shapes, other values
+		switch i % 7 {
+		case 6: // refused (rows do not sum to 1), but decoded: same shapes, other values
 			req = fourSiteLoad()
 			for j := range req.Shards {
 				for k := range req.Shards[j].RowVals {
@@ -482,28 +479,26 @@ func TestLoadedShardsSurviveLaterRequests(t *testing.T) {
 		case 2:
 			req = &wire.Request{Kind: wire.KindAsyncUpdate, NumSites: 4, X: junk(4, 0.25), Epoch: uint64(i)}
 		case 3:
-			req = &wire.Request{Kind: wire.KindBatchRounds, NumSites: 4, X: junk(4, 0.25), V: junk(4, 7), Rounds: 2}
-		case 4:
 			req = &wire.Request{Kind: wire.KindRankLocal, Sites: []int{2, 0}}
-		case 5: // the same session, declared again by reference
+		case 4: // the same session, declared again by reference
 			req = redeclare()
-		case 6: // refused, each a different way; the session must stay as it is
+		case 5: // refused, each a different way; the session must stay as it is
 			req = redeclare()
 			switch i % 3 {
 			case 0: // a site named twice
 				req.Cached = append(req.Cached, refs[2])
 			case 1: // a ref outside the site space
 				req.Cached[0].Site = 77
-			case 2: // a malformed chain beside valid refs
-				req.Chain = &wire.SiteChain{NumSites: 4, RowPtr: []int{0}}
+			case 2: // a site space no worker admits
+				req.NumSites = wire.MaxSites + 1
 			}
 		}
 		resp := roundTrip(t, enc, dec, req)
-		if refused := i%8 == 7 || i%8 == 6 || i%8 == 1; refused != (resp.Err != "") {
+		if refused := i%7 == 6 || i%7 == 5 || i%7 == 1; refused != (resp.Err != "") {
 			t.Fatalf("request %d (kind %d): err = %q, refused should be %v", i, req.Kind, resp.Err, refused)
 		}
-		if len(resp.Missing) != 0 || resp.MissingChain {
-			t.Fatalf("request %d: re-declaring what the session holds reported missing %v (chain %v)", i, resp.Missing, resp.MissingChain)
+		if len(resp.Missing) != 0 {
+			t.Fatalf("request %d: re-declaring what the session holds reported missing %v", i, resp.Missing)
 		}
 	}
 
@@ -528,12 +523,10 @@ func TestRoundHandlersAllocateNothing(t *testing.T) {
 	for _, req := range []*wire.Request{
 		{Kind: wire.KindPowerRound, NumSites: 4, X: x},
 		{Kind: wire.KindAsyncUpdate, NumSites: 4, X: x, Epoch: 1},
-		{Kind: wire.KindBatchRounds, NumSites: 4, X: x, V: []float64{1, 1, 1, 1}, Rounds: 4},
 		{Kind: wire.KindAsyncAck, Epoch: 1},
 	} {
 		var resp *wire.Response
 		allocs := testing.AllocsPerRun(50, func() {
-			x[0], x[1], x[2], x[3] = 0.1, 0.2, 0.3, 0.4 // batch rounds iterate in place
 			resp = w.safeHandle(sess, req)
 		})
 		if resp.Err != "" {

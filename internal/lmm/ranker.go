@@ -78,8 +78,8 @@ type rankerCore struct {
 	siteChain *pagerank.Chain
 }
 
-// getSiteChain returns the site-layer chain M(G_S), building it once.
-func (c *rankerCore) getSiteChain() *pagerank.Chain {
+// siteLayerChain returns the site-layer chain M(G_S), building it once.
+func (c *rankerCore) siteLayerChain() *pagerank.Chain {
 	c.siteOnce.Do(func() { c.siteChain = pagerank.NewChain(c.sg.G.TransitionMatrix()) })
 	return c.siteChain
 }
@@ -188,7 +188,7 @@ func (r *Ranker) Share() *Ranker { return &Ranker{core: r.core} }
 // core is immutable; queries only read it.
 func (r *Ranker) Prepare() {
 	c := r.core
-	c.getSiteChain()
+	c.siteLayerChain()
 	ForEachParallel(len(c.sites), 0, func(s int) {
 		if st := c.sites[s]; st.fixed == nil {
 			st.getChain(c.dg, graph.SiteID(s))
@@ -230,7 +230,7 @@ func (r *Ranker) RankSites(cfg WebConfig) (matrix.Vector, int, error) {
 		return nil, 0, ErrGraphMutated
 	}
 	if r.siteSolver == nil {
-		r.siteSolver = r.core.getSiteChain().NewSolver()
+		r.siteSolver = r.core.siteLayerChain().NewSolver()
 	}
 	var start matrix.Vector
 	if len(cfg.SiteStart) == len(r.core.sites) {

@@ -57,10 +57,10 @@ func benchSolver(b *testing.B, m *matrix.CSR) {
 	b.ReportMetric(float64(sweeps), "sweeps/op")
 }
 
-// BenchmarkSolverSiteChain is the site layer's shape: 220 states that
+// BenchmarkSolverSiteLayer is the site layer's shape: 220 states that
 // each keep ≈ 0.95 of their row on a self-loop (the intra-site links a
 // SiteGraph aggregates), the rest on a handful of other sites.
-func BenchmarkSolverSiteChain(b *testing.B) {
+func BenchmarkSolverSiteLayer(b *testing.B) {
 	const n = 220
 	rng := rand.New(rand.NewSource(4))
 	g := graph.NewDigraph(n)

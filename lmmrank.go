@@ -82,7 +82,7 @@ type (
 	DistRetryPolicy = coordinator.RetryPolicy
 	// DistStats breaks down a distributed run's cost: timings, measured
 	// wire traffic, losses/reassignments/retries, cache hits and bytes
-	// saved, and SiteRank messages saved by round batching.
+	// saved, and the asynchronous SiteRank's merges.
 	DistStats = coordinator.Stats
 	// DistCheckpoint persists the distributed SiteRank iterate between
 	// rounds so a restarted coordinator resumes instead of recomputing.
@@ -120,8 +120,6 @@ const (
 	SiteRankCentral = coordinator.SiteRankCentral
 	// SiteRankSync runs barrier-synchronous distributed SiteRank rounds.
 	SiteRankSync = coordinator.SiteRankSync
-	// SiteRankBatched runs multiple distributed rounds per barrier.
-	SiteRankBatched = coordinator.SiteRankBatched
 	// SiteRankAsync runs the barrier-free asynchronous protocol: workers
 	// sweep continuously, the coordinator merges in arrival order, and a
 	// synchronous verification pass confirms convergence.
