@@ -69,8 +69,8 @@ race:
 # coalescing paths schedule very differently on one core than on four,
 # and a race that needs real parallelism to interleave never fires at
 # GOMAXPROCS=1. The distributed runtime rides along so its bitwise pins
-# (ordered-async reproducibility, checkpoint resume, worker-order
-# reduce) hold with real parallelism too, and so do the lazy builds
+# (checkpoint resume, worker-order reduce, warm answers repeating to the
+# bit) hold with real parallelism too, and so do the lazy builds
 # below the engines: concurrent first use of a CSR's row view
 # (internal/matrix), of a site's chain (internal/lmm), and readers of a
 # graph while its COW clones are taken and edited (internal/graph,

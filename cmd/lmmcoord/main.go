@@ -6,8 +6,7 @@
 // Usage:
 //
 //	lmmcoord -graph campus.graph -workers host1:7100,host2:7100 [-top 15]
-//	         [-siterank central|sync|async]
-//	         [-async-ordered] [-async-seed 42]
+//	         [-siterank central|sync]
 //	         [-partition host|balanced|aggregate] [-partition-seed 0]
 //	         [-max-worker-failures 1] [-max-redials 0]
 //	         [-checkpoint siterank.ckpt] [-resume] [-runs 2]
@@ -27,14 +26,9 @@
 // their shards back (near-zero bytes when their caches are still warm).
 // -siterank selects the SiteRank mode (docs/ARCHITECTURE.md has the
 // map): "central" (the default) solves the site layer on the
-// coordinator, "sync" iterates it over the fleet one barrier round at
-// a time, and "async" is the barrier-free protocol (workers sweep
-// continuously, the coordinator merges in arrival order and confirms
-// with synchronous verification rounds); -async-ordered with -async-seed
-// makes its schedule deterministic and the SiteRank bitwise
-// reproducible. A knob given without the mode that reads it
-// (-async-ordered, -checkpoint with "central") is a usage error.
-// -checkpoint persists
+// coordinator, and "sync" iterates it over the fleet one barrier round
+// at a time. -checkpoint with "central", which has no fleet iteration to
+// save, is a usage error. -checkpoint persists
 // the fleet-side SiteRank iterate to a file after every round; a
 // coordinator restarted with -resume picks the iteration up from the
 // last checkpointed round instead of round zero (without -resume a
@@ -70,12 +64,10 @@ func run() error {
 		workers   = flag.String("workers", "", "comma-separated worker addresses (required)")
 		top       = flag.Int("top", 15, "table length")
 		damping   = flag.Float64("damping", 0.85, "damping factor / gatekeeper α")
-		srMode    = flag.String("siterank", "central", "SiteRank mode: central, sync or async")
-		asyncOrd  = flag.Bool("async-ordered", false, "with -siterank async: deterministic seeded sequential schedule")
-		asyncSeed = flag.Int64("async-seed", 0, "with -async-ordered: seed of the worker-selection schedule")
+		srMode    = flag.String("siterank", "central", "SiteRank mode: central or sync")
 		failures  = flag.Int("max-worker-failures", 1, "worker losses one run may absorb by reassigning shards (0 = fail on first loss)")
 		redials   = flag.Int("max-redials", 0, "background redial attempts per lost worker (0 = lost workers stay lost)")
-		ckptPath  = flag.String("checkpoint", "", "checkpoint the SiteRank iterate to this file (any -siterank mode but central)")
+		ckptPath  = flag.String("checkpoint", "", "checkpoint the SiteRank iterate to this file (-siterank sync)")
 		resume    = flag.Bool("resume", false, "resume the SiteRank iteration from the checkpoint file")
 		partName  = flag.String("partition", "balanced", "site placement strategy: host, balanced or aggregate")
 		partSeed  = flag.Int64("partition-seed", 0, "seed for the aggregate strategy's label propagation")
@@ -98,16 +90,11 @@ func run() error {
 		mode = coordinator.SiteRankCentral
 	case "sync":
 		mode = coordinator.SiteRankSync
-	case "async":
-		mode = coordinator.SiteRankAsync
 	default:
-		return fmt.Errorf("unknown -siterank mode %q (want central, sync or async)", *srMode)
-	}
-	if *asyncOrd && mode != coordinator.SiteRankAsync {
-		return fmt.Errorf("-async-ordered needs -siterank async")
+		return fmt.Errorf("unknown -siterank mode %q (want central or sync)", *srMode)
 	}
 	if *ckptPath != "" && mode == coordinator.SiteRankCentral {
-		return fmt.Errorf("-checkpoint needs -siterank sync or async (the central SiteRank has no fleet iteration to checkpoint)")
+		return fmt.Errorf("-checkpoint needs -siterank sync (the central SiteRank has no fleet iteration to checkpoint)")
 	}
 	var strat partition.Strategy
 	switch *partName {
@@ -155,12 +142,10 @@ func run() error {
 	fmt.Printf("precomputed ranking structure in %v\n", time.Since(prepStart).Round(time.Millisecond))
 
 	cfg := coordinator.Config{
-		Damping:      *damping,
-		SiteRank:     mode,
-		AsyncOrdered: *asyncOrd,
-		AsyncSeed:    *asyncSeed,
-		Compress:     *compress,
-		Partition:    strat,
+		Damping:   *damping,
+		SiteRank:  mode,
+		Compress:  *compress,
+		Partition: strat,
 		Retry: coordinator.RetryPolicy{
 			MaxWorkerFailures: *failures,
 			MaxRedials:        *redials,
@@ -220,10 +205,6 @@ func run() error {
 		}
 		if res.Stats.ResumedFromRound > 0 {
 			fmt.Printf("; resumed SiteRank from checkpointed round %d", res.Stats.ResumedFromRound)
-		}
-		if res.Stats.AsyncUpdatesMerged > 0 {
-			fmt.Printf("; async merged %d sweeps (%d verification rounds)",
-				res.Stats.AsyncUpdatesMerged, res.Stats.AsyncVerifyRounds)
 		}
 		fmt.Println()
 		fmt.Printf("run %d: partition %s: cut weight %.0f (%.2f%% of site-graph weight; ~%.1f KB cross-shard per doc-level sweep avoided)\n",

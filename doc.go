@@ -23,8 +23,7 @@
 //     balancing, digest-keyed worker caches, flate shard compression,
 //     one SiteRank loop selected by DistConfig.SiteRank alone
 //     (SiteRankMode: central by default, or on the fleet as synchronous
-//     rounds or the barrier-free asynchronous protocol with synchronous
-//     verification — seeded-deterministic when ordered), mid-run
+//     point-Jacobi rounds), mid-run
 //     worker-loss recovery and background redial with
 //     mid-run re-admission (DistRetryPolicy), and checkpointed SiteRank
 //     iteration (DistCheckpoint).
@@ -128,7 +127,7 @@
 // (DistStats.RejoinShardBytes measures exactly the rejoin traffic), and
 // interim owners drop the moved sites so no chain row is double-counted.
 // Orthogonally, DistConfig.Checkpoint persists the fleet-side SiteRank
-// iterate (every SiteRankMode but SiteRankCentral) so a restarted
+// iterate (SiteRankSync) so a restarted
 // coordinator resumes instead of recomputing. The
 // Checkpoint contract: Save must durably replace the stored state or
 // fail the run (FileCheckpoint writes a temp file, syncs it and renames

@@ -219,8 +219,7 @@ type EngineOptions struct {
 // the two engines' contracts identical. Malformed personalization
 // vectors are rejected here, at the serving boundary, rather than left
 // to the solvers: a NaN or infinity would otherwise surface as a solver
-// failure deep inside the run — or, distributedly, propagate through a
-// barrier-free merge unchecked.
+// failure deep inside the run.
 func (q Query) validate() error {
 	if q.ThreeLayer && q.SitePersonalization != nil {
 		return fmt.Errorf("%w: ThreeLayer replaces the site layer and cannot combine with SitePersonalization", ErrUnsupportedQuery)

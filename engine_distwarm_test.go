@@ -50,32 +50,22 @@ func TestDistEngineWarmMatchesCold(t *testing.T) {
 	}
 	sitePers := mixedQueries(web.Graph)[1].SitePersonalization
 	shapes := []struct {
-		name        string
-		q           Query
-		centralOnly bool
+		name string
+		q    Query
 	}{
-		{"uniform", Query{}, false},
-		{"sitePersonalized", Query{SitePersonalization: sitePers}, false},
-		{"threeLayer", Query{ThreeLayer: true}, true},
+		{"uniform", Query{}},
+		{"sitePersonalized", Query{SitePersonalization: sitePers}},
+		{"threeLayer", Query{ThreeLayer: true}},
 	}
 	modes := []struct {
 		name string
 		cfg  DistConfig
-		// scheduled marks the concurrent asynchronous schedule: its merge
-		// order is the scheduler's, so its answers neither repeat to the
-		// bit nor hold 1e-9 (its standing pin is 1e-6).
-		scheduled bool
 	}{
-		{"central", DistConfig{}, false},
-		{"sync", DistConfig{SiteRank: SiteRankSync}, false},
-		{"asyncOrdered", DistConfig{SiteRank: SiteRankAsync, AsyncOrdered: true, AsyncSeed: 3}, false},
-		{"async", DistConfig{SiteRank: SiteRankAsync}, true},
+		{"central", DistConfig{}},
+		{"sync", DistConfig{SiteRank: SiteRankSync}},
 	}
 	for _, m := range modes {
 		for _, sh := range shapes {
-			if sh.centralOnly && m.cfg.SiteRank != SiteRankCentral {
-				continue
-			}
 			t.Run(m.name+"/"+sh.name, func(t *testing.T) {
 				cl, err := StartCluster(3)
 				if err != nil {
@@ -90,10 +80,7 @@ func TestDistEngineWarmMatchesCold(t *testing.T) {
 				if err != nil {
 					t.Fatalf("local Rank: %v", err)
 				}
-				tol := 1e-9
-				if m.scheduled {
-					tol = 1e-6
-				}
+				const tol = 1e-9
 				got := warmRanks(t, eng, sh.q)
 				for i, res := range got {
 					if d := res.DocRank.L1Diff(ref.DocRank); d >= tol {
@@ -111,19 +98,13 @@ func TestDistEngineWarmMatchesCold(t *testing.T) {
 				if d := got[1].DocRank.L1Diff(got[0].DocRank); d >= tol {
 					t.Errorf("‖warm − cold‖₁ = %g, want < %g", d, tol)
 				}
-				if !m.scheduled && (!sameBits(got[2].DocRank, got[1].DocRank) || !sameBits(got[2].SiteRank, got[1].SiteRank)) {
+				if !sameBits(got[2].DocRank, got[1].DocRank) || !sameBits(got[2].SiteRank, got[1].SiteRank) {
 					t.Error("the third answer differs from the second: the warm state was not recorded once")
 				}
 				// Only a uniform two-layer answer is a seed for the next
-				// site solve, and every mode converges from it at once —
-				// async in the one barrier round it runs before building an
-				// accumulator, which would throw the seed away.
+				// site solve, and every mode converges from it at once.
 				if sh.name == "uniform" && got[1].SiteIterations > 3 {
 					t.Errorf("warm site layer took %d iterations (cold %d), want <= 3", got[1].SiteIterations, got[0].SiteIterations)
-				}
-				if st := got[1].Dist; sh.name == "uniform" && m.cfg.SiteRank == SiteRankAsync && (got[1].SiteIterations != 1 || st.AsyncUpdatesMerged != 0) {
-					t.Errorf("warm async site layer took %d rounds and %d merges (cold %d), want one barrier round and none",
-						got[1].SiteIterations, st.AsyncUpdatesMerged, got[0].SiteIterations)
 				}
 			})
 		}
@@ -166,12 +147,11 @@ func selfLoopHeavyWeb(t *testing.T) *DocGraph {
 	return dg
 }
 
-// TestSiteRankModesMatchCentralOnSelfLoopHeavySites pins every SiteRank
-// schedule — power rounds on the fleet — against the central solve, which
-// sweeps in place and solves each self-loop exactly, where the two
-// iterations differ most: a SiteGraph with >= 0.95 of every row on the
-// diagonal. The pins are the standing ones, 1e-9 and 1e-6 for the
-// scheduler-ordered async merge.
+// TestSiteRankModesMatchCentralOnSelfLoopHeavySites pins the fleet's
+// rounds against the central solve, which sweeps in place and solves each
+// self-loop exactly, where the two iterations differ most: a SiteGraph
+// with >= 0.95 of every row on the diagonal. The pin is the standing one,
+// 1e-9.
 func TestSiteRankModesMatchCentralOnSelfLoopHeavySites(t *testing.T) {
 	dg := selfLoopHeavyWeb(t)
 	local, err := NewLocalEngine(dg, EngineOptions{})
@@ -189,8 +169,6 @@ func TestSiteRankModesMatchCentralOnSelfLoopHeavySites(t *testing.T) {
 	}{
 		{"central", DistConfig{}, 1e-9},
 		{"sync", DistConfig{SiteRank: SiteRankSync}, 1e-9},
-		{"asyncOrdered", DistConfig{SiteRank: SiteRankAsync, AsyncOrdered: true, AsyncSeed: 3}, 1e-9},
-		{"async", DistConfig{SiteRank: SiteRankAsync}, 1e-6},
 	} {
 		t.Run(m.name, func(t *testing.T) {
 			cl, err := StartCluster(3)
@@ -389,7 +367,6 @@ func TestUpdateHashesOnlyChangedShards(t *testing.T) {
 	}{
 		{"central", DistConfig{}},
 		{"sync", DistConfig{SiteRank: SiteRankSync}},
-		{"async", DistConfig{SiteRank: SiteRankAsync}},
 	} {
 		t.Run(m.name, func(t *testing.T) {
 			dg := webgen.Generate(webgen.Small()).Graph
@@ -433,7 +410,7 @@ func TestUpdateHashesOnlyChangedShards(t *testing.T) {
 			rk := eng.snap.Load().state.rk
 			sub, _ := rk.LocalSubgraph(site)
 			shard := wire.SiteShard{Edges: make([]wire.Edge, sub.NumEdges())}
-			if m.cfg.SiteRank == SiteRankSync || m.cfg.SiteRank == SiteRankAsync {
+			if m.cfg.SiteRank == SiteRankSync {
 				rk.SiteGraph().G.EachEdge(int(site), func(graph.Edge) { shard.RowCols = append(shard.RowCols, 0) })
 			}
 			budget := shard.DigestInputBytes()

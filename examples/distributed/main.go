@@ -10,7 +10,7 @@
 // and a worker killed between runs is survived by reassigning its
 // shards to the remaining peers.
 //
-//	go run ./examples/distributed [-workers 4] [-siterank central|sync|async]
+//	go run ./examples/distributed [-workers 4] [-siterank central|sync]
 package main
 
 import (
@@ -26,7 +26,7 @@ import (
 func main() {
 	workers := flag.Int("workers", 4, "number of worker peers")
 	siteRank := flag.String("siterank", "central",
-		"where the SiteRank is computed: central (on the coordinator), or on the fleet — sync or async")
+		"where the SiteRank is computed: central (on the coordinator) or sync (on the fleet)")
 	flag.Parse()
 
 	web := lmmrank.GenerateCampusWeb(lmmrank.CampusWebConfig{
@@ -56,10 +56,8 @@ func main() {
 	case "central":
 	case "sync":
 		cfg.SiteRank = lmmrank.SiteRankSync
-	case "async":
-		cfg.SiteRank = lmmrank.SiteRankAsync
 	default:
-		log.Fatalf("unknown -siterank mode %q (want central, sync or async)", *siteRank)
+		log.Fatalf("unknown -siterank mode %q (want central or sync)", *siteRank)
 	}
 
 	// Each run hands the next the shard digests it computed, so only the

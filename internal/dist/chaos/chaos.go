@@ -350,8 +350,8 @@ func RecordSites(k wire.Kind) (Script, func() []int) {
 
 // LeakedGoroutines reports what of the distributed runtime is still
 // running: it polls for up to wait until no goroutine but the caller's
-// has a frame under lmmrank/internal/dist — redialers, async drivers,
-// proxy and worker serve loops all wind down asynchronously after a
+// has a frame under lmmrank/internal/dist — redialers, proxy and worker
+// serve loops all wind down asynchronously after a
 // Close or a cancelled run — and returns the stacks of those left, ""
 // when there are none. A package's TestMain calls it after its tests.
 func LeakedGoroutines(wait time.Duration) string {

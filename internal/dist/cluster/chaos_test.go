@@ -48,7 +48,7 @@ func (c *interruptAfter) Save(st *coordinator.CheckpointState) error {
 // TestChaosSoak drives seeded-random kill/rejoin/resume cycles against
 // every serving mode and demands the undisturbed answer every time:
 // bitwise for central SiteRank (reassignment never regroups its
-// arithmetic), < 1e-9 for the fleet modes (ownership changes reorder the
+// arithmetic), < 1e-9 for the sync rounds (ownership changes reorder the
 // partial-sum reduce). Workers die mid-protocol at
 // a random message kind each cycle, rejoin through the redial loop with
 // warm caches, and distributed runs are additionally interrupted at a
@@ -81,28 +81,6 @@ func TestChaosSoak(t *testing.T) {
 			name:   "unbatchedSiteRank",
 			cfg:    coordinator.Config{SiteRank: coordinator.SiteRankSync, Tol: 1e-12, MaxIter: 2000},
 			kinds:  []wire.Kind{wire.KindLoad, wire.KindRankLocal, wire.KindPowerRound},
-			resume: true,
-		},
-		{
-			// No resume leg: a cancel lands inside concurrent driver
-			// calls and poisons their connections, which is the
-			// documented cost of the barrier-free phase — crash recovery
-			// is the ordered schedule's job.
-			name: "asyncSiteRank",
-			cfg: coordinator.Config{
-				SiteRank: coordinator.SiteRankAsync, Tol: 1e-12, MaxIter: 4000,
-			},
-			kinds: []wire.Kind{wire.KindLoad, wire.KindRankLocal, wire.KindAsyncUpdate},
-		},
-		{
-			// Not bitwise despite the seed: a chaos kill diverges the
-			// schedule from the undisturbed reference run.
-			name: "orderedAsyncSiteRank",
-			cfg: coordinator.Config{
-				SiteRank: coordinator.SiteRankAsync, AsyncOrdered: true, AsyncSeed: 11,
-				Tol: 1e-12, MaxIter: 4000,
-			},
-			kinds:  []wire.Kind{wire.KindLoad, wire.KindRankLocal, wire.KindAsyncUpdate},
 			resume: true,
 		},
 	}
@@ -180,7 +158,7 @@ func TestChaosSoak(t *testing.T) {
 			}
 			// Mid-run re-admission needs a run long enough to still be
 			// going when the redial lands — guaranteed only in the
-			// distributed-SiteRank modes. (Central-mode cycles heal
+			// distributed-SiteRank mode. (Central-mode cycles heal
 			// between runs: a completed redial is installed at run end,
 			// which Stats does not count as a rejoin.)
 			if m.resume && rejoins == 0 {
@@ -191,6 +169,63 @@ func TestChaosSoak(t *testing.T) {
 			}
 			t.Logf("%s: %d losses, %d rejoins, %d resumes over %d cycles",
 				m.name, losses, rejoins, resumes, cycles)
+		})
+	}
+}
+
+// stragglerDelay is the per-message penalty the straggler test injects.
+// Each synchronous barrier round waits for the slowest worker, so a
+// run's SiteRank phase pays ≈ rounds × stragglerDelay.
+const stragglerDelay = 10 * time.Millisecond
+
+// TestChaosStragglerStallsSyncBarrier measures what a slow worker costs
+// the site layer: with one worker's SiteRank exchanges delayed, every
+// synchronous barrier round stalls on the straggler, so the SiteRank
+// phase must take at least (barriers × delay) wall-clock. The central
+// solve sends the fleet no site-layer exchange at all, so under the same
+// straggler its SiteRank phase stays below one delay: on a web whose site
+// layer is N_S-sized the central solve dominates every fleet schedule.
+func TestChaosStragglerStallsSyncBarrier(t *testing.T) {
+	web := testWeb()
+	cases := []struct {
+		name string
+		cfg  coordinator.Config
+	}{
+		{"sync", coordinator.Config{SiteRank: coordinator.SiteRankSync, Tol: 1e-6}},
+		{"central", coordinator.Config{Tol: 1e-6}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, err := StartChaosLocal(3)
+			if err != nil {
+				t.Fatalf("StartChaosLocal: %v", err)
+			}
+			defer cl.Close()
+			cl.Proxies[1].SetScript(chaos.DelayKind(wire.KindPowerRound, stragglerDelay))
+
+			res, err := cl.Coord.Rank(web.Graph, tc.cfg)
+			if err != nil {
+				t.Fatalf("Rank: %v", err)
+			}
+			barriers := res.Stats.SiteRankRounds
+			if barriers == 0 {
+				t.Fatal("SiteRankRounds not recorded")
+			}
+			if tc.cfg.SiteRank == coordinator.SiteRankCentral {
+				if res.Stats.SiteRankDuration >= stragglerDelay {
+					t.Errorf("central SiteRank took %v with a %v straggler, want less than one delay: it waits on no worker",
+						res.Stats.SiteRankDuration, stragglerDelay)
+				}
+				t.Logf("%s: %d sweeps in %v", tc.name, barriers, res.Stats.SiteRankDuration)
+				return
+			}
+			// Every barrier waits for the straggler.
+			floor := time.Duration(barriers) * stragglerDelay * 9 / 10
+			if res.Stats.SiteRankDuration < floor {
+				t.Errorf("SiteRank phase took %v over %d barriers with a %v straggler, want >= %v — the barrier stall is not visible",
+					res.Stats.SiteRankDuration, barriers, stragglerDelay, floor)
+			}
+			t.Logf("%s: %d barrier rounds in %v", tc.name, barriers, res.Stats.SiteRankDuration)
 		})
 	}
 }

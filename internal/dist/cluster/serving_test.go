@@ -166,12 +166,19 @@ func TestDistributedSitePersonalization(t *testing.T) {
 	if _, err := cl.Coord.Rank(web.Graph, coordinator.Config{SitePersonalization: bad}); !errors.Is(err, pagerank.ErrBadConfig) {
 		t.Errorf("wrong-length personalization: err = %v, want ErrBadConfig", err)
 	}
+	// Mode 2 was the retired barrier-free schedule: like any value past
+	// SiteRankSync it names no mode.
+	if _, err := cl.Coord.Rank(web.Graph, coordinator.Config{SiteRank: coordinator.SiteRankSync + 1}); !errors.Is(err, pagerank.ErrBadConfig) {
+		t.Errorf("SiteRank mode %d: err = %v, want ErrBadConfig", int(coordinator.SiteRankSync+1), err)
+	}
 }
 
 // TestDistributedThreeLayer checks the three-layer model over the wire:
 // fleet-computed local DocRanks composed under centrally computed
 // DomainRank·SiteEntry weights must match the single-process
-// LayeredDocRank3, and the incompatible mode combinations fail cleanly.
+// LayeredDocRank3 in every SiteRank mode (the upper layers are computed
+// centrally whatever the mode), and SitePersonalization, which the
+// three-layer model replaces, fails cleanly.
 func TestDistributedThreeLayer(t *testing.T) {
 	web := testWeb()
 	ref, err := lmm.LayeredDocRank3(web.Graph, nil, lmm.WebConfig{})
@@ -205,8 +212,12 @@ func TestDistributedThreeLayer(t *testing.T) {
 		}
 	}
 
-	if _, err := cl.Coord.Rank(web.Graph, coordinator.Config{ThreeLayer: true, SiteRank: coordinator.SiteRankSync}); !errors.Is(err, pagerank.ErrBadConfig) {
-		t.Errorf("ThreeLayer+SiteRankSync: err = %v, want ErrBadConfig", err)
+	sync, err := cl.Coord.Rank(web.Graph, coordinator.Config{ThreeLayer: true, SiteRank: coordinator.SiteRankSync})
+	if err != nil {
+		t.Fatalf("three-layer Rank in sync mode: %v", err)
+	}
+	if d := sync.DocRank.L1Diff(res.DocRank); d >= 1e-9 {
+		t.Errorf("‖sync − central‖₁ on the three-layer DocRank = %g, want < 1e-9", d)
 	}
 	pers := make(matrix.Vector, web.Graph.NumSites())
 	for i := range pers {

@@ -21,9 +21,7 @@ import (
 // πS sends no KindRankLocal, reuses the vectors themselves and lands
 // within 1e-9 of the cold answer; with holes in Locals the fleet is
 // asked for exactly the holes. Every mode also converges the site layer
-// in fewer rounds — async in the one barrier round it runs on a seed
-// before building an accumulator, whose first merges would rebuild the
-// iterate from the few workers heard so far and discard the seed.
+// in fewer rounds.
 func TestWarmRunAsksOnlyForMissingLocals(t *testing.T) {
 	web := testWeb()
 	ns := web.Graph.NumSites()
@@ -31,15 +29,9 @@ func TestWarmRunAsksOnlyForMissingLocals(t *testing.T) {
 	modes := []coordinator.Config{
 		{},
 		{SiteRank: coordinator.SiteRankSync},
-		{SiteRank: coordinator.SiteRankAsync, AsyncOrdered: true, AsyncSeed: 5},
-		{SiteRank: coordinator.SiteRankAsync},
 	}
 	for _, cfg := range modes {
-		name := cfg.SiteRank.String()
-		if cfg.AsyncOrdered {
-			name += "Ordered"
-		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(cfg.SiteRank.String(), func(t *testing.T) {
 			cl, err := StartChaosLocal(3)
 			if err != nil {
 				t.Fatalf("StartChaosLocal: %v", err)
@@ -49,14 +41,7 @@ func TestWarmRunAsksOnlyForMissingLocals(t *testing.T) {
 			for _, p := range cl.Proxies {
 				p.SetScript(script)
 			}
-			// The concurrent schedule's merge order — and with it the
-			// merge count and the last digits — is the scheduler's; its
-			// standing pin is 1e-6.
-			deterministic := cfg.SiteRank != coordinator.SiteRankAsync || cfg.AsyncOrdered
-			tol := 1e-9
-			if !deterministic {
-				tol = 1e-6
-			}
+			const tol = 1e-9
 			rk, err := lmm.NewRanker(web.Graph, lmm.RankerOptions{})
 			if err != nil {
 				t.Fatalf("NewRanker: %v", err)
@@ -115,7 +100,7 @@ func TestWarmRunAsksOnlyForMissingLocals(t *testing.T) {
 			if d := part.DocRank.L1Diff(cold.DocRank); d >= tol {
 				t.Errorf("‖partly warm − cold‖₁ = %g, want < %g", d, tol)
 			}
-			if deterministic && part.Stats.SiteRankRounds != cold.Stats.SiteRankRounds {
+			if part.Stats.SiteRankRounds != cold.Stats.SiteRankRounds {
 				t.Errorf("a short SiteStart changed the round count: %d vs %d cold", part.Stats.SiteRankRounds, cold.Stats.SiteRankRounds)
 			}
 		})

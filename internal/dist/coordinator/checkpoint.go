@@ -17,16 +17,15 @@ import (
 // CheckpointState is one saved snapshot of an in-flight distributed
 // SiteRank iteration: the iterate after Round completed rounds, bound to
 // a digest of the computation that produced it. The digest covers the
-// SiteRank mode and the iteration it runs, the graph content (every
-// shard digest), and the numeric parameters, so a resume
+// iteration the rounds run, the graph content (every shard digest), and
+// the numeric parameters, so a resume
 // against a different graph, configuration or build arithmetic is
 // detected and refused rather than silently continued into a wrong
 // fixed point.
 type CheckpointState struct {
 	// Digest identifies the computation; see run.checkpointDigest.
 	Digest wire.Digest
-	// Round is how many rounds — fleet passes, in the asynchronous mode —
-	// the iterate has absorbed.
+	// Round is how many rounds the iterate has absorbed.
 	Round int
 	// X is the iterate itself, exact to the bit (the file checkpoint
 	// stores each float64's bits verbatim, under a checksum), so a resumed
@@ -252,8 +251,7 @@ func (f *FileCheckpoint) Clear() error {
 }
 
 // checkpointDigest fingerprints the computation a snapshot belongs to:
-// the SiteRank mode (the schedules regroup float summation, so their
-// iterates are not interchangeable mid-run), the site-space dimension,
+// the iteration the rounds run, the site-space dimension,
 // the numeric parameters, the teleport vector, and the content digests
 // of every shard, whose chain rows are the site chain. Two runs with
 // equal digests compute the identical float sequence, which is what
@@ -269,22 +267,13 @@ func (r *run) checkpointDigest() wire.Digest {
 		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 		h.Write(buf[:])
 	}
-	// The discriminator names the mode and the iteration it runs. The
-	// ordered schedule gets its own value plus the seed: a resumed ordered
-	// run restarts the schedule, and seeds must not cross-pollinate
-	// through a shared snapshot. Retired values, so that those snapshots
-	// read as foreign: 0, 1, 4, 5 for the power-step rounds, 2 and 3 for
-	// async snapshots whose Round counted merges, not fleet passes, 7 for
-	// rounds batched against a replicated chain.
-	switch {
-	case r.cfg.SiteRank == SiteRankAsync && r.cfg.AsyncOrdered:
-		writeInt(9)
-		writeInt(int(r.cfg.AsyncSeed))
-	case r.cfg.SiteRank == SiteRankAsync:
-		writeInt(8)
-	default:
-		writeInt(6)
-	}
+	// The discriminator names the iteration: 6 for the point-Jacobi
+	// barrier rounds. Retired values, so that those snapshots read as
+	// foreign: 0, 1, 4, 5 for the power-step rounds, 2 and 3 for async
+	// snapshots whose Round counted merges, 7 for rounds batched against a
+	// replicated chain, 8 and 9 for async snapshots whose Round counted
+	// fleet passes.
+	writeInt(6)
 	writeInt(r.ns)
 	writeFloat(r.cfg.damping())
 	writeFloat(r.cfg.tol())

@@ -130,10 +130,9 @@ func TestMemCheckpointIsolatesState(t *testing.T) {
 }
 
 // cancelAfter interrupts a run from inside its own checkpoint: after the
-// n-th successful Save it cancels the run's context. Under a barrier
-// schedule the cancellation lands in the sequential gap between power
-// rounds with no wire call in flight; the concurrent asynchronous
-// schedule has sweeps on the wire, whose connections the cancel poisons.
+// n-th successful Save it cancels the run's context. The cancellation
+// lands in the sequential gap between power rounds with no wire call in
+// flight.
 type cancelAfter struct {
 	Checkpoint
 	n      int
@@ -152,39 +151,21 @@ func (c *cancelAfter) Save(st *CheckpointState) error {
 	return nil
 }
 
-// TestResumeSiteRank interrupts the site-layer iteration of every fleet
-// mode after n checkpoint saves and resumes it from the file — on the
-// coordinator that was cancelled, which must stay usable, except where
-// the row says redial.
+// TestResumeSiteRank interrupts the fleet's site-layer iteration after n
+// checkpoint saves and resumes it from the file — on the coordinator
+// that was cancelled, which must stay usable.
 //
-// The barrier schedules are deterministic: the resumed iterate
-// continues the exact float sequence (the file keeps each float64's
-// bits and worker order is unchanged) and the final ranks are bitwise
-// identical to the uninterrupted run — L1
-// distance exactly 0. The asynchronous schedules restart their merge
-// order on resume, so they are held to the fixed point instead: within
-// agree of the synchronous answer at the same Tol.
+// The barrier rounds are deterministic: the resumed iterate continues
+// the exact float sequence (the file keeps each float64's bits and
+// worker order is unchanged) and the final ranks are bitwise identical
+// to the uninterrupted run — L1 distance exactly 0.
 func TestResumeSiteRank(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
 		n    int
-		// agree is 0 for the bitwise rows.
-		agree float64
-		// redial resumes on a fresh coordinator. Only the concurrent
-		// schedule needs it — its cancel lands on sweeps in flight, which
-		// costs those connections; every other row is interrupted in the
-		// gap between exchanges and must resume on the coordinator it was
-		// cancelled on.
-		redial bool
 	}{
-		{"sync", Config{SiteRank: SiteRankSync}, 5, 0, false},
-		// Interrupted at its first save: on a loaded host one sweep driver
-		// can be starved through hundreds of merges, and the phase then
-		// ends — an early candidate, settled by verification rounds —
-		// after one or two fleet passes, each of which saved.
-		{"async", Config{SiteRank: SiteRankAsync}, 1, 1e-6, true},
-		{"async-ordered", Config{SiteRank: SiteRankAsync, AsyncOrdered: true, AsyncSeed: 9}, 5, 1e-9, false},
+		{"sync", Config{SiteRank: SiteRankSync}, 5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -193,23 +174,13 @@ func TestResumeSiteRank(t *testing.T) {
 			web := rankableWeb()
 			_, a1 := startWorker(t)
 			_, a2 := startWorker(t)
-			dial := func() *Coordinator {
-				c, err := Dial([]string{a1, a2})
-				if err != nil {
-					t.Fatalf("Dial: %v", err)
-				}
-				t.Cleanup(func() { c.Close() })
-				return c
+			c, err := Dial([]string{a1, a2})
+			if err != nil {
+				t.Fatalf("Dial: %v", err)
 			}
-			c := dial()
+			defer c.Close()
 
-			// The uninterrupted answer: this mode's own run for the
-			// bitwise rows, the synchronous one otherwise.
-			refCfg := cfg
-			if tc.agree > 0 {
-				refCfg.SiteRank = SiteRankSync
-			}
-			ref, err := c.Rank(web, refCfg)
+			ref, err := c.Rank(web, cfg)
 			if err != nil {
 				t.Fatalf("reference Rank: %v", err)
 			}
@@ -231,9 +202,6 @@ func TestResumeSiteRank(t *testing.T) {
 			}
 
 			cfg.Checkpoint = store
-			if tc.redial {
-				c = dial()
-			}
 			res, err := c.Rank(web, cfg)
 			if err != nil {
 				t.Fatalf("resumed Rank: %v", err)
@@ -248,18 +216,6 @@ func TestResumeSiteRank(t *testing.T) {
 				t.Errorf("checkpoint survived a converged run: %v, %v", st, err)
 			}
 
-			if tc.agree > 0 {
-				if d := res.DocRank.L1Diff(ref.DocRank); d >= tc.agree {
-					t.Errorf("‖resumed − sync‖₁ = %g, want < %g", d, tc.agree)
-				}
-				if d := res.SiteRank.L1Diff(ref.SiteRank); d >= tc.agree {
-					t.Errorf("‖resumed − sync‖₁ on SiteRank = %g, want < %g", d, tc.agree)
-				}
-				if res.Stats.AsyncVerifyRounds < 1 {
-					t.Errorf("AsyncVerifyRounds = %d, want >= 1", res.Stats.AsyncVerifyRounds)
-				}
-				return
-			}
 			if got, want := res.Stats.ResumedFromRound+res.Stats.SiteRankRounds, ref.Stats.SiteRankRounds; got != want {
 				t.Errorf("resumed %d + executed %d = %d rounds, want the uninterrupted total %d",
 					res.Stats.ResumedFromRound, res.Stats.SiteRankRounds, got, want)

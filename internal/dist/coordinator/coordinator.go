@@ -125,13 +125,6 @@ const (
 	// SiteRankSync is the barrier-synchronous distributed iteration:
 	// every round reduces one partial from every live worker.
 	SiteRankSync
-	// SiteRankAsync is the barrier-free randomized mode: per-worker
-	// sweeps merge into a versioned accumulator as they arrive, so a
-	// straggler degrades convergence instead of stalling the fleet. A
-	// candidate convergence detected from a decaying residual estimate
-	// is always confirmed by synchronous verification rounds, so the
-	// result meets Tol exactly like the synchronous mode.
-	SiteRankAsync
 )
 
 // String names the mode for logs and flag round-trips.
@@ -141,8 +134,6 @@ func (m SiteRankMode) String() string {
 		return "central"
 	case SiteRankSync:
 		return "sync"
-	case SiteRankAsync:
-		return "async"
 	default:
 		return fmt.Sprintf("SiteRankMode(%d)", int(m))
 	}
@@ -159,10 +150,7 @@ type Config struct {
 	// package matrix defaults). A solve stops at the first sweep or round
 	// that moves the normalized iterate by at most Tol in L1, which leaves
 	// it within Tol/(1 − f) of the exact answer (Stats.SiteRankRounds
-	// says why). SiteRankAsync spends MaxIter on
-	// fleet passes — stretches of merges in which every live worker's
-	// sweep landed — so the bound follows the slowest worker, as a
-	// synchronous round does, not the rate the others exchange at.
+	// says why); MaxIter caps its sweeps or rounds.
 	Tol     float64
 	MaxIter int
 	// SiteGraph controls SiteLink aggregation (§3.1).
@@ -171,16 +159,15 @@ type Config struct {
 	// distribution v of Mˆ(G_S) (length NumSites; nil = uniform) — the
 	// paper's "personalization at the higher layer" served from the
 	// fleet. It applies in every SiteRank mode: the central solver takes
-	// it directly, and the fleet modes apply it in the coordinator's
+	// it directly, and the sync rounds apply it in the coordinator's
 	// rank-one correction.
 	SitePersonalization matrix.Vector
 	// ThreeLayer selects the three-layer (domain → site → page) model:
 	// the fleet computes local DocRanks exactly as in the two-layer run,
 	// while the coordinator composes them under per-site weights
 	// DomainRank·SiteEntry computed centrally from the Ranker's
-	// SiteGraph (the upper layers are small — the paper's point).
-	// Incompatible with SitePersonalization and with every SiteRank mode
-	// but SiteRankCentral.
+	// SiteGraph (the upper layers are small — the paper's point) in every
+	// SiteRank mode. Incompatible with SitePersonalization.
 	ThreeLayer bool
 	// DomainOf groups sites into domains for ThreeLayer (nil =
 	// lmm.DefaultDomainOf).
@@ -194,17 +181,6 @@ type Config struct {
 	// SiteRank selects the site-layer algorithm — the one spelling of
 	// the mode. The zero value is SiteRankCentral.
 	SiteRank SiteRankMode
-	// AsyncOrdered makes the asynchronous mode deterministic: instead of
-	// one concurrent sweep driver per worker, the coordinator draws one
-	// worker at a time from a seeded schedule and merges its sweep before
-	// drawing the next (Ishii–Tempo's sequential randomized update). The
-	// SiteRank it produces is bitwise reproducible for a fixed AsyncSeed
-	// and fleet; the concurrent default is faster but its merge order is
-	// scheduler-dependent (still within Tol of the synchronous result).
-	AsyncOrdered bool
-	// AsyncSeed seeds the ordered asynchronous schedule (and nothing
-	// else); ignored unless AsyncOrdered is set.
-	AsyncSeed int64
 	// Retry controls mid-run fault tolerance; the zero value disables
 	// recovery.
 	Retry RetryPolicy
@@ -292,7 +268,7 @@ func (c Config) checkpointEvery() int {
 }
 
 // rowSharded reports whether the mode consumes site-chain rows riding
-// inside the site shards: every fleet mode does, central mode ships no
+// inside the site shards: SiteRankSync does, central mode ships no
 // site-layer data at all.
 func (m SiteRankMode) rowSharded() bool {
 	return m != SiteRankCentral
@@ -308,9 +284,8 @@ type Stats struct {
 	// SiteRankDuration covers the site-layer computation.
 	SiteRankDuration time.Duration
 	// SiteRankRounds counts the site layer's iterations: the central
-	// solver's in-place sweeps, or the fleet's point-Jacobi rounds
-	// (SiteRankAsync: merged sweeps plus barrier rounds). The last one
-	// moved the normalized πS by at most Tol in L1, which bounds
+	// solver's in-place sweeps, or the fleet's point-Jacobi rounds. The
+	// last one moved the normalized πS by at most Tol in L1, which bounds
 	// ‖πS − π*‖₁ ≤ Tol/(1 − f) against the exact stationary vector. A
 	// round splits the system into P = I − f·D (D the chain's diagonal)
 	// and a nonnegative remainder; both have the column sums
@@ -372,23 +347,6 @@ type Stats struct {
 	// when compression is off or nothing shipped in full.
 	ShardBytesRaw        uint64
 	ShardBytesCompressed uint64
-	// AsyncUpdatesMerged counts the barrier-free sweeps SiteRankAsync
-	// folded into its accumulator (SiteRankRounds counts the same thing
-	// for the async mode, plus the verification rounds).
-	AsyncUpdatesMerged int
-	// AsyncWorkerSweeps breaks AsyncUpdatesMerged down per fleet index —
-	// the straggler-tolerance signature: a delayed worker merges fewer
-	// sweeps instead of slowing everyone else's.
-	AsyncWorkerSweeps []int
-	// AsyncStalenessHist histograms each merged sweep's staleness — how
-	// many merges landed between the sweep's snapshot and its own merge.
-	// Bucket i counts staleness exactly i; the last bucket absorbs the
-	// tail. The ordered schedule merges every sweep at staleness 0.
-	AsyncStalenessHist []int
-	// AsyncVerifyRounds counts the synchronous barrier rounds run to
-	// confirm a candidate convergence of the asynchronous phase — the
-	// rounds that make the residual estimate's optimism harmless.
-	AsyncVerifyRounds int
 	// CutEdges is the SiteGraph link weight (document-link multiplicity,
 	// aggregated per site pair under Config.SiteGraph) between sites
 	// placed on different workers this run — the coupling the
@@ -431,7 +389,7 @@ type Warm struct {
 
 // Digests is what a run learns about a graph's wire form: each site's
 // shard digest and wire size, and the site chain's diagonal when the
-// shards carry its rows (SiteRankSync, SiteRankAsync). The shard
+// shards carry its rows (SiteRankSync). The shard
 // payloads are not kept — a worker reporting a shard missing gets it
 // re-extracted. A Digests is immutable.
 type Digests struct {
@@ -652,15 +610,6 @@ type Coordinator struct {
 	// runMu serializes whole Rank runs: the protocol phases (load, rank,
 	// power rounds) of two runs must not interleave.
 	runMu sync.Mutex
-
-	// asyncEpoch is the asynchronous accumulator generation an async
-	// phase is in (it bumps at phase start and on every membership
-	// change). Generations are numbered per Coordinator, not per run: a
-	// worker refuses sweeps for an epoch older than the one its
-	// connection has reached, and nothing rewinds a connection, so a run
-	// must start above where the last one on it stopped. Guarded by
-	// runMu.
-	asyncEpoch uint64
 
 	mu     sync.Mutex
 	closed bool

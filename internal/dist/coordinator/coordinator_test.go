@@ -247,7 +247,7 @@ func TestNumWorkersAndPing(t *testing.T) {
 // the per-round exchanges decode into each remote's retained Response,
 // so whatever a Result keeps must have been copied out of it. A second
 // run, personalized so every site-layer vector differs, must leave the
-// first run's Result as it was — in every fleet mode.
+// first run's Result as it was.
 func TestResultSurvivesLaterRuns(t *testing.T) {
 	dg := rankableWeb()
 	tele := matrix.NewVector(dg.NumSites())
@@ -257,8 +257,6 @@ func TestResultSurvivesLaterRuns(t *testing.T) {
 	tele.Normalize()
 	for _, cfg := range []Config{
 		{SiteRank: SiteRankSync},
-		{SiteRank: SiteRankAsync},
-		{SiteRank: SiteRankAsync, AsyncOrdered: true, AsyncSeed: 3},
 	} {
 		_, a1 := startWorker(t)
 		_, a2 := startWorker(t)

@@ -53,28 +53,19 @@ func exactWeb(rng *rand.Rand) *graph.DocGraph {
 }
 
 // TestFleetSiteRankMatchesExactStationary is the fleet's oracle, as
-// TestSolverMatchesExactStationary is the in-place solve's: every fleet
-// schedule's πS against the dense chain Mˆ of eq. (1) solved directly —
+// TestSolverMatchesExactStationary is the in-place solve's: the sync
+// rounds' πS against the dense chain Mˆ of eq. (1) solved directly —
 // cold, from the converged answer (which must cost one round) and
 // resumed from a checkpoint — held to the bound Stats.SiteRankRounds
 // states, ‖x − x*‖₁ ≤ Tol/(1 − f).
 func TestFleetSiteRankMatchesExactStationary(t *testing.T) {
 	const slack = 1e-12 // rounding in the direct solve and the rounds
-	modes := []struct {
-		name string
-		cfg  Config
-	}{
-		{"sync", Config{SiteRank: SiteRankSync}},
-		{"asyncOrdered", Config{SiteRank: SiteRankAsync, AsyncOrdered: true, AsyncSeed: 11}},
-		{"async", Config{SiteRank: SiteRankAsync}},
-	}
 	addrs := make([]string, 3)
 	for i := range addrs {
 		_, addrs[i] = startWorker(t)
 	}
-	// Each run dials its own coordinator: an interrupted concurrent async
-	// run leaves its connections poisoned, and resuming on a fresh
-	// coordinator is what a restarted process does anyway.
+	// Each run dials its own coordinator: resuming on a fresh coordinator
+	// is what a restarted process does.
 	rank := func(ctx context.Context, rk *lmm.Ranker, cfg Config, warm Warm) (*Result, error) {
 		c, err := Dial(addrs)
 		if err != nil {
@@ -113,50 +104,47 @@ func TestFleetSiteRankMatchesExactStationary(t *testing.T) {
 					t.Fatalf("exact solve: %v", err)
 				}
 				bound := matrix.DefaultTol/(1-f) + slack
-				for _, mode := range modes {
-					cfg := mode.cfg
-					cfg.Damping, cfg.SitePersonalization = f, pers
-					name := fmt.Sprintf("trial %d f=%g personalized=%v %s", trial, f, pers != nil, mode.name)
-					check := func(start string, res *Result, err error) {
-						t.Helper()
-						if err != nil {
-							t.Fatalf("%s %s: %v", name, start, err)
-						}
-						if d := res.SiteRank.L1Diff(want); d > bound {
-							t.Errorf("%s %s: ‖x − x*‖₁ = %g > %g after %d rounds", name, start, d, bound, res.Stats.SiteRankRounds)
-						}
+				cfg := Config{SiteRank: SiteRankSync, Damping: f, SitePersonalization: pers}
+				name := fmt.Sprintf("trial %d f=%g personalized=%v", trial, f, pers != nil)
+				check := func(start string, res *Result, err error) {
+					t.Helper()
+					if err != nil {
+						t.Fatalf("%s %s: %v", name, start, err)
 					}
+					if d := res.SiteRank.L1Diff(want); d > bound {
+						t.Errorf("%s %s: ‖x − x*‖₁ = %g > %g after %d rounds", name, start, d, bound, res.Stats.SiteRankRounds)
+					}
+				}
 
-					res, err := rank(ctx, rk, cfg, Warm{})
-					check("cold", res, err)
+				res, err := rank(ctx, rk, cfg, Warm{})
+				check("cold", res, err)
 
-					res, err = rank(ctx, rk, cfg, Warm{SiteStart: want})
-					check("converged seed", res, err)
-					if res.Stats.SiteRankRounds != 1 {
-						t.Errorf("%s: the converged seed took %d rounds, want 1", name, res.Stats.SiteRankRounds)
-					}
+				res, err = rank(ctx, rk, cfg, Warm{SiteStart: want})
+				check("converged seed", res, err)
+				if res.Stats.SiteRankRounds != 1 {
+					t.Errorf("%s: the converged seed took %d rounds, want 1", name, res.Stats.SiteRankRounds)
+				}
 
-					store := NewMemCheckpoint()
-					cut, cancel := context.WithCancel(ctx)
-					cfg.Checkpoint = &cancelAfter{Checkpoint: store, n: 1, cancel: cancel}
-					if _, err := rank(cut, rk, cfg, Warm{}); !errors.Is(err, context.Canceled) {
-						t.Fatalf("%s: interrupted run: err = %v, want context.Canceled", name, err)
-					}
-					cancel()
-					cfg.Checkpoint = store
-					res, err = rank(ctx, rk, cfg, Warm{})
-					check("resumed", res, err)
-					if res.Stats.ResumedFromRound < 1 {
-						t.Errorf("%s: resumed from round %d, want a checkpointed round", name, res.Stats.ResumedFromRound)
-					}
+				store := NewMemCheckpoint()
+				cut, cancel := context.WithCancel(ctx)
+				cfg.Checkpoint = &cancelAfter{Checkpoint: store, n: 1, cancel: cancel}
+				if _, err := rank(cut, rk, cfg, Warm{}); !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s: interrupted run: err = %v, want context.Canceled", name, err)
+				}
+				cancel()
+				cfg.Checkpoint = store
+				res, err = rank(ctx, rk, cfg, Warm{})
+				check("resumed", res, err)
+				if res.Stats.ResumedFromRound < 1 {
+					t.Errorf("%s: resumed from round %d, want a checkpointed round", name, res.Stats.ResumedFromRound)
 				}
 			}
 		}
 	}
 }
 
-// TestCheckpointDigestNamesTheIteration pins every mode's checkpoint
-// digest on a fixed web. Equal digests promise the identical float
+// TestCheckpointDigestNamesTheIteration pins the checkpoint digest on a
+// fixed web. Equal digests promise the identical float
 // sequence — that is what lets a run resume another process's snapshot —
 // so any change to a round's arithmetic must change these values, making
 // the old iteration's snapshots read as foreign. They changed when the
@@ -173,10 +161,6 @@ func TestCheckpointDigestNamesTheIteration(t *testing.T) {
 	}{
 		{"sync", Config{SiteRank: SiteRankSync},
 			"ed190f3d5b871228fad6f2da4415335eb39d02996ca6a1315c014aaaff9c5b70"},
-		{"async", Config{SiteRank: SiteRankAsync},
-			"8ac82d64bf5756a22db61092e6c3648c2aff025ab8903cde795773388cce36ae"},
-		{"asyncOrdered", Config{SiteRank: SiteRankAsync, AsyncOrdered: true, AsyncSeed: 9},
-			"1457c92c887d818d43704ddadb29f65eee771ef0affbb10e29bd8bc075181350"},
 	} {
 		r := &run{c: &Coordinator{}, cfg: tc.cfg, rk: rk, ns: rk.NumSites(), stats: &Stats{}}
 		r.hashShards()

@@ -10,7 +10,7 @@ import (
 )
 
 // TestMain fails the package when goroutines of the distributed runtime
-// outlive its tests: every redialer, async driver, proxy and worker serve
+// outlive its tests: every redialer, proxy and worker serve
 // loop a test started — the cancelled and fault-injected runs included —
 // must be gone once the tests' own cleanups have run.
 func TestMain(m *testing.M) {

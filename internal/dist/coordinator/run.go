@@ -89,7 +89,7 @@ func (r *run) call(idx int, req *wire.Request) (*wire.Response, error) {
 	return resp, nil
 }
 
-// exchange is call for the per-round SiteRank kinds: the answer lands in
+// exchange is call for the per-round SiteRank kind: the answer lands in
 // the worker's retained Response, so a round allocates nothing — and the
 // caller must be done with it (or have copied out of it) before its next
 // exchange with the same worker.
@@ -135,16 +135,11 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 	if f := cfg.damping(); f <= 0 || f >= 1 {
 		return nil, fmt.Errorf("coordinator: %w: damping %g outside (0,1)", pagerank.ErrBadConfig, f)
 	}
-	if cfg.SiteRank < SiteRankCentral || cfg.SiteRank > SiteRankAsync {
+	if cfg.SiteRank < SiteRankCentral || cfg.SiteRank > SiteRankSync {
 		return nil, fmt.Errorf("coordinator: %w: unknown SiteRank mode %d", pagerank.ErrBadConfig, int(cfg.SiteRank))
 	}
-	if cfg.ThreeLayer {
-		if cfg.SiteRank != SiteRankCentral {
-			return nil, fmt.Errorf("coordinator: %w: ThreeLayer computes its site weights centrally and cannot combine with a distributed SiteRank mode", pagerank.ErrBadConfig)
-		}
-		if cfg.SitePersonalization != nil {
-			return nil, fmt.Errorf("coordinator: %w: ThreeLayer replaces the site layer and cannot combine with SitePersonalization", pagerank.ErrBadConfig)
-		}
+	if cfg.ThreeLayer && cfg.SitePersonalization != nil {
+		return nil, fmt.Errorf("coordinator: %w: ThreeLayer replaces the site layer and cannot combine with SitePersonalization", pagerank.ErrBadConfig)
 	}
 
 	startMsgs, startOut, startIn := c.counters.Messages(), c.counters.BytesSent(), c.counters.BytesReceived()
@@ -216,8 +211,8 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 		res.Stats.LocalRankDuration = time.Since(localStart)
 	}
 
-	// Step 4: the upper layer(s) — three-layer weights, central SiteRank,
-	// or the SiteRank driver over the fleet.
+	// Step 4: the upper layer(s) — three-layer weights (computed centrally
+	// in every mode), central SiteRank, or the SiteRank rounds on the fleet.
 	siteStart := time.Now()
 	var siteRank matrix.Vector
 	switch {
@@ -278,11 +273,11 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 // hashShards names every site's shard for the KindLoads: by the digest
 // and wire size Warm.Digests carries for it, or by extracting the shard
 // from the Ranker's graph and hashing it — the name a KindLoad declares
-// it under. Site-chain rows ride inside the shards only when a fleet
-// SiteRank (synchronous rounds or asynchronous sweeps) will consume
-// them; central mode ships no site-layer data at all. Digests of the
-// other shape are not reused. What it extracted the run keeps for its
-// shipments; Stats.DigestBytesHashed counts what it hashed.
+// it under. Site-chain rows ride inside the shards only when the fleet's
+// SiteRank rounds will consume them; central mode ships no site-layer
+// data at all. Digests of the other shape are not reused. What it
+// extracted the run keeps for its shipments; Stats.DigestBytesHashed
+// counts what it hashed.
 func (r *run) hashShards() {
 	rows := r.cfg.SiteRank.rowSharded()
 	known := r.warm.Digests
@@ -828,7 +823,7 @@ func (r *run) localPhase(dg *graph.DocGraph) ([]matrix.Vector, []int, error) {
 			}
 		}
 		// Re-ship only what the survivors will actually use: sites whose
-		// local ranks are still pending, plus — in the fleet modes, whose
+		// local ranks are still pending, plus — in sync mode, whose
 		// chain rows ride inside the shards — every moved site, since the
 		// SiteRank rounds will need its row. In central mode a completed
 		// site's shard is dead weight and stays unshipped.

@@ -2,7 +2,6 @@ package coordinator
 
 import (
 	"context"
-	"errors"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -127,55 +126,4 @@ func TestDoneSiteMovedIsNotReshipped(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestAsyncEpochsMoveForwardAcrossRuns: nothing rewinds a connection's
-// asynchronous epoch any more, so runs on one coordinator number their
-// accumulator generations upward from wherever the last one stopped —
-// drained or, after a cancellation, not. A run that started from one
-// again would have its sweeps refused as belonging to a drained epoch.
-func TestAsyncEpochsMoveForwardAcrossRuns(t *testing.T) {
-	web := rankableWeb()
-	_, a1 := startWorker(t)
-	_, a2 := startWorker(t)
-	c, err := Dial([]string{a1, a2})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer c.Close()
-	ordered := Config{SiteRank: SiteRankAsync, AsyncOrdered: true, AsyncSeed: 4, Tol: 1e-12, MaxIter: 4000}
-	ref, err := c.Rank(web, Config{SiteRank: SiteRankSync, Tol: 1e-12, MaxIter: 4000})
-	if err != nil {
-		t.Fatalf("sync reference: %v", err)
-	}
-	check := func(what string, cfg Config, tol float64) {
-		t.Helper()
-		before := c.asyncEpoch
-		res, err := c.Rank(web, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		if d := res.SiteRank.L1Diff(ref.SiteRank); d >= tol {
-			t.Errorf("%s: ‖async − sync‖₁ on SiteRank = %g, want < %g", what, d, tol)
-		}
-		if res.Stats.WorkersLost != 0 {
-			t.Errorf("%s: %d workers lost, want the same two connections throughout", what, res.Stats.WorkersLost)
-		}
-		if c.asyncEpoch <= before {
-			t.Errorf("%s: epoch counter went %d → %d, want it to advance", what, before, c.asyncEpoch)
-		}
-	}
-	check("first run", ordered, 1e-9)
-	check("second run, after a drained epoch", ordered, 1e-9)
-
-	// An interrupted run leaves its epoch undrained on both workers.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	interrupted := ordered
-	interrupted.Checkpoint = &cancelAfter{Checkpoint: NewMemCheckpoint(), n: 2, cancel: cancel}
-	if _, err := c.RankCtx(ctx, web, interrupted); !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
-	}
-	check("run after an undrained epoch", ordered, 1e-9)
-	check("concurrent schedule on the same connections", Config{SiteRank: SiteRankAsync, Tol: 1e-12, MaxIter: 4000}, 1e-6)
 }

@@ -16,20 +16,21 @@ import (
 //	payload    the message's fields in the order codec.request /
 //	           codec.response walk them
 //
-// Inside the payload an int is a zigzag varint, a count or Epoch an
-// unsigned varint, a float64 its eight IEEE-754 bytes little-endian, and
+// Inside the payload an int is a zigzag varint, a count an unsigned
+// varint, a float64 its eight IEEE-754 bytes little-endian, and
 // a []float64 a count followed by one raw block of such floats — float
 // bits cross verbatim. A frame carries no state from earlier frames, so
 // a proxy may relay one without understanding it.
 //
 // The version names the protocol's meaning as well as its layout: 2
 // renumbered the kinds, 3 made the replicated-chain round batches
-// point-Jacobi rounds, 4 retired them with their fields, so a mixed-build
-// fleet refuses at the first frame instead of computing two float
-// sequences under one checkpoint digest.
+// point-Jacobi rounds, 4 retired them with their fields, 5 retired the
+// barrier-free sweeps with theirs, so a mixed-build fleet refuses at the
+// first frame instead of computing two float sequences under one
+// checkpoint digest.
 const (
 	frameMagic   = 0xB0 // high nibble of byte 0
-	frameVersion = 0x04 // low nibble of byte 0
+	frameVersion = 0x05 // low nibble of byte 0
 	headerLen    = 6
 
 	// kindResponse is the header kind of a Response frame; no Request
@@ -340,7 +341,6 @@ func (c *codec) request(r *Request) {
 	c.int(&r.MaxIter)
 	c.floats(&r.X, "iterate", MaxSites)
 	c.ints(&r.Sites, "site", MaxSites)
-	c.uvarint(&r.Epoch)
 }
 
 func (c *codec) response(r *Response) {
@@ -354,7 +354,6 @@ func (c *codec) response(r *Response) {
 	c.floats(&r.Partial, "partial", MaxSites)
 	c.float(&r.DanglingMass)
 	c.ints(&r.Missing, "missing site", MaxSites)
-	c.float(&r.Mass)
 }
 
 // message walks v, a *Request or *Response, checking it against the

@@ -151,7 +151,7 @@ func (g gen) request(k Kind) *Request {
 	r := &Request{
 		Kind: k, Cached: g.refs(6), NumSites: g.int(),
 		Damping: g.float(), Tol: g.float(), MaxIter: g.int(),
-		X: g.floats(300), Sites: g.ints(20), Epoch: g.Uint64() >> g.Intn(64),
+		X: g.floats(300), Sites: g.ints(20),
 	}
 	r.Shards = make([]SiteShard, g.count(5))
 	for i := range r.Shards {
@@ -165,7 +165,7 @@ func (g gen) request(k Kind) *Request {
 func (g gen) response() *Response {
 	r := &Response{
 		Partial: g.floats(300), DanglingMass: g.float(),
-		Missing: g.ints(20), Mass: g.float(),
+		Missing: g.ints(20),
 	}
 	if g.Intn(3) == 0 {
 		r.Err = strings.Repeat("worker: boom ", g.Intn(80))
@@ -177,12 +177,12 @@ func (g gen) response() *Response {
 	return r
 }
 
-// messages yields seeded random messages: requests of every kind (plus
-// one no build defines) and responses.
+// messages yields seeded random messages: requests of every kind, of the
+// retired kinds 5 to 7 and of one no build defined, and responses.
 func messages(g gen, rounds int) []any {
 	var out []any
 	for i := 0; i < rounds; i++ {
-		for k := KindPing; k <= KindAsyncAck+1; k++ {
+		for k := KindPing; k <= KindPowerRound+4; k++ {
 			out = append(out, g.request(k))
 		}
 		out = append(out, g.response(), g.response())
@@ -349,6 +349,8 @@ func TestHostileFrames(t *testing.T) {
 		// A mixed-build fleet: the peer from before the replicated-chain
 		// round batches were retired.
 		{"version 3", append([]byte{frameMagic | 3}, valid[1:]...), &Request{}, nil, fmt.Sprintf("version 3, this build speaks %d", frameVersion)},
+		// The peer from before the barrier-free sweeps were retired.
+		{"version 4", append([]byte{frameMagic | 4}, valid[1:]...), &Request{}, nil, fmt.Sprintf("version 4, this build speaks %d", frameVersion)},
 		{"short header", valid[:4], &Request{}, io.ErrUnexpectedEOF, ""},
 		{"truncated payload", valid[:len(valid)-5], &Request{}, io.ErrUnexpectedEOF, ""},
 		{"bytes after frame", append(append([]byte{}, valid...), 0), &Request{}, nil, "after the frame"},
@@ -567,13 +569,16 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add(header(KindLoad, 3))
-	// A version-3 frame (the protocol before the replicated-chain round
-	// batches were retired), and the two messages the declared-session
-	// contract refuses one level above the decoder: a Load naming a site
-	// twice, a Missing that is not a set.
-	old := marshal(f, &Request{Kind: KindLoad, NumSites: 3})
-	old[0] = frameMagic | 3
-	f.Add([]byte(old))
+	// Version-3 and version-4 frames (the protocols before the
+	// replicated-chain round batches and the barrier-free sweeps were
+	// retired), and the two messages the declared-session contract refuses
+	// one level above the decoder: a Load naming a site twice, a Missing
+	// that is not a set.
+	for _, v := range []byte{3, 4} {
+		old := marshal(f, &Request{Kind: KindLoad, NumSites: 3})
+		old[0] = frameMagic | v
+		f.Add([]byte(old))
+	}
 	f.Add([]byte(marshal(f, &Request{Kind: KindLoad, NumSites: 3, Cached: []ShardRef{{Site: 1}, {Site: 1}}})))
 	f.Add([]byte(marshal(f, &Response{Missing: []int{3, 3}})))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -31,10 +31,11 @@ import (
 // Kind discriminates request types.
 type Kind uint8
 
-// Protocol operations, coordinator → worker. Kind 5 is retired: frame
-// versions 2 and 3 used it for SiteRank rounds run against a site chain
-// replicated on the worker, and a request carrying it is answered
-// "unknown request kind".
+// Protocol operations, coordinator → worker. Kinds 5, 6 and 7 are
+// retired: frame versions 2 and 3 used 5 for SiteRank rounds run against
+// a site chain replicated on the worker, versions 2 to 4 used 6 and 7 for
+// the barrier-free SiteRank's sweeps and epoch drains, and a request
+// carrying one is answered "unknown request kind".
 const (
 	// KindPing checks liveness; the response carries no payload.
 	KindPing Kind = iota + 1
@@ -59,21 +60,6 @@ const (
 	// SiteRank round: the partial product of the iterate with the
 	// worker's owned rows of the site transition chain.
 	KindPowerRound
-	_ // 5, retired
-	// KindAsyncUpdate performs one barrier-free SiteRank sweep: the same
-	// row-partition arithmetic as KindPowerRound (partial product over
-	// owned rows plus dangling mass), but additionally reporting the
-	// iterate mass sitting on the owned sites (Response.Mass) so the
-	// coordinator can merge contributions taken from *different* iterate
-	// snapshots — the asynchronous mode's per-worker sweeps never share a
-	// round barrier. Request.Epoch versions the accumulator generation the
-	// sweep feeds.
-	KindAsyncUpdate
-	// KindAsyncAck drains one asynchronous epoch: the worker retires every
-	// epoch up to Request.Epoch, so a late or duplicated update for a
-	// drained epoch is refused instead of silently feeding a stale
-	// accumulator.
-	KindAsyncAck
 )
 
 // MaxShardDocs bounds the aggregate claimed document count of one Load
@@ -151,19 +137,12 @@ type Request struct {
 	Damping float64
 	Tol     float64
 	MaxIter int
-	// X is the current SiteRank iterate for KindPowerRound and
-	// KindAsyncUpdate.
+	// X is the current SiteRank iterate for KindPowerRound.
 	X []float64
 	// Sites restricts KindRankLocal to the listed sites (empty = every
 	// loaded site) — the coordinator re-ranks only reassigned sites after
 	// a worker loss.
 	Sites []int
-	// Epoch versions the asynchronous accumulator generation for
-	// KindAsyncUpdate and KindAsyncAck. Epochs only move forward on a
-	// connection: a sweep for an epoch older than the session's current one
-	// is refused (it would feed a drained accumulator), a newer one
-	// adopts the new epoch.
-	Epoch uint64
 }
 
 // LocalRank is one site's local DocRank as computed by a worker.
@@ -190,12 +169,6 @@ type Response struct {
 	// whose digest neither the session nor the cache holds; the
 	// coordinator declares again with them in full.
 	Missing []int
-	// Mass is the iterate mass on the worker's owned sites (Σ X[s] over
-	// loaded shards), reported by KindAsyncUpdate: asynchronous merges
-	// combine partials from different snapshots, so the teleport
-	// coefficient needs each contribution's own mass rather than one
-	// shared Σx.
-	Mass float64
 }
 
 // Counters accumulates transport statistics for one endpoint. All

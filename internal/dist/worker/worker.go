@@ -64,27 +64,16 @@ type session struct {
 	totalDocs int
 	// sorted caches sortedShards; nil after a Load.
 	sorted []*shard
-	// asyncEpoch is the current asynchronous accumulator generation;
-	// KindAsyncAck retires it. Epochs only move forward for the life of
-	// the connection — no request rewinds them — so a sweep duplicated
-	// past a drain cannot feed a retired accumulator.
-	asyncEpoch uint64
 
-	// req and resp are the exchange scratch of the per-round kinds: the
+	// req and resp are the exchange scratch of the per-round kind: the
 	// serve loop decodes every request whose payload nothing retains
-	// into req, and the SiteRank handlers answer from resp, whose vector
-	// is partial below — reused from one round to the next, so a
+	// into req, and the power round handler answers from resp, whose
+	// vector is partial below — reused from one round to the next, so a
 	// steady-state round allocates nothing. Each is dead once the
 	// response is on the wire.
 	req     wire.Request
 	resp    wire.Response
 	partial matrix.Vector
-}
-
-// reply returns the session's response scratch holding r.
-func (s *session) reply(r wire.Response) *wire.Response {
-	s.resp = r
-	return &s.resp
 }
 
 // zeroed returns *v resized to n zeros, reusing its array.
@@ -354,10 +343,6 @@ func (w *Worker) handle(sess *session, req *wire.Request) *wire.Response {
 		return handleRankLocal(sess, req)
 	case wire.KindPowerRound:
 		return handlePowerRound(sess, req)
-	case wire.KindAsyncUpdate:
-		return handleAsyncUpdate(sess, req)
-	case wire.KindAsyncAck:
-		return handleAsyncAck(sess, req)
 	default:
 		return &wire.Response{Err: fmt.Sprintf("worker: unknown request kind %d", req.Kind)}
 	}
@@ -535,20 +520,19 @@ func handleRankLocal(sess *session, req *wire.Request) *wire.Response {
 	return &wire.Response{Local: out}
 }
 
-// checkIterate is the one request validator of the SiteRank handlers: the
-// iterate must span the session's site space and be finite. A NaN or an
-// infinity would poison every partial built from it, so it is refused up
-// front, alike in every handler.
-func checkIterate(sess *session, req *wire.Request, what string) error {
+// checkIterate validates a round's request: the iterate must span the
+// session's site space and be finite. A NaN or an infinity would poison
+// every partial built from it, so it is refused up front.
+func checkIterate(sess *session, req *wire.Request) error {
 	if req.NumSites != sess.numSites {
-		return fmt.Errorf("worker: %s over %d sites but %d loaded", what, req.NumSites, sess.numSites)
+		return fmt.Errorf("worker: power round over %d sites but %d loaded", req.NumSites, sess.numSites)
 	}
 	if len(req.X) != req.NumSites {
 		return fmt.Errorf("worker: iterate length %d vs %d sites", len(req.X), req.NumSites)
 	}
 	for s, v := range req.X {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("worker: %s iterate is not finite (%g at site %d)", what, v, s)
+			return fmt.Errorf("worker: power round iterate is not finite (%g at site %d)", v, s)
 		}
 	}
 	return nil
@@ -561,7 +545,7 @@ func checkIterate(sess *session, req *wire.Request, what string) error {
 // divides each site's self-loop out), so the distributed iteration needs
 // nothing from a worker but its rows.
 func handlePowerRound(sess *session, req *wire.Request) *wire.Response {
-	if err := checkIterate(sess, req, "power round"); err != nil {
+	if err := checkIterate(sess, req); err != nil {
 		return &wire.Response{Err: err.Error()}
 	}
 	partial := zeroed(&sess.partial, req.NumSites)
@@ -578,47 +562,8 @@ func handlePowerRound(sess *session, req *wire.Request) *wire.Response {
 			partial[col] += xs * sh.entry.rowVals[k]
 		}
 	}
-	return sess.reply(wire.Response{Partial: partial, DanglingMass: dangling})
-}
-
-// handleAsyncUpdate serves one barrier-free SiteRank sweep: the exact
-// row-partition arithmetic of handlePowerRound plus the iterate mass on
-// the owned sites — the asynchronous merge combines partials taken from
-// different snapshots, so each contribution must carry its own mass for
-// the teleport coefficient instead of relying on a shared Σx.
-func handleAsyncUpdate(sess *session, req *wire.Request) *wire.Response {
-	if req.Epoch < sess.asyncEpoch {
-		return &wire.Response{Err: fmt.Sprintf("worker: async sweep for drained epoch %d (current %d)",
-			req.Epoch, sess.asyncEpoch)}
-	}
-	if err := checkIterate(sess, req, "async sweep"); err != nil {
-		return &wire.Response{Err: err.Error()}
-	}
-	sess.asyncEpoch = req.Epoch
-	partial := zeroed(&sess.partial, req.NumSites)
-	var dangling, mass float64
-	for _, sh := range sess.sortedShards() {
-		xs := req.X[sh.site]
-		mass += xs
-		if len(sh.entry.rowCols) == 0 {
-			dangling += xs
-			continue
-		}
-		for k, col := range sh.entry.rowCols {
-			partial[col] += xs * sh.entry.rowVals[k]
-		}
-	}
-	return sess.reply(wire.Response{Partial: partial, DanglingMass: dangling, Mass: mass})
-}
-
-// handleAsyncAck drains one asynchronous epoch: it retires every epoch
-// up to and including the acknowledged one, so a sweep delayed past the
-// drain is refused rather than double-counted. Acks for already-retired
-// epochs are idempotent no-ops — a duplicated ack must not poison the
-// session.
-func handleAsyncAck(sess *session, req *wire.Request) *wire.Response {
-	sess.asyncEpoch = max(sess.asyncEpoch, req.Epoch+1)
-	return sess.reply(wire.Response{})
+	sess.resp = wire.Response{Partial: partial, DanglingMass: dangling}
+	return &sess.resp
 }
 
 var _ io.Closer = (*Worker)(nil)

@@ -143,9 +143,10 @@ func TestMalformedRequests(t *testing.T) {
 		t.Errorf("after refused loads the session ranks %d sites (err %q), want none", len(resp.Local), resp.Err)
 	}
 
-	// On a loaded session, the SiteRank handlers refuse a malformed
-	// iterate alike, and the kind frame version 3 spent on round batches
-	// against a replicated chain is no kind at all.
+	// On a loaded session, the power round refuses a malformed iterate,
+	// and the kinds earlier frame versions spent on round batches against
+	// a replicated chain (5) and on barrier-free sweeps and their epoch
+	// drains (6, 7) are no kinds at all.
 	if resp := roundTrip(t, enc, dec, fourSiteLoad()); resp.Err != "" {
 		t.Fatalf("load: %s", resp.Err)
 	}
@@ -159,8 +160,9 @@ func TestMalformedRequests(t *testing.T) {
 	}{
 		{"power round over a NaN", wire.Request{Kind: wire.KindPowerRound, NumSites: 4, X: nan}, ""},
 		{"power round over an infinity", wire.Request{Kind: wire.KindPowerRound, NumSites: 4, X: inf}, ""},
-		{"async sweep over a NaN", wire.Request{Kind: wire.KindAsyncUpdate, NumSites: 4, X: nan, Epoch: 1}, ""},
 		{"retired batch kind", wire.Request{Kind: wire.KindPowerRound + 1, NumSites: 4, X: x}, "unknown request kind 5"},
+		{"retired sweep kind", wire.Request{Kind: wire.KindPowerRound + 2, NumSites: 4, X: x}, "unknown request kind 6"},
+		{"retired drain kind", wire.Request{Kind: wire.KindPowerRound + 3}, "unknown request kind 7"},
 	} {
 		if resp := roundTrip(t, enc, dec, &tc.req); resp.Err == "" || !strings.Contains(resp.Err, tc.mention) {
 			t.Errorf("%s: err = %q, want a refusal mentioning %q", tc.name, resp.Err, tc.mention)
@@ -476,8 +478,8 @@ func TestLoadedShardsSurviveLaterRequests(t *testing.T) {
 			req = &wire.Request{Kind: wire.KindPowerRound, NumSites: 4, X: junk(4, float64(i))}
 		case 1: // refused (wrong dimension), but decoded: a long iterate
 			req = &wire.Request{Kind: wire.KindPowerRound, NumSites: 900, X: junk(900, -1)}
-		case 2:
-			req = &wire.Request{Kind: wire.KindAsyncUpdate, NumSites: 4, X: junk(4, 0.25), Epoch: uint64(i)}
+		case 2: // refused: a retired kind
+			req = &wire.Request{Kind: wire.KindPowerRound + 2, NumSites: 4, X: junk(4, 0.25)}
 		case 3:
 			req = &wire.Request{Kind: wire.KindRankLocal, Sites: []int{2, 0}}
 		case 4: // the same session, declared again by reference
@@ -494,7 +496,7 @@ func TestLoadedShardsSurviveLaterRequests(t *testing.T) {
 			}
 		}
 		resp := roundTrip(t, enc, dec, req)
-		if refused := i%7 == 6 || i%7 == 5 || i%7 == 1; refused != (resp.Err != "") {
+		if refused := i%7 == 6 || i%7 == 5 || i%7 == 2 || i%7 == 1; refused != (resp.Err != "") {
 			t.Fatalf("request %d (kind %d): err = %q, refused should be %v", i, req.Kind, resp.Err, refused)
 		}
 		if len(resp.Missing) != 0 {
@@ -512,28 +514,22 @@ func TestLoadedShardsSurviveLaterRequests(t *testing.T) {
 
 // TestRoundHandlersAllocateNothing pins the worker's half of the
 // zero-allocation exchange: once the session scratch has seen one
-// round, the per-round handlers answer without allocating.
+// round, the power round handler answers without allocating.
 func TestRoundHandlersAllocateNothing(t *testing.T) {
 	w := New()
 	sess := &session{}
 	if resp := w.handle(sess, fourSiteLoad()); resp.Err != "" {
 		t.Fatalf("load: %s", resp.Err)
 	}
-	x := []float64{0.1, 0.2, 0.3, 0.4}
-	for _, req := range []*wire.Request{
-		{Kind: wire.KindPowerRound, NumSites: 4, X: x},
-		{Kind: wire.KindAsyncUpdate, NumSites: 4, X: x, Epoch: 1},
-		{Kind: wire.KindAsyncAck, Epoch: 1},
-	} {
-		var resp *wire.Response
-		allocs := testing.AllocsPerRun(50, func() {
-			resp = w.safeHandle(sess, req)
-		})
-		if resp.Err != "" {
-			t.Fatalf("kind %d: %s", req.Kind, resp.Err)
-		}
-		if allocs != 0 {
-			t.Errorf("kind %d handler allocates %v times per request, want 0", req.Kind, allocs)
-		}
+	req := &wire.Request{Kind: wire.KindPowerRound, NumSites: 4, X: []float64{0.1, 0.2, 0.3, 0.4}}
+	var resp *wire.Response
+	allocs := testing.AllocsPerRun(50, func() {
+		resp = w.safeHandle(sess, req)
+	})
+	if resp.Err != "" {
+		t.Fatalf("power round: %s", resp.Err)
+	}
+	if allocs != 0 {
+		t.Errorf("power round handler allocates %v times per request, want 0", allocs)
 	}
 }
