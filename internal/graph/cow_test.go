@@ -28,11 +28,14 @@ func rowsOf(g *Digraph) [][]Edge {
 	return rows
 }
 
-// sameArrays reports whether row i of a and of b are one pair of arrays.
+// sameArrays reports whether row i of a and of b are one set of arrays:
+// one targets array, and one listed array unless neither lists a link.
 func sameArrays(a, b *Digraph, i int) bool {
-	at, aw := a.row(i)
-	bt, bw := b.row(i)
-	return len(at) > 0 && len(bt) > 0 && &at[0] == &bt[0] && &aw[0] == &bw[0]
+	ar, br := a.row(i), b.row(i)
+	if len(ar.to) == 0 || len(br.to) == 0 || &ar.to[0] != &br.to[0] || len(ar.pos) != len(br.pos) {
+		return false
+	}
+	return len(ar.pos) == 0 || &ar.pos[0] == &br.pos[0] && &ar.w[0] == &br.w[0]
 }
 
 // overlaidGraph returns a packed graph large enough to keep a small

@@ -7,6 +7,7 @@ package graph
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sort"
 
@@ -24,10 +25,13 @@ type Edge struct {
 // stored per source node. The zero value is an empty graph; grow it with
 // EnsureNodes and AddEdge.
 //
-// Storage has one form: a packed base — three columns, immutable from
+// Storage has one form: a packed base — four columns, immutable from
 // the moment a graph points at them and shared by pointer between
 // copy-on-write relatives — under a sparse overlay of the rows written
-// since the base was packed. Every reader goes through row.
+// since the base was packed. A link is its 4-byte target; the few links
+// whose weight is not 1 are listed apart, position and weight, so a
+// weight reads back exactly as it was added. Every reader goes through
+// one accessor (cursor.row, or targets when weights are not wanted).
 //
 // A Digraph is not safe for concurrent mutation. Note that Dedupe,
 // OutDegree and TransitionMatrix mutate internal state (merging and
@@ -65,28 +69,68 @@ type Digraph struct {
 
 // The overlay stays small beside the base: a clone copies it, a reader
 // of a patched graph pays a map lookup per row, and a row in it weighs
-// about overlayRowLinks packed links (two slice headers and a map entry).
-// Once its weight, in links, exceeds one in repackShare of the base's
-// rows and links, Dedupe packs a new base. A repack copies every link, so
-// it has to be rare: at 16 a history of single-row edits to a web of six
-// links a row repacks about once per (rows+links)/240 rows written, and
-// the overlay never weighs much more than a tenth of the base.
+// about overlayRowLinks packed links (three slice headers and a map
+// entry). Once its weight, in links, exceeds one in repackShare of the
+// base's rows and links, Dedupe packs a new base. A repack copies every
+// link, so it has to be rare: at 16 a history of single-row edits to a
+// web of six links a row repacks about once per (rows+links)/240 rows
+// written, and the overlay never weighs much more than a tenth of the
+// base.
 const (
 	repackShare     = 16
 	overlayRowLinks = 8
 )
 
-// row is one adjacency row, a column of targets beside their weights.
+// row is one adjacency row: its targets, and apart from them the links
+// whose weight is not 1 — link pos[e]-at of the row weighs w[e], pos
+// ascending — every other link weighing exactly 1. No listed weight is
+// 1: every writer lists exactly the links of weight other than 1. An
+// overlay row counts its links from at = 0; a base row, read in place,
+// from its first link's position in the base.
 type row struct {
-	to []uint32
-	w  []float64
+	to  []uint32
+	pos []uint32
+	w   []float64
+	at  uint32
 }
 
-// packed is a whole adjacency in three columns, the ones the graph file
-// stores: row i is to[off[i]:off[i+1]] beside w[off[i]:off[i+1]].
+// weight returns the weight of link k, e being the number of the row's
+// listed links before k: a reader walking k up from 0 with e from 0
+// reads every weight with one comparison.
+func (r row) weight(k int, e *int) float64 {
+	if *e < len(r.pos) && r.pos[*e]-r.at == uint32(k) {
+		*e++
+		return r.w[*e-1]
+	}
+	return 1
+}
+
+// listed returns the listed form of the dense weights w: the positions
+// of the weights other than 1, and those weights.
+func listed(w []float64) ([]uint32, []float64) {
+	n := 0
+	for _, x := range w {
+		if x != 1 {
+			n++
+		}
+	}
+	pos, mul := make([]uint32, 0, n), make([]float64, 0, n)
+	for k, x := range w {
+		if x != 1 {
+			pos, mul = append(pos, uint32(k)), append(mul, x)
+		}
+	}
+	return pos, mul
+}
+
+// packed is a whole adjacency in four columns, the ones the graph file
+// stores: row i is to[off[i]:off[i+1]], and link pos[e] weighs w[e] —
+// pos strictly ascending — the links not listed weighing exactly 1. It
+// is exactly the excPos/excMul form of matrix.CSR.
 type packed struct {
 	off []int
 	to  []uint32
+	pos []uint32
 	w   []float64
 }
 
@@ -104,39 +148,75 @@ func (p *packed) links() int {
 	return len(p.to)
 }
 
-// row returns row i clipped to its length, so an append cannot run into
-// row i+1.
-func (p *packed) row(i int) (to []uint32, w []float64) {
+// targets returns row i's targets clipped to their length, so an append
+// cannot run into row i+1.
+func (p *packed) targets(i int) []uint32 {
 	a, b := p.off[i], p.off[i+1]
-	return p.to[a:b:b], p.w[a:b:b]
+	return p.to[a:b:b]
+}
+
+// row returns row i in place, every column clipped, and the place just
+// past its listed links. e is where a walk over ascending rows has got
+// to in the listed column — the place the previous row returned — so the
+// walk finds each row's listed links with no search, as the CSR kernels
+// carry their exception cursor; a row read out of turn (a skipped row, a
+// step back, a lone read from 0) costs one binary search.
+func (p *packed) row(i, e int) (row, int) {
+	a, b := p.off[i], p.off[i+1]
+	lo, hi, pos := uint32(a), uint32(b), p.pos
+	if e > 0 && pos[e-1] >= lo {
+		e = 0
+	}
+	if e < len(pos) && pos[e] < lo {
+		e += sort.Search(len(pos)-e, func(k int) bool { return pos[e+k] >= lo })
+	}
+	end := e
+	for end < len(pos) && pos[end] < hi {
+		end++
+	}
+	return row{p.to[a:b:b], pos[e:end:end], p.w[e:end:end], lo}, end
 }
 
 // mergeRows sorts and merges every row where it lies and closes the
-// gaps. Only for columns no graph points at yet.
+// gaps, listing the merged weights afresh. Only for columns no graph
+// points at yet.
 func (p *packed) mergeRows() {
-	n, rows := 0, p.rows()
+	pos, w := make([]uint32, 0, len(p.pos)), make([]float64, 0, len(p.w))
+	n, e, rows := 0, 0, p.rows()
 	for i := 0; i < rows; i++ {
-		to, w := p.row(i)
-		r := row{to, w}.merged()
+		var r row
+		r, e = p.row(i, e)
+		r = r.merged()
 		p.off[i] = n
-		copy(p.to[n:], r.to)
-		n += copy(p.w[n:], r.w)
+		for _, q := range r.pos {
+			pos = append(pos, uint32(n)+q-r.at)
+		}
+		w = append(w, r.w...)
+		n += copy(p.to[n:], r.to)
 	}
 	p.off[rows] = n
-	p.to, p.w = p.to[:n], p.w[:n]
+	p.to, p.pos, p.w = p.to[:n], slices.Clip(pos), slices.Clip(w)
 }
 
-func (r row) Len() int           { return len(r.to) }
-func (r row) Less(a, b int) bool { return r.to[a] < r.to[b] }
-func (r row) Swap(a, b int) {
-	r.to[a], r.to[b] = r.to[b], r.to[a]
-	r.w[a], r.w[b] = r.w[b], r.w[a]
+// links sorts a row's targets beside its dense weights.
+type links struct {
+	to []uint32
+	w  []float64
+}
+
+func (l links) Len() int           { return len(l.to) }
+func (l links) Less(a, b int) bool { return l.to[a] < l.to[b] }
+func (l links) Swap(a, b int) {
+	l.to[a], l.to[b] = l.to[b], l.to[a]
+	l.w[a], l.w[b] = l.w[b], l.w[a]
 }
 
 // merged returns r sorted by target with parallel links summed, and
 // clipped to its length. A row already strictly ascending is not written
 // (it may be shared); any other was appended to since it was last merged
-// and so belongs to one graph alone.
+// and so belongs to one graph alone — its targets are sorted in place,
+// its weights listed afresh (a merge may make a listed weight 1 or a 1 a
+// listed weight).
 func (r row) merged() row {
 	n := len(r.to)
 	ascending := true
@@ -144,22 +224,30 @@ func (r row) merged() row {
 		ascending = r.to[k-1] < r.to[k]
 	}
 	if !ascending {
-		sort.Sort(r)
-		w := 0
+		w, e := make([]float64, n), 0
+		for k := range w {
+			w[k] = r.weight(k, &e)
+		}
+		sort.Sort(links{r.to, w})
+		m := 0
 		for k := 1; k < n; k++ {
-			if r.to[k] == r.to[w] {
-				r.w[w] += r.w[k]
+			if r.to[k] == r.to[m] {
+				w[m] += w[k]
 			} else {
-				w++
-				r.to[w], r.w[w] = r.to[k], r.w[k]
+				m++
+				r.to[m], w[m] = r.to[k], w[k]
 			}
 		}
-		n = w + 1
+		n = m + 1
+		r.pos, r.w = listed(w[:n])
+		r.at = 0
 	}
-	return row{r.to[:n:n], r.w[:n:n]}
+	return row{r.to[:n:n], slices.Clip(r.pos), slices.Clip(r.w), r.at}
 }
 
-func (r row) clone() row { return row{slices.Clone(r.to), slices.Clone(r.w)} }
+func (r row) clone() row {
+	return row{slices.Clone(r.to), slices.Clone(r.pos), slices.Clone(r.w), r.at}
+}
 
 // NewDigraph returns a graph with n isolated nodes.
 func NewDigraph(n int) *Digraph {
@@ -169,30 +257,53 @@ func NewDigraph(n int) *Digraph {
 	return &Digraph{tail: make([]row, n)}
 }
 
-// row is the one way to read adjacency: node i's targets and their
-// weights, from the overlay if the row was written since packing, from
-// the base otherwise. They are read-only. (Two results, not a row: a
-// 48-byte struct is passed through memory, two slices in registers, and
-// the sweeps call this once per node.)
-func (g *Digraph) row(i int) (to []uint32, w []float64) {
-	nb := g.base.rows()
-	if i >= nb {
-		r := g.tail[i-nb]
-		return r.to, r.w
+// overlay returns node i's row if it was written since packing.
+func (g *Digraph) overlay(i int) (row, bool) {
+	if nb := g.base.rows(); i >= nb {
+		return g.tail[i-nb], true
 	}
 	if len(g.patch) != 0 {
-		if r, ok := g.patch[i]; ok {
-			return r.to, r.w
-		}
+		r, ok := g.patch[i]
+		return r, ok
 	}
-	return g.base.row(i)
+	return row{}, false
+}
+
+// targets returns node i's targets, read-only: the read for whoever
+// does not want the weights.
+func (g *Digraph) targets(i int) []uint32 {
+	if r, ok := g.overlay(i); ok {
+		return r.to
+	}
+	return g.base.targets(i)
+}
+
+// cursor is a walk's place in a graph's listed base links. Reading rows
+// through one in ascending order finds each row's listed links where the
+// last row's ended; reading one row alone, through a fresh cursor, costs
+// a binary search.
+type cursor int
+
+// row is the one way to read adjacency with its weights: node i's row,
+// from the overlay if it was written since packing, from the base
+// otherwise. It is read-only.
+func (c *cursor) row(g *Digraph, i int) row {
+	if r, ok := g.overlay(i); ok {
+		return r
+	}
+	r, next := g.base.row(i, int(*c))
+	*c = cursor(next)
+	return r
+}
+
+// row reads node i's row on its own.
+func (g *Digraph) row(i int) row {
+	var c cursor
+	return c.row(g, i)
 }
 
 // degree returns the number of entries node i's row stores.
-func (g *Digraph) degree(i int) int {
-	to, _ := g.row(i)
-	return len(to)
-}
+func (g *Digraph) degree(i int) int { return len(g.targets(i)) }
 
 // setRow is the one way to write adjacency: it installs r as node i's
 // row, in the overlay.
@@ -253,17 +364,31 @@ func (g *Digraph) EnsureNodes(n int) {
 // AddEdge appends a directed edge with the given weight. Self-loops are
 // allowed (a page may link to itself). It panics on out-of-range nodes or
 // a weight that is not positive (NaN included: every stored weight is
-// > 0, which the SiteLink and transition-matrix builders rely on).
+// > 0, which the SiteLink and transition-matrix builders rely on). It
+// panics on +Inf too: the out-weight dividing it would not be finite.
 func (g *Digraph) AddEdge(from, to int, weight float64) {
 	if n := g.NumNodes(); from < 0 || from >= n || to < 0 || to >= n {
 		panic(fmt.Sprintf("graph: edge (%d→%d) out of range %d", from, to, n))
 	}
-	if !(weight > 0) {
-		panic(fmt.Sprintf("graph: non-positive edge weight %g", weight))
+	if !(weight > 0) || math.IsInf(weight, 1) {
+		panic(fmt.Sprintf("graph: edge weight %g is not positive and finite", weight))
 	}
-	// A row anyone else can see is clipped, so these appends copy it.
-	tos, ws := g.row(from)
-	g.setRow(from, row{append(tos, uint32(to)), append(ws, weight)})
+	// A row anyone else can see is clipped, so these appends copy it; a
+	// base row's listed positions count from its place in the base, so
+	// they are copied out counting from 0.
+	r := g.row(from)
+	next := row{to: append(r.to, uint32(to)), pos: r.pos, w: r.w}
+	if r.at != 0 && len(r.pos) > 0 {
+		next.pos = make([]uint32, len(r.pos), len(r.pos)+1)
+		for e, q := range r.pos {
+			next.pos[e] = q - r.at
+		}
+	}
+	if weight != 1 {
+		next.pos = append(next.pos, uint32(len(r.to)))
+		next.w = append(next.w, weight)
+	}
+	g.setRow(from, next)
 	g.deduped = false
 }
 
@@ -296,15 +421,66 @@ func (g *Digraph) repack() {
 	if loose*repackShare <= g.base.rows()+g.base.links() {
 		return
 	}
-	n, links := g.NumNodes(), g.NumEdges()
-	p := &packed{off: make([]int, n+1), to: make([]uint32, 0, links), w: make([]float64, 0, links)}
+	n, links, listed := g.NumNodes(), g.NumEdges(), g.numListed()
+	p := &packed{
+		off: make([]int, n+1),
+		to:  make([]uint32, 0, links),
+		pos: make([]uint32, 0, listed),
+		w:   make([]float64, 0, listed),
+	}
+	var c cursor
 	for i := 0; i < n; i++ {
-		to, w := g.row(i)
-		p.to = append(p.to, to...)
-		p.w = append(p.w, w...)
+		r := c.row(g, i)
+		at := uint32(len(p.to))
+		for _, q := range r.pos {
+			p.pos = append(p.pos, at+q-r.at)
+		}
+		p.w = append(p.w, r.w...)
+		p.to = append(p.to, r.to...)
 		p.off[i+1] = len(p.to)
 	}
 	g.base, g.patch, g.tail = p, nil, nil
+}
+
+// numListed returns the number of listed links the rows store.
+func (g *Digraph) numListed() int {
+	n := 0
+	if g.base != nil {
+		n = len(g.base.pos)
+	}
+	for i, r := range g.patch {
+		old, _ := g.base.row(i, 0)
+		n += len(r.pos) - len(old.pos)
+	}
+	for _, r := range g.tail {
+		n += len(r.pos)
+	}
+	return n
+}
+
+// weightBound returns an upper bound on every out-weight and every sum
+// of them in O(listed links): each stored link counted at its weight, the
+// listed weights of base rows since rewritten included.
+func (g *Digraph) weightBound() float64 {
+	bound := float64(g.base.links())
+	if g.base != nil {
+		for _, w := range g.base.w {
+			bound += w
+		}
+	}
+	add := func(r row) {
+		bound += float64(len(r.to))
+		for _, w := range r.w {
+			bound += w
+		}
+	}
+	for _, r := range g.patch {
+		add(r)
+	}
+	for _, r := range g.tail {
+		add(r)
+	}
+	return bound
 }
 
 // OutDegree returns the number of distinct targets of node i (after
@@ -317,9 +493,9 @@ func (g *Digraph) OutDegree(i int) int {
 // OutWeight returns the total outgoing edge weight of node i.
 func (g *Digraph) OutWeight(i int) float64 {
 	var s float64
-	_, ws := g.row(i)
-	for _, w := range ws {
-		s += w
+	r, e := g.row(i), 0
+	for k := range r.to {
+		s += r.weight(k, &e)
 	}
 	return s
 }
@@ -327,18 +503,19 @@ func (g *Digraph) OutWeight(i int) float64 {
 // EachEdge calls fn for every edge leaving node i. Call Dedupe first when
 // duplicate entries must be merged.
 func (g *Digraph) EachEdge(i int, fn func(e Edge)) {
-	tos, ws := g.row(i)
-	for k, to := range tos {
-		fn(Edge{To: int(to), Weight: ws[k]})
+	r, e := g.row(i), 0
+	for k, to := range r.to {
+		fn(Edge{To: int(to), Weight: r.weight(k, &e)})
 	}
 }
 
 // EachEdgeAll calls fn(from, e) for every edge in the graph.
 func (g *Digraph) EachEdgeAll(fn func(from int, e Edge)) {
+	var c cursor
 	for i, n := 0, g.NumNodes(); i < n; i++ {
-		tos, ws := g.row(i)
-		for k, to := range tos {
-			fn(i, Edge{To: int(to), Weight: ws[k]})
+		r, e := c.row(g, i), 0
+		for k, to := range r.to {
+			fn(i, Edge{To: int(to), Weight: r.weight(k, &e)})
 		}
 	}
 }
@@ -348,8 +525,7 @@ func (g *Digraph) EachEdgeAll(fn func(from int, e Edge)) {
 func (g *Digraph) InDegrees() []int {
 	in := make([]int, g.NumNodes())
 	for i := range in {
-		tos, _ := g.row(i)
-		for _, to := range tos {
+		for _, to := range g.targets(i) {
 			in[to]++
 		}
 	}
@@ -367,7 +543,8 @@ func (g *Digraph) Transpose() *Digraph {
 func (g *Digraph) Clone() *Digraph {
 	c := g.cloneOverlay(true)
 	if g.base != nil {
-		c.base = &packed{slices.Clone(g.base.off), slices.Clone(g.base.to), slices.Clone(g.base.w)}
+		p := g.base
+		c.base = &packed{slices.Clone(p.off), slices.Clone(p.to), slices.Clone(p.pos), slices.Clone(p.w)}
 	}
 	return c
 }
@@ -434,8 +611,10 @@ func (g *Digraph) Dangling() []int {
 // link is its 4-byte source, node i's divisor is its out-weight (1 when
 // dangling), and the few links of weight other than 1 are listed with
 // their weights, so an entry reads back as w/out-weight and nothing is
-// divided here. Count in-degrees and listed links per column, then
-// scatter the rows in ascending source order. Because Dedupe leaves every
+// divided here — the adjacency's own listed form, turned from rows to
+// columns. Count in-degrees and listed links per column, then scatter
+// the rows in ascending source order, each row's weights read in link
+// order through one cursor. Because Dedupe leaves every
 // adjacency list sorted and merged, each column receives every source at
 // most once and in ascending order — the order a row-major build followed
 // by a transpose would give, so the multiply sums the same terms in the
@@ -450,13 +629,14 @@ func (g *Digraph) TransitionMatrix() *matrix.CSR {
 	n := g.NumNodes()
 	colPtr := make([]uint32, n+1)
 	excs := make([]uint32, n+1) // per column, then each column's next listed link
+	var c cursor
 	for i := 0; i < n; i++ {
-		tos, ws := g.row(i)
-		for k, to := range tos {
+		r := c.row(g, i)
+		for _, to := range r.to {
 			colPtr[to+1]++
-			if ws[k] != 1 {
-				excs[to+1]++
-			}
+		}
+		for _, q := range r.pos {
+			excs[r.to[q-r.at]+1]++
 		}
 	}
 	for j := 0; j < n; j++ {
@@ -468,11 +648,12 @@ func (g *Digraph) TransitionMatrix() *matrix.CSR {
 	excPos := make([]uint32, excs[n])
 	excMul := make([]float64, excs[n])
 	next := append([]uint32(nil), colPtr[:n]...)
+	c = 0
 	for i := 0; i < n; i++ {
-		tos, ws := g.row(i)
+		r, e := c.row(g, i), 0
 		var total float64 // every stored weight is > 0
-		for k, to := range tos {
-			w := ws[k]
+		for k, to := range r.to {
+			w := r.weight(k, &e)
 			total += w
 			p := next[to]
 			rowIdx[p] = uint32(i)
@@ -504,8 +685,7 @@ func (g *Digraph) Order() int { return g.NumNodes() }
 
 // EachNonZero implements matrix.Sparsity.
 func (g *Digraph) EachNonZero(i int, fn func(col int)) {
-	tos, _ := g.row(i)
-	for _, to := range tos {
+	for _, to := range g.targets(i) {
 		fn(int(to))
 	}
 }

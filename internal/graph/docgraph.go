@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net/url"
 	"slices"
 	"strings"
@@ -145,8 +146,9 @@ func urlEntry(urls []byte, p int) (shared uint64, suffix []byte, next int, err e
 }
 
 // Validate checks internal consistency: every document belongs to a valid
-// site, site rosters agree with the site column, and the digraph has one
-// node per document.
+// site, site rosters agree with the site column, the digraph has one
+// node per document, and every document's and every site's out-weight is
+// finite.
 func (dg *DocGraph) Validate() error {
 	if dg.G == nil {
 		return fmt.Errorf("graph: nil digraph")
@@ -174,6 +176,33 @@ func (dg *DocGraph) Validate() error {
 	}
 	if counted != nd {
 		return fmt.Errorf("graph: site rosters cover %d docs, have %d", counted, nd)
+	}
+	// Every out-weight divides its links in the transition matrix, a
+	// document's in the web's chain and a site's in the SiteGraph's, so
+	// each must be finite. They are sums of weights that are, and stay
+	// far below overflow unless the listed weights come near it: the
+	// bound costs O(listed links), and only past it is every row summed,
+	// in the order TransitionMatrix sums it.
+	if dg.G.weightBound() <= math.MaxFloat64/2 {
+		return nil
+	}
+	var c cursor
+	for s, site := range dg.Sites {
+		var siteW float64
+		for _, d := range site.Docs {
+			var w float64
+			r, e := c.row(dg.G, int(d)), 0
+			for k := range r.to {
+				w += r.weight(k, &e)
+			}
+			if math.IsInf(w, 1) {
+				return fmt.Errorf("graph: doc %d has out-weight %g", d, w)
+			}
+			siteW += w
+		}
+		if math.IsInf(siteW, 1) {
+			return fmt.Errorf("graph: site %d has out-weight %g", s, siteW)
+		}
 	}
 	return nil
 }
@@ -243,33 +272,48 @@ func (dg *DocGraph) LocalOf(d DocID) int { return int(dg.localColumn()[d]) }
 // linear in the web. The graph is readied first (Dedupe: a mutation, so
 // call it before fanning LocalSubgraph calls across goroutines); the
 // subgraph is written straight into packed columns, inherits the sorted,
-// merged rows and skips its own dedupe pass.
+// merged rows and skips its own dedupe pass. The parent's rows are read
+// through one cursor, so an ascending roster finds each row's listed
+// links with no search.
 func (dg *DocGraph) LocalSubgraph(s SiteID) (*Digraph, *LocalIndex) {
 	dg.Dedupe()
 	docs, local, site := dg.Sites[s].Docs, dg.local, uint32(s)
 
-	// Pass 1: each local node's surviving out-edges give the offsets.
+	// Pass 1: each local node's surviving out-edges give the offsets, and
+	// the surviving listed links the size of the listed columns.
 	p := &packed{off: make([]int, len(docs)+1)}
+	var c cursor
+	listed := 0
 	for i, d := range docs {
-		c := 0
-		tos, _ := dg.G.row(int(d))
-		for _, to := range tos {
+		n := 0
+		r := c.row(dg.G, int(d))
+		for _, to := range r.to {
 			if dg.site[to] == site {
-				c++
+				n++
 			}
 		}
-		p.off[i+1] = p.off[i] + c
+		for _, q := range r.pos {
+			if dg.site[r.to[q-r.at]] == site {
+				listed++
+			}
+		}
+		p.off[i+1] = p.off[i] + n
 	}
 
-	// Pass 2: fill the two columns.
+	// Pass 2: fill the columns, weights read in link order.
 	p.to = make([]uint32, p.off[len(docs)])
-	p.w = make([]float64, p.off[len(docs)])
+	p.pos, p.w = make([]uint32, 0, listed), make([]float64, 0, listed)
 	n := 0
+	c = 0
 	for _, d := range docs {
-		tos, ws := dg.G.row(int(d))
-		for k, to := range tos {
+		r, e := c.row(dg.G, int(d)), 0
+		for k, to := range r.to {
+			w := r.weight(k, &e)
 			if dg.site[to] == site {
-				p.to[n], p.w[n] = local[to], ws[k]
+				if w != 1 {
+					p.pos, p.w = append(p.pos, uint32(n)), append(p.w, w)
+				}
+				p.to[n] = local[to]
 				n++
 			}
 		}

@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -141,13 +142,13 @@ func appendDeriveSiteGraph(dg *DocGraph, opts SiteGraphOptions) *Digraph {
 // room for an append to write into an array a COW relative reads.
 func exactRows(t *testing.T, what string, g *Digraph) {
 	t.Helper()
-	if p := g.base; p != nil && (cap(p.to) != len(p.to) || cap(p.w) != len(p.w) || p.off[p.rows()] != len(p.to)) {
-		t.Fatalf("%s: base columns have len %d/%d, cap %d/%d, offsets end at %d",
-			what, len(p.to), len(p.w), cap(p.to), cap(p.w), p.off[p.rows()])
+	if p := g.base; p != nil && (cap(p.to) != len(p.to) || cap(p.pos) != len(p.pos) || cap(p.w) != len(p.w) || p.off[p.rows()] != len(p.to)) {
+		t.Fatalf("%s: base columns have len %d/%d/%d, cap %d/%d/%d, offsets end at %d",
+			what, len(p.to), len(p.pos), len(p.w), cap(p.to), cap(p.pos), cap(p.w), p.off[p.rows()])
 	}
 	g.eachOverlay(func(r row) row {
-		if cap(r.to) != len(r.to) || cap(r.w) != len(r.w) {
-			t.Fatalf("%s: an overlay row has len %d/%d, cap %d/%d", what, len(r.to), len(r.w), cap(r.to), cap(r.w))
+		if cap(r.to) != len(r.to) || cap(r.pos) != len(r.pos) || cap(r.w) != len(r.w) {
+			t.Fatalf("%s: an overlay row has len %d/%d/%d, cap %d/%d/%d", what, len(r.to), len(r.pos), len(r.w), cap(r.to), cap(r.pos), cap(r.w))
 		}
 		return r
 	})
@@ -263,7 +264,7 @@ func TestRederiveMatchesFullDerive(t *testing.T) {
 }
 
 // rawFile is a graph file spelled out section by section, for files
-// EncodeBinary would never write. The header's five counts are what the
+// EncodeBinary would never write. The header's six counts are what the
 // sections hold unless claim rewrites them, and the checksum is always
 // that of the bytes written: what a row breaks is the one thing it names.
 type rawFile struct {
@@ -276,8 +277,11 @@ type rawFile struct {
 	urlSection []byte
 	degrees    []uint32
 	targets    []uint32
-	weights    []float64
-	claim      func(numSites, numDocs, numEdges, nameBytes, urlBytes *uint64)
+	// listed and weights are the listed links: positions among the
+	// targets, and their weights.
+	listed  []uint32
+	weights []float64
+	claim   func(numSites, numDocs, numEdges, numListed, nameBytes, urlBytes *uint64)
 }
 
 func (f rawFile) bytes() []byte {
@@ -294,12 +298,12 @@ func (f rawFile) bytes() []byte {
 		urls = frontCode(f.urls)
 	}
 	urlBytes := uint64(len(urls))
-	ns, nd, ne := uint64(len(f.names)), uint64(len(f.sites)), uint64(len(f.targets))
+	ns, nd, ne, nl := uint64(len(f.names)), uint64(len(f.sites)), uint64(len(f.targets)), uint64(len(f.listed))
 	if f.claim != nil {
-		f.claim(&ns, &nd, &ne, &nameBytes, &urlBytes)
+		f.claim(&ns, &nd, &ne, &nl, &nameBytes, &urlBytes)
 	}
 	b := []byte{first}
-	for _, v := range []uint64{ns, nd, ne, nameBytes, urlBytes} {
+	for _, v := range []uint64{ns, nd, ne, nl, nameBytes, urlBytes} {
 		b = le.AppendUint64(b, v)
 	}
 	column := func(vs []uint32) {
@@ -315,6 +319,7 @@ func (f rawFile) bytes() []byte {
 	b = append(b, urls...)
 	column(f.degrees)
 	column(f.targets)
+	column(f.listed)
 	for _, w := range f.weights {
 		b = le.AppendUint64(b, math.Float64bits(w))
 	}
@@ -342,11 +347,11 @@ func frontCode(urls []string) []byte {
 }
 
 // twoDocFile is a valid file of one site, two documents and the links
-// 0→1 and 1→0; edit alters a copy of it.
+// 0→1 and 1→0, the second of weight 2; edit alters a copy of it.
 func twoDocFile(edit func(*rawFile)) []byte {
 	f := rawFile{
 		names: []string{"a"}, sites: []uint32{0, 0}, urls: []string{"a/0", "a/1"},
-		degrees: []uint32{1, 1}, targets: []uint32{1, 0}, weights: []float64{1, 2},
+		degrees: []uint32{1, 1}, targets: []uint32{1, 0}, listed: []uint32{1}, weights: []float64{2},
 	}
 	if edit != nil {
 		edit(&f)
@@ -359,6 +364,12 @@ func twoDocFile(edit func(*rawFile)) []byte {
 func hostileFiles() map[string][]byte {
 	weight := func(w float64) []byte {
 		return twoDocFile(func(f *rawFile) { f.weights[0] = w })
+	}
+	listedAt := func(pos ...uint32) []byte {
+		return twoDocFile(func(f *rawFile) {
+			f.listed = pos
+			f.weights = slices.Repeat([]float64{2}, len(pos))
+		})
 	}
 	// The two URLs "a/0" and "a/1" front-code as 0 3 "a/0" 2 1 "1".
 	urlSection := func(section ...byte) []byte {
@@ -379,26 +390,51 @@ func hostileFiles() map[string][]byte {
 	flipped[len(flipped)-5] ^= 0x01 // the last weight's top byte: 2 becomes another finite positive
 	return map[string][]byte{
 		// The checks the gob decoder made, as this format can spell them.
-		"edge weights: unexpected EOF": valid[:len(valid)-9],
-		"invalid site 3":               twoDocFile(func(f *rawFile) { f.sites[1] = 3 }),
-		"out-degrees disagree":         twoDocFile(func(f *rawFile) { f.degrees[1] = 2 }),
-		"(0→2) out of range":           twoDocFile(func(f *rawFile) { f.targets[0] = 2 }),
-		"(0→4294967295) out of range":  twoDocFile(func(f *rawFile) { f.targets[0] = math.MaxUint32 }),
-		"invalid weight NaN":           weight(math.NaN()),
-		"invalid weight 0":             weight(0),
-		"invalid weight -1":            weight(-1),
-		"invalid weight +Inf":          weight(math.Inf(1)),
-		"edge 1 (1→9)":                 twoDocFile(func(f *rawFile) { f.targets[1] = 9 }),
+		"listed weights: unexpected EOF":   valid[:len(valid)-9],
+		"listed positions: unexpected EOF": valid[:len(valid)-14],
+		"invalid site 3":                   twoDocFile(func(f *rawFile) { f.sites[1] = 3 }),
+		"out-degrees disagree":             twoDocFile(func(f *rawFile) { f.degrees[1] = 2 }),
+		"(0→2) out of range":               twoDocFile(func(f *rawFile) { f.targets[0] = 2 }),
+		"(0→4294967295) out of range":      twoDocFile(func(f *rawFile) { f.targets[0] = math.MaxUint32 }),
+		"invalid weight NaN":               weight(math.NaN()),
+		"invalid weight 0":                 weight(0),
+		"invalid weight -1":                weight(-1),
+		"invalid weight +Inf":              weight(math.Inf(1)),
+		"invalid weight -Inf":              weight(math.Inf(-1)),
+		"edge 1 (1→9)":                     twoDocFile(func(f *rawFile) { f.targets[1] = 9 }),
+		// The listed section's own checks: a weight of 1 is not listed,
+		// positions ascend strictly and name an edge, and a header lists
+		// no more links than it has edges — refused before anything is
+		// allocated on its word.
+		"listed edge 1 has invalid weight 1":       weight(1),
+		"listed link 1 is edge 0, not past edge 1": listedAt(1, 0),
+		"listed link 1 is edge 1, not past edge 1": listedAt(1, 1),
+		"listed link 0 is edge 2 of 2":             listedAt(2),
+		"listed link 0 is edge 4294967295 of 2":    listedAt(math.MaxUint32),
+		"numListed = 3, more than its 2 edges":     listedAt(0, 1, 1),
+		"numListed = 1099511627776, more than its 2 edges": twoDocFile(func(f *rawFile) {
+			f.claim = func(_, _, _, nl, _, _ *uint64) { *nl = 1 << 40 }
+		}),
+		// Finite weights whose sum is not: Validate names the document or
+		// the site whose out-weight it is.
+		"doc 0 has out-weight +Inf": twoDocFile(func(f *rawFile) {
+			f.degrees, f.targets = []uint32{2, 0}, []uint32{1, 1}
+			f.listed, f.weights = []uint32{0, 1}, []float64{math.MaxFloat64, math.MaxFloat64}
+		}),
+		"site 0 has out-weight +Inf": twoDocFile(func(f *rawFile) {
+			f.listed, f.weights = []uint32{0, 1}, []float64{math.MaxFloat64, math.MaxFloat64}
+		}),
 		// What a file can get wrong that a gob message could not.
 		"bad magic 0xb0":                twoDocFile(func(f *rawFile) { f.first = 0xB0 | binaryVersion }),
 		"bad magic 0x70":                twoDocFile(func(f *rawFile) { f.first = 's' }),
-		"version 1, this build reads 2": twoDocFile(func(f *rawFile) { f.first = binaryMagic | 1 }),
+		"version 1, this build reads 3": twoDocFile(func(f *rawFile) { f.first = binaryMagic | 1 }),
+		"version 2, this build reads 3": twoDocFile(func(f *rawFile) { f.first = binaryMagic | 2 }),
 		"checksum mismatch":             flipped,
 		"site name lengths disagree": twoDocFile(func(f *rawFile) {
-			f.claim = func(_, _, _, nameBytes, _ *uint64) { *nameBytes = 5 }
+			f.claim = func(_, _, _, _, nameBytes, _ *uint64) { *nameBytes = 5 }
 		}),
 		"URLs: unexpected EOF": twoDocFile(func(f *rawFile) {
-			f.claim = func(_, _, _, _, urlBytes *uint64) { *urlBytes = 1000 }
+			f.claim = func(_, _, _, _, _, urlBytes *uint64) { *urlBytes = 1000 }
 		}),
 		// The URL section's own checks, one row each.
 		"URL 1: truncated varint":                        urlSection(0, 3, 'a', '/', '0', 0x82),
@@ -409,14 +445,15 @@ func hostileFiles() map[string][]byte {
 		"holds 1 URLs, numDocs is 2":                     urlSection(0, 3, 'a', '/', '0'),
 		"holds 3 URLs, numDocs is 2":                     urlSection(0, 3, 'a', '/', '0', 2, 1, '1', 2, 1, '2'),
 		"2 bytes left over after its 2 URLs":             urlSection(0, 3, 'a', '/', '0', 2, 1, '1', 0, 5),
-		"numDocs = 4294967296, more than":                rawFile{claim: func(_, nd, _, _, _ *uint64) { *nd = 1 << 32 }}.bytes()[:binaryHeaderLen],
-		"document sites: unexpected EOF":                 rawFile{claim: func(_, nd, _, _, _ *uint64) { *nd = 1<<32 - 1 }}.bytes()[:binaryHeaderLen],
-		"numEdges is 1099511627776":                      rawFile{claim: func(_, _, ne, _, _ *uint64) { *ne = 1 << 40 }}.bytes()[:binaryHeaderLen],
+		"numDocs = 4294967296, more than":                rawFile{claim: func(_, nd, _, _, _, _ *uint64) { *nd = 1 << 32 }}.bytes()[:binaryHeaderLen],
+		"document sites: unexpected EOF":                 rawFile{claim: func(_, nd, _, _, _, _ *uint64) { *nd = 1<<32 - 1 }}.bytes()[:binaryHeaderLen],
+		"numEdges = 1099511627776, more than":            rawFile{claim: func(_, _, ne, _, _, _ *uint64) { *ne = 1 << 40 }}.bytes()[:binaryHeaderLen],
+		"numEdges is 4294967295":                         rawFile{claim: func(_, _, ne, _, _, _ *uint64) { *ne = math.MaxUint32 }}.bytes()[:binaryHeaderLen],
 		"edge targets: unexpected EOF": twoDocFile(func(f *rawFile) {
-			f.degrees[0], f.degrees[1] = math.MaxUint32, math.MaxUint32
-			f.claim = func(_, _, ne, _, _ *uint64) { *ne = 2 * math.MaxUint32 }
+			f.degrees[0], f.degrees[1] = math.MaxUint32, 0
+			f.claim = func(_, _, ne, _, _, _ *uint64) { *ne = math.MaxUint32 }
 		}),
-		"numSites = 18446744073709551615, more than": rawFile{claim: func(ns, _, _, _, _ *uint64) { *ns = math.MaxUint64 }}.bytes()[:binaryHeaderLen],
+		"numSites = 18446744073709551615, more than": rawFile{claim: func(ns, _, _, _, _, _ *uint64) { *ns = math.MaxUint64 }}.bytes()[:binaryHeaderLen],
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // FuzzReadText hardens the text graph parser: arbitrary input must never
@@ -84,6 +85,8 @@ func FuzzDecodeBinary(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(frontedFile.Bytes())
+	// A file whose listed section is not empty.
+	f.Add(twoDocFile(nil))
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x01, 0x02})
 	for _, data := range hostileFiles() {
@@ -109,7 +112,7 @@ func FuzzDecodeBinary(f *testing.F) {
 		// A document takes at least 10 bytes of file and about 21 of
 		// graph (its site, a row offset, a roster entry, a share of the
 		// restart index) beside URL bytes that are the same in both, an
-		// edge 12 and 12, a site 4 and 40.
+		// edge 4 and 4, a listed link 12 and 12, a site 4 and 40.
 		if got := docGraphFootprint(dg); got > 64*len(data) {
 			t.Fatalf("a %d-byte file decoded into %d bytes of graph", len(data), got)
 		}
@@ -127,15 +130,16 @@ func docGraphFootprint(dg *DocGraph) int {
 
 // digraphFootprint sums the bytes of every array reachable from g.
 func digraphFootprint(g *Digraph) int {
-	n := cap(g.tail) * 48
+	const rowBytes = int(unsafe.Sizeof(row{}))
+	n := cap(g.tail) * rowBytes
 	if p := g.base; p != nil {
-		n += cap(p.off)*8 + cap(p.to)*4 + cap(p.w)*8
+		n += cap(p.off)*8 + cap(p.to)*4 + cap(p.pos)*4 + cap(p.w)*8
 	}
 	g.eachOverlay(func(r row) row {
-		n += cap(r.to)*4 + cap(r.w)*8
+		n += cap(r.to)*4 + cap(r.pos)*4 + cap(r.w)*8
 		return r
 	})
-	return n + len(g.patch)*(8+48)
+	return n + len(g.patch)*(8+rowBytes)
 }
 
 // FuzzCloneCOW hardens the copy-on-write contract behind snapshot
@@ -185,7 +189,7 @@ func FuzzCloneCOW(f *testing.F) {
 		}
 		parent.Dedupe()
 		for i := 0; i < k && len(data) >= 2; i++ {
-			parent.AddEdge(int(data[0])%n, int(data[1])%n, float64(1+data[1]%5))
+			parent.AddEdge(int(data[0])%n, int(data[1])%n, float64(1+data[1]%9)/2)
 			data = data[2:]
 		}
 		// A sealed parent shares its overlay rows with the clone; one with
@@ -251,7 +255,7 @@ func FuzzCloneCOW(f *testing.F) {
 		for len(data) >= 3 {
 			sel, from, to := data[0], int(data[1])%n, int(data[2])%n
 			data = data[3:]
-			w := float64(1 + sel%5)
+			w := float64(1+sel%9) / 2
 			switch {
 			case sel&0x40 != 0 && sel&1 == 0:
 				grow(cowDocs, refCow, &cowAdded, from%(len(cowDocs.Sites)+1), to)
@@ -290,6 +294,8 @@ func FuzzCloneCOW(f *testing.F) {
 			}
 		}
 
+		canonical(t, "clone", cow)
+		canonical(t, "parent", parent)
 		if !sameEdges(cow, refCow) {
 			t.Fatal("COW clone diverged from its deep-copy reference")
 		}

@@ -148,20 +148,24 @@ func ReadText(r io.Reader) (*DocGraph, error) {
 // columnar, fixed-width and little-endian, so reading it is a few large
 // reads rather than one decode step per number:
 //
-//	byte 0              binaryMagic | binaryVersion
-//	5 × uint64          numSites, numDocs, numEdges, nameBytes, urlBytes
-//	numSites × uint32   length of each site name
-//	nameBytes           the site names back to back
-//	numDocs × uint32    site of each document
-//	urlBytes            the URLs, front-coded in document order (the
-//	                    DocGraph's own arena, see AddDoc): per URL
-//	                    uvarint(prefix shared with the previous URL),
-//	                    uvarint(length of the rest), then the rest;
-//	                    nothing shared at every restartEvery-th URL
-//	numDocs × uint32    out-degree of each document
-//	numEdges × uint32   edge targets, row after row
-//	numEdges × float64  edge weights in the same order, IEEE-754 bits verbatim
-//	uint32              CRC-32C of every byte before it
+//	byte 0               binaryMagic | binaryVersion
+//	6 × uint64           numSites, numDocs, numEdges, numListed, nameBytes,
+//	                     urlBytes
+//	numSites × uint32    length of each site name
+//	nameBytes            the site names back to back
+//	numDocs × uint32     site of each document
+//	urlBytes             the URLs, front-coded in document order (the
+//	                     DocGraph's own arena, see AddDoc): per URL
+//	                     uvarint(prefix shared with the previous URL),
+//	                     uvarint(length of the rest), then the rest;
+//	                     nothing shared at every restartEvery-th URL
+//	numDocs × uint32     out-degree of each document
+//	numEdges × uint32    edge targets, row after row
+//	numListed × uint32   the links whose weight is not 1: their positions
+//	                     among the edges, strictly ascending
+//	numListed × float64  their weights, IEEE-754 bits verbatim; every
+//	                     edge not listed weighs exactly 1
+//	uint32               CRC-32C of every byte before it
 //
 // The magic's high bit keeps the file apart from a text graph (whose
 // records all start in ASCII), its nibble from a wire frame. Rows are
@@ -169,8 +173,8 @@ func ReadText(r io.Reader) (*DocGraph, error) {
 // The checksum detects corruption; it does not authenticate the file.
 const (
 	binaryMagic     = 0xD0 // high nibble of byte 0
-	binaryVersion   = 0x02 // low nibble of byte 0
-	binaryHeaderLen = 1 + 5*8
+	binaryVersion   = 0x03 // low nibble of byte 0
+	binaryHeaderLen = 1 + 6*8
 
 	// readAhead is how far past the bytes actually received a section's
 	// buffer may start out; from there it grows to at most eight times
@@ -190,16 +194,13 @@ func EncodeBinary(w io.Writer, dg *DocGraph) error {
 	if err := dg.Validate(); err != nil {
 		return err
 	}
-	// Every count and length but the header's totals is a uint32 in the file.
+	// Every count and length but the header's totals is a uint32 in the
+	// file, and so is every edge's position.
 	var nameBytes uint64
-	widest := max(len(dg.Sites), dg.NumDocs())
+	widest := max(len(dg.Sites), dg.NumDocs(), dg.G.NumEdges())
 	for _, site := range dg.Sites {
 		nameBytes += uint64(len(site.Name))
 		widest = max(widest, len(site.Name))
-	}
-	nd := dg.G.NumNodes()
-	for d := 0; d < nd; d++ {
-		widest = max(widest, dg.G.degree(d))
 	}
 	if uint64(widest) > math.MaxUint32 {
 		return fmt.Errorf("graph: a count or length of %d does not fit the binary format", widest)
@@ -215,6 +216,7 @@ func EncodeBinary(w io.Writer, dg *DocGraph) error {
 	u64(uint64(len(dg.Sites)))
 	u64(uint64(dg.NumDocs()))
 	u64(uint64(dg.G.NumEdges()))
+	u64(uint64(dg.G.numListed()))
 	u64(nameBytes)
 	u64(uint64(len(dg.urls)))
 	for _, site := range dg.Sites {
@@ -227,18 +229,26 @@ func EncodeBinary(w io.Writer, dg *DocGraph) error {
 		u32(s)
 	}
 	bw.Write(dg.urls)
+	nd := dg.G.NumNodes()
 	for d := 0; d < nd; d++ {
 		u32(uint32(dg.G.degree(d)))
 	}
 	for d := 0; d < nd; d++ {
-		tos, _ := dg.G.row(d)
-		for _, to := range tos {
+		for _, to := range dg.G.targets(d) {
 			u32(to)
 		}
 	}
+	var c cursor
+	for d, at := 0, uint32(0); d < nd; d++ {
+		r := c.row(dg.G, d)
+		for _, q := range r.pos {
+			u32(at + q - r.at)
+		}
+		at += uint32(len(r.to))
+	}
+	c = 0
 	for d := 0; d < nd; d++ {
-		_, ws := dg.G.row(d)
-		for _, w := range ws {
+		for _, w := range c.row(dg.G, d).w {
 			u64(math.Float64bits(w))
 		}
 	}
@@ -376,20 +386,22 @@ func sumUint32(col []byte) uint64 {
 // DecodeBinary reads a graph file, consuming exactly its bytes. Each
 // section is checked as it is read, in file order — counts the format
 // can index, lengths that agree with the header, site and endpoint
-// ranges, weights positive and finite — then the checksum, then
+// ranges, listed positions strictly ascending among the edges and listed
+// weights other than 1, positive and finite — then the checksum, then
 // Validate; nothing is allocated on the say-so of a count whose bytes
 // have not arrived. The site column, each site roster and the adjacency
 // are built once at their exact size; the URL section, every entry
 // checked (urlRestarts), is the graph's URL arena as it stands. The
-// adjacency is the file's own three columns — the out-degrees summed into
-// row offsets, the targets filled as their section arrives, the weights
-// (allocated once the targets are in: twice their bytes) through the
-// scratch piece — handed to the graph as its packed base: no Edge, no
-// per-row header, and a later AddEdge copies the row it appends to (see
-// Digraph). A file whose rows are all strictly
-// ascending — any that EncodeBinary wrote from a deduplicated graph — is
-// packed as it stands; any other has its rows sorted and merged here,
-// before the graph sees them.
+// adjacency is the file's own four columns — the out-degrees summed into
+// row offsets, the targets and listed positions filled as their sections
+// arrive, the listed weights (allocated once the positions are in: twice
+// their bytes) through the scratch piece — handed to the graph as its
+// packed base: no Edge, no per-row header, no per-link weight, and a
+// later AddEdge copies the row it appends to (see Digraph). A file whose
+// rows are all strictly ascending — any that EncodeBinary wrote from a
+// deduplicated graph — is packed as it stands; any other has its rows
+// sorted and merged here, before the graph sees them. A file of an
+// earlier version is refused, naming both versions.
 func DecodeBinary(r io.Reader) (*DocGraph, error) {
 	br := &binaryReader{r: r, piece: make([]byte, pieceBytes)}
 	var hdr [binaryHeaderLen]byte
@@ -405,13 +417,13 @@ func DecodeBinary(r io.Reader) (*DocGraph, error) {
 	if err := br.fill(hdr[1:], "header"); err != nil {
 		return nil, err
 	}
-	var counts [5]int
-	for i, what := range [...]string{"numSites", "numDocs", "numEdges", "nameBytes", "urlBytes"} {
+	var counts [6]int
+	for i, what := range [...]string{"numSites", "numDocs", "numEdges", "numListed", "nameBytes", "urlBytes"} {
 		v := le.Uint64(hdr[1+8*i:])
-		// Sixty-four bytes per counted thing must fit an int; sites and
-		// documents are uint32 in the file besides.
+		// Sixty-four bytes per counted thing must fit an int; sites,
+		// documents and edge positions are uint32 in the file besides.
 		limit := uint64(math.MaxInt / 64)
-		if i < 2 {
+		if i < 3 {
 			limit = min(limit, math.MaxUint32)
 		}
 		if v > limit {
@@ -419,7 +431,10 @@ func DecodeBinary(r io.Reader) (*DocGraph, error) {
 		}
 		counts[i] = int(v)
 	}
-	ns, nd, ne, nameBytes, urlBytes := counts[0], counts[1], counts[2], counts[3], counts[4]
+	ns, nd, ne, nl, nameBytes, urlBytes := counts[0], counts[1], counts[2], counts[3], counts[4], counts[5]
+	if nl > ne {
+		return nil, fmt.Errorf("graph: binary header claims numListed = %d, more than its %d edges", nl, ne)
+	}
 
 	lens, err := br.section(4*ns, "site name lengths")
 	if err != nil {
@@ -494,19 +509,32 @@ func DecodeBinary(r io.Reader) (*DocGraph, error) {
 			prev = to
 		}
 	}
-	// The targets have arrived: the weights are at most twice their bytes.
-	p.w = make([]float64, ne)
-	for k := 0; k < ne; {
-		b := br.piece[:8*min(ne-k, pieceBytes/8)]
-		if err := br.fill(b, "edge weights"); err != nil {
+	// The listed links: positions strictly ascending among the edges, then
+	// — allocated once the positions are in: twice their bytes — weights
+	// other than 1, positive and finite, through the scratch piece.
+	if p.pos, err = br.column(nl, "listed positions"); err != nil {
+		return nil, err
+	}
+	for e, q := range p.pos {
+		if int(q) >= ne {
+			return nil, fmt.Errorf("graph: binary listed link %d is edge %d of %d", e, q, ne)
+		}
+		if e > 0 && q <= p.pos[e-1] {
+			return nil, fmt.Errorf("graph: binary listed link %d is edge %d, not past edge %d", e, q, p.pos[e-1])
+		}
+	}
+	p.w = make([]float64, nl)
+	for e := 0; e < nl; {
+		b := br.piece[:8*min(nl-e, pieceBytes/8)]
+		if err := br.fill(b, "listed weights"); err != nil {
 			return nil, err
 		}
-		for ; len(b) > 0; b, k = b[8:], k+1 {
+		for ; len(b) > 0; b, e = b[8:], e+1 {
 			w := math.Float64frombits(le.Uint64(b))
-			if !(w > 0) || math.IsInf(w, 0) {
-				return nil, fmt.Errorf("graph: binary edge %d has invalid weight %g", k, w)
+			if !(w > 0) || math.IsInf(w, 0) || w == 1 {
+				return nil, fmt.Errorf("graph: binary listed edge %d has invalid weight %g", p.pos[e], w)
 			}
-			p.w[k] = w
+			p.w[e] = w
 		}
 	}
 

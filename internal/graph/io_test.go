@@ -78,20 +78,19 @@ func TestDecodeBinaryMergesUnsortedRows(t *testing.T) {
 			long = i
 		}
 	}
-	for name, disorder := range map[string]func(r row) row{
-		"one row reversed": func(r row) row {
-			slices.Reverse(r.to)
-			slices.Reverse(r.w)
-			return r
+	for name, disorder := range map[string]func(to []uint32, w []float64) ([]uint32, []float64){
+		"one row reversed": func(to []uint32, w []float64) ([]uint32, []float64) {
+			slices.Reverse(to)
+			slices.Reverse(w)
+			return to, w
 		},
-		"one link in two halves": func(r row) row {
-			r.w[1] /= 2
-			return row{slices.Insert(r.to, 1, r.to[1]), slices.Insert(r.w, 1, r.w[1])}
+		"one link in two halves": func(to []uint32, w []float64) ([]uint32, []float64) {
+			w[1] /= 2
+			return slices.Insert(to, 1, to[1]), slices.Insert(w, 1, w[1])
 		},
 	} {
 		src := &DocGraph{G: want.G.Clone(), Sites: want.Sites, site: want.site, urls: want.urls, restarts: want.restarts}
-		to, w := src.G.row(long)
-		src.G.setRow(long, disorder(row{to, w}.clone()))
+		src.G.setRow(long, listedRow(disorder(denseRow(src.G.row(long)))))
 		var file bytes.Buffer
 		if err := EncodeBinary(&file, src); err != nil {
 			t.Fatal(err)
@@ -112,6 +111,21 @@ func TestDecodeBinaryMergesUnsortedRows(t *testing.T) {
 			t.Errorf("%s: the merged graph does not encode to the clean file", name)
 		}
 	}
+}
+
+// denseRow copies r out as targets beside one weight a link.
+func denseRow(r row) ([]uint32, []float64) {
+	w, e := make([]float64, len(r.to)), 0
+	for k := range w {
+		w[k] = r.weight(k, &e)
+	}
+	return slices.Clone(r.to), w
+}
+
+// listedRow is a row of the given targets and dense weights, as stored.
+func listedRow(to []uint32, w []float64) row {
+	pos, mul := listed(w)
+	return row{to: to, pos: pos, w: mul}
 }
 
 func assertSameDocGraph(t *testing.T, a, b *DocGraph) {

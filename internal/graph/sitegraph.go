@@ -82,32 +82,49 @@ func (sg *SiteGraph) Rederive(dg *DocGraph, opts SiteGraphOptions, changed []Sit
 
 // siteRowAccumulator sums one site's SiteLink weights into a dense row,
 // remembering which entries it touched so emitting and clearing the row
-// cost O(distinct targets), not O(sites).
+// cost O(distinct targets), not O(sites). It reads the document rows
+// through one cursor: a roster ascending where the last one ended finds
+// each row's listed links with no search.
 type siteRowAccumulator struct {
 	weight  []float64
 	touched []int
+	c       cursor
 }
 
 // row derives SiteGraph row s of dg: sorted by target, merged, and exactly
 // as long as its content.
 func (a *siteRowAccumulator) row(dg *DocGraph, s SiteID, opts SiteGraphOptions) row {
 	for _, d := range dg.Sites[s].Docs {
-		tos, ws := dg.G.row(int(d))
-		for k, e := range tos {
-			to := SiteID(dg.site[e])
+		r, e := a.c.row(dg.G, int(d)), 0
+		for k, t := range r.to {
+			w := r.weight(k, &e)
+			to := SiteID(dg.site[t])
 			if opts.DropSelfLoops && to == s {
 				continue
 			}
 			if a.weight[to] == 0 {
 				a.touched = append(a.touched, int(to))
 			}
-			a.weight[to] += ws[k]
+			a.weight[to] += w
 		}
 	}
 	sort.Ints(a.touched)
-	out := row{make([]uint32, len(a.touched)), make([]float64, len(a.touched))}
+	listed := 0
+	for _, to := range a.touched {
+		if a.weight[to] != 1 {
+			listed++
+		}
+	}
+	out := row{
+		to:  make([]uint32, len(a.touched)),
+		pos: make([]uint32, 0, listed),
+		w:   make([]float64, 0, listed),
+	}
 	for k, to := range a.touched {
-		out.to[k], out.w[k] = uint32(to), a.weight[to]
+		out.to[k] = uint32(to)
+		if w := a.weight[to]; w != 1 {
+			out.pos, out.w = append(out.pos, uint32(k)), append(out.w, w)
+		}
 		a.weight[to] = 0
 	}
 	a.touched = a.touched[:0]
