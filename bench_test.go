@@ -200,50 +200,6 @@ func BenchmarkE11SiteRank(b *testing.B) {
 	}
 }
 
-// BenchmarkE12Partition ranks a planted-block web through a real
-// 4-worker cluster under each placement strategy. The ns/op spread shows
-// what strategy choice costs end to end; the cut-frac metric records the
-// placement quality each one buys (aggregate should sit far below host).
-func BenchmarkE12Partition(b *testing.B) {
-	web := GenerateCampusWeb(CampusWebConfig{
-		Seed:              13,
-		Blocky:            true,
-		Sites:             48,
-		Blocks:            8,
-		MeanSitePages:     12,
-		IntraLinksPerPage: 3,
-		InterLinkFraction: 0.3,
-	})
-	cfgs := []struct {
-		name string
-		cfg  DistConfig
-	}{
-		{"host", DistConfig{Tol: 1e-9, Partition: HostPartition{}}},
-		{"balanced", DistConfig{Tol: 1e-9, Partition: BalancedPartition{}}},
-		{"aggregate", DistConfig{Tol: 1e-9, Partition: AggregatePartition{Seed: 1}}},
-	}
-	for _, tc := range cfgs {
-		b.Run(tc.name, func(b *testing.B) {
-			cl, err := StartCluster(4)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cl.Close()
-			var cutFrac float64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := cl.Coord.Rank(web.Graph, tc.cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cutFrac = res.Stats.CutFraction
-			}
-			b.ReportMetric(cutFrac, "cut-frac")
-		})
-	}
-}
-
 // BenchmarkE8Personalization measures the two-layer personalized pipeline
 // against the uniform one.
 func BenchmarkE8Personalization(b *testing.B) {

@@ -12,7 +12,6 @@
 //	experiments -run distributed    # E7: worker-count scaling over TCP
 //	experiments -run personalization# E8: two-layer personalization
 //	experiments -run ablation       # design-choice ablations
-//	experiments -run partition      # E12: placement strategies on a blocky web
 package main
 
 import (
@@ -34,7 +33,7 @@ func main() {
 
 func run() error {
 	var (
-		which = flag.String("run", "all", "experiment: fig2, campus, sweep, complexity, distributed, personalization, ablation, fusion, churn, partition, all")
+		which = flag.String("run", "all", "experiment: fig2, campus, sweep, complexity, distributed, personalization, ablation, fusion, churn, all")
 		seed  = flag.Int64("seed", 2005, "workload seed")
 	)
 	flag.Parse()
@@ -49,9 +48,8 @@ func run() error {
 		"ablation":        runAblation,
 		"fusion":          runFusion,
 		"churn":           runChurn,
-		"partition":       runPartition,
 	}
-	order := []string{"fig2", "campus", "sweep", "complexity", "distributed", "personalization", "ablation", "fusion", "churn", "partition"}
+	order := []string{"fig2", "campus", "sweep", "complexity", "distributed", "personalization", "ablation", "fusion", "churn"}
 
 	if *which == "all" {
 		for _, name := range order {
@@ -150,24 +148,6 @@ func runFusion(seed int64) error {
 
 func runChurn(seed int64) error {
 	res, err := experiments.RunChurn(seed, 25)
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Format())
-	return nil
-}
-
-func runPartition(seed int64) error {
-	res, err := experiments.RunPartition(experiments.PartitionOptions{
-		Web: webgen.Config{
-			Seed:              seed,
-			Sites:             64,
-			Blocks:            8,
-			MeanSitePages:     30,
-			IntraLinksPerPage: 3,
-			InterLinkFraction: 0.3,
-		},
-	})
 	if err != nil {
 		return err
 	}

@@ -7,17 +7,12 @@
 //
 //	lmmcoord -graph campus.graph -workers host1:7100,host2:7100 [-top 15]
 //	         [-siterank central|sync]
-//	         [-partition host|balanced|aggregate] [-partition-seed 0]
 //	         [-max-worker-failures 1] [-max-redials 0]
 //	         [-checkpoint siterank.ckpt] [-resume] [-runs 2]
 //	         [-compress] [-timeout 30s]
 //
-// Shards are placed over the fleet by the -partition strategy —
-// "balanced" (the default) spreads page count by weighted LPT,
-// "host" is hostname-order round-robin, and "aggregate" co-locates
-// strongly linked sites to minimize cut edges (seeded by
-// -partition-seed); each run prints its cut-edge quality — and
-// declared to the workers by content digest, so with -runs > 1
+// Shards are placed over the fleet by weighted LPT over page counts,
+// and declared to the workers by content digest, so with -runs > 1
 // every run after the first ships near-zero shard bytes and, handed the
 // previous run's digests, hashes none. -max-worker-failures lets a
 // run survive peers dying mid-flight (their shards are reassigned);
@@ -48,7 +43,6 @@ import (
 	"lmmrank"
 	"lmmrank/internal/dist/coordinator"
 	"lmmrank/internal/graph"
-	"lmmrank/internal/partition"
 )
 
 func main() {
@@ -69,8 +63,6 @@ func run() error {
 		redials   = flag.Int("max-redials", 0, "background redial attempts per lost worker (0 = lost workers stay lost)")
 		ckptPath  = flag.String("checkpoint", "", "checkpoint the SiteRank iterate to this file (-siterank sync)")
 		resume    = flag.Bool("resume", false, "resume the SiteRank iteration from the checkpoint file")
-		partName  = flag.String("partition", "balanced", "site placement strategy: host, balanced or aggregate")
-		partSeed  = flag.Int64("partition-seed", 0, "seed for the aggregate strategy's label propagation")
 		runs      = flag.Int("runs", 1, "repeat the ranking; runs after the first hit the workers' shard caches and hash no shard")
 		compress  = flag.Bool("compress", false, "flate-compress shard payloads on the wire")
 		timeout   = flag.Duration("timeout", 0, "deadline per ranking run (0 = none); propagates into every worker exchange")
@@ -96,18 +88,6 @@ func run() error {
 	if *ckptPath != "" && mode == coordinator.SiteRankCentral {
 		return fmt.Errorf("-checkpoint needs -siterank sync (the central SiteRank has no fleet iteration to checkpoint)")
 	}
-	var strat partition.Strategy
-	switch *partName {
-	case "host":
-		strat = partition.Host{}
-	case "balanced":
-		strat = partition.Balanced{}
-	case "aggregate":
-		strat = partition.Aggregate{Seed: *partSeed}
-	default:
-		return fmt.Errorf("unknown -partition strategy %q (want host, balanced or aggregate)", *partName)
-	}
-
 	f, err := os.Open(*graphPath)
 	if err != nil {
 		return err
@@ -142,10 +122,9 @@ func run() error {
 	fmt.Printf("precomputed ranking structure in %v\n", time.Since(prepStart).Round(time.Millisecond))
 
 	cfg := coordinator.Config{
-		Damping:   *damping,
-		SiteRank:  mode,
-		Compress:  *compress,
-		Partition: strat,
+		Damping:  *damping,
+		SiteRank: mode,
+		Compress: *compress,
 		Retry: coordinator.RetryPolicy{
 			MaxWorkerFailures: *failures,
 			MaxRedials:        *redials,
@@ -207,9 +186,6 @@ func run() error {
 			fmt.Printf("; resumed SiteRank from checkpointed round %d", res.Stats.ResumedFromRound)
 		}
 		fmt.Println()
-		fmt.Printf("run %d: partition %s: cut weight %.0f (%.2f%% of site-graph weight; ~%.1f KB cross-shard per doc-level sweep avoided)\n",
-			run, *partName, res.Stats.CutEdges, 100*res.Stats.CutFraction,
-			float64(res.Stats.CrossShardBytes)/1e3)
 	}
 	fmt.Println()
 

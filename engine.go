@@ -10,7 +10,6 @@ import (
 
 	"lmmrank/internal/dist/coordinator"
 	"lmmrank/internal/lmm"
-	"lmmrank/internal/partition"
 )
 
 // Query is the unified serving request every Engine answers: one struct
@@ -556,12 +555,7 @@ func normalizeCtxErr(ctx context.Context, err error) error {
 }
 
 // distState is what a DistEngine snapshot holds beside the graph: the
-// structural Ranker built for exactly that graph and — when a partition
-// strategy is configured — the pinned site→shard assignment every query
-// under this snapshot serves with, plus the cut fraction measured when
-// that assignment was last (re)computed. baseCut is the drift baseline:
-// Update compares the carried assignment's cut against it to decide
-// whether churn has degraded the placement enough to repartition online.
+// structural Ranker built for exactly that graph.
 //
 // warm and digests are learned rather than built. warm is what the
 // snapshot knows of its own default-parameter answer. Each distWarm is
@@ -574,8 +568,6 @@ func normalizeCtxErr(ctx context.Context, err error) error {
 // every Rank reads it and the first one records it the same way.
 type distState struct {
 	rk      *lmm.Ranker
-	asg     partition.Assignment
-	baseCut float64
 	warm    atomic.Pointer[distWarm]
 	digests atomic.Pointer[coordinator.Digests]
 }
@@ -634,9 +626,8 @@ type distWarm struct {
 // shards.
 type DistEngine struct {
 	server[*distState]
-	coord        *coordinator.Coordinator
-	cfg          coordinator.Config
-	repartitions atomic.Int64
+	coord *coordinator.Coordinator
+	cfg   coordinator.Config
 }
 
 var _ Engine = (*DistEngine)(nil)
@@ -662,21 +653,13 @@ func NewDistEngine(cl *Cluster, dg *DocGraph, cfg DistConfig) (*DistEngine, erro
 	e := &DistEngine{coord: cl.Coord, cfg: cfg}
 	state := &distState{rk: rk}
 	state.warm.Store(&distWarm{})
-	// With a partition strategy configured the engine pins the
-	// assignment per snapshot: every query serves under the same
-	// placement (stable digest caches) and Update measures cut-edge
-	// drift against the baseline recorded here.
-	if cfg.Partition != nil {
-		state.asg = cfg.Partition.Partition(dg, cl.Coord.NumWorkers())
-		state.baseCut = partition.CutFraction(rk.SiteGraph(), state.asg.Owner)
-	}
 	e.serve(e, newAdmitGate(cfg.MaxInFlight, cfg.TenantQuota, cfg.RejectOverload), cfg.Coalesce, cfg.CoalesceTol, dg, state)
 	return e, nil
 }
 
 // rebuild is the distributed backend's half of Update: the changed
-// sites' structure, and the warm state, shard digests and placement
-// carried across.
+// sites' structure, and the warm state and shard digests carried
+// across.
 func (e *DistEngine) rebuild(_ context.Context, cur *snapshot[*distState], dg *DocGraph, changed []SiteID) (*distState, error) {
 	next, err := cur.state.rk.RebuildOn(dg, changed)
 	if err != nil {
@@ -696,48 +679,7 @@ func (e *DistEngine) rebuild(_ context.Context, cur *snapshot[*distState], dg *D
 		}
 	}
 	state.warm.Store(&distWarm{Warm: coordinator.Warm{SiteStart: prev.SiteStart, Locals: locals}})
-	if len(cur.state.asg.Owner) > 0 {
-		state.asg, state.baseCut = e.carryAssignment(cur.state, dg, next, changed)
-	}
 	return state, nil
-}
-
-// carryAssignment decides the next snapshot's placement after churn.
-// The zero-migration default extends the current assignment over any
-// new sites; the resulting cut fraction is compared against the
-// baseline recorded at the last (re)partition, and when the drift
-// exceeds cfg.RepartitionThreshold the strategy's Rebalance
-// re-optimizes online. A moved shard then migrates through the normal
-// serving path: rebuild (above) has already carried the clean digests,
-// so the next Rank, declaring every shard by digest, re-ships only those
-// whose new owner has never cached their content — a clean shard moving
-// to a warm worker costs one ref, not a payload.
-func (e *DistEngine) carryAssignment(cur *distState, dg *DocGraph, rk *lmm.Ranker, changed []SiteID) (partition.Assignment, float64) {
-	ext := partition.Extend(dg, cur.asg)
-	frac := partition.CutFraction(rk.SiteGraph(), ext.Owner)
-	thr := e.cfg.RepartitionThreshold
-	if thr <= 0 || e.cfg.Partition == nil || frac-cur.baseCut <= thr {
-		return ext, cur.baseCut
-	}
-	reb := e.cfg.Partition.Rebalance(dg, changed, ext)
-	e.repartitions.Add(1)
-	return reb, partition.CutFraction(rk.SiteGraph(), reb.Owner)
-}
-
-// Repartitions reports how many online repartitions Update has
-// triggered over the engine's lifetime — always 0 unless a Partition
-// strategy and a positive RepartitionThreshold are configured.
-func (e *DistEngine) Repartitions() int { return int(e.repartitions.Load()) }
-
-// PartitionOwners returns a copy of the site→shard assignment the
-// current snapshot serves under, or nil when no Partition strategy was
-// configured (the coordinator then places per run with its default).
-func (e *DistEngine) PartitionOwners() []int {
-	asg := e.snap.Load().state.asg
-	if len(asg.Owner) == 0 {
-		return nil
-	}
-	return append([]int(nil), asg.Owner...)
 }
 
 // Rank answers one query against the fleet. The context's deadline
@@ -762,11 +704,6 @@ func (e *DistEngine) solve(ctx context.Context, snap *snapshot[*distState], q Qu
 	cfg.SitePersonalization = q.SitePersonalization
 	cfg.ThreeLayer = q.ThreeLayer
 	cfg.DomainOf = q.DomainOf
-	if len(st.asg.Owner) > 0 {
-		// Serve under the snapshot's pinned placement (falls back to the
-		// strategy inside the coordinator if the live fleet shrank).
-		cfg.Assignment = st.asg.Owner
-	}
 	// The snapshot's warm state was solved at the default parameters; a
 	// query with its own neither reads nor writes it (as indexEligible).
 	// The site seed is a two-layer πS: the coordinator keeps it out of a

@@ -2,42 +2,26 @@ package coordinator
 
 import "lmmrank/internal/partition"
 
-// strategy returns the configured placement strategy, defaulting to
-// weighted LPT — the single balancing code path (partition.Balanced
-// wraps partition.LPT; the coordinator has no private copy).
-func (r *run) strategy() partition.Strategy {
-	if r.cfg.Partition != nil {
-		return r.cfg.Partition
-	}
-	return partition.Balanced{}
-}
-
 // shardOwners computes the site→shard assignment over k abstract
-// shards. A pinned Config.Assignment wins when it fits the live fleet
-// (the root DistEngine pins placements per snapshot so queries and
-// rejoin rebalances agree); otherwise the strategy partitions fresh.
+// shards: weighted LPT by document count. A pinned Config.Assignment
+// wins when it fits the live fleet; one that does not (wrong length, or
+// an owner outside the live fleet after a permanent loss) falls back to
+// LPT.
 func (r *run) shardOwners(k int) []int {
-	if a := r.cfg.Assignment; len(a) == r.ns {
-		ok := true
-		for _, o := range a {
-			if o < 0 || o >= k {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return a
-		}
+	if a := r.cfg.Assignment; (partition.Assignment{Owner: a, Shards: k}).Valid(r.ns, k) {
+		return a
 	}
-	return r.strategy().Partition(r.rk.DocGraph(), k).Owner
+	sizes := make([]int, r.ns)
+	for s := range sizes {
+		sizes[s] = r.siteDocs(s)
+	}
+	return partition.LPT(sizes, k, make([]int, k))
 }
 
 // idealOwners maps the shard assignment onto the live fleet: shard j
 // lands on the j-th live worker in ascending fleet order, so owner[s]
-// is a fleet index. For the default Balanced strategy this reproduces
-// the historical direct-LPT-over-aliveIdxs assignment exactly (load
-// ties break toward the lower shard, which is the earlier live
-// worker), keeping rejoin rebalancing deterministic.
+// is a fleet index. Load ties in LPT break toward the lower shard, which
+// is the earlier live worker, so rejoin rebalancing is deterministic.
 func (r *run) idealOwners() []int {
 	idxs := r.aliveIdxs()
 	shard := r.shardOwners(len(idxs))
@@ -56,17 +40,4 @@ func (r *run) assignOwners() []int {
 		r.load[w] += r.siteDocs(s)
 	}
 	return owner
-}
-
-// computeCutStats records the placement's partition quality on the
-// run's Stats: the SiteGraph weight crossing worker boundaries, its
-// fraction of the total, and the counterfactual per-sweep bytes a
-// document-level edge exchange would ship across those boundaries.
-func (r *run) computeCutStats() {
-	cut, total := partition.Cut(r.rk.SiteGraph(), r.owner)
-	r.stats.CutEdges = cut
-	if total > 0 {
-		r.stats.CutFraction = cut / total
-	}
-	r.stats.CrossShardBytes = uint64(cut) * partition.EstCutEdgeBytes
 }

@@ -9,10 +9,9 @@
 // with a RetryPolicy budget, a peer dying mid-run is detected at the
 // failing exchange, its site shards are reassigned to the lightest
 // surviving workers and only the affected work is re-run. Placement:
-// the site→worker assignment is a pluggable partition.Strategy —
-// weighted LPT by default so one giant site cannot serialize the fleet,
-// or coupling-aware aggregation that co-locates strongly linked sites —
-// and every run reports its cut-edge quality in Stats. Wire cost:
+// sites go to workers by weighted LPT over their document counts, so
+// one giant site cannot serialize the fleet; no message carries a link
+// between workers, so load balance is all a placement decides. Wire cost:
 // shards are content-addressed and a worker's session is declared by
 // digest — one KindLoad names what it must hold, and only what the
 // worker reports missing is shipped (repeated runs over an unchanged
@@ -35,7 +34,6 @@ import (
 	"lmmrank/internal/lmm"
 	"lmmrank/internal/matrix"
 	"lmmrank/internal/pagerank"
-	"lmmrank/internal/partition"
 )
 
 // DefaultDialTimeout bounds Dial per worker so a dead address fails
@@ -214,29 +212,13 @@ type Config struct {
 	// bit-identical ones.
 	TenantQuota int
 	CoalesceTol float64
-	// Partition selects the site→shard placement strategy (nil =
-	// partition.Balanced, the weighted-LPT default). The strategy only
-	// decides which worker serves which sites — the Partition Theorem
-	// guarantees the composed DocRank is identical for every choice —
-	// so it trades load balance against cut-edge volume (see
-	// Stats.CutFraction).
-	Partition partition.Strategy
 	// Assignment, when non-nil, pins the site→shard placement instead
-	// of consulting Partition: Assignment[s] is the abstract shard of
+	// of the weighted-LPT default: Assignment[s] is the abstract shard of
 	// site s, and shard j maps onto the j-th live worker in ascending
-	// fleet order. The root DistEngine pins the assignment it computed
-	// at build time so every query and rejoin rebalance agrees with the
-	// snapshot's placement. A pin that no longer fits (wrong length, or
-	// an owner outside the live fleet after a permanent loss) falls back
-	// to the strategy.
+	// fleet order. A pin that does not fit (wrong length, or an owner
+	// outside the live fleet after a permanent loss) falls back to LPT.
+	// The Partition Theorem makes every placement rank-identical.
 	Assignment []int
-	// RepartitionThreshold is consumed by the root DistEngine's Update
-	// path, not the coordinator: when an applied delta drifts the
-	// cut-edge fraction more than this above the last repartition's
-	// baseline, the engine re-runs the strategy and migrates shards
-	// through the workers' digest caches. Zero or negative disables
-	// online repartitioning.
-	RepartitionThreshold float64
 }
 
 func (c Config) damping() float64 {
@@ -347,21 +329,6 @@ type Stats struct {
 	// when compression is off or nothing shipped in full.
 	ShardBytesRaw        uint64
 	ShardBytesCompressed uint64
-	// CutEdges is the SiteGraph link weight (document-link multiplicity,
-	// aggregated per site pair under Config.SiteGraph) between sites
-	// placed on different workers this run — the coupling the
-	// distributed computation carries between peers. CutFraction is the
-	// same weight as a fraction of the SiteGraph's total; it is the
-	// partition-quality number the Aggregate strategy minimizes.
-	CutEdges    float64
-	CutFraction float64
-	// CrossShardBytes estimates the per-sweep payload a document-level
-	// edge exchange would ship across shard boundaries under this
-	// placement (CutEdges × the coarse cost of one wire edge). The LMM
-	// protocol never ships document edges — that is the paper's point —
-	// so this is the counterfactual volume the partition avoids, not a
-	// measured transfer.
-	CrossShardBytes uint64
 }
 
 // Warm is what the caller already knows about a run, handed in so the

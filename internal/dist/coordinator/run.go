@@ -185,13 +185,11 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 	r.startRedialers()
 	defer r.stopRedialers()
 
-	// Partition and ship: the configured strategy (or pinned
-	// assignment) places sites over the live fleet, and each live worker
-	// is told what its session holds.
+	// Place and ship: LPT (or the pinned assignment) places sites over
+	// the live fleet, and each live worker is told what its session holds.
 	loadStart := time.Now()
 	r.hashShards()
 	r.owner = r.assignOwners()
-	r.computeCutStats()
 	need := make(map[int]struct{}, r.ns)
 	for s := 0; s < r.ns; s++ {
 		need[s] = struct{}{}
@@ -561,7 +559,7 @@ func (r *run) readmit(rj rejoin) error {
 
 	// Rebalance back: recompute the ideal placement over the restored
 	// fleet and move exactly the sites whose ideal owner is the
-	// rejoiner. Strategies are deterministic (and a pinned assignment
+	// rejoiner. LPT is deterministic (and a pinned assignment
 	// is fixed outright), so when the fleet's liveness returns to what
 	// it was at run start these are precisely the sites the rejoiner
 	// held before it died — warm in its digest cache.

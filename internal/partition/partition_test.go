@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"lmmrank/internal/graph"
-	"lmmrank/internal/webgen"
 )
 
 // fixtureGraph builds a DocGraph whose site sizes are exactly sizes.
@@ -87,57 +86,24 @@ func TestLPTDeterministic(t *testing.T) {
 	}
 }
 
-func TestHostRoundRobinAndStability(t *testing.T) {
-	dg := fixtureGraph(t, []int{4, 4, 4, 4, 4, 4, 4})
-	asg := Host{}.Partition(dg, 3)
+// TestBalancedIsLPTByDocuments: the runtime's placement is LPT over the
+// sites' document counts, and a non-positive shard count clamps to one
+// shard.
+func TestBalancedIsLPTByDocuments(t *testing.T) {
+	sizes := []int{30, 8, 8, 22, 5, 14, 9, 11}
+	dg := fixtureGraph(t, sizes)
+	asg := Balanced{}.Partition(dg, 3)
 	if !asg.Valid(dg.NumSites(), 3) {
 		t.Fatalf("invalid assignment %+v", asg)
 	}
-	for s, o := range asg.Owner {
-		if o != s%3 {
-			t.Errorf("owner[%d] = %d, want %d", s, o, s%3)
+	want := LPT(sizes, 3, make([]int, 3))
+	for s := range want {
+		if asg.Owner[s] != want[s] {
+			t.Errorf("owner[%d] = %d, want LPT's %d", s, asg.Owner[s], want[s])
 		}
 	}
-	// Appending sites must not move existing ones.
-	dg2 := fixtureGraph(t, []int{4, 4, 4, 4, 4, 4, 4, 4, 4})
-	reb := Host{}.Rebalance(dg2, []graph.SiteID{7, 8}, asg)
-	for s := range asg.Owner {
-		if reb.Owner[s] != asg.Owner[s] {
-			t.Errorf("host rebalance moved site %d: %d → %d", s, asg.Owner[s], reb.Owner[s])
-		}
-	}
-}
-
-func TestBalancedRebalanceKeepsUnchangedSites(t *testing.T) {
-	sizes := []int{30, 8, 8, 22, 5, 14, 9, 11}
-	dg := fixtureGraph(t, sizes)
-	prev := Balanced{}.Partition(dg, 3)
-	reb := Balanced{}.Rebalance(dg, []graph.SiteID{1, 4}, prev)
-	if !reb.Valid(dg.NumSites(), 3) {
-		t.Fatalf("invalid rebalance %+v", reb)
-	}
-	for s := range prev.Owner {
-		if s == 1 || s == 4 {
-			continue
-		}
-		if reb.Owner[s] != prev.Owner[s] {
-			t.Errorf("rebalance moved unchanged site %d: %d → %d", s, prev.Owner[s], reb.Owner[s])
-		}
-	}
-}
-
-func TestExtendKeepsExistingSites(t *testing.T) {
-	prevG := fixtureGraph(t, []int{10, 10, 10, 10})
-	prev := Balanced{}.Partition(prevG, 2)
-	grown := fixtureGraph(t, []int{10, 10, 10, 10, 6, 6})
-	ext := Extend(grown, prev)
-	if !ext.Valid(grown.NumSites(), 2) {
-		t.Fatalf("invalid extension %+v", ext)
-	}
-	for s := range prev.Owner {
-		if ext.Owner[s] != prev.Owner[s] {
-			t.Errorf("extend moved site %d: %d → %d", s, prev.Owner[s], ext.Owner[s])
-		}
+	if one := (Balanced{}).Partition(dg, 0); !one.Valid(dg.NumSites(), 1) {
+		t.Errorf("Partition over 0 shards = %+v, want every site on the one shard", one)
 	}
 }
 
@@ -156,121 +122,6 @@ func TestAssignmentValidAndClone(t *testing.T) {
 	c.Owner[0] = 1
 	if a.Owner[0] != 0 {
 		t.Error("Clone aliases Owner")
-	}
-}
-
-func blockyWeb(seed int64) *webgen.Web {
-	return webgen.Generate(webgen.Config{
-		Seed:              seed,
-		Blocky:            true,
-		Sites:             48,
-		Blocks:            8,
-		MeanSitePages:     12,
-		IntraLinksPerPage: 2,
-		InterLinkFraction: 0.3,
-	})
-}
-
-// TestAggregateCutReductionOnBlockyWeb pins the headline property:
-// on a planted-block web the coupling-aware strategy cuts at least 30%
-// less inter-shard edge weight than hostname-order placement.
-func TestAggregateCutReductionOnBlockyWeb(t *testing.T) {
-	web := blockyWeb(7)
-	dg := web.Graph
-	const k = 4
-	sg := graph.DeriveSiteGraph(dg, graph.SiteGraphOptions{})
-
-	host := Host{}.Partition(dg, k)
-	agg := Aggregate{Seed: 1}.Partition(dg, k)
-	if !agg.Valid(dg.NumSites(), k) {
-		t.Fatalf("invalid aggregate assignment %+v", agg)
-	}
-	hostCut := CutFraction(sg, host.Owner)
-	aggCut := CutFraction(sg, agg.Owner)
-	t.Logf("cut fraction: host %.4f, aggregate %.4f", hostCut, aggCut)
-	if hostCut == 0 {
-		t.Fatal("blocky web produced no host-cut edges; fixture is degenerate")
-	}
-	if aggCut > 0.7*hostCut {
-		t.Errorf("aggregate cut %.4f not ≥30%% below host cut %.4f", aggCut, hostCut)
-	}
-}
-
-// TestAggregateRespectsCapacity pins the documented balance bound: no
-// shard exceeds max(ceil(total/k · 1.25), largest site).
-func TestAggregateRespectsCapacity(t *testing.T) {
-	web := blockyWeb(11)
-	dg := web.Graph
-	const k = 4
-	agg := Aggregate{Seed: 3}.Partition(dg, k)
-
-	sizes := make([]int, dg.NumSites())
-	total, largest := 0, 0
-	for s := range sizes {
-		sizes[s] = dg.SiteSize(graph.SiteID(s))
-		total += sizes[s]
-		if sizes[s] > largest {
-			largest = sizes[s]
-		}
-	}
-	capacity := int(float64(total)/k*1.25) + 1
-	if capacity < largest {
-		capacity = largest
-	}
-	if got := maxLoad(agg.Owner, sizes, k); got > capacity {
-		t.Errorf("max shard load %d exceeds capacity %d", got, capacity)
-	}
-}
-
-func TestAggregateDeterministicPerSeed(t *testing.T) {
-	web := blockyWeb(5)
-	a := Aggregate{Seed: 42}.Partition(web.Graph, 4)
-	for i := 0; i < 3; i++ {
-		b := Aggregate{Seed: 42}.Partition(web.Graph, 4)
-		for s := range a.Owner {
-			if a.Owner[s] != b.Owner[s] {
-				t.Fatalf("run %d: owner[%d] = %d, want %d", i, s, b.Owner[s], a.Owner[s])
-			}
-		}
-	}
-}
-
-// TestAggregateRebalanceIsStable pins that Rebalance from an already
-// optimized assignment with no graph change moves nothing: refinement
-// only takes strictly-improving moves.
-func TestAggregateRebalanceIsStable(t *testing.T) {
-	web := blockyWeb(9)
-	agg := Aggregate{Seed: 2}
-	prev := agg.Partition(web.Graph, 4)
-	reb := agg.Rebalance(web.Graph, []graph.SiteID{0, 1}, prev)
-	for s := range prev.Owner {
-		if reb.Owner[s] != prev.Owner[s] {
-			t.Errorf("no-op rebalance moved site %d: %d → %d", s, prev.Owner[s], reb.Owner[s])
-		}
-	}
-}
-
-func TestStrategyNamesAndClamps(t *testing.T) {
-	dg := fixtureGraph(t, []int{3, 3})
-	for _, tc := range []struct {
-		st   Strategy
-		name string
-	}{
-		{Host{}, "host"},
-		{Balanced{}, "balanced"},
-		{Aggregate{}, "aggregate"},
-	} {
-		if got := tc.st.Name(); got != tc.name {
-			t.Errorf("Name() = %q, want %q", got, tc.name)
-		}
-		asg := tc.st.Partition(dg, 0) // non-positive shard counts clamp to 1
-		if !asg.Valid(dg.NumSites(), 1) {
-			t.Errorf("%s: clamped partition invalid: %+v", tc.name, asg)
-		}
-		reb := tc.st.Rebalance(dg, nil, asg)
-		if !reb.Valid(dg.NumSites(), 1) {
-			t.Errorf("%s: clamped rebalance invalid: %+v", tc.name, reb)
-		}
 	}
 }
 

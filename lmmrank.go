@@ -11,7 +11,6 @@ import (
 	"lmmrank/internal/lmm"
 	"lmmrank/internal/matrix"
 	"lmmrank/internal/pagerank"
-	"lmmrank/internal/partition"
 	"lmmrank/internal/rankutil"
 	"lmmrank/internal/retrieval"
 	"lmmrank/internal/webgen"
@@ -93,25 +92,6 @@ type (
 	// SiteRankMode selects how a distributed run computes its site
 	// chain's stationary distribution (DistConfig.SiteRank).
 	SiteRankMode = coordinator.SiteRankMode
-)
-
-// Partitioning types: pluggable site→shard placement for the
-// distributed runtime (DistConfig.Partition).
-type (
-	// PartitionStrategy computes site→shard assignments; the Partition
-	// Theorem makes every choice rank-identical, so it is a pure
-	// performance knob (balance vs cut-edge volume).
-	PartitionStrategy = partition.Strategy
-	// PartitionAssignment maps each site to an abstract shard.
-	PartitionAssignment = partition.Assignment
-	// HostPartition is hostname-order round-robin (the seed behavior).
-	HostPartition = partition.Host
-	// BalancedPartition is weighted LPT by document count (the default).
-	BalancedPartition = partition.Balanced
-	// AggregatePartition is seeded coupling-aware aggregation: block
-	// merge plus label propagation minimizing cut-edge weight under a
-	// balance constraint.
-	AggregatePartition = partition.Aggregate
 )
 
 // SiteRank modes for DistConfig.SiteRank.
