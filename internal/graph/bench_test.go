@@ -24,24 +24,6 @@ func benchDocGraph(nSites, docsPerSite int, seed int64) *DocGraph {
 	return b.Build()
 }
 
-func BenchmarkDeriveSiteGraph(b *testing.B) {
-	dg := benchDocGraph(200, 100, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DeriveSiteGraph(dg, SiteGraphOptions{})
-	}
-}
-
-func BenchmarkTransitionMatrix(b *testing.B) {
-	dg := benchDocGraph(100, 200, 3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dg.G.TransitionMatrix()
-	}
-}
-
 // BenchmarkCloneCOW is the clone an Update starts from, of a web a few
 // updates old: B/op is the overlay, not the web.
 func BenchmarkCloneCOW(b *testing.B) {

@@ -31,7 +31,8 @@ func rowsOf(g *Digraph) [][]Edge {
 // sameArrays reports whether row i of a and of b are one set of arrays:
 // one targets array, and one listed array unless neither lists a link.
 func sameArrays(a, b *Digraph, i int) bool {
-	ar, br := a.row(i), b.row(i)
+	var ca, cb cursor
+	ar, br := ca.read(a, i), cb.read(b, i)
 	if len(ar.to) == 0 || len(br.to) == 0 || &ar.to[0] != &br.to[0] || len(ar.pos) != len(br.pos) {
 		return false
 	}

@@ -31,7 +31,7 @@ type Edge struct {
 // since the base was packed. A link is its 4-byte target; the few links
 // whose weight is not 1 are listed apart, position and weight, so a
 // weight reads back exactly as it was added. Every reader goes through
-// one accessor (cursor.row, or targets when weights are not wanted).
+// one accessor (cursor.read, or targets when weights are not wanted).
 //
 // A Digraph is not safe for concurrent mutation. Note that Dedupe,
 // OutDegree and TransitionMatrix mutate internal state (merging and
@@ -49,8 +49,10 @@ type Digraph struct {
 	// set every one of them is sorted, merged and clipped to its length,
 	// so appending to any row — overlay or base — copies it out first:
 	// that is all the copy-on-write there is, and why relatives may share
-	// overlay rows by pointer without a mark on either side.
-	patch map[int]row
+	// overlay rows by pointer without a mark on either side. A patched
+	// row is held by pointer, so reading it copies no row out of the map,
+	// and is never written once installed: relatives share it.
+	patch map[int]*row
 	tail  []row
 	// deduped says no row was appended to since the last Dedupe.
 	deduped bool
@@ -96,8 +98,10 @@ type row struct {
 
 // weight returns the weight of link k, e being the number of the row's
 // listed links before k: a reader walking k up from 0 with e from 0
-// reads every weight with one comparison.
-func (r row) weight(k int, e *int) float64 {
+// reads every weight with one comparison. Its receiver is a pointer, as
+// is every reader's row: a row is ten words, and a walk that copied one
+// per row or per link would spend more on the copies than on the links.
+func (r *row) weight(k int, e *int) float64 {
 	if *e < len(r.pos) && r.pos[*e]-r.at == uint32(k) {
 		*e++
 		return r.w[*e-1]
@@ -155,13 +159,14 @@ func (p *packed) targets(i int) []uint32 {
 	return p.to[a:b:b]
 }
 
-// row returns row i in place, every column clipped, and the place just
-// past its listed links. e is where a walk over ascending rows has got
-// to in the listed column — the place the previous row returned — so the
-// walk finds each row's listed links with no search, as the CSR kernels
-// carry their exception cursor; a row read out of turn (a skipped row, a
-// step back, a lone read from 0) costs one binary search.
-func (p *packed) row(i, e int) (row, int) {
+// read points r at row i in place, every column clipped, writing all
+// four of its fields, and returns the place just past its listed links.
+// e is where a walk over ascending rows has got to in the listed column —
+// the place the previous row returned — so the walk finds each row's
+// listed links with no search, as the CSR kernels carry their exception
+// cursor; a row read out of turn (a skipped row, a step back, a lone read
+// from 0) costs one binary search.
+func (p *packed) read(i, e int, r *row) int {
 	a, b := p.off[i], p.off[i+1]
 	lo, hi, pos := uint32(a), uint32(b), p.pos
 	if e > 0 && pos[e-1] >= lo {
@@ -174,7 +179,8 @@ func (p *packed) row(i, e int) (row, int) {
 	for end < len(pos) && pos[end] < hi {
 		end++
 	}
-	return row{p.to[a:b:b], pos[e:end:end], p.w[e:end:end], lo}, end
+	r.to, r.pos, r.w, r.at = p.to[a:b:b], pos[e:end:end], p.w[e:end:end], lo
+	return end
 }
 
 // mergeRows sorts and merges every row where it lies and closes the
@@ -182,11 +188,11 @@ func (p *packed) row(i, e int) (row, int) {
 // points at yet.
 func (p *packed) mergeRows() {
 	pos, w := make([]uint32, 0, len(p.pos)), make([]float64, 0, len(p.w))
+	var r row
 	n, e, rows := 0, 0, p.rows()
 	for i := 0; i < rows; i++ {
-		var r row
-		r, e = p.row(i, e)
-		r = r.merged()
+		e = p.read(i, e, &r)
+		r.merge()
 		p.off[i] = n
 		for _, q := range r.pos {
 			pos = append(pos, uint32(n)+q-r.at)
@@ -211,13 +217,13 @@ func (l links) Swap(a, b int) {
 	l.w[a], l.w[b] = l.w[b], l.w[a]
 }
 
-// merged returns r sorted by target with parallel links summed, and
-// clipped to its length. A row already strictly ascending is not written
-// (it may be shared); any other was appended to since it was last merged
-// and so belongs to one graph alone — its targets are sorted in place,
-// its weights listed afresh (a merge may make a listed weight 1 or a 1 a
-// listed weight).
-func (r row) merged() row {
+// merge sorts r by target, sums its parallel links and clips it to its
+// length. The arrays of a row already strictly ascending are not written
+// (they may be shared); any other was appended to since it was last
+// merged and so belongs to one graph alone — its targets are sorted in
+// place, its weights listed afresh (a merge may make a listed weight 1
+// or a 1 a listed weight).
+func (r *row) merge() {
 	n := len(r.to)
 	ascending := true
 	for k := 1; k < n && ascending; k++ {
@@ -242,11 +248,12 @@ func (r row) merged() row {
 		r.pos, r.w = listed(w[:n])
 		r.at = 0
 	}
-	return row{r.to[:n:n], slices.Clip(r.pos), slices.Clip(r.w), r.at}
+	r.to, r.pos, r.w = r.to[:n:n], slices.Clip(r.pos), slices.Clip(r.w)
 }
 
-func (r row) clone() row {
-	return row{slices.Clone(r.to), slices.Clone(r.pos), slices.Clone(r.w), r.at}
+// unshare gives r arrays of its own.
+func (r *row) unshare() {
+	r.to, r.pos, r.w = slices.Clone(r.to), slices.Clone(r.pos), slices.Clone(r.w)
 }
 
 // NewDigraph returns a graph with n isolated nodes.
@@ -257,49 +264,50 @@ func NewDigraph(n int) *Digraph {
 	return &Digraph{tail: make([]row, n)}
 }
 
-// overlay returns node i's row if it was written since packing.
-func (g *Digraph) overlay(i int) (row, bool) {
-	if nb := g.base.rows(); i >= nb {
-		return g.tail[i-nb], true
-	}
-	if len(g.patch) != 0 {
-		r, ok := g.patch[i]
-		return r, ok
-	}
-	return row{}, false
-}
-
 // targets returns node i's targets, read-only: the read for whoever
 // does not want the weights.
 func (g *Digraph) targets(i int) []uint32 {
-	if r, ok := g.overlay(i); ok {
-		return r.to
+	if nb := g.base.rows(); i >= nb {
+		return g.tail[i-nb].to
+	}
+	if len(g.patch) != 0 {
+		if r := g.patch[i]; r != nil {
+			return r.to
+		}
 	}
 	return g.base.targets(i)
 }
 
-// cursor is a walk's place in a graph's listed base links. Reading rows
-// through one in ascending order finds each row's listed links where the
-// last row's ended; reading one row alone, through a fresh cursor, costs
-// a binary search.
-type cursor int
-
-// row is the one way to read adjacency with its weights: node i's row,
-// from the overlay if it was written since packing, from the base
-// otherwise. It is read-only.
-func (c *cursor) row(g *Digraph, i int) row {
-	if r, ok := g.overlay(i); ok {
-		return r
-	}
-	r, next := g.base.row(i, int(*c))
-	*c = cursor(next)
-	return r
+// cursor is a walk over a graph's rows: the row it read last, and its
+// place in the listed base links. Reading rows through one in ascending
+// order finds each row's listed links where the last row's ended; reading
+// one row alone, through a fresh cursor, costs a binary search.
+type cursor struct {
+	r row
+	e int
 }
 
-// row reads node i's row on its own.
-func (g *Digraph) row(i int) row {
-	var c cursor
-	return c.row(g, i)
+// read is the one way to read adjacency with its weights: it makes the
+// cursor's row node i's — from the overlay if it was written since
+// packing, from the base otherwise — and returns it. The row is
+// read-only, and the cursor's own: the next read rewrites all four of
+// its fields, whichever kind of row either was, so nothing of the last
+// row survives into the next.
+func (c *cursor) read(g *Digraph, i int) *row {
+	r := &c.r
+	if nb := g.base.rows(); i >= nb {
+		t := &g.tail[i-nb]
+		r.to, r.pos, r.w, r.at = t.to, t.pos, t.w, t.at
+		return r
+	}
+	if len(g.patch) != 0 {
+		if p := g.patch[i]; p != nil {
+			r.to, r.pos, r.w, r.at = p.to, p.pos, p.w, p.at
+			return r
+		}
+	}
+	c.e = g.base.read(i, c.e, r)
+	return r
 }
 
 // degree returns the number of entries node i's row stores.
@@ -315,18 +323,22 @@ func (g *Digraph) setRow(i int, r row) {
 		return
 	}
 	if g.patch == nil {
-		g.patch = make(map[int]row)
+		g.patch = make(map[int]*row)
 	}
-	g.patch[i] = r
+	p := r // on the heap, and only on this path
+	g.patch[i] = &p
 }
 
-// eachOverlay replaces every overlay row r by fn(r).
-func (g *Digraph) eachOverlay(fn func(r row) row) {
+// eachOverlay calls fn on every overlay row, keeping what it writes; a
+// patched row it is handed is a copy, installed in the shared one's place.
+func (g *Digraph) eachOverlay(fn func(r *row)) {
 	for i, r := range g.patch {
-		g.patch[i] = fn(r)
+		c := *r
+		fn(&c)
+		g.patch[i] = &c
 	}
-	for i, r := range g.tail {
-		g.tail[i] = fn(r)
+	for i := range g.tail {
+		fn(&g.tail[i])
 	}
 }
 
@@ -340,8 +352,8 @@ func (g *Digraph) NumEdges() int {
 	for i, r := range g.patch {
 		n += len(r.to) - (g.base.off[i+1] - g.base.off[i])
 	}
-	for _, r := range g.tail {
-		n += len(r.to)
+	for i := range g.tail {
+		n += len(g.tail[i].to)
 	}
 	return n
 }
@@ -376,7 +388,8 @@ func (g *Digraph) AddEdge(from, to int, weight float64) {
 	// A row anyone else can see is clipped, so these appends copy it; a
 	// base row's listed positions count from its place in the base, so
 	// they are copied out counting from 0.
-	r := g.row(from)
+	var c cursor
+	r := c.read(g, from)
 	next := row{to: append(r.to, uint32(to)), pos: r.pos, w: r.w}
 	if r.at != 0 && len(r.pos) > 0 {
 		next.pos = make([]uint32, len(r.pos), len(r.pos)+1)
@@ -403,7 +416,7 @@ func (g *Digraph) Dedupe() {
 	if g.deduped {
 		return
 	}
-	g.eachOverlay(row.merged)
+	g.eachOverlay((*row).merge)
 	g.deduped = true
 	g.repack()
 }
@@ -415,8 +428,8 @@ func (g *Digraph) repack() {
 	for _, r := range g.patch {
 		loose += len(r.to)
 	}
-	for _, r := range g.tail {
-		loose += len(r.to)
+	for i := range g.tail {
+		loose += len(g.tail[i].to)
 	}
 	if loose*repackShare <= g.base.rows()+g.base.links() {
 		return
@@ -430,7 +443,7 @@ func (g *Digraph) repack() {
 	}
 	var c cursor
 	for i := 0; i < n; i++ {
-		r := c.row(g, i)
+		r := c.read(g, i)
 		at := uint32(len(p.to))
 		for _, q := range r.pos {
 			p.pos = append(p.pos, at+q-r.at)
@@ -448,12 +461,13 @@ func (g *Digraph) numListed() int {
 	if g.base != nil {
 		n = len(g.base.pos)
 	}
+	var old row
 	for i, r := range g.patch {
-		old, _ := g.base.row(i, 0)
+		g.base.read(i, 0, &old)
 		n += len(r.pos) - len(old.pos)
 	}
-	for _, r := range g.tail {
-		n += len(r.pos)
+	for i := range g.tail {
+		n += len(g.tail[i].pos)
 	}
 	return n
 }
@@ -468,7 +482,7 @@ func (g *Digraph) weightBound() float64 {
 			bound += w
 		}
 	}
-	add := func(r row) {
+	add := func(r *row) {
 		bound += float64(len(r.to))
 		for _, w := range r.w {
 			bound += w
@@ -477,8 +491,8 @@ func (g *Digraph) weightBound() float64 {
 	for _, r := range g.patch {
 		add(r)
 	}
-	for _, r := range g.tail {
-		add(r)
+	for i := range g.tail {
+		add(&g.tail[i])
 	}
 	return bound
 }
@@ -493,7 +507,8 @@ func (g *Digraph) OutDegree(i int) int {
 // OutWeight returns the total outgoing edge weight of node i.
 func (g *Digraph) OutWeight(i int) float64 {
 	var s float64
-	r, e := g.row(i), 0
+	var c cursor
+	r, e := c.read(g, i), 0
 	for k := range r.to {
 		s += r.weight(k, &e)
 	}
@@ -503,7 +518,8 @@ func (g *Digraph) OutWeight(i int) float64 {
 // EachEdge calls fn for every edge leaving node i. Call Dedupe first when
 // duplicate entries must be merged.
 func (g *Digraph) EachEdge(i int, fn func(e Edge)) {
-	r, e := g.row(i), 0
+	var c cursor
+	r, e := c.read(g, i), 0
 	for k, to := range r.to {
 		fn(Edge{To: int(to), Weight: r.weight(k, &e)})
 	}
@@ -513,7 +529,7 @@ func (g *Digraph) EachEdge(i int, fn func(e Edge)) {
 func (g *Digraph) EachEdgeAll(fn func(from int, e Edge)) {
 	var c cursor
 	for i, n := 0, g.NumNodes(); i < n; i++ {
-		r, e := c.row(g, i), 0
+		r, e := c.read(g, i), 0
 		for k, to := range r.to {
 			fn(i, Edge{To: int(to), Weight: r.weight(k, &e)})
 		}
@@ -562,7 +578,7 @@ func (g *Digraph) cloneOverlay(deep bool) *Digraph {
 		version: g.version,
 	}
 	if deep {
-		c.eachOverlay(row.clone)
+		c.eachOverlay((*row).unshare)
 	}
 	return c
 }
@@ -631,7 +647,7 @@ func (g *Digraph) TransitionMatrix() *matrix.CSR {
 	excs := make([]uint32, n+1) // per column, then each column's next listed link
 	var c cursor
 	for i := 0; i < n; i++ {
-		r := c.row(g, i)
+		r := c.read(g, i)
 		for _, to := range r.to {
 			colPtr[to+1]++
 		}
@@ -648,9 +664,9 @@ func (g *Digraph) TransitionMatrix() *matrix.CSR {
 	excPos := make([]uint32, excs[n])
 	excMul := make([]float64, excs[n])
 	next := append([]uint32(nil), colPtr[:n]...)
-	c = 0
+	c = cursor{}
 	for i := 0; i < n; i++ {
-		r, e := c.row(g, i), 0
+		r, e := c.read(g, i), 0
 		var total float64 // every stored weight is > 0
 		for k, to := range r.to {
 			w := r.weight(k, &e)

@@ -191,7 +191,7 @@ func (dg *DocGraph) Validate() error {
 		var siteW float64
 		for _, d := range site.Docs {
 			var w float64
-			r, e := c.row(dg.G, int(d)), 0
+			r, e := c.read(dg.G, int(d)), 0
 			for k := range r.to {
 				w += r.weight(k, &e)
 			}
@@ -286,7 +286,7 @@ func (dg *DocGraph) LocalSubgraph(s SiteID) (*Digraph, *LocalIndex) {
 	listed := 0
 	for i, d := range docs {
 		n := 0
-		r := c.row(dg.G, int(d))
+		r := c.read(dg.G, int(d))
 		for _, to := range r.to {
 			if dg.site[to] == site {
 				n++
@@ -304,9 +304,9 @@ func (dg *DocGraph) LocalSubgraph(s SiteID) (*Digraph, *LocalIndex) {
 	p.to = make([]uint32, p.off[len(docs)])
 	p.pos, p.w = make([]uint32, 0, listed), make([]float64, 0, listed)
 	n := 0
-	c = 0
+	c = cursor{}
 	for _, d := range docs {
-		r, e := c.row(dg.G, int(d)), 0
+		r, e := c.read(dg.G, int(d)), 0
 		for k, to := range r.to {
 			w := r.weight(k, &e)
 			if dg.site[to] == site {

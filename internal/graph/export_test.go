@@ -10,3 +10,7 @@ var (
 	AssertSameDigraph  = sameDigraph
 	LiveHeap           = liveHeap
 )
+
+// DropTransition forgets g's cached transition matrix, so that the next
+// TransitionMatrix call builds one.
+func DropTransition(g *Digraph) { g.trans = nil }

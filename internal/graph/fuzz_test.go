@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"reflect"
 	"runtime"
 	"slices"
@@ -135,11 +136,10 @@ func digraphFootprint(g *Digraph) int {
 	if p := g.base; p != nil {
 		n += cap(p.off)*8 + cap(p.to)*4 + cap(p.pos)*4 + cap(p.w)*8
 	}
-	g.eachOverlay(func(r row) row {
+	g.eachOverlay(func(r *row) {
 		n += cap(r.to)*4 + cap(r.pos)*4 + cap(r.w)*8
-		return r
 	})
-	return n + len(g.patch)*(8+rowBytes)
+	return n + len(g.patch)*(16+rowBytes)
 }
 
 // FuzzCloneCOW hardens the copy-on-write contract behind snapshot
@@ -155,6 +155,10 @@ func digraphFootprint(g *Digraph) int {
 // no other — AddDoc on one side never shows on the other — and LocalOf
 // must name every document's place in its roster: the columns, the URL
 // arena and the rosters are shared clipped and extended on both sides.
+// Last, each side's transition matrix and every site's local subgraph are
+// checked against the edges added to it, read from no graph: a row read
+// with a field of the row before it, which the deep copy would repeat,
+// shows there.
 func FuzzCloneCOW(f *testing.F) {
 	f.Add([]byte{4, 2, 0, 1, 1, 2, 0, 0, 1, 1, 1, 0})
 	f.Add([]byte{8, 3, 0, 1, 1, 2, 2, 3, 2, 0, 5, 3, 1, 6, 3, 0, 0})
@@ -164,6 +168,10 @@ func FuzzCloneCOW(f *testing.F) {
 	f.Add([]byte{8, 0x83, 0, 1, 1, 2, 2, 3, 0, 1, 4, 1, 1, 5, 2, 2, 2, 0, 3, 1, 0, 1, 6})
 	f.Add([]byte{6, 0xC2, 0, 1, 1, 2, 0x40, 1, 0, 0x41, 3, 0, 0, 1, 2, 0x40, 3, 0, 0x41, 1, 0, 2, 0, 0, 0x40, 0, 0})
 	f.Add([]byte{5, 0x01, 2, 3, 0x41, 0, 0, 0x40, 3, 0, 0x40, 3, 0, 1, 4, 4, 3, 0, 0})
+	// A sealed parent with base rows listing links and none, patched rows
+	// listing links and none, and appended rows on both sides: every walk
+	// goes from one kind of row to another.
+	f.Add([]byte{10, 0x84, 1, 3, 2, 4, 4, 8, 5, 9, 0x40, 0, 2, 0x44, 1, 3, 0x41, 2, 1, 2, 0, 0, 3, 0, 0, 0x48, 3, 5, 2, 0, 0})
 
 	sameEdges := func(a, b *Digraph) bool { return reflect.DeepEqual(rowsOf(a), rowsOf(b)) }
 
@@ -178,18 +186,23 @@ func FuzzCloneCOW(f *testing.F) {
 		// Nodes the operations never address weigh the base down, so that
 		// a few rewritten rows stay in the overlay across a Dedupe. On the
 		// bare n-node graph every Dedupe would repack and no overlay row
-		// would ever be shared.
+		// would ever be shared. Every other ballast row lists a link.
 		const ballast = 48
 		nodes := n + ballast
 		parent := NewDigraph(nodes)
+		parentModel := edgeModel{}
+		addEdge := func(g *Digraph, m edgeModel, from, to int, w float64) {
+			g.AddEdge(from, to, w)
+			m.add(from, to, w)
+		}
 		for i := 0; i < ballast; i++ {
 			for j := 0; j < 16; j++ {
-				parent.AddEdge(n+i, n+(i+j)%ballast, 1)
+				addEdge(parent, parentModel, n+i, n+(i+j)%ballast, float64(1+i%2*(j%2)))
 			}
 		}
 		parent.Dedupe()
 		for i := 0; i < k && len(data) >= 2; i++ {
-			parent.AddEdge(int(data[0])%n, int(data[1])%n, float64(1+data[1]%9)/2)
+			addEdge(parent, parentModel, int(data[0])%n, int(data[1])%n, float64(1+data[1]%9)/2)
 			data = data[2:]
 		}
 		// A sealed parent shares its overlay rows with the clone; one with
@@ -225,19 +238,22 @@ func FuzzCloneCOW(f *testing.F) {
 		refCow.Dedupe()
 		refParent := parent.Clone()
 		cowAdded := slices.Clip(parentAdded)
+		cowModel := maps.Clone(parentModel)
 		// grow adds a document to site s, a new one if one past the last,
 		// under a URL of depth path segments — so that one URL may be a
 		// prefix of the one before it, or longer, or share nothing — and
-		// mirrors its node and link onto the reference and the model.
-		grow := func(dg *DocGraph, ref *Digraph, model *[]added, s, depth int) {
+		// mirrors its node and link onto the reference and the model. The
+		// link weighs 1, ½ or 1½ by depth, so appended rows list links too.
+		grow := func(dg *DocGraph, ref *Digraph, edges edgeModel, model *[]added, s, depth int) {
 			if s == len(dg.Sites) {
 				dg.Sites = append(dg.Sites, Site{Name: fmt.Sprintf("new%d.example", s)})
 			}
 			a := added{"http://" + dg.Sites[s].Name + "/" + strings.Repeat("p/", depth), SiteID(s)}
 			d := dg.AddDoc(a.url, a.site)
-			dg.G.AddLink(int(d), int(dg.Sites[s].Docs[0]))
+			w := float64(1+depth%3) / 2
+			addEdge(dg.G, edges, int(d), int(dg.Sites[s].Docs[0]), w)
 			ref.EnsureNodes(dg.NumDocs())
-			ref.AddLink(int(d), int(dg.Sites[s].Docs[0]))
+			ref.AddEdge(int(d), int(dg.Sites[s].Docs[0]), w)
 			*model = append(*model, a)
 		}
 		checkAdded := func(what string, dg *DocGraph, model []added) {
@@ -258,7 +274,7 @@ func FuzzCloneCOW(f *testing.F) {
 			w := float64(1+sel%9) / 2
 			switch {
 			case sel&0x40 != 0 && sel&1 == 0:
-				grow(cowDocs, refCow, &cowAdded, from%(len(cowDocs.Sites)+1), to)
+				grow(cowDocs, refCow, cowModel, &cowAdded, from%(len(cowDocs.Sites)+1), to)
 			case sel&0x40 != 0:
 				// The rosters the clone took are its to append to (they
 				// are shared unclipped: one writer); the parent grows by
@@ -267,14 +283,14 @@ func FuzzCloneCOW(f *testing.F) {
 				if s > 3 && from%2 == 0 {
 					s--
 				}
-				grow(parentDocs, refParent, &parentAdded, s, to)
+				grow(parentDocs, refParent, parentModel, &parentAdded, s, to)
 			}
 			switch sel % 4 {
 			case 0:
-				cow.AddEdge(from, to, w)
+				addEdge(cow, cowModel, from, to, w)
 				refCow.AddEdge(from, to, w)
 			case 1:
-				parent.AddEdge(from, to, w)
+				addEdge(parent, parentModel, from, to, w)
 				refParent.AddEdge(from, to, w)
 			case 2:
 				cow.Dedupe()
@@ -311,6 +327,20 @@ func FuzzCloneCOW(f *testing.F) {
 		}
 		if !reflect.DeepEqual(parent.TransitionMatrix(), refParent.TransitionMatrix()) {
 			t.Fatal("parent transition matrix diverged from its reference")
+		}
+		for what, side := range map[string]struct {
+			dg *DocGraph
+			m  edgeModel
+		}{"clone": {cowDocs, cowModel}, "parent": {parentDocs, parentModel}} {
+			if err := checkTransition(side.dg.G.TransitionMatrix(), side.m.denseTransition(side.dg.NumDocs())); err != nil {
+				t.Fatalf("%s: TransitionMatrix: %v", what, err)
+			}
+			for s := range side.dg.Sites {
+				sub, _ := side.dg.LocalSubgraph(SiteID(s))
+				if err := checkTransition(sub.TransitionMatrix(), localModel(side.dg, side.m, SiteID(s)).denseTransition(sub.NumNodes())); err != nil {
+					t.Fatalf("%s: LocalSubgraph(%d): %v", what, s, err)
+				}
+			}
 		}
 	})
 }

@@ -240,15 +240,15 @@ func EncodeBinary(w io.Writer, dg *DocGraph) error {
 	}
 	var c cursor
 	for d, at := 0, uint32(0); d < nd; d++ {
-		r := c.row(dg.G, d)
+		r := c.read(dg.G, d)
 		for _, q := range r.pos {
 			u32(at + q - r.at)
 		}
 		at += uint32(len(r.to))
 	}
-	c = 0
+	c = cursor{}
 	for d := 0; d < nd; d++ {
-		for _, w := range c.row(dg.G, d).w {
+		for _, w := range c.read(dg.G, d).w {
 			u64(math.Float64bits(w))
 		}
 	}

@@ -90,7 +90,8 @@ func TestDecodeBinaryMergesUnsortedRows(t *testing.T) {
 		},
 	} {
 		src := &DocGraph{G: want.G.Clone(), Sites: want.Sites, site: want.site, urls: want.urls, restarts: want.restarts}
-		src.G.setRow(long, listedRow(disorder(denseRow(src.G.row(long)))))
+		var c cursor
+		src.G.setRow(long, listedRow(disorder(denseRow(c.read(src.G, long)))))
 		var file bytes.Buffer
 		if err := EncodeBinary(&file, src); err != nil {
 			t.Fatal(err)
@@ -114,7 +115,7 @@ func TestDecodeBinaryMergesUnsortedRows(t *testing.T) {
 }
 
 // denseRow copies r out as targets beside one weight a link.
-func denseRow(r row) ([]uint32, []float64) {
+func denseRow(r *row) ([]uint32, []float64) {
 	w, e := make([]float64, len(r.to)), 0
 	for k := range w {
 		w[k] = r.weight(k, &e)

@@ -40,35 +40,3 @@ func TestLocalOfMatchesMapReference(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkLocalSubgraph is the §3.1 split by the link: extracting the
-// largest site of the default generated web, and one pass over all its
-// sites — the preprocessing a Ranker's Prepare pays. ns/link counts the
-// links the extraction keeps.
-func BenchmarkLocalSubgraph(b *testing.B) {
-	dg := webgen.Generate(webgen.Default()).Graph
-	dg.Dedupe()
-	largest, all := []graph.SiteID{0}, make([]graph.SiteID, dg.NumSites())
-	for s := range all {
-		all[s] = graph.SiteID(s)
-		if dg.SiteSize(all[s]) > dg.SiteSize(largest[0]) {
-			largest[0] = all[s]
-		}
-	}
-	for _, bc := range []struct {
-		name  string
-		sites []graph.SiteID
-	}{{"largest-site", largest}, {"all-sites", all}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			links := 0
-			for i := 0; i < b.N; i++ {
-				for _, s := range bc.sites {
-					sub, _ := dg.LocalSubgraph(s)
-					links += sub.NumEdges()
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(links), "ns/link")
-		})
-	}
-}

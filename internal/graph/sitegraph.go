@@ -95,7 +95,7 @@ type siteRowAccumulator struct {
 // as long as its content.
 func (a *siteRowAccumulator) row(dg *DocGraph, s SiteID, opts SiteGraphOptions) row {
 	for _, d := range dg.Sites[s].Docs {
-		r, e := a.c.row(dg.G, int(d)), 0
+		r, e := a.c.read(dg.G, int(d)), 0
 		for k, t := range r.to {
 			w := r.weight(k, &e)
 			to := SiteID(dg.site[t])
