@@ -264,16 +264,23 @@ func NewDigraph(n int) *Digraph {
 	return &Digraph{tail: make([]row, n)}
 }
 
+// overlay returns node i's row if it was written since packing, nil
+// otherwise.
+func (g *Digraph) overlay(i int) *row {
+	if nb := g.base.rows(); i >= nb {
+		return &g.tail[i-nb]
+	}
+	if len(g.patch) != 0 {
+		return g.patch[i]
+	}
+	return nil
+}
+
 // targets returns node i's targets, read-only: the read for whoever
 // does not want the weights.
 func (g *Digraph) targets(i int) []uint32 {
-	if nb := g.base.rows(); i >= nb {
-		return g.tail[i-nb].to
-	}
-	if len(g.patch) != 0 {
-		if r := g.patch[i]; r != nil {
-			return r.to
-		}
+	if r := g.overlay(i); r != nil {
+		return r.to
 	}
 	return g.base.targets(i)
 }
@@ -295,16 +302,9 @@ type cursor struct {
 // row survives into the next.
 func (c *cursor) read(g *Digraph, i int) *row {
 	r := &c.r
-	if nb := g.base.rows(); i >= nb {
-		t := &g.tail[i-nb]
-		r.to, r.pos, r.w, r.at = t.to, t.pos, t.w, t.at
+	if o := g.overlay(i); o != nil {
+		r.to, r.pos, r.w, r.at = o.to, o.pos, o.w, o.at
 		return r
-	}
-	if len(g.patch) != 0 {
-		if p := g.patch[i]; p != nil {
-			r.to, r.pos, r.w, r.at = p.to, p.pos, p.w, p.at
-			return r
-		}
 	}
 	c.e = g.base.read(i, c.e, r)
 	return r
