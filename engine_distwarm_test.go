@@ -405,13 +405,16 @@ func TestUpdateHashesOnlyChangedShards(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Update: %v", err)
 			}
-			// What the edited site costs to hash: its subgraph's links, plus
-			// its site-chain row when the shards carry rows.
+			// What the edited site costs to hash: its subgraph's columns,
+			// plus its site-chain row when the shards carry rows.
 			rk := eng.snap.Load().state.rk
 			sub, _ := rk.LocalSubgraph(site)
-			shard := wire.SiteShard{Edges: make([]wire.Edge, sub.NumEdges())}
+			c := sub.Columns()
+			shard := wire.SiteShard{Degrees: c.Degrees, Targets: c.Targets, ListedPos: c.ListedPos, ListedW: c.ListedW}
 			if m.cfg.SiteRank == SiteRankSync {
-				rk.SiteGraph().G.EachEdge(int(site), func(graph.Edge) { shard.RowCols = append(shard.RowCols, 0) })
+				rk.SiteGraph().G.EachEdge(int(site), func(graph.Edge) {
+					shard.RowCols, shard.RowVals = append(shard.RowCols, 0), append(shard.RowVals, 0)
+				})
 			}
 			budget := shard.DigestInputBytes()
 			edited := rank("post-edit", Query{})

@@ -148,7 +148,8 @@ func TestFleetSiteRankMatchesExactStationary(t *testing.T) {
 // sequence — that is what lets a run resume another process's snapshot —
 // so any change to a round's arithmetic must change these values, making
 // the old iteration's snapshots read as foreign. They changed when the
-// rounds became point-Jacobi steps.
+// rounds became point-Jacobi steps, and again when a shard's digest came
+// to be taken over its packed columns (the digest covers every shard's).
 func TestCheckpointDigestNamesTheIteration(t *testing.T) {
 	rk, err := lmm.NewRanker(rankableWeb(), lmm.RankerOptions{})
 	if err != nil {
@@ -160,7 +161,7 @@ func TestCheckpointDigestNamesTheIteration(t *testing.T) {
 		want string
 	}{
 		{"sync", Config{SiteRank: SiteRankSync},
-			"ed190f3d5b871228fad6f2da4415335eb39d02996ca6a1315c014aaaff9c5b70"},
+			"8f4a463023fd07ddb6ab63ff735aea39ff7aa895ab697a9238906598212a7375"},
 	} {
 		r := &run{c: &Coordinator{}, cfg: tc.cfg, rk: rk, ns: rk.NumSites(), stats: &Stats{}}
 		r.hashShards()

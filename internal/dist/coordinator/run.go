@@ -318,14 +318,13 @@ func (r *run) hashShards() {
 	r.digests = d
 }
 
-// extract builds site s's shard from the Ranker's graph: its subgraph,
-// plus row s of the site chain when the shards carry rows.
+// extract builds site s's shard from the Ranker's graph: its subgraph's
+// packed columns — the subgraph's own arrays, no link copied — plus row
+// s of the site chain when the shards carry rows.
 func (r *run) extract(s int) wire.SiteShard {
 	sub, _ := r.rk.LocalSubgraph(graph.SiteID(s))
-	shard := wire.SiteShard{Site: s, NumDocs: sub.NumNodes()}
-	sub.EachEdgeAll(func(from int, e graph.Edge) {
-		shard.Edges = append(shard.Edges, wire.Edge{From: from, To: e.To, Weight: e.Weight})
-	})
+	c := sub.Columns()
+	shard := wire.SiteShard{Site: s, Degrees: c.Degrees, Targets: c.Targets, ListedPos: c.ListedPos, ListedW: c.ListedW}
 	if r.cfg.SiteRank.rowSharded() {
 		shard.RowCols, shard.RowVals = siteChainRow(r.rk.SiteGraph().G, s)
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"unsafe"
 )
 
 // Every message crosses the wire as one self-delimiting frame:
@@ -19,18 +20,23 @@ import (
 // Inside the payload an int is a zigzag varint, a count an unsigned
 // varint, a float64 its eight IEEE-754 bytes little-endian, and
 // a []float64 a count followed by one raw block of such floats — float
-// bits cross verbatim. A frame carries no state from earlier frames, so
-// a proxy may relay one without understanding it.
+// bits cross verbatim. A []uint32 — a shard's columns — is fixed-width
+// throughout, as the graph file's columns are: a uint32 count, then one
+// raw block of uint32s little-endian. On a little-endian host a raw
+// block is its slice's memory, so it crosses as one copy each way. A
+// frame carries no state from earlier frames, so a proxy may relay one
+// without understanding it.
 //
 // The version names the protocol's meaning as well as its layout: 2
 // renumbered the kinds, 3 made the replicated-chain round batches
 // point-Jacobi rounds, 4 retired them with their fields, 5 retired the
-// barrier-free sweeps with theirs, so a mixed-build fleet refuses at the
-// first frame instead of computing two float sequences under one
-// checkpoint digest.
+// barrier-free sweeps with theirs, 6 made a shard's subgraph the graph's
+// packed columns instead of an edge list, so a mixed-build fleet refuses
+// at the first frame instead of computing two float sequences under one
+// checkpoint digest, or reading one layout as the other.
 const (
 	frameMagic   = 0xB0 // high nibble of byte 0
-	frameVersion = 0x05 // low nibble of byte 0
+	frameVersion = 0x06 // low nibble of byte 0
 	headerLen    = 6
 
 	// kindResponse is the header kind of a Response frame; no Request
@@ -178,13 +184,39 @@ func (c *codec) float(p *float64) {
 // noLimit is the bound of a count only the frame's own length limits.
 const noLimit = MaxFrameBytes
 
-// count carries a slice length n. Reading, it returns the length read
-// instead, admitted only within limit and only if that many elements —
-// of at least minBytes each — fit in what is left of the frame, so
-// nothing is allocated that the sender did not pay for in bytes.
+// count carries a slice length n as a varint. Reading, it returns the
+// length read instead, admitted only within limit and only if that many
+// elements — of at least minBytes each — fit in what is left of the
+// frame, so nothing is allocated that the sender did not pay for in
+// bytes.
 func (c *codec) count(n int, what string, limit, minBytes int) int {
 	un := uint64(n)
 	c.uvarint(&un)
+	return c.admit(n, un, what, limit, minBytes)
+}
+
+// count32 is count with the length carried as a fixed-width uint32.
+func (c *codec) count32(n int, what string, limit, minBytes int) int {
+	var b []byte
+	switch c.mode {
+	case measuring:
+		c.n += 4
+	case writing:
+		c.room(4)
+		c.b = binary.LittleEndian.AppendUint32(c.b, uint32(n))
+	case reading:
+		b = c.take(4)
+	}
+	var un uint64
+	if b != nil {
+		un = uint64(binary.LittleEndian.Uint32(b))
+	}
+	return c.admit(n, un, what, limit, minBytes)
+}
+
+// admit returns n unless reading, and then the count un read for it, if
+// the frame admits it.
+func (c *codec) admit(n int, un uint64, what string, limit, minBytes int) int {
 	if c.mode != reading {
 		return n
 	}
@@ -227,30 +259,81 @@ func (c *codec) ints(p *[]int, what string, limit int) {
 	}
 }
 
-// floats carries a vector as a count and one raw block.
-func (c *codec) floats(p *[]float64, what string, limit int) {
-	n := c.count(len(*p), what, limit, 8)
+// hostLE says the host lays numbers out little-endian, as the wire
+// does: then a slice's memory is its raw block, byte for byte.
+var hostLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// memory returns the bytes of v's elements, aliased.
+func memory[T uint32 | float64](v []T) []byte {
+	var zero T
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*int(unsafe.Sizeof(zero)))
+}
+
+// block carries the raw block of v, n elements of size bytes each (v's
+// length when writing; reading, v is already n long). On a
+// little-endian host it is one copy of v's memory each way — a block
+// larger than the scratch's room is written straight through, in one
+// Write — and elsewhere the elements one at a time through put and get.
+func block[T uint32 | float64](c *codec, v []T, size int, put func([]byte, T), get func([]byte) T) {
 	switch c.mode {
 	case measuring:
-		c.n += 8 * n
+		c.n += size * len(v)
 	case writing:
-		for v := *p; len(v) > 0; {
-			c.room(8)
+		if hostLE {
+			m := memory(v)
+			if len(c.b)+len(m) > cap(c.b) {
+				c.flush()
+			}
+			if len(m) <= cap(c.b) {
+				c.b = append(c.b, m...)
+			} else if c.err == nil {
+				_, c.err = c.out.Write(m)
+			}
+			return
+		}
+		for len(v) > 0 {
+			c.room(size)
 			off := len(c.b)
-			k := min(len(v), (cap(c.b)-off)/8)
-			c.b = c.b[:off+8*k]
+			k := min(len(v), (cap(c.b)-off)/size)
+			c.b = c.b[:off+size*k]
 			for i, x := range v[:k] {
-				binary.LittleEndian.PutUint64(c.b[off+8*i:], math.Float64bits(x))
+				put(c.b[off+size*i:], x)
 			}
 			v = v[k:]
 		}
 	case reading:
-		*p = resize(*p, n)
-		b := c.take(8 * n)
-		for i := range *p {
-			(*p)[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		b := c.take(size * len(v))
+		if b == nil {
+			clear(v)
+		} else if hostLE {
+			copy(memory(v), b)
+		} else {
+			for i := range v {
+				v[i] = get(b[size*i:])
+			}
 		}
 	}
+}
+
+func putFloat(b []byte, x float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(x)) }
+func getFloat(b []byte) float64    { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+
+// floats carries a vector as a count and one raw block.
+func (c *codec) floats(p *[]float64, what string, limit int) {
+	n := c.count(len(*p), what, limit, 8)
+	if c.mode == reading {
+		*p = resize(*p, n)
+	}
+	block(c, *p, 8, putFloat, getFloat)
+}
+
+// uint32s carries a column as a uint32 count and one raw block.
+func (c *codec) uint32s(p *[]uint32, what string, limit int) {
+	n := c.count32(len(*p), what, limit, 4)
+	if c.mode == reading {
+		*p = resize(*p, n)
+	}
+	block(c, *p, 4, binary.LittleEndian.PutUint32, binary.LittleEndian.Uint32)
 }
 
 func (c *codec) bytes(p *[]byte, what string) {
@@ -296,22 +379,17 @@ func (c *codec) digest(d *Digest) {
 
 // Minimum encoded sizes, the minBytes of the counts below.
 const (
-	minEdgeBytes  = 1 + 1 + 8         // From, To, Weight
-	minShardBytes = 1 + 1 + 1 + 1 + 1 // Site, NumDocs and three empty counts
+	minShardBytes = 1 + 3*4 + 3       // Site, three empty columns, three empty counts
 	minRefBytes   = 1 + len(Digest{}) // Site, Digest
 	minLocalBytes = 1 + 1 + 1         // Site, an empty count, Iterations
 )
 
 func (c *codec) shard(s *SiteShard) {
 	c.int(&s.Site)
-	c.int(&s.NumDocs)
-	edges := sized(c, &s.Edges, "edge", noLimit, minEdgeBytes)
-	for i := range edges {
-		e := &edges[i]
-		c.int(&e.From)
-		c.int(&e.To)
-		c.float(&e.Weight)
-	}
+	c.uint32s(&s.Degrees, "shard document", MaxShardDocs)
+	c.uint32s(&s.Targets, "edge target", noLimit)
+	c.uint32s(&s.ListedPos, "listed position", noLimit)
+	c.floats(&s.ListedW, "listed weight", noLimit)
 	c.ints(&s.RowCols, "row column", MaxSites)
 	c.floats(&s.RowVals, "row value", MaxSites)
 }
@@ -405,7 +483,8 @@ func writeFrame(out io.Writer, scratch []byte, kind Kind, n int, v any) error {
 
 // WireSize returns the exact number of payload bytes the shard occupies
 // inside a KindLoad frame — the basis of the coordinator's
-// bytes-saved-by-cache accounting. It walks the edge list.
+// bytes-saved-by-cache accounting. It reads the columns' lengths and
+// walks only the site-chain row's varints.
 func (s *SiteShard) WireSize() uint64 {
 	var size codec
 	size.shard(s)
@@ -456,7 +535,8 @@ func (f Frame) Kind() Kind {
 // No length prefix is trusted: each is checked against its semantic
 // bound (MaxSites, MaxShardDocs) and against the bytes left in the
 // frame before anything is allocated, so a decode allocates under 20x
-// the frame's length (the worst case is a run of empty shards). A frame
+// the frame's length (the worst case, ~13x, is a run of empty local
+// ranks; an empty shard costs 16 bytes for its 152). A frame
 // that ends early is io.ErrUnexpectedEOF; bytes left over are an error.
 // On error v's contents are unspecified.
 func (f Frame) Decode(v any) error {

@@ -138,13 +138,22 @@ func (g gen) refs(n int) []ShardRef {
 	return v
 }
 
-func (g gen) shard() SiteShard {
-	s := SiteShard{Site: g.int(), NumDocs: g.int(), RowCols: g.ints(12), RowVals: g.floats(12)}
-	s.Edges = make([]Edge, g.count(40))
-	for i := range s.Edges {
-		s.Edges[i] = Edge{From: g.int(), To: g.int(), Weight: g.float()}
+func (g gen) uint32s(n int) []uint32 {
+	v := make([]uint32, g.count(n))
+	for i := range v {
+		v[i] = g.Uint32()
 	}
-	return s
+	return v
+}
+
+// shard draws columns of unrelated lengths and values: the codec carries
+// them as they are, and only the worker checks they form a graph.
+func (g gen) shard() SiteShard {
+	return SiteShard{
+		Site: g.int(), Degrees: g.uint32s(20), Targets: g.uint32s(40),
+		ListedPos: g.uint32s(10), ListedW: g.floats(10),
+		RowCols: g.ints(12), RowVals: g.floats(12),
+	}
 }
 
 func (g gen) request(k Kind) *Request {
@@ -333,6 +342,18 @@ func frameOf(kind Kind, pieces ...[]byte) Frame {
 
 func uv(x uint64) []byte { return binary.AppendUvarint(nil, x) }
 
+func u32(x uint32) []byte { return binary.LittleEndian.AppendUint32(nil, x) }
+
+// columnarLoad is a KindLoad as a coordinator ships one: a shard of
+// three documents with a listed link and a chain row.
+func columnarLoad() *Request {
+	return &Request{Kind: KindLoad, NumSites: 3, Shards: []SiteShard{{
+		Site: 2, Degrees: []uint32{2, 0, 1}, Targets: []uint32{1, 2, 0},
+		ListedPos: []uint32{1}, ListedW: []float64{3},
+		RowCols: []int{0, 1}, RowVals: []float64{0.5, 0.5},
+	}}}
+}
+
 // TestHostileFrames: everything a broken or malicious peer can send is
 // an error — of the promised class — and never a panic.
 func TestHostileFrames(t *testing.T) {
@@ -351,6 +372,15 @@ func TestHostileFrames(t *testing.T) {
 		{"version 3", append([]byte{frameMagic | 3}, valid[1:]...), &Request{}, nil, fmt.Sprintf("version 3, this build speaks %d", frameVersion)},
 		// The peer from before the barrier-free sweeps were retired.
 		{"version 4", append([]byte{frameMagic | 4}, valid[1:]...), &Request{}, nil, fmt.Sprintf("version 4, this build speaks %d", frameVersion)},
+		// The peer from before a shard crossed as packed columns.
+		{"version 5", append([]byte{frameMagic | 5}, valid[1:]...), &Request{}, nil, fmt.Sprintf("version 5, this build speaks %d", frameVersion)},
+		// One shard claiming more documents than a Load admits, and the
+		// largest count a column can spell: refused on their word.
+		{"shard past MaxShardDocs", frameOf(KindLoad, uv(1), uv(0), u32(MaxShardDocs+1), make([]byte, 20)), &Request{}, nil, fmt.Sprintf("exceeds %d", MaxShardDocs)},
+		{"shard of 2^32-1 documents", frameOf(KindLoad, uv(1), uv(0), u32(math.MaxUint32), make([]byte, 20)), &Request{}, nil, fmt.Sprintf("exceeds %d", MaxShardDocs)},
+		// A target column of 1000 entries in a few bytes.
+		{"column past the frame", frameOf(KindLoad, uv(1), uv(0), u32(0), u32(1000), make([]byte, 40)), &Request{}, io.ErrUnexpectedEOF, ""},
+
 		{"short header", valid[:4], &Request{}, io.ErrUnexpectedEOF, ""},
 		{"truncated payload", valid[:len(valid)-5], &Request{}, io.ErrUnexpectedEOF, ""},
 		{"bytes after frame", append(append([]byte{}, valid...), 0), &Request{}, nil, "after the frame"},
@@ -381,10 +411,14 @@ func TestHostileFrames(t *testing.T) {
 	if err := Frame(append(padded, 0)).Decode(&Request{}); err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Errorf("padded payload: err = %v, want trailing bytes refused", err)
 	}
-	// Every proper prefix of a valid frame is a truncation.
-	for n := range valid {
-		if err := Frame(valid[:n]).Decode(&Request{}); !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("prefix of %d bytes: err = %v, want io.ErrUnexpectedEOF", n, err)
+	// Every proper prefix of a valid frame is a truncation, a columnar
+	// load's too.
+	load := marshal(t, columnarLoad())
+	for _, f := range []Frame{valid, load} {
+		for n := range f {
+			if err := f[:n].Decode(&Request{}); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("prefix of %d bytes: err = %v, want io.ErrUnexpectedEOF", n, err)
+			}
 		}
 	}
 	if err := (&Encoder{}).Encode(&Request{}); err == nil {
@@ -402,6 +436,8 @@ func TestHostileCountsAllocateNothing(t *testing.T) {
 	req := frameOf(KindLoad, uv(MaxSites))
 	// Empty Err, no local ranks, then a 4M-float partial.
 	resp := frameOf(kindResponse, []byte{0, 0}, uv(MaxSites))
+	// One shard whose target column claims 2^30 entries.
+	column := frameOf(KindLoad, uv(1), uv(0), u32(0), u32(1<<30), make([]byte, 20))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < 10; i++ {
@@ -411,10 +447,13 @@ func TestHostileCountsAllocateNothing(t *testing.T) {
 		if err := resp.Decode(&Response{}); err == nil {
 			t.Fatal("hostile response decoded")
 		}
+		if err := column.Decode(&Request{}); err == nil {
+			t.Fatal("hostile column decoded")
+		}
 	}
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<16 {
-		t.Errorf("20 hostile frames of %d bytes allocated %d bytes", len(req), got)
+		t.Errorf("30 hostile frames of %d bytes allocated %d bytes", len(req), got)
 	}
 }
 
@@ -569,17 +608,18 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add(header(KindLoad, 3))
-	// Version-3 and version-4 frames (the protocols before the
+	// Version-3, -4 and -5 frames (the protocols before the
 	// replicated-chain round batches and the barrier-free sweeps were
-	// retired), and the two messages the declared-session contract refuses
+	// retired, and before a shard crossed as columns), and the two messages the declared-session contract refuses
 	// one level above the decoder: a Load naming a site twice, a Missing
 	// that is not a set.
-	for _, v := range []byte{3, 4} {
+	for _, v := range []byte{3, 4, 5} {
 		old := marshal(f, &Request{Kind: KindLoad, NumSites: 3})
 		old[0] = frameMagic | v
 		f.Add([]byte(old))
 	}
 	f.Add([]byte(marshal(f, &Request{Kind: KindLoad, NumSites: 3, Cached: []ShardRef{{Site: 1}, {Site: 1}}})))
+	f.Add([]byte(marshal(f, columnarLoad())))
 	f.Add([]byte(marshal(f, &Response{Missing: []int{3, 3}})))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(frame Frame, dst any) {

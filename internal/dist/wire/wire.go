@@ -62,42 +62,51 @@ const (
 	KindPowerRound
 )
 
-// MaxShardDocs bounds the aggregate claimed document count of one Load
-// request, and MaxSites bounds the site-space dimension. Both are far
-// beyond any real deployment (the paper's whole crawl is ~10^5
-// documents). They do not make allocation strictly proportional to wire
-// bytes — a shard may legitimately hold many edge-free documents — but
-// they cap the amplification a malformed or hostile request can buy
-// (~100 MB of adjacency headers per request at the limit) well below
-// address-space exhaustion.
+// MaxShardDocs bounds the document count of one shard and the
+// aggregate of one Load request, and MaxSites bounds the site-space
+// dimension. Both are far beyond any real deployment (the paper's whole
+// crawl is ~10^5 documents). Every document a shard claims costs 4 wire
+// bytes (its out-degree), so the frame bound already pays for what a
+// shard's count makes the worker allocate; MaxShardDocs caps what one
+// declaration may make it hold, and a worker refuses a Load past it
+// before building any of its shards.
 const (
 	MaxShardDocs = 1 << 22
 	MaxSites     = 1 << 22
 )
 
-// Edge is one weighted directed edge of a shipped local subgraph, in
-// the site's compact local indices.
-type Edge struct {
-	From, To int
-	Weight   float64
-}
-
 // SiteShard is one site's slice of the distributed computation: its
 // local document subgraph G^s_d (the input of the worker-side DocRank)
 // and its row of the site-level transition chain M(G_S) (the input of
 // the distributed SiteRank rounds).
+//
+// The subgraph crosses in the packed columns the graph keeps it in and
+// the graph file stores (graph.Columns), in the site's local indices:
+// the coordinator hands over the subgraph's own arrays and the worker
+// builds its chain straight from the decoded ones, so no link is
+// copied, re-encoded or re-added on the way.
 type SiteShard struct {
 	// Site is the SiteID in the coordinator's DocGraph.
 	Site int
-	// NumDocs is the number of local documents (subgraph nodes).
-	NumDocs int
-	// Edges is the local subgraph in local indices.
-	Edges []Edge
+	// Degrees holds each local document's out-degree within the site;
+	// the shard's document count is its length.
+	Degrees []uint32
+	// Targets holds every document's local targets, row after row, each
+	// row strictly ascending.
+	Targets []uint32
+	// ListedPos and ListedW are the links whose weight is not 1: their
+	// positions among Targets, strictly ascending, and their weights.
+	// Every link not listed weighs exactly 1.
+	ListedPos []uint32
+	ListedW   []float64
 	// RowCols/RowVals hold the non-zeros of row Site of the
 	// row-stochastic site transition matrix. Empty = dangling site.
 	RowCols []int
 	RowVals []float64
 }
+
+// NumDocs returns the number of local documents (subgraph nodes).
+func (s *SiteShard) NumDocs() int { return len(s.Degrees) }
 
 // Digest is the content address of a shard: SHA-256 over a canonical
 // serialization. Workers recompute digests from the bytes
@@ -364,7 +373,8 @@ func (d *Decoder) Decode(v any) error {
 	return f.Decode(v)
 }
 
-// digestWriter streams canonical integers and floats into a hash.
+// digestWriter streams canonical integers, floats and columns into a
+// hash.
 type digestWriter struct {
 	h   hash.Hash
 	buf [8]byte
@@ -380,24 +390,50 @@ func (d *digestWriter) writeFloat(v float64) {
 	d.h.Write(d.buf[:])
 }
 
+// digestChunk is how many elements of a column a big-endian host
+// converts to little-endian bytes per Write.
+const digestChunk = 1024
+
+// writeColumn feeds v's little-endian bytes to the hash: on a
+// little-endian host its memory, in one Write; elsewhere a chunk at a
+// time through a buffer.
+func writeColumn[T uint32 | float64](d *digestWriter, v []T, size int, put func([]byte, T)) {
+	if hostLE {
+		d.h.Write(memory(v))
+		return
+	}
+	var buf [8 * digestChunk]byte
+	for len(v) > 0 {
+		k := min(len(v), digestChunk)
+		for i, x := range v[:k] {
+			put(buf[size*i:], x)
+		}
+		d.h.Write(buf[:size*k])
+		v = v[k:]
+	}
+}
+
 func (d *digestWriter) sum() (out Digest) {
 	d.h.Sum(out[:0])
 	return out
 }
 
 // ContentDigest returns the shard's content address: SHA-256 over the
-// document count, edge list and site-chain row in field order. Both ends
-// compute it with this function — the coordinator to offer, the worker to
-// key its cache — so the value is meaningful across processes and runs.
+// document count, the lengths of the other three columns, the four
+// columns' little-endian bytes in field order, then the site-chain
+// row's length, columns and values. Both ends compute it with this
+// function — the coordinator to offer, the worker to key its cache — so
+// the value is meaningful across processes and runs.
 func (s *SiteShard) ContentDigest() Digest {
 	d := digestWriter{h: sha256.New()}
-	d.writeInt(s.NumDocs)
-	d.writeInt(len(s.Edges))
-	for _, e := range s.Edges {
-		d.writeInt(e.From)
-		d.writeInt(e.To)
-		d.writeFloat(e.Weight)
-	}
+	d.writeInt(len(s.Degrees))
+	d.writeInt(len(s.Targets))
+	d.writeInt(len(s.ListedPos))
+	d.writeInt(len(s.ListedW))
+	writeColumn(&d, s.Degrees, 4, binary.LittleEndian.PutUint32)
+	writeColumn(&d, s.Targets, 4, binary.LittleEndian.PutUint32)
+	writeColumn(&d, s.ListedPos, 4, binary.LittleEndian.PutUint32)
+	writeColumn(&d, s.ListedW, 8, putFloat)
 	d.writeInt(len(s.RowCols))
 	for _, c := range s.RowCols {
 		d.writeInt(c)
@@ -426,7 +462,8 @@ func (s *SiteShard) SelfLoop() float64 {
 // accounting (Stats.DigestBytesHashed), which carried digests drive to
 // zero on warm runs.
 func (s *SiteShard) DigestInputBytes() uint64 {
-	return 8 * uint64(3+3*len(s.Edges)+2*len(s.RowCols))
+	columns := 4*(len(s.Degrees)+len(s.Targets)+len(s.ListedPos)) + 8*len(s.ListedW)
+	return uint64(8*(5+len(s.RowCols)+len(s.RowVals)) + columns)
 }
 
 // maxDecompressedBytes bounds how far a compressed shard payload may
@@ -440,9 +477,9 @@ const maxDecompressedBytes = 1 << 30
 // CompressShards encodes the shard batch exactly as a KindLoad frame
 // would carry it and flate-compresses the result, returning the
 // compressed stream and the raw (uncompressed) size — the pair the
-// coordinator's compression accounting records. Edge lists are
-// integer-heavy and highly repetitive, so flate typically shrinks them
-// severalfold at BestSpeed.
+// coordinator's compression accounting records. Target columns are
+// small integers, mostly near their row's own index, so flate typically
+// shrinks them at BestSpeed.
 func CompressShards(shards []SiteShard) (z []byte, rawLen int, err error) {
 	var size codec
 	size.shards(&shards)

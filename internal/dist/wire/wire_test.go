@@ -80,8 +80,8 @@ func TestConnCountsBothDirections(t *testing.T) {
 func TestContentDigestStability(t *testing.T) {
 	base := func() SiteShard {
 		return SiteShard{
-			Site: 3, NumDocs: 2,
-			Edges:   []Edge{{From: 0, To: 1, Weight: 2}},
+			Site: 3, Degrees: []uint32{1, 0}, Targets: []uint32{1},
+			ListedPos: []uint32{0}, ListedW: []float64{2},
 			RowCols: []int{1}, RowVals: []float64{1},
 		}
 	}
@@ -96,9 +96,12 @@ func TestContentDigestStability(t *testing.T) {
 		t.Error("digest depends on the site ID")
 	}
 	mutations := []func(*SiteShard){
-		func(s *SiteShard) { s.NumDocs = 3 },
-		func(s *SiteShard) { s.Edges[0].Weight = 1 },
-		func(s *SiteShard) { s.Edges = append(s.Edges, Edge{From: 1, To: 0, Weight: 1}) },
+		func(s *SiteShard) { s.Degrees = append(s.Degrees, 0) },
+		func(s *SiteShard) { s.ListedW[0] = 3 },
+		func(s *SiteShard) { s.ListedPos, s.ListedW = nil, nil },
+		func(s *SiteShard) { s.Degrees[1], s.Targets = 1, append(s.Targets, 0) },
+		// The same bytes cut into columns at another place.
+		func(s *SiteShard) { s.Degrees, s.Targets = []uint32{1}, []uint32{0, 1} },
 		func(s *SiteShard) { s.RowCols[0] = 0 },
 		func(s *SiteShard) { s.RowVals[0] = 0.5 },
 		func(s *SiteShard) { s.RowCols, s.RowVals = nil, nil },
@@ -109,5 +112,37 @@ func TestContentDigestStability(t *testing.T) {
 		if m.ContentDigest() == a.ContentDigest() {
 			t.Errorf("mutation %d did not change the digest", i)
 		}
+	}
+}
+
+// TestDigestSeesEveryColumnByte flips each byte of each column of a
+// small shard, one at a time: every flip changes the
+// digest, and DigestInputBytes is what the columns and the counts weigh.
+func TestDigestSeesEveryColumnByte(t *testing.T) {
+	s := SiteShard{
+		Degrees: []uint32{2, 0, 1, 3}, Targets: []uint32{1, 2, 0, 0, 1, 3},
+		ListedPos: []uint32{1, 4}, ListedW: []float64{2, 0.5},
+	}
+	want := s.ContentDigest()
+	columns := map[string][]byte{
+		"Degrees": memory(s.Degrees), "Targets": memory(s.Targets),
+		"ListedPos": memory(s.ListedPos), "ListedW": memory(s.ListedW),
+	}
+	for name, m := range columns {
+		for i := range m {
+			for _, bit := range []byte{0x01, 0x80} {
+				m[i] ^= bit
+				if s.ContentDigest() == want {
+					t.Errorf("%s byte %d ^ %#x: digest unchanged", name, i, bit)
+				}
+				m[i] ^= bit
+			}
+		}
+	}
+	if s.ContentDigest() != want {
+		t.Fatal("flipping every byte back did not restore the digest")
+	}
+	if got, cols := s.DigestInputBytes(), uint64(4*(4+6+2)+8*2); got != 8*5+cols {
+		t.Errorf("DigestInputBytes = %d, want %d: five counts and %d column bytes", got, 8*5+cols, cols)
 	}
 }

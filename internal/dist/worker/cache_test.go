@@ -67,9 +67,7 @@ func TestCachedLoadAcrossSessions(t *testing.T) {
 	}
 	defer w.Close()
 
-	shard := wire.SiteShard{Site: 0, NumDocs: 2, Edges: []wire.Edge{
-		{From: 0, To: 1, Weight: 1}, {From: 1, To: 0, Weight: 1},
-	}}
+	shard := wire.SiteShard{Site: 0, Degrees: []uint32{1, 1}, Targets: []uint32{1, 0}}
 	digest := shard.ContentDigest()
 
 	enc1, dec1, _ := dial(t, addr)
@@ -107,11 +105,11 @@ func TestCachedLoadReportsEvicted(t *testing.T) {
 	defer w.Close()
 	enc, dec, _ := dial(t, addr)
 
-	held := wire.SiteShard{Site: 1, NumDocs: 1}
+	held := wire.SiteShard{Site: 1, Degrees: docs(1)}
 	if resp := roundTrip(t, enc, dec, &wire.Request{Kind: wire.KindLoad, NumSites: 2, Shards: []wire.SiteShard{held}}); resp.Err != "" {
 		t.Fatalf("load: %s", resp.Err)
 	}
-	unknown := wire.SiteShard{Site: 0, NumDocs: 3}
+	unknown := wire.SiteShard{Site: 0, Degrees: docs(3)}
 	refs := []wire.ShardRef{{Site: 0, Digest: unknown.ContentDigest()}, {Site: 1, Digest: held.ContentDigest()}}
 	load := roundTrip(t, enc, dec, &wire.Request{Kind: wire.KindLoad, NumSites: 2, Cached: refs})
 	if load.Err != "" {
@@ -147,7 +145,7 @@ func TestRankLocalSubset(t *testing.T) {
 
 	if resp := roundTrip(t, enc, dec, &wire.Request{
 		Kind: wire.KindLoad, NumSites: 3, Shards: []wire.SiteShard{
-			{Site: 0, NumDocs: 1}, {Site: 1, NumDocs: 1}, {Site: 2, NumDocs: 1},
+			{Site: 0, Degrees: docs(1)}, {Site: 1, Degrees: docs(1)}, {Site: 2, Degrees: docs(1)},
 		},
 	}); resp.Err != "" {
 		t.Fatalf("load: %s", resp.Err)
@@ -180,7 +178,7 @@ func TestCacheHitRevalidatesSiteSpace(t *testing.T) {
 	defer w.Close()
 	enc, dec, _ := dial(t, addr)
 
-	shard := wire.SiteShard{Site: 0, NumDocs: 1, RowCols: []int{7}, RowVals: []float64{1}}
+	shard := wire.SiteShard{Site: 0, Degrees: docs(1), RowCols: []int{7}, RowVals: []float64{1}}
 	if resp := roundTrip(t, enc, dec, &wire.Request{
 		Kind: wire.KindLoad, NumSites: 10, Shards: []wire.SiteShard{shard},
 	}); resp.Err != "" {

@@ -351,10 +351,13 @@ func (w *Worker) handle(sess *session, req *wire.Request) *wire.Response {
 // buildEntry validates one fully shipped shard and turns it into a
 // cache entry (deduplicating against the global cache by digest, so an
 // identical shard shipped twice — or hosted under two site IDs — shares
-// one warm solver).
+// one warm solver). The chain is built straight from the decoded
+// columns, which the subgraph takes over as its packed base
+// (graph.FromColumns checks them as DecodeBinary checks a graph file's);
+// the subgraph is dropped once the chain is built.
 func (w *Worker) buildEntry(s *wire.SiteShard, numSites int) (*cacheEntry, error) {
-	if s.NumDocs < 0 || s.Site < 0 || s.Site >= numSites {
-		return nil, fmt.Errorf("invalid shard (site %d of %d, %d docs)", s.Site, numSites, s.NumDocs)
+	if s.Site < 0 || s.Site >= numSites {
+		return nil, fmt.Errorf("invalid shard (site %d of %d, %d docs)", s.Site, numSites, s.NumDocs())
 	}
 	digest := s.ContentDigest()
 	if e := w.cache.lookupShard(digest); e != nil {
@@ -363,15 +366,10 @@ func (w *Worker) buildEntry(s *wire.SiteShard, numSites int) (*cacheEntry, error
 		}
 		return e, nil
 	}
-	sub := graph.NewDigraph(s.NumDocs)
-	for _, e := range s.Edges {
-		if e.From < 0 || e.From >= s.NumDocs || e.To < 0 || e.To >= s.NumDocs ||
-			!(e.Weight > 0) || math.IsInf(e.Weight, 0) {
-			return nil, fmt.Errorf("site %d has invalid edge %d→%d (w=%g)", s.Site, e.From, e.To, e.Weight)
-		}
-		sub.AddEdge(e.From, e.To, e.Weight)
+	sub, err := graph.FromColumns(graph.Columns{Degrees: s.Degrees, Targets: s.Targets, ListedPos: s.ListedPos, ListedW: s.ListedW})
+	if err != nil {
+		return nil, fmt.Errorf("site %d: %w", s.Site, err)
 	}
-	sub.Dedupe()
 	if len(s.RowCols) != len(s.RowVals) {
 		return nil, fmt.Errorf("site %d row arity mismatch", s.Site)
 	}
@@ -391,7 +389,7 @@ func (w *Worker) buildEntry(s *wire.SiteShard, numSites int) (*cacheEntry, error
 	}
 	return w.cache.addShard(&cacheEntry{
 		digest:  digest,
-		numDocs: s.NumDocs,
+		numDocs: s.NumDocs(),
 		rowCols: s.RowCols,
 		rowVals: s.RowVals,
 		solver:  lmm.NewSubgraphSolver(sub),
@@ -418,6 +416,15 @@ func (w *Worker) handleLoad(sess *session, req *wire.Request) *wire.Response {
 			return &wire.Response{Err: "worker: " + err.Error()}
 		}
 		fullShards = append(fullShards[:len(fullShards):len(fullShards)], unpacked...)
+	}
+	// The shipped shards' documents alone must fit the bound before one
+	// of them is built: a shard's graph and chain cost a few words a
+	// document, so a Load past it is refused before it can claim them.
+	shipped := 0
+	for i := range fullShards {
+		if shipped += fullShards[i].NumDocs(); shipped > wire.MaxShardDocs {
+			return &wire.Response{Err: fmt.Sprintf("worker: load exceeds %d aggregate docs", wire.MaxShardDocs)}
+		}
 	}
 	// next maps every declared site to its shard, nil for a missing one,
 	// so a site named twice is caught however its two mentions resolve.

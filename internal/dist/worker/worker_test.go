@@ -25,6 +25,9 @@ func dial(t *testing.T, addr string) (*wire.Encoder, *wire.Decoder, net.Conn) {
 	return &wc.Enc, &wc.Dec, conn
 }
 
+// docs is the degree column of n documents without links.
+func docs(n int) []uint32 { return make([]uint32, n) }
+
 func roundTrip(t *testing.T, enc *wire.Encoder, dec *wire.Decoder, req *wire.Request) *wire.Response {
 	t.Helper()
 	if err := enc.Encode(req); err != nil {
@@ -107,31 +110,33 @@ func TestMalformedRequests(t *testing.T) {
 	}{
 		{"unknown kind", wire.Request{Kind: 99}},
 		{"shard site out of range", wire.Request{Kind: wire.KindLoad, NumSites: 1,
-			Shards: []wire.SiteShard{{Site: 5, NumDocs: 1}}}},
+			Shards: []wire.SiteShard{{Site: 5, Degrees: docs(1)}}}},
 		{"edge out of range", wire.Request{Kind: wire.KindLoad, NumSites: 1,
-			Shards: []wire.SiteShard{{Site: 0, NumDocs: 2, Edges: []wire.Edge{{From: 0, To: 9, Weight: 1}}}}}},
+			Shards: []wire.SiteShard{{Site: 0, Degrees: []uint32{1, 0}, Targets: []uint32{9}}}}},
 		{"non-positive edge weight", wire.Request{Kind: wire.KindLoad, NumSites: 1,
-			Shards: []wire.SiteShard{{Site: 0, NumDocs: 2, Edges: []wire.Edge{{From: 0, To: 1, Weight: -1}}}}}},
+			Shards: []wire.SiteShard{{Site: 0, Degrees: []uint32{1, 0}, Targets: []uint32{1}, ListedPos: []uint32{0}, ListedW: []float64{-1}}}}},
 		{"NaN edge weight", wire.Request{Kind: wire.KindLoad, NumSites: 1,
-			Shards: []wire.SiteShard{{Site: 0, NumDocs: 2, Edges: []wire.Edge{{From: 0, To: 1, Weight: math.NaN()}}}}}},
+			Shards: []wire.SiteShard{{Site: 0, Degrees: []uint32{1, 0}, Targets: []uint32{1}, ListedPos: []uint32{0}, ListedW: []float64{math.NaN()}}}}},
 		{"NaN row value", wire.Request{Kind: wire.KindLoad, NumSites: 1,
-			Shards: []wire.SiteShard{{Site: 0, NumDocs: 1, RowCols: []int{0}, RowVals: []float64{math.NaN()}}}}},
+			Shards: []wire.SiteShard{{Site: 0, Degrees: docs(1), RowCols: []int{0}, RowVals: []float64{math.NaN()}}}}},
 		{"row arity mismatch", wire.Request{Kind: wire.KindLoad, NumSites: 1,
-			Shards: []wire.SiteShard{{Site: 0, NumDocs: 1, RowCols: []int{0}, RowVals: nil}}}},
+			Shards: []wire.SiteShard{{Site: 0, Degrees: docs(1), RowCols: []int{0}, RowVals: nil}}}},
 		{"row column out of range", wire.Request{Kind: wire.KindLoad, NumSites: 1,
-			Shards: []wire.SiteShard{{Site: 0, NumDocs: 1, RowCols: []int{5}, RowVals: []float64{1}}}}},
+			Shards: []wire.SiteShard{{Site: 0, Degrees: docs(1), RowCols: []int{5}, RowVals: []float64{1}}}}},
 		{"power round before load", wire.Request{Kind: wire.KindPowerRound, NumSites: 3, X: []float64{1, 0, 0}}},
-		{"absurd doc count", wire.Request{Kind: wire.KindLoad, NumSites: 1,
-			Shards: []wire.SiteShard{{Site: 0, NumDocs: 1 << 62}}}},
+		// One document past the bound in all; one shard alone cannot
+		// spell it (the frame refuses a column past MaxShardDocs).
+		{"absurd doc count", wire.Request{Kind: wire.KindLoad, NumSites: 2,
+			Shards: []wire.SiteShard{{Site: 0, Degrees: docs(wire.MaxShardDocs)}, {Site: 1, Degrees: docs(1)}}}},
 		// "Exactly this set" has no reading for a site named twice,
 		// wherever the two mentions sit and whether or not they resolve.
 		{"site twice in Shards", wire.Request{Kind: wire.KindLoad, NumSites: 2,
-			Shards: []wire.SiteShard{{Site: 1, NumDocs: 1}, {Site: 1, NumDocs: 2}}}},
+			Shards: []wire.SiteShard{{Site: 1, Degrees: docs(1)}, {Site: 1, Degrees: docs(2)}}}},
 		{"site twice in Cached", wire.Request{Kind: wire.KindLoad, NumSites: 2,
 			Cached: []wire.ShardRef{{Site: 1, Digest: wire.Digest{1}}, {Site: 1, Digest: wire.Digest{2}}}}},
 		{"site in Shards and in Cached", wire.Request{Kind: wire.KindLoad, NumSites: 2,
-			Shards: []wire.SiteShard{{Site: 1, NumDocs: 1}},
-			Cached: []wire.ShardRef{{Site: 1, Digest: (&wire.SiteShard{NumDocs: 1}).ContentDigest()}}}},
+			Shards: []wire.SiteShard{{Site: 1, Degrees: docs(1)}},
+			Cached: []wire.ShardRef{{Site: 1, Digest: (&wire.SiteShard{Degrees: docs(1)}).ContentDigest()}}}},
 	}
 	for _, tc := range cases {
 		if resp := roundTrip(t, enc, dec, &tc.req); resp.Err == "" {
@@ -195,7 +200,7 @@ func TestDeclarationDocCap(t *testing.T) {
 	defer w.Close()
 	enc, dec, _ := dial(t, addr)
 
-	big := wire.SiteShard{Site: 0, NumDocs: wire.MaxShardDocs}
+	big := wire.SiteShard{Site: 0, Degrees: docs(wire.MaxShardDocs)}
 	atCap := &wire.Request{Kind: wire.KindLoad, NumSites: 3, Shards: []wire.SiteShard{big}}
 	if resp := roundTrip(t, enc, dec, atCap); resp.Err != "" {
 		t.Fatalf("load at the cap: %s", resp.Err)
@@ -203,7 +208,7 @@ func TestDeclarationDocCap(t *testing.T) {
 	// The held shard by reference plus one more document, shipped: over.
 	over := &wire.Request{Kind: wire.KindLoad, NumSites: 3,
 		Cached: []wire.ShardRef{{Site: 0, Digest: big.ContentDigest()}},
-		Shards: []wire.SiteShard{{Site: 1, NumDocs: 1}}}
+		Shards: []wire.SiteShard{{Site: 1, Degrees: docs(1)}}}
 	if resp := roundTrip(t, enc, dec, over); resp.Err == "" {
 		t.Error("a declaration past MaxShardDocs in aggregate was accepted")
 	}
@@ -212,12 +217,12 @@ func TestDeclarationDocCap(t *testing.T) {
 		t.Error("the refused declaration installed its shard")
 	}
 	// Declaring only the small shard drops the big one: its budget is back.
-	small := &wire.Request{Kind: wire.KindLoad, NumSites: 3, Shards: []wire.SiteShard{{Site: 1, NumDocs: 1}}}
+	small := &wire.Request{Kind: wire.KindLoad, NumSites: 3, Shards: []wire.SiteShard{{Site: 1, Degrees: docs(1)}}}
 	if resp := roundTrip(t, enc, dec, small); resp.Err != "" {
 		t.Errorf("smaller declaration: %s", resp.Err)
 	}
 	two := &wire.Request{Kind: wire.KindLoad, NumSites: 3, Shards: []wire.SiteShard{
-		{Site: 1, NumDocs: 1}, {Site: 2, NumDocs: wire.MaxShardDocs - 1}}}
+		{Site: 1, Degrees: docs(1)}, {Site: 2, Degrees: docs(wire.MaxShardDocs - 1)}}}
 	if resp := roundTrip(t, enc, dec, two); resp.Err != "" {
 		t.Errorf("declaration of exactly MaxShardDocs in two shards: %s", resp.Err)
 	}
@@ -237,15 +242,15 @@ func TestReloadShrinksSiteSpace(t *testing.T) {
 	defer w.Close()
 	enc, dec, _ := dial(t, addr)
 
-	wide := wire.SiteShard{Site: 1, NumDocs: 1, RowCols: []int{8}, RowVals: []float64{1}}
+	wide := wire.SiteShard{Site: 1, Degrees: docs(1), RowCols: []int{8}, RowVals: []float64{1}}
 	big := &wire.Request{Kind: wire.KindLoad, NumSites: 10, Shards: []wire.SiteShard{
-		{Site: 9, NumDocs: 1, RowCols: []int{0}, RowVals: []float64{1}}, wide,
+		{Site: 9, Degrees: docs(1), RowCols: []int{0}, RowVals: []float64{1}}, wide,
 	}}
 	if resp := roundTrip(t, enc, dec, big); resp.Err != "" {
 		t.Fatalf("load big: %s", resp.Err)
 	}
 	small := &wire.Request{Kind: wire.KindLoad, NumSites: 5,
-		Shards: []wire.SiteShard{{Site: 0, NumDocs: 1, RowCols: []int{1}, RowVals: []float64{1}}},
+		Shards: []wire.SiteShard{{Site: 0, Degrees: docs(1), RowCols: []int{1}, RowVals: []float64{1}}},
 		Cached: []wire.ShardRef{{Site: 1, Digest: wide.ContentDigest()}},
 	}
 	resp := roundTrip(t, enc, dec, small)
@@ -305,7 +310,7 @@ func TestLoadDeclaresExactlyTheSession(t *testing.T) {
 		if len(sess.shards) != 2 || sess.shards[1] == nil || sess.shards[3] == nil {
 			t.Fatalf("delivery %d: session holds %d sites, want exactly {1,3}", attempt, len(sess.shards))
 		}
-		if want := load.Shards[1].NumDocs + load.Shards[3].NumDocs; sess.totalDocs != want {
+		if want := load.Shards[1].NumDocs() + load.Shards[3].NumDocs(); sess.totalDocs != want {
 			t.Errorf("delivery %d: totalDocs = %d, want %d", attempt, sess.totalDocs, want)
 		}
 		if sess.shards[1].entry != kept || kept.solver != solver {
@@ -337,8 +342,8 @@ func TestPowerRoundMath(t *testing.T) {
 	enc, dec, _ := dial(t, addr)
 
 	load := &wire.Request{Kind: wire.KindLoad, NumSites: 2, Shards: []wire.SiteShard{
-		{Site: 0, NumDocs: 1, RowCols: []int{1}, RowVals: []float64{1}},
-		{Site: 1, NumDocs: 1}, // dangling site row
+		{Site: 0, Degrees: docs(1), RowCols: []int{1}, RowVals: []float64{1}},
+		{Site: 1, Degrees: docs(1)}, // dangling site row
 	}}
 	if resp := roundTrip(t, enc, dec, load); resp.Err != "" {
 		t.Fatalf("load: %s", resp.Err)
@@ -369,9 +374,9 @@ func TestRankLocalSingleAndEmptySites(t *testing.T) {
 	enc, dec, _ := dial(t, addr)
 
 	load := &wire.Request{Kind: wire.KindLoad, NumSites: 3, Shards: []wire.SiteShard{
-		{Site: 0, NumDocs: 1},
-		{Site: 1, NumDocs: 0},
-		{Site: 2, NumDocs: 2, Edges: []wire.Edge{{From: 0, To: 1, Weight: 1}, {From: 1, To: 0, Weight: 1}}},
+		{Site: 0, Degrees: docs(1)},
+		{Site: 1, Degrees: docs(0)},
+		{Site: 2, Degrees: []uint32{1, 1}, Targets: []uint32{1, 0}},
 	}}
 	if resp := roundTrip(t, enc, dec, load); resp.Err != "" {
 		t.Fatalf("load: %s", resp.Err)
@@ -401,21 +406,22 @@ func TestRankLocalSingleAndEmptySites(t *testing.T) {
 // fourSiteLoad is a KindLoad over four sites — rows, local edges and a
 // dangling site — for the tests below.
 func fourSiteLoad() *wire.Request {
-	ring := func(n int) []wire.Edge {
-		edges := make([]wire.Edge, n)
-		for i := range edges {
-			edges[i] = wire.Edge{From: i, To: (i + 1) % n, Weight: float64(i + 1)}
+	// Site s is a ring of n documents, link i→i+1 weighing i+1.
+	ring := func(site, n int) wire.SiteShard {
+		s := wire.SiteShard{Site: site, Degrees: make([]uint32, n), Targets: make([]uint32, n)}
+		for i := range n {
+			s.Degrees[i], s.Targets[i] = 1, uint32((i+1)%n)
+			if i > 0 {
+				s.ListedPos, s.ListedW = append(s.ListedPos, uint32(i)), append(s.ListedW, float64(i+1))
+			}
 		}
-		return edges
+		return s
 	}
-	return &wire.Request{Kind: wire.KindLoad, NumSites: 4,
-		Shards: []wire.SiteShard{
-			{Site: 0, NumDocs: 3, Edges: ring(3), RowCols: []int{1, 2}, RowVals: []float64{0.5, 0.5}},
-			{Site: 1, NumDocs: 4, Edges: ring(4), RowCols: []int{0}, RowVals: []float64{1}},
-			{Site: 2, NumDocs: 5, Edges: ring(5), RowCols: []int{0, 3}, RowVals: []float64{0.75, 0.25}},
-			{Site: 3, NumDocs: 2, Edges: ring(2)},
-		},
-	}
+	shards := []wire.SiteShard{ring(0, 3), ring(1, 4), ring(2, 5), ring(3, 2)}
+	shards[0].RowCols, shards[0].RowVals = []int{1, 2}, []float64{0.5, 0.5}
+	shards[1].RowCols, shards[1].RowVals = []int{0}, []float64{1}
+	shards[2].RowCols, shards[2].RowVals = []int{0, 3}, []float64{0.75, 0.25}
+	return &wire.Request{Kind: wire.KindLoad, NumSites: 4, Shards: shards}
 }
 
 // TestLoadedShardsSurviveLaterRequests guards the one place decoded

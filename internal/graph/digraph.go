@@ -434,6 +434,12 @@ func (g *Digraph) repack() {
 	if loose*repackShare <= g.base.rows()+g.base.links() {
 		return
 	}
+	g.base, g.patch, g.tail = g.pack(), nil, nil
+}
+
+// pack returns every row of the graph, base and overlay, in a new packed
+// base of exactly their size.
+func (g *Digraph) pack() *packed {
 	n, links, listed := g.NumNodes(), g.NumEdges(), g.numListed()
 	p := &packed{
 		off: make([]int, n+1),
@@ -452,7 +458,7 @@ func (g *Digraph) repack() {
 		p.to = append(p.to, r.to...)
 		p.off[i+1] = len(p.to)
 	}
-	g.base, g.patch, g.tail = p, nil, nil
+	return p
 }
 
 // numListed returns the number of listed links the rows store.

@@ -385,23 +385,25 @@ func sumUint32(col []byte) uint64 {
 
 // DecodeBinary reads a graph file, consuming exactly its bytes. Each
 // section is checked as it is read, in file order — counts the format
-// can index, lengths that agree with the header, site and endpoint
-// ranges, listed positions strictly ascending among the edges and listed
-// weights other than 1, positive and finite — then the checksum, then
-// Validate; nothing is allocated on the say-so of a count whose bytes
-// have not arrived. The site column, each site roster and the adjacency
-// are built once at their exact size; the URL section, every entry
-// checked (urlRestarts), is the graph's URL arena as it stands. The
-// adjacency is the file's own four columns — the out-degrees summed into
-// row offsets, the targets and listed positions filled as their sections
-// arrive, the listed weights (allocated once the positions are in: twice
-// their bytes) through the scratch piece — handed to the graph as its
-// packed base: no Edge, no per-row header, no per-link weight, and a
-// later AddEdge copies the row it appends to (see Digraph). A file whose
-// rows are all strictly ascending — any that EncodeBinary wrote from a
-// deduplicated graph — is packed as it stands; any other has its rows
-// sorted and merged here, before the graph sees them. A file of an
-// earlier version is refused, naming both versions.
+// can index, lengths that agree with the header, site ranges, URL
+// entries — then the checksum, then the adjacency's four columns by the
+// check FromColumns makes (endpoint ranges, listed positions strictly
+// ascending among the edges, listed weights other than 1, positive and
+// finite), then Validate; nothing is allocated on the say-so of a count
+// whose bytes have not arrived. The site column, each site roster and
+// the adjacency are built once at their exact size; the URL section,
+// every entry checked (urlRestarts), is the graph's URL arena as it
+// stands. The adjacency is the file's own columns — the targets and
+// listed positions as their sections arrive, the listed weights
+// (allocated once the positions are in: twice their bytes) through the
+// scratch piece, the out-degrees summed into row offsets — handed to the
+// graph as its packed base: no Edge, no per-row header, no per-link
+// weight, and a later AddEdge copies the row it appends to (see
+// Digraph). A file whose rows are all strictly ascending — any that
+// EncodeBinary wrote from a deduplicated graph — is packed as it stands;
+// any other has its rows sorted and merged here, before the graph sees
+// them (FromColumns refuses such rows). A file of an earlier version is
+// refused, naming both versions.
 func DecodeBinary(r io.Reader) (*DocGraph, error) {
 	br := &binaryReader{r: r, piece: make([]byte, pieceBytes)}
 	var hdr [binaryHeaderLen]byte
@@ -481,73 +483,52 @@ func DecodeBinary(r io.Reader) (*DocGraph, error) {
 		return nil, err
 	}
 
-	deg, err := br.section(4*nd, "out-degrees")
-	if err != nil {
+	var c Columns
+	if c.Degrees, err = br.column(nd, "out-degrees"); err != nil {
 		return nil, err
 	}
-	if sum := sumUint32(deg); sum != uint64(ne) {
+	var sum uint64
+	for _, k := range c.Degrees {
+		sum += uint64(k)
+	}
+	if sum != uint64(ne) {
 		return nil, fmt.Errorf("graph: binary out-degrees disagree with the header: they sum to %d, numEdges is %d", sum, ne)
 	}
-	p := &packed{off: make([]int, nd+1)}
-	for d := 0; d < nd; d++ {
-		p.off[d+1] = p.off[d] + int(le.Uint32(deg[4*d:]))
-	}
-	if p.to, err = br.column(ne, "edge targets"); err != nil {
+	if c.Targets, err = br.column(ne, "edge targets"); err != nil {
 		return nil, err
 	}
-	ascending := true
-	for d := 0; d < nd; d++ {
-		prev := -1
-		for k := p.off[d]; k < p.off[d+1]; k++ {
-			to := int(p.to[k])
-			if to >= nd {
-				return nil, fmt.Errorf("graph: binary edge %d (%d→%d) out of range", k, d, to)
-			}
-			if to <= prev {
-				ascending = false
-			}
-			prev = to
-		}
-	}
-	// The listed links: positions strictly ascending among the edges, then
-	// — allocated once the positions are in: twice their bytes — weights
-	// other than 1, positive and finite, through the scratch piece.
-	if p.pos, err = br.column(nl, "listed positions"); err != nil {
+	// The listed links: positions, then — allocated once the positions
+	// are in: twice their bytes — weights, through the scratch piece.
+	if c.ListedPos, err = br.column(nl, "listed positions"); err != nil {
 		return nil, err
 	}
-	for e, q := range p.pos {
-		if int(q) >= ne {
-			return nil, fmt.Errorf("graph: binary listed link %d is edge %d of %d", e, q, ne)
-		}
-		if e > 0 && q <= p.pos[e-1] {
-			return nil, fmt.Errorf("graph: binary listed link %d is edge %d, not past edge %d", e, q, p.pos[e-1])
-		}
-	}
-	p.w = make([]float64, nl)
+	c.ListedW = make([]float64, nl)
 	for e := 0; e < nl; {
 		b := br.piece[:8*min(nl-e, pieceBytes/8)]
 		if err := br.fill(b, "listed weights"); err != nil {
 			return nil, err
 		}
 		for ; len(b) > 0; b, e = b[8:], e+1 {
-			w := math.Float64frombits(le.Uint64(b))
-			if !(w > 0) || math.IsInf(w, 0) || w == 1 {
-				return nil, fmt.Errorf("graph: binary listed edge %d has invalid weight %g", p.pos[e], w)
-			}
-			p.w[e] = w
+			c.ListedW[e] = math.Float64frombits(le.Uint64(b))
 		}
 	}
 
-	sum := br.crc
+	sum32 := br.crc
 	var trailer [4]byte
 	if err := br.fill(trailer[:], "checksum"); err != nil {
 		return nil, err
 	}
-	if got := le.Uint32(trailer[:]); got != sum {
-		return nil, fmt.Errorf("graph: binary checksum mismatch: the file says %08x, its bytes hash to %08x", got, sum)
+	if got := le.Uint32(trailer[:]); got != sum32 {
+		return nil, fmt.Errorf("graph: binary checksum mismatch: the file says %08x, its bytes hash to %08x", got, sum32)
 	}
 
-	// Strictly ascending rows are sorted and merged as they stand.
+	// The columns' own checks are FromColumns', but for one: a row not
+	// strictly ascending is sorted and merged here, before the graph sees
+	// it, where FromColumns refuses it.
+	p, ascending, err := c.packed(false)
+	if err != nil {
+		return nil, fmt.Errorf("graph: binary %w", err)
+	}
 	if !ascending {
 		p.mergeRows()
 	}
