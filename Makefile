@@ -7,7 +7,7 @@ SHELL := /bin/bash
 
 GO ?= go
 
-.PHONY: ci check fmt vet lint build test race race-multi alloc-pins chaos cover fuzz-smoke bench bench-smoke docs loc api pairs
+.PHONY: ci check fmt vet lint build test race race-multi alloc-pins chaos cover fuzz-smoke bench bench-smoke docs loc api answers pairs
 
 # The umbrella target CI calls: the fast gate, the race detector over
 # the concurrency-heavy packages (single- and multi-core), the allocation
@@ -141,6 +141,26 @@ api:
 		diff -u --label "$(PARENT) $$p" --label "working tree $$p" "$$tmp/parent.txt" "$$tmp/head.txt" || true; \
 	done
 
+# The answers a change must leave bit-identical, from one command:
+# tools/answers prints FNV-64a hashes over the layered pipeline's and a
+# 4-worker DistEngine's answers on fixed webs (its package comment lists
+# them). With PARENT given on the command line, the same program is also
+# built inside PARENT's tree (extracted with `git archive`, as `api`
+# does) and each hash prints beside PARENT's, marked "same" or
+# "DIFFERENT". A difference is the report, not a failure.
+answers:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./tools/answers > "$$tmp/head.txt"; \
+	parent='$(if $(filter command line environment,$(origin PARENT)),$(PARENT))'; \
+	if [ -z "$$parent" ]; then cat "$$tmp/head.txt"; exit 0; fi; \
+	mkdir -p "$$tmp/parent-src/tools"; \
+	git archive "$$parent" | tar -x -C "$$tmp/parent-src"; \
+	rm -rf "$$tmp/parent-src/tools/answers"; cp -r tools/answers "$$tmp/parent-src/tools/"; \
+	(cd "$$tmp/parent-src" && $(GO) run ./tools/answers) > "$$tmp/parent.txt"; \
+	echo "answer       working tree     $$parent"; \
+	paste "$$tmp/head.txt" "$$tmp/parent.txt" | \
+	    awk '{ printf "%-12s %s %s %s\n", $$1, $$2, $$4, ($$2 == $$4 ? "same" : "DIFFERENT") }'
+
 # Coverage floors. internal/dist+partition: the merged statement
 # coverage of the distributed runtime's tests must not fall below
 # COVER_FLOOR percent (the tree measured 86.5% when the gate was
@@ -197,8 +217,8 @@ bench:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -count=$(BENCH_COUNT) .
 
 # The measurement a speed claim rests on, from one command: N interleaved
-# parent/head pairs of one cmd/lmmload workload, seeds 101…100+N, the
-# side that runs first alternating. PARENT is extracted with `git archive`
+# parent/head pairs of one cmd/lmmload workload, seeds SEED0+1…SEED0+N
+# (101…100+N by default), the side that runs first alternating. PARENT is extracted with `git archive`
 # into a throwaway directory (nothing is left in .git, and nothing needs
 # the network) and built there; the head is the working tree. Prints every
 # run, then each side's median and quartiles and the pairs the head won
@@ -207,6 +227,7 @@ bench:
 PARENT   ?= HEAD~1
 WORKLOAD ?= solve-paper
 N        ?= 10
+SEED0    ?= 100
 define PAIRS_SUMMARY
 function quantile(v, n, p,    h, lo) { h = (n - 1) * p + 1; lo = int(h); return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo]) }
 function summary(side, m,    n, i, j, t, v) {
@@ -237,8 +258,8 @@ pairs:
 	for i in $$(seq 1 $(N)); do \
 		if [ $$((i % 2)) -eq 1 ]; then order="parent head"; else order="head parent"; fi; \
 		for side in $$order; do \
-			"$$tmp/$$side" -workload $(WORKLOAD) -seed $$((100 + i)) -out "$$tmp/out" > "$$tmp/run.txt"; \
-			awk -v side=$$side -v seed=$$((100 + i)) \
+			"$$tmp/$$side" -workload $(WORKLOAD) -seed $$(($(SEED0) + i)) -out "$$tmp/out" > "$$tmp/run.txt"; \
+			awk -v side=$$side -v seed=$$(($(SEED0) + i)) \
 			    '$$1 ~ /^(setup_s|heap_live_mb|rank_alloc_kb|ops_failed)$$/ { print side, seed, $$1, $$2 }' \
 			    "$$tmp/run.txt" | tee -a "$$tmp/all.txt"; \
 		done; \

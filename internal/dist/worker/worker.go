@@ -366,9 +366,9 @@ func (w *Worker) buildEntry(s *wire.SiteShard, numSites int) (*cacheEntry, error
 		}
 		return e, nil
 	}
-	sub, err := graph.FromColumns(graph.Columns{Degrees: s.Degrees, Targets: s.Targets, ListedPos: s.ListedPos, ListedW: s.ListedW})
+	sub, err := subgraph(s)
 	if err != nil {
-		return nil, fmt.Errorf("site %d: %w", s.Site, err)
+		return nil, err
 	}
 	if len(s.RowCols) != len(s.RowVals) {
 		return nil, fmt.Errorf("site %d row arity mismatch", s.Site)
@@ -394,6 +394,16 @@ func (w *Worker) buildEntry(s *wire.SiteShard, numSites int) (*cacheEntry, error
 		rowVals: s.RowVals,
 		solver:  lmm.NewSubgraphSolver(sub),
 	}), nil
+}
+
+// subgraph returns the shard's subgraph, checked, over its decoded
+// columns themselves.
+func subgraph(s *wire.SiteShard) (*graph.Digraph, error) {
+	sub, err := graph.FromColumns(graph.Columns{Degrees: s.Degrees, Targets: s.Targets, ListedPos: s.ListedPos, ListedW: s.ListedW})
+	if err != nil {
+		return nil, fmt.Errorf("site %d: %w", s.Site, err)
+	}
+	return sub, nil
 }
 
 // handleLoad replaces the session with exactly what the request

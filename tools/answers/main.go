@@ -1,0 +1,161 @@
+// Command answers prints FNV-64a hashes over the answers the ranking
+// engines give on fixed synthetic webs, one line per hash, so that a
+// change that must leave every answer as it was can show it did:
+//
+//	make answers PARENT=<rev>
+//
+// builds this program in the working tree and in <rev>'s and prints the
+// two sets of hashes side by side. A hash covers every float bit of the
+// answers it names, so any change to any score changes it.
+//
+// "layered" hashes LayeredDocRank's DocRank and TopDocs(…, 50) — documents,
+// URLs and scores — on webgen's Small web (seed 7), its Default web, a
+// blocky Small web (seed 11) and the Small web read back through the text
+// format. "dist-central" and "dist-sync" hash the DocRank and SiteRank of
+// a 4-worker DistEngine's cold, warm, Tol=1e-4 and site-personalized
+// Ranks and of its first Rank after a one-site Update, on the Small web,
+// in each SiteRank mode.
+package main
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math"
+	"os"
+
+	"lmmrank"
+	"lmmrank/internal/graph"
+	"lmmrank/internal/webgen"
+)
+
+func main() {
+	layered, err := layeredHash()
+	if err != nil {
+		fail(err)
+	}
+	fmt.Printf("layered      %016x\n", layered)
+	for _, m := range []struct {
+		name string
+		mode lmmrank.SiteRankMode
+	}{{"central", lmmrank.SiteRankCentral}, {"sync", lmmrank.SiteRankSync}} {
+		h, err := distHash(m.mode)
+		if err != nil {
+			fail(err)
+		}
+		fmt.Printf("dist-%-7s %016x\n", m.name, h)
+	}
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "answers:", err)
+	os.Exit(1)
+}
+
+// writeFloats feeds every float's bits to h.
+func writeFloats(h hash.Hash64, v []float64) {
+	var b [8]byte
+	for _, x := range v {
+		bits := math.Float64bits(x)
+		for i := range b {
+			b[i] = byte(bits >> (8 * i))
+		}
+		h.Write(b[:])
+	}
+}
+
+func small(seed int64) webgen.Config {
+	cfg := webgen.Small()
+	cfg.Seed = seed
+	return cfg
+}
+
+func layeredHash() (uint64, error) {
+	blocky := small(11)
+	blocky.Blocky = true
+	webs := []*graph.DocGraph{
+		webgen.Generate(small(7)).Graph,
+		webgen.Generate(webgen.Default()).Graph,
+		webgen.Generate(blocky).Graph,
+	}
+	var text bytes.Buffer
+	if err := graph.WriteText(&text, webgen.Generate(small(7)).Graph); err != nil {
+		return 0, err
+	}
+	read, err := graph.ReadText(&text)
+	if err != nil {
+		return 0, err
+	}
+	webs = append(webs, read)
+
+	h := fnv.New64a()
+	for _, dg := range webs {
+		res, err := lmmrank.LayeredDocRank(dg, lmmrank.WebConfig{})
+		if err != nil {
+			return 0, err
+		}
+		writeFloats(h, res.DocRank)
+		for _, d := range lmmrank.TopDocs(dg, res.DocRank, 50) {
+			fmt.Fprintf(h, "%d %s ", d.Doc, d.URL)
+			writeFloats(h, []float64{d.Score})
+		}
+	}
+	return h.Sum64(), nil
+}
+
+func distHash(mode lmmrank.SiteRankMode) (uint64, error) {
+	ctx := context.Background()
+	dg := webgen.Generate(small(7)).Graph
+	cl, err := lmmrank.StartCluster(4)
+	if err != nil {
+		return 0, err
+	}
+	defer cl.Close()
+	eng, err := lmmrank.NewDistEngine(cl, dg, lmmrank.DistConfig{SiteRank: mode})
+	if err != nil {
+		return 0, err
+	}
+	ns := dg.NumSites()
+	personal := make(lmmrank.Vector, ns)
+	for s := range personal {
+		personal[s] = float64(s+1) / float64(ns*(ns+1)/2)
+	}
+	h := fnv.New64a()
+	rank := func(q lmmrank.Query) error {
+		res, err := eng.Rank(ctx, q)
+		if err != nil {
+			return err
+		}
+		writeFloats(h, res.DocRank)
+		writeFloats(h, res.SiteRank)
+		return nil
+	}
+	for _, q := range []lmmrank.Query{{}, {}, {Tol: 1e-4}, {SitePersonalization: personal}} {
+		if err := rank(q); err != nil {
+			return 0, err
+		}
+	}
+	// One site of at least three documents gains two links.
+	site := lmmrank.SiteID(0)
+	for len(dg.Sites[site].Docs) < 3 {
+		site++
+	}
+	err = eng.Update(ctx, lmmrank.GraphDelta{
+		ChangedSites: []lmmrank.SiteID{site},
+		Apply: func(dg *lmmrank.DocGraph) error {
+			docs := dg.Sites[site].Docs
+			dg.G.AddLink(int(docs[0]), int(docs[2]))
+			dg.G.AddLink(int(docs[2]), int(docs[1]))
+			return nil
+		},
+	})
+	if err != nil {
+		return 0, err
+	}
+	if err := rank(lmmrank.Query{}); err != nil {
+		return 0, err
+	}
+	return h.Sum64(), nil
+}
