@@ -269,11 +269,11 @@ func memory[T uint32 | float64](v []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*int(unsafe.Sizeof(zero)))
 }
 
-// block carries the raw block of v, n elements of size bytes each (v's
-// length when writing; reading, v is already n long). On a
-// little-endian host it is one copy of v's memory each way — a block
-// larger than the scratch's room is written straight through, in one
-// Write — and elsewhere the elements one at a time through put and get.
+// block carries v as one raw block of size-byte elements; reading, v
+// already has the length the count admitted. On a little-endian host it
+// is one copy of v's memory each way — a block larger than the scratch
+// is written straight through, in one Write of its own — and elsewhere
+// the elements go one at a time through put and get.
 func block[T uint32 | float64](c *codec, v []T, size int, put func([]byte, T), get func([]byte) T) {
 	switch c.mode {
 	case measuring:

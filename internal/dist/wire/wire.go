@@ -244,7 +244,8 @@ type Encoder struct {
 }
 
 // Encode writes v, a *Request or *Response, as one frame: in one Write
-// when it fits the retained scratch, in scratch-sized pieces otherwise.
+// when it fits the retained scratch, in pieces otherwise — scratchfuls,
+// and a raw block larger than the scratch in one Write of its own.
 func (e *Encoder) Encode(v any) error {
 	kind, n, err := frameSize(v)
 	if err != nil {
@@ -477,9 +478,8 @@ const maxDecompressedBytes = 1 << 30
 // CompressShards encodes the shard batch exactly as a KindLoad frame
 // would carry it and flate-compresses the result, returning the
 // compressed stream and the raw (uncompressed) size — the pair the
-// coordinator's compression accounting records. Target columns are
-// small integers, mostly near their row's own index, so flate typically
-// shrinks them at BestSpeed.
+// coordinator's compression accounting records (Stats.ShardBytesRaw and
+// ShardBytesCompressed say what it saved).
 func CompressShards(shards []SiteShard) (z []byte, rawLen int, err error) {
 	var size codec
 	size.shards(&shards)
