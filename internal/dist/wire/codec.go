@@ -166,6 +166,12 @@ func (c *codec) int(p *int) {
 	}
 }
 
+// fixed writes v as 8 bytes little-endian: a digest's integers.
+func (c *codec) fixed(v int) {
+	c.room(8)
+	c.b = binary.LittleEndian.AppendUint64(c.b, uint64(v))
+}
+
 func (c *codec) float(p *float64) {
 	switch c.mode {
 	case measuring:

@@ -688,3 +688,46 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 		}
 	}
 }
+
+// TestPortableBlocksMatchNative: the element-by-element path a
+// big-endian host takes writes the same frames and digests, and reads
+// them back the same, as the one-copy path of a little-endian host.
+func TestPortableBlocksMatchNative(t *testing.T) {
+	if !hostLE {
+		t.Skip("the host is big-endian: the portable path is the only one")
+	}
+	msgs := messages(newGen(7), 8)
+	native := make([]Frame, len(msgs))
+	var digests []Digest
+	for i, m := range msgs {
+		native[i] = marshal(t, m)
+		if r, ok := m.(*Request); ok {
+			for j := range r.Shards {
+				digests = append(digests, r.Shards[j].ContentDigest())
+			}
+		}
+	}
+	hostLE = false
+	defer func() { hostLE = true }()
+	k := 0
+	for i, m := range msgs {
+		if f := marshal(t, m); !bytes.Equal(f, native[i]) {
+			t.Fatalf("message %d: the portable path wrote other bytes", i)
+		}
+		got := zeroLike(m)
+		if err := native[i].Decode(got); err != nil {
+			t.Fatalf("message %d: %v", i, err)
+		}
+		if !equalMessages(m, got) {
+			t.Fatalf("message %d changed through the portable path", i)
+		}
+		if r, ok := m.(*Request); ok {
+			for j := range r.Shards {
+				if r.Shards[j].ContentDigest() != digests[k] {
+					t.Fatalf("message %d shard %d: the portable digest differs", i, j)
+				}
+				k++
+			}
+		}
+	}
+}

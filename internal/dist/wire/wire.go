@@ -19,9 +19,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"io"
-	"math"
 	"net"
 	"slices"
 	"sync/atomic"
@@ -374,75 +372,35 @@ func (d *Decoder) Decode(v any) error {
 	return f.Decode(v)
 }
 
-// digestWriter streams canonical integers, floats and columns into a
-// hash.
-type digestWriter struct {
-	h   hash.Hash
-	buf [8]byte
-}
-
-func (d *digestWriter) writeInt(v int) {
-	binary.LittleEndian.PutUint64(d.buf[:], uint64(v))
-	d.h.Write(d.buf[:])
-}
-
-func (d *digestWriter) writeFloat(v float64) {
-	binary.LittleEndian.PutUint64(d.buf[:], math.Float64bits(v))
-	d.h.Write(d.buf[:])
-}
-
-// digestChunk is how many elements of a column a big-endian host
-// converts to little-endian bytes per Write.
-const digestChunk = 1024
-
-// writeColumn feeds v's little-endian bytes to the hash: on a
-// little-endian host its memory, in one Write; elsewhere a chunk at a
-// time through a buffer.
-func writeColumn[T uint32 | float64](d *digestWriter, v []T, size int, put func([]byte, T)) {
-	if hostLE {
-		d.h.Write(memory(v))
-		return
-	}
-	var buf [8 * digestChunk]byte
-	for len(v) > 0 {
-		k := min(len(v), digestChunk)
-		for i, x := range v[:k] {
-			put(buf[size*i:], x)
-		}
-		d.h.Write(buf[:size*k])
-		v = v[k:]
-	}
-}
-
-func (d *digestWriter) sum() (out Digest) {
-	d.h.Sum(out[:0])
-	return out
-}
-
 // ContentDigest returns the shard's content address: SHA-256 over the
 // document count, the lengths of the other three columns, the four
 // columns' little-endian bytes in field order, then the site-chain
-// row's length, columns and values. Both ends compute it with this
+// row's length, columns and values — every integer 8 bytes
+// little-endian, every column and the row's values raw blocks, fed
+// through the codec's writer. Both ends compute it with this
 // function — the coordinator to offer, the worker to key its cache — so
 // the value is meaningful across processes and runs.
 func (s *SiteShard) ContentDigest() Digest {
-	d := digestWriter{h: sha256.New()}
-	d.writeInt(len(s.Degrees))
-	d.writeInt(len(s.Targets))
-	d.writeInt(len(s.ListedPos))
-	d.writeInt(len(s.ListedW))
-	writeColumn(&d, s.Degrees, 4, binary.LittleEndian.PutUint32)
-	writeColumn(&d, s.Targets, 4, binary.LittleEndian.PutUint32)
-	writeColumn(&d, s.ListedPos, 4, binary.LittleEndian.PutUint32)
-	writeColumn(&d, s.ListedW, 8, putFloat)
-	d.writeInt(len(s.RowCols))
+	h := sha256.New()
+	// Room for the four counts; a column that does not fit goes to the
+	// hash in one Write of its own.
+	w := codec{mode: writing, b: make([]byte, 0, 32), out: h}
+	for _, n := range [...]int{len(s.Degrees), len(s.Targets), len(s.ListedPos), len(s.ListedW)} {
+		w.fixed(n)
+	}
+	block(&w, s.Degrees, 4, binary.LittleEndian.PutUint32, binary.LittleEndian.Uint32)
+	block(&w, s.Targets, 4, binary.LittleEndian.PutUint32, binary.LittleEndian.Uint32)
+	block(&w, s.ListedPos, 4, binary.LittleEndian.PutUint32, binary.LittleEndian.Uint32)
+	block(&w, s.ListedW, 8, putFloat, getFloat)
+	w.fixed(len(s.RowCols))
 	for _, c := range s.RowCols {
-		d.writeInt(c)
+		w.fixed(c)
 	}
-	for _, v := range s.RowVals {
-		d.writeFloat(v)
-	}
-	return d.sum()
+	block(&w, s.RowVals, 8, putFloat, getFloat)
+	w.flush()
+	var out Digest
+	h.Sum(out[:0])
+	return out
 }
 
 // SelfLoop returns M[Site, Site], the weight the shard's chain row keeps on
