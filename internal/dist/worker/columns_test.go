@@ -175,7 +175,8 @@ func allocated(fn func()) uint64 {
 // shards is built — a shard's graph and chain cost several words a
 // document, and the bound is there so that a declaration cannot claim
 // them. A worker that built each shard before adding up the documents
-// allocated 1.5 GB for a load of 2^23 documents before refusing it.
+// allocated hundreds of MB for a load of 2^23 documents before refusing
+// it.
 func TestLoadPastTheDocBoundAllocatesNothing(t *testing.T) {
 	bound := "4194304"
 	if wire.MaxShardDocs != 1<<22 {
