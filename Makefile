@@ -103,7 +103,10 @@ chaos:
 # target additionally fails when any package (library or command) lacks a
 # godoc package comment — the repo's docs rot guard. Library packages
 # must carry "// Package <name> ..."; main packages "// Command <name>
-# ...". Keep it grep-simple so it stays dependency-free.
+# ...". It also fails when a Go file names an X.md that is not the
+# basename of a Markdown file `git ls-files` lists — a pointer to a
+# document that does not exist. Keep it grep-simple so it stays
+# dependency-free.
 docs:
 	@fail=0; \
 	for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
@@ -113,6 +116,15 @@ docs:
 	done; \
 	if [ $$fail -ne 0 ]; then \
 		echo "every package needs a '// Package ...' or '// Command ...' godoc comment"; exit 1; \
+	fi; \
+	known="$$(git ls-files '*.md' | xargs -n1 basename)"; \
+	for ref in $$(git ls-files -co --exclude-standard '*.go' | xargs grep -HnoE '[A-Za-z0-9_.-]+\.md\b' || true); do \
+		if ! grep -qxF "$${ref##*:}" <<< "$$known"; then \
+			echo "$$ref: no such document"; fail=1; \
+		fi; \
+	done; \
+	if [ $$fail -ne 0 ]; then \
+		echo "every X.md a Go file names must be the basename of a file in git ls-files '*.md'"; exit 1; \
 	fi
 
 # Non-test Go lines per package (blank lines and comments included —

@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper (one bench
-// per experiment row of DESIGN.md §3). Absolute times depend on the host;
-// the *shape* — layered beating centralized, worker scaling, spam metrics
-// — is asserted by the test suite and recorded in EXPERIMENTS.md.
+// per experiment ID of cmd/experiments' usage list). Absolute times depend
+// on the host; the *shape* — layered beating centralized, worker scaling,
+// spam metrics — is asserted by the test suite.
 package lmmrank
 
 import (

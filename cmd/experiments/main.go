@@ -1,17 +1,17 @@
 // Command experiments regenerates the paper's tables and figures plus the
-// quantitative experiments derived from its prose claims. Each experiment
-// is indexed in DESIGN.md §3; EXPERIMENTS.md records outcomes.
+// quantitative experiments derived from its prose claims. The usage below
+// is the experiment index; each Run function documents what it measures:
 //
-// Usage:
-//
-//	experiments -run all            # everything (several minutes)
-//	experiments -run fig2           # E1/E2: the §2.3 worked example
-//	experiments -run campus         # E3/E4/E5: Figures 3 & 4 + spam metrics
-//	experiments -run sweep          # E5 ablation: contamination vs cluster size
-//	experiments -run complexity     # E6: centralized vs layered cost
-//	experiments -run distributed    # E7: worker-count scaling over TCP
-//	experiments -run personalization# E8: two-layer personalization
-//	experiments -run ablation       # design-choice ablations
+//	experiments -run all             # everything (several minutes)
+//	experiments -run fig2            # E1/E2: the §2.3 worked example
+//	experiments -run campus          # E3/E4/E5: Figures 3 & 4 + spam metrics
+//	experiments -run sweep           # E5 ablation: contamination vs cluster size
+//	experiments -run complexity      # E6: centralized vs layered cost
+//	experiments -run distributed     # E7: worker-count scaling over TCP
+//	experiments -run personalization # E8: two-layer personalization
+//	experiments -run ablation        # design-choice ablations
+//	experiments -run fusion          # §4 future work: query × link ranking fusion
+//	experiments -run churn           # incremental refresh vs full recompute under site churn
 package main
 
 import (

@@ -1,6 +1,7 @@
 package lmmrank_test
 
 import (
+	"context"
 	"fmt"
 
 	"lmmrank"
@@ -68,4 +69,61 @@ func ExampleGraphBuilder() {
 	// Output:
 	// sites: 2 docs: 2
 	// site of doc 0: a.example
+}
+
+// ExampleLocalEngine_Update serves a synthetic campus web, changes one
+// site through Engine.Update and ranks again. Update applies the edit to
+// a copy-on-write clone, rebuilds only the listed site's structure and
+// publishes the new graph atomically; queries in flight finish on the
+// graph they started on, and the next Rank sees the edit.
+func ExampleLocalEngine_Update() {
+	ctx := context.Background()
+	web := lmmrank.GenerateCampusWeb(lmmrank.CampusWebConfig{
+		Seed: 2003, Sites: 20, MeanSitePages: 15,
+		DynamicClusterPages: 100, DocClusterPages: 100,
+	})
+	eng, err := lmmrank.NewLocalEngine(web.Graph, lmmrank.EngineOptions{})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	before, err := eng.Rank(ctx, lmmrank.Query{TopK: 3})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	for _, e := range before.Top {
+		fmt.Printf("%.4f %s\n", e.Score, e.URL)
+	}
+
+	// Every page of site 5 starts linking to the site's last page.
+	const site lmmrank.SiteID = 5
+	docs := web.Graph.Sites[site].Docs
+	target := docs[len(docs)-1]
+	err = eng.Update(ctx, lmmrank.GraphDelta{
+		ChangedSites: []lmmrank.SiteID{site},
+		Apply: func(dg *lmmrank.DocGraph) error {
+			for _, d := range docs[:len(docs)-1] {
+				dg.G.AddLink(int(d), int(target))
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	after, err := eng.Rank(ctx, lmmrank.Query{})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	fmt.Println("edited:", eng.DocGraph().URL(target))
+	fmt.Printf("its score: %.6f -> %.6f\n", before.DocRank[target], after.DocRank[target])
+	// Output:
+	// 0.0514 http://www.campus.example/
+	// 0.0143 http://dept017.campus.example/
+	// 0.0136 http://dept011.campus.example/
+	// edited: http://dept005.campus.example/page25.html
+	// its score: 0.001036 -> 0.005125
 }

@@ -10,8 +10,8 @@ import (
 	"lmmrank/internal/webgen"
 )
 
-// AblationResult covers the design-choice ablations DESIGN.md §7 calls
-// out: SiteGraph self-loop handling and the damping/gatekeeper parameter.
+// AblationResult covers two design-choice ablations: SiteGraph self-loop
+// handling and the damping/gatekeeper parameter.
 type AblationResult struct {
 	// SelfLoopTau is the Kendall τ between layered rankings with and
 	// without intra-site self-loops in the SiteGraph; SelfLoopSpam15 and

@@ -248,8 +248,7 @@ func TestRunFusion(t *testing.T) {
 
 // TestFullScaleCampus runs E3/E4 at the default paper scale (218 ordinary
 // sites, ~17k documents) rather than the reduced test configuration, so
-// the published EXPERIMENTS.md numbers stay pinned by CI. Skipped in
-// -short mode.
+// the paper-scale numbers stay pinned by CI. Skipped in -short mode.
 func TestFullScaleCampus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale campus run skipped in -short mode")

@@ -2,8 +2,7 @@
 // evaluation, plus the quantitative experiments implied by its prose
 // claims. Each experiment has a Run function returning a structured
 // result and a Format method emitting a paper-style text table. The
-// experiment IDs (E1–E8) are indexed in DESIGN.md §3; EXPERIMENTS.md
-// records paper-vs-measured outcomes.
+// experiment IDs (E1–E8) are indexed in cmd/experiments' usage comment.
 package experiments
 
 import (

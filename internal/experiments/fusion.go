@@ -6,7 +6,6 @@ import (
 
 	"lmmrank/internal/graph"
 	"lmmrank/internal/lmm"
-	"lmmrank/internal/retrieval"
 	"lmmrank/internal/webgen"
 )
 
@@ -37,7 +36,7 @@ func RunFusion(seed int64) (*FusionResult, error) {
 		DynamicClusterPages: 300, DocClusterPages: 300,
 	}
 	web := webgen.Generate(cfg)
-	index := retrieval.SyntheticCorpus(web, seed)
+	index := syntheticCorpus(web, seed)
 	ranked, err := lmm.LayeredDocRank(web.Graph, lmm.WebConfig{Tol: 1e-9})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fusion rank: %w", err)
@@ -45,7 +44,7 @@ func RunFusion(seed int64) (*FusionResult, error) {
 
 	out := &FusionResult{Lambdas: []float64{1.0, 0.7, 0.5, 0.3}}
 	for _, lambda := range out.Lambdas {
-		se, err := retrieval.NewSearchEngine(index, ranked.DocRank, lambda)
+		se, err := newSearchEngine(index, ranked.DocRank, lambda)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fusion engine λ=%g: %w", lambda, err)
 		}
@@ -55,7 +54,7 @@ func RunFusion(seed int64) (*FusionResult, error) {
 		for s := 0; s < cfg.Sites; s++ {
 			site := graph.SiteID(s)
 			query := []string{fmt.Sprintf("topic%03d", s)}
-			res, err := se.Search(query, 10)
+			res, err := se.search(query, 10)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: fusion query %v: %w", query, err)
 			}
@@ -65,8 +64,8 @@ func RunFusion(seed int64) (*FusionResult, error) {
 			queries++
 			p5 += precisionAt(res, web, site, 5)
 			p10 += precisionAt(res, web, site, 10)
-			if web.Graph.SiteOf(res[0].Doc) == site &&
-				web.Class[res[0].Doc] == webgen.ClassHome {
+			if web.Graph.SiteOf(res[0].doc) == site &&
+				web.Class[res[0].doc] == webgen.ClassHome {
 				homeFirst++
 			}
 		}
@@ -83,7 +82,7 @@ func RunFusion(seed int64) (*FusionResult, error) {
 
 // precisionAt computes the fraction of the first k hits belonging to the
 // relevant site.
-func precisionAt(res []retrieval.Result, web *webgen.Web, site graph.SiteID, k int) float64 {
+func precisionAt(res []searchHit, web *webgen.Web, site graph.SiteID, k int) float64 {
 	if k > len(res) {
 		k = len(res)
 	}
@@ -92,7 +91,7 @@ func precisionAt(res []retrieval.Result, web *webgen.Web, site graph.SiteID, k i
 	}
 	var hit int
 	for _, r := range res[:k] {
-		if web.Graph.SiteOf(r.Doc) == site {
+		if web.Graph.SiteOf(r.doc) == site {
 			hit++
 		}
 	}

@@ -1,4 +1,4 @@
-package retrieval
+package experiments
 
 import (
 	"errors"
@@ -12,12 +12,12 @@ import (
 	"lmmrank/internal/webgen"
 )
 
-func buildIndex(docs map[graph.DocID][]string) *Index {
-	ix := NewIndex()
+func buildIndex(docs map[graph.DocID][]string) *textIndex {
+	ix := newTextIndex()
 	for d, terms := range docs {
-		ix.Add(d, terms)
+		ix.add(d, terms)
 	}
-	ix.Finalize()
+	ix.finalize()
 	return ix
 }
 
@@ -27,9 +27,9 @@ func TestQueryBasicRelevance(t *testing.T) {
 		1: {"robotics", "robotics", "robotics"},
 		2: {"history", "archive"},
 	})
-	scores, err := ix.Query([]string{"robotics"})
+	scores, err := ix.query([]string{"robotics"})
 	if err != nil {
-		t.Fatalf("Query: %v", err)
+		t.Fatalf("query: %v", err)
 	}
 	if len(scores) != 2 {
 		t.Fatalf("matches = %d, want 2", len(scores))
@@ -49,21 +49,21 @@ func TestQueryBasicRelevance(t *testing.T) {
 
 func TestQueryUnknownTermAndEmpty(t *testing.T) {
 	ix := buildIndex(map[graph.DocID][]string{0: {"a"}})
-	scores, err := ix.Query([]string{"zzz"})
+	scores, err := ix.query([]string{"zzz"})
 	if err != nil || len(scores) != 0 {
 		t.Errorf("unknown term: %v, %v", scores, err)
 	}
-	scores, err = ix.Query(nil)
+	scores, err = ix.query(nil)
 	if err != nil || len(scores) != 0 {
 		t.Errorf("empty query: %v, %v", scores, err)
 	}
 }
 
 func TestQueryBeforeFinalize(t *testing.T) {
-	ix := NewIndex()
-	ix.Add(0, []string{"a"})
-	if _, err := ix.Query([]string{"a"}); !errors.Is(err, ErrNotFinalized) {
-		t.Fatalf("err = %v, want ErrNotFinalized", err)
+	ix := newTextIndex()
+	ix.add(0, []string{"a"})
+	if _, err := ix.query([]string{"a"}); !errors.Is(err, errNotFinalized) {
+		t.Fatalf("err = %v, want errNotFinalized", err)
 	}
 }
 
@@ -71,10 +71,10 @@ func TestAddAfterFinalizePanics(t *testing.T) {
 	ix := buildIndex(map[graph.DocID][]string{0: {"a"}})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Add after Finalize did not panic")
+			t.Fatal("add after finalize did not panic")
 		}
 	}()
-	ix.Add(1, []string{"b"})
+	ix.add(1, []string{"b"})
 }
 
 func TestIDFDownweightsCommonTerms(t *testing.T) {
@@ -85,9 +85,9 @@ func TestIDFDownweightsCommonTerms(t *testing.T) {
 		1: {"common", "filler"},
 		2: {"common", "other"},
 	})
-	scores, err := ix.Query([]string{"common", "rare"})
+	scores, err := ix.query([]string{"common", "rare"})
 	if err != nil {
-		t.Fatalf("Query: %v", err)
+		t.Fatalf("query: %v", err)
 	}
 	if scores[0] <= scores[1] {
 		t.Errorf("rare-matching doc %g should beat common-only %g", scores[0], scores[1])
@@ -96,9 +96,9 @@ func TestIDFDownweightsCommonTerms(t *testing.T) {
 
 func TestCaseAndWhitespaceNormalized(t *testing.T) {
 	ix := buildIndex(map[graph.DocID][]string{0: {"Robotics", " lab "}})
-	scores, err := ix.Query([]string{"ROBOTICS", "lab"})
+	scores, err := ix.query([]string{"ROBOTICS", "lab"})
 	if err != nil {
-		t.Fatalf("Query: %v", err)
+		t.Fatalf("query: %v", err)
 	}
 	if len(scores) != 1 {
 		t.Errorf("matches = %d", len(scores))
@@ -113,30 +113,30 @@ func TestSearchEngineFusion(t *testing.T) {
 		1: {"news"},
 	})
 	docRank := []float64{0.1, 0.9}
-	se, err := NewSearchEngine(ix, docRank, 0.5)
+	se, err := newSearchEngine(ix, docRank, 0.5)
 	if err != nil {
-		t.Fatalf("NewSearchEngine: %v", err)
+		t.Fatalf("newSearchEngine: %v", err)
 	}
-	res, err := se.Search([]string{"news"}, 10)
+	res, err := se.search([]string{"news"}, 10)
 	if err != nil {
-		t.Fatalf("Search: %v", err)
+		t.Fatalf("search: %v", err)
 	}
-	if len(res) != 2 || res[0].Doc != 1 {
+	if len(res) != 2 || res[0].doc != 1 {
 		t.Errorf("fusion order = %+v, want doc 1 first", res)
 	}
-	if res[0].Link != 1 {
-		t.Errorf("link normalization: %g, want 1 for max-rank doc", res[0].Link)
+	if res[0].link != 1 {
+		t.Errorf("link normalization: %g, want 1 for max-rank doc", res[0].link)
 	}
 
-	pure, err := NewSearchEngine(ix, docRank, 1)
+	pure, err := newSearchEngine(ix, docRank, 1)
 	if err != nil {
 		t.Fatalf("λ=1: %v", err)
 	}
-	res, err = pure.Search([]string{"news"}, 10)
+	res, err = pure.search([]string{"news"}, 10)
 	if err != nil {
-		t.Fatalf("Search λ=1: %v", err)
+		t.Fatalf("search λ=1: %v", err)
 	}
-	if res[0].Doc != 0 {
+	if res[0].doc != 0 {
 		t.Errorf("pure text with equal scores should tie-break by ID: %+v", res)
 	}
 }
@@ -146,31 +146,31 @@ func TestSearchNeverSurfacesNonMatches(t *testing.T) {
 		0: {"match"},
 		1: {"unrelated"},
 	})
-	se, err := NewSearchEngine(ix, []float64{0.01, 0.99}, 0.0) // pure link
+	se, err := newSearchEngine(ix, []float64{0.01, 0.99}, 0.0) // pure link
 	if err != nil {
-		t.Fatalf("NewSearchEngine: %v", err)
+		t.Fatalf("newSearchEngine: %v", err)
 	}
-	res, err := se.Search([]string{"match"}, 10)
+	res, err := se.search([]string{"match"}, 10)
 	if err != nil {
-		t.Fatalf("Search: %v", err)
+		t.Fatalf("search: %v", err)
 	}
-	if len(res) != 1 || res[0].Doc != 0 {
+	if len(res) != 1 || res[0].doc != 0 {
 		t.Errorf("link rank surfaced a non-matching doc: %+v", res)
 	}
 }
 
 func TestSearchEngineValidation(t *testing.T) {
 	ix := buildIndex(map[graph.DocID][]string{0: {"a"}})
-	if _, err := NewSearchEngine(ix, []float64{1}, 1.5); err == nil {
+	if _, err := newSearchEngine(ix, []float64{1}, 1.5); err == nil {
 		t.Error("lambda > 1 accepted")
 	}
-	if _, err := NewSearchEngine(ix, []float64{0}, 0.5); err == nil {
+	if _, err := newSearchEngine(ix, []float64{0}, 0.5); err == nil {
 		t.Error("zero DocRank accepted")
 	}
-	unfinalized := NewIndex()
-	unfinalized.Add(0, []string{"a"})
-	if _, err := NewSearchEngine(unfinalized, []float64{1}, 0.5); !errors.Is(err, ErrNotFinalized) {
-		t.Errorf("err = %v, want ErrNotFinalized", err)
+	unfinalized := newTextIndex()
+	unfinalized.add(0, []string{"a"})
+	if _, err := newSearchEngine(unfinalized, []float64{1}, 0.5); !errors.Is(err, errNotFinalized) {
+		t.Errorf("err = %v, want errNotFinalized", err)
 	}
 }
 
@@ -178,36 +178,36 @@ func TestSyntheticCorpusSearch(t *testing.T) {
 	cfg := webgen.Small()
 	cfg.Seed = 21
 	web := webgen.Generate(cfg)
-	ix := SyntheticCorpus(web, 21)
-	if ix.NumDocs() != web.Graph.NumDocs() {
-		t.Fatalf("indexed %d of %d docs", ix.NumDocs(), web.Graph.NumDocs())
+	ix := syntheticCorpus(web, 21)
+	if ix.numDocs != web.Graph.NumDocs() {
+		t.Fatalf("indexed %d of %d docs", ix.numDocs, web.Graph.NumDocs())
 	}
 
 	ranked, err := lmm.LayeredDocRank(web.Graph, lmm.WebConfig{})
 	if err != nil {
 		t.Fatalf("LayeredDocRank: %v", err)
 	}
-	se, err := NewSearchEngine(ix, ranked.DocRank, 0.6)
+	se, err := newSearchEngine(ix, ranked.DocRank, 0.6)
 	if err != nil {
-		t.Fatalf("NewSearchEngine: %v", err)
+		t.Fatalf("newSearchEngine: %v", err)
 	}
 	// Query site 3's topic: all results must come from site 3 (only its
 	// pages carry the topic term), with the home page first (highest
 	// topic TF and the site's top local rank).
-	res, err := se.Search([]string{"topic003"}, 5)
+	res, err := se.search([]string{"topic003"}, 5)
 	if err != nil {
-		t.Fatalf("Search: %v", err)
+		t.Fatalf("search: %v", err)
 	}
 	if len(res) == 0 {
 		t.Fatal("no hits for a site topic")
 	}
 	for _, r := range res {
-		if web.Graph.SiteOf(r.Doc) != 3 {
-			t.Errorf("hit %d from site %d, want 3", r.Doc, web.Graph.SiteOf(r.Doc))
+		if web.Graph.SiteOf(r.doc) != 3 {
+			t.Errorf("hit %d from site %d, want 3", r.doc, web.Graph.SiteOf(r.doc))
 		}
 	}
-	if web.Class[res[0].Doc] != webgen.ClassHome {
-		t.Errorf("top hit class = %v, want home", web.Class[res[0].Doc])
+	if web.Class[res[0].doc] != webgen.ClassHome {
+		t.Errorf("top hit class = %v, want home", web.Class[res[0].doc])
 	}
 }
 
@@ -219,18 +219,18 @@ func TestFusionDemotesAgglomerates(t *testing.T) {
 	cfg := webgen.Small()
 	cfg.Seed = 22
 	web := webgen.Generate(cfg)
-	ix := SyntheticCorpus(web, 22)
+	ix := syntheticCorpus(web, 22)
 	ranked, err := lmm.LayeredDocRank(web.Graph, lmm.WebConfig{})
 	if err != nil {
 		t.Fatalf("LayeredDocRank: %v", err)
 	}
-	se, err := NewSearchEngine(ix, ranked.DocRank, 0.5)
+	se, err := newSearchEngine(ix, ranked.DocRank, 0.5)
 	if err != nil {
-		t.Fatalf("NewSearchEngine: %v", err)
+		t.Fatalf("newSearchEngine: %v", err)
 	}
-	res, err := se.Search([]string{"javadoc"}, 3)
+	res, err := se.search([]string{"javadoc"}, 3)
 	if err != nil {
-		t.Fatalf("Search: %v", err)
+		t.Fatalf("search: %v", err)
 	}
 	if len(res) == 0 {
 		t.Fatal("no javadoc hits")
@@ -238,8 +238,8 @@ func TestFusionDemotesAgglomerates(t *testing.T) {
 	// All matches are agglomerate pages (only they carry the term), so
 	// this just verifies the engine is usable on the degenerate case.
 	for _, r := range res {
-		if !web.Class[r.Doc].IsAgglomerate() {
-			t.Errorf("non-agglomerate page matched javadoc: %v", web.Class[r.Doc])
+		if !web.Class[r.doc].IsAgglomerate() {
+			t.Errorf("non-agglomerate page matched javadoc: %v", web.Class[r.doc])
 		}
 	}
 }
@@ -250,7 +250,7 @@ func TestFusionDemotesAgglomerates(t *testing.T) {
 func TestCosineBoundsQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		ix := NewIndex()
+		ix := newTextIndex()
 		nDocs := rng.Intn(20) + 2
 		vocab := []string{"a", "b", "c", "d", "e"}
 		for d := 0; d < nDocs; d++ {
@@ -259,10 +259,10 @@ func TestCosineBoundsQuick(t *testing.T) {
 			for i := range terms {
 				terms[i] = vocab[rng.Intn(len(vocab))]
 			}
-			ix.Add(graph.DocID(d), terms)
+			ix.add(graph.DocID(d), terms)
 		}
-		ix.Finalize()
-		scores, err := ix.Query([]string{vocab[rng.Intn(len(vocab))], vocab[rng.Intn(len(vocab))]})
+		ix.finalize()
+		scores, err := ix.query([]string{vocab[rng.Intn(len(vocab))], vocab[rng.Intn(len(vocab))]})
 		if err != nil {
 			return false
 		}

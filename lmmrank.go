@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 
-	"lmmrank/internal/crawler"
 	"lmmrank/internal/dist/cluster"
 	"lmmrank/internal/dist/coordinator"
 	"lmmrank/internal/graph"
@@ -12,7 +11,6 @@ import (
 	"lmmrank/internal/matrix"
 	"lmmrank/internal/pagerank"
 	"lmmrank/internal/rankutil"
-	"lmmrank/internal/retrieval"
 	"lmmrank/internal/webgen"
 )
 
@@ -293,7 +291,7 @@ func PageRankGraph(g *Digraph, damping float64) (Vector, error) {
 }
 
 // GenerateCampusWeb builds a synthetic campus web with ground-truth spam
-// labels (the evaluation substrate; see DESIGN.md §4).
+// labels (the evaluation substrate; see internal/webgen's package comment).
 func GenerateCampusWeb(cfg CampusWebConfig) *CampusWeb { return webgen.Generate(cfg) }
 
 // ReadGraph parses the text graph format; WriteGraph emits it.
@@ -315,55 +313,6 @@ func WriteGraphBinary(w io.Writer, dg *DocGraph) error { return graph.EncodeBina
 // StartCluster launches an in-process distributed fleet of n workers on
 // loopback TCP with a connected coordinator.
 func StartCluster(n int) (*Cluster, error) { return cluster.StartLocal(n) }
-
-// Crawler types: acquire DocGraphs the way the paper's dataset was built.
-type (
-	// CrawlConfig parameterizes a breadth-first crawl.
-	CrawlConfig = crawler.Config
-	// CrawlStats summarizes a finished crawl.
-	CrawlStats = crawler.Stats
-	// Fetcher abstracts the web being crawled.
-	Fetcher = crawler.Fetcher
-	// SnapshotFetcher serves a DocGraph as a virtual web.
-	SnapshotFetcher = crawler.SnapshotFetcher
-)
-
-// Crawl runs a deterministic breadth-first crawl over a Fetcher.
-func Crawl(f Fetcher, cfg CrawlConfig) (*DocGraph, CrawlStats, error) {
-	return crawler.Crawl(f, cfg)
-}
-
-// NewSnapshotFetcher serves an existing DocGraph (e.g. a generated campus
-// web) as a crawlable virtual web.
-func NewSnapshotFetcher(dg *DocGraph) *SnapshotFetcher {
-	return crawler.NewSnapshotFetcher(dg)
-}
-
-// Retrieval types: the future-work fusion of query-based and link-based
-// ranking (§4).
-type (
-	// SearchIndex is a TF-IDF inverted index over document terms.
-	SearchIndex = retrieval.Index
-	// SearchEngine blends cosine query scores with a DocRank.
-	SearchEngine = retrieval.SearchEngine
-	// SearchResult is one hit with its score decomposition.
-	SearchResult = retrieval.Result
-)
-
-// NewSearchIndex returns an empty TF-IDF index.
-func NewSearchIndex() *SearchIndex { return retrieval.NewIndex() }
-
-// NewSearchEngine blends a finalized index with a DocRank vector using
-// fusion weight lambda (1 = pure text, 0 = pure link order among matches).
-func NewSearchEngine(ix *SearchIndex, docRank Vector, lambda float64) (*SearchEngine, error) {
-	return retrieval.NewSearchEngine(ix, docRank, lambda)
-}
-
-// SyntheticCorpus indexes deterministic term vectors for a generated
-// campus web, so retrieval experiments have content to query.
-func SyntheticCorpus(web *CampusWeb, seed int64) *SearchIndex {
-	return retrieval.SyntheticCorpus(web, seed)
-}
 
 // ErrStaleResult marks incremental updates that need a full recompute.
 var ErrStaleResult = lmm.ErrStaleResult

@@ -2,6 +2,10 @@ package lmmrank
 
 import (
 	"bytes"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -127,5 +131,46 @@ func TestFacadeCluster(t *testing.T) {
 	}
 	if d := res.DocRank.L1Diff(local.DocRank); d > 1e-8 {
 		t.Errorf("distributed deviates from local: %g", d)
+	}
+}
+
+// TestRootImportsOnlyTheEngine pins the public package to the paper's
+// model API plus Engine: its non-test files may import only the internal
+// packages that surface serves. A crawler, a search index or any other
+// tool the method does not need belongs under internal/ or cmd/, not
+// behind a re-export here.
+func TestRootImportsOnlyTheEngine(t *testing.T) {
+	allowed := map[string]bool{
+		"lmmrank/internal/dist/cluster":     true,
+		"lmmrank/internal/dist/coordinator": true,
+		"lmmrank/internal/graph":            true,
+		"lmmrank/internal/lmm":              true,
+		"lmmrank/internal/matrix":           true,
+		"lmmrank/internal/pagerank":         true,
+		"lmmrank/internal/rankutil":         true,
+		"lmmrank/internal/webgen":           true,
+	}
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			path, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.HasPrefix(path, "lmmrank/internal/") && !allowed[path] {
+				t.Errorf("%s imports %s, outside the model API and Engine", name, path)
+			}
+		}
 	}
 }
