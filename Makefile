@@ -48,8 +48,14 @@ lint:
 		echo "lint: govulncheck unavailable (offline toolchain?); skipped"; \
 	fi
 
+# The big-endian leg: a packed column's block is one copy of its memory
+# on a little-endian host and converted element by element elsewhere
+# (internal/graph's WriteBlock and ReadBlock); cross-building for s390x
+# keeps that second path, and the tests that force it, compiling.
 build:
 	$(GO) build ./...
+	GOARCH=s390x $(GO) build ./...
+	GOARCH=s390x $(GO) test -c -o /dev/null ./internal/graph ./internal/dist/wire
 
 test:
 	$(GO) test ./...

@@ -9,7 +9,7 @@
 //	         [-siterank central|sync]
 //	         [-max-worker-failures 1] [-max-redials 0]
 //	         [-checkpoint siterank.ckpt] [-resume] [-runs 2]
-//	         [-compress] [-timeout 30s]
+//	         [-timeout 30s]
 //
 // Shards are placed over the fleet by weighted LPT over page counts,
 // and declared to the workers by content digest, so with -runs > 1
@@ -27,9 +27,8 @@
 // the fleet-side SiteRank iterate to a file after every round; a
 // coordinator restarted with -resume picks the iteration up from the
 // last checkpointed round instead of round zero (without -resume a
-// stale checkpoint is cleared first). -compress flate-compresses shard
-// payloads on the wire; -timeout bounds each whole run with a context
-// deadline that propagates into every worker exchange.
+// stale checkpoint is cleared first). -timeout bounds each whole run
+// with a context deadline that propagates into every worker exchange.
 package main
 
 import (
@@ -64,7 +63,6 @@ func run() error {
 		ckptPath  = flag.String("checkpoint", "", "checkpoint the SiteRank iterate to this file (-siterank sync)")
 		resume    = flag.Bool("resume", false, "resume the SiteRank iteration from the checkpoint file")
 		runs      = flag.Int("runs", 1, "repeat the ranking; runs after the first hit the workers' shard caches and hash no shard")
-		compress  = flag.Bool("compress", false, "flate-compress shard payloads on the wire")
 		timeout   = flag.Duration("timeout", 0, "deadline per ranking run (0 = none); propagates into every worker exchange")
 	)
 	flag.Parse()
@@ -73,6 +71,9 @@ func run() error {
 		return fmt.Errorf("-graph and -workers are required")
 	}
 	// Flag combinations fail before any worker is dialed.
+	if *runs < 1 {
+		return fmt.Errorf("-runs %d: want at least 1", *runs)
+	}
 	if *resume && *ckptPath == "" {
 		return fmt.Errorf("-resume needs -checkpoint")
 	}
@@ -124,7 +125,6 @@ func run() error {
 	cfg := coordinator.Config{
 		Damping:  *damping,
 		SiteRank: mode,
-		Compress: *compress,
 		Retry: coordinator.RetryPolicy{
 			MaxWorkerFailures: *failures,
 			MaxRedials:        *redials,
@@ -168,11 +168,6 @@ func run() error {
 			run, res.Stats.CacheHits, res.Stats.ShardsReshipped,
 			float64(res.Stats.ShardBytesSaved)/1e6,
 			float64(res.Stats.DigestBytesHashed)/1e6)
-		if res.Stats.ShardBytesRaw > 0 {
-			fmt.Printf("; compression %.2f -> %.2f MB",
-				float64(res.Stats.ShardBytesRaw)/1e6,
-				float64(res.Stats.ShardBytesCompressed)/1e6)
-		}
 		if res.Stats.WorkersLost > 0 {
 			fmt.Printf("; survived %d worker losses (%d shards reassigned, %d retries)",
 				res.Stats.WorkersLost, res.Stats.Reassignments, res.Stats.Retries)

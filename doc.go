@@ -20,13 +20,12 @@
 //     substrate standing in for the paper's EPFL crawl);
 //   - a distributed runtime: loopback or networked worker fleets driven by
 //     a coordinator over a framed binary TCP protocol, with page-count shard
-//     balancing, digest-keyed worker caches, flate shard compression,
-//     one SiteRank loop selected by DistConfig.SiteRank alone
-//     (SiteRankMode: central by default, or on the fleet as synchronous
-//     point-Jacobi rounds), mid-run
-//     worker-loss recovery and background redial with
-//     mid-run re-admission (DistRetryPolicy), and checkpointed SiteRank
-//     iteration (DistCheckpoint).
+//     balancing, digest-keyed worker caches, one SiteRank loop selected by
+//     DistConfig.SiteRank alone (SiteRankMode: central by default, or on
+//     the fleet as synchronous point-Jacobi rounds), mid-run worker-loss
+//     recovery and background redial with mid-run re-admission
+//     (DistRetryPolicy), and checkpointed SiteRank iteration
+//     (DistCheckpoint).
 //
 // Quick start:
 //

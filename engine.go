@@ -588,8 +588,8 @@ type distWarm struct {
 }
 
 // DistEngine serves the same queries from a distributed fleet: local
-// DocRanks run on the workers (through the coordinator's shard caches,
-// loss recovery and optional compression), the small site layer runs
+// DocRanks run on the workers (through the coordinator's shard caches
+// and loss recovery), the small site layer runs
 // centrally or as distributed point-Jacobi rounds, and the composed result
 // comes back caller-owned with transport statistics attached. Rank
 // calls are safe for concurrent use — the coordinator serializes runs —
@@ -638,7 +638,7 @@ var _ Engine = (*DistEngine)(nil)
 // reuses it, so repeated queries ship near-zero shard bytes and hash
 // zero digest bytes. cfg
 // supplies the transport knobs (SiteGraph aggregation, SiteRank mode,
-// retry policy, compression) and the serving knobs
+// retry policy) and the serving knobs
 // (MaxInFlight, TenantQuota, RejectOverload, Coalesce, CoalesceTol);
 // its per-query fields —
 // Damping, Tol, MaxIter, SitePersonalization, ThreeLayer, DomainOf —

@@ -73,14 +73,14 @@ func main() {
 	}
 
 	// The distributed backend serves the very same Query type: local
-	// DocRanks run on the fleet, shards are digest-cached and (here)
-	// flate-compressed, and the result carries transport stats.
+	// DocRanks run on the fleet, shards are digest-cached, and the result
+	// carries transport stats.
 	cl, err := lmmrank.StartCluster(3)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer cl.Close()
-	dist, err := lmmrank.NewDistEngine(cl, dg, lmmrank.DistConfig{Compress: true})
+	dist, err := lmmrank.NewDistEngine(cl, dg, lmmrank.DistConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -89,10 +89,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ndistributed top hit: %s (%.5f)\n", dres.Top[0].URL, dres.Top[0].Score)
-	fmt.Printf("fleet: %d messages, shard payload %.1f KB on the wire (%.1f KB before compression)\n",
-		dres.Dist.Messages,
-		float64(dres.Dist.ShardBytesCompressed)/1e3,
-		float64(dres.Dist.ShardBytesRaw)/1e3)
+	fmt.Printf("fleet: %d messages, %.1f KB sent\n", dres.Dist.Messages, float64(dres.Dist.BytesSent)/1e3)
 
 	// Warm runs reuse the workers' caches and the shard digests the
 	// snapshot keeps: near-zero shard bytes, zero digest hashing.

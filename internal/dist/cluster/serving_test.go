@@ -63,51 +63,6 @@ func TestDigestMemoization(t *testing.T) {
 	}
 }
 
-// TestCompressedShardEquivalence is the Config.Compress contract: the
-// ranking is bitwise identical with compression on, the stats record a
-// real compression win, and the cold-load wire traffic shrinks.
-func TestCompressedShardEquivalence(t *testing.T) {
-	web := testWeb()
-
-	rank := func(compress bool) *coordinator.Result {
-		t.Helper()
-		cl, err := StartLocal(2)
-		if err != nil {
-			t.Fatalf("StartLocal: %v", err)
-		}
-		defer cl.Close()
-		res, err := cl.Coord.Rank(web.Graph, coordinator.Config{Compress: compress})
-		if err != nil {
-			t.Fatalf("Rank(compress=%v): %v", compress, err)
-		}
-		return res
-	}
-	plain := rank(false)
-	compressed := rank(true)
-
-	if d := compressed.DocRank.L1Diff(plain.DocRank); d != 0 {
-		t.Errorf("compressed run's DocRank differs by %g, want bitwise equality", d)
-	}
-	if d := compressed.SiteRank.L1Diff(plain.SiteRank); d != 0 {
-		t.Errorf("compressed run's SiteRank differs by %g, want bitwise equality", d)
-	}
-	if plain.Stats.ShardBytesRaw != 0 || plain.Stats.ShardBytesCompressed != 0 {
-		t.Errorf("uncompressed run recorded compression stats: %d raw / %d compressed",
-			plain.Stats.ShardBytesRaw, plain.Stats.ShardBytesCompressed)
-	}
-	if compressed.Stats.ShardBytesRaw == 0 {
-		t.Fatal("compressed run recorded no raw shard bytes")
-	}
-	if compressed.Stats.ShardBytesCompressed >= compressed.Stats.ShardBytesRaw {
-		t.Errorf("compression grew the payload: %d raw -> %d compressed",
-			compressed.Stats.ShardBytesRaw, compressed.Stats.ShardBytesCompressed)
-	}
-	if compressed.Stats.BytesSent >= plain.Stats.BytesSent {
-		t.Errorf("compressed cold load sent %d bytes, uncompressed %d — no wire win",
-			compressed.Stats.BytesSent, plain.Stats.BytesSent)
-	}
-}
-
 // TestDistributedSitePersonalization drives the site-layer teleport
 // through the central and the synchronous distributed SiteRank and
 // checks each against the single-process personalized pipeline.

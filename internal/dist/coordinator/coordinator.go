@@ -170,12 +170,6 @@ type Config struct {
 	// DomainOf groups sites into domains for ThreeLayer (nil =
 	// lmm.DefaultDomainOf).
 	DomainOf func(siteName string) string
-	// Compress flate-compresses shard payloads on the wire (the workers
-	// decompress transparently). Edge lists are integer-heavy and
-	// repetitive, so compression cuts cold-load bytes severalfold for
-	// CPU that is negligible next to the ranking itself; warm runs ship
-	// no shards either way. Stats records raw vs compressed bytes.
-	Compress bool
 	// SiteRank selects the site-layer algorithm — the one spelling of
 	// the mode. The zero value is SiteRankCentral.
 	SiteRank SiteRankMode
@@ -323,12 +317,6 @@ type Stats struct {
 	// same graph hashes zero bytes, and one handed them with an edited
 	// site dropped hashes that site's shard.
 	DigestBytesHashed uint64
-	// ShardBytesRaw and ShardBytesCompressed record the shard payloads
-	// shipped with Config.Compress on: the encoded size before compression
-	// and the flate size that actually crossed the wire. Both stay zero
-	// when compression is off or nothing shipped in full.
-	ShardBytesRaw        uint64
-	ShardBytesCompressed uint64
 }
 
 // Warm is what the caller already knows about a run, handed in so the

@@ -670,16 +670,12 @@ func (r *run) shipTo(idx int, want, fresh []int) error {
 	}
 	for n := 1; ; n++ {
 		req := &wire.Request{Kind: wire.KindLoad, NumSites: r.ns}
-		var full []wire.SiteShard
 		for _, s := range want {
 			if fullAt[s] == n {
-				full = append(full, r.shard(s))
+				req.Shards = append(req.Shards, r.shard(s))
 			} else {
 				req.Cached = append(req.Cached, wire.ShardRef{Site: s, Digest: r.digests.shards[s].digest})
 			}
-		}
-		if err := r.packShards(req, full); err != nil {
-			return err
 		}
 		resp, err := r.call(idx, req)
 		if err != nil {
@@ -715,30 +711,6 @@ func (r *run) shipTo(idx int, want, fresh []int) error {
 			r.stats.RejoinShardBytes += r.digests.shards[s].size
 		}
 	}
-	return nil
-}
-
-// packShards places the fully shipped shard batch into a KindLoad
-// request — plainly, or flate-compressed when Config.Compress is on,
-// recording raw vs compressed bytes. Called from concurrent per-worker
-// shipments, hence the stats lock.
-func (r *run) packShards(req *wire.Request, full []wire.SiteShard) error {
-	if len(full) == 0 {
-		return nil
-	}
-	if !r.cfg.Compress {
-		req.Shards = full
-		return nil
-	}
-	z, raw, err := wire.CompressShards(full)
-	if err != nil {
-		return fmt.Errorf("coordinator: %w", err)
-	}
-	req.ShardsZ = z
-	r.mu.Lock()
-	r.stats.ShardBytesRaw += uint64(raw)
-	r.stats.ShardBytesCompressed += uint64(len(z))
-	r.mu.Unlock()
 	return nil
 }
 

@@ -6,7 +6,8 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"unsafe"
+
+	"lmmrank/internal/graph"
 )
 
 // Every message crosses the wire as one self-delimiting frame:
@@ -18,25 +19,26 @@ import (
 //	           codec.response walk them
 //
 // Inside the payload an int is a zigzag varint, a count an unsigned
-// varint, a float64 its eight IEEE-754 bytes little-endian, and
-// a []float64 a count followed by one raw block of such floats — float
-// bits cross verbatim. A []uint32 — a shard's columns — is fixed-width
-// throughout, as the graph file's columns are: a uint32 count, then one
-// raw block of uint32s little-endian. On a little-endian host a raw
-// block is its slice's memory, so it crosses as one copy each way. A
-// frame carries no state from earlier frames, so a proxy may relay one
-// without understanding it.
+// varint, a float64 its eight IEEE-754 bytes little-endian, and a
+// []float64 a count followed by one block of such floats — float bits
+// cross verbatim. A []uint32 — a shard's columns — is fixed-width
+// throughout: a uint32 count, then one block. A block is the layout of a
+// graph file's columns, and its home is package graph (WriteBlock,
+// ReadBlock): on a little-endian host it is its slice's memory, so it
+// crosses as one copy each way. A frame carries no state from earlier
+// frames, so a proxy may relay one without understanding it.
 //
 // The version names the protocol's meaning as well as its layout: 2
 // renumbered the kinds, 3 made the replicated-chain round batches
 // point-Jacobi rounds, 4 retired them with their fields, 5 retired the
 // barrier-free sweeps with theirs, 6 made a shard's subgraph the graph's
-// packed columns instead of an edge list, so a mixed-build fleet refuses
-// at the first frame instead of computing two float sequences under one
-// checkpoint digest, or reading one layout as the other.
+// packed columns instead of an edge list, 7 retired the compressed shard
+// field, so a mixed-build fleet refuses at the first frame instead of
+// computing two float sequences under one checkpoint digest, or reading
+// one layout as the other.
 const (
 	frameMagic   = 0xB0 // high nibble of byte 0
-	frameVersion = 0x06 // low nibble of byte 0
+	frameVersion = 0x07 // low nibble of byte 0
 	headerLen    = 6
 
 	// kindResponse is the header kind of a Response frame; no Request
@@ -265,81 +267,60 @@ func (c *codec) ints(p *[]int, what string, limit int) {
 	}
 }
 
-// hostLE says the host lays numbers out little-endian, as the wire
-// does: then a slice's memory is its raw block, byte for byte.
-var hostLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
-
-// memory returns the bytes of v's elements, aliased.
-func memory[T uint32 | float64](v []T) []byte {
-	var zero T
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*int(unsafe.Sizeof(zero)))
+// write puts p in the scratch, or — larger than the scratch — writes it
+// straight through, in one Write of its own.
+func (c *codec) write(p []byte) (int, error) {
+	if len(c.b)+len(p) > cap(c.b) {
+		c.flush()
+	}
+	if len(p) <= cap(c.b) {
+		c.b = append(c.b, p...)
+	} else if c.err == nil {
+		_, c.err = c.out.Write(p)
+	}
+	return len(p), nil
 }
 
-// block carries v as one raw block of size-byte elements; reading, v
-// already has the length the count admitted. On a little-endian host it
-// is one copy of v's memory each way — a block larger than the scratch
-// is written straight through, in one Write of its own — and elsewhere
-// the elements go one at a time through put and get.
-func block[T uint32 | float64](c *codec, v []T, size int, put func([]byte, T), get func([]byte) T) {
+// fill copies the next len(p) payload bytes into p, or zeros it and
+// fails the read.
+func (c *codec) fill(p []byte) error {
+	if b := c.take(len(p)); b != nil {
+		copy(p, b)
+	} else {
+		clear(p)
+	}
+	return nil
+}
+
+// block carries v as one block of size-byte elements, laid out by
+// package graph; reading, v already has the length the count admitted.
+func block[T uint32 | float64](c *codec, v []T, size int) {
 	switch c.mode {
 	case measuring:
 		c.n += size * len(v)
 	case writing:
-		if hostLE {
-			m := memory(v)
-			if len(c.b)+len(m) > cap(c.b) {
-				c.flush()
-			}
-			if len(m) <= cap(c.b) {
-				c.b = append(c.b, m...)
-			} else if c.err == nil {
-				_, c.err = c.out.Write(m)
-			}
-			return
-		}
-		for len(v) > 0 {
-			c.room(size)
-			off := len(c.b)
-			k := min(len(v), (cap(c.b)-off)/size)
-			c.b = c.b[:off+size*k]
-			for i, x := range v[:k] {
-				put(c.b[off+size*i:], x)
-			}
-			v = v[k:]
-		}
+		graph.WriteBlock(v, c.write)
 	case reading:
-		b := c.take(size * len(v))
-		if b == nil {
-			clear(v)
-		} else if hostLE {
-			copy(memory(v), b)
-		} else {
-			for i := range v {
-				v[i] = get(b[size*i:])
-			}
-		}
+		graph.ReadBlock(v, c.fill)
 	}
 }
 
-func putFloat(b []byte, x float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(x)) }
-func getFloat(b []byte) float64    { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
-
-// floats carries a vector as a count and one raw block.
+// floats carries a vector as a count and one block.
 func (c *codec) floats(p *[]float64, what string, limit int) {
 	n := c.count(len(*p), what, limit, 8)
 	if c.mode == reading {
 		*p = resize(*p, n)
 	}
-	block(c, *p, 8, putFloat, getFloat)
+	block(c, *p, 8)
 }
 
-// uint32s carries a column as a uint32 count and one raw block.
+// uint32s carries a column as a uint32 count and one block.
 func (c *codec) uint32s(p *[]uint32, what string, limit int) {
 	n := c.count32(len(*p), what, limit, 4)
 	if c.mode == reading {
 		*p = resize(*p, n)
 	}
-	block(c, *p, 4, binary.LittleEndian.PutUint32, binary.LittleEndian.Uint32)
+	block(c, *p, 4)
 }
 
 func (c *codec) bytes(p *[]byte, what string) {
@@ -348,12 +329,7 @@ func (c *codec) bytes(p *[]byte, what string) {
 	case measuring:
 		c.n += n
 	case writing:
-		for v := *p; len(v) > 0; {
-			c.room(1)
-			k := copy(c.b[len(c.b):cap(c.b)], v)
-			c.b = c.b[:len(c.b)+k]
-			v = v[k:]
-		}
+		c.write(*p)
 	case reading:
 		*p = resize(*p, n)
 		copy(*p, c.take(n))
@@ -417,7 +393,6 @@ func (c *codec) refs(p *[]ShardRef) {
 
 func (c *codec) request(r *Request) {
 	c.shards(&r.Shards)
-	c.bytes(&r.ShardsZ, "compressed shard byte")
 	c.refs(&r.Cached)
 	c.int(&r.NumSites)
 	c.float(&r.Damping)

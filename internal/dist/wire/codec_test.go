@@ -14,6 +14,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"lmmrank/internal/graph"
 )
 
 // marshal encodes v through a minimum-size scratch, so any message
@@ -166,8 +168,6 @@ func (g gen) request(k Kind) *Request {
 	for i := range r.Shards {
 		r.Shards[i] = g.shard()
 	}
-	r.ShardsZ = make([]byte, g.count(2000))
-	g.Read(r.ShardsZ)
 	return r
 }
 
@@ -302,33 +302,6 @@ func TestWireSizeIsExact(t *testing.T) {
 	}
 }
 
-func TestCompressShardsRoundTrip(t *testing.T) {
-	g := newGen(4)
-	shards := make([]SiteShard, 30)
-	var raw int
-	for i := range shards {
-		shards[i] = g.shard()
-		raw += int(shards[i].WireSize())
-	}
-	z, rawLen, err := CompressShards(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rawLen != raw+1 { // the shard count is one varint byte
-		t.Errorf("raw length %d, want %d", rawLen, raw+1)
-	}
-	got, err := DecompressShards(z)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalMessages(shards, got) {
-		t.Error("shards changed through compression")
-	}
-	if _, err := DecompressShards(z[:len(z)/2]); err == nil {
-		t.Error("a truncated stream decompressed cleanly")
-	}
-}
-
 // header builds a frame header claiming n payload bytes.
 func header(kind Kind, n uint32) []byte {
 	return binary.LittleEndian.AppendUint32([]byte{frameMagic | frameVersion, byte(kind)}, n)
@@ -374,6 +347,8 @@ func TestHostileFrames(t *testing.T) {
 		{"version 4", append([]byte{frameMagic | 4}, valid[1:]...), &Request{}, nil, fmt.Sprintf("version 4, this build speaks %d", frameVersion)},
 		// The peer from before a shard crossed as packed columns.
 		{"version 5", append([]byte{frameMagic | 5}, valid[1:]...), &Request{}, nil, fmt.Sprintf("version 5, this build speaks %d", frameVersion)},
+		// The peer from before the compressed shard field was retired.
+		{"version 6", append([]byte{frameMagic | 6}, valid[1:]...), &Request{}, nil, fmt.Sprintf("version 6, this build speaks %d", frameVersion)},
 		// One shard claiming more documents than a Load admits, and the
 		// largest count a column can spell: refused on their word.
 		{"shard past MaxShardDocs", frameOf(KindLoad, uv(1), uv(0), u32(MaxShardDocs+1), make([]byte, 20)), &Request{}, nil, fmt.Sprintf("exceeds %d", MaxShardDocs)},
@@ -608,12 +583,13 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add(header(KindLoad, 3))
-	// Version-3, -4 and -5 frames (the protocols before the
-	// replicated-chain round batches and the barrier-free sweeps were
-	// retired, and before a shard crossed as columns), and the two messages the declared-session contract refuses
+	// Version-3 to -6 frames (the protocols before the replicated-chain
+	// round batches and the barrier-free sweeps were retired, before a
+	// shard crossed as columns, and before the compressed shard field was
+	// retired), and the two messages the declared-session contract refuses
 	// one level above the decoder: a Load naming a site twice, a Missing
 	// that is not a set.
-	for _, v := range []byte{3, 4, 5} {
+	for _, v := range []byte{3, 4, 5, 6} {
 		old := marshal(f, &Request{Kind: KindLoad, NumSites: 3})
 		old[0] = frameMagic | v
 		f.Add([]byte(old))
@@ -693,7 +669,7 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 // big-endian host takes writes the same frames and digests, and reads
 // them back the same, as the one-copy path of a little-endian host.
 func TestPortableBlocksMatchNative(t *testing.T) {
-	if !hostLE {
+	if !graph.NativeBlocks {
 		t.Skip("the host is big-endian: the portable path is the only one")
 	}
 	msgs := messages(newGen(7), 8)
@@ -707,8 +683,8 @@ func TestPortableBlocksMatchNative(t *testing.T) {
 			}
 		}
 	}
-	hostLE = false
-	defer func() { hostLE = true }()
+	graph.NativeBlocks = false
+	defer func() { graph.NativeBlocks = true }()
 	k := 0
 	for i, m := range msgs {
 		if f := marshal(t, m); !bytes.Equal(f, native[i]) {

@@ -14,11 +14,7 @@
 package wire
 
 import (
-	"bytes"
-	"compress/flate"
 	"crypto/sha256"
-	"encoding/binary"
-	"fmt"
 	"io"
 	"net"
 	"slices"
@@ -39,7 +35,7 @@ const (
 	KindPing Kind = iota + 1
 	// KindLoad declares the session: after it the worker's session holds
 	// exactly the shards the request names over NumSites — Cached by
-	// (site, digest), Shards/ShardsZ in full — and nothing else. The
+	// (site, digest), Shards in full — and nothing else. The
 	// worker resolves each Cached ref against the session it already has
 	// (same site, same digest: kept, warm solver and all), then its
 	// digest-keyed cache, and answers the ones it holds nowhere in
@@ -127,11 +123,6 @@ type Request struct {
 	Kind Kind
 	// Shards carries KindLoad payload: shards shipped in full.
 	Shards []SiteShard
-	// ShardsZ carries KindLoad shards in compressed form — the flate
-	// stream produced by CompressShards — when the coordinator's
-	// Config.Compress is on. A request may carry both Shards and
-	// ShardsZ; the worker concatenates them.
-	ShardsZ []byte
 	// Cached lists the shards KindLoad declares by reference: the worker
 	// keeps or activates each from its session or digest cache, or
 	// reports its site in Response.Missing.
@@ -388,15 +379,15 @@ func (s *SiteShard) ContentDigest() Digest {
 	for _, n := range [...]int{len(s.Degrees), len(s.Targets), len(s.ListedPos), len(s.ListedW)} {
 		w.fixed(n)
 	}
-	block(&w, s.Degrees, 4, binary.LittleEndian.PutUint32, binary.LittleEndian.Uint32)
-	block(&w, s.Targets, 4, binary.LittleEndian.PutUint32, binary.LittleEndian.Uint32)
-	block(&w, s.ListedPos, 4, binary.LittleEndian.PutUint32, binary.LittleEndian.Uint32)
-	block(&w, s.ListedW, 8, putFloat, getFloat)
+	block(&w, s.Degrees, 4)
+	block(&w, s.Targets, 4)
+	block(&w, s.ListedPos, 4)
+	block(&w, s.ListedW, 8)
 	w.fixed(len(s.RowCols))
 	for _, c := range s.RowCols {
 		w.fixed(c)
 	}
-	block(&w, s.RowVals, 8, putFloat, getFloat)
+	block(&w, s.RowVals, 8)
 	w.flush()
 	var out Digest
 	h.Sum(out[:0])
@@ -423,60 +414,4 @@ func (s *SiteShard) SelfLoop() float64 {
 func (s *SiteShard) DigestInputBytes() uint64 {
 	columns := 4*(len(s.Degrees)+len(s.Targets)+len(s.ListedPos)) + 8*len(s.ListedW)
 	return uint64(8*(5+len(s.RowCols)+len(s.RowVals)) + columns)
-}
-
-// maxDecompressedBytes bounds how far a compressed shard payload may
-// expand, keeping a hostile flate stream (a "zip bomb") from claiming
-// unbounded memory before shard validation sees it. One GiB sits far
-// above any legitimate Load (MaxShardDocs caps the docs a load admits)
-// but well below address-space exhaustion, matching the amplification
-// stance of the other payload bounds.
-const maxDecompressedBytes = 1 << 30
-
-// CompressShards encodes the shard batch exactly as a KindLoad frame
-// would carry it and flate-compresses the result, returning the
-// compressed stream and the raw (uncompressed) size — the pair the
-// coordinator's compression accounting records (Stats.ShardBytesRaw and
-// ShardBytesCompressed say what it saved).
-func CompressShards(shards []SiteShard) (z []byte, rawLen int, err error) {
-	var size codec
-	size.shards(&shards)
-	var zb bytes.Buffer
-	fw, err := flate.NewWriter(&zb, flate.BestSpeed)
-	if err != nil {
-		return nil, 0, fmt.Errorf("wire: flate: %w", err)
-	}
-	w := codec{mode: writing, b: make([]byte, 0, minScratch), out: fw}
-	w.shards(&shards)
-	w.flush()
-	if w.err != nil {
-		return nil, 0, fmt.Errorf("wire: compress shards: %w", w.err)
-	}
-	if err := fw.Close(); err != nil {
-		return nil, 0, fmt.Errorf("wire: compress shards: %w", err)
-	}
-	return zb.Bytes(), size.n, nil
-}
-
-// DecompressShards reverses CompressShards, bounding the decompressed
-// size by maxDecompressedBytes so a hostile stream cannot expand without
-// limit; the shards are then decoded under the same length checks as a
-// frame's.
-func DecompressShards(z []byte) ([]SiteShard, error) {
-	fr := flate.NewReader(bytes.NewReader(z))
-	defer fr.Close()
-	raw, err := io.ReadAll(io.LimitReader(fr, maxDecompressedBytes+1))
-	if err != nil {
-		return nil, fmt.Errorf("wire: decompress shards: %w", err)
-	}
-	if len(raw) > maxDecompressedBytes {
-		return nil, fmt.Errorf("wire: compressed shard payload expands past %d bytes", int64(maxDecompressedBytes))
-	}
-	r := codec{mode: reading, b: raw}
-	var shards []SiteShard
-	r.shards(&shards)
-	if err := r.finish("compressed shards"); err != nil {
-		return nil, err
-	}
-	return shards, nil
 }

@@ -1,9 +1,11 @@
 package wire
 
 import (
+	"encoding/hex"
 	"net"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestConnCountsBothDirections pushes a request/response pair through a
@@ -113,6 +115,31 @@ func TestContentDigestStability(t *testing.T) {
 			t.Errorf("mutation %d did not change the digest", i)
 		}
 	}
+}
+
+// TestContentDigestPins: a shard's digest is the value every earlier
+// build computed for it — a worker's cache stays warm across a rebuild of
+// the codec — for a shard with listed weights and one with a chain row.
+func TestContentDigestPins(t *testing.T) {
+	for _, tc := range []struct {
+		shard SiteShard
+		want  string
+	}{
+		{SiteShard{Site: 2, Degrees: []uint32{2, 0, 1}, Targets: []uint32{1, 2, 0}, ListedPos: []uint32{1}, ListedW: []float64{3}},
+			"f29cd41e0db48dd7362d7d38962415e378b985710046b39562c7afeeaac23c92"},
+		{SiteShard{Site: 5, Degrees: []uint32{1, 2, 0, 1}, Targets: []uint32{1, 0, 3, 2}, RowCols: []int{0, 5, 7}, RowVals: []float64{0.25, 0.5, 0.25}},
+			"61344a4743f6bfa8f965d7b41eda4ab851a88abba9d21601e0882df3f0d01ec2"},
+	} {
+		if got := tc.shard.ContentDigest(); hex.EncodeToString(got[:]) != tc.want {
+			t.Errorf("site %d: digest %x, want %s", tc.shard.Site, got, tc.want)
+		}
+	}
+}
+
+// memory returns the bytes of v's elements, aliased.
+func memory[T uint32 | float64](v []T) []byte {
+	var zero T
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*int(unsafe.Sizeof(zero)))
 }
 
 // TestDigestSeesEveryColumnByte flips each byte of each column of a

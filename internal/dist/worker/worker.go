@@ -417,28 +417,18 @@ func (w *Worker) handleLoad(sess *session, req *wire.Request) *wire.Response {
 	if req.NumSites < 0 || req.NumSites > wire.MaxSites {
 		return &wire.Response{Err: fmt.Sprintf("worker: site space %d outside [0, %d]", req.NumSites, wire.MaxSites)}
 	}
-	// Compressed shards are expanded (bounded) before validation; the
-	// validation below treats them exactly like plainly shipped ones.
-	fullShards := req.Shards
-	if len(req.ShardsZ) > 0 {
-		unpacked, err := wire.DecompressShards(req.ShardsZ)
-		if err != nil {
-			return &wire.Response{Err: "worker: " + err.Error()}
-		}
-		fullShards = append(fullShards[:len(fullShards):len(fullShards)], unpacked...)
-	}
 	// The shipped shards' documents alone must fit the bound before one
 	// of them is built: a shard's graph and chain cost a few words a
 	// document, so a Load past it is refused before it can claim them.
 	shipped := 0
-	for i := range fullShards {
-		if shipped += fullShards[i].NumDocs(); shipped > wire.MaxShardDocs {
+	for i := range req.Shards {
+		if shipped += req.Shards[i].NumDocs(); shipped > wire.MaxShardDocs {
 			return &wire.Response{Err: fmt.Sprintf("worker: load exceeds %d aggregate docs", wire.MaxShardDocs)}
 		}
 	}
 	// next maps every declared site to its shard, nil for a missing one,
 	// so a site named twice is caught however its two mentions resolve.
-	next := make(map[int]*shard, len(fullShards)+len(req.Cached))
+	next := make(map[int]*shard, len(req.Shards)+len(req.Cached))
 	totalDocs := 0
 	place := func(site int, sh *shard) error {
 		if _, dup := next[site]; dup {
@@ -454,10 +444,10 @@ func (w *Worker) handleLoad(sess *session, req *wire.Request) *wire.Response {
 		}
 		return nil
 	}
-	for i := range fullShards {
-		e, err := w.buildEntry(&fullShards[i], req.NumSites)
+	for i := range req.Shards {
+		e, err := w.buildEntry(&req.Shards[i], req.NumSites)
 		if err == nil {
-			err = place(fullShards[i].Site, &shard{site: fullShards[i].Site, entry: e})
+			err = place(req.Shards[i].Site, &shard{site: req.Shards[i].Site, entry: e})
 		}
 		if err != nil {
 			return &wire.Response{Err: "worker: " + err.Error()}

@@ -2,6 +2,7 @@ package graph_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -194,4 +195,57 @@ func TestCloneCOWRetention(t *testing.T) {
 	}
 	runtime.KeepAlive(work)
 	runtime.KeepAlive(dg)
+}
+
+// TestBinaryFormatPins: the graph file's bytes are the ones every build
+// since version 3 wrote, not merely what this build reads back — the
+// SHA-256 of EncodeBinary's output, rows as stored and after Dedupe.
+func TestBinaryFormatPins(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		dg             *graph.DocGraph
+		stored, merged string
+	}{
+		{"webgen.Small", webgen.Generate(webgen.Small()).Graph,
+			"8bca8a7237d51531dab6e7e2a7c72b88521dd7a8ee497450c5cfdd214df96137",
+			"8bca8a7237d51531dab6e7e2a7c72b88521dd7a8ee497450c5cfdd214df96137"},
+		{"irregular-1", irregularWeb(1),
+			"0c3ec95edcc6129e253207158e185ca6e9285c1e89b2b1a3a0a48d631cf86317",
+			"096464bda95a5b843050b80e49bc0500312a72c964ec1ed89a01862f29f0ab11"},
+		{"irregular-2", irregularWeb(2),
+			"643bf43397e2b1aa977e4c0092c98f14253e9f7996a0573ffc7b27e794eaa961",
+			"8a19e6f6107c5acb4d22a8bcdf0d483fffd90fe2e6cb1f7d3fb28385c5af4d03"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(encode(t, tc.dg))); got != tc.stored {
+			t.Errorf("%s as stored: file hashes to %s, want %s", tc.name, got, tc.stored)
+		}
+		tc.dg.G.Dedupe()
+		if got := fmt.Sprintf("%x", sha256.Sum256(encode(t, tc.dg))); got != tc.merged {
+			t.Errorf("%s deduplicated: file hashes to %s, want %s", tc.name, got, tc.merged)
+		}
+	}
+}
+
+// TestPortableBlocksMatchNative: the element-by-element path a
+// big-endian host takes writes the same graph file, and reads it back
+// the same graph, as the one-copy path of a little-endian host — over
+// columns of many pieces, and rows as stored.
+func TestPortableBlocksMatchNative(t *testing.T) {
+	if !graph.NativeBlocks {
+		t.Skip("the host is big-endian: the portable path is the only one")
+	}
+	webs := []*graph.DocGraph{webgen.Generate(webgen.Default()).Graph, irregularWeb(1)}
+	native := make([][]byte, len(webs))
+	for i, dg := range webs {
+		native[i] = encode(t, dg)
+	}
+	graph.NativeBlocks = false
+	defer func() { graph.NativeBlocks = true }()
+	for i, dg := range webs {
+		if file := encode(t, dg); !bytes.Equal(file, native[i]) {
+			t.Fatalf("web %d: the portable path wrote other bytes", i)
+		}
+		dg.G.Dedupe()
+		graph.AssertSameDocGraph(t, dg, decode(t, native[i]))
+	}
 }

@@ -28,6 +28,12 @@ type Columns struct {
 // link.
 func (g *Digraph) Columns() Columns {
 	g.Dedupe()
+	return g.stored()
+}
+
+// stored returns the rows as they are stored, merged or not, as Columns
+// does: the packed base, or a new one once rows were written since.
+func (g *Digraph) stored() Columns {
 	p := g.base
 	if len(g.patch) > 0 || len(g.tail) > 0 {
 		p = g.pack()

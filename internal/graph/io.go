@@ -180,7 +180,8 @@ const (
 	// buffer may start out; from there it grows to at most eight times
 	// what has arrived. A header's counts alone never size an allocation.
 	readAhead = 128 << 10
-	// pieceBytes sizes the scratch the fixed-width columns stream through.
+	// pieceBytes sizes the writer's buffer, and the pieces a column's
+	// block is converted in on a big-endian host.
 	pieceBytes = 64 << 10
 )
 
@@ -194,12 +195,14 @@ func EncodeBinary(w io.Writer, dg *DocGraph) error {
 	if err := dg.Validate(); err != nil {
 		return err
 	}
+	c := dg.G.stored()
 	// Every count and length but the header's totals is a uint32 in the
 	// file, and so is every edge's position.
-	var nameBytes uint64
-	widest := max(len(dg.Sites), dg.NumDocs(), dg.G.NumEdges())
-	for _, site := range dg.Sites {
-		nameBytes += uint64(len(site.Name))
+	lens := make([]uint32, len(dg.Sites))
+	nameBytes, widest := 0, max(len(dg.Sites), dg.NumDocs(), len(c.Targets))
+	for s, site := range dg.Sites {
+		lens[s] = uint32(len(site.Name))
+		nameBytes += len(site.Name)
 		widest = max(widest, len(site.Name))
 	}
 	if uint64(widest) > math.MaxUint32 {
@@ -210,48 +213,20 @@ func EncodeBinary(w io.Writer, dg *DocGraph) error {
 	bw := bufio.NewWriterSize(io.MultiWriter(w, sum), pieceBytes)
 	// A bufio.Writer's first error sticks and Flush reports it.
 	var field [8]byte
-	u32 := func(v uint32) { bw.Write(le.AppendUint32(field[:0], v)) }
-	u64 := func(v uint64) { bw.Write(le.AppendUint64(field[:0], v)) }
 	bw.WriteByte(binaryMagic | binaryVersion)
-	u64(uint64(len(dg.Sites)))
-	u64(uint64(dg.NumDocs()))
-	u64(uint64(dg.G.NumEdges()))
-	u64(uint64(dg.G.numListed()))
-	u64(nameBytes)
-	u64(uint64(len(dg.urls)))
-	for _, site := range dg.Sites {
-		u32(uint32(len(site.Name)))
+	for _, n := range [...]int{len(dg.Sites), dg.NumDocs(), len(c.Targets), len(c.ListedPos), nameBytes, len(dg.urls)} {
+		bw.Write(le.AppendUint64(field[:0], uint64(n)))
 	}
+	WriteBlock(lens, bw.Write)
 	for _, site := range dg.Sites {
 		bw.WriteString(site.Name)
 	}
-	for _, s := range dg.site {
-		u32(s)
-	}
+	WriteBlock(dg.site, bw.Write)
 	bw.Write(dg.urls)
-	nd := dg.G.NumNodes()
-	for d := 0; d < nd; d++ {
-		u32(uint32(dg.G.degree(d)))
-	}
-	for d := 0; d < nd; d++ {
-		for _, to := range dg.G.targets(d) {
-			u32(to)
-		}
-	}
-	var c cursor
-	for d, at := 0, uint32(0); d < nd; d++ {
-		r := c.read(dg.G, d)
-		for _, q := range r.pos {
-			u32(at + q - r.at)
-		}
-		at += uint32(len(r.to))
-	}
-	c = cursor{}
-	for d := 0; d < nd; d++ {
-		for _, w := range c.read(dg.G, d).w {
-			u64(math.Float64bits(w))
-		}
-	}
+	WriteBlock(c.Degrees, bw.Write)
+	WriteBlock(c.Targets, bw.Write)
+	WriteBlock(c.ListedPos, bw.Write)
+	WriteBlock(c.ListedW, bw.Write)
 	err := bw.Flush()
 	if err == nil {
 		_, err = w.Write(le.AppendUint32(field[:0], sum.Sum32()))
@@ -264,9 +239,8 @@ func EncodeBinary(w io.Writer, dg *DocGraph) error {
 
 // binaryReader reads a graph file's sections off r, checksumming them.
 type binaryReader struct {
-	r     io.Reader
-	crc   uint32
-	piece []byte
+	r   io.Reader
+	crc uint32
 }
 
 // fill reads exactly len(p) bytes of the section called what.
@@ -301,37 +275,21 @@ func (br *binaryReader) section(n int, what string) ([]byte, error) {
 	return b, nil
 }
 
-// column reads the next n uint32s through the scratch piece into a
-// column of exactly n, claimed the way section claims its buffer.
+// column reads the next n uint32s into a column of exactly n, claimed
+// the way section claims its buffer.
 func (br *binaryReader) column(n int, what string) ([]uint32, error) {
 	col := make([]uint32, 0, min(n, readAhead/4))
 	for len(col) < n {
-		if len(col) == cap(col) {
-			col = append(make([]uint32, 0, min(n, 8*len(col))), col...)
+		have := len(col)
+		if have == cap(col) {
+			col = append(make([]uint32, 0, min(n, 8*have)), col...)
 		}
-		b := br.piece[:4*min(cap(col)-len(col), pieceBytes/4)]
-		if err := br.fill(b, what); err != nil {
+		col = col[:cap(col)]
+		if err := ReadBlock(col[have:], func(p []byte) error { return br.fill(p, what) }); err != nil {
 			return nil, err
-		}
-		for ; len(b) > 0; b = b[4:] {
-			col = append(col, le.Uint32(b))
 		}
 	}
 	return col, nil
-}
-
-// text reads the next n bytes as one string.
-func (br *binaryReader) text(n int, what string) (string, error) {
-	b := br.piece
-	if n > len(b) {
-		var err error
-		if b, err = br.section(n, what); err != nil {
-			return "", err
-		}
-	} else if err := br.fill(b[:n], what); err != nil {
-		return "", err
-	}
-	return string(b[:n]), nil
 }
 
 // urlRestarts checks that urls is exactly nd entries, each one whole,
@@ -375,10 +333,10 @@ func urlRestarts(urls []byte, nd int) ([]int, error) {
 }
 
 // sumUint32 adds up a column; at most 2³² entries below 2³² cannot wrap.
-func sumUint32(col []byte) uint64 {
+func sumUint32(col []uint32) uint64 {
 	var sum uint64
-	for i := 0; i+4 <= len(col); i += 4 {
-		sum += uint64(le.Uint32(col[i:]))
+	for _, v := range col {
+		sum += uint64(v)
 	}
 	return sum
 }
@@ -393,19 +351,19 @@ func sumUint32(col []byte) uint64 {
 // whose bytes have not arrived. The site column, each site roster and
 // the adjacency are built once at their exact size; the URL section,
 // every entry checked (urlRestarts), is the graph's URL arena as it
-// stands. The adjacency is the file's own columns — the targets and
-// listed positions as their sections arrive, the listed weights
-// (allocated once the positions are in: twice their bytes) through the
-// scratch piece, the out-degrees summed into row offsets — handed to the
-// graph as its packed base: no Edge, no per-row header, no per-link
-// weight, and a later AddEdge copies the row it appends to (see
-// Digraph). A file whose rows are all strictly ascending — any that
+// stands. The adjacency is the file's own columns, each read as a block
+// (ReadBlock) into its own array — the targets and listed positions as
+// their sections arrive, the listed weights once the positions are in
+// (twice their bytes), the out-degrees summed into row offsets — handed
+// to the graph as its packed base: no Edge, no per-row header, no
+// per-link weight, and a later AddEdge copies the row it appends to
+// (see Digraph). A file whose rows are all strictly ascending — any that
 // EncodeBinary wrote from a deduplicated graph — is packed as it stands;
 // any other has its rows sorted and merged here, before the graph sees
 // them (FromColumns refuses such rows). A file of an earlier version is
 // refused, naming both versions.
 func DecodeBinary(r io.Reader) (*DocGraph, error) {
-	br := &binaryReader{r: r, piece: make([]byte, pieceBytes)}
+	br := &binaryReader{r: r}
 	var hdr [binaryHeaderLen]byte
 	if err := br.fill(hdr[:1], "header"); err != nil {
 		return nil, err
@@ -438,20 +396,21 @@ func DecodeBinary(r io.Reader) (*DocGraph, error) {
 		return nil, fmt.Errorf("graph: binary header claims numListed = %d, more than its %d edges", nl, ne)
 	}
 
-	lens, err := br.section(4*ns, "site name lengths")
+	lens, err := br.column(ns, "site name lengths")
 	if err != nil {
 		return nil, err
 	}
 	if sum := sumUint32(lens); sum != uint64(nameBytes) {
 		return nil, fmt.Errorf("graph: binary site name lengths disagree with the header: they sum to %d, nameBytes is %d", sum, nameBytes)
 	}
-	names, err := br.text(nameBytes, "site names")
+	nameSection, err := br.section(nameBytes, "site names")
 	if err != nil {
 		return nil, err
 	}
+	names := string(nameSection)
 	sites := make([]Site, ns)
 	for s, p := 0, 0; s < ns; s++ {
-		n := int(le.Uint32(lens[4*s:]))
+		n := int(lens[s])
 		sites[s].Name = names[p : p+n]
 		p += n
 	}
@@ -487,30 +446,20 @@ func DecodeBinary(r io.Reader) (*DocGraph, error) {
 	if c.Degrees, err = br.column(nd, "out-degrees"); err != nil {
 		return nil, err
 	}
-	var sum uint64
-	for _, k := range c.Degrees {
-		sum += uint64(k)
-	}
-	if sum != uint64(ne) {
+	if sum := sumUint32(c.Degrees); sum != uint64(ne) {
 		return nil, fmt.Errorf("graph: binary out-degrees disagree with the header: they sum to %d, numEdges is %d", sum, ne)
 	}
 	if c.Targets, err = br.column(ne, "edge targets"); err != nil {
 		return nil, err
 	}
 	// The listed links: positions, then — allocated once the positions
-	// are in: twice their bytes — weights, through the scratch piece.
+	// are in: twice their bytes — weights.
 	if c.ListedPos, err = br.column(nl, "listed positions"); err != nil {
 		return nil, err
 	}
 	c.ListedW = make([]float64, nl)
-	for e := 0; e < nl; {
-		b := br.piece[:8*min(nl-e, pieceBytes/8)]
-		if err := br.fill(b, "listed weights"); err != nil {
-			return nil, err
-		}
-		for ; len(b) > 0; b, e = b[8:], e+1 {
-			c.ListedW[e] = math.Float64frombits(le.Uint64(b))
-		}
+	if err := ReadBlock(c.ListedW, func(p []byte) error { return br.fill(p, "listed weights") }); err != nil {
+		return nil, err
 	}
 
 	sum32 := br.crc
