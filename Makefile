@@ -64,9 +64,9 @@ test:
 # parallel-pipeline regression tests (undeduped shared graphs) and the
 # Once-guarded per-site chains built from transient subgraphs, the root
 # package hosts the concurrent Engine serving tests, and internal/matrix
-# and internal/graph hold the state those share across goroutines (a
-# CSR's lazily derived row view, copy-on-write adjacency and SiteGraph
-# rows); keep all of them race-clean. The explicit timeout keeps a wedged
+# and internal/graph hold the state those share across goroutines (the
+# CSR chains every solver reads at once, copy-on-write adjacency and
+# SiteGraph rows); keep all of them race-clean. The explicit timeout keeps a wedged
 # networked test from stalling CI for the runner's full budget.
 race:
 	$(GO) test -race -timeout 10m . ./internal/dist/... ./internal/lmm/... ./internal/matrix ./internal/graph
@@ -76,11 +76,11 @@ race:
 # and a race that needs real parallelism to interleave never fires at
 # GOMAXPROCS=1. The distributed runtime rides along so its bitwise pins
 # (checkpoint resume, worker-order reduce, warm answers repeating to the
-# bit) hold with real parallelism too, and so do the lazy builds
-# below the engines: concurrent first use of a CSR's row view
-# (internal/matrix), of a site's chain (internal/lmm), and readers of a
-# graph while its COW clones are taken and edited (internal/graph,
-# TestCloneCOWDoesNotWriteParent). -count=1 defeats the test cache — a cached verdict
+# bit) hold with real parallelism too, and so do the shared structures
+# below the engines: the multi-core kernel pins (internal/matrix), the
+# lazy build of a site's chain on concurrent first use (internal/lmm),
+# and readers of a graph while its COW clones are taken and edited
+# (internal/graph, TestCloneCOWDoesNotWriteParent). -count=1 defeats the test cache — a cached verdict
 # from a different GOMAXPROCS proves nothing.
 race-multi:
 	GOMAXPROCS=4 $(GO) test -race -timeout 10m -count=1 . ./internal/dist/... ./internal/lmm/... ./internal/matrix ./internal/graph
@@ -215,14 +215,16 @@ bench-smoke:
 # per target (the flag takes a single target per package). Keeps the
 # corpus-driven guards — COW clone isolation, the graph (text and binary)
 # and wire decoders' never-panic/bounded-allocation contracts, the
-# transition matrix against its dense reference and coalescing-fingerprint
-# safety — from rotting between dedicated fuzz sessions.
+# transition matrix and NewCSR against their dense references and
+# coalescing-fingerprint safety — from rotting between dedicated fuzz
+# sessions.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCloneCOW$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzReadText$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzTransitionMatrix$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzNewCSR$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/matrix
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryFingerprint$$' -fuzztime $(FUZZTIME) -timeout 10m .
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/dist/wire
 

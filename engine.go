@@ -31,9 +31,11 @@ type Query struct {
 	// Damping is the PageRank damping factor / gatekeeper α. Zero is a
 	// sentinel selecting the default 0.85 — an explicit damping of
 	// exactly 0 cannot be requested, tiny positive values are honored.
+	// Any other value outside (0, 1), NaN included, is ErrUnsupportedQuery.
 	Damping float64
 	// Tol and MaxIter bound every solve's L1 change and its sweeps (or
-	// fleet rounds); 0 = package defaults.
+	// fleet rounds); 0 = package defaults. A NaN or negative Tol and a
+	// negative MaxIter are ErrUnsupportedQuery.
 	Tol     float64
 	MaxIter int
 	// SitePersonalization biases the site layer: the teleport
@@ -215,11 +217,14 @@ type EngineOptions struct {
 }
 
 // validate rejects query-shape combinations no backend serves, keeping
-// the two engines' contracts identical. Malformed personalization
-// vectors are rejected here, at the serving boundary, rather than left
-// to the solvers: a NaN or infinity would otherwise surface as a solver
-// failure deep inside the run.
+// the two engines' contracts identical. Malformed parameters and vectors
+// are rejected here, at the serving boundary, rather than left to the
+// solvers: a NaN would otherwise surface as a solver failure deep inside
+// the run, a NaN damping or tolerance only after every sweep it allows.
 func (q Query) validate() error {
+	if !(q.Damping == 0 || q.Damping > 0 && q.Damping < 1) || !(q.Tol >= 0) || q.MaxIter < 0 {
+		return fmt.Errorf("%w: Damping %g, Tol %g or MaxIter %d out of range (Damping 0 or in (0, 1), Tol and MaxIter ≥ 0)", ErrUnsupportedQuery, q.Damping, q.Tol, q.MaxIter)
+	}
 	if q.ThreeLayer && q.SitePersonalization != nil {
 		return fmt.Errorf("%w: ThreeLayer replaces the site layer and cannot combine with SitePersonalization", ErrUnsupportedQuery)
 	}
@@ -369,11 +374,11 @@ func (e *LocalEngine) rebuild(ctx context.Context, cur *snapshot[*localState], d
 // refresh solves rk at the default query parameters, warm-started from
 // prev's seeds where the shapes survived (changed sites whose roster grew
 // start cold automatically — seeds are shape-checked hints), and returns
-// the state to publish: the solution cloned into the next seeds. A
-// TopKIndex engine refreshes instead of re-solving: clean sites keep
-// their previous local solutions bit-for-bit (a warm re-polish would
-// drift them by an ulp), which is exactly what makes patching only the
-// changed sites' posting lists sound.
+// the state to publish: the solution cloned into the next seeds. Clean
+// sites keep their previous local solutions bit-for-bit (a warm re-polish
+// would drift them by an ulp, and they are converged already), which is
+// exactly what makes a TopKIndex engine's patching only the changed
+// sites' posting lists sound.
 func (e *LocalEngine) refresh(ctx context.Context, rk *lmm.Ranker, dg *DocGraph, prev *localState, changed []SiteID) (*localState, error) {
 	cfg := lmm.WebConfig{
 		Parallelism: e.parallelism,
@@ -381,13 +386,7 @@ func (e *LocalEngine) refresh(ctx context.Context, rk *lmm.Ranker, dg *DocGraph,
 		LocalStarts: prev.seedLocals,
 		Ctx:         ctx,
 	}
-	var wr *lmm.WebResult
-	var err error
-	if e.topkIndex {
-		wr, err = rk.Share().RankRefresh(changed, cfg)
-	} else {
-		wr, err = rk.Share().Rank(cfg)
-	}
+	wr, err := rk.Share().RankRefresh(changed, cfg)
 	if err != nil {
 		return nil, normalizeCtxErr(ctx, err)
 	}

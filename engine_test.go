@@ -9,6 +9,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"lmmrank/internal/dist/chaos"
+	"lmmrank/internal/dist/cluster"
+	"lmmrank/internal/dist/wire"
 )
 
 // engineWeb is a moderately sized campus web shared by the engine tests.
@@ -373,17 +377,25 @@ func TestDistEngine(t *testing.T) {
 // TestQueryValidation drives every ErrUnsupportedQuery branch through
 // both engines with one table: the ThreeLayer + SitePersonalization
 // combination, document-layer personalization on the distributed
-// backend, and malformed personalization vectors (non-finite entries,
-// negative weights, mass other than 1), which must be rejected at the Query
-// boundary instead of surfacing as solver failures mid-run. Control
-// rows pin that well-formed queries still pass.
+// backend, malformed personalization vectors (non-finite entries,
+// negative weights, mass other than 1) and malformed parameters (a
+// damping that is NaN, infinite or outside (0, 1), a NaN or negative
+// tolerance, a negative iteration budget), which must be rejected at the
+// Query boundary — before admission, and before the fleet is asked for
+// any local rank — instead of surfacing as solver failures mid-run, or
+// running every solve to its sweep budget first. Control rows pin that
+// well-formed queries still pass.
 func TestQueryValidation(t *testing.T) {
 	web := engineWeb()
-	cl, err := StartCluster(2)
+	cl, err := cluster.StartChaosLocal(2)
 	if err != nil {
-		t.Fatalf("StartCluster: %v", err)
+		t.Fatalf("StartChaosLocal: %v", err)
 	}
 	defer cl.Close()
+	script, asked := chaos.RecordSites(wire.KindRankLocal)
+	for _, p := range cl.Proxies {
+		p.SetScript(script)
+	}
 	local, err := NewLocalEngine(web.Graph, EngineOptions{})
 	if err != nil {
 		t.Fatalf("NewLocalEngine: %v", err)
@@ -429,8 +441,12 @@ func TestQueryValidation(t *testing.T) {
 		// rejected by both engines / by the distributed engine only
 		rejected     bool
 		distRejected bool
+		// served by asking the fleet for local ranks: the control that
+		// the recording sees what a refused query must not send
+		reachesFleet bool
 	}{
 		{name: "uniform", q: Query{}},
+		{name: "customParameters", q: Query{Damping: 0.5, Tol: 1e-8, MaxIter: 500}, reachesFleet: true},
 		{name: "sitePersonalized", q: Query{SitePersonalization: goodSite}},
 		{name: "threeLayer", q: Query{ThreeLayer: true}},
 		{
@@ -465,27 +481,43 @@ func TestQueryValidation(t *testing.T) {
 			q:        Query{DocPersonalization: map[SiteID]Vector{docSite: goodDoc.Clone().Scale(2)}},
 			rejected: true,
 		},
+		{name: "dampingNaN", q: Query{Damping: math.NaN()}, rejected: true},
+		{name: "dampingInf", q: Query{Damping: math.Inf(1)}, rejected: true},
+		{name: "dampingOne", q: Query{Damping: 1}, rejected: true},
+		{name: "dampingNegative", q: Query{Damping: -0.5}, rejected: true},
+		{name: "tolNaN", q: Query{Tol: math.NaN()}, rejected: true},
+		{name: "tolNegative", q: Query{Tol: -1}, rejected: true},
+		{name: "maxIterNegative", q: Query{MaxIter: -1}, rejected: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			engines := []struct {
 				name     string
-				eng      Engine
+				eng      servedEngine
 				rejected bool
 			}{
 				{"local", local, tc.rejected},
 				{"dist", dist, tc.rejected || tc.distRejected},
 			}
 			for _, e := range engines {
+				before := e.eng.ServingStats().Ranks
+				asked()
 				_, err := e.eng.Rank(ctx, tc.q)
+				admitted, fleet := e.eng.ServingStats().Ranks-before, asked()
 				if e.rejected {
 					if !errors.Is(err, ErrUnsupportedQuery) {
 						t.Errorf("%s: err = %v, want ErrUnsupportedQuery", e.name, err)
+					}
+					if tc.rejected && (admitted != 0 || len(fleet) != 0) {
+						t.Errorf("%s: %d admitted and sites %v asked of the fleet, want none", e.name, admitted, fleet)
 					}
 					continue
 				}
 				if err != nil {
 					t.Errorf("%s: unexpected error: %v", e.name, err)
+				}
+				if e.name == "dist" && tc.reachesFleet && len(fleet) == 0 {
+					t.Errorf("dist: the fleet was asked for no local rank of a served query")
 				}
 			}
 		})

@@ -2,6 +2,7 @@ package coordinator
 
 import (
 	"errors"
+	"math"
 	"net"
 	"reflect"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"lmmrank/internal/dist/worker"
 	"lmmrank/internal/graph"
 	"lmmrank/internal/matrix"
+	"lmmrank/internal/pagerank"
 	"lmmrank/internal/webgen"
 )
 
@@ -205,7 +207,9 @@ func TestStalledPeerTimesOut(t *testing.T) {
 }
 
 // TestRankRejectsBadDamping asserts both SiteRank paths reject an
-// out-of-range damping factor instead of silently producing NaNs.
+// out-of-range or NaN damping factor, and a NaN or negative tolerance or
+// iteration budget, with ErrBadConfig instead of silently producing NaNs
+// or running every solve to its budget.
 func TestRankRejectsBadDamping(t *testing.T) {
 	_, addr := startWorker(t)
 	c, err := Dial([]string{addr})
@@ -215,9 +219,14 @@ func TestRankRejectsBadDamping(t *testing.T) {
 	defer c.Close()
 	dg := rankableWeb()
 	for _, mode := range []SiteRankMode{SiteRankCentral, SiteRankSync} {
-		for _, f := range []float64{-0.5, 1.5} {
-			if _, err := c.Rank(dg, Config{Damping: f, SiteRank: mode}); err == nil {
-				t.Errorf("Rank with damping %g (mode=%v) succeeded", f, mode)
+		for _, cfg := range []Config{
+			{Damping: -0.5}, {Damping: 1.5}, {Damping: math.NaN()},
+			{Tol: math.NaN()}, {Tol: -1}, {MaxIter: -1},
+		} {
+			cfg.SiteRank = mode
+			if _, err := c.Rank(dg, cfg); !errors.Is(err, pagerank.ErrBadConfig) {
+				t.Errorf("Rank with damping %g, tol %g, budget %d (mode=%v): err = %v, want ErrBadConfig",
+					cfg.Damping, cfg.Tol, cfg.MaxIter, mode, err)
 			}
 		}
 	}

@@ -130,10 +130,10 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 	if rk.Stale() {
 		return nil, fmt.Errorf("coordinator: %w", lmm.ErrGraphMutated)
 	}
-	// Validate damping up front so the distributed SiteRank path rejects
-	// bad values exactly like the central pagerank path does.
-	if f := cfg.damping(); f <= 0 || f >= 1 {
-		return nil, fmt.Errorf("coordinator: %w: damping %g outside (0,1)", pagerank.ErrBadConfig, f)
+	// Validate the parameters up front, before any worker solves with them,
+	// so the fleet rejects bad values exactly like the central path does.
+	if f := cfg.damping(); !(f > 0 && f < 1) || !(cfg.Tol >= 0) || cfg.MaxIter < 0 {
+		return nil, fmt.Errorf("coordinator: %w: damping %g, tolerance %g or iteration budget %d out of range", pagerank.ErrBadConfig, f, cfg.Tol, cfg.MaxIter)
 	}
 	if cfg.SiteRank < SiteRankCentral || cfg.SiteRank > SiteRankSync {
 		return nil, fmt.Errorf("coordinator: %w: unknown SiteRank mode %d", pagerank.ErrBadConfig, int(cfg.SiteRank))

@@ -252,9 +252,8 @@ func withinULP(got, want float64) bool {
 }
 
 // checkTransition compares a transition matrix with its dense reference
-// through every reader of the retained form and of the row view derived
-// from it: At, Dense, RowSums, Diagonal and DanglingRows, each within
-// one ulp of w/out-weight.
+// through every reader of it: At, Dense, RowSums, Diagonal and
+// DanglingRows, each within one ulp of w/out-weight.
 func checkTransition(m *matrix.CSR, want [][]float64) error {
 	n := len(want)
 	dense, sums := m.Dense(), m.RowSums()

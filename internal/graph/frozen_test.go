@@ -18,25 +18,22 @@ import (
 )
 
 // rowBuiltTransition is the row-major construction TransitionMatrix used
-// before it built the pull view directly: rows straight from the sorted
-// adjacency, transposed by matrix.NewCSRFromSorted. Kept as the
-// reference the pull-built matrix must reproduce.
+// before it built the pull view directly: each row's entries divided by
+// its out-weight, straight from the sorted adjacency, handed to
+// matrix.NewCSR. Kept as the reference the pull-built matrix must
+// reproduce.
 func rowBuiltTransition(g *Digraph) *matrix.CSR {
 	g.Dedupe()
 	n := g.NumNodes()
-	rowPtr := make([]int, n+1)
-	var colIdx []int
-	var val []float64
+	var triples []matrix.Triple
 	for i := 0; i < n; i++ {
 		if total := g.OutWeight(i); total > 0 {
 			g.EachEdge(i, func(e Edge) {
-				colIdx = append(colIdx, e.To)
-				val = append(val, e.Weight/total)
+				triples = append(triples, matrix.Triple{Row: i, Col: e.To, Val: e.Weight / total})
 			})
 		}
-		rowPtr[i+1] = len(colIdx)
 	}
-	return matrix.NewCSRFromSorted(n, rowPtr, colIdx, val)
+	return matrix.NewCSR(n, triples)
 }
 
 // TestTransitionMatrixPullBuiltMatchesRowBuilt: building the pull view
@@ -78,20 +75,10 @@ func TestTransitionMatrixPullBuiltMatchesRowBuilt(t *testing.T) {
 		if got.Order() != want.Order() || got.NNZ() != want.NNZ() {
 			t.Fatalf("%s: order/nnz %d/%d vs %d/%d", name, got.Order(), got.NNZ(), want.Order(), want.NNZ())
 		}
-		type entry struct {
-			col int
-			val float64
-		}
 		for i := 0; i < n; i++ {
-			var ge, we []entry
-			got.Row(i, func(c int, v float64) { ge = append(ge, entry{c, v}) })
-			want.Row(i, func(c int, v float64) { we = append(we, entry{c, v}) })
-			if len(ge) != len(we) {
-				t.Fatalf("%s: row %d has %d entries, want %d", name, i, len(ge), len(we))
-			}
-			for k := range ge {
-				if ge[k] != we[k] {
-					t.Fatalf("%s: row %d entry %d = %+v, want %+v", name, i, k, ge[k], we[k])
+			for j := 0; j < n; j++ {
+				if gv, wv := got.At(i, j), want.At(i, j); gv != wv {
+					t.Fatalf("%s: entry (%d,%d) = %g, want %g", name, i, j, gv, wv)
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -129,10 +130,19 @@ func TestLocalSubgraphAllocsIndependentOfWeb(t *testing.T) {
 		}
 		dg.Dedupe()
 
+		// TotalAlloc is process-wide, so the window must hold nothing but
+		// the call: the collector is held off (a cycle flushes the
+		// allocation caches, moving TotalAlloc by more than the call
+		// allocates), and so are other Ps (restarting the world after
+		// ReadMemStats may start a thread, whose runtime structures are
+		// heap objects) — testing.AllocsPerRun pins one P too.
 		var m0, m1 runtime.MemStats
+		gcPercent, procs := debug.SetGCPercent(-1), runtime.GOMAXPROCS(1)
 		runtime.ReadMemStats(&m0)
 		sub, idx := dg.LocalSubgraph(0)
 		runtime.ReadMemStats(&m1)
+		debug.SetGCPercent(gcPercent)
+		runtime.GOMAXPROCS(procs)
 		got := m1.TotalAlloc - m0.TotalAlloc
 		t.Logf("ascending=%v: extracting %d documents of %d allocated %d bytes", ascending, small, web, got)
 		if got > 2048 {

@@ -122,6 +122,7 @@ type Ranker struct {
 	localRanks []matrix.Vector
 	localIters []int
 	errs       []error
+	allSites   []int // 0, 1, …: the site list Rank and Rank3 solve
 }
 
 // NewRanker validates dg and precomputes the graph-only part of the
@@ -262,6 +263,10 @@ func (r *Ranker) ensureQueryState() {
 	r.localRanks = make([]matrix.Vector, len(r.core.sites))
 	r.localIters = make([]int, len(r.core.sites))
 	r.errs = make([]error, len(r.core.sites))
+	r.allSites = make([]int, len(r.core.sites))
+	for s := range r.allSites {
+		r.allSites[s] = s
+	}
 }
 
 // Rank executes the query phase of §3.2 against the precomputed
@@ -273,11 +278,18 @@ func (r *Ranker) ensureQueryState() {
 // see the type comment for the reuse contract.
 func (r *Ranker) Rank(cfg WebConfig) (*WebResult, error) {
 	r.ensureQueryState()
-	siteRank, siteIters, err := r.RankSites(cfg)
+	return r.rankTwoLayer(r.allSites, &cfg)
+}
+
+// rankTwoLayer is the two-layer query phase with the listed sites' local
+// DocRanks solved afresh and every other site's taken as localRanks
+// holds it.
+func (r *Ranker) rankTwoLayer(sites []int, cfg *WebConfig) (*WebResult, error) {
+	siteRank, siteIters, err := r.RankSites(*cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.rankLocals(&cfg); err != nil {
+	if err := r.rankLocals(sites, cfg); err != nil {
 		return nil, err
 	}
 	composeDocRankInto(r.docRank, r.core.dg, siteRank, r.localRanks)
@@ -290,11 +302,11 @@ func (r *Ranker) Rank(cfg WebConfig) (*WebResult, error) {
 	}, nil
 }
 
-// rankLocals runs every site's local DocRank into this Ranker's buffers.
-// The loop is data-parallel — every site solver is independent — and the
-// single-worker case runs a plain loop: no goroutines, no closure, no
-// allocations.
-func (r *Ranker) rankLocals(cfg *WebConfig) error {
+// rankLocals runs the listed sites' local DocRanks into this Ranker's
+// buffers. The loop is data-parallel — every site solver is independent —
+// and the single-worker case runs a plain loop: no goroutines, no
+// closure, no allocations.
+func (r *Ranker) rankLocals(sites []int, cfg *WebConfig) error {
 	errs := r.errs
 	for s := range errs {
 		errs[s] = nil
@@ -303,8 +315,8 @@ func (r *Ranker) rankLocals(cfg *WebConfig) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers <= 1 {
-		for s := range r.core.sites {
+	if workers <= 1 || len(sites) <= 1 {
+		for _, s := range sites {
 			r.rankLocal(s, cfg)
 		}
 	} else {
@@ -312,8 +324,8 @@ func (r *Ranker) rankLocals(cfg *WebConfig) error {
 		// itself would force it onto the heap for the serial path too,
 		// breaking the zero-allocation budget.
 		c := *cfg
-		ForEachParallel(len(r.core.sites), workers, func(s int) {
-			r.rankLocal(s, &c)
+		ForEachParallel(len(sites), workers, func(i int) {
+			r.rankLocal(sites[i], &c)
 		})
 	}
 	for s, err := range errs {
@@ -382,60 +394,20 @@ func (r *Ranker) rankLocal(s int, cfg *WebConfig) {
 // into its snapshot either way).
 func (r *Ranker) RankRefresh(changed []graph.SiteID, cfg WebConfig) (*WebResult, error) {
 	r.ensureQueryState()
-	siteRank, siteIters, err := r.RankSites(cfg)
-	if err != nil {
-		return nil, err
-	}
 	changedSet := make(map[int]bool, len(changed))
 	for _, s := range changed {
 		changedSet[int(s)] = true
 	}
 	var pending []int
 	for s, st := range r.core.sites {
-		if st.fixed != nil {
-			r.localRanks[s] = st.fixed
-			r.localIters[s] = 0
-			continue
-		}
-		if !changedSet[s] && s < len(cfg.LocalStarts) && len(cfg.LocalStarts[s]) == st.idx.Len() {
+		if st.fixed == nil && !changedSet[s] && s < len(cfg.LocalStarts) && len(cfg.LocalStarts[s]) == st.idx.Len() {
 			r.localRanks[s] = cfg.LocalStarts[s]
 			r.localIters[s] = 0
 			continue
 		}
 		pending = append(pending, s)
 	}
-	errs := r.errs
-	for s := range errs {
-		errs[s] = nil
-	}
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers <= 1 || len(pending) <= 1 {
-		for _, s := range pending {
-			r.rankLocal(s, &cfg)
-		}
-	} else {
-		c := cfg
-		ForEachParallel(len(pending), workers, func(i int) {
-			r.rankLocal(pending[i], &c)
-		})
-	}
-	for s, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("lmm: refresh docrank of site %d (%s): %w",
-				s, r.core.dg.Sites[s].Name, err)
-		}
-	}
-	composeDocRankInto(r.docRank, r.core.dg, siteRank, r.localRanks)
-	return &WebResult{
-		DocRank:         r.docRank,
-		SiteRank:        siteRank,
-		LocalRanks:      r.localRanks,
-		SiteIterations:  siteIters,
-		LocalIterations: r.localIters,
-	}, nil
+	return r.rankTwoLayer(pending, &cfg)
 }
 
 // Rank3 answers a three-layer (domain → site → page) query against the
@@ -467,7 +439,7 @@ func (r *Ranker) Rank3(domainOf func(siteName string) string, cfg WebConfig) (*W
 		return nil, err
 	}
 	r.ensureQueryState()
-	if err := r.rankLocals(&cfg); err != nil {
+	if err := r.rankLocals(r.allSites, &cfg); err != nil {
 		return nil, fmt.Errorf("lmm: layered3: %w", err)
 	}
 	composeDocRankInto(r.docRank, r.core.dg, tl.SiteWeights, r.localRanks)

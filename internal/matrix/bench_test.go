@@ -103,7 +103,7 @@ func BenchmarkStationaryExact(b *testing.B) {
 }
 
 func BenchmarkStrongComponents(b *testing.B) {
-	m := benchCSR(50000, 4, 5)
+	m := patternOf(benchCSR(50000, 4, 5))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

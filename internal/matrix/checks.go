@@ -6,8 +6,8 @@ package matrix
 // require the phase matrix Y — and hence the global matrix W — to be
 // primitive for the direct (unadjusted) power method to be valid.
 
-// Sparsity abstracts the nonzero pattern of a square matrix. Both *Dense
-// and *CSR implement it.
+// Sparsity abstracts the nonzero pattern of a square matrix. *Dense and
+// graph.Digraph implement it.
 type Sparsity interface {
 	Order() int
 	// EachNonZero calls fn(col) for every structurally nonzero entry of
@@ -25,20 +25,7 @@ func (m *Dense) EachNonZero(i int, fn func(col int)) {
 	}
 }
 
-// EachNonZero implements Sparsity for CSR: stored positive entries.
-func (m *CSR) EachNonZero(i int, fn func(col int)) {
-	m.forward()
-	for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-		if m.val[k] > 0 {
-			fn(m.colIdx[k])
-		}
-	}
-}
-
-var (
-	_ Sparsity = (*Dense)(nil)
-	_ Sparsity = (*CSR)(nil)
-)
+var _ Sparsity = (*Dense)(nil)
 
 // IsIrreducible reports whether the directed graph of the nonzero pattern
 // is strongly connected, i.e. the matrix is irreducible.

@@ -1,10 +1,11 @@
 package matrix
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"sync"
 )
 
 // Triple is one (row, col, value) entry used to build a CSR matrix.
@@ -17,62 +18,51 @@ type Triple struct {
 // web-scale transition matrices, where each row holds the out-link
 // probabilities of one document.
 //
-// What a CSR retains is the pull (compressed-sparse-column) view, because
+// A CSR is one form: the pull (compressed-sparse-column) view, because
 // that is the only form a left-multiplication reads: every destination
 // entry dst[j] is written once, by the loop iteration that owns it, in
 // one serial sweep — the parallelism the Layered Method gives for free is
 // across sites and across queries, not inside a multiply. Within each
 // column the source rows are stored in ascending order, so the pull
 // accumulation visits contributions in the same order as the classical
-// push-based sweep and reproduces its floating-point results.
+// push-based sweep over rows and reproduces its floating-point results.
 //
 // A stored entry costs its 4-byte source index and nothing else. Entry
 // (i, j) is mult/rowDiv[i]: a link's multiplicity over its source's
 // out-weight in a transition matrix, where mult is 1 for all but the few
 // links listed, in pull order, with their own (a link repeated twice, a
-// weight of 2.5; 12 bytes each). NewCSR and NewCSRFromSorted, handed
-// values, set every divisor to 1 and list every value other than 1;
-// graph.Digraph's TransitionMatrix sets the divisors to the out-weights
-// through NewCSRFromColumns. There is no other form.
+// weight of 2.5; 12 bytes each). NewCSR, handed values, sets every
+// divisor to 1 and lists every value other than 1; graph.Digraph's
+// TransitionMatrix sets the divisors to the out-weights through
+// NewCSRFromColumns.
 //
 // The in-place sweep (SweepLeftDamped) reads its iterate divided by the
 // same divisors (ScaleIterate, UnscaleIterate), so a link costs it one
 // gathered load, y[i], and a listed link one product, y[i]·mult.
 //
-// The row view (Row, At, RowNNZ, RowSums, NormalizeRows, IsRowStochastic,
-// Dense, EachNonZero) is derived from the pull view under a sync.Once on
-// first use — tests, package markov and the examples get it, a serving
-// chain that only multiplies never builds it. NewCSR and NewCSRFromSorted
-// are handed rows and keep them, so their row view is there from the
-// start. A CSR must not be copied by value.
+// At, RowSums and Dense, which tests and small examples read, walk the
+// columns; no row-major copy is ever built.
 type CSR struct {
 	n int
 
-	// Pull view: column j's sources are rowIdx[colPtr[j]:colPtr[j+1]],
-	// ascending. Entry k's value is excMul[e]/rowDiv[rowIdx[k]] where
-	// excPos[e] == k, and 1/rowDiv[rowIdx[k]] where k is not in the
-	// ascending excPos. Every divisor is positive: a row with no entries
-	// has divisor 1.
+	// Column j's sources are rowIdx[colPtr[j]:colPtr[j+1]], ascending.
+	// Entry k's value is excMul[e]/rowDiv[rowIdx[k]] where excPos[e] == k,
+	// and 1/rowDiv[rowIdx[k]] where k is not in the ascending excPos.
+	// Every divisor is positive: a row with no entries has divisor 1.
 	colPtr []uint32
 	rowIdx []uint32
 	rowDiv []float64
 	excPos []uint32
 	excMul []float64
-
-	// Row view: row i's entries are colIdx[rowPtr[i]:rowPtr[i+1]] /
-	// val[...], columns ascending. Read only after forward().
-	rowOnce sync.Once
-	rowPtr  []int
-	colIdx  []int
-	val     []float64
 }
 
 var _ LeftMultiplier = (*CSR)(nil)
 var _ FusedLeftMultiplier = (*CSR)(nil)
 
-// NewCSR builds an n×n CSR matrix from triples. Duplicate (row, col)
-// entries are summed. Triples need not be sorted. It panics on
-// out-of-range indices or non-positive n.
+// NewCSR builds an n×n CSR matrix from triples, every divisor 1 and every
+// value other than 1 listed. Duplicate (row, col) entries are summed in
+// the order given. Triples need not be sorted and are not modified. It
+// panics on out-of-range indices or non-positive n.
 func NewCSR(n int, triples []Triple) *CSR {
 	checkOrder("NewCSR", n, len(triples))
 	for _, t := range triples {
@@ -80,63 +70,27 @@ func NewCSR(n int, triples []Triple) *CSR {
 			panic(fmt.Sprintf("matrix: NewCSR triple (%d,%d) out of order %d", t.Row, t.Col, n))
 		}
 	}
-
-	// Pass 1: count entries per row and build row pointers.
-	counts := make([]int, n+1)
-	for _, t := range triples {
-		counts[t.Row+1]++
-	}
-	for i := 0; i < n; i++ {
-		counts[i+1] += counts[i]
-	}
-
-	// Pass 2: scatter into place.
-	colIdx := make([]int, len(triples))
-	val := make([]float64, len(triples))
-	next := make([]int, n)
-	copy(next, counts[:n])
-	for _, t := range triples {
-		k := next[t.Row]
-		colIdx[k] = t.Col
-		val[k] = t.Val
-		next[t.Row]++
-	}
-
-	m := &CSR{n: n, rowPtr: counts, colIdx: colIdx, val: val}
-	m.sortAndDedupeRows()
-	m.rowOnce.Do(func() {}) // the row view is the input; nothing to derive
-	m.buildTranspose()
-	return m
-}
-
-// NewCSRFromSorted builds a CSR matrix directly from prebuilt row-pointer
-// and entry slices, taking ownership of them. Rows must hold strictly
-// increasing, in-range columns — the form adjacency lists already have
-// after graph.Digraph.Dedupe — so the triple round-trip, per-row sort and
-// dedupe of NewCSR are all skipped. It panics on malformed input.
-func NewCSRFromSorted(n int, rowPtr, colIdx []int, val []float64) *CSR {
-	checkOrder("NewCSRFromSorted", n, len(colIdx))
-	if len(rowPtr) != n+1 || rowPtr[0] != 0 || rowPtr[n] != len(colIdx) || len(colIdx) != len(val) {
-		panic(fmt.Sprintf("matrix: NewCSRFromSorted inconsistent shape (n=%d, ptrs=%d, cols=%d, vals=%d)",
-			n, len(rowPtr), len(colIdx), len(val)))
-	}
-	for i := 0; i < n; i++ {
-		lo, hi := rowPtr[i], rowPtr[i+1]
-		if lo > hi {
-			panic(fmt.Sprintf("matrix: NewCSRFromSorted row %d has negative extent", i))
+	sorted := slices.Clone(triples)
+	slices.SortStableFunc(sorted, func(a, b Triple) int {
+		return cmp.Or(cmp.Compare(a.Col, b.Col), cmp.Compare(a.Row, b.Row))
+	})
+	m := &CSR{n: n, colPtr: make([]uint32, n+1), rowDiv: NewVector(n).Fill(1)}
+	for k := 0; k < len(sorted); {
+		t := sorted[k]
+		v := t.Val
+		for k++; k < len(sorted) && sorted[k].Row == t.Row && sorted[k].Col == t.Col; k++ {
+			v += sorted[k].Val
 		}
-		for k := lo; k < hi; k++ {
-			if colIdx[k] < 0 || colIdx[k] >= n {
-				panic(fmt.Sprintf("matrix: NewCSRFromSorted column %d out of order %d", colIdx[k], n))
-			}
-			if k > lo && colIdx[k] <= colIdx[k-1] {
-				panic(fmt.Sprintf("matrix: NewCSRFromSorted row %d not strictly sorted at entry %d", i, k))
-			}
+		if v != 1 {
+			m.excPos = append(m.excPos, uint32(len(m.rowIdx)))
+			m.excMul = append(m.excMul, v)
 		}
+		m.rowIdx = append(m.rowIdx, uint32(t.Row))
+		m.colPtr[t.Col+1]++
 	}
-	m := &CSR{n: n, rowPtr: rowPtr, colIdx: colIdx, val: val}
-	m.rowOnce.Do(func() {}) // the row view is the input; nothing to derive
-	m.buildTranspose()
+	for j := 0; j < n; j++ {
+		m.colPtr[j+1] += m.colPtr[j]
+	}
 	return m
 }
 
@@ -148,9 +102,8 @@ func NewCSRFromSorted(n int, rowPtr, colIdx []int, val []float64) *CSR {
 // positive and finite. A transition matrix is rowDiv[i] = out-weight(i)
 // (1 for a dangling row) with the links of weight other than 1 listed
 // with their weights — what graph.Digraph.TransitionMatrix emits — so
-// nothing is divided, sorted, merged or transposed, and no row arrays
-// exist until the row view is first asked for. It panics on malformed
-// input.
+// nothing is divided, sorted, merged or transposed. It panics on
+// malformed input.
 func NewCSRFromColumns(n int, colPtr, rowIdx []uint32, rowDiv []float64, excPos []uint32, excMul []float64) *CSR {
 	checkOrder("NewCSRFromColumns", n, len(rowIdx))
 	if len(colPtr) != n+1 || colPtr[0] != 0 || int(colPtr[n]) != len(rowIdx) || len(rowDiv) != n || len(excPos) != len(excMul) {
@@ -195,194 +148,24 @@ func checkOrder(ctor string, n, nnz int) {
 	}
 }
 
-// sortAndDedupeRows sorts every row by column and merges duplicates by
-// summing their values, compacting storage in place.
-func (m *CSR) sortAndDedupeRows() {
-	w := 0 // write cursor into compacted storage
-	newPtr := make([]int, m.n+1)
-	for i := 0; i < m.n; i++ {
-		lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-		cols, vals := m.colIdx[lo:hi], m.val[lo:hi]
-		sortPairs(cols, vals)
-		start := w
-		for k := 0; k < len(cols); k++ {
-			if w > start && m.colIdx[w-1] == cols[k] {
-				m.val[w-1] += vals[k]
-				continue
-			}
-			m.colIdx[w] = cols[k]
-			m.val[w] = vals[k]
-			w++
-		}
-		newPtr[i+1] = w
-	}
-	m.rowPtr = newPtr
-	m.colIdx = m.colIdx[:w]
-	m.val = m.val[:w]
-}
-
-// sortPairs sorts the parallel (cols, vals) slices by column without the
-// sort.Interface indirection: insertion sort for the short rows typical
-// of web graphs, three-way (fat-pivot) quicksort above that so the
-// duplicate-heavy rows NewCSR explicitly accepts stay O(n·log n) — a
-// run of equal columns lands in the middle partition in one pass.
-func sortPairs(cols []int, vals []float64) {
-	for len(cols) > 24 {
-		// Median-of-three pivot.
-		mid, last := len(cols)/2, len(cols)-1
-		if cols[mid] < cols[0] {
-			cols[mid], cols[0] = cols[0], cols[mid]
-			vals[mid], vals[0] = vals[0], vals[mid]
-		}
-		if cols[last] < cols[0] {
-			cols[last], cols[0] = cols[0], cols[last]
-			vals[last], vals[0] = vals[0], vals[last]
-		}
-		if cols[last] < cols[mid] {
-			cols[mid], cols[last] = cols[last], cols[mid]
-			vals[mid], vals[last] = vals[last], vals[mid]
-		}
-		pivot := cols[mid]
-		// Dutch-flag partition: [0,lt) < pivot, [lt,i) == pivot,
-		// (gt,len) > pivot.
-		lt, i, gt := 0, 0, len(cols)-1
-		for i <= gt {
-			switch {
-			case cols[i] < pivot:
-				cols[i], cols[lt] = cols[lt], cols[i]
-				vals[i], vals[lt] = vals[lt], vals[i]
-				lt++
-				i++
-			case cols[i] > pivot:
-				cols[i], cols[gt] = cols[gt], cols[i]
-				vals[i], vals[gt] = vals[gt], vals[i]
-				gt--
-			default:
-				i++
-			}
-		}
-		// Recurse on the smaller side, loop on the larger.
-		if lt < len(cols)-gt-1 {
-			sortPairs(cols[:lt], vals[:lt])
-			cols, vals = cols[gt+1:], vals[gt+1:]
-		} else {
-			sortPairs(cols[gt+1:], vals[gt+1:])
-			cols, vals = cols[:lt], vals[:lt]
-		}
-	}
-	for k := 1; k < len(cols); k++ {
-		c, v := cols[k], vals[k]
-		j := k - 1
-		for j >= 0 && cols[j] > c {
-			cols[j+1], vals[j+1] = cols[j], vals[j]
-			j--
-		}
-		cols[j+1], vals[j+1] = c, v
-	}
-}
-
-// buildTranspose derives the pull view from the finalized rows, with
-// every divisor 1 and every value other than 1 listed. Scanning rows in
-// ascending order keeps each column's source rows ascending.
-func (m *CSR) buildTranspose() {
-	m.colPtr = make([]uint32, m.n+1)
-	excs := make([]uint32, m.n+1) // per column, then each column's next exception
-	for k, j := range m.colIdx {
-		m.colPtr[j+1]++
-		if m.val[k] != 1 {
-			excs[j+1]++
-		}
-	}
-	for j := 0; j < m.n; j++ {
-		m.colPtr[j+1] += m.colPtr[j]
-		excs[j+1] += excs[j]
-	}
-	m.rowIdx = make([]uint32, len(m.colIdx))
-	m.rowDiv = NewVector(m.n).Fill(1)
-	m.excPos = make([]uint32, excs[m.n])
-	m.excMul = make([]float64, excs[m.n])
-	next := append([]uint32(nil), m.colPtr[:m.n]...)
-	for i := 0; i < m.n; i++ {
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			j := m.colIdx[k]
-			p := next[j]
-			m.rowIdx[p] = uint32(i)
-			next[j]++
-			if v := m.val[k]; v != 1 {
-				m.excPos[excs[j]] = p
-				m.excMul[excs[j]] = v
-				excs[j]++
-			}
-		}
-	}
-}
-
-// forward derives the row view from the pull view, once: the mirror
-// image of buildTranspose — scanning columns in ascending order leaves
-// each row's columns ascending. Every method that reads rowPtr, colIdx
-// or val calls it first; concurrent first callers build it exactly once.
-func (m *CSR) forward() {
-	m.rowOnce.Do(func() {
-		rowPtr := make([]int, m.n+1)
-		for _, i := range m.rowIdx {
-			rowPtr[i+1]++
-		}
-		for i := 0; i < m.n; i++ {
-			rowPtr[i+1] += rowPtr[i]
-		}
-		colIdx := make([]int, len(m.rowIdx))
-		val := make([]float64, len(m.rowIdx))
-		next := append([]int(nil), rowPtr[:m.n]...)
-		e := 0
-		for j := 0; j < m.n; j++ {
-			for k := m.colPtr[j]; k < m.colPtr[j+1]; k++ {
-				i := m.rowIdx[k]
-				mult := 1.0
-				if e < len(m.excPos) && m.excPos[e] == k {
-					mult = m.excMul[e]
-					e++
-				}
-				p := next[i]
-				colIdx[p], val[p] = j, mult/m.rowDiv[i]
-				next[i]++
-			}
-		}
-		m.rowPtr, m.colIdx, m.val = rowPtr, colIdx, val
-	})
-}
-
 // Order returns the dimension n.
 func (m *CSR) Order() int { return m.n }
 
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int { return len(m.rowIdx) }
 
-// RowNNZ returns the number of stored entries in row i.
-func (m *CSR) RowNNZ(i int) int {
-	m.forward()
-	return m.rowPtr[i+1] - m.rowPtr[i]
-}
-
-// Row calls fn(col, val) for each stored entry of row i in column order.
-func (m *CSR) Row(i int, fn func(col int, val float64)) {
-	m.forward()
-	for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-		fn(m.colIdx[k], m.val[k])
-	}
-}
-
 // At returns element (i, j), zero when the entry is not stored.
 func (m *CSR) At(i, j int) float64 {
 	if i < 0 || i >= m.n || j < 0 || j >= m.n {
 		panic(fmt.Sprintf("matrix: CSR index (%d,%d) out of %d", i, j, m.n))
 	}
-	m.forward()
-	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-	k := lo + sort.SearchInts(m.colIdx[lo:hi], j)
-	if k < hi && m.colIdx[k] == j {
-		return m.val[k]
-	}
-	return 0
+	var v float64
+	m.walkColumns(j, j+1, func(r, _ int, mult float64) {
+		if r == i {
+			v = mult / m.rowDiv[i]
+		}
+	})
+	return v
 }
 
 // MulVecLeft computes dst' = x'M.
@@ -443,7 +226,7 @@ func (m *CSR) nextException(e int) uint32 {
 //
 // and returns the sum of dst, accumulated in index order. It sums
 // x[i]·M[i,j] in ascending i with M[i,j] = mult/rowDiv[i] — the products
-// a push over the row view forms — so it pays a division per entry; the
+// a push over the rows forms — so it pays a division per entry; the
 // PageRank solves run SweepLeftDamped, which does not.
 func (m *CSR) pullApply(dst, x Vector, scale, coeff float64, v Vector) float64 {
 	colPtr, rowIdx, rowDiv, excMul := m.colPtr, m.rowIdx, m.rowDiv, m.excMul
@@ -563,48 +346,51 @@ func (m *CSR) mult(k uint32) float64 {
 	return 1
 }
 
-// RowSums returns the vector of row sums.
-func (m *CSR) RowSums() Vector {
-	m.forward()
-	sums := NewVector(m.n)
-	for i := 0; i < m.n; i++ {
-		var s float64
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.val[k]
+// walkColumns calls fn(i, j, mult) for every stored entry (i, j) of the
+// columns lo ≤ j < hi, whose value is mult/rowDiv[i]: column by column,
+// sources ascending, so each row's entries come in ascending column order.
+func (m *CSR) walkColumns(lo, hi int, fn func(i, j int, mult float64)) {
+	k := m.colPtr[lo]
+	e := sort.Search(len(m.excPos), func(e int) bool { return m.excPos[e] >= k })
+	for j := lo; j < hi; j++ {
+		for ; k < m.colPtr[j+1]; k++ {
+			mult := 1.0
+			if e < len(m.excPos) && m.excPos[e] == k {
+				mult = m.excMul[e]
+				e++
+			}
+			fn(int(m.rowIdx[k]), j, mult)
 		}
-		sums[i] = s
 	}
+}
+
+// RowSums returns the vector of row sums, each added in ascending
+// column order.
+func (m *CSR) RowSums() Vector {
+	sums := NewVector(m.n)
+	m.walkColumns(0, m.n, func(i, _ int, mult float64) { sums[i] += mult / m.rowDiv[i] })
 	return sums
 }
 
-// NormalizeRows rescales each row to sum to 1 in place and returns m.
-// Zero rows (dangling states) are left untouched.
+// NormalizeRows rescales each row to sum to 1 in place and returns m: a
+// row's divisor becomes the sum of its multiplicities, the form
+// graph.Digraph's TransitionMatrix emits. Rows whose multiplicities do
+// not sum to a positive value (dangling states) are left untouched.
 func (m *CSR) NormalizeRows() *CSR {
-	m.forward()
-	for i := 0; i < m.n; i++ {
-		var s float64
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.val[k]
-		}
-		if s == 0 {
-			continue
-		}
-		inv := 1.0 / s
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			m.val[k] *= inv
+	weights := NewVector(m.n)
+	m.walkColumns(0, m.n, func(i, _ int, mult float64) { weights[i] += mult })
+	for i, w := range weights {
+		if w > 0 {
+			m.rowDiv[i] = w
 		}
 	}
-	// The pull view holds the same values in a different layout; rebuild
-	// it so the kernels see the rescaled entries.
-	m.buildTranspose()
 	return m
 }
 
 // DanglingRows returns the indices of rows with zero sum (no out-links),
-// in ascending order. It reads the pull view — every PageRank chain asks,
-// and none of them should pay for the row view: a row's sum is zero when
-// its multiplicities, added in ascending column order as a row scan
-// would, sum to zero, its divisor being positive.
+// in ascending order: a row's sum is zero when its multiplicities, added
+// in ascending column order as a row scan would, sum to zero, its divisor
+// being positive.
 func (m *CSR) DanglingRows() []int {
 	sums := make([]float64, m.n)
 	k := uint32(0)
@@ -627,34 +413,9 @@ func (m *CSR) DanglingRows() []int {
 	return out
 }
 
-// IsRowStochastic reports whether every row is nonnegative and sums to 1
-// within tol.
-func (m *CSR) IsRowStochastic(tol float64) bool {
-	m.forward()
-	for i := 0; i < m.n; i++ {
-		var s float64
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			v := m.val[k]
-			if v < -tol || math.IsNaN(v) || math.IsInf(v, 0) {
-				return false
-			}
-			s += v
-		}
-		if math.Abs(s-1) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // Dense converts m to a dense matrix (for tests and small examples).
 func (m *CSR) Dense() *Dense {
-	m.forward()
 	out := NewDense(m.n, m.n)
-	for i := 0; i < m.n; i++ {
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			out.Set(i, m.colIdx[k], m.val[k])
-		}
-	}
+	m.walkColumns(0, m.n, func(i, j int, mult float64) { out.Set(i, j, mult/m.rowDiv[i]) })
 	return out
 }

@@ -59,9 +59,8 @@ func (c Config) damping() float64 {
 }
 
 func (c Config) validate(n int) error {
-	f := c.damping()
-	if f <= 0 || f >= 1 {
-		return fmt.Errorf("%w: damping %g outside (0,1)", ErrBadConfig, f)
+	if f := c.damping(); !(f > 0 && f < 1) || !(c.Tol >= 0) || c.MaxIter < 0 {
+		return fmt.Errorf("%w: damping %g, tolerance %g or iteration budget %d out of range (damping in (0,1), the others ≥ 0)", ErrBadConfig, f, c.Tol, c.MaxIter)
 	}
 	if c.Personalization != nil {
 		if len(c.Personalization) != n {

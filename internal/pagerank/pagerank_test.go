@@ -184,6 +184,10 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"damping 1", Config{Damping: 1}},
 		{"damping negative", Config{Damping: -0.5}},
+		{"damping NaN", Config{Damping: math.NaN()}},
+		{"tolerance NaN", Config{Tol: math.NaN()}},
+		{"tolerance negative", Config{Tol: -1}},
+		{"iteration budget negative", Config{MaxIter: -1}},
 		{"personalization length", Config{Personalization: matrix.Vector{1}}},
 		{"personalization negative", Config{Personalization: matrix.Vector{1.5, -0.5}}},
 	}
