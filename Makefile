@@ -75,8 +75,7 @@ race:
 # coalescing paths schedule very differently on one core than on four,
 # and a race that needs real parallelism to interleave never fires at
 # GOMAXPROCS=1. The distributed runtime rides along so its bitwise pins
-# (checkpoint resume, worker-order reduce, warm answers repeating to the
-# bit) hold with real parallelism too, and so do the shared structures
+# (worker-order reduce, warm answers repeating to the bit) hold with real parallelism too, and so do the shared structures
 # below the engines: the multi-core kernel pins (internal/matrix), the
 # lazy build of a site's chain on concurrent first use (internal/lmm),
 # and readers of a graph while its COW clones are taken and edited
@@ -99,7 +98,7 @@ alloc-pins:
 		GOMAXPROCS=$$p $(GO) test -count=1 -run 'Alloc|Retention' ./internal/matrix ./internal/graph ./internal/pagerank ./internal/lmm ./internal/dist/wire ./internal/dist/worker . ; \
 	done
 
-# The fault-injection sweep: the seeded kill/rejoin/resume soak over the
+# The fault-injection sweep: the seeded kill/rejoin/interrupt soak over the
 # chaos-proxied fleet, race-checked. The seed is fixed in the test, so a
 # CI failure reproduces locally with this exact command.
 chaos:
@@ -111,8 +110,11 @@ chaos:
 # must carry "// Package <name> ..."; main packages "// Command <name>
 # ...". It also fails when a Go file names an X.md that is not the
 # basename of a Markdown file `git ls-files` lists — a pointer to a
-# document that does not exist. Keep it grep-simple so it stays
-# dependency-free.
+# document that does not exist. And it fails when a command's `// Usage:`
+# block (the tab-indented lines under it, in a cmd/* or examples/* main)
+# names a -flag that the command, built and run with -h, does not list —
+# a flag the docs promise and the program would refuse. Keep it
+# grep-simple so it stays dependency-free.
 docs:
 	@fail=0; \
 	for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
@@ -131,6 +133,22 @@ docs:
 	done; \
 	if [ $$fail -ne 0 ]; then \
 		echo "every X.md a Go file names must be the basename of a file in git ls-files '*.md'"; exit 1; \
+	fi; \
+	tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	for f in $$(git ls-files -co --exclude-standard 'cmd/*/*.go' 'examples/*/*.go' | grep -v '_test\.go$$'); do \
+		documented="$$(awk '/^\/\/ Usage:/ { u = 1; next } u && /^\/\/\t/ { print; seen = 1; next } u && (seen || !/^\/\/$$/) { exit }' $$f \
+			| grep -oE '(^|[[ ])-[A-Za-z][A-Za-z0-9-]*' | sed 's/^[[ ]//' | sort -u || true)"; \
+		[ -n "$$documented" ] || continue; \
+		$(GO) build -o "$$tmp/cmd" "./$$(dirname $$f)"; \
+		defined="$$("$$tmp/cmd" -h 2>&1 | grep -oE '^  -[A-Za-z0-9_-]+' | sed 's/^  //' || true)"; \
+		for fl in $$documented; do \
+			if ! grep -qxF -- "$$fl" <<< "$$defined"; then \
+				echo "$$f: Usage names $$fl, which $$(dirname $$f) does not define"; fail=1; \
+			fi; \
+		done; \
+	done; \
+	if [ $$fail -ne 0 ]; then \
+		echo "every -flag a command's Usage block names must be one its -h lists"; exit 1; \
 	fi
 
 # Non-test Go lines per package (blank lines and comments included —

@@ -7,9 +7,8 @@
 //
 //	lmmcoord -graph campus.graph -workers host1:7100,host2:7100 [-top 15]
 //	         [-siterank central|sync]
-//	         [-max-worker-failures 1] [-max-redials 0]
-//	         [-checkpoint siterank.ckpt] [-resume] [-runs 2]
-//	         [-timeout 30s]
+//	         [-damping 0.85] [-max-worker-failures 1] [-max-redials 0]
+//	         [-runs 2] [-timeout 30s]
 //
 // Shards are placed over the fleet by weighted LPT over page counts,
 // and declared to the workers by content digest, so with -runs > 1
@@ -22,13 +21,10 @@
 // -siterank selects the SiteRank mode (docs/ARCHITECTURE.md has the
 // map): "central" (the default) solves the site layer on the
 // coordinator, and "sync" iterates it over the fleet one barrier round
-// at a time. -checkpoint with "central", which has no fleet iteration to
-// save, is a usage error. -checkpoint persists
-// the fleet-side SiteRank iterate to a file after every round; a
-// coordinator restarted with -resume picks the iteration up from the
-// last checkpointed round instead of round zero (without -resume a
-// stale checkpoint is cleared first). -timeout bounds each whole run
-// with a context deadline that propagates into every worker exchange.
+// at a time. -damping must lie strictly between 0 and 1. -timeout
+// bounds each whole run with a context deadline that propagates into
+// every worker exchange. Every flag is checked before any worker is
+// dialed.
 package main
 
 import (
@@ -60,8 +56,6 @@ func run() error {
 		srMode    = flag.String("siterank", "central", "SiteRank mode: central or sync")
 		failures  = flag.Int("max-worker-failures", 1, "worker losses one run may absorb by reassigning shards (0 = fail on first loss)")
 		redials   = flag.Int("max-redials", 0, "background redial attempts per lost worker (0 = lost workers stay lost)")
-		ckptPath  = flag.String("checkpoint", "", "checkpoint the SiteRank iterate to this file (-siterank sync)")
-		resume    = flag.Bool("resume", false, "resume the SiteRank iteration from the checkpoint file")
 		runs      = flag.Int("runs", 1, "repeat the ranking; runs after the first hit the workers' shard caches and hash no shard")
 		timeout   = flag.Duration("timeout", 0, "deadline per ranking run (0 = none); propagates into every worker exchange")
 	)
@@ -74,8 +68,8 @@ func run() error {
 	if *runs < 1 {
 		return fmt.Errorf("-runs %d: want at least 1", *runs)
 	}
-	if *resume && *ckptPath == "" {
-		return fmt.Errorf("-resume needs -checkpoint")
+	if !(*damping > 0 && *damping < 1) {
+		return fmt.Errorf("-damping %g: want a value strictly between 0 and 1", *damping)
 	}
 	var mode coordinator.SiteRankMode
 	switch *srMode {
@@ -85,9 +79,6 @@ func run() error {
 		mode = coordinator.SiteRankSync
 	default:
 		return fmt.Errorf("unknown -siterank mode %q (want central or sync)", *srMode)
-	}
-	if *ckptPath != "" && mode == coordinator.SiteRankCentral {
-		return fmt.Errorf("-checkpoint needs -siterank sync (the central SiteRank has no fleet iteration to checkpoint)")
 	}
 	f, err := os.Open(*graphPath)
 	if err != nil {
@@ -130,16 +121,6 @@ func run() error {
 			MaxRedials:        *redials,
 		},
 	}
-	if *ckptPath != "" {
-		ckpt := coordinator.NewFileCheckpoint(*ckptPath)
-		if !*resume {
-			// A fresh start must not accidentally resume last night's run.
-			if err := ckpt.Clear(); err != nil {
-				return err
-			}
-		}
-		cfg.Checkpoint = ckpt
-	}
 	var res *coordinator.Result
 	var known coordinator.Warm
 	for run := 1; run <= *runs; run++ {
@@ -176,9 +157,6 @@ func run() error {
 			fmt.Printf("; re-admitted %d workers (%d redials, %.2f MB re-shipped on rejoin)",
 				res.Stats.WorkersRejoined, res.Stats.RedialAttempts,
 				float64(res.Stats.RejoinShardBytes)/1e6)
-		}
-		if res.Stats.ResumedFromRound > 0 {
-			fmt.Printf("; resumed SiteRank from checkpointed round %d", res.Stats.ResumedFromRound)
 		}
 		fmt.Println()
 	}

@@ -24,8 +24,7 @@
 //     DistConfig.SiteRank alone (SiteRankMode: central by default, or on
 //     the fleet as synchronous point-Jacobi rounds), mid-run worker-loss
 //     recovery and background redial with mid-run re-admission
-//     (DistRetryPolicy), and checkpointed SiteRank iteration
-//     (DistCheckpoint).
+//     (DistRetryPolicy).
 //
 // Quick start:
 //
@@ -125,22 +124,9 @@
 // warm digest cache means near-zero bytes re-shipped
 // (DistStats.RejoinShardBytes measures exactly the rejoin traffic), and
 // interim owners drop the moved sites so no chain row is double-counted.
-// Orthogonally, DistConfig.Checkpoint persists the fleet-side SiteRank
-// iterate (SiteRankSync) so a restarted
-// coordinator resumes instead of recomputing. The
-// Checkpoint contract: Save must durably replace the stored state or
-// fail the run (FileCheckpoint writes a temp file, syncs it and renames
-// — readers never see a torn state); Load returns (nil, nil) when
-// nothing is stored and an error for a file that fails its checksum; a
-// state whose digest does not match the current graph + configuration
-// (mode, sizes, damping, tolerance, iteration cap, teleport vector,
-// shard digests) is ignored and the iteration starts fresh; a converged
-// run Clears its checkpoint. Resuming continues the exact float
-// sequence — the checkpoint file and the wire both carry float64 bits
-// verbatim — so an interrupted-and-resumed run reproduces the
-// uninterrupted ranks bitwise, in fewer remaining rounds
-// (DistStats.ResumedFromRound + SiteRankRounds equals the uninterrupted
-// total).
+// A restarted coordinator keeps no SiteRank state: it re-runs from the
+// first round and reaches the same answer (docs/ARCHITECTURE.md,
+// "Decided against: checkpointing the fleet's SiteRank iterate").
 //
 // Serving: both engines answer through one serving front — validate,
 // admit (Query.Tenant's quota, then the engine-wide cap; *OverloadError

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,36 +24,35 @@ func soakRedial() coordinator.RetryPolicy {
 	}
 }
 
-// interruptAfter is a Checkpoint wrapper that cancels the run's context
-// after n successful Saves — the soak's stand-in for a coordinator
-// crash mid-SiteRank. The cancel lands between rounds, in sequential
-// code, so the fleet's connections survive into the resume leg.
-type interruptAfter struct {
-	coordinator.Checkpoint
-	n      int
-	saves  int
-	cancel context.CancelFunc
+// interruptAt returns a proxy script that cancels the run at the n-th
+// KindPowerRound it relays — the soak's stand-in for a coordinator crash
+// mid-SiteRank — and delivers every KindLoad twice, as the soak's other
+// proxies do. It waits before the cancel so the round's exchanges with
+// the other workers have answered: the cancel poisons only the scripted
+// connection, and the next run has survivors to start from while it
+// redials this one.
+func interruptAt(n int, cancel context.CancelFunc) chaos.Script {
+	var rounds atomic.Int64
+	dup := chaos.DuplicateKind(wire.KindLoad)
+	return func(exchange int, req *wire.Request) chaos.Decision {
+		if req.Kind == wire.KindPowerRound && rounds.Add(1) == int64(n) {
+			time.Sleep(20 * time.Millisecond)
+			cancel()
+		}
+		return dup(exchange, req)
+	}
 }
 
-func (c *interruptAfter) Save(st *coordinator.CheckpointState) error {
-	if err := c.Checkpoint.Save(st); err != nil {
-		return err
-	}
-	c.saves++
-	if c.saves == c.n {
-		c.cancel()
-	}
-	return nil
-}
-
-// TestChaosSoak drives seeded-random kill/rejoin/resume cycles against
+// TestChaosSoak drives seeded-random kill/rejoin/interrupt cycles against
 // every serving mode and demands the undisturbed answer every time:
 // bitwise for central SiteRank (reassignment never regroups its
 // arithmetic), < 1e-9 for the sync rounds (ownership changes reorder the
 // partial-sum reduce). Workers die mid-protocol at
 // a random message kind each cycle, rejoin through the redial loop with
-// warm caches, and distributed runs are additionally interrupted at a
-// checkpoint and resumed. The workers not being killed have every
+// warm caches, and every other distributed run is cancelled mid-SiteRank
+// first: the next run on the same coordinator redials the connections
+// the cancel poisoned and must still give the undisturbed answer. The
+// workers not being killed have every
 // KindLoad delivered twice: a session is what the Load declares, so the
 // retransmission changes nothing. The seed is fixed: one reproducible
 // schedule per mode, stable under -race.
@@ -66,7 +66,7 @@ func TestChaosSoak(t *testing.T) {
 		cfg     coordinator.Config
 		kinds   []wire.Kind // kill points reachable in this mode
 		bitwise bool
-		resume  bool // checkpointing applies (distributed SiteRank only)
+		rounds  bool // SiteRank runs rounds on the fleet: interrupts and mid-run rejoins apply
 	}{
 		{
 			name:    "centralSiteRank",
@@ -81,7 +81,7 @@ func TestChaosSoak(t *testing.T) {
 			name:   "unbatchedSiteRank",
 			cfg:    coordinator.Config{SiteRank: coordinator.SiteRankSync, Tol: 1e-12, MaxIter: 2000},
 			kinds:  []wire.Kind{wire.KindLoad, wire.KindRankLocal, wire.KindPowerRound},
-			resume: true,
+			rounds: true,
 		},
 	}
 
@@ -105,7 +105,7 @@ func TestChaosSoak(t *testing.T) {
 			defer cl.Close()
 
 			rng := rand.New(rand.NewSource(7))
-			var losses, rejoins, resumes int
+			var losses, rejoins, interrupts int
 			for cycle := 0; cycle < cycles; cycle++ {
 				cfg := m.cfg
 				cfg.Retry = soakRedial()
@@ -117,25 +117,24 @@ func TestChaosSoak(t *testing.T) {
 				}
 				cl.Proxies[victim].SetScript(chaos.KillAtKind(kind))
 
-				if m.resume && cycle%2 == 1 {
-					// Resume cycle: crash the coordinator's iteration at a
-					// checkpoint, then resume on the same store — while the
-					// kill script above may still fell a worker in either leg.
-					store := coordinator.NewMemCheckpoint()
+				if m.rounds && cycle%2 == 1 {
+					// Interrupt cycle: cancel the run at one of its first
+					// rounds, through a worker other than the victim — while
+					// the kill script above may still fell a worker in either
+					// run.
 					ctx, cancel := context.WithCancel(context.Background())
-					cfg.Checkpoint = &interruptAfter{
-						Checkpoint: store, n: 1 + rng.Intn(4), cancel: cancel,
-					}
+					cut := (victim + 1) % fleet
+					cl.Proxies[cut].SetScript(interruptAt(1+rng.Intn(4), cancel))
 					_, err := cl.Coord.RankCtx(ctx, web.Graph, cfg)
 					cancel()
+					cl.Proxies[cut].SetScript(chaos.DuplicateKind(wire.KindLoad))
 					if err == nil {
 						t.Fatalf("cycle %d: interrupted run finished without cancelling", cycle)
 					}
 					if !errors.Is(err, context.Canceled) {
 						t.Fatalf("cycle %d: interrupted run: %v, want context.Canceled", cycle, err)
 					}
-					cfg.Checkpoint = store
-					resumes++
+					interrupts++
 				}
 
 				res, err := cl.Coord.Rank(web.Graph, cfg)
@@ -161,14 +160,14 @@ func TestChaosSoak(t *testing.T) {
 			// distributed-SiteRank mode. (Central-mode cycles heal
 			// between runs: a completed redial is installed at run end,
 			// which Stats does not count as a rejoin.)
-			if m.resume && rejoins == 0 {
+			if m.rounds && rejoins == 0 {
 				t.Error("soak never re-admitted a worker mid-run")
 			}
-			if m.resume && resumes == 0 {
-				t.Error("soak never exercised checkpoint resume")
+			if m.rounds && interrupts == 0 {
+				t.Error("soak never interrupted a run")
 			}
-			t.Logf("%s: %d losses, %d rejoins, %d resumes over %d cycles",
-				m.name, losses, rejoins, resumes, cycles)
+			t.Logf("%s: %d losses, %d rejoins, %d interrupts over %d cycles",
+				m.name, losses, rejoins, interrupts, cycles)
 		})
 	}
 }

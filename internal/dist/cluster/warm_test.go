@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"math"
 	"slices"
 	"strings"
@@ -13,7 +12,6 @@ import (
 	"lmmrank/internal/dist/coordinator"
 	"lmmrank/internal/dist/wire"
 	"lmmrank/internal/lmm"
-	"lmmrank/internal/matrix"
 )
 
 // TestWarmRunAsksOnlyForMissingLocals pins coordinator.Warm in every
@@ -157,46 +155,6 @@ func TestMessagesPerRun(t *testing.T) {
 				t.Errorf("warm run: %d hits / %d re-shipped, want %d / 0", warm.Stats.CacheHits, warm.Stats.ShardsReshipped, web.Graph.NumSites())
 			}
 		})
-	}
-}
-
-// TestCheckpointResumeBeatsSiteStart: a matching checkpoint continues
-// the interrupted float sequence whatever seed the caller offers.
-func TestCheckpointResumeBeatsSiteStart(t *testing.T) {
-	web := testWeb()
-	cfg := coordinator.Config{SiteRank: coordinator.SiteRankSync}
-	cl, err := StartLocal(3)
-	if err != nil {
-		t.Fatalf("StartLocal: %v", err)
-	}
-	defer cl.Close()
-	rk, err := lmm.NewRanker(web.Graph, lmm.RankerOptions{})
-	if err != nil {
-		t.Fatalf("NewRanker: %v", err)
-	}
-	ref, err := cl.Coord.RankPreparedCtx(context.Background(), rk, cfg, coordinator.Warm{})
-	if err != nil {
-		t.Fatalf("uninterrupted run: %v", err)
-	}
-
-	store := coordinator.NewMemCheckpoint()
-	ctx, cancel := context.WithCancel(context.Background())
-	cfg.Checkpoint = &interruptAfter{Checkpoint: store, n: 3, cancel: cancel}
-	if _, err := cl.Coord.RankPreparedCtx(ctx, rk, cfg, coordinator.Warm{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted run: %v, want context.Canceled", err)
-	}
-	cfg.Checkpoint = store
-	seed := matrix.NewVector(web.Graph.NumSites())
-	seed[0] = 1
-	res, err := cl.Coord.RankPreparedCtx(context.Background(), rk, cfg, coordinator.Warm{SiteStart: seed})
-	if err != nil {
-		t.Fatalf("resumed run: %v", err)
-	}
-	if res.Stats.ResumedFromRound != 3 {
-		t.Errorf("resumed from round %d, want 3", res.Stats.ResumedFromRound)
-	}
-	if d := res.SiteRank.L1Diff(ref.SiteRank); d != 0 {
-		t.Errorf("‖resumed − uninterrupted‖₁ on SiteRank = %g, want exactly 0: the seed displaced the checkpoint", d)
 	}
 }
 

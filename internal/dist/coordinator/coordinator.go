@@ -176,18 +176,6 @@ type Config struct {
 	// Retry controls mid-run fault tolerance; the zero value disables
 	// recovery.
 	Retry RetryPolicy
-	// Checkpoint, when non-nil, persists the distributed SiteRank
-	// iteration through the Checkpoint interface every CheckpointEvery
-	// rounds (plus once at convergence-independent points), so a
-	// coordinator killed mid-iteration resumes from the last saved
-	// round instead of recomputing: at run start a snapshot whose
-	// digest matches this computation seeds the iterate and round
-	// counter. On success the checkpoint is cleared. Ignored by
-	// SiteRankCentral (the central solver is a single in-process call
-	// with nothing durable to resume).
-	Checkpoint Checkpoint
-	// CheckpointEvery is the save cadence in rounds (0 = every round).
-	CheckpointEvery int
 	// MaxInFlight, RejectOverload and Coalesce are serving knobs
 	// consumed by the root package's DistEngine, not by the
 	// coordinator itself (which already serializes runs on the wire):
@@ -234,13 +222,6 @@ func (c Config) maxIter() int {
 		return matrix.DefaultMaxIter
 	}
 	return c.MaxIter
-}
-
-func (c Config) checkpointEvery() int {
-	if c.CheckpointEvery < 1 {
-		return 1
-	}
-	return c.CheckpointEvery
 }
 
 // rowSharded reports whether the mode consumes site-chain rows riding
@@ -290,11 +271,6 @@ type Stats struct {
 	WorkersRejoined  int
 	RedialAttempts   int
 	RejoinShardBytes uint64
-	// ResumedFromRound is the checkpointed round this run's SiteRank
-	// continued from (0 = started fresh); SiteRankRounds then counts
-	// only the rounds this run executed, so resumed + executed equals
-	// the uninterrupted total.
-	ResumedFromRound int
 	// CacheHits counts the site shards the run activated from worker
 	// sessions and caches by digest instead of shipping; ShardsReshipped
 	// counts the ones that crossed the wire in full. A churn run over an
@@ -327,10 +303,9 @@ type Stats struct {
 type Warm struct {
 	// SiteStart seeds the two-layer SiteRank iteration in every mode in
 	// place of the uniform vector — a hint: ignored unless it has one
-	// entry per site, overridden by a matching checkpoint, and never read
-	// by a ThreeLayer run (whose upper layers rank domains, not sites).
-	// Like Locals it is sound only at the Damping/Tol/MaxIter it was
-	// solved under.
+	// entry per site, and never read by a ThreeLayer run (whose upper
+	// layers rank domains, not sites). Like Locals it is sound only at
+	// the Damping/Tol/MaxIter it was solved under.
 	SiteStart matrix.Vector
 	// Locals[s], when it has one entry per document of site s, is that
 	// site's local DocRank (nil = not known): the fleet is asked only for
@@ -556,6 +531,9 @@ func (r *remote) reconnect(nc net.Conn, counters *wire.Counters) {
 type Coordinator struct {
 	counters wire.Counters
 	workers  []*remote
+	// dial opens a worker connection within the timeout DialTimeout was
+	// given; a redial runs it under a context its run cancels.
+	dial func(ctx context.Context, network, addr string) (net.Conn, error)
 
 	// CallTimeout bounds each request/response exchange (0 selects
 	// DefaultCallTimeout, negative disables the bound). Set it before
@@ -585,13 +563,13 @@ const (
 // mid-run redial loop uses: a connection-refused from a worker that is
 // 200 ms from finishing its bind should cost a short sleep, not the
 // whole cluster bring-up.
-func dialWithRetry(addr string, timeout time.Duration, attempts int) (net.Conn, error) {
+func (c *Coordinator) dialWithRetry(addr string, attempts int) (net.Conn, error) {
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
 			time.Sleep(backoffDelay(dialBackoffBase, dialBackoffMax, a-1))
 		}
-		conn, err := net.DialTimeout("tcp", addr, timeout)
+		conn, err := c.dial(context.Background(), "tcp", addr)
 		if err == nil {
 			return conn, nil
 		}
@@ -619,9 +597,9 @@ func DialTimeout(addrs []string, timeout time.Duration) (*Coordinator, error) {
 	if timeout <= 0 {
 		timeout = DefaultDialTimeout
 	}
-	c := &Coordinator{}
+	c := &Coordinator{dial: (&net.Dialer{Timeout: timeout}).DialContext}
 	for _, addr := range addrs {
-		conn, err := dialWithRetry(addr, timeout, dialAttempts)
+		conn, err := c.dialWithRetry(addr, dialAttempts)
 		if err != nil {
 			c.Close()
 			return nil, fmt.Errorf("coordinator: dial worker %s: %w", addr, err)

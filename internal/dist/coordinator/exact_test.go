@@ -2,8 +2,6 @@ package coordinator
 
 import (
 	"context"
-	"encoding/hex"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -55,25 +53,19 @@ func exactWeb(rng *rand.Rand) *graph.DocGraph {
 // TestFleetSiteRankMatchesExactStationary is the fleet's oracle, as
 // TestSolverMatchesExactStationary is the in-place solve's: the sync
 // rounds' πS against the dense chain Mˆ of eq. (1) solved directly —
-// cold, from the converged answer (which must cost one round) and
-// resumed from a checkpoint — held to the bound Stats.SiteRankRounds
-// states, ‖x − x*‖₁ ≤ Tol/(1 − f).
+// cold, and from the converged answer (which must cost one round) —
+// held to the bound Stats.SiteRankRounds states, ‖x − x*‖₁ ≤ Tol/(1 − f).
 func TestFleetSiteRankMatchesExactStationary(t *testing.T) {
 	const slack = 1e-12 // rounding in the direct solve and the rounds
 	addrs := make([]string, 3)
 	for i := range addrs {
 		_, addrs[i] = startWorker(t)
 	}
-	// Each run dials its own coordinator: resuming on a fresh coordinator
-	// is what a restarted process does.
-	rank := func(ctx context.Context, rk *lmm.Ranker, cfg Config, warm Warm) (*Result, error) {
-		c, err := Dial(addrs)
-		if err != nil {
-			t.Fatalf("Dial: %v", err)
-		}
-		defer c.Close()
-		return c.RankPreparedCtx(ctx, rk, cfg, warm)
+	c, err := Dial(addrs)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
 	}
+	defer c.Close()
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(26))
 	for trial := 0; trial < 2; trial++ {
@@ -116,58 +108,15 @@ func TestFleetSiteRankMatchesExactStationary(t *testing.T) {
 					}
 				}
 
-				res, err := rank(ctx, rk, cfg, Warm{})
+				res, err := c.RankPreparedCtx(ctx, rk, cfg, Warm{})
 				check("cold", res, err)
 
-				res, err = rank(ctx, rk, cfg, Warm{SiteStart: want})
+				res, err = c.RankPreparedCtx(ctx, rk, cfg, Warm{SiteStart: want})
 				check("converged seed", res, err)
 				if res.Stats.SiteRankRounds != 1 {
 					t.Errorf("%s: the converged seed took %d rounds, want 1", name, res.Stats.SiteRankRounds)
 				}
-
-				store := NewMemCheckpoint()
-				cut, cancel := context.WithCancel(ctx)
-				cfg.Checkpoint = &cancelAfter{Checkpoint: store, n: 1, cancel: cancel}
-				if _, err := rank(cut, rk, cfg, Warm{}); !errors.Is(err, context.Canceled) {
-					t.Fatalf("%s: interrupted run: err = %v, want context.Canceled", name, err)
-				}
-				cancel()
-				cfg.Checkpoint = store
-				res, err = rank(ctx, rk, cfg, Warm{})
-				check("resumed", res, err)
-				if res.Stats.ResumedFromRound < 1 {
-					t.Errorf("%s: resumed from round %d, want a checkpointed round", name, res.Stats.ResumedFromRound)
-				}
 			}
-		}
-	}
-}
-
-// TestCheckpointDigestNamesTheIteration pins the checkpoint digest on a
-// fixed web. Equal digests promise the identical float
-// sequence — that is what lets a run resume another process's snapshot —
-// so any change to a round's arithmetic must change these values, making
-// the old iteration's snapshots read as foreign. They changed when the
-// rounds became point-Jacobi steps, and again when a shard's digest came
-// to be taken over its packed columns (the digest covers every shard's).
-func TestCheckpointDigestNamesTheIteration(t *testing.T) {
-	rk, err := lmm.NewRanker(rankableWeb(), lmm.RankerOptions{})
-	if err != nil {
-		t.Fatalf("NewRanker: %v", err)
-	}
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-		want string
-	}{
-		{"sync", Config{SiteRank: SiteRankSync},
-			"8f4a463023fd07ddb6ab63ff735aea39ff7aa895ab697a9238906598212a7375"},
-	} {
-		r := &run{c: &Coordinator{}, cfg: tc.cfg, rk: rk, ns: rk.NumSites(), stats: &Stats{}}
-		r.hashShards()
-		digest := r.checkpointDigest()
-		if got := hex.EncodeToString(digest[:]); got != tc.want {
-			t.Errorf("%s: checkpoint digest %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package coordinator
 
 import (
+	"context"
+	"errors"
+	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -195,5 +199,76 @@ func TestNoRedialWithoutPolicy(t *testing.T) {
 	if res.Stats.WorkersRejoined != 0 || res.Stats.RedialAttempts != 0 {
 		t.Errorf("WorkersRejoined = %d, RedialAttempts = %d, want 0/0 without MaxRedials",
 			res.Stats.WorkersRejoined, res.Stats.RedialAttempts)
+	}
+}
+
+// TestRedialEndsWithItsRun: a redial still dialing when its run ends must
+// not hold the run. The victim dies at its first local-rank exchange;
+// the survivor holds the re-rank of the moved sites until the victim's
+// redialer is inside its dial, whose hook then blocks until its context
+// ends (or 5 s pass). A run that finishes, and one cancelled right
+// there, must both return within a fraction of that hold — their own
+// work is milliseconds — the cancelled one with exactly ctx.Err().
+func TestRedialEndsWithItsRun(t *testing.T) {
+	const hold = 5 * time.Second
+	for _, tc := range []struct {
+		name      string
+		cancelled bool
+	}{{"finished", false}, {"cancelled", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			dialing := make(chan struct{})
+			var once sync.Once
+			var rerank atomic.Int64
+			_, a1 := proxiedWorker(t, func(_ int, req *wire.Request) chaos.Decision {
+				if req.Kind == wire.KindRankLocal && rerank.Add(1) == 2 {
+					select {
+					case <-dialing:
+					case <-time.After(hold):
+					}
+					if tc.cancelled {
+						cancel()
+					}
+				}
+				return chaos.Decision{Action: chaos.Pass}
+			})
+			kt := killAt(wire.KindRankLocal)
+			_, a2 := proxiedWorker(t, kt.script)
+			c, err := Dial([]string{a1, a2})
+			if err != nil {
+				t.Fatalf("Dial: %v", err)
+			}
+			defer c.Close()
+			c.dial = func(ctx context.Context, _, _ string) (net.Conn, error) {
+				once.Do(func() { close(dialing) })
+				select {
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				case <-time.After(hold):
+					return nil, errors.New("dial hook held for its whole budget")
+				}
+			}
+
+			start := time.Now()
+			_, err = c.RankCtx(ctx, rankableWeb(), Config{Retry: RetryPolicy{
+				MaxWorkerFailures: 1,
+				MaxRedials:        1,
+				RedialBase:        time.Millisecond,
+			}})
+			elapsed := time.Since(start)
+			if !kt.died() {
+				t.Fatal("scripted worker never reached its death trigger")
+			}
+			if tc.cancelled && err != ctx.Err() {
+				t.Fatalf("cancelled run: err = %v, want exactly ctx.Err() (%v)", err, ctx.Err())
+			}
+			if !tc.cancelled && err != nil {
+				t.Fatalf("Rank with a lost worker: %v", err)
+			}
+			if elapsed > hold/5 {
+				t.Errorf("run returned after %v: it waited on its redial's dial", elapsed)
+			}
+		})
 	}
 }

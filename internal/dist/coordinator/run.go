@@ -56,11 +56,14 @@ type run struct {
 	// Re-admission (RetryPolicy.MaxRedials > 0). A redialer goroutine
 	// per lost worker delivers fresh connections on rejoinCh; the
 	// sequential phase code admits them at loop heads — safe points
-	// where no partial results are in flight. redialing marks workers
-	// with an active redialer (sequential access only); rejoining marks
-	// workers mid-readmission for shipTo's byte accounting (r.mu).
+	// where no partial results are in flight. redialCtx ends with the
+	// run (stopRedial), interrupting a redialer's backoff or dial.
+	// redialing marks workers with an active redialer (sequential access
+	// only); rejoining marks workers mid-readmission for shipTo's byte
+	// accounting (r.mu).
 	rejoinCh   chan rejoin
-	redialStop chan struct{}
+	redialCtx  context.Context
+	stopRedial context.CancelFunc
 	redialWG   sync.WaitGroup
 	redialing  []bool
 	rejoining  map[int]bool
@@ -434,7 +437,7 @@ func (r *run) startRedialers() {
 		return
 	}
 	r.rejoinCh = make(chan rejoin, len(r.c.workers))
-	r.redialStop = make(chan struct{})
+	r.redialCtx, r.stopRedial = context.WithCancel(r.ctx)
 	r.redialing = make([]bool, len(r.c.workers))
 	r.rejoining = make(map[int]bool)
 	for i, a := range r.alive {
@@ -461,15 +464,13 @@ func (r *run) spawnRedialer(idx int) {
 		for attempt := 0; attempt < pol.MaxRedials; attempt++ {
 			select {
 			case <-time.After(backoffDelay(pol.redialBase(), pol.redialMax(), attempt)):
-			case <-r.redialStop:
-				return
-			case <-r.ctx.Done():
+			case <-r.redialCtx.Done():
 				return
 			}
 			r.mu.Lock()
 			r.stats.RedialAttempts++
 			r.mu.Unlock()
-			conn, err := net.DialTimeout("tcp", addr, DefaultDialTimeout)
+			conn, err := r.c.dial(r.redialCtx, "tcp", addr)
 			if err != nil {
 				continue
 			}
@@ -493,7 +494,7 @@ func (r *run) stopRedialers() {
 	if r.rejoinCh == nil {
 		return
 	}
-	close(r.redialStop)
+	r.stopRedial()
 	r.redialWG.Wait()
 	for {
 		select {

@@ -20,17 +20,19 @@ import (
 // fleetSiteRank computes the SiteRank on the fleet and returns it with
 // the rounds this run executed. The loop head is a safe point — no
 // partial results are in flight — so rejoined workers are re-admitted
-// there. The budget counts rounds, of which a resumed checkpoint already
-// covers start.
+// there. The iteration starts from Warm.SiteStart when it has one entry
+// per site, else from the uniform vector.
 func (r *run) fleetSiteRank() (matrix.Vector, int, error) {
-	budget := r.cfg.maxIter()
-	x, start, digest, err := r.resumeSiteRank(budget)
-	if err != nil {
-		return nil, 0, err
+	var x matrix.Vector
+	if len(r.warm.SiteStart) == r.ns {
+		// The rounds overwrite their iterates; the caller's vector is read-only.
+		x = r.warm.SiteStart.Clone()
+	} else {
+		x = matrix.Uniform(r.ns)
 	}
-	tol, ckpt, every := r.cfg.tol(), r.cfg.Checkpoint, r.cfg.checkpointEvery()
+	budget, tol := r.cfg.maxIter(), r.cfg.tol()
 	next := matrix.NewVector(r.ns)
-	done := start
+	done := 0
 	for done < budget {
 		if err := r.ctx.Err(); err != nil {
 			return nil, 0, err
@@ -49,50 +51,10 @@ func (r *run) fleetSiteRank() (matrix.Vector, int, error) {
 		x, next = next, x
 		done++
 		if residual <= tol {
-			if ckpt != nil {
-				if err := ckpt.Clear(); err != nil {
-					return nil, 0, err
-				}
-			}
-			return x, done - start, nil
-		}
-		if ckpt != nil && done%every == 0 {
-			if err := ckpt.Save(&CheckpointState{Digest: digest, Round: done, X: x}); err != nil {
-				return nil, 0, err
-			}
+			return x, done, nil
 		}
 	}
 	return nil, 0, fmt.Errorf("coordinator: distributed siterank: %w after %d rounds", matrix.ErrNotConverged, done)
-}
-
-// resumeSiteRank seeds the iteration: from a checkpointed snapshot when
-// one exists and its digest matches this computation — the resumed run
-// then continues the exact float sequence the interrupted run was
-// producing — else from Warm.SiteStart when it fits the site space, else
-// from the uniform vector. A snapshot from a different graph, iteration
-// or parameterization (digest mismatch), a malformed one, or one at or past
-// the budget is ignored rather than trusted.
-func (r *run) resumeSiteRank(budget int) (x matrix.Vector, start int, digest wire.Digest, err error) {
-	if len(r.warm.SiteStart) == r.ns {
-		// The rounds overwrite their iterates; the caller's vector is read-only.
-		x = r.warm.SiteStart.Clone()
-	} else {
-		x = matrix.Uniform(r.ns)
-	}
-	if r.cfg.Checkpoint == nil {
-		return x, 0, digest, nil
-	}
-	digest = r.checkpointDigest()
-	st, err := r.cfg.Checkpoint.Load()
-	if err != nil {
-		return nil, 0, digest, err
-	}
-	if st != nil && st.Digest == digest && st.valid() && len(st.X) == r.ns && st.Round < budget {
-		x = append(matrix.Vector(nil), st.X...)
-		start = st.Round
-		r.stats.ResumedFromRound = st.Round
-	}
-	return x, start, digest, nil
 }
 
 // recoverLost is the one loss path of the site layer. A transport

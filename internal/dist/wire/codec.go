@@ -34,8 +34,8 @@ import (
 // barrier-free sweeps with theirs, 6 made a shard's subgraph the graph's
 // packed columns instead of an edge list, 7 retired the compressed shard
 // field, so a mixed-build fleet refuses at the first frame instead of
-// computing two float sequences under one checkpoint digest, or reading
-// one layout as the other.
+// reducing partials computed by two different round arithmetics, or
+// reading one layout as the other.
 const (
 	frameMagic   = 0xB0 // high nibble of byte 0
 	frameVersion = 0x07 // low nibble of byte 0

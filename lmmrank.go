@@ -81,12 +81,6 @@ type (
 	// wire traffic, losses/reassignments/retries, cache hits and bytes
 	// saved.
 	DistStats = coordinator.Stats
-	// DistCheckpoint persists the distributed SiteRank iterate between
-	// rounds so a restarted coordinator resumes instead of recomputing.
-	DistCheckpoint = coordinator.Checkpoint
-	// DistCheckpointState is one saved iterate: round, vector, and the
-	// digest binding it to its graph + configuration.
-	DistCheckpointState = coordinator.CheckpointState
 	// SiteRankMode selects how a distributed run computes its site
 	// chain's stationary distribution (DistConfig.SiteRank).
 	SiteRankMode = coordinator.SiteRankMode
@@ -99,16 +93,6 @@ const (
 	// SiteRankSync runs barrier-synchronous distributed SiteRank rounds.
 	SiteRankSync = coordinator.SiteRankSync
 )
-
-// NewFileDistCheckpoint stores SiteRank checkpoints in a file with
-// atomic replace — the store a production coordinator restart reads.
-func NewFileDistCheckpoint(path string) DistCheckpoint {
-	return coordinator.NewFileCheckpoint(path)
-}
-
-// NewMemDistCheckpoint stores SiteRank checkpoints in process memory —
-// for tests and single-process experiments.
-func NewMemDistCheckpoint() DistCheckpoint { return coordinator.NewMemCheckpoint() }
 
 // Errors re-exported for errors.Is checks.
 var (
