@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -171,10 +172,14 @@ type EngineOptions struct {
 	// SiteGraph controls SiteLink aggregation (§3.1), baked into the
 	// precomputed structure.
 	SiteGraph SiteGraphOptions
-	// Parallelism caps the per-query local-DocRank fan-out
-	// (0 = GOMAXPROCS). Concurrent serving under load usually wants 1 —
-	// the cores are already busy answering distinct queries — while a
-	// single caller wants the default.
+	// Parallelism caps the local-DocRank fan-out of each query and of
+	// each Update's refresh solve (0 = GOMAXPROCS). Concurrent serving
+	// under load usually wants 1 — the cores are already busy answering
+	// distinct queries — while a single caller wants the default.
+	// Construction is not capped: nothing is served yet, so it prepares
+	// the sites and (with TopKIndex) runs its first solve and sorts the
+	// index on every core. Each site solve is serial, so the fan-out
+	// never changes an answer's bits.
 	Parallelism int
 	// MaxInFlight caps concurrently admitted Rank calls (0 = no cap).
 	// Excess calls queue for a slot, honoring ctx cancellation — unless
@@ -204,9 +209,11 @@ type EngineOptions struct {
 	// one. 0 (the default) coalesces only bit-identical vectors.
 	CoalesceTol float64
 	// TopKIndex maintains a per-snapshot top-k index over the warm local
-	// solutions: the engine runs one refresh solve at construction and
-	// after every Update (patching only changed sites' posting lists),
-	// and serves eligible TopK queries — two-layer, default
+	// solutions — each site's documents in score order, 4 bytes a
+	// document beside the solutions themselves: the engine runs one
+	// refresh solve at construction, on every core, and one after every
+	// Update, under the Parallelism cap (re-sorting only the changed
+	// sites), and serves eligible TopK queries — two-layer, default
 	// damping/tolerance/budget, no document-layer personalization — by a
 	// threshold merge over the index instead of a fresh solve plus a
 	// full re-rank of all documents. Served rankings are the snapshot's
@@ -280,12 +287,12 @@ func (q Query) webConfig(ctx context.Context, parallelism int) lmm.WebConfig {
 // localState is what a LocalEngine snapshot holds beside the graph: the
 // Ranker built for exactly that graph, the pooled scratch-private clones,
 // the warm-start seeds solved on that graph and — with
-// EngineOptions.TopKIndex — the maintained top-k index over seedLocals,
-// immutable like everything else here and sharing clean sites' posting
-// lists with the previous snapshot.
+// EngineOptions.TopKIndex — the maintained top-k index over seedLocals.
+// Everything here but the pool is immutable; a clean site's local vector
+// and its index order are shared by pointer with the previous snapshot.
 type localState struct {
 	base       *lmm.Ranker
-	pool       *sync.Pool
+	pool       *rankerPool
 	seedSite   Vector
 	seedLocals []Vector
 	topk       *topkIndex
@@ -293,7 +300,7 @@ type localState struct {
 
 // LocalEngine serves queries from one process: an lmm.Ranker core
 // (SiteGraph, per-site CSR matrices, dangling lists) precomputed once
-// at construction, fronted by a sync.Pool of scratch-private Rankers.
+// at construction, fronted by a free list of scratch-private Rankers.
 // Concurrent goroutines serve in parallel — each Rank loads the current
 // snapshot, borrows a pooled Ranker, runs the query phase against the
 // shared immutable core, copies the result out and returns the scratch.
@@ -344,8 +351,9 @@ func NewLocalEngine(dg *DocGraph, opts EngineOptions) (*LocalEngine, error) {
 	if opts.TopKIndex {
 		// The maintained index needs a warm solution to index, so a
 		// TopKIndex engine front-loads the first solve to construction
-		// time (a plain engine defers it to the first query/Update).
-		if state, err = e.refresh(context.TODO(), rk, dg, state, nil); err != nil {
+		// time (a plain engine defers it to the first query/Update). No
+		// query runs beside it yet, so it takes every core.
+		if state, err = e.refresh(context.TODO(), rk, state, nil, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -353,11 +361,45 @@ func NewLocalEngine(dg *DocGraph, opts EngineOptions) (*LocalEngine, error) {
 	return e, nil
 }
 
-// newRankerPool wraps a prepared Ranker in a pool of scratch-private
-// Share() clones — the pool lives inside one snapshot, so stale scratch
-// can never serve a rebuilt core.
-func newRankerPool(base *lmm.Ranker) *sync.Pool {
-	return &sync.Pool{New: func() any { return base.Share() }}
+// rankerPool is a snapshot's free list of scratch-private Share() clones
+// of its prepared Ranker: a query takes an idle one, or a new clone when
+// none is idle, and gives it back. At most GOMAXPROCS (as of the
+// snapshot's creation) stay idle, and they stay until the snapshot goes:
+// unlike a sync.Pool's, a collection does not drop them, so a steady
+// load never re-allocates a clone's query scratch. The pool lives inside
+// one snapshot, so stale scratch can never serve a rebuilt core.
+type rankerPool struct {
+	share func() *lmm.Ranker // a new clone: the prepared Ranker's Share
+	mu    sync.Mutex
+	idle  []*lmm.Ranker
+}
+
+func newRankerPool(base *lmm.Ranker) *rankerPool {
+	return &rankerPool{share: base.Share, idle: make([]*lmm.Ranker, 0, runtime.GOMAXPROCS(0))}
+}
+
+// get takes an idle clone, or makes one outside the lock.
+func (p *rankerPool) get() *lmm.Ranker {
+	p.mu.Lock()
+	n := len(p.idle)
+	if n == 0 {
+		p.mu.Unlock()
+		return p.share()
+	}
+	rk := p.idle[n-1]
+	p.idle[n-1] = nil
+	p.idle = p.idle[:n-1]
+	p.mu.Unlock()
+	return rk
+}
+
+// put gives a clone back; past the idle cap it is dropped.
+func (p *rankerPool) put(rk *lmm.Ranker) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.idle) < cap(p.idle) {
+		p.idle = append(p.idle, rk)
+	}
 }
 
 // rebuild is the local backend's half of Update: the changed sites'
@@ -368,20 +410,22 @@ func (e *LocalEngine) rebuild(ctx context.Context, cur *snapshot[*localState], d
 		return nil, err
 	}
 	next.Prepare()
-	return e.refresh(ctx, next, dg, cur.state, changed)
+	return e.refresh(ctx, next, cur.state, changed, e.parallelism)
 }
 
-// refresh solves rk at the default query parameters, warm-started from
-// prev's seeds where the shapes survived (changed sites whose roster grew
-// start cold automatically — seeds are shape-checked hints), and returns
-// the state to publish: the solution cloned into the next seeds. Clean
-// sites keep their previous local solutions bit-for-bit (a warm re-polish
-// would drift them by an ulp, and they are converged already), which is
-// exactly what makes a TopKIndex engine's patching only the changed
-// sites' posting lists sound.
-func (e *LocalEngine) refresh(ctx context.Context, rk *lmm.Ranker, dg *DocGraph, prev *localState, changed []SiteID) (*localState, error) {
+// refresh solves rk at the default query parameters across workers
+// goroutines (0 = GOMAXPROCS), warm-started from prev's seeds where the
+// shapes survived (changed sites whose roster grew start cold
+// automatically — seeds are shape-checked hints), and returns the state
+// to publish. Clean sites keep their previous local solutions verbatim
+// (a warm re-polish would drift them by an ulp, and they are converged
+// already): RankRefresh hands back prev's very vector, and the next
+// seeds share it by pointer, so only the solved sites' vectors are
+// cloned out of the Ranker's scratch — and a TopKIndex engine re-sorts
+// exactly those sites.
+func (e *LocalEngine) refresh(ctx context.Context, rk *lmm.Ranker, prev *localState, changed []SiteID, workers int) (*localState, error) {
 	cfg := lmm.WebConfig{
-		Parallelism: e.parallelism,
+		Parallelism: workers,
 		SiteStart:   prev.seedSite,
 		LocalStarts: prev.seedLocals,
 		Ctx:         ctx,
@@ -390,18 +434,22 @@ func (e *LocalEngine) refresh(ctx context.Context, rk *lmm.Ranker, dg *DocGraph,
 	if err != nil {
 		return nil, normalizeCtxErr(ctx, err)
 	}
+	locals := make([]Vector, len(wr.LocalRanks))
+	for s, v := range wr.LocalRanks {
+		if s < len(prev.seedLocals) && sameVector(v, prev.seedLocals[s]) {
+			locals[s] = v
+		} else {
+			locals[s] = v.Clone()
+		}
+	}
 	state := &localState{
 		base:       rk,
 		pool:       newRankerPool(rk),
 		seedSite:   wr.SiteRank.Clone(),
-		seedLocals: cloneVectors(wr.LocalRanks),
+		seedLocals: locals,
 	}
 	if e.topkIndex {
-		changedSet := make(map[SiteID]bool, len(changed))
-		for _, s := range changed {
-			changedSet[s] = true
-		}
-		state.topk = prev.topk.patch(dg, state.seedLocals, changedSet)
+		state.topk = prev.topk.patch(locals, workers)
 	}
 	return state, nil
 }
@@ -443,8 +491,8 @@ func (e *LocalEngine) rankFromIndex(ctx context.Context, snap *snapshot[*localSt
 		// Only the site layer depends on the personalization; re-solve
 		// it (warm-started from the snapshot's πS) and keep the warm
 		// document layers.
-		rk := st.pool.Get().(*lmm.Ranker)
-		defer st.pool.Put(rk)
+		rk := st.pool.get()
+		defer st.pool.put(rk)
 		cfg := q.webConfig(ctx, e.parallelism)
 		cfg.SiteStart = st.seedSite
 		sr, iters, err := rk.RankSites(cfg)
@@ -452,17 +500,18 @@ func (e *LocalEngine) rankFromIndex(ctx context.Context, snap *snapshot[*localSt
 			return nil, normalizeCtxErr(ctx, err)
 		}
 		// sr aliases the pooled Ranker's scratch; privatize before the
-		// deferred Put can hand that scratch to another query.
+		// deferred put can hand that scratch to another query.
 		weights = sr.Clone()
 		siteIters = iters
 	}
 	e.stats.topkIndex.Add(1)
+	top, _ := st.topk.top(snap.dg, weights, q.TopK)
 	return &Result{
 		DocRank:         lmm.ComposeDocRank(snap.dg, weights, st.seedLocals),
 		SiteRank:        weights.Clone(),
 		SiteIterations:  siteIters,
 		LocalIterations: make([]int, len(snap.dg.Sites)),
-		Top:             st.topk.top(snap.dg, weights, q.TopK),
+		Top:             top,
 	}, nil
 }
 
@@ -473,8 +522,8 @@ func (e *LocalEngine) solve(ctx context.Context, snap *snapshot[*localState], q 
 	if st.indexEligible(q) {
 		return e.rankFromIndex(ctx, snap, q)
 	}
-	rk := st.pool.Get().(*lmm.Ranker)
-	defer st.pool.Put(rk)
+	rk := st.pool.get()
+	defer st.pool.put(rk)
 	cfg := q.webConfig(ctx, e.parallelism)
 	// Post-churn queries start their solves from the last
 	// update's solution instead of uniform (nil seeds before the first

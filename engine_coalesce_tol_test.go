@@ -5,9 +5,10 @@ import (
 	"errors"
 	"math"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
+
+	"lmmrank/internal/lmm"
 )
 
 // TestFingerprintQuantization is the unit pin of similarity keys:
@@ -250,7 +251,7 @@ func TestCoalesceTolUnnormalizedLeader(t *testing.T) {
 	parked := make(chan struct{}, 2)
 	release := make(chan struct{})
 	base := snap.state.base
-	snap.state.pool = &sync.Pool{New: func() any {
+	snap.state.pool = &rankerPool{share: func() *lmm.Ranker {
 		parked <- struct{}{}
 		<-release
 		return base.Share()

@@ -5,10 +5,12 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 	"unsafe"
 
 	"lmmrank/internal/graph"
+	"lmmrank/internal/lmm"
 	"lmmrank/internal/webgen"
 )
 
@@ -22,7 +24,10 @@ func liveHeap() uint64 {
 }
 
 // TestPreparedEngineRetention pins what a serving snapshot keeps beside
-// the DocGraph it was built on: each intra-site link once, as its 4-byte
+// the DocGraph it was built on, apart from the idle Ranker clones of its
+// free list (query scratch, not structure: TestRankerPoolRetention bounds
+// their number, and the one the test's query leaves idle is dropped
+// before the reading): each intra-site link once, as its 4-byte
 // source in the pull form the kernels read, plus per-document pointers,
 // factors and vectors (≈ 31 bytes measured, the chain's out-weight and
 // column offset, the listed links of weight other than 1 and the graph's
@@ -43,7 +48,10 @@ func TestPreparedEngineRetention(t *testing.T) {
 	if _, err := eng.Rank(context.Background(), Query{TopK: 10}); err != nil {
 		t.Fatal(err)
 	}
+	withIdle := int64(liveHeap()) - int64(before)
+	eng.snap.Load().state.pool.get()
 	retained := int64(liveHeap()) - int64(before)
+	t.Logf("the clone the query left idle holds %d bytes of scratch (%.1f per document)", withIdle-retained, float64(withIdle-retained)/float64(docs))
 	budget := int64(4*links + 38*docs)
 	t.Logf("%d docs, %d links: engine retains %d bytes (%.1f per link all told), budget %d",
 		docs, links, retained, float64(retained)/float64(links), budget)
@@ -59,6 +67,50 @@ func TestPreparedEngineRetention(t *testing.T) {
 	}
 	runtime.KeepAlive(eng)
 	runtime.KeepAlive(dg)
+}
+
+// TestRankerPoolRetention: a snapshot's free list keeps at most
+// GOMAXPROCS idle Ranker clones however many queries ran at once — each
+// holds one query's scratch, which a collection does not drop — and a
+// query takes an idle clone rather than making one.
+func TestRankerPoolRetention(t *testing.T) {
+	eng, err := NewLocalEngine(churnTestWeb().Graph, EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs := runtime.GOMAXPROCS(0)
+	var wg sync.WaitGroup
+	for g := 0; g < 3*procs; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				if _, err := eng.Rank(context.Background(), Query{TopK: 10}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	pool := eng.snap.Load().state.pool
+	if n := len(pool.idle); n > procs {
+		t.Errorf("%d clones idle after concurrent queries, want at most GOMAXPROCS = %d", n, procs)
+	}
+	held := make([]*lmm.Ranker, 3*procs)
+	for i := range held {
+		held[i] = pool.get()
+	}
+	for _, rk := range held {
+		pool.put(rk)
+	}
+	if n := len(pool.idle); n != procs {
+		t.Errorf("%d clones idle after %d were given back, want GOMAXPROCS = %d", n, len(held), procs)
+	}
+	idle := pool.idle[len(pool.idle)-1]
+	if rk := pool.get(); rk != idle {
+		t.Error("get made a clone while one was idle")
+	}
 }
 
 // TestDistEngineRetention pins what a warm DistEngine and the in-process

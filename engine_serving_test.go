@@ -177,6 +177,73 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	}
 }
 
+// TestFlightGroupAllocsOneDocRankPerCaller: a flight of n callers pays
+// for n answers — the leader's, which its caller receives, and one copy
+// per waiter — not one more, at 1, 2 and 4 procs. The DocRank is made
+// large enough (1 MiB) that the flight's own bookkeeping cannot add up to
+// another, so the count is TotalAlloc in whole DocRanks.
+func TestFlightGroupAllocsOneDocRankPerCaller(t *testing.T) {
+	const callers, size = 4, 1 << 17
+	for _, procs := range []int{1, 2, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			fg := newFlightGroup()
+			ctx := context.Background()
+			started := make(chan struct{})
+			release := make(chan struct{})
+			got := make(chan *Result, callers)
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			go func() {
+				res, _ := fg.do(ctx, "k", func() (*Result, error) {
+					close(started)
+					<-release
+					return &Result{DocRank: make(Vector, size)}, nil
+				})
+				got <- res
+			}()
+			<-started
+			for i := 1; i < callers; i++ {
+				go func() {
+					res, _ := fg.do(ctx, "k", func() (*Result, error) {
+						return nil, errors.New("waiter fn ran")
+					})
+					got <- res
+				}()
+			}
+			fg.mu.Lock()
+			f := fg.m["k"]
+			fg.mu.Unlock()
+			deadline := time.Now().Add(5 * time.Second)
+			for f.waiters.Load() < callers-1 {
+				if time.Now().After(deadline) {
+					t.Fatalf("only %d/%d waiters joined the flight", f.waiters.Load(), callers-1)
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			close(release)
+			results := make([]*Result, callers)
+			for i := range results {
+				if results[i] = <-got; results[i] == nil || len(results[i].DocRank) != size {
+					t.Fatalf("GOMAXPROCS %d: caller got %+v", procs, results[i])
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if vectors := (after.TotalAlloc - before.TotalAlloc) / (size * 8); vectors != callers {
+				t.Errorf("GOMAXPROCS %d: a flight of %d callers allocated %d DocRanks, want %d", procs, callers, vectors, callers)
+			}
+			for i := range results {
+				for j := 0; j < i; j++ {
+					if &results[i].DocRank[0] == &results[j].DocRank[0] {
+						t.Errorf("GOMAXPROCS %d: callers %d and %d alias one DocRank", procs, i, j)
+					}
+				}
+			}
+		}()
+	}
+}
+
 // TestFlightGroupLeaderCancelRetry: a leader failing with *its* context
 // abort must not fail the coalesced callers — a live waiter retries as
 // the fresh leader and computes its own answer.

@@ -3,8 +3,12 @@ package lmmrank
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
+
+	"lmmrank/internal/webgen"
 )
 
 // topkQueries are the index-eligible shapes: uniform and
@@ -92,8 +96,9 @@ func TestTopKIndexBitIdentical(t *testing.T) {
 }
 
 // TestTopKIndexPatchShares pins the incremental maintenance: after an
-// Update, clean sites' posting lists are shared by pointer with the
-// previous snapshot — only the changed sites re-sorted.
+// Update, clean sites' orders and local vectors share their backing
+// arrays with the previous snapshot — only the changed sites re-solved
+// and re-sorted.
 func TestTopKIndexPatchShares(t *testing.T) {
 	web := churnTestWeb()
 	ctx := context.Background()
@@ -114,13 +119,22 @@ func TestTopKIndexPatchShares(t *testing.T) {
 		t.Fatalf("Update: %v", err)
 	}
 	next := eng.snap.Load().state.topk
-	for s := range next.sites {
-		shared := next.sites[s] == old.sites[s]
+	if len(next.order) != len(old.order) {
+		t.Fatalf("the index covers %d sites after the Update, %d before", len(next.order), len(old.order))
+	}
+	for s := range next.order {
+		if len(next.order[s]) == 0 {
+			continue // nothing to share
+		}
+		shared := &next.order[s][0] == &old.order[s][0]
 		if SiteID(s) == changed && shared {
-			t.Errorf("changed site %d shares its posting list with the old snapshot", s)
+			t.Errorf("changed site %d shares its order with the old snapshot", s)
 		}
 		if SiteID(s) != changed && !shared {
 			t.Errorf("clean site %d was re-sorted instead of shared", s)
+		}
+		if carried := sameVector(next.locals[s], old.locals[s]); carried != (SiteID(s) != changed) {
+			t.Errorf("site %d (changed: %v): local vector carried by pointer = %v", s, SiteID(s) == changed, carried)
 		}
 	}
 }
@@ -205,4 +219,138 @@ func uniformLike(roster []DocID) Vector {
 		v[i] = 1 / float64(len(roster))
 	}
 	return v
+}
+
+// wholeSiteRunWeb is a two-site web whose second site is one tie run as
+// long as the site: a.com has 10 documents, b.com has nb, each b page
+// links to the next b page round the site (a permutation, so b's local
+// ranks are all equal) and to one a page, and nothing links into b.
+func wholeSiteRunWeb(nb int) *DocGraph {
+	b := NewGraphBuilder()
+	const na = 10
+	for d := 0; d < na; d++ {
+		b.AddDocInSite(fmt.Sprintf("http://a.com/p%d", d), "a.com")
+	}
+	for d := 0; d < nb; d++ {
+		b.AddDocInSite(fmt.Sprintf("http://b.com/p%d", d), "b.com")
+	}
+	for d := 1; d < na; d++ {
+		b.AddLink(fmt.Sprintf("http://a.com/p%d", d), "http://a.com/p0")
+	}
+	b.AddLink("http://a.com/p0", "http://a.com/p1")
+	for d := 0; d < nb; d++ {
+		b.AddLink(fmt.Sprintf("http://b.com/p%d", d), fmt.Sprintf("http://b.com/p%d", (d+1)%nb))
+		b.AddLink(fmt.Sprintf("http://b.com/p%d", d), fmt.Sprintf("http://a.com/p%d", d%na))
+	}
+	return b.Build()
+}
+
+// TestTopKIndexWholeSiteRuns: a tie run the size of a site must not go
+// into the merge heap whole. Two kinds reach that size — a site whose
+// local ranks are all equal, and a site of weight exactly 0 (one-hot on
+// a.com gives b.com, which nothing links into, πS = 0) — and on both the
+// merge pushes at most one candidate a site plus two a popped answer,
+// while the table stays the full sort's for every k up to all documents.
+func TestTopKIndexWholeSiteRuns(t *testing.T) {
+	const nb = 20000
+	dg := wholeSiteRunWeb(nb)
+	ctx := context.Background()
+	eng, err := NewLocalEngine(dg, EngineOptions{TopKIndex: true})
+	if err != nil {
+		t.Fatalf("NewLocalEngine: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		pers Vector
+	}{{"uniform", nil}, {"one-hot a.com", Vector{1, 0}}, {"one-hot b.com", Vector{0, 1}}} {
+		for _, k := range []int{1, 10, 11, 10010, dg.NumDocs()} {
+			res, err := eng.Rank(ctx, Query{TopK: k, SitePersonalization: tc.pers})
+			if err != nil {
+				t.Fatalf("%s k=%d: %v", tc.name, k, err)
+			}
+			if tc.pers != nil && tc.pers[0] == 1 && res.SiteRank[1] != 0 {
+				t.Fatalf("%s: πS(b.com) = %g, want exactly 0 — the zero-weight path goes untested", tc.name, res.SiteRank[1])
+			}
+			if want := TopDocs(dg, res.DocRank, k); !reflect.DeepEqual(res.Top, want) {
+				t.Errorf("%s k=%d: index Top differs from the full sort", tc.name, k)
+			}
+		}
+		res, err := eng.Rank(ctx, Query{TopK: 1, SitePersonalization: tc.pers})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		const k = 10
+		_, pushes := eng.snap.Load().state.topk.top(dg, res.SiteRank, k)
+		if limit := dg.NumSites() + 2*k; pushes > limit {
+			t.Errorf("%s: a top-%d merge pushed %d candidates, want at most %d (sites + 2k)", tc.name, k, pushes, limit)
+		}
+	}
+}
+
+// TestTopKIndexRetention pins what the index keeps beside the local
+// vectors it orders: one 4-byte position a document, in one array, plus
+// a slice header and allocation rounding a site — 4.33 bytes a document
+// measured on this web. (It was 16 bytes a document while every posting
+// held its own DocID and a copy of its score.) The least of three builds
+// is taken, so that what an earlier test's fleet still frees or
+// allocates while it winds down is not counted.
+func TestTopKIndexRetention(t *testing.T) {
+	dg := webgen.Generate(webgen.Default()).Graph
+	eng, err := NewLocalEngine(dg, EngineOptions{TopKIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	locals := eng.snap.Load().state.seedLocals
+	docs, sites := dg.NumDocs(), dg.NumSites()
+	retained := int64(math.MaxInt64)
+	for try := 0; try < 3; try++ {
+		before := liveHeap()
+		ix := (*topkIndex)(nil).patch(locals, 0)
+		retained = min(retained, int64(liveHeap())-int64(before))
+		runtime.KeepAlive(ix)
+	}
+	budget := int64(4*docs + 48*sites)
+	t.Logf("%d docs, %d sites: the index retains %d bytes (%.2f a document), budget %d", docs, sites, retained, float64(retained)/float64(docs), budget)
+	if retained > budget {
+		t.Errorf("the top-k index retains %d bytes, budget %d (4 B/doc + 48 B/site)", retained, budget)
+	}
+	runtime.KeepAlive(eng)
+}
+
+// TestTopKIndexAnswerAllocs pins the mallocs of one index-served uniform
+// TopK-10 answer, counted from MemStats on 1, 2 and 4 procs (AllocsPerRun
+// would measure at one): the Result, its DocRank, SiteRank and
+// LocalIterations, the Top table and its ten URLs, and the merge heap —
+// 16 measured on this 220-site web, budget 16 plus the odd runtime
+// malloc. While the merge heap boxed every candidate through
+// container/heap, one more per site and per answer: 257.
+func TestTopKIndexAnswerAllocs(t *testing.T) {
+	const runs, budget = 200, 17
+	eng, err := NewLocalEngine(webgen.Generate(webgen.Default()).Graph, EngineOptions{TopKIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	q := Query{TopK: 10}
+	for _, procs := range []int{1, 2, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			if _, err := eng.Rank(ctx, q); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				if _, err := eng.Rank(ctx, q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			per := float64(after.Mallocs-before.Mallocs) / runs
+			t.Logf("GOMAXPROCS %d: %.2f mallocs an answer", procs, per)
+			if per > budget {
+				t.Errorf("GOMAXPROCS %d: an index-served TopK-10 answer makes %.2f mallocs, budget %d", procs, per, budget)
+			}
+		}()
+	}
 }

@@ -431,26 +431,30 @@ func (e *server[S]) DocGraph() *DocGraph { return e.snap.Load().dg }
 func (e *server[S]) ServingStats() ServingStats { return e.stats.snapshot() }
 
 // flight is one in-progress computation other callers may wait on.
-// res/err are written exactly once, before done closes; waiters read
-// them only after <-done. waiters counts the callers coalesced onto
-// this flight so far; it only moves under flightGroup.mu (atomic so
-// tests may poll it), which is what lets the leader trust a zero.
+// res, err and copies are written exactly once, before done closes;
+// waiters read them only after <-done. waiters counts the callers
+// coalesced onto this flight so far; it only moves under flightGroup.mu
+// (atomic so tests may poll it), which is what lets the leader trust the
+// count it reads there once the flight is closed. copies holds one deep
+// copy of res per waiter, in the order they joined.
 type flight struct {
 	done    chan struct{}
 	waiters atomic.Int32
 	res     *Result
 	err     error
+	copies  []*Result
 }
 
 // flightGroup coalesces concurrent similar queries: the first caller
 // for a fingerprint becomes the leader and computes; callers arriving
-// while the flight is open wait on it and receive their own deep copy
-// of the leader's result. The leader hands its result off uncopied when
-// nobody joined — the common case pays for one answer, not two — and
-// takes a copy too when somebody did, so no two callers ever alias
-// memory. Each serving snapshot owns one group, so queries only ever
-// coalesce onto work running against their own snapshot. shared, when
-// non-nil, counts the waiters served from someone else's computation.
+// while the flight is open wait on it. The leader receives the flight's
+// result; each waiter a deep copy the leader made before the flight
+// closed — a flight of n callers pays for n answers, and no two callers
+// ever alias memory: a waiter never reads the result the leader's caller
+// may already be mutating. Each serving snapshot owns one group, so
+// queries only ever coalesce onto work running against their own
+// snapshot. shared, when non-nil, counts the waiters served from someone
+// else's computation.
 type flightGroup struct {
 	mu     sync.Mutex
 	m      map[string]*flight
@@ -471,7 +475,7 @@ func (fg *flightGroup) do(ctx context.Context, key string, fn func() (*Result, e
 	for {
 		fg.mu.Lock()
 		if f, ok := fg.m[key]; ok {
-			f.waiters.Add(1)
+			joined := int(f.waiters.Add(1)) - 1
 			fg.mu.Unlock()
 			select {
 			case <-f.done:
@@ -490,6 +494,10 @@ func (fg *flightGroup) do(ctx context.Context, key string, fn func() (*Result, e
 			if fg.shared != nil {
 				fg.shared.Add(1)
 			}
+			if joined < len(f.copies) {
+				return f.copies[joined], nil
+			}
+			// A flight nobody led — one planted whole — has no copies.
 			return cloneResult(f.res), nil
 		}
 		f := &flight{done: make(chan struct{})}
@@ -501,16 +509,20 @@ func (fg *flightGroup) do(ctx context.Context, key string, fn func() (*Result, e
 		// no flight and leads its own.
 		fg.mu.Lock()
 		delete(fg.m, key)
-		alone := f.waiters.Load() == 0
+		joined := int(f.waiters.Load())
 		fg.mu.Unlock()
+		if f.err == nil && joined > 0 {
+			copies := make([]*Result, joined)
+			for i := range copies {
+				copies[i] = cloneResult(f.res)
+			}
+			f.copies = copies
+		}
 		close(f.done)
 		if f.err != nil {
 			return nil, f.err
 		}
-		if alone {
-			return f.res, nil
-		}
-		return cloneResult(f.res), nil
+		return f.res, nil
 	}
 }
 

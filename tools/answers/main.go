@@ -14,7 +14,11 @@
 // format. "dist-central" and "dist-sync" hash the DocRank and SiteRank of
 // a 4-worker DistEngine's cold, warm, Tol=1e-4 and site-personalized
 // Ranks and of its first Rank after a one-site Update, on the Small web,
-// in each SiteRank mode.
+// in each SiteRank mode. "local-topk" hashes the Top tables (documents,
+// URLs and scores), DocRank and SiteRank of a TopKIndex LocalEngine at
+// Parallelism 1 and at 0 on the Small web: a uniform and a
+// site-personalized TopK query, two identical ones issued at once to a
+// coalescing engine, and the first after a one-site Update.
 package main
 
 import (
@@ -25,6 +29,7 @@ import (
 	"hash/fnv"
 	"math"
 	"os"
+	"sync"
 
 	"lmmrank"
 	"lmmrank/internal/graph"
@@ -47,6 +52,11 @@ func main() {
 		}
 		fmt.Printf("dist-%-7s %016x\n", m.name, h)
 	}
+	topk, err := localTopKHash()
+	if err != nil {
+		fail(err)
+	}
+	fmt.Printf("local-topk   %016x\n", topk)
 }
 
 func fail(err error) {
@@ -105,6 +115,89 @@ func layeredHash() (uint64, error) {
 	return h.Sum64(), nil
 }
 
+// personalized is a site-layer teleport vector leaning on the later
+// sites, the one every personalized query here asks for.
+func personalized(ns int) lmmrank.Vector {
+	v := make(lmmrank.Vector, ns)
+	for s := range v {
+		v[s] = float64(s+1) / float64(ns*(ns+1)/2)
+	}
+	return v
+}
+
+// editOneSite adds two links inside the first site of at least three
+// documents: a one-site Update.
+func editOneSite(ctx context.Context, eng lmmrank.Engine, dg *lmmrank.DocGraph) error {
+	site := lmmrank.SiteID(0)
+	for len(dg.Sites[site].Docs) < 3 {
+		site++
+	}
+	return eng.Update(ctx, lmmrank.GraphDelta{
+		ChangedSites: []lmmrank.SiteID{site},
+		Apply: func(dg *lmmrank.DocGraph) error {
+			docs := dg.Sites[site].Docs
+			dg.G.AddLink(int(docs[0]), int(docs[2]))
+			dg.G.AddLink(int(docs[2]), int(docs[1]))
+			return nil
+		},
+	})
+}
+
+func localTopKHash() (uint64, error) {
+	ctx := context.Background()
+	h := fnv.New64a()
+	write := func(res *lmmrank.Result) {
+		for _, d := range res.Top {
+			fmt.Fprintf(h, "%d %s ", d.Doc, d.URL)
+			writeFloats(h, []float64{d.Score})
+		}
+		writeFloats(h, res.DocRank)
+		writeFloats(h, res.SiteRank)
+	}
+	for _, par := range []int{1, 0} {
+		dg := webgen.Generate(small(7)).Graph
+		eng, err := lmmrank.NewLocalEngine(dg, lmmrank.EngineOptions{Parallelism: par, TopKIndex: true, Coalesce: true})
+		if err != nil {
+			return 0, err
+		}
+		uniform := lmmrank.Query{TopK: 50}
+		personal := lmmrank.Query{TopK: 50, SitePersonalization: personalized(dg.NumSites())}
+		for _, q := range []lmmrank.Query{uniform, personal} {
+			res, err := eng.Rank(ctx, q)
+			if err != nil {
+				return 0, err
+			}
+			write(res)
+		}
+		var pair [2]*lmmrank.Result
+		var errs [2]error
+		var wg sync.WaitGroup
+		for i := range pair {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				pair[i], errs[i] = eng.Rank(ctx, personal)
+			}()
+		}
+		wg.Wait()
+		for i, res := range pair {
+			if errs[i] != nil {
+				return 0, errs[i]
+			}
+			write(res)
+		}
+		if err := editOneSite(ctx, eng, dg); err != nil {
+			return 0, err
+		}
+		res, err := eng.Rank(ctx, uniform)
+		if err != nil {
+			return 0, err
+		}
+		write(res)
+	}
+	return h.Sum64(), nil
+}
+
 func distHash(mode lmmrank.SiteRankMode) (uint64, error) {
 	ctx := context.Background()
 	dg := webgen.Generate(small(7)).Graph
@@ -117,11 +210,7 @@ func distHash(mode lmmrank.SiteRankMode) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ns := dg.NumSites()
-	personal := make(lmmrank.Vector, ns)
-	for s := range personal {
-		personal[s] = float64(s+1) / float64(ns*(ns+1)/2)
-	}
+	personal := personalized(dg.NumSites())
 	h := fnv.New64a()
 	rank := func(q lmmrank.Query) error {
 		res, err := eng.Rank(ctx, q)
@@ -137,21 +226,7 @@ func distHash(mode lmmrank.SiteRankMode) (uint64, error) {
 			return 0, err
 		}
 	}
-	// One site of at least three documents gains two links.
-	site := lmmrank.SiteID(0)
-	for len(dg.Sites[site].Docs) < 3 {
-		site++
-	}
-	err = eng.Update(ctx, lmmrank.GraphDelta{
-		ChangedSites: []lmmrank.SiteID{site},
-		Apply: func(dg *lmmrank.DocGraph) error {
-			docs := dg.Sites[site].Docs
-			dg.G.AddLink(int(docs[0]), int(docs[2]))
-			dg.G.AddLink(int(docs[2]), int(docs[1]))
-			return nil
-		},
-	})
-	if err != nil {
+	if err := editOneSite(ctx, eng, dg); err != nil {
 		return 0, err
 	}
 	if err := rank(lmmrank.Query{}); err != nil {

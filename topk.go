@@ -1,166 +1,249 @@
 package lmmrank
 
 import (
-	"container/heap"
-	"sort"
+	"cmp"
+	"slices"
+
+	"lmmrank/internal/lmm"
 )
 
-// topkSite is one site's posting list in the maintained top-k index:
-// the site's documents ordered by descending warm local score, ties
-// toward the lower global DocID — exactly the order a full sort of the
-// composed DocRank visits them in, because scaling by the site's
-// nonnegative weight preserves it. Immutable once built, so snapshots
-// may share clean sites' lists by pointer across Updates.
-type topkSite struct {
-	docs   []DocID
-	scores []float64
-}
-
 // topkIndex is the incrementally maintained top-k structure of one
-// serving snapshot: per-site posting lists over the snapshot's warm
-// local solutions. Because the Partition Theorem composes DocRank as
-// siteWeight(s)·localRank(s), the lists are valid for every site-layer
-// weighting — uniform or personalized — and a query's top-k is a lazy
-// threshold merge over them instead of a full re-rank of all documents.
-// An Update patches only the dirty sites' lists; clean sites' lists are
-// shared with the previous snapshot.
+// serving snapshot: for every site, the order of its documents under the
+// snapshot's warm local solution. Because the Partition Theorem composes
+// DocRank as siteWeight(s)·localRank(s), one order per site is valid for
+// every site-layer weighting — uniform or personalized — and a query's
+// top-k is a lazy threshold merge over the orders instead of a full
+// re-rank of all documents.
+//
+// The index and the local vectors are one unit: order[s] holds local
+// positions (4 bytes a document), sorted by locals[s] descending, ties
+// toward the lower position, and the merge reads the score as
+// locals[s][p] and the document as Site.Docs[p]. A roster is ascending
+// in DocID, so that is (score desc, DocID asc) — the order a full sort of
+// the composed DocRank visits the site's documents in, since scaling by a
+// nonnegative weight cannot invert it. Both are immutable once built;
+// an order is valid for exactly the vector it was sorted from, which is
+// what lets a patch share it whenever that vector carries over.
 type topkIndex struct {
-	sites []*topkSite
+	locals []Vector
+	order  [][]uint32
 }
 
-// buildTopkSite sorts one site's posting list from its roster and warm
-// local solution, by (score desc, doc asc) — the rankutil.TopK order.
-func buildTopkSite(roster []DocID, local Vector) *topkSite {
-	pos := make([]int, len(roster))
-	for i := range pos {
-		pos[i] = i
+// sortSite fills order with a site's local positions in index order.
+func sortSite(order []uint32, local Vector) {
+	for i := range order {
+		order[i] = uint32(i)
 	}
-	sort.Slice(pos, func(a, b int) bool {
-		i, j := pos[a], pos[b]
-		if local[i] != local[j] {
-			return local[i] > local[j]
+	slices.SortFunc(order, func(a, b uint32) int {
+		if x, y := local[a], local[b]; x != y {
+			if x > y {
+				return -1
+			}
+			return 1
 		}
-		return roster[i] < roster[j]
+		return cmp.Compare(a, b)
 	})
-	st := &topkSite{
-		docs:   make([]DocID, len(roster)),
-		scores: make([]float64, len(roster)),
-	}
-	for i, p := range pos {
-		st.docs[i] = roster[p]
-		st.scores[i] = local[p]
-	}
-	return st
 }
 
-// newTopkIndex builds the full index from a graph and its warm local
-// solutions (one Vector per site, in local-index order).
-func newTopkIndex(dg *DocGraph, locals []Vector) *topkIndex {
-	ix := &topkIndex{sites: make([]*topkSite, len(dg.Sites))}
-	for s := range dg.Sites {
-		ix.sites[s] = buildTopkSite(dg.Sites[s].Docs, locals[s])
-	}
-	return ix
-}
-
-// patch derives the next snapshot's index after an Update: sites listed
-// as changed (and any site whose roster size no longer matches its old
-// list — the defensive case of an unlisted grown site) re-sort from the
-// new local solution; every other site's list is shared by pointer with
-// the previous index. A nil receiver builds everything.
-func (ix *topkIndex) patch(dg *DocGraph, locals []Vector, changed map[SiteID]bool) *topkIndex {
-	if ix == nil {
-		return newTopkIndex(dg, locals)
-	}
-	next := &topkIndex{sites: make([]*topkSite, len(dg.Sites))}
-	for s := range dg.Sites {
-		if s < len(ix.sites) && !changed[SiteID(s)] &&
-			len(ix.sites[s].docs) == len(dg.Sites[s].Docs) {
-			next.sites[s] = ix.sites[s]
+// patch derives the index over the next snapshot's local solutions (one
+// Vector per site, in local-index order): a site whose vector is the very
+// one ix sorted (a clean site, carried by pointer across the Update)
+// shares its order by pointer; every other site — changed, appended, or
+// all of them when ix is nil — is sorted anew, across workers goroutines
+// (0 = GOMAXPROCS). A full build puts every order in one array, 4 bytes a
+// document with no per-site rounding; a patch gives each re-sorted site
+// its own, so no array it leaves behind stays alive for the other sites
+// of a later patch.
+func (ix *topkIndex) patch(locals []Vector, workers int) *topkIndex {
+	next := &topkIndex{locals: locals, order: make([][]uint32, len(locals))}
+	var stale []int
+	total := 0
+	for s, v := range locals {
+		if ix != nil && s < len(ix.locals) && sameVector(ix.locals[s], v) {
+			next.order[s] = ix.order[s]
 			continue
 		}
-		next.sites[s] = buildTopkSite(dg.Sites[s].Docs, locals[s])
+		stale = append(stale, s)
+		total += len(v)
 	}
+	var all []uint32
+	if ix == nil {
+		all = make([]uint32, total)
+	}
+	for _, s := range stale {
+		n := len(locals[s])
+		if ix == nil {
+			next.order[s], all = all[:n:n], all[n:]
+		} else {
+			next.order[s] = make([]uint32, n)
+		}
+	}
+	lmm.ForEachParallel(len(stale), workers, func(i int) {
+		s := stale[i]
+		sortSite(next.order[s], locals[s])
+	})
 	return next
 }
 
+// sameVector reports whether a and b are one vector: the same backing
+// array at the same length.
+func sameVector(a, b Vector) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
 // topkCand is one heap candidate: a document with its composed score.
-// cont marks the run member that, once popped, advances its site's
-// cursor to the next tie run.
+// cont marks the candidate that, once popped, moves its site's cursor to
+// posting next.
 type topkCand struct {
 	score float64
 	doc   DocID
 	site  int
-	next  int // cursor after this candidate's tie run (valid when cont)
+	next  int
 	cont  bool
 }
 
-// topkHeap orders candidates by descending composed score, ties toward
-// the lower DocID — the total order of a full sort.
-type topkHeap []topkCand
-
-func (h topkHeap) Len() int { return len(h) }
-func (h topkHeap) Less(i, j int) bool {
-	if h[i].score != h[j].score {
-		return h[i].score > h[j].score
+// before is the total order of a full sort: descending composed score,
+// ties toward the lower DocID.
+func (c topkCand) before(o topkCand) bool {
+	if c.score != o.score {
+		return c.score > o.score
 	}
-	return h[i].doc < h[j].doc
+	return c.doc < o.doc
 }
-func (h topkHeap) Swap(i, j int)        { h[i], h[j] = h[j], h[i] }
-func (h *topkHeap) Push(x any)          { *h = append(*h, x.(topkCand)) }
-func (h *topkHeap) Pop() any            { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-func (h *topkHeap) pushCand(c topkCand) { heap.Push(h, c) }
 
-// pushRun pushes site s's next tie run starting at position i: every
-// consecutive posting whose composed score w·local equals the head's.
-// Within a site the composed scores are non-increasing (multiplying a
-// descending list by a nonnegative weight cannot invert it), but
-// floating-point scaling can collapse *distinct* local scores onto one
-// composed score — and a full sort breaks those ties by DocID, an order
-// the posting list does not guarantee inside a run. Pushing the whole
-// run at once hands the tie-break to the heap comparator; the run
+// topkMerge is one query's k-way merge over the index: a binary heap of
+// candidates, sifted in place so that a push allocates nothing once the
+// heap has room, and the count of candidates pushed.
+type topkMerge struct {
+	ix      *topkIndex
+	dg      *DocGraph
+	weights Vector
+	heap    []topkCand
+	pushes  int
+}
+
+func (m *topkMerge) push(c topkCand) {
+	m.pushes++
+	h := append(m.heap, c)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].before(h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	m.heap = h
+}
+
+func (m *topkMerge) pop() topkCand {
+	h := m.heap
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	m.heap = h
+	return top
+}
+
+// advance pushes site s's candidates from posting i on: as few as keep
+// the merge exact. Within a site the composed scores w·local are
+// non-increasing along the order (a nonnegative weight cannot invert
+// it), so one candidate a site suffices wherever the order is also the
+// DocID order among equal composed scores:
+//
+//   - weight 0 makes every composed score 0, and the site's documents
+//     come in roster order, which is DocID order;
+//   - a run of bitwise-equal local scores is in position order, which is
+//     DocID order too.
+//
+// Only where floating-point scaling collapses *distinct* local scores
+// onto one composed score does the order leave that tie's DocID order
+// open; that run goes in whole, the heap comparator orders it, and its
 // member with the largest DocID (popped last among the run) carries the
-// cursor to the next run.
-func (h *topkHeap) pushRun(st *topkSite, s int, i int, w float64) {
-	if i >= len(st.docs) {
+// cursor past it.
+func (m *topkMerge) advance(s, i int) {
+	order, local := m.ix.order[s], m.ix.locals[s]
+	docs := m.dg.Sites[s].Docs
+	n, w := len(order), m.weights[s]
+	if i >= n {
 		return
 	}
-	p := w * st.scores[i]
-	j := i
-	maxAt := i
-	for j < len(st.docs) && w*st.scores[j] == p {
-		if st.docs[j] > st.docs[maxAt] {
-			maxAt = j
+	if w == 0 {
+		m.push(topkCand{score: w * local[i], doc: docs[i], site: s, next: i + 1, cont: true})
+		return
+	}
+	x := local[order[i]]
+	p := w * x
+	// e ends the run of local scores equal to x, found by bisection: the
+	// run can be the whole site.
+	e := i + 1
+	if e < n && local[order[e]] == x {
+		lo, hi := e+1, n
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if local[order[mid]] == x {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
 		}
+		e = lo
+	}
+	if e == n || w*local[order[e]] != p {
+		m.push(topkCand{score: p, doc: docs[order[i]], site: s, next: i + 1, cont: true})
+		return
+	}
+	j := e + 1
+	for j < n && w*local[order[j]] == p {
 		j++
 	}
+	last := i
+	for q := i + 1; q < j; q++ {
+		if docs[order[q]] > docs[order[last]] {
+			last = q
+		}
+	}
 	for q := i; q < j; q++ {
-		h.pushCand(topkCand{score: p, doc: st.docs[q], site: s, next: j, cont: q == maxAt})
+		m.push(topkCand{score: w * local[order[q]], doc: docs[order[q]], site: s, next: j, cont: q == last})
 	}
 }
 
 // top answers one top-k query from the index: a k-way threshold merge
-// of the per-site posting lists under the query's site weights. The
-// produced table is bit-identical — scores, documents and tie order —
-// to rankutil.TopK over the fully composed DocRank, at O((S + k)·log S)
-// instead of O(N·log N).
-func (ix *topkIndex) top(dg *DocGraph, weights Vector, k int) []DocScore {
+// of the per-site orders under the query's site weights. The produced
+// table is bit-identical — scores, documents and tie order — to
+// rankutil.TopK over the fully composed DocRank, at O((S + k)·log S)
+// instead of O(N·log N). pushes is the number of candidates the merge
+// pushed.
+func (ix *topkIndex) top(dg *DocGraph, weights Vector, k int) (out []DocScore, pushes int) {
 	if k <= 0 {
-		return nil
+		return nil, 0
 	}
-	// Successive heap pushes keep the invariant from an empty heap, so
-	// seeding and merging use the same path.
-	h := make(topkHeap, 0, len(ix.sites)+8)
-	for s, st := range ix.sites {
-		h.pushRun(st, s, 0, weights[s])
+	m := topkMerge{ix: ix, dg: dg, weights: weights, heap: make([]topkCand, 0, len(ix.order)+8)}
+	for s := range ix.order {
+		m.advance(s, 0)
 	}
-	out := make([]DocScore, 0, k)
-	for len(out) < k && h.Len() > 0 {
-		c := heap.Pop(&h).(topkCand)
+	out = make([]DocScore, 0, k)
+	for len(out) < k && len(m.heap) > 0 {
+		c := m.pop()
 		out = append(out, DocScore{Doc: c.doc, URL: dg.URL(c.doc), Score: c.score})
 		if c.cont {
-			h.pushRun(ix.sites[c.site], c.site, c.next, weights[c.site])
+			m.advance(c.site, c.next)
 		}
 	}
-	return out
+	return out, m.pushes
 }
