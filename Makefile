@@ -62,7 +62,8 @@ test:
 
 # The distributed runtime is concurrency-heavy, internal/lmm holds the
 # parallel-pipeline regression tests (undeduped shared graphs) and the
-# Once-guarded per-site chains built from transient subgraphs, the root
+# per-site chains that the first query needing one builds and publishes
+# once (a refresh solves on chains it drops) from transient subgraphs, the root
 # package hosts the concurrent Engine serving tests, and internal/matrix
 # and internal/graph hold the state those share across goroutines (the
 # CSR chains every solver reads at once, copy-on-write adjacency and
@@ -77,7 +78,9 @@ race:
 # GOMAXPROCS=1. The distributed runtime rides along so its bitwise pins
 # (worker-order reduce, warm answers repeating to the bit) hold with real parallelism too, and so do the shared structures
 # below the engines: the multi-core kernel pins (internal/matrix), the
-# lazy build of a site's chain on concurrent first use (internal/lmm),
+# lazy build of a site's chain on concurrent first use, exactly once a
+# core beside an incremental rebuild (internal/lmm, and a TopKIndex
+# engine's first queries the index cannot serve in the root package),
 # and readers of a graph while its COW clones are taken and edited
 # (internal/graph, TestCloneCOWDoesNotWriteParent). -count=1 defeats the test cache — a cached verdict
 # from a different GOMAXPROCS proves nothing.
@@ -233,9 +236,9 @@ bench-smoke:
 # per target (the flag takes a single target per package). Keeps the
 # corpus-driven guards — COW clone isolation, the graph (text and binary)
 # and wire decoders' never-panic/bounded-allocation contracts, the
-# transition matrix and NewCSR against their dense references and
-# coalescing-fingerprint safety — from rotting between dedicated fuzz
-# sessions.
+# transition matrix and NewCSR against their dense references, the top-k
+# index's radix sort against the comparison sort and coalescing-fingerprint
+# safety — from rotting between dedicated fuzz sessions.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCloneCOW$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/graph
@@ -244,6 +247,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTransitionMatrix$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzNewCSR$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/matrix
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryFingerprint$$' -fuzztime $(FUZZTIME) -timeout 10m .
+	$(GO) test -run '^$$' -fuzz '^FuzzSortSite$$' -fuzztime $(FUZZTIME) -timeout 10m .
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/dist/wire
 
 # The E-series benchmarks with allocation reporting, as `go test` prints

@@ -177,7 +177,7 @@ type EngineOptions struct {
 	// under load usually wants 1 — the cores are already busy answering
 	// distinct queries — while a single caller wants the default.
 	// Construction is not capped: nothing is served yet, so it prepares
-	// the sites and (with TopKIndex) runs its first solve and sorts the
+	// the sites or (with TopKIndex) runs its first solve and sorts the
 	// index on every core. Each site solve is serial, so the fan-out
 	// never changes an answer's bits.
 	Parallelism int
@@ -219,6 +219,11 @@ type EngineOptions struct {
 	// full re-rank of all documents. Served rankings are the snapshot's
 	// warm solution: within solver tolerance of an exact solve, and the
 	// Top table is bit-identical to fully sorting that same solution.
+	// Such a snapshot keeps the solutions, not the per-site chains they
+	// were solved on: each intra-site link is held once, in the graph.
+	// The first query the index cannot serve builds every site's chain
+	// and pays for it, and the engine keeps them from then on, as an
+	// engine without the index does from the start.
 	// LocalEngine only: DistConfig has no such knob.
 	TopKIndex bool
 }
@@ -335,7 +340,10 @@ var _ Engine = (*LocalEngine)(nil)
 // the SiteGraph and every site's transition matrix and PageRank chain,
 // built eagerly (in parallel) so that queries only ever read shared
 // state. Beside the graph a snapshot keeps each intra-site link once, in
-// the pull form the kernels read; no subgraph copy is retained. The graph is captured by reference; mutate it
+// the pull form the kernels read; no subgraph copy is retained. With
+// EngineOptions.TopKIndex it keeps no chain until a query needs one: the
+// construction solves on chains it drops, and the snapshot holds the
+// solutions and the index. The graph is captured by reference; mutate it
 // only through Update (or build a new engine) — a mutation outside
 // Update turns every later query into ErrGraphMutated. After an
 // Apply-path Update the engine serves an evolved copy of the graph;
@@ -345,17 +353,20 @@ func NewLocalEngine(dg *DocGraph, opts EngineOptions) (*LocalEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	rk.Prepare()
 	e := &LocalEngine{parallelism: opts.Parallelism, topkIndex: opts.TopKIndex}
 	state := &localState{base: rk, pool: newRankerPool(rk)}
 	if opts.TopKIndex {
 		// The maintained index needs a warm solution to index, so a
 		// TopKIndex engine front-loads the first solve to construction
 		// time (a plain engine defers it to the first query/Update). No
-		// query runs beside it yet, so it takes every core.
+		// query runs beside it yet, so it takes every core. It prepares
+		// nothing: its queries serve from the solutions, and the refresh
+		// solves on chains it does not keep.
 		if state, err = e.refresh(context.TODO(), rk, state, nil, 0); err != nil {
 			return nil, err
 		}
+	} else {
+		rk.Prepare()
 	}
 	e.serve(e, newAdmitGate(opts.MaxInFlight, opts.TenantQuota, opts.RejectOverload), opts.Coalesce, opts.CoalesceTol, dg, state)
 	return e, nil
@@ -403,13 +414,17 @@ func (p *rankerPool) put(rk *lmm.Ranker) {
 }
 
 // rebuild is the local backend's half of Update: the changed sites'
-// structure, then the refresh solve.
+// structure (their chains too, unless the engine keeps a top-k index: a
+// changed site's chain is then built for the refresh, which drops it, and
+// kept only by the next query that needs it), then the refresh solve.
 func (e *LocalEngine) rebuild(ctx context.Context, cur *snapshot[*localState], dg *DocGraph, changed []SiteID) (*localState, error) {
 	next, err := cur.state.base.RebuildOn(dg, changed)
 	if err != nil {
 		return nil, err
 	}
-	next.Prepare()
+	if !e.topkIndex {
+		next.Prepare()
+	}
 	return e.refresh(ctx, next, cur.state, changed, e.parallelism)
 }
 

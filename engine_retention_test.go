@@ -204,3 +204,64 @@ func decodedTopK(t *testing.T, file []byte, k int) []DocScore {
 	}
 	return res.Top
 }
+
+// TestTopKEngineRetention pins what a TopKIndex engine's snapshot keeps
+// beside the DocGraph once it was built, queried from the index and
+// updated: 8 bytes a document of local solutions, 4 of index over them and
+// the graph's 4-byte local column, and the site layer — 320 bytes a site
+// and 32 a site link budgeted; 358 to 450 a site all told measured on this
+// web at GOMAXPROCS 1 to 4 (the SiteGraph and its chain, the site seed,
+// per-site headers, and the edited row the Update's clone owns). No
+// bytes a link: the construction and an Update solve on chains they drop
+// (each intra-site link would cost 4 bytes in one, ≈ 460 KB here). The
+// first query the index cannot serve builds and keeps every chain; beside
+// its solutions and index the engine then keeps no more than
+// TestPreparedEngineRetention's budget allows a prepared one.
+func TestTopKEngineRetention(t *testing.T) {
+	dg := webgen.Generate(webgen.Default()).Graph
+	links, docs, sites := dg.G.NumEdges(), dg.NumDocs(), dg.NumSites()
+	ctx := context.Background()
+	before := liveHeap()
+	eng, err := NewLocalEngine(dg, EngineOptions{TopKIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	siteLinks := eng.snap.Load().state.base.SiteGraph().G.NumEdges()
+	budget := int64(16*docs + 320*sites + 32*siteLinks)
+	check := func(when string) {
+		t.Helper()
+		retained := int64(liveHeap()) - int64(before)
+		t.Logf("%s: %d docs, %d sites, %d site links: the engine retains %d bytes (%.1f a site beside 16 a document), budget %d",
+			when, docs, sites, siteLinks, retained, float64(retained-16*int64(docs))/float64(sites), budget)
+		if retained > budget {
+			t.Errorf("%s: a TopKIndex engine retains %d bytes beside its graph, budget %d (16 B/doc + 320 B/site + 32 B/site link)", when, retained, budget)
+		}
+	}
+	check("built")
+	if _, err := eng.Rank(ctx, Query{TopK: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Update(ctx, GraphDelta{
+		ChangedSites: []SiteID{3},
+		Apply: func(dg *DocGraph) error {
+			editSite(t, dg, 3)
+			return nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("updated")
+
+	if _, err := eng.Rank(ctx, Query{TopK: 10, WantLocalRanks: true}); err != nil {
+		t.Fatal(err)
+	}
+	eng.snap.Load().state.pool.get() // the idle clone is query scratch, not structure
+	beside := int64(liveHeap()) - int64(before) - 12*int64(docs)
+	prepared := int64(4*links + 38*docs)
+	t.Logf("with its chains kept the engine retains %d bytes beside its solutions and index, a prepared engine's budget %d", beside, prepared)
+	if beside > prepared {
+		t.Errorf("with its chains kept the engine retains %d bytes beside its solutions and index, above a prepared engine's budget %d", beside, prepared)
+	}
+	runtime.KeepAlive(eng)
+	runtime.KeepAlive(dg)
+}

@@ -1,11 +1,15 @@
 package lmmrank
 
 import (
+	"cmp"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"lmmrank/internal/webgen"
@@ -353,4 +357,179 @@ func TestTopKIndexAnswerAllocs(t *testing.T) {
 			}
 		}()
 	}
+}
+
+// TestTopKIndexLazyChainsConcurrent: a TopKIndex engine keeps no chain
+// until a query the index cannot serve needs one, so its first such
+// queries build the chains while they run — here several at once, beside
+// an Update. Each answer must equal, bit for bit, what an index engine
+// whose cores were prepared gives for the same query on the same
+// snapshot, the one before the Update or the one after it.
+func TestTopKIndexLazyChainsConcurrent(t *testing.T) {
+	ctx := context.Background()
+	const changed = SiteID(5)
+	update := func(eng *LocalEngine) {
+		err := eng.Update(ctx, GraphDelta{
+			ChangedSites: []SiteID{changed},
+			Apply: func(dg *DocGraph) error {
+				editSite(t, dg, changed)
+				return nil
+			},
+		})
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	queries := []Query{{TopK: 10, WantLocalRanks: true}, {TopK: 10, Damping: 0.8}}
+	opts := EngineOptions{TopKIndex: true, Parallelism: 1}
+
+	ref, err := NewLocalEngine(churnTestWeb().Graph, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers := func() []*Result {
+		ref.snap.Load().state.base.Prepare()
+		out := make([]*Result, len(queries))
+		for i, q := range queries {
+			if out[i], err = ref.Rank(ctx, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	before := answers()
+	update(ref)
+	after := answers()
+
+	eng, err := NewLocalEngine(churnTestWeb().Graph, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(got, want *Result) bool {
+		if !sameBits(got.DocRank, want.DocRank) || len(got.LocalRanks) != len(want.LocalRanks) {
+			return false
+		}
+		for s := range got.LocalRanks {
+			if !sameBits(got.LocalRanks[s], want.LocalRanks[s]) {
+				return false
+			}
+		}
+		return reflect.DeepEqual(got.Top, want.Top)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4*len(queries); g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			qi := g % len(queries)
+			res, err := eng.Rank(ctx, queries[qi])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !same(res, before[qi]) && !same(res, after[qi]) {
+				t.Errorf("query %d on lazily built chains differs from a prepared engine's answer on either snapshot", qi)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		update(eng)
+	}()
+	wg.Wait()
+	for qi, q := range queries {
+		res, err := eng.Rank(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(res, after[qi]) {
+			t.Errorf("query %d after the Update differs from a prepared engine's", qi)
+		}
+	}
+}
+
+// TestTopKHugeK: a TopK past the number of documents asks for them all,
+// on the index path as on the solve path — N rows, equal to TopDocs —
+// and allocates for N, not for k (math.MaxInt would not fit a slice).
+func TestTopKHugeK(t *testing.T) {
+	ctx := context.Background()
+	for _, opts := range []EngineOptions{{TopKIndex: true}, {}} {
+		eng, err := NewLocalEngine(churnTestWeb().Graph, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := eng.DocGraph().NumDocs()
+		for _, k := range []int{n + 1, math.MaxInt} {
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("TopKIndex %v, TopK %d: Rank panicked: %v", opts.TopKIndex, k, p)
+					}
+				}()
+				served := eng.ServingStats().TopKIndexServes
+				res, err := eng.Rank(ctx, Query{TopK: k})
+				if err != nil {
+					t.Fatalf("TopKIndex %v, TopK %d: %v", opts.TopKIndex, k, err)
+				}
+				if indexed := eng.ServingStats().TopKIndexServes > served; indexed != opts.TopKIndex {
+					t.Errorf("TopKIndex %v, TopK %d: served from the index = %v", opts.TopKIndex, k, indexed)
+				}
+				if len(res.Top) != n {
+					t.Errorf("TopKIndex %v, TopK %d: %d rows, want all %d documents", opts.TopKIndex, k, len(res.Top), n)
+				}
+				if want := TopDocs(eng.DocGraph(), res.DocRank, k); !reflect.DeepEqual(res.Top, want) {
+					t.Errorf("TopKIndex %v, TopK %d: Top differs from TopDocs", opts.TopKIndex, k)
+				}
+			}()
+		}
+	}
+}
+
+// FuzzSortSite checks the index's radix sort against the comparison sort
+// it replaced — score descending, ties toward the lower position — on
+// scores drawn from a palette that makes ties, zeros of both signs and
+// subnormals common, and from raw nonnegative bit patterns.
+func FuzzSortSite(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3})
+	f.Add([]byte{0, 1, 0, 1, 2, 2, 3, 4, 5, 6, 7})
+	f.Add([]byte{8, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0})
+	palette := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 2 * math.SmallestNonzeroFloat64,
+		0x1p-1022, 0.25, 0.25 + 0x1p-54, 1, math.MaxFloat64}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var local Vector
+		for len(data) > 0 {
+			b := data[0]
+			data = data[1:]
+			if int(b) < len(palette) || len(data) < 8 {
+				local = append(local, palette[int(b)%len(palette)])
+				continue
+			}
+			x := math.Float64frombits(binary.LittleEndian.Uint64(data) &^ (1 << 63))
+			data = data[8:]
+			if math.IsNaN(x) {
+				x = math.Inf(1)
+			}
+			local = append(local, x)
+		}
+		got := make([]uint32, len(local))
+		sortSite(got, local)
+		want := make([]uint32, len(local))
+		for i := range want {
+			want[i] = uint32(i)
+		}
+		slices.SortFunc(want, func(a, b uint32) int {
+			if x, y := local[a], local[b]; x != y {
+				if x > y {
+					return -1
+				}
+				return 1
+			}
+			return cmp.Compare(a, b)
+		})
+		if !slices.Equal(got, want) {
+			t.Errorf("scores %v: radix order %v, comparison order %v", local, got, want)
+		}
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"lmmrank/internal/graph"
 	"lmmrank/internal/matrix"
@@ -27,44 +28,64 @@ type RankerOptions struct {
 	SiteGraph graph.SiteGraphOptions
 }
 
-// rankerSite is what a Ranker retains of one site: the roster index and
-// the shareable PageRank chain — whose pull-form CSR is the one copy of
-// the site's links a snapshot holds beside the DocGraph.
-// The subgraph itself is not kept. The chain is built lazily under a
-// sync.Once on the first query that needs it, from a subgraph extracted
-// for the occasion and dropped — consumers of the structure alone, like
-// the distributed coordinator shipping edge lists to workers, never pay
-// for it, while concurrent Share()d rankers racing on a cold site build
-// it exactly once. fixed is the constant local rank of 0/1-doc sites,
-// which need no chain at all.
+// rankerSite is what a Ranker retains of one site: the roster index and,
+// once a query has needed it, the shareable PageRank chain — whose
+// pull-form CSR is a second copy of the site's links beside the DocGraph.
+// The subgraph itself is not kept. A chain is built lazily from a subgraph
+// extracted for the occasion and dropped, and it is kept only when the
+// caller asks: a query's solve keeps it (getChain with keep), so every
+// later query reads the one chain, while a refresh solve that finds none
+// builds a private one that goes with its Ranker. Consumers of the
+// structure alone, like the distributed coordinator shipping edge lists to
+// workers, never pay for it. A kept chain is published once under mu and
+// read without it, so concurrent Share()d rankers racing on a cold site
+// build it exactly once. fixed is the constant local rank of 0/1-doc
+// sites, which need no chain at all.
 type rankerSite struct {
 	idx   *graph.LocalIndex
 	fixed matrix.Vector
 
-	once  sync.Once
-	chain *pagerank.Chain
+	mu    sync.Mutex
+	chain atomic.Pointer[pagerank.Chain]
 }
 
-// getChain returns the site's shareable PageRank chain, building it on
-// first use from dg, the graph of whichever core asks first. A
-// rankerSite is shared by every core in which the site is clean, and a
-// clean site's rows are identical in all of their graphs, so which one
-// triggers the Once cannot matter.
-func (st *rankerSite) getChain(dg *graph.DocGraph, s graph.SiteID) *pagerank.Chain {
-	st.once.Do(func() {
-		sub, _ := dg.LocalSubgraph(s)
-		st.chain = pagerank.NewChain(sub.TransitionMatrix())
-	})
-	return st.chain
+// buildChain derives site s's chain from dg. It is a variable only so that
+// tests can count the builds.
+var buildChain = func(dg *graph.DocGraph, s graph.SiteID) *pagerank.Chain {
+	sub, _ := dg.LocalSubgraph(s)
+	return pagerank.NewChain(sub.TransitionMatrix())
+}
+
+// getChain returns the site's PageRank chain: the kept one if a query has
+// built it, otherwise one built now from dg, the graph of whichever core
+// asks — kept for every later caller when keep is set, the caller's alone
+// when it is not. A rankerSite is shared by every core in which the site
+// is clean, and a clean site's rows are identical in all of their graphs,
+// so which one builds it cannot matter; the same TransitionMatrix comes
+// out either way.
+func (st *rankerSite) getChain(dg *graph.DocGraph, s graph.SiteID, keep bool) *pagerank.Chain {
+	if c := st.chain.Load(); c != nil {
+		return c
+	}
+	if !keep {
+		return buildChain(dg, s)
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if c := st.chain.Load(); c != nil {
+		return c
+	}
+	c := buildChain(dg, s)
+	st.chain.Store(c)
+	return c
 }
 
 // rankerCore is the shared half of a Ranker: everything derived from the
-// graph alone, none of it query-specific. After Prepare (or the lazy
-// sync.Once builds) the core is immutable, which is what lets any number
-// of Share()d rankers serve queries over it concurrently. Sites are held
-// by pointer so an incremental Rebuild can share unchanged sites'
-// structure (index, lazily built chain) between the old and the new
-// core.
+// graph alone, none of it query-specific. Past its lazily built chains,
+// each published once, the core is immutable, which is what lets any
+// number of Share()d rankers serve queries over it concurrently. Sites
+// are held by pointer so an incremental Rebuild can share unchanged
+// sites' structure (index, kept chain) between the old and the new core.
 type rankerCore struct {
 	dg    *graph.DocGraph
 	opts  RankerOptions
@@ -178,21 +199,24 @@ func newRankerSite(dg *graph.DocGraph, s graph.SiteID) *rankerSite {
 // Share()d rankers may Rank concurrently without any locking.
 //
 // Call Prepare on one of the rankers first (or serve a warm-up query
-// before going concurrent): it forces the lazily built shared pieces so
-// the cold-start builds are not left to race (they are sync.Once-guarded
-// and therefore safe either way, merely redundant).
+// before going concurrent) to build the shared pieces up front; left
+// lazy, each is still built exactly once, by the first query that needs
+// it, while the others wait for it.
 func (r *Ranker) Share() *Ranker { return &Ranker{core: r.core} }
 
-// Prepare eagerly builds every lazily constructed piece of the shared
-// structure — the site-layer chain and each multi-document site's CSR
-// transition matrix and PageRank chain — in parallel. After Prepare the
-// core is immutable; queries only read it.
+// Prepare eagerly builds and keeps every lazily constructed piece of the
+// shared structure — the site-layer chain and each multi-document site's
+// CSR transition matrix and PageRank chain — in parallel. After Prepare
+// the core is immutable; queries only read it. It is for a core whose
+// queries solve every site: the chains are a second copy of the
+// intra-site links, which a core serving only from kept solutions (a
+// TopKIndex engine's) never reads.
 func (r *Ranker) Prepare() {
 	c := r.core
 	c.siteLayerChain()
 	ForEachParallel(len(c.sites), 0, func(s int) {
 		if st := c.sites[s]; st.fixed == nil {
-			st.getChain(c.dg, graph.SiteID(s))
+			st.getChain(c.dg, graph.SiteID(s), true)
 		}
 	})
 }
@@ -278,18 +302,18 @@ func (r *Ranker) ensureQueryState() {
 // see the type comment for the reuse contract.
 func (r *Ranker) Rank(cfg WebConfig) (*WebResult, error) {
 	r.ensureQueryState()
-	return r.rankTwoLayer(r.allSites, &cfg)
+	return r.rankTwoLayer(r.allSites, &cfg, true)
 }
 
 // rankTwoLayer is the two-layer query phase with the listed sites' local
 // DocRanks solved afresh and every other site's taken as localRanks
-// holds it.
-func (r *Ranker) rankTwoLayer(sites []int, cfg *WebConfig) (*WebResult, error) {
+// holds it; keep is getChain's.
+func (r *Ranker) rankTwoLayer(sites []int, cfg *WebConfig, keep bool) (*WebResult, error) {
 	siteRank, siteIters, err := r.RankSites(*cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.rankLocals(sites, cfg); err != nil {
+	if err := r.rankLocals(sites, cfg, keep); err != nil {
 		return nil, err
 	}
 	composeDocRankInto(r.docRank, r.core.dg, siteRank, r.localRanks)
@@ -305,8 +329,9 @@ func (r *Ranker) rankTwoLayer(sites []int, cfg *WebConfig) (*WebResult, error) {
 // rankLocals runs the listed sites' local DocRanks into this Ranker's
 // buffers. The loop is data-parallel — every site solver is independent —
 // and the single-worker case runs a plain loop: no goroutines, no
-// closure, no allocations.
-func (r *Ranker) rankLocals(sites []int, cfg *WebConfig) error {
+// closure, no allocations. keep is getChain's, for a site whose chain
+// this Ranker has no solver over yet.
+func (r *Ranker) rankLocals(sites []int, cfg *WebConfig, keep bool) error {
 	errs := r.errs
 	for s := range errs {
 		errs[s] = nil
@@ -317,7 +342,7 @@ func (r *Ranker) rankLocals(sites []int, cfg *WebConfig) error {
 	}
 	if workers <= 1 || len(sites) <= 1 {
 		for _, s := range sites {
-			r.rankLocal(s, cfg)
+			r.rankLocal(s, cfg, keep)
 		}
 	} else {
 		// The closure must capture a block-local copy: capturing cfg
@@ -325,7 +350,7 @@ func (r *Ranker) rankLocals(sites []int, cfg *WebConfig) error {
 		// breaking the zero-allocation budget.
 		c := *cfg
 		ForEachParallel(len(sites), workers, func(i int) {
-			r.rankLocal(sites[i], &c)
+			r.rankLocal(sites[i], &c, keep)
 		})
 	}
 	for s, err := range errs {
@@ -339,7 +364,7 @@ func (r *Ranker) rankLocals(sites []int, cfg *WebConfig) error {
 
 // rankLocal solves one site's local DocRank into the Ranker's reusable
 // buffers (step 3 of §3.2 for one site).
-func (r *Ranker) rankLocal(s int, cfg *WebConfig) {
+func (r *Ranker) rankLocal(s int, cfg *WebConfig, keep bool) {
 	st := r.core.sites[s]
 	if st.fixed != nil {
 		r.localRanks[s] = st.fixed
@@ -348,10 +373,10 @@ func (r *Ranker) rankLocal(s int, cfg *WebConfig) {
 	}
 	if r.solvers[s] == nil {
 		// First query on this Ranker builds its private solver over the
-		// shared chain; each site is owned by exactly one goroutine of
+		// site's chain; each site is owned by exactly one goroutine of
 		// the fan-out, and the barrier at its end publishes the solver
 		// for later queries.
-		r.solvers[s] = st.getChain(r.core.dg, graph.SiteID(s)).NewSolver()
+		r.solvers[s] = st.getChain(r.core.dg, graph.SiteID(s), keep).NewSolver()
 	}
 	var pers matrix.Vector
 	if cfg.DocPersonalization != nil {
@@ -392,6 +417,11 @@ func (r *Ranker) rankLocal(s int, cfg *WebConfig) {
 // The reused local vectors alias cfg.LocalStarts, not this Ranker's
 // scratch; the caller owns both sides (the Engine clones the result
 // into its snapshot either way).
+//
+// A site it solves uses the core's kept chain where a query (or Prepare)
+// left one; otherwise it solves on a chain of this Ranker's own, which
+// the core does not keep: the refresh's solutions are what a snapshot
+// serves from, and the chain they were solved on goes with this Ranker.
 func (r *Ranker) RankRefresh(changed []graph.SiteID, cfg WebConfig) (*WebResult, error) {
 	r.ensureQueryState()
 	changedSet := make(map[int]bool, len(changed))
@@ -407,7 +437,7 @@ func (r *Ranker) RankRefresh(changed []graph.SiteID, cfg WebConfig) (*WebResult,
 		}
 		pending = append(pending, s)
 	}
-	return r.rankTwoLayer(pending, &cfg)
+	return r.rankTwoLayer(pending, &cfg, false)
 }
 
 // Rank3 answers a three-layer (domain → site → page) query against the
@@ -439,7 +469,7 @@ func (r *Ranker) Rank3(domainOf func(siteName string) string, cfg WebConfig) (*W
 		return nil, err
 	}
 	r.ensureQueryState()
-	if err := r.rankLocals(r.allSites, &cfg); err != nil {
+	if err := r.rankLocals(r.allSites, &cfg, true); err != nil {
 		return nil, fmt.Errorf("lmm: layered3: %w", err)
 	}
 	composeDocRankInto(r.docRank, r.core.dg, tl.SiteWeights, r.localRanks)

@@ -17,11 +17,12 @@ var ErrStaleResult = errors.New("lmm: previous result is stale")
 // DocGraph, rebuilding only the listed sites' precomputed structure.
 // This is the structural half of the churn path: because the layered
 // decomposition keeps every site's links independent, a mutation
-// confined to a few sites leaves every other site's roster index,
-// lazily built PageRank chain and SiteGraph row exactly valid — Rebuild
-// shares those by pointer with the old core and starts over only for
-// the dirty ones (index and SiteGraph row now, chain on the next
-// Prepare or Rank).
+// confined to a few sites leaves every other site's roster index, kept
+// PageRank chain and SiteGraph row exactly valid — Rebuild shares those
+// by pointer with the old core and starts over only for the dirty ones:
+// index and SiteGraph row now, and a chain kept only once Prepare or a
+// Rank needs one (a RankRefresh solves the site on a chain it does not
+// keep).
 //
 // changed must list every site whose pages or links changed (including
 // links *from* its documents to other sites); sites appended beyond the
@@ -47,12 +48,12 @@ func (r *Ranker) Rebuild(changed []graph.SiteID) (*Ranker, error) {
 // while the new Ranker is built off to the side.
 //
 // What is shared with the old core, by pointer: each clean site's
-// rankerSite (roster index + Once-guarded chain) and its SiteGraph row.
+// rankerSite (roster index + chain, if one is kept) and its SiteGraph row.
 // What is derived afresh: the changed and appended sites' indexes and
 // SiteGraph rows, and the site-layer chain over the new SiteGraph. A
 // rankerSite holds no reference to the graph it came from; a clean
-// site's chain not yet built is built from whichever core's graph asks
-// first, and the site's rows are the same in both. The changed-list
+// site's chain not yet kept is built from whichever core's graph asks,
+// and the site's rows are the same in both. The changed-list
 // contract is Rebuild's: every site whose pages or links differ between
 // the old core's build and dg must be listed (appended sites are
 // implicit), and an unlisted roster change fails with ErrStaleResult.
@@ -103,8 +104,8 @@ func (r *Ranker) RebuildOn(dg *graph.DocGraph, changed []graph.SiteID) (*Ranker,
 		sites:   make([]*rankerSite, ns),
 		version: dg.G.Version(),
 	}
-	// Clean sites share the old pointers (index and Once-guarded chain,
-	// neither of which refers to a graph); dirty ones start over.
+	// Clean sites share the old pointers (index and kept chain, neither
+	// of which refers to a graph); dirty ones start over.
 	for s := range core.sites {
 		if s < len(old.sites) && !changedSet[graph.SiteID(s)] {
 			core.sites[s] = old.sites[s]

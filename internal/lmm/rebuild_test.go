@@ -3,11 +3,14 @@ package lmm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"lmmrank/internal/graph"
 	"lmmrank/internal/matrix"
+	"lmmrank/internal/pagerank"
 )
 
 // mutateSite adds a couple of intra-site links to site s and returns s.
@@ -113,18 +116,18 @@ func TestRebuildReusesCleanSiteStructure(t *testing.T) {
 	}
 	for s := 0; s < rk.NumSites(); s++ {
 		old, now := rk.core.sites[s], warm.core.sites[s]
-		if old.fixed == nil && old.chain == nil {
+		if old.fixed == nil && old.chain.Load() == nil {
 			t.Fatalf("site %d: Prepare left no chain to share", s)
 		}
 		_, oldIdx := rk.LocalSubgraph(graph.SiteID(s))
 		_, newIdx := warm.LocalSubgraph(graph.SiteID(s))
 		if s == 2 {
-			if old == now || oldIdx == newIdx || now.chain != nil {
+			if old == now || oldIdx == newIdx || now.chain.Load() != nil {
 				t.Errorf("changed site %d shares structure with the old core", s)
 			}
 			continue
 		}
-		if old != now || oldIdx != newIdx || old.chain != now.chain {
+		if old != now || oldIdx != newIdx || old.chain.Load() != now.chain.Load() {
 			t.Errorf("clean site %d was rebuilt", s)
 		}
 	}
@@ -555,5 +558,202 @@ func TestUpdateValidation(t *testing.T) {
 	}
 	if d := cold.DocRank.L1Diff(prev.DocRank); d != 0 {
 		t.Errorf("unseeded refresh differs from Rank by %g", d)
+	}
+}
+
+// keptChains lists the sites whose chain rk's core keeps.
+func keptChains(rk *Ranker) []int {
+	var kept []int
+	for s, st := range rk.core.sites {
+		if st.chain.Load() != nil {
+			kept = append(kept, s)
+		}
+	}
+	return kept
+}
+
+// solvedSites lists the sites of rk's core that need a chain to solve.
+func solvedSites(rk *Ranker) []int {
+	var sites []int
+	for s, st := range rk.core.sites {
+		if st.fixed == nil {
+			sites = append(sites, s)
+		}
+	}
+	return sites
+}
+
+// sameBits reports whether two vectors hold the same floats bit for bit.
+func sameBits(a, b matrix.Vector) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRefreshKeepsNoChain pins which solves keep a site's chain: a
+// RankRefresh solves on chains the core does not keep, and answers bit
+// for bit as on a prepared core; a Rank keeps every chain it builds; and
+// after a rebuild the refresh keeps none for the changed site, while the
+// clean sites go on sharing theirs with the old core.
+func TestRefreshKeepsNoChain(t *testing.T) {
+	dg := randomWeb(rand.New(rand.NewSource(95)), 8, 120)
+	lazy, err := NewRanker(dg, RankerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepared, err := NewRanker(dg, RankerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepared.Prepare()
+	got, err := lazy.Share().RankRefresh(nil, WebConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := prepared.Share().RankRefresh(nil, WebConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(got.DocRank, want.DocRank) {
+		t.Error("a refresh on dropped chains differs from one on kept chains")
+	}
+	if kept := keptChains(lazy); len(kept) != 0 {
+		t.Errorf("a refresh kept the chains of sites %v", kept)
+	}
+	if _, err := lazy.Share().Rank(WebConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if kept, all := keptChains(lazy), solvedSites(lazy); fmt.Sprint(kept) != fmt.Sprint(all) {
+		t.Errorf("after a Rank the core keeps the chains of sites %v, want %v", kept, all)
+	}
+
+	const changed = graph.SiteID(2)
+	work := dg.CloneCOW()
+	mutateSite(t, work, changed)
+	next, err := lazy.RebuildOn(work, []graph.SiteID{changed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := WebConfig{SiteStart: got.SiteRank, LocalStarts: got.LocalRanks}
+	if _, err := next.Share().RankRefresh([]graph.SiteID{changed}, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range solvedSites(next) {
+		old, now := lazy.core.sites[s].chain.Load(), next.core.sites[s].chain.Load()
+		if graph.SiteID(s) == changed {
+			if now != nil {
+				t.Errorf("the refresh kept the changed site %d's chain", s)
+			}
+		} else if now == nil || now != old {
+			t.Errorf("clean site %d does not share its kept chain with the old core", s)
+		}
+	}
+}
+
+// TestLazyChainsBuiltOnce: concurrent first queries on a core that keeps
+// no chain — the refresh on a fresh core's, and queries on the core an
+// incremental rebuild derives from it beside them — build each site's
+// chain exactly once a core: a clean site's once for both cores, which
+// share it, and the changed site's once for the old core and once for the
+// new one, whose refresh also builds one it drops. Every answer equals a
+// prepared core's bit for bit.
+func TestLazyChainsBuiltOnce(t *testing.T) {
+	dg := randomWeb(rand.New(rand.NewSource(97)), 12, 400)
+	type build struct {
+		dg *graph.DocGraph
+		s  graph.SiteID
+	}
+	var mu sync.Mutex
+	builds := map[build]int{}
+	defer func(orig func(*graph.DocGraph, graph.SiteID) *pagerank.Chain) { buildChain = orig }(buildChain)
+	orig := buildChain
+	buildChain = func(dg *graph.DocGraph, s graph.SiteID) *pagerank.Chain {
+		mu.Lock()
+		builds[build{dg, s}]++
+		mu.Unlock()
+		return orig(dg, s)
+	}
+
+	cfg := WebConfig{Damping: 0.8, Parallelism: 1}
+	reference := func(dg *graph.DocGraph) matrix.Vector {
+		rk, err := NewRanker(dg, RankerOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rk.Prepare()
+		res, err := rk.Rank(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.DocRank.Clone()
+	}
+	const changed = graph.SiteID(4)
+	work := dg.CloneCOW()
+	mutateSite(t, work, changed)
+	wantOld, wantNew := reference(dg), reference(work)
+
+	old, err := NewRanker(dg, RankerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refreshed, err := old.Share().RankRefresh(nil, WebConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	clear(builds)
+	mu.Unlock()
+
+	query := func(rk *Ranker, want matrix.Vector, wg *sync.WaitGroup) {
+		defer wg.Done()
+		res, err := rk.Share().Rank(cfg)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if !sameBits(res.DocRank, want) {
+			t.Error("a query on lazily built chains differs from one on a prepared core")
+		}
+	}
+	const queries = 8
+	var wg sync.WaitGroup
+	for i := 0; i < queries; i++ {
+		wg.Add(1)
+		go query(old, wantOld, &wg)
+	}
+	next, err := old.RebuildOn(work, []graph.SiteID{changed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := WebConfig{SiteStart: refreshed.SiteRank, LocalStarts: refreshed.LocalRanks}
+	if _, err := next.Share().RankRefresh([]graph.SiteID{changed}, seeds); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < queries; i++ {
+		wg.Add(1)
+		go query(next, wantNew, &wg)
+	}
+	wg.Wait()
+
+	for _, s := range solvedSites(old) {
+		site := graph.SiteID(s)
+		if site == changed {
+			if n := builds[build{dg, site}]; n != 1 {
+				t.Errorf("changed site %d: the old core built its chain %d times, want 1", s, n)
+			}
+			if n := builds[build{work, site}]; n != 2 {
+				t.Errorf("changed site %d: the new core built %d chains, want 2 (the refresh's, dropped, and the one its queries keep)", s, n)
+			}
+			continue
+		}
+		if n := builds[build{dg, site}] + builds[build{work, site}]; n != 1 {
+			t.Errorf("clean site %d: its chain was built %d times for both cores, want 1", s, n)
+		}
 	}
 }

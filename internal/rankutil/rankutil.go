@@ -8,7 +8,7 @@ package rankutil
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Entry pairs an item index with its score.
@@ -19,31 +19,92 @@ type Entry struct {
 
 // TopK returns the k highest-scoring indices in descending score order,
 // ties broken toward the lower index (deterministic across runs). k is
-// clamped to len(scores).
+// clamped to len(scores). A k that is a small share of the scores is
+// selected through a bounded heap, in O(N·log k); a larger one sorts
+// every index.
 func TopK(scores []float64, k int) []Entry {
-	if k > len(scores) {
-		k = len(scores)
-	}
+	k = min(k, len(scores))
 	if k <= 0 {
 		return nil
 	}
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Full sort keeps the code simple and deterministic; selection would
-	// only matter for graphs far beyond this package's benchmarks.
-	sort.SliceStable(idx, func(a, b int) bool {
-		if scores[idx[a]] != scores[idx[b]] {
-			return scores[idx[a]] > scores[idx[b]]
+	var idx []int
+	if k <= len(scores)/heapShare {
+		idx = selectTop(scores, k)
+	} else {
+		idx = make([]int, len(scores))
+		for i := range idx {
+			idx[i] = i
 		}
-		return idx[a] < idx[b]
+	}
+	// The order is total — score descending, then index ascending — so an
+	// unstable sort gives what a stable one would.
+	slices.SortFunc(idx, func(a, b int) int {
+		switch {
+		case before(scores, a, b):
+			return -1
+		case before(scores, b, a):
+			return 1
+		}
+		return 0
 	})
 	out := make([]Entry, k)
-	for i := 0; i < k; i++ {
+	for i := range out {
 		out[i] = Entry{Index: idx[i], Score: scores[idx[i]]}
 	}
 	return out
+}
+
+// heapShare is the share of the scores below which TopK selects through a
+// heap rather than sorting them all: 1/heapShare of N.
+const heapShare = 8
+
+// before reports whether item a ranks ahead of item b: a higher score, or
+// an equal one at a lower index.
+func before(scores []float64, a, b int) bool {
+	if x, y := scores[a], scores[b]; x != y {
+		return x > y
+	}
+	return a < b
+}
+
+// selectTop returns the indices of the k items that rank first, in no
+// particular order: a heap of the best k seen so far, the one that ranks
+// last at its root, which each later item replaces if it ranks ahead.
+func selectTop(scores []float64, k int) []int {
+	h := make([]int, 0, k)
+	for i := range scores {
+		if len(h) < k {
+			h = append(h, i)
+			for c := len(h) - 1; c > 0; {
+				p := (c - 1) / 2
+				if !before(scores, h[p], h[c]) {
+					break
+				}
+				h[p], h[c] = h[c], h[p]
+				c = p
+			}
+			continue
+		}
+		if !before(scores, i, h[0]) {
+			continue
+		}
+		h[0] = i
+		for p := 0; ; {
+			c := 2*p + 1
+			if c >= k {
+				break
+			}
+			if r := c + 1; r < k && before(scores, h[c], h[r]) {
+				c = r
+			}
+			if !before(scores, h[p], h[c]) {
+				break
+			}
+			h[p], h[c] = h[c], h[p]
+			p = c
+		}
+	}
+	return h
 }
 
 // Ranks converts scores into 0-based rank positions (rank[i] = position of

@@ -3,6 +3,7 @@ package rankutil
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -22,6 +23,75 @@ func TestTopK(t *testing.T) {
 	}
 	if got := len(TopK(scores, 99)); got != 4 {
 		t.Errorf("oversized k: len = %d", got)
+	}
+}
+
+// stableTopK is the full stable sort TopK used to run, kept as the
+// reference its selection must reproduce.
+func stableTopK(scores []float64, k int) []Entry {
+	k = min(k, len(scores))
+	if k <= 0 {
+		return nil
+	}
+	idx := make([]int, len(scores))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		if scores[idx[a]] != scores[idx[b]] {
+			return scores[idx[a]] > scores[idx[b]]
+		}
+		return idx[a] < idx[b]
+	})
+	out := make([]Entry, k)
+	for i := range out {
+		out[i] = Entry{Index: idx[i], Score: scores[idx[i]]}
+	}
+	return out
+}
+
+// TestTopKMatchesStableSort: the heap selection of a small k and the sort
+// of a large one both give the full stable sort's prefix, on vectors with
+// long ties, zeros of both signs and ascending, descending and shuffled
+// layouts (ascending is the heap's worst case: every item displaces its
+// root).
+func TestTopKMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 400
+	layouts := map[string][]float64{}
+	ties := make([]float64, n)
+	for i := range ties {
+		switch rng.Intn(4) {
+		case 0:
+			ties[i] = 0
+		case 1:
+			ties[i] = math.Copysign(0, -1)
+		default:
+			ties[i] = float64(rng.Intn(5)) / 8
+		}
+	}
+	layouts["ties and zeros"] = ties
+	asc, desc := make([]float64, n), make([]float64, n)
+	for i := range asc {
+		asc[i] = float64(i / 3)
+		desc[i] = float64((n - i) / 3)
+	}
+	layouts["ascending"], layouts["descending"] = asc, desc
+	layouts["all equal"] = make([]float64, n)
+	for name, scores := range layouts {
+		for _, k := range []int{0, 1, 10, n - 1, n, n + 1} {
+			got, want := TopK(scores, k), stableTopK(scores, k)
+			if len(got) != len(want) {
+				t.Errorf("%s, k=%d: %d entries, want %d", name, k, len(got), len(want))
+				continue
+			}
+			for i := range got {
+				if got[i].Index != want[i].Index || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+					t.Errorf("%s, k=%d: entry %d is %+v, want %+v", name, k, i, got[i], want[i])
+					break
+				}
+			}
+		}
 	}
 }
 

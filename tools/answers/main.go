@@ -18,7 +18,10 @@
 // URLs and scores), DocRank and SiteRank of a TopKIndex LocalEngine at
 // Parallelism 1 and at 0 on the Small web: a uniform and a
 // site-personalized TopK query, two identical ones issued at once to a
-// coalescing engine, and the first after a one-site Update.
+// coalescing engine, and the first after a one-site Update; and, with
+// their LocalRanks, a query the index cannot serve (Damping 0.8), before
+// the Update and after it — the engine builds the chains it solves on
+// late, for that query.
 package main
 
 import (
@@ -153,6 +156,9 @@ func localTopKHash() (uint64, error) {
 		}
 		writeFloats(h, res.DocRank)
 		writeFloats(h, res.SiteRank)
+		for _, v := range res.LocalRanks {
+			writeFloats(h, v)
+		}
 	}
 	for _, par := range []int{1, 0} {
 		dg := webgen.Generate(small(7)).Graph
@@ -162,7 +168,8 @@ func localTopKHash() (uint64, error) {
 		}
 		uniform := lmmrank.Query{TopK: 50}
 		personal := lmmrank.Query{TopK: 50, SitePersonalization: personalized(dg.NumSites())}
-		for _, q := range []lmmrank.Query{uniform, personal} {
+		solved := lmmrank.Query{TopK: 50, Damping: 0.8, WantLocalRanks: true}
+		for _, q := range []lmmrank.Query{uniform, personal, solved} {
 			res, err := eng.Rank(ctx, q)
 			if err != nil {
 				return 0, err
@@ -189,11 +196,13 @@ func localTopKHash() (uint64, error) {
 		if err := editOneSite(ctx, eng, dg); err != nil {
 			return 0, err
 		}
-		res, err := eng.Rank(ctx, uniform)
-		if err != nil {
-			return 0, err
+		for _, q := range []lmmrank.Query{uniform, solved} {
+			res, err := eng.Rank(ctx, q)
+			if err != nil {
+				return 0, err
+			}
+			write(res)
 		}
-		write(res)
 	}
 	return h.Sum64(), nil
 }

@@ -1,8 +1,7 @@
 package lmmrank
 
 import (
-	"cmp"
-	"slices"
+	"math"
 
 	"lmmrank/internal/lmm"
 )
@@ -29,20 +28,57 @@ type topkIndex struct {
 	order  [][]uint32
 }
 
-// sortSite fills order with a site's local positions in index order.
+// sortSite fills order with a site's local positions in index order:
+// score descending, ties toward the lower position. It is an LSD radix
+// sort over ^Float64bits(score), one byte a pass, that skips every byte
+// all the keys share. Local ranks are nonnegative, so the key ascends as
+// the score descends; each pass is stable and the positions start in
+// order, so ties stay in position order. −0 is keyed as +0, so that the
+// two still tie.
 func sortSite(order []uint32, local Vector) {
 	for i := range order {
 		order[i] = uint32(i)
 	}
-	slices.SortFunc(order, func(a, b uint32) int {
-		if x, y := local[a], local[b]; x != y {
-			if x > y {
-				return -1
-			}
-			return 1
+	n := len(order)
+	if n < 2 {
+		return
+	}
+	keys := make([]uint64, n)
+	same, diff := ^uint64(0), uint64(0)
+	for i, x := range local {
+		if x == 0 {
+			x = 0 // −0 becomes +0
 		}
-		return cmp.Compare(a, b)
-	})
+		k := ^math.Float64bits(x)
+		keys[i] = k
+		same &= k
+		diff |= k
+	}
+	diff &^= same // the bits on which some keys differ
+	out := order
+	keys2, order2 := make([]uint64, n), make([]uint32, n)
+	for shift := 0; shift < 64; shift += 8 {
+		if (diff>>shift)&0xff == 0 {
+			continue
+		}
+		var at [256]int
+		for _, k := range keys {
+			at[(k>>shift)&0xff]++
+		}
+		sum := 0
+		for b, c := range at {
+			at[b] = sum
+			sum += c
+		}
+		for i, k := range keys {
+			b := (k >> shift) & 0xff
+			keys2[at[b]], order2[at[b]] = k, order[i]
+			at[b]++
+		}
+		keys, keys2 = keys2, keys
+		order, order2 = order2, order
+	}
+	copy(out, order)
 }
 
 // patch derives the index over the next snapshot's local solutions (one
@@ -228,8 +264,9 @@ func (m *topkMerge) advance(s, i int) {
 // table is bit-identical — scores, documents and tie order — to
 // rankutil.TopK over the fully composed DocRank, at O((S + k)·log S)
 // instead of O(N·log N). pushes is the number of candidates the merge
-// pushed.
+// pushed. k is clamped to the number of documents, as TopDocs clamps it.
 func (ix *topkIndex) top(dg *DocGraph, weights Vector, k int) (out []DocScore, pushes int) {
+	k = min(k, dg.NumDocs())
 	if k <= 0 {
 		return nil, 0
 	}
