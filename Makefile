@@ -79,8 +79,8 @@ race:
 # (worker-order reduce, warm answers repeating to the bit) hold with real parallelism too, and so do the shared structures
 # below the engines: the multi-core kernel pins (internal/matrix), the
 # lazy build of a site's chain on concurrent first use, exactly once a
-# core beside an incremental rebuild (internal/lmm, and a TopKIndex
-# engine's first queries the index cannot serve in the root package),
+# core beside an incremental rebuild (internal/lmm, and a LocalEngine's
+# first queries that solve the sites in the root package),
 # and readers of a graph while its COW clones are taken and edited
 # (internal/graph, TestCloneCOWDoesNotWriteParent). -count=1 defeats the test cache — a cached verdict
 # from a different GOMAXPROCS proves nothing.

@@ -104,9 +104,11 @@
 //     rebuilds them too.
 //   - ChangedSites is the caller's contract: it must list every site
 //     whose pages or links changed (appended sites are implicit). Only
-//     those sites' structure is rebuilt — locally their SiteGraph rows,
-//     matrices and solvers (clean sites' chains are shared by pointer,
-//     and queries warm-start from the previous solution);
+//     those sites' structure is rebuilt — locally their SiteGraph rows
+//     and local DocRanks (clean sites' solutions, and any chains a query
+//     had built, are shared by pointer; default-parameter queries are
+//     composed from the refreshed solutions, and every other query's
+//     solves start from them);
 //     distributedly their shards and local DocRanks (clean shards stay
 //     in the worker caches and are never re-shipped, clean sites' local
 //     DocRanks carry into the next snapshot and are never re-solved —

@@ -172,13 +172,13 @@ type EngineOptions struct {
 	// SiteGraph controls SiteLink aggregation (§3.1), baked into the
 	// precomputed structure.
 	SiteGraph SiteGraphOptions
-	// Parallelism caps the local-DocRank fan-out of each query and of
-	// each Update's refresh solve (0 = GOMAXPROCS). Concurrent serving
-	// under load usually wants 1 — the cores are already busy answering
-	// distinct queries — while a single caller wants the default.
-	// Construction is not capped: nothing is served yet, so it prepares
-	// the sites or (with TopKIndex) runs its first solve and sorts the
-	// index on every core. Each site solve is serial, so the fan-out
+	// Parallelism caps the local-DocRank fan-out of each query that
+	// solves the sites and of each Update's refresh solve (0 =
+	// GOMAXPROCS). Concurrent serving under load usually wants 1 — the
+	// cores are already busy answering distinct queries — while a single
+	// caller wants the default. Construction is not capped: nothing is
+	// served yet, so it runs its first solve (and, with TopKIndex, sorts
+	// the index) on every core. Each site solve is serial, so the fan-out
 	// never changes an answer's bits.
 	Parallelism int
 	// MaxInFlight caps concurrently admitted Rank calls (0 = no cap).
@@ -208,22 +208,15 @@ type EngineOptions struct {
 	// answer is within CoalesceTol (plus solver tolerance) of its exact
 	// one. 0 (the default) coalesces only bit-identical vectors.
 	CoalesceTol float64
-	// TopKIndex maintains a per-snapshot top-k index over the warm local
-	// solutions — each site's documents in score order, 4 bytes a
-	// document beside the solutions themselves: the engine runs one
-	// refresh solve at construction, on every core, and one after every
-	// Update, under the Parallelism cap (re-sorting only the changed
-	// sites), and serves eligible TopK queries — two-layer, default
-	// damping/tolerance/budget, no document-layer personalization — by a
-	// threshold merge over the index instead of a fresh solve plus a
-	// full re-rank of all documents. Served rankings are the snapshot's
-	// warm solution: within solver tolerance of an exact solve, and the
-	// Top table is bit-identical to fully sorting that same solution.
-	// Such a snapshot keeps the solutions, not the per-site chains they
-	// were solved on: each intra-site link is held once, in the graph.
-	// The first query the index cannot serve builds every site's chain
-	// and pays for it, and the engine keeps them from then on, as an
-	// engine without the index does from the start.
+	// TopKIndex maintains a per-snapshot top-k index over the snapshot's
+	// local solutions — each site's documents in score order, 4 bytes a
+	// document beside the solutions themselves: it is sorted at
+	// construction, on every core, and patched after every Update, under
+	// the Parallelism cap (re-sorting only the sites whose solution is
+	// new). A TopK query the snapshot serves from its solutions (see
+	// LocalEngine) then takes its Top table from a threshold merge over
+	// the index instead of a full re-rank of all documents; the table is
+	// bit-identical to fully sorting the served DocRank.
 	// LocalEngine only: DistConfig has no such knob.
 	TopKIndex bool
 }
@@ -291,10 +284,13 @@ func (q Query) webConfig(ctx context.Context, parallelism int) lmm.WebConfig {
 
 // localState is what a LocalEngine snapshot holds beside the graph: the
 // Ranker built for exactly that graph, the pooled scratch-private clones,
-// the warm-start seeds solved on that graph and — with
-// EngineOptions.TopKIndex — the maintained top-k index over seedLocals.
-// Everything here but the pool is immutable; a clean site's local vector
-// and its index order are shared by pointer with the previous snapshot.
+// the default-parameter solutions solved on that graph — the site layer
+// seedSite and every site's local DocRank seedLocals, which queries at
+// the defaults are composed from and every other query's solves start
+// from — and, with EngineOptions.TopKIndex, the maintained top-k index
+// over seedLocals. Everything here but the pool is immutable; a clean
+// site's local vector and its index order are shared by pointer with the
+// previous snapshot.
 type localState struct {
 	base       *lmm.Ranker
 	pool       *rankerPool
@@ -304,11 +300,24 @@ type localState struct {
 }
 
 // LocalEngine serves queries from one process: an lmm.Ranker core
-// (SiteGraph, per-site CSR matrices, dangling lists) precomputed once
-// at construction, fronted by a free list of scratch-private Rankers.
+// (SiteGraph and roster indexes) precomputed once at construction, the
+// solutions solved on it, and a free list of scratch-private Rankers.
 // Concurrent goroutines serve in parallel — each Rank loads the current
-// snapshot, borrows a pooled Ranker, runs the query phase against the
-// shared immutable core, copies the result out and returns the scratch.
+// snapshot and answers from it, borrowing a pooled Ranker for whatever
+// it has to solve.
+//
+// A snapshot is its solutions: the site layer πS and every site's local
+// DocRank at the default Damping, Tol and MaxIter. By the Partition
+// Theorem a local DocRank does not depend on the query, so every query
+// at those defaults without a DocPersonalization is served from them:
+// its DocRank is the kept local ranks composed under the query's site
+// weights — πS itself, one site-layer solve started from πS for a
+// SitePersonalization, or the upper two layers of a ThreeLayer query —
+// and no document-layer sweep runs. Such a snapshot keeps no per-site
+// chain: each intra-site link is held once, in the graph. Any other
+// query solves every site, warm-started from the snapshot's solutions,
+// on chains that the first such query builds and the engine keeps from
+// then on.
 //
 // Serving is lock-free multi-version: the whole serving state lives in
 // one atomic pointer to an immutable snapshot. Update builds the next
@@ -322,9 +331,9 @@ type localState struct {
 // computation (see EngineOptions).
 //
 // Update publishes a warm snapshot: only the changed sites' SiteGraph
-// rows, matrices and solvers are rebuilt, and a refresh solve — itself
-// warm-started from the previous update's solution — becomes the seed
-// every subsequent query's solves start from. Rankings served
+// rows and structure are rebuilt, and a refresh solve — warm-started
+// from the previous solutions, a clean site's local DocRank carried
+// verbatim — gives the next snapshot its solutions. Rankings served
 // after Update agree with a cold rebuild to solver tolerance (pinned
 // < 1e-9 in the tests) while doing measurably less iteration and
 // allocation work.
@@ -337,50 +346,39 @@ type LocalEngine struct {
 var _ Engine = (*LocalEngine)(nil)
 
 // NewLocalEngine validates dg and precomputes the serving structure:
-// the SiteGraph and every site's transition matrix and PageRank chain,
-// built eagerly (in parallel) so that queries only ever read shared
-// state. Beside the graph a snapshot keeps each intra-site link once, in
-// the pull form the kernels read; no subgraph copy is retained. With
-// EngineOptions.TopKIndex it keeps no chain until a query needs one: the
-// construction solves on chains it drops, and the snapshot holds the
-// solutions and the index. The graph is captured by reference; mutate it
-// only through Update (or build a new engine) — a mutation outside
-// Update turns every later query into ErrGraphMutated. After an
-// Apply-path Update the engine serves an evolved copy of the graph;
-// read it back with DocGraph().
+// the SiteGraph, and the first snapshot's solutions, solved once on every
+// core on per-site chains it then drops (and, with EngineOptions.TopKIndex,
+// the index over them). Beside the graph a snapshot keeps the solutions,
+// not the links again; the first query that solves the sites builds the
+// chains, and the engine keeps them from then on. The graph is captured
+// by reference; mutate it only through Update (or build a new engine) — a
+// mutation outside Update turns every later query into ErrGraphMutated.
+// After an Apply-path Update the engine serves an evolved copy of the
+// graph; read it back with DocGraph().
 func NewLocalEngine(dg *DocGraph, opts EngineOptions) (*LocalEngine, error) {
 	rk, err := lmm.NewRanker(dg, lmm.RankerOptions{SiteGraph: opts.SiteGraph})
 	if err != nil {
 		return nil, err
 	}
 	e := &LocalEngine{parallelism: opts.Parallelism, topkIndex: opts.TopKIndex}
-	state := &localState{base: rk, pool: newRankerPool(rk)}
-	if opts.TopKIndex {
-		// The maintained index needs a warm solution to index, so a
-		// TopKIndex engine front-loads the first solve to construction
-		// time (a plain engine defers it to the first query/Update). No
-		// query runs beside it yet, so it takes every core. It prepares
-		// nothing: its queries serve from the solutions, and the refresh
-		// solves on chains it does not keep.
-		if state, err = e.refresh(context.TODO(), rk, state, nil, 0); err != nil {
-			return nil, err
-		}
-	} else {
-		rk.Prepare()
+	// No query runs beside the first solve yet, so it takes every core.
+	state, err := e.refresh(context.TODO(), rk, &localState{}, nil, 0)
+	if err != nil {
+		return nil, err
 	}
 	e.serve(e, newAdmitGate(opts.MaxInFlight, opts.TenantQuota, opts.RejectOverload), opts.Coalesce, opts.CoalesceTol, dg, state)
 	return e, nil
 }
 
 // rankerPool is a snapshot's free list of scratch-private Share() clones
-// of its prepared Ranker: a query takes an idle one, or a new clone when
+// of its Ranker: a query takes an idle one, or a new clone when
 // none is idle, and gives it back. At most GOMAXPROCS (as of the
 // snapshot's creation) stay idle, and they stay until the snapshot goes:
 // unlike a sync.Pool's, a collection does not drop them, so a steady
 // load never re-allocates a clone's query scratch. The pool lives inside
 // one snapshot, so stale scratch can never serve a rebuilt core.
 type rankerPool struct {
-	share func() *lmm.Ranker // a new clone: the prepared Ranker's Share
+	share func() *lmm.Ranker // a new clone: the snapshot Ranker's Share
 	mu    sync.Mutex
 	idle  []*lmm.Ranker
 }
@@ -414,23 +412,20 @@ func (p *rankerPool) put(rk *lmm.Ranker) {
 }
 
 // rebuild is the local backend's half of Update: the changed sites'
-// structure (their chains too, unless the engine keeps a top-k index: a
-// changed site's chain is then built for the refresh, which drops it, and
-// kept only by the next query that needs it), then the refresh solve.
+// structure, then the refresh solve. A changed site's chain is built for
+// the refresh, which drops it, and kept only by the next query that
+// solves the sites.
 func (e *LocalEngine) rebuild(ctx context.Context, cur *snapshot[*localState], dg *DocGraph, changed []SiteID) (*localState, error) {
 	next, err := cur.state.base.RebuildOn(dg, changed)
 	if err != nil {
 		return nil, err
 	}
-	if !e.topkIndex {
-		next.Prepare()
-	}
 	return e.refresh(ctx, next, cur.state, changed, e.parallelism)
 }
 
 // refresh solves rk at the default query parameters across workers
-// goroutines (0 = GOMAXPROCS), warm-started from prev's seeds where the
-// shapes survived (changed sites whose roster grew start cold
+// goroutines (0 = GOMAXPROCS), warm-started from prev's solutions where
+// the shapes survived (changed sites whose roster grew start cold
 // automatically — seeds are shape-checked hints), and returns the state
 // to publish. Clean sites keep their previous local solutions verbatim
 // (a warm re-polish would drift them by an ulp, and they are converged
@@ -478,34 +473,41 @@ func (e *LocalEngine) Rank(ctx context.Context, q Query) (*Result, error) {
 	return e.rank(ctx, q)
 }
 
-// indexEligible reports whether q can serve from the snapshot's
-// maintained top-k index: a two-layer TopK query at the default
-// damping/tolerance/iteration budget with no document-layer
-// personalization and no LocalRanks request — exactly the queries whose
-// document layers equal the snapshot's warm solution, which is what the
-// index indexes. Site-layer personalization is eligible: the Partition
-// Theorem composes DocRank as siteWeight·localRank, so the posting
-// lists are valid under any site weighting and only the small site
-// layer needs solving.
-func (st *localState) indexEligible(q Query) bool {
-	return st.topk != nil && q.TopK > 0 && !q.ThreeLayer &&
-		q.DocPersonalization == nil && !q.WantLocalRanks &&
-		q.Damping == 0 && q.Tol == 0 && q.MaxIter == 0
+// fromSnapshot reports whether q is answered from the snapshot's
+// default-parameter solutions: the default damping, tolerance and
+// iteration budget and no document-layer personalization — exactly the
+// queries whose document layers are those solutions. Whatever else q
+// asks touches only the small layers above them: the Partition Theorem
+// composes DocRank as siteWeight·localRank under any site weighting,
+// uniform, site-personalized or three-layer.
+func (q Query) fromSnapshot() bool {
+	return q.DocPersonalization == nil && q.Damping == 0 && q.Tol == 0 && q.MaxIter == 0
 }
 
-// rankFromIndex answers an eligible query from the snapshot's top-k
-// index: the served DocRank is the warm solution composed under the
-// query's site weights, and the Top table is a threshold merge over the
-// per-site posting lists — bit-identical to fully sorting that DocRank,
-// without touching the other N−k documents.
-func (e *LocalEngine) rankFromIndex(ctx context.Context, snap *snapshot[*localState], q Query) (*Result, error) {
+// rankFromSnapshot answers a query fromSnapshot: the snapshot's local
+// solutions composed under the query's site weights — πS for a uniform
+// query, one site-layer solve started from πS for a site-personalized
+// one, the upper two layers for a three-layer one. No document layer is
+// solved, so LocalIterations are all 0. With the index, the Top table is
+// a threshold merge over the per-site orders — bit-identical to fully
+// sorting the DocRank, without touching the other N−k documents; without
+// it, the front sorts.
+func (e *LocalEngine) rankFromSnapshot(ctx context.Context, snap *snapshot[*localState], q Query) (*Result, error) {
 	st := snap.state
+	res := &Result{LocalIterations: make([]int, len(snap.dg.Sites))}
 	weights := st.seedSite
-	siteIters := 0
-	if q.SitePersonalization != nil {
-		// Only the site layer depends on the personalization; re-solve
-		// it (warm-started from the snapshot's πS) and keep the warm
-		// document layers.
+	switch {
+	case q.ThreeLayer:
+		tl, err := st.base.ThreeLayerWeights(q.DomainOf, q.webConfig(ctx, e.parallelism))
+		if err != nil {
+			return nil, normalizeCtxErr(ctx, err)
+		}
+		// The upper layers are freshly allocated per query — already
+		// caller-owned.
+		weights = tl.SiteWeights
+		res.SiteRank, res.Domains, res.DomainRank = tl.SiteWeights, tl.Domains, tl.DomainRank
+		res.DomainOfSite, res.SiteEntry = tl.DomainOfSite, tl.SiteEntry
+	case q.SitePersonalization != nil:
 		rk := st.pool.get()
 		defer st.pool.put(rk)
 		cfg := q.webConfig(ctx, e.parallelism)
@@ -517,34 +519,37 @@ func (e *LocalEngine) rankFromIndex(ctx context.Context, snap *snapshot[*localSt
 		// sr aliases the pooled Ranker's scratch; privatize before the
 		// deferred put can hand that scratch to another query.
 		weights = sr.Clone()
-		siteIters = iters
+		res.SiteRank, res.SiteIterations = weights, iters
+	default:
+		res.SiteRank = weights.Clone()
 	}
-	e.stats.topkIndex.Add(1)
-	top, _ := st.topk.top(snap.dg, weights, q.TopK)
-	return &Result{
-		DocRank:         lmm.ComposeDocRank(snap.dg, weights, st.seedLocals),
-		SiteRank:        weights.Clone(),
-		SiteIterations:  siteIters,
-		LocalIterations: make([]int, len(snap.dg.Sites)),
-		Top:             top,
-	}, nil
+	res.DocRank = lmm.ComposeDocRank(snap.dg, weights, st.seedLocals)
+	if q.WantLocalRanks {
+		res.LocalRanks = cloneVectors(st.seedLocals)
+	}
+	if st.topk != nil && q.TopK > 0 {
+		e.stats.topkIndex.Add(1)
+		res.Top, _ = st.topk.top(snap.dg, weights, q.TopK)
+	}
+	return res, nil
 }
 
-// solve is the local backend's half of Rank: from the index when the
-// query is eligible, a pooled Ranker's query phase otherwise.
+// solve is the local backend's half of Rank: from the snapshot's
+// solutions when the query allows, a pooled Ranker's query phase
+// otherwise.
 func (e *LocalEngine) solve(ctx context.Context, snap *snapshot[*localState], q Query) (*Result, error) {
 	st := snap.state
-	if st.indexEligible(q) {
-		return e.rankFromIndex(ctx, snap, q)
+	if q.fromSnapshot() {
+		return e.rankFromSnapshot(ctx, snap, q)
 	}
 	rk := st.pool.get()
 	defer st.pool.put(rk)
 	cfg := q.webConfig(ctx, e.parallelism)
-	// Post-churn queries start their solves from the last
-	// update's solution instead of uniform (nil seeds before the first
-	// Update mean a cold start). The site seed is a two-layer πS and
-	// stays out of three-layer queries: their upper stack ranks domains
-	// and entry nodes, where a same-length site vector would be a
+	// The solves start from the snapshot's solutions instead of uniform:
+	// a start is a hint, and the answer is the query's own to solver
+	// tolerance. The site seed is a two-layer πS and stays out of
+	// three-layer queries: their upper stack ranks domains and entry
+	// nodes, where a same-length site vector would be a
 	// wrong-distribution seed, not a warm start. The local seeds apply
 	// to both models — the document layer is identical in both.
 	if !q.ThreeLayer {
@@ -768,11 +773,11 @@ func (e *DistEngine) solve(ctx context.Context, snap *snapshot[*distState], q Qu
 	cfg.ThreeLayer = q.ThreeLayer
 	cfg.DomainOf = q.DomainOf
 	// The snapshot's warm state was solved at the default parameters; a
-	// query with its own neither reads nor writes it (as indexEligible).
+	// query with its own neither reads nor writes it (as on LocalEngine).
 	// The site seed is a two-layer πS: the coordinator keeps it out of a
 	// three-layer run, which still reuses the locals — the document layer
 	// is the same in both models. The digests hold for any parameters.
-	defaults := q.Damping == 0 && q.Tol == 0 && q.MaxIter == 0
+	defaults := q.fromSnapshot() // Rank refused a DocPersonalization
 	warm := &distWarm{}
 	if defaults {
 		warm = st.warm.Load()

@@ -24,19 +24,22 @@ func liveHeap() uint64 {
 }
 
 // TestPreparedEngineRetention pins what a serving snapshot keeps beside
-// the DocGraph it was built on, apart from the idle Ranker clones of its
-// free list (query scratch, not structure: TestRankerPoolRetention bounds
-// their number, and the one the test's query leaves idle is dropped
-// before the reading): each intra-site link once, as its 4-byte
-// source in the pull form the kernels read, plus per-document pointers,
-// factors and vectors (≈ 31 bytes measured, the chain's out-weight and
-// column offset, the listed links of weight other than 1 and the graph's
-// 4-byte local column among them). While every link also kept a float64
-// value it was 12 bytes a link and 16 budgeted; retained subgraph copies,
-// the row half of the per-site matrices and append slack in the SiteGraph
-// used to make it 80 bytes per link on this web. The budget is the
-// measured value plus 14 %, so that any one more copy of the links —
-// 4 bytes each, in pull form or in any other — breaks it.
+// the DocGraph it was built on and its solutions (8 bytes a document,
+// TestLocalEngineRetention's) once a query that solves every site — a
+// damping of its own — has built and kept the per-site chains, apart from
+// the idle Ranker clones of its free list (query scratch, not structure:
+// TestRankerPoolRetention bounds their number, and the one the test's
+// query leaves idle is dropped before the reading): each intra-site link
+// once, as its 4-byte source in the pull form the kernels read, plus
+// per-document pointers, factors and vectors (≈ 30 bytes measured, the
+// chain's out-weight and column offset, the listed links of weight other
+// than 1 and the graph's 4-byte local column among them). While every
+// link also kept a float64 value it was 12 bytes a link and 16 budgeted;
+// retained subgraph copies, the row half of the per-site matrices and
+// append slack in the SiteGraph used to make it 80 bytes per link on this
+// web. The budget is the measured value plus 14 %, so that any one more
+// copy of the links — 4 bytes each, in pull form or in any other — breaks
+// it.
 func TestPreparedEngineRetention(t *testing.T) {
 	dg := webgen.Generate(webgen.Default()).Graph
 	links, docs := dg.G.NumEdges(), dg.NumDocs()
@@ -45,15 +48,15 @@ func TestPreparedEngineRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Rank(context.Background(), Query{TopK: 10}); err != nil {
+	if _, err := eng.Rank(context.Background(), Query{TopK: 10, Damping: 0.8}); err != nil {
 		t.Fatal(err)
 	}
 	withIdle := int64(liveHeap()) - int64(before)
 	eng.snap.Load().state.pool.get()
-	retained := int64(liveHeap()) - int64(before)
-	t.Logf("the clone the query left idle holds %d bytes of scratch (%.1f per document)", withIdle-retained, float64(withIdle-retained)/float64(docs))
+	retained := int64(liveHeap()) - int64(before) - 8*int64(docs)
+	t.Logf("the clone the query left idle holds %d bytes of scratch (%.1f per document)", withIdle-retained-8*int64(docs), float64(withIdle-retained-8*int64(docs))/float64(docs))
 	budget := int64(4*links + 38*docs)
-	t.Logf("%d docs, %d links: engine retains %d bytes (%.1f per link all told), budget %d",
+	t.Logf("%d docs, %d links: beside its solutions the engine retains %d bytes (%.1f per link all told), budget %d",
 		docs, links, retained, float64(retained)/float64(links), budget)
 	intra := 0
 	dg.G.EachEdgeAll(func(from int, e graph.Edge) {
@@ -63,8 +66,56 @@ func TestPreparedEngineRetention(t *testing.T) {
 	})
 	t.Logf("%d intra-site links at 4 bytes leave %.1f bytes per document", intra, float64(retained-4*int64(intra))/float64(docs))
 	if retained > budget {
-		t.Errorf("a prepared engine retains %d bytes beside its graph, budget %d (4 B/link + 38 B/doc)", retained, budget)
+		t.Errorf("an engine with its chains kept retains %d bytes beside its graph and solutions, budget %d (4 B/link + 38 B/doc)", retained, budget)
 	}
+	runtime.KeepAlive(eng)
+	runtime.KeepAlive(dg)
+}
+
+// TestLocalEngineRetention pins what a plain LocalEngine's snapshot keeps
+// beside the DocGraph after one query of every shape it composes from its
+// solutions, and again after an Update: TestTopKEngineRetention's budget
+// (16 bytes a document, 320 a site and 32 a site link) with no byte a
+// link. It holds 8 bytes a document of local solutions and the graph's
+// 4-byte local column beside the site layer; the construction and the
+// Update solve on chains they drop, and no query here needs one.
+func TestLocalEngineRetention(t *testing.T) {
+	dg := webgen.Generate(webgen.Default()).Graph
+	docs, sites := dg.NumDocs(), dg.NumSites()
+	ctx := context.Background()
+	before := liveHeap()
+	eng, err := NewLocalEngine(dg, EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	siteLinks := eng.snap.Load().state.base.SiteGraph().G.NumEdges()
+	budget := int64(16*docs + 320*sites + 32*siteLinks)
+	check := func(when string) {
+		t.Helper()
+		retained := int64(liveHeap()) - int64(before)
+		t.Logf("%s: %d docs, %d sites, %d site links: the engine retains %d bytes (%.1f a site beside 16 a document), budget %d",
+			when, docs, sites, siteLinks, retained, float64(retained-16*int64(docs))/float64(sites), budget)
+		if retained > budget {
+			t.Errorf("%s: a LocalEngine retains %d bytes beside its graph, budget %d (16 B/doc + 320 B/site + 32 B/site link)", when, retained, budget)
+		}
+	}
+	pers := topkQueries(sites)[1].SitePersonalization
+	for _, q := range []Query{{}, {TopK: 10}, {WantLocalRanks: true}, {SitePersonalization: pers}, {ThreeLayer: true}} {
+		if _, err := eng.Rank(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("queried")
+	if err := eng.Update(ctx, GraphDelta{
+		ChangedSites: []SiteID{3},
+		Apply: func(dg *DocGraph) error {
+			editSite(t, dg, 3)
+			return nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("updated")
 	runtime.KeepAlive(eng)
 	runtime.KeepAlive(dg)
 }
@@ -214,9 +265,9 @@ func decodedTopK(t *testing.T, file []byte, k int) []DocScore {
 // per-site headers, and the edited row the Update's clone owns). No
 // bytes a link: the construction and an Update solve on chains they drop
 // (each intra-site link would cost 4 bytes in one, ≈ 460 KB here). The
-// first query the index cannot serve builds and keeps every chain; beside
-// its solutions and index the engine then keeps no more than
-// TestPreparedEngineRetention's budget allows a prepared one.
+// first query that solves the sites (a damping of its own) builds and
+// keeps every chain; beside its solutions and index the engine then keeps
+// no more than TestPreparedEngineRetention's budget allows.
 func TestTopKEngineRetention(t *testing.T) {
 	dg := webgen.Generate(webgen.Default()).Graph
 	links, docs, sites := dg.G.NumEdges(), dg.NumDocs(), dg.NumSites()
@@ -252,7 +303,7 @@ func TestTopKEngineRetention(t *testing.T) {
 	}
 	check("updated")
 
-	if _, err := eng.Rank(ctx, Query{TopK: 10, WantLocalRanks: true}); err != nil {
+	if _, err := eng.Rank(ctx, Query{TopK: 10, Damping: 0.8, WantLocalRanks: true}); err != nil {
 		t.Fatal(err)
 	}
 	eng.snap.Load().state.pool.get() // the idle clone is query scratch, not structure

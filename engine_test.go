@@ -13,6 +13,7 @@ import (
 	"lmmrank/internal/dist/chaos"
 	"lmmrank/internal/dist/cluster"
 	"lmmrank/internal/dist/wire"
+	"lmmrank/internal/lmm"
 )
 
 // engineWeb is a moderately sized campus web shared by the engine tests.
@@ -58,7 +59,10 @@ func mixedQueries(dg *DocGraph) []Query {
 }
 
 // TestLocalEngineMatchesOneShot pins the reimplementation: the Engine
-// answers exactly what the one-shot pipelines compute, bitwise.
+// answers exactly what the one-shot pipelines compute, bitwise — its
+// answers are composed from the solutions its construction solved, the
+// one-shots' solved on the spot, and the two solve the same chains from
+// the same start.
 func TestLocalEngineMatchesOneShot(t *testing.T) {
 	web := engineWeb()
 	eng, err := NewLocalEngine(web.Graph, EngineOptions{})
@@ -71,12 +75,15 @@ func TestLocalEngineMatchesOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LayeredDocRank: %v", err)
 	}
-	got, err := eng.Rank(ctx, Query{})
+	got, err := eng.Rank(ctx, Query{WantLocalRanks: true})
 	if err != nil {
 		t.Fatalf("Rank: %v", err)
 	}
 	if !reflect.DeepEqual(got.DocRank, ref.DocRank) || !reflect.DeepEqual(got.SiteRank, ref.SiteRank) {
 		t.Error("LocalEngine uniform ranking deviates from LayeredDocRank")
+	}
+	if !reflect.DeepEqual(got.LocalRanks, ref.LocalRanks) {
+		t.Error("LocalEngine local ranks deviate from LayeredDocRank's")
 	}
 
 	ref3, err := LayeredDocRank3(web.Graph, nil, WebConfig{})
@@ -187,6 +194,46 @@ func TestLayeredDocRank3HonorsDocPersonalization(t *testing.T) {
 	}
 }
 
+// TestOneShotsSolveOnce: the root one-shots answer exactly what the lmm
+// ones compute on one throwaway Ranker — every vector bit for bit and
+// every sweep count, at the default parameters (which a LocalEngine
+// would compose from solutions it had solved beforehand, reporting no
+// local sweeps) and at a damping of their own (which it would solve a
+// second time, warm-started from those solutions). SiteWeights is left
+// out: the root LayeredDocRank3 did not fill it while it went through an
+// engine.
+func TestOneShotsSolveOnce(t *testing.T) {
+	dg := engineWeb().Graph
+	for _, cfg := range []WebConfig{{}, {Damping: 0.8}} {
+		got, err := LayeredDocRank(dg, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := lmm.LayeredDocRank(dg, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Damping %g: LayeredDocRank differs from lmm's (sweeps %d/%v, want %d/%v)",
+				cfg.Damping, got.SiteIterations, got.LocalIterations, want.SiteIterations, want.LocalIterations)
+		}
+
+		got3, err := LayeredDocRank3(dg, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want3, err := lmm.LayeredDocRank3(dg, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got3.SiteWeights, want3.SiteWeights = nil, nil
+		if !reflect.DeepEqual(got3, want3) {
+			t.Errorf("Damping %g: LayeredDocRank3 differs from lmm's (local sweeps %v, want %v)",
+				cfg.Damping, got3.LocalIterations, want3.LocalIterations)
+		}
+	}
+}
+
 // TestResultCallerOwned is the aliasing regression the Engine contract
 // promises: clobbering a returned Result must not perturb any later
 // query, on either the Engine or the deprecated one-shot wrappers.
@@ -216,12 +263,17 @@ func TestResultCallerOwned(t *testing.T) {
 			lr[i] = -7
 		}
 	}
-	second, err := eng.Rank(ctx, Query{})
+	second, err := eng.Rank(ctx, Query{WantLocalRanks: true})
 	if err != nil {
 		t.Fatalf("re-query: %v", err)
 	}
 	if !reflect.DeepEqual(second.DocRank, saved) || !reflect.DeepEqual(second.SiteRank, savedSite) {
 		t.Error("mutating a returned Result perturbed a later query — scratch leaked across the public boundary")
+	}
+	for s, lr := range second.LocalRanks {
+		if len(lr) > 0 && lr[0] == -7 {
+			t.Errorf("site %d: mutating returned LocalRanks reached the engine's own", s)
+		}
 	}
 }
 
@@ -287,7 +339,9 @@ func (c *countdownCtx) Err() error {
 // TestLocalEngineCancellation covers both cancellation shapes on the
 // local backend: a pre-cancelled context never starts the query, and a
 // context that trips mid-power-iteration aborts the run with ctx.Err();
-// the engine keeps serving afterwards.
+// the engine keeps serving afterwards. A default-parameter query is
+// composed from the snapshot's solutions and runs no sweep, so the
+// mid-iteration leg asks for a damping of its own.
 func TestLocalEngineCancellation(t *testing.T) {
 	web := engineWeb()
 	eng, err := NewLocalEngine(web.Graph, EngineOptions{})
@@ -304,7 +358,7 @@ func TestLocalEngineCancellation(t *testing.T) {
 	// Let a handful of Err checks pass so the abort lands strictly
 	// inside a power iteration, not at the entry check.
 	mid := newCountdownCtx(5)
-	if _, err := eng.Rank(mid, Query{}); !errors.Is(err, context.Canceled) {
+	if _, err := eng.Rank(mid, Query{Damping: 0.8}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-iteration cancel: err = %v, want context.Canceled", err)
 	}
 

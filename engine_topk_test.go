@@ -177,10 +177,13 @@ func TestTopKIndexTies(t *testing.T) {
 	}
 }
 
-// TestTopKIndexIneligibleFallsThrough: queries outside the index's
-// contract — non-default solver parameters, document-layer
-// personalization, three-layer, LocalRanks requests, no TopK — take the
-// full solve path and still answer correctly.
+// TestTopKIndexIneligibleFallsThrough: a TopKIndex engine takes the Top
+// table from the index for every TopK query it composes from its
+// solutions — uniform, site-personalized, three-layer, with LocalRanks —
+// and for no other: a query with a damping, tolerance or budget of its
+// own, or with document-layer personalization, solves every site and
+// sorts, and a query without TopK is composed but asks the index
+// nothing. Every answer is a distribution and its Top the full sort's.
 func TestTopKIndexIneligibleFallsThrough(t *testing.T) {
 	web := churnTestWeb()
 	ctx := context.Background()
@@ -189,31 +192,51 @@ func TestTopKIndexIneligibleFallsThrough(t *testing.T) {
 		t.Fatalf("NewLocalEngine: %v", err)
 	}
 	docPers := map[SiteID]Vector{0: uniformLike(eng.DocGraph().Sites[0].Docs)}
-	ineligible := []Query{
-		{TopK: 5, Damping: 0.9},
-		{TopK: 5, Tol: 1e-6},
-		{TopK: 5, MaxIter: 50},
-		{TopK: 5, DocPersonalization: docPers},
-		{TopK: 5, ThreeLayer: true},
-		{TopK: 5, WantLocalRanks: true},
-		{},
-	}
-	for qi, q := range ineligible {
+	sitePers := topkQueries(eng.DocGraph().NumSites())[1].SitePersonalization
+	for qi, c := range []struct {
+		q               Query
+		indexed, solved bool
+	}{
+		{Query{TopK: 5, Damping: 0.9}, false, true},
+		{Query{TopK: 5, Tol: 1e-6}, false, true},
+		{Query{TopK: 5, MaxIter: 50}, false, true},
+		{Query{TopK: 5, DocPersonalization: docPers}, false, true},
+		{Query{TopK: 5, ThreeLayer: true}, true, false},
+		{Query{TopK: 5, WantLocalRanks: true}, true, false},
+		{Query{TopK: 5, SitePersonalization: sitePers, WantLocalRanks: true}, true, false},
+		{Query{}, false, false},
+	} {
 		before := eng.ServingStats().TopKIndexServes
-		res, err := eng.Rank(ctx, q)
+		res, err := eng.Rank(ctx, c.q)
 		if err != nil {
-			t.Fatalf("ineligible query %d: %v", qi, err)
+			t.Fatalf("query %d: %v", qi, err)
 		}
-		if got := eng.ServingStats().TopKIndexServes; got != before {
-			t.Errorf("ineligible query %d served from the index", qi)
+		if indexed := eng.ServingStats().TopKIndexServes > before; indexed != c.indexed {
+			t.Errorf("query %d: served from the index = %v, want %v", qi, indexed, c.indexed)
+		}
+		if solved := solvedSites(res); solved != c.solved {
+			t.Errorf("query %d: solved the sites = %v, want %v", qi, solved, c.solved)
 		}
 		if !res.DocRank.IsDistribution(1e-8) {
-			t.Errorf("ineligible query %d: DocRank is not a distribution", qi)
+			t.Errorf("query %d: DocRank is not a distribution", qi)
 		}
-		if q.TopK > 0 && len(res.Top) != q.TopK {
-			t.Errorf("ineligible query %d: len(Top) = %d, want %d", qi, len(res.Top), q.TopK)
+		if c.q.TopK == 0 {
+			if res.Top != nil {
+				t.Errorf("query %d: a Top table of %d rows, none asked for", qi, len(res.Top))
+			}
+		} else if want := TopDocs(eng.DocGraph(), res.DocRank, c.q.TopK); !reflect.DeepEqual(res.Top, want) {
+			t.Errorf("query %d: Top differs from the full sort\n got %v\nwant %v", qi, res.Top, want)
+		}
+		if c.q.WantLocalRanks != (res.LocalRanks != nil) {
+			t.Errorf("query %d: WantLocalRanks %v, got %d local ranks", qi, c.q.WantLocalRanks, len(res.LocalRanks))
 		}
 	}
+}
+
+// solvedSites reports whether an answer solved a site's document layer
+// rather than composing the snapshot's solutions.
+func solvedSites(res *Result) bool {
+	return slices.ContainsFunc(res.LocalIterations, func(it int) bool { return it > 0 })
 }
 
 // uniformLike builds a uniform teleport vector the size of a roster.
@@ -359,12 +382,13 @@ func TestTopKIndexAnswerAllocs(t *testing.T) {
 	}
 }
 
-// TestTopKIndexLazyChainsConcurrent: a TopKIndex engine keeps no chain
-// until a query the index cannot serve needs one, so its first such
-// queries build the chains while they run — here several at once, beside
-// an Update. Each answer must equal, bit for bit, what an index engine
-// whose cores were prepared gives for the same query on the same
-// snapshot, the one before the Update or the one after it.
+// TestTopKIndexLazyChainsConcurrent: a LocalEngine keeps no chain until a
+// query that solves the sites needs one — a tolerance or damping of its
+// own — so its first such queries build the chains while they run — here
+// several at once on a TopKIndex engine, beside an Update. Each answer
+// must equal, bit for bit, what an index engine whose cores were prepared
+// gives for the same query on the same snapshot, the one before the
+// Update or the one after it.
 func TestTopKIndexLazyChainsConcurrent(t *testing.T) {
 	ctx := context.Background()
 	const changed = SiteID(5)
@@ -380,7 +404,7 @@ func TestTopKIndexLazyChainsConcurrent(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	queries := []Query{{TopK: 10, WantLocalRanks: true}, {TopK: 10, Damping: 0.8}}
+	queries := []Query{{TopK: 10, WantLocalRanks: true, Tol: 1e-10}, {TopK: 10, Damping: 0.8}}
 	opts := EngineOptions{TopKIndex: true, Parallelism: 1}
 
 	ref, err := NewLocalEngine(churnTestWeb().Graph, opts)
@@ -449,13 +473,23 @@ func TestTopKIndexLazyChainsConcurrent(t *testing.T) {
 	}
 }
 
-// TestTopKHugeK: a TopK past the number of documents asks for them all,
-// on the index path as on the solve path — N rows, equal to TopDocs —
-// and allocates for N, not for k (math.MaxInt would not fit a slice).
+// TestTopKHugeK: a TopK past the number of documents asks for them all —
+// N rows, equal to TopDocs — and allocates for N, not for k (math.MaxInt
+// would not fit a slice), on each of the three ways a Top table is made:
+// the index's merge, the front's sort of a DocRank composed from a plain
+// engine's solutions, and its sort of a DocRank solved site by site.
 func TestTopKHugeK(t *testing.T) {
 	ctx := context.Background()
-	for _, opts := range []EngineOptions{{TopKIndex: true}, {}} {
-		eng, err := NewLocalEngine(churnTestWeb().Graph, opts)
+	for _, c := range []struct {
+		name    string
+		opts    EngineOptions
+		damping float64
+	}{
+		{"index", EngineOptions{TopKIndex: true}, 0},
+		{"composed", EngineOptions{}, 0},
+		{"solved", EngineOptions{}, 0.8},
+	} {
+		eng, err := NewLocalEngine(churnTestWeb().Graph, c.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -464,22 +498,25 @@ func TestTopKHugeK(t *testing.T) {
 			func() {
 				defer func() {
 					if p := recover(); p != nil {
-						t.Errorf("TopKIndex %v, TopK %d: Rank panicked: %v", opts.TopKIndex, k, p)
+						t.Errorf("%s, TopK %d: Rank panicked: %v", c.name, k, p)
 					}
 				}()
 				served := eng.ServingStats().TopKIndexServes
-				res, err := eng.Rank(ctx, Query{TopK: k})
+				res, err := eng.Rank(ctx, Query{TopK: k, Damping: c.damping})
 				if err != nil {
-					t.Fatalf("TopKIndex %v, TopK %d: %v", opts.TopKIndex, k, err)
+					t.Fatalf("%s, TopK %d: %v", c.name, k, err)
 				}
-				if indexed := eng.ServingStats().TopKIndexServes > served; indexed != opts.TopKIndex {
-					t.Errorf("TopKIndex %v, TopK %d: served from the index = %v", opts.TopKIndex, k, indexed)
+				if indexed := eng.ServingStats().TopKIndexServes > served; indexed != c.opts.TopKIndex {
+					t.Errorf("%s, TopK %d: served from the index = %v", c.name, k, indexed)
+				}
+				if solved := solvedSites(res); solved != (c.damping != 0) {
+					t.Errorf("%s, TopK %d: solved the sites = %v", c.name, k, solved)
 				}
 				if len(res.Top) != n {
-					t.Errorf("TopKIndex %v, TopK %d: %d rows, want all %d documents", opts.TopKIndex, k, len(res.Top), n)
+					t.Errorf("%s, TopK %d: %d rows, want all %d documents", c.name, k, len(res.Top), n)
 				}
 				if want := TopDocs(eng.DocGraph(), res.DocRank, k); !reflect.DeepEqual(res.Top, want) {
-					t.Errorf("TopKIndex %v, TopK %d: Top differs from TopDocs", opts.TopKIndex, k)
+					t.Errorf("%s, TopK %d: Top differs from TopDocs", c.name, k)
 				}
 			}()
 		}

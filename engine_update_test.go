@@ -73,6 +73,53 @@ func bothEngines(t *testing.T, opts EngineOptions, test func(t *testing.T, eng s
 	})
 }
 
+// everyEngine runs test as bothEngines does, and on a TopKIndex
+// LocalEngine too: the snapshot-served paths of the two local kinds
+// differ in where a Top table comes from.
+func everyEngine(t *testing.T, opts EngineOptions, test func(t *testing.T, eng servedEngine)) {
+	t.Helper()
+	bothEngines(t, opts, test)
+	t.Run("local-topk", func(t *testing.T) {
+		opts := opts
+		opts.TopKIndex = true
+		eng, err := NewLocalEngine(churnTestWeb().Graph, opts)
+		if err != nil {
+			t.Fatalf("NewLocalEngine: %v", err)
+		}
+		test(t, eng)
+	})
+}
+
+// everyShape is one query of every shape the engines serve: the mixed
+// workload, a bare TopK query and one with a damping of its own.
+func everyShape(dg *DocGraph) []Query {
+	return append(mixedQueries(dg), Query{TopK: 5}, Query{TopK: 5, Damping: 0.8})
+}
+
+// refusesStale checks that every query shape fails with ErrGraphMutated
+// on eng, whose graph mutated behind its back, and that none panics. A
+// DistEngine refuses document-layer personalization before anything else.
+func refusesStale(t *testing.T, eng servedEngine, shapes []Query) {
+	t.Helper()
+	_, dist := eng.(*DistEngine)
+	for qi, q := range shapes {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("query %d after an external mutation panicked: %v", qi, p)
+				}
+			}()
+			want := ErrGraphMutated
+			if dist && q.DocPersonalization != nil {
+				want = ErrUnsupportedQuery
+			}
+			if _, err := eng.Rank(context.Background(), q); !errors.Is(err, want) {
+				t.Errorf("query %d after an external mutation: err = %v, want %v", qi, err, want)
+			}
+		}()
+	}
+}
+
 // coldRank is the reference a served answer is compared with: a cold
 // LocalEngine over the graph eng serves now.
 func coldRank(t *testing.T, eng servedEngine, q Query) *Result {
@@ -89,9 +136,13 @@ func coldRank(t *testing.T, eng servedEngine, q Query) *Result {
 }
 
 // TestEngineUpdateWarmMatchesColdRebuild is the acceptance pin of the
-// churn path: rankings served after Engine.Update agree with a cold
-// NewLocalEngine over the mutated graph to < 1e-9, while the warm query
-// does measurably fewer power iterations.
+// churn path: rankings served after Engine.Update agree with a cold solve
+// over the mutated graph — one-shot LayeredDocRank, from uniform — to
+// < 1e-9, while the warm query does measurably fewer power iterations;
+// and a default-parameter query, composed from the Update's refreshed
+// solutions, agrees with a new engine's to the same bound. (A new
+// engine's Tol 1e-11 query is no cold reference: it starts from the
+// solutions its construction solved.)
 func TestEngineUpdateWarmMatchesColdRebuild(t *testing.T) {
 	web := churnTestWeb()
 	dg := web.Graph
@@ -128,13 +179,9 @@ func TestEngineUpdateWarmMatchesColdRebuild(t *testing.T) {
 	if eng.DocGraph() == dg {
 		t.Fatal("Apply-path Update did not evolve the serving graph")
 	}
-	coldEng, err := NewLocalEngine(eng.DocGraph(), EngineOptions{})
+	cold, err := LayeredDocRank(eng.DocGraph(), WebConfig{Tol: q.Tol})
 	if err != nil {
-		t.Fatalf("cold NewLocalEngine: %v", err)
-	}
-	cold, err := coldEng.Rank(ctx, q)
-	if err != nil {
-		t.Fatalf("cold Rank: %v", err)
+		t.Fatalf("cold LayeredDocRank: %v", err)
 	}
 	if d := warm.DocRank.L1Diff(cold.DocRank); d >= 1e-9 {
 		t.Errorf("‖warm − cold‖₁ = %g, want < 1e-9", d)
@@ -157,6 +204,14 @@ func TestEngineUpdateWarmMatchesColdRebuild(t *testing.T) {
 		t.Errorf("warm query did %d iterations, cold %d — no warm-start win", warmIters, coldIters)
 	}
 
+	composed, err := eng.Rank(ctx, Query{})
+	if err != nil {
+		t.Fatalf("default-parameter Rank after Update: %v", err)
+	}
+	if d := composed.DocRank.L1Diff(coldRank(t, eng, Query{}).DocRank); d >= 1e-9 {
+		t.Errorf("‖composed − new engine's‖₁ = %g, want < 1e-9", d)
+	}
+
 	// The other query shapes keep working against the updated core.
 	if _, err := eng.Rank(ctx, Query{ThreeLayer: true}); err != nil {
 		t.Errorf("three-layer query after Update: %v", err)
@@ -167,32 +222,49 @@ func TestEngineUpdateWarmMatchesColdRebuild(t *testing.T) {
 }
 
 // TestEngineMutationWithoutUpdateFails pins the footgun fix: a graph
-// mutation not delivered through Update turns queries into a documented
-// ErrGraphMutated (instead of silently stale rankings), and a follow-up
-// Update listing the changed site restores service — on either engine.
+// mutation not delivered through Update — new links, or a new document —
+// turns every query shape into a documented ErrGraphMutated (instead of
+// silently stale rankings, or a compose indexing past a grown site), and
+// a follow-up Update listing the changed site restores service — on
+// every engine.
 func TestEngineMutationWithoutUpdateFails(t *testing.T) {
 	ctx := context.Background()
-	bothEngines(t, EngineOptions{}, func(t *testing.T, eng servedEngine) {
-		if _, err := eng.Rank(ctx, Query{}); err != nil {
-			t.Fatalf("pre-churn Rank: %v", err)
-		}
+	const site = SiteID(2)
+	mutations := []struct {
+		name   string
+		mutate func(dg *DocGraph)
+	}{
+		{"edit", func(dg *DocGraph) { editSite(t, dg, site) }},
+		{"add-doc", func(dg *DocGraph) {
+			docs := dg.Sites[site].Docs
+			d := dg.AddDoc(fmt.Sprintf("http://%s/added", dg.Sites[site].Name), site)
+			dg.G.AddLink(int(docs[0]), int(d))
+			dg.G.AddLink(int(d), int(docs[1]))
+		}},
+	}
+	everyEngine(t, EngineOptions{}, func(t *testing.T, eng servedEngine) {
+		for _, m := range mutations {
+			shapes := everyShape(eng.DocGraph())
+			for _, q := range shapes {
+				if _, err := eng.Rank(ctx, q); err != nil && !errors.Is(err, ErrUnsupportedQuery) {
+					t.Fatalf("%s: Rank before the mutation: %v", m.name, err)
+				}
+			}
 
-		const site = SiteID(2)
-		editSite(t, eng.DocGraph(), site) // behind the engine's back
+			m.mutate(eng.DocGraph()) // behind the engine's back
+			refusesStale(t, eng, shapes)
 
-		if _, err := eng.Rank(ctx, Query{}); !errors.Is(err, ErrGraphMutated) {
-			t.Fatalf("Rank after external mutation: err = %v, want ErrGraphMutated", err)
-		}
-		// Update with the mutation already applied (nil Apply) recovers.
-		if err := eng.Update(ctx, GraphDelta{ChangedSites: []SiteID{site}}); err != nil {
-			t.Fatalf("recovery Update: %v", err)
-		}
-		got, err := eng.Rank(ctx, Query{Tol: 1e-11})
-		if err != nil {
-			t.Fatalf("Rank after recovery Update: %v", err)
-		}
-		if d := got.DocRank.L1Diff(coldRank(t, eng, Query{Tol: 1e-11}).DocRank); d >= 1e-9 {
-			t.Errorf("‖recovered − cold‖₁ = %g, want < 1e-9", d)
+			// Update with the mutation already applied (nil Apply) recovers.
+			if err := eng.Update(ctx, GraphDelta{ChangedSites: []SiteID{site}}); err != nil {
+				t.Fatalf("%s: recovery Update: %v", m.name, err)
+			}
+			got, err := eng.Rank(ctx, Query{Tol: 1e-11})
+			if err != nil {
+				t.Fatalf("%s: Rank after recovery Update: %v", m.name, err)
+			}
+			if d := got.DocRank.L1Diff(coldRank(t, eng, Query{Tol: 1e-11}).DocRank); d >= 1e-9 {
+				t.Errorf("%s: ‖recovered − cold‖₁ = %g, want < 1e-9", m.name, d)
+			}
 		}
 	})
 }
@@ -321,7 +393,7 @@ func TestEngineFailedApplyUpdateIsNoOp(t *testing.T) {
 // and serve silently stale rankings (distributedly: ship the stale shard).
 func TestEngineFailedNilApplyUpdateKeepsSitesDirty(t *testing.T) {
 	ctx := context.Background()
-	bothEngines(t, EngineOptions{}, func(t *testing.T, eng servedEngine) {
+	everyEngine(t, EngineOptions{}, func(t *testing.T, eng servedEngine) {
 		if _, err := eng.Rank(ctx, Query{}); err != nil {
 			t.Fatalf("pre-churn Rank: %v", err)
 		}
@@ -336,9 +408,7 @@ func TestEngineFailedNilApplyUpdateKeepsSitesDirty(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled Update: err = %v, want context.Canceled", err)
 		}
-		if _, err := eng.Rank(ctx, Query{}); !errors.Is(err, ErrGraphMutated) {
-			t.Fatalf("Rank after failed Update: err = %v, want ErrGraphMutated", err)
-		}
+		refusesStale(t, eng, everyShape(eng.DocGraph()))
 
 		// Update #2 lists only its own site; site 3 must be rebuilt anyway.
 		err = eng.Update(ctx, GraphDelta{

@@ -209,8 +209,8 @@ func (r *Ranker) Share() *Ranker { return &Ranker{core: r.core} }
 // CSR transition matrix and PageRank chain — in parallel. After Prepare
 // the core is immutable; queries only read it. It is for a core whose
 // queries solve every site: the chains are a second copy of the
-// intra-site links, which a core serving only from kept solutions (a
-// TopKIndex engine's) never reads.
+// intra-site links, which a core serving from kept solutions (a
+// LocalEngine's default-parameter queries) never reads.
 func (r *Ranker) Prepare() {
 	c := r.core
 	c.siteLayerChain()

@@ -153,41 +153,41 @@ func DeriveSiteGraph(dg *DocGraph, opts SiteGraphOptions) *SiteGraph {
 // LayeredDocRank runs the §3.2 pipeline: SiteRank × independent local
 // DocRanks, composed by the Partition Theorem.
 //
-// It is the one-shot wrapper over Engine: a throwaway LocalEngine is
-// built and queried once, so the result is caller-owned. Callers
-// ranking the same graph repeatedly should hold a LocalEngine (or, for
-// single-goroutine serving, a Ranker) instead.
+// It is the one-shot form of a Ranker: the query is checked as an
+// Engine checks it, then a throwaway Ranker solves every site once, so
+// the result is caller-owned. Callers ranking the same graph repeatedly
+// should hold a LocalEngine (or, for single-goroutine serving, a Ranker)
+// instead.
 func LayeredDocRank(dg *DocGraph, cfg WebConfig) (*WebResult, error) {
-	eng, err := NewLocalEngine(dg, EngineOptions{SiteGraph: cfg.SiteGraph, Parallelism: cfg.Parallelism})
-	if err != nil {
-		return nil, err
-	}
-	res, err := eng.Rank(ctxOf(cfg), Query{
+	ctx, err := oneShot(cfg, Query{
 		Damping:             cfg.Damping,
 		Tol:                 cfg.Tol,
 		MaxIter:             cfg.MaxIter,
 		SitePersonalization: cfg.SitePersonalization,
 		DocPersonalization:  cfg.DocPersonalization,
-		WantLocalRanks:      true,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &WebResult{
-		DocRank:         res.DocRank,
-		SiteRank:        res.SiteRank,
-		LocalRanks:      res.LocalRanks,
-		SiteIterations:  res.SiteIterations,
-		LocalIterations: res.LocalIterations,
-	}, nil
+	res, err := lmm.LayeredDocRank(dg, cfg)
+	if err != nil {
+		return nil, normalizeCtxErr(ctx, err)
+	}
+	return res, nil
 }
 
-// ctxOf lifts the optional WebConfig.Ctx into a non-nil context.
-func ctxOf(cfg WebConfig) context.Context {
-	if cfg.Ctx != nil {
-		return cfg.Ctx
+// oneShot is the front a one-shot call passes before it solves: a
+// context already done, or a query an Engine would refuse, fails here as
+// it would at Engine.Rank. It returns the call's context, never nil.
+func oneShot(cfg WebConfig, q Query) (context.Context, error) {
+	ctx := cfg.Ctx
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	return context.Background()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return ctx, q.validate()
 }
 
 // Ranker is the precomputed serving form of the layered pipeline: build
@@ -220,35 +220,25 @@ type Web3Result = lmm.Web3Result
 // multi-layer extension; domainOf groups sites into domains (nil = last
 // two host labels). With one domain it reduces exactly to LayeredDocRank.
 //
-// Like LayeredDocRank, it is the one-shot wrapper over Engine (a
-// ThreeLayer Query against a throwaway LocalEngine): the result is
-// caller-owned.
+// Like LayeredDocRank, it checks the query as an Engine checks a
+// ThreeLayer Query and then solves once on a throwaway Ranker: the
+// result is caller-owned.
 func LayeredDocRank3(dg *DocGraph, domainOf func(siteName string) string, cfg WebConfig) (*Web3Result, error) {
-	eng, err := NewLocalEngine(dg, EngineOptions{SiteGraph: cfg.SiteGraph, Parallelism: cfg.Parallelism})
-	if err != nil {
-		return nil, err
-	}
-	res, err := eng.Rank(ctxOf(cfg), Query{
+	ctx, err := oneShot(cfg, Query{
 		Damping:            cfg.Damping,
 		Tol:                cfg.Tol,
 		MaxIter:            cfg.MaxIter,
 		DocPersonalization: cfg.DocPersonalization,
 		ThreeLayer:         true,
-		DomainOf:           domainOf,
-		WantLocalRanks:     true,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Web3Result{
-		DocRank:         res.DocRank,
-		Domains:         res.Domains,
-		DomainRank:      res.DomainRank,
-		DomainOfSite:    res.DomainOfSite,
-		SiteEntry:       res.SiteEntry,
-		LocalRanks:      res.LocalRanks,
-		LocalIterations: res.LocalIterations,
-	}, nil
+	res, err := lmm.LayeredDocRank3(dg, domainOf, cfg)
+	if err != nil {
+		return nil, normalizeCtxErr(ctx, err)
+	}
+	return res, nil
 }
 
 // PageRank computes the flat PageRank baseline over the whole DocGraph.

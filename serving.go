@@ -208,8 +208,8 @@ type ServingStats struct {
 	// CoalesceShared counts queries that were answered from another
 	// caller's in-flight computation instead of solving themselves.
 	CoalesceShared int64
-	// TopKIndexServes counts queries answered from the snapshot's
-	// maintained top-k index instead of a fresh solve + full re-rank.
+	// TopKIndexServes counts queries whose Top table came from the
+	// snapshot's maintained top-k index instead of a full re-rank.
 	TopKIndexServes int64
 }
 
@@ -256,12 +256,14 @@ func (c *servingCounters) snapshot() ServingStats {
 	return s
 }
 
-// snapshot is one immutable serving state: a graph, the in-flight table
-// coalescing queries against it, and what the backend built (or learned)
-// for exactly that graph. Everything a query touches lives here, so a
-// query that loaded a snapshot is insulated from any later Update.
+// snapshot is one immutable serving state: a graph, the graph's mutation
+// version when it was published, the in-flight table coalescing queries
+// against it, and what the backend built (or learned) for exactly that
+// graph. Everything a query touches lives here, so a query that loaded a
+// snapshot is insulated from any later Update.
 type snapshot[S any] struct {
 	dg      *DocGraph
+	version uint64
 	flights *flightGroup
 	state   S
 }
@@ -281,8 +283,9 @@ type backend[S any] interface {
 
 // server is the serving front both engines embed: everything between the
 // caller and the solve. Rank is validate → admit → pin the snapshot →
-// coalesce → backend.solve → Top → hand-off; Update is COW apply →
-// backend.rebuild → publish. It knows nothing of what a state S holds.
+// check its graph version → coalesce → backend.solve → Top → hand-off;
+// Update is COW apply → backend.rebuild → publish. It knows nothing of
+// what a state S holds.
 type server[S any] struct {
 	be          backend[S]
 	admit       *admitGate
@@ -315,7 +318,7 @@ func (e *server[S]) serve(be backend[S], admit *admitGate, coalesce bool, coales
 // Each snapshot gets its own flight group, so queries only ever coalesce
 // onto work running against their own snapshot.
 func (e *server[S]) publish(dg *DocGraph, state S) {
-	snap := &snapshot[S]{dg: dg, flights: newFlightGroup(), state: state}
+	snap := &snapshot[S]{dg: dg, version: dg.G.Version(), flights: newFlightGroup(), state: state}
 	snap.flights.shared = &e.stats.coalesced
 	e.snap.Store(snap)
 }
@@ -340,6 +343,12 @@ func (e *server[S]) rank(ctx context.Context, q Query) (*Result, error) {
 	// mid-query swaps the pointer for *later* queries; this one finishes
 	// on the snapshot it started on.
 	snap := e.snap.Load()
+	// Stale structure is never served: a graph mutated outside Update no
+	// longer matches what the snapshot holds, whether the query would
+	// solve on the snapshot's structure or compose its solutions.
+	if snap.dg.G.Version() != snap.version {
+		return nil, ErrGraphMutated
+	}
 	solve := func() (*Result, error) {
 		res, err := e.be.solve(ctx, snap, q)
 		if err == nil && q.TopK > 0 && res.Top == nil {

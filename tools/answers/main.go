@@ -14,12 +14,18 @@
 // format. "dist-central" and "dist-sync" hash the DocRank and SiteRank of
 // a 4-worker DistEngine's cold, warm, Tol=1e-4 and site-personalized
 // Ranks and of its first Rank after a one-site Update, on the Small web,
-// in each SiteRank mode. "local-topk" hashes the Top tables (documents,
-// URLs and scores), DocRank and SiteRank of a TopKIndex LocalEngine at
+// in each SiteRank mode. "local" hashes a plain LocalEngine's answers
+// before any Update at Parallelism 1 and at 0 on the Small web: a uniform
+// query's DocRank, SiteRank, LocalRanks and Top table of 50, and a
+// ThreeLayer query's DocRank, SiteRank, DomainRank and SiteEntry — the
+// answers a snapshot composes from the solutions its construction solved,
+// which must equal what a cold solve gives. "local-topk" hashes the Top
+// tables (documents, URLs and scores), DocRank and SiteRank of a TopKIndex
+// LocalEngine at
 // Parallelism 1 and at 0 on the Small web: a uniform and a
 // site-personalized TopK query, two identical ones issued at once to a
 // coalescing engine, and the first after a one-site Update; and, with
-// their LocalRanks, a query the index cannot serve (Damping 0.8), before
+// their LocalRanks, a query that solves the sites (Damping 0.8), before
 // the Update and after it — the engine builds the chains it solves on
 // late, for that query.
 package main
@@ -55,6 +61,11 @@ func main() {
 		}
 		fmt.Printf("dist-%-7s %016x\n", m.name, h)
 	}
+	local, err := localHash()
+	if err != nil {
+		fail(err)
+	}
+	fmt.Printf("local        %016x\n", local)
 	topk, err := localTopKHash()
 	if err != nil {
 		fail(err)
@@ -146,20 +157,45 @@ func editOneSite(ctx context.Context, eng lmmrank.Engine, dg *lmmrank.DocGraph) 
 	})
 }
 
+// writeResult feeds an answer's Top table, its vectors and its local
+// ranks to h.
+func writeResult(h hash.Hash64, res *lmmrank.Result) {
+	for _, d := range res.Top {
+		fmt.Fprintf(h, "%d %s ", d.Doc, d.URL)
+		writeFloats(h, []float64{d.Score})
+	}
+	writeFloats(h, res.DocRank)
+	writeFloats(h, res.SiteRank)
+	writeFloats(h, res.DomainRank)
+	writeFloats(h, res.SiteEntry)
+	for _, v := range res.LocalRanks {
+		writeFloats(h, v)
+	}
+}
+
+func localHash() (uint64, error) {
+	ctx := context.Background()
+	h := fnv.New64a()
+	for _, par := range []int{1, 0} {
+		eng, err := lmmrank.NewLocalEngine(webgen.Generate(small(7)).Graph, lmmrank.EngineOptions{Parallelism: par})
+		if err != nil {
+			return 0, err
+		}
+		for _, q := range []lmmrank.Query{{TopK: 50, WantLocalRanks: true}, {ThreeLayer: true}} {
+			res, err := eng.Rank(ctx, q)
+			if err != nil {
+				return 0, err
+			}
+			writeResult(h, res)
+		}
+	}
+	return h.Sum64(), nil
+}
+
 func localTopKHash() (uint64, error) {
 	ctx := context.Background()
 	h := fnv.New64a()
-	write := func(res *lmmrank.Result) {
-		for _, d := range res.Top {
-			fmt.Fprintf(h, "%d %s ", d.Doc, d.URL)
-			writeFloats(h, []float64{d.Score})
-		}
-		writeFloats(h, res.DocRank)
-		writeFloats(h, res.SiteRank)
-		for _, v := range res.LocalRanks {
-			writeFloats(h, v)
-		}
-	}
+	write := func(res *lmmrank.Result) { writeResult(h, res) }
 	for _, par := range []int{1, 0} {
 		dg := webgen.Generate(small(7)).Graph
 		eng, err := lmmrank.NewLocalEngine(dg, lmmrank.EngineOptions{Parallelism: par, TopKIndex: true, Coalesce: true})
