@@ -86,10 +86,12 @@
 //     precomputed cores, warm seeds — lives behind one atomic pointer
 //     to an immutable snapshot. Update applies GraphDelta.Apply to a
 //     copy-on-write clone of the graph (the clone shares the packed
-//     adjacency, the per-document columns and the site rosters with the
+//     adjacency, the site runs, the URLs and the site rosters with the
 //     old graph by pointer and holds only the rows it rewrites — so Apply
 //     may add links, sites and documents (add documents with AddDoc),
-//     but must not overwrite or reorder a Site.Docs roster in place),
+//     but must not overwrite or reorder a Site.Docs roster in place: a
+//     roster lists exactly its site's documents in ascending order, and
+//     Validate refuses any other),
 //     rebuilds off to the side and publishes with a single store.
 //     Queries never wait for an Update and an Update never waits for
 //     queries: a Rank in flight across the swap completes on the

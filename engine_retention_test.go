@@ -31,15 +31,15 @@ func liveHeap() uint64 {
 // TestRankerPoolRetention bounds their number, and the one the test's
 // query leaves idle is dropped before the reading): each intra-site link
 // once, as its 4-byte source in the pull form the kernels read, plus
-// per-document pointers, factors and vectors (≈ 30 bytes measured, the
-// chain's out-weight and column offset, the listed links of weight other
-// than 1 and the graph's 4-byte local column among them). While every
-// link also kept a float64 value it was 12 bytes a link and 16 budgeted;
-// retained subgraph copies, the row half of the per-site matrices and
-// append slack in the SiteGraph used to make it 80 bytes per link on this
-// web. The budget is the measured value plus 14 %, so that any one more
-// copy of the links — 4 bytes each, in pull form or in any other — breaks
-// it.
+// per-document pointers, factors and vectors (≈ 26 bytes measured, the
+// chain's out-weight and column offset and the listed links of weight
+// other than 1 among them; ≈ 30 while the graph derived a 4-byte local
+// column here). While every link also kept a float64 value it was 12 bytes
+// a link and 16 budgeted; retained subgraph copies, the row half of the
+// per-site matrices and append slack in the SiteGraph used to make it 80
+// bytes per link on this web. The budget is the measured value plus 14 %,
+// so that any one more copy of the links — 4 bytes each, in pull form or
+// in any other — breaks it.
 func TestPreparedEngineRetention(t *testing.T) {
 	dg := webgen.Generate(webgen.Default()).Graph
 	links, docs := dg.G.NumEdges(), dg.NumDocs()
@@ -55,7 +55,7 @@ func TestPreparedEngineRetention(t *testing.T) {
 	eng.snap.Load().state.pool.get()
 	retained := int64(liveHeap()) - int64(before) - 8*int64(docs)
 	t.Logf("the clone the query left idle holds %d bytes of scratch (%.1f per document)", withIdle-retained-8*int64(docs), float64(withIdle-retained-8*int64(docs))/float64(docs))
-	budget := int64(4*links + 38*docs)
+	budget := int64(4*links + 32*docs)
 	t.Logf("%d docs, %d links: beside its solutions the engine retains %d bytes (%.1f per link all told), budget %d",
 		docs, links, retained, float64(retained)/float64(links), budget)
 	intra := 0
@@ -66,7 +66,7 @@ func TestPreparedEngineRetention(t *testing.T) {
 	})
 	t.Logf("%d intra-site links at 4 bytes leave %.1f bytes per document", intra, float64(retained-4*int64(intra))/float64(docs))
 	if retained > budget {
-		t.Errorf("an engine with its chains kept retains %d bytes beside its graph and solutions, budget %d (4 B/link + 38 B/doc)", retained, budget)
+		t.Errorf("an engine with its chains kept retains %d bytes beside its graph and solutions, budget %d (4 B/link + 32 B/doc)", retained, budget)
 	}
 	runtime.KeepAlive(eng)
 	runtime.KeepAlive(dg)
@@ -75,10 +75,11 @@ func TestPreparedEngineRetention(t *testing.T) {
 // TestLocalEngineRetention pins what a plain LocalEngine's snapshot keeps
 // beside the DocGraph after one query of every shape it composes from its
 // solutions, and again after an Update: TestTopKEngineRetention's budget
-// (16 bytes a document, 320 a site and 32 a site link) with no byte a
-// link. It holds 8 bytes a document of local solutions and the graph's
-// 4-byte local column beside the site layer; the construction and the
-// Update solve on chains they drop, and no query here needs one.
+// (12 bytes a document, 320 a site and 32 a site link) with no byte a
+// link. It holds 8 bytes a document of local solutions beside the site
+// layer (≈ 228 KB measured, ≈ 304 KB while the graph derived a 4-byte
+// local column); the construction and the Update solve on chains they
+// drop, and no query here needs one.
 func TestLocalEngineRetention(t *testing.T) {
 	dg := webgen.Generate(webgen.Default()).Graph
 	docs, sites := dg.NumDocs(), dg.NumSites()
@@ -89,14 +90,14 @@ func TestLocalEngineRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	siteLinks := eng.snap.Load().state.base.SiteGraph().G.NumEdges()
-	budget := int64(16*docs + 320*sites + 32*siteLinks)
+	budget := int64(12*docs + 320*sites + 32*siteLinks)
 	check := func(when string) {
 		t.Helper()
 		retained := int64(liveHeap()) - int64(before)
-		t.Logf("%s: %d docs, %d sites, %d site links: the engine retains %d bytes (%.1f a site beside 16 a document), budget %d",
-			when, docs, sites, siteLinks, retained, float64(retained-16*int64(docs))/float64(sites), budget)
+		t.Logf("%s: %d docs, %d sites, %d site links: the engine retains %d bytes (%.1f a site beside 8 a document), budget %d",
+			when, docs, sites, siteLinks, retained, float64(retained-8*int64(docs))/float64(sites), budget)
 		if retained > budget {
-			t.Errorf("%s: a LocalEngine retains %d bytes beside its graph, budget %d (16 B/doc + 320 B/site + 32 B/site link)", when, retained, budget)
+			t.Errorf("%s: a LocalEngine retains %d bytes beside its graph, budget %d (12 B/doc + 320 B/site + 32 B/site link)", when, retained, budget)
 		}
 	}
 	pers := topkQueries(sites)[1].SitePersonalization
@@ -168,7 +169,8 @@ func TestRankerPoolRetention(t *testing.T) {
 // fleet serving it keep beside their graph, per intra-site link: the
 // engine's pull chains, each worker's cache entry (its chain, not the
 // subgraph it was built from) and the per-document vectors of both
-// sides — 21.2 bytes measured on this web at GOMAXPROCS 1, 2 and 4. While
+// sides — 20.2 bytes measured on this web at GOMAXPROCS 1, 2 and 4 (21.2
+// while the graph derived a 4-byte local column on the engine's side). While
 // every chain link kept a float64 value and each worker entry its
 // subgraph beside its chain, it was 42; while the coordinator kept every
 // shard's edge list (24 bytes a link) as well, 74. The budget is the
@@ -194,7 +196,7 @@ func TestDistEngineRetention(t *testing.T) {
 	warmRanks(t, eng, Query{})
 	perLink := float64(int64(liveHeap())-int64(before)) / float64(intra)
 	t.Logf("%d docs, %d intra-site links: engine and fleet retain %.1f bytes per intra-site link", dg.NumDocs(), intra, perLink)
-	if budget := 21.2 * 1.15; perLink > budget {
+	if budget := 20.2 * 1.15; perLink > budget {
 		t.Errorf("a warm DistEngine and its fleet retain %.1f bytes per intra-site link, budget %.1f", perLink, budget)
 	}
 	runtime.KeepAlive(eng)
@@ -258,11 +260,12 @@ func decodedTopK(t *testing.T, file []byte, k int) []DocScore {
 
 // TestTopKEngineRetention pins what a TopKIndex engine's snapshot keeps
 // beside the DocGraph once it was built, queried from the index and
-// updated: 8 bytes a document of local solutions, 4 of index over them and
-// the graph's 4-byte local column, and the site layer — 320 bytes a site
-// and 32 a site link budgeted; 358 to 450 a site all told measured on this
-// web at GOMAXPROCS 1 to 4 (the SiteGraph and its chain, the site seed,
-// per-site headers, and the edited row the Update's clone owns). No
+// updated: 8 bytes a document of local solutions and 4 of index over them
+// (16 while the graph derived a 4-byte local column here), and the site
+// layer — 320 bytes a site and 32 a site link budgeted; ≈ 350 to 410 a
+// site all told measured on this web (the SiteGraph and its chain, the
+// site seed, per-site headers, and the edited row the Update's clone
+// owns). No
 // bytes a link: the construction and an Update solve on chains they drop
 // (each intra-site link would cost 4 bytes in one, ≈ 460 KB here). The
 // first query that solves the sites (a damping of its own) builds and
@@ -278,14 +281,14 @@ func TestTopKEngineRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	siteLinks := eng.snap.Load().state.base.SiteGraph().G.NumEdges()
-	budget := int64(16*docs + 320*sites + 32*siteLinks)
+	budget := int64(12*docs + 320*sites + 32*siteLinks)
 	check := func(when string) {
 		t.Helper()
 		retained := int64(liveHeap()) - int64(before)
-		t.Logf("%s: %d docs, %d sites, %d site links: the engine retains %d bytes (%.1f a site beside 16 a document), budget %d",
-			when, docs, sites, siteLinks, retained, float64(retained-16*int64(docs))/float64(sites), budget)
+		t.Logf("%s: %d docs, %d sites, %d site links: the engine retains %d bytes (%.1f a site beside 12 a document), budget %d",
+			when, docs, sites, siteLinks, retained, float64(retained-12*int64(docs))/float64(sites), budget)
 		if retained > budget {
-			t.Errorf("%s: a TopKIndex engine retains %d bytes beside its graph, budget %d (16 B/doc + 320 B/site + 32 B/site link)", when, retained, budget)
+			t.Errorf("%s: a TopKIndex engine retains %d bytes beside its graph, budget %d (12 B/doc + 320 B/site + 32 B/site link)", when, retained, budget)
 		}
 	}
 	check("built")
@@ -308,7 +311,7 @@ func TestTopKEngineRetention(t *testing.T) {
 	}
 	eng.snap.Load().state.pool.get() // the idle clone is query scratch, not structure
 	beside := int64(liveHeap()) - int64(before) - 12*int64(docs)
-	prepared := int64(4*links + 38*docs)
+	prepared := int64(4*links + 32*docs)
 	t.Logf("with its chains kept the engine retains %d bytes beside its solutions and index, a prepared engine's budget %d", beside, prepared)
 	if beside > prepared {
 		t.Errorf("with its chains kept the engine retains %d bytes beside its solutions and index, above a prepared engine's budget %d", beside, prepared)

@@ -48,14 +48,20 @@ type servedEngine interface {
 // spell). What is tested this way is the front, which the engines share.
 func bothEngines(t *testing.T, opts EngineOptions, test func(t *testing.T, eng servedEngine)) {
 	t.Helper()
-	t.Run("local", func(t *testing.T) {
+	engineLegs(t, "", opts, test)
+}
+
+// engineLegs is bothEngines with suffix appended to the subtests' names.
+func engineLegs(t *testing.T, suffix string, opts EngineOptions, test func(t *testing.T, eng servedEngine)) {
+	t.Helper()
+	t.Run("local"+suffix, func(t *testing.T) {
 		eng, err := NewLocalEngine(churnTestWeb().Graph, opts)
 		if err != nil {
 			t.Fatalf("NewLocalEngine: %v", err)
 		}
 		test(t, eng)
 	})
-	t.Run("dist", func(t *testing.T) {
+	t.Run("dist"+suffix, func(t *testing.T) {
 		cl, err := StartCluster(2)
 		if err != nil {
 			t.Fatalf("StartCluster: %v", err)
@@ -65,6 +71,8 @@ func bothEngines(t *testing.T, opts EngineOptions, test func(t *testing.T, eng s
 			MaxInFlight:    opts.MaxInFlight,
 			TenantQuota:    opts.TenantQuota,
 			RejectOverload: opts.RejectOverload,
+			Coalesce:       opts.Coalesce,
+			CoalesceTol:    opts.CoalesceTol,
 		})
 		if err != nil {
 			t.Fatalf("NewDistEngine: %v", err)
@@ -75,19 +83,25 @@ func bothEngines(t *testing.T, opts EngineOptions, test func(t *testing.T, eng s
 
 // everyEngine runs test as bothEngines does, and on a TopKIndex
 // LocalEngine too: the snapshot-served paths of the two local kinds
-// differ in where a Top table comes from.
+// differ in where a Top table comes from. Each runs twice, as opts says
+// and coalescing (the "-coalesce" legs), since a query that coalesces
+// takes its own way through the front.
 func everyEngine(t *testing.T, opts EngineOptions, test func(t *testing.T, eng servedEngine)) {
 	t.Helper()
-	bothEngines(t, opts, test)
-	t.Run("local-topk", func(t *testing.T) {
+	for _, suffix := range []string{"", "-coalesce"} {
 		opts := opts
-		opts.TopKIndex = true
-		eng, err := NewLocalEngine(churnTestWeb().Graph, opts)
-		if err != nil {
-			t.Fatalf("NewLocalEngine: %v", err)
-		}
-		test(t, eng)
-	})
+		opts.Coalesce = opts.Coalesce || suffix != ""
+		engineLegs(t, suffix, opts, test)
+		t.Run("local-topk"+suffix, func(t *testing.T) {
+			opts := opts
+			opts.TopKIndex = true
+			eng, err := NewLocalEngine(churnTestWeb().Graph, opts)
+			if err != nil {
+				t.Fatalf("NewLocalEngine: %v", err)
+			}
+			test(t, eng)
+		})
+	}
 }
 
 // everyShape is one query of every shape the engines serve: the mixed
@@ -592,8 +606,9 @@ func growSite(dg *DocGraph, s SiteID, n int) {
 // documents — to an old site, as a new site, both at once, and once more
 // in place on the nil-Apply path — is served like a cold engine over the
 // same graph on either engine: each site's chain is extracted through the
-// local column the clone extended over the new documents. The graphs of
-// the snapshots left behind keep their size and their column.
+// site runs the clone extended over the new documents, a site appended to
+// out of DocID order no longer one run. The graphs of the snapshots left
+// behind keep their size and their LocalOf.
 func TestEngineUpdateAppendsDocuments(t *testing.T) {
 	bothEngines(t, EngineOptions{}, func(t *testing.T, eng servedEngine) {
 		ctx := context.Background()

@@ -24,6 +24,29 @@ func benchDocGraph(nSites, docsPerSite int, seed int64) *DocGraph {
 	return b.Build()
 }
 
+// interleave returns dg with its documents renumbered so that the sites
+// take turns, one document each, while they last: the same sites, URLs
+// and links, and no site of two or more documents left one run.
+func interleave(dg *DocGraph) *DocGraph {
+	b := NewBuilder()
+	id := make([]DocID, dg.NumDocs())
+	for i := 0; ; i++ {
+		dealt := false
+		for _, site := range dg.Sites {
+			if i < len(site.Docs) {
+				d := site.Docs[i]
+				id[d] = b.AddDocInSite(dg.URL(d), site.Name)
+				dealt = true
+			}
+		}
+		if !dealt {
+			break
+		}
+	}
+	dg.G.EachEdgeAll(func(from int, e Edge) { b.dg.G.AddEdge(int(id[from]), int(id[e.To]), e.Weight) })
+	return b.Build()
+}
+
 // BenchmarkCloneCOW is the clone an Update starts from, of a web a few
 // updates old: B/op is the overlay, not the web.
 func BenchmarkCloneCOW(b *testing.B) {

@@ -167,8 +167,9 @@ func TestLocalSubgraphMatchesMapReference(t *testing.T) {
 	}
 }
 
-// A hand-built DocGraph with a non-ascending site roster still extracts
-// correctly (the born-deduplicated shortcut must detect and skip it).
+// A hand-built DocGraph with a non-ascending site roster is refused:
+// the extraction numbers a site's documents by searching its roster, so
+// Validate, which NewRanker trusts, must not let one through.
 func TestLocalSubgraphNonAscendingRoster(t *testing.T) {
 	g := NewDigraph(3)
 	g.AddLink(0, 1)
@@ -181,17 +182,7 @@ func TestLocalSubgraphNonAscendingRoster(t *testing.T) {
 	dg.AddDoc("b/0", 1)
 	r := dg.Sites[0].Docs
 	r[0], r[1] = r[1], r[0] // deliberately descending
-	if err := dg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	sub, idx := dg.LocalSubgraph(0)
-	// Local node 0 is DocID 1, local node 1 is DocID 0.
-	if j := dg.LocalOf(1); j != 0 || idx.ToGlobal[0] != 1 {
-		t.Fatalf("LocalOf(1) = %d, ToGlobal[0] = %d", j, idx.ToGlobal[0])
-	}
-	var edges []Edge
-	sub.EachEdge(0, func(e Edge) { edges = append(edges, e) })
-	if len(edges) != 1 || edges[0].To != 1 {
-		t.Fatalf("local node 0 edges = %+v, want one edge to 1", edges)
+	if err := dg.Validate(); err == nil {
+		t.Fatal("Validate accepted a descending roster")
 	}
 }

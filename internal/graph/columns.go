@@ -42,7 +42,7 @@ func (g *Digraph) stored() Columns {
 	if p != nil {
 		c = Columns{Degrees: make([]uint32, p.rows()), Targets: p.to, ListedPos: p.pos, ListedW: p.w}
 		for i := range c.Degrees {
-			c.Degrees[i] = uint32(p.off[i+1] - p.off[i])
+			c.Degrees[i] = p.off[i+1] - p.off[i]
 		}
 	}
 	return c
@@ -80,12 +80,12 @@ func FromColumns(c Columns) (*Digraph, error) {
 // merge (mergeRows) before a graph points at the base.
 func (c Columns) packed(strict bool) (*packed, bool, error) {
 	nd, ne := len(c.Degrees), len(c.Targets)
-	p := &packed{off: make([]int, nd+1), to: c.Targets, pos: c.ListedPos, w: c.ListedW}
-	for d, k := range c.Degrees {
-		p.off[d+1] = p.off[d] + int(k)
+	if sum := sumUint32(c.Degrees); sum != uint64(ne) || sum > math.MaxUint32 {
+		return nil, false, fmt.Errorf("out-degrees sum to %d, there are %d edge targets (at most 2³²−1)", sum, ne)
 	}
-	if p.off[nd] != ne {
-		return nil, false, fmt.Errorf("out-degrees sum to %d, there are %d edge targets", p.off[nd], ne)
+	p := &packed{off: make([]uint32, nd+1), to: c.Targets, pos: c.ListedPos, w: c.ListedW}
+	for d, k := range c.Degrees {
+		p.off[d+1] = p.off[d] + k
 	}
 	ascending := true
 	for d := 0; d < nd; d++ {

@@ -130,9 +130,11 @@ func listed(w []float64) ([]uint32, []float64) {
 // packed is a whole adjacency in four columns, the ones the graph file
 // stores: row i is to[off[i]:off[i+1]], and link pos[e] weighs w[e] —
 // pos strictly ascending — the links not listed weighing exactly 1. It
-// is exactly the excPos/excMul form of matrix.CSR.
+// is exactly the excPos/excMul form of matrix.CSR. A link's place is a
+// uint32 in every column, as in a row's at, so a base holds at most
+// 2³²−1 links.
 type packed struct {
-	off []int
+	off []uint32
 	to  []uint32
 	pos []uint32
 	w   []float64
@@ -167,19 +169,18 @@ func (p *packed) targets(i int) []uint32 {
 // cursor; a row read out of turn (a skipped row, a step back, a lone read
 // from 0) costs one binary search.
 func (p *packed) read(i, e int, r *row) int {
-	a, b := p.off[i], p.off[i+1]
-	lo, hi, pos := uint32(a), uint32(b), p.pos
-	if e > 0 && pos[e-1] >= lo {
+	a, b, pos := p.off[i], p.off[i+1], p.pos
+	if e > 0 && pos[e-1] >= a {
 		e = 0
 	}
-	if e < len(pos) && pos[e] < lo {
-		e += sort.Search(len(pos)-e, func(k int) bool { return pos[e+k] >= lo })
+	if e < len(pos) && pos[e] < a {
+		e += sort.Search(len(pos)-e, func(k int) bool { return pos[e+k] >= a })
 	}
 	end := e
-	for end < len(pos) && pos[end] < hi {
+	for end < len(pos) && pos[end] < b {
 		end++
 	}
-	r.to, r.pos, r.w, r.at = p.to[a:b:b], pos[e:end:end], p.w[e:end:end], lo
+	r.to, r.pos, r.w, r.at = p.to[a:b:b], pos[e:end:end], p.w[e:end:end], a
 	return end
 }
 
@@ -193,14 +194,14 @@ func (p *packed) mergeRows() {
 	for i := 0; i < rows; i++ {
 		e = p.read(i, e, &r)
 		r.merge()
-		p.off[i] = n
+		p.off[i] = uint32(n)
 		for _, q := range r.pos {
 			pos = append(pos, uint32(n)+q-r.at)
 		}
 		w = append(w, r.w...)
 		n += copy(p.to[n:], r.to)
 	}
-	p.off[rows] = n
+	p.off[rows] = uint32(n)
 	p.to, p.pos, p.w = p.to[:n], slices.Clip(pos), slices.Clip(w)
 }
 
@@ -350,7 +351,7 @@ func (g *Digraph) NumNodes() int { return g.base.rows() + len(g.tail) }
 func (g *Digraph) NumEdges() int {
 	n := g.base.links()
 	for i, r := range g.patch {
-		n += len(r.to) - (g.base.off[i+1] - g.base.off[i])
+		n += len(r.to) - int(g.base.off[i+1]-g.base.off[i])
 	}
 	for i := range g.tail {
 		n += len(g.tail[i].to)
@@ -442,7 +443,7 @@ func (g *Digraph) repack() {
 func (g *Digraph) pack() *packed {
 	n, links, listed := g.NumNodes(), g.NumEdges(), g.numListed()
 	p := &packed{
-		off: make([]int, n+1),
+		off: make([]uint32, n+1),
 		to:  make([]uint32, 0, links),
 		pos: make([]uint32, 0, listed),
 		w:   make([]float64, 0, listed),
@@ -456,7 +457,7 @@ func (g *Digraph) pack() *packed {
 		}
 		p.w = append(p.w, r.w...)
 		p.to = append(p.to, r.to...)
-		p.off[i+1] = len(p.to)
+		p.off[i+1] = uint32(len(p.to))
 	}
 	return p
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/url"
 	"slices"
+	"sort"
 	"strings"
 )
 
@@ -33,22 +34,23 @@ type DocGraph struct {
 	// Sites holds per-site metadata indexed by SiteID.
 	Sites []Site
 
-	// The per-document columns, pointer-free and indexed by DocID: site[d]
-	// is site(d); urls holds every URL front-coded in DocID order (see
-	// AddDoc); restarts[i] is the offset in urls of document
-	// i·restartEvery, whose entry shares no prefix. AddDoc is their one
+	// runs holds site(d) as the maximal runs of consecutive documents of
+	// one site, each ending where the next begins and the last at docs: 8
+	// bytes a run, where a column cost 4 a document (a web whose sites
+	// interleave document by document pays 8 a document). urls holds every
+	// URL front-coded in DocID order (see AddDoc); restarts[i] is the
+	// offset in urls of document i·restartEvery. AddDoc is their one
 	// writer, DecodeBinary builds them whole, and like the rosters they are
 	// append-only and shared with CloneCOW relatives clipped to their
-	// lengths.
-	site     []uint32
+	// lengths (extending the last run writes nothing).
+	runs     []siteRun
 	urls     []byte
 	restarts []int
-	// local is derived: local[d] is d's position in its site's roster. It
-	// lives under the same contract, and is never rebuilt: shorter than
-	// site is the only way it is stale, and localColumn then extends it
-	// over the documents appended since.
-	local []uint32
+	docs     int
 }
+
+// siteRun is a run's first document and its site.
+type siteRun struct{ first, site uint32 }
 
 // restartEvery is how many documents share one restart of the URL arena:
 // URL decodes at most restartEvery-1 predecessors, and a restart costs a
@@ -57,22 +59,43 @@ type DocGraph struct {
 const restartEvery = 16
 
 // NumDocs returns N_D, the total number of documents.
-func (dg *DocGraph) NumDocs() int { return len(dg.site) }
+func (dg *DocGraph) NumDocs() int { return dg.docs }
 
 // NumSites returns N_S, the total number of sites.
 func (dg *DocGraph) NumSites() int { return len(dg.Sites) }
 
-// SiteOf returns the site of document d (the paper's site(d)).
-func (dg *DocGraph) SiteOf(d DocID) SiteID { return SiteID(dg.site[d]) }
+// SiteOf returns the site of document d (the paper's site(d)): a binary
+// search of the run starts.
+func (dg *DocGraph) SiteOf(d DocID) SiteID {
+	dg.mustDoc(d)
+	runs := dg.runs
+	i, n := 0, len(runs)
+	for n > 1 {
+		// Move to the upper half when its first run starts at or before
+		// d, with no branch to mispredict: past is 1 or 0.
+		half := n / 2
+		past := int(uint64(int64(d)-int64(runs[i+half].first))>>63) ^ 1
+		i, n = i+past*half, n-half
+	}
+	return SiteID(runs[i].site)
+}
+
+// mustDoc panics unless d is a document of dg.
+func (dg *DocGraph) mustDoc(d DocID) {
+	if uint(d) >= uint(dg.docs) {
+		panic(fmt.Sprintf("graph: document %d out of range %d", d, dg.docs))
+	}
+}
 
 // SiteSize returns n_s = size(s), the number of local documents of site s.
 func (dg *DocGraph) SiteSize(s SiteID) int { return len(dg.Sites[s].Docs) }
 
 // AddDoc appends a document with the given URL to site s and returns its
-// DocID, the next one: it extends the site column, the URL arena, the
-// site's roster and the digraph's nodes, and overwrites nothing, so it is
-// how a GraphDelta.Apply adds a document to a copy-on-write clone. Site s
-// must exist; add a site by appending to Sites first.
+// DocID, the next one: it extends the last run or starts one, the URL
+// arena, the site's roster and the digraph's nodes, and overwrites
+// nothing, so it is how a GraphDelta.Apply adds a document to a
+// copy-on-write clone. Site s must exist; add a site by appending to
+// Sites first.
 //
 // The URL is stored front-coded against its predecessor's:
 // uvarint(length of the prefix they share), uvarint(length of the rest),
@@ -80,7 +103,7 @@ func (dg *DocGraph) SiteSize(s SiteID) int { return len(dg.Sites[s].Docs) }
 // so that URL never decodes far.
 func (dg *DocGraph) AddDoc(url string, s SiteID) DocID {
 	site := &dg.Sites[s]
-	d := DocID(len(dg.site))
+	d := DocID(dg.docs)
 	shared := 0
 	if d%restartEvery == 0 {
 		dg.restarts = append(dg.restarts, len(dg.urls))
@@ -94,10 +117,33 @@ func (dg *DocGraph) AddDoc(url string, s SiteID) DocID {
 	dg.urls = binary.AppendUvarint(dg.urls, uint64(shared))
 	dg.urls = binary.AppendUvarint(dg.urls, uint64(len(url)-shared))
 	dg.urls = append(dg.urls, url[shared:]...)
-	dg.site = append(dg.site, uint32(s))
+	if k := len(dg.runs); k == 0 || dg.runs[k-1].site != uint32(s) {
+		dg.runs = append(dg.runs, siteRun{first: uint32(d), site: uint32(s)})
+	}
+	dg.docs++
 	site.Docs = append(site.Docs, d)
 	dg.G.EnsureNodes(int(d) + 1)
 	return d
+}
+
+// siteColumn spells the runs out as site(d) for every document d: the
+// column the graph file stores.
+func (dg *DocGraph) siteColumn() []uint32 {
+	col := make([]uint32, dg.docs)
+	for i, r := range dg.runs {
+		for d := DocID(r.first); d < dg.runEnd(i); d++ {
+			col[d] = r.site
+		}
+	}
+	return col
+}
+
+// runEnd returns the DocID just past run i.
+func (dg *DocGraph) runEnd(i int) DocID {
+	if i+1 < len(dg.runs) {
+		return DocID(dg.runs[i+1].first)
+	}
+	return DocID(dg.docs)
 }
 
 // URL returns the URL of document d, decoded from the arena into a string
@@ -111,7 +157,7 @@ func (dg *DocGraph) URL(d DocID) string {
 // before d, each entry keeps a prefix of the URL so far and appends the
 // rest of its own.
 func (dg *DocGraph) appendURL(dst []byte, d DocID) []byte {
-	_ = dg.site[d] // d is a document
+	dg.mustDoc(d)
 	start, p := len(dst), dg.restarts[d/restartEvery]
 	for i := d - d%restartEvery; ; i++ {
 		shared, suffix, next, _ := urlEntry(dg.urls, p)
@@ -146,9 +192,10 @@ func urlEntry(urls []byte, p int) (shared uint64, suffix []byte, next int, err e
 }
 
 // Validate checks internal consistency: every document belongs to a valid
-// site, site rosters agree with the site column, the digraph has one
-// node per document, and every document's and every site's out-weight is
-// finite.
+// site, each site's roster lists exactly its documents in ascending
+// order — so the rosters list every document once — the digraph has one
+// node per document, and every document's and every site's out-weight
+// is finite.
 func (dg *DocGraph) Validate() error {
 	if dg.G == nil {
 		return fmt.Errorf("graph: nil digraph")
@@ -157,25 +204,26 @@ func (dg *DocGraph) Validate() error {
 	if dg.G.NumNodes() != nd {
 		return fmt.Errorf("graph: %d digraph nodes vs %d docs", dg.G.NumNodes(), nd)
 	}
-	for d, s := range dg.site {
-		if int(s) >= len(dg.Sites) {
-			return fmt.Errorf("graph: doc %d has invalid site %d", d, s)
+	// The runs are right by construction; the rosters must spell them
+	// out: walking the runs in DocID order, each document is the next
+	// entry of its site's roster.
+	next := make([]int, len(dg.Sites))
+	for i, r := range dg.runs {
+		if int(r.site) >= len(dg.Sites) {
+			return fmt.Errorf("graph: doc %d has invalid site %d", r.first, r.site)
+		}
+		docs := dg.Sites[r.site].Docs
+		for d := DocID(r.first); d < dg.runEnd(i); d++ {
+			if k := next[r.site]; k == len(docs) || docs[k] != d {
+				return fmt.Errorf("graph: doc %d is in site %d, whose roster lists %v in its place", d, r.site, docs[k:min(k+1, len(docs))])
+			}
+			next[r.site]++
 		}
 	}
-	counted := 0
 	for s, site := range dg.Sites {
-		for _, d := range site.Docs {
-			if int(d) < 0 || int(d) >= nd {
-				return fmt.Errorf("graph: site %d lists invalid doc %d", s, d)
-			}
-			if dg.site[d] != uint32(s) {
-				return fmt.Errorf("graph: doc %d recorded in site %d but maps to site %d", d, s, dg.site[d])
-			}
-			counted++
+		if len(site.Docs) != next[s] {
+			return fmt.Errorf("graph: site %d lists %d docs, has %d", s, len(site.Docs), next[s])
 		}
-	}
-	if counted != nd {
-		return fmt.Errorf("graph: site rosters cover %d docs, have %d", counted, nd)
 	}
 	// Every out-weight divides its links in the transition matrix, a
 	// document's in the web's chain and a site's in the SiteGraph's, so
@@ -209,12 +257,13 @@ func (dg *DocGraph) Validate() error {
 
 // CloneCOW returns a copy-on-write clone of the whole document graph.
 // The digraph shares its packed base with dg by pointer (see
-// Digraph.CloneCOW); Sites is a fresh slice of copied elements; the
-// per-document columns and every Site.Docs roster alias dg's arrays, the
-// columns clipped to their lengths.
+// Digraph.CloneCOW); Sites is a fresh slice of copied elements; the run
+// table, the URL arena and every Site.Docs roster alias dg's arrays, the
+// first two clipped to their lengths.
 // What makes the aliasing safe is that these slices are append-only: an
-// AddDoc on the clone copies each column out first (it is clipped), and
-// an append to a roster only ever writes at or past every aliasing
+// AddDoc on the clone copies the run table and the arena out first (they
+// are clipped) or, extending the last run, writes nothing of the table,
+// and an append to a roster only ever writes at or past every aliasing
 // holder's length, where readers of the original (who read strictly below
 // their own length) never look — the contract the serving snapshots rely
 // on. Overwriting, reordering or truncating a shared roster in place is
@@ -223,77 +272,111 @@ func (dg *DocGraph) CloneCOW() *DocGraph {
 	return &DocGraph{
 		G:        dg.G.CloneCOW(),
 		Sites:    append([]Site(nil), dg.Sites...),
-		site:     slices.Clip(dg.site),
+		runs:     slices.Clip(dg.runs),
 		urls:     slices.Clip(dg.urls),
 		restarts: slices.Clip(dg.restarts),
-		local:    slices.Clip(dg.local),
+		docs:     dg.docs,
 	}
 }
 
-// Dedupe readies dg for shared reading: it deduplicates the digraph and
-// brings the local column up to date, the two lazily derived pieces
-// LocalSubgraph reads. Both are no-ops (not writes) when current, so call
-// it once before fanning LocalSubgraph across goroutines.
-func (dg *DocGraph) Dedupe() {
-	dg.G.Dedupe()
-	dg.localColumn()
+// Dedupe readies dg for shared reading: it deduplicates the digraph, the
+// one lazily derived piece LocalSubgraph reads. It is a no-op (not a
+// write) when current, so call it once before fanning LocalSubgraph
+// across goroutines.
+func (dg *DocGraph) Dedupe() { dg.G.Dedupe() }
+
+// member numbers one site's documents by its runs of consecutive DocIDs:
+// local returns a document's place in the roster, or size when it is not
+// there — for the first run's documents (every one of a site of one run)
+// by one subtraction and no read, for any other by a search of the runs.
+type member struct {
+	lo, n, size uint32 // the first run's first document and length; the roster's
+	runs        []piece
 }
 
-// localColumn returns the local column, first extending it over the
-// documents appended since it was last derived: those are the ones at or
-// past its length, and — rosters being append-only — they sit at the
-// tails of their rosters.
-func (dg *DocGraph) localColumn() []uint32 {
-	if have := len(dg.local); have < dg.NumDocs() {
-		// dg.local is clipped where a COW relative shares it, so this
-		// append copies it out first, as AddDoc's appends do.
-		dg.local = append(dg.local, make([]uint32, dg.NumDocs()-have)...)
-		for _, site := range dg.Sites {
-			for i := len(site.Docs) - 1; i >= 0 && int(site.Docs[i]) >= have; i-- {
-				dg.local[site.Docs[i]] = uint32(i)
-			}
+// piece is one run of a site: its first document, length and place in
+// the roster.
+type piece struct{ first, n, at uint32 }
+
+func (dg *DocGraph) member(s SiteID) member {
+	docs := dg.Sites[s].Docs
+	var runs []piece
+	for i, d := range docs {
+		if k := len(runs) - 1; k >= 0 && uint32(d) == runs[k].first+runs[k].n {
+			runs[k].n++
+		} else {
+			runs = append(runs, piece{uint32(d), 1, uint32(i)})
 		}
 	}
-	return dg.local
+	m := member{size: uint32(len(docs)), runs: runs}
+	if len(runs) > 0 {
+		m.lo, m.n = runs[0].first, runs[0].n
+	}
+	return m
+}
+
+func (m *member) local(t uint32) uint32 {
+	if i := t - m.lo; i < m.n {
+		return i
+	}
+	return m.search(t)
+}
+
+// search stays out of line, so that local is inlined.
+//
+//go:noinline
+func (m *member) search(t uint32) uint32 {
+	if k := sort.Search(len(m.runs), func(k int) bool { return m.runs[k].first > t }); k > 0 {
+		if r := m.runs[k-1]; t-r.first < r.n {
+			return r.at + t - r.first
+		}
+	}
+	return m.size
 }
 
 // LocalOf returns the local index of document d in its own site: its
-// position in Sites[SiteOf(d)].Docs. Like Dedupe it derives the local
-// column on first use.
-func (dg *DocGraph) LocalOf(d DocID) int { return int(dg.localColumn()[d]) }
+// position in Sites[SiteOf(d)].Docs, d minus the site's first document
+// when the site is one run.
+func (dg *DocGraph) LocalOf(d DocID) int {
+	docs := dg.Sites[dg.SiteOf(d)].Docs
+	if lo := docs[0]; int(docs[len(docs)-1]-lo) == len(docs)-1 {
+		return int(d - lo)
+	}
+	i, _ := slices.BinarySearch(docs, d)
+	return i
+}
 
 // LocalSubgraph extracts G^s_d = (V_d(s), E_d(s)): the subgraph of site s
 // restricted to edges whose both endpoints are local documents of s (§3.1).
 // The returned LocalIndex lists the global DocID of every local node.
 //
-// Each link costs O(1): the membership test is one read of the site column and
-// the local index of its target one read of the local column, whatever the
-// order of the roster, so extraction is O(site) and a pass over all sites
-// linear in the web. The graph is readied first (Dedupe: a mutation, so
-// call it before fanning LocalSubgraph calls across goroutines); the
-// subgraph is written straight into packed columns, inherits the sorted,
-// merged rows and skips its own dedupe pass. The parent's rows are read
-// through one cursor, so an ascending roster finds each row's listed
-// links with no search.
+// Each link's target is told and numbered by member, reading nothing in a
+// site of one run, so extraction is O(site) and a pass over all sites
+// linear in the web. The digraph is deduplicated first (a mutation, so
+// call Dedupe before fanning LocalSubgraph calls across goroutines); the
+// subgraph is written straight into packed columns and, the roster being
+// ascending, inherits the parent's sorted, merged rows, so it is born
+// deduplicated. The parent's rows are read through one cursor, so the
+// ascending roster finds each row's listed links with no search.
 func (dg *DocGraph) LocalSubgraph(s SiteID) (*Digraph, *LocalIndex) {
-	dg.Dedupe()
-	docs, local, site := dg.Sites[s].Docs, dg.local, uint32(s)
+	dg.G.Dedupe()
+	docs, m := dg.Sites[s].Docs, dg.member(s)
 
 	// Pass 1: each local node's surviving out-edges give the offsets, and
 	// the surviving listed links the size of the listed columns.
-	p := &packed{off: make([]int, len(docs)+1)}
+	p := &packed{off: make([]uint32, len(docs)+1)}
 	var c cursor
 	listed := 0
 	for i, d := range docs {
-		n := 0
+		n := uint32(0)
 		r := c.read(dg.G, int(d))
 		for _, to := range r.to {
-			if dg.site[to] == site {
+			if m.local(to) < m.size {
 				n++
 			}
 		}
 		for _, q := range r.pos {
-			if dg.site[r.to[q-r.at]] == site {
+			if m.local(r.to[q-r.at]) < m.size {
 				listed++
 			}
 		}
@@ -309,20 +392,14 @@ func (dg *DocGraph) LocalSubgraph(s SiteID) (*Digraph, *LocalIndex) {
 		r, e := c.read(dg.G, int(d)), 0
 		for k, to := range r.to {
 			w := r.weight(k, &e)
-			if dg.site[to] == site {
+			if i := m.local(to); i < m.size {
 				if w != 1 {
 					p.pos, p.w = append(p.pos, uint32(n)), append(p.w, w)
 				}
-				p.to[n] = local[to]
+				p.to[n] = i
 				n++
 			}
 		}
-	}
-	// Parent rows are sorted by ascending global target; when the site
-	// roster is ascending too (the builder invariant) the local rows stay
-	// sorted and merged, so the subgraph is born deduplicated.
-	if !slices.IsSorted(docs) {
-		p.mergeRows()
 	}
 	return &Digraph{base: p, deduped: true}, dg.LocalIndex(s)
 }

@@ -99,9 +99,39 @@ func TestLocalSubgraph(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	dg := buildTinyWeb(t)
-	dg.site[0] = 1 // now site rosters disagree
+	dg.runs[0].site = 1 // now site rosters disagree
 	if err := dg.Validate(); err == nil {
 		t.Error("Validate accepted corrupted site mapping")
+	}
+}
+
+// TestValidateRefusesBadRosters: a roster that lists a document twice,
+// lists one out of order, leaves one out, or lists another site's is
+// refused. (Validate used to count a roster's entries and check each
+// against the site column, so {1, 1} and {1, 0} for a site of documents 0
+// and 1 passed, and LocalOf(0) then read 1.)
+func TestValidateRefusesBadRosters(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		a, b []DocID
+	}{
+		{"a document twice", []DocID{1, 1}, []DocID{2}},
+		{"out of order", []DocID{1, 0}, []DocID{2}},
+		{"one left out", []DocID{0}, []DocID{2}},
+		{"another site's document", []DocID{0, 1, 2}, []DocID{2}},
+		{"one in the wrong site", []DocID{0}, []DocID{1, 2}},
+	} {
+		dg := &DocGraph{G: NewDigraph(0), Sites: []Site{{Name: "a"}, {Name: "b"}}}
+		for _, s := range []SiteID{0, 0, 1} {
+			dg.AddDoc("", s)
+		}
+		if err := dg.Validate(); err != nil {
+			t.Fatalf("%s: the web as built: %v", tc.name, err)
+		}
+		dg.Sites[0].Docs, dg.Sites[1].Docs = tc.a, tc.b
+		if err := dg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted rosters %v and %v", tc.name, tc.a, tc.b)
+		}
 	}
 }
 

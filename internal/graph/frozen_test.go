@@ -129,7 +129,7 @@ func appendDeriveSiteGraph(dg *DocGraph, opts SiteGraphOptions) *Digraph {
 // room for an append to write into an array a COW relative reads.
 func exactRows(t *testing.T, what string, g *Digraph) {
 	t.Helper()
-	if p := g.base; p != nil && (cap(p.to) != len(p.to) || cap(p.pos) != len(p.pos) || cap(p.w) != len(p.w) || p.off[p.rows()] != len(p.to)) {
+	if p := g.base; p != nil && (cap(p.to) != len(p.to) || cap(p.pos) != len(p.pos) || cap(p.w) != len(p.w) || int(p.off[p.rows()]) != len(p.to)) {
 		t.Fatalf("%s: base columns have len %d/%d/%d, cap %d/%d/%d, offsets end at %d",
 			what, len(p.to), len(p.pos), len(p.w), cap(p.to), cap(p.pos), cap(p.w), p.off[p.rows()])
 	}
@@ -535,17 +535,17 @@ func TestDecodeBinaryRowsAreIsolated(t *testing.T) {
 }
 
 // TestLocalIndexMatchesLocalSubgraph: the index alone is the index
-// LocalSubgraph returns — the roster, aliased and clipped — for an
-// ascending and a non-ascending roster alike.
+// LocalSubgraph returns — the roster, aliased and clipped — for sites of
+// one run and interleaved sites alike.
 func TestLocalIndexMatchesLocalSubgraph(t *testing.T) {
-	dg := benchDocGraph(3, 5, 55)
-	dg.Sites[1].Docs[0], dg.Sites[1].Docs[3] = dg.Sites[1].Docs[3], dg.Sites[1].Docs[0]
-	for s, site := range dg.Sites {
-		_, want := dg.LocalSubgraph(SiteID(s))
-		got := dg.LocalIndex(SiteID(s))
-		for _, idx := range []*LocalIndex{got, want} {
-			if idx.Len() != len(site.Docs) || cap(idx.ToGlobal) != len(site.Docs) || &idx.ToGlobal[0] != &site.Docs[0] {
-				t.Fatalf("site %d: index is not the roster, aliased and clipped", s)
+	for _, dg := range []*DocGraph{benchDocGraph(3, 5, 55), interleave(benchDocGraph(3, 5, 55))} {
+		for s, site := range dg.Sites {
+			_, want := dg.LocalSubgraph(SiteID(s))
+			got := dg.LocalIndex(SiteID(s))
+			for _, idx := range []*LocalIndex{got, want} {
+				if idx.Len() != len(site.Docs) || cap(idx.ToGlobal) != len(site.Docs) || &idx.ToGlobal[0] != &site.Docs[0] {
+					t.Fatalf("site %d: index is not the roster, aliased and clipped", s)
+				}
 			}
 		}
 	}

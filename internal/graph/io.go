@@ -38,7 +38,7 @@ func WriteText(w io.Writer, dg *DocGraph) error {
 		}
 		fmt.Fprintf(bw, "site %d %s\n", s, site.Name)
 	}
-	for d, s := range dg.site {
+	for d, s := range dg.siteColumn() {
 		url := dg.URL(DocID(d))
 		if !survivesText(url) {
 			return fmt.Errorf("graph: doc %d: URL %q would not read back from the text format", d, url)
@@ -221,7 +221,7 @@ func EncodeBinary(w io.Writer, dg *DocGraph) error {
 	for _, site := range dg.Sites {
 		bw.WriteString(site.Name)
 	}
-	WriteBlock(dg.site, bw.Write)
+	WriteBlock(dg.siteColumn(), bw.Write)
 	bw.Write(dg.urls)
 	WriteBlock(c.Degrees, bw.Write)
 	WriteBlock(c.Targets, bw.Write)
@@ -348,8 +348,9 @@ func sumUint32(col []uint32) uint64 {
 // check FromColumns makes (endpoint ranges, listed positions strictly
 // ascending among the edges, listed weights other than 1, positive and
 // finite), then Validate; nothing is allocated on the say-so of a count
-// whose bytes have not arrived. The site column, each site roster and
-// the adjacency are built once at their exact size; the URL section,
+// whose bytes have not arrived. The site column is read into the site
+// rosters and the runs (see DocGraph) and dropped; each roster, the runs
+// and the adjacency are built once at their exact size; the URL section,
 // every entry checked (urlRestarts), is the graph's URL arena as it
 // stands. The adjacency is the file's own columns, each read as a block
 // (ReadBlock) into its own array — the targets and listed positions as
@@ -419,18 +420,25 @@ func DecodeBinary(r io.Reader) (*DocGraph, error) {
 	if err != nil {
 		return nil, err
 	}
-	siteSize := make([]int, ns)
+	siteSize, nruns := make([]int, ns), 0
 	for d, s := range site {
 		if uint64(s) >= uint64(ns) {
 			return nil, fmt.Errorf("graph: binary doc %d has invalid site %d", d, s)
 		}
 		siteSize[s]++
+		if d == 0 || s != site[d-1] {
+			nruns++
+		}
 	}
 	for s, n := range siteSize {
 		sites[s].Docs = make([]DocID, 0, n)
 	}
+	runs := make([]siteRun, 0, nruns)
 	for d, s := range site {
 		sites[s].Docs = append(sites[s].Docs, DocID(d))
+		if d == 0 || s != site[d-1] {
+			runs = append(runs, siteRun{uint32(d), s})
+		}
 	}
 
 	urls, err := br.section(urlBytes, "URLs")
@@ -481,7 +489,7 @@ func DecodeBinary(r io.Reader) (*DocGraph, error) {
 	if !ascending {
 		p.mergeRows()
 	}
-	dg := &DocGraph{G: &Digraph{base: p, deduped: true}, Sites: sites, site: site, urls: urls, restarts: restarts}
+	dg := &DocGraph{G: &Digraph{base: p, deduped: true}, Sites: sites, runs: runs, urls: urls, restarts: restarts, docs: nd}
 	if err := dg.Validate(); err != nil {
 		return nil, err
 	}

@@ -89,7 +89,7 @@ func TestDecodeBinaryMergesUnsortedRows(t *testing.T) {
 			return slices.Insert(to, 1, to[1]), slices.Insert(w, 1, w[1])
 		},
 	} {
-		src := &DocGraph{G: want.G.Clone(), Sites: want.Sites, site: want.site, urls: want.urls, restarts: want.restarts}
+		src := &DocGraph{G: want.G.Clone(), Sites: want.Sites, runs: want.runs, urls: want.urls, restarts: want.restarts, docs: want.docs}
 		var c cursor
 		src.G.setRow(long, listedRow(disorder(denseRow(c.read(src.G, long)))))
 		var file bytes.Buffer
@@ -136,9 +136,12 @@ func assertSameDocGraph(t *testing.T, a, b *DocGraph) {
 			a.NumDocs(), b.NumDocs(), a.NumSites(), b.NumSites())
 	}
 	for d := range a.NumDocs() {
-		if ua, ub := a.URL(DocID(d)), b.URL(DocID(d)); ua != ub || a.site[d] != b.site[d] {
-			t.Fatalf("doc %d: %q in site %d vs %q in site %d", d, ua, a.site[d], ub, b.site[d])
+		if ua, ub := a.URL(DocID(d)), b.URL(DocID(d)); ua != ub || a.SiteOf(DocID(d)) != b.SiteOf(DocID(d)) {
+			t.Fatalf("doc %d: %q in site %d vs %q in site %d", d, ua, a.SiteOf(DocID(d)), ub, b.SiteOf(DocID(d)))
 		}
+	}
+	if !slices.Equal(a.runs, b.runs) {
+		t.Fatalf("site runs: %v vs %v", a.runs, b.runs)
 	}
 	for s := range a.Sites {
 		if a.Sites[s].Name != b.Sites[s].Name {

@@ -77,7 +77,7 @@ func TestListedWeightsAreNeverOne(t *testing.T) {
 	}
 	// A base row with a listed link in it.
 	q := base.pos[len(base.pos)/2]
-	i := sort.Search(n, func(i int) bool { return base.off[i+1] > int(q) })
+	i := sort.Search(n, func(i int) bool { return base.off[i+1] > q })
 	g.EnsureNodes(n + 1)
 	model := rowsOf(g)
 	kept, keptRows := g.CloneCOW(), rowsOf(g)
@@ -130,15 +130,13 @@ func TestListedWeightsAreNeverOne(t *testing.T) {
 
 	// The derived graphs, over a web of quarter weights: a SiteLink sum of
 	// 1 is not listed, and a local subgraph keeps its parent's weights,
-	// through a roster out of order too.
+	// in sites interleaved with each other too.
 	rng := rand.New(rand.NewSource(82))
-	dg := benchDocGraph(6, 8, 83)
+	dg := interleave(benchDocGraph(6, 8, 83))
 	nd := dg.NumDocs()
 	for k := 0; k < nd; k++ {
 		dg.G.AddEdge(rng.Intn(nd), rng.Intn(nd), float64(rng.Intn(7)+1)/4)
 	}
-	r := dg.Sites[1].Docs
-	r[0], r[len(r)-1] = r[len(r)-1], r[0]
 	sg := DeriveSiteGraph(dg, SiteGraphOptions{})
 	canonical(t, "DeriveSiteGraph", sg.G)
 	for s := range dg.Sites {

@@ -92,13 +92,19 @@ type siteRowAccumulator struct {
 }
 
 // row derives SiteGraph row s of dg: sorted by target, merged, and exactly
-// as long as its content.
+// as long as its content. Most links stay in their site, and most sites
+// are one run: a link into the site's first run is counted by one
+// compare, any other finds its target's site by SiteOf.
 func (a *siteRowAccumulator) row(dg *DocGraph, s SiteID, opts SiteGraphOptions) row {
+	m := dg.member(s)
 	for _, d := range dg.Sites[s].Docs {
 		r, e := a.c.read(dg.G, int(d)), 0
 		for k, t := range r.to {
 			w := r.weight(k, &e)
-			to := SiteID(dg.site[t])
+			to := s
+			if t-m.lo >= m.n {
+				to = dg.SiteOf(DocID(t))
+			}
 			if opts.DropSelfLoops && to == s {
 				continue
 			}

@@ -151,8 +151,8 @@ type Ranker struct {
 // (the site chain and the per-site CSR chains follow on the first Rank or
 // on Prepare, so structure-only consumers like the distributed
 // coordinator skip that cost). The DocGraph is readied up front (its
-// digraph deduplicated, its local column derived), so neither Prepare's
-// fan-out nor the per-query phase ever mutates shared graph state.
+// digraph deduplicated), so neither Prepare's fan-out nor the per-query
+// phase ever mutates shared graph state.
 func NewRanker(dg *graph.DocGraph, opts RankerOptions) (*Ranker, error) {
 	if err := dg.Validate(); err != nil {
 		return nil, fmt.Errorf("lmm: ranker: %w", err)

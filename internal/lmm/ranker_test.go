@@ -267,7 +267,7 @@ func TestWebConfigDampingZeroSentinel(t *testing.T) {
 // TestLocalSubgraphFanOutWritesNothing: once a graph is readied — by
 // NewRanker, or on a bare decoded graph by one serial LocalSubgraph —
 // extracting every site at once, four goroutines wide, reads the shared
-// local column and writes nothing (any write is a failure under -race),
+// graph and writes nothing (any write is a failure under -race),
 // and each subgraph is the one a serial pass extracts.
 func TestLocalSubgraphFanOutWritesNothing(t *testing.T) {
 	built := randomWeb(rand.New(rand.NewSource(64)), 24, 600)
@@ -312,24 +312,20 @@ func subgraphString(sub *graph.Digraph) string {
 // TestRankerLocalSubgraphExtractsOnDemand: a Ranker retains no subgraph,
 // so LocalSubgraph extracts from the graph each time — and must hand
 // back what dg.LocalSubgraph does, with the retained index resolving
-// like a fresh one. The hand-built web has a non-ascending roster (the
-// extraction must re-sort its rows) and the answer on it still matches the
-// reference pipeline, including from Share()d rankers whose first Rank
+// like a fresh one. The random web's sites interleave in DocID order (the
+// extraction must search their rosters) and the answer on it still matches
+// the reference pipeline, including from Share()d rankers whose first Rank
 // races to build the cold chains.
 func TestRankerLocalSubgraphExtractsOnDemand(t *testing.T) {
 	dg := randomWeb(rand.New(rand.NewSource(62)), 5, 60)
-	// Swapping two roster entries of a multi-page site keeps the graph
-	// valid while making that roster non-ascending.
-	swapped := -1
-	for s, site := range dg.Sites {
-		if len(site.Docs) >= 3 {
-			site.Docs[0], site.Docs[2] = site.Docs[2], site.Docs[0]
-			swapped = s
-			break
+	spread := 0
+	for _, site := range dg.Sites {
+		if docs := site.Docs; len(docs) > 0 && int(docs[len(docs)-1]-docs[0]) >= len(docs) {
+			spread++
 		}
 	}
-	if swapped < 0 {
-		t.Fatal("no site with three pages to reorder")
+	if spread == 0 {
+		t.Fatal("every site is one run of DocIDs: no roster is searched")
 	}
 	rk, err := NewRanker(dg, RankerOptions{})
 	if err != nil {
