@@ -42,10 +42,10 @@
 // PageRank, PageRankGraph) and the distributed runtime return — is the
 // caller's alone: retain it, mutate it, share it across goroutines; no
 // later query will observe or disturb it. What an engine keeps between
-// queries stays inside it — a DistEngine snapshot retains the fleet's
-// local DocRanks and the last πS and answers Query.WantLocalRanks with
-// copies; only a coordinator run handed vectors to reuse
-// (coordinator.Warm) returns those same vectors. Scratch aliasing is an
+// queries stays inside it — either engine's snapshot keeps its
+// solutions, πS and every site's local DocRank, and answers
+// Query.WantLocalRanks with copies; only a coordinator run handed
+// vectors to reuse (coordinator.Warm) returns those same vectors. Scratch aliasing is an
 // internal/ concern only, surfacing in exactly one deprecated-in-spirit
 // expert path: Ranker (below).
 //
@@ -114,8 +114,8 @@
 //     distributedly their shards and local DocRanks (clean shards stay
 //     in the worker caches and are never re-shipped, clean sites' local
 //     DocRanks carry into the next snapshot and are never re-solved —
-//     Result.Dist.CacheHits / ShardsReshipped / LocalRanksReused
-//     account for it).
+//     the Result.Dist of the first query after the Update accounts for
+//     it; Update itself sends nothing).
 //   - After an out-of-band mutation (or a failed nil-Apply Update),
 //     queries keep failing with ErrGraphMutated until a successful
 //     Update or a fresh engine — recovery is always explicit.

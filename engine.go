@@ -94,11 +94,15 @@ type Result struct {
 	Top []DocScore
 	// SiteIterations and LocalIterations record solver work: the site
 	// layer's in-place sweeps (or distributed point-Jacobi rounds) and each
-	// site's local sweeps.
+	// site's local sweeps. SiteIterations is the query's own site solve:
+	// 0 for an answer composed with a snapshot's πS.
 	SiteIterations  int
 	LocalIterations []int
-	// Dist carries the transport/cache statistics of a distributed
-	// query (nil for LocalEngine results).
+	// Dist carries the transport/cache statistics of the fleet run a
+	// DistEngine query made: the snapshot's fill if it made that (its
+	// LocalIterations are then the fill's), else its own run. One composed
+	// from the snapshot's solutions made none and reads zero transport
+	// with every local DocRank reused. Nil for LocalEngine results.
 	Dist *DistStats
 }
 
@@ -282,15 +286,15 @@ func (q Query) webConfig(ctx context.Context, parallelism int) lmm.WebConfig {
 	}
 }
 
-// localState is what a LocalEngine snapshot holds beside the graph: the
-// Ranker built for exactly that graph, the pooled scratch-private clones,
-// the default-parameter solutions solved on that graph — the site layer
-// seedSite and every site's local DocRank seedLocals, which queries at
-// the defaults are composed from and every other query's solves start
-// from — and, with EngineOptions.TopKIndex, the maintained top-k index
-// over seedLocals. Everything here but the pool is immutable; a clean
-// site's local vector and its index order are shared by pointer with the
-// previous snapshot.
+// localState is a snapshot's solutions, the one snapshot shape both
+// engines serve from: the Ranker built for exactly that graph, the pooled
+// scratch-private clones, the default-parameter solutions solved on that
+// graph — the site layer seedSite and every site's local DocRank
+// seedLocals, which queries at the defaults are composed from and every
+// other LocalEngine query's solves start from — and, with
+// EngineOptions.TopKIndex, the maintained top-k index over seedLocals.
+// Everything here but the pool is immutable; a clean site's local vector
+// and its index order are shared by pointer with the previous snapshot.
 type localState struct {
 	base       *lmm.Ranker
 	pool       *rankerPool
@@ -319,24 +323,14 @@ type localState struct {
 // on chains that the first such query builds and the engine keeps from
 // then on.
 //
-// Serving is lock-free multi-version: the whole serving state lives in
-// one atomic pointer to an immutable snapshot. Update builds the next
-// snapshot off to the side — the GraphDelta applies to a copy-on-write
-// clone that shares every clean site's adjacency with the old graph by
-// pointer — and publishes it with a single store. Queries never block
-// an Update and an Update never blocks a query: a straggler that
-// started before the swap finishes on its old snapshot, bit-identical
-// to an uncontended run. MaxInFlight/RejectOverload add an admission
-// cap in front and Coalesce folds concurrent identical queries into one
-// computation (see EngineOptions).
-//
-// Update publishes a warm snapshot: only the changed sites' SiteGraph
-// rows and structure are rebuilt, and a refresh solve — warm-started
-// from the previous solutions, a clean site's local DocRank carried
-// verbatim — gives the next snapshot its solutions. Rankings served
-// after Update agree with a cold rebuild to solver tolerance (pinned
-// < 1e-9 in the tests) while doing measurably less iteration and
-// allocation work.
+// Serving is lock-free multi-version (see Engine): Update builds the next
+// snapshot off to the side, rebuilding only the changed sites' SiteGraph
+// rows and structure, and a refresh solve — warm-started from the
+// previous solutions, a clean site's local DocRank carried verbatim —
+// gives it its solutions, which agree with a cold rebuild's to solver
+// tolerance (pinned < 1e-9 in the tests). MaxInFlight/RejectOverload add
+// an admission cap in front and Coalesce folds concurrent identical
+// queries into one computation (see EngineOptions).
 type LocalEngine struct {
 	server[*localState]
 	parallelism int
@@ -484,21 +478,19 @@ func (q Query) fromSnapshot() bool {
 	return q.DocPersonalization == nil && q.Damping == 0 && q.Tol == 0 && q.MaxIter == 0
 }
 
-// rankFromSnapshot answers a query fromSnapshot: the snapshot's local
+// answer serves a query fromSnapshot on either engine: st's local
 // solutions composed under the query's site weights — πS for a uniform
-// query, one site-layer solve started from πS for a site-personalized
-// one, the upper two layers for a three-layer one. No document layer is
-// solved, so LocalIterations are all 0. With the index, the Top table is
-// a threshold merge over the per-site orders — bit-identical to fully
-// sorting the DocRank, without touching the other N−k documents; without
-// it, the front sorts.
-func (e *LocalEngine) rankFromSnapshot(ctx context.Context, snap *snapshot[*localState], q Query) (*Result, error) {
-	st := snap.state
-	res := &Result{LocalIterations: make([]int, len(snap.dg.Sites))}
+// query, one site-layer solve started from πS on a pooled clone for a
+// site-personalized one, the upper two layers for a three-layer one — so
+// LocalIterations are all 0. With the index, the Top table is a
+// threshold merge over the per-site orders, bit-identical to fully
+// sorting the DocRank, counted in indexServes; without it, the front sorts.
+func (st *localState) answer(ctx context.Context, dg *DocGraph, q Query, parallelism int, indexServes *atomic.Int64) (*Result, error) {
+	res := &Result{LocalIterations: make([]int, len(dg.Sites))}
 	weights := st.seedSite
 	switch {
 	case q.ThreeLayer:
-		tl, err := st.base.ThreeLayerWeights(q.DomainOf, q.webConfig(ctx, e.parallelism))
+		tl, err := st.base.ThreeLayerWeights(q.DomainOf, q.webConfig(ctx, parallelism))
 		if err != nil {
 			return nil, normalizeCtxErr(ctx, err)
 		}
@@ -510,7 +502,7 @@ func (e *LocalEngine) rankFromSnapshot(ctx context.Context, snap *snapshot[*loca
 	case q.SitePersonalization != nil:
 		rk := st.pool.get()
 		defer st.pool.put(rk)
-		cfg := q.webConfig(ctx, e.parallelism)
+		cfg := q.webConfig(ctx, parallelism)
 		cfg.SiteStart = st.seedSite
 		sr, iters, err := rk.RankSites(cfg)
 		if err != nil {
@@ -523,13 +515,13 @@ func (e *LocalEngine) rankFromSnapshot(ctx context.Context, snap *snapshot[*loca
 	default:
 		res.SiteRank = weights.Clone()
 	}
-	res.DocRank = lmm.ComposeDocRank(snap.dg, weights, st.seedLocals)
+	res.DocRank = lmm.ComposeDocRank(dg, weights, st.seedLocals)
 	if q.WantLocalRanks {
 		res.LocalRanks = cloneVectors(st.seedLocals)
 	}
 	if st.topk != nil && q.TopK > 0 {
-		e.stats.topkIndex.Add(1)
-		res.Top, _ = st.topk.top(snap.dg, weights, q.TopK)
+		indexServes.Add(1)
+		res.Top, _ = st.topk.top(dg, weights, q.TopK)
 	}
 	return res, nil
 }
@@ -540,7 +532,7 @@ func (e *LocalEngine) rankFromSnapshot(ctx context.Context, snap *snapshot[*loca
 func (e *LocalEngine) solve(ctx context.Context, snap *snapshot[*localState], q Query) (*Result, error) {
 	st := snap.state
 	if q.fromSnapshot() {
-		return e.rankFromSnapshot(ctx, snap, q)
+		return st.answer(ctx, snap.dg, q, e.parallelism, &e.stats.topkIndex)
 	}
 	rk := st.pool.get()
 	defer st.pool.put(rk)
@@ -558,6 +550,7 @@ func (e *LocalEngine) solve(ctx context.Context, snap *snapshot[*localState], q 
 	cfg.LocalStarts = st.seedLocals
 
 	var res *Result
+	var locals []Vector
 	if q.ThreeLayer {
 		wr, err := rk.Rank3(q.DomainOf, cfg)
 		if err != nil {
@@ -574,9 +567,7 @@ func (e *LocalEngine) solve(ctx context.Context, snap *snapshot[*localState], q 
 			SiteEntry:       wr.SiteEntry,
 			LocalIterations: append([]int(nil), wr.LocalIterations...),
 		}
-		if q.WantLocalRanks {
-			res.LocalRanks = cloneVectors(wr.LocalRanks)
-		}
+		locals = wr.LocalRanks
 	} else {
 		wr, err := rk.Rank(cfg)
 		if err != nil {
@@ -588,9 +579,10 @@ func (e *LocalEngine) solve(ctx context.Context, snap *snapshot[*localState], q 
 			SiteIterations:  wr.SiteIterations,
 			LocalIterations: append([]int(nil), wr.LocalIterations...),
 		}
-		if q.WantLocalRanks {
-			res.LocalRanks = cloneVectors(wr.LocalRanks)
-		}
+		locals = wr.LocalRanks
+	}
+	if q.WantLocalRanks {
+		res.LocalRanks = cloneVectors(locals)
 	}
 	return res, nil
 }
@@ -622,37 +614,18 @@ func normalizeCtxErr(ctx context.Context, err error) error {
 	return err
 }
 
-// distState is what a DistEngine snapshot holds beside the graph: the
-// structural Ranker built for exactly that graph.
-//
-// warm and digests are learned rather than built. warm is what the
-// snapshot knows of its own default-parameter answer. Each distWarm is
-// immutable; a Rank that learned more than the state it started from
-// publishes a successor by compare-and-swap and a loser of that race
-// drops what it learned, so every stage is recorded once and, from then
-// on, default-parameter answers on this snapshot are bit-identical.
-// digests is the graph's wire form as the coordinator names it — shard
-// digests and sizes, no payloads — which no query parameter changes, so
-// every Rank reads it and the first one records it the same way.
+// distState is what a DistEngine snapshot holds beside the graph: its
+// structural Ranker; the seed Update carried over (clean sites' local
+// DocRanks by pointer, changed sites' nil, the old πS); fill, the
+// solutions the first default-parameter query solves on the fleet from
+// the seed and publishes by compare-and-swap (a loser serves the
+// winner's); and digests, the graph's wire form, which every run reads
+// and the first one records.
 type distState struct {
 	rk      *lmm.Ranker
-	warm    atomic.Pointer[distWarm]
+	seed    *localState
+	fill    atomic.Pointer[localState]
 	digests atomic.Pointer[coordinator.Digests]
-}
-
-// distWarm is the document layer the Layered Method says stays put, and
-// the last site layer — what localState's seedLocals/seedSite are to
-// LocalEngine — in the form the coordinator takes them. A new engine's
-// is empty. Update builds a snapshot's first one from its predecessor's:
-// clean sites' Locals by pointer, changed sites' nil, the old πS as
-// SiteStart. The first Rank fills Locals in (full); the first uniform
-// two-layer Rank also replaces SiteStart with the πS it converged to on
-// this graph (solved). Its Digests stay nil: distState.digests holds
-// those, for queries of any parameters.
-type distWarm struct {
-	coordinator.Warm
-	full   bool
-	solved bool
 }
 
 // DistEngine serves the same queries from a distributed fleet: local
@@ -665,33 +638,23 @@ type distWarm struct {
 // LocalEngine replica next to the coordinator instead, or turn on
 // Coalesce so identical concurrent queries share one wire run.
 //
-// Serving state is an atomic snapshot exactly as on LocalEngine: an
-// Update rebuilds against a copy-on-write clone and publishes with one
-// pointer store, never waiting on queries; a Rank that started before
-// the swap completes against its old Ranker (whose graph never
-// mutated). The wire itself still serializes at the coordinator.
+// Serving state is an atomic snapshot exactly as on LocalEngine, and a
+// snapshot is its solutions there too, but the fleet solves them: the
+// first query at the default Damping/Tol/MaxIter makes one uniform run
+// for every site's local DocRank and πS, and every such query, that one
+// included, is composed from them and sends nothing — but for a
+// SitePersonalization in SiteRankSync mode, whose site layer is fleet
+// rounds started from them. A query with a Damping, Tol or MaxIter of
+// its own is a run of its own.
 //
-// The document layer is query-independent, so a snapshot keeps it: the
-// first query at the default Damping/Tol/MaxIter records every site's
-// local DocRank and (if uniform and two-layer) the converged πS, and
-// later such queries ask the fleet for no local ranks and start the
-// site layer from that πS — re-solving and re-hauling only the
-// N_S-sized layer the query can change. Update carries clean sites'
-// vectors into the next snapshot verbatim and the old πS as a seed.
-//
-// The wire form is query-independent too: the snapshot keeps each
-// site's shard digest and size (coordinator.Digests; the payloads live
-// only inside the run that ships them), and every query, whatever its
-// parameters, declares shards by those digests without hashing. Update
-// rebuilds the Ranker incrementally (clean sites keep their precomputed
-// structure) and carries the clean sites' digests, so the next Rank
-// re-hashes only the changed shards — which, through the workers' digest
-// caches, then re-ships only the changed shards, and asks the fleet for
-// only the changed sites' local DocRanks: a 1-site edit on an N-site web
-// moves ~1/N of a cold load's bytes (Result.Dist.CacheHits /
-// ShardsReshipped / LocalRanksReused / DigestBytesHashed account for it
-// per run). A failed Apply re-ships nothing; the wire never carries stale
-// shards.
+// Every run declares shards by the digests the snapshot keeps
+// (coordinator.Digests; no payload) without hashing. Update sends
+// nothing: it rebuilds the Ranker incrementally and carries the clean
+// sites' digests and local DocRanks, so the next run re-hashes and,
+// through the workers' digest caches, re-ships only the changed shards
+// and asks for only the changed sites' local DocRanks: a 1-site edit on
+// an N-site web moves ~1/N of a cold load's bytes (Result.Dist accounts
+// for it per run). A failed Apply re-ships nothing.
 type DistEngine struct {
 	server[*distState]
 	coord *coordinator.Coordinator
@@ -702,15 +665,13 @@ var _ Engine = (*DistEngine)(nil)
 
 // NewDistEngine builds a distributed serving engine over a running
 // cluster: a Ranker is precomputed for the graph (structure only — the
-// fleet does the local solving, on the first query) and every Rank
-// reuses it, so repeated queries ship near-zero shard bytes and hash
-// zero digest bytes. cfg
-// supplies the transport knobs (SiteGraph aggregation, SiteRank mode,
-// retry policy) and the serving knobs
-// (MaxInFlight, TenantQuota, RejectOverload, Coalesce, CoalesceTol);
-// its per-query fields —
-// Damping, Tol, MaxIter, SitePersonalization, ThreeLayer, DomainOf —
-// are ignored and overwritten from each Query. Mutate the graph only
+// fleet solves the local DocRanks, on the first query; construction
+// sends nothing) and every Rank reuses it. cfg supplies the transport
+// knobs (SiteGraph aggregation, SiteRank mode, retry policy) and the
+// serving knobs (MaxInFlight, TenantQuota, RejectOverload, Coalesce,
+// CoalesceTol); its per-query fields — Damping, Tol, MaxIter,
+// SitePersonalization, ThreeLayer, DomainOf — are ignored and
+// overwritten from each Query. Mutate the graph only
 // through Update (or build a new engine); a mutation outside Update
 // turns every later query into ErrGraphMutated.
 func NewDistEngine(cl *Cluster, dg *DocGraph, cfg DistConfig) (*DistEngine, error) {
@@ -719,15 +680,12 @@ func NewDistEngine(cl *Cluster, dg *DocGraph, cfg DistConfig) (*DistEngine, erro
 		return nil, err
 	}
 	e := &DistEngine{coord: cl.Coord, cfg: cfg}
-	state := &distState{rk: rk}
-	state.warm.Store(&distWarm{})
-	e.serve(e, newAdmitGate(cfg.MaxInFlight, cfg.TenantQuota, cfg.RejectOverload), cfg.Coalesce, cfg.CoalesceTol, dg, state)
+	e.serve(e, newAdmitGate(cfg.MaxInFlight, cfg.TenantQuota, cfg.RejectOverload), cfg.Coalesce, cfg.CoalesceTol, dg, &distState{rk: rk, seed: &localState{}})
 	return e, nil
 }
 
 // rebuild is the distributed backend's half of Update: the changed
-// sites' structure, and the warm state and shard digests carried
-// across.
+// sites' structure, and the seed and shard digests carried across.
 func (e *DistEngine) rebuild(_ context.Context, cur *snapshot[*distState], dg *DocGraph, changed []SiteID) (*distState, error) {
 	next, err := cur.state.rk.RebuildOn(dg, changed)
 	if err != nil {
@@ -736,17 +694,20 @@ func (e *DistEngine) rebuild(_ context.Context, cur *snapshot[*distState], dg *D
 	state := &distState{rk: next}
 	state.digests.Store(cur.state.digests.Load().Drop(changed))
 	// A local DocRank depends on its own site's subgraph only, so a clean
-	// site's carries verbatim and the next Rank asks the fleet for exactly
+	// site's carries verbatim and the next fill asks the fleet for exactly
 	// the changed ones (and any site appended since).
-	prev := cur.state.warm.Load()
+	prev := cur.state.fill.Load()
+	if prev == nil {
+		prev = cur.state.seed
+	}
 	locals := make([]Vector, dg.NumSites())
-	copy(locals, prev.Locals)
+	copy(locals, prev.seedLocals)
 	for _, s := range changed {
 		if int(s) < len(locals) {
 			locals[s] = nil
 		}
 	}
-	state.warm.Store(&distWarm{Warm: coordinator.Warm{SiteStart: prev.SiteStart, Locals: locals}})
+	state.seed = &localState{seedSite: prev.seedSite, seedLocals: locals}
 	return state, nil
 }
 
@@ -761,72 +722,69 @@ func (e *DistEngine) Rank(ctx context.Context, q Query) (*Result, error) {
 	return e.rank(ctx, q)
 }
 
-// solve is the distributed backend's half of Rank: one coordinator run
-// against the pinned snapshot.
+// solve is the distributed backend's half of Rank: a query fromSnapshot
+// is composed from the snapshot's fill, or in SiteRankSync mode with a
+// SitePersonalization is a run started from it; any other is a run from
+// nothing but the digests.
 func (e *DistEngine) solve(ctx context.Context, snap *snapshot[*distState], q Query) (*Result, error) {
-	st := snap.state
-	cfg := e.cfg
-	cfg.Damping = q.Damping
-	cfg.Tol = q.Tol
-	cfg.MaxIter = q.MaxIter
-	cfg.SitePersonalization = q.SitePersonalization
-	cfg.ThreeLayer = q.ThreeLayer
-	cfg.DomainOf = q.DomainOf
-	// The snapshot's warm state was solved at the default parameters; a
-	// query with its own neither reads nor writes it (as on LocalEngine).
-	// The site seed is a two-layer πS: the coordinator keeps it out of a
-	// three-layer run, which still reuses the locals — the document layer
-	// is the same in both models. The digests hold for any parameters.
-	defaults := q.fromSnapshot() // Rank refused a DocPersonalization
-	warm := &distWarm{}
-	if defaults {
-		warm = st.warm.Load()
+	st, sol := snap.state, &localState{}
+	var made *coordinator.Result // the fill, if this query made it
+	if q.fromSnapshot() {        // Rank refused a DocPersonalization
+		if sol = st.fill.Load(); sol == nil {
+			var err error
+			if made, err = e.run(ctx, st, Query{}, st.seed); err != nil {
+				return nil, err
+			}
+			st.fill.CompareAndSwap(nil, &localState{base: st.rk, pool: newRankerPool(st.rk), seedSite: made.SiteRank, seedLocals: made.LocalRanks})
+			sol = st.fill.Load()
+		}
 	}
-	known := warm.Warm
-	known.Digests = st.digests.Load()
-	dres, err := e.coord.RankPreparedCtx(ctx, st.rk, cfg, known)
-	if err != nil {
-		return nil, err
-	}
-	if dres.Digests != known.Digests {
-		st.digests.CompareAndSwap(known.Digests, dres.Digests)
-	}
-	if defaults {
-		st.learn(warm, dres, !q.ThreeLayer && q.SitePersonalization == nil)
-	}
-	stats := dres.Stats
-	res := &Result{
+	var res *Result
+	if !q.fromSnapshot() || q.SitePersonalization != nil && e.cfg.SiteRank == SiteRankSync {
+		dres, err := e.run(ctx, st, q, sol)
+		if err != nil {
+			return nil, err
+		}
 		// DocRank, SiteRank and the domain layers are freshly allocated
-		// per run — already caller-owned. LocalRanks are the snapshot's.
-		DocRank:         dres.DocRank,
-		SiteRank:        dres.SiteRank,
-		Domains:         dres.Domains,
-		DomainRank:      dres.DomainRank,
-		DomainOfSite:    dres.DomainOfSite,
-		SiteEntry:       dres.SiteEntry,
-		SiteIterations:  dres.Stats.SiteRankRounds,
-		LocalIterations: dres.LocalIterations,
-		Dist:            &stats,
+		// per run; LocalRanks may be the snapshot's, so they are copied.
+		stats := dres.Stats // not a pointer into dres, which holds the locals
+		res = &Result{
+			DocRank:         dres.DocRank,
+			SiteRank:        dres.SiteRank,
+			Domains:         dres.Domains,
+			DomainRank:      dres.DomainRank,
+			DomainOfSite:    dres.DomainOfSite,
+			SiteEntry:       dres.SiteEntry,
+			SiteIterations:  stats.SiteRankRounds,
+			LocalIterations: dres.LocalIterations,
+			Dist:            &stats,
+		}
+		if q.WantLocalRanks {
+			res.LocalRanks = cloneVectors(dres.LocalRanks)
+		}
+	} else {
+		var err error
+		if res, err = sol.answer(ctx, snap.dg, q, 0, &e.stats.topkIndex); err != nil {
+			return nil, err
+		}
+		res.Dist = &DistStats{LocalRanksReused: len(sol.seedLocals)}
 	}
-	if q.WantLocalRanks {
-		res.LocalRanks = cloneVectors(dres.LocalRanks)
+	if made != nil { // the answer's local DocRanks and its cost are the fill's
+		*res.Dist, res.LocalIterations = made.Stats, made.LocalIterations
 	}
 	return res, nil
 }
 
-// learn records what a default-parameter run found out beyond from, the
-// warm state it started on: every site's local DocRank, and — for a
-// uniform two-layer query — the πS it converged to on this graph.
-func (st *distState) learn(from *distWarm, dres *coordinator.Result, uniform bool) {
-	learnSite := uniform && !from.solved
-	if from.full && !learnSite {
-		return
+// run is one coordinator run of q started from from's solutions and the
+// snapshot's shard digests, which it records if the run learned them.
+func (e *DistEngine) run(ctx context.Context, st *distState, q Query, from *localState) (*coordinator.Result, error) {
+	cfg := e.cfg
+	cfg.Damping, cfg.Tol, cfg.MaxIter = q.Damping, q.Tol, q.MaxIter
+	cfg.SitePersonalization, cfg.ThreeLayer, cfg.DomainOf = q.SitePersonalization, q.ThreeLayer, q.DomainOf
+	warm := coordinator.Warm{SiteStart: from.seedSite, Locals: from.seedLocals, Digests: st.digests.Load()}
+	dres, err := e.coord.RankPreparedCtx(ctx, st.rk, cfg, warm)
+	if err == nil && dres.Digests != warm.Digests {
+		st.digests.CompareAndSwap(warm.Digests, dres.Digests)
 	}
-	next := *from
-	next.Locals, next.full = dres.LocalRanks, true
-	if learnSite {
-		// The caller owns dres.SiteRank; the snapshot keeps its own copy.
-		next.SiteStart, next.solved = dres.SiteRank.Clone(), true
-	}
-	st.warm.CompareAndSwap(from, &next)
+	return dres, err
 }

@@ -3,6 +3,8 @@ package lmmrank_test
 import (
 	"context"
 	"fmt"
+	"sync"
+	"time"
 
 	"lmmrank"
 )
@@ -69,6 +71,118 @@ func ExampleGraphBuilder() {
 	// Output:
 	// sites: 2 docs: 2
 	// site of doc 0: a.example
+}
+
+// servingWeb is the synthetic campus web the serving examples rank.
+func servingWeb() *lmmrank.DocGraph {
+	return lmmrank.GenerateCampusWeb(lmmrank.CampusWebConfig{
+		Seed: 7, Sites: 40, MeanSitePages: 20,
+		DynamicClusterPages: 200, DocClusterPages: 200,
+	}).Graph
+}
+
+// ExampleLocalEngine serves the Engine API from one process: one engine,
+// built once, answers site-personalized top-k queries from several
+// goroutines at once — each result is the caller's own — then the
+// three-layer model, and a context deadline cuts a query short.
+func ExampleLocalEngine() {
+	dg := servingWeb()
+	eng, err := lmmrank.NewLocalEngine(dg, lmmrank.EngineOptions{})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	ctx := context.Background()
+	answers := make([]*lmmrank.Result, 3)
+	errs := make([]error, len(answers))
+	var wg sync.WaitGroup
+	for u := range answers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pers := make(lmmrank.Vector, dg.NumSites())
+			for i := range pers {
+				pers[i] = 1
+			}
+			pers[u] = 20 // each user favors a different site
+			pers.Normalize()
+			answers[u], errs[u] = eng.Rank(ctx, lmmrank.Query{SitePersonalization: pers, TopK: 3})
+		}()
+	}
+	wg.Wait()
+	for u, res := range answers {
+		if errs[u] != nil {
+			fmt.Println("error:", errs[u])
+			return
+		}
+		fmt.Printf("user %d top hit: %s (%.5f)\n", u, res.Top[0].URL, res.Top[0].Score)
+	}
+
+	res3, err := eng.Rank(ctx, lmmrank.Query{ThreeLayer: true, TopK: 1})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	fmt.Printf("three-layer: %d domain, top hit %s\n", len(res3.Domains), res3.Top[0].URL)
+
+	tight, cancel := context.WithTimeout(ctx, time.Nanosecond)
+	defer cancel()
+	<-tight.Done()
+	_, err = eng.Rank(tight, lmmrank.Query{})
+	fmt.Println("tight deadline:", err)
+	// Output:
+	// user 0 top hit: http://www.campus.example/ (0.10251)
+	// user 1 top hit: http://dept001.campus.example/ (0.07820)
+	// user 2 top hit: http://dept002.campus.example/ (0.06373)
+	// three-layer: 1 domain, top hit http://www.campus.example/
+	// tight deadline: context deadline exceeded
+}
+
+// ExampleDistEngine serves the same Query type from a worker fleet. The
+// first Rank ships the site shards and has the workers solve every
+// site's local DocRank; the snapshot keeps those solutions, so a later
+// default-parameter Rank is composed from them and sends nothing — and
+// it ranks exactly as a LocalEngine does.
+func ExampleDistEngine() {
+	dg := servingWeb()
+	cl, err := lmmrank.StartCluster(3)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	defer cl.Close()
+	dist, err := lmmrank.NewDistEngine(cl, dg, lmmrank.DistConfig{})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	local, err := lmmrank.NewLocalEngine(dg, lmmrank.EngineOptions{})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	ctx := context.Background()
+	var res [2]*lmmrank.Result
+	for i := range res {
+		if res[i], err = dist.Rank(ctx, lmmrank.Query{TopK: 3}); err != nil {
+			fmt.Println("error:", err)
+			return
+		}
+	}
+	ref, err := local.Rank(ctx, lmmrank.Query{TopK: 3})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	fmt.Println("first Rank sent messages:", res[0].Dist.Messages > 0)
+	fmt.Println("warm Rank sent messages:", res[1].Dist.Messages)
+	fmt.Println("top hit:", res[1].Top[0].URL)
+	fmt.Println("the LocalEngine's top hit too:", res[1].Top[0].Doc == ref.Top[0].Doc)
+	// Output:
+	// first Rank sent messages: true
+	// warm Rank sent messages: 0
+	// top hit: http://www.campus.example/
+	// the LocalEngine's top hit too: true
 }
 
 // ExampleLocalEngine_Update serves a synthetic campus web, changes one

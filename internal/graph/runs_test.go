@@ -40,11 +40,15 @@ func checkAgainstColumn(t *testing.T, what string, dg *DocGraph, col []SiteID, m
 		t.Fatalf("%s: %d documents, added %d", what, dg.NumDocs(), len(col))
 	}
 	local, members := make([]int, len(col)), make([][]DocID, len(dg.Sites))
+	runs := newRunIndex(dg)
 	for d, s := range col {
 		local[d] = len(members[s])
 		members[s] = append(members[s], DocID(d))
 		if got, i := dg.SiteOf(DocID(d)), dg.LocalOf(DocID(d)); got != s || i != local[d] {
 			t.Fatalf("%s: doc %d is local %d of site %d, want local %d of site %d", what, d, i, got, local[d], s)
+		}
+		if got := runs.siteOf(uint32(d)); got != s {
+			t.Fatalf("%s: the run index puts doc %d in site %d, want %d", what, d, got, s)
 		}
 	}
 	sites, subs := edgeModel{}, make([]edgeModel, len(dg.Sites))

@@ -69,7 +69,7 @@ func (sg *SiteGraph) Rederive(dg *DocGraph, opts SiteGraphOptions, changed []Sit
 	g.Dedupe()
 	g.EnsureNodes(ns)
 	next := &SiteGraph{G: g, Names: make([]string, ns)}
-	acc := &siteRowAccumulator{weight: make([]float64, ns)}
+	acc := &siteRowAccumulator{weight: make([]float64, ns), runs: newRunIndex(dg)}
 	for s, site := range dg.Sites {
 		next.Names[s] = site.Name
 		if s >= before || dirty[s] {
@@ -89,12 +89,50 @@ type siteRowAccumulator struct {
 	weight  []float64
 	touched []int
 	c       cursor
+	runs    *runIndex
+}
+
+// runIndex finds a document's site by a bucket table over the run starts:
+// first[b] is the run holding document b<<shift, so a lookup scans only
+// the runs that start inside its bucket — none on a web whose runs are
+// longer than a bucket. Buckets are about an eighth of a run's mean
+// length: 4 bytes each, at least 8 a run.
+type runIndex struct {
+	shift uint
+	first []uint32
+	runs  []siteRun
+}
+
+func newRunIndex(dg *DocGraph) *runIndex {
+	x := &runIndex{runs: dg.runs}
+	for dg.docs>>x.shift > 8*len(dg.runs) {
+		x.shift++
+	}
+	x.first = make([]uint32, dg.docs>>x.shift+2)
+	r := 0
+	for b := range x.first {
+		for r+1 < len(dg.runs) && int(dg.runs[r+1].first) <= b<<x.shift {
+			r++
+		}
+		x.first[b] = uint32(r)
+	}
+	return x
+}
+
+// siteOf is DocGraph.SiteOf for a document of the indexed graph.
+func (x *runIndex) siteOf(d uint32) SiteID {
+	b := d >> x.shift
+	i, last := x.first[b], x.first[b+1]
+	for i < last && x.runs[i+1].first <= d {
+		i++
+	}
+	return SiteID(x.runs[i].site)
 }
 
 // row derives SiteGraph row s of dg: sorted by target, merged, and exactly
 // as long as its content. Most links stay in their site, and most sites
 // are one run: a link into the site's first run is counted by one
-// compare, any other finds its target's site by SiteOf.
+// compare, any other finds its target's site by the run index.
 func (a *siteRowAccumulator) row(dg *DocGraph, s SiteID, opts SiteGraphOptions) row {
 	m := dg.member(s)
 	for _, d := range dg.Sites[s].Docs {
@@ -103,7 +141,7 @@ func (a *siteRowAccumulator) row(dg *DocGraph, s SiteID, opts SiteGraphOptions) 
 			w := r.weight(k, &e)
 			to := s
 			if t-m.lo >= m.n {
-				to = dg.SiteOf(DocID(t))
+				to = a.runs.siteOf(t)
 			}
 			if opts.DropSelfLoops && to == s {
 				continue

@@ -435,8 +435,8 @@ func (e *server[S]) DocGraph() *DocGraph { return e.snap.Load().dg }
 
 // ServingStats returns a point-in-time copy of the engine's cumulative
 // serving counters: admitted queries, admission rejections (total and
-// per tenant), coalesced shares and top-k index serves (always 0 on a
-// DistEngine — the maintained index is a LocalEngine feature).
+// per tenant), coalesced shares and top-k index serves (0 without
+// EngineOptions.TopKIndex, which DistConfig does not have).
 func (e *server[S]) ServingStats() ServingStats { return e.stats.snapshot() }
 
 // flight is one in-progress computation other callers may wait on.

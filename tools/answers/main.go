@@ -11,10 +11,11 @@
 // "layered" hashes LayeredDocRank's DocRank and TopDocs(…, 50) — documents,
 // URLs and scores — on webgen's Small web (seed 7), its Default web, a
 // blocky Small web (seed 11) and the Small web read back through the text
-// format. "dist-central" and "dist-sync" hash the DocRank and SiteRank of
-// a 4-worker DistEngine's cold, warm, Tol=1e-4 and site-personalized
-// Ranks and of its first Rank after a one-site Update, on the Small web,
-// in each SiteRank mode. "local" hashes a plain LocalEngine's answers
+// format. The "central-" and "sync-" lines hash one answer each of a
+// 4-worker DistEngine on the Small web, in each SiteRank mode — its Top
+// table, vectors and local ranks: a cold Rank, a warm one, a Tol=1e-4 one,
+// a site-personalized one, a ThreeLayer one, a WantLocalRanks one, a TopK
+// 50 one, and the first Rank after a one-site Update ("edited"). "local" hashes a plain LocalEngine's answers
 // before any Update at Parallelism 1 and at 0 on the Small web: a uniform
 // query's DocRank, SiteRank, LocalRanks and Top table of 50, and a
 // ThreeLayer query's DocRank, SiteRank, DomainRank and SiteEntry — the
@@ -55,11 +56,9 @@ func main() {
 		name string
 		mode lmmrank.SiteRankMode
 	}{{"central", lmmrank.SiteRankCentral}, {"sync", lmmrank.SiteRankSync}} {
-		h, err := distHash(m.mode)
-		if err != nil {
+		if err := distHashes(m.mode, m.name); err != nil {
 			fail(err)
 		}
-		fmt.Printf("dist-%-7s %016x\n", m.name, h)
 	}
 	local, err := localHash()
 	if err != nil {
@@ -243,39 +242,48 @@ func localTopKHash() (uint64, error) {
 	return h.Sum64(), nil
 }
 
-func distHash(mode lmmrank.SiteRankMode) (uint64, error) {
+// distHashes prints one hash per answer of a 4-worker DistEngine on the
+// Small web, each line named after the mode and the query.
+func distHashes(mode lmmrank.SiteRankMode, name string) error {
 	ctx := context.Background()
 	dg := webgen.Generate(small(7)).Graph
 	cl, err := lmmrank.StartCluster(4)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer cl.Close()
 	eng, err := lmmrank.NewDistEngine(cl, dg, lmmrank.DistConfig{SiteRank: mode})
 	if err != nil {
-		return 0, err
+		return err
 	}
-	personal := personalized(dg.NumSites())
-	h := fnv.New64a()
-	rank := func(q lmmrank.Query) error {
+	rank := func(what string, q lmmrank.Query) error {
 		res, err := eng.Rank(ctx, q)
 		if err != nil {
 			return err
 		}
-		writeFloats(h, res.DocRank)
-		writeFloats(h, res.SiteRank)
+		h := fnv.New64a()
+		writeResult(h, res)
+		fmt.Printf("%-16s %016x\n", name+"-"+what, h.Sum64())
 		return nil
 	}
-	for _, q := range []lmmrank.Query{{}, {}, {Tol: 1e-4}, {SitePersonalization: personal}} {
-		if err := rank(q); err != nil {
-			return 0, err
+	for _, nq := range []struct {
+		what string
+		q    lmmrank.Query
+	}{
+		{"cold", lmmrank.Query{}},
+		{"warm", lmmrank.Query{}},
+		{"tol", lmmrank.Query{Tol: 1e-4}},
+		{"personal", lmmrank.Query{SitePersonalization: personalized(dg.NumSites())}},
+		{"three", lmmrank.Query{ThreeLayer: true}},
+		{"locals", lmmrank.Query{WantLocalRanks: true}},
+		{"top50", lmmrank.Query{TopK: 50}},
+	} {
+		if err := rank(nq.what, nq.q); err != nil {
+			return err
 		}
 	}
 	if err := editOneSite(ctx, eng, dg); err != nil {
-		return 0, err
+		return err
 	}
-	if err := rank(lmmrank.Query{}); err != nil {
-		return 0, err
-	}
-	return h.Sum64(), nil
+	return rank("edited", lmmrank.Query{})
 }
