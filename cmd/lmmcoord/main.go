@@ -38,6 +38,7 @@ import (
 	"lmmrank"
 	"lmmrank/internal/dist/coordinator"
 	"lmmrank/internal/graph"
+	"lmmrank/internal/lmm"
 )
 
 func main() {
@@ -164,7 +165,7 @@ func run() error {
 
 	fmt.Printf("top %d by distributed Layered Method:\n", *top)
 	fmt.Printf("%-4s %-10s %s\n", "#", "score", "URL")
-	for i, e := range lmmrank.TopDocs(dg, res.DocRank, *top) {
+	for i, e := range lmmrank.TopDocs(dg, lmm.ComposeDocRank(dg, res.SiteRank, res.LocalRanks), *top) {
 		fmt.Printf("%-4d %-10.6f %s\n", i+1, e.Score, e.URL)
 	}
 	return nil

@@ -100,7 +100,7 @@ type Result struct {
 	LocalIterations []int
 	// Dist carries the transport/cache statistics of the fleet run a
 	// DistEngine query made: the snapshot's fill if it made that (its
-	// LocalIterations are then the fill's), else its own run. One composed
+	// LocalIterations are then the fill's), else its own run. One built
 	// from the snapshot's solutions made none and reads zero transport
 	// with every local DocRank reused. Nil for LocalEngine results.
 	Dist *DistStats
@@ -245,6 +245,22 @@ func (q Query) validate() error {
 	for site, v := range q.DocPersonalization {
 		if err := teleportable(v); err != nil {
 			return fmt.Errorf("%w: DocPersonalization[%d] %s", ErrUnsupportedQuery, site, err)
+		}
+	}
+	return nil
+}
+
+// fits refuses vectors not shaped like dg, the graph the query is served
+// on — which a solver would refuse with an error of its own, or, for a
+// site dg lacks, drop unseen.
+func (q Query) fits(dg *DocGraph) error {
+	ns := dg.NumSites()
+	if q.SitePersonalization != nil && len(q.SitePersonalization) != ns {
+		return fmt.Errorf("%w: SitePersonalization has %d entries for %d sites", ErrUnsupportedQuery, len(q.SitePersonalization), ns)
+	}
+	for site, v := range q.DocPersonalization {
+		if site < 0 || int(site) >= ns || len(v) != dg.SiteSize(site) {
+			return fmt.Errorf("%w: DocPersonalization[%d] has %d entries, not one per document of a site of the %d", ErrUnsupportedQuery, site, len(v), ns)
 		}
 	}
 	return nil
@@ -478,113 +494,94 @@ func (q Query) fromSnapshot() bool {
 	return q.DocPersonalization == nil && q.Damping == 0 && q.Tol == 0 && q.MaxIter == 0
 }
 
-// answer serves a query fromSnapshot on either engine: st's local
-// solutions composed under the query's site weights — πS for a uniform
-// query, one site-layer solve started from πS on a pooled clone for a
-// site-personalized one, the upper two layers for a three-layer one — so
-// LocalIterations are all 0. With the index, the Top table is a
-// threshold merge over the per-site orders, bit-identical to fully
-// sorting the DocRank, counted in indexServes; without it, the front sorts.
-func (st *localState) answer(ctx context.Context, dg *DocGraph, q Query, parallelism int, indexServes *atomic.Int64) (*Result, error) {
-	res := &Result{LocalIterations: make([]int, len(dg.Sites))}
-	weights := st.seedSite
-	switch {
-	case q.ThreeLayer:
-		tl, err := st.base.ThreeLayerWeights(q.DomainOf, q.webConfig(ctx, parallelism))
-		if err != nil {
-			return nil, normalizeCtxErr(ctx, err)
-		}
-		// The upper layers are freshly allocated per query — already
-		// caller-owned.
-		weights = tl.SiteWeights
-		res.SiteRank, res.Domains, res.DomainRank = tl.SiteWeights, tl.Domains, tl.DomainRank
-		res.DomainOfSite, res.SiteEntry = tl.DomainOfSite, tl.SiteEntry
-	case q.SitePersonalization != nil:
-		rk := st.pool.get()
-		defer st.pool.put(rk)
-		cfg := q.webConfig(ctx, parallelism)
-		cfg.SiteStart = st.seedSite
-		sr, iters, err := rk.RankSites(cfg)
-		if err != nil {
-			return nil, normalizeCtxErr(ctx, err)
-		}
-		// sr aliases the pooled Ranker's scratch; privatize before the
-		// deferred put can hand that scratch to another query.
-		weights = sr.Clone()
-		res.SiteRank, res.SiteIterations = weights, iters
-	default:
-		res.SiteRank = weights.Clone()
-	}
-	res.DocRank = lmm.ComposeDocRank(dg, weights, st.seedLocals)
-	if q.WantLocalRanks {
-		res.LocalRanks = cloneVectors(st.seedLocals)
-	}
-	if st.topk != nil && q.TopK > 0 {
-		indexServes.Add(1)
-		res.Top, _ = st.topk.top(dg, weights, q.TopK)
-	}
-	return res, nil
+// siteLayer is a query's site weighting, all an answer adds to the local
+// DocRanks (Partition Theorem): the weights (caller-owned; they become
+// Result.SiteRank), the sweeps or rounds that solved them, and for a
+// ThreeLayer query the upper layers they are DomainRank·SiteEntry of.
+type siteLayer struct {
+	weights Vector
+	iters   int
+	three   *lmm.ThreeLayerWeights
 }
 
-// solve is the local backend's half of Rank: from the snapshot's
-// solutions when the query allows, a pooled Ranker's query phase
-// otherwise.
-func (e *LocalEngine) solve(ctx context.Context, snap *snapshot[*localState], q Query) (*Result, error) {
-	st := snap.state
-	if q.fromSnapshot() {
-		return st.answer(ctx, snap.dg, q, e.parallelism, &e.stats.topkIndex)
+// weigh returns q's site weighting over st's solutions: the three-layer
+// weights, πS itself for a query at the defaults without a
+// SitePersonalization, or else a site-layer solve started from πS (a
+// hint) on a pooled clone.
+func (st *localState) weigh(ctx context.Context, q Query) (siteLayer, error) {
+	cfg := q.webConfig(ctx, 0) // Parallelism is the locals' fan-out: none here
+	switch {
+	case q.ThreeLayer:
+		// The upper layers are freshly allocated per query — already
+		// caller-owned.
+		tl, err := st.base.ThreeLayerWeights(q.DomainOf, cfg)
+		if err != nil {
+			return siteLayer{}, normalizeCtxErr(ctx, err)
+		}
+		return siteLayer{weights: tl.SiteWeights, three: tl}, nil
+	case q.fromSnapshot() && q.SitePersonalization == nil:
+		return siteLayer{weights: st.seedSite.Clone()}, nil
 	}
 	rk := st.pool.get()
 	defer st.pool.put(rk)
-	cfg := q.webConfig(ctx, e.parallelism)
-	// The solves start from the snapshot's solutions instead of uniform:
-	// a start is a hint, and the answer is the query's own to solver
-	// tolerance. The site seed is a two-layer πS and stays out of
-	// three-layer queries: their upper stack ranks domains and entry
-	// nodes, where a same-length site vector would be a
-	// wrong-distribution seed, not a warm start. The local seeds apply
-	// to both models — the document layer is identical in both.
-	if !q.ThreeLayer {
-		cfg.SiteStart = st.seedSite
+	cfg.SiteStart = st.seedSite
+	sr, iters, err := rk.RankSites(cfg)
+	if err != nil {
+		return siteLayer{}, normalizeCtxErr(ctx, err)
 	}
-	cfg.LocalStarts = st.seedLocals
+	// sr aliases the pooled Ranker's scratch; privatize before the
+	// deferred put can hand that scratch to another query.
+	return siteLayer{weights: sr.Clone(), iters: iters}, nil
+}
 
-	var res *Result
-	var locals []Vector
-	if q.ThreeLayer {
-		wr, err := rk.Rank3(q.DomainOf, cfg)
-		if err != nil {
-			return nil, normalizeCtxErr(ctx, err)
-		}
-		res = &Result{
-			DocRank: wr.DocRank.Clone(),
-			// The domain-layer vectors (SiteWeights included) are
-			// freshly allocated per query — already caller-owned.
-			SiteRank:        wr.SiteWeights,
-			Domains:         wr.Domains,
-			DomainRank:      wr.DomainRank,
-			DomainOfSite:    wr.DomainOfSite,
-			SiteEntry:       wr.SiteEntry,
-			LocalIterations: append([]int(nil), wr.LocalIterations...),
-		}
-		locals = wr.LocalRanks
-	} else {
-		wr, err := rk.Rank(cfg)
-		if err != nil {
-			return nil, normalizeCtxErr(ctx, err)
-		}
-		res = &Result{
-			DocRank:         wr.DocRank.Clone(),
-			SiteRank:        wr.SiteRank.Clone(),
-			SiteIterations:  wr.SiteIterations,
-			LocalIterations: append([]int(nil), wr.LocalIterations...),
-		}
-		locals = wr.LocalRanks
+// answer builds a Result, the one place either engine does: site's
+// weights composed with the local DocRanks, whose sweeps localIters
+// counts (nil: none ran).
+func answer(dg *DocGraph, q Query, site siteLayer, locals []Vector, localIters []int) *Result {
+	res := &Result{
+		DocRank:         lmm.ComposeDocRank(dg, site.weights, locals),
+		SiteRank:        site.weights,
+		SiteIterations:  site.iters,
+		LocalIterations: make([]int, len(dg.Sites)),
+	}
+	copy(res.LocalIterations, localIters)
+	if tl := site.three; tl != nil {
+		res.Domains, res.DomainRank, res.DomainOfSite, res.SiteEntry = tl.Domains, tl.DomainRank, tl.DomainOfSite, tl.SiteEntry
 	}
 	if q.WantLocalRanks {
 		res.LocalRanks = cloneVectors(locals)
 	}
-	return res, nil
+	return res
+}
+
+// solve is the local backend's half of Rank: the query's site weighting
+// over the snapshot's locals when the query allows — its Top table, with
+// the index, a threshold merge over the per-site orders, bit-identical to
+// sorting the DocRank — or over every site solved afresh on a pooled
+// Ranker, started from the snapshot's locals.
+func (e *LocalEngine) solve(ctx context.Context, snap *snapshot[*localState], q Query) (*Result, error) {
+	st := snap.state
+	site, err := st.weigh(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	if q.fromSnapshot() {
+		res := answer(snap.dg, q, site, st.seedLocals, nil)
+		if st.topk != nil && q.TopK > 0 {
+			e.stats.topkIndex.Add(1)
+			res.Top, _ = st.topk.top(snap.dg, site.weights, q.TopK)
+		}
+		return res, nil
+	}
+	rk := st.pool.get()
+	defer st.pool.put(rk)
+	cfg := q.webConfig(ctx, e.parallelism)
+	cfg.LocalStarts = st.seedLocals
+	locals, iters, err := rk.RankLocals(cfg)
+	if err != nil {
+		return nil, normalizeCtxErr(ctx, err)
+	}
+	return answer(snap.dg, q, site, locals, iters), nil
 }
 
 // cloneVectors deep-copies a slice of score vectors.
@@ -630,9 +627,9 @@ type distState struct {
 
 // DistEngine serves the same queries from a distributed fleet: local
 // DocRanks run on the workers (through the coordinator's shard caches
-// and loss recovery), the small site layer runs
-// centrally or as distributed point-Jacobi rounds, and the composed result
-// comes back caller-owned with transport statistics attached. Rank
+// and loss recovery), the small site layer runs centrally or as
+// distributed point-Jacobi rounds, and the answer is built from those
+// solutions as on a LocalEngine, with transport statistics attached. Rank
 // calls are safe for concurrent use — the coordinator serializes runs —
 // but do not overlap on the wire; for query-level concurrency put a
 // LocalEngine replica next to the coordinator instead, or turn on
@@ -645,7 +642,8 @@ type distState struct {
 // included, is composed from them and sends nothing — but for a
 // SitePersonalization in SiteRankSync mode, whose site layer is fleet
 // rounds started from them. A query with a Damping, Tol or MaxIter of
-// its own is a run of its own.
+// its own is a run of its own. The three-layer weights are never the
+// fleet's: they come from the Ranker's SiteGraph, as on a LocalEngine.
 //
 // Every run declares shards by the digests the snapshot keeps
 // (coordinator.Digests; no payload) without hashing. Update sends
@@ -670,10 +668,9 @@ var _ Engine = (*DistEngine)(nil)
 // knobs (SiteGraph aggregation, SiteRank mode, retry policy) and the
 // serving knobs (MaxInFlight, TenantQuota, RejectOverload, Coalesce,
 // CoalesceTol); its per-query fields — Damping, Tol, MaxIter,
-// SitePersonalization, ThreeLayer, DomainOf — are ignored and
-// overwritten from each Query. Mutate the graph only
-// through Update (or build a new engine); a mutation outside Update
-// turns every later query into ErrGraphMutated.
+// SitePersonalization, ThreeLayer — are ignored and overwritten from each
+// Query. Mutate the graph only through Update (or build a new engine); a
+// mutation outside Update turns every later query into ErrGraphMutated.
 func NewDistEngine(cl *Cluster, dg *DocGraph, cfg DistConfig) (*DistEngine, error) {
 	rk, err := lmm.NewRanker(dg, lmm.RankerOptions{SiteGraph: cfg.SiteGraph})
 	if err != nil {
@@ -723,55 +720,46 @@ func (e *DistEngine) Rank(ctx context.Context, q Query) (*Result, error) {
 }
 
 // solve is the distributed backend's half of Rank: a query fromSnapshot
-// is composed from the snapshot's fill, or in SiteRankSync mode with a
-// SitePersonalization is a run started from it; any other is a run from
-// nothing but the digests.
+// takes its locals from the snapshot's fill (making it if it is the
+// first), and in SiteRankSync mode with a SitePersonalization its πS from
+// a run started from the fill; any other query's are a run from nothing
+// but the digests. A site weighting no run solved is weighed as locally.
 func (e *DistEngine) solve(ctx context.Context, snap *snapshot[*distState], q Query) (*Result, error) {
-	st, sol := snap.state, &localState{}
+	st := snap.state
+	var sol *localState          // the solutions the query starts from
 	var made *coordinator.Result // the fill, if this query made it
-	if q.fromSnapshot() {        // Rank refused a DocPersonalization
-		if sol = st.fill.Load(); sol == nil {
-			var err error
-			if made, err = e.run(ctx, st, Query{}, st.seed); err != nil {
-				return nil, err
-			}
-			st.fill.CompareAndSwap(nil, &localState{base: st.rk, pool: newRankerPool(st.rk), seedSite: made.SiteRank, seedLocals: made.LocalRanks})
-			sol = st.fill.Load()
+	if !q.fromSnapshot() {       // a run of its own, from no solutions
+		sol = &localState{base: st.rk}
+	} else if sol = st.fill.Load(); sol == nil {
+		var err error
+		if made, err = e.run(ctx, st, Query{}, st.seed); err != nil {
+			return nil, err
 		}
+		st.fill.CompareAndSwap(nil, &localState{base: st.rk, pool: newRankerPool(st.rk), seedSite: made.SiteRank, seedLocals: made.LocalRanks})
+		sol = st.fill.Load()
 	}
-	var res *Result
+	var site siteLayer
+	locals, iters, stats := sol.seedLocals, []int(nil), DistStats{LocalRanksReused: len(sol.seedLocals)}
 	if !q.fromSnapshot() || q.SitePersonalization != nil && e.cfg.SiteRank == SiteRankSync {
 		dres, err := e.run(ctx, st, q, sol)
 		if err != nil {
 			return nil, err
 		}
-		// DocRank, SiteRank and the domain layers are freshly allocated
-		// per run; LocalRanks may be the snapshot's, so they are copied.
-		stats := dres.Stats // not a pointer into dres, which holds the locals
-		res = &Result{
-			DocRank:         dres.DocRank,
-			SiteRank:        dres.SiteRank,
-			Domains:         dres.Domains,
-			DomainRank:      dres.DomainRank,
-			DomainOfSite:    dres.DomainOfSite,
-			SiteEntry:       dres.SiteEntry,
-			SiteIterations:  stats.SiteRankRounds,
-			LocalIterations: dres.LocalIterations,
-			Dist:            &stats,
-		}
-		if q.WantLocalRanks {
-			res.LocalRanks = cloneVectors(dres.LocalRanks)
-		}
-	} else {
+		// πS is fresh (nil for ThreeLayer); the answer copies LocalRanks.
+		site = siteLayer{weights: dres.SiteRank, iters: dres.Stats.SiteRankRounds}
+		locals, iters, stats = dres.LocalRanks, dres.LocalIterations, dres.Stats
+	}
+	if site.weights == nil {
 		var err error
-		if res, err = sol.answer(ctx, snap.dg, q, 0, &e.stats.topkIndex); err != nil {
+		if site, err = sol.weigh(ctx, q); err != nil {
 			return nil, err
 		}
-		res.Dist = &DistStats{LocalRanksReused: len(sol.seedLocals)}
 	}
 	if made != nil { // the answer's local DocRanks and its cost are the fill's
-		*res.Dist, res.LocalIterations = made.Stats, made.LocalIterations
+		iters, stats = made.LocalIterations, made.Stats
 	}
+	res := answer(snap.dg, q, site, locals, iters)
+	res.Dist = &stats
 	return res, nil
 }
 
@@ -780,7 +768,7 @@ func (e *DistEngine) solve(ctx context.Context, snap *snapshot[*distState], q Qu
 func (e *DistEngine) run(ctx context.Context, st *distState, q Query, from *localState) (*coordinator.Result, error) {
 	cfg := e.cfg
 	cfg.Damping, cfg.Tol, cfg.MaxIter = q.Damping, q.Tol, q.MaxIter
-	cfg.SitePersonalization, cfg.ThreeLayer, cfg.DomainOf = q.SitePersonalization, q.ThreeLayer, q.DomainOf
+	cfg.SitePersonalization, cfg.ThreeLayer = q.SitePersonalization, q.ThreeLayer
 	warm := coordinator.Warm{SiteStart: from.seedSite, Locals: from.seedLocals, Digests: st.digests.Load()}
 	dres, err := e.coord.RankPreparedCtx(ctx, st.rk, cfg, warm)
 	if err == nil && dres.Digests != warm.Digests {

@@ -2,12 +2,14 @@ package lmmrank
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"lmmrank/internal/dist/chaos"
@@ -643,6 +645,86 @@ func TestDistEngineNonDefaultTolBypassesWarm(t *testing.T) {
 	}
 	if st.fill.Load() != fill {
 		t.Error("a Tol=1e-4 query replaced the snapshot's fill")
+	}
+}
+
+// TestDistEngineThreeLayer sends a three-layer query with parameters of
+// its own — a run of its own, not composed from the fill — to a
+// DistEngine in each SiteRank mode. The fleet solves the document layer;
+// the upper layers are weighed from the SiteGraph as on a LocalEngine, so
+// DocRank, DomainRank and SiteEntry match the LocalEngine's, and even a
+// sync run sends no SiteRank round (a two-layer query at the same
+// parameters is the control that the count sees them). ThreeLayer with a
+// SitePersonalization is still refused.
+func TestDistEngineThreeLayer(t *testing.T) {
+	web := engineWeb()
+	ctx := context.Background()
+	local, err := NewLocalEngine(web.Graph, EngineOptions{})
+	if err != nil {
+		t.Fatalf("NewLocalEngine: %v", err)
+	}
+	q := Query{ThreeLayer: true, Damping: 0.8}
+	ref, err := local.Rank(ctx, q)
+	if err != nil {
+		t.Fatalf("local three-layer Rank: %v", err)
+	}
+	cl, err := cluster.StartChaosLocal(2)
+	if err != nil {
+		t.Fatalf("StartChaosLocal: %v", err)
+	}
+	defer cl.Close()
+	var rounds atomic.Int64
+	for _, p := range cl.Proxies {
+		p.SetScript(func(_ int, req *wire.Request) chaos.Decision {
+			if req.Kind == wire.KindPowerRound {
+				rounds.Add(1)
+			}
+			return chaos.Decision{Action: chaos.Pass}
+		})
+	}
+	for _, mode := range []SiteRankMode{SiteRankCentral, SiteRankSync} {
+		t.Run(mode.String(), func(t *testing.T) {
+			eng, err := NewDistEngine(cl, web.Graph, DistConfig{SiteRank: mode})
+			if err != nil {
+				t.Fatalf("NewDistEngine: %v", err)
+			}
+			rounds.Store(0)
+			res, err := eng.Rank(ctx, q)
+			if err != nil {
+				t.Fatalf("three-layer Rank: %v", err)
+			}
+			if res.Dist.Messages == 0 || res.Dist.LocalRanksReused != 0 {
+				t.Errorf("the query sent %d messages and reused %d local ranks, want a run of its own", res.Dist.Messages, res.Dist.LocalRanksReused)
+			}
+			for _, v := range []struct {
+				name      string
+				got, want Vector
+			}{
+				{"DocRank", res.DocRank, ref.DocRank},
+				{"SiteRank", res.SiteRank, ref.SiteRank},
+				{"DomainRank", res.DomainRank, ref.DomainRank},
+				{"SiteEntry", res.SiteEntry, ref.SiteEntry},
+			} {
+				if len(v.got) != len(v.want) {
+					t.Fatalf("%s has %d entries, want %d", v.name, len(v.got), len(v.want))
+				}
+				if d := v.got.L1Diff(v.want); d >= 1e-9 {
+					t.Errorf("‖%s − LocalEngine's‖₁ = %g, want < 1e-9", v.name, d)
+				}
+			}
+			if n := rounds.Load(); n != 0 {
+				t.Errorf("the three-layer query sent %d SiteRank rounds, want 0", n)
+			}
+			if _, err := eng.Rank(ctx, Query{Damping: 0.8}); err != nil {
+				t.Fatalf("two-layer Rank: %v", err)
+			}
+			if n := rounds.Load(); (n > 0) != (mode == SiteRankSync) {
+				t.Errorf("a two-layer query sent %d SiteRank rounds in %v mode", n, mode)
+			}
+			if _, err := eng.Rank(ctx, Query{ThreeLayer: true, SitePersonalization: matrix.Uniform(web.Graph.NumSites())}); !errors.Is(err, ErrUnsupportedQuery) {
+				t.Errorf("ThreeLayer + SitePersonalization: err = %v, want ErrUnsupportedQuery", err)
+			}
+		})
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"lmmrank/internal/dist/cluster"
 	"lmmrank/internal/dist/wire"
 	"lmmrank/internal/lmm"
+	"lmmrank/internal/matrix"
 )
 
 // engineWeb is a moderately sized campus web shared by the engine tests.
@@ -439,8 +440,14 @@ func TestDistEngine(t *testing.T) {
 // tolerance, a negative iteration budget), which must be rejected at the
 // Query boundary — before admission, and before the fleet is asked for
 // any local rank — instead of surfacing as solver failures mid-run, or
-// running every solve to its sweep budget first. Control rows pin that
-// well-formed queries still pass.
+// running every solve to its sweep budget first. Vectors of the wrong
+// shape for the served graph (a site vector of the wrong length, a
+// document vector naming a site the graph lacks or of the wrong length)
+// can only be checked on the pinned snapshot, so they are admitted, but
+// refused before any flight is shared or any fleet message sent — on a
+// fresh SiteRankSync DistEngine, whose first query would otherwise fill
+// its snapshot and run rounds. Control rows pin that well-formed queries
+// still pass.
 func TestQueryValidation(t *testing.T) {
 	web := engineWeb()
 	cl, err := cluster.StartChaosLocal(2)
@@ -452,15 +459,16 @@ func TestQueryValidation(t *testing.T) {
 	for _, p := range cl.Proxies {
 		p.SetScript(script)
 	}
-	local, err := NewLocalEngine(web.Graph, EngineOptions{})
+	local, err := NewLocalEngine(web.Graph, EngineOptions{Coalesce: true})
 	if err != nil {
 		t.Fatalf("NewLocalEngine: %v", err)
 	}
-	dist, err := NewDistEngine(cl, web.Graph, DistConfig{})
+	dist, err := NewDistEngine(cl, web.Graph, DistConfig{Coalesce: true})
 	if err != nil {
 		t.Fatalf("NewDistEngine: %v", err)
 	}
 	ctx := context.Background()
+	ns := web.Graph.NumSites()
 
 	goodSite := make(Vector, web.Graph.NumSites())
 	for i := range goodSite {
@@ -500,6 +508,8 @@ func TestQueryValidation(t *testing.T) {
 		// served by asking the fleet for local ranks: the control that
 		// the recording sees what a refused query must not send
 		reachesFleet bool
+		// rejected by both engines once admitted, on the pinned snapshot
+		misshapen bool
 	}{
 		{name: "uniform", q: Query{}},
 		{name: "customParameters", q: Query{Damping: 0.5, Tol: 1e-8, MaxIter: 500}, reachesFleet: true},
@@ -544,28 +554,56 @@ func TestQueryValidation(t *testing.T) {
 		{name: "tolNaN", q: Query{Tol: math.NaN()}, rejected: true},
 		{name: "tolNegative", q: Query{Tol: -1}, rejected: true},
 		{name: "maxIterNegative", q: Query{MaxIter: -1}, rejected: true},
+		{name: "siteShort", q: Query{SitePersonalization: matrix.Uniform(ns - 1)}, misshapen: true},
+		{name: "siteLong", q: Query{SitePersonalization: matrix.Uniform(ns + 1)}, misshapen: true},
+		{
+			name:      "docSiteUnknown",
+			q:         Query{DocPersonalization: map[SiteID]Vector{SiteID(ns + 5): goodDoc}},
+			misshapen: true,
+		},
+		{
+			name:      "docSiteNegative",
+			q:         Query{DocPersonalization: map[SiteID]Vector{-1: goodDoc}},
+			misshapen: true,
+		},
+		{
+			name:      "docWrongLength",
+			q:         Query{DocPersonalization: map[SiteID]Vector{docSite: matrix.Uniform(len(goodDoc) + 1)}},
+			misshapen: true,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			served := dist
+			if tc.misshapen {
+				if served, err = NewDistEngine(cl, web.Graph, DistConfig{SiteRank: SiteRankSync, Coalesce: true}); err != nil {
+					t.Fatalf("NewDistEngine: %v", err)
+				}
+			}
 			engines := []struct {
 				name     string
 				eng      servedEngine
 				rejected bool
 			}{
-				{"local", local, tc.rejected},
-				{"dist", dist, tc.rejected || tc.distRejected},
+				{"local", local, tc.rejected || tc.misshapen},
+				{"dist", served, tc.rejected || tc.distRejected || tc.misshapen},
 			}
 			for _, e := range engines {
-				before := e.eng.ServingStats().Ranks
+				before := e.eng.ServingStats()
+				sent, _, _ := cl.Coord.Stats()
 				asked()
 				_, err := e.eng.Rank(ctx, tc.q)
-				admitted, fleet := e.eng.ServingStats().Ranks-before, asked()
+				after := e.eng.ServingStats()
+				admitted, shared, fleet := after.Ranks-before.Ranks, after.CoalesceShared-before.CoalesceShared, asked()
 				if e.rejected {
 					if !errors.Is(err, ErrUnsupportedQuery) {
 						t.Errorf("%s: err = %v, want ErrUnsupportedQuery", e.name, err)
 					}
 					if tc.rejected && (admitted != 0 || len(fleet) != 0) {
 						t.Errorf("%s: %d admitted and sites %v asked of the fleet, want none", e.name, admitted, fleet)
+					}
+					if msgs, _, _ := cl.Coord.Stats(); tc.misshapen && (shared != 0 || msgs != sent) {
+						t.Errorf("%s: %d flights shared and %d fleet messages sent, want none", e.name, shared, msgs-sent)
 					}
 					continue
 				}

@@ -2,8 +2,9 @@
 // on one machine: a fleet of worker peers on loopback TCP, each hosting
 // a share of the campus web's sites (balanced by page count) and
 // computing local DocRanks independently; a coordinator computes the
-// SiteRank, composes the global ranking by the Partition Theorem, and
-// verifies it against the single-process result.
+// SiteRank and hands back the solutions, which compose into the global
+// ranking by the Partition Theorem, verified against the single-process
+// result.
 //
 // It then demonstrates the production traits of the runtime: a second
 // run against the workers' digest caches ships almost no shard bytes,
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	"lmmrank"
+	"lmmrank/internal/lmm"
 )
 
 func main() {
@@ -91,7 +93,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("‖distributed − single-process‖₁ = %.2e\n\n", res.DocRank.L1Diff(local.DocRank))
+	docRank := lmm.ComposeDocRank(web.Graph, res.SiteRank, res.LocalRanks)
+	fmt.Printf("‖distributed − single-process‖₁ = %.2e\n\n", docRank.L1Diff(local.DocRank))
 
 	// Fault tolerance: kill a peer and rank again. Its shards are
 	// reassigned to the survivors; the ranking is unchanged.
@@ -103,12 +106,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		docRank = lmm.ComposeDocRank(web.Graph, res.SiteRank, res.LocalRanks)
 		fmt.Printf("after killing one worker: %d lost, %d shards reassigned, ‖Δ‖₁ = %.2e\n\n",
-			res.Stats.WorkersLost, res.Stats.Reassignments, res.DocRank.L1Diff(local.DocRank))
+			res.Stats.WorkersLost, res.Stats.Reassignments, docRank.L1Diff(local.DocRank))
 	}
 
 	fmt.Println("top 10 documents (distributed Layered Method):")
-	for i, e := range lmmrank.TopDocs(web.Graph, res.DocRank, 10) {
+	for i, e := range lmmrank.TopDocs(web.Graph, docRank, 10) {
 		fmt.Printf("%-4d %-10.6f %s\n", i+1, e.Score, e.URL)
 	}
 }

@@ -141,7 +141,7 @@ func TestChaosSoak(t *testing.T) {
 				if err != nil {
 					t.Fatalf("cycle %d (victim %d, kind %d): %v", cycle, victim, kind, err)
 				}
-				d := res.DocRank.L1Diff(ref.DocRank)
+				d := docRank(web.Graph, res).L1Diff(docRank(web.Graph, ref))
 				if m.bitwise && d != 0 {
 					t.Errorf("cycle %d: ‖soak − reference‖₁ = %g, want exactly 0", cycle, d)
 				}

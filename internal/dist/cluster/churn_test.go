@@ -107,7 +107,7 @@ func TestDeltaShippingAfterRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatalf("local LayeredDocRank: %v", err)
 	}
-	if d := warm.DocRank.L1Diff(local.DocRank); d >= 1e-9 {
+	if d := docRank(dg, warm).L1Diff(local.DocRank); d >= 1e-9 {
 		t.Errorf("‖delta-shipped − local‖₁ = %g, want < 1e-9", d)
 	}
 

@@ -6,9 +6,17 @@ import (
 	"time"
 
 	"lmmrank/internal/dist/coordinator"
+	"lmmrank/internal/graph"
 	"lmmrank/internal/lmm"
+	"lmmrank/internal/matrix"
 	"lmmrank/internal/webgen"
 )
+
+// docRank composes a run's solutions into its global DocRank, the answer
+// a caller of the coordinator builds.
+func docRank(dg *graph.DocGraph, res *coordinator.Result) matrix.Vector {
+	return lmm.ComposeDocRank(dg, res.SiteRank, res.LocalRanks)
+}
 
 func testWeb() *webgen.Web {
 	return webgen.Generate(webgen.Config{
@@ -43,7 +51,7 @@ func TestPartitionTheoremOverTheWire(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Rank: %v", err)
 			}
-			if d := res.DocRank.L1Diff(ref.DocRank); d >= 1e-9 {
+			if d := docRank(web.Graph, res).L1Diff(ref.DocRank); d >= 1e-9 {
 				t.Errorf("‖distributed − LayeredDocRank‖₁ = %g, want < 1e-9", d)
 			}
 			if d := res.SiteRank.L1Diff(ref.SiteRank); d >= 1e-9 {
@@ -77,10 +85,10 @@ func TestDeterminism(t *testing.T) {
 				t.Fatalf("Rank (mode=%v, run %d): %v", mode, run, err)
 			}
 			if prev == nil {
-				prev = res.DocRank
+				prev = docRank(web.Graph, res)
 				continue
 			}
-			for i, x := range res.DocRank {
+			for i, x := range docRank(web.Graph, res) {
 				if x != prev[i] {
 					t.Fatalf("mode=%v: run differs at doc %d: %g vs %g", mode, i, x, prev[i])
 				}
@@ -115,7 +123,7 @@ func TestRepeatedRank(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reference: %v", err)
 		}
-		if d := res.DocRank.L1Diff(ref.DocRank); d >= 1e-9 {
+		if d := docRank(web.Graph, res).L1Diff(ref.DocRank); d >= 1e-9 {
 			t.Errorf("after refit to %d sites: L1 gap %g", web.Graph.NumSites(), d)
 		}
 	}
@@ -215,7 +223,7 @@ func TestMoreWorkersThanSites(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
-	if d := res.DocRank.L1Diff(ref.DocRank); d >= 1e-9 {
+	if d := docRank(web.Graph, res).L1Diff(ref.DocRank); d >= 1e-9 {
 		t.Errorf("L1 gap %g with idle workers", d)
 	}
 }
@@ -249,7 +257,7 @@ func TestRankPrepared(t *testing.T) {
 				t.Fatalf("RankPreparedCtx (mode=%v, run %d): %v", mode, run, err)
 			}
 			known.Digests = res.Digests
-			if d := res.DocRank.L1Diff(oneShot.DocRank); d != 0 {
+			if d := docRank(web.Graph, res).L1Diff(docRank(web.Graph, oneShot)); d != 0 {
 				t.Errorf("mode=%v run %d: DocRank differs from one-shot Rank by %g", mode, run, d)
 			}
 			if d := res.SiteRank.L1Diff(oneShot.SiteRank); d != 0 {
@@ -303,7 +311,7 @@ func TestShardCacheSkipsReshipping(t *testing.T) {
 		t.Errorf("warm run sent %d bytes vs cold %d — cache hits should shrink traffic by > 3x",
 			warm.Stats.BytesSent, cold.Stats.BytesSent)
 	}
-	if d := warm.DocRank.L1Diff(cold.DocRank); d != 0 {
+	if d := docRank(web.Graph, warm).L1Diff(docRank(web.Graph, cold)); d != 0 {
 		t.Errorf("warm run's DocRank differs from cold by %g, want bitwise equality", d)
 	}
 	for i, w := range cl.Workers {
@@ -341,7 +349,7 @@ func TestRecoversFromWorkerKilledBetweenRuns(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Rank after kill: %v", err)
 	}
-	if d := res.DocRank.L1Diff(ref.DocRank); d >= 1e-9 {
+	if d := docRank(web.Graph, res).L1Diff(ref.DocRank); d >= 1e-9 {
 		t.Errorf("‖post-kill − reference‖₁ = %g, want < 1e-9", d)
 	}
 	if res.Stats.WorkersLost != 1 || res.Stats.Reassignments < 1 {
@@ -357,7 +365,7 @@ func TestRecoversFromWorkerKilledBetweenRuns(t *testing.T) {
 	if again.Stats.WorkersLost != 0 {
 		t.Errorf("shrunken-fleet run reports %d losses, want 0", again.Stats.WorkersLost)
 	}
-	if d := again.DocRank.L1Diff(ref.DocRank); d >= 1e-9 {
+	if d := docRank(web.Graph, again).L1Diff(ref.DocRank); d >= 1e-9 {
 		t.Errorf("‖shrunken-fleet − reference‖₁ = %g, want < 1e-9", d)
 	}
 }

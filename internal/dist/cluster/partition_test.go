@@ -48,7 +48,7 @@ func TestRandomPartitionsArePurePerformanceKnob(t *testing.T) {
 				if err != nil {
 					t.Fatalf("RankPreparedCtx: %v", err)
 				}
-				if d := res.DocRank.L1Diff(ref.DocRank); d >= 1e-9 {
+				if d := docRank(web.Graph, res).L1Diff(ref.DocRank); d >= 1e-9 {
 					t.Errorf("‖random-assignment − LayeredDocRank‖₁ = %g, want < 1e-9", d)
 				}
 			})

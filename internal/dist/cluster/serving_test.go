@@ -44,7 +44,7 @@ func TestDigestMemoization(t *testing.T) {
 		t.Errorf("warm run hashed %d digest bytes, want 0 (carried digests)",
 			warm.Stats.DigestBytesHashed)
 	}
-	if d := warm.DocRank.L1Diff(cold.DocRank); d != 0 {
+	if d := docRank(web.Graph, warm).L1Diff(docRank(web.Graph, cold)); d != 0 {
 		t.Errorf("the warm run's DocRank differs by %g, want bitwise equality", d)
 	}
 
@@ -58,7 +58,7 @@ func TestDigestMemoization(t *testing.T) {
 	if dist.Stats.DigestBytesHashed == 0 {
 		t.Error("protocol-shape change reused the digests — shards would lack their chain rows")
 	}
-	if d := dist.DocRank.L1Diff(cold.DocRank); d >= 1e-9 {
+	if d := docRank(web.Graph, dist).L1Diff(docRank(web.Graph, cold)); d >= 1e-9 {
 		t.Errorf("distributed-mode run deviates by %g, want < 1e-9", d)
 	}
 }
@@ -102,7 +102,7 @@ func TestDistributedSitePersonalization(t *testing.T) {
 			if d := res.SiteRank.L1Diff(ref.SiteRank); d >= 1e-9 {
 				t.Errorf("‖distributed − reference‖₁ on SiteRank = %g, want < 1e-9", d)
 			}
-			if d := res.DocRank.L1Diff(ref.DocRank); d >= 1e-9 {
+			if d := docRank(web.Graph, res).L1Diff(ref.DocRank); d >= 1e-9 {
 				t.Errorf("‖distributed − reference‖₁ = %g, want < 1e-9", d)
 			}
 		})
@@ -125,60 +125,5 @@ func TestDistributedSitePersonalization(t *testing.T) {
 	// SiteRankSync it names no mode.
 	if _, err := cl.Coord.Rank(web.Graph, coordinator.Config{SiteRank: coordinator.SiteRankSync + 1}); !errors.Is(err, pagerank.ErrBadConfig) {
 		t.Errorf("SiteRank mode %d: err = %v, want ErrBadConfig", int(coordinator.SiteRankSync+1), err)
-	}
-}
-
-// TestDistributedThreeLayer checks the three-layer model over the wire:
-// fleet-computed local DocRanks composed under centrally computed
-// DomainRank·SiteEntry weights must match the single-process
-// LayeredDocRank3 in every SiteRank mode (the upper layers are computed
-// centrally whatever the mode), and SitePersonalization, which the
-// three-layer model replaces, fails cleanly.
-func TestDistributedThreeLayer(t *testing.T) {
-	web := testWeb()
-	ref, err := lmm.LayeredDocRank3(web.Graph, nil, lmm.WebConfig{})
-	if err != nil {
-		t.Fatalf("reference LayeredDocRank3: %v", err)
-	}
-
-	cl, err := StartLocal(3)
-	if err != nil {
-		t.Fatalf("StartLocal: %v", err)
-	}
-	defer cl.Close()
-	res, err := cl.Coord.Rank(web.Graph, coordinator.Config{ThreeLayer: true})
-	if err != nil {
-		t.Fatalf("three-layer Rank: %v", err)
-	}
-	if d := res.DocRank.L1Diff(ref.DocRank); d >= 1e-9 {
-		t.Errorf("‖distributed three-layer − reference‖₁ = %g, want < 1e-9", d)
-	}
-	if d := res.DomainRank.L1Diff(ref.DomainRank); d >= 1e-9 {
-		t.Errorf("‖DomainRank − reference‖₁ = %g, want < 1e-9", d)
-	}
-	if len(res.Domains) != len(ref.Domains) {
-		t.Errorf("domains = %d, want %d", len(res.Domains), len(ref.Domains))
-	}
-	for s, w := range res.SiteRank {
-		want := ref.DomainRank[ref.DomainOfSite[s]] * ref.SiteEntry[s]
-		if diff := w - want; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("site %d weight = %g, want %g", s, w, want)
-			break
-		}
-	}
-
-	sync, err := cl.Coord.Rank(web.Graph, coordinator.Config{ThreeLayer: true, SiteRank: coordinator.SiteRankSync})
-	if err != nil {
-		t.Fatalf("three-layer Rank in sync mode: %v", err)
-	}
-	if d := sync.DocRank.L1Diff(res.DocRank); d >= 1e-9 {
-		t.Errorf("‖sync − central‖₁ on the three-layer DocRank = %g, want < 1e-9", d)
-	}
-	pers := make(matrix.Vector, web.Graph.NumSites())
-	for i := range pers {
-		pers[i] = 1.0 / float64(len(pers))
-	}
-	if _, err := cl.Coord.Rank(web.Graph, coordinator.Config{ThreeLayer: true, SitePersonalization: pers}); !errors.Is(err, pagerank.ErrBadConfig) {
-		t.Errorf("ThreeLayer+SitePersonalization: err = %v, want ErrBadConfig", err)
 	}
 }

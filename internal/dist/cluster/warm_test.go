@@ -72,7 +72,7 @@ func TestWarmRunAsksOnlyForMissingLocals(t *testing.T) {
 					t.Errorf("site %d: %d local iterations reported for a reused vector, want 0", s, warm.LocalIterations[s])
 				}
 			}
-			if d := warm.DocRank.L1Diff(cold.DocRank); d >= tol {
+			if d := docRank(web.Graph, warm).L1Diff(docRank(web.Graph, cold)); d >= tol {
 				t.Errorf("‖warm − cold‖₁ = %g, want < %g", d, tol)
 			}
 			if warm.Stats.SiteRankRounds >= cold.Stats.SiteRankRounds {
@@ -95,7 +95,7 @@ func TestWarmRunAsksOnlyForMissingLocals(t *testing.T) {
 			if part.Stats.LocalRanksReused != ns-2 || part.Stats.LocalRankDuration == 0 {
 				t.Errorf("partly warm run reused %d local ranks in %v, want %d and a timed phase", part.Stats.LocalRanksReused, part.Stats.LocalRankDuration, ns-2)
 			}
-			if d := part.DocRank.L1Diff(cold.DocRank); d >= tol {
+			if d := docRank(web.Graph, part).L1Diff(docRank(web.Graph, cold)); d >= tol {
 				t.Errorf("‖partly warm − cold‖₁ = %g, want < %g", d, tol)
 			}
 			if part.Stats.SiteRankRounds != cold.Stats.SiteRankRounds {

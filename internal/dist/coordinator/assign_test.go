@@ -110,7 +110,7 @@ func TestPinnedAssignmentIsHonored(t *testing.T) {
 			if err != nil {
 				t.Fatalf("RankPreparedCtx: %v", err)
 			}
-			if d := res.DocRank.L1Diff(ref.DocRank); d >= 1e-9 {
+			if d := docRank(web, res).L1Diff(ref.DocRank); d >= 1e-9 {
 				t.Errorf("‖pinned − LayeredDocRank‖₁ = %g, want < 1e-9", d)
 			}
 			for w := 0; w < workers; w++ {

@@ -1,9 +1,11 @@
 // Package coordinator implements the central side of the distributed
 // Layered Method (§3.2 run across a fleet): it partitions a DocGraph by
 // site over TCP workers speaking wire's frames, dispatches the per-site
-// local DocRanks to the peers, computes the SiteRank either centrally or
-// by distributed point-Jacobi rounds, and composes the global DocRank by
-// the Partition Theorem.
+// local DocRanks to the peers and computes the SiteRank either centrally
+// or by distributed point-Jacobi rounds. A run returns those solutions —
+// πS and every site's local DocRank — and the caller composes its answer
+// from them by the Partition Theorem (lmm.ComposeDocRank), under πS or
+// under site weights of its own.
 //
 // The runtime is production-shaped along three axes. Fault tolerance:
 // with a RetryPolicy budget, a peer dying mid-run is detected at the
@@ -160,16 +162,12 @@ type Config struct {
 	// it directly, and the sync rounds apply it in the coordinator's
 	// rank-one correction.
 	SitePersonalization matrix.Vector
-	// ThreeLayer selects the three-layer (domain → site → page) model:
-	// the fleet computes local DocRanks exactly as in the two-layer run,
-	// while the coordinator composes them under per-site weights
-	// DomainRank·SiteEntry computed centrally from the Ranker's
-	// SiteGraph (the upper layers are small — the paper's point) in every
-	// SiteRank mode. Incompatible with SitePersonalization.
+	// ThreeLayer says the caller weights the sites itself — the
+	// three-layer model's DomainRank·SiteEntry (lmm.Ranker's
+	// ThreeLayerWeights) — so the run solves the document layer only:
+	// Result.SiteRank stays nil, and a SiteRankSync run sends no round.
+	// Incompatible with SitePersonalization.
 	ThreeLayer bool
-	// DomainOf groups sites into domains for ThreeLayer (nil =
-	// lmm.DefaultDomainOf).
-	DomainOf func(siteName string) string
 	// SiteRank selects the site-layer algorithm — the one spelling of
 	// the mode. The zero value is SiteRankCentral.
 	SiteRank SiteRankMode
@@ -301,11 +299,11 @@ type Stats struct {
 // sound only for the graph it was learned on; the caller decides when a
 // graph edit invalidates an entry.
 type Warm struct {
-	// SiteStart seeds the two-layer SiteRank iteration in every mode in
-	// place of the uniform vector — a hint: ignored unless it has one
-	// entry per site, and never read by a ThreeLayer run (whose upper
-	// layers rank domains, not sites). Like Locals it is sound only at
-	// the Damping/Tol/MaxIter it was solved under.
+	// SiteStart seeds the SiteRank iteration in every mode in place of
+	// the uniform vector — a hint: ignored unless it has one entry per
+	// site, and never read by a ThreeLayer run, which solves no site
+	// layer. Like Locals it is sound only at the Damping/Tol/MaxIter it
+	// was solved under.
 	SiteStart matrix.Vector
 	// Locals[s], when it has one entry per document of site s, is that
 	// site's local DocRank (nil = not known): the fleet is asked only for
@@ -355,23 +353,15 @@ func (d *Digests) Drop(changed []graph.SiteID) *Digests {
 	return next
 }
 
-// Result is the outcome of a distributed ranking run. Every vector is
-// freshly allocated and the caller's own — except the entries of
-// LocalRanks that Warm.Locals supplied, which are those vectors
-// themselves.
+// Result is the outcome of a distributed ranking run: the solutions, not
+// an answer — lmm.ComposeDocRank(dg, SiteRank, LocalRanks) is the global
+// DocRank. Every vector is freshly allocated and the caller's own —
+// except the entries of LocalRanks that Warm.Locals supplied, which are
+// those vectors themselves.
 type Result struct {
-	// DocRank is the composed global ranking per DocID.
-	DocRank matrix.Vector
-	// SiteRank is πS per SiteID. For a ThreeLayer run it holds the
-	// per-site composition weights DomainRank·SiteEntry instead.
+	// SiteRank is πS per SiteID (nil for a ThreeLayer run, which solves
+	// no site layer).
 	SiteRank matrix.Vector
-	// Domains, DomainRank, DomainOfSite and SiteEntry carry the upper
-	// layers of a ThreeLayer run (nil otherwise), mirroring
-	// lmm.Web3Result.
-	Domains      []string
-	DomainRank   matrix.Vector
-	DomainOfSite []int
-	SiteEntry    matrix.Vector
 	// LocalRanks holds each site's local DocRank in local-index order,
 	// exactly as the workers returned them (WebResult.LocalRanks'
 	// distributed twin) or as Warm.Locals supplied them.
@@ -686,9 +676,10 @@ func (c *Coordinator) broadcastErr(fn func(idx int, r *remote) error) error {
 }
 
 // Rank executes the distributed Layered Method on dg: partition sites
-// over the fleet, ship shards, rank locally on the peers, compute the
-// SiteRank, and compose the global DocRank per the Partition Theorem.
-// It is RankCtx with a background context.
+// over the fleet, ship shards, rank locally on the peers and compute the
+// SiteRank; the Result's solutions compose into the global DocRank by the
+// Partition Theorem (lmm.ComposeDocRank). It is RankCtx with a background
+// context.
 //
 // It builds a throwaway lmm.Ranker for the run; callers ranking the same
 // graph repeatedly should precompute one and call RankPreparedCtx, which

@@ -10,6 +10,7 @@ import (
 
 	"lmmrank/internal/dist/worker"
 	"lmmrank/internal/graph"
+	"lmmrank/internal/lmm"
 	"lmmrank/internal/matrix"
 	"lmmrank/internal/pagerank"
 	"lmmrank/internal/webgen"
@@ -277,7 +278,7 @@ func TestResultSurvivesLaterRuns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: first Rank: %v", cfg.SiteRank, err)
 		}
-		siteRank, docRank := first.SiteRank.Clone(), first.DocRank.Clone()
+		siteRank := first.SiteRank.Clone()
 		locals := make([]matrix.Vector, len(first.LocalRanks))
 		for i, v := range first.LocalRanks {
 			locals[i] = v.Clone()
@@ -286,10 +287,16 @@ func TestResultSurvivesLaterRuns(t *testing.T) {
 		if _, err := c.Rank(dg, cfg); err != nil {
 			t.Fatalf("%v: second Rank: %v", cfg.SiteRank, err)
 		}
-		if !reflect.DeepEqual(first.SiteRank, siteRank) || !reflect.DeepEqual(first.DocRank, docRank) ||
+		if !reflect.DeepEqual(first.SiteRank, siteRank) ||
 			!reflect.DeepEqual(first.LocalRanks, locals) {
 			t.Errorf("%v: a later run rewrote an earlier Result", cfg.SiteRank)
 		}
 		c.Close()
 	}
+}
+
+// docRank composes a run's solutions into its global DocRank, the answer
+// a caller of the coordinator builds.
+func docRank(dg *graph.DocGraph, res *Result) matrix.Vector {
+	return lmm.ComposeDocRank(dg, res.SiteRank, res.LocalRanks)
 }

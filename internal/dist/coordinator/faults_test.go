@@ -91,9 +91,9 @@ func lossFixture(t *testing.T, dieOn wire.Kind) (*Coordinator, *killer, *graph.D
 // checkRecovery asserts the post-loss result still matches the
 // single-node reference and that the loss, and the sites it moved, are
 // visible in Stats.
-func checkRecovery(t *testing.T, res *Result, ref *lmm.WebResult) {
+func checkRecovery(t *testing.T, dg *graph.DocGraph, res *Result, ref *lmm.WebResult) {
 	t.Helper()
-	if d := res.DocRank.L1Diff(ref.DocRank); d >= 1e-9 {
+	if d := docRank(dg, res).L1Diff(ref.DocRank); d >= 1e-9 {
 		t.Errorf("‖recovered − reference‖₁ = %g, want < 1e-9", d)
 	}
 	if d := res.SiteRank.L1Diff(ref.SiteRank); d >= 1e-9 {
@@ -122,7 +122,7 @@ func TestRecoversFromLossDuringLoad(t *testing.T) {
 	if !kt.died() {
 		t.Fatal("scripted worker never reached its death trigger")
 	}
-	checkRecovery(t, res, ref)
+	checkRecovery(t, web, res, ref)
 }
 
 // TestRecoversFromLossDuringLocalRank kills a peer mid local-DocRank —
@@ -137,7 +137,7 @@ func TestRecoversFromLossDuringLocalRank(t *testing.T) {
 	if !kt.died() {
 		t.Fatal("scripted worker never reached its death trigger")
 	}
-	checkRecovery(t, res, ref)
+	checkRecovery(t, web, res, ref)
 }
 
 // TestRecoversFromLossDuringSiteRank kills a peer inside the fleet's
@@ -168,7 +168,7 @@ func TestRecoversFromLossDuringSiteRank(t *testing.T) {
 			if !kt.died() {
 				t.Fatal("scripted worker never reached its death trigger")
 			}
-			checkRecovery(t, res, ref)
+			checkRecovery(t, web, res, ref)
 		})
 	}
 }
@@ -207,7 +207,7 @@ func TestTwoLossesInOneRoundChargeOneRetry(t *testing.T) {
 	if !k1.died() || !k2.died() {
 		t.Fatal("a scripted worker never reached its death trigger")
 	}
-	if d := res.DocRank.L1Diff(ref.DocRank); d >= 1e-9 {
+	if d := docRank(web, res).L1Diff(ref.DocRank); d >= 1e-9 {
 		t.Errorf("‖recovered − reference‖₁ = %g, want < 1e-9", d)
 	}
 	if res.Stats.WorkersLost != 2 || res.Stats.Retries != 1 {

@@ -103,7 +103,7 @@ func TestRejoinMidRunWarmReshipsNothing(t *testing.T) {
 	if !kt.died() {
 		t.Fatal("scripted worker never reached its death trigger")
 	}
-	if d := res.DocRank.L1Diff(ref.DocRank); d >= 1e-9 {
+	if d := docRank(web, res).L1Diff(ref.DocRank); d >= 1e-9 {
 		t.Errorf("‖rejoined − reference‖₁ = %g, want < 1e-9", d)
 	}
 	if res.Stats.WorkersLost != 1 {
@@ -155,7 +155,7 @@ func TestRejoinFromPreviousRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run 2 (rejoin): %v", err)
 	}
-	if d := res.DocRank.L1Diff(ref.DocRank); d >= 1e-9 {
+	if d := docRank(web, res).L1Diff(ref.DocRank); d >= 1e-9 {
 		t.Errorf("‖rejoined − reference‖₁ = %g, want < 1e-9", d)
 	}
 	if res.Stats.WorkersLost != 0 {

@@ -212,27 +212,11 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 		res.Stats.LocalRankDuration = time.Since(localStart)
 	}
 
-	// Step 4: the upper layer(s) — three-layer weights (computed centrally
-	// in every mode), central SiteRank, or the SiteRank rounds on the fleet.
+	// Step 4: the site layer, central or as rounds on the fleet — unless
+	// the caller weights the sites itself (ThreeLayer).
 	siteStart := time.Now()
-	var siteRank matrix.Vector
 	switch {
 	case cfg.ThreeLayer:
-		tl, err := rk.ThreeLayerWeights(cfg.DomainOf, lmm.WebConfig{
-			Damping: cfg.Damping,
-			Tol:     cfg.Tol,
-			MaxIter: cfg.MaxIter,
-			Ctx:     ctx,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("coordinator: %w", err)
-		}
-		// ThreeLayerWeights allocates fresh vectors — no cloning needed.
-		siteRank = tl.SiteWeights
-		res.Domains = tl.Domains
-		res.DomainRank = tl.DomainRank
-		res.DomainOfSite = tl.DomainOfSite
-		res.SiteEntry = tl.SiteEntry
 	case cfg.SiteRank == SiteRankCentral:
 		scores, rounds, err := rk.RankSites(lmm.WebConfig{
 			Damping:             cfg.Damping,
@@ -247,20 +231,15 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 		}
 		// RankSites aliases the Ranker's scratch; the Result outlives
 		// this run, so copy the small site vector out.
-		siteRank = scores.Clone()
+		res.SiteRank = scores.Clone()
 		res.Stats.SiteRankRounds = rounds
 	default:
-		siteRank, res.Stats.SiteRankRounds, err = r.fleetSiteRank()
+		res.SiteRank, res.Stats.SiteRankRounds, err = r.fleetSiteRank()
 		if err != nil {
 			return nil, err
 		}
 	}
 	res.Stats.SiteRankDuration = time.Since(siteStart)
-
-	// Step 5: composition by the Partition Theorem, shared with the
-	// in-process pipeline.
-	res.SiteRank = siteRank
-	res.DocRank = lmm.ComposeDocRank(dg, siteRank, localRanks)
 	res.LocalRanks = localRanks
 	res.LocalIterations = localIters
 	res.Digests = r.digests

@@ -111,7 +111,7 @@ func TestDoneSiteMovedIsNotReshipped(t *testing.T) {
 			if !kt.died() {
 				t.Fatal("scripted worker never reached its death trigger")
 			}
-			checkRecovery(t, res, ref)
+			checkRecovery(t, web, res, ref)
 			moved := res.Stats.Reassignments
 			if moved < 2 {
 				t.Fatalf("Reassignments = %d, want the victim's %d sites", moved, ns/3)

@@ -100,7 +100,7 @@ func RunDistributed(opts DistributedOptions) (*DistributedResult, error) {
 			Messages:      res.Stats.Messages,
 			BytesSent:     res.Stats.BytesSent,
 			BytesReceived: res.Stats.BytesReceived,
-			Gap:           res.DocRank.L1Diff(ref.DocRank),
+			Gap:           lmm.ComposeDocRank(web.Graph, res.SiteRank, res.LocalRanks).L1Diff(ref.DocRank),
 		})
 	}
 	return out, nil

@@ -108,9 +108,9 @@ func (c *rankerCore) siteLayerChain() *pagerank.Chain {
 // Ranker is the serving-path form of the §3.2 pipeline: NewRanker
 // derives the SiteGraph and every local subgraph G^s_d once (the first
 // Rank adds the per-site transition matrices and solvers), then Rank
-// answers repeated queries — uniform or personalized at either layer,
-// two- or three-layer — with near-zero setup cost and no steady-state
-// allocations beyond the returned WebResult header.
+// answers repeated queries — uniform or personalized at either layer —
+// with near-zero setup cost and no steady-state allocations beyond the
+// returned WebResult header.
 //
 // That asymmetry is the point of the Layered Method: the expensive
 // structure (CSR matrices, dangling lists, scratch vectors) depends only
@@ -143,7 +143,7 @@ type Ranker struct {
 	localRanks []matrix.Vector
 	localIters []int
 	errs       []error
-	allSites   []int // 0, 1, …: the site list Rank and Rank3 solve
+	allSites   []int // 0, 1, …: the site list Rank and RankLocals solve
 }
 
 // NewRanker validates dg and precomputes the graph-only part of the
@@ -224,8 +224,9 @@ func (r *Ranker) Prepare() {
 // Stale reports whether the DocGraph's digraph mutated after this
 // Ranker's structure was precomputed (its Version advanced). A stale
 // Ranker's subgraphs, chains and shard digests no longer describe the
-// graph; Rank/Rank3/RankSites refuse with ErrGraphMutated. Recover with
-// Rebuild (reusing unchanged sites' structure) or a fresh NewRanker.
+// graph; Rank, RankLocals and RankSites refuse with ErrGraphMutated.
+// Recover with Rebuild (reusing unchanged sites' structure) or a fresh
+// NewRanker.
 func (r *Ranker) Stale() bool { return r.core.dg.G.Version() != r.core.version }
 
 // DocGraph returns the graph this Ranker serves.
@@ -440,47 +441,20 @@ func (r *Ranker) RankRefresh(changed []graph.SiteID, cfg WebConfig) (*WebResult,
 	return r.rankTwoLayer(pending, &cfg, false)
 }
 
-// Rank3 answers a three-layer (domain → site → page) query against the
-// precomputed structure: the domain layer and per-domain site-entry
-// distributions are computed fresh from the SiteGraph (they depend on
-// the query's domainOf grouping), the local DocRanks reuse this Ranker's
-// solvers and buffers exactly like Rank, and the composition follows the
-// recursive Partition argument. domainOf nil selects DefaultDomainOf.
-//
-// The returned Web3Result's DocRank and LocalRanks alias the Ranker's
-// scratch (same contract as Rank); the domain-layer vectors are freshly
-// allocated. Three-layer queries therefore allocate per call — the small
-// domain-layer graphs are rebuilt each time — but never mutate shared
-// state, so Share()d rankers may serve them concurrently.
-func (r *Ranker) Rank3(domainOf func(siteName string) string, cfg WebConfig) (*Web3Result, error) {
+// RankLocals solves every site's local DocRank against the precomputed
+// structure (in parallel when cfg.Parallelism allows), keeping the chains
+// it solves on as Rank does, and returns them with their sweep counts —
+// the document layer alone, for a caller that weights the sites itself
+// (the three-layer model's DomainRank·SiteEntry, or a site layer solved
+// elsewhere) and composes with ComposeDocRank. cfg's site-layer fields
+// are not read. Both slices alias the Ranker's scratch (Rank's contract).
+func (r *Ranker) RankLocals(cfg WebConfig) ([]matrix.Vector, []int, error) {
 	if r.Stale() {
-		return nil, ErrGraphMutated
-	}
-	// SiteStart is a two-layer seed (πS over sites). The three-layer
-	// upper stack solves different chains — the domain layer and
-	// per-domain site entries — whose dimensions can coincide with the
-	// site count (every site its own domain), so a two-layer seed could
-	// slip through a shape check and bias the wrong solve. Drop it here:
-	// three-layer site-level warmth is not a supported hint. LocalStarts
-	// stay — the document layer is identical in both models.
-	cfg.SiteStart = nil
-	tl, err := r.ThreeLayerWeights(domainOf, cfg)
-	if err != nil {
-		return nil, err
+		return nil, nil, ErrGraphMutated
 	}
 	r.ensureQueryState()
 	if err := r.rankLocals(r.allSites, &cfg, true); err != nil {
-		return nil, fmt.Errorf("lmm: layered3: %w", err)
+		return nil, nil, err
 	}
-	composeDocRankInto(r.docRank, r.core.dg, tl.SiteWeights, r.localRanks)
-	return &Web3Result{
-		DocRank:         r.docRank,
-		Domains:         tl.Domains,
-		DomainRank:      tl.DomainRank,
-		DomainOfSite:    tl.DomainOfSite,
-		SiteEntry:       tl.SiteEntry,
-		SiteWeights:     tl.SiteWeights,
-		LocalRanks:      r.localRanks,
-		LocalIterations: r.localIters,
-	}, nil
+	return r.localRanks, r.localIters, nil
 }

@@ -50,8 +50,8 @@ func TestRankerStaleAfterMutation(t *testing.T) {
 	if _, _, err := rk.RankSites(WebConfig{}); !errors.Is(err, ErrGraphMutated) {
 		t.Errorf("RankSites after mutation: err = %v, want ErrGraphMutated", err)
 	}
-	if _, err := rk.Rank3(nil, WebConfig{}); !errors.Is(err, ErrGraphMutated) {
-		t.Errorf("Rank3 after mutation: err = %v, want ErrGraphMutated", err)
+	if _, _, err := rk.RankLocals(WebConfig{}); !errors.Is(err, ErrGraphMutated) {
+		t.Errorf("RankLocals after mutation: err = %v, want ErrGraphMutated", err)
 	}
 	// A Share()d sibling sees the same core, hence the same verdict.
 	if _, err := rk.Share().Rank(WebConfig{}); !errors.Is(err, ErrGraphMutated) {

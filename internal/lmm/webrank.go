@@ -99,8 +99,9 @@ func LayeredDocRank(dg *graph.DocGraph, cfg WebConfig) (*WebResult, error) {
 // 5): DocRank[d] = siteWeights[site(d)] · localRanks[site(d)][i], with
 // i the local index of d. The weights are πS for the two-layer method,
 // or any per-site weight (e.g. DomainRank·SiteEntry for three layers).
-// Shared by the in-process pipelines and the distributed coordinator so
-// the composition step cannot diverge between them.
+// Every answer is composed here — the in-process pipelines', both
+// engines' and those built from a distributed coordinator run's
+// solutions — so the composition step cannot diverge between them.
 func ComposeDocRank(dg *graph.DocGraph, siteWeights matrix.Vector, localRanks []matrix.Vector) matrix.Vector {
 	out := matrix.NewVector(dg.NumDocs())
 	composeDocRankInto(out, dg, siteWeights, localRanks)

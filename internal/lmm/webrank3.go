@@ -32,10 +32,8 @@ func DefaultDomainOf(siteName string) string {
 
 // Web3Result is the outcome of the three-layer pipeline.
 //
-// Aliasing: a Web3Result returned by Ranker.Rank3 aliases the Ranker's
-// scratch in DocRank and LocalRanks (same contract as WebResult); the
-// one-shot LayeredDocRank3 uses a throwaway Ranker, so its result is
-// safe to retain. The domain-layer vectors are always freshly allocated.
+// LayeredDocRank3 returns it from a throwaway Ranker, so every field is
+// safe to retain.
 type Web3Result struct {
 	// DocRank is the final composed ranking per DocID.
 	DocRank matrix.Vector
@@ -80,17 +78,12 @@ type ThreeLayerWeights struct {
 // ThreeLayerWeights computes the upper two layers of the three-layer
 // model from this Ranker's precomputed SiteGraph. It builds only small,
 // private domain-level graphs, never mutating shared structure, so
-// Share()d rankers may call it concurrently; the distributed coordinator
-// uses it to compose fleet-computed local DocRanks into a three-layer
-// ranking. domainOf nil selects DefaultDomainOf.
+// Share()d rankers may call it concurrently. Its SiteWeights are the site
+// weighting of a three-layer answer: composed with any local DocRanks —
+// solved in-process, or on a worker fleet — they rank documents.
+// domainOf nil selects DefaultDomainOf.
 func (r *Ranker) ThreeLayerWeights(domainOf func(siteName string) string, cfg WebConfig) (*ThreeLayerWeights, error) {
-	return threeLayerWeights(r.core.dg, r.core.sg, domainOf, cfg)
-}
-
-// threeLayerWeights computes domain grouping, DomainRank and SiteEntry
-// from an already-derived (and deduplicated) SiteGraph. It only reads sg
-// and dg; the graphs it runs PageRank over are freshly built.
-func threeLayerWeights(dg *graph.DocGraph, sg *graph.SiteGraph, domainOf func(siteName string) string, cfg WebConfig) (*ThreeLayerWeights, error) {
+	dg, sg := r.core.dg, r.core.sg
 	if domainOf == nil {
 		domainOf = DefaultDomainOf
 	}
@@ -121,12 +114,8 @@ func threeLayerWeights(dg *graph.DocGraph, sg *graph.SiteGraph, domainOf func(si
 		domainGraph.AddEdge(domainOfSite[from], domainOfSite[e.To], e.Weight)
 	})
 	domainGraph.Dedupe()
-	domRes, err := pagerank.Graph(domainGraph, pagerank.Config{
-		Damping: cfg.Damping,
-		Tol:     cfg.Tol,
-		MaxIter: cfg.MaxIter,
-		Ctx:     cfg.Ctx,
-	})
+	pcfg := pagerank.Config{Damping: cfg.Damping, Tol: cfg.Tol, MaxIter: cfg.MaxIter, Ctx: cfg.Ctx}
+	domRes, err := pagerank.Graph(domainGraph, pcfg)
 	if err != nil {
 		return nil, fmt.Errorf("lmm: layered3: domain layer: %w", err)
 	}
@@ -151,12 +140,7 @@ func threeLayerWeights(dg *graph.DocGraph, sg *graph.SiteGraph, domainOf func(si
 			})
 		}
 		sub.Dedupe()
-		res, err := pagerank.Graph(sub, pagerank.Config{
-			Damping: cfg.Damping,
-			Tol:     cfg.Tol,
-			MaxIter: cfg.MaxIter,
-			Ctx:     cfg.Ctx,
-		})
+		res, err := pagerank.Graph(sub, pcfg)
 		if err != nil {
 			return nil, fmt.Errorf("lmm: layered3: domain %q site layer: %w", domains[di], err)
 		}
@@ -182,13 +166,31 @@ func threeLayerWeights(dg *graph.DocGraph, sg *graph.SiteGraph, domainOf func(si
 // groups sites into domains (nil = DefaultDomainOf). With a single domain
 // the result reduces exactly to LayeredDocRank.
 //
-// It is the one-shot form of Ranker.Rank3: a throwaway Ranker is built
-// and queried once, so the returned Web3Result is safe to retain.
+// It is the three-layer model's whole definition on a throwaway Ranker:
+// ThreeLayerWeights, RankLocals, and ComposeDocRank of the two — so the
+// returned Web3Result is safe to retain.
 func LayeredDocRank3(dg *graph.DocGraph, domainOf func(siteName string) string, cfg WebConfig) (*Web3Result, error) {
 	r, err := NewRanker(dg, RankerOptions{SiteGraph: cfg.SiteGraph})
 	if err != nil {
 		// NewRanker errors carry their own "lmm: ranker:" prefix.
 		return nil, err
 	}
-	return r.Rank3(domainOf, cfg)
+	tl, err := r.ThreeLayerWeights(domainOf, cfg)
+	if err != nil {
+		return nil, err
+	}
+	locals, iters, err := r.RankLocals(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("lmm: layered3: %w", err)
+	}
+	return &Web3Result{
+		DocRank:         ComposeDocRank(dg, tl.SiteWeights, locals),
+		Domains:         tl.Domains,
+		DomainRank:      tl.DomainRank,
+		DomainOfSite:    tl.DomainOfSite,
+		SiteEntry:       tl.SiteEntry,
+		SiteWeights:     tl.SiteWeights,
+		LocalRanks:      locals,
+		LocalIterations: iters,
+	}, nil
 }

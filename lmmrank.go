@@ -159,7 +159,7 @@ func DeriveSiteGraph(dg *DocGraph, opts SiteGraphOptions) *SiteGraph {
 // should hold a LocalEngine (or, for single-goroutine serving, a Ranker)
 // instead.
 func LayeredDocRank(dg *DocGraph, cfg WebConfig) (*WebResult, error) {
-	ctx, err := oneShot(cfg, Query{
+	ctx, err := oneShot(dg, cfg, Query{
 		Damping:             cfg.Damping,
 		Tol:                 cfg.Tol,
 		MaxIter:             cfg.MaxIter,
@@ -179,7 +179,7 @@ func LayeredDocRank(dg *DocGraph, cfg WebConfig) (*WebResult, error) {
 // oneShot is the front a one-shot call passes before it solves: a
 // context already done, or a query an Engine would refuse, fails here as
 // it would at Engine.Rank. It returns the call's context, never nil.
-func oneShot(cfg WebConfig, q Query) (context.Context, error) {
+func oneShot(dg *DocGraph, cfg WebConfig, q Query) (context.Context, error) {
 	ctx := cfg.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -187,7 +187,10 @@ func oneShot(cfg WebConfig, q Query) (context.Context, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return ctx, q.validate()
+	if err := q.validate(); err != nil {
+		return nil, err
+	}
+	return ctx, q.fits(dg)
 }
 
 // Ranker is the precomputed serving form of the layered pipeline: build
@@ -224,7 +227,7 @@ type Web3Result = lmm.Web3Result
 // ThreeLayer Query and then solves once on a throwaway Ranker: the
 // result is caller-owned.
 func LayeredDocRank3(dg *DocGraph, domainOf func(siteName string) string, cfg WebConfig) (*Web3Result, error) {
-	ctx, err := oneShot(cfg, Query{
+	ctx, err := oneShot(dg, cfg, Query{
 		Damping:            cfg.Damping,
 		Tol:                cfg.Tol,
 		MaxIter:            cfg.MaxIter,

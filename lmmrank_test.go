@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"lmmrank/internal/lmm"
 )
 
 func TestFacadePaperExample(t *testing.T) {
@@ -129,7 +131,7 @@ func TestFacadeCluster(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LayeredDocRank: %v", err)
 	}
-	if d := res.DocRank.L1Diff(local.DocRank); d > 1e-8 {
+	if d := lmm.ComposeDocRank(web.Graph, res.SiteRank, res.LocalRanks).L1Diff(local.DocRank); d > 1e-8 {
 		t.Errorf("distributed deviates from local: %g", d)
 	}
 }

@@ -283,7 +283,8 @@ type backend[S any] interface {
 
 // server is the serving front both engines embed: everything between the
 // caller and the solve. Rank is validate → admit → pin the snapshot →
-// check its graph version → coalesce → backend.solve → Top → hand-off;
+// check its graph version and the query's vector shapes against it →
+// coalesce → backend.solve → Top → hand-off;
 // Update is COW apply → backend.rebuild → publish. It knows nothing of
 // what a state S holds.
 type server[S any] struct {
@@ -348,6 +349,9 @@ func (e *server[S]) rank(ctx context.Context, q Query) (*Result, error) {
 	// solve on the snapshot's structure or compose its solutions.
 	if snap.dg.G.Version() != snap.version {
 		return nil, ErrGraphMutated
+	}
+	if err := q.fits(snap.dg); err != nil {
+		return nil, err
 	}
 	solve := func() (*Result, error) {
 		res, err := e.be.solve(ctx, snap, q)

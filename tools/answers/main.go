@@ -14,21 +14,26 @@
 // format. The "central-" and "sync-" lines hash one answer each of a
 // 4-worker DistEngine on the Small web, in each SiteRank mode — its Top
 // table, vectors and local ranks: a cold Rank, a warm one, a Tol=1e-4 one,
-// a site-personalized one, a ThreeLayer one, a WantLocalRanks one, a TopK
-// 50 one, and the first Rank after a one-site Update ("edited"). "local" hashes a plain LocalEngine's answers
-// before any Update at Parallelism 1 and at 0 on the Small web: a uniform
-// query's DocRank, SiteRank, LocalRanks and Top table of 50, and a
-// ThreeLayer query's DocRank, SiteRank, DomainRank and SiteEntry — the
-// answers a snapshot composes from the solutions its construction solved,
-// which must equal what a cold solve gives. "local-topk" hashes the Top
-// tables (documents, URLs and scores), DocRank and SiteRank of a TopKIndex
-// LocalEngine at
-// Parallelism 1 and at 0 on the Small web: a uniform and a
-// site-personalized TopK query, two identical ones issued at once to a
-// coalescing engine, and the first after a one-site Update; and, with
-// their LocalRanks, a query that solves the sites (Damping 0.8), before
-// the Update and after it — the engine builds the chains it solves on
-// late, for that query.
+// a site-personalized one, a ThreeLayer one, a ThreeLayer Tol=1e-4 one
+// ("three-tol", a run of its own), a WantLocalRanks one, a TopK 50 one,
+// and the first Rank after a one-site Update ("edited"). "local" hashes a
+// plain LocalEngine's answers before any Update at Parallelism 1 and at 0
+// on the Small web: a uniform query's DocRank, SiteRank, LocalRanks and
+// Top table of 50, and a ThreeLayer query's DocRank, SiteRank, DomainRank
+// and SiteEntry — the answers a snapshot composes from the solutions its
+// construction solved, which must equal what a cold solve gives. The
+// other "local-" lines but the last hash, one query each, what a plain
+// LocalEngine solves rather than serves from its snapshot — a Damping 0.8
+// query, a ThreeLayer one at Damping 0.8, a DocPersonalization one and a
+// site-personalized one at Damping 0.8 — with their Top table of 50,
+// local ranks and sweep counts, at Parallelism 1 and at 0. "local-topk"
+// hashes the Top tables (documents, URLs and scores), DocRank and SiteRank
+// of a TopKIndex LocalEngine at Parallelism 1 and at 0 on the Small web: a
+// uniform and a site-personalized TopK query, two identical ones issued at
+// once to a coalescing engine, and the first after a one-site Update; and,
+// with their LocalRanks, a query that solves the sites (Damping 0.8),
+// before the Update and after it — the engine builds the chains it solves
+// on late, for that query.
 package main
 
 import (
@@ -65,6 +70,9 @@ func main() {
 		fail(err)
 	}
 	fmt.Printf("local        %016x\n", local)
+	if err := localSolvedHashes(); err != nil {
+		fail(err)
+	}
 	topk, err := localTopKHash()
 	if err != nil {
 		fail(err)
@@ -191,6 +199,47 @@ func localHash() (uint64, error) {
 	return h.Sum64(), nil
 }
 
+// localSolvedHashes prints one hash per query a plain LocalEngine answers
+// by solving every site (or, for a SitePersonalization, the site layer
+// too) rather than from its snapshot, at Parallelism 1 and at 0 on the
+// Small web: each answer's Top table of 50, vectors, local ranks and
+// sweep counts.
+func localSolvedHashes() error {
+	ctx := context.Background()
+	dg := webgen.Generate(small(7)).Graph
+	site := lmmrank.SiteID(0)
+	for len(dg.Sites[site].Docs) < 3 {
+		site++
+	}
+	for _, nq := range []struct {
+		what string
+		q    lmmrank.Query
+	}{
+		{"damping", lmmrank.Query{Damping: 0.8}},
+		{"three-damping", lmmrank.Query{ThreeLayer: true, Damping: 0.8}},
+		{"doc-personal", lmmrank.Query{DocPersonalization: map[lmmrank.SiteID]lmmrank.Vector{site: personalized(len(dg.Sites[site].Docs))}}},
+		{"personal-damping", lmmrank.Query{SitePersonalization: personalized(dg.NumSites()), Damping: 0.8}},
+	} {
+		h := fnv.New64a()
+		for _, par := range []int{1, 0} {
+			eng, err := lmmrank.NewLocalEngine(webgen.Generate(small(7)).Graph, lmmrank.EngineOptions{Parallelism: par})
+			if err != nil {
+				return err
+			}
+			q := nq.q
+			q.TopK, q.WantLocalRanks = 50, true
+			res, err := eng.Rank(ctx, q)
+			if err != nil {
+				return err
+			}
+			writeResult(h, res)
+			fmt.Fprintf(h, "%d %v ", res.SiteIterations, res.LocalIterations)
+		}
+		fmt.Printf("%-16s %016x\n", "local-"+nq.what, h.Sum64())
+	}
+	return nil
+}
+
 func localTopKHash() (uint64, error) {
 	ctx := context.Background()
 	h := fnv.New64a()
@@ -275,6 +324,7 @@ func distHashes(mode lmmrank.SiteRankMode, name string) error {
 		{"tol", lmmrank.Query{Tol: 1e-4}},
 		{"personal", lmmrank.Query{SitePersonalization: personalized(dg.NumSites())}},
 		{"three", lmmrank.Query{ThreeLayer: true}},
+		{"three-tol", lmmrank.Query{ThreeLayer: true, Tol: 1e-4}},
 		{"locals", lmmrank.Query{WantLocalRanks: true}},
 		{"top50", lmmrank.Query{TopK: 50}},
 	} {
