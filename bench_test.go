@@ -462,7 +462,7 @@ func BenchmarkE10UpdateUnderLoad(b *testing.B) {
 }
 
 // BenchmarkE13TenantServing measures the per-tenant serving kit end to
-// end: a TopKIndex engine with keyed admission (4 tenants under quota)
+// end: an engine with keyed admission (4 tenants under quota)
 // and similarity coalescing, answering a parallel mix of uniform and
 // site-personalized top-k queries from the maintained index while a
 // background churner keeps publishing 1-site Updates that patch it.
@@ -478,7 +478,6 @@ func BenchmarkE13TenantServing(b *testing.B) {
 		TenantQuota: 16,
 		Coalesce:    true,
 		CoalesceTol: 1e-6,
-		TopKIndex:   true,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -135,14 +135,15 @@
 // Serving: both engines answer through one serving front — validate,
 // admit (Query.Tenant's quota, then the engine-wide cap; *OverloadError
 // names the gate that refused), coalesce (identical queries, or similar
-// ones within CoalesceTol), solve, hand off — and differ only in who
-// solves the local DocRanks. docs/ARCHITECTURE.md, "The Engine layer",
-// describes it once, step by step; the knobs are documented on
-// EngineOptions (DistConfig carries the same ones for DistEngine, all
-// but the LocalEngine-only TopKIndex) and ServingStats() on either
-// engine reports admissions, overloads per tenant, coalesced shares and
-// index serves. Tenancy is an admission identity only and never changes
-// a query's answer.
+// ones within CoalesceTol), solve, hand off — over one snapshot shape
+// (the default-parameter solutions and the top-k index their first TopK
+// query sorts), and differ only in where the local DocRanks come from:
+// the process's own solvers or the fleet. docs/ARCHITECTURE.md, "The
+// Engine layer", describes it once, step by step; the knobs are
+// documented on EngineOptions (DistConfig carries the same ones for
+// DistEngine) and ServingStats() on either engine reports admissions,
+// overloads per tenant, coalesced shares and index serves. Tenancy is an
+// admission identity only and never changes a query's answer.
 //
 // The expert-path equivalents are lmm-level: Ranker.Rebuild(changed) /
 // Ranker.RebuildOn(clone, changed) for the structural half and

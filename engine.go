@@ -1,6 +1,7 @@
 package lmmrank
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -177,13 +178,14 @@ type EngineOptions struct {
 	// precomputed structure.
 	SiteGraph SiteGraphOptions
 	// Parallelism caps the local-DocRank fan-out of each query that
-	// solves the sites and of each Update's refresh solve (0 =
-	// GOMAXPROCS). Concurrent serving under load usually wants 1 — the
-	// cores are already busy answering distinct queries — while a single
-	// caller wants the default. Construction is not capped: nothing is
-	// served yet, so it runs its first solve (and, with TopKIndex, sorts
-	// the index) on every core. Each site solve is serial, so the fan-out
-	// never changes an answer's bits.
+	// solves the sites and of each Update's refresh solve, and the sort of
+	// the top-k index by a snapshot's first TopK query and its patch by an
+	// Update (0 = GOMAXPROCS). Concurrent serving under load usually wants
+	// 1 — the cores are already busy answering distinct queries — while a
+	// single caller wants the default. Construction is not capped: nothing
+	// is served yet, so it runs its first solve on every core. Each site
+	// solve and each site's sort is serial, so the fan-out never changes
+	// an answer's bits.
 	Parallelism int
 	// MaxInFlight caps concurrently admitted Rank calls (0 = no cap).
 	// Excess calls queue for a slot, honoring ctx cancellation — unless
@@ -212,16 +214,12 @@ type EngineOptions struct {
 	// answer is within CoalesceTol (plus solver tolerance) of its exact
 	// one. 0 (the default) coalesces only bit-identical vectors.
 	CoalesceTol float64
-	// TopKIndex maintains a per-snapshot top-k index over the snapshot's
-	// local solutions — each site's documents in score order, 4 bytes a
-	// document beside the solutions themselves: it is sorted at
-	// construction, on every core, and patched after every Update, under
-	// the Parallelism cap (re-sorting only the sites whose solution is
-	// new). A TopK query the snapshot serves from its solutions (see
-	// LocalEngine) then takes its Top table from a threshold merge over
-	// the index instead of a full re-rank of all documents; the table is
-	// bit-identical to fully sorting the served DocRank.
-	// LocalEngine only: DistConfig has no such knob.
+	// TopKIndex has no effect: every snapshot of either engine has a
+	// top-k index over its solutions, sorted by the first TopK query it
+	// serves from them and patched by each Update after that (see
+	// LocalEngine).
+	//
+	// Deprecated: ignored.
 	TopKIndex bool
 }
 
@@ -302,21 +300,209 @@ func (q Query) webConfig(ctx context.Context, parallelism int) lmm.WebConfig {
 	}
 }
 
-// localState is a snapshot's solutions, the one snapshot shape both
-// engines serve from: the Ranker built for exactly that graph, the pooled
-// scratch-private clones, the default-parameter solutions solved on that
-// graph — the site layer seedSite and every site's local DocRank
-// seedLocals, which queries at the defaults are composed from and every
-// other LocalEngine query's solves start from — and, with
-// EngineOptions.TopKIndex, the maintained top-k index over seedLocals.
-// Everything here but the pool is immutable; a clean site's local vector
-// and its index order are shared by pointer with the previous snapshot.
-type localState struct {
-	base       *lmm.Ranker
-	pool       *rankerPool
-	seedSite   Vector
-	seedLocals []Vector
-	topk       *topkIndex
+// solutions are a snapshot's default-parameter answers: the site layer πS
+// and every site's local DocRank, which every query at the defaults is
+// composed from and every other query's solves start from, and the top-k
+// index over the locals, which the first query that reads it builds. A
+// clean site's local vector and its index order are shared by pointer
+// with the previous snapshot.
+type solutions struct {
+	site   Vector
+	locals []Vector
+	index  atomic.Pointer[topkIndex]
+	build  sync.Once
+}
+
+// topk returns the index over sol's locals, sorting it across workers
+// goroutines (0 = GOMAXPROCS) if no query or fill made it yet: concurrent
+// first callers build one and share it.
+func (sol *solutions) topk(workers int) *topkIndex {
+	sol.build.Do(func() {
+		if sol.index.Load() == nil {
+			sol.index.Store((*topkIndex)(nil).patch(sol.locals, workers))
+		}
+	})
+	return sol.index.Load()
+}
+
+// source is where a snapshot's local DocRanks come from — the one thing
+// the Partition Theorem lets the two engines differ in: the Ranker's own
+// solvers (a nil coord), which fill a snapshot before it is published, or
+// coordinator runs over a fleet, which fill it on the first query that
+// reads its solutions.
+type source struct {
+	coord *coordinator.Coordinator
+	cfg   coordinator.Config
+}
+
+// fill solves snap's solutions at the default parameters, started from
+// snap.from with the changed sites solved afresh, across workers
+// goroutines; made is the fleet run that did (nil in process). In process
+// it is a RankRefresh, warm-started where the shapes survived (a changed
+// site whose roster grew starts cold — seeds are shape-checked hints),
+// which hands a clean site's previous vector back verbatim (a warm
+// re-polish would drift it by an ulp, and it is converged already): the
+// solutions share it by pointer, so only the solved sites' vectors are
+// cloned out of the Ranker's scratch, and the chains they were solved on
+// are dropped with its clone. On a fleet it is one uniform run that asks
+// the workers for only the sites whose local DocRank snap.from does not
+// hold (prime left it the clean sites' alone).
+func (src *source) fill(ctx context.Context, snap *snapshot, changed []SiteID, workers int) (sol *solutions, made *coordinator.Result, err error) {
+	from := snap.from
+	if src.coord == nil {
+		wr, err := snap.base.Share().RankRefresh(changed, lmm.WebConfig{Parallelism: workers, SiteStart: from.site, LocalStarts: from.locals, Ctx: ctx})
+		if err != nil {
+			return nil, nil, normalizeCtxErr(ctx, err)
+		}
+		sol = &solutions{site: wr.SiteRank.Clone(), locals: make([]Vector, len(wr.LocalRanks))}
+		for s, v := range wr.LocalRanks {
+			if s >= len(from.locals) || !sameVector(v, from.locals[s]) {
+				v = v.Clone()
+			}
+			sol.locals[s] = v
+		}
+		return sol, nil, nil
+	}
+	if made, err = src.run(ctx, snap, Query{}, from); err != nil {
+		return nil, nil, err
+	}
+	return &solutions{site: made.SiteRank, locals: made.LocalRanks}, made, nil
+}
+
+// solve gives q its local DocRanks, their sweeps (nil: none ran), the site
+// layer if the source solved one (weights nil: weigh it) and the fleet's
+// account (nil in process). A query served from sol gets sol's locals,
+// and on a fleet sends nothing — but in SiteRankSync mode a
+// SitePersonalization's πS is fleet rounds started from sol. Any other
+// query (sol nil) is a solve of its own: in process every site on rk,
+// started from the snapshot's locals; on a fleet a run from nothing but
+// the digests.
+func (src *source) solve(ctx context.Context, snap *snapshot, rk *lmm.Ranker, q Query, sol *solutions, workers int) (siteLayer, []Vector, []int, *DistStats, error) {
+	switch {
+	case src.coord == nil && sol == nil:
+		cfg := q.webConfig(ctx, workers)
+		cfg.LocalStarts = snap.sol.Load().locals
+		locals, iters, err := rk.RankLocals(cfg)
+		return siteLayer{}, locals, iters, nil, normalizeCtxErr(ctx, err)
+	case src.coord == nil:
+		return siteLayer{}, sol.locals, nil, nil, nil
+	case sol != nil && (q.SitePersonalization == nil || src.cfg.SiteRank != SiteRankSync):
+		return siteLayer{}, sol.locals, nil, &DistStats{LocalRanksReused: len(sol.locals)}, nil
+	}
+	dres, err := src.run(ctx, snap, q, cmp.Or(sol, &solutions{}))
+	if err != nil {
+		return siteLayer{}, nil, nil, nil, err
+	}
+	stats := dres.Stats
+	return siteLayer{weights: dres.SiteRank, iters: stats.SiteRankRounds}, dres.LocalRanks, dres.LocalIterations, &stats, nil
+}
+
+// run is one coordinator run of q started from from's solutions and the
+// snapshot's shard digests, which it records if the run learned them.
+// Its πS is fresh (nil for ThreeLayer).
+func (src *source) run(ctx context.Context, snap *snapshot, q Query, from *solutions) (*coordinator.Result, error) {
+	cfg := src.cfg
+	cfg.Damping, cfg.Tol, cfg.MaxIter = q.Damping, q.Tol, q.MaxIter
+	cfg.SitePersonalization, cfg.ThreeLayer = q.SitePersonalization, q.ThreeLayer
+	warm := coordinator.Warm{SiteStart: from.site, Locals: from.locals, Digests: snap.digests.Load()}
+	dres, err := src.coord.RankPreparedCtx(ctx, snap.base, cfg, warm)
+	if err == nil && dres.Digests != warm.Digests {
+		snap.digests.CompareAndSwap(warm.Digests, dres.Digests)
+	}
+	return dres, err
+}
+
+// rebuild is Update's half behind the front: the next snapshot over dg,
+// with the changed sites' structure rebuilt, the clean sites' shard
+// digests carried, and started from cur's solutions — or, if cur was
+// never filled, from where its fill would have started.
+func (e *server) rebuild(ctx context.Context, cur *snapshot, dg *DocGraph, changed []SiteID) (*snapshot, error) {
+	base, err := cur.base.RebuildOn(dg, changed)
+	if err != nil {
+		return nil, err
+	}
+	next := &snapshot{dg: dg, base: base, from: cmp.Or(cur.sol.Load(), cur.from)}
+	next.digests.Store(cur.digests.Load().Drop(changed))
+	return next, e.prime(ctx, next, changed, e.parallelism)
+}
+
+// prime readies snap to be published: its free list, and its solutions
+// if the source fills on publish — then it drops what they started from
+// (on an error, snap is never published). A fleet fills later, asking the
+// workers for the local DocRanks from lacks, so of from it keeps only what
+// that fill reuses: πS, the clean sites' local DocRanks (a changed site's
+// is nil) and the index to patch.
+func (e *server) prime(ctx context.Context, snap *snapshot, changed []SiteID, workers int) error {
+	snap.pool = newRankerPool(snap.base)
+	if e.src.coord == nil {
+		_, _, err := e.filled(ctx, snap, changed, workers)
+		snap.from = nil
+		return err
+	}
+	seed := &solutions{site: snap.from.site, locals: make([]Vector, snap.base.NumSites())}
+	copy(seed.locals, snap.from.locals)
+	for _, s := range changed {
+		seed.locals[s] = nil
+	}
+	seed.index.Store(snap.from.index.Load())
+	snap.from = seed
+	return nil
+}
+
+// filled returns snap's solutions, filling them first if it has none:
+// from snap.from, the changed sites solved afresh, with the index
+// snap.from had patched over them (only the sites whose local DocRank is
+// new are sorted again), published by compare-and-swap (a loser serves
+// the winner's). made is the fill's fleet run if this call made it.
+func (e *server) filled(ctx context.Context, snap *snapshot, changed []SiteID, workers int) (*solutions, *coordinator.Result, error) {
+	if sol := snap.sol.Load(); sol != nil {
+		return sol, nil, nil
+	}
+	sol, made, err := e.src.fill(ctx, snap, changed, workers)
+	if err != nil {
+		return nil, nil, err
+	}
+	if ix := snap.from.index.Load(); ix != nil {
+		sol.index.Store(ix.patch(sol.locals, workers))
+	}
+	snap.sol.CompareAndSwap(nil, sol)
+	return snap.sol.Load(), made, nil
+}
+
+// solve is Rank's half behind the front: a query fromSnapshot takes its
+// locals from the snapshot's solutions and its Top table from their
+// index, any other's come from the source; its site weighting is the one
+// the source solved, else weighed over the solutions. The answer of the
+// query that made a fleet fill reports the fill's sweeps and run.
+func (e *server) solve(ctx context.Context, snap *snapshot, q Query) (*Result, error) {
+	rk := snap.pool.get()
+	defer snap.pool.put(rk)
+	var sol *solutions
+	var made *coordinator.Result
+	if q.fromSnapshot() {
+		var err error
+		if sol, made, err = e.filled(ctx, snap, nil, e.parallelism); err != nil {
+			return nil, err
+		}
+	}
+	site, locals, iters, stats, err := e.src.solve(ctx, snap, rk, q, sol, e.parallelism)
+	if err == nil && site.weights == nil {
+		site, err = snap.weigh(ctx, rk, q)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if made != nil {
+		fill := made.Stats
+		iters, stats = made.LocalIterations, &fill
+	}
+	res := answer(snap.dg, q, site, locals, iters)
+	res.Dist = stats
+	if sol != nil && q.TopK > 0 {
+		e.stats.topkIndex.Add(1)
+		res.Top, _ = sol.topk(e.parallelism).top(snap.dg, site.weights, q.TopK)
+	}
+	return res, nil
 }
 
 // LocalEngine serves queries from one process: an lmm.Ranker core
@@ -333,50 +519,44 @@ type localState struct {
 // its DocRank is the kept local ranks composed under the query's site
 // weights — πS itself, one site-layer solve started from πS for a
 // SitePersonalization, or the upper two layers of a ThreeLayer query —
-// and no document-layer sweep runs. Such a snapshot keeps no per-site
-// chain: each intra-site link is held once, in the graph. Any other
-// query solves every site, warm-started from the snapshot's solutions,
-// on chains that the first such query builds and the engine keeps from
-// then on.
+// no document-layer sweep runs, and its Top table is a threshold merge
+// over the snapshot's top-k index, which the first such TopK query
+// sorts. Such a snapshot keeps no per-site chain: each intra-site link
+// is held once, in the graph. Any other query solves every site,
+// warm-started from the snapshot's solutions, on chains that the first
+// such query builds and the engine keeps from then on.
 //
 // Serving is lock-free multi-version (see Engine): Update builds the next
 // snapshot off to the side, rebuilding only the changed sites' SiteGraph
 // rows and structure, and a refresh solve — warm-started from the
 // previous solutions, a clean site's local DocRank carried verbatim —
 // gives it its solutions, which agree with a cold rebuild's to solver
-// tolerance (pinned < 1e-9 in the tests). MaxInFlight/RejectOverload add
-// an admission cap in front and Coalesce folds concurrent identical
-// queries into one computation (see EngineOptions).
+// tolerance (pinned < 1e-9 in the tests); an index the previous
+// snapshot had is patched, re-sorting only the sites whose local DocRank
+// is new. MaxInFlight/RejectOverload add an admission cap in front and
+// Coalesce folds concurrent identical queries into one computation (see
+// EngineOptions).
 type LocalEngine struct {
-	server[*localState]
-	parallelism int
-	topkIndex   bool
+	server
 }
 
 var _ Engine = (*LocalEngine)(nil)
 
 // NewLocalEngine validates dg and precomputes the serving structure:
 // the SiteGraph, and the first snapshot's solutions, solved once on every
-// core on per-site chains it then drops (and, with EngineOptions.TopKIndex,
-// the index over them). Beside the graph a snapshot keeps the solutions,
-// not the links again; the first query that solves the sites builds the
-// chains, and the engine keeps them from then on. The graph is captured
-// by reference; mutate it only through Update (or build a new engine) — a
-// mutation outside Update turns every later query into ErrGraphMutated.
-// After an Apply-path Update the engine serves an evolved copy of the
-// graph; read it back with DocGraph().
+// core on per-site chains it then drops. Beside the graph a snapshot
+// keeps the solutions, not the links again; the first query that solves
+// the sites builds the chains, and the engine keeps them from then on.
+// The graph is captured by reference; mutate it only through Update (or
+// build a new engine) — a mutation outside Update turns every later
+// query into ErrGraphMutated. After an Apply-path Update the engine
+// serves an evolved copy of the graph; read it back with DocGraph().
 func NewLocalEngine(dg *DocGraph, opts EngineOptions) (*LocalEngine, error) {
-	rk, err := lmm.NewRanker(dg, lmm.RankerOptions{SiteGraph: opts.SiteGraph})
-	if err != nil {
+	e := &LocalEngine{server{parallelism: opts.Parallelism, coalesce: opts.Coalesce, coalesceTol: opts.CoalesceTol,
+		admit: newAdmitGate(opts.MaxInFlight, opts.TenantQuota, opts.RejectOverload)}}
+	if err := e.serve(dg, opts.SiteGraph); err != nil {
 		return nil, err
 	}
-	e := &LocalEngine{parallelism: opts.Parallelism, topkIndex: opts.TopKIndex}
-	// No query runs beside the first solve yet, so it takes every core.
-	state, err := e.refresh(context.TODO(), rk, &localState{}, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	e.serve(e, newAdmitGate(opts.MaxInFlight, opts.TenantQuota, opts.RejectOverload), opts.Coalesce, opts.CoalesceTol, dg, state)
 	return e, nil
 }
 
@@ -389,98 +569,29 @@ func NewLocalEngine(dg *DocGraph, opts EngineOptions) (*LocalEngine, error) {
 // one snapshot, so stale scratch can never serve a rebuilt core.
 type rankerPool struct {
 	share func() *lmm.Ranker // a new clone: the snapshot Ranker's Share
-	mu    sync.Mutex
-	idle  []*lmm.Ranker
+	idle  chan *lmm.Ranker
 }
 
 func newRankerPool(base *lmm.Ranker) *rankerPool {
-	return &rankerPool{share: base.Share, idle: make([]*lmm.Ranker, 0, runtime.GOMAXPROCS(0))}
+	return &rankerPool{share: base.Share, idle: make(chan *lmm.Ranker, runtime.GOMAXPROCS(0))}
 }
 
-// get takes an idle clone, or makes one outside the lock.
+// get takes an idle clone, or makes one.
 func (p *rankerPool) get() *lmm.Ranker {
-	p.mu.Lock()
-	n := len(p.idle)
-	if n == 0 {
-		p.mu.Unlock()
+	select {
+	case rk := <-p.idle:
+		return rk
+	default:
 		return p.share()
 	}
-	rk := p.idle[n-1]
-	p.idle[n-1] = nil
-	p.idle = p.idle[:n-1]
-	p.mu.Unlock()
-	return rk
 }
 
 // put gives a clone back; past the idle cap it is dropped.
 func (p *rankerPool) put(rk *lmm.Ranker) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.idle) < cap(p.idle) {
-		p.idle = append(p.idle, rk)
+	select {
+	case p.idle <- rk:
+	default:
 	}
-}
-
-// rebuild is the local backend's half of Update: the changed sites'
-// structure, then the refresh solve. A changed site's chain is built for
-// the refresh, which drops it, and kept only by the next query that
-// solves the sites.
-func (e *LocalEngine) rebuild(ctx context.Context, cur *snapshot[*localState], dg *DocGraph, changed []SiteID) (*localState, error) {
-	next, err := cur.state.base.RebuildOn(dg, changed)
-	if err != nil {
-		return nil, err
-	}
-	return e.refresh(ctx, next, cur.state, changed, e.parallelism)
-}
-
-// refresh solves rk at the default query parameters across workers
-// goroutines (0 = GOMAXPROCS), warm-started from prev's solutions where
-// the shapes survived (changed sites whose roster grew start cold
-// automatically — seeds are shape-checked hints), and returns the state
-// to publish. Clean sites keep their previous local solutions verbatim
-// (a warm re-polish would drift them by an ulp, and they are converged
-// already): RankRefresh hands back prev's very vector, and the next
-// seeds share it by pointer, so only the solved sites' vectors are
-// cloned out of the Ranker's scratch — and a TopKIndex engine re-sorts
-// exactly those sites.
-func (e *LocalEngine) refresh(ctx context.Context, rk *lmm.Ranker, prev *localState, changed []SiteID, workers int) (*localState, error) {
-	cfg := lmm.WebConfig{
-		Parallelism: workers,
-		SiteStart:   prev.seedSite,
-		LocalStarts: prev.seedLocals,
-		Ctx:         ctx,
-	}
-	wr, err := rk.Share().RankRefresh(changed, cfg)
-	if err != nil {
-		return nil, normalizeCtxErr(ctx, err)
-	}
-	locals := make([]Vector, len(wr.LocalRanks))
-	for s, v := range wr.LocalRanks {
-		if s < len(prev.seedLocals) && sameVector(v, prev.seedLocals[s]) {
-			locals[s] = v
-		} else {
-			locals[s] = v.Clone()
-		}
-	}
-	state := &localState{
-		base:       rk,
-		pool:       newRankerPool(rk),
-		seedSite:   wr.SiteRank.Clone(),
-		seedLocals: locals,
-	}
-	if e.topkIndex {
-		state.topk = prev.topk.patch(locals, workers)
-	}
-	return state, nil
-}
-
-// Rank answers one query. Safe for concurrent use; the result is
-// caller-owned; a cancelled ctx aborts mid-iteration with ctx.Err().
-// With MaxInFlight set the call first takes an admission slot (queueing
-// or failing with ErrOverloaded per RejectOverload); with Coalesce set
-// it may share one computation with concurrent identical queries.
-func (e *LocalEngine) Rank(ctx context.Context, q Query) (*Result, error) {
-	return e.rank(ctx, q)
 }
 
 // fromSnapshot reports whether q is answered from the snapshot's
@@ -504,33 +615,31 @@ type siteLayer struct {
 	three   *lmm.ThreeLayerWeights
 }
 
-// weigh returns q's site weighting over st's solutions: the three-layer
+// weigh returns q's site weighting over snap's solutions: the three-layer
 // weights, πS itself for a query at the defaults without a
-// SitePersonalization, or else a site-layer solve started from πS (a
-// hint) on a pooled clone.
-func (st *localState) weigh(ctx context.Context, q Query) (siteLayer, error) {
+// SitePersonalization, or else a site-layer solve on rk started from πS
+// (a hint).
+func (snap *snapshot) weigh(ctx context.Context, rk *lmm.Ranker, q Query) (siteLayer, error) {
 	cfg := q.webConfig(ctx, 0) // Parallelism is the locals' fan-out: none here
 	switch {
 	case q.ThreeLayer:
 		// The upper layers are freshly allocated per query — already
 		// caller-owned.
-		tl, err := st.base.ThreeLayerWeights(q.DomainOf, cfg)
+		tl, err := snap.base.ThreeLayerWeights(q.DomainOf, cfg)
 		if err != nil {
 			return siteLayer{}, normalizeCtxErr(ctx, err)
 		}
 		return siteLayer{weights: tl.SiteWeights, three: tl}, nil
 	case q.fromSnapshot() && q.SitePersonalization == nil:
-		return siteLayer{weights: st.seedSite.Clone()}, nil
+		return siteLayer{weights: snap.sol.Load().site.Clone()}, nil
 	}
-	rk := st.pool.get()
-	defer st.pool.put(rk)
-	cfg.SiteStart = st.seedSite
+	cfg.SiteStart = snap.sol.Load().site
 	sr, iters, err := rk.RankSites(cfg)
 	if err != nil {
 		return siteLayer{}, normalizeCtxErr(ctx, err)
 	}
-	// sr aliases the pooled Ranker's scratch; privatize before the
-	// deferred put can hand that scratch to another query.
+	// sr aliases rk's scratch, which goes back to the free list when the
+	// query is answered.
 	return siteLayer{weights: sr.Clone(), iters: iters}, nil
 }
 
@@ -552,36 +661,6 @@ func answer(dg *DocGraph, q Query, site siteLayer, locals []Vector, localIters [
 		res.LocalRanks = cloneVectors(locals)
 	}
 	return res
-}
-
-// solve is the local backend's half of Rank: the query's site weighting
-// over the snapshot's locals when the query allows — its Top table, with
-// the index, a threshold merge over the per-site orders, bit-identical to
-// sorting the DocRank — or over every site solved afresh on a pooled
-// Ranker, started from the snapshot's locals.
-func (e *LocalEngine) solve(ctx context.Context, snap *snapshot[*localState], q Query) (*Result, error) {
-	st := snap.state
-	site, err := st.weigh(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	if q.fromSnapshot() {
-		res := answer(snap.dg, q, site, st.seedLocals, nil)
-		if st.topk != nil && q.TopK > 0 {
-			e.stats.topkIndex.Add(1)
-			res.Top, _ = st.topk.top(snap.dg, site.weights, q.TopK)
-		}
-		return res, nil
-	}
-	rk := st.pool.get()
-	defer st.pool.put(rk)
-	cfg := q.webConfig(ctx, e.parallelism)
-	cfg.LocalStarts = st.seedLocals
-	locals, iters, err := rk.RankLocals(cfg)
-	if err != nil {
-		return nil, normalizeCtxErr(ctx, err)
-	}
-	return answer(snap.dg, q, site, locals, iters), nil
 }
 
 // cloneVectors deep-copies a slice of score vectors.
@@ -611,20 +690,6 @@ func normalizeCtxErr(ctx context.Context, err error) error {
 	return err
 }
 
-// distState is what a DistEngine snapshot holds beside the graph: its
-// structural Ranker; the seed Update carried over (clean sites' local
-// DocRanks by pointer, changed sites' nil, the old πS); fill, the
-// solutions the first default-parameter query solves on the fleet from
-// the seed and publishes by compare-and-swap (a loser serves the
-// winner's); and digests, the graph's wire form, which every run reads
-// and the first one records.
-type distState struct {
-	rk      *lmm.Ranker
-	seed    *localState
-	fill    atomic.Pointer[localState]
-	digests atomic.Pointer[coordinator.Digests]
-}
-
 // DistEngine serves the same queries from a distributed fleet: local
 // DocRanks run on the workers (through the coordinator's shard caches
 // and loss recovery), the small site layer runs centrally or as
@@ -641,7 +706,8 @@ type distState struct {
 // for every site's local DocRank and πS, and every such query, that one
 // included, is composed from them and sends nothing — but for a
 // SitePersonalization in SiteRankSync mode, whose site layer is fleet
-// rounds started from them. A query with a Damping, Tol or MaxIter of
+// rounds started from them — and takes its Top table from their top-k
+// index, as on a LocalEngine. A query with a Damping, Tol or MaxIter of
 // its own is a run of its own. The three-layer weights are never the
 // fleet's: they come from the Ranker's SiteGraph, as on a LocalEngine.
 //
@@ -654,9 +720,7 @@ type distState struct {
 // an N-site web moves ~1/N of a cold load's bytes (Result.Dist accounts
 // for it per run). A failed Apply re-ships nothing.
 type DistEngine struct {
-	server[*distState]
-	coord *coordinator.Coordinator
-	cfg   coordinator.Config
+	server
 }
 
 var _ Engine = (*DistEngine)(nil)
@@ -672,40 +736,12 @@ var _ Engine = (*DistEngine)(nil)
 // Query. Mutate the graph only through Update (or build a new engine); a
 // mutation outside Update turns every later query into ErrGraphMutated.
 func NewDistEngine(cl *Cluster, dg *DocGraph, cfg DistConfig) (*DistEngine, error) {
-	rk, err := lmm.NewRanker(dg, lmm.RankerOptions{SiteGraph: cfg.SiteGraph})
-	if err != nil {
+	e := &DistEngine{server{src: source{coord: cl.Coord, cfg: cfg}, coalesce: cfg.Coalesce, coalesceTol: cfg.CoalesceTol,
+		admit: newAdmitGate(cfg.MaxInFlight, cfg.TenantQuota, cfg.RejectOverload)}}
+	if err := e.serve(dg, cfg.SiteGraph); err != nil {
 		return nil, err
 	}
-	e := &DistEngine{coord: cl.Coord, cfg: cfg}
-	e.serve(e, newAdmitGate(cfg.MaxInFlight, cfg.TenantQuota, cfg.RejectOverload), cfg.Coalesce, cfg.CoalesceTol, dg, &distState{rk: rk, seed: &localState{}})
 	return e, nil
-}
-
-// rebuild is the distributed backend's half of Update: the changed
-// sites' structure, and the seed and shard digests carried across.
-func (e *DistEngine) rebuild(_ context.Context, cur *snapshot[*distState], dg *DocGraph, changed []SiteID) (*distState, error) {
-	next, err := cur.state.rk.RebuildOn(dg, changed)
-	if err != nil {
-		return nil, err
-	}
-	state := &distState{rk: next}
-	state.digests.Store(cur.state.digests.Load().Drop(changed))
-	// A local DocRank depends on its own site's subgraph only, so a clean
-	// site's carries verbatim and the next fill asks the fleet for exactly
-	// the changed ones (and any site appended since).
-	prev := cur.state.fill.Load()
-	if prev == nil {
-		prev = cur.state.seed
-	}
-	locals := make([]Vector, dg.NumSites())
-	copy(locals, prev.seedLocals)
-	for _, s := range changed {
-		if int(s) < len(locals) {
-			locals[s] = nil
-		}
-	}
-	state.seed = &localState{seedSite: prev.seedSite, seedLocals: locals}
-	return state, nil
 }
 
 // Rank answers one query against the fleet. The context's deadline
@@ -716,63 +752,5 @@ func (e *DistEngine) Rank(ctx context.Context, q Query) (*Result, error) {
 	if q.DocPersonalization != nil {
 		return nil, fmt.Errorf("%w: document-layer personalization is not part of the distributed wire protocol; use LocalEngine", ErrUnsupportedQuery)
 	}
-	return e.rank(ctx, q)
-}
-
-// solve is the distributed backend's half of Rank: a query fromSnapshot
-// takes its locals from the snapshot's fill (making it if it is the
-// first), and in SiteRankSync mode with a SitePersonalization its πS from
-// a run started from the fill; any other query's are a run from nothing
-// but the digests. A site weighting no run solved is weighed as locally.
-func (e *DistEngine) solve(ctx context.Context, snap *snapshot[*distState], q Query) (*Result, error) {
-	st := snap.state
-	var sol *localState          // the solutions the query starts from
-	var made *coordinator.Result // the fill, if this query made it
-	if !q.fromSnapshot() {       // a run of its own, from no solutions
-		sol = &localState{base: st.rk}
-	} else if sol = st.fill.Load(); sol == nil {
-		var err error
-		if made, err = e.run(ctx, st, Query{}, st.seed); err != nil {
-			return nil, err
-		}
-		st.fill.CompareAndSwap(nil, &localState{base: st.rk, pool: newRankerPool(st.rk), seedSite: made.SiteRank, seedLocals: made.LocalRanks})
-		sol = st.fill.Load()
-	}
-	var site siteLayer
-	locals, iters, stats := sol.seedLocals, []int(nil), DistStats{LocalRanksReused: len(sol.seedLocals)}
-	if !q.fromSnapshot() || q.SitePersonalization != nil && e.cfg.SiteRank == SiteRankSync {
-		dres, err := e.run(ctx, st, q, sol)
-		if err != nil {
-			return nil, err
-		}
-		// πS is fresh (nil for ThreeLayer); the answer copies LocalRanks.
-		site = siteLayer{weights: dres.SiteRank, iters: dres.Stats.SiteRankRounds}
-		locals, iters, stats = dres.LocalRanks, dres.LocalIterations, dres.Stats
-	}
-	if site.weights == nil {
-		var err error
-		if site, err = sol.weigh(ctx, q); err != nil {
-			return nil, err
-		}
-	}
-	if made != nil { // the answer's local DocRanks and its cost are the fill's
-		iters, stats = made.LocalIterations, made.Stats
-	}
-	res := answer(snap.dg, q, site, locals, iters)
-	res.Dist = &stats
-	return res, nil
-}
-
-// run is one coordinator run of q started from from's solutions and the
-// snapshot's shard digests, which it records if the run learned them.
-func (e *DistEngine) run(ctx context.Context, st *distState, q Query, from *localState) (*coordinator.Result, error) {
-	cfg := e.cfg
-	cfg.Damping, cfg.Tol, cfg.MaxIter = q.Damping, q.Tol, q.MaxIter
-	cfg.SitePersonalization, cfg.ThreeLayer = q.SitePersonalization, q.ThreeLayer
-	warm := coordinator.Warm{SiteStart: from.seedSite, Locals: from.seedLocals, Digests: st.digests.Load()}
-	dres, err := e.coord.RankPreparedCtx(ctx, st.rk, cfg, warm)
-	if err == nil && dres.Digests != warm.Digests {
-		st.digests.CompareAndSwap(warm.Digests, dres.Digests)
-	}
-	return dres, err
+	return e.server.Rank(ctx, q)
 }

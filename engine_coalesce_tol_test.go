@@ -250,8 +250,8 @@ func TestCoalesceTolUnnormalizedLeader(t *testing.T) {
 	snap := eng.snap.Load()
 	parked := make(chan struct{}, 2)
 	release := make(chan struct{})
-	base := snap.state.base
-	snap.state.pool = &rankerPool{share: func() *lmm.Ranker {
+	base := snap.base
+	snap.pool = &rankerPool{share: func() *lmm.Ranker {
 		parked <- struct{}{}
 		<-release
 		return base.Share()

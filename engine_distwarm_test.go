@@ -182,16 +182,16 @@ func TestDistEngineConcurrentFirstQueriesShareOneFill(t *testing.T) {
 		}
 		wg.Wait()
 		snap := eng.snap.Load()
-		fill := snap.state.fill.Load()
+		fill := snap.sol.Load()
 		if fill == nil {
 			t.Fatalf("%s: no fill was published", when)
 		}
-		want := lmm.ComposeDocRank(snap.dg, fill.seedSite, fill.seedLocals)
+		want := lmm.ComposeDocRank(snap.dg, fill.site, fill.locals)
 		for i, res := range got {
 			if errs[i] != nil {
 				t.Fatalf("%s: query %d: %v", when, i, errs[i])
 			}
-			if !sameBits(res.DocRank, want) || !sameBits(res.SiteRank, fill.seedSite) {
+			if !sameBits(res.DocRank, want) || !sameBits(res.SiteRank, fill.site) {
 				t.Errorf("%s: query %d is not composed from the published fill", when, i)
 			}
 		}
@@ -199,7 +199,7 @@ func TestDistEngineConcurrentFirstQueriesShareOneFill(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: warm Rank: %v", when, err)
 		}
-		if warm.Dist.Messages != 0 || snap.state.fill.Load() != fill || !sameBits(warm.DocRank, want) {
+		if warm.Dist.Messages != 0 || snap.sol.Load() != fill || !sameBits(warm.DocRank, want) {
 			t.Errorf("%s: a warm Rank sent %d messages or replaced the fill", when, warm.Dist.Messages)
 		}
 	}
@@ -400,7 +400,7 @@ func TestDistEngineUpdateAsksOnlyChangedSite(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cold Rank: %v", err)
 	}
-	before := eng.snap.Load().state.fill.Load()
+	before := eng.snap.Load().sol.Load()
 	if before == nil {
 		t.Fatal("the first Rank published no fill")
 	}
@@ -413,18 +413,18 @@ func TestDistEngineUpdateAsksOnlyChangedSite(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Update: %v", err)
 	}
-	next := eng.snap.Load().state
-	if next.fill.Load() != nil {
+	next := eng.snap.Load()
+	if next.sol.Load() != nil {
 		t.Fatal("Update filled the next snapshot: it must send nothing")
 	}
-	if !sameBits(next.seed.seedSite, before.seedSite) {
-		t.Error("the next snapshot's seed is not the old πS")
+	if !sameBits(next.from.site, before.site) {
+		t.Error("the next snapshot's fill does not start from the old πS")
 	}
-	for s, v := range next.seed.seedLocals {
+	for s, v := range next.from.locals {
 		switch {
 		case SiteID(s) == site && v != nil:
 			t.Errorf("the changed site %d kept its stale local rank", s)
-		case SiteID(s) != site && &v[0] != &before.seedLocals[s][0]:
+		case SiteID(s) != site && &v[0] != &before.locals[s][0]:
 			t.Errorf("clean site %d: local rank was copied or dropped across Update, want the same vector", s)
 		}
 	}
@@ -433,6 +433,11 @@ func TestDistEngineUpdateAsksOnlyChangedSite(t *testing.T) {
 	res, err := eng.Rank(ctx, Query{})
 	if err != nil {
 		t.Fatalf("post-update Rank: %v", err)
+	}
+	for s, v := range next.sol.Load().locals {
+		if carried := &v[0] == &before.locals[s][0]; carried != (SiteID(s) != site) {
+			t.Errorf("site %d (changed: %v): local rank carried by pointer across the Update = %v", s, SiteID(s) == site, carried)
+		}
 	}
 	if got := asked(); !slices.Equal(got, []int{int(site)}) {
 		t.Errorf("the fleet was asked for sites %v after a 1-site Update, want [%d]", got, site)
@@ -460,6 +465,27 @@ func TestDistEngineUpdateAsksOnlyChangedSite(t *testing.T) {
 	}
 	if got := asked(); len(got) != 0 || again.Dist.Messages != 0 {
 		t.Errorf("the second post-update Rank asked the fleet for sites %v in %d messages, want nothing", got, again.Dist.Messages)
+	}
+
+	// Two Updates with no Rank between: the second snapshot's fill starts
+	// where the never-filled first one's would have, and asks for both.
+	for _, s := range []SiteID{2, 9} {
+		if err := eng.Update(ctx, GraphDelta{
+			ChangedSites: []SiteID{s},
+			Apply:        func(dg *DocGraph) error { editSite(t, dg, s); return nil },
+		}); err != nil {
+			t.Fatalf("Update: %v", err)
+		}
+	}
+	res, err = eng.Rank(ctx, Query{})
+	if err != nil {
+		t.Fatalf("Rank after two Updates: %v", err)
+	}
+	if got := asked(); !slices.Equal(got, []int{2, 9}) || res.Dist.LocalRanksReused != ns-2 {
+		t.Errorf("after two unfilled 1-site Updates the fleet was asked for sites %v and %d local ranks reused, want [2 9] and %d", got, res.Dist.LocalRanksReused, ns-2)
+	}
+	if d := res.DocRank.L1Diff(coldRank(t, eng, Query{}).DocRank); d >= 1e-9 {
+		t.Errorf("‖dist − cold local‖₁ after two Updates = %g, want < 1e-9", d)
 	}
 }
 
@@ -517,7 +543,7 @@ func TestUpdateHashesOnlyChangedShards(t *testing.T) {
 			}
 			// What the edited site costs to hash: its subgraph's columns,
 			// plus its site-chain row when the shards carry rows.
-			rk := eng.snap.Load().state.rk
+			rk := eng.snap.Load().base
 			sub, _ := rk.LocalSubgraph(site)
 			c := sub.Columns()
 			shard := wire.SiteShard{Degrees: c.Degrees, Targets: c.Targets, ListedPos: c.ListedPos, ListedW: c.ListedW}
@@ -624,14 +650,14 @@ func TestDistEngineNonDefaultTolBypassesWarm(t *testing.T) {
 	if _, err := eng.Rank(ctx, loose); err != nil {
 		t.Fatalf("loose Rank: %v", err)
 	}
-	st := eng.snap.Load().state
-	if st.fill.Load() != nil {
+	st := eng.snap.Load()
+	if st.sol.Load() != nil {
 		t.Fatal("a Tol=1e-4 query filled the snapshot")
 	}
 	if _, err := eng.Rank(ctx, Query{}); err != nil {
 		t.Fatalf("default Rank: %v", err)
 	}
-	fill := st.fill.Load()
+	fill := st.sol.Load()
 	if fill == nil {
 		t.Fatal("a default query published no fill")
 	}
@@ -643,7 +669,7 @@ func TestDistEngineNonDefaultTolBypassesWarm(t *testing.T) {
 		t.Errorf("a Tol=1e-4 query reused %d default-tolerance local ranks in %d messages, want 0 in a run of its own",
 			res.Dist.LocalRanksReused, res.Dist.Messages)
 	}
-	if st.fill.Load() != fill {
+	if st.sol.Load() != fill {
 		t.Error("a Tol=1e-4 query replaced the snapshot's fill")
 	}
 }

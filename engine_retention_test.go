@@ -5,6 +5,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -52,7 +53,7 @@ func TestPreparedEngineRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	withIdle := int64(liveHeap()) - int64(before)
-	eng.snap.Load().state.pool.get()
+	eng.snap.Load().pool.get()
 	retained := int64(liveHeap()) - int64(before) - 8*int64(docs)
 	t.Logf("the clone the query left idle holds %d bytes of scratch (%.1f per document)", withIdle-retained-8*int64(docs), float64(withIdle-retained-8*int64(docs))/float64(docs))
 	budget := int64(4*links + 32*docs)
@@ -72,14 +73,15 @@ func TestPreparedEngineRetention(t *testing.T) {
 	runtime.KeepAlive(dg)
 }
 
-// TestLocalEngineRetention pins what a plain LocalEngine's snapshot keeps
+// TestLocalEngineRetention pins what a LocalEngine's snapshot keeps
 // beside the DocGraph after one query of every shape it composes from its
-// solutions, and again after an Update: TestTopKEngineRetention's budget
-// (12 bytes a document, 320 a site and 32 a site link) with no byte a
-// link. It holds 8 bytes a document of local solutions beside the site
+// solutions but TopK, and again after an Update: TestTopKEngineRetention's
+// budget (12 bytes a document, 320 a site and 32 a site link) with no byte
+// a link. It holds 8 bytes a document of local solutions beside the site
 // layer (≈ 228 KB measured, ≈ 304 KB while the graph derived a 4-byte
-// local column); the construction and the Update solve on chains they
-// drop, and no query here needs one.
+// local column) and no top-k index, which only a TopK query builds; the
+// construction and the Update solve on chains they drop, and no query
+// here needs one.
 func TestLocalEngineRetention(t *testing.T) {
 	dg := webgen.Generate(webgen.Default()).Graph
 	docs, sites := dg.NumDocs(), dg.NumSites()
@@ -89,7 +91,7 @@ func TestLocalEngineRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	siteLinks := eng.snap.Load().state.base.SiteGraph().G.NumEdges()
+	siteLinks := eng.snap.Load().base.SiteGraph().G.NumEdges()
 	budget := int64(12*docs + 320*sites + 32*siteLinks)
 	check := func(when string) {
 		t.Helper()
@@ -101,10 +103,13 @@ func TestLocalEngineRetention(t *testing.T) {
 		}
 	}
 	pers := topkQueries(sites)[1].SitePersonalization
-	for _, q := range []Query{{}, {TopK: 10}, {WantLocalRanks: true}, {SitePersonalization: pers}, {ThreeLayer: true}} {
+	for _, q := range []Query{{}, {WantLocalRanks: true}, {SitePersonalization: pers}, {ThreeLayer: true}} {
 		if _, err := eng.Rank(ctx, q); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if eng.snap.Load().sol.Load().index.Load() != nil {
+		t.Fatal("a top-k index was built, and no query asked for a Top table")
 	}
 	check("queried")
 	if err := eng.Update(ctx, GraphDelta{
@@ -145,7 +150,7 @@ func TestRankerPoolRetention(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	pool := eng.snap.Load().state.pool
+	pool := eng.snap.Load().pool
 	if n := len(pool.idle); n > procs {
 		t.Errorf("%d clones idle after concurrent queries, want at most GOMAXPROCS = %d", n, procs)
 	}
@@ -159,8 +164,7 @@ func TestRankerPoolRetention(t *testing.T) {
 	if n := len(pool.idle); n != procs {
 		t.Errorf("%d clones idle after %d were given back, want GOMAXPROCS = %d", n, len(held), procs)
 	}
-	idle := pool.idle[len(pool.idle)-1]
-	if rk := pool.get(); rk != idle {
+	if rk := pool.get(); !slices.Contains(held, rk) || len(pool.idle) != procs-1 {
 		t.Error("get made a clone while one was idle")
 	}
 }
@@ -258,9 +262,10 @@ func decodedTopK(t *testing.T, file []byte, k int) []DocScore {
 	return res.Top
 }
 
-// TestTopKEngineRetention pins what a TopKIndex engine's snapshot keeps
-// beside the DocGraph once it was built, queried from the index and
-// updated: 8 bytes a document of local solutions and 4 of index over them
+// TestTopKEngineRetention pins what a LocalEngine's snapshot keeps beside
+// the DocGraph once it was built, served a TopK query, which sorts its
+// top-k index, and updated, which patches the index: 8 bytes a document
+// of local solutions and 4 of index over them
 // (16 while the graph derived a 4-byte local column here), and the site
 // layer — 320 bytes a site and 32 a site link budgeted; ≈ 350 to 410 a
 // site all told measured on this web (the SiteGraph and its chain, the
@@ -276,11 +281,11 @@ func TestTopKEngineRetention(t *testing.T) {
 	links, docs, sites := dg.G.NumEdges(), dg.NumDocs(), dg.NumSites()
 	ctx := context.Background()
 	before := liveHeap()
-	eng, err := NewLocalEngine(dg, EngineOptions{TopKIndex: true})
+	eng, err := NewLocalEngine(dg, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	siteLinks := eng.snap.Load().state.base.SiteGraph().G.NumEdges()
+	siteLinks := eng.snap.Load().base.SiteGraph().G.NumEdges()
 	budget := int64(12*docs + 320*sites + 32*siteLinks)
 	check := func(when string) {
 		t.Helper()
@@ -288,7 +293,7 @@ func TestTopKEngineRetention(t *testing.T) {
 		t.Logf("%s: %d docs, %d sites, %d site links: the engine retains %d bytes (%.1f a site beside 12 a document), budget %d",
 			when, docs, sites, siteLinks, retained, float64(retained-12*int64(docs))/float64(sites), budget)
 		if retained > budget {
-			t.Errorf("%s: a TopKIndex engine retains %d bytes beside its graph, budget %d (12 B/doc + 320 B/site + 32 B/site link)", when, retained, budget)
+			t.Errorf("%s: an engine serving TopK queries retains %d bytes beside its graph, budget %d (12 B/doc + 320 B/site + 32 B/site link)", when, retained, budget)
 		}
 	}
 	check("built")
@@ -309,7 +314,7 @@ func TestTopKEngineRetention(t *testing.T) {
 	if _, err := eng.Rank(ctx, Query{TopK: 10, Damping: 0.8, WantLocalRanks: true}); err != nil {
 		t.Fatal(err)
 	}
-	eng.snap.Load().state.pool.get() // the idle clone is query scratch, not structure
+	eng.snap.Load().pool.get() // the idle clone is query scratch, not structure
 	beside := int64(liveHeap()) - int64(before) - 12*int64(docs)
 	prepared := int64(4*links + 32*docs)
 	t.Logf("with its chains kept the engine retains %d bytes beside its solutions and index, a prepared engine's budget %d", beside, prepared)

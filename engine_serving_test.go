@@ -589,7 +589,7 @@ func TestDistEngineFailedApplyNoReship(t *testing.T) {
 func TestCoalescedLeaderHandsOffItsResult(t *testing.T) {
 	web := GenerateCampusWeb(CampusWebConfig{Seed: 7, Sites: 40, MeanSitePages: 1200,
 		DynamicClusterPages: 50, DocClusterPages: 50})
-	eng, err := NewLocalEngine(web.Graph, EngineOptions{Coalesce: true, CoalesceTol: 1e-6, TopKIndex: true})
+	eng, err := NewLocalEngine(web.Graph, EngineOptions{Coalesce: true, CoalesceTol: 1e-6})
 	if err != nil {
 		t.Fatalf("NewLocalEngine: %v", err)
 	}

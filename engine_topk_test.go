@@ -37,11 +37,12 @@ func topkQueries(numSites int) []Query {
 // top-k index: for eligible queries the Top table must be bit-identical
 // — scores, documents and tie order — to fully sorting the same served
 // DocRank, before and after an Update, and the served DocRank must
-// agree with an index-less engine's to < 1e-9.
+// agree to < 1e-9 with the same query solved site by site to Tol 1e-11
+// on a second engine given the same Updates.
 func TestTopKIndexBitIdentical(t *testing.T) {
 	web := churnTestWeb()
 	ctx := context.Background()
-	eng, err := NewLocalEngine(web.Graph, EngineOptions{TopKIndex: true})
+	eng, err := NewLocalEngine(web.Graph, EngineOptions{})
 	if err != nil {
 		t.Fatalf("NewLocalEngine: %v", err)
 	}
@@ -65,7 +66,9 @@ func TestTopKIndexBitIdentical(t *testing.T) {
 			if !reflect.DeepEqual(res.Top, want) {
 				t.Errorf("%s query %d: index Top differs from the full sort\n got %v\nwant %v", round, qi, res.Top, want)
 			}
-			exact, err := plain.Rank(ctx, q)
+			solved := q
+			solved.Tol = 1e-11
+			exact, err := plain.Rank(ctx, solved)
 			if err != nil {
 				t.Fatalf("%s plain query %d: %v", round, qi, err)
 			}
@@ -99,18 +102,24 @@ func TestTopKIndexBitIdentical(t *testing.T) {
 	check(t, "post-second-update")
 }
 
-// TestTopKIndexPatchShares pins the incremental maintenance: after an
-// Update, clean sites' orders and local vectors share their backing
-// arrays with the previous snapshot — only the changed sites re-solved
-// and re-sorted.
+// TestTopKIndexPatchShares pins the incremental maintenance: the first
+// TopK query builds the index, and after an Update clean sites' orders
+// and local vectors share their backing arrays with the previous
+// snapshot — only the changed sites re-solved and re-sorted.
 func TestTopKIndexPatchShares(t *testing.T) {
 	web := churnTestWeb()
 	ctx := context.Background()
-	eng, err := NewLocalEngine(web.Graph, EngineOptions{TopKIndex: true})
+	eng, err := NewLocalEngine(web.Graph, EngineOptions{})
 	if err != nil {
 		t.Fatalf("NewLocalEngine: %v", err)
 	}
-	old := eng.snap.Load().state.topk
+	if eng.snap.Load().sol.Load().index.Load() != nil {
+		t.Fatal("construction built an index no query asked for")
+	}
+	if _, err := eng.Rank(ctx, Query{TopK: 5}); err != nil {
+		t.Fatal(err)
+	}
+	old := eng.snap.Load().sol.Load().index.Load()
 	const changed = SiteID(5)
 	err = eng.Update(ctx, GraphDelta{
 		ChangedSites: []SiteID{changed},
@@ -122,7 +131,10 @@ func TestTopKIndexPatchShares(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Update: %v", err)
 	}
-	next := eng.snap.Load().state.topk
+	next := eng.snap.Load().sol.Load().index.Load()
+	if next == nil {
+		t.Fatal("the Update did not patch the index the previous snapshot had")
+	}
 	if len(next.order) != len(old.order) {
 		t.Fatalf("the index covers %d sites after the Update, %d before", len(next.order), len(old.order))
 	}
@@ -161,7 +173,7 @@ func TestTopKIndexTies(t *testing.T) {
 	dg := b.Build()
 
 	ctx := context.Background()
-	eng, err := NewLocalEngine(dg, EngineOptions{TopKIndex: true})
+	eng, err := NewLocalEngine(dg, EngineOptions{})
 	if err != nil {
 		t.Fatalf("NewLocalEngine: %v", err)
 	}
@@ -177,17 +189,19 @@ func TestTopKIndexTies(t *testing.T) {
 	}
 }
 
-// TestTopKIndexIneligibleFallsThrough: a TopKIndex engine takes the Top
-// table from the index for every TopK query it composes from its
-// solutions — uniform, site-personalized, three-layer, with LocalRanks —
-// and for no other: a query with a damping, tolerance or budget of its
-// own, or with document-layer personalization, solves every site and
-// sorts, and a query without TopK is composed but asks the index
-// nothing. Every answer is a distribution and its Top the full sort's.
+// TestTopKIndexIneligibleFallsThrough: every LocalEngine takes the Top
+// table from its snapshot's index for every TopK query it composes from
+// its solutions — uniform, site-personalized, three-layer, with
+// LocalRanks — and for no other: a query with a damping, tolerance or
+// budget of its own, or with document-layer personalization, solves
+// every site and sorts, and a query without TopK is composed but asks
+// the index nothing. None of those builds the index; the first composed
+// TopK query does. Every answer is a distribution and its Top the full
+// sort's.
 func TestTopKIndexIneligibleFallsThrough(t *testing.T) {
 	web := churnTestWeb()
 	ctx := context.Background()
-	eng, err := NewLocalEngine(web.Graph, EngineOptions{TopKIndex: true})
+	eng, err := NewLocalEngine(web.Graph, EngineOptions{})
 	if err != nil {
 		t.Fatalf("NewLocalEngine: %v", err)
 	}
@@ -201,11 +215,13 @@ func TestTopKIndexIneligibleFallsThrough(t *testing.T) {
 		{Query{TopK: 5, Tol: 1e-6}, false, true},
 		{Query{TopK: 5, MaxIter: 50}, false, true},
 		{Query{TopK: 5, DocPersonalization: docPers}, false, true},
+		{Query{}, false, false},
 		{Query{TopK: 5, ThreeLayer: true}, true, false},
 		{Query{TopK: 5, WantLocalRanks: true}, true, false},
 		{Query{TopK: 5, SitePersonalization: sitePers, WantLocalRanks: true}, true, false},
 		{Query{}, false, false},
 	} {
+		built := eng.snap.Load().sol.Load().index.Load() != nil
 		before := eng.ServingStats().TopKIndexServes
 		res, err := eng.Rank(ctx, c.q)
 		if err != nil {
@@ -213,6 +229,9 @@ func TestTopKIndexIneligibleFallsThrough(t *testing.T) {
 		}
 		if indexed := eng.ServingStats().TopKIndexServes > before; indexed != c.indexed {
 			t.Errorf("query %d: served from the index = %v, want %v", qi, indexed, c.indexed)
+		}
+		if nowBuilt := eng.snap.Load().sol.Load().index.Load() != nil; nowBuilt != (built || c.indexed) {
+			t.Errorf("query %d: the snapshot holds an index = %v after it, %v before it", qi, nowBuilt, built)
 		}
 		if solved := solvedSites(res); solved != c.solved {
 			t.Errorf("query %d: solved the sites = %v, want %v", qi, solved, c.solved)
@@ -282,7 +301,7 @@ func TestTopKIndexWholeSiteRuns(t *testing.T) {
 	const nb = 20000
 	dg := wholeSiteRunWeb(nb)
 	ctx := context.Background()
-	eng, err := NewLocalEngine(dg, EngineOptions{TopKIndex: true})
+	eng, err := NewLocalEngine(dg, EngineOptions{})
 	if err != nil {
 		t.Fatalf("NewLocalEngine: %v", err)
 	}
@@ -307,7 +326,7 @@ func TestTopKIndexWholeSiteRuns(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		const k = 10
-		_, pushes := eng.snap.Load().state.topk.top(dg, res.SiteRank, k)
+		_, pushes := eng.snap.Load().sol.Load().index.Load().top(dg, res.SiteRank, k)
 		if limit := dg.NumSites() + 2*k; pushes > limit {
 			t.Errorf("%s: a top-%d merge pushed %d candidates, want at most %d (sites + 2k)", tc.name, k, pushes, limit)
 		}
@@ -323,11 +342,11 @@ func TestTopKIndexWholeSiteRuns(t *testing.T) {
 // allocates while it winds down is not counted.
 func TestTopKIndexRetention(t *testing.T) {
 	dg := webgen.Generate(webgen.Default()).Graph
-	eng, err := NewLocalEngine(dg, EngineOptions{TopKIndex: true})
+	eng, err := NewLocalEngine(dg, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	locals := eng.snap.Load().state.seedLocals
+	locals := eng.snap.Load().sol.Load().locals
 	docs, sites := dg.NumDocs(), dg.NumSites()
 	retained := int64(math.MaxInt64)
 	for try := 0; try < 3; try++ {
@@ -353,7 +372,7 @@ func TestTopKIndexRetention(t *testing.T) {
 // container/heap, one more per site and per answer: 257.
 func TestTopKIndexAnswerAllocs(t *testing.T) {
 	const runs, budget = 200, 17
-	eng, err := NewLocalEngine(webgen.Generate(webgen.Default()).Graph, EngineOptions{TopKIndex: true})
+	eng, err := NewLocalEngine(webgen.Generate(webgen.Default()).Graph, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,14 +424,14 @@ func TestTopKIndexLazyChainsConcurrent(t *testing.T) {
 		}
 	}
 	queries := []Query{{TopK: 10, WantLocalRanks: true, Tol: 1e-10}, {TopK: 10, Damping: 0.8}}
-	opts := EngineOptions{TopKIndex: true, Parallelism: 1}
+	opts := EngineOptions{Parallelism: 1}
 
 	ref, err := NewLocalEngine(churnTestWeb().Graph, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	answers := func() []*Result {
-		ref.snap.Load().state.base.Prepare()
+		ref.snap.Load().base.Prepare()
 		out := make([]*Result, len(queries))
 		for i, q := range queries {
 			if out[i], err = ref.Rank(ctx, q); err != nil {
@@ -475,21 +494,33 @@ func TestTopKIndexLazyChainsConcurrent(t *testing.T) {
 
 // TestTopKHugeK: a TopK past the number of documents asks for them all —
 // N rows, equal to TopDocs — and allocates for N, not for k (math.MaxInt
-// would not fit a slice), on each of the three ways a Top table is made:
-// the index's merge, the front's sort of a DocRank composed from a plain
-// engine's solutions, and its sort of a DocRank solved site by site.
+// would not fit a slice), on each of the ways a Top table is made: the
+// index's merge over a LocalEngine's or a DistEngine's solutions, and
+// the front's sort of a DocRank solved site by site, in process or on the
+// fleet.
 func TestTopKHugeK(t *testing.T) {
 	ctx := context.Background()
+	cl, err := StartCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
 	for _, c := range []struct {
 		name    string
-		opts    EngineOptions
+		dist    bool
 		damping float64
 	}{
-		{"index", EngineOptions{TopKIndex: true}, 0},
-		{"composed", EngineOptions{}, 0},
-		{"solved", EngineOptions{}, 0.8},
+		{"index", false, 0},
+		{"solved", false, 0.8},
+		{"dist-index", true, 0},
+		{"dist-run", true, 0.8},
 	} {
-		eng, err := NewLocalEngine(churnTestWeb().Graph, c.opts)
+		var eng servedEngine
+		if c.dist {
+			eng, err = NewDistEngine(cl, churnTestWeb().Graph, DistConfig{})
+		} else {
+			eng, err = NewLocalEngine(churnTestWeb().Graph, EngineOptions{})
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -506,10 +537,10 @@ func TestTopKHugeK(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s, TopK %d: %v", c.name, k, err)
 				}
-				if indexed := eng.ServingStats().TopKIndexServes > served; indexed != c.opts.TopKIndex {
+				if indexed := eng.ServingStats().TopKIndexServes > served; indexed != (c.damping == 0) {
 					t.Errorf("%s, TopK %d: served from the index = %v", c.name, k, indexed)
 				}
-				if solved := solvedSites(res); solved != (c.damping != 0) {
+				if solved := solvedSites(res); !c.dist && solved != (c.damping != 0) {
 					t.Errorf("%s, TopK %d: solved the sites = %v", c.name, k, solved)
 				}
 				if len(res.Top) != n {
@@ -521,6 +552,165 @@ func TestTopKHugeK(t *testing.T) {
 			}()
 		}
 	}
+}
+
+// TestDistEngineTopKIndex: a DistEngine takes the Top table of every TopK
+// query it composes from its solutions from their top-k index, in each
+// SiteRank mode, with no option set: the query counts TopKIndexServes,
+// and its Top is bit for bit the full sort of its own DocRank and a
+// LocalEngine's over the same graph — to solver tolerance in SiteRankSync
+// mode and after the Update, bit for bit on a cold central one — before
+// and after a 1-site Update — whose fill patches
+// the index the previous snapshot had, re-sorting only the changed site.
+// A warm uniform one sends no message.
+func TestDistEngineTopKIndex(t *testing.T) {
+	ctx := context.Background()
+	for _, m := range distModes {
+		t.Run(m.name, func(t *testing.T) {
+			cl, err := StartCluster(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			eng, err := NewDistEngine(cl, churnTestWeb().Graph, m.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			local, err := NewLocalEngine(churnTestWeb().Graph, EngineOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(when string) {
+				t.Helper()
+				for qi, q := range topkQueries(eng.DocGraph().NumSites()) {
+					want, err := local.Rank(ctx, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for rep := 0; rep < 2; rep++ {
+						served := eng.ServingStats().TopKIndexServes
+						res, err := eng.Rank(ctx, q)
+						if err != nil {
+							t.Fatalf("%s query %d: %v", when, qi, err)
+						}
+						if got := eng.ServingStats().TopKIndexServes; got != served+1 {
+							t.Errorf("%s query %d: TopKIndexServes %d → %d, want one index serve", when, qi, served, got)
+						}
+						if full := TopDocs(eng.DocGraph(), res.DocRank, q.TopK); !reflect.DeepEqual(res.Top, full) {
+							t.Errorf("%s query %d: index Top differs from the full sort of its DocRank", when, qi)
+						}
+						exact := when == "cold" && m.cfg.SiteRank == SiteRankCentral
+						if !nearTop(res.Top, want.Top) || exact && !reflect.DeepEqual(res.Top, want.Top) {
+							t.Errorf("%s query %d: Top differs from a LocalEngine's (bit for bit: %v)\n got %v\nwant %v", when, qi, exact, res.Top, want.Top)
+						}
+						if rep == 1 && q.SitePersonalization == nil && res.Dist.Messages != 0 {
+							t.Errorf("%s query %d: a warm TopK query sent %d messages", when, qi, res.Dist.Messages)
+						}
+					}
+				}
+			}
+			check("cold")
+			old := eng.snap.Load().sol.Load().index.Load()
+			const changed = SiteID(5)
+			for _, e := range []Engine{eng, local} {
+				if err := e.Update(ctx, GraphDelta{
+					ChangedSites: []SiteID{changed},
+					Apply:        func(dg *DocGraph) error { editSite(t, dg, changed); return nil },
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check("after an Update")
+			next := eng.snap.Load().sol.Load().index.Load()
+			for s := range next.order {
+				if shared := &next.order[s][0] == &old.order[s][0]; shared != (SiteID(s) != changed) {
+					t.Errorf("site %d (changed: %v): order shared with the previous snapshot's index = %v", s, SiteID(s) == changed, shared)
+				}
+			}
+		})
+	}
+}
+
+// nearTop reports whether two Top tables name the same documents in the
+// same order with scores < 1e-9 apart in L1, the bound the engines'
+// DocRanks are pinned to agree within: a SiteRankSync fleet solves πS by
+// point-Jacobi rounds, and after an Update a fleet solves a changed site
+// cold where a LocalEngine warm-starts it, so the two agree to solver
+// tolerance, not to the bit.
+func nearTop(a, b []DocScore) bool {
+	var d float64
+	for i := range min(len(a), len(b)) {
+		d += math.Abs(a[i].Score - b[i].Score)
+	}
+	return d < 1e-9 && slices.EqualFunc(a, b, func(x, y DocScore) bool { return x.Doc == y.Doc && x.URL == y.URL })
+}
+
+// TestTopKIndexBuiltOnce: concurrent first TopK queries publish one
+// index — on a fresh snapshot, which sorts it, and again on the one an
+// Update publishes, which patches the previous snapshot's (a DistEngine's
+// concurrent first queries race to fill that snapshot, and one fill
+// wins). Every answer's Top is the full sort of its DocRank, and later
+// queries read the published index rather than replace it. Run with
+// GOMAXPROCS 4 under -race by make race-multi.
+func TestTopKIndexBuiltOnce(t *testing.T) {
+	ctx := context.Background()
+	bothEngines(t, EngineOptions{}, func(t *testing.T, eng servedEngine) {
+		burst := func(when string) {
+			t.Helper()
+			front := serverOf(eng)
+			snap := front.snap.Load()
+			const n = 6
+			res := make([]*Result, n)
+			errs := make([]error, n)
+			var wg sync.WaitGroup
+			for i := range res {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					res[i], errs[i] = eng.Rank(ctx, Query{TopK: 10})
+				}()
+			}
+			wg.Wait()
+			sol := snap.sol.Load()
+			ix := sol.index.Load()
+			if ix == nil {
+				t.Fatalf("%s: no index was published", when)
+			}
+			for i, r := range res {
+				if errs[i] != nil {
+					t.Fatalf("%s: query %d: %v", when, i, errs[i])
+				}
+				if want := TopDocs(snap.dg, r.DocRank, 10); !reflect.DeepEqual(r.Top, want) {
+					t.Errorf("%s: query %d: Top differs from the full sort", when, i)
+				}
+			}
+			if _, err := eng.Rank(ctx, Query{TopK: 3}); err != nil {
+				t.Fatal(err)
+			}
+			if snap.sol.Load() != sol || sol.index.Load() != ix || sol.topk(0) != ix {
+				t.Errorf("%s: a later query replaced the published solutions or index", when)
+			}
+		}
+		burst("fresh snapshot")
+		if err := eng.Update(ctx, GraphDelta{
+			ChangedSites: []SiteID{5},
+			Apply:        func(dg *DocGraph) error { editSite(t, dg, 5); return nil },
+		}); err != nil {
+			t.Fatal(err)
+		}
+		burst("after an Update")
+	})
+}
+
+// serverOf is the serving front eng embeds.
+func serverOf(eng servedEngine) *server {
+	switch e := eng.(type) {
+	case *LocalEngine:
+		return &e.server
+	case *DistEngine:
+		return &e.server
+	}
+	panic(fmt.Sprintf("no serving front in %T", eng))
 }
 
 // FuzzSortSite checks the index's radix sort against the comparison sort

@@ -81,11 +81,12 @@ func engineLegs(t *testing.T, suffix string, opts EngineOptions, test func(t *te
 	})
 }
 
-// everyEngine runs test as bothEngines does, and on a TopKIndex
-// LocalEngine too: the snapshot-served paths of the two local kinds
-// differ in where a Top table comes from. Each runs twice, as opts says
-// and coalescing (the "-coalesce" legs), since a query that coalesces
-// takes its own way through the front.
+// everyEngine runs test as bothEngines does, and on a LocalEngine whose
+// snapshot already holds its top-k index, built by a TopK query served
+// before the test starts: until a TopK query reads it a snapshot has
+// none, and an Update patches the one its predecessor had. Each runs
+// twice, as opts says and coalescing (the "-coalesce" legs), since a
+// query that coalesces takes its own way through the front.
 func everyEngine(t *testing.T, opts EngineOptions, test func(t *testing.T, eng servedEngine)) {
 	t.Helper()
 	for _, suffix := range []string{"", "-coalesce"} {
@@ -93,11 +94,15 @@ func everyEngine(t *testing.T, opts EngineOptions, test func(t *testing.T, eng s
 		opts.Coalesce = opts.Coalesce || suffix != ""
 		engineLegs(t, suffix, opts, test)
 		t.Run("local-topk"+suffix, func(t *testing.T) {
-			opts := opts
-			opts.TopKIndex = true
 			eng, err := NewLocalEngine(churnTestWeb().Graph, opts)
 			if err != nil {
 				t.Fatalf("NewLocalEngine: %v", err)
+			}
+			if _, err := eng.Rank(context.Background(), Query{TopK: 5}); err != nil {
+				t.Fatalf("index-building Rank: %v", err)
+			}
+			if eng.snap.Load().sol.Load().index.Load() == nil {
+				t.Fatal("a TopK query built no index")
 			}
 			test(t, eng)
 		})
@@ -433,6 +438,61 @@ func TestEngineFailedNilApplyUpdateKeepsSitesDirty(t *testing.T) {
 			},
 		})
 		if err != nil {
+			t.Fatalf("recovery Update: %v", err)
+		}
+		got, err := eng.Rank(ctx, Query{Tol: 1e-11})
+		if err != nil {
+			t.Fatalf("Rank after recovery: %v", err)
+		}
+		if d := got.DocRank.L1Diff(coldRank(t, eng, Query{Tol: 1e-11}).DocRank); d >= 1e-9 {
+			t.Errorf("‖recovered − cold‖₁ = %g, want < 1e-9 (site 3's edit was dropped?)", d)
+		}
+	})
+}
+
+// TestEngineUpdateRefusesOutOfRangeSites: a ChangedSites entry outside
+// [0, NumSites) of the updated graph fails the Update on either engine
+// and either path, and is never recorded: the next Updates, on both
+// paths, succeed. (On the nil-Apply path the bad site used to be recorded
+// as dirty before the rebuild refused it, and every later Update failed
+// on it.) An in-range site listed beside a bad one on the nil-Apply path
+// stays recorded — that graph is already mutated — and the next
+// successful Update rebuilds it.
+func TestEngineUpdateRefusesOutOfRangeSites(t *testing.T) {
+	ctx := context.Background()
+	noop := func(*DocGraph) error { return nil }
+	bothEngines(t, EngineOptions{}, func(t *testing.T, eng servedEngine) {
+		ns := eng.DocGraph().NumSites()
+		for _, c := range []struct {
+			name  string
+			bad   SiteID
+			apply func(*DocGraph) error
+		}{
+			{"nil-apply/past the end", SiteID(ns + 5), nil},
+			{"nil-apply/negative", -1, nil},
+			{"apply/past the end", SiteID(ns), noop},
+			{"apply/negative", -1, noop},
+		} {
+			if err := eng.Update(ctx, GraphDelta{ChangedSites: []SiteID{c.bad}, Apply: c.apply}); err == nil {
+				t.Errorf("%s: Update listing site %d of %d succeeded", c.name, c.bad, ns)
+			}
+			if err := eng.Update(ctx, GraphDelta{ChangedSites: []SiteID{1}}); err != nil {
+				t.Errorf("%s: the next nil-Apply Update: %v", c.name, err)
+			}
+			if err := eng.Update(ctx, GraphDelta{ChangedSites: []SiteID{2}, Apply: noop}); err != nil {
+				t.Errorf("%s: the next Apply-path Update: %v", c.name, err)
+			}
+		}
+
+		editSite(t, eng.DocGraph(), 3)
+		if err := eng.Update(ctx, GraphDelta{ChangedSites: []SiteID{3, SiteID(ns)}}); err == nil {
+			t.Fatal("a nil-Apply Update listing an out-of-range site succeeded")
+		}
+		refusesStale(t, eng, everyShape(eng.DocGraph()))
+		if err := eng.Update(ctx, GraphDelta{
+			ChangedSites: []SiteID{5},
+			Apply:        func(dg *DocGraph) error { editSite(t, dg, 5); return nil },
+		}); err != nil {
 			t.Fatalf("recovery Update: %v", err)
 		}
 		got, err := eng.Rank(ctx, Query{Tol: 1e-11})

@@ -102,6 +102,9 @@ func RunChurn(seed int64, events int) (*ChurnResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: churn event %d incremental: %w", e, err)
 		}
+		// A refresh composes no DocRank; the full recompute it is timed
+		// against does, so the compose is timed here too.
+		inc.DocRank = lmm.ComposeDocRank(dg, inc.SiteRank, inc.LocalRanks)
 		out.IncrementalTotal += time.Since(start)
 		for _, iters := range inc.LocalIterations {
 			if iters > 0 {

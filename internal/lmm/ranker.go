@@ -138,7 +138,8 @@ type Ranker struct {
 	siteSolver *pagerank.Solver
 	solvers    []*pagerank.Solver
 
-	// Reusable result buffers, rewritten by every Rank.
+	// Reusable result buffers, rewritten by every Rank; docRank only
+	// Rank fills, the first time it runs.
 	docRank    matrix.Vector
 	localRanks []matrix.Vector
 	localIters []int
@@ -276,14 +277,15 @@ func (r *Ranker) RankSites(cfg WebConfig) (matrix.Vector, int, error) {
 	return res.Scores, res.Iterations, nil
 }
 
-// ensureQueryState lazily builds this Ranker's private result buffers,
-// so structure-only consumers (the distributed coordinator ships
-// subgraphs to workers and never ranks locally) don't pay for them.
+// ensureQueryState lazily builds this Ranker's private per-site result
+// buffers, so structure-only consumers (the distributed coordinator ships
+// subgraphs to workers and never ranks locally) don't pay for them. The
+// NumDocs-long DocRank is Rank's alone: RankRefresh and RankLocals compose
+// nothing.
 func (r *Ranker) ensureQueryState() {
-	if r.docRank != nil {
+	if r.allSites != nil {
 		return
 	}
-	r.docRank = matrix.NewVector(r.core.dg.NumDocs())
 	r.solvers = make([]*pagerank.Solver, len(r.core.sites))
 	r.localRanks = make([]matrix.Vector, len(r.core.sites))
 	r.localIters = make([]int, len(r.core.sites))
@@ -303,12 +305,21 @@ func (r *Ranker) ensureQueryState() {
 // see the type comment for the reuse contract.
 func (r *Ranker) Rank(cfg WebConfig) (*WebResult, error) {
 	r.ensureQueryState()
-	return r.rankTwoLayer(r.allSites, &cfg, true)
+	res, err := r.rankTwoLayer(r.allSites, &cfg, true)
+	if err != nil {
+		return nil, err
+	}
+	if r.docRank == nil {
+		r.docRank = matrix.NewVector(r.core.dg.NumDocs())
+	}
+	composeDocRankInto(r.docRank, r.core.dg, res.SiteRank, res.LocalRanks)
+	res.DocRank = r.docRank
+	return res, nil
 }
 
 // rankTwoLayer is the two-layer query phase with the listed sites' local
 // DocRanks solved afresh and every other site's taken as localRanks
-// holds it; keep is getChain's.
+// holds it; keep is getChain's. It composes nothing: its DocRank is nil.
 func (r *Ranker) rankTwoLayer(sites []int, cfg *WebConfig, keep bool) (*WebResult, error) {
 	siteRank, siteIters, err := r.RankSites(*cfg)
 	if err != nil {
@@ -317,9 +328,7 @@ func (r *Ranker) rankTwoLayer(sites []int, cfg *WebConfig, keep bool) (*WebResul
 	if err := r.rankLocals(sites, cfg, keep); err != nil {
 		return nil, err
 	}
-	composeDocRankInto(r.docRank, r.core.dg, siteRank, r.localRanks)
 	return &WebResult{
-		DocRank:         r.docRank,
 		SiteRank:        siteRank,
 		LocalRanks:      r.localRanks,
 		SiteIterations:  siteIters,
@@ -403,7 +412,9 @@ func (r *Ranker) rankLocal(s int, cfg *WebConfig, keep bool) {
 	r.localIters[s] = res.Iterations
 }
 
-// RankRefresh is the Update-path refresh solve: like Rank, but a site
+// RankRefresh is the Update-path refresh solve: like Rank, but composing
+// no DocRank (the result's is nil; ComposeDocRank makes one from its
+// SiteRank and LocalRanks), and a site
 // not listed in changed whose cfg.LocalStarts seed still matches its
 // subgraph shape keeps that previous local solution *verbatim* (zero
 // iterations) instead of re-polishing it. An untouched site's local

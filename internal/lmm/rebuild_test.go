@@ -411,14 +411,23 @@ func solved(t *testing.T, dg *graph.DocGraph, cfg WebConfig) (*Ranker, *WebResul
 }
 
 // refreshOn is the incremental path Engine.Update runs: rebuild the
-// changed sites' structure on dg, then RankRefresh seeded with prev.
+// changed sites' structure on dg, then RankRefresh seeded with prev — and
+// the DocRank a refresh does not compose, composed from its solutions.
 func refreshOn(rk *Ranker, dg *graph.DocGraph, prev *WebResult, changed []graph.SiteID, cfg WebConfig) (*WebResult, error) {
 	next, err := rk.RebuildOn(dg, changed)
 	if err != nil {
 		return nil, err
 	}
 	cfg.SiteStart, cfg.LocalStarts = prev.SiteRank, prev.LocalRanks
-	return next.RankRefresh(changed, cfg)
+	res, err := next.RankRefresh(changed, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if res.DocRank != nil {
+		return nil, fmt.Errorf("RankRefresh composed a DocRank")
+	}
+	res.DocRank = ComposeDocRank(dg, res.SiteRank, res.LocalRanks)
+	return res, nil
 }
 
 // fullRecompute is the reference every refresh is compared with.
@@ -620,7 +629,7 @@ func TestRefreshKeepsNoChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameBits(got.DocRank, want.DocRank) {
+	if !sameBits(ComposeDocRank(dg, got.SiteRank, got.LocalRanks), ComposeDocRank(dg, want.SiteRank, want.LocalRanks)) {
 		t.Error("a refresh on dropped chains differs from one on kept chains")
 	}
 	if kept := keptChains(lazy); len(kept) != 0 {

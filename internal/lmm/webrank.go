@@ -63,7 +63,8 @@ type WebConfig struct {
 // to retain) to keep a result across queries.
 type WebResult struct {
 	// DocRank holds the final global ranking per DocID — the paper's
-	// DocRank(G_D) = (πS(s1)·πD(s1)', …, πS(sNS)·πD(sNS)')'.
+	// DocRank(G_D) = (πS(s1)·πD(s1)', …, πS(sNS)·πD(sNS)')' — or nil from
+	// Ranker.RankRefresh, which composes none.
 	DocRank matrix.Vector
 	// SiteRank holds πS per SiteID.
 	SiteRank matrix.Vector

@@ -6,10 +6,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
+
+	"lmmrank/internal/dist/coordinator"
+	"lmmrank/internal/lmm"
 )
 
 // ErrOverloaded reports a Rank call rejected at admission: the tenant's
@@ -209,7 +213,8 @@ type ServingStats struct {
 	// caller's in-flight computation instead of solving themselves.
 	CoalesceShared int64
 	// TopKIndexServes counts queries whose Top table came from the
-	// snapshot's maintained top-k index instead of a full re-rank.
+	// snapshot's top-k index instead of a full re-rank: every TopK query
+	// served from the snapshot's solutions, on either engine.
 	TopKIndexServes int64
 }
 
@@ -247,48 +252,43 @@ func (c *servingCounters) snapshot() ServingStats {
 	}
 	c.mu.Lock()
 	if len(c.tenantOverloads) > 0 {
-		s.TenantOverloads = make(map[string]int64, len(c.tenantOverloads))
-		for k, v := range c.tenantOverloads {
-			s.TenantOverloads[k] = v
-		}
+		s.TenantOverloads = maps.Clone(c.tenantOverloads)
 	}
 	c.mu.Unlock()
 	return s
 }
 
-// snapshot is one immutable serving state: a graph, the graph's mutation
-// version when it was published, the in-flight table coalescing queries
-// against it, and what the backend built (or learned) for exactly that
-// graph. Everything a query touches lives here, so a query that loaded a
-// snapshot is insulated from any later Update.
-type snapshot[S any] struct {
+// snapshot is one immutable serving state, one shape for both engines: a
+// graph and its mutation version when the snapshot was published, the
+// in-flight table coalescing queries against it, the Ranker built for
+// exactly that graph and the free list of its clones, the solutions at
+// the default parameters once they are filled (sol) and, until then, what
+// the fill starts from (from: the previous snapshot's solutions, or what
+// a fleet's fill reuses of them), and the graph's shard digests, which
+// every fleet run reads and the first one records. Everything a query
+// touches lives here, so a query that loaded a snapshot is insulated from
+// any later Update; all but the pool and the two atomics is immutable
+// once published.
+type snapshot struct {
 	dg      *DocGraph
 	version uint64
 	flights *flightGroup
-	state   S
-}
-
-// backend is the one thing the Partition Theorem lets two engines differ
-// in — who solves the local DocRanks — as the two calls the front makes.
-type backend[S any] interface {
-	// solve answers a validated, admitted query against a pinned
-	// snapshot. The Result is caller-owned. A backend that already holds
-	// the TopK table fills Top; the front ranks DocRank otherwise.
-	solve(ctx context.Context, snap *snapshot[S], q Query) (*Result, error)
-	// rebuild returns the state to publish beside dg, which differs from
-	// cur.dg in (at most) the changed sites. It must leave cur serving:
-	// on an error nothing is published.
-	rebuild(ctx context.Context, cur *snapshot[S], dg *DocGraph, changed []SiteID) (S, error)
+	base    *lmm.Ranker
+	pool    *rankerPool
+	from    *solutions
+	sol     atomic.Pointer[solutions]
+	digests atomic.Pointer[coordinator.Digests]
 }
 
 // server is the serving front both engines embed: everything between the
 // caller and the solve. Rank is validate → admit → pin the snapshot →
 // check its graph version and the query's vector shapes against it →
-// coalesce → backend.solve → Top → hand-off;
-// Update is COW apply → backend.rebuild → publish. It knows nothing of
-// what a state S holds.
-type server[S any] struct {
-	be          backend[S]
+// coalesce → solve → Top → hand-off; Update is COW apply → rebuild →
+// publish. The engines differ only in src, where the local DocRanks come
+// from; nothing here asks which one it serves.
+type server struct {
+	src         source
+	parallelism int
 	admit       *admitGate
 	coalesce    bool
 	coalesceTol float64
@@ -296,7 +296,7 @@ type server[S any] struct {
 
 	// snap is the serving state; rank loads it once and never looks back.
 	// Only publish stores it.
-	snap atomic.Pointer[snapshot[S]]
+	snap atomic.Pointer[snapshot]
 
 	// updateMu serializes Updates against each other (queries don't take
 	// it). dirty accumulates changed sites across failed Updates: on the
@@ -308,24 +308,41 @@ type server[S any] struct {
 	dirty    map[SiteID]bool
 }
 
-// serve wires the front to its backend and publishes the first snapshot.
-func (e *server[S]) serve(be backend[S], admit *admitGate, coalesce bool, coalesceTol float64, dg *DocGraph, state S) {
-	e.be, e.admit, e.coalesce, e.coalesceTol = be, admit, coalesce, coalesceTol
+// serve validates dg, precomputes its Ranker (the SiteGraph aggregated
+// per sg) and publishes the first snapshot, started from no solutions. No
+// query runs beside it yet, so a source that fills on publish solves on
+// every core.
+func (e *server) serve(dg *DocGraph, sg SiteGraphOptions) error {
+	rk, err := lmm.NewRanker(dg, lmm.RankerOptions{SiteGraph: sg})
+	if err != nil {
+		return err
+	}
+	snap := &snapshot{dg: dg, base: rk, from: &solutions{}}
+	if err := e.prime(context.TODO(), snap, nil, 0); err != nil {
+		return err
+	}
 	e.dirty = make(map[SiteID]bool)
-	e.publish(dg, state)
+	e.publish(snap)
+	return nil
 }
 
-// publish makes (dg, state) the serving snapshot with one pointer store.
-// Each snapshot gets its own flight group, so queries only ever coalesce
-// onto work running against their own snapshot.
-func (e *server[S]) publish(dg *DocGraph, state S) {
-	snap := &snapshot[S]{dg: dg, version: dg.G.Version(), flights: newFlightGroup(), state: state}
+// publish makes snap the serving snapshot with one pointer store,
+// recording its graph's version. Each snapshot gets its own flight group,
+// so queries only ever coalesce onto work running against their own
+// snapshot.
+func (e *server) publish(snap *snapshot) {
+	snap.version, snap.flights = snap.dg.G.Version(), newFlightGroup()
 	snap.flights.shared = &e.stats.coalesced
 	e.snap.Store(snap)
 }
 
-// rank is the whole path of one query in front of the solve.
-func (e *server[S]) rank(ctx context.Context, q Query) (*Result, error) {
+// Rank answers one query. Safe for concurrent use; the result is
+// caller-owned; a cancelled ctx aborts the query mid-computation with
+// ctx.Err(). With MaxInFlight set the call first takes an admission slot
+// (queueing or failing with ErrOverloaded per RejectOverload); with
+// Coalesce set it may share one computation with concurrent identical
+// queries.
+func (e *server) Rank(ctx context.Context, q Query) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -354,7 +371,7 @@ func (e *server[S]) rank(ctx context.Context, q Query) (*Result, error) {
 		return nil, err
 	}
 	solve := func() (*Result, error) {
-		res, err := e.be.solve(ctx, snap, q)
+		res, err := e.solve(ctx, snap, q)
 		if err == nil && q.TopK > 0 && res.Top == nil {
 			res.Top = TopDocs(snap.dg, res.DocRank, q.TopK)
 		}
@@ -370,19 +387,21 @@ func (e *server[S]) rank(ctx context.Context, q Query) (*Result, error) {
 
 // Update applies one batch of graph churn and publishes the result as a
 // new snapshot: delta.Apply (if any) runs against a copy-on-write clone
-// of the served graph, the backend rebuilds only the changed sites'
+// of the served graph, the engine rebuilds only the changed sites'
 // structure beside the serving one, and one pointer store swaps it in.
 // In-flight queries are never drained: they complete on the snapshot they
 // started on. What each engine carries warm across the swap is described
 // on LocalEngine and DistEngine.
 //
-// On the Apply path an error leaves the engine exactly as before — the
-// clone is discarded, nothing was mutated, nothing is marked dirty: a
-// failed Update is a no-op. On the nil-Apply path the caller mutated the
-// serving graph before calling, so a failure leaves queries failing with
-// ErrGraphMutated until a successful Update; the delta's sites stay
-// recorded either way on that path, so a later Update rebuilds them too.
-func (e *server[S]) Update(ctx context.Context, delta GraphDelta) error {
+// A ChangedSites entry outside [0, NumSites) of the updated graph is an
+// error, and is never recorded. On the Apply path an error leaves the
+// engine exactly as before — the clone is discarded, nothing was
+// mutated, nothing is marked dirty: a failed Update is a no-op. On the
+// nil-Apply path the caller mutated the serving graph before calling, so
+// a failure leaves queries failing with ErrGraphMutated until a
+// successful Update; the delta's sites in range stay recorded either way
+// on that path, so a later Update rebuilds them too.
+func (e *server) Update(ctx context.Context, delta GraphDelta) error {
 	e.updateMu.Lock()
 	defer e.updateMu.Unlock()
 	cur := e.snap.Load()
@@ -390,7 +409,9 @@ func (e *server[S]) Update(ctx context.Context, delta GraphDelta) error {
 		// The serving graph is already mutated: record the sites before
 		// anything fallible (even the ctx check) can return.
 		for _, s := range delta.ChangedSites {
-			e.dirty[s] = true
+			if s >= 0 && int(s) < cur.dg.NumSites() {
+				e.dirty[s] = true
+			}
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -405,43 +426,32 @@ func (e *server[S]) Update(ctx context.Context, delta GraphDelta) error {
 			return fmt.Errorf("lmmrank: update apply: %w", err)
 		}
 	}
-	state, err := e.be.rebuild(ctx, cur, dg, unionSites(e.dirty, delta.ChangedSites))
+	for _, s := range delta.ChangedSites {
+		if s < 0 || int(s) >= dg.NumSites() {
+			return fmt.Errorf("lmmrank: update: changed site %d out of range [0, %d)", s, dg.NumSites())
+		}
+	}
+	// The sites of earlier failed Updates are rebuilt too; dirty is left
+	// as it was if this one fails.
+	next, err := e.rebuild(ctx, cur, dg, append(slices.Collect(maps.Keys(e.dirty)), delta.ChangedSites...))
 	if err != nil {
 		return err
 	}
-	e.publish(dg, state)
+	e.publish(next)
 	clear(e.dirty)
 	return nil
-}
-
-// unionSites returns dirty ∪ changed as a slice without mutating dirty —
-// the changed list a rebuild must honor so sites from earlier failed
-// Updates are not forgotten, computed non-destructively so a rebuild
-// that then fails leaves the pending set exactly as it was.
-func unionSites(dirty map[SiteID]bool, changed []SiteID) []SiteID {
-	out := make([]SiteID, 0, len(dirty)+len(changed))
-	for s := range dirty {
-		out = append(out, s)
-	}
-	for _, s := range changed {
-		if !dirty[s] {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // DocGraph returns the graph the engine currently serves. Apply-path
 // Updates evolve the graph through copy-on-write clones, so the returned
 // pointer changes across Updates — re-fetch after updating rather than
 // caching the construction-time pointer.
-func (e *server[S]) DocGraph() *DocGraph { return e.snap.Load().dg }
+func (e *server) DocGraph() *DocGraph { return e.snap.Load().dg }
 
 // ServingStats returns a point-in-time copy of the engine's cumulative
 // serving counters: admitted queries, admission rejections (total and
-// per tenant), coalesced shares and top-k index serves (0 without
-// EngineOptions.TopKIndex, which DistConfig does not have).
-func (e *server[S]) ServingStats() ServingStats { return e.stats.snapshot() }
+// per tenant), coalesced shares and top-k index serves.
+func (e *server) ServingStats() ServingStats { return e.stats.snapshot() }
 
 // flight is one in-progress computation other callers may wait on.
 // res, err and copies are written exactly once, before done closes;
@@ -609,32 +619,18 @@ func (q Query) fingerprint(tol float64) (string, bool) {
 	putF(q.Tol)
 	putU(uint64(int64(q.MaxIter)))
 	putU(uint64(int64(q.TopK)))
-	var flags uint64
-	if q.ThreeLayer {
-		flags |= 1
-	}
-	if q.WantLocalRanks {
-		flags |= 2
-	}
-	if q.SitePersonalization != nil {
-		flags |= 4
-	}
-	if q.DocPersonalization != nil {
-		flags |= 8
+	var flags uint64 // bit i: the i-th of these is set
+	for i, set := range []bool{q.ThreeLayer, q.WantLocalRanks, q.SitePersonalization != nil, q.DocPersonalization != nil} {
+		if set {
+			flags |= 1 << i
+		}
 	}
 	putU(flags)
 	putVec(q.SitePersonalization)
 	putU(uint64(len(q.DocPersonalization)))
-	if len(q.DocPersonalization) > 0 {
-		sites := make([]SiteID, 0, len(q.DocPersonalization))
-		for s := range q.DocPersonalization {
-			sites = append(sites, s)
-		}
-		sort.Slice(sites, func(a, b int) bool { return sites[a] < sites[b] })
-		for _, s := range sites {
-			putU(uint64(int64(s)))
-			putVec(q.DocPersonalization[s])
-		}
+	for _, s := range slices.Sorted(maps.Keys(q.DocPersonalization)) {
+		putU(uint64(int64(s)))
+		putVec(q.DocPersonalization[s])
 	}
 	return string(h.Sum(nil)), true
 }
@@ -646,33 +642,20 @@ func cloneResult(r *Result) *Result {
 	if r == nil {
 		return nil
 	}
-	c := &Result{SiteIterations: r.SiteIterations}
-	if r.DocRank != nil {
-		c.DocRank = r.DocRank.Clone()
-	}
-	if r.SiteRank != nil {
-		c.SiteRank = r.SiteRank.Clone()
-	}
-	if r.Domains != nil {
-		c.Domains = append([]string(nil), r.Domains...)
-	}
-	if r.DomainRank != nil {
-		c.DomainRank = r.DomainRank.Clone()
-	}
-	if r.DomainOfSite != nil {
-		c.DomainOfSite = append([]int(nil), r.DomainOfSite...)
-	}
-	if r.SiteEntry != nil {
-		c.SiteEntry = r.SiteEntry.Clone()
+	// slices.Clone keeps a nil slice nil.
+	c := &Result{
+		DocRank:         slices.Clone(r.DocRank),
+		SiteRank:        slices.Clone(r.SiteRank),
+		Domains:         slices.Clone(r.Domains),
+		DomainRank:      slices.Clone(r.DomainRank),
+		DomainOfSite:    slices.Clone(r.DomainOfSite),
+		SiteEntry:       slices.Clone(r.SiteEntry),
+		Top:             slices.Clone(r.Top),
+		SiteIterations:  r.SiteIterations,
+		LocalIterations: slices.Clone(r.LocalIterations),
 	}
 	if r.LocalRanks != nil {
 		c.LocalRanks = cloneVectors(r.LocalRanks)
-	}
-	if r.Top != nil {
-		c.Top = append([]DocScore(nil), r.Top...)
-	}
-	if r.LocalIterations != nil {
-		c.LocalIterations = append([]int(nil), r.LocalIterations...)
 	}
 	if r.Dist != nil {
 		stats := *r.Dist

@@ -16,7 +16,9 @@
 // table, vectors and local ranks: a cold Rank, a warm one, a Tol=1e-4 one,
 // a site-personalized one, a ThreeLayer one, a ThreeLayer Tol=1e-4 one
 // ("three-tol", a run of its own), a WantLocalRanks one, a TopK 50 one,
-// and the first Rank after a one-site Update ("edited"). "local" hashes a
+// the first Rank after a one-site Update ("edited"), and a TopK 50 one
+// after it ("top50-edited"), whose Top table an engine may take from a
+// top-k index the Update's fill patched. "local" hashes a
 // plain LocalEngine's answers before any Update at Parallelism 1 and at 0
 // on the Small web: a uniform query's DocRank, SiteRank, LocalRanks and
 // Top table of 50, and a ThreeLayer query's DocRank, SiteRank, DomainRank
@@ -33,7 +35,11 @@
 // once to a coalescing engine, and the first after a one-site Update; and,
 // with their LocalRanks, a query that solves the sites (Damping 0.8),
 // before the Update and after it — the engine builds the chains it solves
-// on late, for that query.
+// on late, for that query. "local-top50-edited" hashes the Top tables
+// (documents, URLs and scores), DocRank and SiteRank of a LocalEngine
+// built without TopKIndex, at Parallelism 1 and at 0 on the Small web: a
+// uniform TopK 50 query, then, after a one-site Update, a uniform and a
+// site-personalized one.
 package main
 
 import (
@@ -78,6 +84,11 @@ func main() {
 		fail(err)
 	}
 	fmt.Printf("local-topk   %016x\n", topk)
+	edited, err := localEditedHash()
+	if err != nil {
+		fail(err)
+	}
+	fmt.Printf("%-16s %016x\n", "local-top50-edited", edited)
 }
 
 func fail(err error) {
@@ -291,6 +302,37 @@ func localTopKHash() (uint64, error) {
 	return h.Sum64(), nil
 }
 
+// localEditedHash hashes the TopK 50 answers of a LocalEngine built
+// without TopKIndex, before and after a one-site Update.
+func localEditedHash() (uint64, error) {
+	ctx := context.Background()
+	h := fnv.New64a()
+	for _, par := range []int{1, 0} {
+		dg := webgen.Generate(small(7)).Graph
+		eng, err := lmmrank.NewLocalEngine(dg, lmmrank.EngineOptions{Parallelism: par})
+		if err != nil {
+			return 0, err
+		}
+		uniform := lmmrank.Query{TopK: 50}
+		personal := lmmrank.Query{TopK: 50, SitePersonalization: personalized(dg.NumSites())}
+		res, err := eng.Rank(ctx, uniform)
+		if err != nil {
+			return 0, err
+		}
+		writeResult(h, res)
+		if err := editOneSite(ctx, eng, dg); err != nil {
+			return 0, err
+		}
+		for _, q := range []lmmrank.Query{uniform, personal} {
+			if res, err = eng.Rank(ctx, q); err != nil {
+				return 0, err
+			}
+			writeResult(h, res)
+		}
+	}
+	return h.Sum64(), nil
+}
+
 // distHashes prints one hash per answer of a 4-worker DistEngine on the
 // Small web, each line named after the mode and the query.
 func distHashes(mode lmmrank.SiteRankMode, name string) error {
@@ -335,5 +377,8 @@ func distHashes(mode lmmrank.SiteRankMode, name string) error {
 	if err := editOneSite(ctx, eng, dg); err != nil {
 		return err
 	}
-	return rank("edited", lmmrank.Query{})
+	if err := rank("edited", lmmrank.Query{}); err != nil {
+		return err
+	}
+	return rank("top50-edited", lmmrank.Query{TopK: 50})
 }
