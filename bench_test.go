@@ -200,6 +200,38 @@ func BenchmarkE11SiteRank(b *testing.B) {
 	}
 }
 
+// BenchmarkDistNonDefault is a warm central DistEngine over cmd/lmmload's
+// web-mid web (≈114k documents) and 4 in-process workers, answering
+// Query{Damping: 0.8}: the one query shape the snapshot cannot compose,
+// so every Rank re-solves every site on the fleet's cached chains.
+func BenchmarkDistNonDefault(b *testing.B) {
+	dg := webgen.Generate(webgen.Config{Seed: 2005, Sites: 218, MeanSitePages: 400, DynamicClusterPages: 10000, DocClusterPages: 10000}).Graph
+	cl, err := StartCluster(4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	eng, err := NewDistEngine(cl, dg, DistConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, q := context.Background(), Query{Damping: 0.8}
+	if _, err := eng.Rank(ctx, Query{}); err != nil { // the fill ships every shard
+		b.Fatal(err)
+	}
+	if res, err := eng.Rank(ctx, q); err != nil {
+		b.Fatal(err)
+	} else if res.Dist == nil || res.Dist.Messages == 0 {
+		b.Fatal("a Damping 0.8 query did not reach the fleet")
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := eng.Rank(ctx, q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkE8Personalization measures the two-layer personalized pipeline
 // against the uniform one.
 func BenchmarkE8Personalization(b *testing.B) {

@@ -37,7 +37,7 @@ const (
 	// exactly the shards the request names over NumSites — Cached by
 	// (site, digest), Shards in full — and nothing else. The
 	// worker resolves each Cached ref against the session it already has
-	// (same site, same digest: kept, warm solver and all), then its
+	// (same site, same digest: kept, chain and all), then its
 	// digest-keyed cache, and answers the ones it holds nowhere in
 	// Response.Missing; the coordinator declares again with those in
 	// full. Nothing but a Load adds to or removes from a session, so a

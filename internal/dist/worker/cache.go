@@ -6,25 +6,21 @@ import (
 
 	"lmmrank/internal/dist/wire"
 	"lmmrank/internal/lmm"
-	"lmmrank/internal/matrix"
 )
 
-// cacheEntry is one cached shard: its row of the site chain and the
-// solver over its local chain, whose scratch is reused by every RankLocal
-// that hits this entry. The solver is built when the shard is loaded and
-// the subgraph it was built from is dropped, so an entry holds each of
-// the shard's links once, as the chain's 4-byte source. Entries are
-// immutable after construction except for the solver's scratch, which mu
-// guards — two sessions (two coordinators sharing the worker) may rank
-// the same entry concurrently, and the solver is not goroutine-safe.
+// cacheEntry is one cached shard: its row of the site chain and its
+// local chain. The chain is built when the shard is loaded and the
+// subgraph it was built from is dropped, so an entry holds each of the
+// shard's links once, as the chain's 4-byte source, and no solver
+// scratch: every RankLocal that hits the entry sweeps a solver of its
+// own. Entries are immutable after construction, so two sessions (two
+// coordinators sharing the worker) may rank the same entry at once.
 type cacheEntry struct {
 	digest  wire.Digest
 	numDocs int
 	rowCols []int
 	rowVals []float64
-
-	mu     sync.Mutex
-	solver *lmm.SubgraphSolver
+	chain   *lmm.SubgraphSolver
 }
 
 // rowWithin reports whether the entry's chain row fits a site space of
@@ -41,23 +37,10 @@ func (e *cacheEntry) rowWithin(numSites int) bool {
 	return true
 }
 
-// rank computes the entry's local DocRank, cloning the result out of the
-// solver's scratch (the clone is what crosses sessions and the wire; the
-// scratch stays entry-private).
-func (e *cacheEntry) rank(cfg lmm.WebConfig) (matrix.Vector, int, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	scores, iters, err := e.solver.Rank(cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	return scores.Clone(), iters, nil
-}
-
 // shardCache is the worker-global digest-keyed store that makes
 // repeated coordinator runs cheap: shards survive their sessions and
 // coordinator reconnects, so an unchanged graph is never re-shipped and
-// its solvers keep their warm scratch.
+// its chains are never rebuilt.
 //
 // Retention is bounded by aggregate document count (maxDocs) with
 // least-recently-used eviction. Evicting an entry does not invalidate
@@ -97,7 +80,7 @@ func (c *shardCache) lookupShard(d wire.Digest) *cacheEntry {
 // used entries until the document budget holds. An entry already cached
 // under the same digest is returned instead (the caller's duplicate is
 // dropped), so identical shards across sites and sessions share one
-// warm solver.
+// chain.
 func (c *shardCache) addShard(e *cacheEntry) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()

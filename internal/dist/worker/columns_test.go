@@ -245,7 +245,7 @@ func TestLoadPastTheDocBoundAllocatesNothing(t *testing.T) {
 // BenchmarkShardLoad is a cold load of every site of the default web,
 // from the coordinator's graph to the worker's cache entries: extract
 // (the subgraph's columns) and digest, encode, decode, and the worker's
-// build — check, digest again, chain and solver. ns/op, B/op and
+// build — check, digest again, chain. ns/op, B/op and
 // allocs/op are one whole web's.
 func BenchmarkShardLoad(b *testing.B) {
 	dg := webgen.Generate(webgen.Default()).Graph

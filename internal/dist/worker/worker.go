@@ -10,8 +10,8 @@
 // worker-global, digest-keyed shard cache that survives coordinator
 // reconnects: a coordinator re-ranking an unchanged graph declares its
 // shards by digest instead of re-shipping subgraphs, and each cached
-// shard keeps a warm lmm.SubgraphSolver so repeated runs also skip
-// rebuilding transition matrices and solver scratch.
+// shard keeps its local chain (an lmm.SubgraphSolver, transition matrix
+// and no solver scratch) so repeated runs also skip rebuilding it.
 package worker
 
 import (
@@ -351,7 +351,7 @@ func (w *Worker) handle(sess *session, req *wire.Request) *wire.Response {
 // buildEntry validates one fully shipped shard and turns it into a
 // cache entry (deduplicating against the global cache by digest, so an
 // identical shard shipped twice — or hosted under two site IDs — shares
-// one warm solver). The chain is built straight from the decoded
+// one chain). The chain is built straight from the decoded
 // columns, which the subgraph takes over as its packed base
 // (graph.FromColumns checks them as DecodeBinary checks a graph file's);
 // the subgraph is dropped once the chain is built.
@@ -392,7 +392,7 @@ func (w *Worker) buildEntry(s *wire.SiteShard, numSites int) (*cacheEntry, error
 		numDocs: s.NumDocs(),
 		rowCols: s.RowCols,
 		rowVals: s.RowVals,
-		solver:  lmm.NewSubgraphSolver(sub),
+		chain:   lmm.NewSubgraphSolver(sub),
 	}), nil
 }
 
@@ -490,9 +490,10 @@ func (w *Worker) handleLoad(sess *session, req *wire.Request) *wire.Response {
 // handleRankLocal runs step 3 of §3.2 for the requested sites (all
 // hosted sites when Request.Sites is empty), in parallel across the
 // worker's cores — this is the computation the paper pushes out of the
-// central server and onto the peers. Each shard ranks through its cache
-// entry's warm SubgraphSolver, so repeated runs reuse transition
-// matrices and solver scratch.
+// central server and onto the peers. Each shard ranks over its cache
+// entry's chain, so repeated runs reuse its transition matrix, with a
+// solver made for this request: its iterate is the answer, and nothing
+// of it stays on the entry.
 func handleRankLocal(sess *session, req *wire.Request) *wire.Response {
 	var shards []*shard
 	if len(req.Sites) == 0 {
@@ -512,7 +513,7 @@ func handleRankLocal(sess *session, req *wire.Request) *wire.Response {
 	out := make([]wire.LocalRank, len(shards))
 	errs := make([]error, len(shards))
 	lmm.ForEachParallel(len(shards), 0, func(i int) {
-		scores, iters, err := shards[i].entry.rank(cfg)
+		scores, iters, err := shards[i].entry.chain.Rank(cfg)
 		if err != nil {
 			errs[i] = err
 			return

@@ -274,8 +274,9 @@ func TestReloadShrinksSiteSpace(t *testing.T) {
 // TestLoadDeclaresExactlyTheSession is the contract of KindLoad: after
 // {0,1,2} then {1,3} the session is exactly {1,3}, its document count
 // exact; a site named again under the same digest keeps its cache entry
-// — and the warm solver on it — even after the digest cache evicted it;
-// and the same declaration delivered again changes nothing.
+// — and the chain on it, which is never rebuilt — even after the digest
+// cache evicted it; and the same declaration delivered again changes
+// nothing.
 func TestLoadDeclaresExactlyTheSession(t *testing.T) {
 	w := New()
 	sess := &session{}
@@ -288,10 +289,10 @@ func TestLoadDeclaresExactlyTheSession(t *testing.T) {
 		t.Fatalf("rank: %s", resp.Err)
 	}
 	kept := sess.shards[1].entry
-	if kept.solver == nil {
-		t.Fatal("site 1's entry holds no solver")
+	if kept.chain == nil {
+		t.Fatal("site 1's entry holds no chain")
 	}
-	solver := kept.solver
+	chain := kept.chain
 
 	// Evict everything: what a session holds does not depend on the cache.
 	w.cache.maxDocs = 0
@@ -313,8 +314,8 @@ func TestLoadDeclaresExactlyTheSession(t *testing.T) {
 		if want := load.Shards[1].NumDocs() + load.Shards[3].NumDocs(); sess.totalDocs != want {
 			t.Errorf("delivery %d: totalDocs = %d, want %d", attempt, sess.totalDocs, want)
 		}
-		if sess.shards[1].entry != kept || kept.solver != solver {
-			t.Errorf("delivery %d: site 1's entry or warm solver was replaced", attempt)
+		if sess.shards[1].entry != kept || sess.shards[1].entry.chain != chain {
+			t.Errorf("delivery %d: site 1's entry or its chain was replaced", attempt)
 		}
 	}
 	// A ref neither the session nor the cache holds is Missing, not kept

@@ -6,24 +6,22 @@ import (
 	"lmmrank/internal/pagerank"
 )
 
-// SubgraphSolver is the reusable local-DocRank state of one standalone
-// site subgraph — the per-shard analogue of Ranker's per-site solvers.
+// SubgraphSolver is the local-DocRank chain of one standalone site
+// subgraph — the per-shard analogue of Ranker's per-site chains.
 // Distributed workers hold one per cached shard so repeated coordinator
-// runs reuse the CSR transition matrix and the solver's scratch vectors
-// instead of rebuilding them every run.
+// runs reuse the CSR transition matrix instead of rebuilding it.
 //
-// Construction captures sub by reference and builds its transition
-// matrix (a mutation of the graph's cached state); mutate the subgraph
-// afterwards and the solver is stale — build a new one. The vector
-// returned by Rank aliases internal scratch, valid until the next Rank
-// on the same solver; clone to retain. A SubgraphSolver is not safe for
-// concurrent use.
+// It is a site chain with no scratch: each Rank sweeps a solver made for
+// that call, so the vector it returns is the caller's own, and any number
+// of goroutines may Rank one SubgraphSolver at once. Construction builds
+// sub's transition matrix (a mutation of the graph's cached state); mutate
+// the subgraph afterwards and the solver is stale — build a new one.
 type SubgraphSolver struct {
 	// fixed is the constant local rank of 0/1-document subgraphs, which
 	// need no iteration at all (the same special case Ranker
 	// applies).
-	fixed  matrix.Vector
-	solver *pagerank.Solver
+	fixed matrix.Vector
+	chain *pagerank.Chain
 }
 
 // NewSubgraphSolver precomputes the ranking state of one site subgraph.
@@ -35,17 +33,16 @@ func NewSubgraphSolver(sub *graph.Digraph) *SubgraphSolver {
 		// A single-document site trivially holds all local mass.
 		return &SubgraphSolver{fixed: matrix.Vector{1}}
 	}
-	return &SubgraphSolver{solver: pagerank.NewSolver(sub.TransitionMatrix())}
+	return &SubgraphSolver{chain: pagerank.NewChain(sub.TransitionMatrix())}
 }
 
-// Rank computes the subgraph's local DocRank, reusing all internal
-// buffers. The result aliases
-// solver scratch — see the type comment.
+// Rank computes the subgraph's local DocRank into a vector it allocates
+// and does not keep.
 func (s *SubgraphSolver) Rank(cfg WebConfig) (matrix.Vector, int, error) {
 	if s.fixed != nil {
-		return s.fixed, 0, nil
+		return s.fixed.Clone(), 0, nil
 	}
-	res, err := s.solver.Solve(pagerank.Config{
+	res, err := s.chain.NewSolver().Solve(pagerank.Config{
 		Damping: cfg.Damping,
 		Tol:     cfg.Tol,
 		MaxIter: cfg.MaxIter,
