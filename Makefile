@@ -235,7 +235,8 @@ bench-smoke:
 # Bounded fuzz smoke over every fuzz target, one `go test -fuzz` run
 # per target (the flag takes a single target per package). Keeps the
 # corpus-driven guards — COW clone isolation, the site runs against a
-# per-document site column across clone chains, the graph (text and binary)
+# per-document site column across clone chains, the sites an Update
+# derives and its incremental check against full diffs and Validate, the graph (text and binary)
 # and wire decoders' never-panic/bounded-allocation contracts, the
 # transition matrix and NewCSR against their dense references, the top-k
 # index's radix sort against the comparison sort and coalescing-fingerprint
@@ -244,6 +245,7 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCloneCOW$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzSiteRuns$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzChangedSince$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzReadText$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzTransitionMatrix$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/graph

@@ -154,7 +154,7 @@ func BenchmarkE7Distributed(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cl.Coord.Rank(web.Graph, DistConfig{Tol: 1e-9}); err != nil {
+				if _, err := coordRank(cl, web.Graph, DistConfig{Tol: 1e-9}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -187,7 +187,7 @@ func BenchmarkE11SiteRank(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := cl.Coord.Rank(web.Graph, tc.cfg)
+				res, err := coordRank(cl, web.Graph, tc.cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -344,9 +344,8 @@ func churnBenchWeb(seed int64) *webgen.Web {
 	})
 }
 
-// churnEdit applies one deterministic 1-site edit (two intra-site links)
-// and returns the changed site.
-func churnEdit(dg *DocGraph, i int) SiteID {
+// churnEdit applies one deterministic 1-site edit (two intra-site links).
+func churnEdit(dg *DocGraph, i int) {
 	site := SiteID(i % 80)
 	docs := dg.Sites[site].Docs
 	if len(docs) >= 3 {
@@ -358,7 +357,6 @@ func churnEdit(dg *DocGraph, i int) SiteID {
 			dg.G.AddLink(b, c)
 		}
 	}
-	return site
 }
 
 // BenchmarkE9ChurnUpdate measures the churn serving path: after a 1-site
@@ -396,8 +394,8 @@ func BenchmarkE9ChurnUpdate(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			site := churnEdit(web.Graph, i)
-			if err := eng.Update(ctx, GraphDelta{ChangedSites: []SiteID{site}}); err != nil {
+			edit := func(dg *DocGraph) error { churnEdit(dg, i); return nil }
+			if err := eng.Update(ctx, GraphDelta{Apply: edit}); err != nil {
 				b.Fatal(err)
 			}
 			if _, err := eng.Rank(ctx, Query{Tol: 1e-9}); err != nil {
@@ -425,7 +423,6 @@ func BenchmarkUpdateOneSite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		err := eng.Update(ctx, GraphDelta{
-			ChangedSites: []SiteID{SiteID(i % 80)},
 			Apply: func(dg *DocGraph) error {
 				churnEdit(dg, i)
 				return nil
@@ -466,7 +463,6 @@ func BenchmarkE10UpdateUnderLoad(b *testing.B) {
 			}
 			i := i
 			err := eng.Update(ctx, GraphDelta{
-				ChangedSites: []SiteID{SiteID(i % 80)},
 				Apply: func(dg *DocGraph) error {
 					churnEdit(dg, i)
 					return nil
@@ -540,7 +536,6 @@ func BenchmarkE13TenantServing(b *testing.B) {
 			}
 			i := i
 			err := eng.Update(ctx, GraphDelta{
-				ChangedSites: []SiteID{SiteID(i % 80)},
 				Apply: func(dg *DocGraph) error {
 					churnEdit(dg, i)
 					return nil

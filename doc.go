@@ -84,41 +84,38 @@
 //
 //   - Snapshot semantics: an engine's whole serving state — graph,
 //     precomputed cores, warm seeds — lives behind one atomic pointer
-//     to an immutable snapshot. Update applies GraphDelta.Apply to a
-//     copy-on-write clone of the graph (the clone shares the packed
-//     adjacency, the site runs, the URLs and the site rosters with the
-//     old graph by pointer and holds only the rows it rewrites — so Apply
-//     may add links, sites and documents (add documents with AddDoc),
-//     but must not overwrite or reorder a Site.Docs roster in place: a
-//     roster lists exactly its site's documents in ascending order, and
-//     Validate refuses any other),
+//     to an immutable snapshot. Update applies GraphDelta.Apply (which
+//     must not be nil) to a copy-on-write clone of the graph (the clone
+//     shares the packed adjacency, the site runs, the URLs and the site
+//     rosters with the old graph by pointer and holds only the rows it
+//     rewrites — so Apply may add links, sites and documents (add
+//     documents with AddDoc), but must not overwrite or reorder a
+//     Site.Docs roster in place: a roster lists exactly its site's
+//     documents in ascending order, and Validate refuses any other),
 //     rebuilds off to the side and publishes with a single store.
 //     Queries never wait for an Update and an Update never waits for
 //     queries: a Rank in flight across the swap completes on the
 //     snapshot it started on, bit-identical to an uncontended run, and
-//     the next Rank sees the new graph. A failed Apply-path Update discards the clone — a
-//     no-op, the engine is exactly as before. Because the served graph
-//     evolves through clones, re-fetch it with DocGraph() after
-//     updating rather than caching the construction-time pointer.
-//   - A nil Apply means the caller already mutated the serving graph in
-//     place, which is only safe with no queries in flight; on that path
-//     a failed Update records the delta's sites so a later Update
-//     rebuilds them too.
-//   - ChangedSites is the caller's contract: it must list every site
-//     whose pages or links changed (appended sites are implicit). Only
-//     those sites' structure is rebuilt — locally their SiteGraph rows
-//     and local DocRanks (clean sites' solutions, and any chains a query
-//     had built, are shared by pointer; default-parameter queries are
-//     composed from the refreshed solutions, and every other query's
-//     solves start from them);
+//     the next Rank sees the new graph. A failed Update discards the
+//     clone — a no-op, the engine is exactly as before. Because the
+//     served graph evolves through clones, re-fetch it with DocGraph()
+//     after updating rather than caching the construction-time pointer.
+//   - The engine derives the sites the clone changed from the clone
+//     itself (DocGraph.ChangedSince: the rows and rosters it no longer
+//     shares with the served graph, and the sites it appended), and
+//     checks only what the clone wrote. Only those sites' structure is
+//     rebuilt — locally their SiteGraph rows and local DocRanks (clean
+//     sites' solutions, and any chains a query had built, are shared by
+//     pointer; default-parameter queries are composed from the refreshed
+//     solutions, and every other query's solves start from them);
 //     distributedly their shards and local DocRanks (clean shards stay
 //     in the worker caches and are never re-shipped, clean sites' local
 //     DocRanks carry into the next snapshot and are never re-solved —
 //     the Result.Dist of the first query after the Update accounts for
 //     it; Update itself sends nothing).
-//   - After an out-of-band mutation (or a failed nil-Apply Update),
-//     queries keep failing with ErrGraphMutated until a successful
-//     Update or a fresh engine — recovery is always explicit.
+//   - After an out-of-band mutation of the served graph, queries and
+//     Updates fail with ErrGraphMutated — nothing recorded what changed,
+//     so recovery is a fresh engine.
 //
 // Self-healing and restart: DistRetryPolicy.MaxRedials arms a
 // background redial loop — each lost worker is redialed with jittered
@@ -145,7 +142,7 @@
 // overloads per tenant, coalesced shares and index serves. Tenancy is an
 // admission identity only and never changes a query's answer.
 //
-// The expert-path equivalents are lmm-level: Ranker.Rebuild(changed) /
-// Ranker.RebuildOn(clone, changed) for the structural half and
-// WebConfig.SiteStart/LocalStarts for the warm seeds.
+// The expert-path equivalents are lmm-level: Ranker.RebuildOn(clone, nil)
+// for the structural half and WebConfig.SiteStart/LocalStarts for the
+// warm seeds.
 package lmmrank

@@ -107,19 +107,11 @@ type Result struct {
 	Dist *DistStats
 }
 
-// GraphDelta describes one batch of graph churn for Engine.Update: which
-// sites' content changed, and (optionally) the mutation itself.
+// GraphDelta describes one batch of graph churn for Engine.Update: the
+// mutation itself.
 //
-// ChangedSites must list every site whose pages or links changed —
-// including links *from* its documents to other sites' documents; sites
-// appended beyond the previous roster are implicitly changed. The
-// layered decomposition makes this list the whole cost model: only the
-// listed sites' SiteGraph rows, transition matrices and solvers are
-// rebuilt (and, distributedly, re-shipped), everything else is reused —
-// so a site left off the list keeps serving its old links.
-//
-// Apply, when non-nil, receives a copy-on-write working clone of the
-// served graph — not the serving snapshot itself. The engine applies
+// Apply receives a copy-on-write working clone of the served graph — not
+// the serving snapshot itself — and must not be nil. The engine applies
 // the mutation to the clone, rebuilds off to the side and publishes the
 // result atomically, so in-flight queries keep reading the old,
 // untouched graph; if Apply (or the rebuild) fails, the clone is
@@ -129,14 +121,16 @@ type Result struct {
 // and site rosters with the serving graph under an append-only contract:
 // add links, append to Sites, and add documents with AddDoc, but do not
 // overwrite, reorder or truncate what is already there. After a
-// successful Apply-path Update, re-fetch the serving graph with
-// DocGraph().
+// successful Update, re-fetch the serving graph with DocGraph().
 //
-// With a nil Apply the caller has already mutated the serving graph in
-// place; that is only safe when no query was in flight during the
-// mutation (queries read the graph while serving), and the engine keeps
-// serving that same (now rebuilt-in-place) graph.
+// The engine derives which sites the clone changed from the clone
+// itself (DocGraph.ChangedSince), and the layered decomposition makes
+// that set the whole cost model: only those sites' SiteGraph rows,
+// transition matrices and solvers are rebuilt (and, distributedly,
+// re-shipped), everything else is reused.
 type GraphDelta struct {
+	// Deprecated: ignored. The engine derives the changed sites from
+	// the clone Apply wrote.
 	ChangedSites []SiteID
 	Apply        func(dg *DocGraph) error
 }
@@ -151,7 +145,7 @@ type GraphDelta struct {
 //
 // Update makes graph churn a first-class serving operation: it applies
 // a GraphDelta to a copy-on-write clone of the graph, rebuilds only the
-// changed sites' precomputed structure, warm-starts whatever the
+// precomputed structure of the sites the clone wrote, warm-starts whatever the
 // backend can (local solves seed from the previous solution;
 // distributed runs re-ship only the changed shards), and publishes the
 // result as a new immutable snapshot with one atomic pointer store.
@@ -159,8 +153,8 @@ type GraphDelta struct {
 // in-flight queries — however slow — complete on the snapshot they
 // started on, bit-identical to an uncontended run, and the first Rank
 // after Update sees the new graph. Mutating the graph *without* Update
-// leaves the engine stale: queries fail with ErrGraphMutated (wrapped)
-// instead of silently serving stale rankings.
+// leaves the engine stale: queries and Updates fail with ErrGraphMutated
+// (wrapped) instead of silently serving stale rankings.
 type Engine interface {
 	Rank(ctx context.Context, q Query) (*Result, error)
 	Update(ctx context.Context, delta GraphDelta) error
@@ -413,11 +407,13 @@ func (src *source) run(ctx context.Context, snap *snapshot, q Query, from *solut
 }
 
 // rebuild is Update's half behind the front: the next snapshot over dg,
-// with the changed sites' structure rebuilt, the clean sites' shard
-// digests carried, and started from cur's solutions — or, if cur was
-// never filled, from where its fill would have started.
-func (e *server) rebuild(ctx context.Context, cur *snapshot, dg *DocGraph, changed []SiteID) (*snapshot, error) {
-	base, err := cur.base.RebuildOn(dg, changed)
+// a clone of cur's graph, with the structure of the sites it changed
+// rebuilt, the clean sites' shard digests carried, and started from cur's
+// solutions — or, if cur was never filled, from where its fill would have
+// started.
+func (e *server) rebuild(ctx context.Context, cur *snapshot, dg *DocGraph) (*snapshot, error) {
+	changed := dg.ChangedSince(cur.dg)
+	base, err := cur.base.RebuildOn(dg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -728,8 +724,9 @@ var _ Engine = (*DistEngine)(nil)
 // NewDistEngine builds a distributed serving engine over a running
 // cluster: a Ranker is precomputed for the graph (structure only — the
 // fleet solves the local DocRanks, on the first query; construction
-// sends nothing) and every Rank reuses it. cfg supplies the transport
-// knobs (SiteGraph aggregation, SiteRank mode, retry policy) and the
+// sends nothing) and every Rank reuses it, its SiteGraph aggregated with
+// the default SiteGraphOptions. cfg supplies the transport knobs
+// (SiteRank mode, retry policy, placement) and the
 // serving knobs (MaxInFlight, TenantQuota, RejectOverload, Coalesce,
 // CoalesceTol); its per-query fields — Damping, Tol, MaxIter,
 // SitePersonalization, ThreeLayer — are ignored and overwritten from each
@@ -738,7 +735,7 @@ var _ Engine = (*DistEngine)(nil)
 func NewDistEngine(cl *Cluster, dg *DocGraph, cfg DistConfig) (*DistEngine, error) {
 	e := &DistEngine{server{src: source{coord: cl.Coord, cfg: cfg}, coalesce: cfg.Coalesce, coalesceTol: cfg.CoalesceTol,
 		admit: newAdmitGate(cfg.MaxInFlight, cfg.TenantQuota, cfg.RejectOverload)}}
-	if err := e.serve(dg, cfg.SiteGraph); err != nil {
+	if err := e.serve(dg, SiteGraphOptions{}); err != nil {
 		return nil, err
 	}
 	return e, nil

@@ -126,7 +126,6 @@ func TestServingAdmissionUnderChurn(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			s := sites[i%len(sites)]
 			err := eng.Update(ctx, GraphDelta{
-				ChangedSites: []SiteID{s},
 				Apply: func(dg *DocGraph) error {
 					docs := dg.Sites[s].Docs
 					dg.G.AddLink(int(docs[0]), int(docs[2]))
@@ -203,7 +202,6 @@ func TestCoalesceLeaderAbortUnderChurn(t *testing.T) {
 		if round%5 == 4 {
 			s := sites[(round/5)%len(sites)]
 			err := eng.Update(ctx, GraphDelta{
-				ChangedSites: []SiteID{s},
 				Apply: func(dg *DocGraph) error {
 					docs := dg.Sites[s].Docs
 					dg.G.AddLink(int(docs[0]), int(docs[2]))

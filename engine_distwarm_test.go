@@ -205,8 +205,7 @@ func TestDistEngineConcurrentFirstQueriesShareOneFill(t *testing.T) {
 	}
 	race("fresh engine")
 	err = eng.Update(ctx, GraphDelta{
-		ChangedSites: []SiteID{6},
-		Apply:        func(dg *DocGraph) error { editSite(t, dg, 6); return nil },
+		Apply: func(dg *DocGraph) error { editSite(t, dg, 6); return nil },
 	})
 	if err != nil {
 		t.Fatalf("Update: %v", err)
@@ -356,8 +355,7 @@ func TestFleetRoundsBeatPowerSteps(t *testing.T) {
 				site++
 			}
 			err = eng.Update(ctx, GraphDelta{
-				ChangedSites: []SiteID{site},
-				Apply:        func(dg *DocGraph) error { editSite(t, dg, site); return nil },
+				Apply: func(dg *DocGraph) error { editSite(t, dg, site); return nil },
 			})
 			if err != nil {
 				t.Fatalf("Update: %v", err)
@@ -407,8 +405,7 @@ func TestDistEngineUpdateAsksOnlyChangedSite(t *testing.T) {
 
 	const site = SiteID(6)
 	err = eng.Update(ctx, GraphDelta{
-		ChangedSites: []SiteID{site},
-		Apply:        func(dg *DocGraph) error { editSite(t, dg, site); return nil },
+		Apply: func(dg *DocGraph) error { editSite(t, dg, site); return nil },
 	})
 	if err != nil {
 		t.Fatalf("Update: %v", err)
@@ -471,8 +468,7 @@ func TestDistEngineUpdateAsksOnlyChangedSite(t *testing.T) {
 	// where the never-filled first one's would have, and asks for both.
 	for _, s := range []SiteID{2, 9} {
 		if err := eng.Update(ctx, GraphDelta{
-			ChangedSites: []SiteID{s},
-			Apply:        func(dg *DocGraph) error { editSite(t, dg, s); return nil },
+			Apply: func(dg *DocGraph) error { editSite(t, dg, s); return nil },
 		}); err != nil {
 			t.Fatalf("Update: %v", err)
 		}
@@ -535,8 +531,7 @@ func TestUpdateHashesOnlyChangedShards(t *testing.T) {
 				site++
 			}
 			err = eng.Update(ctx, GraphDelta{
-				ChangedSites: []SiteID{site},
-				Apply:        func(dg *DocGraph) error { editSite(t, dg, site); return nil },
+				Apply: func(dg *DocGraph) error { editSite(t, dg, site); return nil },
 			})
 			if err != nil {
 				t.Fatalf("Update: %v", err)
@@ -605,8 +600,7 @@ func TestDistEngineWarmSurvivesWorkerLoss(t *testing.T) {
 
 	const site = SiteID(6)
 	err = eng.Update(ctx, GraphDelta{
-		ChangedSites: []SiteID{site},
-		Apply:        func(dg *DocGraph) error { editSite(t, dg, site); return nil },
+		Apply: func(dg *DocGraph) error { editSite(t, dg, site); return nil },
 	})
 	if err != nil {
 		t.Fatalf("Update: %v", err)
@@ -773,8 +767,7 @@ func TestDistEnginePinnedRankKeepsOldWarmState(t *testing.T) {
 	before := warmRanks(t, eng, Query{})[1]
 	pinned := eng.snap.Load() // what a Rank in flight across the Update holds
 	err = eng.Update(ctx, GraphDelta{
-		ChangedSites: []SiteID{4},
-		Apply:        func(dg *DocGraph) error { editSite(t, dg, 4); return nil },
+		Apply: func(dg *DocGraph) error { editSite(t, dg, 4); return nil },
 	})
 	if err != nil {
 		t.Fatalf("Update: %v", err)

@@ -113,7 +113,6 @@ func TestLocalEngineRetention(t *testing.T) {
 	}
 	check("queried")
 	if err := eng.Update(ctx, GraphDelta{
-		ChangedSites: []SiteID{3},
 		Apply: func(dg *DocGraph) error {
 			editSite(t, dg, 3)
 			return nil
@@ -303,7 +302,6 @@ func TestTopKEngineRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := eng.Update(ctx, GraphDelta{
-		ChangedSites: []SiteID{3},
 		Apply: func(dg *DocGraph) error {
 			editSite(t, dg, 3)
 			return nil

@@ -68,7 +68,6 @@ func TestRankStragglerAcrossUpdate(t *testing.T) {
 	// Update must complete while the straggler is parked — under the old
 	// drain-and-swap engine this deadlocked on the write lock.
 	err = eng.Update(ctx, GraphDelta{
-		ChangedSites: []SiteID{2},
 		Apply: func(dg *DocGraph) error {
 			editSite(t, dg, 2)
 			return nil
@@ -500,7 +499,6 @@ func TestThreeLayerWarmMatchesCold(t *testing.T) {
 		t.Fatalf("pre-churn Rank: %v", err)
 	}
 	err = eng.Update(ctx, GraphDelta{
-		ChangedSites: []SiteID{4},
 		Apply: func(dg *DocGraph) error {
 			editSite(t, dg, 4)
 			return nil
@@ -531,7 +529,7 @@ func TestThreeLayerWarmMatchesCold(t *testing.T) {
 
 // TestDistEngineFailedApplyNoReship: what is distributed about a failed
 // Apply being a no-op — nothing of the half-applied edit reaches the
-// wire. A follow-up empty Update rebuilds nothing and the next query
+// wire. A follow-up no-op Update rebuilds nothing and the next query
 // reuses every shard. (That the ranking is unmoved is
 // TestEngineUpdateApplyError, on both engines.)
 func TestDistEngineFailedApplyNoReship(t *testing.T) {
@@ -555,7 +553,6 @@ func TestDistEngineFailedApplyNoReship(t *testing.T) {
 
 	boom := errors.New("boom")
 	err = eng.Update(ctx, GraphDelta{
-		ChangedSites: []SiteID{2},
 		Apply: func(dg *DocGraph) error {
 			editSite(t, dg, 2) // mutates the clone, then fails
 			return boom
@@ -565,11 +562,10 @@ func TestDistEngineFailedApplyNoReship(t *testing.T) {
 		t.Fatalf("failing Update: err = %v, want boom", err)
 	}
 
-	// Under the old merge-before-Apply engine, site 2 was already marked
-	// dirty (and the serving graph mutated), so this shipped the
-	// half-applied edit.
-	if err := eng.Update(ctx, GraphDelta{}); err != nil {
-		t.Fatalf("empty Update: %v", err)
+	// The no-op's clone wrote nothing, so it derives no changed site:
+	// nothing of the failed edit is left to ship.
+	if err := eng.Update(ctx, GraphDelta{Apply: func(*DocGraph) error { return nil }}); err != nil {
+		t.Fatalf("no-op Update: %v", err)
 	}
 	warm, err := eng.Rank(ctx, Query{})
 	if err != nil {

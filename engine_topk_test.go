@@ -82,7 +82,6 @@ func TestTopKIndexBitIdentical(t *testing.T) {
 	edit := func(e *LocalEngine, sites ...SiteID) {
 		t.Helper()
 		err := e.Update(ctx, GraphDelta{
-			ChangedSites: sites,
 			Apply: func(dg *DocGraph) error {
 				for _, s := range sites {
 					editSite(t, dg, s)
@@ -122,7 +121,6 @@ func TestTopKIndexPatchShares(t *testing.T) {
 	old := eng.snap.Load().sol.Load().index.Load()
 	const changed = SiteID(5)
 	err = eng.Update(ctx, GraphDelta{
-		ChangedSites: []SiteID{changed},
 		Apply: func(dg *DocGraph) error {
 			editSite(t, dg, changed)
 			return nil
@@ -413,7 +411,6 @@ func TestTopKIndexLazyChainsConcurrent(t *testing.T) {
 	const changed = SiteID(5)
 	update := func(eng *LocalEngine) {
 		err := eng.Update(ctx, GraphDelta{
-			ChangedSites: []SiteID{changed},
 			Apply: func(dg *DocGraph) error {
 				editSite(t, dg, changed)
 				return nil
@@ -614,8 +611,7 @@ func TestDistEngineTopKIndex(t *testing.T) {
 			const changed = SiteID(5)
 			for _, e := range []Engine{eng, local} {
 				if err := e.Update(ctx, GraphDelta{
-					ChangedSites: []SiteID{changed},
-					Apply:        func(dg *DocGraph) error { editSite(t, dg, changed); return nil },
+					Apply: func(dg *DocGraph) error { editSite(t, dg, changed); return nil },
 				}); err != nil {
 					t.Fatal(err)
 				}
@@ -693,8 +689,7 @@ func TestTopKIndexBuiltOnce(t *testing.T) {
 		}
 		burst("fresh snapshot")
 		if err := eng.Update(ctx, GraphDelta{
-			ChangedSites: []SiteID{5},
-			Apply:        func(dg *DocGraph) error { editSite(t, dg, 5); return nil },
+			Apply: func(dg *DocGraph) error { editSite(t, dg, 5); return nil },
 		}); err != nil {
 			t.Fatal(err)
 		}

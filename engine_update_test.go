@@ -178,7 +178,6 @@ func TestEngineUpdateWarmMatchesColdRebuild(t *testing.T) {
 
 	const site = SiteID(4)
 	err = eng.Update(ctx, GraphDelta{
-		ChangedSites: []SiteID{site},
 		Apply: func(dg *DocGraph) error {
 			editSite(t, dg, site)
 			return nil
@@ -241,57 +240,76 @@ func TestEngineUpdateWarmMatchesColdRebuild(t *testing.T) {
 }
 
 // TestEngineMutationWithoutUpdateFails pins the footgun fix: a graph
-// mutation not delivered through Update — new links, or a new document —
+// mutation not delivered through Update — new links and a new document —
 // turns every query shape into a documented ErrGraphMutated (instead of
 // silently stale rankings, or a compose indexing past a grown site), and
-// a follow-up Update listing the changed site restores service — on
+// so does every later Update, since nothing recorded what changed — on
 // every engine.
 func TestEngineMutationWithoutUpdateFails(t *testing.T) {
 	ctx := context.Background()
 	const site = SiteID(2)
-	mutations := []struct {
-		name   string
-		mutate func(dg *DocGraph)
-	}{
-		{"edit", func(dg *DocGraph) { editSite(t, dg, site) }},
-		{"add-doc", func(dg *DocGraph) {
-			docs := dg.Sites[site].Docs
-			d := dg.AddDoc(fmt.Sprintf("http://%s/added", dg.Sites[site].Name), site)
-			dg.G.AddLink(int(docs[0]), int(d))
-			dg.G.AddLink(int(d), int(docs[1]))
-		}},
-	}
 	everyEngine(t, EngineOptions{}, func(t *testing.T, eng servedEngine) {
-		for _, m := range mutations {
-			shapes := everyShape(eng.DocGraph())
-			for _, q := range shapes {
-				if _, err := eng.Rank(ctx, q); err != nil && !errors.Is(err, ErrUnsupportedQuery) {
-					t.Fatalf("%s: Rank before the mutation: %v", m.name, err)
-				}
+		shapes := everyShape(eng.DocGraph())
+		for _, q := range shapes {
+			if _, err := eng.Rank(ctx, q); err != nil && !errors.Is(err, ErrUnsupportedQuery) {
+				t.Fatalf("Rank before the mutation: %v", err)
 			}
+		}
 
-			m.mutate(eng.DocGraph()) // behind the engine's back
-			refusesStale(t, eng, shapes)
+		// Behind the engine's back: links, and a document.
+		dg := eng.DocGraph()
+		editSite(t, dg, site)
+		docs := dg.Sites[site].Docs
+		d := dg.AddDoc(fmt.Sprintf("http://%s/added", dg.Sites[site].Name), site)
+		dg.G.AddLink(int(docs[0]), int(d))
+		dg.G.AddLink(int(d), int(docs[1]))
+		refusesStale(t, eng, shapes)
 
-			// Update with the mutation already applied (nil Apply) recovers.
-			if err := eng.Update(ctx, GraphDelta{ChangedSites: []SiteID{site}}); err != nil {
-				t.Fatalf("%s: recovery Update: %v", m.name, err)
-			}
-			got, err := eng.Rank(ctx, Query{Tol: 1e-11})
-			if err != nil {
-				t.Fatalf("%s: Rank after recovery Update: %v", m.name, err)
-			}
-			if d := got.DocRank.L1Diff(coldRank(t, eng, Query{Tol: 1e-11}).DocRank); d >= 1e-9 {
-				t.Errorf("%s: ‖recovered − cold‖₁ = %g, want < 1e-9", m.name, d)
-			}
+		noop := GraphDelta{Apply: func(*DocGraph) error { return nil }}
+		if err := eng.Update(ctx, noop); !errors.Is(err, ErrGraphMutated) {
+			t.Fatalf("Update after the mutation: err = %v, want ErrGraphMutated", err)
+		}
+		refusesStale(t, eng, shapes)
+	})
+}
+
+// TestEngineUpdateDerivesChangedSites: the sites an Update rebuilds are
+// derived from the clone its Apply wrote, not taken from the deprecated
+// ChangedSites. An Apply that edits site 4 while ChangedSites lists only
+// site 5 is served as a cold engine over the same graph serves it, on
+// every engine. (When the list was trusted, the next answer kept site
+// 4's old chain and SiteGraph row: 1.6e-3 off in L1.)
+func TestEngineUpdateDerivesChangedSites(t *testing.T) {
+	ctx := context.Background()
+	q := Query{Tol: 1e-11}
+	everyEngine(t, EngineOptions{}, func(t *testing.T, eng servedEngine) {
+		if _, err := eng.Rank(ctx, Query{}); err != nil {
+			t.Fatalf("pre-churn Rank: %v", err)
+		}
+		err := eng.Update(ctx, GraphDelta{
+			ChangedSites: []SiteID{5},
+			Apply: func(dg *DocGraph) error {
+				editSite(t, dg, 4)
+				return nil
+			},
+		})
+		if err != nil {
+			t.Fatalf("Update: %v", err)
+		}
+		got, err := eng.Rank(ctx, q)
+		if err != nil {
+			t.Fatalf("Rank after Update: %v", err)
+		}
+		if d := got.DocRank.L1Diff(coldRank(t, eng, q).DocRank); d >= 1e-9 {
+			t.Errorf("‖served − cold‖₁ = %g, want < 1e-9 (site 4's edit was not rebuilt)", d)
 		}
 	})
 }
 
 // TestEngineUpdateApplyError: an Apply that mutates the working clone and
 // then fails is a no-op on either engine — the error surfaces wrapped,
-// the serving graph and the ranking are what they were, nothing is left
-// marked dirty, and the same delta reissued with a working Apply lands.
+// the serving graph and the ranking are what they were, and the same
+// delta reissued with a working Apply lands.
 func TestEngineUpdateApplyError(t *testing.T) {
 	ctx := context.Background()
 	bothEngines(t, EngineOptions{}, func(t *testing.T, eng servedEngine) {
@@ -302,7 +320,6 @@ func TestEngineUpdateApplyError(t *testing.T) {
 		}
 		boom := errors.New("boom")
 		delta := GraphDelta{
-			ChangedSites: []SiteID{3},
 			Apply: func(dg *DocGraph) error {
 				editSite(t, dg, 3)
 				return boom
@@ -320,6 +337,12 @@ func TestEngineUpdateApplyError(t *testing.T) {
 		}
 		if d := post.DocRank.L1Diff(pre.DocRank); d >= 1e-9 {
 			t.Errorf("failed Update moved the ranking by %g (the failed edit leaked)", d)
+		}
+
+		// An Apply that succeeds but leaves a graph Validate refuses fails
+		// the Update the same way.
+		if err := eng.Update(ctx, GraphDelta{Apply: func(dg *DocGraph) error { dg.G = nil; return nil }}); err == nil || eng.DocGraph() != dg {
+			t.Fatalf("Update leaving no digraph: err = %v, serving graph swapped: %v", err, eng.DocGraph() != dg)
 		}
 
 		delta.Apply = func(dg *DocGraph) error {
@@ -342,8 +365,8 @@ func TestEngineUpdateApplyError(t *testing.T) {
 // TestEngineFailedApplyUpdateIsNoOp pins the new transactional Apply
 // path: an Update that fails after Apply mutated the *clone* (here: the
 // context is cancelled during the refresh solve) discards the clone and
-// leaves the engine exactly as before — no ErrGraphMutated, the same
-// rankings, and nothing marked dirty. Reissuing the delta then succeeds
+// leaves the engine exactly as before — no ErrGraphMutated and the same
+// rankings. Reissuing the delta then succeeds
 // and matches a cold engine over the evolved serving graph.
 func TestEngineFailedApplyUpdateIsNoOp(t *testing.T) {
 	web := churnTestWeb()
@@ -365,7 +388,6 @@ func TestEngineFailedApplyUpdateIsNoOp(t *testing.T) {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	delta := GraphDelta{
-		ChangedSites: []SiteID{3},
 		Apply: func(dg *DocGraph) error {
 			editSite(t, dg, 3)
 			cancel()
@@ -401,108 +423,6 @@ func TestEngineFailedApplyUpdateIsNoOp(t *testing.T) {
 	if d := got.DocRank.L1Diff(coldRank(t, eng, Query{Tol: 1e-11}).DocRank); d >= 1e-9 {
 		t.Errorf("‖reissued − cold‖₁ = %g, want < 1e-9", d)
 	}
-}
-
-// TestEngineFailedNilApplyUpdateKeepsSitesDirty pins the one remaining
-// dirty-tracking path: on the nil-Apply path the serving graph is
-// already mutated when Update is called, so a failed Update must keep
-// the delta's sites recorded, and the next successful Update — listing
-// only its *own* changed sites — must rebuild the earlier ones too.
-// Forgetting them would bless the pre-edit subgraphs into the new core
-// and serve silently stale rankings (distributedly: ship the stale shard).
-func TestEngineFailedNilApplyUpdateKeepsSitesDirty(t *testing.T) {
-	ctx := context.Background()
-	everyEngine(t, EngineOptions{}, func(t *testing.T, eng servedEngine) {
-		if _, err := eng.Rank(ctx, Query{}); err != nil {
-			t.Fatalf("pre-churn Rank: %v", err)
-		}
-
-		// The caller mutates the serving graph directly, then its recovery
-		// Update fails (already-cancelled context): site 3 must stay
-		// recorded as dirty.
-		editSite(t, eng.DocGraph(), 3)
-		cctx, cancel := context.WithCancel(ctx)
-		cancel()
-		err := eng.Update(cctx, GraphDelta{ChangedSites: []SiteID{3}})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled Update: err = %v, want context.Canceled", err)
-		}
-		refusesStale(t, eng, everyShape(eng.DocGraph()))
-
-		// Update #2 lists only its own site; site 3 must be rebuilt anyway.
-		err = eng.Update(ctx, GraphDelta{
-			ChangedSites: []SiteID{5},
-			Apply: func(dg *DocGraph) error {
-				editSite(t, dg, 5)
-				return nil
-			},
-		})
-		if err != nil {
-			t.Fatalf("recovery Update: %v", err)
-		}
-		got, err := eng.Rank(ctx, Query{Tol: 1e-11})
-		if err != nil {
-			t.Fatalf("Rank after recovery: %v", err)
-		}
-		if d := got.DocRank.L1Diff(coldRank(t, eng, Query{Tol: 1e-11}).DocRank); d >= 1e-9 {
-			t.Errorf("‖recovered − cold‖₁ = %g, want < 1e-9 (site 3's edit was dropped?)", d)
-		}
-	})
-}
-
-// TestEngineUpdateRefusesOutOfRangeSites: a ChangedSites entry outside
-// [0, NumSites) of the updated graph fails the Update on either engine
-// and either path, and is never recorded: the next Updates, on both
-// paths, succeed. (On the nil-Apply path the bad site used to be recorded
-// as dirty before the rebuild refused it, and every later Update failed
-// on it.) An in-range site listed beside a bad one on the nil-Apply path
-// stays recorded — that graph is already mutated — and the next
-// successful Update rebuilds it.
-func TestEngineUpdateRefusesOutOfRangeSites(t *testing.T) {
-	ctx := context.Background()
-	noop := func(*DocGraph) error { return nil }
-	bothEngines(t, EngineOptions{}, func(t *testing.T, eng servedEngine) {
-		ns := eng.DocGraph().NumSites()
-		for _, c := range []struct {
-			name  string
-			bad   SiteID
-			apply func(*DocGraph) error
-		}{
-			{"nil-apply/past the end", SiteID(ns + 5), nil},
-			{"nil-apply/negative", -1, nil},
-			{"apply/past the end", SiteID(ns), noop},
-			{"apply/negative", -1, noop},
-		} {
-			if err := eng.Update(ctx, GraphDelta{ChangedSites: []SiteID{c.bad}, Apply: c.apply}); err == nil {
-				t.Errorf("%s: Update listing site %d of %d succeeded", c.name, c.bad, ns)
-			}
-			if err := eng.Update(ctx, GraphDelta{ChangedSites: []SiteID{1}}); err != nil {
-				t.Errorf("%s: the next nil-Apply Update: %v", c.name, err)
-			}
-			if err := eng.Update(ctx, GraphDelta{ChangedSites: []SiteID{2}, Apply: noop}); err != nil {
-				t.Errorf("%s: the next Apply-path Update: %v", c.name, err)
-			}
-		}
-
-		editSite(t, eng.DocGraph(), 3)
-		if err := eng.Update(ctx, GraphDelta{ChangedSites: []SiteID{3, SiteID(ns)}}); err == nil {
-			t.Fatal("a nil-Apply Update listing an out-of-range site succeeded")
-		}
-		refusesStale(t, eng, everyShape(eng.DocGraph()))
-		if err := eng.Update(ctx, GraphDelta{
-			ChangedSites: []SiteID{5},
-			Apply:        func(dg *DocGraph) error { editSite(t, dg, 5); return nil },
-		}); err != nil {
-			t.Fatalf("recovery Update: %v", err)
-		}
-		got, err := eng.Rank(ctx, Query{Tol: 1e-11})
-		if err != nil {
-			t.Fatalf("Rank after recovery: %v", err)
-		}
-		if d := got.DocRank.L1Diff(coldRank(t, eng, Query{Tol: 1e-11}).DocRank); d >= 1e-9 {
-			t.Errorf("‖recovered − cold‖₁ = %g, want < 1e-9 (site 3's edit was dropped?)", d)
-		}
-	})
 }
 
 // TestEngineUpdateConcurrentWithRank hammers Update against concurrent
@@ -546,7 +466,6 @@ func TestEngineUpdateConcurrentWithRank(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		site := SiteID(i + 1)
 		err := eng.Update(ctx, GraphDelta{
-			ChangedSites: []SiteID{site},
 			Apply: func(dg *DocGraph) error {
 				docs := dg.Sites[site].Docs
 				if len(docs) >= 2 {
@@ -597,7 +516,6 @@ func TestDistEngineUpdate(t *testing.T) {
 
 	const site = SiteID(6)
 	err = eng.Update(ctx, GraphDelta{
-		ChangedSites: []SiteID{site},
 		Apply: func(dg *DocGraph) error {
 			editSite(t, dg, site)
 			return nil
@@ -635,16 +553,14 @@ func TestDistEngineUpdate(t *testing.T) {
 	}
 
 	// Mutating behind the engine's back is refused distributedly too —
-	// the mutation must hit the graph currently served.
+	// the mutation must hit the graph currently served — and so is every
+	// later Update.
 	editSite(t, eng.DocGraph(), 1)
 	if _, err := eng.Rank(ctx, Query{}); !errors.Is(err, ErrGraphMutated) {
 		t.Errorf("Rank after external mutation: err = %v, want ErrGraphMutated", err)
 	}
-	if err := eng.Update(ctx, GraphDelta{ChangedSites: []SiteID{1}}); err != nil {
-		t.Fatalf("recovery Update: %v", err)
-	}
-	if _, err := eng.Rank(ctx, Query{}); err != nil {
-		t.Errorf("Rank after recovery Update: %v", err)
+	if err := eng.Update(ctx, GraphDelta{Apply: func(*DocGraph) error { return nil }}); !errors.Is(err, ErrGraphMutated) {
+		t.Errorf("Update after external mutation: err = %v, want ErrGraphMutated", err)
 	}
 }
 
@@ -663,8 +579,8 @@ func growSite(dg *DocGraph, s SiteID, n int) {
 }
 
 // TestEngineUpdateAppendsDocuments: an edit history that appends
-// documents — to an old site, as a new site, both at once, and once more
-// in place on the nil-Apply path — is served like a cold engine over the
+// documents — to an old site, as a new site, and both at once — is
+// served like a cold engine over the
 // same graph on either engine: each site's chain is extracted through the
 // site runs the clone extended over the new documents, a site appended to
 // out of DocID order no longer one run. The graphs of the snapshots left
@@ -694,12 +610,10 @@ func TestEngineUpdateAppendsDocuments(t *testing.T) {
 		steps := []struct {
 			name  string
 			sites func(dg *DocGraph) []SiteID
-			apply bool
 		}{
-			{"old site", func(dg *DocGraph) []SiteID { return []SiteID{4} }, true},
-			{"new site", func(dg *DocGraph) []SiteID { return []SiteID{SiteID(len(dg.Sites))} }, true},
-			{"both", func(dg *DocGraph) []SiteID { return []SiteID{2, SiteID(len(dg.Sites)), 4} }, true},
-			{"in place", func(dg *DocGraph) []SiteID { return []SiteID{3} }, false},
+			{"old site", func(dg *DocGraph) []SiteID { return []SiteID{4} }},
+			{"new site", func(dg *DocGraph) []SiteID { return []SiteID{SiteID(len(dg.Sites))} }},
+			{"both", func(dg *DocGraph) []SiteID { return []SiteID{2, SiteID(len(dg.Sites)), 4} }},
 		}
 		for _, step := range steps {
 			served := eng.DocGraph()
@@ -710,14 +624,8 @@ func TestEngineUpdateAppendsDocuments(t *testing.T) {
 				}
 				return nil
 			}
-			delta := GraphDelta{ChangedSites: sites, Apply: grow}
-			if step.apply {
-				left = append(left, generation{served, served.NumDocs()})
-			} else {
-				_ = grow(served) // never fails
-				delta.Apply = nil
-			}
-			if err := eng.Update(ctx, delta); err != nil {
+			left = append(left, generation{served, served.NumDocs()})
+			if err := eng.Update(ctx, GraphDelta{Apply: grow}); err != nil {
 				t.Fatalf("%s: Update: %v", step.name, err)
 			}
 			got, err := eng.Rank(ctx, q)

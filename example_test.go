@@ -216,7 +216,6 @@ func ExampleLocalEngine_Update() {
 	docs := web.Graph.Sites[site].Docs
 	target := docs[len(docs)-1]
 	err = eng.Update(ctx, lmmrank.GraphDelta{
-		ChangedSites: []lmmrank.SiteID{site},
 		Apply: func(dg *lmmrank.DocGraph) error {
 			for _, d := range docs[:len(docs)-1] {
 				dg.G.AddLink(int(d), int(target))

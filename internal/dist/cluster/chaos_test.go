@@ -92,7 +92,7 @@ func TestChaosSoak(t *testing.T) {
 			if err != nil {
 				t.Fatalf("StartLocal: %v", err)
 			}
-			ref, err := clRef.Coord.Rank(web.Graph, m.cfg)
+			ref, err := rank(context.Background(), clRef, web.Graph, m.cfg)
 			clRef.Close()
 			if err != nil {
 				t.Fatalf("reference Rank: %v", err)
@@ -125,7 +125,7 @@ func TestChaosSoak(t *testing.T) {
 					ctx, cancel := context.WithCancel(context.Background())
 					cut := (victim + 1) % fleet
 					cl.Proxies[cut].SetScript(interruptAt(1+rng.Intn(4), cancel))
-					_, err := cl.Coord.RankCtx(ctx, web.Graph, cfg)
+					_, err := rank(ctx, cl, web.Graph, cfg)
 					cancel()
 					cl.Proxies[cut].SetScript(chaos.DuplicateKind(wire.KindLoad))
 					if err == nil {
@@ -137,7 +137,7 @@ func TestChaosSoak(t *testing.T) {
 					interrupts++
 				}
 
-				res, err := cl.Coord.Rank(web.Graph, cfg)
+				res, err := rank(context.Background(), cl, web.Graph, cfg)
 				if err != nil {
 					t.Fatalf("cycle %d (victim %d, kind %d): %v", cycle, victim, kind, err)
 				}
@@ -202,7 +202,7 @@ func TestChaosStragglerStallsSyncBarrier(t *testing.T) {
 			defer cl.Close()
 			cl.Proxies[1].SetScript(chaos.DelayKind(wire.KindPowerRound, stragglerDelay))
 
-			res, err := cl.Coord.Rank(web.Graph, tc.cfg)
+			res, err := rank(context.Background(), cl, web.Graph, tc.cfg)
 			if err != nil {
 				t.Fatalf("Rank: %v", err)
 			}

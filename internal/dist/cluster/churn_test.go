@@ -24,8 +24,9 @@ func testWeb2() *webgen.Web {
 }
 
 // TestDeltaShippingAfterRebuild is the distributed churn contract: after
-// a 1-site edit delivered through the delta path (Ranker.Rebuild, with
-// the cold run's Digests less the edited site), the next run re-ships only the mutated
+// a 1-site edit delivered through the delta path (a CloneCOW edited, then
+// Ranker.RebuildOn, with the cold run's Digests less the sites the clone
+// changed), the next run re-ships only the mutated
 // shard — every other shard is an Offer hit against the worker caches —
 // hashes digest bytes only for the dirty shard, and still agrees with
 // the single-process pipeline to < 1e-9.
@@ -59,19 +60,26 @@ func TestDeltaShippingAfterRebuild(t *testing.T) {
 	if len(docs) < 3 {
 		t.Fatalf("site %d too small for the edit", site)
 	}
-	dg.G.AddLink(int(docs[0]), int(docs[2]))
-	dg.G.AddLink(int(docs[2]), int(docs[0]))
+	work := dg.CloneCOW()
+	work.G.AddLink(int(docs[0]), int(docs[2]))
+	work.G.AddLink(int(docs[2]), int(docs[0]))
+	changed := work.ChangedSince(dg)
+	if len(changed) != 1 || changed[0] != site {
+		t.Fatalf("the clone changed sites %v, want [%d]", changed, site)
+	}
 
-	// The stale Ranker is refused, not silently served.
+	next, err := rk.RebuildOn(work, nil)
+	if err != nil {
+		t.Fatalf("RebuildOn: %v", err)
+	}
+	carried := cold.Digests.Drop(changed)
+
+	// A Ranker whose graph is then mutated in place is refused, not
+	// silently served.
+	dg.G.AddLink(int(docs[0]), int(docs[2]))
 	if _, err := cl.Coord.RankPreparedCtx(ctx, rk, coordinator.Config{}, coordinator.Warm{Digests: cold.Digests}); !errors.Is(err, lmm.ErrGraphMutated) {
 		t.Fatalf("stale RankPreparedCtx: err = %v, want ErrGraphMutated", err)
 	}
-
-	next, err := rk.Rebuild([]graph.SiteID{site})
-	if err != nil {
-		t.Fatalf("Rebuild: %v", err)
-	}
-	carried := cold.Digests.Drop([]graph.SiteID{site})
 
 	warm, err := cl.Coord.RankPreparedCtx(ctx, next, coordinator.Config{}, coordinator.Warm{Digests: carried})
 	if err != nil {
@@ -102,12 +110,12 @@ func TestDeltaShippingAfterRebuild(t *testing.T) {
 			warm.Stats.BytesSent, cold.Stats.BytesSent)
 	}
 
-	// Correctness against the single-process pipeline on the mutated web.
-	local, err := lmm.LayeredDocRank(dg, lmm.WebConfig{})
+	// Correctness against the single-process pipeline on the edited web.
+	local, err := lmm.LayeredDocRank(work, lmm.WebConfig{})
 	if err != nil {
 		t.Fatalf("local LayeredDocRank: %v", err)
 	}
-	if d := docRank(dg, warm).L1Diff(local.DocRank); d >= 1e-9 {
+	if d := docRank(work, warm).L1Diff(local.DocRank); d >= 1e-9 {
 		t.Errorf("‖delta-shipped − local‖₁ = %g, want < 1e-9", d)
 	}
 

@@ -12,6 +12,16 @@ import (
 	"lmmrank/internal/webgen"
 )
 
+// rank is one run of cl's coordinator over dg from nothing known, on a
+// Ranker built for it as an engine builds one.
+func rank(ctx context.Context, cl *Local, dg *graph.DocGraph, cfg coordinator.Config) (*coordinator.Result, error) {
+	rk, err := lmm.NewRanker(dg, lmm.RankerOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return cl.Coord.RankPreparedCtx(ctx, rk, cfg, coordinator.Warm{})
+}
+
 // docRank composes a run's solutions into its global DocRank, the answer
 // a caller of the coordinator builds.
 func docRank(dg *graph.DocGraph, res *coordinator.Result) matrix.Vector {
@@ -47,7 +57,7 @@ func TestPartitionTheoremOverTheWire(t *testing.T) {
 			}
 			defer cl.Close()
 
-			res, err := cl.Coord.Rank(web.Graph, coordinator.Config{SiteRank: mode})
+			res, err := rank(context.Background(), cl, web.Graph, coordinator.Config{SiteRank: mode})
 			if err != nil {
 				t.Fatalf("Rank: %v", err)
 			}
@@ -79,7 +89,7 @@ func TestDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatalf("StartLocal: %v", err)
 			}
-			res, err := cl.Coord.Rank(web.Graph, coordinator.Config{SiteRank: mode})
+			res, err := rank(context.Background(), cl, web.Graph, coordinator.Config{SiteRank: mode})
 			cl.Close()
 			if err != nil {
 				t.Fatalf("Rank (mode=%v, run %d): %v", mode, run, err)
@@ -115,7 +125,7 @@ func TestRepeatedRank(t *testing.T) {
 	defer cl.Close()
 
 	for _, web := range []*webgen.Web{webA, webB, webA} {
-		res, err := cl.Coord.Rank(web.Graph, coordinator.Config{})
+		res, err := rank(context.Background(), cl, web.Graph, coordinator.Config{})
 		if err != nil {
 			t.Fatalf("Rank: %v", err)
 		}
@@ -139,7 +149,7 @@ func TestWorkerSideStats(t *testing.T) {
 		t.Fatalf("StartLocal: %v", err)
 	}
 	defer cl.Close()
-	if _, err := cl.Coord.Rank(web.Graph, coordinator.Config{SiteRank: coordinator.SiteRankSync}); err != nil {
+	if _, err := rank(context.Background(), cl, web.Graph, coordinator.Config{SiteRank: coordinator.SiteRankSync}); err != nil {
 		t.Fatalf("Rank: %v", err)
 	}
 
@@ -215,7 +225,7 @@ func TestMoreWorkersThanSites(t *testing.T) {
 		t.Fatalf("StartLocal: %v", err)
 	}
 	defer cl.Close()
-	res, err := cl.Coord.Rank(web.Graph, coordinator.Config{SiteRank: coordinator.SiteRankSync})
+	res, err := rank(context.Background(), cl, web.Graph, coordinator.Config{SiteRank: coordinator.SiteRankSync})
 	if err != nil {
 		t.Fatalf("Rank: %v", err)
 	}
@@ -246,7 +256,7 @@ func TestRankPrepared(t *testing.T) {
 
 	for _, mode := range []coordinator.SiteRankMode{coordinator.SiteRankCentral, coordinator.SiteRankSync} {
 		cfg := coordinator.Config{SiteRank: mode}
-		oneShot, err := cl.Coord.Rank(web.Graph, cfg)
+		oneShot, err := rank(context.Background(), cl, web.Graph, cfg)
 		if err != nil {
 			t.Fatalf("Rank (mode=%v): %v", mode, err)
 		}
@@ -337,13 +347,13 @@ func TestRecoversFromWorkerKilledBetweenRuns(t *testing.T) {
 	}
 	defer cl.Close()
 
-	if _, err := cl.Coord.Rank(web.Graph, coordinator.Config{}); err != nil {
+	if _, err := rank(context.Background(), cl, web.Graph, coordinator.Config{}); err != nil {
 		t.Fatalf("first Rank: %v", err)
 	}
 	if err := cl.Kill(2); err != nil {
 		t.Fatalf("Kill: %v", err)
 	}
-	res, err := cl.Coord.Rank(web.Graph, coordinator.Config{
+	res, err := rank(context.Background(), cl, web.Graph, coordinator.Config{
 		Retry: coordinator.RetryPolicy{MaxWorkerFailures: 1},
 	})
 	if err != nil {
@@ -358,7 +368,7 @@ func TestRecoversFromWorkerKilledBetweenRuns(t *testing.T) {
 	}
 	// A third run must not re-discover the dead worker: it starts from
 	// the two survivors and needs no retry budget at all.
-	again, err := cl.Coord.Rank(web.Graph, coordinator.Config{})
+	again, err := rank(context.Background(), cl, web.Graph, coordinator.Config{})
 	if err != nil {
 		t.Fatalf("Rank on the shrunken fleet: %v", err)
 	}

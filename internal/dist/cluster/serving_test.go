@@ -95,7 +95,7 @@ func TestDistributedSitePersonalization(t *testing.T) {
 				t.Fatalf("StartLocal: %v", err)
 			}
 			defer cl.Close()
-			res, err := cl.Coord.Rank(web.Graph, m.cfg)
+			res, err := rank(context.Background(), cl, web.Graph, m.cfg)
 			if err != nil {
 				t.Fatalf("Rank: %v", err)
 			}
@@ -118,12 +118,12 @@ func TestDistributedSitePersonalization(t *testing.T) {
 	for i := range bad {
 		bad[i] = 1.0 / float64(ns-1)
 	}
-	if _, err := cl.Coord.Rank(web.Graph, coordinator.Config{SitePersonalization: bad}); !errors.Is(err, pagerank.ErrBadConfig) {
+	if _, err := rank(context.Background(), cl, web.Graph, coordinator.Config{SitePersonalization: bad}); !errors.Is(err, pagerank.ErrBadConfig) {
 		t.Errorf("wrong-length personalization: err = %v, want ErrBadConfig", err)
 	}
 	// Mode 2 was the retired barrier-free schedule: like any value past
 	// SiteRankSync it names no mode.
-	if _, err := cl.Coord.Rank(web.Graph, coordinator.Config{SiteRank: coordinator.SiteRankSync + 1}); !errors.Is(err, pagerank.ErrBadConfig) {
+	if _, err := rank(context.Background(), cl, web.Graph, coordinator.Config{SiteRank: coordinator.SiteRankSync + 1}); !errors.Is(err, pagerank.ErrBadConfig) {
 		t.Errorf("SiteRank mode %d: err = %v, want ErrBadConfig", int(coordinator.SiteRankSync+1), err)
 	}
 }

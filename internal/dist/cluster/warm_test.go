@@ -195,7 +195,7 @@ func TestChaosMalformedLocalRankIsRefused(t *testing.T) {
 					lr.Scores = tc.rewrite(lr.Scores)
 				}}
 			})
-			res, err := cl.Coord.Rank(web.Graph, coordinator.Config{
+			res, err := rank(context.Background(), cl, web.Graph, coordinator.Config{
 				Retry: coordinator.RetryPolicy{MaxWorkerFailures: 2},
 			})
 			if err == nil {

@@ -44,7 +44,7 @@ const DefaultDialTimeout = 3 * time.Second
 
 // DefaultCallTimeout bounds each request/response exchange so a stalled
 // (but not closed) peer — a partitioned host, a stopped process —
-// surfaces as an error instead of wedging Rank forever. Generous,
+// surfaces as an error instead of wedging a run forever. Generous,
 // because one exchange may cover a worker's whole local-rank batch.
 const DefaultCallTimeout = 2 * time.Minute
 
@@ -153,8 +153,6 @@ type Config struct {
 	// says why); MaxIter caps its sweeps or rounds.
 	Tol     float64
 	MaxIter int
-	// SiteGraph controls SiteLink aggregation (§3.1).
-	SiteGraph graph.SiteGraphOptions
 	// SitePersonalization optionally biases the site layer: the teleport
 	// distribution v of Mˆ(G_S) (length NumSites; nil = uniform) — the
 	// paper's "personalization at the higher layer" served from the
@@ -274,7 +272,7 @@ type Stats struct {
 	// counts the ones that crossed the wire in full. A churn run over an
 	// N-site web thus shows exactly which fraction of the shard payload
 	// moved: after a 1-site edit delivered through the delta path
-	// (Ranker.Rebuild, or Engine.Update) a warm run reads
+	// (Ranker.RebuildOn, or Engine.Update) a warm run reads
 	// ShardsReshipped == 1, CacheHits == N-1. ShardBytesSaved is the
 	// payload bytes the hits avoided: the exact encoded size of what
 	// stayed home.
@@ -530,7 +528,7 @@ type Coordinator struct {
 	// issuing calls; huge shard batches on slow links may need more.
 	CallTimeout time.Duration
 
-	// runMu serializes whole Rank runs: the protocol phases (load, rank,
+	// runMu serializes whole runs: the protocol phases (load, rank,
 	// power rounds) of two runs must not interleave.
 	runMu sync.Mutex
 
@@ -608,7 +606,7 @@ func (c *Coordinator) NumWorkers() int { return len(c.workers) }
 // Ping round-trips a liveness probe to every worker concurrently
 // (including ones whose connections earlier failures poisoned — those
 // report errors, which is how callers learn the fleet shrank). It
-// serializes with Rank so probe traffic never lands inside a run's
+// serializes with runs so probe traffic never lands inside a run's
 // per-run Stats deltas.
 func (c *Coordinator) Ping() error {
 	c.runMu.Lock()
@@ -647,7 +645,7 @@ func (c *Coordinator) Close() error {
 }
 
 // Stats returns a snapshot of this coordinator's transport counters
-// (cumulative across runs; Rank reports per-run deltas).
+// (cumulative across runs; a Result reports per-run deltas).
 func (c *Coordinator) Stats() (messages, bytesSent, bytesReceived uint64) {
 	return c.counters.Messages(), c.counters.BytesSent(), c.counters.BytesReceived()
 }
@@ -675,49 +673,25 @@ func (c *Coordinator) broadcastErr(fn func(idx int, r *remote) error) error {
 	return errors.Join(errs...)
 }
 
-// Rank executes the distributed Layered Method on dg: partition sites
-// over the fleet, ship shards, rank locally on the peers and compute the
-// SiteRank; the Result's solutions compose into the global DocRank by the
-// Partition Theorem (lmm.ComposeDocRank). It is RankCtx with a background
-// context.
+// RankPreparedCtx executes the distributed Layered Method over the graph
+// of a precomputed lmm.Ranker, starting from what the caller already
+// knows — Warm{} when that is nothing: partition sites over the fleet,
+// ship shards, rank locally on the peers and compute the SiteRank; the
+// Result's solutions compose into the global DocRank by the Partition
+// Theorem (lmm.ComposeDocRank). The SiteGraph comes from the Ranker's
+// one-time precomputation, so repeated runs over the same graph only pay
+// for shipping and ranking; since workers cache shards by content
+// digest, a repeated run ships (almost) no shard bytes, and one handed
+// the previous run's Result.Digests hashes none either. The Ranker must
+// not be used concurrently by another goroutine while a run is in
+// flight.
 //
-// It builds a throwaway lmm.Ranker for the run; callers ranking the same
-// graph repeatedly should precompute one and call RankPreparedCtx, which
-// skips the SiteGraph derivation entirely (and, handed the previous
-// run's Result.Digests, re-hashes no shard either).
-func (c *Coordinator) Rank(dg *graph.DocGraph, cfg Config) (*Result, error) {
-	return c.RankCtx(context.Background(), dg, cfg)
-}
-
-// RankCtx is Rank under a context: the context's deadline propagates
-// into every wire exchange (bounded further by CallTimeout) and a
-// cancellation aborts the run mid-phase — between power rounds, between
-// shipment waves, or by interrupting a blocked socket read — returning
-// ctx.Err(). A cancelled run poisons the connections it interrupted
-// (their streams are desynchronized); Ping reports which survived.
-func (c *Coordinator) RankCtx(ctx context.Context, dg *graph.DocGraph, cfg Config) (*Result, error) {
-	// Build the Ranker under runMu: NewRanker dedupes the shared graph
-	// (a mutation), and concurrent Rank calls are allowed as long as
-	// runMu serializes them.
-	c.runMu.Lock()
-	defer c.runMu.Unlock()
-	rk, err := lmm.NewRanker(dg, lmm.RankerOptions{SiteGraph: cfg.SiteGraph})
-	if err != nil {
-		return nil, fmt.Errorf("coordinator: %w", err)
-	}
-	res, err := c.rankPrepared(ctx, rk, cfg, Warm{})
-	return res, normalizeCtxErr(ctx, err)
-}
-
-// RankPreparedCtx is RankCtx over a precomputed lmm.Ranker, starting
-// from what the caller already knows — Warm{} when that is nothing. The
-// SiteGraph comes from the Ranker's one-time precomputation, so repeated
-// runs over the same graph only pay for shipping and ranking; since
-// workers cache shards by content digest, a repeated run ships (almost)
-// no shard bytes, and one handed the previous run's Result.Digests
-// hashes none either. cfg.SiteGraph is ignored — that choice was fixed
-// when the Ranker was built. The Ranker must not be used concurrently by
-// another goroutine while a run is in flight.
+// The context's deadline propagates into every wire exchange (bounded
+// further by CallTimeout) and a cancellation aborts the run mid-phase —
+// between power rounds, between shipment waves, or by interrupting a
+// blocked socket read — returning ctx.Err(). A cancelled run poisons the
+// connections it interrupted (their streams are desynchronized); Ping
+// reports which survived.
 func (c *Coordinator) RankPreparedCtx(ctx context.Context, rk *lmm.Ranker, cfg Config, warm Warm) (*Result, error) {
 	c.runMu.Lock()
 	defer c.runMu.Unlock()

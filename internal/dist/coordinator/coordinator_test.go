@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"context"
 	"errors"
 	"math"
 	"net"
@@ -96,7 +97,7 @@ func TestRankAfterWorkerClose(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Rank(rankableWeb(), Config{})
+		_, err := rank(context.Background(), c, rankableWeb(), Config{})
 		done <- err
 	}()
 	select {
@@ -123,7 +124,7 @@ func TestRankAfterCoordinatorClose(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
 	}
-	if _, err := c.Rank(rankableWeb(), Config{}); err == nil {
+	if _, err := rank(context.Background(), c, rankableWeb(), Config{}); err == nil {
 		t.Error("Rank on closed coordinator succeeded")
 	}
 	if err := c.Ping(); err == nil {
@@ -131,8 +132,8 @@ func TestRankAfterCoordinatorClose(t *testing.T) {
 	}
 }
 
-// TestRankRejectsEmptyGraph covers input validation before any network
-// traffic happens.
+// TestRankRejectsEmptyGraph: an empty graph, or one with no digraph,
+// never reaches the wire — no Ranker is built over it.
 func TestRankRejectsEmptyGraph(t *testing.T) {
 	_, addr := startWorker(t)
 	c, err := Dial([]string{addr})
@@ -141,7 +142,7 @@ func TestRankRejectsEmptyGraph(t *testing.T) {
 	}
 	defer c.Close()
 	empty := &graph.DocGraph{G: graph.NewDigraph(0)}
-	if _, err := c.Rank(empty, Config{}); err == nil {
+	if _, err := rank(context.Background(), c, empty, Config{}); err == nil {
 		t.Error("Rank of empty graph succeeded")
 	}
 	var nilErr error
@@ -151,7 +152,7 @@ func TestRankRejectsEmptyGraph(t *testing.T) {
 				nilErr = errors.New("panicked")
 			}
 		}()
-		_, nilErr = c.Rank(&graph.DocGraph{}, Config{})
+		_, nilErr = rank(context.Background(), c, &graph.DocGraph{}, Config{})
 	}()
 	if nilErr == nil {
 		t.Error("Rank of nil-digraph DocGraph succeeded")
@@ -225,7 +226,7 @@ func TestRankRejectsBadDamping(t *testing.T) {
 			{Tol: math.NaN()}, {Tol: -1}, {MaxIter: -1},
 		} {
 			cfg.SiteRank = mode
-			if _, err := c.Rank(dg, cfg); !errors.Is(err, pagerank.ErrBadConfig) {
+			if _, err := rank(context.Background(), c, dg, cfg); !errors.Is(err, pagerank.ErrBadConfig) {
 				t.Errorf("Rank with damping %g, tol %g, budget %d (mode=%v): err = %v, want ErrBadConfig",
 					cfg.Damping, cfg.Tol, cfg.MaxIter, mode, err)
 			}
@@ -274,7 +275,7 @@ func TestResultSurvivesLaterRuns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Dial: %v", err)
 		}
-		first, err := c.Rank(dg, cfg)
+		first, err := rank(context.Background(), c, dg, cfg)
 		if err != nil {
 			t.Fatalf("%v: first Rank: %v", cfg.SiteRank, err)
 		}
@@ -284,7 +285,7 @@ func TestResultSurvivesLaterRuns(t *testing.T) {
 			locals[i] = v.Clone()
 		}
 		cfg.SitePersonalization = tele
-		if _, err := c.Rank(dg, cfg); err != nil {
+		if _, err := rank(context.Background(), c, dg, cfg); err != nil {
 			t.Fatalf("%v: second Rank: %v", cfg.SiteRank, err)
 		}
 		if !reflect.DeepEqual(first.SiteRank, siteRank) ||
@@ -293,6 +294,16 @@ func TestResultSurvivesLaterRuns(t *testing.T) {
 		}
 		c.Close()
 	}
+}
+
+// rank is one run over dg from nothing known, on a Ranker built for it
+// as an engine builds one.
+func rank(ctx context.Context, c *Coordinator, dg *graph.DocGraph, cfg Config) (*Result, error) {
+	rk, err := lmm.NewRanker(dg, lmm.RankerOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return c.RankPreparedCtx(ctx, rk, cfg, Warm{})
 }
 
 // docRank composes a run's solutions into its global DocRank, the answer

@@ -52,14 +52,14 @@ func TestRankCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	startMsgs, _, _ := c.Stats()
-	if _, err := c.RankCtx(ctx, rankableWeb(), Config{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RankCtx on a cancelled context: err = %v, want context.Canceled", err)
+	if _, err := rank(ctx, c, rankableWeb(), Config{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("a run on a cancelled context: err = %v, want context.Canceled", err)
 	}
 	if msgs, _, _ := c.Stats(); msgs != startMsgs {
 		t.Errorf("pre-cancelled run still exchanged %d messages", msgs-startMsgs)
 	}
 	// The fleet was never touched: a follow-up run must succeed.
-	if _, err := c.Rank(rankableWeb(), Config{}); err != nil {
+	if _, err := rank(context.Background(), c, rankableWeb(), Config{}); err != nil {
 		t.Fatalf("Rank after a pre-cancelled run: %v", err)
 	}
 }
@@ -84,12 +84,12 @@ func TestRankCtxCancelAbortsInFlightCall(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = c.RankCtx(ctx, rankableWeb(), Config{})
+	_, err = rank(ctx, c, rankableWeb(), Config{})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RankCtx with a mid-run cancel: err = %v, want context.Canceled", err)
+		t.Fatalf("a run with a mid-run cancel: err = %v, want context.Canceled", err)
 	}
 	if err != ctx.Err() {
-		t.Errorf("RankCtx returned %v, want exactly ctx.Err() (%v)", err, ctx.Err())
+		t.Errorf("the run returned %v, want exactly ctx.Err() (%v)", err, ctx.Err())
 	}
 	if waited := time.Since(start); waited > 10*time.Second {
 		t.Errorf("cancellation took %v — the blocked exchange was not interrupted", waited)
@@ -113,9 +113,9 @@ func TestRankCtxDeadlineAbortsInFlightCall(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = c.RankCtx(ctx, rankableWeb(), Config{})
+	_, err = rank(ctx, c, rankableWeb(), Config{})
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("RankCtx past its deadline: err = %v, want context.DeadlineExceeded", err)
+		t.Fatalf("a run past its deadline: err = %v, want context.DeadlineExceeded", err)
 	}
 	if waited := time.Since(start); waited > 10*time.Second {
 		t.Errorf("deadline abort took %v — the deadline did not propagate to the socket", waited)

@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"context"
 	"errors"
 	"math"
 	"net"
@@ -115,7 +116,7 @@ func checkRecovery(t *testing.T, dg *graph.DocGraph, res *Result, ref *lmm.WebRe
 // identical to single-node.
 func TestRecoversFromLossDuringLoad(t *testing.T) {
 	c, kt, web, ref := lossFixture(t, wire.KindLoad)
-	res, err := c.Rank(web, Config{Retry: RetryPolicy{MaxWorkerFailures: 1}})
+	res, err := rank(context.Background(), c, web, Config{Retry: RetryPolicy{MaxWorkerFailures: 1}})
 	if err != nil {
 		t.Fatalf("Rank with a peer dying at load: %v", err)
 	}
@@ -130,7 +131,7 @@ func TestRecoversFromLossDuringLoad(t *testing.T) {
 // sites are re-ranked, on the survivors that inherited them.
 func TestRecoversFromLossDuringLocalRank(t *testing.T) {
 	c, kt, web, ref := lossFixture(t, wire.KindRankLocal)
-	res, err := c.Rank(web, Config{Retry: RetryPolicy{MaxWorkerFailures: 1}})
+	res, err := rank(context.Background(), c, web, Config{Retry: RetryPolicy{MaxWorkerFailures: 1}})
 	if err != nil {
 		t.Fatalf("Rank with a peer dying at local rank: %v", err)
 	}
@@ -161,7 +162,7 @@ func TestRecoversFromLossDuringSiteRank(t *testing.T) {
 			}
 			c, kt := lossFleet(t, tc.dieOn, tc.victim)
 			tc.cfg.Retry = RetryPolicy{MaxWorkerFailures: 1}
-			res, err := c.Rank(web, tc.cfg)
+			res, err := rank(context.Background(), c, web, tc.cfg)
 			if err != nil {
 				t.Fatalf("Rank with a peer dying at kind %d: %v", tc.dieOn, err)
 			}
@@ -198,7 +199,7 @@ func TestTwoLossesInOneRoundChargeOneRetry(t *testing.T) {
 	for s := range onSurvivors {
 		onSurvivors[s] = 2 * (s % 2) // fleet indices 0 and 2
 	}
-	res, err := c.Rank(web, Config{
+	res, err := rank(context.Background(), c, web, Config{
 		SiteRank: SiteRankSync, Assignment: onSurvivors, Retry: RetryPolicy{MaxWorkerFailures: 2},
 	})
 	if err != nil {
@@ -220,7 +221,7 @@ func TestTwoLossesInOneRoundChargeOneRetry(t *testing.T) {
 // RetryPolicy means the first loss fails the run cleanly.
 func TestLossWithoutRetryBudgetFails(t *testing.T) {
 	c, _, web, _ := lossFixture(t, wire.KindRankLocal)
-	if _, err := c.Rank(web, Config{}); err == nil {
+	if _, err := rank(context.Background(), c, web, Config{}); err == nil {
 		t.Fatal("Rank survived a worker loss with a zero retry budget")
 	}
 }
@@ -237,7 +238,7 @@ func TestSecondLossExhaustsBudget(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer c.Close()
-	if _, err := c.Rank(web, Config{Retry: RetryPolicy{MaxWorkerFailures: 1}}); err == nil {
+	if _, err := rank(context.Background(), c, web, Config{Retry: RetryPolicy{MaxWorkerFailures: 1}}); err == nil {
 		t.Fatal("Rank survived two losses on a budget of one")
 	}
 }
@@ -320,7 +321,7 @@ func TestRejectsMalformedSiteVectors(t *testing.T) {
 				t.Fatalf("Dial: %v", err)
 			}
 			defer c.Close()
-			_, err = c.Rank(rankableWeb(), tc.cfg)
+			_, err = rank(context.Background(), c, rankableWeb(), tc.cfg)
 			if err == nil {
 				t.Fatal("Rank accepted a malformed site vector")
 			}

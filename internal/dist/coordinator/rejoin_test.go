@@ -91,7 +91,7 @@ func TestRejoinMidRunWarmReshipsNothing(t *testing.T) {
 		t.Fatalf("reference LayeredDocRank: %v", err)
 	}
 	c, kt := rejoinFleet(t, func() bool { return true })
-	res, err := c.Rank(web, Config{
+	res, err := rank(context.Background(), c, web, Config{
 		SiteRank: SiteRankSync,
 		Tol:      1e-13,
 		MaxIter:  5000,
@@ -140,7 +140,7 @@ func TestRejoinFromPreviousRun(t *testing.T) {
 		SiteRank: SiteRankSync,
 		Retry:    RetryPolicy{MaxWorkerFailures: 1},
 	}
-	if _, err := c.Rank(web, cfg); err != nil {
+	if _, err := rank(context.Background(), c, web, cfg); err != nil {
 		t.Fatalf("run 1 (loss, no redial): %v", err)
 	}
 	if !kt.died() {
@@ -151,7 +151,7 @@ func TestRejoinFromPreviousRun(t *testing.T) {
 	cfg.MaxIter = 5000
 	cfg.Retry = fastRedial(1)
 	run2.Store(true)
-	res, err := c.Rank(web, cfg)
+	res, err := rank(context.Background(), c, web, cfg)
 	if err != nil {
 		t.Fatalf("run 2 (rejoin): %v", err)
 	}
@@ -184,7 +184,7 @@ func TestNoRedialWithoutPolicy(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer c.Close()
-	res, err := c.Rank(web, Config{
+	res, err := rank(context.Background(), c, web, Config{
 		SiteRank: SiteRankSync,
 		Tol:      1e-13,
 		MaxIter:  5000,
@@ -251,7 +251,7 @@ func TestRedialEndsWithItsRun(t *testing.T) {
 			}
 
 			start := time.Now()
-			_, err = c.RankCtx(ctx, rankableWeb(), Config{Retry: RetryPolicy{
+			_, err = rank(ctx, c, rankableWeb(), Config{Retry: RetryPolicy{
 				MaxWorkerFailures: 1,
 				MaxRedials:        1,
 				RedialBase:        time.Millisecond,

@@ -127,9 +127,10 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 		return nil, err
 	}
 	// A Ranker whose graph mutated after precomputation would ship stale
-	// shards; refuse exactly like the in-process query paths do. Recover
-	// with lmm.Ranker.Rebuild (handing in Digests.Drop of the edited
-	// sites), or DistEngine.Update, which does both.
+	// shards; refuse exactly like the in-process query paths do. Edit a
+	// clone instead and run on lmm.Ranker.RebuildOn's Ranker (handing in
+	// Digests.Drop of the sites the clone changed), or DistEngine.Update,
+	// which does both.
 	if rk.Stale() {
 		return nil, fmt.Errorf("coordinator: %w", lmm.ErrGraphMutated)
 	}

@@ -13,8 +13,9 @@ import (
 )
 
 // ChurnResult measures the P2P churn path: a sequence of site-local link
-// changes handled by incremental re-ranking (Ranker.Rebuild + RankRefresh:
-// clean sites' local ranks carried verbatim) and by the plain serving-path
+// changes, each applied to a CloneCOW of the served graph, handled by
+// incremental re-ranking (Ranker.RebuildOn + RankRefresh: clean sites'
+// local ranks carried verbatim) and by the plain serving-path
 // Engine.Update (the same rebuild + a query seeded everywhere) versus full
 // recomputation. The layered structure is what makes the incremental paths
 // possible at all — flat PageRank has no analogue of "only this site changed".
@@ -76,35 +77,46 @@ func RunChurn(seed int64, events int) (*ChurnResult, error) {
 
 	out := &ChurnResult{Events: events}
 	for e := 0; e < events; e++ {
-		// Mutate one ordinary site: a few new intra-site links.
+		// Mutate one ordinary site: a few new intra-site links, applied to
+		// a clone of the served graph, as Engine.Update applies a delta.
 		site := graph.SiteID(rng.Intn(cfg.Sites))
 		docs := dg.Sites[site].Docs
 		if len(docs) < 2 {
 			continue
 		}
+		var links [][2]graph.DocID
 		for k := rng.Intn(4) + 2; k > 0; k-- {
 			a := docs[rng.Intn(len(docs))]
 			b := docs[rng.Intn(len(docs))]
 			if a != b {
-				dg.G.AddLink(int(a), int(b))
+				links = append(links, [2]graph.DocID{a, b})
 			}
+		}
+		edited := func() *graph.DocGraph {
+			work := dg.CloneCOW()
+			for _, l := range links {
+				work.G.AddLink(int(l[0]), int(l[1]))
+			}
+			return work
 		}
 
 		// A Ranker per event: the scratch prev aliases is never rewritten.
 		start := time.Now()
-		incRk, err := rk.Rebuild([]graph.SiteID{site})
+		work := edited()
+		changed := work.ChangedSince(dg)
+		incRk, err := rk.RebuildOn(work, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: churn event %d incremental rebuild: %w", e, err)
 		}
 		refresh := webCfg
 		refresh.SiteStart, refresh.LocalStarts = prev.SiteRank, prev.LocalRanks
-		inc, err := incRk.RankRefresh([]graph.SiteID{site}, refresh)
+		inc, err := incRk.RankRefresh(changed, refresh)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: churn event %d incremental: %w", e, err)
 		}
 		// A refresh composes no DocRank; the full recompute it is timed
 		// against does, so the compose is timed here too.
-		inc.DocRank = lmm.ComposeDocRank(dg, inc.SiteRank, inc.LocalRanks)
+		inc.DocRank = lmm.ComposeDocRank(work, inc.SiteRank, inc.LocalRanks)
 		out.IncrementalTotal += time.Since(start)
 		for _, iters := range inc.LocalIterations {
 			if iters > 0 {
@@ -115,7 +127,8 @@ func RunChurn(seed int64, events int) (*ChurnResult, error) {
 		// Serving path: incremental structure rebuild plus one
 		// warm-seeded query — what Engine.Update does per churn batch.
 		start = time.Now()
-		rk2, err := rk.Rebuild([]graph.SiteID{site})
+		next := edited()
+		rk2, err := rk.RebuildOn(next, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: churn event %d rebuild: %w", e, err)
 		}
@@ -131,7 +144,7 @@ func RunChurn(seed int64, events int) (*ChurnResult, error) {
 			seedLocals[s] = lr.Clone()
 		}
 		servedDoc := served.DocRank.Clone()
-		rk = rk2
+		dg, rk = next, rk2
 
 		start = time.Now()
 		full, err := lmm.LayeredDocRank(dg, webCfg)
@@ -169,7 +182,7 @@ func (r *ChurnResult) Format() string {
 		r.FullTotal.Round(time.Millisecond), r.LocalSolvesFull)
 	fmt.Fprintf(&b, "speedup:                 %.1fx\n", r.Speedup)
 	fmt.Fprintf(&b, "max L1 gap vs full:      %.2e (incremental results chained event to event)\n", r.MaxGap)
-	fmt.Fprintf(&b, "serving rebuild total:   %v  (Ranker.Rebuild + warm-seeded query, the Engine.Update path)\n",
+	fmt.Fprintf(&b, "serving rebuild total:   %v  (clone + Ranker.RebuildOn + warm-seeded query, the Engine.Update path)\n",
 		r.EngineTotal.Round(time.Millisecond))
 	fmt.Fprintf(&b, "serving speedup:         %.1fx   max L1 gap vs full: %.2e\n",
 		r.EngineSpeedup, r.EngineMaxGap)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -79,10 +80,14 @@ func RunDistributed(opts DistributedOptions) (*DistributedResult, error) {
 			return nil, fmt.Errorf("experiments: cluster of %d: %w", n, err)
 		}
 		t := time.Now()
-		res, err := local.Coord.Rank(web.Graph, coordinator.Config{
-			Tol:      opts.Tol,
-			SiteRank: opts.SiteRank,
-		})
+		rk, err := lmm.NewRanker(web.Graph, lmm.RankerOptions{})
+		var res *coordinator.Result
+		if err == nil {
+			res, err = local.Coord.RankPreparedCtx(context.Background(), rk, coordinator.Config{
+				Tol:      opts.Tol,
+				SiteRank: opts.SiteRank,
+			}, coordinator.Warm{})
+		}
 		total := time.Since(t)
 		closeErr := local.Close()
 		if err != nil {

@@ -302,7 +302,7 @@ func TestRunChurn(t *testing.T) {
 	if res.Speedup < 1.5 {
 		t.Errorf("speedup = %.2fx, want ≥ 1.5x", res.Speedup)
 	}
-	// The serving path (incremental Ranker.Rebuild + warm-seeded query)
+	// The serving path (incremental Ranker.RebuildOn + warm-seeded query)
 	// must track the full recompute too, and beat it on wall time.
 	if res.EngineMaxGap > 1e-7 {
 		t.Errorf("serving max gap = %g", res.EngineMaxGap)

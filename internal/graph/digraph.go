@@ -219,16 +219,19 @@ func (l links) Swap(a, b int) {
 }
 
 // merge sorts r by target, sums its parallel links and clips it to its
-// length. The arrays of a row already strictly ascending are not written
-// (they may be shared); any other was appended to since it was last
-// merged and so belongs to one graph alone — its targets are sorted in
-// place, its weights listed afresh (a merge may make a listed weight 1
-// or a 1 a listed weight).
-func (r *row) merge() {
+// length, and reports whether that changed r. The arrays of a row already
+// strictly ascending are not written (they may be shared); any other was
+// appended to since it was last merged and so belongs to one graph alone
+// — its targets are sorted in place, its weights listed afresh (a merge
+// may make a listed weight 1 or a 1 a listed weight).
+func (r *row) merge() bool {
 	n := len(r.to)
 	ascending := true
 	for k := 1; k < n && ascending; k++ {
 		ascending = r.to[k-1] < r.to[k]
+	}
+	if ascending && cap(r.to) == n && cap(r.pos) == len(r.pos) && cap(r.w) == len(r.w) {
+		return false
 	}
 	if !ascending {
 		w, e := make([]float64, n), 0
@@ -250,11 +253,13 @@ func (r *row) merge() {
 		r.at = 0
 	}
 	r.to, r.pos, r.w = r.to[:n:n], slices.Clip(r.pos), slices.Clip(r.w)
+	return true
 }
 
 // unshare gives r arrays of its own.
-func (r *row) unshare() {
+func (r *row) unshare() bool {
 	r.to, r.pos, r.w = slices.Clone(r.to), slices.Clone(r.pos), slices.Clone(r.w)
+	return true
 }
 
 // NewDigraph returns a graph with n isolated nodes.
@@ -331,12 +336,13 @@ func (g *Digraph) setRow(i int, r row) {
 }
 
 // eachOverlay calls fn on every overlay row, keeping what it writes; a
-// patched row it is handed is a copy, installed in the shared one's place.
-func (g *Digraph) eachOverlay(fn func(r *row)) {
+// patched row it is handed is a copy, installed in the shared one's place
+// if fn reports it changed the row.
+func (g *Digraph) eachOverlay(fn func(r *row) bool) {
 	for i, r := range g.patch {
-		c := *r
-		fn(&c)
-		g.patch[i] = &c
+		if c := *r; fn(&c) {
+			g.patch[i] = &c
+		}
 	}
 	for i := range g.tail {
 		fn(&g.tail[i])
@@ -412,7 +418,9 @@ func (g *Digraph) AddLink(from, to int) { g.AddEdge(from, to, 1) }
 // Dedupe merges parallel edges by summing weights and sorts each adjacency
 // list by target, then packs the graph if the overlay has outgrown
 // repackShare — always, for a graph built loose by AddEdge. Idempotent,
-// and a no-op (not a write) on a graph already deduplicated.
+// and a no-op (not a write) on a graph already deduplicated. A patched
+// row the merge leaves as it was keeps its pointer, so a clone's rows
+// shared with its parent stay the parent's (DocGraph.ChangedSince).
 func (g *Digraph) Dedupe() {
 	if g.deduped {
 		return

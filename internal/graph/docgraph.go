@@ -196,7 +196,16 @@ func urlEntry(urls []byte, p int) (shared uint64, suffix []byte, next int, err e
 // order — so the rosters list every document once — the digraph has one
 // node per document, and every document's and every site's out-weight
 // is finite.
-func (dg *DocGraph) Validate() error {
+func (dg *DocGraph) Validate() error { return dg.ValidateSince(nil, nil) }
+
+// ValidateSince is Validate's body over what dg wrote since parent, for
+// dg a CloneCOW of a valid parent and sites at least its ChangedSince: it
+// refuses exactly what Validate refuses, in O(documents appended + the
+// sites' links + runs + sites). The documents appended are
+// walked against the rosters they extend, and only the listed sites' rows
+// are summed. A roster that does not extend parent's in place has every
+// document walked. A nil parent is Validate.
+func (dg *DocGraph) ValidateSince(parent *DocGraph, sites []SiteID) error {
 	if dg.G == nil {
 		return fmt.Errorf("graph: nil digraph")
 	}
@@ -206,14 +215,28 @@ func (dg *DocGraph) Validate() error {
 	}
 	// The runs are right by construction; the rosters must spell them
 	// out: walking the runs in DocID order, each document is the next
-	// entry of its site's roster.
+	// entry of its site's roster. Parent's documents are its rosters'
+	// entries, checked already, wherever dg's rosters extend parent's in
+	// place (the same array, as long or longer): the walk skips them.
 	next := make([]int, len(dg.Sites))
+	from := DocID(0)
+	if parent != nil && dg.docs >= parent.docs && len(dg.Sites) >= len(parent.Sites) {
+		from = DocID(parent.docs)
+		for s, site := range parent.Sites {
+			if docs := dg.Sites[s].Docs; len(docs) < len(site.Docs) || !sameArray(docs[:len(site.Docs)], site.Docs) {
+				from = 0 // a roster not extended in place: walk every document
+				clear(next)
+				break
+			}
+			next[s] = len(site.Docs)
+		}
+	}
 	for i, r := range dg.runs {
 		if int(r.site) >= len(dg.Sites) {
 			return fmt.Errorf("graph: doc %d has invalid site %d", r.first, r.site)
 		}
 		docs := dg.Sites[r.site].Docs
-		for d := DocID(r.first); d < dg.runEnd(i); d++ {
+		for d := max(DocID(r.first), from); d < dg.runEnd(i); d++ {
 			if k := next[r.site]; k == len(docs) || docs[k] != d {
 				return fmt.Errorf("graph: doc %d is in site %d, whose roster lists %v in its place", d, r.site, docs[k:min(k+1, len(docs))])
 			}
@@ -230,14 +253,20 @@ func (dg *DocGraph) Validate() error {
 	// each must be finite. They are sums of weights that are, and stay
 	// far below overflow unless the listed weights come near it: the
 	// bound costs O(listed links), and only past it is every row summed,
-	// in the order TransitionMatrix sums it.
-	if dg.G.weightBound() <= math.MaxFloat64/2 {
-		return nil
+	// in the order TransitionMatrix sums it. Since parent, only the
+	// listed sites' rows are summed.
+	if parent == nil {
+		if dg.G.weightBound() <= math.MaxFloat64/2 {
+			return nil
+		}
+		for s := range dg.Sites {
+			sites = append(sites, SiteID(s))
+		}
 	}
 	var c cursor
-	for s, site := range dg.Sites {
+	for _, s := range sites {
 		var siteW float64
-		for _, d := range site.Docs {
+		for _, d := range dg.Sites[s].Docs {
 			var w float64
 			r, e := c.read(dg.G, int(d)), 0
 			for k := range r.to {
@@ -253,6 +282,56 @@ func (dg *DocGraph) Validate() error {
 		}
 	}
 	return nil
+}
+
+// ChangedSince returns, ascending, the sites whose documents or
+// out-links dg may have changed since it was cloned from parent
+// (CloneCOW): a site whose document's row is not parent's — a patched
+// row not parent's by pointer, a row past the base not parent's arrays,
+// or a document parent does not have — whose roster is not parent's
+// array at parent's length, or that parent does not have. By the
+// Partition Theorem these are the sites whose local structure and
+// SiteGraph row must be derived afresh; every other site's are parent's.
+// It compares by identity, never by content, in O(rows written since the
+// base was packed + sites). A dg on another base than parent's — a clone
+// repacked since, or a graph that is no clone of parent — has every site
+// changed: correct, only slower; so has a dg that is parent itself, whose
+// writes in place nothing records, and one with no digraph. A written row
+// is told by its targets alone: every row parent can see is clipped, so a
+// write to it copies them out.
+func (dg *DocGraph) ChangedSince(parent *DocGraph) []SiteID {
+	g, pg := dg.G, parent.G
+	all := g == nil || g == pg || g.base != pg.base
+	changed := make([]bool, len(dg.Sites))
+	written := func(d int) {
+		if d < dg.docs {
+			changed[dg.SiteOf(DocID(d))] = true
+		}
+	}
+	if !all {
+		for i, r := range g.patch {
+			if pg.patch[i] != r {
+				written(i)
+			}
+		}
+		for i := range g.tail {
+			if i >= len(pg.tail) || !sameArray(g.tail[i].to, pg.tail[i].to) {
+				written(g.base.rows() + i)
+			}
+		}
+	}
+	var out []SiteID
+	for s, site := range dg.Sites {
+		if all || changed[s] || s >= len(parent.Sites) || !sameArray(site.Docs, parent.Sites[s].Docs) {
+			out = append(out, SiteID(s))
+		}
+	}
+	return out
+}
+
+// sameArray reports whether a and b are one array at one length.
+func sameArray[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // CloneCOW returns a copy-on-write clone of the whole document graph.

@@ -133,10 +133,11 @@ func exactRows(t *testing.T, what string, g *Digraph) {
 		t.Fatalf("%s: base columns have len %d/%d/%d, cap %d/%d/%d, offsets end at %d",
 			what, len(p.to), len(p.pos), len(p.w), cap(p.to), cap(p.pos), cap(p.w), p.off[p.rows()])
 	}
-	g.eachOverlay(func(r *row) {
+	g.eachOverlay(func(r *row) bool {
 		if cap(r.to) != len(r.to) || cap(r.pos) != len(r.pos) || cap(r.w) != len(r.w) {
 			t.Fatalf("%s: an overlay row has len %d/%d/%d, cap %d/%d/%d", what, len(r.to), len(r.pos), len(r.w), cap(r.to), cap(r.pos), cap(r.w))
 		}
+		return false
 	})
 }
 

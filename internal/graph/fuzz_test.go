@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"maps"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -136,8 +137,9 @@ func digraphFootprint(g *Digraph) int {
 	if p := g.base; p != nil {
 		n += cap(p.off)*4 + cap(p.to)*4 + cap(p.pos)*4 + cap(p.w)*8
 	}
-	g.eachOverlay(func(r *row) {
+	g.eachOverlay(func(r *row) bool {
 		n += cap(r.to)*4 + cap(r.pos)*4 + cap(r.w)*8
+		return false
 	})
 	return n + len(g.patch)*(16+rowBytes)
 }
@@ -375,6 +377,104 @@ func FuzzTransitionMatrix(f *testing.F) {
 		g, want := transitionReference(n, edges)
 		if err := checkTransition(g.TransitionMatrix(), want); err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// FuzzChangedSince checks the Update path's two shortcuts against the
+// whole graph, over random Apply histories on a CloneCOW of a web a few
+// edits old (its overlay shared with the clone): AddLink, AddEdge at
+// weights other than 1 (some near overflow), AddDoc into old sites and
+// new ones, a roster replaced out of place (kept, or broken: one document
+// left out, one twice, two swapped), and Dedupe. Every site whose roster
+// or any document's row differs from the parent's, by a full diff, must
+// be in ChangedSince; and ValidateSince over that set must refuse exactly
+// what a full Validate refuses. The first byte picks the web, one run a
+// site or interleaved; every three after it are one step.
+func FuzzChangedSince(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 2})
+	f.Add([]byte{1, 0x10, 3, 4, 0x21, 0, 0, 0x30, 5, 6})
+	f.Add([]byte{2, 0x40, 1, 0, 0x41, 2, 3, 0x11, 0, 9})
+	f.Add([]byte{3, 0x50, 0, 1, 0x51, 2, 0, 0x52, 1, 0, 0x53, 3, 0})
+	f.Add([]byte{4, 0x60, 0, 0, 0x12, 1, 1, 0x12, 1, 2, 0x70, 0, 0})
+	f.Add([]byte{5, 0x40, 7, 0, 0x00, 200, 3, 0x30, 0, 0, 0x13, 5, 5})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		web := benchDocGraph(4+int(data[0]%4), 12, int64(data[0]))
+		if data[0]&0x80 != 0 {
+			web = interleave(web)
+		}
+		// The parent is a served graph some Updates old: a patched row, a
+		// document past the base, and both shared with the clone.
+		parent := web.CloneCOW()
+		parent.G.AddEdge(1, 2, 3)
+		parent.G.AddLink(int(parent.AddDoc("http://s0.example/late", 0)), 0)
+		parent.G.Dedupe()
+		if err := parent.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		work := parent.CloneCOW()
+		weights := [...]float64{1, 0.5, 2.5, math.MaxFloat64 / 2}
+		for data = data[1:]; len(data) >= 3; data = data[3:] {
+			op, a, b := data[0], int(data[1]), int(data[2])
+			nd, ns := work.NumDocs(), len(work.Sites)
+			switch op >> 4 & 7 {
+			case 0, 1:
+				work.G.AddEdge(a%nd, b%nd, weights[op%4])
+			case 2:
+				work.G.Dedupe()
+			case 3:
+				s := SiteID(a % (ns + 1))
+				if int(s) == ns {
+					work.Sites = append(work.Sites, Site{Name: fmt.Sprintf("new%d.example", s)})
+				}
+				d := work.AddDoc(fmt.Sprintf("http://%s/%d", work.Sites[s].Name, b), s)
+				work.G.AddLink(int(d), b%nd)
+			case 4, 5:
+				s := a % ns
+				docs := slices.Clone(work.Sites[s].Docs)
+				if k := len(docs); k > 1 {
+					switch op % 4 {
+					case 1:
+						docs = docs[:k-1]
+					case 2:
+						docs[k-1] = docs[0]
+					case 3:
+						docs[0], docs[1] = docs[1], docs[0]
+					}
+				}
+				work.Sites[s].Docs = docs
+			}
+		}
+		derived := work.ChangedSince(parent)
+		in := make(map[SiteID]bool)
+		for _, s := range derived {
+			in[s] = true
+		}
+		edges := func(dg *DocGraph, d int) []Edge {
+			var out []Edge
+			dg.G.EachEdge(d, func(e Edge) { out = append(out, e) })
+			return out
+		}
+		for s := range work.Sites {
+			if s >= len(parent.Sites) || !slices.Equal(work.Sites[s].Docs, parent.Sites[s].Docs) {
+				if !in[SiteID(s)] {
+					t.Fatalf("site %d's roster changed, not derived: %v", s, derived)
+				}
+			}
+		}
+		for d := 0; d < work.NumDocs(); d++ {
+			s := work.SiteOf(DocID(d))
+			if (d >= parent.NumDocs() || !slices.Equal(edges(work, d), edges(parent, d))) && !in[s] {
+				t.Fatalf("doc %d's row changed, its site %d not derived: %v", d, s, derived)
+			}
+		}
+		full, since := work.Validate(), work.ValidateSince(parent, derived)
+		if (full == nil) != (since == nil) {
+			t.Fatalf("Validate: %v, ValidateSince: %v", full, since)
 		}
 	})
 }

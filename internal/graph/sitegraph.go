@@ -53,7 +53,7 @@ func DeriveSiteGraph(dg *DocGraph, opts SiteGraphOptions) *SiteGraph {
 // clean overlay rows too, as Digraph.CloneCOW does. Row s aggregates the
 // out-links of site s's documents and nothing else, so this is exactly
 // DeriveSiteGraph whenever changed lists every site whose documents or
-// out-links differ — the GraphDelta.ChangedSites contract.
+// out-links differ — as DocGraph.ChangedSince's set does.
 //
 // sg is only read, and its cached transition matrix not even that: a
 // straggler query may be building it at this very moment, which is why

@@ -16,10 +16,11 @@ import (
 // the structure was precomputed (detected via graph.Digraph.Version).
 // The precomputed subgraphs, transition matrices and chains no longer
 // describe the graph, so serving would silently return stale rankings;
-// instead the query fails and the caller rebuilds — Rebuild for the
-// incremental path that reuses unchanged sites, NewRanker for a cold
-// rebuild, or Engine.Update at the serving layer. Check with errors.Is.
-var ErrGraphMutated = errors.New("lmm: graph mutated after Ranker construction; Rebuild the Ranker (or Engine.Update) before ranking")
+// instead the query fails and the caller builds a new Ranker. Edits
+// belong on a DocGraph.CloneCOW, followed by RebuildOn, which reuses the
+// sites the clone did not write — or Engine.Update at the serving layer.
+// Check with errors.Is.
+var ErrGraphMutated = errors.New("lmm: graph mutated after Ranker construction; build a new Ranker (or edit a clone and RebuildOn) before ranking")
 
 // RankerOptions fixes the graph-derivation choices a Ranker precomputes.
 type RankerOptions struct {
@@ -84,7 +85,7 @@ func (st *rankerSite) getChain(dg *graph.DocGraph, s graph.SiteID, keep bool) *p
 // graph alone, none of it query-specific. Past its lazily built chains,
 // each published once, the core is immutable, which is what lets any
 // number of Share()d rankers serve queries over it concurrently. Sites
-// are held by pointer so an incremental Rebuild can share unchanged
+// are held by pointer so an incremental RebuildOn can share unchanged
 // sites' structure (index, kept chain) between the old and the new core.
 type rankerCore struct {
 	dg    *graph.DocGraph
@@ -179,7 +180,7 @@ func NewRanker(dg *graph.DocGraph, opts RankerOptions) (*Ranker, error) {
 // newRankerSite records what is retained of site s before any query: its
 // roster as it stands, aliased (dg's own is append-only, so later
 // documents land past this one's length) — the per-site body of
-// NewRanker, shared with the incremental Rebuild.
+// NewRanker, shared with the incremental RebuildOn.
 func newRankerSite(dg *graph.DocGraph, s graph.SiteID) *rankerSite {
 	st := &rankerSite{idx: dg.LocalIndex(s)}
 	switch st.idx.Len() {
@@ -226,8 +227,7 @@ func (r *Ranker) Prepare() {
 // Ranker's structure was precomputed (its Version advanced). A stale
 // Ranker's subgraphs, chains and shard digests no longer describe the
 // graph; Rank, RankLocals and RankSites refuse with ErrGraphMutated.
-// Recover with Rebuild (reusing unchanged sites' structure) or a fresh
-// NewRanker.
+// Recover with a fresh NewRanker.
 func (r *Ranker) Stale() bool { return r.core.dg.G.Version() != r.core.version }
 
 // DocGraph returns the graph this Ranker serves.

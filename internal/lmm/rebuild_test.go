@@ -25,7 +25,7 @@ func mutateSite(t *testing.T, dg *graph.DocGraph, s graph.SiteID) {
 }
 
 // TestRankerStaleAfterMutation pins the mutate-after-precompute footgun:
-// a graph mutation not routed through Rebuild turns every query path of
+// a graph mutation in place, not on a clone, turns every query path of
 // the old Ranker into a documented ErrGraphMutated instead of a silently
 // stale ranking.
 func TestRankerStaleAfterMutation(t *testing.T) {
@@ -57,10 +57,14 @@ func TestRankerStaleAfterMutation(t *testing.T) {
 	if _, err := rk.Share().Rank(WebConfig{}); !errors.Is(err, ErrGraphMutated) {
 		t.Errorf("shared Ranker after mutation: err = %v, want ErrGraphMutated", err)
 	}
+	// Nothing recorded what changed, so no incremental rebuild either.
+	if _, err := rk.RebuildOn(dg.CloneCOW(), nil); !errors.Is(err, ErrGraphMutated) {
+		t.Errorf("RebuildOn after mutation: err = %v, want ErrGraphMutated", err)
+	}
 }
 
 // TestRebuildMatchesColdRanker is the correctness pin of the structural
-// churn path: after a site-local mutation, a Rebuild([changed]) Ranker
+// churn path: after a site-local mutation of a clone, the RebuildOn Ranker
 // must agree with a from-scratch NewRanker to well under 1e-9.
 func TestRebuildMatchesColdRanker(t *testing.T) {
 	dg := randomWeb(rand.New(rand.NewSource(92)), 8, 80)
@@ -71,13 +75,14 @@ func TestRebuildMatchesColdRanker(t *testing.T) {
 	if _, err := rk.Rank(WebConfig{Tol: 1e-12}); err != nil {
 		t.Fatalf("initial Rank: %v", err)
 	}
-	mutateSite(t, dg, 3)
+	work := dg.CloneCOW()
+	mutateSite(t, work, 3)
 
-	warm, err := rk.Rebuild([]graph.SiteID{3})
+	warm, err := rk.RebuildOn(work, nil)
 	if err != nil {
-		t.Fatalf("Rebuild: %v", err)
+		t.Fatalf("RebuildOn: %v", err)
 	}
-	cold, err := NewRanker(dg, RankerOptions{})
+	cold, err := NewRanker(work, RankerOptions{})
 	if err != nil {
 		t.Fatalf("cold NewRanker: %v", err)
 	}
@@ -98,7 +103,7 @@ func TestRebuildMatchesColdRanker(t *testing.T) {
 }
 
 // TestRebuildReusesCleanSiteStructure asserts the reuse that makes
-// Rebuild cheap: unchanged sites share what a Ranker retains of a site —
+// RebuildOn cheap: the sites the clone did not write share what a Ranker retains of a site —
 // the roster index and the built chain — by pointer with the old core;
 // the dirty site starts over with a fresh index and no chain yet. (No
 // subgraph is retained, so there is none to share.)
@@ -109,10 +114,11 @@ func TestRebuildReusesCleanSiteStructure(t *testing.T) {
 		t.Fatalf("NewRanker: %v", err)
 	}
 	rk.Prepare()
-	mutateSite(t, dg, 2)
-	warm, err := rk.Rebuild([]graph.SiteID{2})
+	work := dg.CloneCOW()
+	mutateSite(t, work, 2)
+	warm, err := rk.RebuildOn(work, nil)
 	if err != nil {
-		t.Fatalf("Rebuild: %v", err)
+		t.Fatalf("RebuildOn: %v", err)
 	}
 	for s := 0; s < rk.NumSites(); s++ {
 		old, now := rk.core.sites[s], warm.core.sites[s]
@@ -131,43 +137,31 @@ func TestRebuildReusesCleanSiteStructure(t *testing.T) {
 			t.Errorf("clean site %d was rebuilt", s)
 		}
 	}
-	if warm.Stale() {
-		t.Error("rebuilt Ranker reports stale")
-	}
-	if rk.Stale() != true {
-		t.Error("old Ranker should stay stale after Rebuild")
+	if warm.Stale() || rk.Stale() {
+		t.Error("a Ranker reports stale after a rebuild on a clone")
 	}
 }
 
-// TestRebuildStaleDetection covers the refusal paths: a grown roster not
-// listed as changed, removed sites, and out-of-range changed IDs.
+// TestRebuildStaleDetection: a roster the clone grew is rebuilt though
+// no list names it — the site is derived from the clone — and the
+// rebuilt Ranker ranks as a full recompute does.
 func TestRebuildStaleDetection(t *testing.T) {
 	dg := randomWeb(rand.New(rand.NewSource(94)), 6, 60)
 	rk, err := NewRanker(dg, RankerOptions{})
 	if err != nil {
 		t.Fatalf("NewRanker: %v", err)
 	}
-	if _, err := rk.Rebuild([]graph.SiteID{99}); err == nil {
-		t.Error("out-of-range changed site accepted")
-	}
-
-	// Rebuild the DocGraph with one extra document in site 1; because the
-	// Ranker captures the graph by reference, swap the new content into
-	// the same struct the Ranker holds. Not listing site 1 must fail.
-	grown := rebuildWithExtraDoc(dg, 1)
-	*dg = *grown
-	if _, err := rk.Rebuild(nil); !errors.Is(err, ErrStaleResult) {
-		t.Fatalf("grown unlisted roster: err = %v, want ErrStaleResult", err)
-	}
-	warm, err := rk.Rebuild([]graph.SiteID{1})
+	work := dg.CloneCOW()
+	addPage(work, 1)
+	warm, err := rk.RebuildOn(work, nil)
 	if err != nil {
-		t.Fatalf("Rebuild with grown site listed: %v", err)
+		t.Fatalf("RebuildOn with a grown site unlisted: %v", err)
 	}
 	wres, err := warm.Rank(WebConfig{Tol: 1e-12})
 	if err != nil {
 		t.Fatalf("warm Rank: %v", err)
 	}
-	full, err := LayeredDocRank(dg, WebConfig{Tol: 1e-12})
+	full, err := LayeredDocRank(work, WebConfig{Tol: 1e-12})
 	if err != nil {
 		t.Fatalf("full: %v", err)
 	}
@@ -176,20 +170,19 @@ func TestRebuildStaleDetection(t *testing.T) {
 	}
 }
 
-// TestRebuildHandlesNewSite: appended sites are implicitly changed.
+// TestRebuildHandlesNewSite: a graph built afresh with a site appended is
+// no clone of the Ranker's, so every site is rebuilt — correct, only
+// slower — the appended one included.
 func TestRebuildHandlesNewSite(t *testing.T) {
 	dg := randomWeb(rand.New(rand.NewSource(95)), 6, 60)
 	rk, err := NewRanker(dg, RankerOptions{})
 	if err != nil {
 		t.Fatalf("NewRanker: %v", err)
 	}
-	joined := rebuildWithNewSite(dg)
-	*dg = *joined
-	// The join gives site 0's first page a link to the newcomer — a
-	// changed out-link, so site 0 is listed; the new site is not.
-	warm, err := rk.Rebuild([]graph.SiteID{0})
+	dg = rebuildWithNewSite(dg)
+	warm, err := rk.RebuildOn(dg, nil)
 	if err != nil {
-		t.Fatalf("Rebuild after join: %v", err)
+		t.Fatalf("RebuildOn after join: %v", err)
 	}
 	if warm.NumSites() != dg.NumSites() {
 		t.Fatalf("rebuilt ranker has %d sites, graph %d", warm.NumSites(), dg.NumSites())
@@ -226,7 +219,7 @@ func TestRebuildOnCOWCloneKeepsOldRankerServing(t *testing.T) {
 
 	work := dg.CloneCOW()
 	mutateSite(t, work, 3)
-	warm, err := rk.RebuildOn(work, []graph.SiteID{3})
+	warm, err := rk.RebuildOn(work, nil)
 	if err != nil {
 		t.Fatalf("RebuildOn: %v", err)
 	}
@@ -290,10 +283,11 @@ func TestWarmStartSeedsCutIterations(t *testing.T) {
 	}
 	coldSiteIters := prev.SiteIterations
 
+	dg = dg.CloneCOW()
 	mutateSite(t, dg, 4)
-	warm, err := rk.Rebuild([]graph.SiteID{4})
+	warm, err := rk.RebuildOn(dg, nil)
 	if err != nil {
-		t.Fatalf("Rebuild: %v", err)
+		t.Fatalf("RebuildOn: %v", err)
 	}
 	seeded := cfg
 	seeded.SiteStart = seedSite
@@ -346,9 +340,7 @@ func churnWeb(t *testing.T) *graph.DocGraph {
 }
 
 // copyLinks replays every link of dg into b with its multiplicity, so a
-// rebuilt web differs from dg only where the caller then edits it (a
-// flattened duplicate link would change the out-links of sites no test
-// lists as changed).
+// rebuilt web differs from dg only where the caller then edits it.
 func copyLinks(b *graph.Builder, dg *graph.DocGraph) {
 	dg.G.EachEdgeAll(func(from int, e graph.Edge) {
 		for k := 0; k < int(e.Weight); k++ {
@@ -382,16 +374,13 @@ func rebuildWithNewSite(dg *graph.DocGraph) *graph.DocGraph {
 	return b.Build()
 }
 
-// rebuildWithExtraDoc reconstructs dg with one extra document in site s.
-func rebuildWithExtraDoc(dg *graph.DocGraph, s graph.SiteID) *graph.DocGraph {
-	b := copyDocs(dg)
-	copyLinks(b, dg)
-	extra := b.AddDocInSite(
-		fmt.Sprintf("http://%s/extra-page", dg.Sites[s].Name), dg.Sites[s].Name)
+// addPage adds one page to site s of dg, linked with the site's home page
+// both ways.
+func addPage(dg *graph.DocGraph, s graph.SiteID) {
+	extra := dg.AddDoc(fmt.Sprintf("http://%s/extra-page", dg.Sites[s].Name), s)
 	home := dg.Sites[s].Docs[0]
-	b.LinkIDs(extra, home)
-	b.LinkIDs(home, extra)
-	return b.Build()
+	dg.G.AddLink(int(extra), int(home))
+	dg.G.AddLink(int(home), int(extra))
 }
 
 // solved builds a Ranker over dg and its first solution — the state a
@@ -411,10 +400,12 @@ func solved(t *testing.T, dg *graph.DocGraph, cfg WebConfig) (*Ranker, *WebResul
 }
 
 // refreshOn is the incremental path Engine.Update runs: rebuild the
-// changed sites' structure on dg, then RankRefresh seeded with prev — and
-// the DocRank a refresh does not compose, composed from its solutions.
-func refreshOn(rk *Ranker, dg *graph.DocGraph, prev *WebResult, changed []graph.SiteID, cfg WebConfig) (*WebResult, error) {
-	next, err := rk.RebuildOn(dg, changed)
+// structure of the sites dg changed since rk's graph, then RankRefresh
+// them seeded with prev — and the DocRank a refresh does not compose,
+// composed from its solutions.
+func refreshOn(rk *Ranker, dg *graph.DocGraph, prev *WebResult, cfg WebConfig) (*WebResult, error) {
+	changed := dg.ChangedSince(rk.DocGraph())
+	next, err := rk.RebuildOn(dg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -444,9 +435,10 @@ func TestUpdateMatchesFullRecomputeAfterEdgeChange(t *testing.T) {
 	dg := churnWeb(t)
 	cfg := WebConfig{Tol: 1e-11}
 	rk, prev := solved(t, dg, cfg)
+	dg = dg.CloneCOW()
 	mutateSite(t, dg, 2)
 
-	inc, err := refreshOn(rk, dg, prev, []graph.SiteID{2}, cfg)
+	inc, err := refreshOn(rk, dg, prev, cfg)
 	if err != nil {
 		t.Fatalf("refresh: %v", err)
 	}
@@ -463,9 +455,10 @@ func TestUpdateReusesUnchangedLocalRanks(t *testing.T) {
 	dg := churnWeb(t)
 	cfg := WebConfig{Tol: 1e-11}
 	rk, prev := solved(t, dg, cfg)
+	dg = dg.CloneCOW()
 	mutateSite(t, dg, 2)
 
-	inc, err := refreshOn(rk, dg, prev, []graph.SiteID{2}, cfg)
+	inc, err := refreshOn(rk, dg, prev, cfg)
 	if err != nil {
 		t.Fatalf("refresh: %v", err)
 	}
@@ -492,7 +485,7 @@ func TestUpdateWarmStartConverges(t *testing.T) {
 	rk, prev := solved(t, dg, cfg)
 	// No change at all: the warm-started SiteRank converges in far fewer
 	// iterations than the cold run.
-	inc, err := refreshOn(rk, dg, prev, nil, cfg)
+	inc, err := refreshOn(rk, dg.CloneCOW(), prev, cfg)
 	if err != nil {
 		t.Fatalf("refresh: %v", err)
 	}
@@ -510,10 +503,14 @@ func TestUpdateHandlesNewSite(t *testing.T) {
 	rk, prev := solved(t, dg, cfg)
 
 	// A new site joins (P2P churn) and trades links with site 0's first
-	// page: site 0's out-links changed, the newcomer is implicit — and has
-	// no seed, since prev is one site short.
-	joined := rebuildWithNewSite(dg)
-	inc, err := refreshOn(rk, joined, prev, []graph.SiteID{0}, cfg)
+	// page on a clone: site 0's out-links changed, and the newcomer has no
+	// seed, since prev is one site short.
+	joined := dg.CloneCOW()
+	joined.Sites = append(joined.Sites, graph.Site{Name: "newpeer.example"})
+	addPage(joined, graph.SiteID(joined.NumSites()-1))
+	addPage(joined, graph.SiteID(joined.NumSites()-1))
+	joined.G.AddLink(int(dg.Sites[0].Docs[0]), dg.NumDocs())
+	inc, err := refreshOn(rk, joined, prev, cfg)
 	if err != nil {
 		t.Fatalf("refresh: %v", err)
 	}
@@ -530,14 +527,12 @@ func TestUpdateStaleDetection(t *testing.T) {
 	dg := churnWeb(t)
 	cfg := WebConfig{Tol: 1e-11}
 	rk, prev := solved(t, dg, cfg)
-	// Grow site 1's roster but do not list it as changed.
-	grown := rebuildWithExtraDoc(dg, 1)
-	if _, err := refreshOn(rk, grown, prev, nil, cfg); !errors.Is(err, ErrStaleResult) {
-		t.Fatalf("err = %v, want ErrStaleResult", err)
-	}
-	// Listing it succeeds — its seed no longer fits and is ignored — and
-	// matches a full recompute.
-	inc, err := refreshOn(rk, grown, prev, []graph.SiteID{1}, cfg)
+	// Grow site 1's roster on a clone: the site is derived, its seed no
+	// longer fits and is ignored, and the refresh matches a full
+	// recompute.
+	grown := dg.CloneCOW()
+	addPage(grown, 1)
+	inc, err := refreshOn(rk, grown, prev, cfg)
 	if err != nil {
 		t.Fatalf("refresh: %v", err)
 	}
@@ -551,17 +546,14 @@ func TestUpdateValidation(t *testing.T) {
 	dg := churnWeb(t)
 	cfg := WebConfig{Tol: 1e-11}
 	rk, prev := solved(t, dg, cfg)
-	if _, err := refreshOn(rk, dg, prev, []graph.SiteID{99}, cfg); err == nil {
-		t.Error("out-of-range changed site accepted")
-	}
 	// A graph that lost sites cannot reuse anything.
 	smaller := randomWeb(rand.New(rand.NewSource(77)), 7, 70)
-	if _, err := refreshOn(rk, smaller, prev, nil, cfg); !errors.Is(err, ErrStaleResult) {
+	if _, err := refreshOn(rk, smaller, prev, cfg); !errors.Is(err, ErrStaleResult) {
 		t.Errorf("graph with fewer sites: err = %v, want ErrStaleResult", err)
 	}
 	// No previous solution is not an error: every site solves cold, as in
 	// Rank.
-	cold, err := refreshOn(rk, dg, &WebResult{}, nil, cfg)
+	cold, err := refreshOn(rk, dg.CloneCOW(), &WebResult{}, cfg)
 	if err != nil {
 		t.Fatalf("refresh without seeds: %v", err)
 	}
@@ -645,7 +637,7 @@ func TestRefreshKeepsNoChain(t *testing.T) {
 	const changed = graph.SiteID(2)
 	work := dg.CloneCOW()
 	mutateSite(t, work, changed)
-	next, err := lazy.RebuildOn(work, []graph.SiteID{changed})
+	next, err := lazy.RebuildOn(work, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -736,7 +728,7 @@ func TestLazyChainsBuiltOnce(t *testing.T) {
 		wg.Add(1)
 		go query(old, wantOld, &wg)
 	}
-	next, err := old.RebuildOn(work, []graph.SiteID{changed})
+	next, err := old.RebuildOn(work, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -294,11 +294,11 @@ func StartCluster(n int) (*Cluster, error) { return cluster.StartLocal(n) }
 // ErrStaleResult marks incremental updates that need a full recompute.
 var ErrStaleResult = lmm.ErrStaleResult
 
-// ErrGraphMutated marks queries against an engine or Ranker whose
-// DocGraph was mutated without going through Engine.Update (or
-// Ranker.Rebuild): the precomputed structure is stale, and the query is
-// refused instead of silently serving a stale ranking. Check with
-// errors.Is; recover with Engine.Update or by rebuilding.
+// ErrGraphMutated marks queries and Updates against an engine or Ranker
+// whose DocGraph was mutated in place, not through Engine.Update: the
+// precomputed structure is stale and nothing recorded what changed, so
+// the call is refused instead of silently serving a stale ranking. Check
+// with errors.Is; recover by building a new engine.
 var ErrGraphMutated = lmm.ErrGraphMutated
 
 // DocScore pairs a document with its score for top-k reporting.

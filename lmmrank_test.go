@@ -2,6 +2,7 @@ package lmmrank
 
 import (
 	"bytes"
+	"context"
 	"go/parser"
 	"go/token"
 	"path/filepath"
@@ -113,6 +114,16 @@ func TestFacadeGraphIO(t *testing.T) {
 	}
 }
 
+// coordRank is one fleet run over dg from nothing known, on a Ranker
+// built for it as an engine builds one.
+func coordRank(cl *Cluster, dg *DocGraph, cfg DistConfig) (*DistResult, error) {
+	rk, err := lmm.NewRanker(dg, lmm.RankerOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return cl.Coord.RankPreparedCtx(context.Background(), rk, cfg, DistWarm{})
+}
+
 func TestFacadeCluster(t *testing.T) {
 	web := GenerateCampusWeb(CampusWebConfig{
 		Seed: 4, Sites: 6, MeanSitePages: 6,
@@ -123,7 +134,7 @@ func TestFacadeCluster(t *testing.T) {
 		t.Fatalf("StartCluster: %v", err)
 	}
 	defer cl.Close()
-	res, err := cl.Coord.Rank(web.Graph, DistConfig{})
+	res, err := coordRank(cl, web.Graph, DistConfig{})
 	if err != nil {
 		t.Fatalf("Rank: %v", err)
 	}

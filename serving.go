@@ -299,13 +299,8 @@ type server struct {
 	snap atomic.Pointer[snapshot]
 
 	// updateMu serializes Updates against each other (queries don't take
-	// it). dirty accumulates changed sites across failed Updates: on the
-	// nil-Apply path the graph mutates before the rebuild can fail, so the
-	// sites stay recorded and the next successful Update rebuilds them too
-	// — otherwise a later Update listing only its own sites would bless
-	// the earlier edit's stale structure.
+	// it).
 	updateMu sync.Mutex
-	dirty    map[SiteID]bool
 }
 
 // serve validates dg, precomputes its Ranker (the SiteGraph aggregated
@@ -321,7 +316,6 @@ func (e *server) serve(dg *DocGraph, sg SiteGraphOptions) error {
 	if err := e.prime(context.TODO(), snap, nil, 0); err != nil {
 		return err
 	}
-	e.dirty = make(map[SiteID]bool)
 	e.publish(snap)
 	return nil
 }
@@ -386,66 +380,47 @@ func (e *server) Rank(ctx context.Context, q Query) (*Result, error) {
 }
 
 // Update applies one batch of graph churn and publishes the result as a
-// new snapshot: delta.Apply (if any) runs against a copy-on-write clone
-// of the served graph, the engine rebuilds only the changed sites'
-// structure beside the serving one, and one pointer store swaps it in.
-// In-flight queries are never drained: they complete on the snapshot they
-// started on. What each engine carries warm across the swap is described
-// on LocalEngine and DistEngine.
+// new snapshot: delta.Apply runs against a copy-on-write clone of the
+// served graph, the engine rebuilds beside the serving structure only the
+// sites the clone wrote (DocGraph.ChangedSince), and one pointer store
+// swaps it in. In-flight queries are never drained: they complete on the
+// snapshot they started on. What each engine carries warm across the swap
+// is described on LocalEngine and DistEngine.
 //
-// A ChangedSites entry outside [0, NumSites) of the updated graph is an
-// error, and is never recorded. On the Apply path an error leaves the
-// engine exactly as before — the clone is discarded, nothing was
-// mutated, nothing is marked dirty: a failed Update is a no-op. On the
-// nil-Apply path the caller mutated the serving graph before calling, so
-// a failure leaves queries failing with ErrGraphMutated until a
-// successful Update; the delta's sites in range stay recorded either way
-// on that path, so a later Update rebuilds them too.
+// A nil Apply is refused, and so is any Update once the serving graph
+// was mutated behind the engine's back (ErrGraphMutated): nothing
+// recorded what changed. An error leaves the engine exactly as before —
+// the clone is discarded and nothing was mutated: a failed Update is a
+// no-op.
 func (e *server) Update(ctx context.Context, delta GraphDelta) error {
+	if delta.Apply == nil {
+		return errors.New("lmmrank: update: GraphDelta.Apply is nil")
+	}
 	e.updateMu.Lock()
 	defer e.updateMu.Unlock()
-	cur := e.snap.Load()
-	if delta.Apply == nil {
-		// The serving graph is already mutated: record the sites before
-		// anything fallible (even the ctx check) can return.
-		for _, s := range delta.ChangedSites {
-			if s >= 0 && int(s) < cur.dg.NumSites() {
-				e.dirty[s] = true
-			}
-		}
-	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	dg := cur.dg
-	if delta.Apply != nil {
-		dg = cur.dg.CloneCOW()
-		if err := delta.Apply(dg); err != nil {
-			// The clone dies here; the serving graph never changed and the
-			// delta's sites are not recorded — nothing needs rebuilding.
-			return fmt.Errorf("lmmrank: update apply: %w", err)
-		}
+	cur := e.snap.Load()
+	if cur.dg.G.Version() != cur.version {
+		return ErrGraphMutated
 	}
-	for _, s := range delta.ChangedSites {
-		if s < 0 || int(s) >= dg.NumSites() {
-			return fmt.Errorf("lmmrank: update: changed site %d out of range [0, %d)", s, dg.NumSites())
-		}
+	dg := cur.dg.CloneCOW()
+	if err := delta.Apply(dg); err != nil {
+		return fmt.Errorf("lmmrank: update apply: %w", err)
 	}
-	// The sites of earlier failed Updates are rebuilt too; dirty is left
-	// as it was if this one fails.
-	next, err := e.rebuild(ctx, cur, dg, append(slices.Collect(maps.Keys(e.dirty)), delta.ChangedSites...))
+	next, err := e.rebuild(ctx, cur, dg)
 	if err != nil {
 		return err
 	}
 	e.publish(next)
-	clear(e.dirty)
 	return nil
 }
 
-// DocGraph returns the graph the engine currently serves. Apply-path
-// Updates evolve the graph through copy-on-write clones, so the returned
-// pointer changes across Updates — re-fetch after updating rather than
-// caching the construction-time pointer.
+// DocGraph returns the graph the engine currently serves. Updates evolve
+// the graph through copy-on-write clones, so the returned pointer changes
+// across Updates — re-fetch after updating rather than caching the
+// construction-time pointer.
 func (e *server) DocGraph() *DocGraph { return e.snap.Load().dg }
 
 // ServingStats returns a point-in-time copy of the engine's cumulative
