@@ -162,42 +162,30 @@ func BenchmarkE7Distributed(b *testing.B) {
 	}
 }
 
-// BenchmarkE11SiteRank compares the synchronous barrier rounds on a
-// loopback fleet against the central solve, whose msgs/op is the load
-// and local phase alone: the baseline the sync rounds' site-layer
-// messages add to. rounds/op (SiteRankRounds: barrier rounds in sync,
-// sweeps in central) and msgs/op are the counts a cold Rank pays.
+// BenchmarkE11SiteRank is a cold Rank on a loopback fleet of 4, its site
+// layer solved on the coordinator: rounds/op (SiteRankRounds, the
+// coordinator's sweeps) and msgs/op (the load and local phase: the site
+// layer sends none) are the counts it pays.
 func BenchmarkE11SiteRank(b *testing.B) {
 	web := benchWeb()
-	cfgs := []struct {
-		name string
-		cfg  DistConfig
-	}{
-		{"central", DistConfig{Tol: 1e-9}},
-		{"sync", DistConfig{SiteRank: SiteRankSync, Tol: 1e-9}},
+	cl, err := StartCluster(4)
+	if err != nil {
+		b.Fatal(err)
 	}
-	for _, tc := range cfgs {
-		b.Run(tc.name, func(b *testing.B) {
-			cl, err := StartCluster(4)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cl.Close()
-			var rounds, msgs int
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := coordRank(cl, web.Graph, tc.cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rounds += res.Stats.SiteRankRounds
-				msgs += int(res.Stats.Messages)
-			}
-			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
-			b.ReportMetric(float64(msgs)/float64(b.N), "msgs/op")
-		})
+	defer cl.Close()
+	var rounds, msgs int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := coordRank(cl, web.Graph, DistConfig{Tol: 1e-9})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rounds += res.Stats.SiteRankRounds
+		msgs += int(res.Stats.Messages)
 	}
+	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+	b.ReportMetric(float64(msgs)/float64(b.N), "msgs/op")
 }
 
 // BenchmarkDistNonDefault is a warm central DistEngine over cmd/lmmload's

@@ -1,12 +1,11 @@
 // Command lmmcoord drives a fleet of lmmnode workers through one
 // distributed Layered Method run: it loads a graph file, partitions the
-// sites over the workers, gathers their local DocRanks, computes the
-// SiteRank (centrally or on the fleet), and prints the composed top-k.
+// sites over the workers, gathers their local DocRanks, solves the
+// SiteRank on the coordinator, and prints the composed top-k.
 //
 // Usage:
 //
 //	lmmcoord -graph campus.graph -workers host1:7100,host2:7100 [-top 15]
-//	         [-siterank central|sync]
 //	         [-damping 0.85] [-max-worker-failures 1] [-max-redials 0]
 //	         [-runs 2] [-timeout 30s]
 //
@@ -18,13 +17,9 @@
 // -max-redials additionally redials lost peers in the background with
 // jittered exponential backoff and re-admits them mid-run, rebalancing
 // their shards back (near-zero bytes when their caches are still warm).
-// -siterank selects the SiteRank mode (docs/ARCHITECTURE.md has the
-// map): "central" (the default) solves the site layer on the
-// coordinator, and "sync" iterates it over the fleet one barrier round
-// at a time. -damping must lie strictly between 0 and 1. -timeout
-// bounds each whole run with a context deadline that propagates into
-// every worker exchange. Every flag is checked before any worker is
-// dialed.
+// -damping must lie strictly between 0 and 1. -timeout bounds each whole
+// run with a context deadline that propagates into every worker
+// exchange. Every flag is checked before any worker is dialed.
 package main
 
 import (
@@ -54,7 +49,6 @@ func run() error {
 		workers   = flag.String("workers", "", "comma-separated worker addresses (required)")
 		top       = flag.Int("top", 15, "table length")
 		damping   = flag.Float64("damping", 0.85, "damping factor / gatekeeper α")
-		srMode    = flag.String("siterank", "central", "SiteRank mode: central or sync")
 		failures  = flag.Int("max-worker-failures", 1, "worker losses one run may absorb by reassigning shards (0 = fail on first loss)")
 		redials   = flag.Int("max-redials", 0, "background redial attempts per lost worker (0 = lost workers stay lost)")
 		runs      = flag.Int("runs", 1, "repeat the ranking; runs after the first hit the workers' shard caches and hash no shard")
@@ -71,15 +65,6 @@ func run() error {
 	}
 	if !(*damping > 0 && *damping < 1) {
 		return fmt.Errorf("-damping %g: want a value strictly between 0 and 1", *damping)
-	}
-	var mode coordinator.SiteRankMode
-	switch *srMode {
-	case "central":
-		mode = coordinator.SiteRankCentral
-	case "sync":
-		mode = coordinator.SiteRankSync
-	default:
-		return fmt.Errorf("unknown -siterank mode %q (want central or sync)", *srMode)
 	}
 	f, err := os.Open(*graphPath)
 	if err != nil {
@@ -115,8 +100,7 @@ func run() error {
 	fmt.Printf("precomputed ranking structure in %v\n", time.Since(prepStart).Round(time.Millisecond))
 
 	cfg := coordinator.Config{
-		Damping:  *damping,
-		SiteRank: mode,
+		Damping: *damping,
 		Retry: coordinator.RetryPolicy{
 			MaxWorkerFailures: *failures,
 			MaxRedials:        *redials,

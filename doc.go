@@ -20,11 +20,9 @@
 //     substrate standing in for the paper's EPFL crawl);
 //   - a distributed runtime: loopback or networked worker fleets driven by
 //     a coordinator over a framed binary TCP protocol, with page-count shard
-//     balancing, digest-keyed worker caches, one SiteRank loop selected by
-//     DistConfig.SiteRank alone (SiteRankMode: central by default, or on
-//     the fleet as synchronous point-Jacobi rounds), mid-run worker-loss
-//     recovery and background redial with mid-run re-admission
-//     (DistRetryPolicy).
+//     balancing, digest-keyed worker caches, the small site layer solved
+//     on the coordinator where the graph is, mid-run worker-loss recovery
+//     and background redial with mid-run re-admission (DistRetryPolicy).
 //
 // Quick start:
 //
@@ -124,10 +122,9 @@
 // its sites rebalance back by the deterministic weighted assignment, a
 // warm digest cache means near-zero bytes re-shipped
 // (DistStats.RejoinShardBytes measures exactly the rejoin traffic), and
-// interim owners drop the moved sites so no chain row is double-counted.
-// A restarted coordinator keeps no SiteRank state: it re-runs from the
-// first round and reaches the same answer (docs/ARCHITECTURE.md,
-// "Decided against: checkpointing the fleet's SiteRank iterate").
+// interim owners drop the moved sites so no site is held twice. A
+// restarted coordinator keeps no run state: it re-runs from the start
+// and reaches the same answer.
 //
 // Serving: both engines answer through one serving front — validate,
 // admit (Query.Tenant's quota, then the engine-wide cap; *OverloadError

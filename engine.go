@@ -35,8 +35,8 @@ type Query struct {
 	// exactly 0 cannot be requested, tiny positive values are honored.
 	// Any other value outside (0, 1), NaN included, is ErrUnsupportedQuery.
 	Damping float64
-	// Tol and MaxIter bound every solve's L1 change and its sweeps (or
-	// fleet rounds); 0 = package defaults. A NaN or negative Tol and a
+	// Tol and MaxIter bound every solve's L1 change and its sweeps;
+	// 0 = package defaults. A NaN or negative Tol and a
 	// negative MaxIter are ErrUnsupportedQuery.
 	Tol     float64
 	MaxIter int
@@ -94,9 +94,9 @@ type Result struct {
 	// Top is the TopK table (nil when Query.TopK <= 0).
 	Top []DocScore
 	// SiteIterations and LocalIterations record solver work: the site
-	// layer's in-place sweeps (or distributed point-Jacobi rounds) and each
-	// site's local sweeps. SiteIterations is the query's own site solve:
-	// 0 for an answer composed with a snapshot's πS.
+	// layer's in-place sweeps and each site's local sweeps.
+	// SiteIterations is the query's own site solve: 0 for an answer
+	// composed with a snapshot's πS.
 	SiteIterations  int
 	LocalIterations []int
 	// Dist carries the transport/cache statistics of the fleet run a
@@ -366,11 +366,9 @@ func (src *source) fill(ctx context.Context, snap *snapshot, changed []SiteID, w
 // solve gives q its local DocRanks, their sweeps (nil: none ran), the site
 // layer if the source solved one (weights nil: weigh it) and the fleet's
 // account (nil in process). A query served from sol gets sol's locals,
-// and on a fleet sends nothing — but in SiteRankSync mode a
-// SitePersonalization's πS is fleet rounds started from sol. Any other
-// query (sol nil) is a solve of its own: in process every site on rk,
-// started from the snapshot's locals; on a fleet a run from nothing but
-// the digests.
+// and on a fleet sends nothing. Any other query (sol nil) is a solve of
+// its own: in process every site on rk, started from the snapshot's
+// locals; on a fleet a run from nothing but the digests.
 func (src *source) solve(ctx context.Context, snap *snapshot, rk *lmm.Ranker, q Query, sol *solutions, workers int) (siteLayer, []Vector, []int, *DistStats, error) {
 	switch {
 	case src.coord == nil && sol == nil:
@@ -380,10 +378,10 @@ func (src *source) solve(ctx context.Context, snap *snapshot, rk *lmm.Ranker, q 
 		return siteLayer{}, locals, iters, nil, normalizeCtxErr(ctx, err)
 	case src.coord == nil:
 		return siteLayer{}, sol.locals, nil, nil, nil
-	case sol != nil && (q.SitePersonalization == nil || src.cfg.SiteRank != SiteRankSync):
+	case sol != nil:
 		return siteLayer{}, sol.locals, nil, &DistStats{LocalRanksReused: len(sol.locals)}, nil
 	}
-	dres, err := src.run(ctx, snap, q, cmp.Or(sol, &solutions{}))
+	dres, err := src.run(ctx, snap, q, &solutions{})
 	if err != nil {
 		return siteLayer{}, nil, nil, nil, err
 	}
@@ -603,7 +601,7 @@ func (q Query) fromSnapshot() bool {
 
 // siteLayer is a query's site weighting, all an answer adds to the local
 // DocRanks (Partition Theorem): the weights (caller-owned; they become
-// Result.SiteRank), the sweeps or rounds that solved them, and for a
+// Result.SiteRank), the sweeps that solved them, and for a
 // ThreeLayer query the upper layers they are DomainRank·SiteEntry of.
 type siteLayer struct {
 	weights Vector
@@ -688,9 +686,9 @@ func normalizeCtxErr(ctx context.Context, err error) error {
 
 // DistEngine serves the same queries from a distributed fleet: local
 // DocRanks run on the workers (through the coordinator's shard caches
-// and loss recovery), the small site layer runs centrally or as
-// distributed point-Jacobi rounds, and the answer is built from those
-// solutions as on a LocalEngine, with transport statistics attached. Rank
+// and loss recovery), the small site layer is solved where the graph is,
+// and the answer is built from those solutions as on a LocalEngine, with
+// transport statistics attached. Rank
 // calls are safe for concurrent use — the coordinator serializes runs —
 // but do not overlap on the wire; for query-level concurrency put a
 // LocalEngine replica next to the coordinator instead, or turn on
@@ -700,10 +698,9 @@ func normalizeCtxErr(ctx context.Context, err error) error {
 // snapshot is its solutions there too, but the fleet solves them: the
 // first query at the default Damping/Tol/MaxIter makes one uniform run
 // for every site's local DocRank and πS, and every such query, that one
-// included, is composed from them and sends nothing — but for a
-// SitePersonalization in SiteRankSync mode, whose site layer is fleet
-// rounds started from them — and takes its Top table from their top-k
-// index, as on a LocalEngine. A query with a Damping, Tol or MaxIter of
+// included, is composed from them and sends nothing, and takes its Top
+// table from their top-k index, as on a LocalEngine. A query with a
+// Damping, Tol or MaxIter of
 // its own is a run of its own. The three-layer weights are never the
 // fleet's: they come from the Ranker's SiteGraph, as on a LocalEngine.
 //
@@ -725,9 +722,9 @@ var _ Engine = (*DistEngine)(nil)
 // cluster: a Ranker is precomputed for the graph (structure only — the
 // fleet solves the local DocRanks, on the first query; construction
 // sends nothing) and every Rank reuses it, its SiteGraph aggregated with
-// the default SiteGraphOptions. cfg supplies the transport knobs
-// (SiteRank mode, retry policy, placement) and the
-// serving knobs (MaxInFlight, TenantQuota, RejectOverload, Coalesce,
+// the default SiteGraphOptions. cfg supplies the transport knobs (retry
+// policy, placement) and the serving knobs (MaxInFlight, TenantQuota,
+// RejectOverload, Coalesce,
 // CoalesceTol); its per-query fields — Damping, Tol, MaxIter,
 // SitePersonalization, ThreeLayer — are ignored and overwritten from each
 // Query. Mutate the graph only through Update (or build a new engine); a
@@ -743,7 +740,7 @@ func NewDistEngine(cl *Cluster, dg *DocGraph, cfg DistConfig) (*DistEngine, erro
 
 // Rank answers one query against the fleet. The context's deadline
 // propagates into every wire exchange and a cancellation aborts the
-// in-flight round, returning ctx.Err(). Admission and coalescing
+// in-flight run, returning ctx.Err(). Admission and coalescing
 // follow the cfg knobs (see NewDistEngine).
 func (e *DistEngine) Rank(ctx context.Context, q Query) (*Result, error) {
 	if q.DocPersonalization != nil {

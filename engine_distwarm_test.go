@@ -9,13 +9,11 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"lmmrank/internal/dist/chaos"
 	"lmmrank/internal/dist/cluster"
 	"lmmrank/internal/dist/wire"
-	"lmmrank/internal/graph"
 	"lmmrank/internal/lmm"
 	"lmmrank/internal/matrix"
 	"lmmrank/internal/pagerank"
@@ -63,11 +61,10 @@ func shapeName(q Query) string {
 
 // TestDistEngineWarmMatchesCold is the one-snapshot-shape contract over
 // every default-parameter query shape (everyShape's), each on a fresh
-// snapshot, in both SiteRank modes: the first answer fills the snapshot
-// on the fleet and agrees with a LocalEngine's to < 1e-9; every later one
-// is composed from that fill — no local phase, every local DocRank
-// reused, no message (in sync mode, but for a SitePersonalization, whose
-// site layer is the fleet's rounds) — and repeats the first bit for bit.
+// snapshot, on each of distModes' configs: the first answer fills the
+// snapshot on the fleet and agrees with a LocalEngine's to < 1e-9; every
+// later one is composed from that fill — no local phase, every local
+// DocRank reused, no message — and repeats the first bit for bit.
 func TestDistEngineWarmMatchesCold(t *testing.T) {
 	web := engineWeb()
 	ns := web.Graph.NumSites()
@@ -106,14 +103,13 @@ func TestDistEngineWarmMatchesCold(t *testing.T) {
 					t.Errorf("the first answer sent %d messages, reused %d local ranks and reports local sweeps %v: nothing filled the snapshot",
 						got[0].Dist.Messages, got[0].Dist.LocalRanksReused, got[0].LocalIterations)
 				}
-				fleetSite := q.SitePersonalization != nil && m.cfg.SiteRank == SiteRankSync
 				for i, res := range got[1:] {
 					st := res.Dist
 					if st.LocalRanksReused != ns || st.LocalRankDuration != 0 {
 						t.Errorf("answer %d: reused %d local ranks in a %v local phase, want all %d and none", i+2, st.LocalRanksReused, st.LocalRankDuration, ns)
 					}
-					if (st.Messages == 0) == fleetSite {
-						t.Errorf("answer %d sent %d messages, want them only for a sync site solve", i+2, st.Messages)
+					if st.Messages != 0 {
+						t.Errorf("answer %d sent %d messages, want none", i+2, st.Messages)
 					}
 					if q.SitePersonalization == nil && res.SiteIterations != 0 {
 						t.Errorf("answer %d solved the site layer in %d iterations, want it composed from the fill", i+2, res.SiteIterations)
@@ -127,7 +123,10 @@ func TestDistEngineWarmMatchesCold(t *testing.T) {
 	}
 }
 
-// distModes are the two SiteRank modes a DistEngine runs.
+// distModes are the legs of the tests that ran both SiteRank modes: the
+// default config, and one still naming the retired fleet mode
+// SiteRankSync, which a DistEngine ignores — a config that does
+// (cmd/lmmload's dist-wan) must serve as the default does.
 var distModes = []struct {
 	name string
 	cfg  DistConfig
@@ -214,8 +213,7 @@ func TestDistEngineConcurrentFirstQueriesShareOneFill(t *testing.T) {
 }
 
 // selfLoopHeavyWeb generates a web whose SiteGraph is the shape the
-// central in-place solve gains most on and a fleet's power rounds least:
-// every site keeps at least 0.95 of its links inside itself, so every
+// in-place solve gains most on: every site keeps at least 0.95 of its links inside itself, so every
 // SiteGraph row has that much of its mass on the diagonal.
 func selfLoopHeavyWeb(t *testing.T) *DocGraph {
 	t.Helper()
@@ -249,10 +247,9 @@ func selfLoopHeavyWeb(t *testing.T) *DocGraph {
 	return dg
 }
 
-// TestSiteRankModesMatchCentralOnSelfLoopHeavySites pins the fleet's
-// rounds against the central solve, which sweeps in place and solves each
-// self-loop exactly, where the two iterations differ most: a SiteGraph
-// with >= 0.95 of every row on the diagonal. The pin is the standing one,
+// TestSiteRankModesMatchCentralOnSelfLoopHeavySites pins a fleet's πS
+// against a LocalEngine's on a SiteGraph with >= 0.95 of every row on the
+// diagonal, on each of distModes' configs. The pin is the standing one,
 // 1e-9.
 func TestSiteRankModesMatchCentralOnSelfLoopHeavySites(t *testing.T) {
 	dg := selfLoopHeavyWeb(t)
@@ -264,14 +261,8 @@ func TestSiteRankModesMatchCentralOnSelfLoopHeavySites(t *testing.T) {
 	if err != nil {
 		t.Fatalf("local Rank: %v", err)
 	}
-	for _, m := range []struct {
-		name string
-		cfg  DistConfig
-		tol  float64
-	}{
-		{"central", DistConfig{}, 1e-9},
-		{"sync", DistConfig{SiteRank: SiteRankSync}, 1e-9},
-	} {
+	const tol = 1e-9
+	for _, m := range distModes {
 		t.Run(m.name, func(t *testing.T) {
 			cl, err := StartCluster(3)
 			if err != nil {
@@ -286,14 +277,14 @@ func TestSiteRankModesMatchCentralOnSelfLoopHeavySites(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Rank: %v", err)
 			}
-			if d := res.SiteRank.L1Diff(ref.SiteRank); d >= m.tol {
-				t.Errorf("‖fleet πS − central πS‖₁ = %g, want < %g (%d rounds vs %d sweeps)",
-					d, m.tol, res.Dist.SiteRankRounds, ref.SiteIterations)
+			if d := res.SiteRank.L1Diff(ref.SiteRank); d >= tol {
+				t.Errorf("‖fleet πS − local πS‖₁ = %g, want < %g (%d sweeps vs %d)",
+					d, tol, res.Dist.SiteRankRounds, ref.SiteIterations)
 			}
-			if d := res.DocRank.L1Diff(ref.DocRank); d >= m.tol {
-				t.Errorf("‖dist − local‖₁ = %g, want < %g", d, m.tol)
+			if d := res.DocRank.L1Diff(ref.DocRank); d >= tol {
+				t.Errorf("‖dist − local‖₁ = %g, want < %g", d, tol)
 			}
-			t.Logf("‖fleet πS − central πS‖₁ = %.2g after %d rounds (central: %d sweeps)",
+			t.Logf("‖fleet πS − local πS‖₁ = %.2g after %d sweeps (local: %d sweeps)",
 				res.SiteRank.L1Diff(ref.SiteRank), res.Dist.SiteRankRounds, ref.SiteIterations)
 		})
 	}
@@ -301,7 +292,7 @@ func TestSiteRankModesMatchCentralOnSelfLoopHeavySites(t *testing.T) {
 
 // powerSteps counts the damped power steps matrix.PowerLeft needs on dg's
 // site chain at the default damping and tolerance, from start (nil =
-// uniform) — what a fleet round cost while rounds were power steps.
+// uniform).
 func powerSteps(t *testing.T, dg *DocGraph, start Vector) int {
 	t.Helper()
 	op, err := pagerank.NewOperator(DeriveSiteGraph(dg, SiteGraphOptions{}).G.TransitionMatrix(), pagerank.DefaultDamping, nil)
@@ -316,20 +307,16 @@ func powerSteps(t *testing.T, dg *DocGraph, start Vector) int {
 }
 
 // TestFleetRoundsBeatPowerSteps is TestRankSweepsBeatPowerSteps' fleet
-// twin, on the same webgen web: the fleet's point-Jacobi rounds take at
-// most a third of the power steps the same stop needs — cold, and on the
-// first Rank after a 1-site Update, which starts both from the previous
-// snapshot's πS.
+// twin, on the same webgen web: a fleet run's site layer, swept in place
+// on the coordinator, takes at most a third of the power steps the same
+// stop needs — cold, and on the first Rank after a 1-site Update, which
+// starts both from the previous snapshot's πS. Its one leg names the
+// retired fleet mode, whose point-Jacobi rounds it pinned.
 func TestFleetRoundsBeatPowerSteps(t *testing.T) {
 	gen := webgen.Small()
 	gen.Seed = 24
 	ctx := context.Background()
-	for _, m := range []struct {
-		name string
-		cfg  DistConfig
-	}{
-		{"sync", DistConfig{SiteRank: SiteRankSync}},
-	} {
+	for _, m := range distModes[1:] {
 		t.Run(m.name, func(t *testing.T) {
 			dg := webgen.Generate(gen).Graph
 			cl, err := StartCluster(3)
@@ -347,7 +334,7 @@ func TestFleetRoundsBeatPowerSteps(t *testing.T) {
 			}
 			coldPower := powerSteps(t, eng.DocGraph(), nil)
 			if cold.Dist.SiteRankRounds == 0 || 3*cold.Dist.SiteRankRounds > coldPower {
-				t.Errorf("cold: %d rounds, power method %d: want at most a third", cold.Dist.SiteRankRounds, coldPower)
+				t.Errorf("cold: %d sweeps, power method %d: want at most a third", cold.Dist.SiteRankRounds, coldPower)
 			}
 
 			site := SiteID(0)
@@ -366,9 +353,9 @@ func TestFleetRoundsBeatPowerSteps(t *testing.T) {
 			}
 			editPower := powerSteps(t, eng.DocGraph(), cold.SiteRank)
 			if edited.Dist.SiteRankRounds == 0 || 3*edited.Dist.SiteRankRounds > editPower {
-				t.Errorf("after a 1-site edit: %d rounds, power method %d: want at most a third", edited.Dist.SiteRankRounds, editPower)
+				t.Errorf("after a 1-site edit: %d sweeps, power method %d: want at most a third", edited.Dist.SiteRankRounds, editPower)
 			}
-			t.Logf("cold %d rounds vs %d power steps, after the edit %d vs %d", cold.Dist.SiteRankRounds, coldPower, edited.Dist.SiteRankRounds, editPower)
+			t.Logf("cold %d sweeps vs %d power steps, after the edit %d vs %d", cold.Dist.SiteRankRounds, coldPower, edited.Dist.SiteRankRounds, editPower)
 		})
 	}
 }
@@ -390,7 +377,7 @@ func TestDistEngineUpdateAsksOnlyChangedSite(t *testing.T) {
 	for _, p := range cl.Proxies {
 		p.SetScript(script)
 	}
-	eng, err := NewDistEngine(cl, web.Graph, DistConfig{SiteRank: SiteRankSync})
+	eng, err := NewDistEngine(cl, web.Graph, DistConfig{})
 	if err != nil {
 		t.Fatalf("NewDistEngine: %v", err)
 	}
@@ -443,7 +430,7 @@ func TestDistEngineUpdateAsksOnlyChangedSite(t *testing.T) {
 		t.Errorf("reused %d local ranks and reshipped %d shards, want %d and 1", res.Dist.LocalRanksReused, res.Dist.ShardsReshipped, ns-1)
 	}
 	if res.Dist.SiteRankRounds >= cold.Dist.SiteRankRounds {
-		t.Errorf("site layer took %d rounds from the previous snapshot's πS, want fewer than the %d of a cold start", res.Dist.SiteRankRounds, cold.Dist.SiteRankRounds)
+		t.Errorf("site layer took %d sweeps from the previous snapshot's πS, want fewer than the %d of a cold start", res.Dist.SiteRankRounds, cold.Dist.SiteRankRounds)
 	}
 	local, err := NewLocalEngine(eng.DocGraph(), EngineOptions{})
 	if err != nil {
@@ -486,20 +473,14 @@ func TestDistEngineUpdateAsksOnlyChangedSite(t *testing.T) {
 }
 
 // TestUpdateHashesOnlyChangedShards: the snapshot keeps every shard's
-// digest and Update carries the clean sites' across in every mode, so
+// digest and Update carries the clean sites' across, so
 // the first Rank after a 1-site edit hashes that site's shard and
 // nothing else. The digests hold for any query parameters: a Tol=1e-4
 // query on a warm snapshot hashes nothing at all.
 func TestUpdateHashesOnlyChangedShards(t *testing.T) {
 	ctx := context.Background()
 	loose := Query{Tol: 1e-4}
-	for _, m := range []struct {
-		name string
-		cfg  DistConfig
-	}{
-		{"central", DistConfig{}},
-		{"sync", DistConfig{SiteRank: SiteRankSync}},
-	} {
+	for _, m := range distModes {
 		t.Run(m.name, func(t *testing.T) {
 			dg := webgen.Generate(webgen.Small()).Graph
 			cl, err := StartCluster(4)
@@ -536,17 +517,10 @@ func TestUpdateHashesOnlyChangedShards(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Update: %v", err)
 			}
-			// What the edited site costs to hash: its subgraph's columns,
-			// plus its site-chain row when the shards carry rows.
-			rk := eng.snap.Load().base
-			sub, _ := rk.LocalSubgraph(site)
+			// What the edited site costs to hash: its subgraph's columns.
+			sub, _ := eng.snap.Load().base.LocalSubgraph(site)
 			c := sub.Columns()
 			shard := wire.SiteShard{Degrees: c.Degrees, Targets: c.Targets, ListedPos: c.ListedPos, ListedW: c.ListedW}
-			if m.cfg.SiteRank == SiteRankSync {
-				rk.SiteGraph().G.EachEdge(int(site), func(graph.Edge) {
-					shard.RowCols, shard.RowVals = append(shard.RowCols, 0), append(shard.RowVals, 0)
-				})
-			}
 			budget := shard.DigestInputBytes()
 			edited := rank("post-edit", Query{})
 			if edited.ShardsReshipped != 1 {
@@ -577,8 +551,7 @@ func TestDistEngineWarmSurvivesWorkerLoss(t *testing.T) {
 	}
 	defer cl.Close()
 	eng, err := NewDistEngine(cl, web.Graph, DistConfig{
-		SiteRank: SiteRankSync,
-		Retry:    DistRetryPolicy{MaxWorkerFailures: 1},
+		Retry: DistRetryPolicy{MaxWorkerFailures: 1},
 	})
 	if err != nil {
 		t.Fatalf("NewDistEngine: %v", err)
@@ -670,12 +643,10 @@ func TestDistEngineNonDefaultTolBypassesWarm(t *testing.T) {
 
 // TestDistEngineThreeLayer sends a three-layer query with parameters of
 // its own — a run of its own, not composed from the fill — to a
-// DistEngine in each SiteRank mode. The fleet solves the document layer;
-// the upper layers are weighed from the SiteGraph as on a LocalEngine, so
-// DocRank, DomainRank and SiteEntry match the LocalEngine's, and even a
-// sync run sends no SiteRank round (a two-layer query at the same
-// parameters is the control that the count sees them). ThreeLayer with a
-// SitePersonalization is still refused.
+// DistEngine on each of distModes' configs. The fleet solves the document
+// layer; the upper layers are weighed from the SiteGraph as on a
+// LocalEngine, so DocRank, DomainRank and SiteEntry match the
+// LocalEngine's. ThreeLayer with a SitePersonalization is still refused.
 func TestDistEngineThreeLayer(t *testing.T) {
 	web := engineWeb()
 	ctx := context.Background()
@@ -688,27 +659,17 @@ func TestDistEngineThreeLayer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("local three-layer Rank: %v", err)
 	}
-	cl, err := cluster.StartChaosLocal(2)
+	cl, err := StartCluster(2)
 	if err != nil {
-		t.Fatalf("StartChaosLocal: %v", err)
+		t.Fatalf("StartCluster: %v", err)
 	}
 	defer cl.Close()
-	var rounds atomic.Int64
-	for _, p := range cl.Proxies {
-		p.SetScript(func(_ int, req *wire.Request) chaos.Decision {
-			if req.Kind == wire.KindPowerRound {
-				rounds.Add(1)
-			}
-			return chaos.Decision{Action: chaos.Pass}
-		})
-	}
-	for _, mode := range []SiteRankMode{SiteRankCentral, SiteRankSync} {
-		t.Run(mode.String(), func(t *testing.T) {
-			eng, err := NewDistEngine(cl, web.Graph, DistConfig{SiteRank: mode})
+	for _, m := range distModes {
+		t.Run(m.name, func(t *testing.T) {
+			eng, err := NewDistEngine(cl, web.Graph, m.cfg)
 			if err != nil {
 				t.Fatalf("NewDistEngine: %v", err)
 			}
-			rounds.Store(0)
 			res, err := eng.Rank(ctx, q)
 			if err != nil {
 				t.Fatalf("three-layer Rank: %v", err)
@@ -732,15 +693,6 @@ func TestDistEngineThreeLayer(t *testing.T) {
 					t.Errorf("‖%s − LocalEngine's‖₁ = %g, want < 1e-9", v.name, d)
 				}
 			}
-			if n := rounds.Load(); n != 0 {
-				t.Errorf("the three-layer query sent %d SiteRank rounds, want 0", n)
-			}
-			if _, err := eng.Rank(ctx, Query{Damping: 0.8}); err != nil {
-				t.Fatalf("two-layer Rank: %v", err)
-			}
-			if n := rounds.Load(); (n > 0) != (mode == SiteRankSync) {
-				t.Errorf("a two-layer query sent %d SiteRank rounds in %v mode", n, mode)
-			}
 			if _, err := eng.Rank(ctx, Query{ThreeLayer: true, SitePersonalization: matrix.Uniform(web.Graph.NumSites())}); !errors.Is(err, ErrUnsupportedQuery) {
 				t.Errorf("ThreeLayer + SitePersonalization: err = %v, want ErrUnsupportedQuery", err)
 			}
@@ -760,7 +712,7 @@ func TestDistEnginePinnedRankKeepsOldWarmState(t *testing.T) {
 		t.Fatalf("StartCluster: %v", err)
 	}
 	defer cl.Close()
-	eng, err := NewDistEngine(cl, web.Graph, DistConfig{SiteRank: SiteRankSync})
+	eng, err := NewDistEngine(cl, web.Graph, DistConfig{})
 	if err != nil {
 		t.Fatalf("NewDistEngine: %v", err)
 	}
@@ -852,7 +804,7 @@ func TestDistEngineWarmRankAllocation(t *testing.T) {
 		t.Fatalf("StartCluster: %v", err)
 	}
 	defer cl.Close()
-	eng, err := NewDistEngine(cl, web.Graph, DistConfig{SiteRank: SiteRankSync})
+	eng, err := NewDistEngine(cl, web.Graph, DistConfig{})
 	if err != nil {
 		t.Fatalf("NewDistEngine: %v", err)
 	}

@@ -42,8 +42,8 @@ func TestDistEnginePartitionStrategiesAgree(t *testing.T) {
 		random[s] = rng.Intn(workers)
 	}
 	type cost struct{ msgs, out, in uint64 }
-	for _, mode := range []SiteRankMode{SiteRankCentral, SiteRankSync} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, m := range distModes {
+		t.Run(m.name, func(t *testing.T) {
 			var first [2]cost
 			var firstRank Vector
 			for i, pin := range []struct {
@@ -54,7 +54,9 @@ func TestDistEnginePartitionStrategiesAgree(t *testing.T) {
 				if err != nil {
 					t.Fatalf("StartCluster: %v", err)
 				}
-				eng, err := NewDistEngine(cl, web.Graph, DistConfig{SiteRank: mode, Assignment: pin.asg})
+				cfg := m.cfg
+				cfg.Assignment = pin.asg
+				eng, err := NewDistEngine(cl, web.Graph, cfg)
 				if err != nil {
 					cl.Close()
 					t.Fatalf("NewDistEngine(%s): %v", pin.name, err)

@@ -445,9 +445,8 @@ func TestDistEngine(t *testing.T) {
 // document vector naming a site the graph lacks or of the wrong length)
 // can only be checked on the pinned snapshot, so they are admitted, but
 // refused before any flight is shared or any fleet message sent — on a
-// fresh SiteRankSync DistEngine, whose first query would otherwise fill
-// its snapshot and run rounds. Control rows pin that well-formed queries
-// still pass.
+// fresh DistEngine, whose first query would otherwise fill its snapshot.
+// Control rows pin that well-formed queries still pass.
 func TestQueryValidation(t *testing.T) {
 	web := engineWeb()
 	cl, err := cluster.StartChaosLocal(2)
@@ -576,7 +575,7 @@ func TestQueryValidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			served := dist
 			if tc.misshapen {
-				if served, err = NewDistEngine(cl, web.Graph, DistConfig{SiteRank: SiteRankSync, Coalesce: true}); err != nil {
+				if served, err = NewDistEngine(cl, web.Graph, DistConfig{Coalesce: true}); err != nil {
 					t.Fatalf("NewDistEngine: %v", err)
 				}
 			}

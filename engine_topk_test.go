@@ -552,12 +552,12 @@ func TestTopKHugeK(t *testing.T) {
 }
 
 // TestDistEngineTopKIndex: a DistEngine takes the Top table of every TopK
-// query it composes from its solutions from their top-k index, in each
-// SiteRank mode, with no option set: the query counts TopKIndexServes,
-// and its Top is bit for bit the full sort of its own DocRank and a
-// LocalEngine's over the same graph — to solver tolerance in SiteRankSync
-// mode and after the Update, bit for bit on a cold central one — before
-// and after a 1-site Update — whose fill patches
+// query it composes from its solutions from their top-k index, on each of
+// distModes' configs, with no option set: the query counts
+// TopKIndexServes, and its Top is bit for bit the full sort of its own
+// DocRank and a LocalEngine's over the same graph — to solver tolerance
+// after the Update, bit for bit cold — before and after a 1-site Update
+// — whose fill patches
 // the index the previous snapshot had, re-sorting only the changed site.
 // A warm uniform one sends no message.
 func TestDistEngineTopKIndex(t *testing.T) {
@@ -596,7 +596,7 @@ func TestDistEngineTopKIndex(t *testing.T) {
 						if full := TopDocs(eng.DocGraph(), res.DocRank, q.TopK); !reflect.DeepEqual(res.Top, full) {
 							t.Errorf("%s query %d: index Top differs from the full sort of its DocRank", when, qi)
 						}
-						exact := when == "cold" && m.cfg.SiteRank == SiteRankCentral
+						exact := when == "cold"
 						if !nearTop(res.Top, want.Top) || exact && !reflect.DeepEqual(res.Top, want.Top) {
 							t.Errorf("%s query %d: Top differs from a LocalEngine's (bit for bit: %v)\n got %v\nwant %v", when, qi, exact, res.Top, want.Top)
 						}
@@ -629,10 +629,9 @@ func TestDistEngineTopKIndex(t *testing.T) {
 
 // nearTop reports whether two Top tables name the same documents in the
 // same order with scores < 1e-9 apart in L1, the bound the engines'
-// DocRanks are pinned to agree within: a SiteRankSync fleet solves πS by
-// point-Jacobi rounds, and after an Update a fleet solves a changed site
-// cold where a LocalEngine warm-starts it, so the two agree to solver
-// tolerance, not to the bit.
+// DocRanks are pinned to agree within: after an Update a fleet solves a
+// changed site cold where a LocalEngine warm-starts it, so the two agree
+// to solver tolerance, not to the bit.
 func nearTop(a, b []DocScore) bool {
 	var d float64
 	for i := range min(len(a), len(b)) {

@@ -208,7 +208,8 @@ func (p *Proxy) serve(client net.Conn) {
 			return
 		}
 		// Decoded for the Script only. A shipment gets a value of its
-		// own, so the proxy pins round-sized scratch, not a shard set.
+		// own, so the proxy pins a small request's scratch, not a shard
+		// set.
 		req := &scratch
 		if f.Kind() == wire.KindLoad {
 			req = new(wire.Request)

@@ -28,6 +28,17 @@ func docRank(dg *graph.DocGraph, res *coordinator.Result) matrix.Vector {
 	return lmm.ComposeDocRank(dg, res.SiteRank, res.LocalRanks)
 }
 
+// syncIgnored is the retired fleet SiteRank mode, which a run ignores.
+// The tests that ran both modes keep a leg that names it (modeLegs): a
+// config that still does (cmd/lmmload's dist-wan) must run the central
+// path.
+const syncIgnored = coordinator.SiteRankSync
+
+var modeLegs = []struct {
+	name string
+	cfg  coordinator.Config
+}{{"central", coordinator.Config{}}, {"sync", coordinator.Config{SiteRank: syncIgnored}}}
+
 func testWeb() *webgen.Web {
 	return webgen.Generate(webgen.Config{
 		Seed:                42,
@@ -40,8 +51,8 @@ func testWeb() *webgen.Web {
 
 // TestPartitionTheoremOverTheWire is the core correctness claim: the
 // distributed runtime must reproduce the single-process Layered Method
-// to solver tolerance, with both the central and the decentralized
-// SiteRank variants.
+// to solver tolerance, also under a config naming the retired fleet
+// SiteRank mode.
 func TestPartitionTheoremOverTheWire(t *testing.T) {
 	web := testWeb()
 	ref, err := lmm.LayeredDocRank(web.Graph, lmm.WebConfig{})
@@ -49,15 +60,15 @@ func TestPartitionTheoremOverTheWire(t *testing.T) {
 		t.Fatalf("reference LayeredDocRank: %v", err)
 	}
 
-	for _, mode := range []coordinator.SiteRankMode{coordinator.SiteRankCentral, coordinator.SiteRankSync} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, leg := range modeLegs {
+		t.Run(leg.name, func(t *testing.T) {
 			cl, err := StartLocal(3)
 			if err != nil {
 				t.Fatalf("StartLocal: %v", err)
 			}
 			defer cl.Close()
 
-			res, err := rank(context.Background(), cl, web.Graph, coordinator.Config{SiteRank: mode})
+			res, err := rank(context.Background(), cl, web.Graph, leg.cfg)
 			if err != nil {
 				t.Fatalf("Rank: %v", err)
 			}
@@ -78,30 +89,28 @@ func TestPartitionTheoremOverTheWire(t *testing.T) {
 }
 
 // TestDeterminism re-runs the same distributed ranking and demands
-// bitwise-identical output — partial sums must reduce in a fixed order
-// regardless of goroutine scheduling and map iteration.
+// bitwise-identical output — whatever the goroutine scheduling and map
+// iteration.
 func TestDeterminism(t *testing.T) {
 	web := testWeb()
-	for _, mode := range []coordinator.SiteRankMode{coordinator.SiteRankCentral, coordinator.SiteRankSync} {
-		var prev []float64
-		for run := 0; run < 2; run++ {
-			cl, err := StartLocal(4)
-			if err != nil {
-				t.Fatalf("StartLocal: %v", err)
-			}
-			res, err := rank(context.Background(), cl, web.Graph, coordinator.Config{SiteRank: mode})
-			cl.Close()
-			if err != nil {
-				t.Fatalf("Rank (mode=%v, run %d): %v", mode, run, err)
-			}
-			if prev == nil {
-				prev = docRank(web.Graph, res)
-				continue
-			}
-			for i, x := range docRank(web.Graph, res) {
-				if x != prev[i] {
-					t.Fatalf("mode=%v: run differs at doc %d: %g vs %g", mode, i, x, prev[i])
-				}
+	var prev []float64
+	for run := 0; run < 2; run++ {
+		cl, err := StartLocal(4)
+		if err != nil {
+			t.Fatalf("StartLocal: %v", err)
+		}
+		res, err := rank(context.Background(), cl, web.Graph, coordinator.Config{})
+		cl.Close()
+		if err != nil {
+			t.Fatalf("Rank (run %d): %v", run, err)
+		}
+		if prev == nil {
+			prev = docRank(web.Graph, res)
+			continue
+		}
+		for i, x := range docRank(web.Graph, res) {
+			if x != prev[i] {
+				t.Fatalf("run differs at doc %d: %g vs %g", i, x, prev[i])
 			}
 		}
 	}
@@ -149,7 +158,7 @@ func TestWorkerSideStats(t *testing.T) {
 		t.Fatalf("StartLocal: %v", err)
 	}
 	defer cl.Close()
-	if _, err := rank(context.Background(), cl, web.Graph, coordinator.Config{SiteRank: coordinator.SiteRankSync}); err != nil {
+	if _, err := rank(context.Background(), cl, web.Graph, coordinator.Config{}); err != nil {
 		t.Fatalf("Rank: %v", err)
 	}
 
@@ -225,7 +234,7 @@ func TestMoreWorkersThanSites(t *testing.T) {
 		t.Fatalf("StartLocal: %v", err)
 	}
 	defer cl.Close()
-	res, err := rank(context.Background(), cl, web.Graph, coordinator.Config{SiteRank: coordinator.SiteRankSync})
+	res, err := rank(context.Background(), cl, web.Graph, coordinator.Config{})
 	if err != nil {
 		t.Fatalf("Rank: %v", err)
 	}
@@ -240,8 +249,7 @@ func TestMoreWorkersThanSites(t *testing.T) {
 
 // TestRankPrepared reuses one precomputed lmm.Ranker across several
 // distributed runs (the serving path), each handed the previous run's
-// digests: every run must reproduce the one-shot Rank bitwise, in both
-// SiteRank modes.
+// digests: every run must reproduce the one-shot Rank bitwise.
 func TestRankPrepared(t *testing.T) {
 	web := testWeb()
 	rk, err := lmm.NewRanker(web.Graph, lmm.RankerOptions{})
@@ -254,25 +262,22 @@ func TestRankPrepared(t *testing.T) {
 	}
 	defer cl.Close()
 
-	for _, mode := range []coordinator.SiteRankMode{coordinator.SiteRankCentral, coordinator.SiteRankSync} {
-		cfg := coordinator.Config{SiteRank: mode}
-		oneShot, err := rank(context.Background(), cl, web.Graph, cfg)
+	oneShot, err := rank(context.Background(), cl, web.Graph, coordinator.Config{})
+	if err != nil {
+		t.Fatalf("Rank: %v", err)
+	}
+	var known coordinator.Warm
+	for run := 0; run < 2; run++ {
+		res, err := cl.Coord.RankPreparedCtx(context.Background(), rk, coordinator.Config{}, known)
 		if err != nil {
-			t.Fatalf("Rank (mode=%v): %v", mode, err)
+			t.Fatalf("RankPreparedCtx (run %d): %v", run, err)
 		}
-		var known coordinator.Warm
-		for run := 0; run < 2; run++ {
-			res, err := cl.Coord.RankPreparedCtx(context.Background(), rk, cfg, known)
-			if err != nil {
-				t.Fatalf("RankPreparedCtx (mode=%v, run %d): %v", mode, run, err)
-			}
-			known.Digests = res.Digests
-			if d := docRank(web.Graph, res).L1Diff(docRank(web.Graph, oneShot)); d != 0 {
-				t.Errorf("mode=%v run %d: DocRank differs from one-shot Rank by %g", mode, run, d)
-			}
-			if d := res.SiteRank.L1Diff(oneShot.SiteRank); d != 0 {
-				t.Errorf("mode=%v run %d: SiteRank differs by %g", mode, run, d)
-			}
+		known.Digests = res.Digests
+		if d := docRank(web.Graph, res).L1Diff(docRank(web.Graph, oneShot)); d != 0 {
+			t.Errorf("run %d: DocRank differs from one-shot Rank by %g", run, d)
+		}
+		if d := res.SiteRank.L1Diff(oneShot.SiteRank); d != 0 {
+			t.Errorf("run %d: SiteRank differs by %g", run, d)
 		}
 	}
 }

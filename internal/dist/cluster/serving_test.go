@@ -48,24 +48,24 @@ func TestDigestMemoization(t *testing.T) {
 		t.Errorf("the warm run's DocRank differs by %g, want bitwise equality", d)
 	}
 
-	// A different protocol shape (chain rows inside the shards) is a
-	// different payload: the central-mode digests must not be reused —
-	// the run re-hashes rather than declare shards lacking their rows.
-	dist, err := cl.Coord.RankPreparedCtx(ctx, rk, coordinator.Config{SiteRank: coordinator.SiteRankSync}, coordinator.Warm{Digests: warm.Digests})
+	// A config naming the retired fleet SiteRank mode ships the same
+	// shards: it reuses the digests and gives the same answer.
+	dist, err := cl.Coord.RankPreparedCtx(ctx, rk, coordinator.Config{SiteRank: syncIgnored}, coordinator.Warm{Digests: warm.Digests})
 	if err != nil {
-		t.Fatalf("distributed RankPreparedCtx: %v", err)
+		t.Fatalf("RankPreparedCtx naming the retired mode: %v", err)
 	}
-	if dist.Stats.DigestBytesHashed == 0 {
-		t.Error("protocol-shape change reused the digests — shards would lack their chain rows")
+	if dist.Stats.DigestBytesHashed != 0 {
+		t.Errorf("a run naming the retired mode hashed %d digest bytes, want 0 (the shards are the same)", dist.Stats.DigestBytesHashed)
 	}
-	if d := docRank(web.Graph, dist).L1Diff(docRank(web.Graph, cold)); d >= 1e-9 {
-		t.Errorf("distributed-mode run deviates by %g, want < 1e-9", d)
+	if d := docRank(web.Graph, dist).L1Diff(docRank(web.Graph, cold)); d != 0 {
+		t.Errorf("a run naming the retired mode deviates by %g, want bitwise equality", d)
 	}
 }
 
 // TestDistributedSitePersonalization drives the site-layer teleport
-// through the central and the synchronous distributed SiteRank and
-// checks each against the single-process personalized pipeline.
+// through a fleet run — also one whose config names the retired fleet
+// SiteRank mode, which it ignores — and checks each against the
+// single-process personalized pipeline.
 func TestDistributedSitePersonalization(t *testing.T) {
 	web := testWeb()
 	ns := web.Graph.NumSites()
@@ -86,7 +86,7 @@ func TestDistributedSitePersonalization(t *testing.T) {
 		cfg  coordinator.Config
 	}{
 		{"central", coordinator.Config{SitePersonalization: pers}},
-		{"distributed", coordinator.Config{SitePersonalization: pers, SiteRank: coordinator.SiteRankSync}},
+		{"distributed", coordinator.Config{SitePersonalization: pers, SiteRank: syncIgnored}},
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
@@ -108,7 +108,7 @@ func TestDistributedSitePersonalization(t *testing.T) {
 		})
 	}
 
-	// Malformed personalization is rejected up front in every mode.
+	// Malformed personalization is rejected up front.
 	cl, err := StartLocal(1)
 	if err != nil {
 		t.Fatalf("StartLocal: %v", err)
@@ -120,10 +120,5 @@ func TestDistributedSitePersonalization(t *testing.T) {
 	}
 	if _, err := rank(context.Background(), cl, web.Graph, coordinator.Config{SitePersonalization: bad}); !errors.Is(err, pagerank.ErrBadConfig) {
 		t.Errorf("wrong-length personalization: err = %v, want ErrBadConfig", err)
-	}
-	// Mode 2 was the retired barrier-free schedule: like any value past
-	// SiteRankSync it names no mode.
-	if _, err := rank(context.Background(), cl, web.Graph, coordinator.Config{SiteRank: coordinator.SiteRankSync + 1}); !errors.Is(err, pagerank.ErrBadConfig) {
-		t.Errorf("SiteRank mode %d: err = %v, want ErrBadConfig", int(coordinator.SiteRankSync+1), err)
 	}
 }

@@ -14,22 +14,18 @@ import (
 	"lmmrank/internal/lmm"
 )
 
-// TestWarmRunAsksOnlyForMissingLocals pins coordinator.Warm in every
-// SiteRank mode: a run handed the previous answer's local DocRanks and
-// πS sends no KindRankLocal, reuses the vectors themselves and lands
-// within 1e-9 of the cold answer; with holes in Locals the fleet is
-// asked for exactly the holes. Every mode also converges the site layer
-// in fewer rounds.
+// TestWarmRunAsksOnlyForMissingLocals pins coordinator.Warm: a run
+// handed the previous answer's local DocRanks and πS sends no
+// KindRankLocal, reuses the vectors themselves and lands within 1e-9 of
+// the cold answer; with holes in Locals the fleet is asked for exactly
+// the holes. The seeded site layer also converges in fewer sweeps.
 func TestWarmRunAsksOnlyForMissingLocals(t *testing.T) {
 	web := testWeb()
 	ns := web.Graph.NumSites()
 	ctx := context.Background()
-	modes := []coordinator.Config{
-		{},
-		{SiteRank: coordinator.SiteRankSync},
-	}
-	for _, cfg := range modes {
-		t.Run(cfg.SiteRank.String(), func(t *testing.T) {
+	for _, leg := range modeLegs {
+		cfg := leg.cfg
+		t.Run(leg.name, func(t *testing.T) {
 			cl, err := StartChaosLocal(3)
 			if err != nil {
 				t.Fatalf("StartChaosLocal: %v", err)
@@ -76,7 +72,7 @@ func TestWarmRunAsksOnlyForMissingLocals(t *testing.T) {
 				t.Errorf("‖warm − cold‖₁ = %g, want < %g", d, tol)
 			}
 			if warm.Stats.SiteRankRounds >= cold.Stats.SiteRankRounds {
-				t.Errorf("warm site layer took %d rounds vs %d cold — the seed was not used", warm.Stats.SiteRankRounds, cold.Stats.SiteRankRounds)
+				t.Errorf("warm site layer took %d sweeps vs %d cold — the seed was not used", warm.Stats.SiteRankRounds, cold.Stats.SiteRankRounds)
 			}
 
 			// Holes: an unknown site, and a vector of the wrong size (a
@@ -99,7 +95,7 @@ func TestWarmRunAsksOnlyForMissingLocals(t *testing.T) {
 				t.Errorf("‖partly warm − cold‖₁ = %g, want < %g", d, tol)
 			}
 			if part.Stats.SiteRankRounds != cold.Stats.SiteRankRounds {
-				t.Errorf("a short SiteStart changed the round count: %d vs %d cold", part.Stats.SiteRankRounds, cold.Stats.SiteRankRounds)
+				t.Errorf("a short SiteStart changed the sweep count: %d vs %d cold", part.Stats.SiteRankRounds, cold.Stats.SiteRankRounds)
 			}
 		})
 	}
@@ -108,14 +104,15 @@ func TestWarmRunAsksOnlyForMissingLocals(t *testing.T) {
 // TestMessagesPerRun counts a run's exchanges exactly. A worker's
 // session is declared, not negotiated: one KindLoad by digest when the
 // worker holds everything, a second carrying what it reported missing
-// when it does not — so a warm synchronous run is one Load and one power
-// round per worker (it was Reset, Offer, Load and the round), and a cold
-// run pays each worker two Loads, one KindRankLocal and the rounds.
+// when it does not — so a warm run is one Load per worker, and a cold run
+// pays each worker two Loads and one KindRankLocal. The site layer is
+// solved on the coordinator and costs no exchange.
 func TestMessagesPerRun(t *testing.T) {
 	web := testWeb()
 	const nw = 3
-	for _, cfg := range []coordinator.Config{{}, {SiteRank: coordinator.SiteRankSync}} {
-		t.Run(cfg.SiteRank.String(), func(t *testing.T) {
+	for _, leg := range modeLegs {
+		cfg := leg.cfg
+		t.Run(leg.name, func(t *testing.T) {
 			cl, err := StartLocal(nw)
 			if err != nil {
 				t.Fatalf("StartLocal: %v", err)
@@ -125,31 +122,20 @@ func TestMessagesPerRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewRanker: %v", err)
 			}
-			// Every round of the synchronous mode is one exchange per
-			// worker; the central solve is none.
-			rounds := func(res *coordinator.Result) uint64 {
-				if cfg.SiteRank == coordinator.SiteRankSync {
-					return uint64(nw * res.Stats.SiteRankRounds)
-				}
-				return 0
-			}
 			cold, err := cl.Coord.RankPreparedCtx(context.Background(), rk, cfg, coordinator.Warm{})
 			if err != nil {
 				t.Fatalf("cold run: %v", err)
 			}
-			if got, want := cold.Stats.Messages, 2*nw+nw+rounds(cold); got != want {
-				t.Errorf("cold run: %d messages, want %d (two Loads and a KindRankLocal per worker, %d for the rounds)", got, want, rounds(cold))
+			if got, want := cold.Stats.Messages, uint64(2*nw+nw); got != want {
+				t.Errorf("cold run: %d messages, want %d (two Loads and a KindRankLocal per worker)", got, want)
 			}
 			known := coordinator.Warm{SiteStart: cold.SiteRank, Locals: cold.LocalRanks, Digests: cold.Digests}
 			warm, err := cl.Coord.RankPreparedCtx(context.Background(), rk, cfg, known)
 			if err != nil {
 				t.Fatalf("warm run: %v", err)
 			}
-			if got, want := warm.Stats.Messages, nw+rounds(warm); got != want {
-				t.Errorf("warm run: %d messages, want %d (one Load per worker, %d for the rounds)", got, want, rounds(warm))
-			}
-			if cfg.SiteRank == coordinator.SiteRankSync && (warm.Stats.SiteRankRounds != 1 || warm.Stats.Messages != 2*nw) {
-				t.Errorf("warm synchronous run: %d rounds, %d messages, want 1 and %d", warm.Stats.SiteRankRounds, warm.Stats.Messages, 2*nw)
+			if got, want := warm.Stats.Messages, uint64(nw); got != want {
+				t.Errorf("warm run: %d messages, want %d (one Load per worker)", got, want)
 			}
 			if warm.Stats.CacheHits != web.Graph.NumSites() || warm.Stats.ShardsReshipped != 0 {
 				t.Errorf("warm run: %d hits / %d re-shipped, want %d / 0", warm.Stats.CacheHits, warm.Stats.ShardsReshipped, web.Graph.NumSites())

@@ -1,8 +1,8 @@
 // Package coordinator implements the central side of the distributed
 // Layered Method (§3.2 run across a fleet): it partitions a DocGraph by
 // site over TCP workers speaking wire's frames, dispatches the per-site
-// local DocRanks to the peers and computes the SiteRank either centrally
-// or by distributed point-Jacobi rounds. A run returns those solutions —
+// local DocRanks to the peers and solves the small site layer itself, on
+// the graph it extracts the shards from. A run returns those solutions —
 // πS and every site's local DocRank — and the caller composes its answer
 // from them by the Partition Theorem (lmm.ComposeDocRank), under πS or
 // under site weights of its own.
@@ -55,8 +55,8 @@ type RetryPolicy struct {
 	// MaxWorkerFailures is how many worker losses one run may absorb.
 	// Each loss marks the peer dead for the rest of the run, reassigns
 	// its site shards to the surviving workers (lightest-loaded first)
-	// and re-runs only the affected work: the undelivered shards, the
-	// lost sites' local DocRanks, or the in-flight SiteRank round.
+	// and re-runs only the affected work: the undelivered shards or the
+	// lost sites' local DocRanks.
 	// Worker-side errors (a live peer answering with Response.Err) are
 	// never retried — they mean a protocol or input bug, not a death.
 	MaxWorkerFailures int
@@ -115,29 +115,19 @@ func backoffDelay(base, max time.Duration, attempt int) time.Duration {
 	return time.Duration((0.5 + rand.Float64()) * float64(d))
 }
 
-// SiteRankMode selects the site-layer algorithm of a distributed run.
+// SiteRankMode named the site-layer algorithm of a distributed run. Every
+// run solves the site layer on the coordinator.
+//
+// Deprecated: ignored.
 type SiteRankMode int
 
+// The modes Config.SiteRank took.
+//
+// Deprecated: ignored.
 const (
-	// SiteRankCentral (the zero value) solves the site layer in-process
-	// on the coordinator; the fleet still computes the local DocRanks.
 	SiteRankCentral SiteRankMode = iota
-	// SiteRankSync is the barrier-synchronous distributed iteration:
-	// every round reduces one partial from every live worker.
 	SiteRankSync
 )
-
-// String names the mode for logs and flag round-trips.
-func (m SiteRankMode) String() string {
-	switch m {
-	case SiteRankCentral:
-		return "central"
-	case SiteRankSync:
-		return "sync"
-	default:
-		return fmt.Sprintf("SiteRankMode(%d)", int(m))
-	}
-}
 
 // Config parameterizes one distributed ranking run.
 type Config struct {
@@ -147,27 +137,24 @@ type Config struct {
 	// values are honored as given.
 	Damping float64
 	// Tol and MaxIter bound every solve, local and site-level (0 =
-	// package matrix defaults). A solve stops at the first sweep or round
-	// that moves the normalized iterate by at most Tol in L1, which leaves
-	// it within Tol/(1 − f) of the exact answer (Stats.SiteRankRounds
-	// says why); MaxIter caps its sweeps or rounds.
+	// package matrix defaults). A solve stops at the first sweep that
+	// moves the normalized iterate by at most Tol in L1, which leaves it
+	// within Tol/(1 − f) of the exact answer (Stats.SiteRankRounds says
+	// why); MaxIter caps its sweeps.
 	Tol     float64
 	MaxIter int
 	// SitePersonalization optionally biases the site layer: the teleport
 	// distribution v of Mˆ(G_S) (length NumSites; nil = uniform) — the
 	// paper's "personalization at the higher layer" served from the
-	// fleet. It applies in every SiteRank mode: the central solver takes
-	// it directly, and the sync rounds apply it in the coordinator's
-	// rank-one correction.
+	// fleet.
 	SitePersonalization matrix.Vector
 	// ThreeLayer says the caller weights the sites itself — the
 	// three-layer model's DomainRank·SiteEntry (lmm.Ranker's
 	// ThreeLayerWeights) — so the run solves the document layer only:
-	// Result.SiteRank stays nil, and a SiteRankSync run sends no round.
-	// Incompatible with SitePersonalization.
+	// Result.SiteRank stays nil. Incompatible with SitePersonalization.
 	ThreeLayer bool
-	// SiteRank selects the site-layer algorithm — the one spelling of
-	// the mode. The zero value is SiteRankCentral.
+	// Deprecated: ignored. Every run solves the site layer on the
+	// coordinator.
 	SiteRank SiteRankMode
 	// Retry controls mid-run fault tolerance; the zero value disables
 	// recovery.
@@ -206,27 +193,6 @@ func (c Config) damping() float64 {
 	return c.Damping
 }
 
-func (c Config) tol() float64 {
-	if c.Tol == 0 {
-		return matrix.DefaultTol
-	}
-	return c.Tol
-}
-
-func (c Config) maxIter() int {
-	if c.MaxIter == 0 {
-		return matrix.DefaultMaxIter
-	}
-	return c.MaxIter
-}
-
-// rowSharded reports whether the mode consumes site-chain rows riding
-// inside the site shards: SiteRankSync does, central mode ships no
-// site-layer data at all.
-func (m SiteRankMode) rowSharded() bool {
-	return m != SiteRankCentral
-}
-
 // Stats breaks down the cost of a distributed run.
 type Stats struct {
 	// LoadDuration covers partitioning and shipping the site shards.
@@ -236,14 +202,10 @@ type Stats struct {
 	LocalRankDuration time.Duration
 	// SiteRankDuration covers the site-layer computation.
 	SiteRankDuration time.Duration
-	// SiteRankRounds counts the site layer's iterations: the central
-	// solver's in-place sweeps, or the fleet's point-Jacobi rounds. The
-	// last one moved the normalized πS by at most Tol in L1, which bounds
-	// ‖πS − π*‖₁ ≤ Tol/(1 − f) against the exact stationary vector. A
-	// round splits the system into P = I − f·D (D the chain's diagonal)
-	// and a nonnegative remainder; both have the column sums
-	// 1 − f·M[s,s] ≥ 1 − f, which is all the argument docs/ARCHITECTURE.md
-	// ("The solve") makes for the in-place sweep needs.
+	// SiteRankRounds counts the site layer's in-place sweeps on the
+	// coordinator. The last one moved the normalized πS by at most Tol in
+	// L1, which bounds ‖πS − π*‖₁ ≤ Tol/(1 − f) against the exact
+	// stationary vector (docs/ARCHITECTURE.md, "The solve").
 	SiteRankRounds int
 	// Messages counts request/response exchanges; BytesSent and
 	// BytesReceived count raw bytes across the coordinator's sockets,
@@ -254,7 +216,7 @@ type Stats struct {
 	// WorkersLost counts peers that died mid-run; Reassignments counts
 	// site shards moved to a surviving worker because of those losses;
 	// Retries counts recovery re-executions (a re-ranked shard batch, a
-	// redone power round, a re-shipped wave).
+	// re-shipped wave).
 	WorkersLost   int
 	Reassignments int
 	Retries       int
@@ -297,8 +259,8 @@ type Stats struct {
 // sound only for the graph it was learned on; the caller decides when a
 // graph edit invalidates an entry.
 type Warm struct {
-	// SiteStart seeds the SiteRank iteration in every mode in place of
-	// the uniform vector — a hint: ignored unless it has one entry per
+	// SiteStart seeds the SiteRank solve in place of the uniform
+	// vector — a hint: ignored unless it has one entry per
 	// site, and never read by a ThreeLayer run, which solves no site
 	// layer. Like Locals it is sound only at the Damping/Tol/MaxIter it
 	// was solved under.
@@ -314,15 +276,11 @@ type Warm struct {
 }
 
 // Digests is what a run learns about a graph's wire form: each site's
-// shard digest and wire size, and the site chain's diagonal when the
-// shards carry its rows (SiteRankSync). The shard
-// payloads are not kept — a worker reporting a shard missing gets it
-// re-extracted. A Digests is immutable.
+// shard digest and wire size. The shard payloads are not kept — a worker
+// reporting a shard missing gets it re-extracted. A Digests is
+// immutable.
 type Digests struct {
-	// rows is the shape: the shards carry their site-chain rows.
-	rows   bool
 	shards []shardDigest // per site; size 0 = not known
-	diag   matrix.Vector // rows only: M[s,s], valid where shards[s] is
 }
 
 // shardDigest names one site's shard: its content digest and its exact
@@ -333,16 +291,14 @@ type shardDigest struct {
 }
 
 // Drop returns what d still holds after an edit that changed the
-// documents or out-links of the listed sites only: their shards are
+// documents or links of the listed sites only: their shards are
 // forgotten. Everything else carries, because a shard is its site's
-// subgraph plus row s of the site chain, and row s aggregates site s's
-// out-links and nothing else (graph.SiteGraph.Rederive). Sites appended
-// since are not covered.
+// subgraph and nothing else. Sites appended since are not covered.
 func (d *Digests) Drop(changed []graph.SiteID) *Digests {
 	if d == nil {
 		return nil
 	}
-	next := &Digests{rows: d.rows, shards: slices.Clone(d.shards), diag: d.diag}
+	next := &Digests{shards: slices.Clone(d.shards)}
 	for _, s := range changed {
 		if int(s) < len(next.shards) {
 			next.shards[s] = shardDigest{}
@@ -390,10 +346,6 @@ type remote struct {
 	conn   *wire.Conn
 	addr   string
 	broken bool
-	// round is the Response the per-round SiteRank exchanges decode into
-	// (run.exchange), so a round allocates nothing; its contents last
-	// until this worker's next exchange.
-	round wire.Response
 }
 
 // call performs one exchange on the remote's connection, decoding the
@@ -528,8 +480,8 @@ type Coordinator struct {
 	// issuing calls; huge shard batches on slow links may need more.
 	CallTimeout time.Duration
 
-	// runMu serializes whole runs: the protocol phases (load, rank,
-	// power rounds) of two runs must not interleave.
+	// runMu serializes whole runs: the protocol phases (load, rank) of
+	// two runs must not interleave.
 	runMu sync.Mutex
 
 	mu     sync.Mutex
@@ -688,7 +640,7 @@ func (c *Coordinator) broadcastErr(fn func(idx int, r *remote) error) error {
 //
 // The context's deadline propagates into every wire exchange (bounded
 // further by CallTimeout) and a cancellation aborts the run mid-phase —
-// between power rounds, between shipment waves, or by interrupting a
+// between shipment waves, inside the site solve, or by interrupting a
 // blocked socket read — returning ctx.Err(). A cancelled run poisons the
 // connections it interrupted (their streams are desynchronized); Ping
 // reports which survived.
@@ -701,7 +653,7 @@ func (c *Coordinator) RankPreparedCtx(ctx context.Context, rk *lmm.Ranker, cfg C
 
 // normalizeCtxErr maps any failure of a cancelled run to the context's
 // own error, so callers observe exactly ctx.Err() no matter which phase
-// (a power iteration, a wire exchange, a loop head) noticed the
+// (the site solve, a wire exchange, a loop head) noticed the
 // cancellation first.
 func normalizeCtxErr(ctx context.Context, err error) error {
 	if err == nil {

@@ -208,7 +208,7 @@ func TestStalledPeerTimesOut(t *testing.T) {
 	}
 }
 
-// TestRankRejectsBadDamping asserts both SiteRank paths reject an
+// TestRankRejectsBadDamping asserts a run rejects an
 // out-of-range or NaN damping factor, and a NaN or negative tolerance or
 // iteration budget, with ErrBadConfig instead of silently producing NaNs
 // or running every solve to its budget.
@@ -220,16 +220,13 @@ func TestRankRejectsBadDamping(t *testing.T) {
 	}
 	defer c.Close()
 	dg := rankableWeb()
-	for _, mode := range []SiteRankMode{SiteRankCentral, SiteRankSync} {
-		for _, cfg := range []Config{
-			{Damping: -0.5}, {Damping: 1.5}, {Damping: math.NaN()},
-			{Tol: math.NaN()}, {Tol: -1}, {MaxIter: -1},
-		} {
-			cfg.SiteRank = mode
-			if _, err := rank(context.Background(), c, dg, cfg); !errors.Is(err, pagerank.ErrBadConfig) {
-				t.Errorf("Rank with damping %g, tol %g, budget %d (mode=%v): err = %v, want ErrBadConfig",
-					cfg.Damping, cfg.Tol, cfg.MaxIter, mode, err)
-			}
+	for _, cfg := range []Config{
+		{Damping: -0.5}, {Damping: 1.5}, {Damping: math.NaN()},
+		{Tol: math.NaN()}, {Tol: -1}, {MaxIter: -1},
+	} {
+		if _, err := rank(context.Background(), c, dg, cfg); !errors.Is(err, pagerank.ErrBadConfig) {
+			t.Errorf("Rank with damping %g, tol %g, budget %d: err = %v, want ErrBadConfig",
+				cfg.Damping, cfg.Tol, cfg.MaxIter, err)
 		}
 	}
 }
@@ -255,10 +252,10 @@ func TestNumWorkersAndPing(t *testing.T) {
 }
 
 // TestResultSurvivesLaterRuns guards the reuse rule on the coordinator:
-// the per-round exchanges decode into each remote's retained Response,
-// so whatever a Result keeps must have been copied out of it. A second
-// run, personalized so every site-layer vector differs, must leave the
-// first run's Result as it was.
+// the site solve answers in the Ranker's scratch, so whatever a Result
+// keeps must have been copied out of it. A second run, personalized so
+// every site-layer vector differs, must leave the first run's Result as
+// it was.
 func TestResultSurvivesLaterRuns(t *testing.T) {
 	dg := rankableWeb()
 	tele := matrix.NewVector(dg.NumSites())
@@ -266,33 +263,34 @@ func TestResultSurvivesLaterRuns(t *testing.T) {
 		tele[s] = float64(s + 1)
 	}
 	tele.Normalize()
-	for _, cfg := range []Config{
-		{SiteRank: SiteRankSync},
-	} {
-		_, a1 := startWorker(t)
-		_, a2 := startWorker(t)
-		c, err := Dial([]string{a1, a2})
-		if err != nil {
-			t.Fatalf("Dial: %v", err)
-		}
-		first, err := rank(context.Background(), c, dg, cfg)
-		if err != nil {
-			t.Fatalf("%v: first Rank: %v", cfg.SiteRank, err)
-		}
-		siteRank := first.SiteRank.Clone()
-		locals := make([]matrix.Vector, len(first.LocalRanks))
-		for i, v := range first.LocalRanks {
-			locals[i] = v.Clone()
-		}
-		cfg.SitePersonalization = tele
-		if _, err := rank(context.Background(), c, dg, cfg); err != nil {
-			t.Fatalf("%v: second Rank: %v", cfg.SiteRank, err)
-		}
-		if !reflect.DeepEqual(first.SiteRank, siteRank) ||
-			!reflect.DeepEqual(first.LocalRanks, locals) {
-			t.Errorf("%v: a later run rewrote an earlier Result", cfg.SiteRank)
-		}
-		c.Close()
+	_, a1 := startWorker(t)
+	_, a2 := startWorker(t)
+	c, err := Dial([]string{a1, a2})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	// Both runs solve their site layer on one Ranker, as an engine's
+	// queries do.
+	rk, err := lmm.NewRanker(dg, lmm.RankerOptions{})
+	if err != nil {
+		t.Fatalf("NewRanker: %v", err)
+	}
+	first, err := c.RankPreparedCtx(context.Background(), rk, Config{}, Warm{})
+	if err != nil {
+		t.Fatalf("first Rank: %v", err)
+	}
+	siteRank := first.SiteRank.Clone()
+	locals := make([]matrix.Vector, len(first.LocalRanks))
+	for i, v := range first.LocalRanks {
+		locals[i] = v.Clone()
+	}
+	if _, err := c.RankPreparedCtx(context.Background(), rk, Config{SitePersonalization: tele}, Warm{}); err != nil {
+		t.Fatalf("second Rank: %v", err)
+	}
+	if !reflect.DeepEqual(first.SiteRank, siteRank) ||
+		!reflect.DeepEqual(first.LocalRanks, locals) {
+		t.Error("a later run rewrote an earlier Result")
 	}
 }
 

@@ -13,11 +13,11 @@ import (
 	"lmmrank/internal/matrix"
 )
 
-// exactWeb generates a small web whose SiteGraph holds every row shape a
-// SiteRank round treats differently: site 0 links only to other sites
-// (M[0,0] = 0, where a round divides nothing out and contracts least),
-// site 1 keeps 0.99 of its links inside itself, site 2 links nowhere (a
-// dangling row), and the rest link at random.
+// exactWeb generates a small web whose SiteGraph holds every row shape
+// the in-place sweep treats differently: site 0 links only to other
+// sites (M[0,0] = 0, no self-loop to solve exactly), site 1 keeps 0.99 of
+// its links inside itself, site 2 links nowhere (a dangling row), and the
+// rest link at random.
 func exactWeb(rng *rand.Rand) *graph.DocGraph {
 	sites := 5 + rng.Intn(4)
 	b := graph.NewBuilder()
@@ -51,12 +51,13 @@ func exactWeb(rng *rand.Rand) *graph.DocGraph {
 }
 
 // TestFleetSiteRankMatchesExactStationary is the fleet's oracle, as
-// TestSolverMatchesExactStationary is the in-place solve's: the sync
-// rounds' πS against the dense chain Mˆ of eq. (1) solved directly —
-// cold, and from the converged answer (which must cost one round) —
-// held to the bound Stats.SiteRankRounds states, ‖x − x*‖₁ ≤ Tol/(1 − f).
+// TestSolverMatchesExactStationary is the in-place solve's: a fleet run's
+// πS — solved on the coordinator — against the dense chain Mˆ of eq. (1)
+// solved directly, cold and from the converged answer (which must cost
+// one sweep), held to the bound Stats.SiteRankRounds states,
+// ‖x − x*‖₁ ≤ Tol/(1 − f).
 func TestFleetSiteRankMatchesExactStationary(t *testing.T) {
-	const slack = 1e-12 // rounding in the direct solve and the rounds
+	const slack = 1e-12 // rounding in the direct solve and the sweeps
 	addrs := make([]string, 3)
 	for i := range addrs {
 		_, addrs[i] = startWorker(t)
@@ -96,7 +97,7 @@ func TestFleetSiteRankMatchesExactStationary(t *testing.T) {
 					t.Fatalf("exact solve: %v", err)
 				}
 				bound := matrix.DefaultTol/(1-f) + slack
-				cfg := Config{SiteRank: SiteRankSync, Damping: f, SitePersonalization: pers}
+				cfg := Config{Damping: f, SitePersonalization: pers}
 				name := fmt.Sprintf("trial %d f=%g personalized=%v", trial, f, pers != nil)
 				check := func(start string, res *Result, err error) {
 					t.Helper()
@@ -104,7 +105,7 @@ func TestFleetSiteRankMatchesExactStationary(t *testing.T) {
 						t.Fatalf("%s %s: %v", name, start, err)
 					}
 					if d := res.SiteRank.L1Diff(want); d > bound {
-						t.Errorf("%s %s: ‖x − x*‖₁ = %g > %g after %d rounds", name, start, d, bound, res.Stats.SiteRankRounds)
+						t.Errorf("%s %s: ‖x − x*‖₁ = %g > %g after %d sweeps", name, start, d, bound, res.Stats.SiteRankRounds)
 					}
 				}
 
@@ -114,7 +115,7 @@ func TestFleetSiteRankMatchesExactStationary(t *testing.T) {
 				res, err = c.RankPreparedCtx(ctx, rk, cfg, Warm{SiteStart: want})
 				check("converged seed", res, err)
 				if res.Stats.SiteRankRounds != 1 {
-					t.Errorf("%s: the converged seed took %d rounds, want 1", name, res.Stats.SiteRankRounds)
+					t.Errorf("%s: the converged seed took %d sweeps, want 1", name, res.Stats.SiteRankRounds)
 				}
 			}
 		}

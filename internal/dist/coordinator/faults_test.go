@@ -2,10 +2,7 @@ package coordinator
 
 import (
 	"context"
-	"errors"
-	"math"
 	"net"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -13,7 +10,6 @@ import (
 	"lmmrank/internal/dist/wire"
 	"lmmrank/internal/graph"
 	"lmmrank/internal/lmm"
-	"lmmrank/internal/matrix"
 )
 
 // killer pairs a chaos kill script with a record of whether it fired,
@@ -141,82 +137,6 @@ func TestRecoversFromLossDuringLocalRank(t *testing.T) {
 	checkRecovery(t, web, res, ref)
 }
 
-// TestRecoversFromLossDuringSiteRank kills a peer inside the fleet's
-// site-layer iteration. The run reassigns the victim's chain rows — they
-// ride inside the shards — and redoes the interrupted round.
-func TestRecoversFromLossDuringSiteRank(t *testing.T) {
-	cases := []struct {
-		name   string
-		cfg    Config
-		dieOn  wire.Kind
-		victim int
-	}{
-		{"sync", Config{SiteRank: SiteRankSync}, wire.KindPowerRound, 2},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			web := rankableWeb()
-			ref, err := lmm.LayeredDocRank(web, lmm.WebConfig{Tol: tc.cfg.Tol, MaxIter: tc.cfg.MaxIter})
-			if err != nil {
-				t.Fatalf("reference: %v", err)
-			}
-			c, kt := lossFleet(t, tc.dieOn, tc.victim)
-			tc.cfg.Retry = RetryPolicy{MaxWorkerFailures: 1}
-			res, err := rank(context.Background(), c, web, tc.cfg)
-			if err != nil {
-				t.Fatalf("Rank with a peer dying at kind %d: %v", tc.dieOn, err)
-			}
-			if !kt.died() {
-				t.Fatal("scripted worker never reached its death trigger")
-			}
-			checkRecovery(t, web, res, ref)
-		})
-	}
-}
-
-// TestTwoLossesInOneRoundChargeOneRetry pins what Stats.Retries counts
-// in the barrier round: re-executions, not casualties. Two peers dying
-// in the same power round cost two WorkersLost and one redone round.
-// The placement is pinned so the victims own no site: nothing moves, and
-// no re-shipment onto the other victim adds a retry of its own.
-func TestTwoLossesInOneRoundChargeOneRetry(t *testing.T) {
-	web := rankableWeb()
-	ref, err := lmm.LayeredDocRank(web, lmm.WebConfig{})
-	if err != nil {
-		t.Fatalf("reference: %v", err)
-	}
-	k1, k2 := killAt(wire.KindPowerRound), killAt(wire.KindPowerRound)
-	_, a1 := startWorker(t)
-	_, a2 := proxiedWorker(t, k1.script)
-	_, a3 := startWorker(t)
-	_, a4 := proxiedWorker(t, k2.script)
-	c, err := Dial([]string{a1, a2, a3, a4})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer c.Close()
-	onSurvivors := make([]int, web.NumSites())
-	for s := range onSurvivors {
-		onSurvivors[s] = 2 * (s % 2) // fleet indices 0 and 2
-	}
-	res, err := rank(context.Background(), c, web, Config{
-		SiteRank: SiteRankSync, Assignment: onSurvivors, Retry: RetryPolicy{MaxWorkerFailures: 2},
-	})
-	if err != nil {
-		t.Fatalf("Rank with two peers dying in one round: %v", err)
-	}
-	if !k1.died() || !k2.died() {
-		t.Fatal("a scripted worker never reached its death trigger")
-	}
-	if d := docRank(web, res).L1Diff(ref.DocRank); d >= 1e-9 {
-		t.Errorf("‖recovered − reference‖₁ = %g, want < 1e-9", d)
-	}
-	if res.Stats.WorkersLost != 2 || res.Stats.Retries != 1 {
-		t.Errorf("WorkersLost = %d, Retries = %d, want 2 losses and 1 redone round",
-			res.Stats.WorkersLost, res.Stats.Retries)
-	}
-}
-
 // TestLossWithoutRetryBudgetFails pins the zero-value behavior: no
 // RetryPolicy means the first loss fails the run cleanly.
 func TestLossWithoutRetryBudgetFails(t *testing.T) {
@@ -285,52 +205,4 @@ func lyingPeer(t *testing.T, corrupt func(wire.Kind, *wire.Response)) string {
 		}
 	}()
 	return ln.Addr().String()
-}
-
-// TestRejectsMalformedSiteVectors pins the one response validator: a
-// worker answering a power round with a vector of the wrong length, or a
-// non-finite entry or mass, fails the run at that exchange with an error
-// naming the worker. Admitted, a NaN never crosses Tol: the rounds would
-// spin to MaxIter.
-func TestRejectsMalformedSiteVectors(t *testing.T) {
-	cases := []struct {
-		name    string
-		cfg     Config
-		kind    wire.Kind
-		corrupt func(*wire.Response)
-	}{
-		{"sync/NaN partial", Config{SiteRank: SiteRankSync}, wire.KindPowerRound,
-			func(r *wire.Response) { r.Partial[0] = math.NaN() }},
-		{"sync/Inf dangling", Config{SiteRank: SiteRankSync}, wire.KindPowerRound,
-			func(r *wire.Response) { r.DanglingMass = math.Inf(1) }},
-		{"sync/short partial", Config{SiteRank: SiteRankSync}, wire.KindPowerRound,
-			func(r *wire.Response) { r.Partial = r.Partial[1:] }},
-		{"sync/NaN dangling", Config{SiteRank: SiteRankSync}, wire.KindPowerRound,
-			func(r *wire.Response) { r.DanglingMass = math.NaN() }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			liar := lyingPeer(t, func(k wire.Kind, r *wire.Response) {
-				if k == tc.kind {
-					tc.corrupt(r)
-				}
-			})
-			_, honest := startWorker(t)
-			c, err := Dial([]string{liar, honest})
-			if err != nil {
-				t.Fatalf("Dial: %v", err)
-			}
-			defer c.Close()
-			_, err = rank(context.Background(), c, rankableWeb(), tc.cfg)
-			if err == nil {
-				t.Fatal("Rank accepted a malformed site vector")
-			}
-			if errors.Is(err, matrix.ErrNotConverged) {
-				t.Errorf("run iterated on the poisoned vector until its budget ran out: %v", err)
-			}
-			if !strings.Contains(err.Error(), liar) {
-				t.Errorf("err = %v, want it to name the worker %s", err, liar)
-			}
-		})
-	}
 }

@@ -15,8 +15,8 @@ import (
 )
 
 // fastRedial is the rejoin-friendly policy the tests use: quick
-// aggressive redials so a killed-then-surviving worker is back within a
-// few power rounds.
+// aggressive redials so a killed-then-surviving worker is back within
+// milliseconds.
 func fastRedial(failures int) RetryPolicy {
 	return RetryPolicy{
 		MaxWorkerFailures: failures,
@@ -27,63 +27,54 @@ func fastRedial(failures int) RetryPolicy {
 }
 
 // rejoinFleet is the fleet of the rejoin tests, every worker behind a
-// chaos proxy: the victim dies at its first power round, and once armed()
-// the two survivors hold each power round after the first until the
-// victim's redialed connection is re-admitted — which the victim's proxy
-// sees as the first request on a later connection, the readmission probe —
-// for at most 2 s. A run therefore cannot end before its rejoin however few
-// rounds it needs: "mid-run" no longer depends on the run outlasting a
-// 1–5 ms redial. Re-admission happens at a loop head, between rounds, so a
-// round that is held while the redial has not landed yet is released the
-// moment the victim's proxy accepts it: the next loop head re-admits. (The
-// first armed round passes because it may be the one the victim dies in,
-// whose loss — and the redialer — the coordinator handles only once the
-// round returns.)
+// chaos proxy: the victim dies at its first local-rank exchange, and once
+// armed() and the victim is dead the two survivors hold every Load until
+// a redial has reached the victim again — for at most 2 s — and then 10 ms
+// more, for the redialer to hand its connection to the run. Re-admission
+// happens at the local phase's loop head, and a Load — the re-ship of
+// the moved sites, or a run's first declaration without the dead victim
+// — precedes the next one, so a run cannot end before its rejoin: "mid-run"
+// does not depend on the run outlasting a 1–5 ms redial.
 func rejoinFleet(t *testing.T, armed func() bool) (*Coordinator, *killer) {
 	t.Helper()
-	kt := killAt(wire.KindPowerRound)
-	var readmitted atomic.Bool
-	victim, a3 := proxiedWorker(t, func(n int, req *wire.Request) chaos.Decision {
-		if n == 1 && kt.died() {
-			readmitted.Store(true)
-		}
-		return kt.script(n, req)
-	})
-	hold := func() chaos.Script {
-		var rounds atomic.Int64
-		return func(_ int, req *wire.Request) chaos.Decision {
-			if req.Kind != wire.KindPowerRound || !armed() || rounds.Add(1) == 1 {
-				return chaos.Decision{Action: chaos.Pass}
-			}
-			landed := victim.Accepted() > 1
-			for deadline := time.Now().Add(2 * time.Second); !readmitted.Load() && time.Now().Before(deadline); {
-				if !landed && victim.Accepted() > 1 {
-					break
-				}
+	kt := killAt(wire.KindRankLocal)
+	var redialed atomic.Bool
+	hold := func(_ int, req *wire.Request) chaos.Decision {
+		if req.Kind == wire.KindLoad && armed() && kt.died() && !redialed.Load() {
+			for deadline := time.Now().Add(2 * time.Second); !redialed.Load() && time.Now().Before(deadline); {
 				time.Sleep(100 * time.Microsecond)
 			}
-			return chaos.Decision{Action: chaos.Pass}
+			time.Sleep(10 * time.Millisecond)
 		}
+		return chaos.Decision{Action: chaos.Pass}
 	}
-	_, a1 := proxiedWorker(t, hold())
-	_, a2 := proxiedWorker(t, hold())
+	_, a1 := proxiedWorker(t, hold)
+	_, a2 := proxiedWorker(t, hold)
+	_, a3 := proxiedWorker(t, kt.script)
 	c, err := Dial([]string{a1, a2, a3})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
 	t.Cleanup(func() { c.Close() })
+	dial := c.dial
+	c.dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		conn, err := dial(ctx, network, addr)
+		if err == nil {
+			redialed.Store(true)
+		}
+		return conn, err
+	}
 	return c, kt
 }
 
 // TestRejoinMidRunWarmReshipsNothing kills one worker's connection at
-// its first SiteRank power round and lets the redial loop re-admit it
-// mid-iteration. The worker process survives with its digest cache
-// warm (it was loaded earlier in the same run), so the rebalance-back
-// must negotiate every shard as a cache hit: RejoinShardBytes == 0.
-// The final ranks must still match the single-node reference — a
-// double-counted chain row (a site left in the interim owner's session)
-// would blow the tolerance by orders of magnitude. The survivors hold
-// their rounds after the death until it is re-admitted (rejoinFleet).
+// its first local-rank exchange and lets the redial loop re-admit it
+// mid-phase. The worker process survives with its digest cache warm (it
+// was loaded earlier in the same run), so the rebalance-back must
+// negotiate every shard as a cache hit: RejoinShardBytes == 0. The
+// final ranks must still match the single-node reference. The
+// survivors hold their re-ship after the death until the redial lands
+// (rejoinFleet).
 func TestRejoinMidRunWarmReshipsNothing(t *testing.T) {
 	web := rankableWeb()
 	ref, err := lmm.LayeredDocRank(web, lmm.WebConfig{})
@@ -92,10 +83,9 @@ func TestRejoinMidRunWarmReshipsNothing(t *testing.T) {
 	}
 	c, kt := rejoinFleet(t, func() bool { return true })
 	res, err := rank(context.Background(), c, web, Config{
-		SiteRank: SiteRankSync,
-		Tol:      1e-13,
-		MaxIter:  5000,
-		Retry:    fastRedial(1),
+		Tol:     1e-13,
+		MaxIter: 5000,
+		Retry:   fastRedial(1),
 	})
 	if err != nil {
 		t.Fatalf("Rank with a kill-then-rejoin worker: %v", err)
@@ -126,7 +116,7 @@ func TestRejoinMidRunWarmReshipsNothing(t *testing.T) {
 // stays lost) and gives run 2 a redial budget: a peer already broken
 // when a run starts must get its redialer too, rejoin mid-run, and
 // re-ship nothing (its cache is warm from run 1's load phase). In run 2
-// the survivors hold their rounds until it is re-admitted.
+// the survivors hold their first declaration until the redial lands.
 func TestRejoinFromPreviousRun(t *testing.T) {
 	web := rankableWeb()
 	ref, err := lmm.LayeredDocRank(web, lmm.WebConfig{})
@@ -136,10 +126,7 @@ func TestRejoinFromPreviousRun(t *testing.T) {
 	var run2 atomic.Bool
 	c, kt := rejoinFleet(t, run2.Load)
 
-	cfg := Config{
-		SiteRank: SiteRankSync,
-		Retry:    RetryPolicy{MaxWorkerFailures: 1},
-	}
+	cfg := Config{Retry: RetryPolicy{MaxWorkerFailures: 1}}
 	if _, err := rank(context.Background(), c, web, cfg); err != nil {
 		t.Fatalf("run 1 (loss, no redial): %v", err)
 	}
@@ -177,7 +164,7 @@ func TestNoRedialWithoutPolicy(t *testing.T) {
 	web := rankableWeb()
 	_, a1 := startWorker(t)
 	_, a2 := startWorker(t)
-	kt := killAt(wire.KindPowerRound)
+	kt := killAt(wire.KindRankLocal)
 	_, a3 := proxiedWorker(t, kt.script)
 	c, err := Dial([]string{a1, a2, a3})
 	if err != nil {
@@ -185,10 +172,9 @@ func TestNoRedialWithoutPolicy(t *testing.T) {
 	}
 	defer c.Close()
 	res, err := rank(context.Background(), c, web, Config{
-		SiteRank: SiteRankSync,
-		Tol:      1e-13,
-		MaxIter:  5000,
-		Retry:    RetryPolicy{MaxWorkerFailures: 1},
+		Tol:     1e-13,
+		MaxIter: 5000,
+		Retry:   RetryPolicy{MaxWorkerFailures: 1},
 	})
 	if err != nil {
 		t.Fatalf("Rank: %v", err)

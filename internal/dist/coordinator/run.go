@@ -30,14 +30,11 @@ type run struct {
 	rk    *lmm.Ranker
 	ns    int
 	stats *Stats
-	// tele is the normalized site-layer teleport (nil = uniform), shared
-	// by every SiteRank mode so central and fleet runs apply the same
-	// personalization vector.
+	// tele is the normalized site-layer teleport (nil = uniform).
 	tele matrix.Vector
 
-	// digests names every site's shard (and holds the diagonal the fleet
-	// modes read); shards[s] is site s's payload when this run extracted
-	// it to hash it, nil otherwise.
+	// digests names every site's shard; shards[s] is site s's payload
+	// when this run extracted it to hash it, nil otherwise.
 	digests *Digests
 	shards  []*wire.SiteShard
 
@@ -92,18 +89,6 @@ func (r *run) call(idx int, req *wire.Request) (*wire.Response, error) {
 	return resp, nil
 }
 
-// exchange is call for the per-round SiteRank kind: the answer lands in
-// the worker's retained Response, so a round allocates nothing — and the
-// caller must be done with it (or have copied out of it) before its next
-// exchange with the same worker.
-func (r *run) exchange(idx int, req *wire.Request) (*wire.Response, error) {
-	w := r.c.workers[idx]
-	if err := w.call(r.ctx, req, &w.round, &r.c.counters, r.c.callTimeout()); err != nil {
-		return nil, err
-	}
-	return &w.round, nil
-}
-
 // fanOut runs fn(i, idxs[i]) for every listed worker concurrently and
 // waits for all of them — one parallel wave of a phase.
 func fanOut(idxs []int, fn func(i, idx int)) {
@@ -138,9 +123,6 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 	// so the fleet rejects bad values exactly like the central path does.
 	if f := cfg.damping(); !(f > 0 && f < 1) || !(cfg.Tol >= 0) || cfg.MaxIter < 0 {
 		return nil, fmt.Errorf("coordinator: %w: damping %g, tolerance %g or iteration budget %d out of range", pagerank.ErrBadConfig, f, cfg.Tol, cfg.MaxIter)
-	}
-	if cfg.SiteRank < SiteRankCentral || cfg.SiteRank > SiteRankSync {
-		return nil, fmt.Errorf("coordinator: %w: unknown SiteRank mode %d", pagerank.ErrBadConfig, int(cfg.SiteRank))
 	}
 	if cfg.ThreeLayer && cfg.SitePersonalization != nil {
 		return nil, fmt.Errorf("coordinator: %w: ThreeLayer replaces the site layer and cannot combine with SitePersonalization", pagerank.ErrBadConfig)
@@ -213,12 +195,10 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 		res.Stats.LocalRankDuration = time.Since(localStart)
 	}
 
-	// Step 4: the site layer, central or as rounds on the fleet — unless
-	// the caller weights the sites itself (ThreeLayer).
+	// Step 4: the site layer, solved here on the Ranker's SiteGraph —
+	// unless the caller weights the sites itself (ThreeLayer).
 	siteStart := time.Now()
-	switch {
-	case cfg.ThreeLayer:
-	case cfg.SiteRank == SiteRankCentral:
+	if !cfg.ThreeLayer {
 		scores, rounds, err := rk.RankSites(lmm.WebConfig{
 			Damping:             cfg.Damping,
 			Tol:                 cfg.Tol,
@@ -234,11 +214,6 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 		// this run, so copy the small site vector out.
 		res.SiteRank = scores.Clone()
 		res.Stats.SiteRankRounds = rounds
-	default:
-		res.SiteRank, res.Stats.SiteRankRounds, err = r.fleetSiteRank()
-		if err != nil {
-			return nil, err
-		}
 	}
 	res.Stats.SiteRankDuration = time.Since(siteStart)
 	res.LocalRanks = localRanks
@@ -254,16 +229,12 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 // hashShards names every site's shard for the KindLoads: by the digest
 // and wire size Warm.Digests carries for it, or by extracting the shard
 // from the Ranker's graph and hashing it — the name a KindLoad declares
-// it under. Site-chain rows ride inside the shards only when the fleet's
-// SiteRank rounds will consume them; central mode ships no site-layer
-// data at all. Digests of the other shape are not reused. What it
-// extracted the run keeps for its shipments; Stats.DigestBytesHashed
-// counts what it hashed.
+// it under. What it extracted the run keeps for its shipments;
+// Stats.DigestBytesHashed counts what it hashed.
 func (r *run) hashShards() {
-	rows := r.cfg.SiteRank.rowSharded()
 	known := r.warm.Digests
-	if known == nil || known.rows != rows || len(known.shards) > r.ns {
-		known = &Digests{rows: rows}
+	if known == nil || len(known.shards) > r.ns {
+		known = &Digests{}
 	}
 	var todo []int
 	for s := 0; s < r.ns; s++ {
@@ -275,12 +246,8 @@ func (r *run) hashShards() {
 	if len(todo) == 0 {
 		return
 	}
-	d := &Digests{rows: rows, shards: make([]shardDigest, r.ns)}
+	d := &Digests{shards: make([]shardDigest, r.ns)}
 	copy(d.shards, known.shards)
-	if rows {
-		d.diag = matrix.NewVector(r.ns)
-		copy(d.diag, known.diag)
-	}
 	// Extraction, flattening and hashing of one site touch nothing another
 	// site's do, and fan out across sites.
 	r.shards = make([]*wire.SiteShard, r.ns)
@@ -289,9 +256,6 @@ func (r *run) hashShards() {
 		s := todo[i]
 		shard := r.extract(s)
 		d.shards[s] = shardDigest{digest: shard.ContentDigest(), size: shard.WireSize()}
-		if rows {
-			d.diag[s] = shard.SelfLoop()
-		}
 		r.shards[s] = &shard
 		hashed[i] = shard.DigestInputBytes()
 	})
@@ -302,16 +266,11 @@ func (r *run) hashShards() {
 }
 
 // extract builds site s's shard from the Ranker's graph: its subgraph's
-// packed columns — the subgraph's own arrays, no link copied — plus row
-// s of the site chain when the shards carry rows.
+// packed columns — the subgraph's own arrays, no link copied.
 func (r *run) extract(s int) wire.SiteShard {
 	sub, _ := r.rk.LocalSubgraph(graph.SiteID(s))
 	c := sub.Columns()
-	shard := wire.SiteShard{Site: s, Degrees: c.Degrees, Targets: c.Targets, ListedPos: c.ListedPos, ListedW: c.ListedW}
-	if r.cfg.SiteRank.rowSharded() {
-		shard.RowCols, shard.RowVals = siteChainRow(r.rk.SiteGraph().G, s)
-	}
-	return shard
+	return wire.SiteShard{Site: s, Degrees: c.Degrees, Targets: c.Targets, ListedPos: c.ListedPos, ListedW: c.ListedW}
 }
 
 // shard returns site s's payload for a shipment in full: the one this
@@ -329,20 +288,8 @@ func (r *run) siteDocs(s int) int {
 	return r.rk.DocGraph().SiteSize(graph.SiteID(s))
 }
 
-// siteChainRow returns row s of the normalized site chain M(G_S) in
-// sparse form (nil, nil for a dangling site).
-func siteChainRow(g *graph.Digraph, s int) (cols []int, vals []float64) {
-	if total := g.OutWeight(s); total > 0 {
-		g.EachEdge(s, func(e graph.Edge) {
-			cols = append(cols, e.To)
-			vals = append(vals, e.Weight/total)
-		})
-	}
-	return cols, vals
-}
-
-// aliveIdxs returns the live fleet indices in ascending order — the
-// fixed reduce order that keeps float summation deterministic.
+// aliveIdxs returns the live fleet indices in ascending order — the fixed
+// order placement maps its shards onto.
 func (r *run) aliveIdxs() []int {
 	idxs := make([]int, 0, r.nAlive)
 	for i, a := range r.alive {
@@ -516,8 +463,8 @@ func (r *run) maybeReadmit() error {
 // connection, restore the worker to the fleet view, and rebalance its
 // ideal share of sites back to it. One ship does the rest: the rejoiner
 // is declared its share (by digest — a warm rejoiner re-ships ~0 bytes)
-// and the interim owners are declared what they are left with, so the
-// power round never reduces a chain row twice.
+// and the interim owners are declared what they are left with, so no
+// site is held by two sessions.
 func (r *run) readmit(rj rejoin) error {
 	idx := rj.idx
 	r.c.workers[idx].reconnect(rj.conn, &r.c.counters)
@@ -558,8 +505,8 @@ func (r *run) readmit(rj rejoin) error {
 	r.rejoining[idx] = true
 	r.mu.Unlock()
 	// The rejoiner's session is undeclared, so ship reaches it even when
-	// the ideal assignment hands it nothing: it learns the dimension and
-	// can serve power rounds.
+	// the ideal assignment hands it nothing: its session is declared
+	// empty.
 	err := r.ship(moved)
 	r.mu.Lock()
 	delete(r.rejoining, idx)
@@ -773,18 +720,15 @@ func (r *run) localPhase(dg *graph.DocGraph) ([]matrix.Vector, []int, error) {
 			}
 		}
 		// Re-ship only what the survivors will actually use: sites whose
-		// local ranks are still pending, plus — in sync mode, whose
-		// chain rows ride inside the shards — every moved site, since the
-		// SiteRank rounds will need its row. In central mode a completed
-		// site's shard is dead weight and stays unshipped.
-		needRows := r.cfg.SiteRank.rowSharded()
+		// local ranks are still pending. A completed site's shard is dead
+		// weight and stays unshipped.
 		for _, i := range lost {
 			moved, lerr := r.lose(idxs[i], errs[i])
 			if lerr != nil {
 				return nil, nil, lerr
 			}
 			for s := range moved {
-				if done[s] && !needRows {
+				if done[s] {
 					delete(moved, s)
 				}
 			}
@@ -799,7 +743,7 @@ func (r *run) localPhase(dg *graph.DocGraph) ([]matrix.Vector, []int, error) {
 	return localRanks, localIters, nil
 }
 
-// checkLocalRank is checkSiteVector's twin for the document layer: a
+// checkLocalRank is the one response validator of the document layer: a
 // site's local DocRank must be a probability distribution over exactly
 // its documents. The caller may retain the vector and compose every
 // later answer from it, so one malformed response would outlive its run;

@@ -76,9 +76,9 @@ func TestRejectsLyingMissing(t *testing.T) {
 // TestDoneSiteMovedIsNotReshipped pins what a loss in the local phase
 // re-declares. The run is handed every local DocRank but one, owned by
 // the victim, which dies when asked for it: all of the victim's sites
-// move, but in the central mode only the one still to be ranked is
-// declared to its new owner — a finished site's shard is dead weight
-// there — while the row-sharded mode needs every moved row.
+// move, but only the one still to be ranked is declared to its new owner
+// — a finished site's shard is dead weight. The second leg names the
+// retired SiteRankSync, which a run ignores.
 func TestDoneSiteMovedIsNotReshipped(t *testing.T) {
 	web := rankableWeb()
 	ns := web.NumSites()
@@ -86,11 +86,15 @@ func TestDoneSiteMovedIsNotReshipped(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
-	for _, cfg := range []Config{
-		{},
-		{SiteRank: SiteRankSync},
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"central", Config{}},
+		{"sync", Config{SiteRank: SiteRankSync}},
 	} {
-		t.Run(cfg.SiteRank.String(), func(t *testing.T) {
+		cfg := tc.cfg
+		t.Run(tc.name, func(t *testing.T) {
 			c, kt := lossFleet(t, wire.KindRankLocal, 2)
 			rk, err := lmm.NewRanker(web, lmm.RankerOptions{})
 			if err != nil {
@@ -117,9 +121,6 @@ func TestDoneSiteMovedIsNotReshipped(t *testing.T) {
 				t.Fatalf("Reassignments = %d, want the victim's %d sites", moved, ns/3)
 			}
 			want := ns + 1
-			if cfg.SiteRank.rowSharded() {
-				want = ns + moved
-			}
 			if got := res.Stats.CacheHits + res.Stats.ShardsReshipped; got != want {
 				t.Errorf("%d shards delivered (%d reused + %d in full), want %d: the %d first placed plus, of the %d moved, the ones still needed",
 					got, res.Stats.CacheHits, res.Stats.ShardsReshipped, want, ns, moved)

@@ -33,12 +33,12 @@ import (
 // point-Jacobi rounds, 4 retired them with their fields, 5 retired the
 // barrier-free sweeps with theirs, 6 made a shard's subgraph the graph's
 // packed columns instead of an edge list, 7 retired the compressed shard
-// field, so a mixed-build fleet refuses at the first frame instead of
-// reducing partials computed by two different round arithmetics, or
-// reading one layout as the other.
+// field, 8 the fleet's SiteRank rounds and the site-chain row a shard
+// carried for them, so a mixed-build fleet refuses at the first frame
+// instead of reading one layout as the other.
 const (
 	frameMagic   = 0xB0 // high nibble of byte 0
-	frameVersion = 0x07 // low nibble of byte 0
+	frameVersion = 0x08 // low nibble of byte 0
 	headerLen    = 6
 
 	// kindResponse is the header kind of a Response frame; no Request
@@ -53,10 +53,10 @@ const (
 	MaxFrameBytes = 1 << 30
 
 	// retainBytes caps the scratch buffer a Conn keeps per direction:
-	// enough for a SiteRank exchange over ~8000 sites, so the per-round
-	// kinds cross it whole and never allocate. A larger frame (a shard
-	// shipment, a fleet's local scores) is written through it in pieces
-	// and read into a one-shot buffer that is garbage once decoded.
+	// pings, local-rank requests and small answers cross it whole and
+	// never allocate. A larger frame (a shard shipment, a fleet's local
+	// scores) is written through it in pieces and read into a one-shot
+	// buffer that is garbage once decoded.
 	retainBytes = 64 << 10
 	minScratch  = 512
 
@@ -361,7 +361,7 @@ func (c *codec) digest(d *Digest) {
 
 // Minimum encoded sizes, the minBytes of the counts below.
 const (
-	minShardBytes = 1 + 3*4 + 3       // Site, three empty columns, three empty counts
+	minShardBytes = 1 + 3*4 + 1       // Site, three empty columns, an empty count
 	minRefBytes   = 1 + len(Digest{}) // Site, Digest
 	minLocalBytes = 1 + 1 + 1         // Site, an empty count, Iterations
 )
@@ -372,8 +372,6 @@ func (c *codec) shard(s *SiteShard) {
 	c.uint32s(&s.Targets, "edge target", noLimit)
 	c.uint32s(&s.ListedPos, "listed position", noLimit)
 	c.floats(&s.ListedW, "listed weight", noLimit)
-	c.ints(&s.RowCols, "row column", MaxSites)
-	c.floats(&s.RowVals, "row value", MaxSites)
 }
 
 func (c *codec) shards(p *[]SiteShard) {
@@ -464,8 +462,7 @@ func writeFrame(out io.Writer, scratch []byte, kind Kind, n int, v any) error {
 
 // WireSize returns the exact number of payload bytes the shard occupies
 // inside a KindLoad frame — the basis of the coordinator's
-// bytes-saved-by-cache accounting. It reads the columns' lengths and
-// walks only the site-chain row's varints.
+// bytes-saved-by-cache accounting. It reads only the columns' lengths.
 func (s *SiteShard) WireSize() uint64 {
 	var size codec
 	size.shard(s)
@@ -517,7 +514,7 @@ func (f Frame) Kind() Kind {
 // bound (MaxSites, MaxShardDocs) and against the bytes left in the
 // frame before anything is allocated, so a decode allocates under 20x
 // the frame's length (the worst case, ~13x, is a run of empty local
-// ranks; an empty shard costs 16 bytes for its 152). A frame
+// ranks; an empty shard costs 14 bytes for its 104). A frame
 // that ends early is io.ErrUnexpectedEOF; bytes left over are an error.
 // On error v's contents are unspecified.
 func (f Frame) Decode(v any) error {

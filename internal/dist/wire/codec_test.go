@@ -154,7 +154,6 @@ func (g gen) shard() SiteShard {
 	return SiteShard{
 		Site: g.int(), Degrees: g.uint32s(20), Targets: g.uint32s(40),
 		ListedPos: g.uint32s(10), ListedW: g.floats(10),
-		RowCols: g.ints(12), RowVals: g.floats(12),
 	}
 }
 
@@ -318,12 +317,11 @@ func uv(x uint64) []byte { return binary.AppendUvarint(nil, x) }
 func u32(x uint32) []byte { return binary.LittleEndian.AppendUint32(nil, x) }
 
 // columnarLoad is a KindLoad as a coordinator ships one: a shard of
-// three documents with a listed link and a chain row.
+// three documents with a listed link.
 func columnarLoad() *Request {
 	return &Request{Kind: KindLoad, NumSites: 3, Shards: []SiteShard{{
 		Site: 2, Degrees: []uint32{2, 0, 1}, Targets: []uint32{1, 2, 0},
 		ListedPos: []uint32{1}, ListedW: []float64{3},
-		RowCols: []int{0, 1}, RowVals: []float64{0.5, 0.5},
 	}}}
 }
 
@@ -349,6 +347,9 @@ func TestHostileFrames(t *testing.T) {
 		{"version 5", append([]byte{frameMagic | 5}, valid[1:]...), &Request{}, nil, fmt.Sprintf("version 5, this build speaks %d", frameVersion)},
 		// The peer from before the compressed shard field was retired.
 		{"version 6", append([]byte{frameMagic | 6}, valid[1:]...), &Request{}, nil, fmt.Sprintf("version 6, this build speaks %d", frameVersion)},
+		// The peer from before the fleet's SiteRank rounds and a shard's
+		// site-chain row were retired.
+		{"version 7", append([]byte{frameMagic | 7}, valid[1:]...), &Request{}, nil, fmt.Sprintf("version 7, this build speaks %d", frameVersion)},
 		// One shard claiming more documents than a Load admits, and the
 		// largest count a column can spell: refused on their word.
 		{"shard past MaxShardDocs", frameOf(KindLoad, uv(1), uv(0), u32(MaxShardDocs+1), make([]byte, 20)), &Request{}, nil, fmt.Sprintf("exceeds %d", MaxShardDocs)},
@@ -440,10 +441,10 @@ func pipe(t testing.TB) (cli, srv *Conn) {
 	return cli, srv
 }
 
-// powerRoundPeer answers every request with a partial of the request's
-// dimension, reusing its request, its response and its vector — what a
-// worker session does. It ends when the client hangs up.
-func powerRoundPeer(srv *Conn) {
+// echoPeer answers every request with its vector echoed back, reusing
+// its request, its response and its vector. It ends when the client hangs
+// up.
+func echoPeer(srv *Conn) {
 	var req Request
 	var resp Response
 	for srv.Dec.Decode(&req) == nil {
@@ -461,12 +462,13 @@ func powerRoundPeer(srv *Conn) {
 
 const benchSites = 220 // N_S of the benchmark's dist-wan web
 
-// TestSteadyStateExchangeAllocatesNothing is the tentpole's pin: once
-// the scratch buffers and destinations have seen one round, a
-// KindPowerRound exchange allocates nothing on either end.
+// TestSteadyStateExchangeAllocatesNothing: once the scratch buffers and
+// destinations have seen one exchange, a small exchange — one N_S-long
+// vector each way, the pair cmd/lmmload's wire probe times — allocates
+// nothing on either end.
 func TestSteadyStateExchangeAllocatesNothing(t *testing.T) {
 	cli, srv := pipe(t)
-	go powerRoundPeer(srv)
+	go echoPeer(srv)
 	req := &Request{Kind: KindPowerRound, NumSites: benchSites, X: make([]float64, benchSites)}
 	for i := range req.X {
 		req.X[i] = 1 / float64(benchSites)
@@ -558,7 +560,7 @@ func TestOversizeFrameIsRefusedUnsent(t *testing.T) {
 	vals := make([]float64, 1<<20)
 	huge := &Request{Kind: KindLoad, Shards: make([]SiteShard, MaxFrameBytes/(8*len(vals))+1)}
 	for i := range huge.Shards {
-		huge.Shards[i].RowVals = vals
+		huge.Shards[i].ListedW = vals
 	}
 	cli, srv := pipe(t)
 	if err := cli.Enc.Encode(huge); err == nil || !strings.Contains(err.Error(), "MaxFrameBytes") {
@@ -583,13 +585,13 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add(header(KindLoad, 3))
-	// Version-3 to -6 frames (the protocols before the replicated-chain
+	// Version-3 to -7 frames (the protocols before the replicated-chain
 	// round batches and the barrier-free sweeps were retired, before a
-	// shard crossed as columns, and before the compressed shard field was
-	// retired), and the two messages the declared-session contract refuses
-	// one level above the decoder: a Load naming a site twice, a Missing
-	// that is not a set.
-	for _, v := range []byte{3, 4, 5, 6} {
+	// shard crossed as columns, before the compressed shard field was
+	// retired, and before the fleet's SiteRank rounds were), and the two
+	// messages the declared-session contract refuses one level above the
+	// decoder: a Load naming a site twice, a Missing that is not a set.
+	for _, v := range []byte{3, 4, 5, 6, 7} {
 		old := marshal(f, &Request{Kind: KindLoad, NumSites: 3})
 		old[0] = frameMagic | v
 		f.Add([]byte(old))
@@ -646,12 +648,12 @@ func footprint(v reflect.Value) int {
 	return n
 }
 
-// BenchmarkWireRoundTrip is one SiteRank power round's message pair at
-// the benchmark web's N_S over an in-memory pipe, destinations reused:
+// BenchmarkWireRoundTrip is one N_S-long vector each way at the
+// benchmark web's N_S over an in-memory pipe, destinations reused:
 // ns/op, B/op and allocs/op of the codec and framing alone.
 func BenchmarkWireRoundTrip(b *testing.B) {
 	cli, srv := pipe(b)
-	go powerRoundPeer(srv)
+	go echoPeer(srv)
 	req := &Request{Kind: KindPowerRound, NumSites: benchSites, X: make([]float64, benchSites)}
 	var resp Response
 	b.ReportAllocs()

@@ -6,11 +6,10 @@
 // The protocol is a strict request/response alternation per connection:
 // the coordinator encodes one Request, the worker decodes it, performs
 // the operation and encodes one Response. Each message is one stateless
-// length-prefixed frame (codec.go has the layout) whose float vectors
-// are raw little-endian blocks, so a SiteRank round costs the raw
-// float payload plus a few dozen bytes (a vector of N_S values each way
-// — the paper's claim that the site-layer exchange is small), and
-// decoding into a reused destination allocates nothing.
+// length-prefixed frame (codec.go has the layout) whose columns and
+// float vectors are raw little-endian blocks, so a shard or a site's
+// local scores cost their raw payload plus a few bytes, and decoding
+// into a reused destination allocates nothing.
 package wire
 
 import (
@@ -25,11 +24,12 @@ import (
 // Kind discriminates request types.
 type Kind uint8
 
-// Protocol operations, coordinator → worker. Kinds 5, 6 and 7 are
-// retired: frame versions 2 and 3 used 5 for SiteRank rounds run against
-// a site chain replicated on the worker, versions 2 to 4 used 6 and 7 for
-// the barrier-free SiteRank's sweeps and epoch drains, and a request
-// carrying one is answered "unknown request kind".
+// Protocol operations, coordinator → worker. Kinds 4 to 7 are retired:
+// frame versions 2 to 7 used 4 for the fleet's SiteRank rounds, versions
+// 2 and 3 used 5 for rounds run against a site chain replicated on the
+// worker, versions 2 to 4 used 6 and 7 for the barrier-free SiteRank's
+// sweeps and epoch drains, and a request carrying one is answered
+// "unknown request kind".
 const (
 	// KindPing checks liveness; the response carries no payload.
 	KindPing Kind = iota + 1
@@ -50,9 +50,10 @@ const (
 	// KindRankLocal computes the local DocRank of loaded sites (all of
 	// them, or the subset listed in Request.Sites).
 	KindRankLocal
-	// KindPowerRound computes the worker's share of one distributed
-	// SiteRank round: the partial product of the iterate with the
-	// worker's owned rows of the site transition chain.
+	// KindPowerRound is retired: a worker answers it "unknown request
+	// kind".
+	//
+	// Deprecated: the site layer is solved on the coordinator.
 	KindPowerRound
 )
 
@@ -70,9 +71,7 @@ const (
 )
 
 // SiteShard is one site's slice of the distributed computation: its
-// local document subgraph G^s_d (the input of the worker-side DocRank)
-// and its row of the site-level transition chain M(G_S) (the input of
-// the distributed SiteRank rounds).
+// local document subgraph G^s_d, the input of the worker-side DocRank.
 //
 // The subgraph crosses in the packed columns the graph keeps it in and
 // the graph file stores (graph.Columns), in the site's local indices:
@@ -93,10 +92,6 @@ type SiteShard struct {
 	// Every link not listed weighs exactly 1.
 	ListedPos []uint32
 	ListedW   []float64
-	// RowCols/RowVals hold the non-zeros of row Site of the
-	// row-stochastic site transition matrix. Empty = dangling site.
-	RowCols []int
-	RowVals []float64
 }
 
 // NumDocs returns the number of local documents (subgraph nodes).
@@ -127,15 +122,17 @@ type Request struct {
 	// keeps or activates each from its session or digest cache, or
 	// reports its site in Response.Missing.
 	Cached []ShardRef
-	// NumSites is the site-space dimension, needed by the SiteRank
-	// iterates and validated at KindLoad.
+	// NumSites is the site-space dimension KindLoad declares its sites
+	// in.
 	NumSites int
 	// Damping/Tol/MaxIter parameterize KindRankLocal. Zero values select
 	// the package defaults.
 	Damping float64
 	Tol     float64
 	MaxIter int
-	// X is the current SiteRank iterate for KindPowerRound.
+	// X was KindPowerRound's SiteRank iterate. It still crosses the wire.
+	//
+	// Deprecated: no live kind reads it.
 	X []float64
 	// Sites restricts KindRankLocal to the listed sites (empty = every
 	// loaded site) — the coordinator re-ranks only reassigned sites after
@@ -156,12 +153,11 @@ type Response struct {
 	Err string
 	// Local carries KindRankLocal results, one entry per loaded site.
 	Local []LocalRank
-	// Partial is the worker's contribution to x'M for KindPowerRound:
-	// sum over owned rows s of X[s]·row_s, a dense length-NumSites
-	// vector.
-	Partial []float64
-	// DanglingMass is the iterate mass sitting on owned dangling rows,
-	// needed centrally for the teleport coefficient.
+	// Partial and DanglingMass were KindPowerRound's answer. They still
+	// cross the wire.
+	//
+	// Deprecated: no worker fills them.
+	Partial      []float64
 	DanglingMass float64
 	// Missing answers KindLoad: the Cached sites, each at most once,
 	// whose digest neither the session nor the cache holds; the
@@ -192,10 +188,9 @@ func (c *Counters) BytesSent() uint64 { return c.bytesOut.Load() }
 
 // Conn wraps a net.Conn so every byte crossing it is attributed to a
 // Counters, and pairs the connection with its frame codecs. Each
-// direction owns one scratch buffer of at most retainBytes: the
-// per-round SiteRank kinds cross it whole and allocate nothing; a larger
-// frame is written through it in pieces and read into a one-shot
-// buffer.
+// direction owns one scratch buffer of at most retainBytes: a small frame
+// crosses it whole and allocates nothing; a larger frame is written
+// through it in pieces and read into a one-shot buffer.
 type Conn struct {
 	conn net.Conn
 	c    *Counters
@@ -365,10 +360,11 @@ func (d *Decoder) Decode(v any) error {
 
 // ContentDigest returns the shard's content address: SHA-256 over the
 // document count, the lengths of the other three columns, the four
-// columns' little-endian bytes in field order, then the site-chain
-// row's length, columns and values — every integer 8 bytes
-// little-endian, every column and the row's values raw blocks, fed
-// through the codec's writer. Both ends compute it with this
+// columns' little-endian bytes in field order, then a zero — every
+// integer 8 bytes little-endian, every column a raw block, fed through
+// the codec's writer. The zero is the length of the site-chain row
+// shards carried until frame version 8, kept so every shard keeps the
+// digest earlier builds gave it. Both ends compute it with this
 // function — the coordinator to offer, the worker to key its cache — so
 // the value is meaningful across processes and runs.
 func (s *SiteShard) ContentDigest() Digest {
@@ -383,28 +379,11 @@ func (s *SiteShard) ContentDigest() Digest {
 	block(&w, s.Targets, 4)
 	block(&w, s.ListedPos, 4)
 	block(&w, s.ListedW, 8)
-	w.fixed(len(s.RowCols))
-	for _, c := range s.RowCols {
-		w.fixed(c)
-	}
-	block(&w, s.RowVals, 8)
+	w.fixed(0)
 	w.flush()
 	var out Digest
 	h.Sum(out[:0])
 	return out
-}
-
-// SelfLoop returns M[Site, Site], the weight the shard's chain row keeps on
-// its own site — bit for bit the value a worker multiplies, and what a
-// SiteRank round divides out (pagerank.JacobiStep).
-func (s *SiteShard) SelfLoop() float64 {
-	var w float64
-	for k, col := range s.RowCols {
-		if col == s.Site {
-			w += s.RowVals[k]
-		}
-	}
-	return w
 }
 
 // DigestInputBytes returns how many bytes ContentDigest feeds through
@@ -413,5 +392,5 @@ func (s *SiteShard) SelfLoop() float64 {
 // zero on warm runs.
 func (s *SiteShard) DigestInputBytes() uint64 {
 	columns := 4*(len(s.Degrees)+len(s.Targets)+len(s.ListedPos)) + 8*len(s.ListedW)
-	return uint64(8*(5+len(s.RowCols)+len(s.RowVals)) + columns)
+	return uint64(8*5 + columns)
 }

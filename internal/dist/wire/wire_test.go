@@ -84,7 +84,6 @@ func TestContentDigestStability(t *testing.T) {
 		return SiteShard{
 			Site: 3, Degrees: []uint32{1, 0}, Targets: []uint32{1},
 			ListedPos: []uint32{0}, ListedW: []float64{2},
-			RowCols: []int{1}, RowVals: []float64{1},
 		}
 	}
 	a, b := base(), base()
@@ -104,9 +103,6 @@ func TestContentDigestStability(t *testing.T) {
 		func(s *SiteShard) { s.Degrees[1], s.Targets = 1, append(s.Targets, 0) },
 		// The same bytes cut into columns at another place.
 		func(s *SiteShard) { s.Degrees, s.Targets = []uint32{1}, []uint32{0, 1} },
-		func(s *SiteShard) { s.RowCols[0] = 0 },
-		func(s *SiteShard) { s.RowVals[0] = 0.5 },
-		func(s *SiteShard) { s.RowCols, s.RowVals = nil, nil },
 	}
 	for i, mutate := range mutations {
 		m := base()
@@ -119,7 +115,7 @@ func TestContentDigestStability(t *testing.T) {
 
 // TestContentDigestPins: a shard's digest is the value every earlier
 // build computed for it — a worker's cache stays warm across a rebuild of
-// the codec — for a shard with listed weights and one with a chain row.
+// the codec — for a shard with listed weights and one without.
 func TestContentDigestPins(t *testing.T) {
 	for _, tc := range []struct {
 		shard SiteShard
@@ -127,8 +123,8 @@ func TestContentDigestPins(t *testing.T) {
 	}{
 		{SiteShard{Site: 2, Degrees: []uint32{2, 0, 1}, Targets: []uint32{1, 2, 0}, ListedPos: []uint32{1}, ListedW: []float64{3}},
 			"f29cd41e0db48dd7362d7d38962415e378b985710046b39562c7afeeaac23c92"},
-		{SiteShard{Site: 5, Degrees: []uint32{1, 2, 0, 1}, Targets: []uint32{1, 0, 3, 2}, RowCols: []int{0, 5, 7}, RowVals: []float64{0.25, 0.5, 0.25}},
-			"61344a4743f6bfa8f965d7b41eda4ab851a88abba9d21601e0882df3f0d01ec2"},
+		{SiteShard{Site: 5, Degrees: []uint32{1, 2, 0, 1}, Targets: []uint32{1, 0, 3, 2}},
+			"811df99cf99c67ba295993a7effdca5b72ae5e16c5a0bb7c42926da8e4ef0d26"},
 	} {
 		if got := tc.shard.ContentDigest(); hex.EncodeToString(got[:]) != tc.want {
 			t.Errorf("site %d: digest %x, want %s", tc.shard.Site, got, tc.want)

@@ -8,8 +8,8 @@ import (
 	"lmmrank/internal/lmm"
 )
 
-// cacheEntry is one cached shard: its row of the site chain and its
-// local chain. The chain is built when the shard is loaded and the
+// cacheEntry is one cached shard: its local chain. The chain is built
+// when the shard is loaded and the
 // subgraph it was built from is dropped, so an entry holds each of the
 // shard's links once, as the chain's 4-byte source, and no solver
 // scratch: every RankLocal that hits the entry sweeps a solver of its
@@ -18,23 +18,7 @@ import (
 type cacheEntry struct {
 	digest  wire.Digest
 	numDocs int
-	rowCols []int
-	rowVals []float64
 	chain   *lmm.SubgraphSolver
-}
-
-// rowWithin reports whether the entry's chain row fits a site space of
-// numSites. An entry was validated against the site space it was first
-// loaded into, so every later activation re-checks: a shard cached under
-// a larger graph must not smuggle out-of-range columns past the power
-// round's branch-free loop.
-func (e *cacheEntry) rowWithin(numSites int) bool {
-	for _, col := range e.rowCols {
-		if col < 0 || col >= numSites {
-			return false
-		}
-	}
-	return true
 }
 
 // shardCache is the worker-global digest-keyed store that makes

@@ -165,10 +165,9 @@ func TestRankLocalSubset(t *testing.T) {
 }
 
 // TestCacheHitRevalidatesSiteSpace is the cross-site-space regression:
-// a shard cached under a large graph whose row targets high site IDs
-// must be rejected — not silently reused — when the identical bytes are
-// re-shipped into a smaller site space, or the branch-free power round
-// would index past its iterate.
+// a shard cached under a large graph at a high site ID must be rejected —
+// not silently reused — when the identical bytes are re-shipped, or
+// declared by digest, into a smaller site space that has no such site.
 func TestCacheHitRevalidatesSiteSpace(t *testing.T) {
 	w := New()
 	addr, err := w.Start("127.0.0.1:0")
@@ -178,19 +177,21 @@ func TestCacheHitRevalidatesSiteSpace(t *testing.T) {
 	defer w.Close()
 	enc, dec, _ := dial(t, addr)
 
-	shard := wire.SiteShard{Site: 0, Degrees: docs(1), RowCols: []int{7}, RowVals: []float64{1}}
+	shard := wire.SiteShard{Site: 7, Degrees: docs(1)}
 	if resp := roundTrip(t, enc, dec, &wire.Request{
 		Kind: wire.KindLoad, NumSites: 10, Shards: []wire.SiteShard{shard},
 	}); resp.Err != "" {
 		t.Fatalf("load into the large space: %s", resp.Err)
 	}
-	// Same bytes, smaller space: the digest hits the cache, but column 7
-	// is now out of range and must fail validation cleanly.
-	resp := roundTrip(t, enc, dec, &wire.Request{
-		Kind: wire.KindLoad, NumSites: 2, Shards: []wire.SiteShard{shard},
-	})
-	if resp.Err == "" {
-		t.Fatal("cache-hit shard with out-of-range row columns was accepted into a smaller site space")
+	// Same bytes, smaller space: the digest hits the cache, but site 7 is
+	// now out of range and must fail validation cleanly.
+	for _, req := range []*wire.Request{
+		{Kind: wire.KindLoad, NumSites: 2, Shards: []wire.SiteShard{shard}},
+		{Kind: wire.KindLoad, NumSites: 2, Cached: []wire.ShardRef{{Site: 7, Digest: shard.ContentDigest()}}},
+	} {
+		if resp := roundTrip(t, enc, dec, req); resp.Err == "" {
+			t.Fatalf("cache-hit shard at site 7 was accepted into a space of 2 sites (%d shipped, %d by digest)", len(req.Shards), len(req.Cached))
+		}
 	}
 	// The worker must survive to serve the next request.
 	if ping := roundTrip(t, enc, dec, &wire.Request{Kind: wire.KindPing}); ping.Err != "" {

@@ -21,20 +21,12 @@ func liveHeap() uint64 {
 }
 
 // webLoad is the Load a coordinator ships for every site of dg — each
-// site's columns and its row of the site chain — as the worker decodes
-// it off the wire.
+// site's columns — as the worker decodes it off the wire.
 func webLoad(tb testing.TB, dg *graph.DocGraph) *wire.Request {
 	ns := dg.NumSites()
-	sg := graph.DeriveSiteGraph(dg, graph.SiteGraphOptions{}).G
 	load := &wire.Request{Kind: wire.KindLoad, NumSites: ns, Shards: make([]wire.SiteShard, ns)}
 	for s := range ns {
 		load.Shards[s], _ = extract(dg, s)
-		if total := sg.OutWeight(s); total > 0 {
-			sg.EachEdge(s, func(e graph.Edge) {
-				load.Shards[s].RowCols = append(load.Shards[s].RowCols, e.To)
-				load.Shards[s].RowVals = append(load.Shards[s].RowVals, e.Weight/total)
-			})
-		}
 	}
 	return overTheWire(tb, wire.NewConn(new(loopConn), new(wire.Counters)), load)
 }
@@ -42,20 +34,20 @@ func webLoad(tb testing.TB, dg *graph.DocGraph) *wire.Request {
 // TestCacheEntryRetention pins what a worker keeps once every site of the
 // default web is loaded and ranked: each entry its chain —
 // TestTransitionMatrixRetention's 4 B a link, 16 B a document and 12 B a
-// listed link — and its row of the site chain, 16 B an entry, beside a
-// few hundred bytes of structs, map and list a site. It keeps no solver
+// listed link — beside a few hundred bytes of structs, map and list a
+// site. It keeps no solver
 // scratch: a solver's iterate and teleport vector, 16 B a document, went
 // with the RankLocal that swept them.
 func TestCacheEntryRetention(t *testing.T) {
 	dg := webgen.Generate(webgen.Default()).Graph
 	dg.Dedupe()
 	w, sess := New(), &session{}
-	var links, docs, listed, row int
+	var links, docs, listed int
 	before := liveHeap()
 	func() {
 		load := webLoad(t, dg)
 		for _, s := range load.Shards {
-			links, docs, listed, row = links+len(s.Targets), docs+len(s.Degrees), listed+len(s.ListedPos), row+len(s.RowCols)
+			links, docs, listed = links+len(s.Targets), docs+len(s.Degrees), listed+len(s.ListedPos)
 		}
 		if resp := w.handle(sess, load); resp.Err != "" {
 			t.Fatalf("load: %s", resp.Err)
@@ -67,11 +59,11 @@ func TestCacheEntryRetention(t *testing.T) {
 	retained := int64(liveHeap()) - int64(before)
 	const perSite = 512
 	ns := dg.NumSites()
-	budget := int64(4*links + 16*docs + 12*listed + 16*row + perSite*ns)
-	t.Logf("%d sites, %d docs, %d intra-site links (%d listed), %d row entries: the worker retains %d bytes (%.1f per link, %.1f per doc), budget %d",
-		ns, docs, links, listed, row, retained, float64(retained)/float64(links), float64(retained)/float64(docs), budget)
+	budget := int64(4*links + 16*docs + 12*listed + perSite*ns)
+	t.Logf("%d sites, %d docs, %d intra-site links (%d listed): the worker retains %d bytes (%.1f per link, %.1f per doc), budget %d",
+		ns, docs, links, listed, retained, float64(retained)/float64(links), float64(retained)/float64(docs), budget)
 	if retained > budget {
-		t.Errorf("a loaded, ranked worker retains %d bytes, budget %d (4 B/link + 16 B/doc + 12 B per listed link + 16 B per row entry + %d B/site)",
+		t.Errorf("a loaded, ranked worker retains %d bytes, budget %d (4 B/link + 16 B/doc + 12 B per listed link + %d B/site)",
 			retained, budget, perSite)
 	}
 	runtime.KeepAlive(w)

@@ -1,9 +1,8 @@
 // Package worker implements the peer side of the distributed Layered
 // Method: a TCP server speaking wire's frames that hosts site shards,
 // computes their local DocRanks with the same kernels as the in-process
-// pipeline, and answers SiteRank rounds and sweeps with the product of
-// the iterate and the site-chain rows it owns — the paper's Web server
-// participating in decentralized ranking.
+// pipeline — the paper's Web server participating in decentralized
+// ranking.
 //
 // A session is what its connection's last KindLoad declared; nothing
 // else adds to or removes from it. Behind the sessions sits a
@@ -18,8 +17,9 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
+	"maps"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -27,7 +27,6 @@ import (
 	"lmmrank/internal/dist/wire"
 	"lmmrank/internal/graph"
 	"lmmrank/internal/lmm"
-	"lmmrank/internal/matrix"
 )
 
 // Stats summarizes a worker's transport and cache state since New.
@@ -56,51 +55,16 @@ type shard struct {
 // same worker cannot clobber one another's shards (they can, by design,
 // share cache entries).
 type session struct {
-	shards   map[int]*shard
-	numSites int
+	shards map[int]*shard
 	// totalDocs is the aggregate hosted document count, which every Load
 	// bounds by wire.MaxShardDocs; since a Load replaces the session, the
 	// bound on one declaration is the bound on the session.
 	totalDocs int
-	// sorted caches sortedShards; nil after a Load.
-	sorted []*shard
 
-	// req and resp are the exchange scratch of the per-round kind: the
-	// serve loop decodes every request whose payload nothing retains
-	// into req, and the power round handler answers from resp, whose
-	// vector is partial below — reused from one round to the next, so a
-	// steady-state round allocates nothing. Each is dead once the
-	// response is on the wire.
-	req     wire.Request
-	resp    wire.Response
-	partial matrix.Vector
-}
-
-// zeroed returns *v resized to n zeros, reusing its array.
-func zeroed(v *matrix.Vector, n int) matrix.Vector {
-	if cap(*v) < n {
-		*v = matrix.NewVector(n)
-	}
-	*v = (*v)[:n]
-	clear(*v)
-	return *v
-}
-
-// sortedShards returns the loaded shards in ascending site order, the
-// fixed iteration order both compute handlers rely on (map order would
-// vary float summation and result ordering across runs). The slice is
-// cached until the next Load so power rounds skip the re-sort.
-func (s *session) sortedShards() []*shard {
-	if s.sorted != nil {
-		return s.sorted
-	}
-	out := make([]*shard, 0, len(s.shards))
-	for _, sh := range s.shards {
-		out = append(out, sh)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].site < out[b].site })
-	s.sorted = out
-	return out
+	// req is the exchange scratch: the serve loop decodes every request
+	// whose payload nothing retains into it. It is dead once the response
+	// is on the wire.
+	req wire.Request
 }
 
 // Worker is a distributed-ranking peer. Zero workers are not useful:
@@ -291,9 +255,9 @@ func (w *Worker) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		// A load's chain rows outlive the exchange (the digest cache
-		// aliases them): that request owns its memory, every other kind
-		// reuses the session's.
+		// A load's shards outlive the exchange (the digest cache builds its
+		// entries from them): that request owns its memory, every other
+		// kind reuses the session's.
 		req := &sess.req
 		if f.Kind() == wire.KindLoad {
 			req = new(wire.Request)
@@ -341,8 +305,6 @@ func (w *Worker) handle(sess *session, req *wire.Request) *wire.Response {
 		return w.handleLoad(sess, req)
 	case wire.KindRankLocal:
 		return handleRankLocal(sess, req)
-	case wire.KindPowerRound:
-		return handlePowerRound(sess, req)
 	default:
 		return &wire.Response{Err: fmt.Sprintf("worker: unknown request kind %d", req.Kind)}
 	}
@@ -361,37 +323,15 @@ func (w *Worker) buildEntry(s *wire.SiteShard, numSites int) (*cacheEntry, error
 	}
 	digest := s.ContentDigest()
 	if e := w.cache.lookupShard(digest); e != nil {
-		if !e.rowWithin(numSites) {
-			return nil, fmt.Errorf("site %d row column out of range", s.Site)
-		}
 		return e, nil
 	}
 	sub, err := subgraph(s)
 	if err != nil {
 		return nil, err
 	}
-	if len(s.RowCols) != len(s.RowVals) {
-		return nil, fmt.Errorf("site %d row arity mismatch", s.Site)
-	}
-	rowSum := 0.0
-	for k, col := range s.RowCols {
-		if col < 0 || col >= numSites {
-			return nil, fmt.Errorf("site %d row column %d out of range", s.Site, col)
-		}
-		v := s.RowVals[k]
-		if !(v > 0) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("site %d row value %g not a probability", s.Site, v)
-		}
-		rowSum += v
-	}
-	if len(s.RowCols) > 0 && math.Abs(rowSum-1) > 1e-6 {
-		return nil, fmt.Errorf("site %d row sums to %g, want 1", s.Site, rowSum)
-	}
 	return w.cache.addShard(&cacheEntry{
 		digest:  digest,
 		numDocs: s.NumDocs(),
-		rowCols: s.RowCols,
-		rowVals: s.RowVals,
 		chain:   lmm.NewSubgraphSolver(sub),
 	}), nil
 }
@@ -465,13 +405,6 @@ func (w *Worker) handleLoad(sess *session, req *wire.Request) *wire.Response {
 				sh = &shard{site: ref.Site, entry: e}
 			}
 		}
-		// An entry's row columns were validated against the site space it
-		// was first loaded into; re-check against this one (a hit from a
-		// larger graph must not index past this iterate). One that does
-		// not fit is as good as absent: shipped in full, it is refused.
-		if sh != nil && !sh.entry.rowWithin(req.NumSites) {
-			sh = nil
-		}
 		if sh == nil {
 			resp.Missing = append(resp.Missing, ref.Site)
 		}
@@ -482,8 +415,7 @@ func (w *Worker) handleLoad(sess *session, req *wire.Request) *wire.Response {
 	for _, site := range resp.Missing {
 		delete(next, site)
 	}
-	sess.shards, sess.numSites, sess.totalDocs = next, req.NumSites, totalDocs
-	sess.sorted = nil
+	sess.shards, sess.totalDocs = next, totalDocs
 	return resp
 }
 
@@ -495,20 +427,20 @@ func (w *Worker) handleLoad(sess *session, req *wire.Request) *wire.Response {
 // solver made for this request: its iterate is the answer, and nothing
 // of it stays on the entry.
 func handleRankLocal(sess *session, req *wire.Request) *wire.Response {
-	var shards []*shard
-	if len(req.Sites) == 0 {
-		shards = sess.sortedShards()
-	} else {
-		shards = make([]*shard, 0, len(req.Sites))
-		for _, s := range req.Sites {
-			sh, ok := sess.shards[s]
-			if !ok {
-				return &wire.Response{Err: fmt.Sprintf("worker: rank local of site %d not loaded", s)}
-			}
-			shards = append(shards, sh)
-		}
-		sort.Slice(shards, func(a, b int) bool { return shards[a].site < shards[b].site })
+	sites := req.Sites
+	if len(sites) == 0 {
+		sites = slices.Collect(maps.Keys(sess.shards))
 	}
+	shards := make([]*shard, 0, len(sites))
+	for _, s := range sites {
+		sh, ok := sess.shards[s]
+		if !ok {
+			return &wire.Response{Err: fmt.Sprintf("worker: rank local of site %d not loaded", s)}
+		}
+		shards = append(shards, sh)
+	}
+	// Ascending site order: the answer's order does not follow the map's.
+	sort.Slice(shards, func(a, b int) bool { return shards[a].site < shards[b].site })
 	cfg := lmm.WebConfig{Damping: req.Damping, Tol: req.Tol, MaxIter: req.MaxIter}
 	out := make([]wire.LocalRank, len(shards))
 	errs := make([]error, len(shards))
@@ -526,52 +458,6 @@ func handleRankLocal(sess *session, req *wire.Request) *wire.Response {
 		}
 	}
 	return &wire.Response{Local: out}
-}
-
-// checkIterate validates a round's request: the iterate must span the
-// session's site space and be finite. A NaN or an infinity would poison
-// every partial built from it, so it is refused up front.
-func checkIterate(sess *session, req *wire.Request) error {
-	if req.NumSites != sess.numSites {
-		return fmt.Errorf("worker: power round over %d sites but %d loaded", req.NumSites, sess.numSites)
-	}
-	if len(req.X) != req.NumSites {
-		return fmt.Errorf("worker: iterate length %d vs %d sites", len(req.X), req.NumSites)
-	}
-	for s, v := range req.X {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("worker: power round iterate is not finite (%g at site %d)", v, s)
-		}
-	}
-	return nil
-}
-
-// handlePowerRound computes this worker's share of one SiteRank round:
-// partial[t] = Σ_{s owned} x[s]·M(G_S)[s,t], self-loops included, plus
-// the iterate mass on owned dangling rows. The coordinator sums partials
-// across the fleet and finishes the round (pagerank.JacobiStep, which
-// divides each site's self-loop out), so the distributed iteration needs
-// nothing from a worker but its rows.
-func handlePowerRound(sess *session, req *wire.Request) *wire.Response {
-	if err := checkIterate(sess, req); err != nil {
-		return &wire.Response{Err: err.Error()}
-	}
-	partial := zeroed(&sess.partial, req.NumSites)
-	var dangling float64
-	for _, sh := range sess.sortedShards() {
-		xs := req.X[sh.site]
-		if len(sh.entry.rowCols) == 0 {
-			dangling += xs
-			continue
-		}
-		// Columns were range-checked at load time; the inner loop
-		// stays branch-free.
-		for k, col := range sh.entry.rowCols {
-			partial[col] += xs * sh.entry.rowVals[k]
-		}
-	}
-	sess.resp = wire.Response{Partial: partial, DanglingMass: dangling}
-	return &sess.resp
 }
 
 var _ io.Closer = (*Worker)(nil)

@@ -117,13 +117,6 @@ func TestMalformedRequests(t *testing.T) {
 			Shards: []wire.SiteShard{{Site: 0, Degrees: []uint32{1, 0}, Targets: []uint32{1}, ListedPos: []uint32{0}, ListedW: []float64{-1}}}}},
 		{"NaN edge weight", wire.Request{Kind: wire.KindLoad, NumSites: 1,
 			Shards: []wire.SiteShard{{Site: 0, Degrees: []uint32{1, 0}, Targets: []uint32{1}, ListedPos: []uint32{0}, ListedW: []float64{math.NaN()}}}}},
-		{"NaN row value", wire.Request{Kind: wire.KindLoad, NumSites: 1,
-			Shards: []wire.SiteShard{{Site: 0, Degrees: docs(1), RowCols: []int{0}, RowVals: []float64{math.NaN()}}}}},
-		{"row arity mismatch", wire.Request{Kind: wire.KindLoad, NumSites: 1,
-			Shards: []wire.SiteShard{{Site: 0, Degrees: docs(1), RowCols: []int{0}, RowVals: nil}}}},
-		{"row column out of range", wire.Request{Kind: wire.KindLoad, NumSites: 1,
-			Shards: []wire.SiteShard{{Site: 0, Degrees: docs(1), RowCols: []int{5}, RowVals: []float64{1}}}}},
-		{"power round before load", wire.Request{Kind: wire.KindPowerRound, NumSites: 3, X: []float64{1, 0, 0}}},
 		// One document past the bound in all; one shard alone cannot
 		// spell it (the frame refuses a column past MaxShardDocs).
 		{"absurd doc count", wire.Request{Kind: wire.KindLoad, NumSites: 2,
@@ -148,34 +141,30 @@ func TestMalformedRequests(t *testing.T) {
 		t.Errorf("after refused loads the session ranks %d sites (err %q), want none", len(resp.Local), resp.Err)
 	}
 
-	// On a loaded session, the power round refuses a malformed iterate,
-	// and the kinds earlier frame versions spent on round batches against
-	// a replicated chain (5) and on barrier-free sweeps and their epoch
-	// drains (6, 7) are no kinds at all.
+	// On a loaded session, the kinds earlier frame versions spent on the
+	// fleet's SiteRank rounds (4), on round batches against a replicated
+	// chain (5) and on barrier-free sweeps and their epoch drains (6, 7)
+	// are no kinds at all.
 	if resp := roundTrip(t, enc, dec, fourSiteLoad()); resp.Err != "" {
 		t.Fatalf("load: %s", resp.Err)
 	}
-	x := []float64{0.25, 0.25, 0.25, 0.25}
-	nan := []float64{0.25, math.NaN(), 0.25, 0.25}
-	inf := []float64{0.25, 0.25, math.Inf(1), 0.25}
 	for _, tc := range []struct {
 		name    string
 		req     wire.Request
 		mention string
 	}{
-		{"power round over a NaN", wire.Request{Kind: wire.KindPowerRound, NumSites: 4, X: nan}, ""},
-		{"power round over an infinity", wire.Request{Kind: wire.KindPowerRound, NumSites: 4, X: inf}, ""},
-		{"retired batch kind", wire.Request{Kind: wire.KindPowerRound + 1, NumSites: 4, X: x}, "unknown request kind 5"},
-		{"retired sweep kind", wire.Request{Kind: wire.KindPowerRound + 2, NumSites: 4, X: x}, "unknown request kind 6"},
-		{"retired drain kind", wire.Request{Kind: wire.KindPowerRound + 3}, "unknown request kind 7"},
+		{"retired round kind", wire.Request{Kind: 4, NumSites: 4}, "unknown request kind 4"},
+		{"retired batch kind", wire.Request{Kind: 5, NumSites: 4}, "unknown request kind 5"},
+		{"retired sweep kind", wire.Request{Kind: 6, NumSites: 4}, "unknown request kind 6"},
+		{"retired drain kind", wire.Request{Kind: 7}, "unknown request kind 7"},
 	} {
 		if resp := roundTrip(t, enc, dec, &tc.req); resp.Err == "" || !strings.Contains(resp.Err, tc.mention) {
 			t.Errorf("%s: err = %q, want a refusal mentioning %q", tc.name, resp.Err, tc.mention)
 		}
 	}
 	// The loaded session keeps serving after them.
-	if resp := roundTrip(t, enc, dec, &wire.Request{Kind: wire.KindPowerRound, NumSites: 4, X: x}); resp.Err != "" || len(resp.Partial) != 4 {
-		t.Errorf("power round after the refusals: err = %q, partial %v", resp.Err, resp.Partial)
+	if resp := roundTrip(t, enc, dec, &wire.Request{Kind: wire.KindRankLocal}); resp.Err != "" || len(resp.Local) != 4 {
+		t.Errorf("rank local after the refusals: err = %q, %d local ranks, want 4", resp.Err, len(resp.Local))
 	}
 
 	// The connection must survive all of the above.
@@ -228,11 +217,10 @@ func TestDeclarationDocCap(t *testing.T) {
 	}
 }
 
-// TestReloadShrinksSiteSpace declares a smaller graph after
-// a larger one: nothing of the larger site space may survive to index
-// past the new iterate (which would crash the process) — not a site the
-// new declaration does not name, and not a held shard named again whose
-// row points past the new dimension.
+// TestReloadShrinksSiteSpace declares a smaller graph after a larger
+// one: nothing of the larger site space survives that the new
+// declaration does not name, and a held shard named again under its
+// digest is kept, not re-shipped.
 func TestReloadShrinksSiteSpace(t *testing.T) {
 	w := New()
 	addr, err := w.Start("127.0.0.1:0")
@@ -242,32 +230,34 @@ func TestReloadShrinksSiteSpace(t *testing.T) {
 	defer w.Close()
 	enc, dec, _ := dial(t, addr)
 
-	wide := wire.SiteShard{Site: 1, Degrees: docs(1), RowCols: []int{8}, RowVals: []float64{1}}
+	held := wire.SiteShard{Site: 1, Degrees: docs(2)}
 	big := &wire.Request{Kind: wire.KindLoad, NumSites: 10, Shards: []wire.SiteShard{
-		{Site: 9, Degrees: docs(1), RowCols: []int{0}, RowVals: []float64{1}}, wide,
+		{Site: 9, Degrees: docs(3)}, held,
 	}}
 	if resp := roundTrip(t, enc, dec, big); resp.Err != "" {
 		t.Fatalf("load big: %s", resp.Err)
 	}
 	small := &wire.Request{Kind: wire.KindLoad, NumSites: 5,
-		Shards: []wire.SiteShard{{Site: 0, Degrees: docs(1), RowCols: []int{1}, RowVals: []float64{1}}},
-		Cached: []wire.ShardRef{{Site: 1, Digest: wide.ContentDigest()}},
+		Shards: []wire.SiteShard{{Site: 0, Degrees: docs(1)}},
+		Cached: []wire.ShardRef{{Site: 1, Digest: held.ContentDigest()}},
 	}
 	resp := roundTrip(t, enc, dec, small)
 	if resp.Err != "" {
 		t.Fatalf("load small: %s", resp.Err)
 	}
-	if !reflect.DeepEqual(resp.Missing, []int{1}) {
-		t.Errorf("Missing = %v, want [1]: the held shard's row points past the new site space", resp.Missing)
+	if len(resp.Missing) != 0 {
+		t.Errorf("Missing = %v, want none: the session holds site 1's shard", resp.Missing)
 	}
-	resp = roundTrip(t, enc, dec, &wire.Request{
-		Kind: wire.KindPowerRound, NumSites: 5, X: []float64{0.2, 0.2, 0.2, 0.2, 0.2},
-	})
+	resp = roundTrip(t, enc, dec, &wire.Request{Kind: wire.KindRankLocal})
 	if resp.Err != "" {
-		t.Fatalf("power round after shrink: %s", resp.Err)
+		t.Fatalf("rank local after shrink: %s", resp.Err)
 	}
-	if want := []float64{0, 0.2, 0, 0, 0}; !reflect.DeepEqual(resp.Partial, want) {
-		t.Errorf("partial = %v, want %v: stale sites 9 and 1 gone, site 0's row applied", resp.Partial, want)
+	var sizes []int
+	for _, lr := range resp.Local {
+		sizes = append(sizes, lr.Site, len(lr.Scores))
+	}
+	if want := []int{0, 1, 1, 2}; !reflect.DeepEqual(sizes, want) {
+		t.Errorf("(site, documents) ranked = %v, want %v: stale site 9 gone, sites 0 and 1 held", sizes, want)
 	}
 }
 
@@ -330,39 +320,6 @@ func TestLoadDeclaresExactlyTheSession(t *testing.T) {
 	}
 }
 
-// TestPowerRoundMath checks one round against hand-computed partials:
-// two sites where site 0 links to site 1 with probability 1 and site 1
-// is dangling.
-func TestPowerRoundMath(t *testing.T) {
-	w := New()
-	addr, err := w.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	defer w.Close()
-	enc, dec, _ := dial(t, addr)
-
-	load := &wire.Request{Kind: wire.KindLoad, NumSites: 2, Shards: []wire.SiteShard{
-		{Site: 0, Degrees: docs(1), RowCols: []int{1}, RowVals: []float64{1}},
-		{Site: 1, Degrees: docs(1)}, // dangling site row
-	}}
-	if resp := roundTrip(t, enc, dec, load); resp.Err != "" {
-		t.Fatalf("load: %s", resp.Err)
-	}
-	resp := roundTrip(t, enc, dec, &wire.Request{
-		Kind: wire.KindPowerRound, NumSites: 2, X: []float64{0.25, 0.75},
-	})
-	if resp.Err != "" {
-		t.Fatalf("power round: %s", resp.Err)
-	}
-	if got := resp.Partial; len(got) != 2 || got[0] != 0 || got[1] != 0.25 {
-		t.Errorf("partial = %v, want [0 0.25]", got)
-	}
-	if resp.DanglingMass != 0.75 {
-		t.Errorf("dangling mass = %g, want 0.75", resp.DanglingMass)
-	}
-}
-
 // TestRankLocalSingleAndEmptySites covers the degenerate shard sizes
 // the in-process pipeline special-cases.
 func TestRankLocalSingleAndEmptySites(t *testing.T) {
@@ -404,8 +361,8 @@ func TestRankLocalSingleAndEmptySites(t *testing.T) {
 	}
 }
 
-// fourSiteLoad is a KindLoad over four sites — rows, local edges and a
-// dangling site — for the tests below.
+// fourSiteLoad is a KindLoad over four sites of local edges, some of
+// them listed, for the tests below.
 func fourSiteLoad() *wire.Request {
 	// Site s is a ring of n documents, link i→i+1 weighing i+1.
 	ring := func(site, n int) wire.SiteShard {
@@ -419,18 +376,15 @@ func fourSiteLoad() *wire.Request {
 		return s
 	}
 	shards := []wire.SiteShard{ring(0, 3), ring(1, 4), ring(2, 5), ring(3, 2)}
-	shards[0].RowCols, shards[0].RowVals = []int{1, 2}, []float64{0.5, 0.5}
-	shards[1].RowCols, shards[1].RowVals = []int{0}, []float64{1}
-	shards[2].RowCols, shards[2].RowVals = []int{0, 3}, []float64{0.75, 0.25}
 	return &wire.Request{Kind: wire.KindLoad, NumSites: 4, Shards: shards}
 }
 
 // TestLoadedShardsSurviveLaterRequests guards the one place decoded
-// request memory is retained: the digest cache aliases a loaded shard's
-// chain row, while every later request on the session is decoded into
+// request memory is retained: the digest cache builds its entries from a
+// loaded shard, while every later request on the session is decoded into
 // one reused Request. After 100 of them — every kind, payloads of every
 // size, refused loads of every sort and re-declarations of what is held
-// — the installed shards must rank and power-round bit-identically.
+// — the installed shards must rank bit-identically.
 func TestLoadedShardsSurviveLaterRequests(t *testing.T) {
 	w := New()
 	addr, err := w.Start("127.0.0.1:0")
@@ -442,18 +396,12 @@ func TestLoadedShardsSurviveLaterRequests(t *testing.T) {
 	if resp := roundTrip(t, enc, dec, fourSiteLoad()); resp.Err != "" {
 		t.Fatalf("load: %s", resp.Err)
 	}
-	x := []float64{0.1, 0.2, 0.3, 0.4}
-	probe := func() [2]*wire.Response {
-		return [2]*wire.Response{
-			roundTrip(t, enc, dec, &wire.Request{Kind: wire.KindRankLocal}),
-			roundTrip(t, enc, dec, &wire.Request{Kind: wire.KindPowerRound, NumSites: 4, X: x}),
-		}
+	probe := func() *wire.Response {
+		return roundTrip(t, enc, dec, &wire.Request{Kind: wire.KindRankLocal})
 	}
 	before := probe()
-	for _, r := range before {
-		if r.Err != "" {
-			t.Fatalf("probe: %s", r.Err)
-		}
+	if before.Err != "" {
+		t.Fatalf("probe: %s", before.Err)
 	}
 	held := fourSiteLoad()
 	refs := make([]wire.ShardRef, len(held.Shards))
@@ -464,29 +412,22 @@ func TestLoadedShardsSurviveLaterRequests(t *testing.T) {
 		return &wire.Request{Kind: wire.KindLoad, NumSites: 4, Cached: slices.Clone(refs)}
 	}
 
-	junk := func(n int, v float64) []float64 {
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = v
-		}
-		return out
-	}
 	for i := 0; i < 100; i++ {
 		var req *wire.Request
 		switch i % 7 {
-		case 6: // refused (rows do not sum to 1), but decoded: same shapes, other values
+		case 6: // refused (a target out of range), but decoded: same shapes, other values
 			req = fourSiteLoad()
 			for j := range req.Shards {
-				for k := range req.Shards[j].RowVals {
-					req.Shards[j].RowCols[k], req.Shards[j].RowVals[k] = 3, 0.9
+				for k := range req.Shards[j].Targets {
+					req.Shards[j].Targets[k] = 99
 				}
 			}
 		case 0:
-			req = &wire.Request{Kind: wire.KindPowerRound, NumSites: 4, X: junk(4, float64(i))}
-		case 1: // refused (wrong dimension), but decoded: a long iterate
-			req = &wire.Request{Kind: wire.KindPowerRound, NumSites: 900, X: junk(900, -1)}
-		case 2: // refused: a retired kind
-			req = &wire.Request{Kind: wire.KindPowerRound + 2, NumSites: 4, X: junk(4, 0.25)}
+			req = &wire.Request{Kind: wire.KindPing}
+		case 1: // refused (a retired kind), but decoded: a long site list
+			req = &wire.Request{Kind: 4, NumSites: 900, Sites: make([]int, 900)}
+		case 2: // refused: an unloaded site
+			req = &wire.Request{Kind: wire.KindRankLocal, Sites: []int{3, 77}}
 		case 3:
 			req = &wire.Request{Kind: wire.KindRankLocal, Sites: []int{2, 0}}
 		case 4: // the same session, declared again by reference
@@ -511,32 +452,7 @@ func TestLoadedShardsSurviveLaterRequests(t *testing.T) {
 		}
 	}
 
-	after := probe()
-	for i := range before {
-		if !reflect.DeepEqual(before[i], after[i]) {
-			t.Errorf("probe %d changed after 100 requests on the session:\nbefore %+v\nafter  %+v", i, before[i], after[i])
-		}
-	}
-}
-
-// TestRoundHandlersAllocateNothing pins the worker's half of the
-// zero-allocation exchange: once the session scratch has seen one
-// round, the power round handler answers without allocating.
-func TestRoundHandlersAllocateNothing(t *testing.T) {
-	w := New()
-	sess := &session{}
-	if resp := w.handle(sess, fourSiteLoad()); resp.Err != "" {
-		t.Fatalf("load: %s", resp.Err)
-	}
-	req := &wire.Request{Kind: wire.KindPowerRound, NumSites: 4, X: []float64{0.1, 0.2, 0.3, 0.4}}
-	var resp *wire.Response
-	allocs := testing.AllocsPerRun(50, func() {
-		resp = w.safeHandle(sess, req)
-	})
-	if resp.Err != "" {
-		t.Fatalf("power round: %s", resp.Err)
-	}
-	if allocs != 0 {
-		t.Errorf("power round handler allocates %v times per request, want 0", allocs)
+	if after := probe(); !reflect.DeepEqual(before, after) {
+		t.Errorf("the session's local ranks changed after 100 requests on it:\nbefore %+v\nafter  %+v", before, after)
 	}
 }

@@ -31,8 +31,6 @@ type DistributedResult struct {
 	// Reference is the single-process wall time for the same web.
 	Reference time.Duration
 	Points    []DistributedPoint
-	// SiteRank is the site-layer mode the runs used.
-	SiteRank coordinator.SiteRankMode
 }
 
 // DistributedOptions parameterizes E7.
@@ -41,8 +39,6 @@ type DistributedOptions struct {
 	Web webgen.Config
 	// WorkerCounts to sweep (nil = 1,2,4,8).
 	WorkerCounts []int
-	// SiteRank selects the site-layer mode (zero = central).
-	SiteRank coordinator.SiteRankMode
 	// Tol for all power runs (0 = 1e-9).
 	Tol float64
 }
@@ -71,7 +67,6 @@ func RunDistributed(opts DistributedOptions) (*DistributedResult, error) {
 		Docs:      web.Graph.NumDocs(),
 		Sites:     web.Graph.NumSites(),
 		Reference: time.Since(start),
-		SiteRank:  opts.SiteRank,
 	}
 
 	for _, n := range opts.WorkerCounts {
@@ -83,10 +78,7 @@ func RunDistributed(opts DistributedOptions) (*DistributedResult, error) {
 		rk, err := lmm.NewRanker(web.Graph, lmm.RankerOptions{})
 		var res *coordinator.Result
 		if err == nil {
-			res, err = local.Coord.RankPreparedCtx(context.Background(), rk, coordinator.Config{
-				Tol:      opts.Tol,
-				SiteRank: opts.SiteRank,
-			}, coordinator.Warm{})
+			res, err = local.Coord.RankPreparedCtx(context.Background(), rk, coordinator.Config{Tol: opts.Tol}, coordinator.Warm{})
 		}
 		total := time.Since(t)
 		closeErr := local.Close()
@@ -117,9 +109,6 @@ func (r *DistributedResult) Format() string {
 	b.WriteString("E7 — distributed Layered Method over loopback TCP\n")
 	fmt.Fprintf(&b, "web: %d sites, %d documents; single-process reference: %v\n",
 		r.Sites, r.Docs, r.Reference.Round(time.Millisecond))
-	if r.SiteRank != coordinator.SiteRankCentral {
-		fmt.Fprintf(&b, "variant: SiteRank on the fleet (%s mode)\n", r.SiteRank)
-	}
 	b.WriteString("\nworkers  total      load       localrank  siterank   msgs    MB out   MB in    L1 vs ref\n")
 	for _, p := range r.Points {
 		fmt.Fprintf(&b, "%-8d %-10v %-10v %-10v %-10v %-7d %-8.2f %-8.2f %.1e\n",
@@ -129,6 +118,6 @@ func (r *DistributedResult) Format() string {
 			p.Messages,
 			float64(p.BytesSent)/1e6, float64(p.BytesReceived)/1e6, p.Gap)
 	}
-	b.WriteString("\n(local DocRanks are computed entirely on the peers — the paper's\n decomposition claim; the SiteRank exchange is a vector of N_S floats)\n")
+	b.WriteString("\n(local DocRanks are computed entirely on the peers — the paper's\n decomposition claim; the small site layer is solved on the coordinator)\n")
 	return b.String()
 }

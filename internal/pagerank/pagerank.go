@@ -195,32 +195,6 @@ func (o *Operator) MulVecLeftFused(dst, x matrix.Vector) float64 {
 	return o.m.MulVecLeftDamped(dst, x, o.f, coeff, o.v)
 }
 
-// JacobiStep finishes one point-Jacobi step of the damped chain in place:
-// the arithmetic of every distributed SiteRank round, on the coordinator
-// and on a worker alike. y holds the reduced product y[j] = Σ_i x[i]·M[i,j],
-// self-loops included, and becomes
-//
-//	y[j] = (f·(y[j] − own[j]·diag[j]) + coeff·v[j]) / (1 − f·diag[j])
-//
-// normalized: own[j] is the iterate entry y[j]'s self-loop term was taken
-// from (x itself after a barrier reduce), diag[j] = M[j,j], coeff =
-// f·(dangling mass) + (1−f)·(mass) of the swept iterate and v the teleport
-// (nil = uniform). It is Solver's system (I − f·M′)x = c·v with the
-// self-loop solved exactly, but every column reads the swept iterate and
-// none this step's — so the partial products of row shards, reduced in
-// any order, are all a step needs.
-func JacobiStep(y, own, diag matrix.Vector, f, coeff float64, v matrix.Vector) {
-	uniform := 1.0 / float64(len(y))
-	for j := range y {
-		vj := uniform
-		if v != nil {
-			vj = v[j]
-		}
-		y[j] = (f*(y[j]-own[j]*diag[j]) + coeff*vj) / (1 - f*diag[j])
-	}
-	y.Normalize()
-}
-
 // Sparse computes PageRank of a sparse row-normalized transition matrix:
 // one Solve on a throwaway Solver, so the Scores are the caller's alone.
 func Sparse(m *matrix.CSR, cfg Config) (Result, error) {

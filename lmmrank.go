@@ -81,17 +81,19 @@ type (
 	// wire traffic, losses/reassignments/retries, cache hits and bytes
 	// saved.
 	DistStats = coordinator.Stats
-	// SiteRankMode selects how a distributed run computes its site
-	// chain's stationary distribution (DistConfig.SiteRank).
+	// SiteRankMode named how a distributed run computed its site chain's
+	// stationary distribution. Every run solves it on the coordinator.
+	//
+	// Deprecated: ignored.
 	SiteRankMode = coordinator.SiteRankMode
 )
 
-// SiteRank modes for DistConfig.SiteRank.
+// The modes DistConfig.SiteRank took.
+//
+// Deprecated: ignored.
 const (
-	// SiteRankCentral solves the site chain on the coordinator.
 	SiteRankCentral = coordinator.SiteRankCentral
-	// SiteRankSync runs barrier-synchronous distributed SiteRank rounds.
-	SiteRankSync = coordinator.SiteRankSync
+	SiteRankSync    = coordinator.SiteRankSync
 )
 
 // Errors re-exported for errors.Is checks.

@@ -11,9 +11,8 @@
 // "layered" hashes LayeredDocRank's DocRank and TopDocs(…, 50) — documents,
 // URLs and scores — on webgen's Small web (seed 7), its Default web, a
 // blocky Small web (seed 11) and the Small web read back through the text
-// format. The "central-" and "sync-" lines hash one answer each of a
-// 4-worker DistEngine on the Small web, in each SiteRank mode — its Top
-// table, vectors and local ranks: a cold Rank, a warm one, a Tol=1e-4 one,
+// format. The "central-" lines hash one answer each of a 4-worker
+// DistEngine on the Small web — its Top table, vectors and local ranks: a cold Rank, a warm one, a Tol=1e-4 one,
 // a site-personalized one, a ThreeLayer one, a ThreeLayer Tol=1e-4 one
 // ("three-tol", a run of its own), a WantLocalRanks one, a TopK 50 one,
 // the first Rank after a one-site Update ("edited"), and a TopK 50 one
@@ -63,13 +62,8 @@ func main() {
 		fail(err)
 	}
 	fmt.Printf("layered      %016x\n", layered)
-	for _, m := range []struct {
-		name string
-		mode lmmrank.SiteRankMode
-	}{{"central", lmmrank.SiteRankCentral}, {"sync", lmmrank.SiteRankSync}} {
-		if err := distHashes(m.mode, m.name); err != nil {
-			fail(err)
-		}
+	if err := distHashes(); err != nil {
+		fail(err)
 	}
 	local, err := localHash()
 	if err != nil {
@@ -334,8 +328,8 @@ func localEditedHash() (uint64, error) {
 }
 
 // distHashes prints one hash per answer of a 4-worker DistEngine on the
-// Small web, each line named after the mode and the query.
-func distHashes(mode lmmrank.SiteRankMode, name string) error {
+// Small web, each line named after the query.
+func distHashes() error {
 	ctx := context.Background()
 	dg := webgen.Generate(small(7)).Graph
 	cl, err := lmmrank.StartCluster(4)
@@ -343,7 +337,7 @@ func distHashes(mode lmmrank.SiteRankMode, name string) error {
 		return err
 	}
 	defer cl.Close()
-	eng, err := lmmrank.NewDistEngine(cl, dg, lmmrank.DistConfig{SiteRank: mode})
+	eng, err := lmmrank.NewDistEngine(cl, dg, lmmrank.DistConfig{})
 	if err != nil {
 		return err
 	}
@@ -354,7 +348,7 @@ func distHashes(mode lmmrank.SiteRankMode, name string) error {
 		}
 		h := fnv.New64a()
 		writeResult(h, res)
-		fmt.Printf("%-16s %016x\n", name+"-"+what, h.Sum64())
+		fmt.Printf("%-16s %016x\n", "central-"+what, h.Sum64())
 		return nil
 	}
 	for _, nq := range []struct {
