@@ -64,20 +64,23 @@ test:
 # parallel-pipeline regression tests (undeduped shared graphs) and the
 # per-site chains that the first query needing one builds and publishes
 # once (a refresh solves on chains it drops) from transient subgraphs, the root
-# package hosts the concurrent Engine serving tests, and internal/matrix
-# and internal/graph hold the state those share across goroutines (the
-# CSR chains every solver reads at once, copy-on-write adjacency and
-# SiteGraph rows); keep all of them race-clean. The explicit timeout keeps a wedged
-# networked test from stalling CI for the runner's full budget.
+# package hosts the concurrent Engine serving tests, and internal/matrix,
+# internal/pagerank and internal/graph hold the state those share across
+# goroutines (the CSR chains every solver reads at once — a
+# pagerank.Chain under many Solvers, TestChainSharedBySolvers —
+# copy-on-write adjacency and SiteGraph rows); keep all of them
+# race-clean. The explicit timeout keeps a wedged networked test from
+# stalling CI for the runner's full budget.
 race:
-	$(GO) test -race -timeout 10m . ./internal/dist/... ./internal/lmm/... ./internal/matrix ./internal/graph
+	$(GO) test -race -timeout 10m . ./internal/dist/... ./internal/lmm/... ./internal/matrix ./internal/pagerank ./internal/graph
 
 # The multicore race leg: the serving pool, keyed admission and
 # coalescing paths schedule very differently on one core than on four,
 # and a race that needs real parallelism to interleave never fires at
 # GOMAXPROCS=1. The distributed runtime rides along so its bitwise pins
 # (worker-order reduce, warm answers repeating to the bit) hold with real parallelism too, and so do the shared structures
-# below the engines: the multi-core kernel pins (internal/matrix), the
+# below the engines: the multi-core kernel pins (internal/matrix), one
+# chain under concurrent solvers (internal/pagerank), the
 # lazy build of a site's chain on concurrent first use, exactly once a
 # core beside an incremental rebuild (internal/lmm, and a LocalEngine's
 # first queries that solve the sites in the root package),
@@ -85,7 +88,7 @@ race:
 # (internal/graph, TestCloneCOWDoesNotWriteParent). -count=1 defeats the test cache — a cached verdict
 # from a different GOMAXPROCS proves nothing.
 race-multi:
-	GOMAXPROCS=4 $(GO) test -race -timeout 10m -count=1 . ./internal/dist/... ./internal/lmm/... ./internal/matrix ./internal/graph
+	GOMAXPROCS=4 $(GO) test -race -timeout 10m -count=1 . ./internal/dist/... ./internal/lmm/... ./internal/matrix ./internal/pagerank ./internal/graph
 
 # The allocation pins (every test with Alloc in its name: kernels, solver,
 # Ranker, graph file decoder, wire codec, worker, warm DistEngine) and the

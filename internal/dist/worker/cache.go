@@ -9,12 +9,13 @@ import (
 )
 
 // cacheEntry is one cached shard: its local chain. The chain is built
-// when the shard is loaded and the
-// subgraph it was built from is dropped, so an entry holds each of the
-// shard's links once, as the chain's 4-byte source, and no solver
-// scratch: every RankLocal that hits the entry sweeps a solver of its
-// own. Entries are immutable after construction, so two sessions (two
-// coordinators sharing the worker) may rank the same entry at once.
+// when the shard is loaded and the subgraph it was built from is
+// dropped, so an entry holds each of the shard's links once, as the
+// chain's source — 2 bytes on any site of at most matrix.MaxNarrowOrder
+// documents — and no solver scratch: every RankLocal that hits the entry
+// sweeps a solver of its own, whose only vector is its iterate. Entries
+// are immutable after construction, so two sessions (two coordinators
+// sharing the worker) may rank the same entry at once.
 type cacheEntry struct {
 	digest  wire.Digest
 	numDocs int

@@ -10,6 +10,7 @@ import (
 
 	"lmmrank"
 	"lmmrank/internal/graph"
+	"lmmrank/internal/matrix"
 	"lmmrank/internal/webgen"
 )
 
@@ -155,31 +156,56 @@ func TestDecodeBinaryRetention(t *testing.T) {
 }
 
 // TestTransitionMatrixRetention pins what a web's transition matrix keeps
-// beside the web: each link as its 4-byte source, per document a column
-// offset and its out-weight (12 bytes), and 12 bytes (position and
-// weight) for each link of weight other than 1 — the links a crawl
-// repeats. The budget is 4 B/link + 16 B/doc beside those; one float64
-// more per link breaks it.
+// beside the web: each link as its source — 2 bytes on a web of at most
+// matrix.MaxNarrowOrder documents (the default one, and every site's
+// local graph), 4 above (a web of 75 273) — per document a column offset
+// and its out-weight (12 bytes), and 12 bytes (position and weight) for
+// each link of weight other than 1 — the links a crawl repeats. The
+// budget is that source width a link + 16 B/doc beside those; one more
+// 2-byte copy of the narrow sources breaks it, and so does a narrow web
+// whose sources are stored 4 bytes wide. Building the matrix allocates
+// at most the budget + 8 B/doc of scratch, so the sources are written at
+// their width, not built at another and copied.
 func TestTransitionMatrixRetention(t *testing.T) {
-	g := webgen.Generate(webgen.Default()).Graph.G
-	g.Dedupe()
-	links, docs, nonUnit := g.NumEdges(), g.NumNodes(), 0
-	g.EachEdgeAll(func(_ int, e graph.Edge) {
-		if e.Weight != 1 {
-			nonUnit++
+	wide := webgen.Default()
+	wide.MeanSitePages = 300
+	for _, leg := range []struct {
+		cfg    webgen.Config
+		source int
+	}{{webgen.Default(), 2}, {wide, 4}} {
+		g := webgen.Generate(leg.cfg).Graph.G
+		g.Dedupe()
+		links, docs, nonUnit := g.NumEdges(), g.NumNodes(), 0
+		g.EachEdgeAll(func(_ int, e graph.Edge) {
+			if e.Weight != 1 {
+				nonUnit++
+			}
+		})
+		if narrow := docs <= matrix.MaxNarrowOrder; narrow != (leg.source == 2) {
+			t.Fatalf("a web of %d documents is the wrong leg for %d-byte sources", docs, leg.source)
 		}
-	})
-	before := graph.LiveHeap()
-	m := g.TransitionMatrix()
-	retained := int64(graph.LiveHeap()) - int64(before)
-	budget := int64(4*links + 16*docs + 12*nonUnit)
-	t.Logf("%d docs, %d links (%d of weight other than 1): the chain retains %d bytes (%.1f per link all told), budget %d",
-		docs, links, nonUnit, retained, float64(retained)/float64(links), budget)
-	if retained > budget {
-		t.Errorf("a transition matrix retains %d bytes, budget %d (4 B/link + 16 B/doc + 12 B per non-unit link)", retained, budget)
+		before := graph.LiveHeap()
+		var start, end runtime.MemStats
+		runtime.ReadMemStats(&start)
+		m := g.TransitionMatrix()
+		runtime.ReadMemStats(&end)
+		retained := int64(graph.LiveHeap()) - int64(before)
+		built := int64(end.TotalAlloc - start.TotalAlloc)
+		budget := int64(leg.source*links + 16*docs + 12*nonUnit)
+		t.Logf("%d docs, %d links (%d of weight other than 1): the chain retains %d bytes (%.1f per link all told), budget %d; building it allocated %d",
+			docs, links, nonUnit, retained, float64(retained)/float64(links), budget, built)
+		if retained > budget {
+			t.Errorf("a transition matrix of order %d retains %d bytes, budget %d (%d B/link + 16 B/doc + 12 B per non-unit link)",
+				docs, retained, budget, leg.source)
+		}
+		// The build's scratch is two per-column counters, 8 B/doc: a
+		// column of sources made at another width and copied is not.
+		if limit := budget + int64(8*docs); built > limit {
+			t.Errorf("building a transition matrix of order %d allocates %d bytes, limit %d (the budget + 8 B/doc of scratch)", docs, built, limit)
+		}
+		runtime.KeepAlive(m)
+		runtime.KeepAlive(g)
 	}
-	runtime.KeepAlive(m)
-	runtime.KeepAlive(g)
 }
 
 // TestCloneCOWRetention: a copy-on-write clone of a web and a one-row

@@ -639,24 +639,35 @@ func (g *Digraph) Dangling() []int {
 // how to treat them, as in the paper's Mˆ(G).
 //
 // The matrix is assembled directly in the form matrix.CSR retains: a
-// link is its 4-byte source, node i's divisor is its out-weight (1 when
-// dangling), and the few links of weight other than 1 are listed with
-// their weights, so an entry reads back as w/out-weight and nothing is
-// divided here — the adjacency's own listed form, turned from rows to
-// columns. Count in-degrees and listed links per column, then scatter
-// the rows in ascending source order, each row's weights read in link
-// order through one cursor. Because Dedupe leaves every
-// adjacency list sorted and merged, each column receives every source at
+// link is its source, written at the width the order picks (2 bytes up
+// to matrix.MaxNarrowOrder nodes, as on every site's local graph, and 4
+// above), node i's divisor is its out-weight (1 when dangling), and the
+// few links of weight other than 1 are listed with their weights, so an
+// entry reads back as w/out-weight and nothing is divided here — the
+// adjacency's own listed form, turned from rows to columns. Count
+// in-degrees and listed links per column, then scatter the rows in
+// ascending source order, each row's weights read in link order through
+// one cursor. Because Dedupe leaves every adjacency list sorted and
+// merged, each column receives every source at
 // most once and in ascending order — the order a row-major build followed
 // by a transpose would give, so the multiply sums the same terms in the
 // same order. No row arrays, no triple round-trip, no re-sort. The matrix
 // is cached until the next mutation; callers share the returned value and
 // must treat it as read-only.
 func (g *Digraph) TransitionMatrix() *matrix.CSR {
-	if g.trans != nil {
-		return g.trans
+	if g.trans == nil {
+		g.Dedupe()
+		if g.NumNodes() <= matrix.MaxNarrowOrder {
+			g.trans = transition[uint16](g)
+		} else {
+			g.trans = transition[uint32](g)
+		}
 	}
-	g.Dedupe()
+	return g.trans
+}
+
+// transition assembles TransitionMatrix's matrix, its sources of width I.
+func transition[I uint16 | uint32](g *Digraph) *matrix.CSR {
 	n := g.NumNodes()
 	colPtr := make([]uint32, n+1)
 	excs := make([]uint32, n+1) // per column, then each column's next listed link
@@ -674,7 +685,7 @@ func (g *Digraph) TransitionMatrix() *matrix.CSR {
 		colPtr[j+1] += colPtr[j]
 		excs[j+1] += excs[j]
 	}
-	rowIdx := make([]uint32, colPtr[n])
+	rowIdx := make([]I, colPtr[n])
 	outW := make([]float64, n)
 	excPos := make([]uint32, excs[n])
 	excMul := make([]float64, excs[n])
@@ -687,7 +698,7 @@ func (g *Digraph) TransitionMatrix() *matrix.CSR {
 			w := r.weight(k, &e)
 			total += w
 			p := next[to]
-			rowIdx[p] = uint32(i)
+			rowIdx[p] = I(i)
 			next[to]++
 			if w != 1 {
 				excPos[excs[to]] = p
@@ -700,8 +711,7 @@ func (g *Digraph) TransitionMatrix() *matrix.CSR {
 		}
 		outW[i] = total
 	}
-	g.trans = matrix.NewCSRFromColumns(n, colPtr, rowIdx, outW, excPos, excMul)
-	return g.trans
+	return matrix.NewCSRFromColumns(n, colPtr, rowIdx, outW, excPos, excMul)
 }
 
 // TransitionDense is TransitionMatrix materialized densely, for the small

@@ -9,13 +9,17 @@ import (
 // SubgraphSolver is the local-DocRank chain of one standalone site
 // subgraph — the per-shard analogue of Ranker's per-site chains.
 // Distributed workers hold one per cached shard so repeated coordinator
-// runs reuse the CSR transition matrix instead of rebuilding it.
+// runs reuse the CSR transition matrix instead of rebuilding it: a link
+// costs it its 2-byte source on a site of at most matrix.MaxNarrowOrder
+// documents.
 //
 // It is a site chain with no scratch: each Rank sweeps a solver made for
-// that call, so the vector it returns is the caller's own, and any number
-// of goroutines may Rank one SubgraphSolver at once. Construction builds
-// sub's transition matrix (a mutation of the graph's cached state); mutate
-// the subgraph afterwards and the solver is stale — build a new one.
+// that call, whose one vector — the iterate, 8 bytes a document; the
+// uniform teleport is a constant — is the one it returns, the caller's
+// own, and any number of goroutines may Rank one SubgraphSolver at once.
+// Construction builds sub's transition matrix (a mutation of the graph's
+// cached state); mutate the subgraph afterwards and the solver is stale
+// — build a new one.
 type SubgraphSolver struct {
 	// fixed is the constant local rank of 0/1-document subgraphs, which
 	// need no iteration at all (the same special case Ranker

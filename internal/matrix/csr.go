@@ -14,6 +14,12 @@ type Triple struct {
 	Val      float64
 }
 
+// MaxNarrowOrder is the largest order whose CSR stores its sources in 2
+// bytes: every index of such a matrix fits a uint16. A site's chain
+// indexes only its own documents, so every site chain is narrow; a
+// whole-web matrix above this order keeps 4-byte sources.
+const MaxNarrowOrder = 1 << 16
+
 // CSR is a square sparse matrix, the workhorse representation for
 // web-scale transition matrices, where each row holds the out-link
 // probabilities of one document.
@@ -27,7 +33,11 @@ type Triple struct {
 // accumulation visits contributions in the same order as the classical
 // push-based sweep over rows and reproduces its floating-point results.
 //
-// A stored entry costs its 4-byte source index and nothing else. Entry
+// A stored entry costs its source index and nothing else: 2 bytes when
+// the order is at most MaxNarrowOrder, 4 above, picked when the matrix is
+// built. Every kernel is one source generic over the index width, and a
+// method picks the width once per call, so both widths gather the same
+// indices in the same order and give the same bits. Entry
 // (i, j) is mult/rowDiv[i]: a link's multiplicity over its source's
 // out-weight in a transition matrix, where mult is 1 for all but the few
 // links listed, in pull order, with their own (a link repeated twice, a
@@ -45,12 +55,15 @@ type Triple struct {
 type CSR struct {
 	n int
 
-	// Column j's sources are rowIdx[colPtr[j]:colPtr[j+1]], ascending.
-	// Entry k's value is excMul[e]/rowDiv[rowIdx[k]] where excPos[e] == k,
-	// and 1/rowDiv[rowIdx[k]] where k is not in the ascending excPos.
-	// Every divisor is positive: a row with no entries has divisor 1.
+	// Column j's sources are rows16[colPtr[j]:colPtr[j+1]] when the
+	// order is at most MaxNarrowOrder and rows32[colPtr[j]:colPtr[j+1]]
+	// above, ascending; the other slice is nil. Entry k's value is
+	// excMul[e]/rowDiv[i] where excPos[e] == k, and 1/rowDiv[i] where k
+	// is not in the ascending excPos, i its source. Every divisor is
+	// positive: a row with no entries has divisor 1.
 	colPtr []uint32
-	rowIdx []uint32
+	rows16 []uint16
+	rows32 []uint32
 	rowDiv []float64
 	excPos []uint32
 	excMul []float64
@@ -61,7 +74,8 @@ var _ FusedLeftMultiplier = (*CSR)(nil)
 
 // NewCSR builds an n×n CSR matrix from triples, every divisor 1 and every
 // value other than 1 listed. Duplicate (row, col) entries are summed in
-// the order given. Triples need not be sorted and are not modified. It
+// the order given. Triples need not be sorted and are not modified. The
+// sources take the width the order picks, as in NewCSRFromColumns. It
 // panics on out-of-range indices or non-positive n.
 func NewCSR(n int, triples []Triple) *CSR {
 	checkOrder("NewCSR", n, len(triples))
@@ -74,7 +88,9 @@ func NewCSR(n int, triples []Triple) *CSR {
 	slices.SortStableFunc(sorted, func(a, b Triple) int {
 		return cmp.Or(cmp.Compare(a.Col, b.Col), cmp.Compare(a.Row, b.Row))
 	})
-	m := &CSR{n: n, colPtr: make([]uint32, n+1), rowDiv: NewVector(n).Fill(1)}
+	colPtr := make([]uint32, n+1)
+	var rowIdx, excPos []uint32
+	var excMul []float64
 	for k := 0; k < len(sorted); {
 		t := sorted[k]
 		v := t.Val
@@ -82,16 +98,16 @@ func NewCSR(n int, triples []Triple) *CSR {
 			v += sorted[k].Val
 		}
 		if v != 1 {
-			m.excPos = append(m.excPos, uint32(len(m.rowIdx)))
-			m.excMul = append(m.excMul, v)
+			excPos = append(excPos, uint32(len(rowIdx)))
+			excMul = append(excMul, v)
 		}
-		m.rowIdx = append(m.rowIdx, uint32(t.Row))
-		m.colPtr[t.Col+1]++
+		rowIdx = append(rowIdx, uint32(t.Row))
+		colPtr[t.Col+1]++
 	}
 	for j := 0; j < n; j++ {
-		m.colPtr[j+1] += m.colPtr[j]
+		colPtr[j+1] += colPtr[j]
 	}
-	return m
+	return newCSR(n, colPtr, rowIdx, NewVector(n).Fill(1), excPos, excMul)
 }
 
 // NewCSRFromColumns builds a CSR matrix in the form it retains, taking
@@ -102,9 +118,11 @@ func NewCSR(n int, triples []Triple) *CSR {
 // positive and finite. A transition matrix is rowDiv[i] = out-weight(i)
 // (1 for a dangling row) with the links of weight other than 1 listed
 // with their weights — what graph.Digraph.TransitionMatrix emits — so
-// nothing is divided, sorted, merged or transposed. It panics on
+// nothing is divided, sorted, merged or transposed. The sources are kept
+// as given when their width is the one the order picks (uint16 up to
+// MaxNarrowOrder, uint32 above) and copied to it otherwise. It panics on
 // malformed input.
-func NewCSRFromColumns(n int, colPtr, rowIdx []uint32, rowDiv []float64, excPos []uint32, excMul []float64) *CSR {
+func NewCSRFromColumns[I uint16 | uint32](n int, colPtr []uint32, rowIdx []I, rowDiv []float64, excPos []uint32, excMul []float64) *CSR {
 	checkOrder("NewCSRFromColumns", n, len(rowIdx))
 	if len(colPtr) != n+1 || colPtr[0] != 0 || int(colPtr[n]) != len(rowIdx) || len(rowDiv) != n || len(excPos) != len(excMul) {
 		panic(fmt.Sprintf("matrix: NewCSRFromColumns inconsistent shape (n=%d, ptrs=%d, rows=%d, divisors=%d, exceptions=%d/%d)",
@@ -134,7 +152,32 @@ func NewCSRFromColumns(n int, colPtr, rowIdx []uint32, rowDiv []float64, excPos 
 			panic(fmt.Sprintf("matrix: NewCSRFromColumns exception %d at entry %d out of order", e, k))
 		}
 	}
-	return &CSR{n: n, colPtr: colPtr, rowIdx: rowIdx, rowDiv: rowDiv, excPos: excPos, excMul: excMul}
+	return newCSR(n, colPtr, rowIdx, rowDiv, excPos, excMul)
+}
+
+// newCSR assembles a checked matrix, its sources at the width its order
+// picks.
+func newCSR[I uint16 | uint32](n int, colPtr []uint32, rowIdx []I, rowDiv []float64, excPos []uint32, excMul []float64) *CSR {
+	m := &CSR{n: n, colPtr: colPtr, rowDiv: rowDiv, excPos: excPos, excMul: excMul}
+	if n <= MaxNarrowOrder {
+		m.rows16 = asWidth[uint16](rowIdx)
+	} else {
+		m.rows32 = asWidth[uint32](rowIdx)
+	}
+	return m
+}
+
+// asWidth returns s itself when its elements are already J's, else a
+// copy converted to J; the caller has checked that every value fits.
+func asWidth[J, I uint16 | uint32](s []I) []J {
+	if t, ok := any(s).([]J); ok {
+		return t
+	}
+	t := make([]J, len(s))
+	for k, i := range s {
+		t[k] = J(i)
+	}
+	return t
 }
 
 // checkOrder panics unless 0 < n, every row index fits 32 bits and every
@@ -152,7 +195,7 @@ func checkOrder(ctor string, n, nnz int) {
 func (m *CSR) Order() int { return m.n }
 
 // NNZ returns the number of stored entries.
-func (m *CSR) NNZ() int { return len(m.rowIdx) }
+func (m *CSR) NNZ() int { return len(m.rows16) + len(m.rows32) }
 
 // At returns element (i, j), zero when the entry is not stored.
 func (m *CSR) At(i, j int) float64 {
@@ -190,7 +233,7 @@ func (m *CSR) MulVecLeftFused(dst, x Vector) float64 {
 //
 // returning the sum of dst. The caller supplies coeff (dangling mass and
 // teleport weight folded together); fusing the rank-one teleport term
-// into the SpMV removes the Scale+AddScaled sweeps the matrix-free
+// into the SpMV removes the scale and add passes over dst the matrix-free
 // operator otherwise needs.
 func (m *CSR) MulVecLeftDamped(dst, x Vector, f, coeff float64, v Vector) float64 {
 	m.checkMulShape(dst, x)
@@ -229,7 +272,14 @@ func (m *CSR) nextException(e int) uint32 {
 // a push over the rows forms — so it pays a division per entry; the
 // PageRank solves run SweepLeftDamped, which does not.
 func (m *CSR) pullApply(dst, x Vector, scale, coeff float64, v Vector) float64 {
-	colPtr, rowIdx, rowDiv, excMul := m.colPtr, m.rowIdx, m.rowDiv, m.excMul
+	if m.rows32 != nil {
+		return pull(m, m.rows32, dst, x, scale, coeff, v)
+	}
+	return pull(m, m.rows16, dst, x, scale, coeff, v)
+}
+
+func pull[I uint16 | uint32](m *CSR, rowIdx []I, dst, x Vector, scale, coeff float64, v Vector) float64 {
+	colPtr, rowDiv, excMul := m.colPtr, m.rowDiv, m.excMul
 	var sum float64
 	e, next := 0, m.nextException(0)
 	for j := 0; j < m.n; j++ {
@@ -281,8 +331,9 @@ func (m *CSR) UnscaleIterate(x Vector) {
 //	x[j] ← (f·Σ_{i≠j} x[i]·M[i,j] + coeff·v[j]) / (1 − f·M[j,j])
 //
 // reading this sweep's x[i] for i < j and the previous one's for i > j;
-// diag[j] = M[j,j], nil when no state has a self-loop. It returns, summed
-// in index order, Σ|Δx[j]|, Σx[j] and Σx[j] over the ascending dangling.
+// v nil is the uniform teleport, every v[j] the constant 1/n; diag[j] =
+// M[j,j], nil when no state has a self-loop. It returns, summed in index
+// order, Σ|Δx[j]|, Σx[j] and Σx[j] over the ascending dangling.
 //
 // The iterate is held scaled, y[i] = x[i]/rowDiv[i] (ScaleIterate), so
 // x[i]·M[i,j] is y[i]·mult: each x[j] is divided once, when it is written,
@@ -291,8 +342,19 @@ func (m *CSR) UnscaleIterate(x Vector) {
 // its listed entries then add y[i]·(mult − 1). Δx[j] is taken against the
 // previous y[j]·rowDiv[j].
 func (m *CSR) SweepLeftDamped(y Vector, f, coeff float64, v, diag Vector, dangling []int) (change, mass, dangMass float64) {
-	m.checkMulShape(y, v)
-	colPtr, rowIdx, rowDiv, excPos, excMul := m.colPtr, m.rowIdx, m.rowDiv, m.excPos, m.excMul
+	if len(y) != m.n || (v != nil && len(v) != m.n) {
+		panic(fmt.Sprintf("matrix: CSR sweep lengths %d,%d vs order %d", len(y), len(v), m.n))
+	}
+	if m.rows32 != nil {
+		return sweepLeftDamped(m, m.rows32, y, f, coeff, v, diag, dangling)
+	}
+	return sweepLeftDamped(m, m.rows16, y, f, coeff, v, diag, dangling)
+}
+
+func sweepLeftDamped[I uint16 | uint32](m *CSR, rowIdx []I, y Vector, f, coeff float64, v, diag Vector, dangling []int) (change, mass, dangMass float64) {
+	colPtr, rowDiv, excPos, excMul := m.colPtr, m.rowDiv, m.excPos, m.excMul
+	// The float64 a uniform teleport vector holds in every entry.
+	uniform := 1 / float64(m.n)
 	e := 0
 	for j := 0; j < m.n; j++ {
 		old, inv := y[j]*rowDiv[j], 1.0
@@ -308,7 +370,11 @@ func (m *CSR) SweepLeftDamped(y Vector, f, coeff float64, v, diag Vector, dangli
 		for ; e < len(excPos) && excPos[e] < hi; e++ {
 			acc += y[rowIdx[excPos[e]]] * (excMul[e] - 1)
 		}
-		xj := (f*acc + coeff*v[j]) * inv
+		vj := uniform
+		if v != nil {
+			vj = v[j]
+		}
+		xj := (f*acc + coeff*vj) * inv
 		y[j] = xj / rowDiv[j]
 		change += math.Abs(xj - old)
 		mass += xj
@@ -322,10 +388,17 @@ func (m *CSR) SweepLeftDamped(y Vector, f, coeff float64, v, diag Vector, dangli
 
 // Diagonal returns the self-loop weights M[j,j], or nil when none is stored.
 func (m *CSR) Diagonal() Vector {
+	if m.rows32 != nil {
+		return diagonal(m, m.rows32)
+	}
+	return diagonal(m, m.rows16)
+}
+
+func diagonal[I uint16 | uint32](m *CSR, rowIdx []I) Vector {
 	var diag Vector
 	for j := 0; j < m.n; j++ {
 		lo := m.colPtr[j]
-		col := m.rowIdx[lo:m.colPtr[j+1]]
+		col := rowIdx[lo:m.colPtr[j+1]]
 		k := sort.Search(len(col), func(k int) bool { return int(col[k]) >= j })
 		if k < len(col) && int(col[k]) == j {
 			if diag == nil {
@@ -350,6 +423,14 @@ func (m *CSR) mult(k uint32) float64 {
 // columns lo ≤ j < hi, whose value is mult/rowDiv[i]: column by column,
 // sources ascending, so each row's entries come in ascending column order.
 func (m *CSR) walkColumns(lo, hi int, fn func(i, j int, mult float64)) {
+	if m.rows32 != nil {
+		walk(m, m.rows32, lo, hi, fn)
+	} else {
+		walk(m, m.rows16, lo, hi, fn)
+	}
+}
+
+func walk[I uint16 | uint32](m *CSR, rowIdx []I, lo, hi int, fn func(i, j int, mult float64)) {
 	k := m.colPtr[lo]
 	e := sort.Search(len(m.excPos), func(e int) bool { return m.excPos[e] >= k })
 	for j := lo; j < hi; j++ {
@@ -359,7 +440,7 @@ func (m *CSR) walkColumns(lo, hi int, fn func(i, j int, mult float64)) {
 				mult = m.excMul[e]
 				e++
 			}
-			fn(int(m.rowIdx[k]), j, mult)
+			fn(int(rowIdx[k]), j, mult)
 		}
 	}
 }
@@ -392,17 +473,24 @@ func (m *CSR) NormalizeRows() *CSR {
 // in ascending column order as a row scan would, sum to zero, its divisor
 // being positive.
 func (m *CSR) DanglingRows() []int {
+	if m.rows32 != nil {
+		return danglingRows(m, m.rows32)
+	}
+	return danglingRows(m, m.rows16)
+}
+
+func danglingRows[I uint16 | uint32](m *CSR, rowIdx []I) []int {
 	sums := make([]float64, m.n)
 	k := uint32(0)
 	for e, p := range m.excPos {
 		for ; k < p; k++ {
-			sums[m.rowIdx[k]]++
+			sums[rowIdx[k]]++
 		}
-		sums[m.rowIdx[p]] += m.excMul[e]
+		sums[rowIdx[p]] += m.excMul[e]
 		k++
 	}
-	for ; int(k) < len(m.rowIdx); k++ {
-		sums[m.rowIdx[k]]++
+	for ; int(k) < len(rowIdx); k++ {
+		sums[rowIdx[k]]++
 	}
 	var out []int
 	for i, s := range sums {

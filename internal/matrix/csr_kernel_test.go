@@ -3,6 +3,7 @@ package matrix
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -19,18 +20,9 @@ func pushMulVecLeft(m *CSR, dst, x Vector) {
 		val float64
 	}
 	rows := make([][]entry, m.n)
-	e := 0
-	for j := 0; j < m.n; j++ {
-		for k := m.colPtr[j]; k < m.colPtr[j+1]; k++ {
-			i := m.rowIdx[k]
-			mult := 1.0
-			if e < len(m.excPos) && m.excPos[e] == k {
-				mult = m.excMul[e]
-				e++
-			}
-			rows[i] = append(rows[i], entry{j, mult / m.rowDiv[i]})
-		}
-	}
+	m.walkColumns(0, m.n, func(i, j int, mult float64) {
+		rows[i] = append(rows[i], entry{j, mult / m.rowDiv[i]})
+	})
 	for j := range dst {
 		dst[j] = 0
 	}
@@ -71,7 +63,7 @@ func randomTransition(rng *rand.Rand, n, links int) *CSR {
 			outW[i] = 1
 		}
 	}
-	return NewCSRFromColumns(n, w.colPtr, w.rowIdx, outW, w.excPos, w.excMul)
+	return NewCSRFromColumns(n, w.colPtr, AtWidth(w, true).rows32, outW, w.excPos, w.excMul)
 }
 
 func randomX(rng *rand.Rand, n int) Vector {
@@ -86,7 +78,7 @@ func randomX(rng *rand.Rand, n int) Vector {
 // reproduces the push sweep over its rows bit for bit — on generic
 // matrices (divisors 1, every value other than 1 listed) and on
 // transition matrices (divisors the out-weights, the links of weight
-// other than 1 listed).
+// other than 1 listed), with sources 2 bytes wide and 4.
 func TestPullMatchesPushBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 100; trial++ {
@@ -96,15 +88,118 @@ func TestPullMatchesPushBitwise(t *testing.T) {
 			m = randomTransition(rng, n, rng.Intn(4*n+1))
 		}
 		x := randomX(rng, n)
-		got, want := NewVector(n), NewVector(n)
-		m.MulVecLeft(got, x)
-		pushMulVecLeft(m, want, x)
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("trial %d: pull dst[%d] = %g, push = %g (diff %g)",
-					trial, j, got[j], want[j], got[j]-want[j])
+		for _, wide := range []bool{false, true} {
+			m := AtWidth(m, wide)
+			got, want := NewVector(n), NewVector(n)
+			m.MulVecLeft(got, x)
+			pushMulVecLeft(m, want, x)
+			for j := range got {
+				if got[j] != want[j] {
+					t.Fatalf("trial %d (wide %v): pull dst[%d] = %g, push = %g (diff %g)",
+						trial, wide, j, got[j], want[j], got[j]-want[j])
+				}
 			}
 		}
+	}
+}
+
+// TestWidthFollowsOrder: every constructor stores an order-65 536
+// matrix's sources in 2 bytes and an order-65 537 one's in 4, whatever
+// width NewCSRFromColumns is handed them at, and keeps every index.
+func TestWidthFollowsOrder(t *testing.T) {
+	for _, n := range []int{MaxNarrowOrder, MaxNarrowOrder + 1} {
+		// Sources a 2-byte column can hold, and the order's last one.
+		short := []Triple{{0, n - 1, 1}, {MaxNarrowOrder - 1, 0, 2}, {1, n - 1, 3}}
+		all := append(slices.Clone(short), Triple{n - 1, n - 1, 4})
+		m, s := NewCSR(n, all), NewCSR(n, short)
+		built := []struct {
+			name    string
+			m       *CSR
+			triples []Triple
+		}{
+			{"NewCSR", m, all},
+			{"NewCSRFromColumns (uint32)", NewCSRFromColumns(n, m.colPtr, AtWidth(m, true).rows32, m.rowDiv, m.excPos, m.excMul), all},
+			{"NewCSRFromColumns (uint16)", NewCSRFromColumns(n, s.colPtr, AtWidth(s, false).rows16, s.rowDiv, s.excPos, s.excMul), short},
+		}
+		for _, b := range built {
+			if wide := n > MaxNarrowOrder; (b.m.rows32 != nil) != wide || (b.m.rows16 != nil) == wide {
+				t.Errorf("order %d, %s: 2-byte sources %v, 4-byte %v; want 4-byte %v", n, b.name, b.m.rows16 != nil, b.m.rows32 != nil, wide)
+			}
+			for _, tr := range b.triples {
+				if got := b.m.At(tr.Row, tr.Col); got != tr.Val {
+					t.Errorf("order %d, %s: At(%d,%d) = %g, want %g", n, b.name, tr.Row, tr.Col, got, tr.Val)
+				}
+			}
+		}
+	}
+}
+
+// TestWidthsAgreeBitwise: one matrix built with 2-byte sources and with
+// 4-byte ones gives the same bits from every kernel — the sweep (its
+// iterate and three sums, with a teleport vector and with the uniform
+// nil one, which equals a vector of 1/n), the damped multiply, Diagonal,
+// DanglingRows, At and Dense — on generic and transition matrices, with
+// and without self-loops, up to an order whose last index is 65 535.
+func TestWidthsAgreeBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	for trial := 0; trial < 40; trial++ {
+		n := rng.Intn(60) + 1
+		if trial == 0 {
+			n = MaxNarrowOrder
+		}
+		m := randomSparse(rng, n, rng.Intn(4*n+1))
+		if trial%2 == 1 {
+			m = randomTransition(rng, n, rng.Intn(4*n+1))
+		}
+		narrow, wide := AtWidth(m, false), AtWidth(m, true)
+		x, v := randomX(rng, n), randomX(rng, n)
+		uniform := NewVector(n).Fill(1 / float64(n))
+		type out struct {
+			vec  Vector
+			sums [3]float64
+		}
+		run := func(m *CSR, v Vector) out {
+			y := x.Clone()
+			m.ScaleIterate(y)
+			c, s, d := m.SweepLeftDamped(y, 0.85, 0.21, v, m.Diagonal(), m.DanglingRows())
+			return out{y, [3]float64{c, s, d}}
+		}
+		same := func(what string, a, b Vector) {
+			t.Helper()
+			if len(a) != len(b) {
+				t.Fatalf("trial %d: %s lengths %d, %d", trial, what, len(a), len(b))
+			}
+			for j := range a {
+				if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
+					t.Fatalf("trial %d: %s [%d] = %g at 2 bytes, %g at 4", trial, what, j, a[j], b[j])
+				}
+			}
+		}
+		for _, tv := range []struct {
+			name string
+			v    Vector
+		}{{"teleport", v}, {"uniform", nil}} {
+			a, b := run(narrow, tv.v), run(wide, tv.v)
+			same("sweep ("+tv.name+")", a.vec, b.vec)
+			same("sweep sums ("+tv.name+")", a.sums[:], b.sums[:])
+		}
+		nilV, vecV := run(narrow, nil), run(narrow, uniform)
+		same("nil teleport vs 1/n", nilV.vec, vecV.vec)
+		same("nil teleport vs 1/n sums", nilV.sums[:], vecV.sums[:])
+
+		a, b := NewVector(n), NewVector(n)
+		sa, sb := narrow.MulVecLeftDamped(a, x, 0.85, 0.21, v), wide.MulVecLeftDamped(b, x, 0.85, 0.21, v)
+		same("MulVecLeftDamped", append(a, sa), append(b, sb))
+		same("Diagonal", narrow.Diagonal(), wide.Diagonal())
+		if !slices.Equal(narrow.DanglingRows(), wide.DanglingRows()) {
+			t.Fatalf("trial %d: DanglingRows differ", trial)
+		}
+		if n <= 60 {
+			same("Dense", narrow.Dense().data, wide.Dense().data)
+		}
+		narrow.walkColumns(0, n, func(i, j int, _ float64) {
+			same("At", Vector{narrow.At(i, j)}, Vector{wide.At(i, j)})
+		})
 	}
 }
 
@@ -256,15 +351,22 @@ func TestNewCSRFromColumnsRejectsMalformed(t *testing.T) {
 		{"exception past the entries", 2, []uint32{0, 1, 2}, []uint32{0, 1}, one, []uint32{2}, []float64{3}},
 		{"exceptions out of order", 2, []uint32{0, 1, 2}, []uint32{0, 1}, one, []uint32{1, 0}, []float64{3, 3}},
 		{"exception listed twice", 2, []uint32{0, 1, 2}, []uint32{0, 1}, one, []uint32{1, 1}, []float64{3, 3}},
+		{"row far out of range", 2, []uint32{0, 1, 1}, []uint32{0xFFFF}, one, nil, nil},
 	}
 	for _, c := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", c.name)
+		for _, wide := range []bool{false, true} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s (wide %v): no panic", c.name, wide)
+					}
+				}()
+				if wide {
+					NewCSRFromColumns(c.n, c.colPtr, c.rows, c.divisors, c.excPos, c.excMuls)
+				} else {
+					NewCSRFromColumns(c.n, c.colPtr, asWidth[uint16](c.rows), c.divisors, c.excPos, c.excMuls)
 				}
 			}()
-			NewCSRFromColumns(c.n, c.colPtr, c.rows, c.divisors, c.excPos, c.excMuls)
-		}()
+		}
 	}
 }

@@ -86,18 +86,6 @@ func (v Vector) Scale(c float64) Vector {
 	return v
 }
 
-// AddScaled adds c*w to v in place and returns v. It panics if lengths
-// differ.
-func (v Vector) AddScaled(c float64, w Vector) Vector {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("matrix: AddScaled length mismatch %d vs %d", len(v), len(w)))
-	}
-	for i := range v {
-		v[i] += c * w[i]
-	}
-	return v
-}
-
 // Fill sets every element to c and returns v.
 func (v Vector) Fill(c float64) Vector {
 	for i := range v {

@@ -73,10 +73,6 @@ func TestScaleAddScaledFill(t *testing.T) {
 	if v[0] != 2 || v[1] != 4 {
 		t.Errorf("Scale: got %v", v)
 	}
-	v.AddScaled(3, Vector{1, 1})
-	if v[0] != 5 || v[1] != 7 {
-		t.Errorf("AddScaled: got %v", v)
-	}
 	v.Fill(0.5)
 	if v[0] != 0.5 || v[1] != 0.5 {
 		t.Errorf("Fill: got %v", v)

@@ -137,8 +137,8 @@ func Dense(m *matrix.Dense, cfg Config) (Result, error) {
 // The apply is fully fused: one pass over x accumulates both its total
 // mass and the dangling mass (the dangling list is ascending, so a
 // two-pointer walk folds the two sums together), and the pull-based SpMV
-// writes f·(x'M)[j] + coeff·v[j] directly — no separate Scale/AddScaled
-// sweeps. Implementing matrix.FusedLeftMultiplier, it also hands the
+// writes f·(x'M)[j] + coeff·v[j] directly — no separate scale and add
+// passes. Implementing matrix.FusedLeftMultiplier, it also hands the
 // iterate sum to the power method for single-pass normalization.
 type Operator struct {
 	m        *matrix.CSR
@@ -220,18 +220,19 @@ func NewChain(m *matrix.CSR) *Chain {
 	return &Chain{m: m, dangling: m.DanglingRows(), diag: m.Diagonal()}
 }
 
-// NewSolver returns a fresh Solver over this chain: private teleport
-// buffer and iterate, shared read-only matrix, dangling list and diagonal.
+// NewSolver returns a fresh Solver over this chain: a private iterate,
+// shared read-only matrix, dangling list and diagonal.
 func (c *Chain) NewSolver() *Solver {
-	return &Solver{chain: c, v: matrix.NewVector(c.m.Order()), x: matrix.NewVector(c.m.Order())}
+	return &Solver{chain: c, x: matrix.NewVector(c.m.Order())}
 }
 
 // Solver runs repeated PageRank computations over one fixed chain with
-// zero steady-state allocations: the chain, the teleport buffer and the
-// one iterate are all built once at construction and reused by every
-// Solve. It is the per-site building block of lmm.Ranker. The iterate is
-// swept divided by the out-weights and multiplied back once at the end,
-// so a Solver holds no vector beside it.
+// zero steady-state allocations: the chain and the one iterate are built
+// once at construction and reused by every Solve, and a teleport buffer
+// is added by the first personalized Solve — a uniform teleport is the
+// constant 1/n, held in no vector. It is the per-site building block of
+// lmm.Ranker. The iterate is swept divided by the out-weights and
+// multiplied back once at the end, so it needs no second vector.
 //
 // Solve reads PageRank as the linear system x = f·M'x + c·v, c the
 // teleport mass of the previous sweep's x, and sweeps it in place
@@ -245,7 +246,7 @@ func (c *Chain) NewSolver() *Solver {
 // may run concurrently — only the Chain is shared, never the scratch.
 type Solver struct {
 	chain *Chain
-	v     matrix.Vector // teleport buffer, rewritten by every Solve
+	v     matrix.Vector // teleport buffer of personalized Solves; nil until the first
 	x     matrix.Vector // the iterate
 }
 
@@ -278,7 +279,13 @@ func (s *Solver) Solve(cfg Config) (Result, error) {
 	if maxIter == 0 {
 		maxIter = matrix.DefaultMaxIter
 	}
-	seed(s.v, cfg.Personalization)
+	var v matrix.Vector // nil: uniform, the sweep's constant 1/n
+	if cfg.Personalization != nil {
+		if s.v == nil {
+			s.v = matrix.NewVector(n)
+		}
+		v = seed(s.v, cfg.Personalization)
+	}
 	x := seed(s.x, cfg.Start)
 	// x stays unnormalized until the end: each sweep scales the teleport
 	// term by the mass and dangling mass the previous one reported.
@@ -298,7 +305,7 @@ func (s *Solver) Solve(cfg Config) (Result, error) {
 				return Result{}, fmt.Errorf("pagerank: %w", err)
 			}
 		}
-		res.Residual, mass, dang = c.m.SweepLeftDamped(x, f, f*dang+(1-f)*mass, s.v, c.diag, c.dangling)
+		res.Residual, mass, dang = c.m.SweepLeftDamped(x, f, f*dang+(1-f)*mass, v, c.diag, c.dangling)
 		res.Residual /= mass
 		res.Iterations++
 		res.Converged = res.Residual <= tol

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"lmmrank/internal/graph"
@@ -92,24 +93,85 @@ func TestSolverRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// Steady-state Solve allocates nothing: operator, dangling list,
-// teleport and power scratch are all precomputed.
+// Steady-state Solve allocates nothing: dangling list, diagonal and
+// iterate are precomputed, and a personalized Solve's teleport buffer is
+// made by the first one. A Solver that only ever solved uniform holds no
+// teleport buffer: the sweep reads the constant 1/n.
 func TestSolverZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	g := randomChainGraph(rng, 100)
 	s := NewSolver(g.TransitionMatrix())
-	if _, err := s.Solve(Config{}); err != nil {
-		t.Fatal(err)
+	pers := matrix.Uniform(100)
+	pers[0] += 0.5
+	pers.Normalize()
+	for _, cfg := range []Config{{}, {Personalization: pers}} {
+		if _, err := s.Solve(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if personal := cfg.Personalization != nil; (s.v != nil) != personal {
+			t.Errorf("teleport buffer held = %v after a solve personalized = %v", s.v != nil, personal)
+		}
+		var solveErr error
+		allocs := testing.AllocsPerRun(20, func() {
+			_, solveErr = s.Solve(cfg)
+		})
+		if solveErr != nil {
+			t.Fatal(solveErr)
+		}
+		if allocs != 0 {
+			t.Errorf("Solve (personalized %v) allocates %.1f per run, want 0", cfg.Personalization != nil, allocs)
+		}
 	}
-	var solveErr error
-	allocs := testing.AllocsPerRun(20, func() {
-		_, solveErr = s.Solve(Config{})
-	})
-	if solveErr != nil {
-		t.Fatal(solveErr)
-	}
-	if allocs != 0 {
-		t.Errorf("Solve allocates %.1f per run, want 0", allocs)
+}
+
+// TestChainSharedBySolvers: goroutines that each Solve their own Solver
+// over one Chain — as worker entries and Ranker cores share chains — get
+// the serial answers bit for bit, uniform and personalized, at 2-byte
+// sources (a site's chain) and at 4 (a whole web above
+// matrix.MaxNarrowOrder). Run under the race detector (make race,
+// race-multi), it shows the Chain is only read.
+func TestChainSharedBySolvers(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	for _, n := range []int{300, matrix.MaxNarrowOrder + 1} {
+		chain := NewChain(randomChainGraph(rng, n).TransitionMatrix())
+		pers := matrix.NewVector(n)
+		for i := range pers {
+			pers[i] = rng.Float64()
+		}
+		pers.Normalize()
+		cfgs := []Config{{}, {Personalization: pers}, {Damping: 0.7}}
+		want := make([]matrix.Vector, len(cfgs))
+		for k, cfg := range cfgs {
+			res, err := chain.NewSolver().Solve(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[k] = res.Scores
+		}
+		const goroutines = 4
+		var wg sync.WaitGroup
+		for g := range goroutines {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s := chain.NewSolver()
+				for r := range 2 * len(cfgs) {
+					k := (g + r) % len(cfgs)
+					res, err := s.Solve(cfgs[k])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for i, x := range res.Scores {
+						if math.Float64bits(x) != math.Float64bits(want[k][i]) {
+							t.Errorf("order %d, goroutine %d, config %d: π[%d] = %g, serial %g", n, g, k, i, x, want[k][i])
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 
