@@ -33,16 +33,17 @@ func liveHeap() uint64 {
 // query leaves idle is dropped before the reading): each intra-site link
 // once, as its 2-byte source in the pull form the kernels read (a site's
 // chain indexes only its own documents), plus per-document pointers,
-// factors and vectors (≈ 26 bytes measured, the chain's out-weight and
-// column offset and the listed links of weight other than 1 among them;
-// ≈ 30 while the graph derived a 4-byte local column here). While every
-// source took 4 bytes it was 4 bytes a link budgeted; while every link
-// also kept a float64 value, 12 bytes a link and 16 budgeted; retained
-// subgraph copies, the row half of the per-site matrices and append slack
-// in the SiteGraph used to make it 80 bytes per link on this web. The
-// budget is the measured value plus 18 %, so that any one more copy of
-// the links — 2 bytes each, in pull form or in any other — breaks it, and
-// so do 4-byte sources.
+// factors and vectors (≈ 16.4 bytes measured at GOMAXPROCS 1, 2 and 4,
+// the chain's 2-byte out-weight and column offset and the listed links of
+// weight other than 1 among them; ≈ 26 while out-weights and weights were
+// float64, ≈ 30 while the graph also derived a 4-byte local column here).
+// While every source took 4 bytes it was 4 bytes a link budgeted; while
+// every link also kept a float64 value, 12 bytes a link and 16 budgeted;
+// retained subgraph copies, the row half of the per-site matrices and
+// append slack in the SiteGraph used to make it 80 bytes per link on this
+// web. The budget is the measured value plus 16 %, so that any one more
+// copy of the links — 2 bytes each, in pull form or in any other — breaks
+// it, and so do 4-byte sources and float64 out-weights and weights.
 func TestPreparedEngineRetention(t *testing.T) {
 	dg := webgen.Generate(webgen.Default()).Graph
 	links, docs := dg.G.NumEdges(), dg.NumDocs()
@@ -58,7 +59,7 @@ func TestPreparedEngineRetention(t *testing.T) {
 	eng.snap.Load().pool.get()
 	retained := int64(liveHeap()) - int64(before) - 8*int64(docs)
 	t.Logf("the clone the query left idle holds %d bytes of scratch (%.1f per document)", withIdle-retained-8*int64(docs), float64(withIdle-retained-8*int64(docs))/float64(docs))
-	budget := int64(2*links + 32*docs)
+	budget := int64(2*links + 21*docs)
 	t.Logf("%d docs, %d links: beside its solutions the engine retains %d bytes (%.1f per link all told), budget %d",
 		docs, links, retained, float64(retained)/float64(links), budget)
 	intra := 0
@@ -69,7 +70,7 @@ func TestPreparedEngineRetention(t *testing.T) {
 	})
 	t.Logf("%d intra-site links at 2 bytes leave %.1f bytes per document", intra, float64(retained-2*int64(intra))/float64(docs))
 	if retained > budget {
-		t.Errorf("an engine with its chains kept retains %d bytes beside its graph and solutions, budget %d (2 B/link + 32 B/doc)", retained, budget)
+		t.Errorf("an engine with its chains kept retains %d bytes beside its graph and solutions, budget %d (2 B/link + 21 B/doc)", retained, budget)
 	}
 	runtime.KeepAlive(eng)
 	runtime.KeepAlive(dg)
@@ -172,11 +173,14 @@ func TestRankerPoolRetention(t *testing.T) {
 
 // TestDistEngineRetention pins what a warm DistEngine and the in-process
 // fleet serving it keep beside their graph, per intra-site link: the
-// snapshot's solutions and digests, and each worker's cache entries —
-// a site's chain, its sources 2 bytes, with no solver scratch and not
-// the subgraph the chain was built from — 15.0 bytes measured on this
-// web at GOMAXPROCS 1, 2 and 4 (15.1 once at 4). While every chain
-// source took 4 bytes, it was 17.1. While every entry also kept its
+// snapshot's solutions and digests, each worker's cache entries — a
+// site's chain, its sources, out-weights and listed weights 2 bytes each,
+// with no solver scratch and not the subgraph the chain was built from —
+// and each connection's frame scratch, at most 4 KiB a direction: 7.0–7.1
+// bytes measured on this web at GOMAXPROCS 1, 2 and 4. While a
+// connection kept up to 64 KiB of scratch a direction, it was 13.6; while
+// out-weights and listed weights were also float64, 15.0; while every
+// chain source also took 4 bytes, 17.1. While every entry also kept its
 // site's row of the site chain, for the fleet's SiteRank rounds, it was
 // 17.5. While every entry kept a solver's two per-document vectors
 // beside its chain, it was 20.3 (21.2 while the graph also derived a
@@ -184,7 +188,7 @@ func TestRankerPoolRetention(t *testing.T) {
 // a float64 value and each worker entry its subgraph beside its chain,
 // it was 42; while the coordinator kept every shard's edge list (24
 // bytes a link) as well, 74. The budget is the measured value plus 10 %,
-// under the 17.1 of 4-byte sources.
+// under the 8.5 of float64 values.
 func TestDistEngineRetention(t *testing.T) {
 	dg := webgen.Generate(webgen.Default()).Graph
 	intra := 0
@@ -206,7 +210,7 @@ func TestDistEngineRetention(t *testing.T) {
 	warmRanks(t, eng, Query{})
 	perLink := float64(int64(liveHeap())-int64(before)) / float64(intra)
 	t.Logf("%d docs, %d intra-site links: engine and fleet retain %.1f bytes per intra-site link", dg.NumDocs(), intra, perLink)
-	if budget := 15.0 * 1.10; perLink > budget {
+	if budget := 7.1 * 1.10; perLink > budget {
 		t.Errorf("a warm DistEngine and its fleet retain %.1f bytes per intra-site link, budget %.1f", perLink, budget)
 	}
 	runtime.KeepAlive(eng)
@@ -321,7 +325,7 @@ func TestTopKEngineRetention(t *testing.T) {
 	}
 	eng.snap.Load().pool.get() // the idle clone is query scratch, not structure
 	beside := int64(liveHeap()) - int64(before) - 12*int64(docs)
-	prepared := int64(4*links + 32*docs)
+	prepared := int64(2*links + 21*docs) // TestPreparedEngineRetention's budget
 	t.Logf("with its chains kept the engine retains %d bytes beside its solutions and index, a prepared engine's budget %d", beside, prepared)
 	if beside > prepared {
 		t.Errorf("with its chains kept the engine retains %d bytes beside its solutions and index, above a prepared engine's budget %d", beside, prepared)

@@ -332,10 +332,11 @@ func TestTopKIndexWholeSiteRuns(t *testing.T) {
 }
 
 // TestTopKIndexRetention pins what the index keeps beside the local
-// vectors it orders: one 4-byte position a document, in one array, plus
-// a slice header and allocation rounding a site — 4.33 bytes a document
-// measured on this web. (It was 16 bytes a document while every posting
-// held its own DocID and a copy of its score.) The least of three builds
+// vectors it orders: one 4-byte position a document, in an array of its
+// site's, plus a slice header and allocation rounding a site — 4.43
+// bytes a document measured on this web (4.33 while one array held every
+// site's). (It was 16 bytes a document while every posting held its own
+// DocID and a copy of its score.) The least of three builds
 // is taken, so that what an earlier test's fleet still frees or
 // allocates while it winds down is not counted.
 func TestTopKIndexRetention(t *testing.T) {
@@ -359,6 +360,38 @@ func TestTopKIndexRetention(t *testing.T) {
 		t.Errorf("the top-k index retains %d bytes, budget %d (4 B/doc + 48 B/site)", retained, budget)
 	}
 	runtime.KeepAlive(eng)
+}
+
+// TestTopKIndexPatchRetention: an index patched until every site but
+// one has been re-sorted holds about one index, not the first build's
+// orders beside the new ones — at most 1.1 times what a fresh build of
+// the same vectors holds. (While a full build put every site's order in
+// one array, the one clean site kept all of it alive: 2 times.)
+func TestTopKIndexPatchRetention(t *testing.T) {
+	dg := webgen.Generate(webgen.Default()).Graph
+	eng, err := NewLocalEngine(dg, EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	locals := slices.Clone(eng.snap.Load().sol.Load().locals)
+	for s := range locals {
+		locals[s] = slices.Clone(locals[s])
+	}
+	eng = nil
+	base := liveHeap()
+	ix := (*topkIndex)(nil).patch(locals, 0)
+	one := int64(liveHeap()) - int64(base)
+	for s := 1; s < len(locals); s++ {
+		locals = slices.Clone(locals)
+		locals[s] = slices.Clone(locals[s]) // a re-solved site: a vector of its own
+		ix = ix.patch(locals, 0)
+	}
+	held := int64(liveHeap()) - int64(base)
+	t.Logf("%d sites: one index holds %d bytes; patched at every site but one, %d (%.2f times)", len(locals), one, held, float64(held)/float64(one))
+	if float64(held) > 1.1*float64(one) {
+		t.Errorf("an index patched at every site but one holds %d bytes, %.2f times one index's %d (limit 1.1)", held, float64(held)/float64(one), one)
+	}
+	runtime.KeepAlive(ix)
 }
 
 // TestTopKIndexAnswerAllocs pins the mallocs of one index-served uniform

@@ -53,11 +53,15 @@ const (
 	MaxFrameBytes = 1 << 30
 
 	// retainBytes caps the scratch buffer a Conn keeps per direction:
-	// pings, local-rank requests and small answers cross it whole and
-	// never allocate. A larger frame (a shard shipment, a fleet's local
-	// scores) is written through it in pieces and read into a one-shot
-	// buffer that is garbage once decoded.
-	retainBytes = 64 << 10
+	// the frames a warm fleet keeps sending — pings, local-rank
+	// requests (≈ 120 B on a 220-site web), a KindLoad re-declaring a
+	// worker's cached shards (≈ 1.9 KB for 55 sites) and their small
+	// answers — cross it whole and never allocate. A larger frame (a
+	// shard shipment, a worker's local scores), which crosses once per
+	// content change, is written through it in pieces and read into a
+	// one-shot buffer that is garbage once decoded, so a connection that
+	// once carried one does not keep a buffer of its size.
+	retainBytes = 4 << 10
 	minScratch  = 512
 
 	// readChunk is how far ahead of the bytes actually received a

@@ -159,13 +159,16 @@ func TestDecodeBinaryRetention(t *testing.T) {
 // beside the web: each link as its source — 2 bytes on a web of at most
 // matrix.MaxNarrowOrder documents (the default one, and every site's
 // local graph), 4 above (a web of 75 273) — per document a column offset
-// and its out-weight (12 bytes), and 12 bytes (position and weight) for
-// each link of weight other than 1 — the links a crawl repeats. The
-// budget is that source width a link + 16 B/doc beside those; one more
-// 2-byte copy of the narrow sources breaks it, and so does a narrow web
-// whose sources are stored 4 bytes wide. Building the matrix allocates
-// at most the budget + 8 B/doc of scratch, so the sources are written at
-// their width, not built at another and copied.
+// and its out-weight (6 bytes), and 6 bytes (position and weight) for
+// each link of weight other than 1 — the links a crawl repeats; the
+// out-weights and weights are link counts, 2 bytes each. The budget is
+// that source width a link + 8 B/doc + 6 B per listed link (1.2 B/doc
+// over them measured); one more 2-byte copy of the narrow sources breaks
+// it, and so does a narrow web whose sources are stored 4 bytes wide, or
+// whose out-weights or weights are float64 (12 B/doc and 12 B per listed
+// link while they all were). Building the matrix allocates at most the
+// budget + 8 B/doc of scratch, so the columns are written at their
+// widths, not built at another and copied.
 func TestTransitionMatrixRetention(t *testing.T) {
 	wide := webgen.Default()
 	wide.MeanSitePages = 300
@@ -191,11 +194,11 @@ func TestTransitionMatrixRetention(t *testing.T) {
 		runtime.ReadMemStats(&end)
 		retained := int64(graph.LiveHeap()) - int64(before)
 		built := int64(end.TotalAlloc - start.TotalAlloc)
-		budget := int64(leg.source*links + 16*docs + 12*nonUnit)
+		budget := int64(leg.source*links + 8*docs + 6*nonUnit)
 		t.Logf("%d docs, %d links (%d of weight other than 1): the chain retains %d bytes (%.1f per link all told), budget %d; building it allocated %d",
 			docs, links, nonUnit, retained, float64(retained)/float64(links), budget, built)
 		if retained > budget {
-			t.Errorf("a transition matrix of order %d retains %d bytes, budget %d (%d B/link + 16 B/doc + 12 B per non-unit link)",
+			t.Errorf("a transition matrix of order %d retains %d bytes, budget %d (%d B/link + 8 B/doc + 6 B per non-unit link)",
 				docs, retained, budget, leg.source)
 		}
 		// The build's scratch is two per-column counters, 8 B/doc: a

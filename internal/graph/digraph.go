@@ -644,53 +644,75 @@ func (g *Digraph) Dangling() []int {
 // above), node i's divisor is its out-weight (1 when dangling), and the
 // few links of weight other than 1 are listed with their weights, so an
 // entry reads back as w/out-weight and nothing is divided here — the
-// adjacency's own listed form, turned from rows to columns. Count
-// in-degrees and listed links per column, then scatter the rows in
-// ascending source order, each row's weights read in link order through
-// one cursor. Because Dedupe leaves every adjacency list sorted and
-// merged, each column receives every source at
-// most once and in ascending order — the order a row-major build followed
-// by a transpose would give, so the multiply sums the same terms in the
-// same order. No row arrays, no triple round-trip, no re-sort. The matrix
-// is cached until the next mutation; callers share the returned value and
-// must treat it as read-only.
+// adjacency's own listed form, turned from rows to columns. The divisors
+// and listed weights are written at the width their values pick: 2 bytes
+// when every one is matrix.NarrowValue (a crawl's duplicate-link counts),
+// float64 otherwise. Count in-degrees and listed links per column, and
+// check each listed weight and each row's out-weight, then scatter the
+// rows in ascending source order, each row's weights read in link order
+// through one cursor. Because Dedupe leaves every adjacency list sorted
+// and merged, each column receives every source at most once and in
+// ascending order — the order a row-major build followed by a transpose
+// would give, so the multiply sums the same terms in the same order. No
+// row arrays, no triple round-trip, no re-sort, no column built at one
+// width and copied to another. The matrix is cached until the next
+// mutation; callers share the returned value and must treat it as
+// read-only.
 func (g *Digraph) TransitionMatrix() *matrix.CSR {
 	if g.trans == nil {
 		g.Dedupe()
-		if g.NumNodes() <= matrix.MaxNarrowOrder {
-			g.trans = transition[uint16](g)
-		} else {
-			g.trans = transition[uint32](g)
-		}
+		g.trans = g.transition()
 	}
 	return g.trans
 }
 
-// transition assembles TransitionMatrix's matrix, its sources of width I.
-func transition[I uint16 | uint32](g *Digraph) *matrix.CSR {
+// transition assembles TransitionMatrix's matrix: the first pass counts
+// each column's links and listed links and finds the widths, and fill
+// writes the columns at them.
+func (g *Digraph) transition() *matrix.CSR {
 	n := g.NumNodes()
 	colPtr := make([]uint32, n+1)
 	excs := make([]uint32, n+1) // per column, then each column's next listed link
+	narrow := true              // every listed weight and out-weight is matrix.NarrowValue
 	var c cursor
 	for i := 0; i < n; i++ {
 		r := c.read(g, i)
 		for _, to := range r.to {
 			colPtr[to+1]++
 		}
-		for _, q := range r.pos {
+		total := float64(len(r.to) - len(r.pos))
+		for e, q := range r.pos {
 			excs[r.to[q-r.at]+1]++
+			total += r.w[e]
+			narrow = narrow && matrix.NarrowValue(r.w[e])
 		}
+		narrow = narrow && (total == 0 || matrix.NarrowValue(total))
 	}
 	for j := 0; j < n; j++ {
 		colPtr[j+1] += colPtr[j]
 		excs[j+1] += excs[j]
 	}
+	switch wide := n > matrix.MaxNarrowOrder; {
+	case !wide && narrow:
+		return fill[uint16, uint16](g, colPtr, excs)
+	case !wide:
+		return fill[uint16, float64](g, colPtr, excs)
+	case narrow:
+		return fill[uint32, uint16](g, colPtr, excs)
+	}
+	return fill[uint32, float64](g, colPtr, excs)
+}
+
+// fill scatters g's rows into the columns transition counted, its
+// sources of width I and its divisors and listed weights of width V.
+func fill[I uint16 | uint32, V uint16 | float64](g *Digraph, colPtr, excs []uint32) *matrix.CSR {
+	n := g.NumNodes()
 	rowIdx := make([]I, colPtr[n])
-	outW := make([]float64, n)
+	outW := make([]V, n)
 	excPos := make([]uint32, excs[n])
-	excMul := make([]float64, excs[n])
+	excMul := make([]V, excs[n])
 	next := append([]uint32(nil), colPtr[:n]...)
-	c = cursor{}
+	var c cursor
 	for i := 0; i < n; i++ {
 		r, e := c.read(g, i), 0
 		var total float64 // every stored weight is > 0
@@ -702,14 +724,14 @@ func transition[I uint16 | uint32](g *Digraph) *matrix.CSR {
 			next[to]++
 			if w != 1 {
 				excPos[excs[to]] = p
-				excMul[excs[to]] = w
+				excMul[excs[to]] = V(w)
 				excs[to]++
 			}
 		}
 		if total == 0 {
 			total = 1 // a dangling row's divisor divides nothing
 		}
-		outW[i] = total
+		outW[i] = V(total)
 	}
 	return matrix.NewCSRFromColumns(n, colPtr, rowIdx, outW, excPos, excMul)
 }

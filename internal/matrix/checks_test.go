@@ -133,8 +133,8 @@ type rowPattern [][]int
 
 func patternOf(m *CSR) rowPattern {
 	p := make(rowPattern, m.Order())
-	m.walkColumns(0, m.Order(), func(i, j int, mult float64) {
-		if mult/m.rowDiv[i] > 0 {
+	m.walkColumns(0, m.Order(), func(i, j int, mult, div float64) {
+		if mult/div > 0 {
 			p[i] = append(p[i], j)
 		}
 	})

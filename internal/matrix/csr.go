@@ -20,6 +20,13 @@ type Triple struct {
 // whole-web matrix above this order keeps 4-byte sources.
 const MaxNarrowOrder = 1 << 16
 
+// NarrowValue reports whether a CSR stores the divisor or multiplicity v
+// in 2 bytes: whether it is a whole number from 1 to 65 535. A
+// transition matrix's multiplicities are duplicate-link counts and its
+// divisors out-weights, so on a web of repeated links every one is; a
+// fraction anywhere keeps all of them float64.
+func NarrowValue(v float64) bool { return v >= 1 && v <= 1<<16-1 && v == math.Trunc(v) }
+
 // CSR is a square sparse matrix, the workhorse representation for
 // web-scale transition matrices, where each row holds the out-link
 // probabilities of one document.
@@ -33,18 +40,23 @@ const MaxNarrowOrder = 1 << 16
 // accumulation visits contributions in the same order as the classical
 // push-based sweep over rows and reproduces its floating-point results.
 //
-// A stored entry costs its source index and nothing else: 2 bytes when
-// the order is at most MaxNarrowOrder, 4 above, picked when the matrix is
-// built. Every kernel is one source generic over the index width, and a
-// method picks the width once per call, so both widths gather the same
-// indices in the same order and give the same bits. Entry
-// (i, j) is mult/rowDiv[i]: a link's multiplicity over its source's
+// Entry (i, j) is mult/rowDiv[i]: a link's multiplicity over its source's
 // out-weight in a transition matrix, where mult is 1 for all but the few
 // links listed, in pull order, with their own (a link repeated twice, a
-// weight of 2.5; 12 bytes each). NewCSR, handed values, sets every
-// divisor to 1 and lists every value other than 1; graph.Digraph's
-// TransitionMatrix sets the divisors to the out-weights through
-// NewCSRFromColumns.
+// weight of 2.5). NewCSR, handed values, sets every divisor to 1 and
+// lists every value other than 1; graph.Digraph's TransitionMatrix sets
+// the divisors to the out-weights through NewCSRFromColumns.
+//
+// A stored entry costs its source index and nothing else: 2 bytes when
+// the order is at most MaxNarrowOrder, 4 above. A row costs its column
+// offset and its divisor, and a listed link its position and
+// multiplicity; the divisors and multiplicities take 2 bytes when every
+// one is NarrowValue (the link counts of a crawl) and 8, as float64,
+// otherwise. Both widths are picked when the matrix is built, from its
+// order and its values, with no knob. Every kernel is one source generic
+// over both widths, and a method picks the instantiation once per call;
+// a 2-byte value converts to float64 exactly, so every width gathers the
+// same numbers in the same order and gives the same bits.
 //
 // The in-place sweep (SweepLeftDamped) reads its iterate divided by the
 // same divisors (ScaleIterate, UnscaleIterate), so a link costs it one
@@ -55,18 +67,38 @@ const MaxNarrowOrder = 1 << 16
 type CSR struct {
 	n int
 
-	// Column j's sources are rows16[colPtr[j]:colPtr[j+1]] when the
-	// order is at most MaxNarrowOrder and rows32[colPtr[j]:colPtr[j+1]]
-	// above, ascending; the other slice is nil. Entry k's value is
-	// excMul[e]/rowDiv[i] where excPos[e] == k, and 1/rowDiv[i] where k
-	// is not in the ascending excPos, i its source. Every divisor is
-	// positive: a row with no entries has divisor 1.
+	// Column j's sources are cols' rowIdx[colPtr[j]:colPtr[j+1]],
+	// ascending. Entry k's value is excMul[e]/rowDiv[i] where excPos[e]
+	// == k, and 1/rowDiv[i] where k is not in the ascending excPos, i
+	// its source. Every divisor is positive: a row with no entries has
+	// divisor 1.
 	colPtr []uint32
-	rows16 []uint16
-	rows32 []uint32
-	rowDiv []float64
 	excPos []uint32
-	excMul []float64
+	cols   form
+}
+
+// form is a CSR's sources, divisors and multiplicities at their widths
+// — a *columns[I, V] — with the kernels that read them.
+type form interface {
+	nnz() int
+	pull(m *CSR, dst, x Vector, scale, coeff float64, v Vector) float64
+	sweep(m *CSR, y Vector, f, coeff float64, v, diag Vector, dangling []int) (change, mass, dangMass float64)
+	scale(x Vector, divide bool)
+	walk(m *CSR, lo, hi int, fn func(i, j int, mult, div float64))
+	diagonal(m *CSR) Vector
+	danglingRows(m *CSR) []int
+	// widened returns the sources as uint32 and the values as float64,
+	// the slices themselves where they are stored at that width.
+	widened() (rowIdx []uint32, rowDiv, excMul []float64)
+}
+
+// columns holds a CSR's sources at width I (uint16 up to MaxNarrowOrder,
+// uint32 above) and its divisors and multiplicities at width V (uint16
+// when every one is NarrowValue, float64 otherwise).
+type columns[I uint16 | uint32, V uint16 | float64] struct {
+	rowIdx []I
+	rowDiv []V
+	excMul []V
 }
 
 var _ LeftMultiplier = (*CSR)(nil)
@@ -75,8 +107,9 @@ var _ FusedLeftMultiplier = (*CSR)(nil)
 // NewCSR builds an n×n CSR matrix from triples, every divisor 1 and every
 // value other than 1 listed. Duplicate (row, col) entries are summed in
 // the order given. Triples need not be sorted and are not modified. The
-// sources take the width the order picks, as in NewCSRFromColumns. It
-// panics on out-of-range indices or non-positive n.
+// sources and values take the widths the order and the values pick, as
+// in NewCSRFromColumns. It panics on out-of-range indices or
+// non-positive n.
 func NewCSR(n int, triples []Triple) *CSR {
 	checkOrder("NewCSR", n, len(triples))
 	for _, t := range triples {
@@ -107,7 +140,7 @@ func NewCSR(n int, triples []Triple) *CSR {
 	for j := 0; j < n; j++ {
 		colPtr[j+1] += colPtr[j]
 	}
-	return newCSR(n, colPtr, rowIdx, NewVector(n).Fill(1), excPos, excMul)
+	return newCSR(n, colPtr, rowIdx, []float64(NewVector(n).Fill(1)), excPos, excMul)
 }
 
 // NewCSRFromColumns builds a CSR matrix in the form it retains, taking
@@ -120,9 +153,11 @@ func NewCSR(n int, triples []Triple) *CSR {
 // with their weights — what graph.Digraph.TransitionMatrix emits — so
 // nothing is divided, sorted, merged or transposed. The sources are kept
 // as given when their width is the one the order picks (uint16 up to
-// MaxNarrowOrder, uint32 above) and copied to it otherwise. It panics on
-// malformed input.
-func NewCSRFromColumns[I uint16 | uint32](n int, colPtr []uint32, rowIdx []I, rowDiv []float64, excPos []uint32, excMul []float64) *CSR {
+// MaxNarrowOrder, uint32 above), and the divisors and multiplicities when
+// theirs is the one the values pick (uint16 when every one is
+// NarrowValue, float64 otherwise); a slice at the other width is copied
+// to its own. It panics on malformed input.
+func NewCSRFromColumns[I uint16 | uint32, V uint16 | float64](n int, colPtr []uint32, rowIdx []I, rowDiv []V, excPos []uint32, excMul []V) *CSR {
 	checkOrder("NewCSRFromColumns", n, len(rowIdx))
 	if len(colPtr) != n+1 || colPtr[0] != 0 || int(colPtr[n]) != len(rowIdx) || len(rowDiv) != n || len(excPos) != len(excMul) {
 		panic(fmt.Sprintf("matrix: NewCSRFromColumns inconsistent shape (n=%d, ptrs=%d, rows=%d, divisors=%d, exceptions=%d/%d)",
@@ -143,7 +178,7 @@ func NewCSRFromColumns[I uint16 | uint32](n int, colPtr []uint32, rowIdx []I, ro
 		}
 	}
 	for i, d := range rowDiv {
-		if !(d > 0) || math.IsInf(d, 0) {
+		if d := float64(d); !(d > 0) || math.IsInf(d, 0) {
 			panic(fmt.Sprintf("matrix: NewCSRFromColumns row %d divisor %g", i, d))
 		}
 	}
@@ -156,26 +191,45 @@ func NewCSRFromColumns[I uint16 | uint32](n int, colPtr []uint32, rowIdx []I, ro
 }
 
 // newCSR assembles a checked matrix, its sources at the width its order
-// picks.
-func newCSR[I uint16 | uint32](n int, colPtr []uint32, rowIdx []I, rowDiv []float64, excPos []uint32, excMul []float64) *CSR {
-	m := &CSR{n: n, colPtr: colPtr, rowDiv: rowDiv, excPos: excPos, excMul: excMul}
+// picks and its values at the width they pick.
+func newCSR[I uint16 | uint32, V uint16 | float64](n int, colPtr []uint32, rowIdx []I, rowDiv []V, excPos []uint32, excMul []V) *CSR {
+	m := &CSR{n: n, colPtr: colPtr, excPos: excPos}
 	if n <= MaxNarrowOrder {
-		m.rows16 = asWidth[uint16](rowIdx)
+		m.cols = newColumns(convert[uint16](rowIdx), rowDiv, excMul)
 	} else {
-		m.rows32 = asWidth[uint32](rowIdx)
+		m.cols = newColumns(convert[uint32](rowIdx), rowDiv, excMul)
 	}
 	return m
 }
 
-// asWidth returns s itself when its elements are already J's, else a
+// newColumns holds rowIdx beside the divisors and multiplicities at the
+// width their values pick.
+func newColumns[I uint16 | uint32, V uint16 | float64](rowIdx []I, rowDiv, excMul []V) form {
+	if allNarrow(rowDiv) && allNarrow(excMul) {
+		return &columns[I, uint16]{rowIdx, convert[uint16](rowDiv), convert[uint16](excMul)}
+	}
+	return &columns[I, float64]{rowIdx, convert[float64](rowDiv), convert[float64](excMul)}
+}
+
+// allNarrow reports whether every value of s is NarrowValue.
+func allNarrow[V uint16 | float64](s []V) bool {
+	for _, v := range s {
+		if !NarrowValue(float64(v)) {
+			return false
+		}
+	}
+	return true
+}
+
+// convert returns s itself when its elements are already J's, else a
 // copy converted to J; the caller has checked that every value fits.
-func asWidth[J, I uint16 | uint32](s []I) []J {
+func convert[J, E uint16 | uint32 | float64](s []E) []J {
 	if t, ok := any(s).([]J); ok {
 		return t
 	}
 	t := make([]J, len(s))
-	for k, i := range s {
-		t[k] = J(i)
+	for k, x := range s {
+		t[k] = J(x)
 	}
 	return t
 }
@@ -195,7 +249,9 @@ func checkOrder(ctor string, n, nnz int) {
 func (m *CSR) Order() int { return m.n }
 
 // NNZ returns the number of stored entries.
-func (m *CSR) NNZ() int { return len(m.rows16) + len(m.rows32) }
+func (m *CSR) NNZ() int { return m.cols.nnz() }
+
+func (c *columns[I, V]) nnz() int { return len(c.rowIdx) }
 
 // At returns element (i, j), zero when the entry is not stored.
 func (m *CSR) At(i, j int) float64 {
@@ -203,9 +259,9 @@ func (m *CSR) At(i, j int) float64 {
 		panic(fmt.Sprintf("matrix: CSR index (%d,%d) out of %d", i, j, m.n))
 	}
 	var v float64
-	m.walkColumns(j, j+1, func(r, _ int, mult float64) {
+	m.walkColumns(j, j+1, func(r, _ int, mult, div float64) {
 		if r == i {
-			v = mult / m.rowDiv[i]
+			v = mult / div
 		}
 	})
 	return v
@@ -214,7 +270,7 @@ func (m *CSR) At(i, j int) float64 {
 // MulVecLeft computes dst' = x'M.
 func (m *CSR) MulVecLeft(dst, x Vector) {
 	m.checkMulShape(dst, x)
-	m.pullApply(dst, x, 1, 0, nil)
+	m.cols.pull(m, dst, x, 1, 0, nil)
 }
 
 // MulVecLeftFused computes dst' = x'M and returns the sum of dst,
@@ -223,7 +279,7 @@ func (m *CSR) MulVecLeft(dst, x Vector) {
 // extra pass.
 func (m *CSR) MulVecLeftFused(dst, x Vector) float64 {
 	m.checkMulShape(dst, x)
-	return m.pullApply(dst, x, 1, 0, nil)
+	return m.cols.pull(m, dst, x, 1, 0, nil)
 }
 
 // MulVecLeftDamped computes the damped-chain sweep used by PageRank
@@ -240,7 +296,7 @@ func (m *CSR) MulVecLeftDamped(dst, x Vector, f, coeff float64, v Vector) float6
 	if len(v) != m.n {
 		panic(fmt.Sprintf("matrix: CSR MulVecLeftDamped teleport length %d vs order %d", len(v), m.n))
 	}
-	return m.pullApply(dst, x, f, coeff, v)
+	return m.cols.pull(m, dst, x, f, coeff, v)
 }
 
 func (m *CSR) checkMulShape(dst, x Vector) {
@@ -262,7 +318,7 @@ func (m *CSR) nextException(e int) uint32 {
 	return noException
 }
 
-// pullApply runs the pull-based sweep over every destination j:
+// pull runs the pull-based sweep over every destination j:
 //
 //	dst[j] = (x'M)[j]                     when v is nil
 //	dst[j] = scale·(x'M)[j] + coeff·v[j]  otherwise
@@ -271,15 +327,8 @@ func (m *CSR) nextException(e int) uint32 {
 // x[i]·M[i,j] in ascending i with M[i,j] = mult/rowDiv[i] — the products
 // a push over the rows forms — so it pays a division per entry; the
 // PageRank solves run SweepLeftDamped, which does not.
-func (m *CSR) pullApply(dst, x Vector, scale, coeff float64, v Vector) float64 {
-	if m.rows32 != nil {
-		return pull(m, m.rows32, dst, x, scale, coeff, v)
-	}
-	return pull(m, m.rows16, dst, x, scale, coeff, v)
-}
-
-func pull[I uint16 | uint32](m *CSR, rowIdx []I, dst, x Vector, scale, coeff float64, v Vector) float64 {
-	colPtr, rowDiv, excMul := m.colPtr, m.rowDiv, m.excMul
+func (c *columns[I, V]) pull(m *CSR, dst, x Vector, scale, coeff float64, v Vector) float64 {
+	colPtr, rowIdx, rowDiv, excMul := m.colPtr, c.rowIdx, c.rowDiv, c.excMul
 	var sum float64
 	e, next := 0, m.nextException(0)
 	for j := 0; j < m.n; j++ {
@@ -288,13 +337,13 @@ func pull[I uint16 | uint32](m *CSR, rowIdx []I, dst, x Vector, scale, coeff flo
 		for {
 			for stop := min(next, hi); k < stop; k++ {
 				i := rowIdx[k]
-				acc += x[i] * (1 / rowDiv[i])
+				acc += x[i] * (1 / float64(rowDiv[i]))
 			}
 			if k == hi {
 				break
 			}
 			i := rowIdx[k]
-			acc += x[i] * (excMul[e] / rowDiv[i])
+			acc += x[i] * (float64(excMul[e]) / float64(rowDiv[i]))
 			k++
 			e++
 			next = m.nextException(e)
@@ -311,17 +360,22 @@ func pull[I uint16 | uint32](m *CSR, rowIdx []I, dst, x Vector, scale, coeff flo
 // ScaleIterate divides x[i] by row i's divisor (its out-weight in a
 // transition matrix), turning an iterate into the form SweepLeftDamped
 // sweeps.
-func (m *CSR) ScaleIterate(x Vector) {
-	for i, d := range m.rowDiv[:len(x)] {
-		x[i] /= d
-	}
-}
+func (m *CSR) ScaleIterate(x Vector) { m.cols.scale(x, true) }
 
 // UnscaleIterate undoes ScaleIterate: x[i] ← x[i]·rowDiv[i]. A dangling
 // row's entry, divided by 1, comes back exactly; any other within an ulp.
-func (m *CSR) UnscaleIterate(x Vector) {
-	for i, d := range m.rowDiv[:len(x)] {
-		x[i] *= d
+func (m *CSR) UnscaleIterate(x Vector) { m.cols.scale(x, false) }
+
+func (c *columns[I, V]) scale(x Vector, divide bool) {
+	rowDiv := c.rowDiv[:len(x)]
+	if divide {
+		for i, d := range rowDiv {
+			x[i] /= float64(d)
+		}
+		return
+	}
+	for i, d := range rowDiv {
+		x[i] *= float64(d)
 	}
 }
 
@@ -345,38 +399,38 @@ func (m *CSR) SweepLeftDamped(y Vector, f, coeff float64, v, diag Vector, dangli
 	if len(y) != m.n || (v != nil && len(v) != m.n) {
 		panic(fmt.Sprintf("matrix: CSR sweep lengths %d,%d vs order %d", len(y), len(v), m.n))
 	}
-	if m.rows32 != nil {
-		return sweepLeftDamped(m, m.rows32, y, f, coeff, v, diag, dangling)
-	}
-	return sweepLeftDamped(m, m.rows16, y, f, coeff, v, diag, dangling)
+	return m.cols.sweep(m, y, f, coeff, v, diag, dangling)
 }
 
-func sweepLeftDamped[I uint16 | uint32](m *CSR, rowIdx []I, y Vector, f, coeff float64, v, diag Vector, dangling []int) (change, mass, dangMass float64) {
-	colPtr, rowDiv, excPos, excMul := m.colPtr, m.rowDiv, m.excPos, m.excMul
+func (c *columns[I, V]) sweep(m *CSR, y Vector, f, coeff float64, v, diag Vector, dangling []int) (change, mass, dangMass float64) {
+	rowIdx, rowDiv, excPos, excMul := c.rowIdx, c.rowDiv, m.excPos, c.excMul
 	// The float64 a uniform teleport vector holds in every entry.
 	uniform := 1 / float64(m.n)
-	e := 0
-	for j := 0; j < m.n; j++ {
-		old, inv := y[j]*rowDiv[j], 1.0
+	// Column j is rowIdx[lo:hi]: hi ranges over colPtr[1:], lo is the
+	// previous column's hi.
+	e, lo := 0, m.colPtr[0]
+	for j, hi := range m.colPtr[1:] {
+		yj, inv := y[j], 1.0
 		if diag != nil {
 			// Zeroed, the self-loop adds an exact 0 to the gather below.
 			y[j], inv = 0, 1/(1-f*diag[j])
 		}
 		var acc float64
-		hi := colPtr[j+1]
-		for _, i := range rowIdx[colPtr[j]:hi] {
+		for _, i := range rowIdx[lo:hi] {
 			acc += y[i]
 		}
 		for ; e < len(excPos) && excPos[e] < hi; e++ {
-			acc += y[rowIdx[excPos[e]]] * (excMul[e] - 1)
+			acc += y[rowIdx[excPos[e]]] * (float64(excMul[e]) - 1)
 		}
+		lo = hi
 		vj := uniform
 		if v != nil {
 			vj = v[j]
 		}
 		xj := (f*acc + coeff*vj) * inv
-		y[j] = xj / rowDiv[j]
-		change += math.Abs(xj - old)
+		d := float64(rowDiv[j])
+		change += math.Abs(xj - yj*d)
+		y[j] = xj / d
 		mass += xj
 		if len(dangling) > 0 && dangling[0] == j {
 			dangMass += xj
@@ -387,60 +441,53 @@ func sweepLeftDamped[I uint16 | uint32](m *CSR, rowIdx []I, y Vector, f, coeff f
 }
 
 // Diagonal returns the self-loop weights M[j,j], or nil when none is stored.
-func (m *CSR) Diagonal() Vector {
-	if m.rows32 != nil {
-		return diagonal(m, m.rows32)
-	}
-	return diagonal(m, m.rows16)
-}
+func (m *CSR) Diagonal() Vector { return m.cols.diagonal(m) }
 
-func diagonal[I uint16 | uint32](m *CSR, rowIdx []I) Vector {
+func (c *columns[I, V]) diagonal(m *CSR) Vector {
 	var diag Vector
 	for j := 0; j < m.n; j++ {
 		lo := m.colPtr[j]
-		col := rowIdx[lo:m.colPtr[j+1]]
+		col := c.rowIdx[lo:m.colPtr[j+1]]
 		k := sort.Search(len(col), func(k int) bool { return int(col[k]) >= j })
 		if k < len(col) && int(col[k]) == j {
 			if diag == nil {
 				diag = NewVector(m.n)
 			}
-			diag[j] = m.mult(lo+uint32(k)) / m.rowDiv[j]
+			diag[j] = c.mult(m, lo+uint32(k)) / float64(c.rowDiv[j])
 		}
 	}
 	return diag
 }
 
 // mult returns the multiplicity of stored entry k: 1 unless it is listed.
-func (m *CSR) mult(k uint32) float64 {
+func (c *columns[I, V]) mult(m *CSR, k uint32) float64 {
 	e := sort.Search(len(m.excPos), func(e int) bool { return m.excPos[e] >= k })
 	if e < len(m.excPos) && m.excPos[e] == k {
-		return m.excMul[e]
+		return float64(c.excMul[e])
 	}
 	return 1
 }
 
-// walkColumns calls fn(i, j, mult) for every stored entry (i, j) of the
-// columns lo ≤ j < hi, whose value is mult/rowDiv[i]: column by column,
-// sources ascending, so each row's entries come in ascending column order.
-func (m *CSR) walkColumns(lo, hi int, fn func(i, j int, mult float64)) {
-	if m.rows32 != nil {
-		walk(m, m.rows32, lo, hi, fn)
-	} else {
-		walk(m, m.rows16, lo, hi, fn)
-	}
+// walkColumns calls fn(i, j, mult, div) for every stored entry (i, j) of
+// the columns lo ≤ j < hi, whose value is mult/div, div row i's divisor:
+// column by column, sources ascending, so each row's entries come in
+// ascending column order.
+func (m *CSR) walkColumns(lo, hi int, fn func(i, j int, mult, div float64)) {
+	m.cols.walk(m, lo, hi, fn)
 }
 
-func walk[I uint16 | uint32](m *CSR, rowIdx []I, lo, hi int, fn func(i, j int, mult float64)) {
+func (c *columns[I, V]) walk(m *CSR, lo, hi int, fn func(i, j int, mult, div float64)) {
 	k := m.colPtr[lo]
 	e := sort.Search(len(m.excPos), func(e int) bool { return m.excPos[e] >= k })
 	for j := lo; j < hi; j++ {
 		for ; k < m.colPtr[j+1]; k++ {
 			mult := 1.0
 			if e < len(m.excPos) && m.excPos[e] == k {
-				mult = m.excMul[e]
+				mult = float64(c.excMul[e])
 				e++
 			}
-			fn(int(rowIdx[k]), j, mult)
+			i := c.rowIdx[k]
+			fn(int(i), j, mult, float64(c.rowDiv[i]))
 		}
 	}
 }
@@ -449,44 +496,47 @@ func walk[I uint16 | uint32](m *CSR, rowIdx []I, lo, hi int, fn func(i, j int, m
 // column order.
 func (m *CSR) RowSums() Vector {
 	sums := NewVector(m.n)
-	m.walkColumns(0, m.n, func(i, _ int, mult float64) { sums[i] += mult / m.rowDiv[i] })
+	m.walkColumns(0, m.n, func(i, _ int, mult, div float64) { sums[i] += mult / div })
 	return sums
 }
 
 // NormalizeRows rescales each row to sum to 1 in place and returns m: a
 // row's divisor becomes the sum of its multiplicities, the form
-// graph.Digraph's TransitionMatrix emits. Rows whose multiplicities do
-// not sum to a positive value (dangling states) are left untouched.
+// graph.Digraph's TransitionMatrix emits, and the values take the width
+// the new divisors pick. Rows whose multiplicities do not sum to a
+// positive value (dangling states) are left untouched.
 func (m *CSR) NormalizeRows() *CSR {
 	weights := NewVector(m.n)
-	m.walkColumns(0, m.n, func(i, _ int, mult float64) { weights[i] += mult })
+	m.walkColumns(0, m.n, func(i, _ int, mult, _ float64) { weights[i] += mult })
+	rowIdx, rowDiv, excMul := m.cols.widened()
 	for i, w := range weights {
 		if w > 0 {
-			m.rowDiv[i] = w
+			rowDiv[i] = w
 		}
 	}
+	*m = *newCSR(m.n, m.colPtr, rowIdx, rowDiv, m.excPos, excMul)
 	return m
+}
+
+func (c *columns[I, V]) widened() ([]uint32, []float64, []float64) {
+	return convert[uint32](c.rowIdx), convert[float64](c.rowDiv), convert[float64](c.excMul)
 }
 
 // DanglingRows returns the indices of rows with zero sum (no out-links),
 // in ascending order: a row's sum is zero when its multiplicities, added
 // in ascending column order as a row scan would, sum to zero, its divisor
 // being positive.
-func (m *CSR) DanglingRows() []int {
-	if m.rows32 != nil {
-		return danglingRows(m, m.rows32)
-	}
-	return danglingRows(m, m.rows16)
-}
+func (m *CSR) DanglingRows() []int { return m.cols.danglingRows(m) }
 
-func danglingRows[I uint16 | uint32](m *CSR, rowIdx []I) []int {
+func (c *columns[I, V]) danglingRows(m *CSR) []int {
+	rowIdx := c.rowIdx
 	sums := make([]float64, m.n)
 	k := uint32(0)
 	for e, p := range m.excPos {
 		for ; k < p; k++ {
 			sums[rowIdx[k]]++
 		}
-		sums[rowIdx[p]] += m.excMul[e]
+		sums[rowIdx[p]] += float64(c.excMul[e])
 		k++
 	}
 	for ; int(k) < len(rowIdx); k++ {
@@ -504,6 +554,6 @@ func danglingRows[I uint16 | uint32](m *CSR, rowIdx []I) []int {
 // Dense converts m to a dense matrix (for tests and small examples).
 func (m *CSR) Dense() *Dense {
 	out := NewDense(m.n, m.n)
-	m.walkColumns(0, m.n, func(i, j int, mult float64) { out.Set(i, j, mult/m.rowDiv[i]) })
+	m.walkColumns(0, m.n, func(i, j int, mult, div float64) { out.Set(i, j, mult/div) })
 	return out
 }

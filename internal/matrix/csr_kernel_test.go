@@ -20,8 +20,8 @@ func pushMulVecLeft(m *CSR, dst, x Vector) {
 		val float64
 	}
 	rows := make([][]entry, m.n)
-	m.walkColumns(0, m.n, func(i, j int, mult float64) {
-		rows[i] = append(rows[i], entry{j, mult / m.rowDiv[i]})
+	m.walkColumns(0, m.n, func(i, j int, mult, div float64) {
+		rows[i] = append(rows[i], entry{j, mult / div})
 	})
 	for j := range dst {
 		dst[j] = 0
@@ -47,11 +47,15 @@ func randomSparse(rng *rand.Rand, n, nnz int) *CSR {
 
 // randomTransition is a random transition matrix in the form
 // graph.Digraph.TransitionMatrix emits: link weights are multiplicities
-// (mostly 1, up to 7) or fractions (2.5, 0.5), rows may be dangling or
-// hold self-loops, each row's divisor is its out-weight (1 when dangling)
-// and every link of weight other than 1 is listed with its weight.
-func randomTransition(rng *rand.Rand, n, links int) *CSR {
+// (mostly 1, up to 7) or, unless whole, fractions (2.5, 0.5), rows may be
+// dangling or hold self-loops, each row's divisor is its out-weight (1
+// when dangling) and every link of weight other than 1 is listed with its
+// weight.
+func randomTransition(rng *rand.Rand, n, links int, whole bool) *CSR {
 	weights := []float64{1, 1, 1, 1, 1, 1, 2, 3, 7, 2.5, 0.5}
+	if whole {
+		weights = weights[:9]
+	}
 	triples := make([]Triple, links)
 	for k := range triples {
 		triples[k] = Triple{Row: rng.Intn(n), Col: rng.Intn(n), Val: weights[rng.Intn(len(weights))]}
@@ -63,7 +67,26 @@ func randomTransition(rng *rand.Rand, n, links int) *CSR {
 			outW[i] = 1
 		}
 	}
-	return NewCSRFromColumns(n, w.colPtr, AtWidth(w, true).rows32, outW, w.excPos, w.excMul)
+	_, mul := values(w)
+	return NewCSRFromColumns(n, w.colPtr, sources(w), []float64(outW), w.excPos, mul)
+}
+
+// forms is every (wide sources, wide values) pair AtWidth builds, the
+// four kernel instantiations.
+var forms = [][2]bool{{false, false}, {false, true}, {true, false}, {true, true}}
+
+// formsOf returns m in each form its values fit: all four when every
+// divisor and multiplicity is a whole number from 1 to 65 535, the two
+// float64 forms otherwise.
+func formsOf(m *CSR) map[[2]bool]*CSR {
+	out := make(map[[2]bool]*CSR)
+	div, mul := values(m)
+	for _, f := range forms {
+		if f[1] || (allNarrow(div) && allNarrow(mul)) {
+			out[f] = AtWidth(m, f[0], f[1])
+		}
+	}
+	return out
 }
 
 func randomX(rng *rand.Rand, n int) Vector {
@@ -78,25 +101,24 @@ func randomX(rng *rand.Rand, n int) Vector {
 // reproduces the push sweep over its rows bit for bit — on generic
 // matrices (divisors 1, every value other than 1 listed) and on
 // transition matrices (divisors the out-weights, the links of weight
-// other than 1 listed), with sources 2 bytes wide and 4.
+// other than 1 listed), in every form their values fit.
 func TestPullMatchesPushBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 100; trial++ {
 		n := rng.Intn(60) + 1
 		m := randomSparse(rng, n, rng.Intn(4*n+1))
 		if trial%2 == 1 {
-			m = randomTransition(rng, n, rng.Intn(4*n+1))
+			m = randomTransition(rng, n, rng.Intn(4*n+1), trial%4 == 1)
 		}
 		x := randomX(rng, n)
-		for _, wide := range []bool{false, true} {
-			m := AtWidth(m, wide)
+		for form, m := range formsOf(m) {
 			got, want := NewVector(n), NewVector(n)
 			m.MulVecLeft(got, x)
 			pushMulVecLeft(m, want, x)
 			for j := range got {
 				if got[j] != want[j] {
-					t.Fatalf("trial %d (wide %v): pull dst[%d] = %g, push = %g (diff %g)",
-						trial, wide, j, got[j], want[j], got[j]-want[j])
+					t.Fatalf("trial %d (wide sources, values %v): pull dst[%d] = %g, push = %g (diff %g)",
+						trial, form, j, got[j], want[j], got[j]-want[j])
 				}
 			}
 		}
@@ -112,18 +134,24 @@ func TestWidthFollowsOrder(t *testing.T) {
 		short := []Triple{{0, n - 1, 1}, {MaxNarrowOrder - 1, 0, 2}, {1, n - 1, 3}}
 		all := append(slices.Clone(short), Triple{n - 1, n - 1, 4})
 		m, s := NewCSR(n, all), NewCSR(n, short)
+		div, mul := values(m)
+		sdiv, smul := values(s)
 		built := []struct {
 			name    string
 			m       *CSR
 			triples []Triple
 		}{
 			{"NewCSR", m, all},
-			{"NewCSRFromColumns (uint32)", NewCSRFromColumns(n, m.colPtr, AtWidth(m, true).rows32, m.rowDiv, m.excPos, m.excMul), all},
-			{"NewCSRFromColumns (uint16)", NewCSRFromColumns(n, s.colPtr, AtWidth(s, false).rows16, s.rowDiv, s.excPos, s.excMul), short},
+			{"NewCSRFromColumns (uint32)", NewCSRFromColumns(n, m.colPtr, sources(m), div, m.excPos, mul), all},
+			{"NewCSRFromColumns (uint16)", NewCSRFromColumns(n, s.colPtr, convert[uint16](sources(s)), sdiv, s.excPos, smul), short},
 		}
 		for _, b := range built {
-			if wide := n > MaxNarrowOrder; (b.m.rows32 != nil) != wide || (b.m.rows16 != nil) == wide {
-				t.Errorf("order %d, %s: 2-byte sources %v, 4-byte %v; want 4-byte %v", n, b.name, b.m.rows16 != nil, b.m.rows32 != nil, wide)
+			want := 2
+			if n > MaxNarrowOrder {
+				want = 4
+			}
+			if got, _ := widths(b.m); got != want {
+				t.Errorf("order %d, %s: %d-byte sources, want %d", n, b.name, got, want)
 			}
 			for _, tr := range b.triples {
 				if got := b.m.At(tr.Row, tr.Col); got != tr.Val {
@@ -134,24 +162,80 @@ func TestWidthFollowsOrder(t *testing.T) {
 	}
 }
 
-// TestWidthsAgreeBitwise: one matrix built with 2-byte sources and with
-// 4-byte ones gives the same bits from every kernel — the sweep (its
-// iterate and three sums, with a teleport vector and with the uniform
-// nil one, which equals a vector of 1/n), the damped multiply, Diagonal,
-// DanglingRows, At and Dense — on generic and transition matrices, with
-// and without self-loops, up to an order whose last index is 65 535.
+// TestValueWidthFollowsValues: every constructor stores the divisors
+// and multiplicities in 2 bytes when each one is a whole number from 1 to
+// 65 535, and as float64 when one is a fraction, 0 or 65 536 — a listed
+// weight or a row's out-weight — whatever width NewCSRFromColumns is
+// handed them at, and every entry reads back the same.
+func TestValueWidthFollowsValues(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		weights []float64 // row 0's links, to columns 0, 1, ...
+		// narrow: every weight and row 0's out-weight fit 2 bytes;
+		// weightsFit: every weight does — what NewCSR, whose divisors are 1, picks from.
+		narrow, weightsFit bool
+	}{
+		{"unit links", []float64{1, 1, 1}, true, true},
+		{"repeated links", []float64{2, 7, 1}, true, true},
+		{"out-weight 65 535", []float64{65534, 1}, true, true},
+		{"out-weight 65 536", []float64{65535, 1}, false, true},
+		{"weight 65 536", []float64{65536}, false, false},
+		{"fractional weight", []float64{2.5, 1}, false, false},
+		{"weight below 1", []float64{0.5, 3}, false, false},
+	} {
+		n := len(c.weights) + 1
+		var triples []Triple
+		for j, w := range c.weights {
+			triples = append(triples, Triple{0, j, w}, Triple{n - 1, j, 1})
+		}
+		w := NewCSR(n, triples)
+		if _, got := widths(w); (got == 2) != c.weightsFit {
+			t.Errorf("%s, NewCSR: %d-byte values, want 2-byte %v", c.name, got, c.weightsFit)
+		}
+		outW, mul := values(w)
+		outW[0] = w.RowSums()[0]
+		built := map[string]*CSR{"float64": NewCSRFromColumns(n, w.colPtr, sources(w), outW, w.excPos, mul)}
+		if c.narrow {
+			built["uint16"] = NewCSRFromColumns(n, w.colPtr, sources(w), convert[uint16](outW), w.excPos, convert[uint16](mul))
+		}
+		for handed, m := range built {
+			if _, got := widths(m); (got == 2) != c.narrow {
+				t.Errorf("%s, NewCSRFromColumns handed %s: %d-byte values, want 2-byte %v", c.name, handed, got, c.narrow)
+			}
+			for j, wt := range c.weights {
+				if got := m.At(0, j); got != wt/outW[0] {
+					t.Errorf("%s, NewCSRFromColumns handed %s: At(0,%d) = %g, want %g", c.name, handed, j, got, wt/outW[0])
+				}
+			}
+		}
+	}
+}
+
+// TestWidthsAgreeBitwise: one matrix built in every form its values fit
+// — 2-byte and 4-byte sources, 2-byte and float64 divisors and
+// multiplicities — gives the same bits from every kernel: the sweep (its
+// iterate and three sums, with a teleport vector and with the uniform nil
+// one, which equals a vector of 1/n), the damped multiply, Diagonal,
+// DanglingRows, RowSums, At and Dense — on generic and transition
+// matrices, whole-valued and not, with and without self-loops, up to an
+// order whose last index is 65 535.
 func TestWidthsAgreeBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
-	for trial := 0; trial < 40; trial++ {
+	all := 0
+	for trial := 0; trial < 60; trial++ {
 		n := rng.Intn(60) + 1
-		if trial == 0 {
+		if trial < 2 {
 			n = MaxNarrowOrder
 		}
-		m := randomSparse(rng, n, rng.Intn(4*n+1))
-		if trial%2 == 1 {
-			m = randomTransition(rng, n, rng.Intn(4*n+1))
+		var m *CSR
+		switch trial % 3 {
+		case 0:
+			m = randomSparse(rng, n, rng.Intn(4*n+1))
+		case 1:
+			m = randomTransition(rng, n, rng.Intn(4*n+1), true)
+		default:
+			m = randomTransition(rng, n, rng.Intn(4*n+1), false)
 		}
-		narrow, wide := AtWidth(m, false), AtWidth(m, true)
 		x, v := randomX(rng, n), randomX(rng, n)
 		uniform := NewVector(n).Fill(1 / float64(n))
 		type out struct {
@@ -164,42 +248,53 @@ func TestWidthsAgreeBitwise(t *testing.T) {
 			c, s, d := m.SweepLeftDamped(y, 0.85, 0.21, v, m.Diagonal(), m.DanglingRows())
 			return out{y, [3]float64{c, s, d}}
 		}
-		same := func(what string, a, b Vector) {
-			t.Helper()
-			if len(a) != len(b) {
-				t.Fatalf("trial %d: %s lengths %d, %d", trial, what, len(a), len(b))
-			}
-			for j := range a {
-				if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
-					t.Fatalf("trial %d: %s [%d] = %g at 2 bytes, %g at 4", trial, what, j, a[j], b[j])
+		ref := AtWidth(m, true, true)
+		built := formsOf(m)
+		if len(built) == 4 {
+			all++
+		}
+		for form, m := range built {
+			same := func(what string, a, b Vector) {
+				t.Helper()
+				if len(a) != len(b) {
+					t.Fatalf("trial %d, %v: %s lengths %d, %d", trial, form, what, len(a), len(b))
+				}
+				for j := range a {
+					if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
+						t.Fatalf("trial %d, wide sources, values %v: %s [%d] = %g, %g in the widest form", trial, form, what, j, a[j], b[j])
+					}
 				}
 			}
-		}
-		for _, tv := range []struct {
-			name string
-			v    Vector
-		}{{"teleport", v}, {"uniform", nil}} {
-			a, b := run(narrow, tv.v), run(wide, tv.v)
-			same("sweep ("+tv.name+")", a.vec, b.vec)
-			same("sweep sums ("+tv.name+")", a.sums[:], b.sums[:])
-		}
-		nilV, vecV := run(narrow, nil), run(narrow, uniform)
-		same("nil teleport vs 1/n", nilV.vec, vecV.vec)
-		same("nil teleport vs 1/n sums", nilV.sums[:], vecV.sums[:])
+			for _, tv := range []struct {
+				name string
+				v    Vector
+			}{{"teleport", v}, {"uniform", nil}} {
+				a, b := run(m, tv.v), run(ref, tv.v)
+				same("sweep ("+tv.name+")", a.vec, b.vec)
+				same("sweep sums ("+tv.name+")", a.sums[:], b.sums[:])
+			}
+			nilV, vecV := run(m, nil), run(m, uniform)
+			same("nil teleport vs 1/n", nilV.vec, vecV.vec)
+			same("nil teleport vs 1/n sums", nilV.sums[:], vecV.sums[:])
 
-		a, b := NewVector(n), NewVector(n)
-		sa, sb := narrow.MulVecLeftDamped(a, x, 0.85, 0.21, v), wide.MulVecLeftDamped(b, x, 0.85, 0.21, v)
-		same("MulVecLeftDamped", append(a, sa), append(b, sb))
-		same("Diagonal", narrow.Diagonal(), wide.Diagonal())
-		if !slices.Equal(narrow.DanglingRows(), wide.DanglingRows()) {
-			t.Fatalf("trial %d: DanglingRows differ", trial)
+			a, b := NewVector(n), NewVector(n)
+			sa, sb := m.MulVecLeftDamped(a, x, 0.85, 0.21, v), ref.MulVecLeftDamped(b, x, 0.85, 0.21, v)
+			same("MulVecLeftDamped", append(a, sa), append(b, sb))
+			same("Diagonal", m.Diagonal(), ref.Diagonal())
+			same("RowSums", m.RowSums(), ref.RowSums())
+			if !slices.Equal(m.DanglingRows(), ref.DanglingRows()) {
+				t.Fatalf("trial %d, %v: DanglingRows differ", trial, form)
+			}
+			if n <= 60 {
+				same("Dense", m.Dense().data, ref.Dense().data)
+			}
+			m.walkColumns(0, n, func(i, j int, _, _ float64) {
+				same("At", Vector{m.At(i, j)}, Vector{ref.At(i, j)})
+			})
 		}
-		if n <= 60 {
-			same("Dense", narrow.Dense().data, wide.Dense().data)
-		}
-		narrow.walkColumns(0, n, func(i, j int, _ float64) {
-			same("At", Vector{narrow.At(i, j)}, Vector{wide.At(i, j)})
-		})
+	}
+	if all < 15 {
+		t.Errorf("only %d of 60 trials ran all four forms", all)
 	}
 }
 
@@ -255,7 +350,7 @@ func TestSweepLeftDamped(t *testing.T) {
 		}
 		m := NewCSR(n, triples)
 		if trial%4 == 3 {
-			m = randomTransition(rng, n, rng.Intn(4*n+1))
+			m = randomTransition(rng, n, rng.Intn(4*n+1), trial%8 == 3)
 		}
 		diag := m.Diagonal()
 		if trial%2 == 0 && diag != nil {
@@ -354,19 +449,35 @@ func TestNewCSRFromColumnsRejectsMalformed(t *testing.T) {
 		{"row far out of range", 2, []uint32{0, 1, 1}, []uint32{0xFFFF}, one, nil, nil},
 	}
 	for _, c := range cases {
-		for _, wide := range []bool{false, true} {
+		for _, form := range forms {
 			func() {
 				defer func() {
 					if recover() == nil {
-						t.Errorf("%s (wide %v): no panic", c.name, wide)
+						t.Errorf("%s (wide sources, values %v): no panic", c.name, form)
 					}
 				}()
-				if wide {
+				switch form {
+				case [2]bool{true, true}:
 					NewCSRFromColumns(c.n, c.colPtr, c.rows, c.divisors, c.excPos, c.excMuls)
-				} else {
-					NewCSRFromColumns(c.n, c.colPtr, asWidth[uint16](c.rows), c.divisors, c.excPos, c.excMuls)
+				case [2]bool{true, false}:
+					NewCSRFromColumns(c.n, c.colPtr, c.rows, convert[uint16](c.divisors), c.excPos, convert[uint16](c.excMuls))
+				case [2]bool{false, true}:
+					NewCSRFromColumns(c.n, c.colPtr, convert[uint16](c.rows), c.divisors, c.excPos, c.excMuls)
+				default:
+					NewCSRFromColumns(c.n, c.colPtr, convert[uint16](c.rows), convert[uint16](c.divisors), c.excPos, convert[uint16](c.excMuls))
 				}
 			}()
 		}
+	}
+	// A negative, NaN or infinite divisor has no 2-byte form.
+	for _, d := range []float64{-1, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("divisor %g: no panic", d)
+				}
+			}()
+			NewCSRFromColumns(2, []uint32{0, 1, 2}, []uint16{0, 1}, []float64{1, d}, nil, nil)
+		}()
 	}
 }

@@ -54,10 +54,10 @@ func TestCSRRowIteration(t *testing.T) {
 	m := NewCSR(3, []Triple{{1, 2, 0.25}, {1, 0, 0.75}})
 	var cols []int
 	var vals []float64
-	m.walkColumns(0, 3, func(i, j int, mult float64) {
+	m.walkColumns(0, 3, func(i, j int, mult, div float64) {
 		if i == 1 {
 			cols = append(cols, j)
-			vals = append(vals, mult/m.rowDiv[i])
+			vals = append(vals, mult/div)
 		}
 	})
 	if len(cols) != 2 || cols[0] != 0 || cols[1] != 2 {

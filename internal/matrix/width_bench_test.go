@@ -26,22 +26,30 @@ var paperSite = sync.OnceValue(func() *matrix.CSR {
 })
 
 // BenchmarkSweepSiteWidth times cold default-parameter solves of one
-// pagerank.Solver over web-paper's largest site with its sources stored
-// 2 bytes wide — the chain as TransitionMatrix built it, the one a
-// worker or a Ranker sweeps — and 4 (a widened copy), so the two index
-// widths of SweepLeftDamped compare on one chain. -count repeats each
-// leg back to back; alternate the legs across runs to pair them.
+// pagerank.Solver over web-paper's largest site in each of the four forms
+// a CSR takes: "narrow", its sources and its divisors and multiplicities
+// 2 bytes wide — the chain as TransitionMatrix built it, the one a worker
+// or a Ranker sweeps — "wide-values" (float64 values), "wide-sources"
+// (4-byte sources) and "wide" (both), widened copies, so every
+// instantiation of SweepLeftDamped compares on one chain. -count repeats
+// each leg back to back; alternate the legs across runs to pair them.
 func BenchmarkSweepSiteWidth(b *testing.B) {
 	m := paperSite()
 	for _, leg := range []struct {
-		name  string
-		chain func() *matrix.CSR
+		name                    string
+		wideSources, wideValues bool
 	}{
-		{"narrow", func() *matrix.CSR { return m }},
-		{"wide", func() *matrix.CSR { return matrix.AtWidth(m, true) }},
+		{"narrow", false, false},
+		{"wide-values", false, true},
+		{"wide-sources", true, false},
+		{"wide", true, true},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
-			s := pagerank.NewSolver(leg.chain())
+			chain := m
+			if leg.wideSources || leg.wideValues {
+				chain = matrix.AtWidth(m, leg.wideSources, leg.wideValues)
+			}
+			s := pagerank.NewSolver(chain)
 			var sweeps int
 			b.ReportAllocs()
 			for b.Loop() {

@@ -85,37 +85,24 @@ func sortSite(order []uint32, local Vector) {
 // Vector per site, in local-index order): a site whose vector is the very
 // one ix sorted (a clean site, carried by pointer across the Update)
 // shares its order by pointer; every other site — changed, appended, or
-// all of them when ix is nil — is sorted anew, across workers goroutines
-// (0 = GOMAXPROCS). A full build puts every order in one array, 4 bytes a
-// document with no per-site rounding; a patch gives each re-sorted site
-// its own, so no array it leaves behind stays alive for the other sites
-// of a later patch.
+// all of them when ix is nil — is sorted anew into an order of its own,
+// across workers goroutines (0 = GOMAXPROCS). An order is its site's
+// alone, so a re-sorted site's old one is garbage once the snapshots
+// that held it are: no clean site keeps a changed site's stale order
+// alive, as one array shared by every site would.
 func (ix *topkIndex) patch(locals []Vector, workers int) *topkIndex {
 	next := &topkIndex{locals: locals, order: make([][]uint32, len(locals))}
 	var stale []int
-	total := 0
 	for s, v := range locals {
 		if ix != nil && s < len(ix.locals) && sameVector(ix.locals[s], v) {
 			next.order[s] = ix.order[s]
 			continue
 		}
 		stale = append(stale, s)
-		total += len(v)
-	}
-	var all []uint32
-	if ix == nil {
-		all = make([]uint32, total)
-	}
-	for _, s := range stale {
-		n := len(locals[s])
-		if ix == nil {
-			next.order[s], all = all[:n:n], all[n:]
-		} else {
-			next.order[s] = make([]uint32, n)
-		}
 	}
 	lmm.ForEachParallel(len(stale), workers, func(i int) {
 		s := stale[i]
+		next.order[s] = make([]uint32, len(locals[s]))
 		sortSite(next.order[s], locals[s])
 	})
 	return next
