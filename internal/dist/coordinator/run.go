@@ -266,7 +266,9 @@ func (r *run) hashShards() {
 }
 
 // extract builds site s's shard from the Ranker's graph: its subgraph's
-// packed columns — the subgraph's own arrays, no link copied.
+// columns — the listed links the subgraph's own arrays, its 2-byte
+// targets widened into the 4-byte column the wire carries, the one copy
+// of a link on the way.
 func (r *run) extract(s int) wire.SiteShard {
 	sub, _ := r.rk.LocalSubgraph(graph.SiteID(s))
 	c := sub.Columns()

@@ -73,11 +73,12 @@ const (
 // SiteShard is one site's slice of the distributed computation: its
 // local document subgraph G^s_d, the input of the worker-side DocRank.
 //
-// The subgraph crosses in the packed columns the graph keeps it in and
-// the graph file stores (graph.Columns), in the site's local indices:
-// the coordinator hands over the subgraph's own arrays and the worker
-// builds its chain straight from the decoded ones, so no link is
-// copied, re-encoded or re-added on the way.
+// The subgraph crosses in the columns the graph file stores
+// (graph.Columns), in the site's local indices: the coordinator hands
+// over the subgraph's listed links as they are and its targets widened
+// to 4 bytes, and the worker builds its chain from the decoded columns,
+// narrowing the targets as it checks them, so no link is re-added or
+// re-sorted on the way.
 type SiteShard struct {
 	// Site is the SiteID in the coordinator's DocGraph.
 	Site int

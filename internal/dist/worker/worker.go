@@ -313,8 +313,8 @@ func (w *Worker) handle(sess *session, req *wire.Request) *wire.Response {
 // buildEntry validates one fully shipped shard and turns it into a
 // cache entry (deduplicating against the global cache by digest, so an
 // identical shard shipped twice — or hosted under two site IDs — shares
-// one chain). The chain is built straight from the decoded
-// columns, which the subgraph takes over as its packed base
+// one chain). The chain is built straight from the decoded columns,
+// which the subgraph takes over as its packed base, its targets narrowed
 // (graph.FromColumns checks them as DecodeBinary checks a graph file's);
 // the subgraph is dropped once the chain is built.
 func (w *Worker) buildEntry(s *wire.SiteShard, numSites int) (*cacheEntry, error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -126,33 +127,49 @@ func TestDecodeBinaryAllocsDoNotGrowWithDocs(t *testing.T) {
 }
 
 // TestDecodeBinaryRetention pins what a decoded web keeps alive, its text
-// included: the packed adjacency at 4 bytes a link (a uint32 target — no
-// 16-byte Edge, no weight column, no slack), 12 bytes (position and
-// weight) for each link of weight other than 1, and per document a 4-byte
-// row offset, a roster entry, a share of the restart index and its
-// front-coded URL — 27.0 bytes measured on this web, the budget 30 — and
-// 8 bytes a run of consecutive documents of one site. One float64 more per
-// link breaks it, and so does a 4-byte column a document: the site column
-// and the 8-byte row offsets made it 35.0 under a budget of 38.
+// included: the packed adjacency at 2 bytes a link (its target's distance
+// from its source — no 4-byte target, no 16-byte Edge, no weight column,
+// no slack), 8 bytes (position and target) for each link farther than 2
+// bytes reach, 12 bytes (position and weight) for each link of weight
+// other than 1, and per document a 4-byte row offset, a roster entry, a
+// share of the restart index and its front-coded URL — 27.0 bytes measured
+// on the default web, the budget 30 — and 8 bytes a run of consecutive
+// documents of one site. The second leg is a web of 75 273 documents, some
+// of whose links reach farther than 2 bytes. One float64 more per link
+// breaks it, and so does the 4-byte target column kept beside the narrow
+// one (9.0 bytes a link all told while it was the only one), or a 4-byte
+// column a document: the site column and the 8-byte row offsets made it
+// 35.0 under a budget of 38.
 func TestDecodeBinaryRetention(t *testing.T) {
-	file := encode(t, webgen.Generate(webgen.Default()).Graph)
-	before := graph.LiveHeap()
-	dg := decode(t, file)
-	retained := int64(graph.LiveHeap()) - int64(before)
-	links, docs, listed := dg.G.NumEdges(), dg.NumDocs(), 0
-	dg.G.EachEdgeAll(func(_ int, e graph.Edge) {
-		if e.Weight != 1 {
-			listed++
+	wide := webgen.Default()
+	wide.MeanSitePages = 300
+	for _, cfg := range []webgen.Config{webgen.Default(), wide} {
+		file := encode(t, webgen.Generate(cfg).Graph)
+		before := graph.LiveHeap()
+		dg := decode(t, file)
+		retained := int64(graph.LiveHeap()) - int64(before)
+		links, docs, listed, far := dg.G.NumEdges(), dg.NumDocs(), 0, 0
+		dg.G.EachEdgeAll(func(from int, e graph.Edge) {
+			if e.Weight != 1 {
+				listed++
+			}
+			if d := e.To - from; d > math.MaxInt16 || d < math.MinInt16 {
+				far++
+			}
+		})
+		if (docs > 1<<15) != (far > 0) {
+			t.Fatalf("a web of %d documents has %d far links: the wrong leg", docs, far)
 		}
-	})
-	perLink := int64(4*links + 12*listed)
-	budget := perLink + int64(30*docs)
-	t.Logf("%d docs, %d links (%d listed): the decoded graph retains %d bytes (%.1f per link all told; %.1f per document beside 4 per link and 12 per listed link), budget %d",
-		docs, links, listed, retained, float64(retained)/float64(links), float64(retained-perLink)/float64(docs), budget)
-	if retained > budget {
-		t.Errorf("a decoded graph retains %d bytes, budget %d (4 B/link + 12 B per listed link + 30 B/doc)", retained, budget)
+		perLink := int64(2*links + 8*far + 12*listed)
+		budget := perLink + int64(30*docs)
+		t.Logf("%d docs, %d links (%d far, %d listed): the decoded graph retains %d bytes (%.1f per link all told; %.1f per document beside 2 per link, 8 per far link and 12 per listed link), budget %d",
+			docs, links, far, listed, retained, float64(retained)/float64(links), float64(retained-perLink)/float64(docs), budget)
+		if retained > budget {
+			t.Errorf("a decoded graph of %d documents retains %d bytes, budget %d (2 B/link + 8 B per far link + 12 B per listed link + 30 B/doc)", docs, retained, budget)
+		}
+		runtime.KeepAlive(file)
+		runtime.KeepAlive(dg)
 	}
-	runtime.KeepAlive(file)
 }
 
 // TestTransitionMatrixRetention pins what a web's transition matrix keeps

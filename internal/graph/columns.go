@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Columns is an adjacency in the packed form the graph file stores and a
@@ -21,18 +22,18 @@ type Columns struct {
 }
 
 // Columns returns the graph's adjacency as columns, deduplicating it
-// first (a mutation, like Dedupe). The targets and listed columns are the
-// graph's own packed base, aliased — read-only, and copied only when rows
-// were written since the base was packed; the degree column is new, one
-// entry per node. A LocalSubgraph is all base, so its columns cost no
-// link.
+// first (a mutation, like Dedupe). The listed columns are the graph's own
+// packed base, aliased — read-only, and copied only when rows were written
+// since the base was packed; the targets are widened from the base's
+// 2-byte distances into a column of their own, 4 bytes a link, and the
+// degree column is new, one entry per node.
 func (g *Digraph) Columns() Columns {
 	g.Dedupe()
 	return g.stored()
 }
 
 // stored returns the rows as they are stored, merged or not, as Columns
-// does: the packed base, or a new one once rows were written since.
+// does: from the packed base, or a new one once rows were written since.
 func (g *Digraph) stored() Columns {
 	p := g.base
 	if len(g.patch) > 0 || len(g.tail) > 0 {
@@ -40,7 +41,7 @@ func (g *Digraph) stored() Columns {
 	}
 	var c Columns
 	if p != nil {
-		c = Columns{Degrees: make([]uint32, p.rows()), Targets: p.to, ListedPos: p.pos, ListedW: p.w}
+		c = Columns{Degrees: make([]uint32, p.rows()), Targets: p.wide(), ListedPos: p.pos, ListedW: p.w}
 		for i := range c.Degrees {
 			c.Degrees[i] = p.off[i+1] - p.off[i]
 		}
@@ -48,18 +49,19 @@ func (g *Digraph) stored() Columns {
 	return c
 }
 
-// FromColumns returns the deduplicated graph whose packed base is c: the
-// columns themselves, not a copy, so the caller hands them over and
-// writes them no more. It checks them first, as DecodeBinary checks a
-// graph file's (the one check both share): out-degrees summing to the
-// number of targets, every target a node, every row strictly ascending
-// (sorted and merged, as a deduplicated graph's rows are), listed
-// positions strictly ascending among the targets, one weight per listed
-// position, each finite, > 0 and not 1 — and every node's out-weight
-// finite, since the transition matrix divides by it. Nothing beyond the
-// row offsets is allocated.
+// FromColumns returns the deduplicated graph whose packed base is c: its
+// listed columns themselves, not a copy, so the caller hands them over
+// and writes them no more, and its targets narrowed (the 4-byte column is
+// not kept). It checks them first, as DecodeBinary checks a graph file's
+// (the one check both share): out-degrees summing to the number of
+// targets, every target a node, every row strictly ascending (sorted and
+// merged, as a deduplicated graph's rows are), listed positions strictly
+// ascending among the targets, one weight per listed position, each
+// finite, > 0 and not 1 — and every node's out-weight finite, since the
+// transition matrix divides by it. Nothing beyond the row offsets and the
+// narrow targets is allocated.
 func FromColumns(c Columns) (*Digraph, error) {
-	p, _, err := c.packed(true)
+	p, err := c.packed(true)
 	if err != nil {
 		return nil, fmt.Errorf("graph: columns: %w", err)
 	}
@@ -74,51 +76,92 @@ func FromColumns(c Columns) (*Digraph, error) {
 	return g, nil
 }
 
-// packed checks c and returns it as a packed base over c's own arrays,
-// and whether every row is strictly ascending. A row that is not is an
-// error when strict is set; otherwise it is reported for the caller to
-// merge (mergeRows) before a graph points at the base.
-func (c Columns) packed(strict bool) (*packed, bool, error) {
+// packed checks c and returns it as a packed base: its targets narrowed
+// in the pass that checks them, its listed columns c's own. A row that is
+// not strictly ascending is an error when strict is set; otherwise every
+// row is sorted and merged (mergeRows) before the targets are narrowed.
+func (c Columns) packed(strict bool) (*packed, error) {
 	nd, ne := len(c.Degrees), len(c.Targets)
 	if sum := sumUint32(c.Degrees); sum != uint64(ne) || sum > math.MaxUint32 {
-		return nil, false, fmt.Errorf("out-degrees sum to %d, there are %d edge targets (at most 2³²−1)", sum, ne)
+		return nil, fmt.Errorf("out-degrees sum to %d, there are %d edge targets (at most 2³²−1)", sum, ne)
 	}
-	p := &packed{off: make([]uint32, nd+1), to: c.Targets, pos: c.ListedPos, w: c.ListedW}
+	off, dist := make([]uint32, nd+1), make([]int16, ne)
 	for d, k := range c.Degrees {
-		p.off[d+1] = p.off[d] + k
+		off[d+1] = off[d] + k
 	}
+	p := &packed{off: off, to: dist}
 	ascending := true
 	for d := 0; d < nd; d++ {
-		prev := -1
-		for k := p.off[d]; k < p.off[d+1]; k++ {
-			to := int(p.to[k])
+		prev, k := -1, off[d]
+		for _, t := range c.Targets[k:off[d+1]] {
+			to := int(t)
 			if to >= nd {
-				return nil, false, fmt.Errorf("edge %d (%d→%d) out of range", k, d, to)
+				return nil, fmt.Errorf("edge %d (%d→%d) out of range", k, d, to)
 			}
 			if to <= prev {
 				if strict {
-					return nil, false, fmt.Errorf("edge %d (%d→%d) is not past the row's previous target %d", k, d, to, prev)
+					return nil, fmt.Errorf("edge %d (%d→%d) is not past the row's previous target %d", k, d, to, prev)
 				}
 				ascending = false
 			}
 			prev = to
+			if x, ok := near(d, t); ok {
+				dist[k] = x
+			} else {
+				p.farPos, p.farTo = append(p.farPos, k), append(p.farTo, t)
+			}
+			k++
 		}
 	}
-	for e, q := range p.pos {
+	for e, q := range c.ListedPos {
 		if int(q) >= ne {
-			return nil, false, fmt.Errorf("listed link %d is edge %d of %d", e, q, ne)
+			return nil, fmt.Errorf("listed link %d is edge %d of %d", e, q, ne)
 		}
-		if e > 0 && q <= p.pos[e-1] {
-			return nil, false, fmt.Errorf("listed link %d is edge %d, not past edge %d", e, q, p.pos[e-1])
+		if e > 0 && q <= c.ListedPos[e-1] {
+			return nil, fmt.Errorf("listed link %d is edge %d, not past edge %d", e, q, c.ListedPos[e-1])
 		}
 	}
-	if len(p.w) != len(p.pos) {
-		return nil, false, fmt.Errorf("%d listed positions but %d listed weights", len(p.pos), len(p.w))
+	if len(c.ListedW) != len(c.ListedPos) {
+		return nil, fmt.Errorf("%d listed positions but %d listed weights", len(c.ListedPos), len(c.ListedW))
 	}
-	for e, w := range p.w {
+	for e, w := range c.ListedW {
 		if !(w > 0) || math.IsInf(w, 0) || w == 1 {
-			return nil, false, fmt.Errorf("listed edge %d has invalid weight %g", p.pos[e], w)
+			return nil, fmt.Errorf("listed edge %d has invalid weight %g", c.ListedPos[e], w)
 		}
 	}
-	return p, ascending, nil
+	if !ascending {
+		c.mergeRows(p.off)
+		p.to, p.farPos, p.farTo = p.to[:0], nil, nil
+		for d := 0; d < nd; d++ {
+			for _, to := range c.Targets[p.off[d]:p.off[d+1]] {
+				p.push(d, to)
+			}
+		}
+	}
+	p.pos, p.w = c.ListedPos, c.ListedW
+	p.clip()
+	return p, nil
+}
+
+// mergeRows sorts and merges every row of c where it lies, off being its
+// row offsets, and closes the gaps, listing the merged weights afresh and
+// moving off to the merged rows. Only for columns no graph points at.
+func (c *Columns) mergeRows(off []uint32) {
+	pos, w := make([]uint32, 0, len(c.ListedPos)), make([]float64, 0, len(c.ListedW))
+	n, e, rows := 0, 0, len(off)-1
+	for i := 0; i < rows; i++ {
+		a, b := off[i], off[i+1]
+		start, end := span(c.ListedPos, e, a, b)
+		r := row{to: c.Targets[a:b:b], pos: c.ListedPos[start:end:end], w: c.ListedW[start:end:end], at: a}
+		e = end
+		r.merge()
+		off[i] = uint32(n)
+		for _, q := range r.pos {
+			pos = append(pos, uint32(n)+q-r.at)
+		}
+		w = append(w, r.w...)
+		n += copy(c.Targets[n:], r.to)
+	}
+	off[rows] = uint32(n)
+	c.Targets, c.ListedPos, c.ListedW = c.Targets[:n], slices.Clip(pos), slices.Clip(w)
 }

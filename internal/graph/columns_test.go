@@ -2,14 +2,16 @@ package graph
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // TestColumnsRoundTrip: a graph's columns rebuild it — the same rows and
-// the same transition matrix — whether it is all base (its columns are
-// the base's own arrays, no link copied) or has an overlay (its columns
-// are a packed copy, and the graph is left as it was).
+// the same transition matrix — whether it is all base (its listed columns
+// are the base's own arrays, its targets widened from the base's) or has
+// an overlay (its columns are a packed copy, and the graph is left as it
+// was).
 func TestColumnsRoundTrip(t *testing.T) {
 	dg := benchDocGraph(10, 40, 61)
 	sub, _ := dg.LocalSubgraph(3)
@@ -19,8 +21,8 @@ func TestColumnsRoundTrip(t *testing.T) {
 		if g.base != before {
 			t.Errorf("%s: taking the columns repacked the graph", name)
 		}
-		if len(g.patch)+len(g.tail) == 0 && &c.Targets[0] != &g.base.to[0] {
-			t.Errorf("%s: the columns copied the targets", name)
+		if len(g.patch)+len(g.tail) == 0 && len(c.ListedPos) > 0 && (&c.ListedPos[0] != &g.base.pos[0] || &c.ListedW[0] != &g.base.w[0]) {
+			t.Errorf("%s: the columns copied the listed links", name)
 		}
 		if len(c.Degrees) != g.NumNodes() || len(c.Targets) != g.NumEdges() || len(c.ListedPos) != g.numListed() {
 			t.Fatalf("%s: columns of %d, %d and %d entries for %d nodes, %d links and %d listed",
@@ -51,12 +53,11 @@ func TestFromColumnsRefusesWhatDecodeBinaryMerges(t *testing.T) {
 	if _, err := FromColumns(c); err == nil || !strings.Contains(err.Error(), "edge 1 (0→1) is not past the row's previous target 1") {
 		t.Errorf("a duplicate link: err = %v", err)
 	}
-	p, ascending, err := c.packed(false)
-	if err != nil || ascending {
-		t.Fatalf("lenient check: ascending %v, err %v", ascending, err)
+	p, err := c.packed(false)
+	if err != nil {
+		t.Fatalf("lenient check: %v", err)
 	}
-	p.mergeRows()
-	if len(p.to) != 1 || len(p.w) != 1 || p.w[0] != 2 {
-		t.Errorf("merged: targets %v, listed weights %v; want one link of weight 2", p.to, p.w)
+	if got := p.wide(); !slices.Equal(got, []uint32{1}) || !slices.Equal(p.off, []uint32{0, 1, 1}) || len(p.w) != 1 || p.w[0] != 2 {
+		t.Errorf("merged: targets %v at offsets %v, listed weights %v; want one link of weight 2", got, p.off, p.w)
 	}
 }

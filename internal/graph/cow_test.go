@@ -28,11 +28,14 @@ func rowsOf(g *Digraph) [][]Edge {
 	return rows
 }
 
-// sameArrays reports whether row i of a and of b are one set of arrays:
-// one targets array, and one listed array unless neither lists a link.
+// sameArrays reports whether non-empty row i of a and of b are one set
+// of arrays: both in one base, or both one overlay row's — one targets
+// array, and one listed array unless neither lists a link.
 func sameArrays(a, b *Digraph, i int) bool {
-	var ca, cb cursor
-	ar, br := ca.read(a, i), cb.read(b, i)
+	ar, br := a.overlay(i), b.overlay(i)
+	if ar == nil || br == nil {
+		return ar == br && a.base == b.base && a.degree(i) > 0
+	}
 	if len(ar.to) == 0 || len(br.to) == 0 || &ar.to[0] != &br.to[0] || len(ar.pos) != len(br.pos) {
 		return false
 	}

@@ -463,23 +463,22 @@ func (dg *DocGraph) LocalSubgraph(s SiteID) (*Digraph, *LocalIndex) {
 	}
 
 	// Pass 2: fill the columns, weights read in link order.
-	p.to = make([]uint32, p.off[len(docs)])
+	p.to = make([]int16, 0, p.off[len(docs)])
 	p.pos, p.w = make([]uint32, 0, listed), make([]float64, 0, listed)
-	n := 0
-	c = cursor{}
-	for _, d := range docs {
+	c.e, c.f = 0, 0
+	for li, d := range docs {
 		r, e := c.read(dg.G, int(d)), 0
 		for k, to := range r.to {
 			w := r.weight(k, &e)
 			if i := m.local(to); i < m.size {
 				if w != 1 {
-					p.pos, p.w = append(p.pos, uint32(n)), append(p.w, w)
+					p.pos, p.w = append(p.pos, uint32(len(p.to))), append(p.w, w)
 				}
-				p.to[n] = i
-				n++
+				p.push(li, i)
 			}
 		}
 	}
+	p.clip()
 	return &Digraph{base: p, deduped: true}, dg.LocalIndex(s)
 }
 

@@ -129,9 +129,10 @@ func appendDeriveSiteGraph(dg *DocGraph, opts SiteGraphOptions) *Digraph {
 // room for an append to write into an array a COW relative reads.
 func exactRows(t *testing.T, what string, g *Digraph) {
 	t.Helper()
-	if p := g.base; p != nil && (cap(p.to) != len(p.to) || cap(p.pos) != len(p.pos) || cap(p.w) != len(p.w) || int(p.off[p.rows()]) != len(p.to)) {
-		t.Fatalf("%s: base columns have len %d/%d/%d, cap %d/%d/%d, offsets end at %d",
-			what, len(p.to), len(p.pos), len(p.w), cap(p.to), cap(p.pos), cap(p.w), p.off[p.rows()])
+	if p := g.base; p != nil && (cap(p.to) != len(p.to) || cap(p.farPos) != len(p.farPos) || cap(p.farTo) != len(p.farPos) || len(p.farTo) != len(p.farPos) ||
+		cap(p.pos) != len(p.pos) || cap(p.w) != len(p.w) || int(p.off[p.rows()]) != len(p.to)) {
+		t.Fatalf("%s: base columns have len %d/%d/%d/%d/%d, cap %d/%d/%d/%d/%d, offsets end at %d",
+			what, len(p.to), len(p.farPos), len(p.farTo), len(p.pos), len(p.w), cap(p.to), cap(p.farPos), cap(p.farTo), cap(p.pos), cap(p.w), p.off[p.rows()])
 	}
 	g.eachOverlay(func(r *row) bool {
 		if cap(r.to) != len(r.to) || cap(r.pos) != len(r.pos) || cap(r.w) != len(r.w) {

@@ -89,6 +89,9 @@ func FuzzDecodeBinary(f *testing.F) {
 	f.Add(frontedFile.Bytes())
 	// A file whose listed section is not empty.
 	f.Add(twoDocFile(nil))
+	// Files whose links reach past 2 bytes, one with a row out of order.
+	f.Add(farFile(false))
+	f.Add(farFile(true))
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x01, 0x02})
 	for _, data := range hostileFiles() {
@@ -135,7 +138,7 @@ func digraphFootprint(g *Digraph) int {
 	const rowBytes = int(unsafe.Sizeof(row{}))
 	n := cap(g.tail) * rowBytes
 	if p := g.base; p != nil {
-		n += cap(p.off)*4 + cap(p.to)*4 + cap(p.pos)*4 + cap(p.w)*8
+		n += cap(p.off)*4 + cap(p.to)*2 + cap(p.farPos)*4 + cap(p.farTo)*4 + cap(p.pos)*4 + cap(p.w)*8
 	}
 	g.eachOverlay(func(r *row) bool {
 		n += cap(r.to)*4 + cap(r.pos)*4 + cap(r.w)*8
@@ -161,7 +164,12 @@ func digraphFootprint(g *Digraph) int {
 // Last, each side's transition matrix and every site's local subgraph are
 // checked against the edges added to it, read from no graph: a row read
 // with a field of the row before it, which the deep copy would repeat,
-// shows there.
+// shows there. Bit 0x20 of the second byte opens a gap of farGap isolated
+// nodes between the lower half of the nodes and the upper, so that every
+// link from one half to the other is a far one — the ballast rows, in the
+// upper half, then link to the lower too, so the base holds far links —
+// and the checks are made entry by entry, the graph being too large for
+// dense ones.
 func FuzzCloneCOW(f *testing.F) {
 	f.Add([]byte{4, 2, 0, 1, 1, 2, 0, 0, 1, 1, 1, 0})
 	f.Add([]byte{8, 3, 0, 1, 1, 2, 2, 3, 2, 0, 5, 3, 1, 6, 3, 0, 0})
@@ -175,6 +183,9 @@ func FuzzCloneCOW(f *testing.F) {
 	// listing links and none, and appended rows on both sides: every walk
 	// goes from one kind of row to another.
 	f.Add([]byte{10, 0x84, 1, 3, 2, 4, 4, 8, 5, 9, 0x40, 0, 2, 0x44, 1, 3, 0x41, 2, 1, 2, 0, 0, 3, 0, 0, 0x48, 3, 5, 2, 0, 0})
+	// The same, and one with rows open to appends, across the far gap.
+	f.Add([]byte{10, 0xA4, 1, 3, 2, 4, 4, 8, 5, 9, 0x40, 0, 2, 0x44, 1, 3, 0x41, 2, 1, 2, 0, 0, 3, 0, 0, 0x48, 3, 5, 2, 0, 0})
+	f.Add([]byte{6, 0x62, 0, 4, 1, 5, 0x40, 1, 0, 0x41, 3, 0, 0, 4, 2, 0x40, 3, 0, 0x41, 1, 0, 2, 0, 0, 0x40, 0, 0})
 
 	sameEdges := func(a, b *Digraph) bool { return reflect.DeepEqual(rowsOf(a), rowsOf(b)) }
 
@@ -184,7 +195,7 @@ func FuzzCloneCOW(f *testing.F) {
 		}
 		n := 2 + int(data[0])%14
 		k := int(data[1]) % 16
-		sealed, blocked := data[1]&0x80 != 0, data[1]&0x40 != 0
+		sealed, blocked, far := data[1]&0x80 != 0, data[1]&0x40 != 0, data[1]&0x20 != 0
 		data = data[2:]
 		// Nodes the operations never address weigh the base down, so that
 		// a few rewritten rows stay in the overlay across a Dedupe. On the
@@ -192,6 +203,17 @@ func FuzzCloneCOW(f *testing.F) {
 		// would ever be shared. Every other ballast row lists a link.
 		const ballast = 48
 		nodes := n + ballast
+		// node numbers the graph's nodes past the gap, if there is one.
+		node := func(x int) int { return x }
+		if far {
+			nodes += farGap
+			node = func(x int) int {
+				if x >= n/2 {
+					return x + farGap
+				}
+				return x
+			}
+		}
 		parent := NewDigraph(nodes)
 		parentModel := edgeModel{}
 		addEdge := func(g *Digraph, m edgeModel, from, to int, w float64) {
@@ -200,12 +222,15 @@ func FuzzCloneCOW(f *testing.F) {
 		}
 		for i := 0; i < ballast; i++ {
 			for j := 0; j < 16; j++ {
-				addEdge(parent, parentModel, n+i, n+(i+j)%ballast, float64(1+i%2*(j%2)))
+				addEdge(parent, parentModel, node(n+i), node(n+(i+j)%ballast), float64(1+i%2*(j%2)))
+			}
+			if far { // across the gap from the lower half: far base links
+				addEdge(parent, parentModel, node(n+i), node(i%n), float64(1+i%3%2))
 			}
 		}
 		parent.Dedupe()
 		for i := 0; i < k && len(data) >= 2; i++ {
-			addEdge(parent, parentModel, int(data[0])%n, int(data[1])%n, float64(1+data[1]%9)/2)
+			addEdge(parent, parentModel, node(int(data[0])%n), node(int(data[1])%n), float64(1+data[1]%9)/2)
 			data = data[2:]
 		}
 		// A sealed parent shares its overlay rows with the clone; one with
@@ -271,6 +296,7 @@ func FuzzCloneCOW(f *testing.F) {
 
 		for len(data) >= 3 {
 			sel, from, to := data[0], int(data[1])%n, int(data[2])%n
+			edgeFrom, edgeTo := node(from), node(to)
 			data = data[3:]
 			w := float64(1+sel%9) / 2
 			switch {
@@ -288,11 +314,11 @@ func FuzzCloneCOW(f *testing.F) {
 			}
 			switch sel % 4 {
 			case 0:
-				addEdge(cow, cowModel, from, to, w)
-				refCow.AddEdge(from, to, w)
+				addEdge(cow, cowModel, edgeFrom, edgeTo, w)
+				refCow.AddEdge(edgeFrom, edgeTo, w)
 			case 1:
-				addEdge(parent, parentModel, from, to, w)
-				refParent.AddEdge(from, to, w)
+				addEdge(parent, parentModel, edgeFrom, edgeTo, w)
+				refParent.AddEdge(edgeFrom, edgeTo, w)
 			case 2:
 				cow.Dedupe()
 				refCow.Dedupe()
@@ -333,6 +359,14 @@ func FuzzCloneCOW(f *testing.F) {
 			dg *DocGraph
 			m  edgeModel
 		}{"clone": {cowDocs, cowModel}, "parent": {parentDocs, parentModel}} {
+			if far {
+				checkTransitionSparse(t, what, side.dg.G.TransitionMatrix(), side.m, side.dg.NumDocs())
+				for s := range side.dg.Sites {
+					sub, _ := side.dg.LocalSubgraph(SiteID(s))
+					checkTransitionSparse(t, fmt.Sprintf("%s: LocalSubgraph(%d)", what, s), sub.TransitionMatrix(), localModel(side.dg, side.m, SiteID(s)), sub.NumNodes())
+				}
+				continue
+			}
 			if err := checkTransition(side.dg.G.TransitionMatrix(), side.m.denseTransition(side.dg.NumDocs())); err != nil {
 				t.Fatalf("%s: TransitionMatrix: %v", what, err)
 			}

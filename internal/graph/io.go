@@ -356,13 +356,15 @@ func sumUint32(col []uint32) uint64 {
 // (ReadBlock) into its own array — the targets and listed positions as
 // their sections arrive, the listed weights once the positions are in
 // (twice their bytes), the out-degrees summed into row offsets — handed
-// to the graph as its packed base: no Edge, no per-row header, no
-// per-link weight, and a later AddEdge copies the row it appends to
-// (see Digraph). A file whose rows are all strictly ascending — any that
-// EncodeBinary wrote from a deduplicated graph — is packed as it stands;
-// any other has its rows sorted and merged here, before the graph sees
-// them (FromColumns refuses such rows). A file of an earlier version is
-// refused, naming both versions.
+// to the graph as its packed base, the targets narrowed to 2-byte
+// distances in the pass that checks them and their 4-byte column
+// dropped: no Edge, no per-row header, no per-link weight, and a later
+// AddEdge copies the row it appends to (see Digraph). A file whose rows
+// are all strictly ascending — any that EncodeBinary wrote from a
+// deduplicated graph — is packed as it stands; any other has its rows
+// sorted and merged here, before the graph sees them (FromColumns
+// refuses such rows). A file of an earlier version is refused, naming
+// both versions.
 func DecodeBinary(r io.Reader) (*DocGraph, error) {
 	br := &binaryReader{r: r}
 	var hdr [binaryHeaderLen]byte
@@ -482,12 +484,9 @@ func DecodeBinary(r io.Reader) (*DocGraph, error) {
 	// The columns' own checks are FromColumns', but for one: a row not
 	// strictly ascending is sorted and merged here, before the graph sees
 	// it, where FromColumns refuses it.
-	p, ascending, err := c.packed(false)
+	p, err := c.packed(false)
 	if err != nil {
 		return nil, fmt.Errorf("graph: binary %w", err)
-	}
-	if !ascending {
-		p.mergeRows()
 	}
 	dg := &DocGraph{G: &Digraph{base: p, deduped: true}, Sites: sites, runs: runs, urls: urls, restarts: restarts, docs: nd}
 	if err := dg.Validate(); err != nil {

@@ -93,7 +93,7 @@ func TestListedWeightsAreNeverOne(t *testing.T) {
 		edit("AddEdge ½", from, n, 0.5)
 		edit("AddEdge ½", from, n, 0.5)
 	}
-	edit("AddLink onto a listed weight", i, int(base.to[q]), 1)
+	edit("AddLink onto a listed weight", i, int(base.wide()[q]), 1)
 	edit("AddEdge 2", n, 0, 2)
 	edit("AddEdge 2.5 onto a base row", 3, n, 2.5)
 	g.Dedupe()

@@ -32,14 +32,18 @@ func packedModel(t *testing.T, what string, g *Digraph) edgeModel {
 	if p == nil {
 		return m
 	}
-	e := 0
+	e, f := 0, 0
 	for i := 0; i < p.rows(); i++ {
 		for q := p.off[i]; q < p.off[i+1]; q++ {
 			w := 1.0
 			if e < len(p.pos) && p.pos[e] == q {
 				w, e = p.w[e], e+1
 			}
-			m.add(i, int(p.to[q]), w)
+			to := i + int(p.to[q])
+			if f < len(p.farPos) && p.farPos[f] == q {
+				to, f = int(p.farTo[f]), f+1
+			}
+			m.add(i, to, w)
 		}
 	}
 	return m

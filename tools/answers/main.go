@@ -11,7 +11,10 @@
 // "layered" hashes LayeredDocRank's DocRank and TopDocs(…, 50) — documents,
 // URLs and scores — on webgen's Small web (seed 7), its Default web, a
 // blocky Small web (seed 11) and the Small web read back through the text
-// format. The "central-" lines hash one answer each of a 4-worker
+// format. "web-mid" hashes the graph file of lmmload's web-mid (seed 2005,
+// 113 644 documents, some of whose links reach farther than a 2-byte
+// distance), and LayeredDocRank's DocRank and TopDocs(…, 50) over the web
+// read back from that file. The "central-" lines hash one answer each of a 4-worker
 // DistEngine on the Small web — its Top table, vectors and local ranks: a cold Rank, a warm one, a Tol=1e-4 one,
 // a site-personalized one, a ThreeLayer one, a ThreeLayer Tol=1e-4 one
 // ("three-tol", a run of its own), a WantLocalRanks one, a TopK 50 one,
@@ -62,6 +65,11 @@ func main() {
 		fail(err)
 	}
 	fmt.Printf("layered      %016x\n", layered)
+	mid, err := webMidHash()
+	if err != nil {
+		fail(err)
+	}
+	fmt.Printf("web-mid      %016x\n", mid)
 	if err := distHashes(); err != nil {
 		fail(err)
 	}
@@ -137,6 +145,32 @@ func layeredHash() (uint64, error) {
 			fmt.Fprintf(h, "%d %s ", d.Doc, d.URL)
 			writeFloats(h, []float64{d.Score})
 		}
+	}
+	return h.Sum64(), nil
+}
+
+// webMidHash hashes the graph file of lmmload's web-mid and the layered
+// ranking of the web decoded from it.
+func webMidHash() (uint64, error) {
+	cfg := webgen.Config{Seed: 2005, Sites: 218, MeanSitePages: 400, DynamicClusterPages: 10000, DocClusterPages: 10000}
+	var file bytes.Buffer
+	if err := graph.EncodeBinary(&file, webgen.Generate(cfg).Graph); err != nil {
+		return 0, err
+	}
+	h := fnv.New64a()
+	h.Write(file.Bytes())
+	dg, err := graph.DecodeBinary(&file)
+	if err != nil {
+		return 0, err
+	}
+	res, err := lmmrank.LayeredDocRank(dg, lmmrank.WebConfig{})
+	if err != nil {
+		return 0, err
+	}
+	writeFloats(h, res.DocRank)
+	for _, d := range lmmrank.TopDocs(dg, res.DocRank, 50) {
+		fmt.Fprintf(h, "%d %s ", d.Doc, d.URL)
+		writeFloats(h, []float64{d.Score})
 	}
 	return h.Sum64(), nil
 }
