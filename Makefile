@@ -206,11 +206,15 @@ answers:
 # Coverage floors. internal/dist+partition: the merged statement
 # coverage of the distributed runtime's tests must not fall below
 # COVER_FLOOR percent (the tree measured 86.5% when the gate was
-# introduced). Root package: the engine/serving/admission paths must
-# not fall below ROOT_COVER_FLOOR percent (89.4% when introduced).
-# Both floors leave headroom for noise without letting the tests rot.
-COVER_FLOOR      ?= 80
-ROOT_COVER_FLOOR ?= 75
+# introduced at 80). Root package: the engine/serving/admission paths must
+# not fall below ROOT_COVER_FLOOR percent (89.4% when introduced at 75).
+# Ratcheted when the coordinator stopped solving the site layer, to the
+# measured value rounded down to a whole percent, minus 2: dist+partition
+# 92.6–92.9% → 90, root 90.9% → 88. The 2 points leave headroom for
+# noise; a PR that deletes a slice of the fleet or engine tests fails
+# the gate.
+COVER_FLOOR      ?= 90
+ROOT_COVER_FLOOR ?= 88
 COVER_PROFILE    ?= cover.out
 cover:
 	$(GO) test -coverprofile=$(COVER_PROFILE) \

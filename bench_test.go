@@ -162,32 +162,6 @@ func BenchmarkE7Distributed(b *testing.B) {
 	}
 }
 
-// BenchmarkE11SiteRank is a cold Rank on a loopback fleet of 4, its site
-// layer solved on the coordinator: rounds/op (SiteRankRounds, the
-// coordinator's sweeps) and msgs/op (the load and local phase: the site
-// layer sends none) are the counts it pays.
-func BenchmarkE11SiteRank(b *testing.B) {
-	web := benchWeb()
-	cl, err := StartCluster(4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
-	var rounds, msgs int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := coordRank(cl, web.Graph, DistConfig{Tol: 1e-9})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rounds += res.Stats.SiteRankRounds
-		msgs += int(res.Stats.Messages)
-	}
-	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
-	b.ReportMetric(float64(msgs)/float64(b.N), "msgs/op")
-}
-
 // BenchmarkDistNonDefault is a warm central DistEngine over cmd/lmmload's
 // web-mid web (≈114k documents) and 4 in-process workers, answering
 // Query{Damping: 0.8}: the one query shape the snapshot cannot compose,

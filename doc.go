@@ -21,7 +21,7 @@
 //   - a distributed runtime: loopback or networked worker fleets driven by
 //     a coordinator over a framed binary TCP protocol, with page-count shard
 //     balancing, digest-keyed worker caches, the small site layer solved
-//     on the coordinator where the graph is, mid-run worker-loss recovery
+//     by the engine that composes the answer, mid-run worker-loss recovery
 //     and background redial with mid-run re-admission (DistRetryPolicy).
 //
 // Quick start:

@@ -96,7 +96,8 @@ type Result struct {
 	// SiteIterations and LocalIterations record solver work: the site
 	// layer's in-place sweeps and each site's local sweeps.
 	// SiteIterations is the query's own site solve: 0 for an answer
-	// composed with a snapshot's πS.
+	// composed with a snapshot's πS. The DistEngine answer that filled
+	// its snapshot adds the fill's solve of πS.
 	SiteIterations  int
 	LocalIterations []int
 	// Dist carries the transport/cache statistics of the fleet run a
@@ -323,15 +324,22 @@ func (sol *solutions) topk(workers int) *topkIndex {
 // the Partition Theorem lets the two engines differ in: the Ranker's own
 // solvers (a nil coord), which fill a snapshot before it is published, or
 // coordinator runs over a fleet, which fill it on the first query that
-// reads its solutions.
+// reads its solutions. The site layer is the engine's on either.
 type source struct {
 	coord *coordinator.Coordinator
 	cfg   coordinator.Config
 }
 
+// fleetFill is what a fleet fill cost, which the answer that made it
+// reports: the coordinator run, and the sweeps of the solve of πS after it.
+type fleetFill struct {
+	*coordinator.Result
+	siteIters int
+}
+
 // fill solves snap's solutions at the default parameters, started from
 // snap.from with the changed sites solved afresh, across workers
-// goroutines; made is the fleet run that did (nil in process). In process
+// goroutines; made is what the fleet's did (nil in process). In process
 // it is a RankRefresh, warm-started where the shapes survived (a changed
 // site whose roster grew starts cold — seeds are shape-checked hints),
 // which hands a clean site's previous vector back verbatim (a warm
@@ -340,15 +348,17 @@ type source struct {
 // cloned out of the Ranker's scratch, and the chains they were solved on
 // are dropped with its clone. On a fleet it is one uniform run that asks
 // the workers for only the sites whose local DocRank snap.from does not
-// hold (prime left it the clean sites' alone).
-func (src *source) fill(ctx context.Context, snap *snapshot, changed []SiteID, workers int) (sol *solutions, made *coordinator.Result, err error) {
+// hold (prime left it the clean sites' alone), and one RankSites on rk,
+// the filling query's own Ranker, started from snap.from's πS: the site
+// solve a RankRefresh makes.
+func (src *source) fill(ctx context.Context, snap *snapshot, rk *lmm.Ranker, changed []SiteID, workers int) (*solutions, *fleetFill, error) {
 	from := snap.from
 	if src.coord == nil {
 		wr, err := snap.base.Share().RankRefresh(changed, lmm.WebConfig{Parallelism: workers, SiteStart: from.site, LocalStarts: from.locals, Ctx: ctx})
 		if err != nil {
 			return nil, nil, normalizeCtxErr(ctx, err)
 		}
-		sol = &solutions{site: wr.SiteRank.Clone(), locals: make([]Vector, len(wr.LocalRanks))}
+		sol := &solutions{site: wr.SiteRank.Clone(), locals: make([]Vector, len(wr.LocalRanks))}
 		for s, v := range wr.LocalRanks {
 			if s >= len(from.locals) || !sameVector(v, from.locals[s]) {
 				v = v.Clone()
@@ -357,46 +367,50 @@ func (src *source) fill(ctx context.Context, snap *snapshot, changed []SiteID, w
 		}
 		return sol, nil, nil
 	}
-	if made, err = src.run(ctx, snap, Query{}, from); err != nil {
+	dres, err := src.run(ctx, snap, Query{}, from.locals)
+	if err != nil {
 		return nil, nil, err
 	}
-	return &solutions{site: made.SiteRank, locals: made.LocalRanks}, made, nil
+	site, iters, err := rk.RankSites(lmm.WebConfig{SiteStart: from.site, Ctx: ctx})
+	if err != nil {
+		return nil, nil, normalizeCtxErr(ctx, err)
+	}
+	// site aliases rk's scratch, which goes back to the free list when the
+	// query is answered.
+	return &solutions{site: site.Clone(), locals: dres.LocalRanks}, &fleetFill{dres, iters}, nil
 }
 
-// solve gives q its local DocRanks, their sweeps (nil: none ran), the site
-// layer if the source solved one (weights nil: weigh it) and the fleet's
-// account (nil in process). A query served from sol gets sol's locals,
-// and on a fleet sends nothing. Any other query (sol nil) is a solve of
-// its own: in process every site on rk, started from the snapshot's
-// locals; on a fleet a run from nothing but the digests.
-func (src *source) solve(ctx context.Context, snap *snapshot, rk *lmm.Ranker, q Query, sol *solutions, workers int) (siteLayer, []Vector, []int, *DistStats, error) {
+// solve gives q its local DocRanks, their sweeps (nil: none ran) and the
+// fleet's account (nil in process). A query served from sol gets sol's
+// locals, and on a fleet sends nothing. Any other query (sol nil) is a
+// solve of its own: in process every site on rk, started from the
+// snapshot's locals; on a fleet a run from nothing but the digests.
+func (src *source) solve(ctx context.Context, snap *snapshot, rk *lmm.Ranker, q Query, sol *solutions, workers int) ([]Vector, []int, *DistStats, error) {
 	switch {
 	case src.coord == nil && sol == nil:
 		cfg := q.webConfig(ctx, workers)
 		cfg.LocalStarts = snap.sol.Load().locals
 		locals, iters, err := rk.RankLocals(cfg)
-		return siteLayer{}, locals, iters, nil, normalizeCtxErr(ctx, err)
+		return locals, iters, nil, normalizeCtxErr(ctx, err)
 	case src.coord == nil:
-		return siteLayer{}, sol.locals, nil, nil, nil
+		return sol.locals, nil, nil, nil
 	case sol != nil:
-		return siteLayer{}, sol.locals, nil, &DistStats{LocalRanksReused: len(sol.locals)}, nil
+		return sol.locals, nil, &DistStats{LocalRanksReused: len(sol.locals)}, nil
 	}
-	dres, err := src.run(ctx, snap, q, &solutions{})
+	dres, err := src.run(ctx, snap, q, nil)
 	if err != nil {
-		return siteLayer{}, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
-	stats := dres.Stats
-	return siteLayer{weights: dres.SiteRank, iters: stats.SiteRankRounds}, dres.LocalRanks, dres.LocalIterations, &stats, nil
+	return dres.LocalRanks, dres.LocalIterations, &dres.Stats, nil
 }
 
-// run is one coordinator run of q started from from's solutions and the
-// snapshot's shard digests, which it records if the run learned them.
-// Its πS is fresh (nil for ThreeLayer).
-func (src *source) run(ctx context.Context, snap *snapshot, q Query, from *solutions) (*coordinator.Result, error) {
+// run is one coordinator run at q's Damping, Tol and MaxIter, started
+// from the local DocRanks locals holds and the snapshot's shard digests,
+// which it records if the run learned them.
+func (src *source) run(ctx context.Context, snap *snapshot, q Query, locals []Vector) (*coordinator.Result, error) {
 	cfg := src.cfg
 	cfg.Damping, cfg.Tol, cfg.MaxIter = q.Damping, q.Tol, q.MaxIter
-	cfg.SitePersonalization, cfg.ThreeLayer = q.SitePersonalization, q.ThreeLayer
-	warm := coordinator.Warm{SiteStart: from.site, Locals: from.locals, Digests: snap.digests.Load()}
+	warm := coordinator.Warm{Locals: locals, Digests: snap.digests.Load()}
 	dres, err := src.coord.RankPreparedCtx(ctx, snap.base, cfg, warm)
 	if err == nil && dres.Digests != warm.Digests {
 		snap.digests.CompareAndSwap(warm.Digests, dres.Digests)
@@ -429,7 +443,7 @@ func (e *server) rebuild(ctx context.Context, cur *snapshot, dg *DocGraph) (*sna
 func (e *server) prime(ctx context.Context, snap *snapshot, changed []SiteID, workers int) error {
 	snap.pool = newRankerPool(snap.base)
 	if e.src.coord == nil {
-		_, _, err := e.filled(ctx, snap, changed, workers)
+		_, _, err := e.filled(ctx, snap, nil, changed, workers)
 		snap.from = nil
 		return err
 	}
@@ -444,15 +458,16 @@ func (e *server) prime(ctx context.Context, snap *snapshot, changed []SiteID, wo
 }
 
 // filled returns snap's solutions, filling them first if it has none:
-// from snap.from, the changed sites solved afresh, with the index
-// snap.from had patched over them (only the sites whose local DocRank is
-// new are sorted again), published by compare-and-swap (a loser serves
-// the winner's). made is the fill's fleet run if this call made it.
-func (e *server) filled(ctx context.Context, snap *snapshot, changed []SiteID, workers int) (*solutions, *coordinator.Result, error) {
+// from snap.from, the changed sites solved afresh (πS on rk, on a fleet),
+// with the index snap.from had patched over them (only the sites whose
+// local DocRank is new are sorted again), published by compare-and-swap
+// (a loser serves the winner's). made is the fleet fill if this call made
+// it.
+func (e *server) filled(ctx context.Context, snap *snapshot, rk *lmm.Ranker, changed []SiteID, workers int) (*solutions, *fleetFill, error) {
 	if sol := snap.sol.Load(); sol != nil {
 		return sol, nil, nil
 	}
-	sol, made, err := e.src.fill(ctx, snap, changed, workers)
+	sol, made, err := e.src.fill(ctx, snap, rk, changed, workers)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -465,30 +480,32 @@ func (e *server) filled(ctx context.Context, snap *snapshot, changed []SiteID, w
 
 // solve is Rank's half behind the front: a query fromSnapshot takes its
 // locals from the snapshot's solutions and its Top table from their
-// index, any other's come from the source; its site weighting is the one
-// the source solved, else weighed over the solutions. The answer of the
-// query that made a fleet fill reports the fill's sweeps and run.
+// index, any other's come from the source; its site weighting is weighed
+// over the solutions. The answer of the query that made a fleet fill
+// reports the fill's sweeps and run.
 func (e *server) solve(ctx context.Context, snap *snapshot, q Query) (*Result, error) {
 	rk := snap.pool.get()
 	defer snap.pool.put(rk)
 	var sol *solutions
-	var made *coordinator.Result
+	var made *fleetFill
 	if q.fromSnapshot() {
 		var err error
-		if sol, made, err = e.filled(ctx, snap, nil, e.parallelism); err != nil {
+		if sol, made, err = e.filled(ctx, snap, rk, nil, e.parallelism); err != nil {
 			return nil, err
 		}
 	}
-	site, locals, iters, stats, err := e.src.solve(ctx, snap, rk, q, sol, e.parallelism)
-	if err == nil && site.weights == nil {
-		site, err = snap.weigh(ctx, rk, q)
+	locals, iters, stats, err := e.src.solve(ctx, snap, rk, q, sol, e.parallelism)
+	if err != nil {
+		return nil, err
 	}
+	site, err := snap.weigh(ctx, rk, q)
 	if err != nil {
 		return nil, err
 	}
 	if made != nil {
 		fill := made.Stats
 		iters, stats = made.LocalIterations, &fill
+		site.iters += made.siteIters
 	}
 	res := answer(snap.dg, q, site, locals, iters)
 	res.Dist = stats
@@ -612,7 +629,7 @@ type siteLayer struct {
 // weigh returns q's site weighting over snap's solutions: the three-layer
 // weights, πS itself for a query at the defaults without a
 // SitePersonalization, or else a site-layer solve on rk started from πS
-// (a hint).
+// (a hint) — from uniform on a fleet snapshot not filled yet.
 func (snap *snapshot) weigh(ctx context.Context, rk *lmm.Ranker, q Query) (siteLayer, error) {
 	cfg := q.webConfig(ctx, 0) // Parallelism is the locals' fan-out: none here
 	switch {
@@ -627,7 +644,9 @@ func (snap *snapshot) weigh(ctx context.Context, rk *lmm.Ranker, q Query) (siteL
 	case q.fromSnapshot() && q.SitePersonalization == nil:
 		return siteLayer{weights: snap.sol.Load().site.Clone()}, nil
 	}
-	cfg.SiteStart = snap.sol.Load().site
+	if sol := snap.sol.Load(); sol != nil {
+		cfg.SiteStart = sol.site
+	}
 	sr, iters, err := rk.RankSites(cfg)
 	if err != nil {
 		return siteLayer{}, normalizeCtxErr(ctx, err)
@@ -686,9 +705,10 @@ func normalizeCtxErr(ctx context.Context, err error) error {
 
 // DistEngine serves the same queries from a distributed fleet: local
 // DocRanks run on the workers (through the coordinator's shard caches
-// and loss recovery), the small site layer is solved where the graph is,
-// and the answer is built from those solutions as on a LocalEngine, with
-// transport statistics attached. Rank
+// and loss recovery), the small site layer is solved in the engine, on
+// the Ranker of the query that needs it, and the answer is built from
+// those solutions as on a LocalEngine, with transport statistics
+// attached. Rank
 // calls are safe for concurrent use — the coordinator serializes runs —
 // but do not overlap on the wire; for query-level concurrency put a
 // LocalEngine replica next to the coordinator instead, or turn on
@@ -697,12 +717,13 @@ func normalizeCtxErr(ctx context.Context, err error) error {
 // Serving state is an atomic snapshot exactly as on LocalEngine, and a
 // snapshot is its solutions there too, but the fleet solves them: the
 // first query at the default Damping/Tol/MaxIter makes one uniform run
-// for every site's local DocRank and πS, and every such query, that one
-// included, is composed from them and sends nothing, and takes its Top
-// table from their top-k index, as on a LocalEngine. A query with a
-// Damping, Tol or MaxIter of
-// its own is a run of its own. The three-layer weights are never the
-// fleet's: they come from the Ranker's SiteGraph, as on a LocalEngine.
+// for every site's local DocRank and solves πS after it, and every such
+// query, that one included, is composed from them and sends nothing, and
+// takes its Top table from their top-k index, as on a LocalEngine. A
+// query with a Damping, Tol or MaxIter of its own is a run of its own for
+// the local DocRanks; its site layer, like every site weighting, is
+// weighed over the snapshot's solutions as on a LocalEngine, so it gets
+// a LocalEngine's bits.
 //
 // Every run declares shards by the digests the snapshot keeps
 // (coordinator.Digests; no payload) without hashing. Update sends
@@ -725,9 +746,8 @@ var _ Engine = (*DistEngine)(nil)
 // the default SiteGraphOptions. cfg supplies the transport knobs (retry
 // policy, placement) and the serving knobs (MaxInFlight, TenantQuota,
 // RejectOverload, Coalesce,
-// CoalesceTol); its per-query fields — Damping, Tol, MaxIter,
-// SitePersonalization, ThreeLayer — are ignored and overwritten from each
-// Query. Mutate the graph only through Update (or build a new engine); a
+// CoalesceTol); its per-query fields — Damping, Tol and MaxIter — are
+// ignored and overwritten from each Query. Mutate the graph only through Update (or build a new engine); a
 // mutation outside Update turns every later query into ErrGraphMutated.
 func NewDistEngine(cl *Cluster, dg *DocGraph, cfg DistConfig) (*DistEngine, error) {
 	e := &DistEngine{server{src: source{coord: cl.Coord, cfg: cfg}, coalesce: cfg.Coalesce, coalesceTol: cfg.CoalesceTol,

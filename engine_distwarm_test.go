@@ -15,6 +15,7 @@ import (
 	"lmmrank/internal/dist/cluster"
 	"lmmrank/internal/dist/wire"
 	"lmmrank/internal/lmm"
+	"lmmrank/internal/markov"
 	"lmmrank/internal/matrix"
 	"lmmrank/internal/pagerank"
 	"lmmrank/internal/webgen"
@@ -279,13 +280,13 @@ func TestSiteRankModesMatchCentralOnSelfLoopHeavySites(t *testing.T) {
 			}
 			if d := res.SiteRank.L1Diff(ref.SiteRank); d >= tol {
 				t.Errorf("‖fleet πS − local πS‖₁ = %g, want < %g (%d sweeps vs %d)",
-					d, tol, res.Dist.SiteRankRounds, ref.SiteIterations)
+					d, tol, res.SiteIterations, ref.SiteIterations)
 			}
 			if d := res.DocRank.L1Diff(ref.DocRank); d >= tol {
 				t.Errorf("‖dist − local‖₁ = %g, want < %g", d, tol)
 			}
 			t.Logf("‖fleet πS − local πS‖₁ = %.2g after %d sweeps (local: %d sweeps)",
-				res.SiteRank.L1Diff(ref.SiteRank), res.Dist.SiteRankRounds, ref.SiteIterations)
+				res.SiteRank.L1Diff(ref.SiteRank), res.SiteIterations, ref.SiteIterations)
 		})
 	}
 }
@@ -333,8 +334,8 @@ func TestFleetRoundsBeatPowerSteps(t *testing.T) {
 				t.Fatalf("cold Rank: %v", err)
 			}
 			coldPower := powerSteps(t, eng.DocGraph(), nil)
-			if cold.Dist.SiteRankRounds == 0 || 3*cold.Dist.SiteRankRounds > coldPower {
-				t.Errorf("cold: %d sweeps, power method %d: want at most a third", cold.Dist.SiteRankRounds, coldPower)
+			if cold.SiteIterations == 0 || 3*cold.SiteIterations > coldPower {
+				t.Errorf("cold: %d sweeps, power method %d: want at most a third", cold.SiteIterations, coldPower)
 			}
 
 			site := SiteID(0)
@@ -352,10 +353,10 @@ func TestFleetRoundsBeatPowerSteps(t *testing.T) {
 				t.Fatalf("post-update Rank: %v", err)
 			}
 			editPower := powerSteps(t, eng.DocGraph(), cold.SiteRank)
-			if edited.Dist.SiteRankRounds == 0 || 3*edited.Dist.SiteRankRounds > editPower {
-				t.Errorf("after a 1-site edit: %d sweeps, power method %d: want at most a third", edited.Dist.SiteRankRounds, editPower)
+			if edited.SiteIterations == 0 || 3*edited.SiteIterations > editPower {
+				t.Errorf("after a 1-site edit: %d sweeps, power method %d: want at most a third", edited.SiteIterations, editPower)
 			}
-			t.Logf("cold %d sweeps vs %d power steps, after the edit %d vs %d", cold.Dist.SiteRankRounds, coldPower, edited.Dist.SiteRankRounds, editPower)
+			t.Logf("cold %d sweeps vs %d power steps, after the edit %d vs %d", cold.SiteIterations, coldPower, edited.SiteIterations, editPower)
 		})
 	}
 }
@@ -429,8 +430,8 @@ func TestDistEngineUpdateAsksOnlyChangedSite(t *testing.T) {
 	if res.Dist.LocalRanksReused != ns-1 || res.Dist.ShardsReshipped != 1 {
 		t.Errorf("reused %d local ranks and reshipped %d shards, want %d and 1", res.Dist.LocalRanksReused, res.Dist.ShardsReshipped, ns-1)
 	}
-	if res.Dist.SiteRankRounds >= cold.Dist.SiteRankRounds {
-		t.Errorf("site layer took %d sweeps from the previous snapshot's πS, want fewer than the %d of a cold start", res.Dist.SiteRankRounds, cold.Dist.SiteRankRounds)
+	if res.SiteIterations >= cold.SiteIterations {
+		t.Errorf("site layer took %d sweeps from the previous snapshot's πS, want fewer than the %d of a cold start", res.SiteIterations, cold.SiteIterations)
 	}
 	local, err := NewLocalEngine(eng.DocGraph(), EngineOptions{})
 	if err != nil {
@@ -638,6 +639,73 @@ func TestDistEngineNonDefaultTolBypassesWarm(t *testing.T) {
 	}
 	if st.sol.Load() != fill {
 		t.Error("a Tol=1e-4 query replaced the snapshot's fill")
+	}
+}
+
+// TestDistEngineSiteLayerMatchesLocal: the site layer is the engine's on
+// either backend, weighed over the snapshot's πS on the query's own
+// Ranker, so a filled fleet answers each query with parameters of its own
+// with a LocalEngine's SiteRank bits and sweep count. A fresh fleet's
+// first such query has no πS to start from: it answers from uniform,
+// fills nothing, and lands within Tol/(1 − f) of the exact πS.
+func TestDistEngineSiteLayerMatchesLocal(t *testing.T) {
+	web := engineWeb()
+	ctx := context.Background()
+	local, err := NewLocalEngine(web.Graph, EngineOptions{})
+	if err != nil {
+		t.Fatalf("NewLocalEngine: %v", err)
+	}
+	cl, err := StartCluster(2)
+	if err != nil {
+		t.Fatalf("StartCluster: %v", err)
+	}
+	defer cl.Close()
+
+	fresh, err := NewDistEngine(cl, web.Graph, DistConfig{})
+	if err != nil {
+		t.Fatalf("NewDistEngine: %v", err)
+	}
+	const f = 0.8
+	first, err := fresh.Rank(ctx, Query{Damping: f})
+	if err != nil {
+		t.Fatalf("first Rank on a fresh fleet: %v", err)
+	}
+	if fresh.snap.Load().sol.Load() != nil {
+		t.Error("a Damping 0.8 query filled the snapshot")
+	}
+	m := DeriveSiteGraph(web.Graph, SiteGraphOptions{}).G.TransitionMatrix()
+	exact, err := matrix.StationaryExact(markov.MaximalIrreducible(m.Dense(), f, nil))
+	if err != nil {
+		t.Fatalf("exact solve: %v", err)
+	}
+	if d, bound := first.SiteRank.L1Diff(exact), matrix.DefaultTol/(1-f)+1e-12; d > bound {
+		t.Errorf("fresh fleet: ‖πS − π*‖₁ = %g > %g after %d sweeps", d, bound, first.SiteIterations)
+	}
+
+	eng, err := NewDistEngine(cl, web.Graph, DistConfig{})
+	if err != nil {
+		t.Fatalf("NewDistEngine: %v", err)
+	}
+	if _, err := eng.Rank(ctx, Query{}); err != nil {
+		t.Fatalf("filling Rank: %v", err)
+	}
+	pers := mixedQueries(web.Graph)[1].SitePersonalization
+	for _, q := range []Query{{Damping: f}, {Tol: 1e-4}, {SitePersonalization: pers, Damping: f}} {
+		got, err := eng.Rank(ctx, q)
+		if err != nil {
+			t.Fatalf("%+v: fleet Rank: %v", q, err)
+		}
+		want, err := local.Rank(ctx, q)
+		if err != nil {
+			t.Fatalf("%+v: local Rank: %v", q, err)
+		}
+		if !sameBits(got.SiteRank, want.SiteRank) || got.SiteIterations != want.SiteIterations {
+			t.Errorf("Damping %g Tol %g personalized %v: fleet πS is %g from the LocalEngine's in %d sweeps vs %d, want its bits",
+				q.Damping, q.Tol, q.SitePersonalization != nil, got.SiteRank.L1Diff(want.SiteRank), got.SiteIterations, want.SiteIterations)
+		}
+		if got.Dist.Messages == 0 {
+			t.Errorf("Damping %g Tol %g: the query sent no message, want a fleet run of its own", q.Damping, q.Tol)
+		}
 	}
 }
 

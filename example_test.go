@@ -189,9 +189,10 @@ func ExampleDistEngine() {
 
 // ExampleStartCluster runs the paper's peer-to-peer vision on one
 // machine: four worker peers on loopback TCP each host a share of the
-// campus web's sites and compute their local DocRanks; the coordinator
-// solves the SiteRank and hands back the solutions, which compose into
-// the global ranking by the Partition Theorem. A second run declares the
+// campus web's sites and compute their local DocRanks, which the
+// coordinator hands back; composed under the SiteRank, solved on the
+// caller's own Ranker, they are the global ranking by the Partition
+// Theorem. A second run declares the
 // shards by digest against the workers' caches, and a run after a worker
 // died reassigns its shards to the survivors.
 func ExampleStartCluster() {
@@ -215,6 +216,13 @@ func ExampleStartCluster() {
 		fmt.Println("error:", err)
 		return
 	}
+	// The small site layer is solved here; RankSites answers in rk's
+	// scratch, which a run leaves alone.
+	site, _, err := rk.RankSites(lmmrank.WebConfig{})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
 	ctx := context.Background()
 	cfg := lmmrank.DistConfig{Retry: lmmrank.DistRetryPolicy{MaxWorkerFailures: 1}}
 	// Each run hands the next the shard digests it computed.
@@ -233,7 +241,7 @@ func ExampleStartCluster() {
 			return
 		}
 		known.Digests = res.Digests
-		gap = max(gap, lmm.ComposeDocRank(web.Graph, res.SiteRank, res.LocalRanks).L1Diff(ref.DocRank))
+		gap = max(gap, lmm.ComposeDocRank(web.Graph, site, res.LocalRanks).L1Diff(ref.DocRank))
 		switch run {
 		case 2:
 			fmt.Println("second run, shards re-shipped:", res.Stats.ShardsReshipped)

@@ -152,12 +152,13 @@ func TestChaosSoak(t *testing.T) {
 const stragglerDelay = 10 * time.Millisecond
 
 // TestChaosStragglerStallsSyncBarrier measures what a slow worker costs
-// the site layer: nothing. The retired sync schedule stalled every
-// barrier round on the straggler; the site layer is now solved on the
-// coordinator, which sends the fleet no site-layer exchange at all, so
-// with one worker's every local-rank exchange delayed the SiteRank phase
-// stays below one delay — also for a config that still names the retired
-// schedule, which a run ignores.
+// a run: its local phase, and nothing after it. The retired sync
+// schedule stalled every barrier round on the straggler; a run now solves
+// no site layer and sends the fleet no exchange after its local phase,
+// so with one worker's every local-rank exchange delayed the local phase
+// waits at least one delay and the run reports no site-layer work — also
+// for a config that still names the retired schedule, which a run
+// ignores.
 func TestChaosStragglerStallsSyncBarrier(t *testing.T) {
 	web := testWeb()
 	cases := []struct {
@@ -180,18 +181,13 @@ func TestChaosStragglerStallsSyncBarrier(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Rank: %v", err)
 			}
-			sweeps := res.Stats.SiteRankRounds
-			if sweeps == 0 {
-				t.Fatal("SiteRankRounds not recorded")
-			}
 			if res.Stats.LocalRankDuration < stragglerDelay {
 				t.Errorf("local phase took %v, want >= %v: the straggler was not delayed", res.Stats.LocalRankDuration, stragglerDelay)
 			}
-			if res.Stats.SiteRankDuration >= stragglerDelay {
-				t.Errorf("SiteRank took %v with a %v straggler, want less than one delay: it waits on no worker",
-					res.Stats.SiteRankDuration, stragglerDelay)
+			if res.Stats.SiteRankRounds != 0 || res.Stats.SiteRankDuration != 0 {
+				t.Errorf("the run reports %d site sweeps in %v, want none: it solves no site layer", res.Stats.SiteRankRounds, res.Stats.SiteRankDuration)
 			}
-			t.Logf("%s: %d sweeps in %v", tc.name, sweeps, res.Stats.SiteRankDuration)
+			t.Logf("%s: local phase %v", tc.name, res.Stats.LocalRankDuration)
 		})
 	}
 }

@@ -22,10 +22,24 @@ func rank(ctx context.Context, cl *Local, dg *graph.DocGraph, cfg coordinator.Co
 	return cl.Coord.RankPreparedCtx(ctx, rk, cfg, coordinator.Warm{})
 }
 
-// docRank composes a run's solutions into its global DocRank, the answer
-// a caller of the coordinator builds.
+// docRank composes a run's local DocRanks under dg's πS at the defaults
+// into its global DocRank, the answer a caller of the coordinator builds.
 func docRank(dg *graph.DocGraph, res *coordinator.Result) matrix.Vector {
-	return lmm.ComposeDocRank(dg, res.SiteRank, res.LocalRanks)
+	return composeUnder(dg, lmm.WebConfig{}, res)
+}
+
+// composeUnder composes a run's local DocRanks under the πS cfg's site
+// layer gives dg, solved on a Ranker of its own.
+func composeUnder(dg *graph.DocGraph, cfg lmm.WebConfig, res *coordinator.Result) matrix.Vector {
+	rk, err := lmm.NewRanker(dg, lmm.RankerOptions{})
+	if err != nil {
+		panic(err)
+	}
+	site, _, err := rk.RankSites(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return lmm.ComposeDocRank(dg, site, res.LocalRanks)
 }
 
 // syncIgnored is the retired fleet SiteRank mode, which a run ignores.
@@ -74,12 +88,6 @@ func TestPartitionTheoremOverTheWire(t *testing.T) {
 			}
 			if d := docRank(web.Graph, res).L1Diff(ref.DocRank); d >= 1e-9 {
 				t.Errorf("‖distributed − LayeredDocRank‖₁ = %g, want < 1e-9", d)
-			}
-			if d := res.SiteRank.L1Diff(ref.SiteRank); d >= 1e-9 {
-				t.Errorf("‖distributed − reference‖₁ on SiteRank = %g, want < 1e-9", d)
-			}
-			if res.Stats.SiteRankRounds == 0 {
-				t.Error("SiteRankRounds not recorded")
 			}
 			if res.Stats.Messages == 0 || res.Stats.BytesSent == 0 || res.Stats.BytesReceived == 0 {
 				t.Errorf("transport stats are decorative: %+v", res.Stats)
@@ -275,9 +283,6 @@ func TestRankPrepared(t *testing.T) {
 		known.Digests = res.Digests
 		if d := docRank(web.Graph, res).L1Diff(docRank(web.Graph, oneShot)); d != 0 {
 			t.Errorf("run %d: DocRank differs from one-shot Rank by %g", run, d)
-		}
-		if d := res.SiteRank.L1Diff(oneShot.SiteRank); d != 0 {
-			t.Errorf("run %d: SiteRank differs by %g", run, d)
 		}
 	}
 }

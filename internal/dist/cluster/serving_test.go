@@ -2,13 +2,11 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"testing"
 
 	"lmmrank/internal/dist/coordinator"
 	"lmmrank/internal/lmm"
 	"lmmrank/internal/matrix"
-	"lmmrank/internal/pagerank"
 )
 
 // TestDigestMemoization pins the carried digests: the cold run hashes
@@ -62,10 +60,12 @@ func TestDigestMemoization(t *testing.T) {
 	}
 }
 
-// TestDistributedSitePersonalization drives the site-layer teleport
-// through a fleet run — also one whose config names the retired fleet
-// SiteRank mode, which it ignores — and checks each against the
-// single-process personalized pipeline.
+// TestDistributedSitePersonalization composes a fleet run's local
+// DocRanks under a site-personalized πS — also a run whose config names
+// the retired fleet SiteRank mode, which it ignores — and checks each
+// against the single-process personalized pipeline: a local DocRank does
+// not depend on the site layer's teleport (Partition Theorem), so the
+// caller's site solve is all a personalization adds.
 func TestDistributedSitePersonalization(t *testing.T) {
 	web := testWeb()
 	ns := web.Graph.NumSites()
@@ -85,8 +85,8 @@ func TestDistributedSitePersonalization(t *testing.T) {
 		name string
 		cfg  coordinator.Config
 	}{
-		{"central", coordinator.Config{SitePersonalization: pers}},
-		{"distributed", coordinator.Config{SitePersonalization: pers, SiteRank: syncIgnored}},
+		{"central", coordinator.Config{}},
+		{"distributed", coordinator.Config{SiteRank: syncIgnored}},
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
@@ -99,26 +99,13 @@ func TestDistributedSitePersonalization(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Rank: %v", err)
 			}
-			if d := res.SiteRank.L1Diff(ref.SiteRank); d >= 1e-9 {
-				t.Errorf("‖distributed − reference‖₁ on SiteRank = %g, want < 1e-9", d)
-			}
-			if d := docRank(web.Graph, res).L1Diff(ref.DocRank); d >= 1e-9 {
+			got := composeUnder(web.Graph, lmm.WebConfig{SitePersonalization: pers}, res)
+			if d := got.L1Diff(ref.DocRank); d >= 1e-9 {
 				t.Errorf("‖distributed − reference‖₁ = %g, want < 1e-9", d)
 			}
+			if d := got.L1Diff(docRank(web.Graph, res)); d < 1e-6 {
+				t.Errorf("the personalized answer is within %g of the uniform one: the bias moved nothing", d)
+			}
 		})
-	}
-
-	// Malformed personalization is rejected up front.
-	cl, err := StartLocal(1)
-	if err != nil {
-		t.Fatalf("StartLocal: %v", err)
-	}
-	defer cl.Close()
-	bad := make(matrix.Vector, ns-1)
-	for i := range bad {
-		bad[i] = 1.0 / float64(ns-1)
-	}
-	if _, err := rank(context.Background(), cl, web.Graph, coordinator.Config{SitePersonalization: bad}); !errors.Is(err, pagerank.ErrBadConfig) {
-		t.Errorf("wrong-length personalization: err = %v, want ErrBadConfig", err)
 	}
 }

@@ -15,10 +15,9 @@ import (
 )
 
 // TestWarmRunAsksOnlyForMissingLocals pins coordinator.Warm: a run
-// handed the previous answer's local DocRanks and πS sends no
-// KindRankLocal, reuses the vectors themselves and lands within 1e-9 of
-// the cold answer; with holes in Locals the fleet is asked for exactly
-// the holes. The seeded site layer also converges in fewer sweeps.
+// handed the previous answer's local DocRanks sends no KindRankLocal,
+// reuses the vectors themselves and lands within 1e-9 of the cold
+// answer; with holes in Locals the fleet is asked for exactly the holes.
 func TestWarmRunAsksOnlyForMissingLocals(t *testing.T) {
 	web := testWeb()
 	ns := web.Graph.NumSites()
@@ -49,7 +48,7 @@ func TestWarmRunAsksOnlyForMissingLocals(t *testing.T) {
 				t.Fatalf("cold run asked for %d sites and reused %d, want %d and 0", len(got), cold.Stats.LocalRanksReused, ns)
 			}
 
-			known := coordinator.Warm{SiteStart: cold.SiteRank, Locals: cold.LocalRanks, Digests: cold.Digests}
+			known := coordinator.Warm{Locals: cold.LocalRanks, Digests: cold.Digests}
 			warm, err := cl.Coord.RankPreparedCtx(ctx, rk, cfg, known)
 			if err != nil {
 				t.Fatalf("warm run: %v", err)
@@ -71,14 +70,11 @@ func TestWarmRunAsksOnlyForMissingLocals(t *testing.T) {
 			if d := docRank(web.Graph, warm).L1Diff(docRank(web.Graph, cold)); d >= tol {
 				t.Errorf("‖warm − cold‖₁ = %g, want < %g", d, tol)
 			}
-			if warm.Stats.SiteRankRounds >= cold.Stats.SiteRankRounds {
-				t.Errorf("warm site layer took %d sweeps vs %d cold — the seed was not used", warm.Stats.SiteRankRounds, cold.Stats.SiteRankRounds)
-			}
 
 			// Holes: an unknown site, and a vector of the wrong size (a
 			// site whose roster changed) — both are asked for, nothing
-			// else is; a SiteStart of the wrong length is no seed.
-			holes := coordinator.Warm{SiteStart: cold.SiteRank[:ns-1], Locals: slices.Clone(cold.LocalRanks)}
+			// else is.
+			holes := coordinator.Warm{Locals: slices.Clone(cold.LocalRanks)}
 			holes.Locals[3] = nil
 			holes.Locals[7] = holes.Locals[7][:len(holes.Locals[7])-1]
 			part, err := cl.Coord.RankPreparedCtx(ctx, rk, cfg, holes)
@@ -93,9 +89,6 @@ func TestWarmRunAsksOnlyForMissingLocals(t *testing.T) {
 			}
 			if d := docRank(web.Graph, part).L1Diff(docRank(web.Graph, cold)); d >= tol {
 				t.Errorf("‖partly warm − cold‖₁ = %g, want < %g", d, tol)
-			}
-			if part.Stats.SiteRankRounds != cold.Stats.SiteRankRounds {
-				t.Errorf("a short SiteStart changed the sweep count: %d vs %d cold", part.Stats.SiteRankRounds, cold.Stats.SiteRankRounds)
 			}
 		})
 	}
@@ -129,7 +122,7 @@ func TestMessagesPerRun(t *testing.T) {
 			if got, want := cold.Stats.Messages, uint64(2*nw+nw); got != want {
 				t.Errorf("cold run: %d messages, want %d (two Loads and a KindRankLocal per worker)", got, want)
 			}
-			known := coordinator.Warm{SiteStart: cold.SiteRank, Locals: cold.LocalRanks, Digests: cold.Digests}
+			known := coordinator.Warm{Locals: cold.LocalRanks, Digests: cold.Digests}
 			warm, err := cl.Coord.RankPreparedCtx(context.Background(), rk, cfg, known)
 			if err != nil {
 				t.Fatalf("warm run: %v", err)

@@ -1,11 +1,10 @@
 // Package coordinator implements the central side of the distributed
 // Layered Method (§3.2 run across a fleet): it partitions a DocGraph by
-// site over TCP workers speaking wire's frames, dispatches the per-site
-// local DocRanks to the peers and solves the small site layer itself, on
-// the graph it extracts the shards from. A run returns those solutions —
-// πS and every site's local DocRank — and the caller composes its answer
-// from them by the Partition Theorem (lmm.ComposeDocRank), under πS or
-// under site weights of its own.
+// site over TCP workers speaking wire's frames and gathers every site's
+// local DocRank from the peers. A run returns those local DocRanks and
+// nothing of the site layer: the caller solves πS on its own Ranker, or
+// weighs the sites its own way, and composes its answer by the Partition
+// Theorem (lmm.ComposeDocRank).
 //
 // The runtime is production-shaped along three axes. Fault tolerance:
 // with a RetryPolicy budget, a peer dying mid-run is detected at the
@@ -115,8 +114,8 @@ func backoffDelay(base, max time.Duration, attempt int) time.Duration {
 	return time.Duration((0.5 + rand.Float64()) * float64(d))
 }
 
-// SiteRankMode named the site-layer algorithm of a distributed run. Every
-// run solves the site layer on the coordinator.
+// SiteRankMode named the site-layer algorithm of a distributed run. No
+// run solves the site layer: its caller does.
 //
 // Deprecated: ignored.
 type SiteRankMode int
@@ -136,25 +135,14 @@ type Config struct {
 	// damping of exactly 0 cannot be requested, while tiny positive
 	// values are honored as given.
 	Damping float64
-	// Tol and MaxIter bound every solve, local and site-level (0 =
-	// package matrix defaults). A solve stops at the first sweep that
-	// moves the normalized iterate by at most Tol in L1, which leaves it
-	// within Tol/(1 − f) of the exact answer (Stats.SiteRankRounds says
-	// why); MaxIter caps its sweeps.
+	// Tol and MaxIter bound every worker's local solve (0 = package
+	// matrix defaults). A solve stops at the first sweep that moves the
+	// normalized iterate by at most Tol in L1, which leaves it within
+	// Tol/(1 − f) of the exact answer (docs/ARCHITECTURE.md, "The
+	// solve"); MaxIter caps its sweeps.
 	Tol     float64
 	MaxIter int
-	// SitePersonalization optionally biases the site layer: the teleport
-	// distribution v of Mˆ(G_S) (length NumSites; nil = uniform) — the
-	// paper's "personalization at the higher layer" served from the
-	// fleet.
-	SitePersonalization matrix.Vector
-	// ThreeLayer says the caller weights the sites itself — the
-	// three-layer model's DomainRank·SiteEntry (lmm.Ranker's
-	// ThreeLayerWeights) — so the run solves the document layer only:
-	// Result.SiteRank stays nil. Incompatible with SitePersonalization.
-	ThreeLayer bool
-	// Deprecated: ignored. Every run solves the site layer on the
-	// coordinator.
+	// Deprecated: ignored. No run solves the site layer.
 	SiteRank SiteRankMode
 	// Retry controls mid-run fault tolerance; the zero value disables
 	// recovery.
@@ -200,12 +188,9 @@ type Stats struct {
 	// LocalRankDuration covers the fleet-wide local DocRank phase; it is
 	// 0 when Warm.Locals answered every site and the fleet was not asked.
 	LocalRankDuration time.Duration
-	// SiteRankDuration covers the site-layer computation.
+	// Deprecated: always 0. No run solves the site layer.
 	SiteRankDuration time.Duration
-	// SiteRankRounds counts the site layer's in-place sweeps on the
-	// coordinator. The last one moved the normalized πS by at most Tol in
-	// L1, which bounds ‖πS − π*‖₁ ≤ Tol/(1 − f) against the exact
-	// stationary vector (docs/ARCHITECTURE.md, "The solve").
+	// Deprecated: always 0. No run solves the site layer.
 	SiteRankRounds int
 	// Messages counts request/response exchanges; BytesSent and
 	// BytesReceived count raw bytes across the coordinator's sockets,
@@ -259,15 +244,10 @@ type Stats struct {
 // sound only for the graph it was learned on; the caller decides when a
 // graph edit invalidates an entry.
 type Warm struct {
-	// SiteStart seeds the SiteRank solve in place of the uniform
-	// vector — a hint: ignored unless it has one entry per
-	// site, and never read by a ThreeLayer run, which solves no site
-	// layer. Like Locals it is sound only at the Damping/Tol/MaxIter it
-	// was solved under.
-	SiteStart matrix.Vector
 	// Locals[s], when it has one entry per document of site s, is that
 	// site's local DocRank (nil = not known): the fleet is asked only for
-	// the other sites, and not at all when there are none.
+	// the other sites, and not at all when there are none. It is sound
+	// only at the Damping/Tol/MaxIter it was solved under.
 	Locals []matrix.Vector
 	// Digests is the graph's wire form as an earlier run returned it on
 	// Result.Digests (nil = not known): the run hashes only the shards it
@@ -307,15 +287,12 @@ func (d *Digests) Drop(changed []graph.SiteID) *Digests {
 	return next
 }
 
-// Result is the outcome of a distributed ranking run: the solutions, not
-// an answer — lmm.ComposeDocRank(dg, SiteRank, LocalRanks) is the global
-// DocRank. Every vector is freshly allocated and the caller's own —
-// except the entries of LocalRanks that Warm.Locals supplied, which are
-// those vectors themselves.
+// Result is the outcome of a distributed ranking run: the document
+// layer, not an answer — lmm.ComposeDocRank(dg, πS, LocalRanks), under a
+// πS the caller solves, is the global DocRank. Every vector is freshly
+// allocated and the caller's own — except the entries of LocalRanks that
+// Warm.Locals supplied, which are those vectors themselves.
 type Result struct {
-	// SiteRank is πS per SiteID (nil for a ThreeLayer run, which solves
-	// no site layer).
-	SiteRank matrix.Vector
 	// LocalRanks holds each site's local DocRank in local-index order,
 	// exactly as the workers returned them (WebResult.LocalRanks'
 	// distributed twin) or as Warm.Locals supplied them.
@@ -625,25 +602,24 @@ func (c *Coordinator) broadcastErr(fn func(idx int, r *remote) error) error {
 	return errors.Join(errs...)
 }
 
-// RankPreparedCtx executes the distributed Layered Method over the graph
-// of a precomputed lmm.Ranker, starting from what the caller already
-// knows — Warm{} when that is nothing: partition sites over the fleet,
-// ship shards, rank locally on the peers and compute the SiteRank; the
-// Result's solutions compose into the global DocRank by the Partition
-// Theorem (lmm.ComposeDocRank). The SiteGraph comes from the Ranker's
-// one-time precomputation, so repeated runs over the same graph only pay
-// for shipping and ranking; since workers cache shards by content
-// digest, a repeated run ships (almost) no shard bytes, and one handed
-// the previous run's Result.Digests hashes none either. The Ranker must
-// not be used concurrently by another goroutine while a run is in
-// flight.
+// RankPreparedCtx executes the document layer of the distributed Layered
+// Method over the graph of a precomputed lmm.Ranker, starting from what
+// the caller already knows — Warm{} when that is nothing: partition sites
+// over the fleet, ship shards and rank locally on the peers; the Result's
+// local DocRanks compose with the caller's πS into the global DocRank by
+// the Partition Theorem (lmm.ComposeDocRank). Repeated runs over the
+// same graph only pay for shipping and ranking; since workers cache
+// shards by content digest, a repeated run ships (almost) no shard bytes,
+// and one handed the previous run's Result.Digests hashes none either.
+// The Ranker must not be used concurrently by another goroutine while a
+// run is in flight.
 //
 // The context's deadline propagates into every wire exchange (bounded
 // further by CallTimeout) and a cancellation aborts the run mid-phase —
-// between shipment waves, inside the site solve, or by interrupting a
-// blocked socket read — returning ctx.Err(). A cancelled run poisons the
-// connections it interrupted (their streams are desynchronized); Ping
-// reports which survived.
+// between shipment waves, or by interrupting a blocked socket read —
+// returning ctx.Err(). A cancelled run poisons the connections it
+// interrupted (their streams are desynchronized); Ping reports which
+// survived.
 func (c *Coordinator) RankPreparedCtx(ctx context.Context, rk *lmm.Ranker, cfg Config, warm Warm) (*Result, error) {
 	c.runMu.Lock()
 	defer c.runMu.Unlock()
@@ -653,7 +629,7 @@ func (c *Coordinator) RankPreparedCtx(ctx context.Context, rk *lmm.Ranker, cfg C
 
 // normalizeCtxErr maps any failure of a cancelled run to the context's
 // own error, so callers observe exactly ctx.Err() no matter which phase
-// (the site solve, a wire exchange, a loop head) noticed the
+// (a wire exchange, a loop head) noticed the
 // cancellation first.
 func normalizeCtxErr(ctx context.Context, err error) error {
 	if err == nil {

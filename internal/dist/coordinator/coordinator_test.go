@@ -252,17 +252,12 @@ func TestNumWorkersAndPing(t *testing.T) {
 }
 
 // TestResultSurvivesLaterRuns guards the reuse rule on the coordinator:
-// the site solve answers in the Ranker's scratch, so whatever a Result
-// keeps must have been copied out of it. A second run, personalized so
-// every site-layer vector differs, must leave the first run's Result as
-// it was.
+// the wire decodes into reusable frames, so whatever a Result keeps must
+// be its own. A second run on the same Ranker, at another damping so
+// every local DocRank differs, must leave the first run's Result as it
+// was.
 func TestResultSurvivesLaterRuns(t *testing.T) {
 	dg := rankableWeb()
-	tele := matrix.NewVector(dg.NumSites())
-	for s := range tele {
-		tele[s] = float64(s + 1)
-	}
-	tele.Normalize()
 	_, a1 := startWorker(t)
 	_, a2 := startWorker(t)
 	c, err := Dial([]string{a1, a2})
@@ -270,8 +265,6 @@ func TestResultSurvivesLaterRuns(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer c.Close()
-	// Both runs solve their site layer on one Ranker, as an engine's
-	// queries do.
 	rk, err := lmm.NewRanker(dg, lmm.RankerOptions{})
 	if err != nil {
 		t.Fatalf("NewRanker: %v", err)
@@ -280,16 +273,18 @@ func TestResultSurvivesLaterRuns(t *testing.T) {
 	if err != nil {
 		t.Fatalf("first Rank: %v", err)
 	}
-	siteRank := first.SiteRank.Clone()
 	locals := make([]matrix.Vector, len(first.LocalRanks))
 	for i, v := range first.LocalRanks {
 		locals[i] = v.Clone()
 	}
-	if _, err := c.RankPreparedCtx(context.Background(), rk, Config{SitePersonalization: tele}, Warm{}); err != nil {
+	second, err := c.RankPreparedCtx(context.Background(), rk, Config{Damping: 0.5}, Warm{})
+	if err != nil {
 		t.Fatalf("second Rank: %v", err)
 	}
-	if !reflect.DeepEqual(first.SiteRank, siteRank) ||
-		!reflect.DeepEqual(first.LocalRanks, locals) {
+	if reflect.DeepEqual(second.LocalRanks, locals) {
+		t.Fatal("the second run answered the first's local ranks; the test pins nothing")
+	}
+	if !reflect.DeepEqual(first.LocalRanks, locals) {
 		t.Error("a later run rewrote an earlier Result")
 	}
 }
@@ -304,8 +299,16 @@ func rank(ctx context.Context, c *Coordinator, dg *graph.DocGraph, cfg Config) (
 	return c.RankPreparedCtx(ctx, rk, cfg, Warm{})
 }
 
-// docRank composes a run's solutions into its global DocRank, the answer
-// a caller of the coordinator builds.
+// docRank composes a run's local DocRanks under dg's πS at the defaults
+// into its global DocRank, the answer a caller of the coordinator builds.
 func docRank(dg *graph.DocGraph, res *Result) matrix.Vector {
-	return lmm.ComposeDocRank(dg, res.SiteRank, res.LocalRanks)
+	rk, err := lmm.NewRanker(dg, lmm.RankerOptions{})
+	if err != nil {
+		panic(err)
+	}
+	site, _, err := rk.RankSites(lmm.WebConfig{})
+	if err != nil {
+		panic(err)
+	}
+	return lmm.ComposeDocRank(dg, site, res.LocalRanks)
 }

@@ -30,8 +30,6 @@ type run struct {
 	rk    *lmm.Ranker
 	ns    int
 	stats *Stats
-	// tele is the normalized site-layer teleport (nil = uniform).
-	tele matrix.Vector
 
 	// digests names every site's shard; shards[s] is site s's payload
 	// when this run extracted it to hash it, nil otherwise.
@@ -124,9 +122,6 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 	if f := cfg.damping(); !(f > 0 && f < 1) || !(cfg.Tol >= 0) || cfg.MaxIter < 0 {
 		return nil, fmt.Errorf("coordinator: %w: damping %g, tolerance %g or iteration budget %d out of range", pagerank.ErrBadConfig, f, cfg.Tol, cfg.MaxIter)
 	}
-	if cfg.ThreeLayer && cfg.SitePersonalization != nil {
-		return nil, fmt.Errorf("coordinator: %w: ThreeLayer replaces the site layer and cannot combine with SitePersonalization", pagerank.ErrBadConfig)
-	}
 
 	startMsgs, startOut, startIn := c.counters.Messages(), c.counters.BytesSent(), c.counters.BytesReceived()
 	res := &Result{}
@@ -144,17 +139,6 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 		load:     make([]int, len(c.workers)),
 		sessions: make([][]int, len(c.workers)),
 		budget:   cfg.Retry.MaxWorkerFailures,
-	}
-	if cfg.SitePersonalization != nil {
-		if len(cfg.SitePersonalization) != r.ns {
-			return nil, fmt.Errorf("coordinator: %w: site personalization length %d vs %d sites",
-				pagerank.ErrBadConfig, len(cfg.SitePersonalization), r.ns)
-		}
-		if !cfg.SitePersonalization.IsDistribution(1e-6) {
-			return nil, fmt.Errorf("coordinator: %w: site personalization is not a probability distribution",
-				pagerank.ErrBadConfig)
-		}
-		r.tele = cfg.SitePersonalization.Clone().Normalize()
 	}
 	for i, w := range c.workers {
 		if !w.isBroken() {
@@ -195,27 +179,6 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 		res.Stats.LocalRankDuration = time.Since(localStart)
 	}
 
-	// Step 4: the site layer, solved here on the Ranker's SiteGraph —
-	// unless the caller weights the sites itself (ThreeLayer).
-	siteStart := time.Now()
-	if !cfg.ThreeLayer {
-		scores, rounds, err := rk.RankSites(lmm.WebConfig{
-			Damping:             cfg.Damping,
-			Tol:                 cfg.Tol,
-			MaxIter:             cfg.MaxIter,
-			SitePersonalization: r.tele,
-			SiteStart:           warm.SiteStart,
-			Ctx:                 ctx,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("coordinator: %w", err)
-		}
-		// RankSites aliases the Ranker's scratch; the Result outlives
-		// this run, so copy the small site vector out.
-		res.SiteRank = scores.Clone()
-		res.Stats.SiteRankRounds = rounds
-	}
-	res.Stats.SiteRankDuration = time.Since(siteStart)
 	res.LocalRanks = localRanks
 	res.LocalIterations = localIters
 	res.Digests = r.digests

@@ -441,31 +441,17 @@ func (dg *DocGraph) LocalSubgraph(s SiteID) (*Digraph, *LocalIndex) {
 	dg.G.Dedupe()
 	docs, m := dg.Sites[s].Docs, dg.member(s)
 
-	// Pass 1: each local node's surviving out-edges give the offsets, and
-	// the surviving listed links the size of the listed columns.
-	p := &packed{off: make([]uint32, len(docs)+1)}
-	var c cursor
-	listed := 0
-	for i, d := range docs {
-		n := uint32(0)
-		r := c.read(dg.G, int(d))
-		for _, to := range r.to {
-			if m.local(to) < m.size {
-				n++
-			}
-		}
-		for _, q := range r.pos {
-			if m.local(r.to[q-r.at]) < m.size {
-				listed++
-			}
-		}
-		p.off[i+1] = p.off[i] + n
+	// One walk: each local node's surviving out-edges fill the columns,
+	// weights read in link order, and end its row. The targets column
+	// starts at the rows' stored length, which bounds what survives; the
+	// listed columns start empty, not nil, as an extraction with nothing
+	// to list has always returned them.
+	bound := 0
+	for _, d := range docs {
+		bound += dg.G.degree(int(d))
 	}
-
-	// Pass 2: fill the columns, weights read in link order.
-	p.to = make([]int16, 0, p.off[len(docs)])
-	p.pos, p.w = make([]uint32, 0, listed), make([]float64, 0, listed)
-	c.e, c.f = 0, 0
+	p := &packed{off: make([]uint32, len(docs)+1), to: make([]int16, 0, bound), pos: []uint32{}, w: []float64{}}
+	var c cursor
 	for li, d := range docs {
 		r, e := c.read(dg.G, int(d)), 0
 		for k, to := range r.to {
@@ -477,8 +463,10 @@ func (dg *DocGraph) LocalSubgraph(s SiteID) (*Digraph, *LocalIndex) {
 				p.push(li, i)
 			}
 		}
+		p.off[li+1] = uint32(len(p.to))
 	}
 	p.clip()
+	p.pos, p.w = exact(p.pos), exact(p.w)
 	return &Digraph{base: p, deduped: true}, dg.LocalIndex(s)
 }
 

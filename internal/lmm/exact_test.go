@@ -1,14 +1,12 @@
-package coordinator
+package lmm
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"lmmrank/internal/graph"
-	"lmmrank/internal/lmm"
 	"lmmrank/internal/markov"
 	"lmmrank/internal/matrix"
 )
@@ -50,27 +48,17 @@ func exactWeb(rng *rand.Rand) *graph.DocGraph {
 	return b.Build()
 }
 
-// TestFleetSiteRankMatchesExactStationary is the fleet's oracle, as
-// TestSolverMatchesExactStationary is the in-place solve's: a fleet run's
-// πS — solved on the coordinator — against the dense chain Mˆ of eq. (1)
-// solved directly, cold and from the converged answer (which must cost
-// one sweep), held to the bound Stats.SiteRankRounds states,
-// ‖x − x*‖₁ ≤ Tol/(1 − f).
-func TestFleetSiteRankMatchesExactStationary(t *testing.T) {
+// TestRankSitesMatchesExactStationary is the site layer's oracle, as
+// TestSolverMatchesExactStationary is the in-place solve's: RankSites' πS
+// — the solve both engines weigh the site layer with — against the dense
+// chain Mˆ of eq. (1) solved directly, cold and from the converged answer
+// (which must cost one sweep), held to the bound a solve that stops at
+// Tol carries, ‖x − x*‖₁ ≤ Tol/(1 − f).
+func TestRankSitesMatchesExactStationary(t *testing.T) {
 	const slack = 1e-12 // rounding in the direct solve and the sweeps
-	addrs := make([]string, 3)
-	for i := range addrs {
-		_, addrs[i] = startWorker(t)
-	}
-	c, err := Dial(addrs)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer c.Close()
-	ctx := context.Background()
 	rng := rand.New(rand.NewSource(26))
 	for trial := 0; trial < 2; trial++ {
-		rk, err := lmm.NewRanker(exactWeb(rng), lmm.RankerOptions{})
+		rk, err := NewRanker(exactWeb(rng), RankerOptions{})
 		if err != nil {
 			t.Fatalf("NewRanker: %v", err)
 		}
@@ -97,25 +85,26 @@ func TestFleetSiteRankMatchesExactStationary(t *testing.T) {
 					t.Fatalf("exact solve: %v", err)
 				}
 				bound := matrix.DefaultTol/(1-f) + slack
-				cfg := Config{Damping: f, SitePersonalization: pers}
+				cfg := WebConfig{Damping: f, SitePersonalization: pers}
 				name := fmt.Sprintf("trial %d f=%g personalized=%v", trial, f, pers != nil)
-				check := func(start string, res *Result, err error) {
+				check := func(start string, got matrix.Vector, sweeps int, err error) {
 					t.Helper()
 					if err != nil {
 						t.Fatalf("%s %s: %v", name, start, err)
 					}
-					if d := res.SiteRank.L1Diff(want); d > bound {
-						t.Errorf("%s %s: ‖x − x*‖₁ = %g > %g after %d sweeps", name, start, d, bound, res.Stats.SiteRankRounds)
+					if d := got.L1Diff(want); d > bound {
+						t.Errorf("%s %s: ‖x − x*‖₁ = %g > %g after %d sweeps", name, start, d, bound, sweeps)
 					}
 				}
 
-				res, err := c.RankPreparedCtx(ctx, rk, cfg, Warm{})
-				check("cold", res, err)
+				got, sweeps, err := rk.RankSites(cfg)
+				check("cold", got, sweeps, err)
 
-				res, err = c.RankPreparedCtx(ctx, rk, cfg, Warm{SiteStart: want})
-				check("converged seed", res, err)
-				if res.Stats.SiteRankRounds != 1 {
-					t.Errorf("%s: the converged seed took %d sweeps, want 1", name, res.Stats.SiteRankRounds)
+				cfg.SiteStart = want
+				got, sweeps, err = rk.RankSites(cfg)
+				check("converged seed", got, sweeps, err)
+				if sweeps != 1 {
+					t.Errorf("%s: the converged seed took %d sweeps, want 1", name, sweeps)
 				}
 			}
 		}

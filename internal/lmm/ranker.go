@@ -249,9 +249,9 @@ func (r *Ranker) LocalSubgraph(s graph.SiteID) (*graph.Digraph, *graph.LocalInde
 }
 
 // RankSites computes only the site layer πS = PageRank(Mˆ(G_S)) — the
-// piece a distributed coordinator runs centrally while the fleet ranks
-// documents. The returned vector aliases solver scratch (valid until the
-// next RankSites/Rank call); the int is the number of sweeps it took.
+// piece an engine solves itself, on its own Ranker, while a fleet ranks
+// the documents. The returned vector aliases solver scratch (valid until
+// the next RankSites/Rank call); the int is the number of sweeps it took.
 func (r *Ranker) RankSites(cfg WebConfig) (matrix.Vector, int, error) {
 	if r.Stale() {
 		return nil, 0, ErrGraphMutated

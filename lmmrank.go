@@ -71,8 +71,8 @@ type (
 	// DistResult is the outcome of a distributed run with cost stats.
 	DistResult = coordinator.Result
 	// DistWarm is what a distributed run starts from knowing (DistWarm{}
-	// = nothing): local DocRanks, a SiteRank seed, and the shard digests
-	// of the previous run's DistResult.Digests.
+	// = nothing): local DocRanks, and the shard digests of the previous
+	// run's DistResult.Digests.
 	DistWarm = coordinator.Warm
 	// DistRetryPolicy bounds how many worker losses one distributed run
 	// absorbs by reassigning shards to survivors.
@@ -82,7 +82,7 @@ type (
 	// saved.
 	DistStats = coordinator.Stats
 	// SiteRankMode named how a distributed run computed its site chain's
-	// stationary distribution. Every run solves it on the coordinator.
+	// stationary distribution. No run solves it: its caller does.
 	//
 	// Deprecated: ignored.
 	SiteRankMode = coordinator.SiteRankMode

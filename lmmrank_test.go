@@ -142,7 +142,7 @@ func TestFacadeCluster(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LayeredDocRank: %v", err)
 	}
-	if d := lmm.ComposeDocRank(web.Graph, res.SiteRank, res.LocalRanks).L1Diff(local.DocRank); d > 1e-8 {
+	if d := lmm.ComposeDocRank(web.Graph, local.SiteRank, res.LocalRanks).L1Diff(local.DocRank); d > 1e-8 {
 		t.Errorf("distributed deviates from local: %g", d)
 	}
 }

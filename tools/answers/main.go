@@ -14,13 +14,17 @@
 // format. "web-mid" hashes the graph file of lmmload's web-mid (seed 2005,
 // 113 644 documents, some of whose links reach farther than a 2-byte
 // distance), and LayeredDocRank's DocRank and TopDocs(…, 50) over the web
-// read back from that file. The "central-" lines hash one answer each of a 4-worker
-// DistEngine on the Small web — its Top table, vectors and local ranks: a cold Rank, a warm one, a Tol=1e-4 one,
-// a site-personalized one, a ThreeLayer one, a ThreeLayer Tol=1e-4 one
-// ("three-tol", a run of its own), a WantLocalRanks one, a TopK 50 one,
-// the first Rank after a one-site Update ("edited"), and a TopK 50 one
-// after it ("top50-edited"), whose Top table an engine may take from a
-// top-k index the Update's fill patched. "local" hashes a
+// read back from that file. The "central-" lines hash one answer each of
+// a 4-worker DistEngine on the Small web — its Top table, vectors and
+// local ranks: a cold Rank, a warm one, a Tol=1e-4 one, a Damping 0.8
+// one, a site-personalized one, a ThreeLayer one, a ThreeLayer Tol=1e-4
+// one ("three-tol", a run of its own), a WantLocalRanks one, a TopK 50
+// one, the first Rank after a one-site Update ("edited"), and a TopK 50
+// one after it ("top50-edited"), whose Top table an engine may take from
+// a top-k index the Update's fill patched. "central-tol" and
+// "central-damping" hash fleet non-default answers: a fleet run of their
+// own for the local ranks, and a site layer solved from the filled
+// snapshot's πS. "local" hashes a
 // plain LocalEngine's answers before any Update at Parallelism 1 and at 0
 // on the Small web: a uniform query's DocRank, SiteRank, LocalRanks and
 // Top table of 50, and a ThreeLayer query's DocRank, SiteRank, DomainRank
@@ -392,6 +396,7 @@ func distHashes() error {
 		{"cold", lmmrank.Query{}},
 		{"warm", lmmrank.Query{}},
 		{"tol", lmmrank.Query{Tol: 1e-4}},
+		{"damping", lmmrank.Query{Damping: 0.8}},
 		{"personal", lmmrank.Query{SitePersonalization: personalized(dg.NumSites())}},
 		{"three", lmmrank.Query{ThreeLayer: true}},
 		{"three-tol", lmmrank.Query{ThreeLayer: true, Tol: 1e-4}},
