@@ -60,7 +60,8 @@ build:
 test:
 	$(GO) test ./...
 
-# The distributed runtime is concurrency-heavy, internal/lmm holds the
+# The distributed runtime is concurrency-heavy (cmd/lmmcoord's test
+# drives a live loopback fleet through a DistEngine), internal/lmm holds the
 # parallel-pipeline regression tests (undeduped shared graphs) and the
 # per-site chains that the first query needing one builds and publishes
 # once (a refresh solves on chains it drops) from transient subgraphs, the root
@@ -72,7 +73,7 @@ test:
 # race-clean. The explicit timeout keeps a wedged networked test from
 # stalling CI for the runner's full budget.
 race:
-	$(GO) test -race -timeout 10m . ./internal/dist/... ./internal/lmm/... ./internal/matrix ./internal/pagerank ./internal/graph
+	$(GO) test -race -timeout 10m . ./cmd/lmmcoord ./internal/dist/... ./internal/lmm/... ./internal/matrix ./internal/pagerank ./internal/graph
 
 # The multicore race leg: the serving pool, keyed admission and
 # coalescing paths schedule very differently on one core than on four,

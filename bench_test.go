@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"lmmrank/internal/blockrank"
+	"lmmrank/internal/dist/coordinator"
 	"lmmrank/internal/experiments"
 	"lmmrank/internal/hits"
 	"lmmrank/internal/lmm"
@@ -154,7 +155,7 @@ func BenchmarkE7Distributed(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := coordRank(cl, web.Graph, DistConfig{Tol: 1e-9}); err != nil {
+				if _, err := coordRank(cl, web.Graph, coordinator.Config{Tol: 1e-9}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -225,7 +226,7 @@ func BenchmarkE8Personalization(b *testing.B) {
 	// personalized queries — the setup cost (SiteGraph, subgraphs, CSR
 	// matrices) is paid once, outside the loop.
 	b.Run("ranker-personalized", func(b *testing.B) {
-		rk, err := NewRanker(web.Graph, RankerOptions{})
+		rk, err := lmm.NewRanker(web.Graph, lmm.RankerOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,7 +1,8 @@
 // Command lmmcoord drives a fleet of lmmnode workers through one
-// distributed Layered Method run: it loads a graph file, partitions the
-// sites over the workers, gathers their local DocRanks, solves the
-// SiteRank on its own Ranker, and prints the composed top-k.
+// distributed Layered Method run: it loads a graph file and serves it
+// from the fleet through a DistEngine, which partitions the sites over
+// the workers, gathers their local DocRanks, solves the SiteRank and
+// composes the top-k it prints.
 //
 // Usage:
 //
@@ -11,9 +12,9 @@
 //
 // Shards are placed over the fleet by weighted LPT over page counts,
 // and declared to the workers by content digest, so with -runs > 1
-// every run after the first ships near-zero shard bytes and, handed the
-// previous run's digests, hashes none. -max-worker-failures lets a
-// run survive peers dying mid-flight (their shards are reassigned);
+// every run after the first ships near-zero shard bytes and, the engine
+// keeping the first run's digests, hashes none. -max-worker-failures
+// lets a run survive peers dying mid-flight (their shards are reassigned);
 // -max-redials additionally redials lost peers in the background with
 // jittered exponential backoff and re-admits them mid-run, rebalancing
 // their shards back (near-zero bytes when their caches are still warm).
@@ -33,7 +34,6 @@ import (
 	"lmmrank"
 	"lmmrank/internal/dist/coordinator"
 	"lmmrank/internal/graph"
-	"lmmrank/internal/lmm"
 )
 
 func main() {
@@ -88,28 +88,25 @@ func run() error {
 	fmt.Printf("connected to %d workers; graph: %d sites, %d documents\n",
 		coord.NumWorkers(), dg.NumSites(), dg.NumDocs())
 
-	// Precompute the serving structure once (SiteGraph, local subgraphs,
-	// CSR matrices); the distributed run then only pays for shipping and
-	// ranking — and a long-lived coordinator process could reuse the
-	// Ranker across many runs.
+	// The engine precomputes the serving structure once (SiteGraph and
+	// roster indexes); each run then only pays for shipping, the fleet's
+	// local DocRanks and the engine's site solve. A query with its own
+	// Damping — any given one, the zero sentinel aside — is a fleet run of
+	// its own, declared by the digests the engine keeps: runs after the
+	// first hash nothing.
 	prepStart := time.Now()
-	rk, err := lmmrank.NewRanker(dg, lmmrank.RankerOptions{})
+	eng, err := lmmrank.NewDistEngine(&lmmrank.Cluster{Coord: coord}, dg, lmmrank.DistConfig{
+		Retry: lmmrank.DistRetryPolicy{
+			MaxWorkerFailures: *failures,
+			MaxRedials:        *redials,
+		},
+	})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("precomputed ranking structure in %v\n", time.Since(prepStart).Round(time.Millisecond))
 
-	cfg := coordinator.Config{
-		Damping: *damping,
-		Retry: coordinator.RetryPolicy{
-			MaxWorkerFailures: *failures,
-			MaxRedials:        *redials,
-		},
-	}
-	var res *coordinator.Result
-	var known coordinator.Warm
-	// site aliases rk's site-solver scratch; a run leaves it alone.
-	var site lmmrank.Vector
+	var res *lmmrank.Result
 	for run := 1; run <= *runs; run++ {
 		start := time.Now()
 		ctx := context.Background()
@@ -117,38 +114,33 @@ func run() error {
 		if *timeout > 0 {
 			ctx, cancel = context.WithTimeout(ctx, *timeout)
 		}
-		res, err = coord.RankPreparedCtx(ctx, rk, cfg, known)
-		siteStart := time.Now()
-		if err == nil {
-			site, _, err = rk.RankSites(lmm.WebConfig{Damping: *damping, Ctx: ctx})
-		}
-		siteDur := time.Since(siteStart)
+		res, err = eng.Rank(ctx, lmmrank.Query{Damping: *damping, TopK: *top})
 		cancel()
 		if err != nil {
 			return err
 		}
-		known.Digests = res.Digests
-		fmt.Printf("run %d: ranked in %v (load %v, local %v, siterank %v; %d messages, %.2f MB out, %.2f MB in)\n",
+		st := res.Dist
+		fmt.Printf("run %d: ranked in %v (load %v, local %v, %d site sweeps; %d messages, %.2f MB out, %.2f MB in)\n",
 			run,
 			time.Since(start).Round(time.Millisecond),
-			res.Stats.LoadDuration.Round(time.Millisecond),
-			res.Stats.LocalRankDuration.Round(time.Millisecond),
-			siteDur.Round(time.Millisecond),
-			res.Stats.Messages,
-			float64(res.Stats.BytesSent)/1e6,
-			float64(res.Stats.BytesReceived)/1e6)
+			st.LoadDuration.Round(time.Millisecond),
+			st.LocalRankDuration.Round(time.Millisecond),
+			res.SiteIterations,
+			st.Messages,
+			float64(st.BytesSent)/1e6,
+			float64(st.BytesReceived)/1e6)
 		fmt.Printf("run %d: cache %d hits / %d shards re-shipped (%.2f MB of shards not re-shipped; %.2f MB hashed for digests)",
-			run, res.Stats.CacheHits, res.Stats.ShardsReshipped,
-			float64(res.Stats.ShardBytesSaved)/1e6,
-			float64(res.Stats.DigestBytesHashed)/1e6)
-		if res.Stats.WorkersLost > 0 {
+			run, st.CacheHits, st.ShardsReshipped,
+			float64(st.ShardBytesSaved)/1e6,
+			float64(st.DigestBytesHashed)/1e6)
+		if st.WorkersLost > 0 {
 			fmt.Printf("; survived %d worker losses (%d shards reassigned, %d retries)",
-				res.Stats.WorkersLost, res.Stats.Reassignments, res.Stats.Retries)
+				st.WorkersLost, st.Reassignments, st.Retries)
 		}
-		if res.Stats.RedialAttempts > 0 || res.Stats.WorkersRejoined > 0 {
+		if st.RedialAttempts > 0 || st.WorkersRejoined > 0 {
 			fmt.Printf("; re-admitted %d workers (%d redials, %.2f MB re-shipped on rejoin)",
-				res.Stats.WorkersRejoined, res.Stats.RedialAttempts,
-				float64(res.Stats.RejoinShardBytes)/1e6)
+				st.WorkersRejoined, st.RedialAttempts,
+				float64(st.RejoinShardBytes)/1e6)
 		}
 		fmt.Println()
 	}
@@ -156,7 +148,7 @@ func run() error {
 
 	fmt.Printf("top %d by distributed Layered Method:\n", *top)
 	fmt.Printf("%-4s %-10s %s\n", "#", "score", "URL")
-	for i, e := range lmmrank.TopDocs(dg, lmm.ComposeDocRank(dg, site, res.LocalRanks), *top) {
+	for i, e := range res.Top {
 		fmt.Printf("%-4d %-10.6f %s\n", i+1, e.Score, e.URL)
 	}
 	return nil

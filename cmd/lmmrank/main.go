@@ -10,13 +10,12 @@
 // The graph file may be in either format webgen writes; its first byte
 // says which.
 //
-// Methods: layered (the paper's default, served through the Engine
-// API), layered3 (three-layer domain→site→page), pagerank, blockrank,
-// hits.
+// Methods: layered (the paper's default), layered3 (three-layer
+// domain→site→page), pagerank, blockrank, hits. -damping must lie
+// strictly between 0 and 1, which is checked before the graph is read.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -49,6 +48,9 @@ func run() error {
 		flag.Usage()
 		return fmt.Errorf("-graph is required")
 	}
+	if !(*damping > 0 && *damping < 1) {
+		return fmt.Errorf("-damping %g: want a value strictly between 0 and 1", *damping)
+	}
 
 	dg, err := loadGraph(*graphPath)
 	if err != nil {
@@ -64,20 +66,14 @@ func run() error {
 
 	var scores lmmrank.Vector
 	switch *method {
-	case "layered", "layered3":
-		// The Engine precomputes the serving structure; a long-lived
-		// process would keep it and answer repeated (concurrent)
-		// queries from it.
-		eng, err := lmmrank.NewLocalEngine(dg, lmmrank.EngineOptions{
-			SiteGraph: webCfg.SiteGraph,
-		})
+	case "layered":
+		res, err := lmmrank.LayeredDocRank(dg, webCfg)
 		if err != nil {
 			return err
 		}
-		res, err := eng.Rank(context.Background(), lmmrank.Query{
-			Damping:    *damping,
-			ThreeLayer: *method == "layered3",
-		})
+		scores = res.DocRank
+	case "layered3":
+		res, err := lmmrank.LayeredDocRank3(dg, nil, webCfg)
 		if err != nil {
 			return err
 		}

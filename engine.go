@@ -22,7 +22,7 @@ import (
 // iteration budget.
 type Query struct {
 	// Tenant names the caller for admission accounting: with
-	// EngineOptions.TenantQuota (or the DistConfig equivalent) set, each
+	// EngineOptions.TenantQuota (or DistConfig's) set, each
 	// distinct Tenant gets its own concurrency quota beneath the
 	// engine-wide cap, so one flooding tenant exhausts only its own
 	// slots. The empty string is itself a tenant (the "anonymous" one).
@@ -739,18 +739,44 @@ type DistEngine struct {
 
 var _ Engine = (*DistEngine)(nil)
 
+// DistConfig configures a DistEngine: the retry policy and placement
+// every fleet run of the engine takes, and the serving knobs
+// EngineOptions also carries. A run's Damping, Tol and MaxIter are its
+// Query's.
+type DistConfig struct {
+	// Retry controls mid-run fault tolerance; the zero value disables
+	// recovery.
+	Retry DistRetryPolicy
+	// Assignment, when non-nil, pins the site→shard placement instead of
+	// the weighted-LPT default: Assignment[s] is the abstract shard of
+	// site s, and shard j maps onto the j-th live worker in ascending
+	// fleet order. A pin that does not fit falls back to LPT. The
+	// Partition Theorem makes every placement rank-identical.
+	Assignment []int
+	// MaxInFlight, RejectOverload, TenantQuota, Coalesce and CoalesceTol
+	// are EngineOptions' serving knobs: admission caps (engine-wide and
+	// per Query.Tenant), fail-fast over them, and the merging of
+	// concurrent identical — or, within CoalesceTol, similar — queries
+	// into one computation, on a fleet one wire run.
+	MaxInFlight    int
+	RejectOverload bool
+	TenantQuota    int
+	Coalesce       bool
+	CoalesceTol    float64
+	// Deprecated: ignored. The site layer is solved in the engine.
+	SiteRank SiteRankMode
+}
+
 // NewDistEngine builds a distributed serving engine over a running
-// cluster: a Ranker is precomputed for the graph (structure only — the
-// fleet solves the local DocRanks, on the first query; construction
-// sends nothing) and every Rank reuses it, its SiteGraph aggregated with
-// the default SiteGraphOptions. cfg supplies the transport knobs (retry
-// policy, placement) and the serving knobs (MaxInFlight, TenantQuota,
-// RejectOverload, Coalesce,
-// CoalesceTol); its per-query fields — Damping, Tol and MaxIter — are
-// ignored and overwritten from each Query. Mutate the graph only through Update (or build a new engine); a
-// mutation outside Update turns every later query into ErrGraphMutated.
+// cluster: the layered structure is precomputed for the graph (structure
+// only — the fleet solves the local DocRanks, on the first query;
+// construction sends nothing) and every Rank reuses it, its SiteGraph
+// aggregated with the default SiteGraphOptions. Mutate the graph only
+// through Update (or build a new engine); a mutation outside Update
+// turns every later query into ErrGraphMutated.
 func NewDistEngine(cl *Cluster, dg *DocGraph, cfg DistConfig) (*DistEngine, error) {
-	e := &DistEngine{server{src: source{coord: cl.Coord, cfg: cfg}, coalesce: cfg.Coalesce, coalesceTol: cfg.CoalesceTol,
+	run := coordinator.Config{Retry: cfg.Retry, Assignment: cfg.Assignment}
+	e := &DistEngine{server{src: source{coord: cl.Coord, cfg: run}, coalesce: cfg.Coalesce, coalesceTol: cfg.CoalesceTol,
 		admit: newAdmitGate(cfg.MaxInFlight, cfg.TenantQuota, cfg.RejectOverload)}}
 	if err := e.serve(dg, SiteGraphOptions{}); err != nil {
 		return nil, err

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"lmmrank"
-	"lmmrank/internal/lmm"
 )
 
 // ExampleLayeredMethod reproduces the headline numbers of the paper's
@@ -189,12 +188,13 @@ func ExampleDistEngine() {
 
 // ExampleStartCluster runs the paper's peer-to-peer vision on one
 // machine: four worker peers on loopback TCP each host a share of the
-// campus web's sites and compute their local DocRanks, which the
-// coordinator hands back; composed under the SiteRank, solved on the
-// caller's own Ranker, they are the global ranking by the Partition
-// Theorem. A second run declares the
-// shards by digest against the workers' caches, and a run after a worker
-// died reassigns its shards to the survivors.
+// campus web's sites and compute their local DocRanks, which a
+// DistEngine composes under the SiteRank it solves: the global ranking,
+// by the Partition Theorem. A query with a Damping of its own (0.85 is
+// the default's value, but not the zero that selects it) is a fleet run
+// of its own each time: the second declares the shards by digest against
+// the workers' caches, and one after a worker died reassigns its shards
+// to the survivors.
 func ExampleStartCluster() {
 	web := lmmrank.GenerateCampusWeb(lmmrank.CampusWebConfig{
 		Seed: 7, Sites: 60, MeanSitePages: 30,
@@ -206,7 +206,7 @@ func ExampleStartCluster() {
 		return
 	}
 	defer cl.Close()
-	rk, err := lmmrank.NewRanker(web.Graph, lmmrank.RankerOptions{})
+	eng, err := lmmrank.NewDistEngine(cl, web.Graph, lmmrank.DistConfig{Retry: lmmrank.DistRetryPolicy{MaxWorkerFailures: 1}})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -216,17 +216,7 @@ func ExampleStartCluster() {
 		fmt.Println("error:", err)
 		return
 	}
-	// The small site layer is solved here; RankSites answers in rk's
-	// scratch, which a run leaves alone.
-	site, _, err := rk.RankSites(lmmrank.WebConfig{})
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
 	ctx := context.Background()
-	cfg := lmmrank.DistConfig{Retry: lmmrank.DistRetryPolicy{MaxWorkerFailures: 1}}
-	// Each run hands the next the shard digests it computed.
-	var known lmmrank.DistWarm
 	var gap float64
 	for run := 1; run <= 3; run++ {
 		if run == 3 {
@@ -235,18 +225,17 @@ func ExampleStartCluster() {
 				return
 			}
 		}
-		res, err := cl.Coord.RankPreparedCtx(ctx, rk, cfg, known)
+		res, err := eng.Rank(ctx, lmmrank.Query{Damping: 0.85})
 		if err != nil {
 			fmt.Println("error:", err)
 			return
 		}
-		known.Digests = res.Digests
-		gap = max(gap, lmm.ComposeDocRank(web.Graph, site, res.LocalRanks).L1Diff(ref.DocRank))
+		gap = max(gap, res.DocRank.L1Diff(ref.DocRank))
 		switch run {
 		case 2:
-			fmt.Println("second run, shards re-shipped:", res.Stats.ShardsReshipped)
+			fmt.Println("second run, shards re-shipped:", res.Dist.ShardsReshipped)
 		case 3:
-			fmt.Println("after a kill, workers lost:", res.Stats.WorkersLost)
+			fmt.Println("after a kill, workers lost:", res.Dist.WorkersLost)
 		}
 	}
 	fmt.Println("every run within 1e-9 of the single-process ranking:", gap < 1e-9)

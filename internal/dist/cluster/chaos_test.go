@@ -53,8 +53,8 @@ func interruptAt(cancel context.CancelFunc) chaos.Script {
 // answer. The workers not being killed have every KindLoad delivered
 // twice: a session is what the Load declares, so the retransmission
 // changes nothing. The seed is fixed: one reproducible schedule per leg,
-// stable under -race. The second leg's name and config are those of the
-// retired fleet SiteRank schedule, which a run ignores.
+// stable under -race. The second leg keeps the name of the fleet SiteRank
+// schedule it first soaked; it is the tight-tolerance leg.
 func TestChaosSoak(t *testing.T) {
 	const fleet = 4
 	const cycles = 6
@@ -66,7 +66,7 @@ func TestChaosSoak(t *testing.T) {
 		interrupts bool
 	}{
 		{name: "centralSiteRank", cfg: coordinator.Config{}},
-		{name: "unbatchedSiteRank", cfg: coordinator.Config{SiteRank: syncIgnored, Tol: 1e-12, MaxIter: 2000}, interrupts: true},
+		{name: "unbatchedSiteRank", cfg: coordinator.Config{Tol: 1e-12, MaxIter: 2000}, interrupts: true},
 	}
 	kinds := []wire.Kind{wire.KindLoad, wire.KindRankLocal} // the kill points
 
@@ -156,38 +156,27 @@ const stragglerDelay = 10 * time.Millisecond
 // schedule stalled every barrier round on the straggler; a run now solves
 // no site layer and sends the fleet no exchange after its local phase,
 // so with one worker's every local-rank exchange delayed the local phase
-// waits at least one delay and the run reports no site-layer work — also
-// for a config that still names the retired schedule, which a run
-// ignores.
+// waits at least one delay and the run reports no site-layer work.
 func TestChaosStragglerStallsSyncBarrier(t *testing.T) {
 	web := testWeb()
-	cases := []struct {
-		name string
-		cfg  coordinator.Config
-	}{
-		{"sync", coordinator.Config{SiteRank: syncIgnored, Tol: 1e-6}},
-		{"central", coordinator.Config{Tol: 1e-6}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cl, err := StartChaosLocal(3)
-			if err != nil {
-				t.Fatalf("StartChaosLocal: %v", err)
-			}
-			defer cl.Close()
-			cl.Proxies[1].SetScript(chaos.DelayKind(wire.KindRankLocal, stragglerDelay))
+	t.Run("central", func(t *testing.T) {
+		cl, err := StartChaosLocal(3)
+		if err != nil {
+			t.Fatalf("StartChaosLocal: %v", err)
+		}
+		defer cl.Close()
+		cl.Proxies[1].SetScript(chaos.DelayKind(wire.KindRankLocal, stragglerDelay))
 
-			res, err := rank(context.Background(), cl, web.Graph, tc.cfg)
-			if err != nil {
-				t.Fatalf("Rank: %v", err)
-			}
-			if res.Stats.LocalRankDuration < stragglerDelay {
-				t.Errorf("local phase took %v, want >= %v: the straggler was not delayed", res.Stats.LocalRankDuration, stragglerDelay)
-			}
-			if res.Stats.SiteRankRounds != 0 || res.Stats.SiteRankDuration != 0 {
-				t.Errorf("the run reports %d site sweeps in %v, want none: it solves no site layer", res.Stats.SiteRankRounds, res.Stats.SiteRankDuration)
-			}
-			t.Logf("%s: local phase %v", tc.name, res.Stats.LocalRankDuration)
-		})
-	}
+		res, err := rank(context.Background(), cl, web.Graph, coordinator.Config{Tol: 1e-6})
+		if err != nil {
+			t.Fatalf("Rank: %v", err)
+		}
+		if res.Stats.LocalRankDuration < stragglerDelay {
+			t.Errorf("local phase took %v, want >= %v: the straggler was not delayed", res.Stats.LocalRankDuration, stragglerDelay)
+		}
+		if res.Stats.SiteRankRounds != 0 || res.Stats.SiteRankDuration != 0 {
+			t.Errorf("the run reports %d site sweeps in %v, want none: it solves no site layer", res.Stats.SiteRankRounds, res.Stats.SiteRankDuration)
+		}
+		t.Logf("local phase %v", res.Stats.LocalRankDuration)
+	})
 }

@@ -15,7 +15,8 @@ import (
 )
 
 // Local is an in-process loopback fleet. Workers and coordinator run in
-// this process but talk TCP like a real deployment.
+// this process but talk TCP like a real deployment. A Local holding only
+// a Coord wraps a remote fleet's coordinator; its Close hangs that up.
 type Local struct {
 	// Workers are the running peers, in address order.
 	Workers []*worker.Worker

@@ -42,17 +42,6 @@ func composeUnder(dg *graph.DocGraph, cfg lmm.WebConfig, res *coordinator.Result
 	return lmm.ComposeDocRank(dg, site, res.LocalRanks)
 }
 
-// syncIgnored is the retired fleet SiteRank mode, which a run ignores.
-// The tests that ran both modes keep a leg that names it (modeLegs): a
-// config that still does (cmd/lmmload's dist-wan) must run the central
-// path.
-const syncIgnored = coordinator.SiteRankSync
-
-var modeLegs = []struct {
-	name string
-	cfg  coordinator.Config
-}{{"central", coordinator.Config{}}, {"sync", coordinator.Config{SiteRank: syncIgnored}}}
-
 func testWeb() *webgen.Web {
 	return webgen.Generate(webgen.Config{
 		Seed:                42,
@@ -65,8 +54,7 @@ func testWeb() *webgen.Web {
 
 // TestPartitionTheoremOverTheWire is the core correctness claim: the
 // distributed runtime must reproduce the single-process Layered Method
-// to solver tolerance, also under a config naming the retired fleet
-// SiteRank mode.
+// to solver tolerance.
 func TestPartitionTheoremOverTheWire(t *testing.T) {
 	web := testWeb()
 	ref, err := lmm.LayeredDocRank(web.Graph, lmm.WebConfig{})
@@ -74,26 +62,24 @@ func TestPartitionTheoremOverTheWire(t *testing.T) {
 		t.Fatalf("reference LayeredDocRank: %v", err)
 	}
 
-	for _, leg := range modeLegs {
-		t.Run(leg.name, func(t *testing.T) {
-			cl, err := StartLocal(3)
-			if err != nil {
-				t.Fatalf("StartLocal: %v", err)
-			}
-			defer cl.Close()
+	t.Run("central", func(t *testing.T) {
+		cl, err := StartLocal(3)
+		if err != nil {
+			t.Fatalf("StartLocal: %v", err)
+		}
+		defer cl.Close()
 
-			res, err := rank(context.Background(), cl, web.Graph, leg.cfg)
-			if err != nil {
-				t.Fatalf("Rank: %v", err)
-			}
-			if d := docRank(web.Graph, res).L1Diff(ref.DocRank); d >= 1e-9 {
-				t.Errorf("‖distributed − LayeredDocRank‖₁ = %g, want < 1e-9", d)
-			}
-			if res.Stats.Messages == 0 || res.Stats.BytesSent == 0 || res.Stats.BytesReceived == 0 {
-				t.Errorf("transport stats are decorative: %+v", res.Stats)
-			}
-		})
-	}
+		res, err := rank(context.Background(), cl, web.Graph, coordinator.Config{})
+		if err != nil {
+			t.Fatalf("Rank: %v", err)
+		}
+		if d := docRank(web.Graph, res).L1Diff(ref.DocRank); d >= 1e-9 {
+			t.Errorf("‖distributed − LayeredDocRank‖₁ = %g, want < 1e-9", d)
+		}
+		if res.Stats.Messages == 0 || res.Stats.BytesSent == 0 || res.Stats.BytesReceived == 0 {
+			t.Errorf("transport stats are decorative: %+v", res.Stats)
+		}
+	})
 }
 
 // TestDeterminism re-runs the same distributed ranking and demands

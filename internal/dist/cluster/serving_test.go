@@ -45,27 +45,13 @@ func TestDigestMemoization(t *testing.T) {
 	if d := docRank(web.Graph, warm).L1Diff(docRank(web.Graph, cold)); d != 0 {
 		t.Errorf("the warm run's DocRank differs by %g, want bitwise equality", d)
 	}
-
-	// A config naming the retired fleet SiteRank mode ships the same
-	// shards: it reuses the digests and gives the same answer.
-	dist, err := cl.Coord.RankPreparedCtx(ctx, rk, coordinator.Config{SiteRank: syncIgnored}, coordinator.Warm{Digests: warm.Digests})
-	if err != nil {
-		t.Fatalf("RankPreparedCtx naming the retired mode: %v", err)
-	}
-	if dist.Stats.DigestBytesHashed != 0 {
-		t.Errorf("a run naming the retired mode hashed %d digest bytes, want 0 (the shards are the same)", dist.Stats.DigestBytesHashed)
-	}
-	if d := docRank(web.Graph, dist).L1Diff(docRank(web.Graph, cold)); d != 0 {
-		t.Errorf("a run naming the retired mode deviates by %g, want bitwise equality", d)
-	}
 }
 
 // TestDistributedSitePersonalization composes a fleet run's local
-// DocRanks under a site-personalized πS — also a run whose config names
-// the retired fleet SiteRank mode, which it ignores — and checks each
-// against the single-process personalized pipeline: a local DocRank does
-// not depend on the site layer's teleport (Partition Theorem), so the
-// caller's site solve is all a personalization adds.
+// DocRanks under a site-personalized πS and checks them against the
+// single-process personalized pipeline: a local DocRank does not depend
+// on the site layer's teleport (Partition Theorem), so the caller's site
+// solve is all a personalization adds.
 func TestDistributedSitePersonalization(t *testing.T) {
 	web := testWeb()
 	ns := web.Graph.NumSites()
@@ -81,31 +67,22 @@ func TestDistributedSitePersonalization(t *testing.T) {
 		t.Fatalf("reference personalized LayeredDocRank: %v", err)
 	}
 
-	modes := []struct {
-		name string
-		cfg  coordinator.Config
-	}{
-		{"central", coordinator.Config{}},
-		{"distributed", coordinator.Config{SiteRank: syncIgnored}},
-	}
-	for _, m := range modes {
-		t.Run(m.name, func(t *testing.T) {
-			cl, err := StartLocal(3)
-			if err != nil {
-				t.Fatalf("StartLocal: %v", err)
-			}
-			defer cl.Close()
-			res, err := rank(context.Background(), cl, web.Graph, m.cfg)
-			if err != nil {
-				t.Fatalf("Rank: %v", err)
-			}
-			got := composeUnder(web.Graph, lmm.WebConfig{SitePersonalization: pers}, res)
-			if d := got.L1Diff(ref.DocRank); d >= 1e-9 {
-				t.Errorf("‖distributed − reference‖₁ = %g, want < 1e-9", d)
-			}
-			if d := got.L1Diff(docRank(web.Graph, res)); d < 1e-6 {
-				t.Errorf("the personalized answer is within %g of the uniform one: the bias moved nothing", d)
-			}
-		})
-	}
+	t.Run("central", func(t *testing.T) {
+		cl, err := StartLocal(3)
+		if err != nil {
+			t.Fatalf("StartLocal: %v", err)
+		}
+		defer cl.Close()
+		res, err := rank(context.Background(), cl, web.Graph, coordinator.Config{})
+		if err != nil {
+			t.Fatalf("Rank: %v", err)
+		}
+		got := composeUnder(web.Graph, lmm.WebConfig{SitePersonalization: pers}, res)
+		if d := got.L1Diff(ref.DocRank); d >= 1e-9 {
+			t.Errorf("‖distributed − reference‖₁ = %g, want < 1e-9", d)
+		}
+		if d := got.L1Diff(docRank(web.Graph, res)); d < 1e-6 {
+			t.Errorf("the personalized answer is within %g of the uniform one: the bias moved nothing", d)
+		}
+	})
 }

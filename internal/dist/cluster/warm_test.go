@@ -22,76 +22,73 @@ func TestWarmRunAsksOnlyForMissingLocals(t *testing.T) {
 	web := testWeb()
 	ns := web.Graph.NumSites()
 	ctx := context.Background()
-	for _, leg := range modeLegs {
-		cfg := leg.cfg
-		t.Run(leg.name, func(t *testing.T) {
-			cl, err := StartChaosLocal(3)
-			if err != nil {
-				t.Fatalf("StartChaosLocal: %v", err)
-			}
-			defer cl.Close()
-			script, asked := chaos.RecordSites(wire.KindRankLocal)
-			for _, p := range cl.Proxies {
-				p.SetScript(script)
-			}
-			const tol = 1e-9
-			rk, err := lmm.NewRanker(web.Graph, lmm.RankerOptions{})
-			if err != nil {
-				t.Fatalf("NewRanker: %v", err)
-			}
+	t.Run("central", func(t *testing.T) {
+		cl, err := StartChaosLocal(3)
+		if err != nil {
+			t.Fatalf("StartChaosLocal: %v", err)
+		}
+		defer cl.Close()
+		script, asked := chaos.RecordSites(wire.KindRankLocal)
+		for _, p := range cl.Proxies {
+			p.SetScript(script)
+		}
+		const tol = 1e-9
+		rk, err := lmm.NewRanker(web.Graph, lmm.RankerOptions{})
+		if err != nil {
+			t.Fatalf("NewRanker: %v", err)
+		}
 
-			cold, err := cl.Coord.RankPreparedCtx(context.Background(), rk, cfg, coordinator.Warm{})
-			if err != nil {
-				t.Fatalf("cold run: %v", err)
-			}
-			if got := asked(); len(got) != ns || cold.Stats.LocalRanksReused != 0 {
-				t.Fatalf("cold run asked for %d sites and reused %d, want %d and 0", len(got), cold.Stats.LocalRanksReused, ns)
-			}
+		cold, err := cl.Coord.RankPreparedCtx(context.Background(), rk, coordinator.Config{}, coordinator.Warm{})
+		if err != nil {
+			t.Fatalf("cold run: %v", err)
+		}
+		if got := asked(); len(got) != ns || cold.Stats.LocalRanksReused != 0 {
+			t.Fatalf("cold run asked for %d sites and reused %d, want %d and 0", len(got), cold.Stats.LocalRanksReused, ns)
+		}
 
-			known := coordinator.Warm{Locals: cold.LocalRanks, Digests: cold.Digests}
-			warm, err := cl.Coord.RankPreparedCtx(ctx, rk, cfg, known)
-			if err != nil {
-				t.Fatalf("warm run: %v", err)
+		known := coordinator.Warm{Locals: cold.LocalRanks, Digests: cold.Digests}
+		warm, err := cl.Coord.RankPreparedCtx(ctx, rk, coordinator.Config{}, known)
+		if err != nil {
+			t.Fatalf("warm run: %v", err)
+		}
+		if got := asked(); len(got) != 0 {
+			t.Errorf("warm run asked the fleet for sites %v, want no KindRankLocal at all", got)
+		}
+		if st := warm.Stats; st.LocalRanksReused != ns || st.LocalRankDuration != 0 {
+			t.Errorf("warm run reused %d of %d local ranks in a %v local phase, want all and 0", st.LocalRanksReused, ns, st.LocalRankDuration)
+		}
+		for s, v := range warm.LocalRanks {
+			if len(v) > 0 && &v[0] != &known.Locals[s][0] {
+				t.Fatalf("site %d: the warm run's local rank is a copy, want the vector it was handed", s)
 			}
-			if got := asked(); len(got) != 0 {
-				t.Errorf("warm run asked the fleet for sites %v, want no KindRankLocal at all", got)
+			if warm.LocalIterations[s] != 0 {
+				t.Errorf("site %d: %d local iterations reported for a reused vector, want 0", s, warm.LocalIterations[s])
 			}
-			if st := warm.Stats; st.LocalRanksReused != ns || st.LocalRankDuration != 0 {
-				t.Errorf("warm run reused %d of %d local ranks in a %v local phase, want all and 0", st.LocalRanksReused, ns, st.LocalRankDuration)
-			}
-			for s, v := range warm.LocalRanks {
-				if len(v) > 0 && &v[0] != &known.Locals[s][0] {
-					t.Fatalf("site %d: the warm run's local rank is a copy, want the vector it was handed", s)
-				}
-				if warm.LocalIterations[s] != 0 {
-					t.Errorf("site %d: %d local iterations reported for a reused vector, want 0", s, warm.LocalIterations[s])
-				}
-			}
-			if d := docRank(web.Graph, warm).L1Diff(docRank(web.Graph, cold)); d >= tol {
-				t.Errorf("‖warm − cold‖₁ = %g, want < %g", d, tol)
-			}
+		}
+		if d := docRank(web.Graph, warm).L1Diff(docRank(web.Graph, cold)); d >= tol {
+			t.Errorf("‖warm − cold‖₁ = %g, want < %g", d, tol)
+		}
 
-			// Holes: an unknown site, and a vector of the wrong size (a
-			// site whose roster changed) — both are asked for, nothing
-			// else is.
-			holes := coordinator.Warm{Locals: slices.Clone(cold.LocalRanks)}
-			holes.Locals[3] = nil
-			holes.Locals[7] = holes.Locals[7][:len(holes.Locals[7])-1]
-			part, err := cl.Coord.RankPreparedCtx(ctx, rk, cfg, holes)
-			if err != nil {
-				t.Fatalf("partly warm run: %v", err)
-			}
-			if got := asked(); !slices.Equal(got, []int{3, 7}) {
-				t.Errorf("partly warm run asked for sites %v, want [3 7]", got)
-			}
-			if part.Stats.LocalRanksReused != ns-2 || part.Stats.LocalRankDuration == 0 {
-				t.Errorf("partly warm run reused %d local ranks in %v, want %d and a timed phase", part.Stats.LocalRanksReused, part.Stats.LocalRankDuration, ns-2)
-			}
-			if d := docRank(web.Graph, part).L1Diff(docRank(web.Graph, cold)); d >= tol {
-				t.Errorf("‖partly warm − cold‖₁ = %g, want < %g", d, tol)
-			}
-		})
-	}
+		// Holes: an unknown site, and a vector of the wrong size (a
+		// site whose roster changed) — both are asked for, nothing
+		// else is.
+		holes := coordinator.Warm{Locals: slices.Clone(cold.LocalRanks)}
+		holes.Locals[3] = nil
+		holes.Locals[7] = holes.Locals[7][:len(holes.Locals[7])-1]
+		part, err := cl.Coord.RankPreparedCtx(ctx, rk, coordinator.Config{}, holes)
+		if err != nil {
+			t.Fatalf("partly warm run: %v", err)
+		}
+		if got := asked(); !slices.Equal(got, []int{3, 7}) {
+			t.Errorf("partly warm run asked for sites %v, want [3 7]", got)
+		}
+		if part.Stats.LocalRanksReused != ns-2 || part.Stats.LocalRankDuration == 0 {
+			t.Errorf("partly warm run reused %d local ranks in %v, want %d and a timed phase", part.Stats.LocalRanksReused, part.Stats.LocalRankDuration, ns-2)
+		}
+		if d := docRank(web.Graph, part).L1Diff(docRank(web.Graph, cold)); d >= tol {
+			t.Errorf("‖partly warm − cold‖₁ = %g, want < %g", d, tol)
+		}
+	})
 }
 
 // TestMessagesPerRun counts a run's exchanges exactly. A worker's
@@ -99,42 +96,39 @@ func TestWarmRunAsksOnlyForMissingLocals(t *testing.T) {
 // worker holds everything, a second carrying what it reported missing
 // when it does not — so a warm run is one Load per worker, and a cold run
 // pays each worker two Loads and one KindRankLocal. The site layer is
-// solved on the coordinator and costs no exchange.
+// solved by the caller and costs no exchange.
 func TestMessagesPerRun(t *testing.T) {
 	web := testWeb()
 	const nw = 3
-	for _, leg := range modeLegs {
-		cfg := leg.cfg
-		t.Run(leg.name, func(t *testing.T) {
-			cl, err := StartLocal(nw)
-			if err != nil {
-				t.Fatalf("StartLocal: %v", err)
-			}
-			defer cl.Close()
-			rk, err := lmm.NewRanker(web.Graph, lmm.RankerOptions{})
-			if err != nil {
-				t.Fatalf("NewRanker: %v", err)
-			}
-			cold, err := cl.Coord.RankPreparedCtx(context.Background(), rk, cfg, coordinator.Warm{})
-			if err != nil {
-				t.Fatalf("cold run: %v", err)
-			}
-			if got, want := cold.Stats.Messages, uint64(2*nw+nw); got != want {
-				t.Errorf("cold run: %d messages, want %d (two Loads and a KindRankLocal per worker)", got, want)
-			}
-			known := coordinator.Warm{Locals: cold.LocalRanks, Digests: cold.Digests}
-			warm, err := cl.Coord.RankPreparedCtx(context.Background(), rk, cfg, known)
-			if err != nil {
-				t.Fatalf("warm run: %v", err)
-			}
-			if got, want := warm.Stats.Messages, uint64(nw); got != want {
-				t.Errorf("warm run: %d messages, want %d (one Load per worker)", got, want)
-			}
-			if warm.Stats.CacheHits != web.Graph.NumSites() || warm.Stats.ShardsReshipped != 0 {
-				t.Errorf("warm run: %d hits / %d re-shipped, want %d / 0", warm.Stats.CacheHits, warm.Stats.ShardsReshipped, web.Graph.NumSites())
-			}
-		})
-	}
+	t.Run("central", func(t *testing.T) {
+		cl, err := StartLocal(nw)
+		if err != nil {
+			t.Fatalf("StartLocal: %v", err)
+		}
+		defer cl.Close()
+		rk, err := lmm.NewRanker(web.Graph, lmm.RankerOptions{})
+		if err != nil {
+			t.Fatalf("NewRanker: %v", err)
+		}
+		cold, err := cl.Coord.RankPreparedCtx(context.Background(), rk, coordinator.Config{}, coordinator.Warm{})
+		if err != nil {
+			t.Fatalf("cold run: %v", err)
+		}
+		if got, want := cold.Stats.Messages, uint64(2*nw+nw); got != want {
+			t.Errorf("cold run: %d messages, want %d (two Loads and a KindRankLocal per worker)", got, want)
+		}
+		known := coordinator.Warm{Locals: cold.LocalRanks, Digests: cold.Digests}
+		warm, err := cl.Coord.RankPreparedCtx(context.Background(), rk, coordinator.Config{}, known)
+		if err != nil {
+			t.Fatalf("warm run: %v", err)
+		}
+		if got, want := warm.Stats.Messages, uint64(nw); got != want {
+			t.Errorf("warm run: %d messages, want %d (one Load per worker)", got, want)
+		}
+		if warm.Stats.CacheHits != web.Graph.NumSites() || warm.Stats.ShardsReshipped != 0 {
+			t.Errorf("warm run: %d hits / %d re-shipped, want %d / 0", warm.Stats.CacheHits, warm.Stats.ShardsReshipped, web.Graph.NumSites())
+		}
+	})
 }
 
 // TestChaosMalformedLocalRankIsRefused: a caller may retain a run's

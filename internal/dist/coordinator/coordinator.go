@@ -114,20 +114,6 @@ func backoffDelay(base, max time.Duration, attempt int) time.Duration {
 	return time.Duration((0.5 + rand.Float64()) * float64(d))
 }
 
-// SiteRankMode named the site-layer algorithm of a distributed run. No
-// run solves the site layer: its caller does.
-//
-// Deprecated: ignored.
-type SiteRankMode int
-
-// The modes Config.SiteRank took.
-//
-// Deprecated: ignored.
-const (
-	SiteRankCentral SiteRankMode = iota
-	SiteRankSync
-)
-
 // Config parameterizes one distributed ranking run.
 type Config struct {
 	// Damping is the PageRank damping factor / gatekeeper α. Zero is a
@@ -142,29 +128,9 @@ type Config struct {
 	// solve"); MaxIter caps its sweeps.
 	Tol     float64
 	MaxIter int
-	// Deprecated: ignored. No run solves the site layer.
-	SiteRank SiteRankMode
 	// Retry controls mid-run fault tolerance; the zero value disables
 	// recovery.
 	Retry RetryPolicy
-	// MaxInFlight, RejectOverload and Coalesce are serving knobs
-	// consumed by the root package's DistEngine, not by the
-	// coordinator itself (which already serializes runs on the wire):
-	// MaxInFlight caps concurrently admitted queries (0 = no cap),
-	// RejectOverload makes over-cap queries fail fast instead of
-	// queueing, and Coalesce merges concurrent identical queries into
-	// one wire run.
-	MaxInFlight    int
-	RejectOverload bool
-	Coalesce       bool
-	// TenantQuota and CoalesceTol refine those knobs (again consumed by
-	// the root DistEngine only): TenantQuota caps each Query.Tenant's
-	// concurrently admitted queries beneath the engine-wide cap, and
-	// CoalesceTol > 0 lets Coalesce merge queries whose personalization
-	// vectors differ by less than the tolerance in L1, not just
-	// bit-identical ones.
-	TenantQuota int
-	CoalesceTol float64
 	// Assignment, when non-nil, pins the site→shard placement instead
 	// of the weighted-LPT default: Assignment[s] is the abstract shard of
 	// site s, and shard j maps onto the j-th live worker in ascending

@@ -77,8 +77,7 @@ func TestRejectsLyingMissing(t *testing.T) {
 // re-declares. The run is handed every local DocRank but one, owned by
 // the victim, which dies when asked for it: all of the victim's sites
 // move, but only the one still to be ranked is declared to its new owner
-// — a finished site's shard is dead weight. The second leg names the
-// retired SiteRankSync, which a run ignores.
+// — a finished site's shard is dead weight.
 func TestDoneSiteMovedIsNotReshipped(t *testing.T) {
 	web := rankableWeb()
 	ns := web.NumSites()
@@ -86,45 +85,35 @@ func TestDoneSiteMovedIsNotReshipped(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"central", Config{}},
-		{"sync", Config{SiteRank: SiteRankSync}},
-	} {
-		cfg := tc.cfg
-		t.Run(tc.name, func(t *testing.T) {
-			c, kt := lossFleet(t, wire.KindRankLocal, 2)
-			rk, err := lmm.NewRanker(web, lmm.RankerOptions{})
-			if err != nil {
-				t.Fatalf("NewRanker: %v", err)
-			}
-			cfg.Retry = RetryPolicy{MaxWorkerFailures: 1}
-			cfg.Assignment = make([]int, ns)
-			for s := range cfg.Assignment {
-				cfg.Assignment[s] = s % 3
-			}
-			warm := Warm{Locals: slices.Clone(ref.LocalRanks)}
-			const unranked = 2 // owned by the victim, fleet index 2
-			warm.Locals[unranked] = nil
-			res, err := c.RankPreparedCtx(context.Background(), rk, cfg, warm)
-			if err != nil {
-				t.Fatalf("Rank: %v", err)
-			}
-			if !kt.died() {
-				t.Fatal("scripted worker never reached its death trigger")
-			}
-			checkRecovery(t, web, res, ref)
-			moved := res.Stats.Reassignments
-			if moved < 2 {
-				t.Fatalf("Reassignments = %d, want the victim's %d sites", moved, ns/3)
-			}
-			want := ns + 1
-			if got := res.Stats.CacheHits + res.Stats.ShardsReshipped; got != want {
-				t.Errorf("%d shards delivered (%d reused + %d in full), want %d: the %d first placed plus, of the %d moved, the ones still needed",
-					got, res.Stats.CacheHits, res.Stats.ShardsReshipped, want, ns, moved)
-			}
-		})
-	}
+	t.Run("central", func(t *testing.T) {
+		c, kt := lossFleet(t, wire.KindRankLocal, 2)
+		rk, err := lmm.NewRanker(web, lmm.RankerOptions{})
+		if err != nil {
+			t.Fatalf("NewRanker: %v", err)
+		}
+		cfg := Config{Retry: RetryPolicy{MaxWorkerFailures: 1}, Assignment: make([]int, ns)}
+		for s := range cfg.Assignment {
+			cfg.Assignment[s] = s % 3
+		}
+		warm := Warm{Locals: slices.Clone(ref.LocalRanks)}
+		const unranked = 2 // owned by the victim, fleet index 2
+		warm.Locals[unranked] = nil
+		res, err := c.RankPreparedCtx(context.Background(), rk, cfg, warm)
+		if err != nil {
+			t.Fatalf("Rank: %v", err)
+		}
+		if !kt.died() {
+			t.Fatal("scripted worker never reached its death trigger")
+		}
+		checkRecovery(t, web, res, ref)
+		moved := res.Stats.Reassignments
+		if moved < 2 {
+			t.Fatalf("Reassignments = %d, want the victim's %d sites", moved, ns/3)
+		}
+		want := ns + 1
+		if got := res.Stats.CacheHits + res.Stats.ShardsReshipped; got != want {
+			t.Errorf("%d shards delivered (%d reused + %d in full), want %d: the %d first placed plus, of the %d moved, the ones still needed",
+				got, res.Stats.CacheHits, res.Stats.ShardsReshipped, want, ns, moved)
+		}
+	})
 }

@@ -195,6 +195,11 @@ func exact[T any](s []T) []T {
 	if cap(s) == len(s) {
 		return s
 	}
+	return fresh(s)
+}
+
+// fresh returns a copy of s with no room to spare, never nil.
+func fresh[T any](s []T) []T {
 	c := make([]T, len(s))
 	copy(c, s)
 	return c

@@ -9,6 +9,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"weak"
 )
 
 // SiteID identifies a Web site within a DocGraph.
@@ -433,7 +435,7 @@ func (dg *DocGraph) LocalOf(d DocID) int {
 // site of one run, so extraction is O(site) and a pass over all sites
 // linear in the web. The digraph is deduplicated first (a mutation, so
 // call Dedupe before fanning LocalSubgraph calls across goroutines); the
-// subgraph is written straight into packed columns and, the roster being
+// subgraph is written into packed columns and, the roster being
 // ascending, inherits the parent's sorted, merged rows, so it is born
 // deduplicated. The parent's rows are read through one cursor, so the
 // ascending roster finds each row's listed links with no search.
@@ -441,17 +443,20 @@ func (dg *DocGraph) LocalSubgraph(s SiteID) (*Digraph, *LocalIndex) {
 	dg.G.Dedupe()
 	docs, m := dg.Sites[s].Docs, dg.member(s)
 
-	// One walk: each local node's surviving out-edges fill the columns,
-	// weights read in link order, and end its row. The targets column
-	// starts at the rows' stored length, which bounds what survives; the
-	// listed columns start empty, not nil, as an extraction with nothing
-	// to list has always returned them.
-	bound := 0
-	for _, d := range docs {
-		bound += dg.G.degree(int(d))
+	// One walk: each local node's surviving out-edges fill the scratch
+	// columns, weights read in link order, and end its row; the subgraph
+	// gets copies of them at their exact lengths, empty, not nil, when
+	// there is nothing to list.
+	ref := extractions.Get().(*scratchRef)
+	x := ref.Value()
+	if x == nil {
+		x = new(extraction)
+		ref.Pointer = weak.Make(x)
 	}
-	p := &packed{off: make([]uint32, len(docs)+1), to: make([]int16, 0, bound), pos: []uint32{}, w: []float64{}}
-	var c cursor
+	c, p := &x.c, &x.p
+	c.e, c.f = 0, 0
+	p.to, p.farPos, p.farTo, p.pos, p.w = p.to[:0], p.farPos[:0], p.farTo[:0], p.pos[:0], p.w[:0]
+	off := make([]uint32, len(docs)+1)
 	for li, d := range docs {
 		r, e := c.read(dg.G, int(d)), 0
 		for k, to := range r.to {
@@ -463,12 +468,29 @@ func (dg *DocGraph) LocalSubgraph(s SiteID) (*Digraph, *LocalIndex) {
 				p.push(li, i)
 			}
 		}
-		p.off[li+1] = uint32(len(p.to))
+		off[li+1] = uint32(len(p.to))
 	}
-	p.clip()
-	p.pos, p.w = exact(p.pos), exact(p.w)
-	return &Digraph{base: p, deduped: true}, dg.LocalIndex(s)
+	sub := &packed{off: off, to: fresh(p.to), farPos: fresh(p.farPos), farTo: fresh(p.farTo), pos: fresh(p.pos), w: fresh(p.w)}
+	c.r = row{} // the scratch keeps none of the graph's columns alive
+	extractions.Put(ref)
+	return &Digraph{base: sub, deduped: true}, dg.LocalIndex(s)
 }
+
+// extraction is a LocalSubgraph walk's scratch: the cursor it reads the
+// parent's rows through and the columns it writes before copying them
+// out. Walks reuse it through extractions, so one allocates its
+// subgraph's own columns and little else.
+type extraction struct {
+	c cursor
+	p packed
+}
+
+// scratchRef holds an extraction weakly: the pool hands walks the same
+// scratch between collections, and a collection frees it, so no graph's
+// worth of scratch outlives the walks that used it.
+type scratchRef struct{ weak.Pointer[extraction] }
+
+var extractions = sync.Pool{New: func() any { return new(scratchRef) }}
 
 // LocalIndex returns the index of site s without extracting its
 // subgraph: the roster itself, aliased and clipped to its length.

@@ -1,6 +1,8 @@
 package graph_test
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"lmmrank/internal/graph"
@@ -89,5 +91,46 @@ func BenchmarkLocalSubgraph(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(links), "ns/link")
 			})
 		}
+	}
+}
+
+// TestLocalSubgraphAllocBytesPerLink pins what extracting every site of
+// the default web allocates per link it keeps: the subgraphs' own columns
+// (a 2-byte target a link, a 4-byte row offset a document, 12 bytes a
+// link of weight other than 1) and a few fixed-size headers a site, ≈ 4.2
+// bytes a link. A walk that writes the target column at the rows' stored
+// degree and copies it to length, or grows the listed columns by append,
+// allocated 9.0. The pass is made twice and the second one measured, so
+// the walk's pooled scratch is warm, as it is on every set-up but the
+// first extraction's.
+func TestLocalSubgraphAllocBytesPerLink(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops the walk's scratch at random")
+	}
+	const limit = 5.0 // bytes a link
+	dg := webgen.Generate(webgen.Default()).Graph
+	dg.Dedupe()
+	// As in TestLocalSubgraphAllocsIndependentOfWeb: TotalAlloc is
+	// process-wide, so the collector and other Ps are held off for the
+	// whole window, the warm-up included (the pool is per P).
+	var m0, m1 runtime.MemStats
+	gcPercent, procs := debug.SetGCPercent(-1), runtime.GOMAXPROCS(1)
+	links := 0
+	for pass := range 2 {
+		if pass == 1 {
+			runtime.ReadMemStats(&m0)
+		}
+		for s := range dg.Sites {
+			sub, _ := dg.LocalSubgraph(graph.SiteID(s))
+			links += pass * sub.NumEdges()
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	debug.SetGCPercent(gcPercent)
+	runtime.GOMAXPROCS(procs)
+	perLink := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(links)
+	t.Logf("extracting %d sites (%d links) allocated %.2f bytes a link", dg.NumSites(), links, perLink)
+	if perLink > limit {
+		t.Errorf("extracting every site allocated %.2f bytes a link, want at most %g", perLink, limit)
 	}
 }

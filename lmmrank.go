@@ -64,16 +64,12 @@ type (
 
 // Distributed runtime types.
 type (
-	// Cluster is an in-process coordinator + worker fleet on loopback.
+	// Cluster is a coordinator connected to a worker fleet: the
+	// in-process loopback fleet StartCluster launches, or a remote
+	// fleet's coordinator wrapped as &Cluster{Coord: coord}, as
+	// cmd/lmmcoord wraps the one it dials. NewDistEngine reads only its
+	// Coord.
 	Cluster = cluster.Local
-	// DistConfig parameterizes a distributed ranking run.
-	DistConfig = coordinator.Config
-	// DistResult is the outcome of a distributed run with cost stats.
-	DistResult = coordinator.Result
-	// DistWarm is what a distributed run starts from knowing (DistWarm{}
-	// = nothing): local DocRanks, and the shard digests of the previous
-	// run's DistResult.Digests.
-	DistWarm = coordinator.Warm
 	// DistRetryPolicy bounds how many worker losses one distributed run
 	// absorbs by reassigning shards to survivors.
 	DistRetryPolicy = coordinator.RetryPolicy
@@ -81,19 +77,20 @@ type (
 	// wire traffic, losses/reassignments/retries, cache hits and bytes
 	// saved.
 	DistStats = coordinator.Stats
-	// SiteRankMode named how a distributed run computed its site chain's
-	// stationary distribution. No run solves it: its caller does.
-	//
-	// Deprecated: ignored.
-	SiteRankMode = coordinator.SiteRankMode
 )
+
+// SiteRankMode named how a distributed run computed its site chain's
+// stationary distribution. No run solves it: the engine does.
+//
+// Deprecated: ignored.
+type SiteRankMode int
 
 // The modes DistConfig.SiteRank took.
 //
 // Deprecated: ignored.
 const (
-	SiteRankCentral = coordinator.SiteRankCentral
-	SiteRankSync    = coordinator.SiteRankSync
+	SiteRankCentral SiteRankMode = iota
+	SiteRankSync
 )
 
 // Errors re-exported for errors.Is checks.
@@ -155,11 +152,10 @@ func DeriveSiteGraph(dg *DocGraph, opts SiteGraphOptions) *SiteGraph {
 // LayeredDocRank runs the §3.2 pipeline: SiteRank × independent local
 // DocRanks, composed by the Partition Theorem.
 //
-// It is the one-shot form of a Ranker: the query is checked as an
-// Engine checks it, then a throwaway Ranker solves every site once, so
-// the result is caller-owned. Callers ranking the same graph repeatedly
-// should hold a LocalEngine (or, for single-goroutine serving, a Ranker)
-// instead.
+// It is the one-shot form of a LocalEngine: the query is checked as an
+// Engine checks it, then every site is solved once, so the result is
+// caller-owned. Callers ranking the same graph repeatedly should hold a
+// LocalEngine instead.
 func LayeredDocRank(dg *DocGraph, cfg WebConfig) (*WebResult, error) {
 	ctx, err := oneShot(dg, cfg, Query{
 		Damping:             cfg.Damping,
@@ -195,28 +191,6 @@ func oneShot(dg *DocGraph, cfg WebConfig, q Query) (context.Context, error) {
 	return ctx, q.fits(dg)
 }
 
-// Ranker is the precomputed serving form of the layered pipeline: build
-// it once per graph, then answer repeated Rank queries (uniform or
-// personalized) with near-zero setup cost and no steady-state
-// allocations. Results alias the Ranker's scratch — see lmm.Ranker for
-// the reuse contract.
-//
-// Deprecated-in-spirit for serving: Ranker is the single-goroutine,
-// scratch-aliasing expert path. Most callers want Engine — NewLocalEngine
-// wraps a pool of Rankers behind the same precomputation and returns
-// caller-owned results, safely concurrent and context-aware.
-type Ranker = lmm.Ranker
-
-// RankerOptions fixes the graph-derivation choices a Ranker precomputes.
-type RankerOptions = lmm.RankerOptions
-
-// NewRanker precomputes the layered ranking structure of a DocGraph:
-// the SiteGraph and each site's roster index now, the per-site
-// transition matrices on Prepare or the first Rank.
-func NewRanker(dg *DocGraph, opts RankerOptions) (*Ranker, error) {
-	return lmm.NewRanker(dg, opts)
-}
-
 // Web3Result is the outcome of the three-layer (domain→site→page)
 // pipeline.
 type Web3Result = lmm.Web3Result
@@ -226,8 +200,7 @@ type Web3Result = lmm.Web3Result
 // two host labels). With one domain it reduces exactly to LayeredDocRank.
 //
 // Like LayeredDocRank, it checks the query as an Engine checks a
-// ThreeLayer Query and then solves once on a throwaway Ranker: the
-// result is caller-owned.
+// ThreeLayer Query and then solves once: the result is caller-owned.
 func LayeredDocRank3(dg *DocGraph, domainOf func(siteName string) string, cfg WebConfig) (*Web3Result, error) {
 	ctx, err := oneShot(dg, cfg, Query{
 		Damping:            cfg.Damping,
@@ -296,7 +269,7 @@ func StartCluster(n int) (*Cluster, error) { return cluster.StartLocal(n) }
 // ErrStaleResult marks incremental updates that need a full recompute.
 var ErrStaleResult = lmm.ErrStaleResult
 
-// ErrGraphMutated marks queries and Updates against an engine or Ranker
+// ErrGraphMutated marks queries and Updates against an engine
 // whose DocGraph was mutated in place, not through Engine.Update: the
 // precomputed structure is stale and nothing recorded what changed, so
 // the call is refused instead of silently serving a stale ranking. Check

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"lmmrank/internal/dist/coordinator"
 	"lmmrank/internal/lmm"
 )
 
@@ -116,12 +117,12 @@ func TestFacadeGraphIO(t *testing.T) {
 
 // coordRank is one fleet run over dg from nothing known, on a Ranker
 // built for it as an engine builds one.
-func coordRank(cl *Cluster, dg *DocGraph, cfg DistConfig) (*DistResult, error) {
+func coordRank(cl *Cluster, dg *DocGraph, cfg coordinator.Config) (*coordinator.Result, error) {
 	rk, err := lmm.NewRanker(dg, lmm.RankerOptions{})
 	if err != nil {
 		return nil, err
 	}
-	return cl.Coord.RankPreparedCtx(context.Background(), rk, cfg, DistWarm{})
+	return cl.Coord.RankPreparedCtx(context.Background(), rk, cfg, coordinator.Warm{})
 }
 
 func TestFacadeCluster(t *testing.T) {
@@ -134,7 +135,7 @@ func TestFacadeCluster(t *testing.T) {
 		t.Fatalf("StartCluster: %v", err)
 	}
 	defer cl.Close()
-	res, err := coordRank(cl, web.Graph, DistConfig{})
+	res, err := coordRank(cl, web.Graph, coordinator.Config{})
 	if err != nil {
 		t.Fatalf("Rank: %v", err)
 	}
