@@ -79,7 +79,7 @@ func TestPreparedEngineRetention(t *testing.T) {
 // TestLocalEngineRetention pins what a LocalEngine's snapshot keeps
 // beside the DocGraph after one query of every shape it composes from its
 // solutions but TopK, and again after an Update: TestTopKEngineRetention's
-// budget (12 bytes a document, 320 a site and 32 a site link) with no byte
+// budget (10 bytes a document, 160 a site and 32 a site link) with no byte
 // a link. It holds 8 bytes a document of local solutions beside the site
 // layer (≈ 228 KB measured, ≈ 304 KB while the graph derived a 4-byte
 // local column) and no top-k index, which only a TopK query builds; the
@@ -95,14 +95,14 @@ func TestLocalEngineRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	siteLinks := eng.snap.Load().base.SiteGraph().G.NumEdges()
-	budget := int64(12*docs + 320*sites + 32*siteLinks)
+	budget := int64(10*docs + 160*sites + 32*siteLinks)
 	check := func(when string) {
 		t.Helper()
 		retained := int64(liveHeap()) - int64(before)
 		t.Logf("%s: %d docs, %d sites, %d site links: the engine retains %d bytes (%.1f a site beside 8 a document), budget %d",
 			when, docs, sites, siteLinks, retained, float64(retained-8*int64(docs))/float64(sites), budget)
 		if retained > budget {
-			t.Errorf("%s: a LocalEngine retains %d bytes beside its graph, budget %d (12 B/doc + 320 B/site + 32 B/site link)", when, retained, budget)
+			t.Errorf("%s: a LocalEngine retains %d bytes beside its graph, budget %d (10 B/doc + 160 B/site + 32 B/site link)", when, retained, budget)
 		}
 	}
 	pers := topkQueries(sites)[1].SitePersonalization
@@ -275,13 +275,13 @@ func decodedTopK(t *testing.T, file []byte, k int) []DocScore {
 // TestTopKEngineRetention pins what a LocalEngine's snapshot keeps beside
 // the DocGraph once it was built, served a TopK query, which sorts its
 // top-k index, and updated, which patches the index: 8 bytes a document
-// of local solutions and 4 of index over them
-// (16 while the graph derived a 4-byte local column here), and the site
-// layer — 320 bytes a site and 32 a site link budgeted; ≈ 350 to 410 a
-// site all told measured on this web (the SiteGraph and its chain, the
-// site seed, per-site headers, and the edited row the Update's clone
-// owns). No
-// bytes a link: the construction and an Update solve on chains they drop
+// of local solutions and 2 of index over them (12 all told while the
+// index's positions were 4 bytes, 16 while the graph derived a 4-byte
+// local column here), and the site layer — 160 bytes a site and 32 a
+// site link budgeted, ≈ 440 a site all told on this web, ≈ 345 measured
+// (the SiteGraph and its chain, the site seed, per-site headers, and the
+// edited row the Update's clone owns), so that 4-byte positions in the
+// index (≈ 37 KB more) break it. No bytes a link: the construction and an Update solve on chains they drop
 // (each intra-site link would cost 4 bytes in one, ≈ 460 KB here). The
 // first query that solves the sites (a damping of its own) builds and
 // keeps every chain; beside its solutions and index the engine then keeps
@@ -296,14 +296,14 @@ func TestTopKEngineRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	siteLinks := eng.snap.Load().base.SiteGraph().G.NumEdges()
-	budget := int64(12*docs + 320*sites + 32*siteLinks)
+	budget := int64(10*docs + 160*sites + 32*siteLinks)
 	check := func(when string) {
 		t.Helper()
 		retained := int64(liveHeap()) - int64(before)
-		t.Logf("%s: %d docs, %d sites, %d site links: the engine retains %d bytes (%.1f a site beside 12 a document), budget %d",
-			when, docs, sites, siteLinks, retained, float64(retained-12*int64(docs))/float64(sites), budget)
+		t.Logf("%s: %d docs, %d sites, %d site links: the engine retains %d bytes (%.1f a site beside 10 a document), budget %d",
+			when, docs, sites, siteLinks, retained, float64(retained-10*int64(docs))/float64(sites), budget)
 		if retained > budget {
-			t.Errorf("%s: an engine serving TopK queries retains %d bytes beside its graph, budget %d (12 B/doc + 320 B/site + 32 B/site link)", when, retained, budget)
+			t.Errorf("%s: an engine serving TopK queries retains %d bytes beside its graph, budget %d (10 B/doc + 160 B/site + 32 B/site link)", when, retained, budget)
 		}
 	}
 	check("built")
@@ -324,7 +324,7 @@ func TestTopKEngineRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.snap.Load().pool.get() // the idle clone is query scratch, not structure
-	beside := int64(liveHeap()) - int64(before) - 12*int64(docs)
+	beside := int64(liveHeap()) - int64(before) - 10*int64(docs)
 	prepared := int64(2*links + 21*docs) // TestPreparedEngineRetention's budget
 	t.Logf("with its chains kept the engine retains %d bytes beside its solutions and index, a prepared engine's budget %d", beside, prepared)
 	if beside > prepared {

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"lmmrank/internal/matrix"
 	"lmmrank/internal/webgen"
 )
 
@@ -331,12 +332,81 @@ func TestTopKIndexWholeSiteRuns(t *testing.T) {
 	}
 }
 
+// TestTopKIndexWideSite: a site of more than matrix.MaxNarrowOrder
+// documents keeps its order in 4 bytes a document, beside the 2-byte
+// orders of the small sites, and the merge reads both: the Top table of a
+// uniform and of a site-personalized query is the full sort's, bit for
+// bit, for k up to every document. The big site's pages link on round it
+// at strides that give its documents distinct ranks, and into the small
+// sites.
+func TestTopKIndexWideSite(t *testing.T) {
+	const big = matrix.MaxNarrowOrder + 1000
+	b := NewGraphBuilder()
+	for _, site := range []struct {
+		name string
+		n    int
+	}{{"a.com", 10}, {"big.com", big}, {"c.com", 7}} {
+		for d := 0; d < site.n; d++ {
+			b.AddDocInSite(fmt.Sprintf("http://%s/p%d", site.name, d), site.name)
+		}
+	}
+	url := func(site string, d int) string { return fmt.Sprintf("http://%s/p%d", site, d) }
+	for d := 0; d < 10; d++ {
+		b.AddLink(url("a.com", d), url("a.com", (d+1)%10))
+		b.AddLink(url("a.com", d), url("big.com", d))
+	}
+	for d := 0; d < 7; d++ {
+		b.AddLink(url("c.com", d), url("c.com", d*d%7))
+	}
+	for d := 0; d < big; d++ {
+		b.AddLink(url("big.com", d), url("big.com", (d+1)%big))
+		b.AddLink(url("big.com", d), url("big.com", d/3))
+		if d%100 == 0 {
+			b.AddLink(url("big.com", d), url("c.com", d%7))
+		}
+	}
+	dg := b.Build()
+	ctx := context.Background()
+	eng, err := NewLocalEngine(dg, EngineOptions{})
+	if err != nil {
+		t.Fatalf("NewLocalEngine: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		pers Vector
+	}{{"uniform", nil}, {"site-personalized", Vector{0.5, 0.2, 0.3}}} {
+		for _, k := range []int{10, 2000, dg.NumDocs()} {
+			res, err := eng.Rank(ctx, Query{TopK: k, SitePersonalization: tc.pers})
+			if err != nil {
+				t.Fatalf("%s k=%d: %v", tc.name, k, err)
+			}
+			if want := TopDocs(dg, res.DocRank, k); !reflect.DeepEqual(res.Top, want) {
+				t.Errorf("%s k=%d: index Top differs from the full sort", tc.name, k)
+			}
+		}
+	}
+	ix := eng.snap.Load().sol.Load().index.Load()
+	if ix == nil || len(ix.wide) != 3 || len(ix.wide[1]) != big || ix.order[1] != nil {
+		t.Fatal("the big site's order is not 4 bytes a document")
+	}
+	for _, s := range []int{0, 2} {
+		if len(ix.order[s]) != len(dg.Sites[s].Docs) || ix.wide[s] != nil {
+			t.Errorf("small site %d's order is not 2 bytes a document", s)
+		}
+	}
+	if stats := eng.ServingStats(); stats.TopKIndexServes != 6 {
+		t.Errorf("%d of 6 queries served by the index", stats.TopKIndexServes)
+	}
+}
+
 // TestTopKIndexRetention pins what the index keeps beside the local
-// vectors it orders: one 4-byte position a document, in an array of its
-// site's, plus a slice header and allocation rounding a site — 4.43
-// bytes a document measured on this web (4.33 while one array held every
-// site's). (It was 16 bytes a document while every posting held its own
-// DocID and a copy of its score.) The least of three builds
+// vectors it orders: one 2-byte position a document — every site of this
+// web has at most matrix.MaxNarrowOrder documents — in an array of its
+// site's, plus a slice header and allocation rounding a site — 2.42
+// bytes a document measured on this web (4.43 while the positions were 4
+// bytes, 4.33 while one array held every site's). (It was 16 bytes a
+// document while every posting held its own DocID and a copy of its
+// score.) The least of three builds
 // is taken, so that what an earlier test's fleet still frees or
 // allocates while it winds down is not counted.
 func TestTopKIndexRetention(t *testing.T) {
@@ -354,10 +424,10 @@ func TestTopKIndexRetention(t *testing.T) {
 		retained = min(retained, int64(liveHeap())-int64(before))
 		runtime.KeepAlive(ix)
 	}
-	budget := int64(4*docs + 48*sites)
+	budget := int64(2*docs + 48*sites)
 	t.Logf("%d docs, %d sites: the index retains %d bytes (%.2f a document), budget %d", docs, sites, retained, float64(retained)/float64(docs), budget)
 	if retained > budget {
-		t.Errorf("the top-k index retains %d bytes, budget %d (4 B/doc + 48 B/site)", retained, budget)
+		t.Errorf("the top-k index retains %d bytes, budget %d (2 B/doc + 48 B/site)", retained, budget)
 	}
 	runtime.KeepAlive(eng)
 }
@@ -740,10 +810,11 @@ func serverOf(eng servedEngine) *server {
 	panic(fmt.Sprintf("no serving front in %T", eng))
 }
 
-// FuzzSortSite checks the index's radix sort against the comparison sort
-// it replaced — score descending, ties toward the lower position — on
-// scores drawn from a palette that makes ties, zeros of both signs and
-// subnormals common, and from raw nonnegative bit patterns.
+// FuzzSortSite checks the index's radix sort, at both position widths,
+// against the comparison sort it replaced — score descending, ties toward
+// the lower position — on scores drawn from a palette that makes ties,
+// zeros of both signs and subnormals common, and from raw nonnegative bit
+// patterns.
 func FuzzSortSite(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3})
@@ -784,6 +855,16 @@ func FuzzSortSite(f *testing.F) {
 		})
 		if !slices.Equal(got, want) {
 			t.Errorf("scores %v: radix order %v, comparison order %v", local, got, want)
+		}
+		if len(local) > matrix.MaxNarrowOrder {
+			return
+		}
+		narrow := make([]uint16, len(local))
+		sortSite(narrow, local)
+		for i, p := range narrow {
+			if uint32(p) != got[i] {
+				t.Fatalf("scores %v: 2-byte radix order %v, 4-byte %v", local, narrow, got)
+			}
 		}
 	})
 }

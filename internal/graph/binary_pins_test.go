@@ -126,20 +126,41 @@ func TestDecodeBinaryAllocsDoNotGrowWithDocs(t *testing.T) {
 	}
 }
 
+// BenchmarkDecodeBinary decodes the graph file of cmd/lmmload's web-mid
+// (113 644 documents): B/op is what a decode allocates on the way — the
+// columns the graph keeps, the sections it drops, and the pieces the
+// targets and listed weights are narrowed through as they arrive.
+func BenchmarkDecodeBinary(b *testing.B) {
+	var file bytes.Buffer
+	if err := graph.EncodeBinary(&file, webgen.Generate(webMid).Graph); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(file.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := graph.DecodeBinary(bytes.NewReader(file.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestDecodeBinaryRetention pins what a decoded web keeps alive, its text
 // included: the packed adjacency at 2 bytes a link (its target's distance
 // from its source — no 4-byte target, no 16-byte Edge, no weight column,
 // no slack), 8 bytes (position and target) for each link farther than 2
-// bytes reach, 12 bytes (position and weight) for each link of weight
-// other than 1, and per document a 4-byte row offset, a roster entry, a
-// share of the restart index and its front-coded URL — 27.0 bytes measured
-// on the default web, the budget 30 — and 8 bytes a run of consecutive
-// documents of one site. The second leg is a web of 75 273 documents, some
-// of whose links reach farther than 2 bytes. One float64 more per link
-// breaks it, and so does the 4-byte target column kept beside the narrow
-// one (9.0 bytes a link all told while it was the only one), or a 4-byte
-// column a document: the site column and the 8-byte row offsets made it
-// 35.0 under a budget of 38.
+// bytes reach, 6 bytes (position, and weight as a 2-byte link count) for
+// each link of weight other than 1, and per document a 4-byte row offset,
+// a roster entry, a share of the restart index and its front-coded URL —
+// 26.8 bytes measured on the default web, the budget 28 — and 8 bytes a
+// run of consecutive documents of one site. The second leg is a web of
+// 75 273 documents, some of whose links reach farther than 2 bytes. One
+// float64 more per link breaks it, and so do float64 listed weights (12
+// bytes a listed link, 29.5 a document over 6 on the default web), the
+// 4-byte target column kept beside the narrow one (9.0 bytes a link all
+// told while it was the only one), or a 4-byte column a document: the
+// site column and the 8-byte row offsets made it 35.0 under a budget of
+// 38.
 func TestDecodeBinaryRetention(t *testing.T) {
 	wide := webgen.Default()
 	wide.MeanSitePages = 300
@@ -160,12 +181,12 @@ func TestDecodeBinaryRetention(t *testing.T) {
 		if (docs > 1<<15) != (far > 0) {
 			t.Fatalf("a web of %d documents has %d far links: the wrong leg", docs, far)
 		}
-		perLink := int64(2*links + 8*far + 12*listed)
-		budget := perLink + int64(30*docs)
-		t.Logf("%d docs, %d links (%d far, %d listed): the decoded graph retains %d bytes (%.1f per link all told; %.1f per document beside 2 per link, 8 per far link and 12 per listed link), budget %d",
+		perLink := int64(2*links + 8*far + 6*listed)
+		budget := perLink + int64(28*docs)
+		t.Logf("%d docs, %d links (%d far, %d listed): the decoded graph retains %d bytes (%.1f per link all told; %.1f per document beside 2 per link, 8 per far link and 6 per listed link), budget %d",
 			docs, links, far, listed, retained, float64(retained)/float64(links), float64(retained-perLink)/float64(docs), budget)
 		if retained > budget {
-			t.Errorf("a decoded graph of %d documents retains %d bytes, budget %d (2 B/link + 8 B per far link + 12 B per listed link + 30 B/doc)", docs, retained, budget)
+			t.Errorf("a decoded graph of %d documents retains %d bytes, budget %d (2 B/link + 8 B per far link + 6 B per listed link + 28 B/doc)", docs, retained, budget)
 		}
 		runtime.KeepAlive(file)
 		runtime.KeepAlive(dg)

@@ -22,11 +22,13 @@ type Columns struct {
 }
 
 // Columns returns the graph's adjacency as columns, deduplicating it
-// first (a mutation, like Dedupe). The listed columns are the graph's own
-// packed base, aliased — read-only, and copied only when rows were written
-// since the base was packed; the targets are widened from the base's
-// 2-byte distances into a column of their own, 4 bytes a link, and the
-// degree column is new, one entry per node.
+// first (a mutation, like Dedupe). The listed positions are the graph's
+// own packed base, aliased — read-only, and copied only when rows were
+// written since the base was packed — and so are the listed weights when
+// the base stores them as float64; 2-byte weights are widened into a
+// column of their own, 8 bytes a listed link, and so are the targets,
+// from the base's 2-byte distances into 4 bytes a link. The degree column
+// is new, one entry per node.
 func (g *Digraph) Columns() Columns {
 	g.Dedupe()
 	return g.stored()
@@ -41,7 +43,7 @@ func (g *Digraph) stored() Columns {
 	}
 	var c Columns
 	if p != nil {
-		c = Columns{Degrees: make([]uint32, p.rows()), Targets: p.wide(), ListedPos: p.pos, ListedW: p.w}
+		c = Columns{Degrees: make([]uint32, p.rows()), Targets: p.wide(), ListedPos: p.pos, ListedW: p.weights()}
 		for i := range c.Degrees {
 			c.Degrees[i] = p.off[i+1] - p.off[i]
 		}
@@ -50,18 +52,20 @@ func (g *Digraph) stored() Columns {
 }
 
 // FromColumns returns the deduplicated graph whose packed base is c: its
-// listed columns themselves, not a copy, so the caller hands them over
-// and writes them no more, and its targets narrowed (the 4-byte column is
-// not kept). It checks them first, as DecodeBinary checks a graph file's
-// (the one check both share): out-degrees summing to the number of
-// targets, every target a node, every row strictly ascending (sorted and
-// merged, as a deduplicated graph's rows are), listed positions strictly
-// ascending among the targets, one weight per listed position, each
-// finite, > 0 and not 1 — and every node's out-weight finite, since the
-// transition matrix divides by it. Nothing beyond the row offsets and the
-// narrow targets is allocated.
+// listed positions themselves, not a copy, so the caller hands them over
+// and writes them no more, its listed weights themselves too unless every
+// one is matrix.NarrowValue — then they are narrowed to 2 bytes and the
+// float64 column is not kept — and its targets narrowed (the 4-byte
+// column is not kept either). It checks them first, as DecodeBinary
+// checks a graph file's (the one check both share): out-degrees summing
+// to the number of targets, every target a node, every row strictly
+// ascending (sorted and merged, as a deduplicated graph's rows are),
+// listed positions strictly ascending among the targets, one weight per
+// listed position, each finite, > 0 and not 1 — and every node's
+// out-weight finite, since the transition matrix divides by it. Nothing
+// beyond the row offsets and the narrow columns is allocated.
 func FromColumns(c Columns) (*Digraph, error) {
-	p, err := c.packed(true)
+	p, err := c.packed()
 	if err != nil {
 		return nil, fmt.Errorf("graph: columns: %w", err)
 	}
@@ -77,70 +81,132 @@ func FromColumns(c Columns) (*Digraph, error) {
 }
 
 // packed checks c and returns it as a packed base: its targets narrowed
-// in the pass that checks them, its listed columns c's own. A row that is
-// not strictly ascending is an error when strict is set; otherwise every
-// row is sorted and merged (mergeRows) before the targets are narrowed.
-func (c Columns) packed(strict bool) (*packed, error) {
-	nd, ne := len(c.Degrees), len(c.Targets)
+// in the pass that checks them, its listed positions c's own and its
+// listed weights at the width their values pick.
+func (c Columns) packed() (*packed, error) {
+	ne := len(c.Targets)
 	if sum := sumUint32(c.Degrees); sum != uint64(ne) || sum > math.MaxUint32 {
 		return nil, fmt.Errorf("out-degrees sum to %d, there are %d edge targets (at most 2³²−1)", sum, ne)
 	}
-	off, dist := make([]uint32, nd+1), make([]int16, ne)
+	off := make([]uint32, len(c.Degrees)+1)
 	for d, k := range c.Degrees {
 		off[d+1] = off[d] + k
 	}
-	p := &packed{off: off, to: dist}
-	ascending := true
-	for d := 0; d < nd; d++ {
-		prev, k := -1, off[d]
-		for _, t := range c.Targets[k:off[d+1]] {
-			to := int(t)
-			if to >= nd {
-				return nil, fmt.Errorf("edge %d (%d→%d) out of range", k, d, to)
-			}
-			if to <= prev {
-				if strict {
-					return nil, fmt.Errorf("edge %d (%d→%d) is not past the row's previous target %d", k, d, to, prev)
-				}
-				ascending = false
-			}
-			prev = to
-			if x, ok := near(d, t); ok {
-				dist[k] = x
-			} else {
-				p.farPos, p.farTo = append(p.farPos, k), append(p.farTo, t)
-			}
-			k++
-		}
+	n := newNarrower(off, true)
+	n.p.to = make([]int16, 0, ne)
+	if n.add(c.Targets); n.err != nil {
+		return nil, n.err
 	}
-	for e, q := range c.ListedPos {
-		if int(q) >= ne {
-			return nil, fmt.Errorf("listed link %d is edge %d of %d", e, q, ne)
-		}
-		if e > 0 && q <= c.ListedPos[e-1] {
-			return nil, fmt.Errorf("listed link %d is edge %d, not past edge %d", e, q, c.ListedPos[e-1])
-		}
+	if err := checkPositions(c.ListedPos, ne); err != nil {
+		return nil, err
 	}
-	if len(c.ListedW) != len(c.ListedPos) {
-		return nil, fmt.Errorf("%d listed positions but %d listed weights", len(c.ListedPos), len(c.ListedW))
+	if err := checkWeights(c.ListedPos, c.ListedW); err != nil {
+		return nil, err
 	}
-	for e, w := range c.ListedW {
-		if !(w > 0) || math.IsInf(w, 0) || w == 1 {
-			return nil, fmt.Errorf("listed edge %d has invalid weight %g", c.ListedPos[e], w)
-		}
-	}
-	if !ascending {
-		c.mergeRows(p.off)
-		p.to, p.farPos, p.farTo = p.to[:0], nil, nil
-		for d := 0; d < nd; d++ {
-			for _, to := range c.Targets[p.off[d]:p.off[d+1]] {
-				p.push(d, to)
-			}
-		}
-	}
-	p.pos, p.w = c.ListedPos, c.ListedW
+	p := n.p
+	p.pos = c.ListedPos
+	p.weigh(c.ListedW)
 	p.clip()
 	return p, nil
+}
+
+// narrower narrows a targets column into a new packed base's 2-byte
+// distances as it arrives, a piece at a time or all at once, checking
+// each target as FromColumns does: a node, and past its row's previous
+// target. The first target that fails is its error — a row not strictly
+// ascending only when strict; otherwise such a row clears ascending, and
+// the base is merged (packed.merge) once it is whole. After an error it
+// narrows nothing more.
+type narrower struct {
+	p         *packed
+	d         int    // the row of the next target
+	k         uint32 // the next target's position
+	prev      int    // row d's last target so far, −1 before its first
+	strict    bool
+	ascending bool
+	err       error
+}
+
+// newNarrower returns a narrower into a base of row offsets off, whose
+// targets column the caller allocates.
+func newNarrower(off []uint32, strict bool) *narrower {
+	return &narrower{p: &packed{off: off}, prev: -1, strict: strict, ascending: true}
+}
+
+// add narrows ts, the column's next targets. The degrees the narrower was
+// made from count every target it is handed, and more while the column
+// is still arriving.
+func (n *narrower) add(ts []uint32) {
+	off, nd := n.p.off, n.p.rows()
+	for len(ts) > 0 && n.err == nil {
+		for n.k == off[n.d+1] {
+			n.d, n.prev = n.d+1, -1
+		}
+		part := ts[:min(len(ts), int(off[n.d+1]-n.k))] // the rest of row d in ts
+		for _, t := range part {
+			to := int(t)
+			if to >= nd {
+				n.err = fmt.Errorf("edge %d (%d→%d) out of range", n.k, n.d, to)
+				return
+			}
+			if to <= n.prev {
+				if n.strict {
+					n.err = fmt.Errorf("edge %d (%d→%d) is not past the row's previous target %d", n.k, n.d, to, n.prev)
+					return
+				}
+				n.ascending = false
+			}
+			n.prev = to
+			n.p.push(n.d, t)
+			n.k++
+		}
+		ts = ts[len(part):]
+	}
+}
+
+// checkPositions checks a base's listed positions, ne links long:
+// strictly ascending among the links.
+func checkPositions(pos []uint32, ne int) error {
+	for e, q := range pos {
+		if int(q) >= ne {
+			return fmt.Errorf("listed link %d is edge %d of %d", e, q, ne)
+		}
+		if e > 0 && q <= pos[e-1] {
+			return fmt.Errorf("listed link %d is edge %d, not past edge %d", e, q, pos[e-1])
+		}
+	}
+	return nil
+}
+
+// checkWeights checks a base's listed weights beside their positions:
+// one a position, every one finite, > 0 and not 1.
+func checkWeights(pos []uint32, w []float64) error {
+	if len(w) != len(pos) {
+		return fmt.Errorf("%d listed positions but %d listed weights", len(pos), len(w))
+	}
+	for e, x := range w {
+		if !(x > 0) || math.IsInf(x, 0) || x == 1 {
+			return fmt.Errorf("listed edge %d has invalid weight %g", pos[e], x)
+		}
+	}
+	return nil
+}
+
+// merge sorts and merges every row of a whole base that is not strictly
+// ascending: its targets and listed weights widened into columns of their
+// own, mergeRows run over them, and the result narrowed into the base
+// again, its listed weights at the width their values pick.
+func (p *packed) merge() {
+	c := Columns{Targets: p.wide(), ListedPos: p.pos, ListedW: p.weights()}
+	c.mergeRows(p.off)
+	p.to, p.farPos, p.farTo = p.to[:0], nil, nil
+	for d := 0; d < p.rows(); d++ {
+		for _, to := range c.Targets[p.off[d]:p.off[d+1]] {
+			p.push(d, to)
+		}
+	}
+	p.pos = c.ListedPos
+	p.weigh(c.ListedW)
 }
 
 // mergeRows sorts and merges every row of c where it lies, off being its

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bytes"
 	"reflect"
 	"slices"
 	"strings"
@@ -8,10 +9,11 @@ import (
 )
 
 // TestColumnsRoundTrip: a graph's columns rebuild it — the same rows and
-// the same transition matrix — whether it is all base (its listed columns
-// are the base's own arrays, its targets widened from the base's) or has
-// an overlay (its columns are a packed copy, and the graph is left as it
-// was).
+// the same transition matrix — whether it is all base (its listed
+// positions are the base's own array, and so are its weights when the
+// base stores them as float64; its targets and 2-byte weights are widened
+// from the base's) or has an overlay (its columns are a packed copy, and
+// the graph is left as it was).
 func TestColumnsRoundTrip(t *testing.T) {
 	dg := benchDocGraph(10, 40, 61)
 	sub, _ := dg.LocalSubgraph(3)
@@ -21,7 +23,7 @@ func TestColumnsRoundTrip(t *testing.T) {
 		if g.base != before {
 			t.Errorf("%s: taking the columns repacked the graph", name)
 		}
-		if len(g.patch)+len(g.tail) == 0 && len(c.ListedPos) > 0 && (&c.ListedPos[0] != &g.base.pos[0] || &c.ListedW[0] != &g.base.w[0]) {
+		if len(g.patch)+len(g.tail) == 0 && len(c.ListedPos) > 0 && (&c.ListedPos[0] != &g.base.pos[0] || g.base.w != nil && &c.ListedW[0] != &g.base.w[0]) {
 			t.Errorf("%s: the columns copied the listed links", name)
 		}
 		if len(c.Degrees) != g.NumNodes() || len(c.Targets) != g.NumEdges() || len(c.ListedPos) != g.numListed() {
@@ -53,11 +55,12 @@ func TestFromColumnsRefusesWhatDecodeBinaryMerges(t *testing.T) {
 	if _, err := FromColumns(c); err == nil || !strings.Contains(err.Error(), "edge 1 (0→1) is not past the row's previous target 1") {
 		t.Errorf("a duplicate link: err = %v", err)
 	}
-	p, err := c.packed(false)
+	file := rawFile{names: []string{"a"}, sites: []uint32{0, 0}, urls: []string{"a/0", "a/1"}, degrees: c.Degrees, targets: c.Targets}
+	dg, err := DecodeBinary(bytes.NewReader(file.bytes()))
 	if err != nil {
-		t.Fatalf("lenient check: %v", err)
+		t.Fatalf("DecodeBinary: %v", err)
 	}
-	if got := p.wide(); !slices.Equal(got, []uint32{1}) || !slices.Equal(p.off, []uint32{0, 1, 1}) || len(p.w) != 1 || p.w[0] != 2 {
-		t.Errorf("merged: targets %v at offsets %v, listed weights %v; want one link of weight 2", got, p.off, p.w)
+	if p := dg.G.base; !slices.Equal(p.wide(), []uint32{1}) || !slices.Equal(p.off, []uint32{0, 1, 1}) || !slices.Equal(p.w16, []uint16{2}) || p.w != nil {
+		t.Errorf("merged: targets %v at offsets %v, listed weights %v and %v; want one link of weight 2, in 2 bytes", p.wide(), p.off, p.w16, p.w)
 	}
 }

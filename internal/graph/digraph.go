@@ -31,9 +31,11 @@ type Edge struct {
 // since the base was packed. A base link is 2 bytes, its target's
 // distance from its source; the few links farther than an int16 reaches
 // are listed apart, position and target, and so are the few whose weight
-// is not 1, position and weight, so a weight reads back exactly as it was
-// added. Every reader goes through one accessor, cursor.read, which
-// decodes a base row into the cursor's own scratch.
+// is not 1, position and weight — the weight in 2 bytes when every
+// listed one is a whole link count (matrix.NarrowValue), as float64
+// otherwise — so a weight reads back exactly as it was added. Every
+// reader goes through one accessor, cursor.read, which decodes a base
+// row into the cursor's own scratch.
 //
 // A Digraph is not safe for concurrent mutation. Note that Dedupe,
 // OutDegree and TransitionMatrix mutate internal state (merging and
@@ -90,7 +92,10 @@ const (
 // ascending — every other link weighing exactly 1. No listed weight is
 // 1: every writer lists exactly the links of weight other than 1. An
 // overlay row counts its links from at = 0; a base row, whose listed
-// columns are read in place, from its first link's position in the base.
+// positions are read in place, from its first link's position in the
+// base. A row's weights are float64 whatever width its base stores them
+// at: a base row's are the base's own when they are float64, decoded
+// into the cursor's scratch when they are 2 bytes.
 type row struct {
 	to  []uint32
 	pos []uint32
@@ -137,10 +142,13 @@ func listed(w []float64) ([]uint32, []float64) {
 // (strictly ascending) and targeting farTo[f], its to entry 0. The web's
 // sites are runs of consecutive documents and most links stay in their
 // site, so nearly every link is near (95 % of a 462 000-document web's).
-// Link pos[e] weighs w[e] — pos strictly ascending — the links not
-// listed weighing exactly 1: exactly the excPos/excMul form of
-// matrix.CSR. A link's place is a uint32 in every column, as in a row's
-// at, so a base holds at most 2³²−1 links.
+// Link pos[e] weighs w16[e] when every listed weight is a whole number
+// from 2 to 65 535 (matrix.NarrowValue: a crawl's duplicate-link counts,
+// 2 bytes each) and w[e] otherwise — pos strictly ascending, the other
+// weight column nil — the links not listed weighing exactly 1: exactly
+// the excPos/excMul form of matrix.CSR, its width picked the same way,
+// from the values, with no knob. A link's place is a uint32 in every
+// column, as in a row's at, so a base holds at most 2³²−1 links.
 type packed struct {
 	off    []uint32
 	to     []int16
@@ -148,6 +156,7 @@ type packed struct {
 	farTo  []uint32
 	pos    []uint32
 	w      []float64
+	w16    []uint16
 }
 
 func (p *packed) rows() int {
@@ -181,6 +190,42 @@ func (p *packed) push(i int, to uint32) {
 		d = 0
 	}
 	p.to = append(p.to, d)
+}
+
+// allNarrow reports whether a base stores the listed weights w at 2
+// bytes each: whether every one is matrix.NarrowValue.
+func allNarrow(w []float64) bool {
+	for _, x := range w {
+		if !matrix.NarrowValue(x) {
+			return false
+		}
+	}
+	return true
+}
+
+// weigh makes w the listed weights: a new 2-byte column of its values
+// when allNarrow, w itself otherwise.
+func (p *packed) weigh(w []float64) {
+	p.w, p.w16 = w, nil
+	if allNarrow(w) {
+		p.w, p.w16 = nil, make([]uint16, len(w))
+		for e, x := range w {
+			p.w16[e] = uint16(x)
+		}
+	}
+}
+
+// weights returns the listed weights as float64: the column itself when
+// it is stored so, a new one widened from the 2-byte column otherwise.
+func (p *packed) weights() []float64 {
+	if p.w16 == nil {
+		return p.w
+	}
+	w := make([]float64, len(p.w16))
+	for e, x := range p.w16 {
+		w[e] = float64(x)
+	}
+	return w
 }
 
 // clip gives every column the writers append to exactly its length, a
@@ -235,9 +280,11 @@ func seek(pos []uint32, e int, a uint32) int {
 
 // read makes c's row row i, writing all four of its fields: its targets
 // decoded into c's scratch, clipped to their length — so an append to
-// them copies them out, as it would a base row's own — and its listed
-// columns in place, clipped. Its far and listed links are found as span
-// finds them, spelled out here so that a walk pays no call for them.
+// them copies them out, as it would a base row's own — its listed
+// positions in place, clipped, and its listed weights in place too when
+// they are float64, decoded into c's scratch, clipped, when they are 2
+// bytes. Its far and listed links are found as span finds them, spelled
+// out here so that a walk pays no call for them.
 func (p *packed) read(i int, c *cursor) {
 	a, b := p.off[i], p.off[i+1]
 	dist := p.to[a:b]
@@ -264,8 +311,29 @@ func (p *packed) read(i int, c *cursor) {
 		end++
 	}
 	r := &c.r
-	r.to, r.pos, r.w, r.at = to, pos[e:end:end], p.w[e:end:end], a
+	r.to, r.pos, r.at = to, pos[e:end:end], a
+	switch {
+	case p.w16 == nil:
+		r.w = p.w[e:end:end]
+	case e == end:
+		r.w = nil
+	default:
+		r.w = c.widen(p.w16[e:end])
+	}
 	c.e, c.f = end, f
+}
+
+// widen decodes a base row's 2-byte listed weights into c's scratch and
+// returns them, clipped to their length.
+func (c *cursor) widen(w16 []uint16) []float64 {
+	if cap(c.wbuf) < len(w16) {
+		c.wbuf = make([]float64, max(len(w16), 2*cap(c.wbuf)))
+	}
+	w := c.wbuf[:len(w16):len(w16)]
+	for k, x := range w16 {
+		w[k] = float64(x)
+	}
+	return w
 }
 
 // wide returns every target in one new column, 4 bytes a link: the
@@ -362,21 +430,23 @@ func (g *Digraph) overlay(i int) *row {
 
 // cursor is a walk over a graph's rows: the row it read last, its place
 // in the base's listed and far links, and the scratch it decodes base
-// targets into. Reading rows through one in ascending order finds each
-// row's listed and far links where the last row's ended; reading one row
-// alone, through a fresh cursor, costs a binary search.
+// targets and 2-byte listed weights into. Reading rows through one in
+// ascending order finds each row's listed and far links where the last
+// row's ended; reading one row alone, through a fresh cursor, costs a
+// binary search.
 type cursor struct {
 	r    row
 	e, f int
 	buf  []uint32
+	wbuf []float64
 }
 
 // read is the one way to read adjacency: it makes the cursor's row node
 // i's — from the overlay if it was written since packing, decoded from
 // the base otherwise — and returns it. The row is read-only, and the
 // cursor's own: the next read rewrites all four of its fields, and the
-// scratch a base row's targets are in, whichever kind of row either was,
-// so nothing of the last row survives into the next.
+// scratch a base row's targets and weights are in, whichever kind of row
+// either was, so nothing of the last row survives into the next.
 func (c *cursor) read(g *Digraph, i int) *row {
 	if o := g.overlay(i); o != nil {
 		r := &c.r
@@ -523,14 +593,19 @@ func (g *Digraph) repack() {
 }
 
 // pack returns every row of the graph, base and overlay, in a new packed
-// base of exactly their size.
+// base of exactly their size, its listed weights written at the width
+// their values pick.
 func (g *Digraph) pack() *packed {
-	n, links, listed := g.NumNodes(), g.NumEdges(), g.numListed()
+	n, links, listed, narrow := g.NumNodes(), g.NumEdges(), g.numListed(), g.narrowListed()
 	p := &packed{
 		off: make([]uint32, n+1),
 		to:  make([]int16, 0, links),
 		pos: make([]uint32, 0, listed),
-		w:   make([]float64, 0, listed),
+	}
+	if narrow {
+		p.w16 = make([]uint16, 0, listed)
+	} else {
+		p.w = make([]float64, 0, listed)
 	}
 	var c cursor
 	for i := 0; i < n; i++ {
@@ -539,7 +614,13 @@ func (g *Digraph) pack() *packed {
 		for _, q := range r.pos {
 			p.pos = append(p.pos, at+q-r.at)
 		}
-		p.w = append(p.w, r.w...)
+		if narrow {
+			for _, w := range r.w {
+				p.w16 = append(p.w16, uint16(w))
+			}
+		} else {
+			p.w = append(p.w, r.w...)
+		}
 		for _, to := range r.to {
 			p.push(i, to)
 		}
@@ -565,6 +646,36 @@ func (g *Digraph) numListed() int {
 	return n
 }
 
+// narrowListed reports whether every listed weight the rows store is
+// matrix.NarrowValue, in O(listed links): a 2-byte base's are, and a
+// float64 base's other than those of rows since rewritten are looked at.
+func (g *Digraph) narrowListed() bool {
+	for _, r := range g.patch {
+		if !allNarrow(r.w) {
+			return false
+		}
+	}
+	for i := range g.tail {
+		if !allNarrow(g.tail[i].w) {
+			return false
+		}
+	}
+	b := g.base
+	if b == nil {
+		return true
+	}
+	for e, w := range b.w {
+		if !matrix.NarrowValue(w) {
+			q := b.pos[e]
+			i := sort.Search(b.rows(), func(i int) bool { return b.off[i+1] > q })
+			if g.patch[i] == nil {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // weightBound returns an upper bound on every out-weight and every sum
 // of them in O(listed links): each stored link counted at its weight, the
 // listed weights of base rows since rewritten included.
@@ -573,6 +684,9 @@ func (g *Digraph) weightBound() float64 {
 	if g.base != nil {
 		for _, w := range g.base.w {
 			bound += w
+		}
+		for _, w := range g.base.w16 {
+			bound += float64(w)
 		}
 	}
 	add := func(r *row) {
@@ -654,7 +768,7 @@ func (g *Digraph) Clone() *Digraph {
 	c := g.cloneOverlay(true)
 	if g.base != nil {
 		p := g.base
-		c.base = &packed{slices.Clone(p.off), slices.Clone(p.to), slices.Clone(p.farPos), slices.Clone(p.farTo), slices.Clone(p.pos), slices.Clone(p.w)}
+		c.base = &packed{slices.Clone(p.off), slices.Clone(p.to), slices.Clone(p.farPos), slices.Clone(p.farTo), slices.Clone(p.pos), slices.Clone(p.w), slices.Clone(p.w16)}
 	}
 	return c
 }

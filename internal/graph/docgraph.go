@@ -446,7 +446,8 @@ func (dg *DocGraph) LocalSubgraph(s SiteID) (*Digraph, *LocalIndex) {
 	// One walk: each local node's surviving out-edges fill the scratch
 	// columns, weights read in link order, and end its row; the subgraph
 	// gets copies of them at their exact lengths, empty, not nil, when
-	// there is nothing to list.
+	// there is nothing to list, its listed weights at the width their
+	// values pick.
 	ref := extractions.Get().(*scratchRef)
 	x := ref.Value()
 	if x == nil {
@@ -470,7 +471,10 @@ func (dg *DocGraph) LocalSubgraph(s SiteID) (*Digraph, *LocalIndex) {
 		}
 		off[li+1] = uint32(len(p.to))
 	}
-	sub := &packed{off: off, to: fresh(p.to), farPos: fresh(p.farPos), farTo: fresh(p.farTo), pos: fresh(p.pos), w: fresh(p.w)}
+	sub := &packed{off: off, to: fresh(p.to), farPos: fresh(p.farPos), farTo: fresh(p.farTo), pos: fresh(p.pos)}
+	if sub.weigh(p.w); sub.w != nil {
+		sub.w = fresh(p.w)
+	}
 	c.r = row{} // the scratch keeps none of the graph's columns alive
 	extractions.Put(ref)
 	return &Digraph{base: sub, deduped: true}, dg.LocalIndex(s)

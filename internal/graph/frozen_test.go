@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -130,9 +131,9 @@ func appendDeriveSiteGraph(dg *DocGraph, opts SiteGraphOptions) *Digraph {
 func exactRows(t *testing.T, what string, g *Digraph) {
 	t.Helper()
 	if p := g.base; p != nil && (cap(p.to) != len(p.to) || cap(p.farPos) != len(p.farPos) || cap(p.farTo) != len(p.farPos) || len(p.farTo) != len(p.farPos) ||
-		cap(p.pos) != len(p.pos) || cap(p.w) != len(p.w) || int(p.off[p.rows()]) != len(p.to)) {
-		t.Fatalf("%s: base columns have len %d/%d/%d/%d/%d, cap %d/%d/%d/%d/%d, offsets end at %d",
-			what, len(p.to), len(p.farPos), len(p.farTo), len(p.pos), len(p.w), cap(p.to), cap(p.farPos), cap(p.farTo), cap(p.pos), cap(p.w), p.off[p.rows()])
+		cap(p.pos) != len(p.pos) || cap(p.w) != len(p.w) || cap(p.w16) != len(p.w16) || int(p.off[p.rows()]) != len(p.to)) {
+		t.Fatalf("%s: base columns have len %d/%d/%d/%d/%d/%d, cap %d/%d/%d/%d/%d/%d, offsets end at %d",
+			what, len(p.to), len(p.farPos), len(p.farTo), len(p.pos), len(p.w), len(p.w16), cap(p.to), cap(p.farPos), cap(p.farTo), cap(p.pos), cap(p.w), cap(p.w16), p.off[p.rows()])
 	}
 	g.eachOverlay(func(r *row) bool {
 		if cap(r.to) != len(r.to) || cap(r.pos) != len(r.pos) || cap(r.w) != len(r.w) {
@@ -481,6 +482,63 @@ func TestDecodeBinaryRefusesEveryTruncation(t *testing.T) {
 	}
 	if rest, _ := io.ReadAll(r); string(rest) != "what follows" {
 		t.Errorf("the reader is left at %q, want it just past the trailer", rest)
+	}
+}
+
+// TestDecodeBinaryAcrossPieces: the decoder narrows the targets and the
+// listed weights a piece at a time as they arrive, so a row straddles
+// pieces, and the first weight that is not a link count may come a piece
+// after the first: the graph reads back the file's links and weights
+// whichever way, its listed weights 2 bytes while every one is a link
+// count and float64 otherwise, and a row out of order past a piece's end
+// is merged.
+func TestDecodeBinaryAcrossPieces(t *testing.T) {
+	const nd = pieceBytes/4 + 3000 // row 0 links to every document: more targets than a piece holds
+	for _, tc := range []struct {
+		name       string
+		half, swap int // the weight made 0.5 and the first of two targets swapped, −1 for none
+	}{
+		{"link counts", -1, -1},
+		{"a half a piece on", pieceBytes/8 + 100, -1},
+		{"a row out of order past a piece", -1, pieceBytes/4 + 10},
+	} {
+		f := rawFile{names: []string{"a"}, sites: make([]uint32, nd), urls: make([]string, nd), degrees: make([]uint32, nd)}
+		f.degrees[0] = nd
+		want := make(map[int]float64)
+		for d := range nd {
+			f.urls[d] = fmt.Sprintf("a/%d", d)
+			f.targets = append(f.targets, uint32(d))
+			f.listed = append(f.listed, uint32(d))
+			f.weights = append(f.weights, float64(2+d%5))
+		}
+		if tc.half >= 0 {
+			f.weights[tc.half] = 0.5
+		}
+		if k := tc.swap; k >= 0 {
+			f.targets[k], f.targets[k+1] = f.targets[k+1], f.targets[k]
+		}
+		for k, to := range f.targets {
+			want[int(to)] = f.weights[k]
+		}
+		dg, err := DecodeBinary(bytes.NewReader(f.bytes()))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got := make(map[int]float64)
+		prev := -1
+		dg.G.EachEdge(0, func(e Edge) {
+			if e.To <= prev {
+				t.Fatalf("%s: row 0 is not merged: %d after %d", tc.name, e.To, prev)
+			}
+			got[e.To], prev = e.Weight, e.To
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: row 0 reads back other links or weights than the file's", tc.name)
+		}
+		if narrow := dg.G.base.w16 != nil; narrow != (tc.half < 0) {
+			t.Errorf("%s: listed weights held in 2 bytes = %v", tc.name, narrow)
+		}
+		exactRows(t, tc.name, dg.G)
 	}
 }
 

@@ -87,8 +87,13 @@ func FuzzDecodeBinary(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(frontedFile.Bytes())
-	// A file whose listed section is not empty.
+	// Files whose listed section is not empty: link counts, held in 2
+	// bytes, and weights that keep them float64 — one of 0.5, one above
+	// 65 535, and a link count before a fraction.
 	f.Add(twoDocFile(nil))
+	f.Add(twoDocFile(func(f *rawFile) { f.weights[0] = 0.5 }))
+	f.Add(twoDocFile(func(f *rawFile) { f.weights[0] = 70000 }))
+	f.Add(twoDocFile(func(f *rawFile) { f.listed, f.weights = []uint32{0, 1}, []float64{3, 2.5} }))
 	// Files whose links reach past 2 bytes, one with a row out of order.
 	f.Add(farFile(false))
 	f.Add(farFile(true))
@@ -138,7 +143,7 @@ func digraphFootprint(g *Digraph) int {
 	const rowBytes = int(unsafe.Sizeof(row{}))
 	n := cap(g.tail) * rowBytes
 	if p := g.base; p != nil {
-		n += cap(p.off)*4 + cap(p.to)*2 + cap(p.farPos)*4 + cap(p.farTo)*4 + cap(p.pos)*4 + cap(p.w)*8
+		n += cap(p.off)*4 + cap(p.to)*2 + cap(p.farPos)*4 + cap(p.farTo)*4 + cap(p.pos)*4 + cap(p.w)*8 + cap(p.w16)*2
 	}
 	g.eachOverlay(func(r *row) bool {
 		n += cap(r.to)*4 + cap(r.pos)*4 + cap(r.w)*8
@@ -186,6 +191,10 @@ func FuzzCloneCOW(f *testing.F) {
 	// The same, and one with rows open to appends, across the far gap.
 	f.Add([]byte{10, 0xA4, 1, 3, 2, 4, 4, 8, 5, 9, 0x40, 0, 2, 0x44, 1, 3, 0x41, 2, 1, 2, 0, 0, 3, 0, 0, 0x48, 3, 5, 2, 0, 0})
 	f.Add([]byte{6, 0x62, 0, 4, 1, 5, 0x40, 1, 0, 0x41, 3, 0, 0, 4, 2, 0x40, 3, 0, 0x41, 1, 0, 2, 0, 0, 0x40, 0, 0})
+	// A sealed parent whose base holds link counts in 2 bytes, a clone
+	// given links of weight ½ in eight rows, and the clone's Dedupe, which
+	// repacks it into a float64 base.
+	f.Add([]byte{13, 0x80, 0x24, 0, 1, 0x24, 1, 2, 0x24, 2, 3, 0x24, 3, 4, 0x24, 4, 5, 0x24, 5, 6, 0x24, 6, 7, 0x24, 7, 8, 0x02, 0, 0})
 
 	sameEdges := func(a, b *Digraph) bool { return reflect.DeepEqual(rowsOf(a), rowsOf(b)) }
 

@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+
+	"lmmrank/internal/matrix"
 )
 
 // Text format, one record per line:
@@ -292,6 +294,87 @@ func (br *binaryReader) column(n int, what string) ([]uint32, error) {
 	return col, nil
 }
 
+// pieces reads the next n uint32s, the section called what, a piece of
+// pieceBytes at a time, and hands each piece to fn as it arrives: the
+// sections consumed as they come, with no column of their own.
+func (br *binaryReader) pieces(n int, what string, fn func(piece []uint32)) error {
+	piece := make([]uint32, min(n, pieceBytes/4))
+	for have := 0; have < n; have += len(piece) {
+		piece = piece[:min(n-have, cap(piece))]
+		if err := ReadBlock(piece, func(b []byte) error { return br.fill(b, what) }); err != nil {
+			return err
+		}
+		fn(piece)
+	}
+	return nil
+}
+
+// offsets reads the n out-degrees into row offsets as they arrive —
+// off[d+1] = off[d] + degree d, no degree column kept — claimed as column
+// claims its own, and returns them with the degrees' sum, which a uint32
+// offset may not hold.
+func (br *binaryReader) offsets(n int) ([]uint32, uint64, error) {
+	off := make([]uint32, 1, min(n, readAhead/4)+1)
+	var sum uint64
+	err := br.pieces(n, "out-degrees", func(piece []uint32) {
+		if k := len(off); k+len(piece) > cap(off) {
+			off = append(make([]uint32, 0, min(n, max(8*k, k+len(piece)))+1), off...)
+		}
+		for _, d := range piece {
+			sum += uint64(d)
+			off = append(off, uint32(sum))
+		}
+	})
+	return off, sum, err
+}
+
+// targets reads the next n uint32s, the edge targets, and narrows each
+// piece into nw's base as it arrives: no 4-byte column is built. The
+// base's 2-byte column is claimed as column claims its own — readAhead
+// bytes to begin with, then up to eight times the bytes received,
+// sixteen times the targets at half their width.
+func (br *binaryReader) targets(nw *narrower, n int) error {
+	p := nw.p
+	p.to = make([]int16, 0, min(n, readAhead/2))
+	return br.pieces(n, "edge targets", func(piece []uint32) {
+		if k := len(p.to); k+len(piece) > cap(p.to) {
+			p.to = append(make([]int16, 0, min(n, max(16*k, k+len(piece)))), p.to...)
+		}
+		nw.add(piece)
+	})
+}
+
+// weights reads the next n float64s, the listed weights, a piece of
+// pieceBytes at a time, into a 2-byte column of n — half the bytes of
+// the positions already in — while every one is matrix.NarrowValue and
+// not 1: the form a base stores them in. At the first that is not, it
+// widens what it has into a float64 column of n — twice the positions'
+// bytes — and reads the rest straight into that. It returns the column it
+// filled, the other nil.
+func (br *binaryReader) weights(n int) ([]float64, []uint16, error) {
+	fill := func(b []byte) error { return br.fill(b, "listed weights") }
+	w16, piece := make([]uint16, n), make([]float64, min(n, pieceBytes/8))
+	for have := 0; have < n; have += len(piece) {
+		piece = piece[:min(n-have, cap(piece))]
+		if err := ReadBlock(piece, fill); err != nil {
+			return nil, nil, err
+		}
+		for k, x := range piece {
+			if matrix.NarrowValue(x) && x != 1 {
+				w16[have+k] = uint16(x)
+				continue
+			}
+			w := make([]float64, n)
+			for e, y := range w16[:have+k] {
+				w[e] = float64(y)
+			}
+			copy(w[have+k:], piece[k:])
+			return w, nil, ReadBlock(w[have+len(piece):], fill)
+		}
+	}
+	return nil, w16, nil
+}
+
 // urlRestarts checks that urls is exactly nd entries, each one whole,
 // sharing no more than its predecessor's length and nothing at a restart,
 // and returns their restart index.
@@ -352,19 +435,20 @@ func sumUint32(col []uint32) uint64 {
 // rosters and the runs (see DocGraph) and dropped; each roster, the runs
 // and the adjacency are built once at their exact size; the URL section,
 // every entry checked (urlRestarts), is the graph's URL arena as it
-// stands. The adjacency is the file's own columns, each read as a block
-// (ReadBlock) into its own array — the targets and listed positions as
-// their sections arrive, the listed weights once the positions are in
-// (twice their bytes), the out-degrees summed into row offsets — handed
-// to the graph as its packed base, the targets narrowed to 2-byte
-// distances in the pass that checks them and their 4-byte column
-// dropped: no Edge, no per-row header, no per-link weight, and a later
-// AddEdge copies the row it appends to (see Digraph). A file whose rows
-// are all strictly ascending — any that EncodeBinary wrote from a
-// deduplicated graph — is packed as it stands; any other has its rows
-// sorted and merged here, before the graph sees them (FromColumns
-// refuses such rows). A file of an earlier version is refused, naming
-// both versions.
+// stands. The adjacency is the file's own columns, read as blocks
+// (ReadBlock) and handed to the graph as its packed base: the
+// out-degrees summed into row offsets and the targets narrowed to 2-byte
+// distances, each a piece at a time as they arrive, no degree column and
+// no 4-byte target column built; the
+// listed positions read into their own array; and the listed weights,
+// once the positions are in, into 2 bytes each when every one is
+// matrix.NarrowValue, float64 otherwise. No Edge, no per-row header, no
+// per-link weight, and a later AddEdge copies the row it appends to (see
+// Digraph). A file whose rows are all strictly ascending — any that
+// EncodeBinary wrote from a deduplicated graph — is packed as it stands;
+// any other has its rows widened, sorted and merged here, once the whole
+// file is in and before the graph sees them (FromColumns refuses such
+// rows). A file of an earlier version is refused, naming both versions.
 func DecodeBinary(r io.Reader) (*DocGraph, error) {
 	br := &binaryReader{r: r}
 	var hdr [binaryHeaderLen]byte
@@ -452,23 +536,23 @@ func DecodeBinary(r io.Reader) (*DocGraph, error) {
 		return nil, err
 	}
 
-	var c Columns
-	if c.Degrees, err = br.column(nd, "out-degrees"); err != nil {
+	off, sum, err := br.offsets(nd)
+	if err != nil {
 		return nil, err
 	}
-	if sum := sumUint32(c.Degrees); sum != uint64(ne) {
+	if sum != uint64(ne) {
 		return nil, fmt.Errorf("graph: binary out-degrees disagree with the header: they sum to %d, numEdges is %d", sum, ne)
 	}
-	if c.Targets, err = br.column(ne, "edge targets"); err != nil {
+	nw := newNarrower(off, false)
+	if err := br.targets(nw, ne); err != nil {
 		return nil, err
 	}
-	// The listed links: positions, then — allocated once the positions
-	// are in: twice their bytes — weights.
-	if c.ListedPos, err = br.column(nl, "listed positions"); err != nil {
+	pos, err := br.column(nl, "listed positions")
+	if err != nil {
 		return nil, err
 	}
-	c.ListedW = make([]float64, nl)
-	if err := ReadBlock(c.ListedW, func(p []byte) error { return br.fill(p, "listed weights") }); err != nil {
+	w, w16, err := br.weights(nl)
+	if err != nil {
 		return nil, err
 	}
 
@@ -483,11 +567,24 @@ func DecodeBinary(r io.Reader) (*DocGraph, error) {
 
 	// The columns' own checks are FromColumns', but for one: a row not
 	// strictly ascending is sorted and merged here, before the graph sees
-	// it, where FromColumns refuses it.
-	p, err := c.packed(false)
+	// it, where FromColumns refuses it. The narrow weights passed theirs
+	// as they were read.
+	err = nw.err
+	if err == nil {
+		err = checkPositions(pos, ne)
+	}
+	if err == nil && w16 == nil {
+		err = checkWeights(pos, w)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("graph: binary %w", err)
 	}
+	p := nw.p
+	p.pos, p.w, p.w16 = pos, w, w16
+	if !nw.ascending {
+		p.merge()
+	}
+	p.clip()
 	dg := &DocGraph{G: &Digraph{base: p, deduped: true}, Sites: sites, runs: runs, urls: urls, restarts: restarts, docs: nd}
 	if err := dg.Validate(); err != nil {
 		return nil, err

@@ -18,7 +18,8 @@ import (
 // base and in each overlay row, positions strictly ascending and below
 // the link count, one weight each, and every listed weight positive,
 // finite and other than 1 — so a link weighs 1 exactly when it is not
-// listed.
+// listed — and the base's weights at the width their values pick: 2
+// bytes when every one is matrix.NarrowValue, float64 otherwise.
 func canonical(t *testing.T, what string, g *Digraph) {
 	t.Helper()
 	check := func(where string, pos []uint32, w []float64, links int) {
@@ -36,7 +37,10 @@ func canonical(t *testing.T, what string, g *Digraph) {
 		}
 	}
 	if p := g.base; p != nil {
-		check("the base", p.pos, p.w, len(p.to))
+		check("the base", p.pos, p.weights(), len(p.to))
+		if narrow := allNarrow(p.weights()); narrow != (p.w16 != nil) || narrow != (p.w == nil) {
+			t.Fatalf("%s: the base's weights %v are stored as %d float64s and %d uint16s", what, p.weights(), len(p.w), len(p.w16))
+		}
 	}
 	for i, r := range g.patch {
 		check(fmt.Sprintf("patched row %d", i), r.pos, r.w, len(r.to))
@@ -81,7 +85,10 @@ func TestListedWeightsAreNeverOne(t *testing.T) {
 	g.EnsureNodes(n + 1)
 	model := rowsOf(g)
 	kept, keptRows := g.CloneCOW(), rowsOf(g)
-	wantPos, wantW := slices.Clone(base.pos), slices.Clone(base.w)
+	wantPos, wantW := slices.Clone(base.pos), slices.Clone(base.w16)
+	if base.w16 == nil {
+		t.Fatal("the Builder's link counts are not stored in 2 bytes")
+	}
 
 	edit := func(what string, from, to int, w float64) {
 		t.Helper()
@@ -107,7 +114,7 @@ func TestListedWeightsAreNeverOne(t *testing.T) {
 	if !reflect.DeepEqual(rowsOf(g), model) {
 		t.Fatal("the rows read back are not the weights added")
 	}
-	if !slices.Equal(base.pos, wantPos) || !slices.Equal(base.w, wantW) {
+	if !slices.Equal(base.pos, wantPos) || !slices.Equal(base.w16, wantW) {
 		t.Fatal("an edit wrote the listed columns a COW relative reads")
 	}
 	if !reflect.DeepEqual(rowsOf(kept), keptRows) {
@@ -126,6 +133,9 @@ func TestListedWeightsAreNeverOne(t *testing.T) {
 	canonical(t, "repack", g)
 	if !reflect.DeepEqual(rowsOf(g), model) {
 		t.Fatal("the repacked rows are not the weights added")
+	}
+	if g.base.w == nil {
+		t.Fatal("a repack of weights of 1.5 stored them in 2 bytes")
 	}
 
 	// The derived graphs, over a web of quarter weights: a SiteLink sum of
@@ -165,6 +175,33 @@ func TestListedWeightsAreNeverOne(t *testing.T) {
 	canonical(t, "DecodeBinary", back.G)
 	src.G.Dedupe()
 	sameDigraph(t, back.G, src.G)
+
+	// A COW clone of a base of link counts, given a weight of ½ and then
+	// rows enough to repack: its new base holds float64 weights, and the
+	// parent's 2-byte one is as it was.
+	parent := benchDocGraph(10, 40, 85).G
+	parentW := slices.Clone(parent.base.w16)
+	clone := parent.CloneCOW()
+	cloneModel := rowsOf(clone)
+	addTo := func(from, to int, w float64) {
+		clone.AddEdge(from, to, w)
+		addToModel(cloneModel, from, to, w)
+	}
+	addTo(5, 6, 0.5)
+	for from := 0; from < clone.NumNodes(); from += 2 {
+		addTo(from, 1, 1)
+	}
+	clone.Dedupe()
+	if clone.base == parent.base || clone.base.w == nil {
+		t.Fatal("the clone's ½ did not repack into a float64 base")
+	}
+	canonical(t, "the clone's repack", clone)
+	if !reflect.DeepEqual(rowsOf(clone), cloneModel) {
+		t.Fatal("the clone's repacked rows are not the weights added")
+	}
+	if parent.base.w != nil || !slices.Equal(parent.base.w16, parentW) {
+		t.Fatal("the clone's repack wrote the parent's 2-byte weights")
+	}
 }
 
 // TestOutWeightsStayFinite: an out-weight divides its row in the

@@ -32,12 +32,12 @@ func packedModel(t *testing.T, what string, g *Digraph) edgeModel {
 	if p == nil {
 		return m
 	}
-	e, f := 0, 0
+	e, f, ws := 0, 0, p.weights()
 	for i := 0; i < p.rows(); i++ {
 		for q := p.off[i]; q < p.off[i+1]; q++ {
 			w := 1.0
 			if e < len(p.pos) && p.pos[e] == q {
-				w, e = p.w[e], e+1
+				w, e = ws[e], e+1
 			}
 			to := i + int(p.to[q])
 			if f < len(p.farPos) && p.farPos[f] == q {

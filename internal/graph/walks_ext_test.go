@@ -18,13 +18,16 @@ import (
 // links reach farther and are listed apart. ns/link counts the links each
 // walk reads or keeps.
 
+// webMid is cmd/lmmload's web-mid.
+var webMid = webgen.Config{Seed: 2005, Sites: 218, MeanSitePages: 400, DynamicClusterPages: 10000, DocClusterPages: 10000}
+
 // walkWebs are the webs the walk benchmarks run over, by leg name.
 var walkWebs = []struct {
 	name string
 	cfg  webgen.Config
 }{
 	{"default", webgen.Default()},
-	{"web-mid", webgen.Config{Seed: 2005, Sites: 218, MeanSitePages: 400, DynamicClusterPages: 10000, DocClusterPages: 10000}},
+	{"web-mid", webMid},
 }
 
 func BenchmarkDeriveSiteGraph(b *testing.B) {

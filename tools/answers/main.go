@@ -14,7 +14,11 @@
 // format. "web-mid" hashes the graph file of lmmload's web-mid (seed 2005,
 // 113 644 documents, some of whose links reach farther than a 2-byte
 // distance), and LayeredDocRank's DocRank and TopDocs(…, 50) over the web
-// read back from that file. The "central-" lines hash one answer each of
+// read back from that file. "weighted" hashes LayeredDocRank's DocRank
+// and TopDocs(…, 50), and a LocalEngine's TopK 50 answer, on the Small web
+// (seed 7) with a quarter added to the weight of one link in five
+// documents' rows: a web whose listed weights are not all whole link
+// counts, so its graph holds them as float64. The "central-" lines hash one answer each of
 // a 4-worker DistEngine on the Small web — its Top table, vectors and
 // local ranks: a cold Rank, a warm one, a Tol=1e-4 one, a Damping 0.8
 // one, a site-personalized one, a ThreeLayer one, a ThreeLayer Tol=1e-4
@@ -74,6 +78,11 @@ func main() {
 		fail(err)
 	}
 	fmt.Printf("web-mid      %016x\n", mid)
+	weighted, err := weightedHash()
+	if err != nil {
+		fail(err)
+	}
+	fmt.Printf("weighted     %016x\n", weighted)
 	if err := distHashes(); err != nil {
 		fail(err)
 	}
@@ -176,6 +185,46 @@ func webMidHash() (uint64, error) {
 		fmt.Fprintf(h, "%d %s ", d.Doc, d.URL)
 		writeFloats(h, []float64{d.Score})
 	}
+	return h.Sum64(), nil
+}
+
+// weightedHash hashes the layered ranking and a LocalEngine's TopK 50
+// answer over the Small web with a quarter added to the weight of the
+// first link of every fifth document: weights of 1.25 and 2.25 beside the
+// link counts.
+func weightedHash() (uint64, error) {
+	dg := webgen.Generate(small(7)).Graph
+	for d := 0; d < dg.NumDocs(); d += 5 {
+		var first *graph.Edge
+		dg.G.EachEdge(d, func(e graph.Edge) {
+			if first == nil {
+				first = &e
+			}
+		})
+		if first != nil {
+			dg.G.AddEdge(d, first.To, 0.25)
+		}
+	}
+	dg.G.Dedupe()
+	h := fnv.New64a()
+	res, err := lmmrank.LayeredDocRank(dg, lmmrank.WebConfig{})
+	if err != nil {
+		return 0, err
+	}
+	writeFloats(h, res.DocRank)
+	for _, d := range lmmrank.TopDocs(dg, res.DocRank, 50) {
+		fmt.Fprintf(h, "%d %s ", d.Doc, d.URL)
+		writeFloats(h, []float64{d.Score})
+	}
+	eng, err := lmmrank.NewLocalEngine(dg, lmmrank.EngineOptions{})
+	if err != nil {
+		return 0, err
+	}
+	top, err := eng.Rank(context.Background(), lmmrank.Query{TopK: 50})
+	if err != nil {
+		return 0, err
+	}
+	writeResult(h, top)
 	return h.Sum64(), nil
 }
 

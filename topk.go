@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"lmmrank/internal/lmm"
+	"lmmrank/internal/matrix"
 )
 
 // topkIndex is the incrementally maintained top-k structure of one
@@ -15,9 +16,13 @@ import (
 // re-rank of all documents.
 //
 // The index and the local vectors are one unit: order[s] holds local
-// positions (4 bytes a document), sorted by locals[s] descending, ties
-// toward the lower position, and the merge reads the score as
-// locals[s][p] and the document as Site.Docs[p]. A roster is ascending
+// positions, sorted by locals[s] descending, ties toward the lower
+// position, and the merge reads the score as locals[s][p] and the
+// document as Site.Docs[p]. A position is a place in the site's own
+// roster, so its width follows the site's size, not the web's: 2 bytes a
+// document for a site of at most matrix.MaxNarrowOrder documents, and 4
+// for a larger one, whose order is wide[s] (and order[s] nil); wide is
+// nil while no site is that large. A roster is ascending
 // in DocID, so that is (score desc, DocID asc) — the order a full sort of
 // the composed DocRank visits the site's documents in, since scaling by a
 // nonnegative weight cannot invert it. Both are immutable once built;
@@ -25,8 +30,12 @@ import (
 // what lets a patch share it whenever that vector carries over.
 type topkIndex struct {
 	locals []Vector
-	order  [][]uint32
+	order  [][]uint16
+	wide   [][]uint32
 }
+
+// isWide reports whether a site of local vector v has its order in wide.
+func isWide(v Vector) bool { return len(v) > matrix.MaxNarrowOrder }
 
 // sortSite fills order with a site's local positions in index order:
 // score descending, ties toward the lower position. It is an LSD radix
@@ -35,9 +44,9 @@ type topkIndex struct {
 // the score descends; each pass is stable and the positions start in
 // order, so ties stay in position order. −0 is keyed as +0, so that the
 // two still tie.
-func sortSite(order []uint32, local Vector) {
+func sortSite[O uint16 | uint32](order []O, local Vector) {
 	for i := range order {
-		order[i] = uint32(i)
+		order[i] = O(i)
 	}
 	n := len(order)
 	if n < 2 {
@@ -56,7 +65,7 @@ func sortSite(order []uint32, local Vector) {
 	}
 	diff &^= same // the bits on which some keys differ
 	out := order
-	keys2, order2 := make([]uint64, n), make([]uint32, n)
+	keys2, order2 := make([]uint64, n), make([]O, n)
 	for shift := 0; shift < 64; shift += 8 {
 		if (diff>>shift)&0xff == 0 {
 			continue
@@ -91,19 +100,30 @@ func sortSite(order []uint32, local Vector) {
 // that held it are: no clean site keeps a changed site's stale order
 // alive, as one array shared by every site would.
 func (ix *topkIndex) patch(locals []Vector, workers int) *topkIndex {
-	next := &topkIndex{locals: locals, order: make([][]uint32, len(locals))}
+	next := &topkIndex{locals: locals, order: make([][]uint16, len(locals))}
 	var stale []int
 	for s, v := range locals {
+		if isWide(v) && next.wide == nil {
+			next.wide = make([][]uint32, len(locals))
+		}
 		if ix != nil && s < len(ix.locals) && sameVector(ix.locals[s], v) {
 			next.order[s] = ix.order[s]
+			if isWide(v) {
+				next.wide[s] = ix.wide[s]
+			}
 			continue
 		}
 		stale = append(stale, s)
 	}
 	lmm.ForEachParallel(len(stale), workers, func(i int) {
 		s := stale[i]
-		next.order[s] = make([]uint32, len(locals[s]))
-		sortSite(next.order[s], locals[s])
+		if v := locals[s]; isWide(v) {
+			next.wide[s] = make([]uint32, len(v))
+			sortSite(next.wide[s], v)
+		} else {
+			next.order[s] = make([]uint16, len(v))
+			sortSite(next.order[s], v)
+		}
 	})
 	return next
 }
@@ -200,7 +220,16 @@ func (m *topkMerge) pop() topkCand {
 // member with the largest DocID (popped last among the run) carries the
 // cursor past it.
 func (m *topkMerge) advance(s, i int) {
-	order, local := m.ix.order[s], m.ix.locals[s]
+	if isWide(m.ix.locals[s]) {
+		advance(m, m.ix.wide[s], s, i)
+	} else {
+		advance(m, m.ix.order[s], s, i)
+	}
+}
+
+// advance is topkMerge.advance over site s's order at its width.
+func advance[O uint16 | uint32](m *topkMerge, order []O, s, i int) {
+	local := m.ix.locals[s]
 	docs := m.dg.Sites[s].Docs
 	n, w := len(order), m.weights[s]
 	if i >= n {
