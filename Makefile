@@ -169,11 +169,14 @@ loc:
 	    | awk '{ print; total += $$1 } END { printf "%7d total\n", total }'
 
 # The exported surface a change moves, from one command: the `go doc -all`
-# of the root package and of the distributed packages cmd/lmmcoord and
-# cmd/lmmload compile against, at PARENT (extracted with `git archive`, as
-# `pairs` does) diffed against the working tree. A difference is the
-# report, not a failure.
-API_PKGS := . ./internal/dist/coordinator ./internal/dist/wire ./internal/dist/cluster ./internal/dist/chaos
+# of the root package and of every internal package cmd/lmmcoord and
+# cmd/lmmload compile against — the distributed runtime, and the model,
+# graph, solver, placement and web-generator packages the load rig
+# drives — at PARENT (extracted with `git archive`, as `pairs` does)
+# diffed against the working tree. A difference is the report, not a
+# failure.
+API_PKGS := . ./internal/dist/coordinator ./internal/dist/wire ./internal/dist/cluster ./internal/dist/chaos \
+	./internal/lmm ./internal/graph ./internal/matrix ./internal/pagerank ./internal/partition ./internal/webgen
 api:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	mkdir "$$tmp/parent-src"; \

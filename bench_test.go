@@ -195,6 +195,20 @@ func BenchmarkDistNonDefault(b *testing.B) {
 	}
 }
 
+// BenchmarkNewLocalEngine constructs a LocalEngine over cmd/lmmload's
+// web-mid web (≈114k documents): the SiteGraph aggregation and the
+// per-site structure, whose walks read the graph's rows through cursors
+// of their own.
+func BenchmarkNewLocalEngine(b *testing.B) {
+	dg := webgen.Generate(webgen.Config{Seed: 2005, Sites: 218, MeanSitePages: 400, DynamicClusterPages: 10000, DocClusterPages: 10000}).Graph
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := NewLocalEngine(dg, EngineOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkE8Personalization measures the two-layer personalized pipeline
 // against the uniform one.
 func BenchmarkE8Personalization(b *testing.B) {

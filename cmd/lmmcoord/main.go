@@ -13,11 +13,13 @@
 // Shards are placed over the fleet by weighted LPT over page counts,
 // and declared to the workers by content digest, so with -runs > 1
 // every run after the first ships near-zero shard bytes and, the engine
-// keeping the first run's digests, hashes none. -max-worker-failures
+// keeping the first run's digests, hashes none; at the default -damping
+// it sends no message at all. -max-worker-failures
 // lets a run survive peers dying mid-flight (their shards are reassigned);
 // -max-redials additionally redials lost peers in the background with
-// jittered exponential backoff and re-admits them mid-run, rebalancing
-// their shards back (near-zero bytes when their caches are still warm).
+// jittered exponential backoff; a reconnected peer rejoins at the next
+// run, which places its shards back on it (near-zero bytes when its
+// cache is still warm).
 // -damping must lie strictly between 0 and 1. -timeout bounds each whole
 // run with a context deadline that propagates into every worker
 // exchange. Every flag is checked before any worker is dialed.
@@ -89,11 +91,12 @@ func run() error {
 		coord.NumWorkers(), dg.NumSites(), dg.NumDocs())
 
 	// The engine precomputes the serving structure once (SiteGraph and
-	// roster indexes); each run then only pays for shipping, the fleet's
-	// local DocRanks and the engine's site solve. A query with its own
-	// Damping — any given one, the zero sentinel aside — is a fleet run of
-	// its own, declared by the digests the engine keeps: runs after the
-	// first hash nothing.
+	// roster indexes); the first run then pays for shipping, the fleet's
+	// local DocRanks and the engine's site solve. At the default -damping
+	// (0.85, served as the default query) every later run is composed from
+	// what the first filled and sends no message; any other damping is a
+	// fleet run of its own each time, declared by the digests the engine
+	// keeps: runs after the first hash nothing.
 	prepStart := time.Now()
 	eng, err := lmmrank.NewDistEngine(&lmmrank.Cluster{Coord: coord}, dg, lmmrank.DistConfig{
 		Retry: lmmrank.DistRetryPolicy{
@@ -138,7 +141,7 @@ func run() error {
 				st.WorkersLost, st.Reassignments, st.Retries)
 		}
 		if st.RedialAttempts > 0 || st.WorkersRejoined > 0 {
-			fmt.Printf("; re-admitted %d workers (%d redials, %.2f MB re-shipped on rejoin)",
+			fmt.Printf("; %d workers rejoined (%d redials, %.2f MB re-shipped on rejoin)",
 				st.WorkersRejoined, st.RedialAttempts,
 				float64(st.RejoinShardBytes)/1e6)
 		}

@@ -51,9 +51,10 @@ func runWith(t *testing.T, args ...string) (string, error) {
 	return string(printed), runErr
 }
 
-// TestRanksOnAFleet drives a live 3-worker fleet through two runs: the
-// table is LayeredDocRank's top documents, and the second run, declared
-// by the digests the engine kept, re-ships no shard and hashes nothing.
+// TestRanksOnAFleet drives a live 3-worker fleet through two runs at the
+// default -damping: the table is LayeredDocRank's top documents, and the
+// second run, composed from what the first filled, sends no message,
+// re-ships no shard and hashes nothing.
 func TestRanksOnAFleet(t *testing.T) {
 	dg := webgen.Generate(webgen.Small()).Graph
 	path := writeGraph(t, dg)
@@ -73,7 +74,7 @@ func TestRanksOnAFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	var urls []string
-	var run2 string
+	var run2, run2Ranked string
 	table := false
 	for _, line := range strings.Split(out, "\n") {
 		if f := strings.Fields(line); table && len(f) == 3 {
@@ -83,6 +84,12 @@ func TestRanksOnAFleet(t *testing.T) {
 		if strings.HasPrefix(line, "run 2: cache") {
 			run2 = line
 		}
+		if strings.HasPrefix(line, "run 2: ranked") {
+			run2Ranked = line
+		}
+	}
+	if !strings.Contains(run2Ranked, "; 0 messages,") {
+		t.Errorf("run 2 printed %q, want 0 messages: 0.85 is the default damping", run2Ranked)
 	}
 	if !strings.Contains(run2, "/ 0 shards re-shipped") || !strings.Contains(run2, "; 0.00 MB hashed for digests") {
 		t.Errorf("run 2 printed %q, want 0 shards re-shipped and 0.00 MB hashed", run2)

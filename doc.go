@@ -22,7 +22,8 @@
 //     a coordinator over a framed binary TCP protocol, with page-count shard
 //     balancing, digest-keyed worker caches, the small site layer solved
 //     by the engine that composes the answer, mid-run worker-loss recovery
-//     and background redial with mid-run re-admission (DistRetryPolicy).
+//     and a background redial that rejoins a lost worker at the next run
+//     (DistRetryPolicy).
 //
 // Quick start:
 //

@@ -12,6 +12,8 @@ import (
 
 	"lmmrank/internal/dist/coordinator"
 	"lmmrank/internal/lmm"
+	"lmmrank/internal/matrix"
+	"lmmrank/internal/pagerank"
 )
 
 // Query is the unified serving request every Engine answers: one struct
@@ -19,7 +21,8 @@ import (
 // (§3.2's two-layer personalization), top-k tables and the three-layer
 // domain → site → page model. The zero value asks for the standard
 // uniform two-layer ranking with default damping, tolerance and
-// iteration budget.
+// iteration budget; a query that spells a default out (Damping 0.85,
+// Tol 1e-10, MaxIter 1000) is served as if it had left it zero.
 type Query struct {
 	// Tenant names the caller for admission accounting: with
 	// EngineOptions.TenantQuota (or DistConfig's) set, each
@@ -241,6 +244,25 @@ func (q Query) validate() error {
 		}
 	}
 	return nil
+}
+
+// zeroDefaults returns q with a Damping, Tol or MaxIter that names its
+// default value replaced by the zero that selects it. The front applies
+// it once, right after validate, so a query that spells the defaults out
+// is the default query everywhere behind it: composed from the snapshot
+// (fromSnapshot), coalesced with Query{} (fingerprint) and weighed by πS
+// itself (weigh).
+func (q Query) zeroDefaults() Query {
+	if q.Damping == pagerank.DefaultDamping {
+		q.Damping = 0
+	}
+	if q.Tol == matrix.DefaultTol {
+		q.Tol = 0
+	}
+	if q.MaxIter == matrix.DefaultMaxIter {
+		q.MaxIter = 0
+	}
+	return q
 }
 
 // fits refuses vectors not shaped like dg, the graph the query is served

@@ -642,6 +642,55 @@ func TestDistEngineNonDefaultTolBypassesWarm(t *testing.T) {
 	}
 }
 
+// TestSpelledOutDefaultsAreTheDefaultQuery: a query that names the
+// default damping, tolerance or iteration budget is the default query. On
+// a filled DistEngine it sends no message; on either engine it is
+// composed from the snapshot, with no site sweep of its own, and repeats
+// Query{}'s answer bit for bit.
+func TestSpelledOutDefaultsAreTheDefaultQuery(t *testing.T) {
+	web := engineWeb()
+	ctx := context.Background()
+	local, err := NewLocalEngine(web.Graph, EngineOptions{})
+	if err != nil {
+		t.Fatalf("NewLocalEngine: %v", err)
+	}
+	cl, err := StartCluster(2)
+	if err != nil {
+		t.Fatalf("StartCluster: %v", err)
+	}
+	defer cl.Close()
+	dist, err := NewDistEngine(cl, web.Graph, DistConfig{})
+	if err != nil {
+		t.Fatalf("NewDistEngine: %v", err)
+	}
+	spelled := []Query{
+		{Damping: pagerank.DefaultDamping},
+		{Tol: matrix.DefaultTol},
+		{MaxIter: matrix.DefaultMaxIter},
+		{Damping: pagerank.DefaultDamping, Tol: matrix.DefaultTol, MaxIter: matrix.DefaultMaxIter},
+	}
+	for _, eng := range []Engine{local, dist} {
+		want, err := eng.Rank(ctx, Query{})
+		if err != nil {
+			t.Fatalf("%T: Query{}: %v", eng, err)
+		}
+		for _, q := range spelled {
+			got, err := eng.Rank(ctx, q)
+			if err != nil {
+				t.Fatalf("%T %+v: %v", eng, q, err)
+			}
+			if !sameBits(got.DocRank, want.DocRank) || !sameBits(got.SiteRank, want.SiteRank) || got.SiteIterations != 0 {
+				t.Errorf("%T Damping %g Tol %g MaxIter %d: DocRank %g and SiteRank %g from Query{}'s after %d site sweeps, want its bits and none",
+					eng, q.Damping, q.Tol, q.MaxIter, got.DocRank.L1Diff(want.DocRank), got.SiteRank.L1Diff(want.SiteRank), got.SiteIterations)
+			}
+			if got.Dist != nil && got.Dist.Messages != 0 {
+				t.Errorf("%T Damping %g Tol %g MaxIter %d: %d messages on a filled fleet, want 0",
+					eng, q.Damping, q.Tol, q.MaxIter, got.Dist.Messages)
+			}
+		}
+	}
+}
+
 // TestDistEngineSiteLayerMatchesLocal: the site layer is the engine's on
 // either backend, weighed over the snapshot's πS on the query's own
 // Ranker, so a filled fleet answers each query with parameters of its own

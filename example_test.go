@@ -190,11 +190,10 @@ func ExampleDistEngine() {
 // machine: four worker peers on loopback TCP each host a share of the
 // campus web's sites and compute their local DocRanks, which a
 // DistEngine composes under the SiteRank it solves: the global ranking,
-// by the Partition Theorem. A query with a Damping of its own (0.85 is
-// the default's value, but not the zero that selects it) is a fleet run
-// of its own each time: the second declares the shards by digest against
-// the workers' caches, and one after a worker died reassigns its shards
-// to the survivors.
+// by the Partition Theorem. A query with a Damping of its own (0.8, not
+// the 0.85 default) is a fleet run of its own each time: the second
+// declares the shards by digest against the workers' caches, and one
+// after a worker died reassigns its shards to the survivors.
 func ExampleStartCluster() {
 	web := lmmrank.GenerateCampusWeb(lmmrank.CampusWebConfig{
 		Seed: 7, Sites: 60, MeanSitePages: 30,
@@ -211,7 +210,7 @@ func ExampleStartCluster() {
 		fmt.Println("error:", err)
 		return
 	}
-	ref, err := lmmrank.LayeredDocRank(web.Graph, lmmrank.WebConfig{})
+	ref, err := lmmrank.LayeredDocRank(web.Graph, lmmrank.WebConfig{Damping: 0.8})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -225,7 +224,7 @@ func ExampleStartCluster() {
 				return
 			}
 		}
-		res, err := eng.Rank(ctx, lmmrank.Query{Damping: 0.85})
+		res, err := eng.Rank(ctx, lmmrank.Query{Damping: 0.8})
 		if err != nil {
 			fmt.Println("error:", err)
 			return

@@ -9,7 +9,7 @@
 // a network partition (the call times out), a Duplicate probes
 // idempotency — and the worker process behind the proxy survives with
 // its digest cache warm, which is exactly the peer a redialing
-// coordinator re-admits.
+// coordinator lets rejoin at its next run.
 //
 // Scripts run on the proxy's per-connection serving goroutines and must
 // be safe for concurrent use; the stateful helpers in this package

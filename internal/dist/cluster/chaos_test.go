@@ -24,13 +24,26 @@ func soakRedial() coordinator.RetryPolicy {
 	}
 }
 
+// awaitWhole waits, for at most 2 s, until every worker of cl answers a
+// Ping: until the redial loops have reconnected every broken connection.
+func awaitWhole(t *testing.T, cl *Local) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for err := cl.Coord.Ping(); err != nil; err = cl.Coord.Ping() {
+		if time.Now().After(deadline) {
+			t.Fatalf("the fleet did not heal within 2 s: %v", err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // interruptAt returns a proxy script that cancels the run at the first
 // KindRankLocal it relays — the soak's stand-in for a coordinator crash
 // mid-run — and delivers every KindLoad twice, as the soak's other
 // proxies do. It waits before the cancel so the local-rank exchanges
 // with the other workers have answered: the cancel poisons only the
 // scripted connection, and the next run has survivors to start from
-// while it redials this one.
+// while it starts this one's redial.
 func interruptAt(cancel context.CancelFunc) chaos.Script {
 	var ranks atomic.Int64
 	dup := chaos.DuplicateKind(wire.KindLoad)
@@ -47,14 +60,15 @@ func interruptAt(cancel context.CancelFunc) chaos.Script {
 // demands the undisturbed answer bitwise every time: reassignment never
 // regroups a run's arithmetic. Workers die mid-protocol at a random
 // message kind each cycle and rejoin through the redial loop with warm
-// caches; in the second leg every other run is first cancelled in its
-// local phase, and the next run on the same coordinator redials the
-// connections the cancel poisoned and must still give the undisturbed
-// answer. The workers not being killed have every KindLoad delivered
-// twice: a session is what the Load declares, so the retransmission
-// changes nothing. The seed is fixed: one reproducible schedule per leg,
-// stable under -race. The second leg keeps the name of the fleet SiteRank
-// schedule it first soaked; it is the tight-tolerance leg.
+// caches, at the next run; in the second leg every other run is first
+// cancelled in its local phase, and the next run on the same coordinator
+// starts the redial of the connections the cancel poisoned, runs on the
+// rest, and must still give the undisturbed answer. The workers not being
+// killed have every KindLoad delivered twice: a session is what the Load
+// declares, so the retransmission changes nothing. The seed is fixed: one
+// reproducible schedule per leg, stable under -race. The second leg keeps
+// the name of the fleet SiteRank schedule it first soaked; it is the
+// tight-tolerance leg.
 func TestChaosSoak(t *testing.T) {
 	const fleet = 4
 	const cycles = 6
@@ -92,6 +106,10 @@ func TestChaosSoak(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			var losses, rejoins, interrupts int
 			for cycle := 0; cycle < cycles; cycle++ {
+				// Every cycle starts from a whole fleet: what the last one
+				// lost or poisoned rejoins between runs, and this cycle's
+				// first run counts it.
+				awaitWhole(t, cl)
 				cfg := m.cfg
 				cfg.Retry = soakRedial()
 
@@ -135,10 +153,12 @@ func TestChaosSoak(t *testing.T) {
 			if losses == 0 {
 				t.Error("soak never killed a worker — the schedule exercised nothing")
 			}
-			// Cycles heal mostly between runs: a redial that completes
-			// after the local phase is installed at run end, which Stats
-			// does not count as a rejoin (TestRejoinMidRunWarmReshipsNothing
-			// pins the mid-run re-admission).
+			// Cycles heal between runs: a lost worker's redial loop
+			// reconnects it after its run, and the next run counts the
+			// rejoin (TestRejoinNextRunWarmReshipsNothing pins its bytes).
+			if rejoins == 0 {
+				t.Error("soak never counted a rejoin — no loss healed between runs")
+			}
 			if m.interrupts && interrupts == 0 {
 				t.Error("soak never interrupted a run")
 			}

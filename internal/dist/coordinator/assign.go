@@ -18,26 +18,22 @@ func (r *run) shardOwners(k int) []int {
 	return partition.LPT(sizes, k, make([]int, k))
 }
 
-// idealOwners maps the shard assignment onto the live fleet: shard j
-// lands on the j-th live worker in ascending fleet order, so owner[s]
-// is a fleet index. Load ties in LPT break toward the lower shard, which
-// is the earlier live worker, so rejoin rebalancing is deterministic.
-func (r *run) idealOwners() []int {
-	idxs := r.aliveIdxs()
+// assignOwners maps the shard assignment onto the live fleet — shard j
+// lands on the j-th live worker in ascending fleet order, so owner[s] is
+// a fleet index — and charges each owner its sites' documents, the load
+// the loss path (lightestAlive) balances against.
+func (r *run) assignOwners() []int {
+	var idxs []int
+	for i, a := range r.alive {
+		if a {
+			idxs = append(idxs, i)
+		}
+	}
 	shard := r.shardOwners(len(idxs))
 	owner := make([]int, r.ns)
 	for s, b := range shard {
 		owner[s] = idxs[b]
-	}
-	return owner
-}
-
-// assignOwners is idealOwners plus the load accounting the loss path
-// (lightestAlive) balances against.
-func (r *run) assignOwners() []int {
-	owner := r.idealOwners()
-	for s, w := range owner {
-		r.load[w] += r.siteDocs(s)
+		r.load[owner[s]] += r.siteDocs(s)
 	}
 	return owner
 }

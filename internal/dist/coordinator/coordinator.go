@@ -9,7 +9,9 @@
 // The runtime is production-shaped along three axes. Fault tolerance:
 // with a RetryPolicy budget, a peer dying mid-run is detected at the
 // failing exchange, its site shards are reassigned to the lightest
-// surviving workers and only the affected work is re-run. Placement:
+// surviving workers and only the affected work is re-run; with
+// MaxRedials the peer is redialed in the background and joins the next
+// run. Placement:
 // sites go to workers by weighted LPT over their document counts, so
 // one giant site cannot serialize the fleet; no message carries a link
 // between workers, so load balance is all a placement decides. Wire cost:
@@ -28,6 +30,7 @@ import (
 	"net"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lmmrank/internal/dist/wire"
@@ -60,13 +63,14 @@ type RetryPolicy struct {
 	// never retried — they mean a protocol or input bug, not a death.
 	MaxWorkerFailures int
 
-	// MaxRedials enables worker re-admission: a peer lost mid-run (or
-	// already broken when the run starts) is redialed in the background
-	// up to this many times with jittered exponential backoff, and on
-	// success is re-admitted into the run at the next safe point — its
-	// original sites rebalance back to it, declared by digest against its
-	// surviving cache (a warm rejoiner re-ships ~0 shard bytes). 0 keeps
-	// the pre-redial behavior: a lost worker stays lost for the run.
+	// MaxRedials enables rejoining: a peer a run loses (or finds broken
+	// at its start) is redialed in the background up to this many times
+	// with jittered exponential backoff, by a loop the Coordinator owns
+	// and Close ends. A reconnected peer answers a Ping and joins the
+	// next run, which places the sites over the restored fleet and
+	// declares the rejoiner its share by digest against its surviving
+	// cache (a warm rejoiner re-ships 0 shard bytes). A run never waits
+	// for a redial. 0 keeps a lost worker lost.
 	MaxRedials int
 	// RedialBase and RedialMax shape the backoff between redial
 	// attempts: attempt k sleeps base·2^k capped at max, scaled by a
@@ -171,12 +175,14 @@ type Stats struct {
 	WorkersLost   int
 	Reassignments int
 	Retries       int
-	// WorkersRejoined counts peers re-admitted mid-run by the redial
-	// loop (RetryPolicy.MaxRedials); RedialAttempts counts every dial
-	// the loop made, successful or not; RejoinShardBytes is the encoded
-	// size of the shards shipped in full while rebalancing sites back
-	// to rejoiners — ~0 when a rejoiner's digest cache is warm, which
-	// is the whole point of re-admission over replacement.
+	// WorkersRejoined counts the peers a redial loop
+	// (RetryPolicy.MaxRedials) reconnected since the previous run: the
+	// first run after a reconnect counts it, and RejoinShardBytes is the
+	// encoded size of the shards that run shipped to its rejoiners in full
+	// — 0 when a rejoiner's digest cache is warm, which is the whole point
+	// of rejoining over replacement. RedialAttempts counts the loops'
+	// dials, successful or not, since the previous run that returned a
+	// Result: each is counted by exactly one run.
 	WorkersRejoined  int
 	RedialAttempts   int
 	RejoinShardBytes uint64
@@ -289,6 +295,12 @@ type remote struct {
 	conn   *wire.Conn
 	addr   string
 	broken bool
+
+	// redialing marks a running redial loop (guarded by the
+	// Coordinator's mu); rejoined marks a reconnect the next run has not
+	// counted yet (guarded by its runMu).
+	redialing bool
+	rejoined  bool
 }
 
 // call performs one exchange on the remote's connection, decoding the
@@ -415,16 +427,25 @@ type Coordinator struct {
 	counters wire.Counters
 	workers  []*remote
 	// dial opens a worker connection within the timeout DialTimeout was
-	// given; a redial runs it under a context its run cancels.
+	// given; a redial loop runs it under redialCtx, which Close cancels.
 	dial func(ctx context.Context, network, addr string) (net.Conn, error)
+
+	// The redial loops (RetryPolicy.MaxRedials), at most one per broken
+	// remote; Close cancels redialCtx and waits on redialWG. redials
+	// counts their dials since a run last reported them.
+	redialCtx  context.Context
+	stopRedial context.CancelFunc
+	redialWG   sync.WaitGroup
+	redials    atomic.Int64
 
 	// CallTimeout bounds each request/response exchange (0 selects
 	// DefaultCallTimeout, negative disables the bound). Set it before
 	// issuing calls; huge shard batches on slow links may need more.
 	CallTimeout time.Duration
 
-	// runMu serializes whole runs: the protocol phases (load, rank) of
-	// two runs must not interleave.
+	// runMu serializes whole runs — the protocol phases (load, rank) of
+	// two runs must not interleave — and the redial loops' installs
+	// between them.
 	runMu sync.Mutex
 
 	mu     sync.Mutex
@@ -443,7 +464,7 @@ const (
 )
 
 // dialWithRetry dials addr through the same jittered-backoff shape the
-// mid-run redial loop uses: a connection-refused from a worker that is
+// redial loop uses: a connection-refused from a worker that is
 // 200 ms from finishing its bind should cost a short sleep, not the
 // whole cluster bring-up.
 func (c *Coordinator) dialWithRetry(addr string, attempts int) (net.Conn, error) {
@@ -481,6 +502,7 @@ func DialTimeout(addrs []string, timeout time.Duration) (*Coordinator, error) {
 		timeout = DefaultDialTimeout
 	}
 	c := &Coordinator{dial: (&net.Dialer{Timeout: timeout}).DialContext}
+	c.redialCtx, c.stopRedial = context.WithCancel(context.Background())
 	for _, addr := range addrs {
 		conn, err := c.dialWithRetry(addr, dialAttempts)
 		if err != nil {
@@ -521,7 +543,8 @@ func (c *Coordinator) isClosed() bool {
 }
 
 // Close hangs up every worker connection (the workers keep serving —
-// closing a coordinator does not stop the fleet). Idempotent.
+// closing a coordinator does not stop the fleet) and ends the redial
+// loops, waiting for them. Idempotent.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -530,13 +553,74 @@ func (c *Coordinator) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
+	c.stopRedial()
 	var first error
 	for _, r := range c.workers {
 		if err := r.conn.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
+	c.redialWG.Wait()
 	return first
+}
+
+// redial starts the redial loop of worker idx, which the calling run
+// found broken or lost, unless one is running, the policy asks for none
+// or the coordinator is closed: jittered exponential backoff between at
+// most MaxRedials dials, and the first connection made is installed
+// between runs (rejoin).
+func (c *Coordinator) redial(idx int, pol RetryPolicy) {
+	w := c.workers[idx]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if pol.MaxRedials <= 0 || c.closed || w.redialing {
+		return
+	}
+	w.redialing = true
+	c.redialWG.Add(1)
+	go func() {
+		defer c.redialWG.Done()
+		defer func() {
+			c.mu.Lock()
+			w.redialing = false
+			c.mu.Unlock()
+		}()
+		for attempt := 0; attempt < pol.MaxRedials; attempt++ {
+			select {
+			case <-time.After(backoffDelay(pol.redialBase(), pol.redialMax(), attempt)):
+			case <-c.redialCtx.Done():
+				return
+			}
+			c.redials.Add(1)
+			if nc, err := c.dial(c.redialCtx, "tcp", w.addr); err == nil && c.rejoin(w, nc) {
+				return
+			}
+		}
+	}()
+}
+
+// rejoin installs a redialed connection on w between runs and probes it
+// with a Ping; the next run counts w as rejoined. It reports whether the
+// loop is done: the probe answered, or the coordinator closed. A probe
+// that fails leaves w broken for the loop's next dial.
+func (c *Coordinator) rejoin(w *remote, nc net.Conn) bool {
+	c.runMu.Lock()
+	defer c.runMu.Unlock()
+	// Installed under mu, so Close, which marks the coordinator closed
+	// under it, hangs up whatever connection w holds.
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		nc.Close()
+		return true
+	}
+	w.reconnect(nc, &c.counters)
+	c.mu.Unlock()
+	if w.call(c.redialCtx, &wire.Request{Kind: wire.KindPing}, new(wire.Response), &c.counters, c.callTimeout()) != nil {
+		return false
+	}
+	w.rejoined = true
+	return true
 }
 
 // Stats returns a snapshot of this coordinator's transport counters

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"lmmrank/internal/dist/chaos"
 	"lmmrank/internal/dist/wire"
+	"lmmrank/internal/graph"
 	"lmmrank/internal/lmm"
 )
 
@@ -26,106 +28,77 @@ func fastRedial(failures int) RetryPolicy {
 	}
 }
 
-// rejoinFleet is the fleet of the rejoin tests, every worker behind a
-// chaos proxy: the victim dies at its first local-rank exchange, and once
-// armed() and the victim is dead the two survivors hold every Load until
-// a redial has reached the victim again — for at most 2 s — and then 10 ms
-// more, for the redialer to hand its connection to the run. Re-admission
-// happens at the local phase's loop head, and a Load — the re-ship of
-// the moved sites, or a run's first declaration without the dead victim
-// — precedes the next one, so a run cannot end before its rejoin: "mid-run"
-// does not depend on the run outlasting a 1–5 ms redial.
-func rejoinFleet(t *testing.T, armed func() bool) (*Coordinator, *killer) {
+// awaitRejoin waits, for at most 2 s, until every worker of c answers a
+// Ping: until the redial loops have reconnected every lost one.
+func awaitRejoin(t *testing.T, c *Coordinator) {
 	t.Helper()
-	kt := killAt(wire.KindRankLocal)
-	var redialed atomic.Bool
-	hold := func(_ int, req *wire.Request) chaos.Decision {
-		if req.Kind == wire.KindLoad && armed() && kt.died() && !redialed.Load() {
-			for deadline := time.Now().Add(2 * time.Second); !redialed.Load() && time.Now().Before(deadline); {
-				time.Sleep(100 * time.Microsecond)
-			}
-			time.Sleep(10 * time.Millisecond)
+	deadline := time.Now().Add(2 * time.Second)
+	for err := c.Ping(); err != nil; err = c.Ping() {
+		if time.Now().After(deadline) {
+			t.Fatalf("no redial reconnected the fleet within 2 s: %v", err)
 		}
-		return chaos.Decision{Action: chaos.Pass}
+		time.Sleep(time.Millisecond)
 	}
-	_, a1 := proxiedWorker(t, hold)
-	_, a2 := proxiedWorker(t, hold)
-	_, a3 := proxiedWorker(t, kt.script)
-	c, err := Dial([]string{a1, a2, a3})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	t.Cleanup(func() { c.Close() })
-	dial := c.dial
-	c.dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
-		conn, err := dial(ctx, network, addr)
-		if err == nil {
-			redialed.Store(true)
-		}
-		return conn, err
-	}
-	return c, kt
 }
 
-// TestRejoinMidRunWarmReshipsNothing kills one worker's connection at
-// its first local-rank exchange and lets the redial loop re-admit it
-// mid-phase. The worker process survives with its digest cache warm (it
-// was loaded earlier in the same run), so the rebalance-back must
-// negotiate every shard as a cache hit: RejoinShardBytes == 0. The
-// final ranks must still match the single-node reference. The
-// survivors hold their re-ship after the death until the redial lands
-// (rejoinFleet).
-func TestRejoinMidRunWarmReshipsNothing(t *testing.T) {
-	web := rankableWeb()
-	ref, err := lmm.LayeredDocRank(web, lmm.WebConfig{})
-	if err != nil {
-		t.Fatalf("reference LayeredDocRank: %v", err)
+// checkRejoined asserts a run after a rejoin: its ranks match the
+// single-node reference, it lost nobody, it counts exactly one rejoiner,
+// and it re-shipped that rejoiner nothing — its digest cache was warm.
+func checkRejoined(t *testing.T, dg *graph.DocGraph, res *Result, ref *lmm.WebResult) {
+	t.Helper()
+	if d := docRank(dg, res).L1Diff(ref.DocRank); d >= 1e-9 {
+		t.Errorf("‖rejoined − reference‖₁ = %g, want < 1e-9", d)
 	}
-	c, kt := rejoinFleet(t, func() bool { return true })
-	res, err := rank(context.Background(), c, web, Config{
-		Tol:     1e-13,
-		MaxIter: 5000,
-		Retry:   fastRedial(1),
-	})
+	if res.Stats.WorkersLost != 0 {
+		t.Errorf("WorkersLost = %d, want 0 (the loss was an earlier run's)", res.Stats.WorkersLost)
+	}
+	if res.Stats.WorkersRejoined != 1 {
+		t.Errorf("WorkersRejoined = %d, want 1", res.Stats.WorkersRejoined)
+	}
+	if res.Stats.RejoinShardBytes != 0 {
+		t.Errorf("RejoinShardBytes = %d, want 0 (the rejoiner's cache was warm)", res.Stats.RejoinShardBytes)
+	}
+}
+
+// TestRejoinNextRunWarmReshipsNothing kills one worker's connection at
+// its first local-rank exchange. Run 1 finishes on the survivors and
+// starts the worker's redial loop; the worker process survives with its
+// digest cache warm (run 1 loaded it), so run 2 — the first after the
+// reconnect — places sites over the whole fleet again by LPT, declares
+// the rejoiner its share by digest and ships it nothing:
+// RejoinShardBytes == 0. Every redial is counted by one of the two runs.
+func TestRejoinNextRunWarmReshipsNothing(t *testing.T) {
+	c, kt, web, ref := lossFixture(t, wire.KindRankLocal)
+	cfg := Config{Tol: 1e-13, MaxIter: 5000, Retry: fastRedial(1)}
+	res1, err := rank(context.Background(), c, web, cfg)
 	if err != nil {
-		t.Fatalf("Rank with a kill-then-rejoin worker: %v", err)
+		t.Fatalf("run 1 (loss): %v", err)
 	}
 	if !kt.died() {
 		t.Fatal("scripted worker never reached its death trigger")
 	}
-	if d := docRank(web, res).L1Diff(ref.DocRank); d >= 1e-9 {
-		t.Errorf("‖rejoined − reference‖₁ = %g, want < 1e-9", d)
+	if res1.Stats.WorkersLost != 1 || res1.Stats.WorkersRejoined != 0 {
+		t.Errorf("run 1: WorkersLost = %d, WorkersRejoined = %d, want 1 and 0 (a redial joins the next run)",
+			res1.Stats.WorkersLost, res1.Stats.WorkersRejoined)
 	}
-	if res.Stats.WorkersLost != 1 {
-		t.Errorf("WorkersLost = %d, want 1", res.Stats.WorkersLost)
+	awaitRejoin(t, c)
+	res2, err := rank(context.Background(), c, web, cfg)
+	if err != nil {
+		t.Fatalf("run 2 (rejoin): %v", err)
 	}
-	if res.Stats.WorkersRejoined != 1 {
-		t.Fatalf("WorkersRejoined = %d, want 1 (RedialAttempts = %d)",
-			res.Stats.WorkersRejoined, res.Stats.RedialAttempts)
-	}
-	if res.Stats.RedialAttempts < 1 {
-		t.Errorf("RedialAttempts = %d, want >= 1", res.Stats.RedialAttempts)
-	}
-	if res.Stats.RejoinShardBytes != 0 {
-		t.Errorf("RejoinShardBytes = %d, want 0 (the rejoiner's cache was warm)",
-			res.Stats.RejoinShardBytes)
+	checkRejoined(t, web, res2, ref)
+	if n := res1.Stats.RedialAttempts + res2.Stats.RedialAttempts; n < 1 {
+		t.Errorf("RedialAttempts = %d over both runs, want >= 1", n)
 	}
 }
 
-// TestRejoinFromPreviousRun kills a worker in run 1 (no redial — it
-// stays lost) and gives run 2 a redial budget: a peer already broken
-// when a run starts must get its redialer too, rejoin mid-run, and
-// re-ship nothing (its cache is warm from run 1's load phase). In run 2
-// the survivors hold their first declaration until the redial lands.
+// TestRejoinFromPreviousRun kills a worker in run 1, whose policy asks
+// for no redial: it stays lost. Run 2 has a redial budget and finds the
+// worker broken at its start: it starts the worker's redial loop and
+// finishes on the survivors without waiting for it. Run 3 counts the
+// rejoin and re-ships nothing (the cache is warm from run 1's load).
 func TestRejoinFromPreviousRun(t *testing.T) {
-	web := rankableWeb()
-	ref, err := lmm.LayeredDocRank(web, lmm.WebConfig{})
-	if err != nil {
-		t.Fatalf("reference LayeredDocRank: %v", err)
-	}
-	var run2 atomic.Bool
-	c, kt := rejoinFleet(t, run2.Load)
-
+	c, kt, web, ref := lossFixture(t, wire.KindRankLocal)
 	cfg := Config{Retry: RetryPolicy{MaxWorkerFailures: 1}}
 	if _, err := rank(context.Background(), c, web, cfg); err != nil {
 		t.Fatalf("run 1 (loss, no redial): %v", err)
@@ -133,27 +106,62 @@ func TestRejoinFromPreviousRun(t *testing.T) {
 	if !kt.died() {
 		t.Fatal("scripted worker never reached its death trigger")
 	}
+	if err := c.Ping(); err == nil {
+		t.Fatal("the lost worker answers a Ping with no redial policy")
+	}
 
-	cfg.Tol = 1e-13
-	cfg.MaxIter = 5000
-	cfg.Retry = fastRedial(1)
-	run2.Store(true)
+	cfg = Config{Tol: 1e-13, MaxIter: 5000, Retry: fastRedial(1)}
+	if _, err := rank(context.Background(), c, web, cfg); err != nil {
+		t.Fatalf("run 2 (starts the redial): %v", err)
+	}
+	awaitRejoin(t, c)
 	res, err := rank(context.Background(), c, web, cfg)
 	if err != nil {
-		t.Fatalf("run 2 (rejoin): %v", err)
+		t.Fatalf("run 3 (rejoin): %v", err)
 	}
-	if d := docRank(web, res).L1Diff(ref.DocRank); d >= 1e-9 {
-		t.Errorf("‖rejoined − reference‖₁ = %g, want < 1e-9", d)
+	checkRejoined(t, web, res, ref)
+}
+
+// TestFleetHealsAfterTotalLoss: a run that loses its last worker fails,
+// and still leaves that worker's redial loop running, so a later run
+// finds the fleet whole again. The one worker dies at its first
+// local-rank exchange; run 1 fails with "all workers lost", and within
+// 2 s a run succeeds, counts the rejoin and re-ships nothing. Runs before
+// the reconnect fail with "no live workers".
+func TestFleetHealsAfterTotalLoss(t *testing.T) {
+	web := rankableWeb()
+	ref, err := lmm.LayeredDocRank(web, lmm.WebConfig{})
+	if err != nil {
+		t.Fatalf("reference LayeredDocRank: %v", err)
 	}
-	if res.Stats.WorkersLost != 0 {
-		t.Errorf("WorkersLost = %d, want 0 (the loss was last run's)", res.Stats.WorkersLost)
+	kt := killAt(wire.KindRankLocal)
+	_, addr := proxiedWorker(t, kt.script)
+	c, err := Dial([]string{addr})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
 	}
-	if res.Stats.WorkersRejoined != 1 {
-		t.Fatalf("WorkersRejoined = %d, want 1 (RedialAttempts = %d)",
-			res.Stats.WorkersRejoined, res.Stats.RedialAttempts)
+	defer c.Close()
+	cfg := Config{Tol: 1e-13, MaxIter: 5000, Retry: fastRedial(1)}
+	if _, err := rank(context.Background(), c, web, cfg); err == nil || !strings.Contains(err.Error(), "all workers lost") {
+		t.Fatalf("run 1: err = %v, want all workers lost", err)
 	}
-	if res.Stats.RejoinShardBytes != 0 {
-		t.Errorf("RejoinShardBytes = %d, want 0 (warm from run 1)", res.Stats.RejoinShardBytes)
+	if !kt.died() {
+		t.Fatal("scripted worker never reached its death trigger")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		res, err := rank(context.Background(), c, web, cfg)
+		if err == nil {
+			checkRejoined(t, web, res, ref)
+			return
+		}
+		if !strings.Contains(err.Error(), "no live workers") {
+			t.Fatalf("a run after the total loss: %v, want success or no live workers", err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the fleet did not heal within 2 s: %v", err)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -188,20 +196,19 @@ func TestNoRedialWithoutPolicy(t *testing.T) {
 	}
 }
 
-// TestRedialEndsWithItsRun: a redial still dialing when its run ends must
-// not hold the run. The victim dies at its first local-rank exchange;
-// the survivor holds the re-rank of the moved sites until the victim's
-// redialer is inside its dial, whose hook then blocks until its context
-// ends (or 5 s pass). A run that finishes, and one cancelled right
-// there, must both return within a fraction of that hold — their own
-// work is milliseconds — the cancelled one with exactly ctx.Err().
+// TestRedialEndsWithItsRun: a redial still dialing when its run ends
+// must not hold the run, and must end at Close. The victim dies at its
+// first local-rank exchange; the survivor holds the re-rank of the moved
+// sites until the victim's redial loop is inside its dial, whose hook
+// then blocks until its context ends (or 5 s pass). A run that finishes,
+// and one cancelled right there, must both return within a fraction of
+// that hold — their own work is milliseconds — the cancelled one with
+// exactly ctx.Err(). Closing the coordinator while the loop still dials
+// must return as fast, the loop gone: Close waits for it.
 func TestRedialEndsWithItsRun(t *testing.T) {
 	const hold = 5 * time.Second
-	for _, tc := range []struct {
-		name      string
-		cancelled bool
-	}{{"finished", false}, {"cancelled", true}} {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, leg := range []string{"finished", "cancelled", "closed"} {
+		t.Run(leg, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			dialing := make(chan struct{})
@@ -213,7 +220,7 @@ func TestRedialEndsWithItsRun(t *testing.T) {
 					case <-dialing:
 					case <-time.After(hold):
 					}
-					if tc.cancelled {
+					if leg == "cancelled" {
 						cancel()
 					}
 				}
@@ -226,7 +233,9 @@ func TestRedialEndsWithItsRun(t *testing.T) {
 				t.Fatalf("Dial: %v", err)
 			}
 			defer c.Close()
+			var dialDone atomic.Bool
 			c.dial = func(ctx context.Context, _, _ string) (net.Conn, error) {
+				defer dialDone.Store(true)
 				once.Do(func() { close(dialing) })
 				select {
 				case <-ctx.Done():
@@ -246,14 +255,28 @@ func TestRedialEndsWithItsRun(t *testing.T) {
 			if !kt.died() {
 				t.Fatal("scripted worker never reached its death trigger")
 			}
-			if tc.cancelled && err != ctx.Err() {
+			if leg == "cancelled" && err != ctx.Err() {
 				t.Fatalf("cancelled run: err = %v, want exactly ctx.Err() (%v)", err, ctx.Err())
 			}
-			if !tc.cancelled && err != nil {
+			if leg != "cancelled" && err != nil {
 				t.Fatalf("Rank with a lost worker: %v", err)
 			}
 			if elapsed > hold/5 {
 				t.Errorf("run returned after %v: it waited on its redial's dial", elapsed)
+			}
+			if leg != "closed" {
+				return
+			}
+			if dialDone.Load() {
+				t.Fatal("the redial's dial returned before Close: the leg tested nothing")
+			}
+			start = time.Now()
+			c.Close()
+			if elapsed := time.Since(start); elapsed > hold/5 {
+				t.Errorf("Close returned after %v: it waited out the redial's dial", elapsed)
+			}
+			if !dialDone.Load() {
+				t.Error("Close returned while the redial loop was still dialing")
 			}
 		})
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"net"
 	"slices"
 	"sort"
 	"sync"
@@ -48,32 +47,14 @@ type run struct {
 	sessions [][]int
 	budget   int
 
-	// Re-admission (RetryPolicy.MaxRedials > 0). A redialer goroutine
-	// per lost worker delivers fresh connections on rejoinCh; the
-	// sequential phase code admits them at loop heads — safe points
-	// where no partial results are in flight. redialCtx ends with the
-	// run (stopRedial), interrupting a redialer's backoff or dial.
-	// redialing marks workers with an active redialer (sequential access
-	// only); rejoining marks workers mid-readmission for shipTo's byte
-	// accounting (r.mu).
-	rejoinCh   chan rejoin
-	redialCtx  context.Context
-	stopRedial context.CancelFunc
-	redialWG   sync.WaitGroup
-	redialing  []bool
-	rejoining  map[int]bool
-	inReadmit  bool
+	// rejoined marks the workers a redial loop reconnected since the
+	// previous run: this run counts them in Stats.WorkersRejoined and what
+	// it ships them in full in Stats.RejoinShardBytes.
+	rejoined []bool
 
 	// mu guards stats mutations from the concurrent per-worker
-	// shipments (phase bookkeeping is otherwise sequential), and the
-	// rejoining set they read.
+	// shipments (phase bookkeeping is otherwise sequential).
 	mu sync.Mutex
-}
-
-// rejoin is one successfully redialed worker awaiting re-admission.
-type rejoin struct {
-	idx  int
-	conn net.Conn
 }
 
 // call performs one exchange with worker idx under the run's context
@@ -138,22 +119,27 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 		alive:    make([]bool, len(c.workers)),
 		load:     make([]int, len(c.workers)),
 		sessions: make([][]int, len(c.workers)),
+		rejoined: make([]bool, len(c.workers)),
 		budget:   cfg.Retry.MaxWorkerFailures,
 	}
+	// A worker that is still broken gets its redial loop; one a loop
+	// reconnected since the last run joins this one, declared its share by
+	// digest like every worker.
 	for i, w := range c.workers {
-		if !w.isBroken() {
-			r.alive[i] = true
-			r.nAlive++
+		if w.isBroken() {
+			c.redial(i, cfg.Retry)
+			continue
+		}
+		r.alive[i] = true
+		r.nAlive++
+		if w.rejoined {
+			w.rejoined, r.rejoined[i] = false, true
+			res.Stats.WorkersRejoined++
 		}
 	}
 	if r.nAlive == 0 {
 		return nil, errors.New("coordinator: no live workers (every connection is broken)")
 	}
-	// Arm re-admission before the first shipment: a worker that died in
-	// an earlier run (or dies in this one) is redialed in the background
-	// and folded back in at the next phase boundary.
-	r.startRedialers()
-	defer r.stopRedialers()
 
 	// Place and ship: LPT (or the pinned assignment) places sites over
 	// the live fleet, and each live worker is told what its session holds.
@@ -183,6 +169,7 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 	res.LocalIterations = localIters
 	res.Digests = r.digests
 
+	res.Stats.RedialAttempts = int(c.redials.Swap(0))
 	res.Stats.Messages = c.counters.Messages() - startMsgs
 	res.Stats.BytesSent = c.counters.BytesSent() - startOut
 	res.Stats.BytesReceived = c.counters.BytesReceived() - startIn
@@ -253,18 +240,6 @@ func (r *run) siteDocs(s int) int {
 	return r.rk.DocGraph().SiteSize(graph.SiteID(s))
 }
 
-// aliveIdxs returns the live fleet indices in ascending order — the fixed
-// order placement maps its shards onto.
-func (r *run) aliveIdxs() []int {
-	idxs := make([]int, 0, r.nAlive)
-	for i, a := range r.alive {
-		if a {
-			idxs = append(idxs, i)
-		}
-	}
-	return idxs
-}
-
 // lightestAlive returns the live worker with the least assigned
 // document load (ties toward the lower index).
 func (r *run) lightestAlive() int {
@@ -280,11 +255,12 @@ func (r *run) lightestAlive() int {
 	return best
 }
 
-// lose marks worker idx dead for the rest of the run, charges the retry
-// budget, and moves every site it owned to the lightest surviving
-// workers. It returns the moved sites — the caller re-ships and re-runs
-// exactly those. Callers must invoke lose sequentially (after joining a
-// parallel wave), never from inside one.
+// lose marks worker idx dead for the rest of the run, starts its redial
+// loop (a reconnect joins the next run), charges the retry budget, and
+// moves every site it owned to the lightest surviving workers. It returns
+// the moved sites — the caller re-ships and re-runs exactly those.
+// Callers must invoke lose sequentially (after joining a parallel wave),
+// never from inside one.
 func (r *run) lose(idx int, cause error) (map[int]struct{}, error) {
 	if !r.alive[idx] {
 		// A second failure report for the same wave (e.g. two phases
@@ -295,6 +271,7 @@ func (r *run) lose(idx int, cause error) (map[int]struct{}, error) {
 	r.nAlive--
 	r.sessions[idx] = nil
 	r.stats.WorkersLost++
+	r.c.redial(idx, r.cfg.Retry)
 	addr := r.c.workers[idx].addr
 	if r.budget <= 0 {
 		return nil, fmt.Errorf("coordinator: worker %s lost with retry budget exhausted (RetryPolicy.MaxWorkerFailures=%d): %w",
@@ -304,7 +281,6 @@ func (r *run) lose(idx int, cause error) (map[int]struct{}, error) {
 	if r.nAlive == 0 {
 		return nil, fmt.Errorf("coordinator: all workers lost: %w", cause)
 	}
-	r.spawnRedialer(idx)
 	moved := make(map[int]struct{})
 	for s, w := range r.owner {
 		if w != idx {
@@ -318,165 +294,6 @@ func (r *run) lose(idx int, cause error) (map[int]struct{}, error) {
 	}
 	r.load[idx] = 0
 	return moved, nil
-}
-
-// startRedialers arms the re-admission machinery when the policy asks
-// for it, spawning a redialer for every worker already broken when the
-// run began (a peer that died in a previous run gets its chance back
-// too, not just mid-run casualties).
-func (r *run) startRedialers() {
-	if r.cfg.Retry.MaxRedials <= 0 {
-		return
-	}
-	r.rejoinCh = make(chan rejoin, len(r.c.workers))
-	r.redialCtx, r.stopRedial = context.WithCancel(r.ctx)
-	r.redialing = make([]bool, len(r.c.workers))
-	r.rejoining = make(map[int]bool)
-	for i, a := range r.alive {
-		if !a {
-			r.spawnRedialer(i)
-		}
-	}
-}
-
-// spawnRedialer starts the background redial loop for a lost worker:
-// jittered exponential backoff between attempts, at most MaxRedials
-// attempts, delivering at most one fresh connection to rejoinCh. Called
-// only from the sequential phase code (run start, lose, readmit).
-func (r *run) spawnRedialer(idx int) {
-	if r.rejoinCh == nil || r.redialing[idx] {
-		return
-	}
-	r.redialing[idx] = true
-	addr := r.c.workers[idx].addr
-	pol := r.cfg.Retry
-	r.redialWG.Add(1)
-	go func() {
-		defer r.redialWG.Done()
-		for attempt := 0; attempt < pol.MaxRedials; attempt++ {
-			select {
-			case <-time.After(backoffDelay(pol.redialBase(), pol.redialMax(), attempt)):
-			case <-r.redialCtx.Done():
-				return
-			}
-			r.mu.Lock()
-			r.stats.RedialAttempts++
-			r.mu.Unlock()
-			conn, err := r.c.dial(r.redialCtx, "tcp", addr)
-			if err != nil {
-				continue
-			}
-			// The channel holds one slot per worker and a worker has at
-			// most one redialer, so this send never blocks.
-			select {
-			case r.rejoinCh <- rejoin{idx: idx, conn: conn}:
-			default:
-				conn.Close()
-			}
-			return
-		}
-	}()
-}
-
-// stopRedialers tears the re-admission machinery down at run end. A
-// connection that arrived too late to be admitted into this run is not
-// wasted: it is installed on the coordinator's remote, so the next run
-// starts with the peer alive again.
-func (r *run) stopRedialers() {
-	if r.rejoinCh == nil {
-		return
-	}
-	r.stopRedial()
-	r.redialWG.Wait()
-	for {
-		select {
-		case rj := <-r.rejoinCh:
-			if r.c.isClosed() {
-				rj.conn.Close()
-			} else {
-				r.c.workers[rj.idx].reconnect(rj.conn, &r.c.counters)
-			}
-		default:
-			return
-		}
-	}
-}
-
-// maybeReadmit admits any rejoined workers waiting on the channel. It
-// is called at phase loop heads — the safe points where no partial
-// results are in flight — and never reentrantly (a readmission's own
-// shipping must not trigger another).
-func (r *run) maybeReadmit() error {
-	if r.rejoinCh == nil || r.inReadmit {
-		return nil
-	}
-	r.inReadmit = true
-	defer func() { r.inReadmit = false }()
-	for {
-		select {
-		case rj := <-r.rejoinCh:
-			if err := r.readmit(rj); err != nil {
-				return err
-			}
-		default:
-			return nil
-		}
-	}
-}
-
-// readmit re-admits one redialed worker mid-run: probe the fresh
-// connection, restore the worker to the fleet view, and rebalance its
-// ideal share of sites back to it. One ship does the rest: the rejoiner
-// is declared its share (by digest — a warm rejoiner re-ships ~0 bytes)
-// and the interim owners are declared what they are left with, so no
-// site is held by two sessions.
-func (r *run) readmit(rj rejoin) error {
-	idx := rj.idx
-	r.c.workers[idx].reconnect(rj.conn, &r.c.counters)
-	// Probe before committing: a connection that dies immediately costs
-	// a respawned redialer, not a loss-budget charge.
-	if _, err := r.call(idx, &wire.Request{Kind: wire.KindPing}); err != nil {
-		if errors.Is(err, errLost) {
-			r.redialing[idx] = false
-			r.spawnRedialer(idx)
-			return nil
-		}
-		return err
-	}
-	r.redialing[idx] = false
-	r.alive[idx] = true
-	r.nAlive++
-	r.load[idx] = 0
-	r.stats.WorkersRejoined++
-
-	// Rebalance back: recompute the ideal placement over the restored
-	// fleet and move exactly the sites whose ideal owner is the
-	// rejoiner. LPT is deterministic (and a pinned assignment
-	// is fixed outright), so when the fleet's liveness returns to what
-	// it was at run start these are precisely the sites the rejoiner
-	// held before it died — warm in its digest cache.
-	ideal := r.idealOwners()
-	moved := make(map[int]struct{})
-	for s := 0; s < r.ns; s++ {
-		if ideal[s] != idx || r.owner[s] == idx {
-			continue
-		}
-		r.load[r.owner[s]] -= r.siteDocs(s)
-		r.owner[s] = idx
-		r.load[idx] += r.siteDocs(s)
-		moved[s] = struct{}{}
-	}
-	r.mu.Lock()
-	r.rejoining[idx] = true
-	r.mu.Unlock()
-	// The rejoiner's session is undeclared, so ship reaches it even when
-	// the ideal assignment hands it nothing: its session is declared
-	// empty.
-	err := r.ship(moved)
-	r.mu.Lock()
-	delete(r.rejoining, idx)
-	r.mu.Unlock()
-	return err
 }
 
 // ship delivers the needed sites to their current owners and leaves
@@ -598,9 +415,7 @@ func (r *run) shipTo(idx int, want, fresh []int) error {
 			continue
 		}
 		r.stats.ShardsReshipped++
-		if r.rejoining[idx] {
-			// Shard payloads this re-admission had to move in full — ~0 for
-			// a warm rejoiner, whose shards all hit its digest cache.
+		if r.rejoined[idx] {
 			r.stats.RejoinShardBytes += r.digests.shards[s].size
 		}
 	}
@@ -623,9 +438,6 @@ func (r *run) localPhase(dg *graph.DocGraph) ([]matrix.Vector, []int, error) {
 	}
 	for {
 		if err := r.ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		if err := r.maybeReadmit(); err != nil {
 			return nil, nil, err
 		}
 		targets := make(map[int][]int)

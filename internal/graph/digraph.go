@@ -324,10 +324,12 @@ func (p *packed) read(i int, c *cursor) {
 }
 
 // widen decodes a base row's 2-byte listed weights into c's scratch and
-// returns them, clipped to their length.
+// returns them, clipped to their length. The scratch starts at
+// rowScratch entries, so a fresh cursor does not double its way up from
+// its first row's count.
 func (c *cursor) widen(w16 []uint16) []float64 {
 	if cap(c.wbuf) < len(w16) {
-		c.wbuf = make([]float64, max(len(w16), 2*cap(c.wbuf)))
+		c.wbuf = make([]float64, max(len(w16), 2*cap(c.wbuf), rowScratch))
 	}
 	w := c.wbuf[:len(w16):len(w16)]
 	for k, x := range w16 {
@@ -427,6 +429,10 @@ func (g *Digraph) overlay(i int) *row {
 	}
 	return nil
 }
+
+// rowScratch is the first capacity of a cursor's weight scratch: room for
+// a typical row's listed weights.
+const rowScratch = 16
 
 // cursor is a walk over a graph's rows: the row it read last, its place
 // in the base's listed and far links, and the scratch it decodes base

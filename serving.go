@@ -281,7 +281,8 @@ type snapshot struct {
 }
 
 // server is the serving front both engines embed: everything between the
-// caller and the solve. Rank is validate → admit → pin the snapshot →
+// caller and the solve. Rank is validate → zero the spelled-out defaults
+// → admit → pin the snapshot →
 // check its graph version and the query's vector shapes against it →
 // coalesce → solve → Top → hand-off; Update is COW apply → rebuild →
 // publish. The engines differ only in src, where the local DocRanks come
@@ -343,6 +344,7 @@ func (e *server) Rank(ctx context.Context, q Query) (*Result, error) {
 	if err := q.validate(); err != nil {
 		return nil, err
 	}
+	q = q.zeroDefaults()
 	if err := e.admit.acquire(ctx, q.Tenant); err != nil {
 		if errors.Is(err, ErrOverloaded) {
 			e.stats.overload(q.Tenant)
